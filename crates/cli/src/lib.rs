@@ -712,107 +712,144 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     }
 }
 
-/// Connects to a coordinator, sends one `StatusRequest` control frame,
-/// and returns the Prometheus text exposition from the `StatusReply`.
+/// Connects to a coordinator (or aggregator), sends the one control frame
+/// `req`, and returns what `pick` extracts from the matching reply;
+/// `what` names the exchange in error messages.
 ///
-/// Works on a bare connection — no `Hello` handshake — so a scrape never
-/// counts as a site joining or rejoining the round.
+/// Works on a bare connection — no `Hello` handshake — so a scrape, a
+/// snapshot pull or a health probe never counts as a site joining or
+/// rejoining the round.
+fn request<T>(
+    addr: &str,
+    req: Control,
+    what: &str,
+    pick: impl Fn(Control) -> Option<T>,
+) -> std::io::Result<T> {
+    use std::io::{Error, ErrorKind};
+    let mut stream = std::net::TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(std::time::Duration::from_millis(200)))?;
+    write_frame(&mut stream, req.encode().as_slice())?;
+    let mut reader = FrameReader::new();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    loop {
+        let polled = reader.poll(&mut stream)?;
+        for payload in polled.frames {
+            let control = Control::decode(&mut ByteReader::new(&payload))
+                .map_err(|e| Error::new(ErrorKind::InvalidData, format!("{what}: {e}")))?;
+            if let Some(reply) = pick(control) {
+                return Ok(reply);
+            }
+        }
+        if polled.eof {
+            return Err(Error::new(
+                ErrorKind::UnexpectedEof,
+                "coordinator closed the connection before replying",
+            ));
+        }
+        if std::time::Instant::now() >= deadline {
+            return Err(Error::new(ErrorKind::TimedOut, format!("no {what} reply within 5s")));
+        }
+    }
+}
+
+/// The Prometheus text exposition from a `StatusReply`.
 fn scrape_status(addr: &str) -> std::io::Result<String> {
-    use std::io::{Error, ErrorKind};
-    let mut stream = std::net::TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(std::time::Duration::from_millis(200)))?;
-    write_frame(&mut stream, Control::StatusRequest.encode().as_slice())?;
-    let mut reader = FrameReader::new();
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    loop {
-        let polled = reader.poll(&mut stream)?;
-        for payload in polled.frames {
-            let control = Control::decode(&mut ByteReader::new(&payload))
-                .map_err(|e| Error::new(ErrorKind::InvalidData, format!("status: {e}")))?;
-            if let Control::StatusReply { text } = control {
-                return String::from_utf8(text)
-                    .map_err(|_| Error::new(ErrorKind::InvalidData, "status reply is not UTF-8"));
-            }
-        }
-        if polled.eof {
-            return Err(Error::new(
-                ErrorKind::UnexpectedEof,
-                "coordinator closed the connection before replying",
-            ));
-        }
-        if std::time::Instant::now() >= deadline {
-            return Err(Error::new(ErrorKind::TimedOut, "no status reply within 5s"));
-        }
-    }
+    let text = request(addr, Control::StatusRequest, "status", |c| match c {
+        Control::StatusReply { text } => Some(text),
+        _ => None,
+    })?;
+    String::from_utf8(text).map_err(|_| {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, "status reply is not UTF-8")
+    })
 }
 
-/// Connects to a coordinator, sends one `SnapshotRequest` control frame,
-/// and returns the `ModelSnapshot` wire bytes from the `SnapshotReply`.
-///
-/// Like [`scrape_status`], works on a bare connection — no `Hello`
-/// handshake — so pulling a snapshot never counts as a site joining. An
-/// empty reply means the coordinator has not published (or captured) a
-/// model yet; the caller decides whether to retry.
+/// The `ModelSnapshot` wire bytes from a `SnapshotReply`. An empty reply
+/// means the coordinator has not published (or captured) a model yet; the
+/// caller decides whether to retry.
 fn scrape_snapshot(addr: &str) -> std::io::Result<Vec<u8>> {
-    use std::io::{Error, ErrorKind};
-    let mut stream = std::net::TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(std::time::Duration::from_millis(200)))?;
-    write_frame(&mut stream, Control::SnapshotRequest.encode().as_slice())?;
-    let mut reader = FrameReader::new();
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    loop {
-        let polled = reader.poll(&mut stream)?;
-        for payload in polled.frames {
-            let control = Control::decode(&mut ByteReader::new(&payload))
-                .map_err(|e| Error::new(ErrorKind::InvalidData, format!("snapshot: {e}")))?;
-            if let Control::SnapshotReply { snapshot } = control {
-                return Ok(snapshot);
-            }
+    request(addr, Control::SnapshotRequest, "snapshot", |c| match c {
+        Control::SnapshotReply { snapshot } => Some(snapshot),
+        _ => None,
+    })
+}
+
+/// The alert verdicts from a `HealthReply`. An empty list means the
+/// coordinator was started without `--alerts` (no rules to evaluate).
+fn scrape_health(addr: &str) -> std::io::Result<Vec<HealthAlert>> {
+    request(addr, Control::HealthRequest, "health", |c| match c {
+        Control::HealthReply { alerts } => Some(alerts),
+        _ => None,
+    })
+}
+
+/// The registry behind a subcommand's observer, journaling to `journal`
+/// when a path was given.
+fn journal_registry(journal: &Option<String>) -> std::io::Result<Arc<Registry>> {
+    Ok(Arc::new(match journal {
+        Some(path) => {
+            let file = std::fs::File::create(path)?;
+            Registry::with_journal(Box::new(std::io::BufWriter::new(file)))
         }
-        if polled.eof {
-            return Err(Error::new(
-                ErrorKind::UnexpectedEof,
-                "coordinator closed the connection before replying",
-            ));
-        }
-        if std::time::Instant::now() >= deadline {
-            return Err(Error::new(ErrorKind::TimedOut, "no snapshot reply within 5s"));
-        }
+        None => Registry::new(),
+    }))
+}
+
+/// Binds the listener of a serving role (`coordinator`, `aggregator`).
+fn bind_listener(
+    role: &str,
+    listen: &str,
+) -> Result<(std::net::TcpListener, std::net::SocketAddr), CliError> {
+    let listener = std::net::TcpListener::bind(listen)
+        .map_err(|e| CliError::Usage(format!("{role}: bind {listen}: {e}")))?;
+    let addr = listener.local_addr().map_err(|e| CliError::Usage(format!("{role}: {e}")))?;
+    Ok((listener, addr))
+}
+
+/// Ephemeral-port discovery for scripts: write-then-rename so a poller
+/// never reads a half-written file.
+fn publish_port(port_file: &Option<String>, addr: std::net::SocketAddr) -> std::io::Result<()> {
+    if let Some(path) = port_file {
+        let tmp = format!("{path}.tmp");
+        std::fs::write(&tmp, addr.to_string())?;
+        std::fs::rename(&tmp, path)?;
+    }
+    Ok(())
+}
+
+/// The `--heartbeat-ms/--timeout-ms/--deadline-s` trio of the serving
+/// roles as a [`SocketConfig`] (`deadline_s = 0` waits indefinitely).
+fn socket_config(heartbeat_ms: u64, timeout_ms: u64, deadline_s: u64) -> SocketConfig {
+    SocketConfig {
+        heartbeat_us: heartbeat_ms.saturating_mul(1_000),
+        timeout_us: timeout_ms.saturating_mul(1_000),
+        deadline: (deadline_s > 0).then(|| std::time::Duration::from_secs(deadline_s)),
+        ..Default::default()
     }
 }
 
-/// Connects to a coordinator, sends one `HealthRequest` control frame,
-/// and returns the alert verdicts from the `HealthReply`.
-///
-/// Like [`scrape_status`], works on a bare connection — no `Hello`
-/// handshake — so a health probe never counts as a site joining the
-/// round. An empty verdict list means the coordinator was started
-/// without `--alerts` (no rules to evaluate).
-fn scrape_health(addr: &str) -> std::io::Result<Vec<HealthAlert>> {
-    use std::io::{Error, ErrorKind};
-    let mut stream = std::net::TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(std::time::Duration::from_millis(200)))?;
-    write_frame(&mut stream, Control::HealthRequest.encode().as_slice())?;
-    let mut reader = FrameReader::new();
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    loop {
-        let polled = reader.poll(&mut stream)?;
-        for payload in polled.frames {
-            let control = Control::decode(&mut ByteReader::new(&payload))
-                .map_err(|e| Error::new(ErrorKind::InvalidData, format!("health: {e}")))?;
-            if let Control::HealthReply { alerts } = control {
-                return Ok(alerts);
-            }
-        }
-        if polled.eof {
-            return Err(Error::new(
-                ErrorKind::UnexpectedEof,
-                "coordinator closed the connection before replying",
-            ));
-        }
-        if std::time::Instant::now() >= deadline {
-            return Err(Error::new(ErrorKind::TimedOut, "no health reply within 5s"));
-        }
+/// The site half of the `metrics` workload: 1-d, K = 2, up to four
+/// tests per chunk. `faults`, `trace` and the socket `site` role run the
+/// same configuration so their journals stay diffable against `metrics`.
+fn metrics_site_config(seed: u64, epsilon: f64, threads: usize) -> Config {
+    Config {
+        dim: 1,
+        k: 2,
+        chunk: ChunkParams { epsilon, delta: 0.01 },
+        c_max: 4,
+        seed,
+        em_threads: threads,
+        ..Default::default()
+    }
+}
+
+/// The coordinator half of the `metrics` workload: fewer groups than the
+/// regimes produce, so merges (with simplex refinement) must happen.
+fn metrics_coordinator_config() -> CoordinatorConfig {
+    CoordinatorConfig {
+        max_groups: 2,
+        refine_merges: true,
+        refiner: MergeRefiner { samples: 32, max_evals: 100, seed: 9 },
+        ..Default::default()
     }
 }
 
@@ -963,13 +1000,7 @@ pub fn run(command: Command, out: &mut impl Write) -> Result<(), CliError> {
             Ok(())
         }
         Command::Metrics { sites, chunks, seed, epsilon, threads, journal, reliable } => {
-            let registry = match &journal {
-                Some(path) => {
-                    let file = std::fs::File::create(path)?;
-                    Arc::new(Registry::with_journal(Box::new(std::io::BufWriter::new(file))))
-                }
-                None => Arc::new(Registry::new()),
-            };
+            let registry = journal_registry(&journal)?;
             // Exact quantiles alongside the histogram's power-of-two
             // bounds, for the deterministic EM-cost distributions.
             registry.track_quantiles("em.iters_per_fit");
@@ -982,15 +1013,7 @@ pub fn run(command: Command, out: &mut impl Write) -> Result<(), CliError> {
             // re-clustering on the change — and the per-regime component
             // pairs give the coordinator more groups than `max_groups`,
             // forcing merges with simplex refinement.
-            let site_config = Config {
-                dim: 1,
-                k: 2,
-                chunk: ChunkParams { epsilon, delta: 0.01 },
-                c_max: 4,
-                seed,
-                em_threads: threads,
-                ..Default::default()
-            };
+            let site_config = metrics_site_config(seed, epsilon, threads);
             let chunk_size = RemoteSite::new(site_config.clone())?.chunk_size();
             let per_regime = chunks * chunk_size;
             let streams: Vec<RecordStream> = (0..sites)
@@ -998,12 +1021,7 @@ pub fn run(command: Command, out: &mut impl Write) -> Result<(), CliError> {
                 .collect();
             let driver_config = DriverConfig {
                 site: site_config,
-                coordinator: CoordinatorConfig {
-                    max_groups: 2,
-                    refine_merges: true,
-                    refiner: MergeRefiner { samples: 32, max_evals: 100, seed: 9 },
-                    ..Default::default()
-                },
+                coordinator: metrics_coordinator_config(),
                 obs,
                 ..Default::default()
             };
@@ -1046,27 +1064,13 @@ pub fn run(command: Command, out: &mut impl Write) -> Result<(), CliError> {
             threads,
             journal,
         } => {
-            let registry = match &journal {
-                Some(path) => {
-                    let file = std::fs::File::create(path)?;
-                    Arc::new(Registry::with_journal(Box::new(std::io::BufWriter::new(file))))
-                }
-                None => Arc::new(Registry::new()),
-            };
+            let registry = journal_registry(&journal)?;
             registry.track_quantiles("em.iters_per_fit");
             registry.track_quantiles("em.cost_us");
             let obs = Obs::from_registry(Arc::clone(&registry));
 
             // The metrics two-regime workload, over a hostile network.
-            let site_config = Config {
-                dim: 1,
-                k: 2,
-                chunk: ChunkParams { epsilon, delta: 0.01 },
-                c_max: 4,
-                seed,
-                em_threads: threads,
-                ..Default::default()
-            };
+            let site_config = metrics_site_config(seed, epsilon, threads);
             let chunk_size = RemoteSite::new(site_config.clone())?.chunk_size();
             let per_regime = chunks * chunk_size;
             let updates = 2 * per_regime as u64;
@@ -1074,12 +1078,7 @@ pub fn run(command: Command, out: &mut impl Write) -> Result<(), CliError> {
                 (0..sites).map(|i| metrics_stream(i, seed, per_regime)).collect();
             let driver_config = DriverConfig {
                 site: site_config,
-                coordinator: CoordinatorConfig {
-                    max_groups: 2,
-                    refine_merges: true,
-                    refiner: MergeRefiner { samples: 32, max_evals: 100, seed: 9 },
-                    ..Default::default()
-                },
+                coordinator: metrics_coordinator_config(),
                 obs,
                 ..Default::default()
             };
@@ -1171,15 +1170,7 @@ pub fn run(command: Command, out: &mut impl Write) -> Result<(), CliError> {
             let obs = Obs::from_registry(Arc::clone(&registry));
 
             // The metrics two-regime workload, traced end to end.
-            let site_config = Config {
-                dim: 1,
-                k: 2,
-                chunk: ChunkParams { epsilon, delta: 0.01 },
-                c_max: 4,
-                seed,
-                em_threads: threads,
-                ..Default::default()
-            };
+            let site_config = metrics_site_config(seed, epsilon, threads);
             let chunk_size = RemoteSite::new(site_config.clone())?.chunk_size();
             let per_regime = chunks * chunk_size;
             let updates = 2 * per_regime as u64;
@@ -1187,12 +1178,7 @@ pub fn run(command: Command, out: &mut impl Write) -> Result<(), CliError> {
                 (0..sites).map(|i| metrics_stream(i, seed, per_regime)).collect();
             let driver_config = DriverConfig {
                 site: site_config,
-                coordinator: CoordinatorConfig {
-                    max_groups: 2,
-                    refine_merges: true,
-                    refiner: MergeRefiner { samples: 32, max_evals: 100, seed: 9 },
-                    ..Default::default()
-                },
+                coordinator: metrics_coordinator_config(),
                 obs,
                 ..Default::default()
             };
@@ -1255,13 +1241,7 @@ pub fn run(command: Command, out: &mut impl Write) -> Result<(), CliError> {
             linger_ms,
             quality,
         } => {
-            let registry = match &journal {
-                Some(path) => {
-                    let file = std::fs::File::create(path)?;
-                    Arc::new(Registry::with_journal(Box::new(std::io::BufWriter::new(file))))
-                }
-                None => Arc::new(Registry::new()),
-            };
+            let registry = journal_registry(&journal)?;
             if trace_out.is_some() {
                 registry.enable_tracing();
             }
@@ -1270,43 +1250,23 @@ pub fn run(command: Command, out: &mut impl Write) -> Result<(), CliError> {
             // `status` subcommand scrapes it mid-round over the same
             // listener.
             let fleet = Arc::new(FleetAggregator::new());
-            let listener = std::net::TcpListener::bind(&listen)
-                .map_err(|e| CliError::Usage(format!("coordinator: bind {listen}: {e}")))?;
-            let addr = listener
-                .local_addr()
-                .map_err(|e| CliError::Usage(format!("coordinator: {e}")))?;
+            let (listener, addr) = bind_listener("coordinator", &listen)?;
             writeln!(out, "coordinator listening on {addr} for {sites} sites")?;
             out.flush()?;
-            // Ephemeral-port discovery for scripts: write-then-rename so a
-            // poller never reads a half-written file.
-            if let Some(path) = &port_file {
-                let tmp = format!("{path}.tmp");
-                std::fs::write(&tmp, addr.to_string())?;
-                std::fs::rename(&tmp, path)?;
-            }
+            publish_port(&port_file, addr)?;
             // A CLI coordinator always publishes read-side snapshots:
             // `score --connect` can pull the live model mid-round, and
             // the end-of-round checkpoint lands in `--snapshot-out`.
             let mut builder = CoordinatorRun::builder(sites)
                 // The metrics-workload coordinator configuration, so a
                 // socket round is diffable against `metrics --reliable`.
-                .coordinator(CoordinatorConfig {
-                    max_groups: 2,
-                    refine_merges: true,
-                    refiner: MergeRefiner { samples: 32, max_evals: 100, seed: 9 },
-                    quality,
-                    ..Default::default()
-                })
+                .coordinator(CoordinatorConfig { quality, ..metrics_coordinator_config() })
                 .dim(1)
                 .obs(obs)
                 .socket(SocketConfig {
-                    heartbeat_us: heartbeat_ms.saturating_mul(1_000),
-                    timeout_us: timeout_ms.saturating_mul(1_000),
-                    deadline: (deadline_s > 0)
-                        .then(|| std::time::Duration::from_secs(deadline_s)),
                     linger: (linger_ms > 0)
                         .then(|| std::time::Duration::from_millis(linger_ms)),
-                    ..Default::default()
+                    ..socket_config(heartbeat_ms, timeout_ms, deadline_s)
                 })
                 .fleet(Arc::clone(&fleet))
                 .snapshots(Arc::new(SnapshotHandle::new()));
@@ -1368,13 +1328,7 @@ pub fn run(command: Command, out: &mut impl Write) -> Result<(), CliError> {
             Ok(())
         }
         Command::Site { connect, site, chunks, seed, epsilon, threads, journal, trace, quality } => {
-            let registry = match &journal {
-                Some(path) => {
-                    let file = std::fs::File::create(path)?;
-                    Arc::new(Registry::with_journal(Box::new(std::io::BufWriter::new(file))))
-                }
-                None => Arc::new(Registry::new()),
-            };
+            let registry = journal_registry(&journal)?;
             registry.track_quantiles("em.iters_per_fit");
             registry.track_quantiles("em.cost_us");
             registry.track_quantiles("hb.rtt_us");
@@ -1394,14 +1348,8 @@ pub fn run(command: Command, out: &mut impl Write) -> Result<(), CliError> {
             // seed decorrelation happens inside `run_site`, exactly as the
             // simulator's driver does it.
             let site_config = Config {
-                dim: 1,
-                k: 2,
-                chunk: ChunkParams { epsilon, delta: 0.01 },
-                c_max: 4,
-                seed,
-                em_threads: threads,
                 quality: quality.then(QualityConfig::default),
-                ..Default::default()
+                ..metrics_site_config(seed, epsilon, threads)
             };
             let chunk_size = RemoteSite::new(site_config.clone())?.chunk_size();
             let per_regime = chunks * chunk_size;
@@ -1450,13 +1398,7 @@ pub fn run(command: Command, out: &mut impl Write) -> Result<(), CliError> {
             port_file,
             journal,
         } => {
-            let registry = match &journal {
-                Some(path) => {
-                    let file = std::fs::File::create(path)?;
-                    Arc::new(Registry::with_journal(Box::new(std::io::BufWriter::new(file))))
-                }
-                None => Arc::new(Registry::new()),
-            };
+            let registry = journal_registry(&journal)?;
             registry.track_quantiles("hb.rtt_us");
             // Like a CLI site, an aggregator always reports telemetry
             // upward, so the root's fleet registry shows the subtree
@@ -1466,33 +1408,22 @@ pub fn run(command: Command, out: &mut impl Write) -> Result<(), CliError> {
             // The subtree's own fleet registry: `status --connect` against
             // this listener scrapes the children this node serves.
             let fleet = Arc::new(FleetAggregator::new());
-            let listener = std::net::TcpListener::bind(&listen)
-                .map_err(|e| CliError::Usage(format!("aggregator: bind {listen}: {e}")))?;
-            let addr = listener
-                .local_addr()
-                .map_err(|e| CliError::Usage(format!("aggregator: {e}")))?;
+            let (listener, addr) = bind_listener("aggregator", &listen)?;
             writeln!(
                 out,
                 "aggregator {site} listening on {addr} for sites {child_base}..{}",
                 child_base + children
             )?;
             out.flush()?;
-            if let Some(path) = &port_file {
-                let tmp = format!("{path}.tmp");
-                std::fs::write(&tmp, addr.to_string())?;
-                std::fs::rename(&tmp, path)?;
-            }
+            publish_port(&port_file, addr)?;
             let run = AggregatorRun::builder(site as u32, child_base as u32, children)
                 // The shard runs the metrics-workload coordinator
                 // configuration with the bounded merge log: the fan-in
                 // boundary is where history is retained, so the cap is
                 // what keeps a deep tree's memory O(models) per node.
                 .coordinator(CoordinatorConfig {
-                    max_groups: 2,
-                    refine_merges: true,
-                    refiner: MergeRefiner { samples: 32, max_evals: 100, seed: 9 },
                     merge_log_cap: Some(64),
-                    ..Default::default()
+                    ..metrics_coordinator_config()
                 })
                 .dim(1)
                 .epsilon(epsilon)
@@ -1500,13 +1431,7 @@ pub fn run(command: Command, out: &mut impl Write) -> Result<(), CliError> {
                 .obs(obs)
                 .telemetry(true)
                 .fleet(Arc::clone(&fleet))
-                .socket(SocketConfig {
-                    heartbeat_us: heartbeat_ms.saturating_mul(1_000),
-                    timeout_us: timeout_ms.saturating_mul(1_000),
-                    deadline: (deadline_s > 0)
-                        .then(|| std::time::Duration::from_secs(deadline_s)),
-                    ..Default::default()
-                })
+                .socket(socket_config(heartbeat_ms, timeout_ms, deadline_s))
                 .build()
                 .map_err(|e| CliError::Usage(format!("aggregator: {e}")))?;
             let report = run_aggregator(&connect, listener, run)

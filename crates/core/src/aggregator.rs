@@ -22,15 +22,37 @@
 //! swarm benchmark all drive the same state machine, so aggregation
 //! behaves identically under simulation and over real sockets.
 
-use crate::coordinator::{Coordinator, CoordinatorConfig};
+use crate::coordinator::{m_split, Coordinator, CoordinatorConfig};
 use crate::engine::CoordinatorEngine;
 use crate::error::CludiError;
-use crate::multilayer::summary_changed;
 use crate::protocol::Message;
 use crate::remote::ModelId;
 use cludistream_gmm::Mixture;
 use cludistream_obs::{Obs, Recorder};
 use cludistream_wire::ByteBuf;
+
+/// Decides whether an aggregator's summary changed enough to re-upload
+/// (paper Sec. 7: an internal node "uploads the summary information to the
+/// parent if its locally-observed Gaussian mixture model changes"): a
+/// change in component count, any component mean drifting by more than
+/// `epsilon` (precision-weighted squared distance), or any weight moving by
+/// more than `epsilon`.
+pub fn summary_changed(old: &Mixture, new: &Mixture, epsilon: f64) -> bool {
+    if old.k() != new.k() {
+        return true;
+    }
+    for ((a, b), (wa, wb)) in old
+        .components()
+        .iter()
+        .zip(new.components())
+        .zip(old.weights().iter().zip(new.weights()))
+    {
+        if m_split(a, b) > epsilon || (wa - wb).abs() > epsilon {
+            return true;
+        }
+    }
+    false
+}
 
 /// Tuning knobs for one aggregator node.
 #[derive(Debug, Clone)]
@@ -44,11 +66,10 @@ pub struct AggregatorConfig {
     pub child_base: u32,
     /// Number of children (sites or lower-level aggregators) fanning in.
     pub children: usize,
-    /// Upload-on-change threshold (see
-    /// [`crate::multilayer::summary_changed`]): a flush is suppressed when
-    /// no component moved and no weight changed by more than this. `0.0`
-    /// re-uploads on any change — the deterministic default the
-    /// topology-equivalence tests rely on.
+    /// Upload-on-change threshold (see [`summary_changed`]): a flush is
+    /// suppressed when no component moved and no weight changed by more
+    /// than this. `0.0` re-uploads on any change — the deterministic
+    /// default the topology-equivalence tests rely on.
     pub epsilon: f64,
     /// The local coordinator's knobs. `merge_log_cap` defaults to
     /// `Some(64)` here (unlike the root coordinator's `None`): shards are
@@ -295,6 +316,14 @@ mod tests {
             Obs::noop(),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn summary_change_detector() {
+        let a = mix(&[0.0]);
+        assert!(!summary_changed(&a, &a.clone(), 0.1));
+        assert!(summary_changed(&a, &mix(&[5.0]), 0.1), "moved mean");
+        assert!(summary_changed(&a, &mix(&[0.0, 9.0]), 0.1), "extra component");
     }
 
     #[test]

@@ -36,14 +36,14 @@
 use crate::aggregator::{AggregatorConfig, AggregatorEngine};
 use crate::config::Config;
 use crate::coordinator::{Coordinator, CoordinatorConfig};
-use crate::engine::{CoordinatorEngine, SiteCore};
+use crate::engine::{CoordinatorEngine, SiteCore, UpChannel};
 use crate::error::CludiError;
-use crate::protocol::{Frame, Message, ReliableSender};
+use crate::protocol::{Frame, ReliableInbox};
 use crate::remote::SiteStats;
 use crate::serving::SnapshotHandle;
 use crate::transport::{RunRecipe, SimnetTransport, Transport, TreeTopology};
 use crate::windows::WindowSpec;
-use cludistream_gmm::{CovarianceType, Mixture};
+use cludistream_gmm::Mixture;
 use cludistream_linalg::Vector;
 use cludistream_obs::Obs;
 use cludistream_simnet::{
@@ -208,6 +208,39 @@ const TIMER_RETX: u64 = 1;
 /// Timer tag: an aggregator's dirty-to-flush delay elapsed.
 const TIMER_FLUSH: u64 = 2;
 
+/// The `send` closure of a simulated node: every frame goes to `to`.
+fn send_to<'c, 'sim>(
+    to: NodeId,
+    ctx: &'c mut Context<'sim, ByteBuf>,
+) -> impl FnMut(ByteBuf) + use<'c, 'sim> {
+    move |bytes| {
+        let len = bytes.len();
+        ctx.send(to, bytes, len);
+    }
+}
+
+/// Arms the go-back-N timer of `up` when frames are pending and it is not
+/// armed already.
+fn arm_retransmit(up: &UpChannel, armed: &mut bool, ctx: &mut Context<'_, ByteBuf>) {
+    if !*armed && up.pending() > 0 {
+        ctx.set_timer(up.next_timeout_us(), TIMER_RETX);
+        *armed = true;
+    }
+}
+
+/// The `TIMER_RETX` arm of every node with an upward channel: re-send the
+/// unacknowledged queue to `parent`, then re-arm with the backed-off RTO.
+fn on_retransmit_timer(
+    up: &mut UpChannel,
+    armed: &mut bool,
+    parent: NodeId,
+    ctx: &mut Context<'_, ByteBuf>,
+) {
+    *armed = false;
+    up.retransmit(&mut send_to(parent, ctx));
+    arm_retransmit(up, armed, ctx);
+}
+
 /// Simulation node wrapping one windowed remote site and its stream.
 ///
 /// One node type serves every window kind (`Box<dyn Window>`) and both
@@ -224,8 +257,6 @@ struct SiteNode {
     interval_us: u64,
     error: Option<CludiError>,
     retx_armed: bool,
-    retransmitted_messages: u64,
-    retransmitted_bytes: u64,
     /// Durable state written each tick when the fault plan can crash this
     /// node; everything else is volatile and lost on crash.
     checkpoint: Option<ByteBuf>,
@@ -249,12 +280,8 @@ impl SiteNode {
             }
             self.remaining -= 1;
         }
-        let coordinator = self.coordinator;
-        self.core.drain_outbound(&mut |bytes| {
-            let len = bytes.len();
-            ctx.send(coordinator, bytes, len);
-        });
-        self.arm_retransmit(ctx);
+        self.core.drain_outbound(&mut send_to(self.coordinator, ctx));
+        arm_retransmit(&self.core.up, &mut self.retx_armed, ctx);
         if self.remaining > 0 {
             ctx.set_timer(self.interval_us, TIMER_TICK);
         }
@@ -263,26 +290,12 @@ impl SiteNode {
         }
     }
 
-    fn arm_retransmit(&mut self, ctx: &mut Context<'_, ByteBuf>) {
-        if self.retx_armed {
-            return;
-        }
-        if let Some(sender) = &self.core.sender {
-            if sender.pending() > 0 {
-                ctx.set_timer(sender.next_timeout_us(), TIMER_RETX);
-                self.retx_armed = true;
-            }
-        }
-    }
-
     /// Serializes the durable state: stream position, sender queue, and
     /// the full window (site, ledger, undrained events).
     fn make_checkpoint(&self) -> ByteBuf {
         let mut buf = ByteBuf::new();
         buf.put_u64_le(self.remaining);
-        if let Some(sender) = &self.core.sender {
-            sender.snapshot(self.core.cov(), &mut buf);
-        }
+        self.core.up.snapshot(&mut buf);
         buf.extend_from_slice(&self.core.window.snapshot());
         buf
     }
@@ -293,16 +306,10 @@ impl SiteNode {
             return Err(CludiError::Decode("truncated site checkpoint"));
         }
         self.remaining = reader.get_u64_le();
-        if self.core.sender.is_some() {
-            self.core.sender = Some(ReliableSender::restore(
-                self.core.rto_us,
-                self.core.rto_cap_us,
-                &mut reader,
-            )?);
-        }
+        self.core.up.restore(&mut reader)?;
         self.core.window.restore_from(&mut reader)?;
         // The restored site lost its observer wiring; re-attach.
-        self.core.window.set_observer(self.core.obs.clone(), self.core.site_index);
+        self.core.window.set_observer(self.core.up.obs.clone(), self.core.up.index);
         Ok(())
     }
 }
@@ -322,7 +329,7 @@ impl Node<ByteBuf> for SiteNode {
     fn on_message(&mut self, _ctx: &mut Context<'_, ByteBuf>, _from: NodeId, msg: ByteBuf) {
         // The only coordinator→site traffic is cumulative ACKs.
         if let Ok(Frame::Ack { cumulative }) = Frame::decode(&mut msg.reader()) {
-            self.core.on_ack(cumulative);
+            self.core.up.on_ack(cumulative);
         }
     }
 
@@ -330,15 +337,7 @@ impl Node<ByteBuf> for SiteNode {
         match tag {
             TIMER_TICK => self.tick(ctx),
             TIMER_RETX => {
-                self.retx_armed = false;
-                let coordinator = self.coordinator;
-                let (messages, bytes) = self.core.retransmit(&mut |bytes| {
-                    let len = bytes.len();
-                    ctx.send(coordinator, bytes, len);
-                });
-                self.retransmitted_messages += messages;
-                self.retransmitted_bytes += bytes;
-                self.arm_retransmit(ctx);
+                on_retransmit_timer(&mut self.core.up, &mut self.retx_armed, self.coordinator, ctx);
             }
             _ => {}
         }
@@ -353,7 +352,7 @@ impl Node<ByteBuf> for SiteNode {
             self.checkpoint = Some(checkpoint);
         }
         self.retx_armed = false;
-        self.arm_retransmit(ctx);
+        arm_retransmit(&self.core.up, &mut self.retx_armed, ctx);
         if self.remaining > 0 {
             ctx.set_timer(self.interval_us, TIMER_TICK);
         }
@@ -377,45 +376,18 @@ impl Node<ByteBuf> for CoordinatorNode {
 /// Simulation node wrapping one [`AggregatorEngine`]: coordinator-like
 /// toward its children (below), site-like toward its parent (above).
 /// Child traffic marks it dirty and arms a flush timer; when the timer
-/// fires, the one reduced update goes upward (sequenced in reliable
-/// mode, with the same go-back-N retransmit loop a site runs).
+/// fires, the one reduced update goes upward through the same
+/// [`UpChannel`] a site sends through.
 struct AggregatorNode {
     agg: AggregatorEngine,
     parent: NodeId,
-    /// Upward reliable channel (None in fire-and-forget runs).
-    sender: Option<ReliableSender>,
-    cov: CovarianceType,
+    up: UpChannel,
     flush_interval_us: u64,
     flush_armed: bool,
     retx_armed: bool,
-    retransmitted_messages: u64,
-    retransmitted_bytes: u64,
 }
 
 impl AggregatorNode {
-    fn send_up(&mut self, msg: Message, ctx: &mut Context<'_, ByteBuf>) {
-        let frame = match &mut self.sender {
-            Some(sender) => sender.send_traced(msg, None),
-            None => Frame::Bare(msg),
-        };
-        let bytes = frame.encode(self.cov);
-        let len = bytes.len();
-        ctx.send(self.parent, bytes, len);
-        self.arm_retransmit(ctx);
-    }
-
-    fn arm_retransmit(&mut self, ctx: &mut Context<'_, ByteBuf>) {
-        if self.retx_armed {
-            return;
-        }
-        if let Some(sender) = &self.sender {
-            if sender.pending() > 0 {
-                ctx.set_timer(sender.next_timeout_us(), TIMER_RETX);
-                self.retx_armed = true;
-            }
-        }
-    }
-
     fn arm_flush(&mut self, ctx: &mut Context<'_, ByteBuf>) {
         if !self.flush_armed && self.agg.dirty() {
             ctx.set_timer(self.flush_interval_us, TIMER_FLUSH);
@@ -429,9 +401,7 @@ impl Node<ByteBuf> for AggregatorNode {
         if from == self.parent {
             // The only parent→aggregator traffic is cumulative ACKs.
             if let Ok(Frame::Ack { cumulative }) = Frame::decode(&mut msg.reader()) {
-                if let Some(sender) = &mut self.sender {
-                    sender.on_ack(cumulative);
-                }
+                self.up.on_ack(cumulative);
             }
             return;
         }
@@ -447,23 +417,12 @@ impl Node<ByteBuf> for AggregatorNode {
             TIMER_FLUSH => {
                 self.flush_armed = false;
                 if let Some(msg) = self.agg.flush() {
-                    self.send_up(msg, ctx);
+                    self.up.send(msg, &mut send_to(self.parent, ctx));
+                    arm_retransmit(&self.up, &mut self.retx_armed, ctx);
                 }
             }
             TIMER_RETX => {
-                self.retx_armed = false;
-                let frames = match &mut self.sender {
-                    Some(sender) => sender.on_timeout(),
-                    None => Vec::new(),
-                };
-                for frame in frames {
-                    let bytes = frame.encode(self.cov);
-                    let len = bytes.len();
-                    self.retransmitted_messages += 1;
-                    self.retransmitted_bytes += len as u64;
-                    ctx.send(self.parent, bytes, len);
-                }
-                self.arm_retransmit(ctx);
+                on_retransmit_timer(&mut self.up, &mut self.retx_armed, self.parent, ctx);
             }
             _ => {}
         }
@@ -475,7 +434,7 @@ impl Node<ByteBuf> for AggregatorNode {
         // re-arms the timers.
         self.retx_armed = false;
         self.flush_armed = false;
-        self.arm_retransmit(ctx);
+        arm_retransmit(&self.up, &mut self.retx_armed, ctx);
         self.arm_flush(ctx);
     }
 }
@@ -653,30 +612,7 @@ impl Simulation {
                     constraint: "at least one aggregator level",
                 });
             }
-            if tree.levels.iter().any(|&n| n == 0) {
-                return Err(CludiError::InvalidConfig {
-                    name: "tree.levels",
-                    constraint: "every level needs >= 1 aggregator",
-                });
-            }
-            // Every aggregator must get at least one child, so a level
-            // can never be wider than what feeds it.
-            let mut feeding = sites;
-            for &count in &tree.levels {
-                if count > feeding {
-                    return Err(CludiError::InvalidConfig {
-                        name: "tree.levels",
-                        constraint: "a level cannot be wider than the one below it",
-                    });
-                }
-                feeding = count;
-            }
-            if tree.flush_interval_us == 0 {
-                return Err(CludiError::InvalidConfig {
-                    name: "tree.flush_interval_us",
-                    constraint: "flush interval > 0",
-                });
-            }
+            tree.validate(sites)?;
         }
         let transport = transport.unwrap_or_else(|| Box::new(SimnetTransport::new()));
         transport.run(RunRecipe {
@@ -693,184 +629,63 @@ impl Simulation {
 }
 
 /// Builds one [`SiteCore`] for site `i` of a recipe: window construction,
-/// per-site seed decorrelation, observer wiring, and the reliable sender
-/// when requested. Shared by the simnet driver and the socket runtime so
-/// both transports stamp out *identical* site state.
+/// per-site seed decorrelation, observer wiring, and the upward channel
+/// (reliable when `delivery.mode` says so). Shared by the simnet driver and
+/// the socket runtime so both transports stamp out *identical* site state.
 pub(crate) fn build_site_core(
     recipe_config: &DriverConfig,
     window: WindowSpec,
     i: usize,
-    reliable: bool,
     delivery: DeliveryConfig,
 ) -> Result<SiteCore, CludiError> {
     let mut site_config = recipe_config.site.clone();
     // De-correlate EM initialization across sites.
     site_config.seed = site_config.seed.wrapping_add(i as u64 * 7919);
+    let cov = site_config.covariance;
     let mut win = window.build(site_config)?;
     win.set_observer(recipe_config.obs.clone(), i as u32);
     Ok(SiteCore {
         window: win,
-        site_index: i as u32,
-        obs: recipe_config.obs.clone(),
-        sender: reliable.then(|| ReliableSender::new(delivery.rto_us, delivery.rto_cap_us)),
-        rto_us: delivery.rto_us,
-        rto_cap_us: delivery.rto_cap_us,
+        up: UpChannel::new(i as u32, cov, recipe_config.obs.clone(), delivery),
         synopsis_bytes: 0,
     })
 }
 
 /// Runs a recipe on the discrete-event simulator (the [`SimnetTransport`]
-/// implementation).
+/// implementation): sites feed level-0 aggregators, each level feeds the
+/// next, and the root coordinator terminates the top level. A star is the
+/// tree with no levels — every site reports straight to the root. Child
+/// ranges are split evenly and contiguously; within a level, aggregator
+/// `j` is site `j` to its parent.
 pub(crate) fn run_simnet(
-    recipe: RunRecipe,
-    link: LinkModel,
-    faults: Option<FaultPlan>,
-) -> Result<StarReport, CludiError> {
-    if recipe.tree.is_some() {
-        return run_simnet_tree(recipe, link, faults);
-    }
-    let RunRecipe { sites, window, config, delivery, streams, updates_per_site, snapshots, tree: _ } =
-        recipe;
-    let delivery = delivery.unwrap_or_else(|| DeliveryConfig {
-        mode: if faults.is_some() { DeliveryMode::Reliable } else { DeliveryMode::FireAndForget },
-        ..Default::default()
-    });
-    let reliable = delivery.mode == DeliveryMode::Reliable;
-    // Durable checkpoints only matter when the plan can crash a site.
-    let checkpointing = faults.as_ref().is_some_and(|p| !p.outages.is_empty());
-
-    let mut sim: NetSimulation<ByteBuf> = NetSimulation::new(Topology::star(sites), link);
-    if let Some(plan) = faults {
-        sim.set_fault_plan(plan);
-    }
-    let coordinator_id = Topology::star_hub(sites);
-    let interval_us = ((config.batch as u64 * MICROS_PER_SEC) / config.records_per_second).max(1);
-
-    let mut site_ids = Vec::with_capacity(sites);
-    for (i, stream) in streams.into_iter().enumerate() {
-        let core = build_site_core(&config, window, i, reliable, delivery)?;
-        let id = sim.add_node(Box::new(SiteNode {
-            core,
-            stream,
-            coordinator: coordinator_id,
-            remaining: updates_per_site,
-            batch: config.batch,
-            interval_us,
-            error: None,
-            retx_armed: false,
-            retransmitted_messages: 0,
-            retransmitted_bytes: 0,
-            checkpoint: None,
-            checkpointing,
-        }));
-        site_ids.push(id);
-    }
-    let mut coordinator = Coordinator::new(config.coordinator.clone())?;
-    coordinator.set_observer(config.obs.clone());
-    let mut engine =
-        CoordinatorEngine::new(coordinator, sites, config.site.covariance, config.obs.clone());
-    engine.publish = snapshots;
-    sim.add_node(Box::new(CoordinatorNode { engine }));
-    sim.set_observer(config.obs.clone());
-
-    sim.run()?;
-
-    // Harvest.
-    let fault_stats: FaultStats = *sim.fault_stats();
-    let mut site_stats = Vec::with_capacity(sites);
-    let mut site_models = Vec::with_capacity(sites);
-    let mut site_memory = Vec::with_capacity(sites);
-    let mut retransmitted_messages = 0;
-    let mut retransmitted_bytes = 0;
-    for &id in &site_ids {
-        let node: &mut SiteNode = sim.node_as(id).expect("site node");
-        if let Some(e) = node.error.take() {
-            return Err(e);
-        }
-        site_stats.push(node.core.window.site().stats());
-        site_models.push(node.core.window.site().models().len());
-        site_memory.push(node.core.window.site().memory_bytes());
-        retransmitted_messages += node.retransmitted_messages;
-        retransmitted_bytes += node.retransmitted_bytes;
-    }
-    let sim_seconds = sim.now() as f64 / MICROS_PER_SEC as f64;
-    let comm = sim.stats().clone();
-    let coord: &mut CoordinatorNode = sim.node_as(coordinator_id).expect("coordinator node");
-    let engine = &mut coord.engine;
-    let global = engine.coordinator.global_mixture().ok();
-    let delivery_report = DeliveryReport {
-        reliable,
-        sent_messages: comm.total_messages(),
-        sent_bytes: comm.total_bytes(),
-        delivered_messages: fault_stats.delivered_messages,
-        delivered_bytes: fault_stats.delivered_bytes,
-        dropped_messages: fault_stats.dropped_messages,
-        dropped_bytes: fault_stats.dropped_bytes,
-        duplicated_messages: fault_stats.duplicated_messages,
-        duplicated_bytes: fault_stats.duplicated_bytes,
-        reordered_messages: fault_stats.reordered_messages,
-        retransmitted_messages,
-        retransmitted_bytes,
-        ack_messages: engine.ack_messages,
-        ack_bytes: engine.ack_bytes,
-        duplicates_discarded: engine.inboxes.iter().map(crate::protocol::ReliableInbox::duplicates).sum(),
-        crashes: fault_stats.crashes,
-        restarts: fault_stats.restarts,
-    };
-    let bytes_at_root = comm.bytes_to(coordinator_id);
-    Ok(StarReport {
-        comm,
-        delivery: delivery_report,
-        global,
-        site_stats,
-        site_models,
-        site_memory,
-        coordinator_groups: engine.coordinator.group_count(),
-        coordinator_memory: engine.coordinator.memory_bytes(),
-        bytes_at_root,
-        sim_seconds,
-    })
-}
-
-/// Runs a recipe with an aggregator tier on the discrete-event simulator:
-/// sites feed level-0 aggregators, each level feeds the next, and the
-/// root coordinator terminates the top level. Child ranges are split
-/// evenly and contiguously; within a level, aggregator `j` is site `j`
-/// to its parent.
-fn run_simnet_tree(
     recipe: RunRecipe,
     link: LinkModel,
     faults: Option<FaultPlan>,
 ) -> Result<StarReport, CludiError> {
     let RunRecipe { sites, window, config, delivery, streams, updates_per_site, snapshots, tree } =
         recipe;
-    let Some(tree) = tree else {
-        return Err(CludiError::Build("run_simnet_tree needs a tree topology"));
-    };
+    // No tree is the tree with no levels; its flush tuning is never read.
+    let tree =
+        tree.unwrap_or(TreeTopology { levels: Vec::new(), epsilon: 0.0, flush_interval_us: 1 });
+    tree.validate(sites)?;
     let delivery = delivery.unwrap_or_else(|| DeliveryConfig {
         mode: if faults.is_some() { DeliveryMode::Reliable } else { DeliveryMode::FireAndForget },
         ..Default::default()
     });
-    let reliable = delivery.mode == DeliveryMode::Reliable;
+    // Durable checkpoints only matter when the plan can crash a site.
     let checkpointing = faults.as_ref().is_some_and(|p| !p.outages.is_empty());
 
     // Node layout: sites first (ids 0..sites), then each aggregator level
     // in order, then the root last — matching `add_node`'s sequential ids.
+    // Every node not claimed by an aggregator reports to the root.
     let total_aggs: usize = tree.levels.iter().sum();
-    let total_nodes = sites + total_aggs + 1;
     let root_id = NodeId(sites + total_aggs);
-    let mut parent = vec![root_id.0; total_nodes];
+    let mut parent = vec![root_id.0; sites + total_aggs + 1];
     // (level-local index, child_base, children) per aggregator, in id order.
     let mut agg_specs: Vec<(u32, u32, usize)> = Vec::with_capacity(total_aggs);
     let mut feeding = sites; // width of the level below
     let mut level_start = sites; // first node id of the current level
     for &count in &tree.levels {
-        if count == 0 || count > feeding {
-            return Err(CludiError::InvalidConfig {
-                name: "tree.levels",
-                constraint: "1 <= level width <= width below",
-            });
-        }
         for j in 0..count {
             // Even contiguous split of the `feeding` children below.
             let start = j * feeding / count;
@@ -884,14 +699,6 @@ fn run_simnet_tree(
         level_start += count;
         feeding = count;
     }
-    // The last level (or, with no aggregators possible here, the sites)
-    // reports to the root; the root self-parents.
-    if tree.flush_interval_us == 0 {
-        return Err(CludiError::InvalidConfig {
-            name: "tree.flush_interval_us",
-            constraint: "flush interval > 0",
-        });
-    }
 
     let mut sim: NetSimulation<ByteBuf> =
         NetSimulation::new(Topology::Tree { parent: parent.clone() }, link);
@@ -902,7 +709,7 @@ fn run_simnet_tree(
 
     let mut site_ids = Vec::with_capacity(sites);
     for (i, stream) in streams.into_iter().enumerate() {
-        let core = build_site_core(&config, window, i, reliable, delivery)?;
+        let core = build_site_core(&config, window, i, delivery)?;
         let id = sim.add_node(Box::new(SiteNode {
             core,
             stream,
@@ -912,8 +719,6 @@ fn run_simnet_tree(
             interval_us,
             error: None,
             retx_armed: false,
-            retransmitted_messages: 0,
-            retransmitted_bytes: 0,
             checkpoint: None,
             checkpointing,
         }));
@@ -940,21 +745,18 @@ fn run_simnet_tree(
         let id = sim.add_node(Box::new(AggregatorNode {
             agg,
             parent: NodeId(parent[agg_ids.len() + sites]),
-            sender: reliable.then(|| ReliableSender::new(delivery.rto_us, delivery.rto_cap_us)),
-            cov: config.site.covariance,
+            up: UpChannel::new(index, config.site.covariance, config.obs.clone(), delivery),
             flush_interval_us: tree.flush_interval_us,
             flush_armed: false,
             retx_armed: false,
-            retransmitted_messages: 0,
-            retransmitted_bytes: 0,
         }));
         agg_ids.push(id);
     }
-    let root_children = *tree.levels.last().expect("levels validated non-empty");
     let mut coordinator = Coordinator::new(config.coordinator.clone())?;
     coordinator.set_observer(config.obs.clone());
+    // `feeding` is now the width of the level the root terminates.
     let mut engine =
-        CoordinatorEngine::new(coordinator, root_children, config.site.covariance, config.obs.clone());
+        CoordinatorEngine::new(coordinator, feeding, config.site.covariance, config.obs.clone());
     engine.publish = snapshots;
     sim.add_node(Box::new(CoordinatorNode { engine }));
     sim.set_observer(config.obs.clone());
@@ -976,16 +778,16 @@ fn run_simnet_tree(
         site_stats.push(node.core.window.site().stats());
         site_models.push(node.core.window.site().models().len());
         site_memory.push(node.core.window.site().memory_bytes());
-        retransmitted_messages += node.retransmitted_messages;
-        retransmitted_bytes += node.retransmitted_bytes;
+        retransmitted_messages += node.core.up.retransmitted_messages;
+        retransmitted_bytes += node.core.up.retransmitted_bytes;
     }
     let mut ack_messages = 0;
     let mut ack_bytes = 0;
     let mut duplicates_discarded = 0;
     for &id in &agg_ids {
         let node: &mut AggregatorNode = sim.node_as(id).expect("aggregator node");
-        retransmitted_messages += node.retransmitted_messages;
-        retransmitted_bytes += node.retransmitted_bytes;
+        retransmitted_messages += node.up.retransmitted_messages;
+        retransmitted_bytes += node.up.retransmitted_bytes;
         ack_messages += node.agg.ack_messages();
         ack_bytes += node.agg.ack_bytes();
         duplicates_discarded += node.agg.duplicates_discarded();
@@ -996,7 +798,7 @@ fn run_simnet_tree(
     let engine = &mut coord.engine;
     let global = engine.coordinator.global_mixture().ok();
     let delivery_report = DeliveryReport {
-        reliable,
+        reliable: delivery.mode == DeliveryMode::Reliable,
         sent_messages: comm.total_messages(),
         sent_bytes: comm.total_bytes(),
         delivered_messages: fault_stats.delivered_messages,
@@ -1011,11 +813,7 @@ fn run_simnet_tree(
         ack_messages: engine.ack_messages + ack_messages,
         ack_bytes: engine.ack_bytes + ack_bytes,
         duplicates_discarded: duplicates_discarded
-            + engine
-                .inboxes
-                .iter()
-                .map(crate::protocol::ReliableInbox::duplicates)
-                .sum::<u64>(),
+            + engine.inboxes.iter().map(ReliableInbox::duplicates).sum::<u64>(),
         crashes: fault_stats.crashes,
         restarts: fault_stats.restarts,
     };

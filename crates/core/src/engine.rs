@@ -2,7 +2,7 @@
 //!
 //! The discrete-event driver ([`crate::driver`]) and the socket runtime
 //! ([`crate::runtime`]) both move the same protocol state machines: a
-//! windowed site draining synopses through a [`ReliableSender`], and a
+//! windowed site draining synopses through an [`UpChannel`], and a
 //! coordinator releasing them through per-site [`ReliableInbox`]es. The
 //! engines here own that shared logic with the transport abstracted to a
 //! `send` closure, so *every* telemetry call — journal events, counters,
@@ -12,118 +12,88 @@
 //! the socket-smoke CI step diffs the two transports against each other.
 
 use crate::coordinator::Coordinator;
+use crate::driver::{DeliveryConfig, DeliveryMode};
+use crate::error::CludiError;
 use crate::protocol::{Frame, Message, ReliableInbox, ReliableSender};
 use crate::serving::SnapshotHandle;
 use crate::windows::Window;
 use cludistream_gmm::CovarianceType;
 use cludistream_obs::{Event, Obs, Recorder, SpanRecord, SpanScope, TraceCtx};
-use cludistream_wire::ByteBuf;
+use cludistream_wire::{ByteBuf, ByteReader};
 use std::sync::Arc;
 
-/// The transport-independent half of a remote site: the window, the
-/// optional reliable sender, and the telemetry plumbing around both.
-///
-/// Callers provide a `send` closure that puts encoded frames on their
-/// transport (a simulator context, a TCP socket); the engine guarantees
-/// the observability calls bracket each send identically everywhere.
-pub(crate) struct SiteCore {
-    /// The windowed site producing synopses.
-    pub window: Box<dyn Window>,
-    /// Site index (journal field, trace node id).
-    pub site_index: u32,
+/// The upward half of any node that reports to a parent — a site, a
+/// simulated aggregator, a socket aggregator: the optional go-back-N
+/// [`ReliableSender`] plus the telemetry that brackets every transmit and
+/// retransmit. Callers provide a `send` closure that puts encoded frames
+/// on their transport (a simulator context, a TCP socket).
+pub(crate) struct UpChannel {
+    /// This node's index at its parent (journal field, trace node id).
+    pub index: u32,
     /// Telemetry observer.
     pub obs: Obs,
+    cov: CovarianceType,
     /// Present in reliable mode.
-    pub sender: Option<ReliableSender>,
-    /// Initial retransmission timeout (microseconds; simulated or real,
-    /// depending on the transport driving the engine).
-    pub rto_us: u64,
-    /// Backoff cap, microseconds.
-    pub rto_cap_us: u64,
-    /// Cumulative synopsis payload bytes transmitted; feeds the
-    /// quality plane's `quality.synopsis_bytes_per_record` gauge and is
-    /// accumulated only when the site config opts into quality.
-    pub synopsis_bytes: u64,
+    sender: Option<ReliableSender>,
+    /// Timeout tuning (simulated or real microseconds, depending on the
+    /// transport), kept to rebuild the sender from a checkpoint.
+    delivery: DeliveryConfig,
+    /// Frames re-sent on timeout or resync so far.
+    pub retransmitted_messages: u64,
+    /// Bytes re-sent on timeout or resync so far.
+    pub retransmitted_bytes: u64,
 }
 
-impl SiteCore {
-    pub fn cov(&self) -> CovarianceType {
-        self.window.site().config().covariance
+impl UpChannel {
+    pub fn new(index: u32, cov: CovarianceType, obs: Obs, delivery: DeliveryConfig) -> Self {
+        let reliable = delivery.mode == DeliveryMode::Reliable;
+        UpChannel {
+            index,
+            obs,
+            cov,
+            sender: reliable.then(|| ReliableSender::new(delivery.rto_us, delivery.rto_cap_us)),
+            delivery,
+            retransmitted_messages: 0,
+            retransmitted_bytes: 0,
+        }
     }
 
-    /// Encodes and sends one synopsis, sequenced when reliable. When the
-    /// message carries a trace context, a `wire.send` marker span is
-    /// recorded under its wire span (one per transmit, so retransmits show
-    /// up as extra markers).
-    fn transmit(
-        &mut self,
-        msg: Message,
-        is_synopsis: bool,
-        tctx: Option<TraceCtx>,
-        send: &mut dyn FnMut(ByteBuf),
-    ) {
-        let cov = self.cov();
+    /// Sequences (when reliable) and encodes one message.
+    pub fn frame(&mut self, msg: Message, tctx: Option<TraceCtx>) -> ByteBuf {
         let frame = match &mut self.sender {
             Some(sender) => sender.send_traced(msg, tctx),
             None => Frame::Bare(msg),
         };
-        let bytes = frame.encode(cov);
-        if is_synopsis {
-            self.obs
-                .event(&Event::SynopsisSent { site: self.site_index, bytes: bytes.len() as u64 });
-            if self.window.site().config().quality.is_some() {
-                // Quality plane: communication cost amortized over the
-                // records consumed so far (gauge only — the journal
-                // event above is the golden-fixture surface).
-                self.synopsis_bytes += bytes.len() as u64;
-                let records = self.window.site().stats().records;
-                if records > 0 {
-                    self.obs.gauge(
-                        "quality.synopsis_bytes_per_record",
-                        self.synopsis_bytes as f64 / records as f64,
-                    );
-                }
-            }
-        }
-        send(bytes);
-        self.record_send(tctx);
+        frame.encode(self.cov)
     }
 
-    /// Records one `wire.send` marker under `tctx`'s wire span.
+    /// Encodes and sends one untraced message, sequenced when reliable.
+    pub fn send(&mut self, msg: Message, send: &mut dyn FnMut(ByteBuf)) {
+        send(self.frame(msg, None));
+    }
+
+    /// Records one `wire.send` marker under `tctx`'s wire span (one per
+    /// transmit, so retransmits show up as extra markers).
     pub fn record_send(&self, tctx: Option<TraceCtx>) {
         let Some(tc) = tctx else { return };
         if !self.obs.tracing_enabled() {
             return;
         }
-        let span = self.obs.alloc_span(self.site_index);
+        let span = self.obs.alloc_span(self.index);
         let now = self.obs.sim_now_us();
         self.obs.record_span(&SpanRecord {
             trace: tc.trace,
             span,
             parent: Some(tc.span),
             name: "wire.send",
-            node: self.site_index,
+            node: self.index,
             start_us: now,
             end_us: now,
             cost_us: 0,
         });
     }
 
-    /// Transmits whatever the test-and-cluster strategy queued, then the
-    /// window-expiry deletions (paper Sec. 7, negative weights).
-    pub fn drain_outbound(&mut self, send: &mut dyn FnMut(ByteBuf)) {
-        for (event, tctx) in self.window.drain_events_traced() {
-            let is_synopsis = matches!(event, crate::remote::SiteEvent::NewModel { .. });
-            let msg = Message::from_site_event(self.site_index, event);
-            self.transmit(msg, is_synopsis, tctx, send);
-        }
-        for (model, count) in self.window.drain_deletions() {
-            let msg = Message::Delete { site: self.site_index, model, count_delta: count };
-            self.transmit(msg, false, None, send);
-        }
-    }
-
-    /// Feeds a cumulative ACK from the coordinator to the sender.
+    /// Feeds a cumulative ACK from the parent to the sender.
     pub fn on_ack(&mut self, cumulative: u64) {
         if let Some(sender) = &mut self.sender {
             sender.on_ack(cumulative);
@@ -142,32 +112,105 @@ impl SiteCore {
     }
 
     /// Re-sends the whole unacknowledged queue (go-back-N timeout) through
-    /// `send`; returns `(messages, bytes)` retransmitted.
-    pub fn retransmit(&mut self, send: &mut dyn FnMut(ByteBuf)) -> (u64, u64) {
-        let cov = self.cov();
+    /// `send`, counting it under `net.retransmits` and the channel's
+    /// `retransmitted_*` totals.
+    pub fn retransmit(&mut self, send: &mut dyn FnMut(ByteBuf)) {
         let frames = match &mut self.sender {
             Some(sender) => sender.on_timeout(),
             None => Vec::new(),
         };
-        let mut messages = 0;
-        let mut total_bytes = 0;
         for frame in frames {
-            let bytes = frame.encode(cov);
-            let len = bytes.len();
+            let bytes = frame.encode(self.cov);
+            let len = bytes.len() as u64;
             if let Frame::Data { seq, ctx: tctx, .. } = &frame {
                 self.obs.counter("net.retransmits", 1);
-                self.obs.event(&Event::Retransmitted {
-                    site: self.site_index,
-                    seq: *seq,
-                    bytes: len as u64,
-                });
+                self.obs.event(&Event::Retransmitted { site: self.index, seq: *seq, bytes: len });
                 self.record_send(*tctx);
             }
-            messages += 1;
-            total_bytes += len as u64;
+            self.retransmitted_messages += 1;
+            self.retransmitted_bytes += len;
             send(bytes);
         }
-        (messages, total_bytes)
+    }
+
+    /// Appends the sender's durable state (sequence counter, unacknowledged
+    /// queue) to a node checkpoint; nothing in fire-and-forget mode.
+    pub fn snapshot(&self, buf: &mut ByteBuf) {
+        if let Some(sender) = &self.sender {
+            sender.snapshot(self.cov, buf);
+        }
+    }
+
+    /// Rebuilds the sender from [`UpChannel::snapshot`]'s bytes.
+    pub fn restore(&mut self, reader: &mut ByteReader<'_>) -> Result<(), CludiError> {
+        if self.sender.is_some() {
+            self.sender = Some(ReliableSender::restore(
+                self.delivery.rto_us,
+                self.delivery.rto_cap_us,
+                reader,
+            )?);
+        }
+        Ok(())
+    }
+}
+
+/// The transport-independent half of a remote site: the window, its
+/// [`UpChannel`], and the synopsis telemetry around both.
+pub(crate) struct SiteCore {
+    /// The windowed site producing synopses.
+    pub window: Box<dyn Window>,
+    /// The channel toward the coordinator (or aggregator) above.
+    pub up: UpChannel,
+    /// Cumulative synopsis payload bytes transmitted; feeds the
+    /// quality plane's `quality.synopsis_bytes_per_record` gauge and is
+    /// accumulated only when the site config opts into quality.
+    pub synopsis_bytes: u64,
+}
+
+impl SiteCore {
+    /// Sends one message upward; a synopsis is journaled (and costed for
+    /// the quality plane) between encoding and the wire.
+    fn transmit(
+        &mut self,
+        msg: Message,
+        is_synopsis: bool,
+        tctx: Option<TraceCtx>,
+        send: &mut dyn FnMut(ByteBuf),
+    ) {
+        let bytes = self.up.frame(msg, tctx);
+        if is_synopsis {
+            let obs = &self.up.obs;
+            obs.event(&Event::SynopsisSent { site: self.up.index, bytes: bytes.len() as u64 });
+            if self.window.site().config().quality.is_some() {
+                // Quality plane: communication cost amortized over the
+                // records consumed so far (gauge only — the journal
+                // event above is the golden-fixture surface).
+                self.synopsis_bytes += bytes.len() as u64;
+                let records = self.window.site().stats().records;
+                if records > 0 {
+                    obs.gauge(
+                        "quality.synopsis_bytes_per_record",
+                        self.synopsis_bytes as f64 / records as f64,
+                    );
+                }
+            }
+        }
+        send(bytes);
+        self.up.record_send(tctx);
+    }
+
+    /// Transmits whatever the test-and-cluster strategy queued, then the
+    /// window-expiry deletions (paper Sec. 7, negative weights).
+    pub fn drain_outbound(&mut self, send: &mut dyn FnMut(ByteBuf)) {
+        for (event, tctx) in self.window.drain_events_traced() {
+            let is_synopsis = matches!(event, crate::remote::SiteEvent::NewModel { .. });
+            let msg = Message::from_site_event(self.up.index, event);
+            self.transmit(msg, is_synopsis, tctx, send);
+        }
+        for (model, count) in self.window.drain_deletions() {
+            let msg = Message::Delete { site: self.up.index, model, count_delta: count };
+            self.transmit(msg, false, None, send);
+        }
     }
 }
 

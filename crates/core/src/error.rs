@@ -2,7 +2,7 @@
 //!
 //! Every fallible public entry point of this crate — building a
 //! [`crate::Simulation`], constructing a [`crate::Coordinator`] or
-//! [`crate::MultiLayerNetwork`], decoding wire frames — returns
+//! [`crate::AggregatorEngine`], decoding wire frames — returns
 //! `Result<_, CludiError>` instead of panicking. Internal invariant
 //! checks (things a caller cannot cause) may still use `expect` with a
 //! message, but anything reachable from user input surfaces here.

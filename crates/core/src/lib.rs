@@ -26,11 +26,10 @@
 //! - [`protocol`] — the byte-accounted site→coordinator wire format.
 //! - [`windows`] — landmark, horizon, and sliding-window semantics.
 //! - [`change`] — change detection from chunk outcomes (Sec. 7).
-//! - [`multilayer`] — tree-structured networks (Sec. 7).
-//! - [`aggregator`] — the deployable aggregator tier:
-//!   [`aggregator::AggregatorEngine`] terminates a fan-in of children and
-//!   forwards one reduced summary per round, so the root scales to swarms
-//!   (O(aggregators) messages, O(models) state).
+//! - [`aggregator`] — tree-structured networks (Sec. 7) as a deployable
+//!   tier: [`aggregator::AggregatorEngine`] terminates a fan-in of
+//!   children and forwards one reduced summary per round, so the root
+//!   scales to swarms (O(aggregators) messages, O(models) state).
 //! - [`driver`] — the [`Simulation`] builder: `Simulation::star(n)`
 //!   configures a star of `n` sites, `with_window` selects landmark or
 //!   sliding-window semantics ([`WindowSpec`]), and `run()` returns a
@@ -80,7 +79,6 @@ pub mod coordinator;
 pub mod driver;
 mod engine;
 mod error;
-pub mod multilayer;
 pub mod protocol;
 pub mod remote;
 pub mod runtime;
@@ -98,7 +96,6 @@ pub use driver::{
     StarReport,
 };
 pub use error::CludiError;
-pub use multilayer::MultiLayerNetwork;
 pub use protocol::{Frame, Message, ReliableInbox, ReliableSender};
 pub use remote::{ChunkOutcome, ModelId, RemoteSite, SiteEvent, SiteStats};
 pub use serving::{score_snapshot, ModelSnapshot, SnapshotGroup, SnapshotHandle, SnapshotMember};

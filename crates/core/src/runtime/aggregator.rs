@@ -20,29 +20,24 @@
 //! crash-recovery state lives at the root and the sites, where it
 //! already existed before the tier.
 
-use std::collections::HashMap;
-use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread;
+use std::net::TcpListener;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::aggregator::{AggregatorConfig, AggregatorEngine};
 use crate::coordinator::CoordinatorConfig;
 use crate::driver::{DeliveryConfig, DeliveryMode};
+use crate::engine::UpChannel;
 use crate::error::CludiError;
-use crate::protocol::{Frame, ReliableSender};
-use crate::runtime::control::{Control, RejectCode, PROTOCOL_VERSION};
-use crate::runtime::liveness::RoundMachine;
-use crate::runtime::tcp::{
-    connect, read_loop, send_control, validate_socket, write_payload, Conn, NetEvent, SocketConfig,
-};
+use crate::runtime::control::Control;
+use crate::runtime::downlink::{Downlink, Shard};
+use crate::runtime::tcp::{validate_socket, SocketConfig};
+use crate::runtime::uplink::{Uplink, Work};
 use crate::serving::ModelSnapshot;
 use cludistream_gmm::CovarianceType;
-use cludistream_obs::{intern, net, Event, FleetAggregator, Obs, Recorder, TelemetryDelta};
-use cludistream_simnet::{CommStats, NodeId};
-use cludistream_wire::framing::FrameReader;
-use cludistream_wire::{ByteBuf, ByteReader};
+use cludistream_obs::{FleetAggregator, Obs};
+use cludistream_simnet::CommStats;
+use cludistream_wire::ByteBuf;
 
 /// Everything one socket aggregator needs to relay a round.
 ///
@@ -69,7 +64,7 @@ impl AggregatorRun {
     /// `[child_base, child_base + children)` and appearing at its parent
     /// as site `index`.
     pub fn builder(index: u32, child_base: u32, children: usize) -> AggregatorRunBuilder {
-        AggregatorRunBuilder {
+        AggregatorRunBuilder(AggregatorRun {
             index,
             child_base,
             children,
@@ -86,33 +81,19 @@ impl AggregatorRun {
             flush_interval_us: 50_000,
             telemetry: false,
             fleet: None,
-        }
+        })
     }
 }
 
 /// Builder for [`AggregatorRun`]. Defaults mirror the simnet tree
 /// runner: ε = 0 (forward on any change), 50 ms flush interval, shard
 /// `merge_log_cap = Some(64)`, reliable delivery, default socket tuning.
-pub struct AggregatorRunBuilder {
-    index: u32,
-    child_base: u32,
-    children: usize,
-    epsilon: f64,
-    coordinator: CoordinatorConfig,
-    dim: u32,
-    cov: CovarianceType,
-    obs: Obs,
-    socket: SocketConfig,
-    delivery: DeliveryConfig,
-    flush_interval_us: u64,
-    telemetry: bool,
-    fleet: Option<Arc<FleetAggregator>>,
-}
+pub struct AggregatorRunBuilder(AggregatorRun);
 
 impl AggregatorRunBuilder {
     /// Sets the upload-on-change suppression threshold (default 0.0).
     pub fn epsilon(mut self, epsilon: f64) -> Self {
-        self.epsilon = epsilon;
+        self.0.epsilon = epsilon;
         self
     }
 
@@ -120,27 +101,27 @@ impl AggregatorRunBuilder {
     /// overwritten by [`AggregatorRunBuilder::covariance`] at build time
     /// so the handshake and the engine can never disagree.
     pub fn coordinator(mut self, coordinator: CoordinatorConfig) -> Self {
-        self.coordinator = coordinator;
+        self.0.coordinator = coordinator;
         self
     }
 
     /// Sets the record dimension every child (and the parent) must agree
     /// on (default 1).
     pub fn dim(mut self, dim: u32) -> Self {
-        self.dim = dim;
+        self.0.dim = dim;
         self
     }
 
     /// Sets the covariance kind every child (and the parent) must agree
     /// on.
     pub fn covariance(mut self, cov: CovarianceType) -> Self {
-        self.cov = cov;
+        self.0.cov = cov;
         self
     }
 
     /// Attaches a telemetry observer (default: no-op).
     pub fn obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
+        self.0.obs = obs;
         self
     }
 
@@ -148,7 +129,7 @@ impl AggregatorRunBuilder {
     /// `heartbeat_us`/`timeout_us` pair is what this node's `Welcome`
     /// advertises to its children).
     pub fn socket(mut self, socket: SocketConfig) -> Self {
-        self.socket = socket;
+        self.0.socket = socket;
         self
     }
 
@@ -156,14 +137,14 @@ impl AggregatorRunBuilder {
     /// The mode must stay [`DeliveryMode::Reliable`];
     /// [`AggregatorRunBuilder::build`] rejects anything else.
     pub fn delivery(mut self, delivery: DeliveryConfig) -> Self {
-        self.delivery = delivery;
+        self.0.delivery = delivery;
         self
     }
 
     /// Sets how long child traffic batches before one reduced update
     /// goes upward, microseconds (default 50 ms).
     pub fn flush_interval_us(mut self, flush_interval_us: u64) -> Self {
-        self.flush_interval_us = flush_interval_us;
+        self.0.flush_interval_us = flush_interval_us;
         self
     }
 
@@ -171,7 +152,7 @@ impl AggregatorRunBuilder {
     /// `Telemetry` frames on the heartbeat cadence, so the root's fleet
     /// registry shows `site<index>.agg.*` series for this subtree.
     pub fn telemetry(mut self, telemetry: bool) -> Self {
-        self.telemetry = telemetry;
+        self.0.telemetry = telemetry;
         self
     }
 
@@ -181,55 +162,42 @@ impl AggregatorRunBuilder {
     /// `StatusRequest` scrapes with per-subtree Prometheus text (child
     /// series keep their global `site<N>.` labels).
     pub fn fleet(mut self, fleet: Arc<FleetAggregator>) -> Self {
-        self.fleet = Some(fleet);
+        self.0.fleet = Some(fleet);
         self
     }
 
     /// Validates and produces the run.
-    pub fn build(mut self) -> Result<AggregatorRun, CludiError> {
-        if self.children == 0 {
+    pub fn build(self) -> Result<AggregatorRun, CludiError> {
+        let mut run = self.0;
+        if run.children == 0 {
             return Err(CludiError::InvalidConfig {
                 name: "children",
                 constraint: "children >= 1",
             });
         }
-        if self.dim == 0 {
+        if run.dim == 0 {
             return Err(CludiError::InvalidConfig { name: "dim", constraint: "dim >= 1" });
         }
-        if self.flush_interval_us == 0 {
+        if run.flush_interval_us == 0 {
             return Err(CludiError::InvalidConfig {
                 name: "flush_interval_us",
                 constraint: "flush_interval_us >= 1",
             });
         }
-        if !self.epsilon.is_finite() || self.epsilon < 0.0 {
+        if !run.epsilon.is_finite() || run.epsilon < 0.0 {
             return Err(CludiError::InvalidConfig {
                 name: "epsilon",
                 constraint: "finite and >= 0",
             });
         }
-        if self.delivery.mode != DeliveryMode::Reliable {
+        if run.delivery.mode != DeliveryMode::Reliable {
             return Err(CludiError::Build(
                 "the TCP transport is reliable-only: a reconnect needs sequence state to resync",
             ));
         }
-        validate_socket(&self.socket)?;
-        self.coordinator.covariance = self.cov;
-        Ok(AggregatorRun {
-            index: self.index,
-            child_base: self.child_base,
-            children: self.children,
-            epsilon: self.epsilon,
-            coordinator: self.coordinator,
-            dim: self.dim,
-            cov: self.cov,
-            obs: self.obs,
-            socket: self.socket,
-            delivery: self.delivery,
-            flush_interval_us: self.flush_interval_us,
-            telemetry: self.telemetry,
-            fleet: self.fleet,
-        })
+        validate_socket(&run.socket)?;
+        run.coordinator.covariance = run.cov;
+        Ok(run)
     }
 }
 
@@ -275,6 +243,65 @@ pub struct AggregatorReport {
     pub comm: CommStats,
 }
 
+impl Shard for AggregatorEngine {
+    fn on_wire(&mut self, payload: &ByteBuf) -> Option<ByteBuf> {
+        AggregatorEngine::on_wire(self, payload)
+    }
+
+    fn cumulative(&self, local: usize) -> u64 {
+        self.child_cumulative(local)
+    }
+
+    /// The *shard* model: what this subtree has agreed on, before the
+    /// root's cross-shard merge.
+    fn snapshot_bytes(&self) -> Vec<u8> {
+        ModelSnapshot::capture(self.coordinator())
+            .map(|snapshot| snapshot.encode().into_vec())
+            .unwrap_or_default()
+    }
+}
+
+/// An aggregator's work between polls of its parent: serve the children,
+/// and forward one reduced update when the shard went dirty and the flush
+/// interval elapsed (or the children are all done).
+struct Relay {
+    down: Downlink,
+    agg: AggregatorEngine,
+    up: UpChannel,
+    flush_interval: Duration,
+    last_flush: Instant,
+    deadline: Option<Duration>,
+}
+
+impl Work for Relay {
+    fn channel(&mut self) -> &mut UpChannel {
+        &mut self.up
+    }
+
+    fn step(&mut self, send: &mut dyn FnMut(ByteBuf)) -> Result<bool, CludiError> {
+        if self.deadline.is_some_and(|d| self.down.epoch.elapsed() > d) {
+            return Err(CludiError::Net("aggregator deadline exceeded".into()));
+        }
+        self.down.pump(&mut self.agg, Duration::ZERO)?;
+        // Every child done (or evicted): flush whatever is still batching
+        // without waiting out the interval.
+        let finished = self.down.machine.finished();
+        if self.agg.dirty() && (finished || self.last_flush.elapsed() >= self.flush_interval) {
+            self.last_flush = Instant::now();
+            if let Some(msg) = self.agg.flush() {
+                self.up.send(msg, send);
+            }
+        }
+        Ok(finished && !self.agg.dirty())
+    }
+
+    /// Propagates the round end to the subtree before this node tears
+    /// down its own sockets.
+    fn on_stop(&mut self) {
+        self.down.broadcast(&Control::Stop);
+    }
+}
+
 /// Relays one clustering round: serves `run.children` children on
 /// `listener` exactly like [`super::serve`] serves sites, while playing
 /// site `run.index` toward the parent at `parent_addr` exactly like
@@ -287,669 +314,69 @@ pub fn run_aggregator(
     listener: TcpListener,
     run: AggregatorRun,
 ) -> Result<AggregatorReport, CludiError> {
-    let AggregatorRun {
-        index,
-        child_base,
-        children,
-        epsilon,
-        coordinator,
-        dim,
-        cov,
-        obs,
-        socket,
-        delivery,
-        flush_interval_us,
-        telemetry,
-        fleet,
-    } = run;
+    let AggregatorRun { index, child_base, children, dim, cov, obs, socket, .. } = run;
     let agg = AggregatorEngine::new(
-        AggregatorConfig { index, child_base, children, epsilon, coordinator },
+        AggregatorConfig {
+            index,
+            child_base,
+            children,
+            epsilon: run.epsilon,
+            coordinator: run.coordinator,
+        },
         obs.clone(),
     )?;
-
-    listener.set_nonblocking(true)?;
-    let done = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = mpsc::channel::<NetEvent>();
-    let acceptor = {
-        let done = Arc::clone(&done);
-        let tx = tx.clone();
-        thread::spawn(move || {
-            let mut next_conn = 0u64;
-            while !done.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let _ = stream.set_nodelay(true);
-                        let conn = next_conn;
-                        next_conn += 1;
-                        let Ok(writer) = stream.try_clone() else { continue };
-                        if tx.send(NetEvent::Accepted { conn, writer }).is_err() {
-                            return;
-                        }
-                        let tx = tx.clone();
-                        thread::spawn(move || read_loop(conn, stream, &tx));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(10));
-                    }
-                    Err(_) => return,
-                }
-            }
-        })
-    };
-    drop(tx);
-
-    let mut pump = Pump {
-        rx,
-        agg,
-        machine: RoundMachine::new(children, socket.timeout_us),
-        comm: CommStats::new(),
-        conns: HashMap::new(),
-        child_conn: vec![None; children],
-        obs,
-        socket,
-        fleet,
+    let down =
+        Downlink::new(listener, child_base, children, dim, cov, obs.clone(), socket, run.fleet)?;
+    let mut up = Uplink {
+        parent_addr,
+        role: "aggregator",
+        index,
         dim,
         cov,
-        child_base,
-        children,
-        index,
-        sender: ReliableSender::new(delivery.rto_us, delivery.rto_cap_us),
-        flush_interval: Duration::from_micros(flush_interval_us),
-        telemetry,
+        obs: obs.clone(),
+        socket,
+        telemetry: run.telemetry,
+        // One clock per node: the children's Cristian probes and this
+        // node's own echoes upward read the same epoch.
+        epoch: down.epoch,
         sent_messages: 0,
         sent_bytes: 0,
-        retransmitted_messages: 0,
-        retransmitted_bytes: 0,
-        resyncs_up: 0,
-        resyncs_down: 0,
-        started_at: Instant::now(),
+        resyncs: 0,
     };
-    let outcome = pump.run(parent_addr);
-
-    // Tear down: stop accepting, cut every child socket so blocked
-    // readers exit, and collect the acceptor.
-    done.store(true, Ordering::Relaxed);
-    for c in pump.conns.values() {
-        let _ = c.writer.shutdown(Shutdown::Both);
-    }
-    let _ = acceptor.join();
+    let mut relay = Relay {
+        down,
+        agg,
+        up: UpChannel::new(index, cov, obs, run.delivery),
+        flush_interval: Duration::from_micros(run.flush_interval_us),
+        last_flush: Instant::now(),
+        deadline: socket.deadline,
+    };
+    // While the parent rendezvous (and any reconnect) runs, children queue
+    // on the downlink's channel; the first step drains the backlog.
+    let outcome = up.run(&mut relay);
+    relay.down.close();
     outcome?;
 
+    let Relay { down, agg, up: channel, .. } = relay;
     Ok(AggregatorReport {
-        groups: pump.agg.group_count(),
-        flushes: pump.agg.flushes(),
-        flushes_suppressed: pump.agg.flushes_suppressed(),
-        messages_applied: pump.agg.messages_applied(),
-        event_table_entries: pump.agg.event_table_entries(),
-        sent_messages: pump.sent_messages,
-        sent_bytes: pump.sent_bytes,
-        retransmitted_messages: pump.retransmitted_messages,
-        retransmitted_bytes: pump.retransmitted_bytes,
-        ack_messages: pump.agg.ack_messages(),
-        ack_bytes: pump.agg.ack_bytes(),
-        duplicates_discarded: pump.agg.duplicates_discarded(),
-        decode_errors: pump.agg.decode_errors(),
-        evicted: pump
-            .machine
-            .evicted_sites()
-            .into_iter()
-            .map(|s| s + pump.child_base)
-            .collect(),
-        resyncs_up: pump.resyncs_up,
-        resyncs_down: pump.resyncs_down,
-        comm: pump.comm,
+        groups: agg.group_count(),
+        flushes: agg.flushes(),
+        flushes_suppressed: agg.flushes_suppressed(),
+        messages_applied: agg.messages_applied(),
+        event_table_entries: agg.event_table_entries(),
+        sent_messages: up.sent_messages,
+        sent_bytes: up.sent_bytes,
+        retransmitted_messages: channel.retransmitted_messages,
+        retransmitted_bytes: channel.retransmitted_bytes,
+        ack_messages: agg.ack_messages(),
+        ack_bytes: agg.ack_bytes(),
+        duplicates_discarded: agg.duplicates_discarded(),
+        decode_errors: agg.decode_errors(),
+        evicted: down.evicted(),
+        resyncs_up: up.resyncs,
+        resyncs_down: down.resyncs,
+        comm: down.comm,
     })
-}
-
-/// The aggregator event loop's state: downward serving plumbing (as in
-/// `serve`) plus the upward site-like reliable channel.
-struct Pump {
-    rx: mpsc::Receiver<NetEvent>,
-    agg: AggregatorEngine,
-    machine: RoundMachine,
-    comm: CommStats,
-    conns: HashMap<u64, Conn>,
-    /// Live connection per local child slot (newest wins).
-    child_conn: Vec<Option<u64>>,
-    obs: Obs,
-    socket: SocketConfig,
-    fleet: Option<Arc<FleetAggregator>>,
-    dim: u32,
-    cov: CovarianceType,
-    child_base: u32,
-    children: usize,
-    index: u32,
-    sender: ReliableSender,
-    flush_interval: Duration,
-    telemetry: bool,
-    sent_messages: u64,
-    sent_bytes: u64,
-    retransmitted_messages: u64,
-    retransmitted_bytes: u64,
-    resyncs_up: u64,
-    resyncs_down: u64,
-    started_at: Instant,
-}
-
-impl Pump {
-    fn now_us(&self) -> u64 {
-        self.started_at.elapsed().as_micros() as u64
-    }
-
-    fn in_range(&self, site: u32) -> bool {
-        site >= self.child_base && (site as u64) < self.child_base as u64 + self.children as u64
-    }
-
-    /// Connect-upward / pump / reconnect loop; `Ok(())` once the parent
-    /// says `Stop` (propagated downward) or closes after `Done`.
-    fn run(&mut self, parent_addr: &str) -> Result<(), CludiError> {
-        let mut up_reconnects = 0u32;
-        'round: loop {
-            let up = connect(parent_addr, &self.socket)?;
-            up.set_nodelay(true)?;
-            up.set_read_timeout(Some(Duration::from_millis(20)))?;
-            let resume = up_reconnects > 0;
-            {
-                let hello = Control::Hello {
-                    version: PROTOCOL_VERSION,
-                    site: self.index,
-                    dim: self.dim,
-                    cov: self.cov,
-                    resume,
-                };
-                let bytes = hello.encode();
-                net::on_ctrl_send(&self.obs, bytes.len() as u64);
-                write_payload(&up, bytes.as_slice())?;
-            }
-            let mut up_fr = FrameReader::new();
-
-            // Parent rendezvous, kept short enough that children queuing
-            // on the mpsc are not starved: the channel buffers them and
-            // the pump drains the backlog right after the Welcome.
-            let handshake_deadline =
-                Instant::now() + Duration::from_micros(self.socket.timeout_us.max(1));
-            let mut welcome = None;
-            let mut leftover: Vec<Vec<u8>> = Vec::new();
-            'handshake: while welcome.is_none() {
-                if Instant::now() > handshake_deadline {
-                    return Err(CludiError::Net(format!(
-                        "aggregator {}: parent handshake timed out",
-                        self.index
-                    )));
-                }
-                let polled = up_fr.poll(&mut { &up })?;
-                let mut frames = polled.frames.into_iter();
-                while let Some(payload) = frames.next() {
-                    if !Control::is_control(&payload) {
-                        continue;
-                    }
-                    match Control::decode(&mut ByteReader::new(&payload))? {
-                        Control::Welcome { heartbeat_us, ack, .. } => {
-                            welcome = Some((heartbeat_us, ack));
-                            leftover.extend(frames);
-                            break 'handshake;
-                        }
-                        Control::Reject { code, expect, got } => {
-                            return Err(CludiError::Net(format!(
-                                "aggregator {}: parent rejected handshake: {} mismatch \
-                                 (parent has {expect}, sent {got})",
-                                self.index,
-                                code.describe()
-                            )));
-                        }
-                        _ => {}
-                    }
-                }
-                if polled.eof {
-                    return Err(CludiError::Net(format!(
-                        "aggregator {}: parent closed during handshake",
-                        self.index
-                    )));
-                }
-            }
-            let Some((heartbeat_us, parent_ack)) = welcome else {
-                return Err(CludiError::Net(format!(
-                    "aggregator {}: no Welcome received",
-                    self.index
-                )));
-            };
-            let heartbeat = Duration::from_micros(heartbeat_us.max(1));
-            self.sender.on_ack(parent_ack);
-            let mut io_err = false;
-            if resume {
-                // Go-back-N resync on the upward channel, exactly as a
-                // site would: the Welcome told us the parent's cumulative
-                // position; re-send everything past it now.
-                self.resyncs_up += 1;
-                self.retransmit_up(&up, &mut io_err);
-            }
-
-            up.set_read_timeout(Some(Duration::from_millis(1)))?;
-            let mut done_sent = false;
-            let mut last_ping = Instant::now();
-            let mut last_flush = Instant::now();
-            let mut retx_at: Option<Instant> = None;
-            let mut inbound = leftover;
-            let mut flush_flight = self.telemetry && resume;
-            loop {
-                if self.socket.deadline.is_some_and(|d| self.started_at.elapsed() > d) {
-                    return Err(CludiError::Net("aggregator deadline exceeded".into()));
-                }
-                if io_err {
-                    break; // reconnect upward; children stay connected
-                }
-                if self.telemetry {
-                    self.obs.set_sim_time(self.now_us());
-                }
-                self.drain_children()?;
-                let polled = match up_fr.poll(&mut { &up }) {
-                    Ok(p) => p,
-                    Err(_) => {
-                        if done_sent {
-                            break 'round;
-                        }
-                        break; // reconnect
-                    }
-                };
-                inbound.extend(polled.frames);
-                for payload in inbound.drain(..) {
-                    if Control::is_control(&payload) {
-                        match Control::decode(&mut ByteReader::new(&payload)) {
-                            Ok(Control::Stop) => {
-                                // Propagate the round end to the subtree
-                                // before tearing down our own sockets.
-                                for c in self.conns.values() {
-                                    send_control(&c.writer, &self.obs, &Control::Stop);
-                                }
-                                break 'round;
-                            }
-                            Ok(Control::ClockProbe { t0_us }) => {
-                                let echo = Control::ClockEcho {
-                                    site: self.index,
-                                    t0_us,
-                                    site_us: self.now_us(),
-                                };
-                                if !send_control(&up, &self.obs, &echo) {
-                                    io_err = true;
-                                }
-                            }
-                            Ok(Control::Pong { echo_us, .. }) => {
-                                if self.telemetry {
-                                    self.obs.observe(
-                                        "hb.rtt_us",
-                                        self.now_us().saturating_sub(echo_us),
-                                    );
-                                }
-                            }
-                            _ => {}
-                        }
-                    } else if let Ok(Frame::Ack { cumulative }) =
-                        Frame::decode(&mut ByteReader::new(&payload))
-                    {
-                        self.sender.on_ack(cumulative);
-                    }
-                }
-                if polled.eof {
-                    if done_sent {
-                        break 'round;
-                    }
-                    break; // reconnect
-                }
-                if self.agg.dirty() && last_flush.elapsed() >= self.flush_interval {
-                    last_flush = Instant::now();
-                    self.flush_up(&up, &mut io_err, &mut retx_at);
-                }
-                if self.sender.pending() > 0 {
-                    let due = *retx_at.get_or_insert_with(|| {
-                        Instant::now() + Duration::from_micros(self.sender.next_timeout_us())
-                    });
-                    if Instant::now() >= due {
-                        self.retransmit_up(&up, &mut io_err);
-                        retx_at = Some(
-                            Instant::now()
-                                + Duration::from_micros(self.sender.next_timeout_us()),
-                        );
-                    }
-                } else {
-                    retx_at = None;
-                }
-                if self.machine.finished() && !done_sent {
-                    // Every child is done (or evicted): flush whatever
-                    // is still batching, then announce Done once the
-                    // parent has acknowledged everything.
-                    if self.agg.dirty() {
-                        self.flush_up(&up, &mut io_err, &mut retx_at);
-                    }
-                    if self.sender.pending() == 0 && !io_err {
-                        if self.telemetry {
-                            self.flush_telemetry_up(&up, &mut flush_flight, &mut io_err);
-                        }
-                        if send_control(&up, &self.obs, &Control::Done { site: self.index }) {
-                            done_sent = true;
-                        } else {
-                            io_err = true;
-                        }
-                    }
-                }
-                if last_ping.elapsed() >= heartbeat {
-                    let ping = Control::Ping { site: self.index, sent_us: self.now_us() };
-                    if !send_control(&up, &self.obs, &ping) {
-                        io_err = true;
-                    }
-                    if self.telemetry {
-                        self.flush_telemetry_up(&up, &mut flush_flight, &mut io_err);
-                    }
-                    last_ping = Instant::now();
-                }
-            }
-            up_reconnects += 1;
-        }
-        Ok(())
-    }
-
-    /// Sends one reduced update upward, if the engine has one due.
-    fn flush_up(&mut self, up: &TcpStream, io_err: &mut bool, retx_at: &mut Option<Instant>) {
-        let Some(msg) = self.agg.flush() else { return };
-        let frame = self.sender.send_traced(msg, None);
-        self.send_frame_up(&frame, up, io_err);
-        *retx_at = Some(Instant::now() + Duration::from_micros(self.sender.next_timeout_us()));
-    }
-
-    /// Re-sends every unacknowledged upward frame (go-back-N).
-    fn retransmit_up(&mut self, up: &TcpStream, io_err: &mut bool) {
-        for frame in self.sender.on_timeout() {
-            let bytes = frame.encode(self.cov);
-            self.retransmitted_messages += 1;
-            self.retransmitted_bytes += bytes.len() as u64;
-            net::on_send(&self.obs, bytes.len() as u64);
-            self.sent_messages += 1;
-            self.sent_bytes += bytes.len() as u64;
-            if !*io_err && write_payload(up, bytes.as_slice()).is_err() {
-                *io_err = true;
-            }
-        }
-    }
-
-    fn send_frame_up(&mut self, frame: &Frame, up: &TcpStream, io_err: &mut bool) {
-        let bytes = frame.encode(self.cov);
-        net::on_send(&self.obs, bytes.len() as u64);
-        self.sent_messages += 1;
-        self.sent_bytes += bytes.len() as u64;
-        if !*io_err && write_payload(up, bytes.as_slice()).is_err() {
-            *io_err = true;
-        }
-    }
-
-    /// Ships this node's own staged registry delta upward as site
-    /// `index`, so the parent's fleet shows `site<index>.agg.*` series.
-    fn flush_telemetry_up(&mut self, up: &TcpStream, flush_flight: &mut bool, io_err: &mut bool) {
-        let include_flight = *flush_flight;
-        let Some(mut delta) = self.obs.drain_telemetry(include_flight) else { return };
-        *flush_flight = false;
-        delta.site = self.index;
-        let frame = Control::Telemetry { site: self.index, payload: delta.encode().into_vec() };
-        if !send_control(up, &self.obs, &frame) {
-            *io_err = true;
-        }
-    }
-
-    /// Drains the child-side event channel without blocking, then runs
-    /// the eviction sweep.
-    fn drain_children(&mut self) -> Result<(), CludiError> {
-        loop {
-            match self.rx.try_recv() {
-                Ok(NetEvent::Accepted { conn, writer }) => {
-                    self.conns.insert(conn, Conn { writer, site: None });
-                }
-                Ok(NetEvent::Frame { conn, payload }) => {
-                    let now_us = self.now_us();
-                    if self.fleet.is_some() {
-                        self.obs.set_sim_time(now_us);
-                    }
-                    self.on_child_frame(&payload, conn, now_us);
-                }
-                Ok(NetEvent::Closed { conn }) => {
-                    if let Some(c) = self.conns.remove(&conn) {
-                        if let Some(s) = c.site {
-                            if self.child_conn[s] == Some(conn) {
-                                self.child_conn[s] = None;
-                            }
-                        }
-                    }
-                }
-                Err(mpsc::TryRecvError::Empty) => break,
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    return Err(CludiError::Net("aggregator event channel closed".into()));
-                }
-            }
-        }
-        let now_us = self.now_us();
-        for (child, silent_us) in self.machine.evictions(now_us) {
-            let site = self.child_base + child as u32;
-            self.obs.event(&Event::SiteEvicted { site, silent_us });
-            self.obs.counter("coord.evict", 1);
-            if let Some(conn) = self.child_conn[child].take() {
-                if let Some(c) = self.conns.get(&conn) {
-                    let _ = c.writer.shutdown(Shutdown::Both);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Handles one inbound child payload: handshake and liveness for
-    /// control frames, engine + ACK for data frames — the same contract
-    /// `serve` gives its sites, over the child index range.
-    fn on_child_frame(&mut self, payload: &[u8], conn: u64, now_us: u64) {
-        if Control::is_control(payload) {
-            let Ok(frame) = Control::decode(&mut ByteReader::new(payload)) else {
-                return;
-            };
-            match frame {
-                Control::Hello { version, site, dim, cov, resume } => {
-                    self.on_child_hello(version, site, dim, cov, resume, conn, now_us);
-                }
-                Control::Ping { site, sent_us } if self.in_range(site) => {
-                    self.machine.heard((site - self.child_base) as usize, now_us);
-                    if let Some(c) = self.conns.get(&conn) {
-                        send_control(
-                            &c.writer,
-                            &self.obs,
-                            &Control::Pong { site, echo_us: sent_us },
-                        );
-                    }
-                }
-                Control::ClockEcho { site, t0_us, site_us } if self.in_range(site) => {
-                    self.machine.heard((site - self.child_base) as usize, now_us);
-                    if let Some(fleet) = &self.fleet {
-                        let midpoint = (t0_us + now_us) / 2;
-                        fleet.set_offset(site, midpoint as i64 - site_us as i64);
-                    }
-                }
-                Control::Telemetry { site, payload } if self.in_range(site) => {
-                    self.machine.heard((site - self.child_base) as usize, now_us);
-                    let Some(fleet) = &self.fleet else { return };
-                    let Ok(mut delta) = TelemetryDelta::decode(&mut ByteReader::new(&payload))
-                    else {
-                        self.obs.counter("coord.telemetry_decode_err", 1);
-                        return;
-                    };
-                    delta.site = site;
-                    for entry in delta.flight.drain(..) {
-                        self.obs.event(&Event::FlightRecorder { site, entry });
-                    }
-                    fleet.apply(&delta);
-                }
-                Control::StatusRequest => {
-                    // Subtree scrape: child series keep their global
-                    // `site<N>.` labels, so a fleet-wide dashboard can
-                    // union per-aggregator scrapes without relabeling.
-                    let Some(c) = self.conns.get(&conn) else { return };
-                    let text = match &self.fleet {
-                        Some(fleet) => {
-                            for (s, &state) in self.machine.states().iter().enumerate() {
-                                let site = self.child_base as usize + s;
-                                fleet.registry().gauge(
-                                    intern(&format!("site{site}.round_state")),
-                                    f64::from(RoundMachine::state_code(state)),
-                                );
-                            }
-                            let started = if self.machine.started() { 1.0 } else { 0.0 };
-                            fleet.registry().gauge("coord.round_started", started);
-                            fleet.prometheus_text()
-                        }
-                        None => String::from("# TYPE cludistream_up gauge\ncludistream_up 1\n"),
-                    };
-                    send_control(
-                        &c.writer,
-                        &self.obs,
-                        &Control::StatusReply { text: text.into_bytes() },
-                    );
-                }
-                Control::SnapshotRequest => {
-                    // Serve the *shard* model: what this subtree has
-                    // agreed on, before the root's cross-shard merge.
-                    let Some(c) = self.conns.get(&conn) else { return };
-                    let bytes = ModelSnapshot::capture(self.agg.coordinator())
-                        .map(|snapshot| snapshot.encode().into_vec())
-                        .unwrap_or_default();
-                    self.obs.counter("serve.snapshot_pulls", 1);
-                    send_control(
-                        &c.writer,
-                        &self.obs,
-                        &Control::SnapshotReply { snapshot: bytes },
-                    );
-                }
-                Control::HealthRequest => {
-                    // Alert rules live at the root; answer empty so
-                    // monitors pointed at a shard degrade gracefully.
-                    let Some(c) = self.conns.get(&conn) else { return };
-                    self.obs.counter("coord.health_requests", 1);
-                    send_control(
-                        &c.writer,
-                        &self.obs,
-                        &Control::HealthReply { alerts: Vec::new() },
-                    );
-                }
-                Control::Done { site } if self.in_range(site) => {
-                    let local = (site - self.child_base) as usize;
-                    self.machine.heard(local, now_us);
-                    self.machine.done(local);
-                }
-                _ => {}
-            }
-            return;
-        }
-        // Data plane: only handshaken connections may speak it.
-        let Some(local) = self.conns.get(&conn).and_then(|c| c.site) else { return };
-        self.machine.heard(local, now_us);
-        self.comm.record(now_us, NodeId(local), NodeId(self.children), payload.len());
-        let mut buf = ByteBuf::with_capacity(payload.len());
-        buf.extend_from_slice(payload);
-        if let Some(ack) = self.agg.on_wire(&buf) {
-            net::on_send(&self.obs, ack.len() as u64);
-            self.comm.record(now_us, NodeId(self.children), NodeId(local), ack.len());
-            if let Some(c) = self.conns.get(&conn) {
-                if write_payload(&c.writer, ack.as_slice()).is_err() {
-                    let _ = c.writer.shutdown(Shutdown::Both);
-                }
-            }
-        }
-    }
-
-    /// Validates a child handshake and welcomes it with the resync ACK
-    /// from its go-back-N inbox slot.
-    #[allow(clippy::too_many_arguments)]
-    fn on_child_hello(
-        &mut self,
-        version: u16,
-        site: u32,
-        site_dim: u32,
-        site_cov: CovarianceType,
-        resume: bool,
-        conn: u64,
-        now_us: u64,
-    ) {
-        let reject = if version != PROTOCOL_VERSION {
-            Some(Control::Reject {
-                code: RejectCode::Version,
-                expect: u64::from(PROTOCOL_VERSION),
-                got: u64::from(version),
-            })
-        } else if !self.in_range(site) {
-            Some(Control::Reject {
-                code: RejectCode::SiteIndex,
-                expect: u64::from(self.child_base) + self.children as u64,
-                got: u64::from(site),
-            })
-        } else if site_dim != self.dim {
-            Some(Control::Reject {
-                code: RejectCode::Dimension,
-                expect: u64::from(self.dim),
-                got: u64::from(site_dim),
-            })
-        } else if site_cov != self.cov {
-            Some(Control::Reject {
-                code: RejectCode::Covariance,
-                expect: u64::from(self.cov != CovarianceType::Full),
-                got: u64::from(site_cov != CovarianceType::Full),
-            })
-        } else {
-            None
-        };
-        if let Some(reject) = reject {
-            if let Some(c) = self.conns.get(&conn) {
-                send_control(&c.writer, &self.obs, &reject);
-                let _ = c.writer.shutdown(Shutdown::Both);
-            }
-            return;
-        }
-        let local = (site - self.child_base) as usize;
-        // Newest connection wins: cut a stale one left over from a drop
-        // the reader has not reported yet.
-        if let Some(old) = self.child_conn[local].replace(conn) {
-            if old != conn {
-                if let Some(c) = self.conns.get(&old) {
-                    let _ = c.writer.shutdown(Shutdown::Both);
-                }
-            }
-        }
-        if let Some(c) = self.conns.get_mut(&conn) {
-            c.site = Some(local);
-        }
-        self.machine.join(local, now_us);
-        self.obs.event(&Event::SiteJoined { site });
-        self.obs.counter("coord.join", 1);
-        let ack = self.agg.child_cumulative(local);
-        if resume {
-            self.resyncs_down += 1;
-            self.obs.event(&Event::SiteResynced { site, ack });
-            self.obs.counter("coord.resync", 1);
-        }
-        let Some(c) = self.conns.get(&conn) else { return };
-        let welcome = Control::Welcome {
-            version: PROTOCOL_VERSION,
-            heartbeat_us: self.socket.heartbeat_us,
-            timeout_us: self.socket.timeout_us,
-            ack,
-        };
-        if !send_control(&c.writer, &self.obs, &welcome) {
-            let _ = c.writer.shutdown(Shutdown::Both);
-            return;
-        }
-        if self.fleet.is_some() {
-            send_control(&c.writer, &self.obs, &Control::ClockProbe { t0_us: now_us });
-        }
-        if self.machine.started() {
-            send_control(&c.writer, &self.obs, &Control::Start);
-        }
-        if self.machine.ready_to_start() {
-            for &cid in self.child_conn.iter() {
-                let Some(live) = cid.and_then(|id| self.conns.get(&id)) else { continue };
-                send_control(&live.writer, &self.obs, &Control::Start);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -957,7 +384,12 @@ mod tests {
     use super::*;
     use crate::config::Config;
     use crate::driver::{DriverConfig, RecordStream};
+    use crate::runtime::control::{RejectCode, PROTOCOL_VERSION};
+    use crate::runtime::downlink::write_payload;
     use crate::runtime::tcp::{run_site, serve, CoordinatorRun, SiteRun};
+    use cludistream_wire::ByteReader;
+    use std::net::TcpStream;
+    use std::thread;
     use cludistream_gmm::{ChunkParams, Gaussian};
     use cludistream_linalg::Vector;
     use cludistream_rng::StdRng;

@@ -9,14 +9,22 @@
 //! unchanged inside length-prefixed frames, and only the control plane
 //! ([`control::Control`], tags ≥ [`control::CONTROL_TAG_MIN`]) is new.
 //!
+//! A socket node is built from two halves, each defined once (paper
+//! Sec. 7: an internal node is a coordinator to its children and a site
+//! to its parent, nothing more):
+//!
+//! - `downlink` (crate-internal) — serve a contiguous child range:
+//!   acceptor, `Hello` validation, liveness and eviction, ACKs, scrapes.
+//! - `uplink` (crate-internal) — play a site toward one parent: connect,
+//!   rendezvous, RTO retransmit, heartbeat, `Done`, reconnect-and-resync.
+//! - [`tcp`] — the coordinator ([`serve`] = a downlink over the root
+//!   engine), the site ([`run_site`] = an uplink over a windowed site),
+//!   and the in-process [`TcpTransport`].
+//! - [`aggregator`] — the intermediate fan-in role ([`run_aggregator`] =
+//!   an uplink whose work pumps a downlink), forwarding one pre-merged
+//!   update per flush interval.
 //! - [`control`] — handshake/liveness frame codec.
-//! - `liveness` (crate-internal) — the coordinator's pure round/eviction
-//!   state machine.
-//! - [`tcp`] — the coordinator serve loop, the site loop, and the
-//!   in-process [`TcpTransport`].
-//! - [`aggregator`] — the intermediate fan-in role ([`run_aggregator`]):
-//!   serves a child range like the coordinator, speaks upward like a
-//!   site, forwarding one pre-merged update per flush interval.
+//! - `liveness` (crate-internal) — the pure round/eviction state machine.
 //!
 //! See `docs/OPERATIONS.md` for the operator's manual (launching,
 //! tuning, troubleshooting) and DESIGN.md's "Transport abstraction"
@@ -24,8 +32,10 @@
 
 pub mod aggregator;
 pub mod control;
+mod downlink;
 pub(crate) mod liveness;
 pub mod tcp;
+mod uplink;
 
 pub use aggregator::{run_aggregator, AggregatorReport, AggregatorRun, AggregatorRunBuilder};
 pub use control::{Control, HealthAlert, RejectCode, CONTROL_TAG_MIN, PROTOCOL_VERSION};

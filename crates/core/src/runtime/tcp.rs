@@ -1,5 +1,6 @@
-//! The process-per-site socket runtime: coordinator and site loops over
-//! real `std::net` TCP, plus the in-process [`TcpTransport`].
+//! The process-per-site socket runtime: the coordinator ([`serve`]) and
+//! site ([`run_site`]) roles over real `std::net` TCP, plus the in-process
+//! [`TcpTransport`].
 //!
 //! Wire layout: every payload travels as a length-prefixed frame
 //! ([`cludistream_wire::framing`]). The payload bytes themselves are
@@ -8,19 +9,18 @@
 //! comparable — or a [`Control`] frame (first byte ≥
 //! [`super::control::CONTROL_TAG_MIN`]).
 //!
-//! Topology and threading: [`serve`] runs the coordinator — an acceptor
-//! thread hands connections to per-connection reader threads, which feed
-//! decoded frames over a channel into one single-threaded event loop
-//! owning the `CoordinatorEngine` and the `RoundMachine`. Keeping the
-//! engine single-threaded preserves the telemetry call order the golden
-//! fixtures depend on. [`run_site`] runs one site synchronously: connect,
-//! handshake, stream records, retransmit on real-time RTO, heartbeat,
-//! reconnect-and-resync on any socket failure.
+//! Both roles are thin: [`serve`] is a `Downlink` (acceptor, handshake,
+//! liveness, eviction, scrapes — see `runtime/downlink.rs`) over a
+//! `CoordinatorEngine`; [`run_site`] is an `Uplink` (connect, rendezvous,
+//! RTO retransmit, heartbeat, reconnect-and-resync — see
+//! `runtime/uplink.rs`) whose work pulls records through a `SiteCore`.
+//! This module holds what is particular to each: the root's snapshot and
+//! alert answers, the site's record pump, and the builders and reports.
 //!
 //! Fleet telemetry plane (opt-in): when [`CoordinatorRunBuilder::fleet`]
 //! is set and sites run with [`SiteRunBuilder::telemetry`], each site
 //! piggybacks
-//! [`TelemetryDelta`] frames on its heartbeat cadence, the coordinator
+//! [`cludistream_obs::TelemetryDelta`] frames on its heartbeat cadence, the coordinator
 //! folds them into one [`FleetAggregator`], every `Ping` is answered
 //! with a `Pong` (feeding a per-site `hb.rtt_us` histogram), the
 //! rendezvous is followed by a Cristian clock probe so remote span
@@ -30,10 +30,8 @@
 //! share one registry with the coordinator — and the golden socket
 //! fixtures see a control plane identical to the pre-telemetry one.
 
-use std::collections::HashMap;
-use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::net::TcpListener;
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -42,20 +40,20 @@ use crate::driver::{
     build_site_core, DeliveryConfig, DeliveryMode, DeliveryReport, DriverConfig, RecordStream,
     StarReport,
 };
-use crate::engine::CoordinatorEngine;
+use crate::engine::{CoordinatorEngine, SiteCore, UpChannel};
 use crate::error::CludiError;
-use crate::protocol::{Frame, ReliableInbox};
+use crate::protocol::ReliableInbox;
 use crate::remote::SiteStats;
-use crate::runtime::control::{Control, HealthAlert, RejectCode, PROTOCOL_VERSION};
+use crate::runtime::control::{Control, HealthAlert};
+use crate::runtime::downlink::{Downlink, Shard};
+use crate::runtime::uplink::{Uplink, Work};
 use crate::serving::{ModelSnapshot, SnapshotHandle};
-use crate::runtime::liveness::RoundMachine;
 use crate::transport::{RunRecipe, Transport, TransportSemantics};
 use crate::windows::WindowSpec;
 use cludistream_gmm::{CovarianceType, Mixture};
-use cludistream_obs::{intern, net, AlertSet, Event, FleetAggregator, Obs, Recorder, TelemetryDelta};
+use cludistream_obs::{intern, AlertSet, FleetAggregator, Obs, Recorder};
 use cludistream_simnet::{CommStats, NodeId};
-use cludistream_wire::framing::{write_frame, FrameReader};
-use cludistream_wire::{ByteBuf, ByteReader};
+use cludistream_wire::ByteBuf;
 
 /// Socket-runtime tuning shared by the coordinator and the sites. The
 /// coordinator's values are authoritative: sites learn `heartbeat_us`
@@ -116,7 +114,7 @@ pub struct CoordinatorRun {
 impl CoordinatorRun {
     /// Starts a validated-defaults builder for a `sites`-site round.
     pub fn builder(sites: usize) -> CoordinatorRunBuilder {
-        CoordinatorRunBuilder {
+        CoordinatorRunBuilder(CoordinatorRun {
             sites,
             coordinator: CoordinatorConfig::default(),
             dim: 1,
@@ -126,64 +124,54 @@ impl CoordinatorRun {
             fleet: None,
             snapshots: None,
             alerts: None,
-        }
+        })
     }
 }
 
 /// Builder for [`CoordinatorRun`]: every knob defaults to the value the
 /// in-process [`TcpTransport`] uses, and [`CoordinatorRunBuilder::build`]
 /// rejects configurations [`serve`] could only fail on at runtime.
-pub struct CoordinatorRunBuilder {
-    sites: usize,
-    coordinator: CoordinatorConfig,
-    dim: u32,
-    cov: CovarianceType,
-    obs: Obs,
-    socket: SocketConfig,
-    fleet: Option<Arc<FleetAggregator>>,
-    snapshots: Option<Arc<SnapshotHandle>>,
-    alerts: Option<AlertSet>,
-}
+pub struct CoordinatorRunBuilder(CoordinatorRun);
 
 impl CoordinatorRunBuilder {
     /// Sets the coordinator (merge/split/refine) configuration.
     pub fn coordinator(mut self, coordinator: CoordinatorConfig) -> Self {
-        self.coordinator = coordinator;
+        self.0.coordinator = coordinator;
         self
     }
 
     /// Sets the record dimension every site must agree on (default 1).
     pub fn dim(mut self, dim: u32) -> Self {
-        self.dim = dim;
+        self.0.dim = dim;
         self
     }
 
     /// Sets the covariance kind every site must agree on.
     pub fn covariance(mut self, cov: CovarianceType) -> Self {
-        self.cov = cov;
+        self.0.cov = cov;
         self
     }
 
     /// Attaches a telemetry observer (default: no-op).
     pub fn obs(mut self, obs: Obs) -> Self {
-        self.obs = obs;
+        self.0.obs = obs;
         self
     }
 
     /// Overrides the socket tuning.
     pub fn socket(mut self, socket: SocketConfig) -> Self {
-        self.socket = socket;
+        self.0.socket = socket;
         self
     }
 
     /// Opts into the fleet telemetry plane: a Cristian clock probe after
-    /// every `Welcome`, folding inbound [`TelemetryDelta`]s into the
+    /// every `Welcome`, folding inbound [`cludistream_obs::TelemetryDelta`]s into the
     /// fleet registry, and answering `StatusRequest` scrapes with
     /// Prometheus text. Off by default (the in-process [`TcpTransport`])
     /// so the control plane stays byte-identical to the pre-telemetry
     /// runtime.
     pub fn fleet(mut self, fleet: Arc<FleetAggregator>) -> Self {
-        self.fleet = Some(fleet);
+        self.0.fleet = Some(fleet);
         self
     }
 
@@ -194,7 +182,7 @@ impl CoordinatorRunBuilder {
     /// answers (an on-demand capture) but the write path stays
     /// byte-identical to the pre-serving runtime.
     pub fn snapshots(mut self, handle: Arc<SnapshotHandle>) -> Self {
-        self.snapshots = Some(handle);
+        self.0.snapshots = Some(handle);
         self
     }
 
@@ -205,36 +193,27 @@ impl CoordinatorRunBuilder {
     /// fleet`] — rules read the fleet registry — which
     /// [`CoordinatorRunBuilder::build`] enforces.
     pub fn alerts(mut self, alerts: AlertSet) -> Self {
-        self.alerts = Some(alerts);
+        self.0.alerts = Some(alerts);
         self
     }
 
     /// Validates and produces the run.
     pub fn build(self) -> Result<CoordinatorRun, CludiError> {
-        if self.sites == 0 {
+        let run = self.0;
+        if run.sites == 0 {
             return Err(CludiError::InvalidConfig { name: "sites", constraint: "sites >= 1" });
         }
-        if self.dim == 0 {
+        if run.dim == 0 {
             return Err(CludiError::InvalidConfig { name: "dim", constraint: "dim >= 1" });
         }
-        if self.alerts.is_some() && self.fleet.is_none() {
+        if run.alerts.is_some() && run.fleet.is_none() {
             return Err(CludiError::InvalidConfig {
                 name: "alerts",
                 constraint: "alert rules read the fleet registry; call .fleet(..) too",
             });
         }
-        validate_socket(&self.socket)?;
-        Ok(CoordinatorRun {
-            sites: self.sites,
-            coordinator: self.coordinator,
-            dim: self.dim,
-            cov: self.cov,
-            obs: self.obs,
-            socket: self.socket,
-            fleet: self.fleet,
-            snapshots: self.snapshots,
-            alerts: self.alerts,
-        })
+        validate_socket(&run.socket)?;
+        Ok(run)
     }
 }
 
@@ -308,36 +287,68 @@ pub struct SiteReport {
     pub resyncs: u64,
 }
 
-/// Events the acceptor/reader threads feed the coordinator loop.
-pub(crate) enum NetEvent {
-    /// A connection arrived; `writer` is the write half (a
-    /// `try_clone`).
-    Accepted { conn: u64, writer: TcpStream },
-    /// One length-prefixed frame's payload arrived on `conn`.
-    Frame { conn: u64, payload: Vec<u8> },
-    /// The connection closed or its reader failed.
-    Closed { conn: u64 },
+/// What the root answers differently from a shard: the published (or
+/// on-demand) snapshot and the alert verdicts.
+struct Root {
+    engine: CoordinatorEngine,
+    alerts: Option<AlertSet>,
 }
 
+impl Shard for Root {
+    fn on_wire(&mut self, payload: &ByteBuf) -> Option<ByteBuf> {
+        self.engine.on_wire(payload)
+    }
 
-/// A live connection as the coordinator loop sees it.
-pub(crate) struct Conn {
-    pub(crate) writer: TcpStream,
-    pub(crate) site: Option<usize>,
-}
+    fn cumulative(&self, local: usize) -> u64 {
+        self.engine.inboxes[local].cumulative()
+    }
 
-/// Writes one length-prefixed frame to a blocking stream.
-pub(crate) fn write_payload(stream: &TcpStream, payload: &[u8]) -> std::io::Result<()> {
-    write_frame(&mut { stream }, payload)
-}
+    fn snapshot_bytes(&self) -> Vec<u8> {
+        let encode = |snapshot: &ModelSnapshot| snapshot.encode().into_vec();
+        match &self.engine.publish {
+            Some(handle) => handle.load().map(|s| encode(&s)).unwrap_or_default(),
+            // No publication hook: serve an on-demand capture so snapshot
+            // pulls degrade gracefully (version 0, since nothing assigned
+            // one).
+            None => ModelSnapshot::capture(&self.engine.coordinator)
+                .map(|s| encode(&s))
+                .unwrap_or_default(),
+        }
+    }
 
-/// Sends a control frame, counting it under the `net.ctrl_*` counters.
-/// Returns `false` on I/O failure (the caller cuts the connection; the
-/// site reconnects).
-pub(crate) fn send_control(stream: &TcpStream, obs: &Obs, frame: &Control) -> bool {
-    let bytes = frame.encode();
-    net::on_ctrl_send(obs, bytes.len() as u64);
-    write_payload(stream, bytes.as_slice()).is_ok()
+    /// Evaluates the rule set; each rule's verdict is mirrored back into
+    /// the registry as an `alert.<name>` gauge so the Prometheus
+    /// exposition carries the same story as the reply.
+    fn health(&self, fleet: &FleetAggregator) -> Vec<HealthAlert> {
+        let Some(alerts) = &self.alerts else { return Vec::new() };
+        if let Some(snapshot) = self.engine.publish.as_ref().and_then(|h| h.load()) {
+            // Snapshot staleness in applied-messages behind: how far the
+            // read path lags the write path.
+            let behind = self
+                .engine
+                .coordinator
+                .messages_applied()
+                .saturating_sub(snapshot.messages_applied);
+            fleet.registry().gauge("serve.staleness_rounds", behind as f64);
+        }
+        let states = alerts.evaluate(fleet.registry());
+        let firing = states.iter().filter(|a| a.firing).count();
+        fleet.registry().gauge("alert.firing", firing as f64);
+        for a in &states {
+            let value = if a.firing { 1.0 } else { 0.0 };
+            fleet.registry().gauge(intern(&format!("alert.{}", a.name)), value);
+        }
+        states
+            .into_iter()
+            .map(|a| HealthAlert {
+                name: a.name,
+                metric: a.metric,
+                firing: a.firing,
+                value: a.value,
+                threshold: a.threshold,
+            })
+            .collect()
+    }
 }
 
 /// Serves one clustering round: waits for `run.sites` sites to
@@ -350,113 +361,28 @@ pub(crate) fn send_control(stream: &TcpStream, obs: &Obs, frame: &Control) -> bo
 pub fn serve(listener: TcpListener, run: CoordinatorRun) -> Result<CoordReport, CludiError> {
     let CoordinatorRun { sites, coordinator, dim, cov, obs, socket, fleet, snapshots, alerts } =
         run;
-    if sites == 0 {
-        return Err(CludiError::Build("need at least one site"));
-    }
     let mut coord = Coordinator::new(coordinator)?;
     coord.set_observer(obs.clone());
     let mut engine = CoordinatorEngine::new(coord, sites, cov, obs.clone());
     engine.publish = snapshots;
-    let mut machine = RoundMachine::new(sites, socket.timeout_us);
-    let mut comm = CommStats::new();
-    let hub = NodeId(sites);
-    let mut resyncs = 0u64;
-
-    listener.set_nonblocking(true)?;
-    let done = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = mpsc::channel::<NetEvent>();
-    let acceptor = {
-        let done = Arc::clone(&done);
-        let tx = tx.clone();
-        thread::spawn(move || {
-            let mut next_conn = 0u64;
-            while !done.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let _ = stream.set_nodelay(true);
-                        let conn = next_conn;
-                        next_conn += 1;
-                        let Ok(writer) = stream.try_clone() else { continue };
-                        if tx.send(NetEvent::Accepted { conn, writer }).is_err() {
-                            return;
-                        }
-                        let tx = tx.clone();
-                        thread::spawn(move || read_loop(conn, stream, &tx));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        thread::sleep(Duration::from_millis(10));
-                    }
-                    Err(_) => return,
-                }
-            }
-        })
-    };
-    drop(tx);
-
-    let started_at = Instant::now();
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut site_conn: Vec<Option<u64>> = vec![None; sites];
+    let mut root = Root { engine, alerts };
+    let mut down = Downlink::new(listener, 0, sites, dim, cov, obs, socket, fleet)?;
     let mut finished_at: Option<Instant> = None;
 
     let outcome = loop {
-        if socket.deadline.is_some_and(|d| started_at.elapsed() > d) {
+        if socket.deadline.is_some_and(|d| down.epoch.elapsed() > d) {
             break Err(CludiError::Net("coordinator serve deadline exceeded".into()));
         }
-        match rx.recv_timeout(Duration::from_millis(20)) {
-            Ok(NetEvent::Accepted { conn, writer }) => {
-                conns.insert(conn, Conn { writer, site: None });
-            }
-            Ok(NetEvent::Frame { conn, payload }) => {
-                let now_us = started_at.elapsed().as_micros() as u64;
-                if fleet.is_some() {
-                    // Stamp journal events and spans with wall-clock
-                    // microseconds since serve start (the fleet's
-                    // reference clock). Skipped without a fleet so the
-                    // shared-registry TcpTransport keeps `t: 0` stamps.
-                    obs.set_sim_time(now_us);
-                }
-                on_coord_frame(
-                    &payload, conn, now_us, sites, dim, cov, &obs, &mut engine, &mut machine,
-                    &mut comm, hub, &mut conns, &mut site_conn, &mut resyncs, socket,
-                    fleet.as_deref(), alerts.as_ref(),
-                );
-            }
-            Ok(NetEvent::Closed { conn }) => {
-                if let Some(c) = conns.remove(&conn) {
-                    if let Some(s) = c.site {
-                        if site_conn[s] == Some(conn) {
-                            site_conn[s] = None;
-                        }
-                    }
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                break Err(CludiError::Net("coordinator event channel closed".into()));
-            }
+        if let Err(e) = down.pump(&mut root, Duration::from_millis(20)) {
+            break Err(e);
         }
-        let now_us = started_at.elapsed().as_micros() as u64;
-        if fleet.is_some() {
-            obs.set_sim_time(now_us);
-        }
-        for (site, silent_us) in machine.evictions(now_us) {
-            obs.event(&Event::SiteEvicted { site: site as u32, silent_us });
-            obs.counter("coord.evict", 1);
-            if let Some(conn) = site_conn[site].take() {
-                if let Some(c) = conns.get(&conn) {
-                    let _ = c.writer.shutdown(Shutdown::Both);
-                }
-            }
-        }
-        if machine.finished() {
+        if down.machine.finished() {
             // Broadcast Stop exactly once; with a linger window the loop
             // then keeps answering bare-connection control frames
             // (status/snapshot/health scrapes) so a monitor can observe
             // the round's final state before teardown.
             let finished = *finished_at.get_or_insert_with(|| {
-                for c in conns.values() {
-                    send_control(&c.writer, &obs, &Control::Stop);
-                }
+                down.broadcast(&Control::Stop);
                 Instant::now()
             });
             if finished.elapsed() >= socket.linger.unwrap_or(Duration::ZERO) {
@@ -464,15 +390,9 @@ pub fn serve(listener: TcpListener, run: CoordinatorRun) -> Result<CoordReport, 
             }
         }
     };
-
-    // Tear down: stop accepting, cut every socket so blocked readers
-    // exit, and collect the acceptor (reader threads die on their own).
-    done.store(true, Ordering::Relaxed);
-    for c in conns.values() {
-        let _ = c.writer.shutdown(Shutdown::Both);
-    }
-    let _ = acceptor.join();
+    down.close();
     outcome?;
+    let engine = root.engine;
 
     // The end-of-round checkpoint, in the same wire layout a live
     // `SnapshotRequest` is answered with: prefer the last published
@@ -489,299 +409,14 @@ pub fn serve(listener: TcpListener, run: CoordinatorRun) -> Result<CoordReport, 
         groups: engine.coordinator.group_count(),
         global: engine.coordinator.global_mixture().ok(),
         memory_bytes: engine.coordinator.memory_bytes(),
-        comm,
         ack_messages: engine.ack_messages,
         ack_bytes: engine.ack_bytes,
         duplicates_discarded: engine.inboxes.iter().map(ReliableInbox::duplicates).sum(),
-        evicted: machine.evicted_sites(),
-        resyncs,
+        evicted: down.evicted(),
+        resyncs: down.resyncs,
+        comm: down.comm,
         snapshot,
     })
-}
-
-/// Blocking per-connection reader: length-prefixed frames in, channel
-/// events out, `Closed` on EOF or error.
-pub(crate) fn read_loop(conn: u64, mut stream: TcpStream, tx: &mpsc::Sender<NetEvent>) {
-    let mut fr = FrameReader::new();
-    loop {
-        match fr.poll(&mut stream) {
-            Ok(polled) => {
-                for payload in polled.frames {
-                    if tx.send(NetEvent::Frame { conn, payload }).is_err() {
-                        return;
-                    }
-                }
-                if polled.eof {
-                    let _ = tx.send(NetEvent::Closed { conn });
-                    return;
-                }
-            }
-            Err(_) => {
-                let _ = tx.send(NetEvent::Closed { conn });
-                return;
-            }
-        }
-    }
-}
-
-/// Handles one inbound payload in the coordinator loop: handshake and
-/// liveness for control frames, engine + ACK for data frames.
-#[allow(clippy::too_many_arguments)]
-fn on_coord_frame(
-    payload: &[u8],
-    conn: u64,
-    now_us: u64,
-    sites: usize,
-    dim: u32,
-    cov: CovarianceType,
-    obs: &Obs,
-    engine: &mut CoordinatorEngine,
-    machine: &mut RoundMachine,
-    comm: &mut CommStats,
-    hub: NodeId,
-    conns: &mut HashMap<u64, Conn>,
-    site_conn: &mut [Option<u64>],
-    resyncs: &mut u64,
-    socket: SocketConfig,
-    fleet: Option<&FleetAggregator>,
-    alerts: Option<&AlertSet>,
-) {
-    if Control::is_control(payload) {
-        let Ok(frame) = Control::decode(&mut ByteReader::new(payload)) else {
-            return;
-        };
-        match frame {
-            Control::Hello { version, site, dim: site_dim, cov: site_cov, resume } => {
-                let reject = if version != PROTOCOL_VERSION {
-                    Some(Control::Reject {
-                        code: RejectCode::Version,
-                        expect: u64::from(PROTOCOL_VERSION),
-                        got: u64::from(version),
-                    })
-                } else if site as usize >= sites {
-                    Some(Control::Reject {
-                        code: RejectCode::SiteIndex,
-                        expect: sites as u64,
-                        got: u64::from(site),
-                    })
-                } else if site_dim != dim {
-                    Some(Control::Reject {
-                        code: RejectCode::Dimension,
-                        expect: u64::from(dim),
-                        got: u64::from(site_dim),
-                    })
-                } else if site_cov != cov {
-                    Some(Control::Reject {
-                        code: RejectCode::Covariance,
-                        expect: u64::from(cov != CovarianceType::Full),
-                        got: u64::from(site_cov != CovarianceType::Full),
-                    })
-                } else {
-                    None
-                };
-                if let Some(reject) = reject {
-                    if let Some(c) = conns.get(&conn) {
-                        send_control(&c.writer, obs, &reject);
-                        let _ = c.writer.shutdown(Shutdown::Both);
-                    }
-                    return;
-                }
-                let site = site as usize;
-                // Newest connection wins: cut a stale one left over from
-                // a drop the reader has not reported yet.
-                if let Some(old) = site_conn[site].replace(conn) {
-                    if old != conn {
-                        if let Some(c) = conns.get(&old) {
-                            let _ = c.writer.shutdown(Shutdown::Both);
-                        }
-                    }
-                }
-                if let Some(c) = conns.get_mut(&conn) {
-                    c.site = Some(site);
-                }
-                machine.join(site, now_us);
-                obs.event(&Event::SiteJoined { site: site as u32 });
-                obs.counter("coord.join", 1);
-                let ack = engine.inboxes[site].cumulative();
-                if resume {
-                    *resyncs += 1;
-                    obs.event(&Event::SiteResynced { site: site as u32, ack });
-                    obs.counter("coord.resync", 1);
-                }
-                let Some(c) = conns.get(&conn) else { return };
-                let welcome = Control::Welcome {
-                    version: PROTOCOL_VERSION,
-                    heartbeat_us: socket.heartbeat_us,
-                    timeout_us: socket.timeout_us,
-                    ack,
-                };
-                if !send_control(&c.writer, obs, &welcome) {
-                    let _ = c.writer.shutdown(Shutdown::Both);
-                    return;
-                }
-                if fleet.is_some() {
-                    // Cristian probe: t0 is stamped here, the site
-                    // echoes its local clock, and t1 is the arrival
-                    // time of the `ClockEcho`.
-                    send_control(&c.writer, obs, &Control::ClockProbe { t0_us: now_us });
-                }
-                if machine.started() {
-                    // Late (re)joiner: the round is already running.
-                    send_control(&c.writer, obs, &Control::Start);
-                }
-                if machine.ready_to_start() {
-                    for &sc in site_conn.iter() {
-                        let Some(live) = sc.and_then(|id| conns.get(&id)) else { continue };
-                        send_control(&live.writer, obs, &Control::Start);
-                    }
-                }
-            }
-            Control::Ping { site, sent_us } if (site as usize) < sites => {
-                machine.heard(site as usize, now_us);
-                // Echo the site's send stamp back so it can measure the
-                // heartbeat round-trip on its own clock.
-                if let Some(c) = conns.get(&conn) {
-                    send_control(&c.writer, obs, &Control::Pong { site, echo_us: sent_us });
-                }
-            }
-            Control::ClockEcho { site, t0_us, site_us } if (site as usize) < sites => {
-                machine.heard(site as usize, now_us);
-                if let Some(fleet) = fleet {
-                    // Cristian's algorithm: the site read its clock
-                    // somewhere between t0 (probe sent) and t1 = now_us
-                    // (echo received); assume the midpoint.
-                    let midpoint = (t0_us + now_us) / 2;
-                    fleet.set_offset(site, midpoint as i64 - site_us as i64);
-                }
-            }
-            Control::Telemetry { site, payload } if (site as usize) < sites => {
-                machine.heard(site as usize, now_us);
-                let Some(fleet) = fleet else { return };
-                let Ok(mut delta) = TelemetryDelta::decode(&mut ByteReader::new(&payload))
-                else {
-                    obs.counter("coord.telemetry_decode_err", 1);
-                    return;
-                };
-                // Trust the authenticated frame header over the payload.
-                delta.site = site;
-                for entry in delta.flight.drain(..) {
-                    obs.event(&Event::FlightRecorder { site, entry });
-                }
-                fleet.apply(&delta);
-            }
-            Control::StatusRequest => {
-                // Scrapers skip the handshake: any connection may ask.
-                let Some(c) = conns.get(&conn) else { return };
-                let text = match fleet {
-                    Some(fleet) => {
-                        for (s, &state) in machine.states().iter().enumerate() {
-                            fleet.registry().gauge(
-                                intern(&format!("site{s}.round_state")),
-                                f64::from(RoundMachine::state_code(state)),
-                            );
-                        }
-                        let started = if machine.started() { 1.0 } else { 0.0 };
-                        fleet.registry().gauge("coord.round_started", started);
-                        fleet.prometheus_text()
-                    }
-                    // No fleet: still answer, so scrapes against a
-                    // telemetry-less coordinator degrade gracefully.
-                    None => String::from("# TYPE cludistream_up gauge\ncludistream_up 1\n"),
-                };
-                send_control(&c.writer, obs, &Control::StatusReply { text: text.into_bytes() });
-            }
-            Control::SnapshotRequest => {
-                // Like StatusRequest, readers skip the handshake: any
-                // connection may pull the current model. An empty payload
-                // means "nothing published yet" — the reader polls again.
-                let Some(c) = conns.get(&conn) else { return };
-                let bytes = match &engine.publish {
-                    Some(handle) => handle
-                        .load()
-                        .map(|snapshot| snapshot.encode().into_vec())
-                        .unwrap_or_default(),
-                    // No publication hook: serve an on-demand capture so
-                    // snapshot pulls degrade gracefully (version 0, since
-                    // nothing assigned one).
-                    None => ModelSnapshot::capture(&engine.coordinator)
-                        .map(|snapshot| snapshot.encode().into_vec())
-                        .unwrap_or_default(),
-                };
-                obs.counter("serve.snapshot_pulls", 1);
-                send_control(&c.writer, obs, &Control::SnapshotReply { snapshot: bytes });
-            }
-            Control::HealthRequest => {
-                // Monitors skip the handshake, like StatusRequest. The
-                // liveness gauges are refreshed before evaluation so the
-                // rules read exactly the state a status scrape would
-                // render; each rule's verdict is mirrored back into the
-                // registry as an `alert.<name>` gauge so the Prometheus
-                // exposition carries the same story as the reply. An
-                // empty reply means "no alert set configured".
-                let Some(c) = conns.get(&conn) else { return };
-                let mut out = Vec::new();
-                if let (Some(fleet), Some(alerts)) = (fleet, alerts) {
-                    for (s, &state) in machine.states().iter().enumerate() {
-                        fleet.registry().gauge(
-                            intern(&format!("site{s}.round_state")),
-                            f64::from(RoundMachine::state_code(state)),
-                        );
-                    }
-                    let started = if machine.started() { 1.0 } else { 0.0 };
-                    fleet.registry().gauge("coord.round_started", started);
-                    if let Some(snapshot) = engine.publish.as_ref().and_then(|h| h.load()) {
-                        // Snapshot staleness in applied-messages behind:
-                        // how far the read path lags the write path.
-                        let behind = engine
-                            .coordinator
-                            .messages_applied()
-                            .saturating_sub(snapshot.messages_applied);
-                        fleet.registry().gauge("serve.staleness_rounds", behind as f64);
-                    }
-                    let states = alerts.evaluate(fleet.registry());
-                    let firing = states.iter().filter(|a| a.firing).count();
-                    fleet.registry().gauge("alert.firing", firing as f64);
-                    for a in &states {
-                        let value = if a.firing { 1.0 } else { 0.0 };
-                        fleet.registry().gauge(intern(&format!("alert.{}", a.name)), value);
-                    }
-                    out = states
-                        .into_iter()
-                        .map(|a| HealthAlert {
-                            name: a.name,
-                            metric: a.metric,
-                            firing: a.firing,
-                            value: a.value,
-                            threshold: a.threshold,
-                        })
-                        .collect();
-                }
-                obs.counter("coord.health_requests", 1);
-                send_control(&c.writer, obs, &Control::HealthReply { alerts: out });
-            }
-            Control::Done { site } if (site as usize) < sites => {
-                machine.heard(site as usize, now_us);
-                machine.done(site as usize);
-            }
-            _ => {}
-        }
-        return;
-    }
-    // Data plane: only handshaken connections may speak it.
-    let Some(site) = conns.get(&conn).and_then(|c| c.site) else { return };
-    machine.heard(site, now_us);
-    comm.record(now_us, NodeId(site), hub, payload.len());
-    let mut buf = ByteBuf::with_capacity(payload.len());
-    buf.extend_from_slice(payload);
-    if let Some(ack) = engine.on_wire(&buf) {
-        net::on_send(obs, ack.len() as u64);
-        comm.record(now_us, hub, NodeId(site), ack.len());
-        if let Some(c) = conns.get(&conn) {
-            if write_payload(&c.writer, ack.as_slice()).is_err() {
-                let _ = c.writer.shutdown(Shutdown::Both);
-            }
-        }
-    }
 }
 
 /// Everything one socket site needs to run its half of a round.
@@ -805,7 +440,7 @@ impl SiteRun {
     /// `stream`. Delivery defaults to [`DeliveryMode::Reliable`] — the
     /// only mode the socket runtime accepts.
     pub fn builder(site: usize, stream: RecordStream) -> SiteRunBuilder {
-        SiteRunBuilder {
+        SiteRunBuilder(SiteRun {
             site,
             stream,
             window: WindowSpec::Landmark,
@@ -817,34 +452,25 @@ impl SiteRun {
             updates: 0,
             socket: SocketConfig::default(),
             telemetry: false,
-        }
+        })
     }
 }
 
 /// Builder for [`SiteRun`]: landmark window, reliable delivery, and
 /// default socket tuning unless overridden; [`SiteRunBuilder::build`]
 /// rejects configurations [`run_site`] could only fail on at runtime.
-pub struct SiteRunBuilder {
-    site: usize,
-    stream: RecordStream,
-    window: WindowSpec,
-    config: DriverConfig,
-    delivery: DeliveryConfig,
-    updates: u64,
-    socket: SocketConfig,
-    telemetry: bool,
-}
+pub struct SiteRunBuilder(SiteRun);
 
 impl SiteRunBuilder {
     /// Sets the window semantics (default: landmark).
     pub fn window(mut self, window: WindowSpec) -> Self {
-        self.window = window;
+        self.0.window = window;
         self
     }
 
     /// Sets the driver configuration (site config, rates, observer).
     pub fn config(mut self, config: DriverConfig) -> Self {
-        self.config = config;
+        self.0.config = config;
         self
     }
 
@@ -852,112 +478,74 @@ impl SiteRunBuilder {
     /// [`DeliveryMode::Reliable`]; [`SiteRunBuilder::build`] rejects
     /// anything else.
     pub fn delivery(mut self, delivery: DeliveryConfig) -> Self {
-        self.delivery = delivery;
+        self.0.delivery = delivery;
         self
     }
 
     /// Sets how many records to consume.
     pub fn updates(mut self, updates: u64) -> Self {
-        self.updates = updates;
+        self.0.updates = updates;
         self
     }
 
     /// Overrides the socket tuning.
     pub fn socket(mut self, socket: SocketConfig) -> Self {
-        self.socket = socket;
+        self.0.socket = socket;
         self
     }
 
     /// Opts into the fleet telemetry plane: stamp the registry clock
     /// from a local monotonic epoch, answer `ClockProbe`s, record
-    /// `hb.rtt_us` from `Pong` echoes, and flush [`TelemetryDelta`]s to
+    /// `hb.rtt_us` from `Pong` echoes, and flush [`cludistream_obs::TelemetryDelta`]s to
     /// the coordinator on the heartbeat cadence. Leave `false` whenever
     /// the site shares a registry with the coordinator (the in-process
     /// [`TcpTransport`]), where deltas would double-count.
     pub fn telemetry(mut self, telemetry: bool) -> Self {
-        self.telemetry = telemetry;
+        self.0.telemetry = telemetry;
         self
     }
 
     /// Validates and produces the run.
     pub fn build(self) -> Result<SiteRun, CludiError> {
-        if self.delivery.mode != DeliveryMode::Reliable {
+        let run = self.0;
+        if run.delivery.mode != DeliveryMode::Reliable {
             return Err(CludiError::Build(
                 "the TCP transport is reliable-only: a reconnect needs sequence state to resync",
             ));
         }
-        validate_socket(&self.socket)?;
-        Ok(SiteRun {
-            site: self.site,
-            stream: self.stream,
-            window: self.window,
-            config: self.config,
-            delivery: self.delivery,
-            updates: self.updates,
-            socket: self.socket,
-            telemetry: self.telemetry,
-        })
+        validate_socket(&run.socket)?;
+        Ok(run)
     }
 }
 
-/// Connects with retries (the coordinator may not be listening yet).
-pub(crate) fn connect(addr: &str, socket: &SocketConfig) -> Result<TcpStream, CludiError> {
-    let attempts = socket.connect_attempts.max(1);
-    let mut last = String::new();
-    for attempt in 0..attempts {
-        match TcpStream::connect(addr) {
-            Ok(stream) => return Ok(stream),
-            Err(e) => {
-                last = e.to_string();
-                if attempt + 1 < attempts {
-                    thread::sleep(Duration::from_millis(socket.connect_retry_ms));
-                }
+/// A site's work between polls: pull the next batch of records through
+/// the window and send whatever synopses that produced.
+struct SitePump {
+    core: SiteCore,
+    stream: RecordStream,
+    remaining: u64,
+    batch: usize,
+}
+
+impl Work for SitePump {
+    fn channel(&mut self) -> &mut UpChannel {
+        &mut self.core.up
+    }
+
+    fn step(&mut self, send: &mut dyn FnMut(ByteBuf)) -> Result<bool, CludiError> {
+        if self.remaining > 0 {
+            let take = (self.batch as u64).min(self.remaining) as usize;
+            for _ in 0..take {
+                let Some(record) = self.stream.next() else {
+                    self.remaining = 0;
+                    break;
+                };
+                let _ = self.core.window.push(record)?;
+                self.remaining -= 1;
             }
+            self.core.drain_outbound(send);
         }
-    }
-    Err(CludiError::Net(format!("connect to {addr} failed after {attempts} attempts: {last}")))
-}
-
-/// Builds the send closure for one connection: payload counters, sent
-/// accounting, length-prefixed write, and sticky I/O error capture (a
-/// `FnMut(ByteBuf)` cannot return a `Result`; the pump loop checks the
-/// flag and reconnects).
-fn frame_sender<'a>(
-    conn: &'a TcpStream,
-    obs: &'a Obs,
-    sent_messages: &'a mut u64,
-    sent_bytes: &'a mut u64,
-    io_err: &'a mut bool,
-) -> impl FnMut(ByteBuf) + 'a {
-    move |bytes: ByteBuf| {
-        let len = bytes.len() as u64;
-        net::on_send(obs, len);
-        *sent_messages += 1;
-        *sent_bytes += len;
-        if !*io_err && write_payload(conn, bytes.as_slice()).is_err() {
-            *io_err = true;
-        }
-    }
-}
-
-/// Drains the registry's staged telemetry and ships it as one
-/// [`Control::Telemetry`] frame. The first flush after a resync carries
-/// the flight-recorder ring (`flush_flight`), which this clears; a
-/// quiet registry (nothing staged) sends nothing.
-fn flush_telemetry(
-    conn: &TcpStream,
-    obs: &Obs,
-    site: usize,
-    flush_flight: &mut bool,
-    io_err: &mut bool,
-) {
-    let include_flight = *flush_flight;
-    let Some(mut delta) = obs.drain_telemetry(include_flight) else { return };
-    *flush_flight = false;
-    delta.site = site as u32;
-    let frame = Control::Telemetry { site: site as u32, payload: delta.encode().into_vec() };
-    if !send_control(conn, obs, &frame) {
-        *io_err = true;
+        Ok(self.remaining == 0)
     }
 }
 
@@ -966,241 +554,34 @@ fn flush_telemetry(
 /// failure until the coordinator says `Stop`.
 pub fn run_site(addr: &str, run: SiteRun) -> Result<SiteReport, CludiError> {
     let SiteRun { site, window, config, delivery, stream, updates, socket, telemetry } = run;
-    if delivery.mode != DeliveryMode::Reliable {
-        return Err(CludiError::Build(
-            "the TCP transport is reliable-only: a reconnect needs sequence state to resync",
-        ));
-    }
-    let mut core = build_site_core(&config, window, site, true, delivery)?;
-    let obs = config.obs.clone();
-    let dim = config.site.dim as u32;
-    let cov = config.site.covariance;
-    let batch = config.batch;
-    let mut stream = stream;
-    let mut remaining = updates;
-    let mut sent_messages = 0u64;
-    let mut sent_bytes = 0u64;
-    let mut retransmitted_messages = 0u64;
-    let mut retransmitted_bytes = 0u64;
-    let mut resyncs = 0u64;
-    let mut reconnects = 0u32;
-    // Local monotonic clock for telemetry stamps, Cristian echoes and
-    // RTT samples. Deliberately *not* the coordinator's clock: the
-    // coordinator estimates this site's offset from the
-    // ClockProbe/ClockEcho exchange and rebases on its side.
-    let epoch = Instant::now();
-    let local_now = move || epoch.elapsed().as_micros() as u64;
+    let core = build_site_core(&config, window, site, delivery)?;
+    let mut pump = SitePump { core, stream, remaining: updates, batch: config.batch };
+    let mut up = Uplink {
+        parent_addr: addr,
+        role: "site",
+        index: site as u32,
+        dim: config.site.dim as u32,
+        cov: config.site.covariance,
+        obs: config.obs.clone(),
+        socket,
+        telemetry,
+        epoch: Instant::now(),
+        sent_messages: 0,
+        sent_bytes: 0,
+        resyncs: 0,
+    };
+    up.run(&mut pump)?;
 
-    'round: loop {
-        let conn = connect(addr, &socket)?;
-        conn.set_nodelay(true)?;
-        conn.set_read_timeout(Some(Duration::from_millis(20)))?;
-        let resume = reconnects > 0;
-        {
-            let hello = Control::Hello {
-                version: PROTOCOL_VERSION,
-                site: site as u32,
-                dim,
-                cov,
-                resume,
-            };
-            let bytes = hello.encode();
-            net::on_ctrl_send(&obs, bytes.len() as u64);
-            write_payload(&conn, bytes.as_slice())?;
-        }
-        let mut fr = FrameReader::new();
-
-        // Rendezvous: wait for Welcome (or Reject) under a deadline.
-        let handshake_deadline = Instant::now() + Duration::from_micros(socket.timeout_us.max(1));
-        let mut welcome = None;
-        let mut leftover: Vec<Vec<u8>> = Vec::new();
-        'handshake: while welcome.is_none() {
-            if Instant::now() > handshake_deadline {
-                return Err(CludiError::Net(format!("site {site}: handshake timed out")));
-            }
-            let polled = fr.poll(&mut { &conn })?;
-            let mut frames = polled.frames.into_iter();
-            while let Some(payload) = frames.next() {
-                if !Control::is_control(&payload) {
-                    continue;
-                }
-                match Control::decode(&mut ByteReader::new(&payload))? {
-                    Control::Welcome { heartbeat_us, ack, .. } => {
-                        welcome = Some((heartbeat_us, ack));
-                        // Frames behind the Welcome in the same poll
-                        // (Start, the coordinator's ClockProbe) belong
-                        // to the pump loop; don't drop them.
-                        leftover.extend(frames);
-                        break 'handshake;
-                    }
-                    Control::Reject { code, expect, got } => {
-                        return Err(CludiError::Net(format!(
-                            "site {site}: coordinator rejected handshake: {} mismatch \
-                             (coordinator has {expect}, site sent {got})",
-                            code.describe()
-                        )));
-                    }
-                    _ => {}
-                }
-            }
-            if polled.eof {
-                return Err(CludiError::Net(format!(
-                    "site {site}: connection closed during handshake"
-                )));
-            }
-        }
-        let Some((heartbeat_us, coord_ack)) = welcome else {
-            return Err(CludiError::Net(format!("site {site}: no Welcome received")));
-        };
-        let heartbeat = Duration::from_micros(heartbeat_us.max(1));
-        core.on_ack(coord_ack);
-        let mut io_err = false;
-        if resume {
-            // Go-back-N resync: the Welcome told us the coordinator's
-            // cumulative position; re-send everything past it now.
-            resyncs += 1;
-            let (m, b) = core.retransmit(&mut frame_sender(
-                &conn, &obs, &mut sent_messages, &mut sent_bytes, &mut io_err,
-            ));
-            retransmitted_messages += m;
-            retransmitted_bytes += b;
-        }
-
-        // The pump: poll the socket, feed the window, drain synopses,
-        // retransmit on RTO, heartbeat, announce Done, obey Stop.
-        let mut done_sent = false;
-        let mut last_ping = Instant::now();
-        let mut retx_at: Option<Instant> = None;
-        let mut streaming_timeout = true;
-        // The first flush after a resync carries the flight-recorder
-        // ring: the coordinator journals what this site saw before the
-        // crash.
-        let mut flush_flight = telemetry && resume;
-        let mut inbound = leftover;
-        conn.set_read_timeout(Some(Duration::from_millis(1)))?;
-        loop {
-            if io_err {
-                break; // reconnect
-            }
-            if telemetry {
-                obs.set_sim_time(local_now());
-            }
-            let polled = match fr.poll(&mut { &conn }) {
-                Ok(p) => p,
-                Err(_) => {
-                    if done_sent {
-                        break 'round;
-                    }
-                    break; // reconnect
-                }
-            };
-            inbound.extend(polled.frames);
-            for payload in inbound.drain(..) {
-                if Control::is_control(&payload) {
-                    match Control::decode(&mut ByteReader::new(&payload)) {
-                        Ok(Control::Stop) => break 'round,
-                        Ok(Control::Pong { echo_us, .. }) => {
-                            if telemetry {
-                                obs.observe("hb.rtt_us", local_now().saturating_sub(echo_us));
-                            }
-                        }
-                        Ok(Control::ClockProbe { t0_us }) => {
-                            let echo = Control::ClockEcho {
-                                site: site as u32,
-                                t0_us,
-                                site_us: local_now(),
-                            };
-                            if !send_control(&conn, &obs, &echo) {
-                                io_err = true;
-                            }
-                        }
-                        _ => {}
-                    }
-                } else if let Ok(Frame::Ack { cumulative }) =
-                    Frame::decode(&mut ByteReader::new(&payload))
-                {
-                    core.on_ack(cumulative);
-                }
-            }
-            if polled.eof {
-                if done_sent {
-                    // Everything was acknowledged before Done went out;
-                    // a close now is the coordinator tearing down.
-                    break 'round;
-                }
-                break; // reconnect
-            }
-            if remaining > 0 {
-                let take = (batch as u64).min(remaining) as usize;
-                for _ in 0..take {
-                    let Some(record) = stream.next() else {
-                        remaining = 0;
-                        break;
-                    };
-                    let _ = core.window.push(record)?;
-                    remaining -= 1;
-                }
-                core.drain_outbound(&mut frame_sender(
-                    &conn, &obs, &mut sent_messages, &mut sent_bytes, &mut io_err,
-                ));
-            } else if streaming_timeout {
-                // Stream drained: stop busy-polling, block up to 20 ms.
-                conn.set_read_timeout(Some(Duration::from_millis(20)))?;
-                streaming_timeout = false;
-            }
-            if core.pending() > 0 {
-                let due = *retx_at.get_or_insert_with(|| {
-                    Instant::now() + Duration::from_micros(core.next_timeout_us())
-                });
-                if Instant::now() >= due {
-                    let (m, b) = core.retransmit(&mut frame_sender(
-                        &conn, &obs, &mut sent_messages, &mut sent_bytes, &mut io_err,
-                    ));
-                    retransmitted_messages += m;
-                    retransmitted_bytes += b;
-                    retx_at = Some(Instant::now() + Duration::from_micros(core.next_timeout_us()));
-                }
-            } else {
-                retx_at = None;
-            }
-            if remaining == 0 && core.pending() == 0 && !done_sent {
-                if telemetry {
-                    // Flush before Done: once every site is done the
-                    // coordinator may Stop and tear down, so this is
-                    // the last delta guaranteed to land in the fleet
-                    // registry. Every data-plane counter is final here
-                    // (stream drained, everything acknowledged).
-                    flush_telemetry(&conn, &obs, site, &mut flush_flight, &mut io_err);
-                }
-                if send_control(&conn, &obs, &Control::Done { site: site as u32 }) {
-                    done_sent = true;
-                } else {
-                    io_err = true;
-                }
-            }
-            if last_ping.elapsed() >= heartbeat {
-                let ping = Control::Ping { site: site as u32, sent_us: local_now() };
-                if !send_control(&conn, &obs, &ping) {
-                    io_err = true;
-                }
-                if telemetry {
-                    flush_telemetry(&conn, &obs, site, &mut flush_flight, &mut io_err);
-                }
-                last_ping = Instant::now();
-            }
-        }
-        reconnects += 1;
-    }
-
+    let core = pump.core;
     Ok(SiteReport {
         stats: core.window.site().stats(),
         models: core.window.site().models().len(),
         memory_bytes: core.window.site().memory_bytes(),
-        sent_messages,
-        sent_bytes,
-        retransmitted_messages,
-        retransmitted_bytes,
-        resyncs,
+        sent_messages: up.sent_messages,
+        sent_bytes: up.sent_bytes,
+        retransmitted_messages: core.up.retransmitted_messages,
+        retransmitted_bytes: core.up.retransmitted_bytes,
+        resyncs: up.resyncs,
     })
 }
 
@@ -1242,46 +623,32 @@ impl Transport for TcpTransport {
     }
 
     fn run(self: Box<Self>, recipe: RunRecipe) -> Result<StarReport, CludiError> {
-        let RunRecipe {
-            sites,
-            window,
-            config,
-            delivery,
-            streams,
-            updates_per_site,
-            snapshots,
-            tree,
-        } = recipe;
-        if tree.is_some() {
+        if recipe.tree.is_some() {
             return Err(CludiError::Build(
                 "the TCP transport has no in-process aggregator tier: compose \
                  `cludistream aggregator` processes between the sites and the root instead",
             ));
         }
-        let delivery = delivery.unwrap_or(DeliveryConfig {
+        let RunRecipe { sites, config, .. } = recipe;
+        // `SiteRunBuilder::build` rejects anything but reliable delivery.
+        let delivery = recipe.delivery.unwrap_or(DeliveryConfig {
             mode: DeliveryMode::Reliable,
-            rto_us: 50_000,
-            rto_cap_us: 1_000_000,
+            ..DeliveryConfig::default()
         });
-        if delivery.mode != DeliveryMode::Reliable {
-            return Err(CludiError::Build(
-                "the TCP transport is reliable-only: a reconnect needs sequence state to resync",
-            ));
-        }
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?.to_string();
         let started = Instant::now();
 
         let mut handles = Vec::with_capacity(sites);
-        for (i, stream) in streams.into_iter().enumerate() {
+        for (i, stream) in recipe.streams.into_iter().enumerate() {
             // All roles share `config.obs` here, so telemetry stays off:
             // deltas folded back into the same registry would
             // double-count.
             let run = SiteRun::builder(i, stream)
-                .window(window)
+                .window(recipe.window)
                 .config(config.clone())
                 .delivery(delivery)
-                .updates(updates_per_site)
+                .updates(recipe.updates_per_site)
                 .socket(self.socket)
                 .build()?;
             let addr = addr.clone();
@@ -1293,7 +660,7 @@ impl Transport for TcpTransport {
             .covariance(config.site.covariance)
             .obs(config.obs.clone())
             .socket(self.socket);
-        if let Some(handle) = snapshots {
+        if let Some(handle) = recipe.snapshots {
             coord_run = coord_run.snapshots(handle);
         }
         let coord_outcome = serve(listener, coord_run.build()?);
@@ -1356,10 +723,15 @@ impl Transport for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::Message;
+    use crate::protocol::{Frame, Message};
     use crate::remote::ModelId;
+    use crate::runtime::control::{RejectCode, PROTOCOL_VERSION};
     use cludistream_obs::Registry;
+    use cludistream_wire::framing::{write_frame, FrameReader};
+    use cludistream_wire::ByteReader;
     use std::io::Write as _;
+    use std::net::TcpStream;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Mutex;
 
     /// In-memory journal sink readable after the run.
@@ -1509,7 +881,15 @@ mod tests {
 
         // Site 0 vanishes without a Done; past the timeout it is evicted.
         drop(s0);
-        thread::sleep(Duration::from_millis(1_400));
+        let evicted = || {
+            let journal = sink.0.lock().expect("sink lock");
+            String::from_utf8_lossy(&journal).contains("\"event\":\"SiteEvicted\"")
+        };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !evicted() && Instant::now() < deadline {
+            registry.flush_journal().expect("flush");
+            thread::sleep(Duration::from_millis(20));
+        }
 
         // Reconnect-resume: the Welcome must carry cumulative ACK 1, the
         // go-back-N resync point (nothing before it is retransmitted).
@@ -1540,6 +920,54 @@ mod tests {
             journal.lines().any(|l| l.contains("\"event\":\"SiteResynced\"") && l.contains("\"ack\":1")),
             "missing SiteResynced with ack 1:\n{journal}"
         );
+    }
+
+    /// The Done/teardown race: a parent that has read this site's `Done`
+    /// and vanished — socket closed, listener gone, no `Stop` — is the
+    /// round tearing down, not a connection to resync. The burst of clock
+    /// probes makes the site write `ClockEcho`es into the closed socket
+    /// before its next read can see the EOF, so the failure it meets is a
+    /// *write* error after `Done`; reconnecting from there would dial a
+    /// listener that no longer exists.
+    #[test]
+    fn parent_vanishing_after_done_ends_the_round() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let parent = thread::spawn(move || {
+            let (mut s, _) = listener.accept().expect("accept");
+            let mut rx = FrameRx::new();
+            rx.next_control(&mut s, |c| matches!(c, Control::Hello { site: 0, resume: false, .. }));
+            let welcome = Control::Welcome {
+                version: PROTOCOL_VERSION,
+                heartbeat_us: 1_000,
+                timeout_us: 5_000_000,
+                ack: 0,
+            };
+            send(&mut s, welcome.encode().as_slice());
+            rx.next_control(&mut s, |c| matches!(c, Control::Done { site: 0 }));
+            let mut probes = Vec::new();
+            for t0_us in 0..64 {
+                write_frame(&mut probes, Control::ClockProbe { t0_us }.encode().as_slice())
+                    .expect("encode probe");
+            }
+            s.write_all(&probes).expect("probes");
+            // `s` and `listener` drop here: no Stop, nothing to reconnect to.
+        });
+
+        // An empty stream: the site is exhausted at once and says Done
+        // right after the rendezvous.
+        let run = SiteRun::builder(0, Box::new(std::iter::empty()))
+            .socket(SocketConfig {
+                connect_attempts: 2,
+                connect_retry_ms: 10,
+                ..SocketConfig::default()
+            })
+            .build()
+            .expect("valid site run");
+        let report = run_site(&addr, run);
+        parent.join().expect("parent thread");
+        let report = report.expect("a vanished parent after Done is a finished round");
+        assert_eq!(report.resyncs, 0, "nothing to resync from");
     }
 
     /// A `Hello` with the wrong protocol version is refused with a

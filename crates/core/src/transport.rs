@@ -54,8 +54,7 @@ use std::sync::Arc;
 /// Each aggregator pre-merges its children's synopses with the standard
 /// merge/split machinery and forwards **one** reduced summary upward per
 /// flush interval (suppressed entirely when the summary has not moved by
-/// more than `epsilon` — the same significance test the multi-layer
-/// module uses). The root therefore sees O(aggregators) messages and
+/// more than `epsilon`). The root therefore sees O(aggregators) messages and
 /// keeps O(models) state instead of O(sites) × O(history).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TreeTopology {
@@ -64,7 +63,7 @@ pub struct TreeTopology {
     pub levels: Vec<usize>,
     /// Upward-forwarding significance threshold: a freshly merged summary
     /// within `epsilon` of the last one uploaded (per
-    /// [`crate::multilayer`]'s `m_split`/weight test) is suppressed.
+    /// [`crate::aggregator::summary_changed`]) is suppressed.
     /// `0.0` forwards every change.
     pub epsilon: f64,
     /// Microseconds between an aggregator going dirty and its upward
@@ -96,6 +95,35 @@ impl TreeTopology {
     pub fn with_flush_interval_us(mut self, us: u64) -> TreeTopology {
         self.flush_interval_us = us;
         self
+    }
+
+    /// Checks the shape over `sites` sites: every aggregator must get at
+    /// least one child, so a level can be neither empty nor wider than
+    /// what feeds it, and the flush delay must be positive.
+    pub(crate) fn validate(&self, sites: usize) -> Result<(), CludiError> {
+        let mut feeding = sites;
+        for &count in &self.levels {
+            if count == 0 {
+                return Err(CludiError::InvalidConfig {
+                    name: "tree.levels",
+                    constraint: "every level needs >= 1 aggregator",
+                });
+            }
+            if count > feeding {
+                return Err(CludiError::InvalidConfig {
+                    name: "tree.levels",
+                    constraint: "a level cannot be wider than the one below it",
+                });
+            }
+            feeding = count;
+        }
+        if self.flush_interval_us == 0 {
+            return Err(CludiError::InvalidConfig {
+                name: "tree.flush_interval_us",
+                constraint: "flush interval > 0",
+            });
+        }
+        Ok(())
     }
 }
 

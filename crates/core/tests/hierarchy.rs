@@ -10,8 +10,10 @@ use cludistream::runtime::TcpTransport;
 use cludistream::{CludiError, Config};
 use cludistream_gmm::{ChunkParams, Gaussian};
 use cludistream_linalg::Vector;
+use cludistream_obs::{Obs, Registry};
 use cludistream_rng::StdRng;
 use cludistream_simnet::MICROS_PER_SEC;
+use std::sync::Arc;
 
 fn small_config() -> DriverConfig {
     DriverConfig {
@@ -125,13 +127,20 @@ fn three_level_tree_matches_star() {
 
 #[test]
 fn tree_runs_under_reliable_delivery() {
-    let cfg = small_config();
+    let registry = Arc::new(Registry::new());
+    let mut cfg = small_config();
+    cfg.obs = Obs::from_registry(Arc::clone(&registry));
     let chunk = chunk_of(&cfg);
+    // Node ids: sites 0..8, aggregators 8 and 9, root 10. Only the link
+    // aggregator 8 → root is cut (for the first second), so every
+    // retransmission of the run is an aggregator's.
+    let lossy = FaultPlan::seeded(3).with_partition(NodeId(8), NodeId(10), 0, MICROS_PER_SEC);
     let report = Simulation::star(8)
         .with_driver_config(cfg)
         .with_streams(region_streams())
         .with_updates_per_site(3 * chunk)
         .with_tree(TreeTopology::two_level(2))
+        .with_transport(Box::new(SimnetTransport::new().with_faults(lossy)))
         .with_reliability(DeliveryConfig { mode: DeliveryMode::Reliable, ..Default::default() })
         .run()
         .unwrap();
@@ -140,6 +149,10 @@ fn tree_runs_under_reliable_delivery() {
     // Both hops ACK: sites→aggregators and aggregators→root.
     assert!(report.delivery.ack_messages > 0);
     assert!(report.delivery.balanced());
+    // The aggregator's upward channel is the site's: its go-back-N
+    // retransmits are counted (and journaled) the same way.
+    assert!(report.delivery.retransmitted_messages > 0);
+    assert_eq!(registry.counter_value("net.retransmits"), report.delivery.retransmitted_messages);
 }
 
 #[test]

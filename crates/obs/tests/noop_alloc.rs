@@ -3,27 +3,34 @@
 //! gauges, histograms, events, spans) performs **zero heap allocations**.
 //!
 //! A counting allocator shim wraps the system allocator; the test measures
-//! the allocation count across a burst of no-op record calls. This is an
+//! the calling thread's allocation count across a burst of no-op record
+//! calls. This is an
 //! integration test so it owns the process-wide `#[global_allocator]`.
 
 use cludistream_obs::{Event, NopRecorder, Obs, Recorder, Verdict};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by *this* thread. Per thread, because the two
+    /// tests (and the harness around them) run concurrently and a global
+    /// count would see the neighbours; const-initialised with no
+    /// destructor, so reading or bumping it never allocates itself.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -32,7 +39,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::SeqCst)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]

@@ -1,73 +1,72 @@
 //! Sensor fusion in a tree-structured network (paper Sec. 7): leaf sensors
-//! observe noisy, sometimes-incomplete readings; internal aggregation
-//! nodes run CluDistream over their children's synopses and push summaries
-//! upward only on change.
+//! observe noisy, sometimes-incomplete readings; two field gateways —
+//! aggregators between the sensors and the root — run CluDistream over
+//! their sensors' synopses and push one reduced summary upward only on
+//! change.
 //!
 //! ```text
 //! cargo run --release --example sensor_fusion
 //! ```
 
-use cludistream::{Config, CoordinatorConfig, MultiLayerNetwork};
+use cludistream::{Config, NodeId, RecordStream, Simulation, TreeTopology};
 use cludistream_datagen::{impute_missing, EvolvingStream, EvolvingStreamConfig, MissingValueInjector, NoiseInjector};
 use cludistream_gmm::ChunkParams;
-use cludistream_linalg::Vector;
+
+const SENSORS: usize = 6;
+const GATEWAYS: usize = 2;
 
 fn main() {
-    // A 2-layer tree: root 0 aggregates two field gateways (1, 2), each
-    // fusing three sensors.
-    let parent = vec![0, 0, 0, 1, 1, 1, 2, 2, 2];
-    let site_config = Config {
-        dim: 2,
-        k: 2,
-        chunk: ChunkParams { epsilon: 0.1, delta: 0.01 },
-        seed: 5,
-        ..Default::default()
-    };
-    let mut net = MultiLayerNetwork::new(parent, site_config, CoordinatorConfig::default())
-        .expect("valid tree");
-    let leaves = net.leaf_ids();
-    println!("tree: root 0, gateways 1-2, sensors {leaves:?}");
-
     // Each sensor stream: an evolving 2-d mixture + 5% uniform noise + 10%
     // missing coordinates, repaired by running-mean imputation — the
     // paper's "noisy or incomplete data records".
-    let mut streams: Vec<Box<dyn Iterator<Item = Vector>>> = leaves
-        .iter()
-        .map(|&leaf| {
+    let streams: Vec<RecordStream> = (0..SENSORS as u64)
+        .map(|sensor| {
             let base = EvolvingStream::new(EvolvingStreamConfig {
                 dim: 2,
                 k: 2,
                 p_new: 0.2,
                 regime_len: 1500,
-                seed: 100 + leaf as u64,
+                seed: 100 + sensor,
                 ..Default::default()
             });
-            let noisy = NoiseInjector::new(base, 0.05, (-15.0, 15.0), 200 + leaf as u64);
-            let gappy = MissingValueInjector::new(noisy, 0.10, 300 + leaf as u64);
-            Box::new(impute_missing(gappy)) as Box<dyn Iterator<Item = Vector>>
+            let noisy = NoiseInjector::new(base, 0.05, (-15.0, 15.0), 200 + sensor);
+            let gappy = MissingValueInjector::new(noisy, 0.10, 300 + sensor);
+            Box::new(impute_missing(gappy)) as RecordStream
         })
         .collect();
 
-    // Interleave the sensors round-robin, as a field deployment would.
-    let updates_per_sensor = 8_000;
-    for step in 0..updates_per_sensor {
-        for (slot, &leaf) in leaves.iter().enumerate() {
-            let x = streams[slot].next().expect("infinite stream");
-            net.push(leaf, x).expect("imputed records are dense");
-        }
-        if (step + 1) % 2000 == 0 {
-            println!(
-                "after {:>5} readings/sensor: upstream traffic = {} bytes in {} messages",
-                step + 1,
-                net.bytes_up(),
-                net.messages_up()
-            );
-        }
-    }
+    // A 2-level tree: the root aggregates two field gateways, each fusing
+    // three sensors. In the simulator the sensors are nodes 0..6, the
+    // gateways 6 and 7, the root 8.
+    println!("tree: root, {GATEWAYS} gateways, sensors 0..{SENSORS}");
+    let report = Simulation::star(SENSORS)
+        .with_config(Config {
+            dim: 2,
+            k: 2,
+            chunk: ChunkParams { epsilon: 0.1, delta: 0.01 },
+            seed: 5,
+            ..Default::default()
+        })
+        .with_tree(TreeTopology::two_level(GATEWAYS))
+        .with_streams(streams)
+        .with_updates_per_site(8_000)
+        .run()
+        .expect("imputed records are dense");
 
-    println!("\n--- fused model at the root ---");
-    match net.root_mixture() {
-        Ok(m) => {
+    let gateway_ingress: u64 =
+        (SENSORS..SENSORS + GATEWAYS).map(|g| report.comm.bytes_to(NodeId(g))).sum();
+    println!(
+        "upstream traffic: {} bytes sensors -> gateways, {} bytes gateways -> root \
+         ({} messages in all, {:.1} simulated seconds)",
+        gateway_ingress,
+        report.bytes_at_root,
+        report.comm.total_messages(),
+        report.sim_seconds
+    );
+
+    println!("\n--- fused model at the root ({} groups) ---", report.coordinator_groups);
+    match &report.global {
+        Some(m) => {
             for (i, (c, w)) in m.components().iter().zip(m.weights()).enumerate() {
                 println!(
                     "  mode {i}: weight {:.3}, centre ({:+.2}, {:+.2})",
@@ -77,18 +76,14 @@ fn main() {
                 );
             }
         }
-        Err(e) => println!("no model: {e}"),
+        None => println!("no model: no sensor reported"),
     }
 
     println!("\n--- per-sensor view ---");
-    for &leaf in &leaves {
-        let site = net.leaf(leaf).expect("leaf exists");
-        let s = site.stats();
+    for (sensor, (s, models)) in report.site_stats.iter().zip(&report.site_models).enumerate() {
         println!(
-            "  sensor {leaf}: {} chunks, {} distributions, {} re-clusterings",
-            s.chunks,
-            site.models().len(),
-            s.clustered
+            "  sensor {sensor}: {} chunks, {models} distributions, {} re-clusterings",
+            s.chunks, s.clustered
         );
     }
 }

@@ -10,6 +10,10 @@ export RUSTFLAGS="-D warnings"
 export RUSTDOCFLAGS="-D warnings"
 
 cargo build --release --offline --workspace
+# The benchmark is its own package path-depending on crates/*: build it
+# (build only — no run, no gate) so a public-surface cut that breaks it
+# fails here instead of in the next benchmark run.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml --target-dir target
 cargo test -q --offline --workspace
 cargo doc --no-deps -q --offline --workspace
 

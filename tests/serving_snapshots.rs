@@ -44,19 +44,22 @@ fn snapshot_for_round(round: u64) -> ModelSnapshot {
             .expect("valid gaussian")
         })
         .collect();
-    let mixture = Mixture::new(components, weights.clone()).expect("valid mixture");
+    let mixture = Mixture::new(components, weights).expect("valid mixture");
+    // Group weights come from the mixture, not the raw inputs:
+    // `Mixture::new` normalises, which can move a weight by an ulp.
+    let groups = (0..k)
+        .map(|j| SnapshotGroup {
+            id: 1000 * round + j as u64,
+            weight: mixture.weights()[j],
+            members: Vec::new(),
+        })
+        .collect();
     ModelSnapshot {
         version: 0, // publish() assigns the real one
         messages_applied: round,
         covariance: CovarianceType::Full,
         mixture,
-        groups: (0..k)
-            .map(|j| SnapshotGroup {
-                id: 1000 * round + j as u64,
-                weight: weights[j],
-                members: Vec::new(),
-            })
-            .collect(),
+        groups,
     }
 }
 

@@ -1,8 +1,9 @@
 //! Integration of window semantics with the coordinator protocol, and the
-//! multi-layer tree network against an equivalent flat deployment.
+//! aggregator tree against an equivalent flat deployment.
 
 use cludistream_suite::cludistream::{
-    Config, Coordinator, CoordinatorConfig, Message, MultiLayerNetwork, SlidingWindowSite,
+    Config, Coordinator, CoordinatorConfig, Message, RecordStream, Simulation, SlidingWindowSite,
+    StarReport, TreeTopology,
 };
 use cludistream_suite::datagen::{EvolvingStream, EvolvingStreamConfig};
 use cludistream_suite::gmm::{ChunkParams, Gaussian};
@@ -71,39 +72,40 @@ fn sliding_window_deletions_keep_coordinator_in_sync() {
     assert!(after.log_pdf(&Vector::from_slice(&[80.0])) > -5.0);
 }
 
+/// Runs `streams` (one per site, consumed whole) through the simulator,
+/// flat or behind an aggregator tier.
+fn run_sites(streams: Vec<Vec<Vector>>, tree: Option<TreeTopology>) -> StarReport {
+    let updates = streams[0].len() as u64;
+    let mut sim = Simulation::star(streams.len())
+        .with_config(small_config())
+        .with_streams(
+            streams.into_iter().map(|s| Box::new(s.into_iter()) as RecordStream).collect(),
+        )
+        .with_updates_per_site(updates);
+    if let Some(tree) = tree {
+        sim = sim.with_tree(tree);
+    }
+    sim.run().unwrap()
+}
+
+fn chunk_size() -> usize {
+    cludistream_suite::cludistream::RemoteSite::new(small_config()).unwrap().chunk_size()
+}
+
 #[test]
 fn tree_network_matches_flat_star_quality() {
     // The same 4 streams deployed (a) as a 2-layer tree and (b) flat into
     // one coordinator must both recover both dense regions.
-    let parent = vec![0, 0, 0, 1, 1, 2, 2];
-    let mut tree =
-        MultiLayerNetwork::new(parent, small_config(), CoordinatorConfig::default()).unwrap();
-    let leaves = tree.leaf_ids();
-    assert_eq!(leaves.len(), 4);
+    let streams = || -> Vec<Vec<Vector>> {
+        (0..4)
+            .map(|slot| blob(if slot < 2 { 0.0 } else { 60.0 }, 2 * chunk_size(), 20 + slot))
+            .collect()
+    };
+    let tree = run_sites(streams(), Some(TreeTopology::two_level(2)));
+    let flat = run_sites(streams(), None);
 
-    let mut flat_sites: Vec<cludistream_suite::cludistream::RemoteSite> = (0..4)
-        .map(|i| {
-            let mut c = small_config();
-            c.seed += i;
-            cludistream_suite::cludistream::RemoteSite::new(c).unwrap()
-        })
-        .collect();
-    let mut flat = Coordinator::new(CoordinatorConfig::default()).unwrap();
-
-    let chunk = tree.leaf(leaves[0]).unwrap().chunk_size();
-    for (slot, &leaf) in leaves.iter().enumerate() {
-        let center = if slot < 2 { 0.0 } else { 60.0 };
-        for x in blob(center, 2 * chunk, 20 + slot as u64) {
-            tree.push(leaf, x.clone()).unwrap();
-            flat_sites[slot].push(x).unwrap();
-        }
-        for ev in flat_sites[slot].drain_events() {
-            flat.apply(&Message::from_site_event(slot as u32, ev)).unwrap();
-        }
-    }
-
-    let tree_model = tree.root_mixture().unwrap();
-    let flat_model = flat.global_mixture().unwrap();
+    let tree_model = tree.global.expect("tree root model");
+    let flat_model = flat.global.expect("flat model");
     for probe in [0.0, 60.0] {
         let p = Vector::from_slice(&[probe]);
         let (t, f) = (tree_model.log_pdf(&p), flat_model.log_pdf(&p));
@@ -115,25 +117,25 @@ fn tree_network_matches_flat_star_quality() {
 
 #[test]
 fn multilayer_traffic_is_event_driven() {
-    let parent = vec![0, 0, 0];
-    let mut net =
-        MultiLayerNetwork::new(parent, small_config(), CoordinatorConfig::default()).unwrap();
-    let chunk = net.leaf(1).unwrap().chunk_size();
-    // Warm up both leaves.
-    for (leaf, seed) in [(1usize, 31u64), (2, 32)] {
-        for x in blob(0.0, chunk, seed) {
-            net.push(leaf, x).unwrap();
-        }
-    }
-    let warm = net.bytes_up();
-    assert!(warm > 0);
-    // Stability: four more chunks each, no new traffic.
-    for (leaf, seed) in [(1usize, 33u64), (2, 34)] {
-        for x in blob(0.0, 4 * chunk, seed) {
-            net.push(leaf, x).unwrap();
-        }
-    }
-    assert_eq!(net.bytes_up(), warm, "stable leaves must stay silent");
+    // Two stable leaves behind one aggregator: the warm-up chunk reaches
+    // the root; four further stable chunks per leaf add nothing at any
+    // layer (the leaves' tests pass, so the aggregator never goes dirty).
+    let chunk = chunk_size();
+    let streams = |extra_chunks: usize| -> Vec<Vec<Vector>> {
+        [(31, 33), (32, 34)]
+            .into_iter()
+            .map(|(warm_seed, stable_seed)| {
+                let mut records = blob(0.0, chunk, warm_seed);
+                records.extend(blob(0.0, extra_chunks * chunk, stable_seed));
+                records
+            })
+            .collect()
+    };
+    let warm = run_sites(streams(0), Some(TreeTopology::two_level(1)));
+    let stable = run_sites(streams(4), Some(TreeTopology::two_level(1)));
+    assert!(warm.bytes_at_root > 0);
+    assert_eq!(stable.bytes_at_root, warm.bytes_at_root, "stable leaves must stay silent");
+    assert_eq!(stable.comm.total_bytes(), warm.comm.total_bytes(), "at every layer");
 }
 
 #[test]
