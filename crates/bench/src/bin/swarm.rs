@@ -3,28 +3,31 @@
 //! ```text
 //! swarm                            # 1k / 10k / 100k simulated sites
 //! swarm --scales 1000,10000        # specific scales
-//! swarm --json BENCH_PR10.json     # also write machine-readable results
+//! swarm --json BENCH_PR14.json     # also write machine-readable results
 //! ```
 //!
-//! For each scale the harness synthesizes one `NewModel` synopsis per
-//! site (four well-separated 1-d regions, per-site jitter) and pushes
-//! them through the real engines twice:
+//! For each scale the harness synthesizes two rounds of site traffic —
+//! one `NewModel` synopsis per site (four well-separated 1-d regions,
+//! per-site jitter), then one follow-up per site (`WeightUpdate`, partial
+//! `Delete` or `Delete` to zero) — and pushes them through the real
+//! engines twice:
 //!
 //! - **star** — every site message goes straight into one root
 //!   [`Coordinator`], the way a flat deployment works today;
 //! - **tree** — the messages fan into a fixed set of
 //!   [`AggregatorEngine`] shards (the same count at every scale), each
 //!   shard pre-merges its children with `M_merge`/`M_split` and forwards
-//!   one reduced update, and only those reach the root.
+//!   one reduced update per round, and only those reach the root.
 //!
 //! Three numbers per topology: root CPU time spent applying messages,
 //! bytes arriving at the root (encoded synopsis payloads), and the peak
 //! root event-table size (registry rows + retained merge log). The
 //! binary is self-gating: it exits non-zero unless the tree cuts
 //! bytes-at-root at least [`BYTES_REDUCTION_MIN`]× at every scale, the
-//! tree root's event table stays flat in site count, and the tree's
+//! tree root's event table stays flat in site count, the tree's
 //! held-out average log-likelihood stays within [`LL_TOLERANCE`] of the
-//! star's.
+//! star's, and the star root's apply time grows no faster than
+//! [`LINEARITY_SLACK`]× the site count between the two smallest scales.
 
 use cludistream::{
     AggregatorConfig, AggregatorEngine, Coordinator, CoordinatorConfig, Message, ModelId,
@@ -58,6 +61,18 @@ const LL_TOLERANCE: f64 = 0.5;
 /// The tree root's peak event table may grow at most this factor from
 /// the smallest to the largest scale (flat up to merge-log noise).
 const FLATNESS_MAX_RATIO: f64 = 2.0;
+
+/// Star root apply time may grow at most this factor faster than the
+/// site count between the two smallest scales (25× from 1k to 10k sites):
+/// a root whose per-message cost is flat reads about 1×, one that walks
+/// its members per message about 8×.
+const LINEARITY_SLACK: f64 = 2.5;
+
+/// Each topology is driven this many times per scale and the run with the
+/// least root apply time is reported: everything but the timings repeats
+/// exactly, and the linearity gate compares two timings of a few
+/// milliseconds taken on a shared machine.
+const REPEATS: usize = 3;
 
 /// Centers of the four true regions the synthetic fleet observes.
 const REGIONS: [f64; 4] = [0.0, 40.0, 80.0, 120.0];
@@ -95,6 +110,24 @@ fn site_messages(sites: usize, seed: u64) -> Vec<Message> {
                 count: RECORDS_PER_SITE,
                 avg_ll: -1.5,
                 mixture: Mixture::new(vec![g], vec![1.0]).expect("valid mixture"),
+            }
+        })
+        .collect()
+}
+
+/// The follow-up round, one message per site, so that apply time covers
+/// all three message kinds: of every five sites three grow
+/// (`WeightUpdate`), one shrinks (partial `Delete`) and one retires its
+/// model (`Delete` to zero). Five is coprime to the region count, so every
+/// region keeps its share of each.
+fn follow_up(sites: usize) -> Vec<Message> {
+    (0..sites)
+        .map(|i| {
+            let (site, model) = (i as u32, ModelId(0));
+            match i % 5 {
+                0..=2 => Message::WeightUpdate { site, model, count_delta: RECORDS_PER_SITE / 2 },
+                3 => Message::Delete { site, model, count_delta: RECORDS_PER_SITE / 4 },
+                _ => Message::Delete { site, model, count_delta: RECORDS_PER_SITE },
             }
         })
         .collect()
@@ -162,46 +195,54 @@ fn drive_root(messages: &[Message], holdout: &[Vector]) -> RootSide {
     }
 }
 
-/// Star: every site message hits the root directly.
-fn run_star(messages: &[Message], holdout: &[Vector]) -> RootSide {
-    drive_root(messages, holdout)
+/// Star: every site message hits the root directly, round by round.
+fn run_star(rounds: &[Vec<Message>], holdout: &[Vector]) -> RootSide {
+    drive_root(&rounds.concat(), holdout)
 }
 
-/// Tree: messages fan into [`AGGREGATORS`] shards over even contiguous
-/// child ranges; each shard forwards one reduced update; only those
-/// reach the root.
-fn run_tree(messages: &[Message], holdout: &[Vector]) -> RootSide {
-    let sites = messages.len();
-    let mut reduced = Vec::with_capacity(AGGREGATORS);
+/// Tree: each round's messages fan into [`AGGREGATORS`] shards over even
+/// contiguous child ranges; each shard forwards one reduced update per
+/// round; only those reach the root.
+fn run_tree(rounds: &[Vec<Message>], holdout: &[Vector]) -> RootSide {
+    let sites = rounds[0].len();
+    let range = |a: usize| a * sites / AGGREGATORS..(a + 1) * sites / AGGREGATORS;
+    let mut shards: Vec<AggregatorEngine> = (0..AGGREGATORS)
+        .filter(|&a| !range(a).is_empty())
+        .map(|a| {
+            AggregatorEngine::new(
+                AggregatorConfig {
+                    index: a as u32,
+                    child_base: range(a).start as u32,
+                    children: range(a).len(),
+                    epsilon: 0.0,
+                    coordinator: shard_config(),
+                },
+                Obs::noop(),
+            )
+            .expect("valid aggregator config")
+        })
+        .collect();
+    let mut reduced = Vec::with_capacity(rounds.len() * shards.len());
     let mut shard_ns = 0u64;
-    for a in 0..AGGREGATORS {
-        let lo = a * sites / AGGREGATORS;
-        let hi = (a + 1) * sites / AGGREGATORS;
-        if lo == hi {
-            continue;
+    for messages in rounds {
+        for agg in &mut shards {
+            let start = Instant::now();
+            for m in &messages[range(agg.index() as usize)] {
+                agg.apply(m);
+            }
+            let flush = agg.flush();
+            shard_ns += start.elapsed().as_nanos() as u64;
+            reduced.push(flush.expect("a fed shard's summary changed"));
         }
-        let mut agg = AggregatorEngine::new(
-            AggregatorConfig {
-                index: a as u32,
-                child_base: lo as u32,
-                children: hi - lo,
-                epsilon: 0.0,
-                coordinator: shard_config(),
-            },
-            Obs::noop(),
-        )
-        .expect("valid aggregator config");
-        let start = Instant::now();
-        for m in &messages[lo..hi] {
-            agg.apply(m);
-        }
-        let flush = agg.flush();
-        shard_ns += start.elapsed().as_nanos() as u64;
-        reduced.push(flush.expect("a fed shard flushes"));
     }
     let mut side = drive_root(&reduced, holdout);
     side.shard_apply_ns = Some(shard_ns);
     side
+}
+
+/// The run with the least root apply time out of [`REPEATS`].
+fn best_of(run: impl Fn() -> RootSide) -> RootSide {
+    (0..REPEATS).map(|_| run()).min_by_key(|side| side.root_apply_ns).expect("REPEATS > 0")
 }
 
 struct ScaleResult {
@@ -305,6 +346,21 @@ fn gates(results: &[ScaleResult]) -> bool {
             if pass { "ok" } else { "FAIL" }
         );
         ok &= pass;
+        if let Some(next) = results.get(1) {
+            let ratio = next.star.root_apply_ns as f64 / first.star.root_apply_ns.max(1) as f64;
+            let need = LINEARITY_SLACK * next.sites as f64 / first.sites as f64;
+            let pass = ratio <= need;
+            println!(
+                "gate linearity: star root apply {:.3} ms @ {} sites vs {:.3} ms @ {} sites, \
+                 ratio {ratio:.1} (need <= {need}) {}",
+                next.star.root_apply_ns as f64 / 1e6,
+                next.sites,
+                first.star.root_apply_ns as f64 / 1e6,
+                first.sites,
+                if pass { "ok" } else { "FAIL" }
+            );
+            ok &= pass;
+        }
         let pass = last.tree.peak_root_entries < last.star.peak_root_entries;
         println!(
             "gate sharding: tree root peak entries {} < star {} @ {} sites {}",
@@ -354,9 +410,9 @@ fn main() -> ExitCode {
     let holdout = held_out(99);
     let mut results = Vec::new();
     for &sites in &scales {
-        let messages = site_messages(sites, sites as u64);
-        let star = run_star(&messages, &holdout);
-        let tree = run_tree(&messages, &holdout);
+        let rounds = [site_messages(sites, sites as u64), follow_up(sites)];
+        let star = best_of(|| run_star(&rounds, &holdout));
+        let tree = best_of(|| run_tree(&rounds, &holdout));
         println!("######## {sites} sites, {AGGREGATORS} aggregators ########");
         println!(
             "star: root apply {:.3} ms | {} msgs {} B at root | peak entries {} | \

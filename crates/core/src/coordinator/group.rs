@@ -1,5 +1,7 @@
+use super::split::m_remerge;
 use crate::remote::ModelId;
 use cludistream_gmm::{Gaussian, GmmError, SuffStats};
+use std::collections::BTreeMap;
 
 /// Global identity of a remote component: which site, which of its models,
 /// and which component within that model.
@@ -25,40 +27,115 @@ pub struct Member {
     /// Records attributed to this component (model count × component
     /// weight).
     pub weight: f64,
-    /// `M_remerge(i, Mix)` at merge time.
+    /// `M_remerge(i, Mix)` as captured when the member joined its group. A
+    /// later merge of the group supersedes it without touching the member:
+    /// read it through [`Group::remerge_at_merge`].
     pub remerge_at_merge: f64,
+    /// The group's merge epoch when `remerge_at_merge` was captured.
+    pub(crate) epoch: u64,
 }
+
+impl Member {
+    /// A component that has not joined a group yet. Its `M_remerge` is
+    /// infinite — what a group's founder keeps (it is its own father, at
+    /// distance 0) and what [`Group::push`] overwrites for a joiner.
+    pub fn new(key: ComponentKey, gaussian: Gaussian, weight: f64) -> Self {
+        Member { key, gaussian, weight, remerge_at_merge: f64::INFINITY, epoch: 0 }
+    }
+
+    /// The weight the member carries in the aggregate: zero-weight members
+    /// still anchor it minimally.
+    fn anchored_weight(&self) -> f64 {
+        self.weight.max(1e-9)
+    }
+
+    /// The member's share of its group's statistics.
+    fn stats(&self) -> SuffStats {
+        SuffStats::from_gaussian(&self.gaussian, self.anchored_weight())
+    }
+}
+
+/// The running statistics are rebuilt exactly once their mass has fallen
+/// below this fraction of the largest mass they held since the last
+/// rebuild: what a subtraction leaves behind is the rounding error of the
+/// larger sum, so a group that shed a member a thousand times its own size
+/// would otherwise carry that member's error in its covariance.
+const CANCELLATION_GUARD: f64 = 1.0 / 1024.0;
 
 /// A group of components — one "Gaussian mixture model" node in the
 /// coordinator's hierarchy (the father of its members). The root of the
 /// paper's tree is the set of groups; each group's children are its member
 /// components.
+///
+/// The aggregate is maintained from running statistics: joins are folded
+/// in, removals subtracted, reweights applied as a difference, so no
+/// operation walks the members. [`Group::recompute`] is the exact rebuild;
+/// a history of joins alone matches it bit for bit (same additions in the
+/// same order), and a group falls back to it once it has taken as many
+/// inexact operations (removals, reweights) as it has members, when its
+/// mass collapses (see `CANCELLATION_GUARD`), or when the running
+/// statistics no longer yield a Gaussian.
 #[derive(Debug, Clone)]
 pub struct Group {
     /// Stable group identity.
     pub id: u64,
-    /// Member components.
-    pub members: Vec<Member>,
+    /// Member components by join sequence number. Iteration order is join
+    /// order, which is the fold order of the aggregate.
+    members: BTreeMap<u64, Member>,
+    next_seq: u64,
+    /// Running `Σ` of the members' statistics, in join order.
+    stats: SuffStats,
+    /// Running `Σ` of the members' weights, in join order.
+    weight: f64,
+    /// Removals and reweights taken since the last exact rebuild.
+    inexact_ops: usize,
+    /// Largest mass `stats` held since the last exact rebuild.
+    peak_mass: f64,
     /// Moment-matched aggregate of the members (the `(μ_Mix, Σ_Mix)` of
-    /// Eq. 6). Kept in sync by [`Group::recompute`].
-    aggregate: Option<Gaussian>,
+    /// Eq. 6), derived from `stats` after every change.
+    aggregate: Gaussian,
+    /// Set when the last change left statistics that yield no Gaussian
+    /// even after an exact rebuild; `aggregate` is then the previous one.
+    stale: bool,
     /// Simplex-refined representative (Sec. 5.2.1), when merge refinement
     /// is enabled. Invalidated by membership changes.
     pub refined: Option<Gaussian>,
+    /// Merges this group (or a group it absorbed) has been through. A
+    /// member whose `epoch` differs joined before the last one.
+    epoch: u64,
+    /// The aggregate right after the last merge: what `M_remerge` of every
+    /// member that was present then is measured against.
+    merged_aggregate: Option<Gaussian>,
 }
 
 impl Group {
-    /// Creates a group seeded with one member. The member's
-    /// `remerge_at_merge` is left as given.
-    pub fn new(id: u64, seed: Member) -> Self {
-        let mut g = Group { id, members: vec![seed], aggregate: None, refined: None };
+    /// Creates a group seeded with one member, under sequence number 0.
+    /// The member's `remerge_at_merge` is left as given.
+    pub fn new(id: u64, mut seed: Member) -> Self {
+        seed.epoch = 0;
+        let mut g = Group {
+            id,
+            stats: SuffStats::new(seed.gaussian.dim()),
+            weight: 0.0,
+            inexact_ops: 0,
+            peak_mass: 0.0,
+            // A singleton's aggregate is its member, should the statistics
+            // of a hostile seed yield nothing.
+            aggregate: seed.gaussian.clone(),
+            stale: false,
+            members: BTreeMap::from([(0, seed)]),
+            next_seq: 1,
+            refined: None,
+            epoch: 0,
+            merged_aggregate: None,
+        };
         g.recompute();
         g
     }
 
     /// Total record weight.
     pub fn weight(&self) -> f64 {
-        self.members.iter().map(|m| m.weight).sum()
+        self.weight
     }
 
     /// Number of member components.
@@ -71,66 +148,176 @@ impl Group {
         self.members.is_empty()
     }
 
-    /// The aggregate Gaussian. Panics if called on an empty group or before
-    /// [`Group::recompute`]; the coordinator maintains the invariant.
-    pub fn aggregate(&self) -> &Gaussian {
-        self.aggregate.as_ref().expect("non-empty group has an aggregate")
+    /// The member components, in join order.
+    pub fn members(&self) -> impl Iterator<Item = &Member> {
+        self.members.values()
     }
 
-    /// Adds a member and refreshes the aggregate.
-    pub fn push(&mut self, member: Member) {
-        self.members.push(member);
-        self.recompute();
+    /// The member that joined under sequence number `seq`, if it is still
+    /// here.
+    pub(crate) fn member(&self, seq: u64) -> Option<&Member> {
+        self.members.get(&seq)
+    }
+
+    /// The aggregate Gaussian. Of an empty group, the last one it had.
+    pub fn aggregate(&self) -> &Gaussian {
+        &self.aggregate
+    }
+
+    /// Adds a member, refreshes the aggregate, and captures the member's
+    /// `M_remerge` against that post-insertion aggregate, so that
+    /// `M_split == 1/M_remerge` holds at merge time. Returns the member's
+    /// sequence number in this group.
+    pub fn push(&mut self, mut member: Member) -> u64 {
+        member.epoch = self.epoch;
+        let seq = self.adopt(member);
+        self.refresh();
+        if let Some(m) = self.members.get_mut(&seq) {
+            m.remerge_at_merge = m_remerge(&m.gaussian, &self.aggregate);
+        }
+        seq
+    }
+
+    /// Moves every member of `other` in behind this group's own, in their
+    /// order, and refreshes the aggregate: one merge of Algorithm 2.
+    /// `moved` is told each member's new sequence number. Every member's
+    /// merge-time `M_remerge` is from now on measured against the new
+    /// aggregate ([`Group::remerge_at_merge`]), without visiting them.
+    pub(crate) fn absorb(&mut self, other: Group, mut moved: impl FnMut(ComponentKey, u64)) {
+        for m in other.members.into_values() {
+            let key = m.key;
+            moved(key, self.adopt(m));
+        }
+        self.refresh();
+        // Above every member's epoch on either side.
+        self.epoch = self.epoch.max(other.epoch) + 1;
+        self.merged_aggregate = Some(self.aggregate.clone());
+    }
+
+    /// Files `member` under the next sequence number and folds it into the
+    /// running statistics — the same additions, in the same order, as the
+    /// exact rebuild makes.
+    fn adopt(&mut self, member: Member) -> u64 {
+        self.stats.merge(&member.stats());
+        self.weight += member.weight;
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.members.insert(seq, member);
+        seq
+    }
+
+    /// Removes the members with these sequence numbers, returning them in
+    /// the order given; refreshes the aggregate when any member remains.
+    pub(crate) fn remove(&mut self, seqs: impl IntoIterator<Item = u64>) -> Vec<Member> {
+        let removed: Vec<Member> =
+            seqs.into_iter().filter_map(|seq| self.members.remove(&seq)).collect();
+        for m in &removed {
+            self.stats.unmerge(&m.stats());
+            self.weight -= m.weight;
+        }
+        if !removed.is_empty() {
+            self.inexact_ops += removed.len();
+            self.refresh();
+        }
+        removed
     }
 
     /// Removes members matching the predicate, returning them; refreshes
     /// the aggregate when any member remains.
     pub fn drain_matching(&mut self, mut pred: impl FnMut(&Member) -> bool) -> Vec<Member> {
-        let mut removed = Vec::new();
-        let mut i = 0;
-        while i < self.members.len() {
-            if pred(&self.members[i]) {
-                removed.push(self.members.remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        if !removed.is_empty() {
-            self.recompute();
-        }
-        removed
+        let seqs: Vec<u64> =
+            self.members.iter().filter(|(_, m)| pred(m)).map(|(&seq, _)| seq).collect();
+        self.remove(seqs)
     }
 
-    /// Rebuilds the moment-matched aggregate from the members and drops any
-    /// stale refined representative.
+    /// Multiplies the weight of the members with these sequence numbers by
+    /// `scale` and refreshes the aggregate.
+    pub(crate) fn rescale(&mut self, seqs: impl IntoIterator<Item = u64>, scale: f64) {
+        let mut touched = 0;
+        for seq in seqs {
+            let Some(m) = self.members.get_mut(&seq) else { continue };
+            let (old, old_anchored) = (m.weight, m.anchored_weight());
+            m.weight *= scale;
+            // Statistics are linear in the weight: the difference replaces
+            // the member's old share by its new one.
+            let delta = m.anchored_weight() - old_anchored;
+            self.stats.merge(&SuffStats::from_gaussian(&m.gaussian, delta));
+            self.weight += m.weight - old;
+            touched += 1;
+        }
+        if touched > 0 {
+            self.inexact_ops += touched;
+            self.refresh();
+        }
+    }
+
+    /// `M_remerge(i, Mix)` of member `m` as of the later of its joining the
+    /// group and the group's last merge — the value Algorithm 2 stores per
+    /// merge. After a merge it is derived on demand from the aggregate the
+    /// merge left, which gives what refreshing every member at merge time
+    /// would have stored.
+    pub fn remerge_at_merge(&self, m: &Member) -> f64 {
+        match &self.merged_aggregate {
+            Some(aggregate) if m.epoch != self.epoch => m_remerge(&m.gaussian, aggregate),
+            _ => m.remerge_at_merge,
+        }
+    }
+
+    /// Derives the aggregate from the running statistics after a change,
+    /// through the exact rebuild when one is due, and drops any stale
+    /// refined representative.
+    fn refresh(&mut self) {
+        self.refined = None;
+        self.peak_mass = self.peak_mass.max(self.stats.n());
+        let rebuild_due = self.inexact_ops >= self.members.len()
+            || self.stats.n() < self.peak_mass * CANCELLATION_GUARD;
+        if !rebuild_due {
+            if let Ok((aggregate, _)) = self.stats.to_gaussian() {
+                self.aggregate = aggregate;
+                self.stale = false;
+                return;
+            }
+        }
+        self.recompute();
+    }
+
+    /// Rebuilds the running statistics and the moment-matched aggregate
+    /// from the members — the exact path, and the reference the running
+    /// path is tested against — and drops any stale refined
+    /// representative.
     pub fn recompute(&mut self) {
         self.refined = None;
-        if self.members.is_empty() {
-            self.aggregate = None;
-            return;
+        self.inexact_ops = 0;
+        self.stats = SuffStats::new(self.stats.dim());
+        self.weight = 0.0;
+        for m in self.members.values() {
+            self.stats.merge(&m.stats());
+            self.weight += m.weight;
         }
-        let d = self.members[0].gaussian.dim();
-        let mut stats = SuffStats::new(d);
-        for m in &self.members {
-            // Zero-weight members still anchor the aggregate minimally.
-            stats.merge(&SuffStats::from_gaussian(&m.gaussian, m.weight.max(1e-9)));
+        self.peak_mass = self.stats.n();
+        self.stale = false;
+        if !self.members.is_empty() {
+            match self.stats.to_gaussian() {
+                Ok((aggregate, _)) => self.aggregate = aggregate,
+                Err(_) => self.stale = true,
+            }
         }
-        self.aggregate = stats.to_gaussian().ok().map(|(g, _)| g);
     }
 
     /// The Gaussian representing this group in the global mixture: the
     /// refined component when present, the aggregate otherwise.
     pub fn representative(&self) -> &Gaussian {
-        self.refined.as_ref().unwrap_or_else(|| self.aggregate())
+        self.refined.as_ref().unwrap_or(&self.aggregate)
     }
 
-    /// Validation hook for tests: errors when the aggregate is missing on a
-    /// non-empty group.
+    /// Errors when the aggregate of a non-empty group could not be derived
+    /// from its members (non-finite statistics); the group then still
+    /// answers with its previous aggregate.
     pub fn check(&self) -> Result<(), GmmError> {
-        if !self.members.is_empty() && self.aggregate.is_none() {
+        if self.stale {
             return Err(GmmError::InvalidParameter {
                 name: "group",
-                constraint: "non-empty group must have an aggregate",
+                constraint: "member statistics must yield a finite Gaussian aggregate",
             });
         }
         Ok(())
@@ -148,6 +335,7 @@ mod tests {
             gaussian: Gaussian::spherical(Vector::from_slice(&[center]), 1.0).unwrap(),
             weight,
             remerge_at_merge: 1.0,
+            epoch: 0,
         }
     }
 
@@ -182,6 +370,58 @@ mod tests {
         // Draining everything leaves an empty group.
         let _ = g.drain_matching(|_| true);
         assert!(g.is_empty());
+    }
+
+    #[test]
+    fn merge_supersedes_every_members_remerge_without_visiting_them() {
+        let mut host = Group::new(0, member(0, 0.0, 100.0));
+        host.push(member(1, 1.0, 100.0));
+        let mut other = Group::new(1, member(2, 6.0, 100.0));
+        other.push(member(3, 7.0, 50.0));
+        let mut moved = Vec::new();
+        host.absorb(other, |key, seq| moved.push((key.site, seq)));
+        assert_eq!(moved, vec![(2, 2), (3, 3)]);
+        // What refreshing every member at merge time would have stored.
+        let at_merge = host.aggregate().clone();
+        for m in host.members() {
+            assert_eq!(host.remerge_at_merge(m), m_remerge(&m.gaussian, &at_merge));
+        }
+        // A later joiner is measured against the aggregate it joined, and
+        // moving the aggregate does not move what the merge stored.
+        let seq = host.push(member(4, 3.0, 400.0));
+        let joiner = host.member(seq).unwrap();
+        assert_eq!(host.remerge_at_merge(joiner), m_remerge(&joiner.gaussian, host.aggregate()));
+        for m in host.members().filter(|m| m.key.site != 4) {
+            assert_eq!(host.remerge_at_merge(m), m_remerge(&m.gaussian, &at_merge));
+        }
+        // The absorbed statistics were folded in member order: bit-equal
+        // to the exact rebuild.
+        let (mean, cov) = (host.aggregate().mean().clone(), host.aggregate().cov().clone());
+        host.recompute();
+        assert_eq!(host.aggregate().mean().as_slice(), mean.as_slice());
+        assert_eq!(host.aggregate().cov().as_slice(), cov.as_slice());
+    }
+
+    #[test]
+    fn reweights_and_removals_track_the_exact_rebuild() {
+        let mut g = Group::new(0, member(0, 0.0, 100.0));
+        let seqs: Vec<u64> = (1..8).map(|i| g.push(member(i, i as f64, 100.0))).collect();
+        g.rescale(seqs[..2].iter().copied(), 2.5);
+        let removed = g.remove(seqs[5..].iter().copied());
+        assert_eq!(removed.iter().map(|m| m.key.site).collect::<Vec<_>>(), vec![6, 7]);
+        assert_eq!(g.weight(), 100.0 * 4.0 + 250.0 * 2.0);
+        let running = g.aggregate().clone();
+        g.recompute();
+        assert!((running.mean()[0] - g.aggregate().mean()[0]).abs() < 1e-12);
+        assert!((running.cov()[(0, 0)] - g.aggregate().cov()[(0, 0)]).abs() < 1e-12);
+        // As many inexact operations as members: the group rebuilt itself.
+        let mut g = Group::new(0, member(0, 0.0, 100.0));
+        let seq = g.push(member(1, 4.0, 100.0));
+        g.rescale([0], 3.0);
+        g.rescale([seq], 0.5);
+        let (mean, cov) = (g.aggregate().mean()[0], g.aggregate().cov()[(0, 0)]);
+        g.recompute();
+        assert_eq!((g.aggregate().mean()[0], g.aggregate().cov()[(0, 0)]), (mean, cov));
     }
 
     #[test]

@@ -71,7 +71,7 @@ impl GroupIndex {
         // Best-first kd search with a bounded result heap.
         let mut best: Vec<(f64, usize)> = Vec::with_capacity(k + 1);
         self.search(0, self.order.len(), query, k, &mut best);
-        best.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite distances"));
+        best.sort_by(|a, b| a.0.total_cmp(&b.0));
         best.into_iter().map(|(_, slot)| slot).collect()
     }
 
@@ -139,12 +139,12 @@ fn build_recursive(
                 }
                 max - min
             };
-            spread(a).partial_cmp(&spread(b)).expect("finite spreads")
+            spread(a).total_cmp(&spread(b))
         })
         .unwrap_or(0);
     let mid = lo + (hi - lo) / 2;
     order[lo..hi].select_nth_unstable_by((hi - lo) / 2, |&a, &b| {
-        entries[a].point[axis].partial_cmp(&entries[b].point[axis]).expect("finite coords")
+        entries[a].point[axis].total_cmp(&entries[b].point[axis])
     });
     splits[mid] = axis;
     build_recursive(entries, order, splits, lo, mid, dim);

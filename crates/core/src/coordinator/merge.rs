@@ -167,9 +167,13 @@ impl MergeRefiner {
         wj: f64,
         gj: &Gaussian,
     ) -> (Gaussian, f64, usize) {
-        let two = Mixture::new(vec![gi.clone(), gj.clone()], vec![wi, wj])
-            .expect("two valid components");
-        let (start, _) = two.moment_merge(0, 1).expect("valid merge");
+        // The moment merge of two synopses with overflowing second moments
+        // does not exist; there is then nothing to refine.
+        let Ok((start, _)) = Mixture::new(vec![gi.clone(), gj.clone()], vec![wi, wj])
+            .and_then(|two| two.moment_merge(0, 1))
+        else {
+            return (gi.clone(), f64::INFINITY, 0);
+        };
         // Relative weights within the pair.
         let (ri, rj) = (wi / (wi + wj), wj / (wi + wj));
 

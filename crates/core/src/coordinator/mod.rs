@@ -13,7 +13,6 @@ pub use group::{ComponentKey, Group, Member};
 pub use index::GroupIndex;
 pub use query::DenseRegion;
 
-
 pub use merge::{
     accuracy_loss, j_merge, m_merge, merge_criteria_table, normalize_column, MergeRefiner,
     MergeScratch,
@@ -115,6 +114,34 @@ pub struct MergeRecord {
 struct ModelInfo {
     /// Last known record count.
     count: u64,
+    /// The model→member index: where component `c` of the model lives, as
+    /// `(group id, sequence number in that group)`. Kept current by every
+    /// operation that places or moves a member, so an update to the model
+    /// visits its own components instead of every member of every group.
+    homes: Vec<Home>,
+}
+
+/// `(group id, member sequence number)` of one component.
+type Home = (u64, u64);
+
+/// The members `homes` points at, as `(slot in groups, sequence number)`
+/// in slot order and join order within a slot — the order in which a scan
+/// over every member of every group would meet them.
+fn locate(groups: &[Group], homes: &[Home]) -> Vec<(usize, u64)> {
+    let mut at: Vec<(usize, u64)> = homes
+        .iter()
+        .filter_map(|&(id, seq)| Some((groups.iter().position(|g| g.id == id)?, seq)))
+        .collect();
+    at.sort_unstable();
+    at
+}
+
+/// Splits what [`locate`] returned into one `(slot, sequence numbers)` run
+/// per group.
+fn by_group(
+    located: &[(usize, u64)],
+) -> impl Iterator<Item = (usize, impl Iterator<Item = u64> + '_)> {
+    located.chunk_by(|a, b| a.0 == b.0).map(|run| (run[0].0, run.iter().map(|&(_, seq)| seq)))
 }
 
 /// The CluDistream coordinator.
@@ -247,6 +274,39 @@ impl Coordinator {
         &self.groups
     }
 
+    /// Rebuilds every group's aggregate from its members
+    /// ([`Group::recompute`]): the exact reference the running aggregates
+    /// are tested against. Drops refined representatives.
+    pub fn recompute_groups(&mut self) {
+        self.groups.iter_mut().for_each(Group::recompute);
+    }
+
+    /// Validation hook for tests: every group has a current aggregate, and
+    /// the model→member index and the groups' members are one to one — each
+    /// index entry names a member carrying exactly that key, and there are
+    /// as many members as entries.
+    pub fn check(&self) -> Result<(), GmmError> {
+        self.groups.iter().try_for_each(Group::check)?;
+        let dangling = GmmError::InvalidParameter {
+            name: "registry",
+            constraint: "every index entry names its member and every member has one",
+        };
+        let mut entries = 0;
+        for (&(site, model), info) in &self.registry {
+            for (component, &(id, seq)) in info.homes.iter().enumerate() {
+                let member = self.groups.iter().find(|g| g.id == id).and_then(|g| g.member(seq));
+                if member.map(|m| m.key) != Some(ComponentKey { site, model, component }) {
+                    return Err(dangling);
+                }
+                entries += 1;
+            }
+        }
+        if entries != self.component_count() {
+            return Err(dangling);
+        }
+        Ok(())
+    }
+
     /// Number of distinct site models known.
     pub fn known_models(&self) -> usize {
         self.registry.len()
@@ -269,20 +329,20 @@ impl Coordinator {
                 // Idempotent under retransmission: a duplicate NewModel for
                 // a known (site, model) replaces the previous components
                 // instead of double-counting them.
-                if self.registry.insert((*site, *model), ModelInfo { count: *count }).is_some() {
-                    for g in &mut self.groups {
-                        let _ =
-                            g.drain_matching(|m| m.key.site == *site && m.key.model == *model);
-                    }
-                    self.groups.retain(|g| !g.is_empty());
-                self.index_cache = None;
+                if let Some(old) = self.registry.remove(&(*site, *model)) {
+                    self.detach(&old.homes);
                 }
-                for (idx, (g, &w)) in
-                    mixture.components().iter().zip(mixture.weights()).enumerate()
-                {
-                    let key = ComponentKey { site: *site, model: *model, component: idx };
-                    self.insert_component(key, g.clone(), w * *count as f64);
-                }
+                let homes = mixture
+                    .components()
+                    .iter()
+                    .zip(mixture.weights())
+                    .enumerate()
+                    .map(|(idx, (g, &w))| {
+                        let key = ComponentKey { site: *site, model: *model, component: idx };
+                        self.insert_component(key, g.clone(), w * *count as f64)
+                    })
+                    .collect();
+                self.registry.insert((*site, *model), ModelInfo { count: *count, homes });
                 self.consolidate();
                 Ok(())
             }
@@ -294,24 +354,9 @@ impl Coordinator {
                     });
                 };
                 let old = info.count.max(1);
-                info.count += count_delta;
+                info.count = info.count.saturating_add(*count_delta);
                 let scale = info.count as f64 / old as f64;
-                for g in &mut self.groups {
-                    let mut touched = false;
-                    for m in &mut g.members {
-                        if m.key.site == *site && m.key.model == *model {
-                            m.weight *= scale;
-                            touched = true;
-                        }
-                    }
-                    // Only groups holding this model change; recomputing the
-                    // rest would needlessly discard their refined
-                    // representatives.
-                    if touched {
-                        g.recompute();
-                    }
-                }
-                self.on_model_update(*site, *model);
+                self.on_model_update(*site, *model, scale);
                 Ok(())
             }
             Message::Delete { site, model, count_delta } => {
@@ -326,28 +371,11 @@ impl Coordinator {
                 info.count = new;
                 if new == 0 {
                     // Weight hit zero: drop the model entirely (Sec. 7).
-                    self.registry.remove(&(*site, *model));
-                    for g in &mut self.groups {
-                        let _ = g
-                            .drain_matching(|m| m.key.site == *site && m.key.model == *model);
+                    if let Some(gone) = self.registry.remove(&(*site, *model)) {
+                        self.detach(&gone.homes);
                     }
-                    self.groups.retain(|g| !g.is_empty());
-                self.index_cache = None;
                 } else {
-                    let scale = new as f64 / old.max(1) as f64;
-                    for g in &mut self.groups {
-                        let mut touched = false;
-                        for m in &mut g.members {
-                            if m.key.site == *site && m.key.model == *model {
-                                m.weight *= scale;
-                                touched = true;
-                            }
-                        }
-                        if touched {
-                            g.recompute();
-                        }
-                    }
-                    self.on_model_update(*site, *model);
+                    self.on_model_update(*site, *model, new as f64 / old.max(1) as f64);
                 }
                 Ok(())
             }
@@ -380,7 +408,9 @@ impl Coordinator {
                 self.obs.gauge("quality.weight_max", w_max);
             }
         }
-        result
+        // A group whose statistics yield no Gaussian (non-finite synopsis
+        // values) keeps serving its previous aggregate; say so.
+        result.and_then(|()| self.groups.iter().try_for_each(Group::check))
     }
 
     /// The "simple procedure" of Sec. 5.2: the flat mixture of all known
@@ -389,7 +419,7 @@ impl Coordinator {
         let mut comps = Vec::new();
         let mut weights = Vec::new();
         for g in &self.groups {
-            for m in &g.members {
+            for m in g.members() {
                 comps.push(m.gaussian.clone());
                 weights.push(m.weight.max(1e-12));
             }
@@ -406,103 +436,118 @@ impl Coordinator {
         Mixture::new(comps, weights)
     }
 
+    /// Removes the members `homes` points at and drops the groups that
+    /// leaves empty.
+    fn detach(&mut self, homes: &[Home]) {
+        for (slot, seqs) in by_group(&locate(&self.groups, homes)) {
+            let _ = self.groups[slot].remove(seqs);
+        }
+        self.groups.retain(|g| !g.is_empty());
+        self.index_cache = None;
+    }
+
+    /// Records in the model→member index that component `key` now lives
+    /// at `home`.
+    fn rehome(registry: &mut HashMap<(u32, ModelId), ModelInfo>, key: ComponentKey, home: Home) {
+        if let Some(slot) = registry
+            .get_mut(&(key.site, key.model))
+            .and_then(|info| info.homes.get_mut(key.component))
+        {
+            *slot = home;
+        }
+    }
+
     /// Inserts a component under the re-merge rule: join the group with the
     /// largest `M_remerge` when close enough, found a new group otherwise.
-    /// Returns the id of the group the component landed in.
-    fn insert_component(&mut self, key: ComponentKey, gaussian: Gaussian, weight: f64) -> u64 {
+    /// Returns where the component landed.
+    fn insert_component(&mut self, key: ComponentKey, gaussian: Gaussian, weight: f64) -> Home {
         let d = gaussian.dim() as f64;
         let best = if self.config.use_index && self.groups.len() > self.config.index_candidates {
             // Index-accelerated: Euclidean pre-filter over aggregate means,
             // exact criterion on the shortlisted candidates only. The tree
             // is cached across insertions and rebuilt only when the group
             // set changed.
-            if self.index_cache.as_ref().is_none_or(|idx| idx.len() != self.groups.len()) {
-                self.index_cache = Some(GroupIndex::build(
+            if self.index_cache.as_ref().is_some_and(|idx| idx.len() != self.groups.len()) {
+                self.index_cache = None;
+            }
+            let idx = self.index_cache.get_or_insert_with(|| {
+                GroupIndex::build(
                     self.groups
                         .iter()
                         .enumerate()
                         .map(|(i, g)| (i, g.aggregate().mean().clone())),
-                ));
-            }
-            let idx = self.index_cache.as_ref().expect("just built");
+                )
+            });
             idx.nearest(gaussian.mean(), self.config.index_candidates)
                 .into_iter()
                 .filter(|&i| i < self.groups.len())
                 .map(|i| (i, m_split(&gaussian, self.groups[i].aggregate())))
-                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("NaN distance"))
+                .min_by(|a, b| a.1.total_cmp(&b.1))
         } else {
             self.groups
                 .iter()
                 .enumerate()
                 .map(|(i, g)| (i, m_split(&gaussian, g.aggregate())))
-                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("NaN distance"))
+                .min_by(|a, b| a.1.total_cmp(&b.1))
         };
+        let member = Member::new(key, gaussian, weight);
         match best {
             Some((idx, dist)) if dist <= self.config.join_distance * d => {
                 let group = &mut self.groups[idx];
-                group.push(Member {
-                    key,
-                    gaussian,
-                    weight,
-                    remerge_at_merge: 0.0, // placeholder, fixed below
-                });
-                // Capture M_remerge against the post-insertion aggregate so
-                // that M_split == 1/M_remerge holds at merge time.
-                let agg = group.aggregate().clone();
-                let member = group.members.last_mut().expect("just pushed");
-                member.remerge_at_merge = m_remerge(&member.gaussian, &agg);
-                group.id
+                (group.id, group.push(member))
             }
             _ => {
                 let id = self.next_group_id;
                 self.next_group_id += 1;
-                let mut seed = Member { key, gaussian, weight, remerge_at_merge: 0.0 };
-                // Singleton: the member IS the aggregate, distance 0.
-                seed.remerge_at_merge = f64::INFINITY;
-                self.groups.push(Group::new(id, seed));
-                id
+                // Singleton: the member IS the aggregate, distance 0, and
+                // keeps the infinite M_remerge it was made with.
+                self.groups.push(Group::new(id, member));
+                (id, 0)
             }
         }
     }
 
-    /// Algorithm 2 (`OnUpdates`): re-examine the placement of every
-    /// component belonging to the updated model; split drifted components
-    /// from their fathers and re-merge them into their best group.
-    fn on_model_update(&mut self, site: u32, model: ModelId) {
-        let obs = self.obs.clone();
+    /// Algorithm 2 (`OnUpdates`): the record count of a known model changed
+    /// by the factor `scale`. Reweights the model's components — only the
+    /// groups holding them change, the rest keep their refined
+    /// representatives — then re-examines their placement: drifted
+    /// components split from their fathers and re-merge into their best
+    /// group.
+    fn on_model_update(&mut self, site: u32, model: ModelId, scale: f64) {
+        let homes = self.registry.get(&(site, model)).map_or(&[][..], |info| &info.homes);
+        let located = locate(&self.groups, homes);
+        for (slot, seqs) in by_group(&located) {
+            self.groups[slot].rescale(seqs, scale);
+        }
         let mut split_off: Vec<Member> = Vec::new();
-        for g in &mut self.groups {
-            if g.is_empty() {
+        for (slot, seqs) in by_group(&located) {
+            let g = &mut self.groups[slot];
+            // A singleton is its own father; never split it.
+            if g.len() == 1 {
                 continue;
             }
-            let agg = g.aggregate().clone();
-            let mut to_split: Vec<ComponentKey> = Vec::new();
-            for m in &g.members {
-                if m.key.site != site || m.key.model != model {
-                    continue;
-                }
-                // A singleton is its own father; never split it.
-                if g.members.len() == 1 {
-                    continue;
-                }
-                let s = m_split(&m.gaussian, &agg);
-                if should_split(s, m.remerge_at_merge) {
-                    to_split.push(m.key);
-                }
-            }
+            let to_split: Vec<u64> = seqs
+                .filter(|&seq| {
+                    g.member(seq).is_some_and(|m| {
+                        should_split(m_split(&m.gaussian, g.aggregate()), g.remerge_at_merge(m))
+                    })
+                })
+                .collect();
             if !to_split.is_empty() {
-                obs.counter("coord.splits", to_split.len() as u64);
-                obs.event(&Event::Split { group: g.id, members: to_split.len() as u64 });
+                self.obs.counter("coord.splits", to_split.len() as u64);
+                self.obs.event(&Event::Split { group: g.id, members: to_split.len() as u64 });
                 self.churn_events += to_split.len() as u64;
-                split_off.extend(g.drain_matching(|m| to_split.contains(&m.key)));
+                split_off.extend(g.remove(to_split));
             }
         }
         self.groups.retain(|g| !g.is_empty());
         self.index_cache = None;
         for m in split_off {
-            let target = self.insert_component(m.key, m.gaussian, m.weight);
+            let key = m.key;
+            let home = self.insert_component(key, m.gaussian, m.weight);
+            Self::rehome(&mut self.registry, key, home);
             self.obs.counter("coord.remerges", 1);
-            self.obs.event(&Event::ReMerge { group: target });
+            self.obs.event(&Event::ReMerge { group: home.0 });
         }
         self.consolidate();
     }
@@ -528,7 +573,7 @@ impl Coordinator {
                 at_message: self.messages_applied,
                 into_group: self.groups[i].id,
                 absorbed_group: absorbed.id,
-                members_moved: absorbed.members.len(),
+                members_moved: absorbed.len(),
             });
             self.obs.counter("coord.merges", 1);
             self.churn_events += 1;
@@ -567,24 +612,18 @@ impl Coordinator {
                 None
             };
             let host = &mut self.groups[i];
-            for m in absorbed.members {
-                host.members.push(m);
-            }
-            host.recompute();
-            // Refresh every member's merge-time M_remerge against the new
-            // father aggregate (the paper maintains this value per merge).
-            let agg = host.aggregate().clone();
-            let single = host.members.len() == 1;
-            for m in &mut host.members {
-                m.remerge_at_merge =
-                    if single { f64::INFINITY } else { m_remerge(&m.gaussian, &agg) };
-            }
+            let (host_id, registry) = (host.id, &mut self.registry);
+            host.absorb(absorbed, |key, seq| Self::rehome(registry, key, (host_id, seq)));
             host.refined = refined;
         }
     }
 
     /// Memory footprint of the coordinator state: one Gaussian synopsis per
-    /// member plus per-group aggregates.
+    /// member plus per-group aggregates. This counts synopsis payload only —
+    /// not the groups' running statistics, and not the registry and
+    /// model→member index rows, whose number is what
+    /// [`Coordinator::event_table_entries`] (the `coord.event_table_entries`
+    /// gauge) reports.
     pub fn memory_bytes(&self) -> usize {
         let per_gaussian = |g: &Gaussian| {
             8 * (1 + g.dim() + self.config.covariance.param_count(g.dim()))
@@ -592,7 +631,7 @@ impl Coordinator {
         self.groups
             .iter()
             .map(|g| {
-                let members: usize = g.members.iter().map(|m| per_gaussian(&m.gaussian)).sum();
+                let members: usize = g.members().map(|m| per_gaussian(&m.gaussian)).sum();
                 members + if g.is_empty() { 0 } else { per_gaussian(g.aggregate()) }
             })
             .sum()
@@ -880,6 +919,34 @@ mod tests {
         let untouched_before = before.iter().find(|m| **m > 50.0).unwrap();
         let untouched_after = after.iter().find(|m| **m > 50.0).unwrap();
         assert_eq!(untouched_before, untouched_after);
+    }
+
+    #[test]
+    fn overflowing_synopsis_is_an_error_not_a_panic() {
+        let mut c = Coordinator::new(CoordinatorConfig {
+            max_groups: 2,
+            refine_merges: true,
+            refiner: MergeRefiner { samples: 16, max_evals: 20, seed: 1 },
+            ..Default::default()
+        })
+        .unwrap();
+        c.apply(&new_model(0, 0, &[0.0], 100)).unwrap();
+        // count · mean² overflows the scatter: the founded group's
+        // statistics yield no Gaussian, so it answers with its member.
+        assert!(c.apply(&new_model(1, 0, &[1e200], u64::MAX)).is_err());
+        assert_eq!(c.group_count(), 2);
+        assert!(c.groups().iter().any(|g| g.check().is_err()));
+        assert!(c.global_mixture().is_ok());
+        // A third group forces a merge (and its refinement) next to the
+        // poisoned group; the coordinator keeps going and keeps saying so.
+        assert!(c.apply(&new_model(2, 0, &[-1e200], u64::MAX)).is_err());
+        assert_eq!(c.group_count(), 2);
+        assert_eq!(c.component_count(), 3);
+        // Replacing the hostile models by sane ones heals the groups.
+        assert!(c.apply(&new_model(1, 0, &[3.0], 100)).is_err(), "model 2 is still there");
+        c.apply(&new_model(2, 0, &[50.0], 100)).unwrap();
+        assert!(c.check().is_ok());
+        assert!((c.total_weight() - 300.0).abs() < 1e-9);
     }
 
     #[test]

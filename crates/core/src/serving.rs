@@ -111,8 +111,7 @@ impl ModelSnapshot {
                 id: g.id,
                 weight: g.weight(),
                 members: g
-                    .members
-                    .iter()
+                    .members()
                     .map(|m| SnapshotMember {
                         site: m.key.site,
                         model: m.key.model,

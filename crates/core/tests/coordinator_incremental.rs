@@ -1,0 +1,269 @@
+//! Differential oracle for the coordinator's running group aggregates.
+//!
+//! The coordinator folds joins into, subtracts removals from and applies
+//! reweights to per-group running statistics instead of re-folding every
+//! member, resolves `WeightUpdate` / `Delete` / same-id `NewModel` through
+//! a model→member index instead of scanning, and derives merge-time
+//! `M_remerge` lazily. The reference is the same coordinator with every
+//! group `recompute()`d from its members after every message: random
+//! scripts must leave both with the same groups, the same members in the
+//! same order, and aggregates that agree — bit for bit while the script
+//! only adds, within [`TOLERANCE`] once it subtracts.
+
+use cludistream::coordinator::{Coordinator, CoordinatorConfig, Group};
+use cludistream::{Message, ModelId};
+use cludistream_gmm::{Gaussian, Mixture};
+use cludistream_linalg::Vector;
+use cludistream_obs::{Obs, Registry};
+use cludistream_rng::{check, Rng, StdRng};
+use std::cell::Cell;
+use std::sync::Arc;
+
+/// Stated tolerance of a running aggregate against the exact rebuild, for
+/// means and covariances alike, relative to the group's second moment
+/// `max_i(Σ_ii + μ_i²)` — the magnitude at which the statistics are
+/// summed, hence the magnitude of their rounding.
+const TOLERANCE: f64 = 1e-9;
+
+const DIM: usize = 2;
+
+/// A few regions so that components join, groups merge and, under heavy
+/// reweights, members split.
+const REGIONS: [[f64; DIM]; 5] =
+    [[0.0, 0.0], [12.0, 3.0], [-9.0, 14.0], [25.0, -20.0], [-30.0, -8.0]];
+
+fn random_mixture(rng: &mut StdRng) -> Mixture {
+    let k = rng.gen_range(1..=3usize);
+    let components = (0..k)
+        .map(|_| {
+            let region = REGIONS[rng.gen_range(0..REGIONS.len())];
+            let mean: Vec<f64> = region.iter().map(|c| c + rng.gen_range(-2.0..2.0)).collect();
+            let vars: Vec<f64> = (0..DIM).map(|_| rng.gen_range(0.4..2.5)).collect();
+            Gaussian::diagonal(Vector::from_slice(&mean), &vars).unwrap()
+        })
+        .collect();
+    Mixture::new(components, (0..k).map(|_| rng.gen_range(0.2..1.0)).collect()).unwrap()
+}
+
+/// The script's own books: live `(site, model, count)`.
+struct Script {
+    live: Vec<(u32, u64, u64)>,
+    next_model: u64,
+}
+
+impl Script {
+    fn new_model(&mut self, rng: &mut StdRng) -> Message {
+        let (site, model, count) =
+            (rng.gen_range(0..6u32), self.next_model, rng.gen_range(50..5_000u64));
+        self.next_model += 1;
+        self.live.push((site, model, count));
+        Message::NewModel {
+            site,
+            model: ModelId(model),
+            count,
+            avg_ll: -1.0,
+            mixture: random_mixture(rng),
+        }
+    }
+
+    /// One message of a script that adds, reweights, deletes (partly and to
+    /// zero) and replaces.
+    fn any(&mut self, rng: &mut StdRng) -> Message {
+        if self.live.is_empty() {
+            return self.new_model(rng);
+        }
+        let at = rng.gen_range(0..self.live.len());
+        let (site, model, count) = self.live[at];
+        match rng.gen_range(0..10u32) {
+            0..=2 => self.new_model(rng),
+            3..=5 => {
+                // Mostly modest, now and then heavy enough to drag an
+                // aggregate away from its members.
+                let heavy = rng.gen_bool(0.2);
+                let count_delta = rng.gen_range(1..if heavy { 200_000u64 } else { 2_000 });
+                self.live[at].2 += count_delta;
+                Message::WeightUpdate { site, model: ModelId(model), count_delta }
+            }
+            6..=7 => {
+                let to_zero = count == 1 || rng.gen_bool(0.3);
+                let count_delta = if to_zero { count } else { rng.gen_range(1..count) };
+                if to_zero {
+                    self.live.swap_remove(at);
+                } else {
+                    self.live[at].2 -= count_delta;
+                }
+                Message::Delete { site, model: ModelId(model), count_delta }
+            }
+            _ => {
+                let count = rng.gen_range(50..5_000u64);
+                self.live[at].2 = count;
+                Message::NewModel {
+                    site,
+                    model: ModelId(model),
+                    count,
+                    avg_ll: -1.0,
+                    mixture: random_mixture(rng),
+                }
+            }
+        }
+    }
+
+    fn mass(&self) -> f64 {
+        self.live.iter().map(|&(_, _, count)| count as f64).sum()
+    }
+}
+
+fn second_moment(g: &Gaussian) -> f64 {
+    (0..g.dim()).map(|i| g.cov()[(i, i)] + g.mean()[i] * g.mean()[i]).fold(0.0, f64::max)
+}
+
+/// Largest deviation of `running` from `exact` over mean and covariance
+/// entries, relative to the second moment of `exact`.
+fn deviation(running: &Gaussian, exact: &Gaussian) -> f64 {
+    let d = exact.dim();
+    let scale = second_moment(exact);
+    let mut worst: f64 = 0.0;
+    for i in 0..d {
+        worst = worst.max((running.mean()[i] - exact.mean()[i]).abs() / scale.sqrt());
+        for j in 0..d {
+            worst = worst.max((running.cov()[(i, j)] - exact.cov()[(i, j)]).abs() / scale);
+        }
+    }
+    worst
+}
+
+fn keys(g: &Group) -> Vec<(u32, u64, usize)> {
+    g.members().map(|m| (m.key.site, m.key.model.0, m.key.component)).collect()
+}
+
+/// Runs `steps` messages through the running coordinator and the
+/// rebuilt-after-every-message reference and compares them after each.
+/// Returns `(merges, splits)` the running side went through.
+fn run_against_oracle(
+    rng: &mut StdRng,
+    steps: usize,
+    next: impl Fn(&mut Script, &mut StdRng) -> Message,
+    bit_equal: bool,
+) -> (u64, u64) {
+    let config = CoordinatorConfig { max_groups: 4, ..CoordinatorConfig::default() };
+    let registry = Arc::new(Registry::new());
+    let mut running = Coordinator::new(config.clone()).unwrap();
+    running.set_observer(Obs::from_registry(Arc::clone(&registry)));
+    let mut oracle = Coordinator::new(config).unwrap();
+    let mut script = Script { live: Vec::new(), next_model: 0 };
+    for step in 0..steps {
+        let message = next(&mut script, rng);
+        running.apply(&message).unwrap();
+        oracle.apply(&message).unwrap();
+        oracle.recompute_groups();
+
+        assert_eq!(running.group_count(), oracle.group_count(), "step {step}: group count");
+        for (r, o) in running.groups().iter().zip(oracle.groups()) {
+            assert_eq!(r.id, o.id, "step {step}: group ids");
+            assert_eq!(keys(r), keys(o), "step {step}: members of group {}", r.id);
+            if bit_equal {
+                assert_eq!(r.aggregate().mean().as_slice(), o.aggregate().mean().as_slice());
+                assert_eq!(r.aggregate().cov().as_slice(), o.aggregate().cov().as_slice());
+                assert_eq!(r.weight().to_bits(), o.weight().to_bits());
+            } else {
+                let dev = deviation(r.aggregate(), o.aggregate());
+                assert!(dev <= TOLERANCE, "step {step}: group {} deviates by {dev:e}", r.id);
+            }
+        }
+        // Mass conservation against the script's own books.
+        let mass = script.mass();
+        assert!(
+            (running.total_weight() - mass).abs() <= 1e-9 * mass.max(1.0),
+            "step {step}: total weight {} vs live mass {mass}",
+            running.total_weight()
+        );
+        // Every member reachable through the index, no entry dangling.
+        running.check().unwrap_or_else(|e| panic!("step {step}: {e}"));
+        assert_eq!(running.known_models(), script.live.len(), "step {step}: registry rows");
+    }
+    (registry.counter_value("coord.merges"), registry.counter_value("coord.splits"))
+}
+
+#[test]
+fn additive_scripts_match_the_exact_rebuild_bit_for_bit() {
+    let merges = Cell::new(0);
+    check::cases("coordinator_incremental_additive", 24, |rng| {
+        let (m, _) = run_against_oracle(rng, 60, Script::new_model, true);
+        merges.set(merges.get() + m);
+    });
+    assert!(merges.get() > 0, "the scripts never merged two groups");
+}
+
+#[test]
+fn mixed_scripts_match_the_exact_rebuild_within_tolerance() {
+    let (merges, splits) = (Cell::new(0), Cell::new(0));
+    check::cases("coordinator_incremental_mixed", 48, |rng| {
+        let (m, s) = run_against_oracle(rng, 160, Script::any, false);
+        merges.set(merges.get() + m);
+        splits.set(splits.get() + s);
+    });
+    // The comparison is vacuous unless the scripts exercise the index
+    // through merges (members re-homed) and splits (members re-inserted).
+    assert!(merges.get() > 0 && splits.get() > 0, "merges {merges:?}, splits {splits:?}");
+}
+
+/// The case the exact-rebuild rule exists for: a member standing for 1e9
+/// records joins a group of 100-record members, far from the origin, and
+/// is then deleted to zero. Subtracting it leaves the rounding error of
+/// the 1e9-record sum in statistics now worth 2 000 records; the group
+/// must notice the collapse and rebuild, so the aggregate matches the
+/// exact one relative to its own covariance, not merely to its second
+/// moment.
+#[test]
+fn shedding_a_dominant_member_does_not_leave_its_rounding_behind() {
+    let at = |x: f64, y: f64| {
+        Mixture::new(
+            vec![Gaussian::diagonal(Vector::from_slice(&[x, y]), &[1.0, 1.5]).unwrap()],
+            vec![1.0],
+        )
+        .unwrap()
+    };
+    let mut c = Coordinator::new(CoordinatorConfig::default()).unwrap();
+    let mut rng = StdRng::seed_from_u64(14);
+    for site in 0..20 {
+        let (dx, dy) = (rng.gen_range(-0.5..0.5), rng.gen_range(-0.5..0.5));
+        c.apply(&Message::NewModel {
+            site,
+            model: ModelId(0),
+            count: 100,
+            avg_ll: -1.0,
+            mixture: at(1000.0 + dx, -500.0 + dy),
+        })
+        .unwrap();
+    }
+    let giant = 1_000_000_000;
+    c.apply(&Message::NewModel {
+        site: 99,
+        model: ModelId(0),
+        count: giant,
+        avg_ll: -1.0,
+        mixture: at(1000.2, -500.1),
+    })
+    .unwrap();
+    assert_eq!(c.group_count(), 1, "the giant joins the group");
+    c.apply(&Message::Delete { site: 99, model: ModelId(0), count_delta: giant }).unwrap();
+    assert_eq!(c.component_count(), 20);
+    assert!((c.total_weight() - 2_000.0).abs() < 1e-6);
+
+    let running = c.groups()[0].aggregate().clone();
+    c.recompute_groups();
+    let exact = c.groups()[0].aggregate();
+    assert!(deviation(&running, exact) <= TOLERANCE);
+    for i in 0..DIM {
+        for j in 0..DIM {
+            let (r, e) = (running.cov()[(i, j)], exact.cov()[(i, j)]);
+            assert!(r.is_finite());
+            assert!((r - e).abs() <= TOLERANCE * e.abs().max(1.0), "cov[{i},{j}] {r} vs {e}");
+        }
+    }
+    // Positive definite without the constructor having had to ridge it.
+    assert!(running.cov()[(0, 0)] > 0.5 && running.cov()[(1, 1)] > 0.5);
+    let det = running.cov()[(0, 0)] * running.cov()[(1, 1)] - running.cov()[(0, 1)].powi(2);
+    assert!(det > 0.0, "det {det}");
+    c.check().unwrap();
+}
