@@ -4,9 +4,7 @@
 //! 2. Nelder-Mead merge refinement vs plain moment-preserving merges at
 //!    the coordinator;
 //! 3. full vs diagonal covariances (time/quality/synopsis trade-off);
-//! 4. Theorem 4's average-cost model `(P_d + λ(1−P_d))·C` vs measurement;
-//! 5. the paper's future-work index structure for merge/split lookups;
-//! 6. warm-started chunk clustering vs cold k-means++ restarts.
+//! 4. Theorem 4's average-cost model `(P_d + λ(1−P_d))·C` vs measurement.
 
 use crate::figs::common::{cycling_stream, paper_config, quality, RollingWindow};
 use crate::table::{emit, Series};
@@ -23,114 +21,6 @@ pub fn run(scale: Scale) {
     merge_refinement(scale);
     covariance(scale);
     theorem4(scale);
-    group_index(scale);
-    warm_vs_cold(scale);
-}
-
-/// Ablation 6: warm-started chunk clustering (seed EM with the current
-/// model) vs cold k-means++ restarts.
-fn warm_vs_cold(scale: Scale) {
-    let updates = scale.updates(30_000);
-    let mut rows = Vec::new();
-    for (label, warm) in [("cold start (k-means++)", false), ("warm start", true)] {
-        let mut config = paper_config();
-        config.warm_start = warm;
-        config.seed = 241;
-        let mut site = RemoteSite::new(config).expect("valid config");
-        let mut stream = workloads::synthetic_boxed(4, 5, 0.25, 242);
-        let records = workloads::collect(&mut *stream, updates);
-        let mut window = RollingWindow::new(2000);
-        let (_, secs) = time_it(|| {
-            for x in records {
-                window.push(x.clone());
-                site.push(x).expect("site processes");
-            }
-        });
-        let q = quality(horizon_mixture(&site, 2).ok().as_ref(), &window.records());
-        let s = site.stats();
-        println!(
-            "[ablation/warm] {label}: {secs:.2}s, {} EM runs, {} EM iterations total, \
-             quality {q:.4}",
-            s.clustered, s.em_iterations
-        );
-        let mut series = Series::new(label);
-        series.push(0.0, q);
-        series.push(1.0, secs);
-        series.push(2.0, s.em_iterations as f64);
-        rows.push(series);
-    }
-    emit(
-        "ablation_warm",
-        "Ablation: warm vs cold EM starts (rows: quality, seconds, EM iterations)",
-        "metric",
-        &rows,
-    );
-}
-
-/// Ablation 5: the paper's future-work index structure — nearest-group
-/// lookups via the cached kd-tree pre-filter vs the exact linear scan.
-/// The index pays off when the group set is large and stable and exact
-/// distances are expensive (high d): phase 1 builds the groups, phase 2
-/// times component placements that join them.
-fn group_index(_scale: Scale) {
-    use cludistream::protocol::Message;
-    use cludistream::remote::ModelId;
-    use cludistream_gmm::{Gaussian, Mixture};
-    use cludistream_linalg::Vector;
-
-    let dim = 16usize;
-    let groups = 300usize;
-    let placements = 1500usize;
-    let sphere = |center: f64| {
-        let mut mean = Vector::zeros(dim);
-        mean[0] = center;
-        Mixture::single(Gaussian::spherical(mean, 1.0).expect("valid sphere"))
-    };
-    let mut rows = Vec::new();
-    for (label, use_index) in [("linear scan", false), ("kd-tree index", true)] {
-        let mut coordinator = Coordinator::new(CoordinatorConfig {
-            max_groups: groups + 8,
-            use_index,
-            ..Default::default()
-        }).unwrap();
-        // Phase 1: build the group set (untimed).
-        for g in 0..groups {
-            coordinator
-                .apply(&Message::NewModel {
-                    site: 0,
-                    model: ModelId(g as u64),
-                    count: 100,
-                    avg_ll: -1.0,
-                    mixture: sphere(g as f64 * 25.0),
-                })
-                .expect("valid update");
-        }
-        assert_eq!(coordinator.group_count(), groups);
-        // Phase 2: placements that join existing groups (timed).
-        let (_, secs) = time_it(|| {
-            for p in 0..placements {
-                let target = (p * 97) % groups;
-                coordinator
-                    .apply(&Message::NewModel {
-                        site: 1,
-                        model: ModelId(p as u64),
-                        count: 10,
-                        avg_ll: -1.0,
-                        mixture: sphere(target as f64 * 25.0 + 0.3),
-                    })
-                    .expect("valid update");
-            }
-        });
-        println!(
-            "[ablation/index] {label}: {secs:.3}s to place {placements} components over \
-             {groups} groups (d={dim}, {} groups after)",
-            coordinator.group_count()
-        );
-        let mut s = Series::new(label);
-        s.push(placements as f64, secs);
-        rows.push(s);
-    }
-    emit("ablation_index", "Ablation: nearest-group lookup acceleration", "placements", &rows);
 }
 
 /// Ablation 1: multi-test on/off.

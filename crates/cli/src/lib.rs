@@ -39,9 +39,11 @@
 //!   (`--connect`).
 //!
 //! Every data-reading subcommand (`cluster`, `stream`, `score`) accepts
-//! the same `--input/--dim/--covariance` trio, parsed once by
-//! [`parse_data_opts`]. The argument parser is deliberately
-//! dependency-free; see [`parse_args`].
+//! the same `--input/--dim/--covariance` trio ([`DataOpts`]), and every
+//! subcommand that runs the `metrics` workload (`metrics`, `faults`,
+//! `trace`, `site`) the same `--sites/--chunks/--seed/--epsilon/--threads`
+//! description ([`MetricsWorkload`]); each is parsed once. The argument
+//! parser is deliberately dependency-free; see [`parse_args`].
 
 use cludistream::coordinator::MergeRefiner;
 use cludistream::runtime::{
@@ -52,7 +54,7 @@ use cludistream::score_snapshot;
 use cludistream::{
     ChunkOutcome, Config, CoordinatorConfig, DeliveryConfig, DeliveryMode, DriverConfig,
     FaultPlan, LinkFaults, ModelSnapshot, NodeId, RecordStream, RemoteSite, SimnetTransport,
-    Simulation, SnapshotHandle,
+    Simulation, SnapshotHandle, StarReport,
 };
 use cludistream_datagen::csvio;
 use cludistream_datagen::{EvolvingStream, EvolvingStreamConfig};
@@ -70,8 +72,7 @@ use std::io::Write;
 use std::sync::Arc;
 
 /// The `--input/--dim/--covariance` trio every data-reading subcommand
-/// (`cluster`, `stream`, `score`) accepts, parsed once by
-/// [`parse_data_opts`].
+/// (`cluster`, `stream`, `score`) accepts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DataOpts {
     /// Input CSV path — `--input PATH` or the first positional argument;
@@ -82,6 +83,100 @@ pub struct DataOpts {
     pub dim: Option<usize>,
     /// Covariance structure (`--covariance full|diagonal`, default full).
     pub covariance: CovarianceType,
+}
+
+/// The deterministic two-regime workload behind `metrics`, `faults`,
+/// `trace` and the socket `site` role, engineered so every event type
+/// fires: each site streams `chunks` chunks from regime A (blobs at ±3),
+/// then `chunks` chunks from regime B (blobs at 40 ± 3) — re-clustering
+/// on the change — and the per-regime component pairs give the
+/// coordinator more groups than it may keep, forcing merges with simplex
+/// refinement.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MetricsWorkload {
+    /// Remote sites this run drives (`--sites`; always 1 for `site`,
+    /// which runs one site of the star per process).
+    pub sites: usize,
+    /// Chunks per regime per site (each site sees two regimes).
+    pub chunks: usize,
+    /// RNG seed for data generation, EM, and fault injection.
+    pub seed: u64,
+    /// Error bound ε (drives the chunk size).
+    pub epsilon: f64,
+    /// E-step worker threads (0 = all cores). Results are bit-identical
+    /// for every value.
+    pub threads: usize,
+}
+
+/// The `coordinator` subcommand's options.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CoordinatorOpts {
+    /// Address to listen on (`HOST:PORT`; port 0 picks one).
+    pub listen: String,
+    /// Sites that must rendezvous before the round starts.
+    pub sites: usize,
+    /// Heartbeat interval pushed to the sites, milliseconds.
+    pub heartbeat_ms: u64,
+    /// Silence after which a site is evicted, milliseconds.
+    pub timeout_ms: u64,
+    /// Abort the round after this many seconds (0 = never); a CI
+    /// safety net against wedged rounds.
+    pub deadline_s: u64,
+    /// Write the bound address (`HOST:PORT`) here once listening, so
+    /// scripts can discover an ephemeral port.
+    pub port_file: Option<String>,
+    /// Write the JSONL event journal here.
+    pub journal: Option<String>,
+    /// Write the fleet's Chrome trace-event (Perfetto) JSON here:
+    /// coordinator spans plus every telemetry-reporting site's spans,
+    /// rebased onto the coordinator clock.
+    pub trace_out: Option<String>,
+    /// Write the end-of-round model snapshot (the coordinator's
+    /// checkpoint, in the serving wire layout) here.
+    pub snapshot_out: Option<String>,
+    /// Evaluate the default model-health alert rules on every
+    /// `health` scrape (the quality plane's alerting side).
+    pub alerts: bool,
+    /// Keep the listener answering bare-connection control frames
+    /// (status, snapshot, health) this long after the round finishes,
+    /// milliseconds (0 = exit immediately).
+    pub linger_ms: u64,
+    /// Emit coordinator-side model-quality gauges (weight entropy and
+    /// extrema of the global mixture, merge/split churn EWMA).
+    pub quality: bool,
+}
+
+/// The `aggregator` subcommand's options.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AggregatorOpts {
+    /// Parent address to connect to (`HOST:PORT`).
+    pub connect: String,
+    /// Address to listen on for children (`HOST:PORT`; port 0 picks
+    /// one).
+    pub listen: String,
+    /// The site index this node presents to its parent.
+    pub site: usize,
+    /// First global site index of the child range.
+    pub child_base: usize,
+    /// Children that must rendezvous before the subtree starts.
+    pub children: usize,
+    /// Suppression threshold: an upward flush is skipped while the
+    /// reduced summary moved less than this (0 = forward every
+    /// change). Distinct from the sites' chunk ε.
+    pub epsilon: f64,
+    /// Minimum milliseconds between upward flushes.
+    pub flush_ms: u64,
+    /// Heartbeat interval pushed to the children, milliseconds.
+    pub heartbeat_ms: u64,
+    /// Silence after which a child is evicted, milliseconds.
+    pub timeout_ms: u64,
+    /// Abort the round after this many seconds (0 = never).
+    pub deadline_s: u64,
+    /// Write the bound address (`HOST:PORT`) here once listening, so
+    /// scripts can discover an ephemeral port.
+    pub port_file: Option<String>,
+    /// Write the JSONL event journal here.
+    pub journal: Option<String>,
 }
 
 /// A parsed command line.
@@ -136,17 +231,8 @@ pub enum Command {
     },
     /// Run an instrumented deterministic workload and print telemetry.
     Metrics {
-        /// Remote sites in the star.
-        sites: usize,
-        /// Chunks per regime per site (each site sees two regimes).
-        chunks: usize,
-        /// RNG seed for data generation and EM.
-        seed: u64,
-        /// Error bound ε (drives the chunk size).
-        epsilon: f64,
-        /// E-step worker threads (0 = all cores). Results are
-        /// bit-identical for every value.
-        threads: usize,
+        /// The star to simulate.
+        workload: MetricsWorkload,
         /// Write the JSONL event journal here.
         journal: Option<String>,
         /// Use the reliable delivery protocol even without faults (what
@@ -157,82 +243,30 @@ pub enum Command {
     /// Run the metrics workload over a lossy network with one site
     /// crash/restart, exercising the reliable delivery protocol.
     Faults {
-        /// Remote sites in the star.
-        sites: usize,
-        /// Chunks per regime per site (each site sees two regimes).
-        chunks: usize,
-        /// RNG seed for data generation, EM, and fault injection.
-        seed: u64,
-        /// Error bound ε (drives the chunk size).
-        epsilon: f64,
+        /// The star to simulate.
+        workload: MetricsWorkload,
         /// Per-message drop probability on every link.
         drop: f64,
         /// Per-message duplication probability.
         duplicate: f64,
         /// Per-message reorder probability.
         reorder: f64,
-        /// E-step worker threads (0 = all cores). Results are
-        /// bit-identical for every value.
-        threads: usize,
         /// Write the JSONL event journal here.
         journal: Option<String>,
     },
     /// Run the metrics workload with causal tracing enabled and print the
     /// critical-path latency profile; optionally export a Perfetto trace.
     Trace {
-        /// Remote sites in the star.
-        sites: usize,
-        /// Chunks per regime per site (each site sees two regimes).
-        chunks: usize,
-        /// RNG seed for data generation, EM, and fault injection.
-        seed: u64,
-        /// Error bound ε (drives the chunk size).
-        epsilon: f64,
+        /// The star to simulate.
+        workload: MetricsWorkload,
         /// Attach the `faults` command's lossy network and site-0 outage.
         faults: bool,
-        /// E-step worker threads (0 = all cores). Results are
-        /// bit-identical for every value.
-        threads: usize,
         /// Write Chrome trace-event (Perfetto) JSON here.
         out: Option<String>,
     },
     /// Serve the socket coordinator for one round of the `metrics`
     /// workload over real TCP.
-    Coordinator {
-        /// Address to listen on (`HOST:PORT`; port 0 picks one).
-        listen: String,
-        /// Sites that must rendezvous before the round starts.
-        sites: usize,
-        /// Heartbeat interval pushed to the sites, milliseconds.
-        heartbeat_ms: u64,
-        /// Silence after which a site is evicted, milliseconds.
-        timeout_ms: u64,
-        /// Abort the round after this many seconds (0 = never); a CI
-        /// safety net against wedged rounds.
-        deadline_s: u64,
-        /// Write the bound address (`HOST:PORT`) here once listening, so
-        /// scripts can discover an ephemeral port.
-        port_file: Option<String>,
-        /// Write the JSONL event journal here.
-        journal: Option<String>,
-        /// Write the fleet's Chrome trace-event (Perfetto) JSON here:
-        /// coordinator spans plus every telemetry-reporting site's spans,
-        /// rebased onto the coordinator clock.
-        trace_out: Option<String>,
-        /// Write the end-of-round model snapshot (the coordinator's
-        /// checkpoint, in the serving wire layout) here.
-        snapshot_out: Option<String>,
-        /// Evaluate the default model-health alert rules on every
-        /// `health` scrape (the quality plane's alerting side).
-        alerts: bool,
-        /// Keep the listener answering bare-connection control frames
-        /// (status, snapshot, health) this long after the round finishes,
-        /// milliseconds (0 = exit immediately).
-        linger_ms: u64,
-        /// Emit coordinator-side model-quality gauges (weight entropy and
-        /// extrema of the global mixture, merge/split churn EWMA).
-        quality: bool,
-    },
+    Coordinator(CoordinatorOpts),
     /// Run one socket site of the `metrics` workload against a
     /// coordinator.
     Site {
@@ -240,14 +274,8 @@ pub enum Command {
         connect: String,
         /// This site's index in `0..sites`.
         site: usize,
-        /// Chunks per regime (mirrors `metrics --chunks`).
-        chunks: usize,
-        /// RNG seed (mirrors `metrics --seed`).
-        seed: u64,
-        /// Error bound ε (mirrors `metrics --epsilon`).
-        epsilon: f64,
-        /// E-step worker threads (0 = all cores).
-        threads: usize,
+        /// This site's share of the star (mirrors `metrics`' flags).
+        workload: MetricsWorkload,
         /// Write the JSONL event journal here.
         journal: Option<String>,
         /// Record spans locally and ship them to the coordinator over the
@@ -264,36 +292,7 @@ pub enum Command {
     /// of sites (or child aggregators) and a parent coordinator (or
     /// aggregator): downward it speaks the coordinator's protocol,
     /// upward it plays one site forwarding pre-merged reduced updates.
-    Aggregator {
-        /// Parent address to connect to (`HOST:PORT`).
-        connect: String,
-        /// Address to listen on for children (`HOST:PORT`; port 0 picks
-        /// one).
-        listen: String,
-        /// The site index this node presents to its parent.
-        site: usize,
-        /// First global site index of the child range.
-        child_base: usize,
-        /// Children that must rendezvous before the subtree starts.
-        children: usize,
-        /// Suppression threshold: an upward flush is skipped while the
-        /// reduced summary moved less than this (0 = forward every
-        /// change). Distinct from the sites' chunk ε.
-        epsilon: f64,
-        /// Minimum milliseconds between upward flushes.
-        flush_ms: u64,
-        /// Heartbeat interval pushed to the children, milliseconds.
-        heartbeat_ms: u64,
-        /// Silence after which a child is evicted, milliseconds.
-        timeout_ms: u64,
-        /// Abort the round after this many seconds (0 = never).
-        deadline_s: u64,
-        /// Write the bound address (`HOST:PORT`) here once listening, so
-        /// scripts can discover an ephemeral port.
-        port_file: Option<String>,
-        /// Write the JSONL event journal here.
-        journal: Option<String>,
-    },
+    Aggregator(AggregatorOpts),
     /// Score a CSV file against a published model snapshot: batched
     /// Definition-1 assignment (hard label, responsibilities,
     /// log-likelihood) using the SoA density kernels.
@@ -486,50 +485,111 @@ Perfetto-loadable Chrome trace-event JSON; `--faults` adds the `faults`
 command's default fault plan so retransmit time shows up on the path.
 ";
 
-/// Parses the shared `--input/--dim/--covariance` trio from a
-/// subcommand's argument tail. The input may be `--input PATH` or the
-/// first positional argument (`-` for stdin); `--dim` is optional and
-/// validated against the parsed records when the input is read;
-/// `--covariance` accepts `full` (default) or `diagonal`.
-pub fn parse_data_opts(rest: &[&String]) -> Result<DataOpts, CliError> {
-    let flag = |name: &str| -> Option<&str> {
-        rest.iter()
-            .position(|a| a.as_str() == name)
-            .and_then(|i| rest.get(i + 1))
-            .map(|s| s.as_str())
+/// The flags one subcommand accepts. [`parse_args`] checks the argument
+/// tail against its subcommand's table, so a misspelt flag or a missing
+/// value is a usage error instead of a silent default.
+struct FlagTable {
+    /// Flags followed by a value.
+    values: &'static [&'static str],
+    /// Flags that stand alone.
+    booleans: &'static [&'static str],
+    /// Whether one positional argument (the input file) is accepted.
+    positional: bool,
+}
+
+/// The flag table of `cmd`; `None` for an unknown subcommand.
+fn flag_table(cmd: &str) -> Option<FlagTable> {
+    let (values, booleans, positional): (&[&str], &[&str], bool) = match cmd {
+        "cluster" => (
+            &["--input", "--dim", "--covariance", "--k", "--auto-k", "--seed", "--threads"],
+            &["--memberships"],
+            true,
+        ),
+        "stream" => (
+            &[
+                "--input", "--dim", "--covariance", "--k", "--epsilon", "--delta", "--c-max",
+                "--seed", "--threads",
+            ],
+            &[],
+            true,
+        ),
+        "score" => (
+            &["--input", "--dim", "--covariance", "--model", "--connect", "--threads"],
+            &["--responsibilities"],
+            true,
+        ),
+        "generate" => (&["--records", "--dim", "--k", "--p-new", "--seed"], &[], false),
+        "metrics" => (
+            &["--sites", "--chunks", "--seed", "--epsilon", "--threads", "--journal"],
+            &["--reliable"],
+            false,
+        ),
+        "faults" => (
+            &[
+                "--sites", "--chunks", "--seed", "--epsilon", "--threads", "--drop",
+                "--duplicate", "--reorder", "--journal",
+            ],
+            &[],
+            false,
+        ),
+        "trace" => (
+            &["--sites", "--chunks", "--seed", "--epsilon", "--threads", "--out"],
+            &["--faults"],
+            false,
+        ),
+        "coordinator" => (
+            &[
+                "--listen", "--sites", "--heartbeat-ms", "--timeout-ms", "--deadline-s",
+                "--port-file", "--journal", "--trace-out", "--snapshot-out", "--linger-ms",
+            ],
+            &["--alerts", "--quality"],
+            false,
+        ),
+        "site" => (
+            &["--connect", "--site", "--chunks", "--seed", "--epsilon", "--threads", "--journal"],
+            &["--trace", "--quality"],
+            false,
+        ),
+        "aggregator" => (
+            &[
+                "--connect", "--listen", "--site", "--child-base", "--children", "--epsilon",
+                "--flush-ms", "--heartbeat-ms", "--timeout-ms", "--deadline-s", "--port-file",
+                "--journal",
+            ],
+            &[],
+            false,
+        ),
+        "status" => (&["--connect", "--watch"], &[], false),
+        "health" => (&["--connect"], &[], false),
+        _ => return None,
     };
-    let input = match flag("--input") {
-        Some(path) => path.to_string(),
-        None => rest
-            .iter()
-            .enumerate()
-            .find(|(i, a)| {
-                !a.starts_with("--") && (*i == 0 || !rest[i - 1].starts_with("--"))
-            })
-            .map(|(_, a)| a.to_string())
-            .ok_or_else(|| {
-                CliError::Usage("missing input file (use --input PATH or - for stdin)".into())
-            })?,
-    };
-    let dim = match flag("--dim") {
-        None => None,
-        Some(v) => Some(v.parse::<usize>().map_err(|_| {
-            CliError::Usage(format!("--dim expects an integer, got {v:?}"))
-        })?),
-    };
-    if dim == Some(0) {
-        return Err(CliError::Usage("--dim expects an integer >= 1".into()));
-    }
-    let covariance = match flag("--covariance") {
-        None | Some("full") => CovarianceType::Full,
-        Some("diagonal") => CovarianceType::Diagonal,
-        Some(other) => {
-            return Err(CliError::Usage(format!(
-                "--covariance expects full or diagonal, got {other:?}"
-            )))
+    Some(FlagTable { values, booleans, positional })
+}
+
+impl FlagTable {
+    /// Checks a subcommand's argument tail: every `--flag` is in the
+    /// table, every value flag is followed by its value, and the one
+    /// token no value flag consumed is the positional input (returned).
+    fn check<'a>(&self, rest: &[&'a String]) -> Result<Option<&'a str>, CliError> {
+        let mut positional = None;
+        let mut tokens = rest.iter().map(|t| t.as_str());
+        while let Some(token) = tokens.next() {
+            if self.values.contains(&token) {
+                if tokens.next().is_none_or(|value| value.starts_with("--")) {
+                    return Err(CliError::Usage(format!("{token} expects a value")));
+                }
+            } else if token.starts_with("--") {
+                if !self.booleans.contains(&token) {
+                    return Err(CliError::Usage(format!("unknown flag {token:?}; try help")));
+                }
+            } else if self.positional && positional.is_none() {
+                positional = Some(token);
+            } else {
+                return Err(CliError::Usage(format!("unexpected argument {token:?}")));
+            }
         }
-    };
-    Ok(DataOpts { input, dim, covariance })
+        Ok(positional)
+    }
 }
 
 /// Parses a command line (excluding the program name).
@@ -538,7 +598,13 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let Some(cmd) = it.next() else {
         return Ok(Command::Help);
     };
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        return Ok(Command::Help);
+    }
     let rest: Vec<&String> = it.collect();
+    let table = flag_table(cmd)
+        .ok_or_else(|| CliError::Usage(format!("unknown command {cmd:?}; try help")))?;
+    let positional = table.check(&rest)?;
     let flag = |name: &str| -> Option<&str> {
         rest.iter()
             .position(|a| a.as_str() == name)
@@ -562,8 +628,45 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 .map_err(|_| CliError::Usage(format!("{name} expects an integer, got {v:?}"))),
         }
     };
+    // The shared `--input/--dim/--covariance` trio. The input is
+    // `--input PATH` or the positional argument (`-` for stdin); `--dim`
+    // is validated against the parsed records when the input is read.
+    let data_opts = || -> Result<DataOpts, CliError> {
+        let input = flag("--input").or(positional).ok_or_else(|| {
+            CliError::Usage("missing input file (use --input PATH or - for stdin)".into())
+        })?;
+        let dim = flag("--dim").map(|_| parse_int("--dim", 0)).transpose()?;
+        if dim == Some(0) {
+            return Err(CliError::Usage("--dim expects an integer >= 1".into()));
+        }
+        let covariance = match flag("--covariance") {
+            None | Some("full") => CovarianceType::Full,
+            Some("diagonal") => CovarianceType::Diagonal,
+            Some(other) => {
+                return Err(CliError::Usage(format!(
+                    "--covariance expects full or diagonal, got {other:?}"
+                )))
+            }
+        };
+        Ok(DataOpts { input: input.to_string(), dim, covariance })
+    };
+    // The shared metrics-workload description. `site` has no `--sites`:
+    // it runs one site of the star.
+    let workload = |default_sites: usize| -> Result<MetricsWorkload, CliError> {
+        Ok(MetricsWorkload {
+            sites: parse_int("--sites", default_sites)?.max(1),
+            chunks: parse_int("--chunks", 2)?.max(1),
+            seed: parse_int("--seed", 7)? as u64,
+            epsilon: parse_num("--epsilon", 0.15)?,
+            threads: parse_int("--threads", 1)?,
+        })
+    };
+    let owned = |name: &str| flag(name).map(|s| s.to_string());
+    let require_connect = || -> Result<String, CliError> {
+        owned("--connect")
+            .ok_or_else(|| CliError::Usage(format!("{cmd} requires --connect HOST:PORT")))
+    };
     match cmd.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
         "cluster" => {
             let k_range = match flag("--auto-k") {
                 None => None,
@@ -585,7 +688,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 }
             };
             Ok(Command::Cluster {
-                data: parse_data_opts(&rest)?,
+                data: data_opts()?,
                 k: parse_int("--k", 5)?,
                 k_range,
                 seed: parse_int("--seed", 0)? as u64,
@@ -594,7 +697,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "stream" => Ok(Command::Stream {
-            data: parse_data_opts(&rest)?,
+            data: data_opts()?,
             k: parse_int("--k", 5)?,
             epsilon: parse_num("--epsilon", 0.02)?,
             delta: parse_num("--delta", 0.01)?,
@@ -610,58 +713,46 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             seed: parse_int("--seed", 0)? as u64,
         }),
         "metrics" => Ok(Command::Metrics {
-            sites: parse_int("--sites", 2)?.max(1),
-            chunks: parse_int("--chunks", 2)?.max(1),
-            seed: parse_int("--seed", 7)? as u64,
-            epsilon: parse_num("--epsilon", 0.15)?,
-            threads: parse_int("--threads", 1)?,
-            journal: flag("--journal").map(|s| s.to_string()),
+            workload: workload(2)?,
+            journal: owned("--journal"),
             reliable: has("--reliable"),
         }),
         "faults" => Ok(Command::Faults {
-            sites: parse_int("--sites", 2)?.max(1),
-            chunks: parse_int("--chunks", 2)?.max(1),
-            seed: parse_int("--seed", 7)? as u64,
-            epsilon: parse_num("--epsilon", 0.15)?,
-            drop: parse_num("--drop", 0.1)?,
-            duplicate: parse_num("--duplicate", 0.05)?,
-            reorder: parse_num("--reorder", 0.25)?,
-            threads: parse_int("--threads", 1)?,
-            journal: flag("--journal").map(|s| s.to_string()),
+            workload: workload(2)?,
+            drop: parse_num("--drop", FAULT_DEFAULTS.0)?,
+            duplicate: parse_num("--duplicate", FAULT_DEFAULTS.1)?,
+            reorder: parse_num("--reorder", FAULT_DEFAULTS.2)?,
+            journal: owned("--journal"),
         }),
         "trace" => Ok(Command::Trace {
-            sites: parse_int("--sites", 2)?.max(1),
-            chunks: parse_int("--chunks", 2)?.max(1),
-            seed: parse_int("--seed", 7)? as u64,
-            epsilon: parse_num("--epsilon", 0.15)?,
+            workload: workload(2)?,
             faults: has("--faults"),
-            threads: parse_int("--threads", 1)?,
-            out: flag("--out").map(|s| s.to_string()),
+            out: owned("--out"),
         }),
-        "coordinator" => Ok(Command::Coordinator {
+        "coordinator" => Ok(Command::Coordinator(CoordinatorOpts {
             listen: flag("--listen").unwrap_or("127.0.0.1:0").to_string(),
             sites: parse_int("--sites", 2)?.max(1),
             heartbeat_ms: parse_int("--heartbeat-ms", 500)?.max(1) as u64,
             timeout_ms: parse_int("--timeout-ms", 5_000)?.max(1) as u64,
             deadline_s: parse_int("--deadline-s", 0)? as u64,
-            port_file: flag("--port-file").map(|s| s.to_string()),
-            journal: flag("--journal").map(|s| s.to_string()),
-            trace_out: flag("--trace-out").map(|s| s.to_string()),
-            snapshot_out: flag("--snapshot-out").map(|s| s.to_string()),
+            port_file: owned("--port-file"),
+            journal: owned("--journal"),
+            trace_out: owned("--trace-out"),
+            snapshot_out: owned("--snapshot-out"),
             alerts: has("--alerts"),
             linger_ms: parse_int("--linger-ms", 0)? as u64,
             quality: has("--quality"),
-        }),
+        })),
         "score" => {
-            let model = flag("--model").map(|s| s.to_string());
-            let connect = flag("--connect").map(|s| s.to_string());
+            let model = owned("--model");
+            let connect = owned("--connect");
             if model.is_some() == connect.is_some() {
                 return Err(CliError::Usage(
                     "score requires exactly one of --model PATH or --connect HOST:PORT".into(),
                 ));
             }
             Ok(Command::Score {
-                data: parse_data_opts(&rest)?,
+                data: data_opts()?,
                 model,
                 connect,
                 threads: parse_int("--threads", 1)?,
@@ -669,22 +760,15 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "site" => Ok(Command::Site {
-            connect: flag("--connect")
-                .ok_or_else(|| CliError::Usage("site requires --connect HOST:PORT".into()))?
-                .to_string(),
+            connect: require_connect()?,
             site: parse_int("--site", 0)?,
-            chunks: parse_int("--chunks", 2)?.max(1),
-            seed: parse_int("--seed", 7)? as u64,
-            epsilon: parse_num("--epsilon", 0.15)?,
-            threads: parse_int("--threads", 1)?,
-            journal: flag("--journal").map(|s| s.to_string()),
+            workload: workload(1)?,
+            journal: owned("--journal"),
             trace: has("--trace"),
             quality: has("--quality"),
         }),
-        "aggregator" => Ok(Command::Aggregator {
-            connect: flag("--connect")
-                .ok_or_else(|| CliError::Usage("aggregator requires --connect HOST:PORT".into()))?
-                .to_string(),
+        "aggregator" => Ok(Command::Aggregator(AggregatorOpts {
+            connect: require_connect()?,
             listen: flag("--listen").unwrap_or("127.0.0.1:0").to_string(),
             site: parse_int("--site", 0)?,
             child_base: parse_int("--child-base", 0)?,
@@ -694,21 +778,14 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             heartbeat_ms: parse_int("--heartbeat-ms", 500)?.max(1) as u64,
             timeout_ms: parse_int("--timeout-ms", 5_000)?.max(1) as u64,
             deadline_s: parse_int("--deadline-s", 0)? as u64,
-            port_file: flag("--port-file").map(|s| s.to_string()),
-            journal: flag("--journal").map(|s| s.to_string()),
-        }),
-        "health" => Ok(Command::Health {
-            connect: flag("--connect")
-                .ok_or_else(|| CliError::Usage("health requires --connect HOST:PORT".into()))?
-                .to_string(),
-        }),
-        "status" => Ok(Command::Status {
-            connect: flag("--connect")
-                .ok_or_else(|| CliError::Usage("status requires --connect HOST:PORT".into()))?
-                .to_string(),
-            watch: parse_int("--watch", 0)? as u64,
-        }),
-        other => Err(CliError::Usage(format!("unknown command {other:?}; try help"))),
+            port_file: owned("--port-file"),
+            journal: owned("--journal"),
+        })),
+        "health" => Ok(Command::Health { connect: require_connect()? }),
+        "status" => {
+            Ok(Command::Status { connect: require_connect()?, watch: parse_int("--watch", 0)? as u64 })
+        }
+        other => unreachable!("{other:?} has a flag table but no parser"),
     }
 }
 
@@ -827,20 +904,9 @@ fn socket_config(heartbeat_ms: u64, timeout_ms: u64, deadline_s: u64) -> SocketC
     }
 }
 
-/// The site half of the `metrics` workload: 1-d, K = 2, up to four
-/// tests per chunk. `faults`, `trace` and the socket `site` role run the
-/// same configuration so their journals stay diffable against `metrics`.
-fn metrics_site_config(seed: u64, epsilon: f64, threads: usize) -> Config {
-    Config {
-        dim: 1,
-        k: 2,
-        chunk: ChunkParams { epsilon, delta: 0.01 },
-        c_max: 4,
-        seed,
-        em_threads: threads,
-        ..Default::default()
-    }
-}
+/// `faults`' default per-message (drop, duplicate, reorder)
+/// probabilities; `trace --faults` replays the same plan.
+const FAULT_DEFAULTS: (f64, f64, f64) = (0.1, 0.05, 0.25);
 
 /// The coordinator half of the `metrics` workload: fewer groups than the
 /// regimes produce, so merges (with simplex refinement) must happen.
@@ -853,9 +919,23 @@ fn metrics_coordinator_config() -> CoordinatorConfig {
     }
 }
 
-/// The deterministic two-regime stream behind `cludistream metrics`:
-/// `per_regime` records of two blobs at ±3 (shifted slightly per site),
-/// then `per_regime` records of the same shape moved to 40 ± 3.
+/// The site half of the `metrics` workload: 1-d, K = 2, up to four
+/// tests per chunk.
+fn metrics_site_config(seed: u64, epsilon: f64, threads: usize) -> Config {
+    Config {
+        dim: 1,
+        k: 2,
+        chunk: ChunkParams { epsilon, delta: 0.01 },
+        c_max: 4,
+        seed,
+        em_threads: threads,
+        ..Default::default()
+    }
+}
+
+/// One site's stream of the `metrics` workload: `per_regime` records of
+/// two blobs at ±3 (shifted slightly per site), then `per_regime` records
+/// of the same shape moved to 40 ± 3.
 fn metrics_stream(site: usize, seed: u64, per_regime: usize) -> RecordStream {
     let regime = |center: f64| -> Mixture {
         let offset = 0.3 * site as f64;
@@ -879,6 +959,107 @@ fn metrics_stream(site: usize, seed: u64, per_regime: usize) -> RecordStream {
         emitted += 1;
         Some(m.sample(&mut rng))
     }))
+}
+
+/// A [`MetricsWorkload`] assembled for a run. `metrics`, `faults`,
+/// `trace` and the socket `site` role all start from this, which is what
+/// keeps their journals diffable against each other.
+struct PreparedRun {
+    /// Chunk size M (Theorem 1) under the workload's ε.
+    chunk_size: usize,
+    /// Records each site consumes (both regimes).
+    updates: u64,
+    /// One stream per site driven, in site order.
+    streams: Vec<RecordStream>,
+    /// Site and coordinator configuration with the observer attached.
+    driver_config: DriverConfig,
+    /// Nominal simulated duration at the driver's record rate.
+    duration_us: u64,
+}
+
+impl MetricsWorkload {
+    /// Assembles the run for sites `first_site..first_site + self.sites`
+    /// (a simulated star starts at 0; a socket `site` is its own index).
+    fn prepare(&self, first_site: usize, obs: Obs) -> Result<PreparedRun, CliError> {
+        let site = metrics_site_config(self.seed, self.epsilon, self.threads);
+        let chunk_size = RemoteSite::new(site.clone())?.chunk_size();
+        let per_regime = self.chunks * chunk_size;
+        let updates = 2 * per_regime as u64;
+        let streams = (first_site..first_site + self.sites)
+            .map(|i| metrics_stream(i, self.seed, per_regime))
+            .collect();
+        let driver_config =
+            DriverConfig { site, coordinator: metrics_coordinator_config(), obs, ..Default::default() };
+        let duration_us = updates.saturating_mul(1_000_000) / driver_config.records_per_second;
+        Ok(PreparedRun { chunk_size, updates, streams, driver_config, duration_us })
+    }
+}
+
+impl PreparedRun {
+    /// The `faults` outage: site 0 crashes at 40% of the nominal run and
+    /// comes back at 55%, recovering from its last checkpoint.
+    fn outage_us(&self) -> (u64, u64) {
+        (self.duration_us * 2 / 5, self.duration_us * 11 / 20)
+    }
+
+    /// The fault plan shared by `faults` and `trace --faults`: a lossy
+    /// network plus the site-0 outage.
+    fn fault_plan(&self, seed: u64, (drop_p, duplicate_p, reorder_p): (f64, f64, f64)) -> FaultPlan {
+        let (down, up) = self.outage_us();
+        FaultPlan::seeded(seed)
+            .with_link(LinkFaults { drop_p, duplicate_p, reorder_p, reorder_max_delay_us: 5_000 })
+            .with_outage(NodeId(0), down, up)
+    }
+
+    /// Runs the simulated star over this run's streams: `reliable` forces
+    /// the reliable delivery protocol (a fault plan implies it anyway).
+    fn simulate(self, reliable: bool, faults: Option<FaultPlan>) -> Result<StarReport, CliError> {
+        let mut sim = Simulation::star(self.streams.len())
+            .with_driver_config(self.driver_config)
+            .with_streams(self.streams)
+            .with_updates_per_site(self.updates);
+        if reliable {
+            sim = sim.with_reliability(DeliveryConfig {
+                mode: DeliveryMode::Reliable,
+                ..Default::default()
+            });
+        }
+        if let Some(plan) = faults {
+            sim = sim.with_transport(Box::new(SimnetTransport::new().with_faults(plan)));
+        }
+        sim.run().map_err(|e| CliError::Usage(format!("driver: {e}")))
+    }
+}
+
+/// The first report line of `metrics`, `faults` and `trace`.
+fn write_star_header(out: &mut impl Write, sites: usize, chunk_size: usize) -> std::io::Result<()> {
+    writeln!(out, "sites: {sites} | chunk size M = {chunk_size} records")
+}
+
+/// The group count the root ended the round with — one spelling for the
+/// simulator and the socket coordinator, because `scripts/verify.sh`
+/// diffs this line between them.
+fn write_groups(out: &mut impl Write, groups: usize) -> std::io::Result<()> {
+    writeln!(out, "coordinator groups: {groups}")
+}
+
+/// The simulated run's totals.
+fn write_sim_summary(out: &mut impl Write, report: &StarReport) -> std::io::Result<()> {
+    writeln!(
+        out,
+        "sim seconds: {:.3} | total bytes on the wire: {}",
+        report.sim_seconds,
+        report.comm.total_bytes()
+    )?;
+    write_groups(out, report.coordinator_groups)
+}
+
+/// The closing line of every journaling subcommand.
+fn write_journal_note(out: &mut impl Write, journal: &Option<String>) -> std::io::Result<()> {
+    if let Some(path) = journal {
+        writeln!(out, "journal written to {path}")?;
+    }
+    Ok(())
 }
 
 fn read_input(path: &str) -> Result<Vec<Vector>, CliError> {
@@ -913,699 +1094,655 @@ fn read_data(opts: &DataOpts) -> Result<Vec<Vector>, CliError> {
 /// Executes a command, writing human-readable output to `out`.
 pub fn run(command: Command, out: &mut impl Write) -> Result<(), CliError> {
     match command {
-        Command::Help => {
-            write!(out, "{USAGE}")?;
-            Ok(())
+        Command::Help => Ok(write!(out, "{USAGE}")?),
+        Command::Cluster { data, k, k_range, seed, memberships, threads } => {
+            run_cluster(data, k, k_range, seed, memberships, threads, out)
         }
-        Command::Cluster { data: opts, k, k_range, seed, memberships, threads } => {
-            let data = read_data(&opts)?;
-            let config =
-                EmConfig { k, seed, threads, covariance: opts.covariance, ..Default::default() };
-            let (mixture, chosen_k, bic) = match k_range {
-                None => {
-                    let fit = fit_em(&data, &config)?;
-                    (fit.mixture, k, None)
-                }
-                Some((lo, hi)) => {
-                    let (best, _) = fit_em_bic(&data, lo..=hi, &config)?;
-                    (best.fit.mixture, best.k, Some(best.bic))
-                }
-            };
-            writeln!(out, "records: {}", data.len())?;
-            writeln!(out, "components: {chosen_k}{}", match bic {
-                Some(b) => format!(" (BIC {b:.1})"),
-                None => String::new(),
-            })?;
-            writeln!(out, "avg log likelihood: {:.4}", mixture.avg_log_likelihood(&data))?;
-            for (j, (c, w)) in mixture.components().iter().zip(mixture.weights()).enumerate() {
-                writeln!(out, "  component {j}: weight {w:.4}, mean {}", c.mean())?;
-            }
-            if memberships {
-                writeln!(out, "memberships (record index: probabilities):")?;
-                for (i, x) in data.iter().enumerate() {
-                    let p: Vec<String> =
-                        mixture.posteriors(x).iter().map(|v| format!("{v:.3}")).collect();
-                    writeln!(out, "  {i}: [{}]", p.join(", "))?;
-                }
-            }
-            Ok(())
-        }
-        Command::Stream { data: opts, k, epsilon, delta, c_max, seed, threads } => {
-            let data = read_data(&opts)?;
-            let dim = data[0].dim();
-            let config = Config {
-                dim,
-                k,
-                chunk: ChunkParams { epsilon, delta },
-                c_max,
-                seed,
-                em_threads: threads,
-                covariance: opts.covariance,
-                ..Default::default()
-            };
-            let mut site = RemoteSite::new(config)?;
-            writeln!(out, "chunk size M = {} records (Theorem 1)", site.chunk_size())?;
-            for x in data {
-                if let Some(outcome) = site.push(x)? {
-                    let chunk = site.chunk_index() - 1;
-                    match outcome {
-                        ChunkOutcome::FitCurrent { j_fit } => {
-                            writeln!(out, "chunk {chunk}: fits current (J_fit {j_fit:.4})")?
-                        }
-                        ChunkOutcome::SwitchedTo { model, tests, .. } => writeln!(
-                            out,
-                            "chunk {chunk}: re-fit model {model} after {tests} tests"
-                        )?,
-                        ChunkOutcome::NewModel { model, .. } => {
-                            writeln!(out, "chunk {chunk}: NEW model {model}")?
-                        }
-                    }
-                }
-            }
-            let s = site.stats();
-            writeln!(out, "---")?;
-            writeln!(
-                out,
-                "records {} | chunks {} | fit {} | re-fit {} | clustered {}",
-                s.records, s.chunks, s.fit_current, s.switched, s.clustered
-            )?;
-            writeln!(out, "models: {}", site.models().len())?;
-            for e in site.events().entries_at(site.chunk_index().saturating_sub(1)) {
-                writeln!(
-                    out,
-                    "  chunks {:>4}..={:<4} -> model {}",
-                    e.start_chunk, e.end_chunk, e.model
-                )?;
-            }
-            Ok(())
-        }
-        Command::Metrics { sites, chunks, seed, epsilon, threads, journal, reliable } => {
-            let registry = journal_registry(&journal)?;
-            // Exact quantiles alongside the histogram's power-of-two
-            // bounds, for the deterministic EM-cost distributions.
-            registry.track_quantiles("em.iters_per_fit");
-            registry.track_quantiles("em.cost_us");
-            let obs = Obs::from_registry(Arc::clone(&registry));
-
-            // A two-regime workload engineered so every event type fires:
-            // each site streams `chunks` chunks from regime A (blobs at
-            // ±3), then `chunks` chunks from regime B (blobs at 40 ± 3) —
-            // re-clustering on the change — and the per-regime component
-            // pairs give the coordinator more groups than `max_groups`,
-            // forcing merges with simplex refinement.
-            let site_config = metrics_site_config(seed, epsilon, threads);
-            let chunk_size = RemoteSite::new(site_config.clone())?.chunk_size();
-            let per_regime = chunks * chunk_size;
-            let streams: Vec<RecordStream> = (0..sites)
-                .map(|i| metrics_stream(i, seed, per_regime))
-                .collect();
-            let driver_config = DriverConfig {
-                site: site_config,
-                coordinator: metrics_coordinator_config(),
-                obs,
-                ..Default::default()
-            };
-            let mut sim = Simulation::star(sites)
-                .with_driver_config(driver_config)
-                .with_streams(streams)
-                .with_updates_per_site(2 * per_regime as u64);
-            if reliable {
-                sim = sim.with_reliability(DeliveryConfig {
-                    mode: DeliveryMode::Reliable,
-                    ..Default::default()
-                });
-            }
-            let report = sim.run().map_err(|e| CliError::Usage(format!("driver: {e}")))?;
-            registry.flush_journal()?;
-
-            writeln!(out, "sites: {sites} | chunk size M = {chunk_size} records")?;
-            writeln!(
-                out,
-                "sim seconds: {:.3} | total bytes on the wire: {}",
-                report.sim_seconds,
-                report.comm.total_bytes()
-            )?;
-            writeln!(out, "coordinator groups: {}", report.coordinator_groups)?;
-            writeln!(out)?;
-            write!(out, "{}", registry.render_table())?;
-            if let Some(path) = journal {
-                writeln!(out, "journal written to {path}")?;
-            }
-            Ok(())
-        }
-        Command::Faults {
-            sites,
-            chunks,
-            seed,
-            epsilon,
-            drop,
-            duplicate,
-            reorder,
-            threads,
-            journal,
-        } => {
-            let registry = journal_registry(&journal)?;
-            registry.track_quantiles("em.iters_per_fit");
-            registry.track_quantiles("em.cost_us");
-            let obs = Obs::from_registry(Arc::clone(&registry));
-
-            // The metrics two-regime workload, over a hostile network.
-            let site_config = metrics_site_config(seed, epsilon, threads);
-            let chunk_size = RemoteSite::new(site_config.clone())?.chunk_size();
-            let per_regime = chunks * chunk_size;
-            let updates = 2 * per_regime as u64;
-            let streams: Vec<RecordStream> =
-                (0..sites).map(|i| metrics_stream(i, seed, per_regime)).collect();
-            let driver_config = DriverConfig {
-                site: site_config,
-                coordinator: metrics_coordinator_config(),
-                obs,
-                ..Default::default()
-            };
-            // Site 0 crashes at 40% of the nominal run and comes back at
-            // 55%, recovering from its last checkpoint. The nominal
-            // duration follows from the default driver rate (1000 rec/s).
-            let duration_us = updates.saturating_mul(1_000_000) / driver_config.records_per_second;
-            let plan = FaultPlan::seeded(seed)
-                .with_link(LinkFaults {
-                    drop_p: drop,
-                    duplicate_p: duplicate,
-                    reorder_p: reorder,
-                    reorder_max_delay_us: 5_000,
-                })
-                .with_outage(NodeId(0), duration_us * 2 / 5, duration_us * 11 / 20);
-            let report = Simulation::star(sites)
-                .with_driver_config(driver_config)
-                .with_transport(Box::new(SimnetTransport::new().with_faults(plan)))
-                .with_streams(streams)
-                .with_updates_per_site(updates)
-                .run()
-                .map_err(|e| CliError::Usage(format!("driver: {e}")))?;
-            registry.flush_journal()?;
-
-            writeln!(out, "sites: {sites} | chunk size M = {chunk_size} records")?;
-            writeln!(
-                out,
-                "faults: drop={drop} duplicate={duplicate} reorder={reorder} | site 0 \
-                 down {:.3}s..{:.3}s",
-                (duration_us * 2 / 5) as f64 / 1e6,
-                (duration_us * 11 / 20) as f64 / 1e6,
-            )?;
-            writeln!(
-                out,
-                "sim seconds: {:.3} | total bytes on the wire: {}",
-                report.sim_seconds,
-                report.comm.total_bytes()
-            )?;
-            writeln!(out, "coordinator groups: {}", report.coordinator_groups)?;
-            let d = &report.delivery;
-            writeln!(out)?;
-            writeln!(out, "delivery (reliable = {}):", d.reliable)?;
-            writeln!(
-                out,
-                "  sent         : {:>6} msgs {:>8} bytes",
-                d.sent_messages, d.sent_bytes
-            )?;
-            writeln!(
-                out,
-                "  delivered    : {:>6} msgs {:>8} bytes",
-                d.delivered_messages, d.delivered_bytes
-            )?;
-            writeln!(
-                out,
-                "  dropped      : {:>6} msgs {:>8} bytes",
-                d.dropped_messages, d.dropped_bytes
-            )?;
-            writeln!(
-                out,
-                "  duplicated   : {:>6} msgs {:>8} bytes",
-                d.duplicated_messages, d.duplicated_bytes
-            )?;
-            writeln!(
-                out,
-                "  retransmitted: {:>6} msgs {:>8} bytes",
-                d.retransmitted_messages, d.retransmitted_bytes
-            )?;
-            writeln!(out, "  acks         : {:>6} msgs {:>8} bytes", d.ack_messages, d.ack_bytes)?;
-            writeln!(
-                out,
-                "  reordered {} | stale/dup discarded {} | crashes {} | restarts {}",
-                d.reordered_messages, d.duplicates_discarded, d.crashes, d.restarts
-            )?;
-            writeln!(
-                out,
-                "  conservation : sent + duplicated == delivered + dropped ({})",
-                if d.balanced() { "balanced" } else { "VIOLATED" }
-            )?;
-            writeln!(out)?;
-            write!(out, "{}", registry.render_table())?;
-            if let Some(path) = journal {
-                writeln!(out, "journal written to {path}")?;
-            }
-            Ok(())
-        }
-        Command::Trace { sites, chunks, seed, epsilon, faults, threads, out: trace_out } => {
-            let registry = Arc::new(Registry::new());
-            registry.enable_tracing();
-            let obs = Obs::from_registry(Arc::clone(&registry));
-
-            // The metrics two-regime workload, traced end to end.
-            let site_config = metrics_site_config(seed, epsilon, threads);
-            let chunk_size = RemoteSite::new(site_config.clone())?.chunk_size();
-            let per_regime = chunks * chunk_size;
-            let updates = 2 * per_regime as u64;
-            let streams: Vec<RecordStream> =
-                (0..sites).map(|i| metrics_stream(i, seed, per_regime)).collect();
-            let driver_config = DriverConfig {
-                site: site_config,
-                coordinator: metrics_coordinator_config(),
-                obs,
-                ..Default::default()
-            };
-            let duration_us = updates.saturating_mul(1_000_000) / driver_config.records_per_second;
-            // Trace context rides the sequenced data frames, so delivery
-            // is always reliable here — even fault-free.
-            let mut sim = Simulation::star(sites)
-                .with_driver_config(driver_config)
-                .with_reliability(DeliveryConfig {
-                    mode: DeliveryMode::Reliable,
-                    ..Default::default()
-                })
-                .with_streams(streams)
-                .with_updates_per_site(updates);
-            if faults {
-                sim = sim.with_transport(Box::new(
-                    SimnetTransport::new().with_faults(
-                        FaultPlan::seeded(seed)
-                            .with_link(LinkFaults {
-                                drop_p: 0.1,
-                                duplicate_p: 0.05,
-                                reorder_p: 0.25,
-                                reorder_max_delay_us: 5_000,
-                            })
-                            .with_outage(NodeId(0), duration_us * 2 / 5, duration_us * 11 / 20),
-                    ),
-                ));
-            }
-            let report = sim.run().map_err(|e| CliError::Usage(format!("driver: {e}")))?;
-
-            let spans = registry.spans();
-            let breakdown = analyze(&spans);
-            writeln!(out, "sites: {sites} | chunk size M = {chunk_size} records")?;
-            writeln!(
-                out,
-                "faults: {} | spans recorded: {} | retransmitted frames: {}",
-                if faults { "on" } else { "off" },
-                spans.len(),
-                report.delivery.retransmitted_messages
-            )?;
-            writeln!(out)?;
-            write!(out, "{}", breakdown.render())?;
-            if let Some(path) = trace_out {
-                std::fs::write(&path, perfetto_json(&spans))?;
-                writeln!(out, "perfetto trace written to {path}")?;
-            }
-            Ok(())
-        }
-        Command::Coordinator {
-            listen,
-            sites,
-            heartbeat_ms,
-            timeout_ms,
-            deadline_s,
-            port_file,
-            journal,
-            trace_out,
-            snapshot_out,
-            alerts,
-            linger_ms,
-            quality,
-        } => {
-            let registry = journal_registry(&journal)?;
-            if trace_out.is_some() {
-                registry.enable_tracing();
-            }
-            let obs = Obs::from_registry(Arc::clone(&registry));
-            // The fleet registry folds every site's telemetry deltas; the
-            // `status` subcommand scrapes it mid-round over the same
-            // listener.
-            let fleet = Arc::new(FleetAggregator::new());
-            let (listener, addr) = bind_listener("coordinator", &listen)?;
-            writeln!(out, "coordinator listening on {addr} for {sites} sites")?;
-            out.flush()?;
-            publish_port(&port_file, addr)?;
-            // A CLI coordinator always publishes read-side snapshots:
-            // `score --connect` can pull the live model mid-round, and
-            // the end-of-round checkpoint lands in `--snapshot-out`.
-            let mut builder = CoordinatorRun::builder(sites)
-                // The metrics-workload coordinator configuration, so a
-                // socket round is diffable against `metrics --reliable`.
-                .coordinator(CoordinatorConfig { quality, ..metrics_coordinator_config() })
-                .dim(1)
-                .obs(obs)
-                .socket(SocketConfig {
-                    linger: (linger_ms > 0)
-                        .then(|| std::time::Duration::from_millis(linger_ms)),
-                    ..socket_config(heartbeat_ms, timeout_ms, deadline_s)
-                })
-                .fleet(Arc::clone(&fleet))
-                .snapshots(Arc::new(SnapshotHandle::new()));
-            if alerts {
-                builder = builder.alerts(AlertSet::default_rules());
-            }
-            let run =
-                builder.build().map_err(|e| CliError::Usage(format!("coordinator: {e}")))?;
-            let report =
-                serve(listener, run).map_err(|e| CliError::Usage(format!("coordinator: {e}")))?;
-            registry.flush_journal()?;
-
-            writeln!(out, "coordinator groups: {}", report.groups)?;
-            writeln!(
-                out,
-                "data bytes received: {} | acks: {} msgs {} bytes | dup/stale discarded: {}",
-                report.comm.total_bytes(),
-                report.ack_messages,
-                report.ack_bytes,
-                report.duplicates_discarded
-            )?;
-            writeln!(
-                out,
-                "resyncs served: {} | evicted sites: {:?} | ctrl sent: {} msgs {} bytes",
-                report.resyncs,
-                report.evicted,
-                registry.counter_value("net.ctrl_messages"),
-                registry.counter_value("net.ctrl_bytes")
-            )?;
-            if let Some(path) = journal {
-                writeln!(out, "journal written to {path}")?;
-            }
-            if let Some(path) = trace_out {
-                // One timeline across processes: the coordinator's own
-                // spans plus every site's, already rebased onto the
-                // coordinator clock by the fleet aggregator.
-                let mut spans = registry.spans();
-                spans.extend(fleet.spans());
-                std::fs::write(&path, perfetto_json(&spans))?;
-                writeln!(out, "perfetto trace written to {path}")?;
-            }
-            if let Some(path) = snapshot_out {
-                // The end-of-round checkpoint, in the same wire layout
-                // `score --model` and `score --connect` consume.
-                match &report.snapshot {
-                    Some(snapshot) => {
-                        std::fs::write(&path, snapshot.encode().into_vec())?;
-                        writeln!(
-                            out,
-                            "model snapshot (version {}) written to {path}",
-                            snapshot.version
-                        )?;
-                    }
-                    None => {
-                        writeln!(out, "no model snapshot to write (round produced no model)")?
-                    }
-                }
-            }
-            Ok(())
-        }
-        Command::Site { connect, site, chunks, seed, epsilon, threads, journal, trace, quality } => {
-            let registry = journal_registry(&journal)?;
-            registry.track_quantiles("em.iters_per_fit");
-            registry.track_quantiles("em.cost_us");
-            registry.track_quantiles("hb.rtt_us");
-            // A CLI site always reports telemetry — its registry is its
-            // own, so there is nothing to double-count — and keeps a
-            // flight-recorder ring for crash forensics. Span recording
-            // stays opt-in because trace context changes data-plane
-            // frame bytes.
-            registry.enable_telemetry();
-            registry.enable_flight_recorder(64);
-            if trace {
-                registry.enable_tracing();
-            }
-            let obs = Obs::from_registry(Arc::clone(&registry));
-
-            // The metrics two-regime workload for one site; the per-site
-            // seed decorrelation happens inside `run_site`, exactly as the
-            // simulator's driver does it.
-            let site_config = Config {
-                quality: quality.then(QualityConfig::default),
-                ..metrics_site_config(seed, epsilon, threads)
-            };
-            let chunk_size = RemoteSite::new(site_config.clone())?.chunk_size();
-            let per_regime = chunks * chunk_size;
-            let updates = 2 * per_regime as u64;
-            let run = SiteRun::builder(site, metrics_stream(site, seed, per_regime))
-                .config(DriverConfig { site: site_config, obs, ..Default::default() })
-                .updates(updates)
-                .telemetry(true)
-                .build()
-                .map_err(|e| CliError::Usage(format!("site: {e}")))?;
-            let report =
-                run_site(&connect, run).map_err(|e| CliError::Usage(format!("site: {e}")))?;
-            registry.flush_journal()?;
-
-            writeln!(out, "site {site}: chunk size M = {chunk_size} records")?;
-            writeln!(
-                out,
-                "records {} | chunks {} | clustered {} | models {}",
-                report.stats.records, report.stats.chunks, report.stats.clustered, report.models
-            )?;
-            writeln!(
-                out,
-                "sent: {} msgs {} bytes | retransmitted: {} msgs {} bytes | resyncs: {}",
-                report.sent_messages,
-                report.sent_bytes,
-                report.retransmitted_messages,
-                report.retransmitted_bytes,
-                report.resyncs
-            )?;
-            if let Some(path) = journal {
-                writeln!(out, "journal written to {path}")?;
-            }
-            Ok(())
-        }
-        Command::Aggregator {
-            connect,
-            listen,
-            site,
-            child_base,
-            children,
-            epsilon,
-            flush_ms,
-            heartbeat_ms,
-            timeout_ms,
-            deadline_s,
-            port_file,
-            journal,
-        } => {
-            let registry = journal_registry(&journal)?;
-            registry.track_quantiles("hb.rtt_us");
-            // Like a CLI site, an aggregator always reports telemetry
-            // upward, so the root's fleet registry shows the subtree
-            // under this node's `site<I>.` prefix.
-            registry.enable_telemetry();
-            let obs = Obs::from_registry(Arc::clone(&registry));
-            // The subtree's own fleet registry: `status --connect` against
-            // this listener scrapes the children this node serves.
-            let fleet = Arc::new(FleetAggregator::new());
-            let (listener, addr) = bind_listener("aggregator", &listen)?;
-            writeln!(
-                out,
-                "aggregator {site} listening on {addr} for sites {child_base}..{}",
-                child_base + children
-            )?;
-            out.flush()?;
-            publish_port(&port_file, addr)?;
-            let run = AggregatorRun::builder(site as u32, child_base as u32, children)
-                // The shard runs the metrics-workload coordinator
-                // configuration with the bounded merge log: the fan-in
-                // boundary is where history is retained, so the cap is
-                // what keeps a deep tree's memory O(models) per node.
-                .coordinator(CoordinatorConfig {
-                    merge_log_cap: Some(64),
-                    ..metrics_coordinator_config()
-                })
-                .dim(1)
-                .epsilon(epsilon)
-                .flush_interval_us(flush_ms.saturating_mul(1_000))
-                .obs(obs)
-                .telemetry(true)
-                .fleet(Arc::clone(&fleet))
-                .socket(socket_config(heartbeat_ms, timeout_ms, deadline_s))
-                .build()
-                .map_err(|e| CliError::Usage(format!("aggregator: {e}")))?;
-            let report = run_aggregator(&connect, listener, run)
-                .map_err(|e| CliError::Usage(format!("aggregator: {e}")))?;
-            registry.flush_journal()?;
-
-            writeln!(out, "aggregator groups: {}", report.groups)?;
-            writeln!(
-                out,
-                "child messages folded: {} | event-table rows held here: {}",
-                report.messages_applied, report.event_table_entries
-            )?;
-            writeln!(
-                out,
-                "flushes up: {} ({} suppressed) | up: {} msgs {} bytes | retransmitted: {} msgs {} bytes",
-                report.flushes,
-                report.flushes_suppressed,
-                report.sent_messages,
-                report.sent_bytes,
-                report.retransmitted_messages,
-                report.retransmitted_bytes
-            )?;
-            writeln!(
-                out,
-                "down: acks {} msgs {} bytes | dup/stale discarded: {} | decode errors: {}",
-                report.ack_messages, report.ack_bytes, report.duplicates_discarded,
-                report.decode_errors
-            )?;
-            writeln!(
-                out,
-                "resyncs: up {} down {} | evicted sites: {:?}",
-                report.resyncs_up, report.resyncs_down, report.evicted
-            )?;
-            if let Some(path) = journal {
-                writeln!(out, "journal written to {path}")?;
-            }
-            Ok(())
-        }
-        Command::Score { data: opts, model, connect, threads, responsibilities } => {
-            let bytes = match (&model, &connect) {
-                (Some(path), _) => std::fs::read(path)?,
-                (None, Some(addr)) => {
-                    // An empty reply means the coordinator is up but has
-                    // not learned a model yet — poll until it has one.
-                    let deadline =
-                        std::time::Instant::now() + std::time::Duration::from_secs(10);
-                    loop {
-                        let bytes = scrape_snapshot(addr)
-                            .map_err(|e| CliError::Usage(format!("score: {addr}: {e}")))?;
-                        if !bytes.is_empty() {
-                            break bytes;
-                        }
-                        if std::time::Instant::now() >= deadline {
-                            return Err(CliError::Usage(format!(
-                                "score: {addr}: no snapshot published within 10s"
-                            )));
-                        }
-                        std::thread::sleep(std::time::Duration::from_millis(200));
-                    }
-                }
-                (None, None) => {
-                    return Err(CliError::Usage(
-                        "score requires --model PATH or --connect HOST:PORT".into(),
-                    ))
-                }
-            };
-            let snapshot = ModelSnapshot::decode(&mut ByteReader::new(&bytes))
-                .map_err(|e| CliError::Usage(format!("score: invalid snapshot: {e}")))?;
-            let records = read_data(&opts)?;
-            let dim = records[0].dim();
-            if dim != snapshot.mixture.dim() {
-                return Err(CliError::Usage(format!(
-                    "score: records have dimension {dim} but the model is {}-dimensional",
-                    snapshot.mixture.dim()
-                )));
-            }
-            let batch = Batch::from_records(&records);
-            // Instrumented score path: the same `serve.score_us`
-            // observations a long-lived scorer would feed its quantile
-            // tracker from.
-            let registry = Arc::new(Registry::new());
-            registry.track_quantiles("serve.score_us");
-            let score_obs = Obs::from_registry(Arc::clone(&registry));
-            let scores = score_snapshot(&snapshot, &batch, threads, &score_obs)?;
-            writeln!(
-                out,
-                "snapshot: version {} | messages applied {} | groups {}",
-                snapshot.version,
-                snapshot.messages_applied,
-                snapshot.groups.len()
-            )?;
-            writeln!(
-                out,
-                "model: {} components, dim {}, {:?} covariance",
-                snapshot.mixture.k(),
-                snapshot.mixture.dim(),
-                snapshot.covariance
-            )?;
-            writeln!(out, "records: {}", records.len())?;
-            for i in 0..scores.len() {
-                write!(
-                    out,
-                    "  {i}: component {} (log p {:.4})",
-                    scores.labels()[i],
-                    scores.log_pdf()[i]
-                )?;
-                if responsibilities {
-                    let p: Vec<String> = scores
-                        .responsibilities(i)
-                        .iter()
-                        .map(|v| format!("{v:.3}"))
-                        .collect();
-                    write!(out, " [{}]", p.join(", "))?;
-                }
-                writeln!(out)?;
-            }
-            writeln!(out, "avg log likelihood: {:.4}", scores.avg_log_likelihood())?;
-            if let Some(us) = registry.exact_quantile("serve.score_us", 0.5) {
-                writeln!(out, "score latency: {us} us for {} records", records.len())?;
-            }
-            Ok(())
-        }
-        Command::Health { connect } => {
-            let alerts = scrape_health(&connect)
-                .map_err(|e| CliError::Usage(format!("health: {connect}: {e}")))?;
-            if alerts.is_empty() {
-                writeln!(out, "no alert rules configured (start the coordinator with --alerts)")?;
-                return Ok(());
-            }
-            let firing = alerts.iter().filter(|a| a.firing).count();
-            for a in &alerts {
-                writeln!(
-                    out,
-                    "{} {:<18} {} = {} (threshold {})",
-                    if a.firing { "FIRING" } else { "ok    " },
-                    a.name,
-                    a.metric,
-                    a.value,
-                    a.threshold
-                )?;
-            }
-            writeln!(out, "{firing}/{} alerts firing", alerts.len())?;
-            if firing > 0 {
-                return Err(CliError::AlertsFiring(firing));
-            }
-            Ok(())
-        }
-        Command::Status { connect, watch } => {
-            loop {
-                let text = scrape_status(&connect)
-                    .map_err(|e| CliError::Usage(format!("status: {connect}: {e}")))?;
-                out.write_all(text.as_bytes())?;
-                out.flush()?;
-                if watch == 0 {
-                    break;
-                }
-                writeln!(out)?;
-                std::thread::sleep(std::time::Duration::from_secs(watch));
-            }
-            Ok(())
+        Command::Stream { data, k, epsilon, delta, c_max, seed, threads } => {
+            run_stream(data, k, ChunkParams { epsilon, delta }, c_max, seed, threads, out)
         }
         Command::Generate { records, dim, k, p_new, seed } => {
-            let mut stream = EvolvingStream::new(EvolvingStreamConfig {
-                dim,
-                k,
-                p_new,
-                seed,
-                ..Default::default()
-            });
-            let data = stream.take_chunk(records);
-            csvio::write_records(out, &data, None)?;
-            Ok(())
+            run_generate(records, dim, k, p_new, seed, out)
+        }
+        Command::Metrics { workload, journal, reliable } => {
+            run_metrics(workload, journal, reliable, out)
+        }
+        Command::Faults { workload, drop, duplicate, reorder, journal } => {
+            run_faults(workload, (drop, duplicate, reorder), journal, out)
+        }
+        Command::Trace { workload, faults, out: trace_out } => {
+            run_trace(workload, faults, trace_out, out)
+        }
+        Command::Coordinator(opts) => run_coordinator(opts, out),
+        Command::Site { connect, site, workload, journal, trace, quality } => {
+            run_site_role(&connect, site, workload, journal, trace, quality, out)
+        }
+        Command::Aggregator(opts) => run_aggregator_role(opts, out),
+        Command::Score { data, model, connect, threads, responsibilities } => {
+            run_score(data, model, connect, threads, responsibilities, out)
+        }
+        Command::Status { connect, watch } => run_status(&connect, watch, out),
+        Command::Health { connect } => run_health(&connect, out),
+    }
+}
+
+/// `cluster`: batch EM over a whole file.
+fn run_cluster(
+    opts: DataOpts,
+    k: usize,
+    k_range: Option<(usize, usize)>,
+    seed: u64,
+    memberships: bool,
+    threads: usize,
+    out: &mut impl Write,
+) -> Result<(), CliError> {
+    let data = read_data(&opts)?;
+    let config =
+        EmConfig { k, seed, threads, covariance: opts.covariance, ..Default::default() };
+    let (mixture, chosen_k, bic) = match k_range {
+        None => {
+            let fit = fit_em(&data, &config)?;
+            (fit.mixture, k, None)
+        }
+        Some((lo, hi)) => {
+            let (best, _) = fit_em_bic(&data, lo..=hi, &config)?;
+            (best.fit.mixture, best.k, Some(best.bic))
+        }
+    };
+    writeln!(out, "records: {}", data.len())?;
+    writeln!(out, "components: {chosen_k}{}", match bic {
+        Some(b) => format!(" (BIC {b:.1})"),
+        None => String::new(),
+    })?;
+    writeln!(out, "avg log likelihood: {:.4}", mixture.avg_log_likelihood(&data))?;
+    for (j, (c, w)) in mixture.components().iter().zip(mixture.weights()).enumerate() {
+        writeln!(out, "  component {j}: weight {w:.4}, mean {}", c.mean())?;
+    }
+    if memberships {
+        writeln!(out, "memberships (record index: probabilities):")?;
+        for (i, x) in data.iter().enumerate() {
+            let p: Vec<String> =
+                mixture.posteriors(x).iter().map(|v| format!("{v:.3}")).collect();
+            writeln!(out, "  {i}: [{}]", p.join(", "))?;
         }
     }
+    Ok(())
+}
+
+/// `stream`: the test-and-cluster narration of one remote site.
+fn run_stream(
+    opts: DataOpts,
+    k: usize,
+    chunk: ChunkParams,
+    c_max: usize,
+    seed: u64,
+    threads: usize,
+    out: &mut impl Write,
+) -> Result<(), CliError> {
+    let data = read_data(&opts)?;
+    let dim = data[0].dim();
+    let config = Config {
+        dim,
+        k,
+        chunk,
+        c_max,
+        seed,
+        em_threads: threads,
+        covariance: opts.covariance,
+        ..Default::default()
+    };
+    let mut site = RemoteSite::new(config)?;
+    writeln!(out, "chunk size M = {} records (Theorem 1)", site.chunk_size())?;
+    for x in data {
+        if let Some(outcome) = site.push(x)? {
+            let chunk = site.chunk_index() - 1;
+            match outcome {
+                ChunkOutcome::FitCurrent { j_fit } => {
+                    writeln!(out, "chunk {chunk}: fits current (J_fit {j_fit:.4})")?
+                }
+                ChunkOutcome::SwitchedTo { model, tests, .. } => writeln!(
+                    out,
+                    "chunk {chunk}: re-fit model {model} after {tests} tests"
+                )?,
+                ChunkOutcome::NewModel { model, .. } => {
+                    writeln!(out, "chunk {chunk}: NEW model {model}")?
+                }
+            }
+        }
+    }
+    let s = site.stats();
+    writeln!(out, "---")?;
+    writeln!(
+        out,
+        "records {} | chunks {} | fit {} | re-fit {} | clustered {}",
+        s.records, s.chunks, s.fit_current, s.switched, s.clustered
+    )?;
+    writeln!(out, "models: {}", site.models().len())?;
+    for e in site.events().entries_at(site.chunk_index().saturating_sub(1)) {
+        writeln!(
+            out,
+            "  chunks {:>4}..={:<4} -> model {}",
+            e.start_chunk, e.end_chunk, e.model
+        )?;
+    }
+    Ok(())
+}
+
+/// `generate`: a synthetic evolving-GMM stream as CSV.
+fn run_generate(
+    records: usize,
+    dim: usize,
+    k: usize,
+    p_new: f64,
+    seed: u64,
+    out: &mut impl Write,
+) -> Result<(), CliError> {
+    let mut stream = EvolvingStream::new(EvolvingStreamConfig {
+        dim,
+        k,
+        p_new,
+        seed,
+        ..Default::default()
+    });
+    let data = stream.take_chunk(records);
+    csvio::write_records(out, &data, None)?;
+    Ok(())
+}
+
+/// The registry behind the subcommands whose sites run EM (`metrics`,
+/// `faults`, `site`): journaling when asked, with exact quantiles
+/// alongside the histogram's power-of-two bounds for the deterministic
+/// EM-cost distributions.
+fn em_registry(journal: &Option<String>) -> std::io::Result<Arc<Registry>> {
+    let registry = journal_registry(journal)?;
+    registry.track_quantiles("em.iters_per_fit");
+    registry.track_quantiles("em.cost_us");
+    Ok(registry)
+}
+
+/// `metrics`: the workload on a clean simulated network.
+fn run_metrics(
+    workload: MetricsWorkload,
+    journal: Option<String>,
+    reliable: bool,
+    out: &mut impl Write,
+) -> Result<(), CliError> {
+    let registry = em_registry(&journal)?;
+    let run = workload.prepare(0, Obs::from_registry(Arc::clone(&registry)))?;
+    let chunk_size = run.chunk_size;
+    let report = run.simulate(reliable, None)?;
+    registry.flush_journal()?;
+
+    write_star_header(out, workload.sites, chunk_size)?;
+    write_sim_summary(out, &report)?;
+    writeln!(out)?;
+    write!(out, "{}", registry.render_table())?;
+    write_journal_note(out, &journal)?;
+    Ok(())
+}
+
+/// `faults`: the workload over a hostile simulated network.
+fn run_faults(
+    workload: MetricsWorkload,
+    (drop, duplicate, reorder): (f64, f64, f64),
+    journal: Option<String>,
+    out: &mut impl Write,
+) -> Result<(), CliError> {
+    let registry = em_registry(&journal)?;
+    let run = workload.prepare(0, Obs::from_registry(Arc::clone(&registry)))?;
+    let chunk_size = run.chunk_size;
+    let (down, up) = run.outage_us();
+    let plan = run.fault_plan(workload.seed, (drop, duplicate, reorder));
+    let report = run.simulate(false, Some(plan))?;
+    registry.flush_journal()?;
+
+    write_star_header(out, workload.sites, chunk_size)?;
+    writeln!(
+        out,
+        "faults: drop={drop} duplicate={duplicate} reorder={reorder} | site 0 \
+         down {:.3}s..{:.3}s",
+        down as f64 / 1e6,
+        up as f64 / 1e6,
+    )?;
+    write_sim_summary(out, &report)?;
+    let d = &report.delivery;
+    writeln!(out)?;
+    writeln!(out, "delivery (reliable = {}):", d.reliable)?;
+    writeln!(
+        out,
+        "  sent         : {:>6} msgs {:>8} bytes",
+        d.sent_messages, d.sent_bytes
+    )?;
+    writeln!(
+        out,
+        "  delivered    : {:>6} msgs {:>8} bytes",
+        d.delivered_messages, d.delivered_bytes
+    )?;
+    writeln!(
+        out,
+        "  dropped      : {:>6} msgs {:>8} bytes",
+        d.dropped_messages, d.dropped_bytes
+    )?;
+    writeln!(
+        out,
+        "  duplicated   : {:>6} msgs {:>8} bytes",
+        d.duplicated_messages, d.duplicated_bytes
+    )?;
+    writeln!(
+        out,
+        "  retransmitted: {:>6} msgs {:>8} bytes",
+        d.retransmitted_messages, d.retransmitted_bytes
+    )?;
+    writeln!(out, "  acks         : {:>6} msgs {:>8} bytes", d.ack_messages, d.ack_bytes)?;
+    writeln!(
+        out,
+        "  reordered {} | stale/dup discarded {} | crashes {} | restarts {}",
+        d.reordered_messages, d.duplicates_discarded, d.crashes, d.restarts
+    )?;
+    writeln!(
+        out,
+        "  conservation : sent + duplicated == delivered + dropped ({})",
+        if d.balanced() { "balanced" } else { "VIOLATED" }
+    )?;
+    writeln!(out)?;
+    write!(out, "{}", registry.render_table())?;
+    write_journal_note(out, &journal)?;
+    Ok(())
+}
+
+/// `trace`: the workload with causal tracing on.
+fn run_trace(
+    workload: MetricsWorkload,
+    faults: bool,
+    trace_out: Option<String>,
+    out: &mut impl Write,
+) -> Result<(), CliError> {
+    let registry = Arc::new(Registry::new());
+    registry.enable_tracing();
+    let run = workload.prepare(0, Obs::from_registry(Arc::clone(&registry)))?;
+    let chunk_size = run.chunk_size;
+    let plan = faults.then(|| run.fault_plan(workload.seed, FAULT_DEFAULTS));
+    // Trace context rides the sequenced data frames, so delivery is
+    // always reliable here — even fault-free.
+    let report = run.simulate(true, plan)?;
+
+    let spans = registry.spans();
+    let breakdown = analyze(&spans);
+    write_star_header(out, workload.sites, chunk_size)?;
+    writeln!(
+        out,
+        "faults: {} | spans recorded: {} | retransmitted frames: {}",
+        if faults { "on" } else { "off" },
+        spans.len(),
+        report.delivery.retransmitted_messages
+    )?;
+    writeln!(out)?;
+    write!(out, "{}", breakdown.render())?;
+    if let Some(path) = trace_out {
+        std::fs::write(&path, perfetto_json(&spans))?;
+        writeln!(out, "perfetto trace written to {path}")?;
+    }
+    Ok(())
+}
+
+/// `coordinator`: the socket root of one round of the workload.
+fn run_coordinator(opts: CoordinatorOpts, out: &mut impl Write) -> Result<(), CliError> {
+    let registry = journal_registry(&opts.journal)?;
+    if opts.trace_out.is_some() {
+        registry.enable_tracing();
+    }
+    let obs = Obs::from_registry(Arc::clone(&registry));
+    // The fleet registry folds every site's telemetry deltas; the
+    // `status` subcommand scrapes it mid-round over the same
+    // listener.
+    let fleet = Arc::new(FleetAggregator::new());
+    let (listener, addr) = bind_listener("coordinator", &opts.listen)?;
+    writeln!(out, "coordinator listening on {addr} for {} sites", opts.sites)?;
+    out.flush()?;
+    publish_port(&opts.port_file, addr)?;
+    // A CLI coordinator always publishes read-side snapshots:
+    // `score --connect` can pull the live model mid-round, and
+    // the end-of-round checkpoint lands in `--snapshot-out`.
+    let mut builder = CoordinatorRun::builder(opts.sites)
+        // The metrics-workload coordinator configuration, so a
+        // socket round is diffable against `metrics --reliable`.
+        .coordinator(CoordinatorConfig { quality: opts.quality, ..metrics_coordinator_config() })
+        .dim(1)
+        .obs(obs)
+        .socket(SocketConfig {
+            linger: (opts.linger_ms > 0)
+                .then(|| std::time::Duration::from_millis(opts.linger_ms)),
+            ..socket_config(opts.heartbeat_ms, opts.timeout_ms, opts.deadline_s)
+        })
+        .fleet(Arc::clone(&fleet))
+        .snapshots(Arc::new(SnapshotHandle::new()));
+    if opts.alerts {
+        builder = builder.alerts(AlertSet::default_rules());
+    }
+    let run =
+        builder.build().map_err(|e| CliError::Usage(format!("coordinator: {e}")))?;
+    let report =
+        serve(listener, run).map_err(|e| CliError::Usage(format!("coordinator: {e}")))?;
+    registry.flush_journal()?;
+
+    write_groups(out, report.groups)?;
+    writeln!(
+        out,
+        "data bytes received: {} | acks: {} msgs {} bytes | dup/stale discarded: {}",
+        report.comm.total_bytes(),
+        report.ack_messages,
+        report.ack_bytes,
+        report.duplicates_discarded
+    )?;
+    writeln!(
+        out,
+        "resyncs served: {} | evicted sites: {:?} | ctrl sent: {} msgs {} bytes",
+        report.resyncs,
+        report.evicted,
+        registry.counter_value("net.ctrl_messages"),
+        registry.counter_value("net.ctrl_bytes")
+    )?;
+    write_journal_note(out, &opts.journal)?;
+    if let Some(path) = opts.trace_out {
+        // One timeline across processes: the coordinator's own
+        // spans plus every site's, already rebased onto the
+        // coordinator clock by the fleet aggregator.
+        let mut spans = registry.spans();
+        spans.extend(fleet.spans());
+        std::fs::write(&path, perfetto_json(&spans))?;
+        writeln!(out, "perfetto trace written to {path}")?;
+    }
+    if let Some(path) = opts.snapshot_out {
+        // The end-of-round checkpoint, in the same wire layout
+        // `score --model` and `score --connect` consume.
+        match &report.snapshot {
+            Some(snapshot) => {
+                std::fs::write(&path, snapshot.encode().into_vec())?;
+                writeln!(
+                    out,
+                    "model snapshot (version {}) written to {path}",
+                    snapshot.version
+                )?;
+            }
+            None => {
+                writeln!(out, "no model snapshot to write (round produced no model)")?
+            }
+        }
+    }
+    Ok(())
+}
+
+/// `site`: one socket site of the workload.
+fn run_site_role(
+    connect: &str,
+    site: usize,
+    workload: MetricsWorkload,
+    journal: Option<String>,
+    trace: bool,
+    quality: bool,
+    out: &mut impl Write,
+) -> Result<(), CliError> {
+    let registry = em_registry(&journal)?;
+    registry.track_quantiles("hb.rtt_us");
+    // A CLI site always reports telemetry — its registry is its
+    // own, so there is nothing to double-count — and keeps a
+    // flight-recorder ring for crash forensics. Span recording
+    // stays opt-in because trace context changes data-plane
+    // frame bytes.
+    registry.enable_telemetry();
+    registry.enable_flight_recorder(64);
+    if trace {
+        registry.enable_tracing();
+    }
+    let obs = Obs::from_registry(Arc::clone(&registry));
+
+    // This site's share of the workload; the per-site seed decorrelation
+    // happens inside `run_site`, exactly as the simulator's driver does it.
+    let mut prepared = workload.prepare(site, obs)?;
+    let chunk_size = prepared.chunk_size;
+    prepared.driver_config.site.quality = quality.then(QualityConfig::default);
+    let stream = prepared
+        .streams
+        .pop()
+        .ok_or_else(|| CliError::Usage("site: the workload drives no site".into()))?;
+    let run = SiteRun::builder(site, stream)
+        .config(prepared.driver_config)
+        .updates(prepared.updates)
+        .telemetry(true)
+        .build()
+        .map_err(|e| CliError::Usage(format!("site: {e}")))?;
+    let report =
+        run_site(connect, run).map_err(|e| CliError::Usage(format!("site: {e}")))?;
+    registry.flush_journal()?;
+
+    writeln!(out, "site {site}: chunk size M = {chunk_size} records")?;
+    writeln!(
+        out,
+        "records {} | chunks {} | clustered {} | models {}",
+        report.stats.records, report.stats.chunks, report.stats.clustered, report.models
+    )?;
+    writeln!(
+        out,
+        "sent: {} msgs {} bytes | retransmitted: {} msgs {} bytes | resyncs: {}",
+        report.sent_messages,
+        report.sent_bytes,
+        report.retransmitted_messages,
+        report.retransmitted_bytes,
+        report.resyncs
+    )?;
+    write_journal_note(out, &journal)?;
+    Ok(())
+}
+
+/// `aggregator`: the socket fan-in tier between sites and a parent.
+fn run_aggregator_role(opts: AggregatorOpts, out: &mut impl Write) -> Result<(), CliError> {
+    let registry = journal_registry(&opts.journal)?;
+    registry.track_quantiles("hb.rtt_us");
+    // Like a CLI opts.site, an aggregator always reports telemetry
+    // upward, so the root's fleet registry shows the subtree
+    // under this node's `opts.site<I>.` prefix.
+    registry.enable_telemetry();
+    let obs = Obs::from_registry(Arc::clone(&registry));
+    // The subtree's own fleet registry: `status --opts.connect` against
+    // this listener scrapes the opts.children this node serves.
+    let fleet = Arc::new(FleetAggregator::new());
+    let (listener, addr) = bind_listener("aggregator", &opts.listen)?;
+    writeln!(
+        out,
+        "aggregator {} listening on {addr} for sites {}..{}",
+        opts.site,
+        opts.child_base,
+        opts.child_base + opts.children
+    )?;
+    out.flush()?;
+    publish_port(&opts.port_file, addr)?;
+    let run = AggregatorRun::builder(opts.site as u32, opts.child_base as u32, opts.children)
+        // The shard runs the metrics-workload coordinator
+        // configuration with the bounded merge log: the fan-in
+        // boundary is where history is retained, so the cap is
+        // what keeps a deep tree's memory O(models) per node.
+        .coordinator(CoordinatorConfig {
+            merge_log_cap: Some(64),
+            ..metrics_coordinator_config()
+        })
+        .dim(1)
+        .epsilon(opts.epsilon)
+        .flush_interval_us(opts.flush_ms.saturating_mul(1_000))
+        .obs(obs)
+        .telemetry(true)
+        .fleet(Arc::clone(&fleet))
+        .socket(socket_config(opts.heartbeat_ms, opts.timeout_ms, opts.deadline_s))
+        .build()
+        .map_err(|e| CliError::Usage(format!("aggregator: {e}")))?;
+    let report = run_aggregator(&opts.connect, listener, run)
+        .map_err(|e| CliError::Usage(format!("aggregator: {e}")))?;
+    registry.flush_journal()?;
+
+    writeln!(out, "aggregator groups: {}", report.groups)?;
+    writeln!(
+        out,
+        "child messages folded: {} | event-table rows held here: {}",
+        report.messages_applied, report.event_table_entries
+    )?;
+    writeln!(
+        out,
+        "flushes up: {} ({} suppressed) | up: {} msgs {} bytes | retransmitted: {} msgs {} bytes",
+        report.flushes,
+        report.flushes_suppressed,
+        report.sent_messages,
+        report.sent_bytes,
+        report.retransmitted_messages,
+        report.retransmitted_bytes
+    )?;
+    writeln!(
+        out,
+        "down: acks {} msgs {} bytes | dup/stale discarded: {} | decode errors: {}",
+        report.ack_messages, report.ack_bytes, report.duplicates_discarded,
+        report.decode_errors
+    )?;
+    writeln!(
+        out,
+        "resyncs: up {} down {} | evicted sites: {:?}",
+        report.resyncs_up, report.resyncs_down, report.evicted
+    )?;
+    write_journal_note(out, &opts.journal)?;
+    Ok(())
+}
+
+/// `score`: batched Definition-1 assignment against a snapshot.
+fn run_score(
+    opts: DataOpts,
+    model: Option<String>,
+    connect: Option<String>,
+    threads: usize,
+    responsibilities: bool,
+    out: &mut impl Write,
+) -> Result<(), CliError> {
+    let bytes = match (&model, &connect) {
+        (Some(path), _) => std::fs::read(path)?,
+        (None, Some(addr)) => {
+            // An empty reply means the coordinator is up but has
+            // not learned a model yet — poll until it has one.
+            let deadline =
+                std::time::Instant::now() + std::time::Duration::from_secs(10);
+            loop {
+                let bytes = scrape_snapshot(addr)
+                    .map_err(|e| CliError::Usage(format!("score: {addr}: {e}")))?;
+                if !bytes.is_empty() {
+                    break bytes;
+                }
+                if std::time::Instant::now() >= deadline {
+                    return Err(CliError::Usage(format!(
+                        "score: {addr}: no snapshot published within 10s"
+                    )));
+                }
+                std::thread::sleep(std::time::Duration::from_millis(200));
+            }
+        }
+        (None, None) => {
+            return Err(CliError::Usage(
+                "score requires --model PATH or --connect HOST:PORT".into(),
+            ))
+        }
+    };
+    let snapshot = ModelSnapshot::decode(&mut ByteReader::new(&bytes))
+        .map_err(|e| CliError::Usage(format!("score: invalid snapshot: {e}")))?;
+    let records = read_data(&opts)?;
+    let dim = records[0].dim();
+    if dim != snapshot.mixture.dim() {
+        return Err(CliError::Usage(format!(
+            "score: records have dimension {dim} but the model is {}-dimensional",
+            snapshot.mixture.dim()
+        )));
+    }
+    let batch = Batch::from_records(&records);
+    // Instrumented score path: the same `serve.score_us`
+    // observations a long-lived scorer would feed its quantile
+    // tracker from.
+    let registry = Arc::new(Registry::new());
+    registry.track_quantiles("serve.score_us");
+    let score_obs = Obs::from_registry(Arc::clone(&registry));
+    let scores = score_snapshot(&snapshot, &batch, threads, &score_obs)?;
+    writeln!(
+        out,
+        "snapshot: version {} | messages applied {} | groups {}",
+        snapshot.version,
+        snapshot.messages_applied,
+        snapshot.groups.len()
+    )?;
+    writeln!(
+        out,
+        "model: {} components, dim {}, {:?} covariance",
+        snapshot.mixture.k(),
+        snapshot.mixture.dim(),
+        snapshot.covariance
+    )?;
+    writeln!(out, "records: {}", records.len())?;
+    for i in 0..scores.len() {
+        write!(
+            out,
+            "  {i}: component {} (log p {:.4})",
+            scores.labels()[i],
+            scores.log_pdf()[i]
+        )?;
+        if responsibilities {
+            let p: Vec<String> = scores
+                .responsibilities(i)
+                .iter()
+                .map(|v| format!("{v:.3}"))
+                .collect();
+            write!(out, " [{}]", p.join(", "))?;
+        }
+        writeln!(out)?;
+    }
+    writeln!(out, "avg log likelihood: {:.4}", scores.avg_log_likelihood())?;
+    if let Some(us) = registry.exact_quantile("serve.score_us", 0.5) {
+        writeln!(out, "score latency: {us} us for {} records", records.len())?;
+    }
+    Ok(())
+}
+
+/// `health`: the coordinator's alert verdicts; errors while any fires.
+fn run_health(connect: &str, out: &mut impl Write) -> Result<(), CliError> {
+    let alerts = scrape_health(connect)
+        .map_err(|e| CliError::Usage(format!("health: {connect}: {e}")))?;
+    if alerts.is_empty() {
+        writeln!(out, "no alert rules configured (start the coordinator with --alerts)")?;
+        return Ok(());
+    }
+    let firing = alerts.iter().filter(|a| a.firing).count();
+    for a in &alerts {
+        writeln!(
+            out,
+            "{} {:<18} {} = {} (threshold {})",
+            if a.firing { "FIRING" } else { "ok    " },
+            a.name,
+            a.metric,
+            a.value,
+            a.threshold
+        )?;
+    }
+    writeln!(out, "{firing}/{} alerts firing", alerts.len())?;
+    if firing > 0 {
+        return Err(CliError::AlertsFiring(firing));
+    }
+    Ok(())
+}
+
+/// `status`: the fleet registry in Prometheus text exposition.
+fn run_status(connect: &str, watch: u64, out: &mut impl Write) -> Result<(), CliError> {
+    loop {
+        let text = scrape_status(connect)
+            .map_err(|e| CliError::Usage(format!("status: {connect}: {e}")))?;
+        out.write_all(text.as_bytes())?;
+        out.flush()?;
+        if watch == 0 {
+            break;
+        }
+        writeln!(out)?;
+        std::thread::sleep(std::time::Duration::from_secs(watch));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1874,11 +2011,11 @@ mod tests {
             other => panic!("{other:?}"),
         }
         match parse_args(&args("metrics --threads 0")).unwrap() {
-            Command::Metrics { threads, .. } => assert_eq!(threads, 0),
+            Command::Metrics { workload, .. } => assert_eq!(workload.threads, 0),
             other => panic!("{other:?}"),
         }
         match parse_args(&args("trace")).unwrap() {
-            Command::Trace { threads, .. } => assert_eq!(threads, 1),
+            Command::Trace { workload, .. } => assert_eq!(workload.threads, 1),
             other => panic!("{other:?}"),
         }
         assert!(parse_args(&args("stream in.csv --threads nope")).is_err());
@@ -1898,7 +2035,7 @@ mod tests {
     #[test]
     fn parses_telemetry_flags() {
         match parse_args(&args("coordinator --trace-out fleet.json")).unwrap() {
-            Command::Coordinator { trace_out, .. } => {
+            Command::Coordinator(CoordinatorOpts { trace_out, .. }) => {
                 assert_eq!(trace_out.as_deref(), Some("fleet.json"));
             }
             other => panic!("{other:?}"),
@@ -1919,7 +2056,7 @@ mod tests {
         assert_eq!(c, Command::Health { connect: "127.0.0.1:9000".into() });
         assert!(parse_args(&args("health")).is_err(), "--connect is required");
         match parse_args(&args("coordinator --alerts --linger-ms 1500 --quality")).unwrap() {
-            Command::Coordinator { alerts, linger_ms, quality, .. } => {
+            Command::Coordinator(CoordinatorOpts { alerts, linger_ms, quality, .. }) => {
                 assert!(alerts);
                 assert_eq!(linger_ms, 1500);
                 assert!(quality);
@@ -1927,7 +2064,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         match parse_args(&args("coordinator")).unwrap() {
-            Command::Coordinator { alerts, linger_ms, quality, .. } => {
+            Command::Coordinator(CoordinatorOpts { alerts, linger_ms, quality, .. }) => {
                 assert!(!alerts && !quality, "the quality plane is opt-in");
                 assert_eq!(linger_ms, 0);
             }
@@ -1948,7 +2085,7 @@ mod tests {
         let c = parse_args(&args("aggregator --connect 127.0.0.1:9000")).unwrap();
         assert_eq!(
             c,
-            Command::Aggregator {
+            Command::Aggregator(AggregatorOpts {
                 connect: "127.0.0.1:9000".into(),
                 listen: "127.0.0.1:0".into(),
                 site: 0,
@@ -1961,7 +2098,7 @@ mod tests {
                 deadline_s: 0,
                 port_file: None,
                 journal: None,
-            }
+            })
         );
         match parse_args(&args(
             "aggregator --connect h:1 --listen h:2 --site 8 --child-base 4 --children 4 \
@@ -1969,9 +2106,9 @@ mod tests {
         ))
         .unwrap()
         {
-            Command::Aggregator {
+            Command::Aggregator(AggregatorOpts {
                 site, child_base, children, epsilon, flush_ms, port_file, journal, ..
-            } => {
+            }) => {
                 assert_eq!((site, child_base, children), (8, 4, 4));
                 assert_eq!(epsilon, 0.05);
                 assert_eq!(flush_ms, 20);
@@ -1981,6 +2118,105 @@ mod tests {
             other => panic!("{other:?}"),
         }
         assert!(parse_args(&args("aggregator")).is_err(), "--connect is required");
+    }
+
+    #[test]
+    fn usage_and_flag_tables_agree() {
+        // Every `  cludistream <cmd> ...` stanza of USAGE lists exactly the
+        // flags of that subcommand's table, with the same arity:
+        // `[--flag]` is boolean, `--flag VALUE` takes a value, and
+        // `<csv|->` is the positional spelling of `--input`.
+        let synopsis = USAGE.split("USAGE:\n").nth(1).unwrap().split("\n\n").next().unwrap();
+        let mut stanzas: Vec<Vec<&str>> = Vec::new();
+        for line in synopsis.lines() {
+            match line.strip_prefix("  cludistream ") {
+                Some(rest) => stanzas.push(rest.split_whitespace().collect()),
+                None => stanzas.last_mut().unwrap().extend(line.split_whitespace()),
+            }
+        }
+        assert_eq!(stanzas.len(), 13);
+        for stanza in stanzas {
+            let cmd = stanza[0];
+            let Some(table) = flag_table(cmd) else {
+                assert_eq!(stanza, ["help"], "{cmd} has flags but no table");
+                continue;
+            };
+            let (mut values, mut booleans) = (Vec::new(), Vec::new());
+            for token in &stanza[1..] {
+                let name = token.trim_matches(|c| "[]()".contains(c));
+                if name == "<csv|->" {
+                    assert!(table.positional, "{cmd}");
+                    values.push("--input");
+                } else if name.starts_with("--") {
+                    if token.ends_with(']') { &mut booleans } else { &mut values }.push(name);
+                }
+            }
+            assert_eq!(table.positional, values.contains(&"--input"), "{cmd}");
+            let sorted = |mut v: Vec<&'static str>| {
+                v.sort_unstable();
+                v
+            };
+            assert_eq!(sorted(values), sorted(table.values.to_vec()), "{cmd} value flags");
+            assert_eq!(sorted(booleans), sorted(table.booleans.to_vec()), "{cmd} boolean flags");
+        }
+    }
+
+    fn usage_error(line: &str) -> String {
+        match parse_args(&args(line)) {
+            Err(CliError::Usage(message)) => message,
+            other => panic!("{line:?} parsed to {other:?}"),
+        }
+    }
+
+    #[test]
+    fn boolean_flags_do_not_swallow_the_positional() {
+        match parse_args(&args("cluster --memberships d.csv --k 2")).unwrap() {
+            Command::Cluster { data, k, memberships, .. } => {
+                assert_eq!(data.input, "d.csv");
+                assert_eq!(k, 2);
+                assert!(memberships);
+            }
+            other => panic!("{other:?}"),
+        }
+        assert!(usage_error("cluster a.csv b.csv").contains("\"b.csv\""));
+        assert!(usage_error("metrics extra").contains("\"extra\""));
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors() {
+        assert!(usage_error("metrics --site 3").contains("\"--site\""));
+        assert!(usage_error("cluster d.csv --bogus-flag 7").contains("\"--bogus-flag\""));
+        assert!(usage_error("site --connect h:1 --sites 2").contains("\"--sites\""));
+    }
+
+    #[test]
+    fn value_flags_require_a_value() {
+        assert!(usage_error("metrics --journal").contains("--journal expects a value"));
+        assert!(usage_error("metrics --journal --reliable").contains("--journal expects a value"));
+        assert!(usage_error("stream in.csv --k").contains("--k expects a value"));
+    }
+
+    #[test]
+    fn workload_flags_parse_alike_everywhere() {
+        let flags = "--sites 3 --chunks 4 --seed 11 --epsilon 0.2 --threads 2";
+        let expect = MetricsWorkload { sites: 3, chunks: 4, seed: 11, epsilon: 0.2, threads: 2 };
+        for cmd in ["metrics", "faults", "trace"] {
+            match parse_args(&args(&format!("{cmd} {flags}"))).unwrap() {
+                Command::Metrics { workload, .. }
+                | Command::Faults { workload, .. }
+                | Command::Trace { workload, .. } => assert_eq!(workload, expect, "{cmd}"),
+                other => panic!("{other:?}"),
+            }
+        }
+        // `site` takes the same flags minus `--sites`: it runs one site.
+        match parse_args(&args(&format!("site --connect h:1 {}", &flags["--sites 3 ".len()..])))
+            .unwrap()
+        {
+            Command::Site { workload, .. } => {
+                assert_eq!(workload, MetricsWorkload { sites: 1, ..expect })
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -8,19 +8,15 @@
 //! `tests/fixtures/faults_journal.jsonl`. `scripts/verify.sh` performs
 //! the same diff against the release binary.
 
-use cludistream_cli::{parse_args, run, Command};
+use cludistream_cli::{parse_args, run, Command, MetricsWorkload};
 
 /// The workload `scripts/verify.sh` smoke-tests: all defaults.
 fn default_faults(journal: &std::path::Path) -> Command {
     Command::Faults {
-        sites: 2,
-        chunks: 2,
-        seed: 7,
-        epsilon: 0.15,
+        workload: MetricsWorkload { sites: 2, chunks: 2, seed: 7, epsilon: 0.15, threads: 1 },
         drop: 0.1,
         duplicate: 0.05,
         reorder: 0.25,
-        threads: 1,
         journal: Some(journal.to_string_lossy().into_owned()),
     }
 }
@@ -70,7 +66,11 @@ fn faults_args_parse() {
             .collect();
     match parse_args(&args).expect("valid args") {
         Command::Faults {
-            sites, chunks, seed, epsilon, drop, duplicate, reorder, journal, ..
+            workload: MetricsWorkload { sites, chunks, seed, epsilon, .. },
+            drop,
+            duplicate,
+            reorder,
+            journal,
         } => {
             assert_eq!(sites, 3);
             assert_eq!(chunks, 2);

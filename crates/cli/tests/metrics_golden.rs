@@ -6,16 +6,12 @@
 //! `tests/fixtures/metrics_journal.jsonl`. `scripts/verify.sh` performs
 //! the same diff against the release binary.
 
-use cludistream_cli::{parse_args, run, Command};
+use cludistream_cli::{parse_args, run, Command, MetricsWorkload};
 
 /// The workload `scripts/verify.sh` smoke-tests: all defaults.
 fn default_metrics(journal: &std::path::Path) -> Command {
     Command::Metrics {
-        sites: 2,
-        chunks: 2,
-        seed: 7,
-        epsilon: 0.15,
-        threads: 1,
+        workload: MetricsWorkload { sites: 2, chunks: 2, seed: 7, epsilon: 0.15, threads: 1 },
         journal: Some(journal.to_string_lossy().into_owned()),
         reliable: false,
     }
@@ -78,7 +74,9 @@ fn metrics_args_parse() {
         .map(|s| s.to_string())
         .collect();
     match parse_args(&args).expect("valid args") {
-        Command::Metrics { sites, chunks, seed, epsilon, journal, .. } => {
+        Command::Metrics {
+            workload: MetricsWorkload { sites, chunks, seed, epsilon, .. }, journal, ..
+        } => {
             assert_eq!(sites, 3);
             assert_eq!(chunks, 1);
             assert_eq!(seed, 7);
@@ -94,11 +92,7 @@ fn metrics_without_journal_prints_table_only() {
     let mut out = Vec::new();
     run(
         Command::Metrics {
-            sites: 2,
-            chunks: 1,
-            seed: 7,
-            epsilon: 0.15,
-            threads: 1,
+            workload: MetricsWorkload { sites: 2, chunks: 1, seed: 7, epsilon: 0.15, threads: 1 },
             journal: None,
             reliable: false,
         },

@@ -9,7 +9,7 @@
 //! re-clusterings, synopsis byte counts — as `metrics --reliable`. Only
 //! timestamps may differ (simulated vs. wall clock).
 
-use cludistream_cli::{run, Command};
+use cludistream_cli::{run, Command, MetricsWorkload};
 use std::io::Read;
 use std::process::{Child, Command as Proc, Stdio};
 use std::time::{Duration, Instant};
@@ -114,11 +114,13 @@ fn three_site_loopback_round_matches_the_simulator() {
     let mut sim_out = Vec::new();
     run(
         Command::Metrics {
-            sites: SITES,
-            chunks: 2,
-            seed: 7,
-            epsilon: 0.15,
-            threads: 1,
+            workload: MetricsWorkload {
+                sites: SITES,
+                chunks: 2,
+                seed: 7,
+                epsilon: 0.15,
+                threads: 1,
+            },
             journal: Some(sim_journal.to_string_lossy().into_owned()),
             reliable: true,
         },

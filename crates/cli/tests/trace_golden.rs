@@ -7,16 +7,12 @@
 //! `tests/fixtures/trace_faults.json`. `scripts/verify.sh` performs the
 //! same diff against the release binary.
 
-use cludistream_cli::{parse_args, run, Command};
+use cludistream_cli::{parse_args, run, Command, MetricsWorkload};
 
 fn default_trace(faults: bool, out: Option<&std::path::Path>) -> Command {
     Command::Trace {
-        sites: 2,
-        chunks: 2,
-        seed: 7,
-        epsilon: 0.15,
+        workload: MetricsWorkload { sites: 2, chunks: 2, seed: 7, epsilon: 0.15, threads: 1 },
         faults,
-        threads: 1,
         out: out.map(|p| p.to_string_lossy().into_owned()),
     }
 }
@@ -86,7 +82,9 @@ fn trace_args_parse() {
         .map(|s| s.to_string())
         .collect();
     match parse_args(&args).expect("valid args") {
-        Command::Trace { sites, chunks, seed, epsilon, faults, out, .. } => {
+        Command::Trace {
+            workload: MetricsWorkload { sites, chunks, seed, epsilon, .. }, faults, out
+        } => {
             assert_eq!(sites, 3);
             assert_eq!(chunks, 2);
             assert_eq!(seed, 7);

@@ -98,7 +98,6 @@ impl Default for AggregatorConfig {
 pub struct AggregatorEngine {
     engine: CoordinatorEngine,
     index: u32,
-    child_base: u32,
     epsilon: f64,
     /// The summary last forwarded upward (flush suppression state).
     last_upload: Option<Mixture>,
@@ -131,7 +130,6 @@ impl AggregatorEngine {
         Ok(AggregatorEngine {
             engine,
             index: config.index,
-            child_base: config.child_base,
             epsilon: config.epsilon,
             last_upload: None,
             applied_at_last_flush: 0,
@@ -144,16 +142,6 @@ impl AggregatorEngine {
     /// This node's site index at its parent.
     pub fn index(&self) -> u32 {
         self.index
-    }
-
-    /// First child site index served (global numbering).
-    pub fn child_base(&self) -> u32 {
-        self.child_base
-    }
-
-    /// Number of child slots.
-    pub fn children(&self) -> usize {
-        self.engine.inboxes.len()
     }
 
     /// Processes one raw child frame exactly as a root coordinator would:

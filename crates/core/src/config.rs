@@ -1,4 +1,4 @@
-use cludistream_gmm::{ChunkParams, CovarianceType, GmmError, InitMethod};
+use cludistream_gmm::{ChunkParams, CovarianceType, GmmError};
 use cludistream_obs::QualityConfig;
 
 /// Configuration of a CluDistream remote site (and, transitively, of the
@@ -22,23 +22,9 @@ pub struct Config {
     pub em_max_iters: usize,
     /// Covariance structure of the component Gaussians.
     pub covariance: CovarianceType,
-    /// EM initialization method.
-    pub em_init: InitMethod,
     /// Seed for EM initialization (each chunk clustering perturbs it
     /// deterministically).
     pub seed: u64,
-    /// When set to `(k_min, k_max)`, each chunk clustering selects its
-    /// component count by BIC over that range instead of using the fixed
-    /// `k` — the paper's "we do not assume the constant number of
-    /// component models" taken to its logical end. `k` still sizes the
-    /// chunk clamp and the fit test's parameter count.
-    pub auto_k: Option<(usize, usize)>,
-    /// Warm-start each chunk clustering from the current model instead of
-    /// re-initializing with k-means++. Faster on mild drift; inherits the
-    /// previous local optimum on hard regime changes (see the
-    /// `warm_vs_cold` ablation). Ignored for the first chunk and when
-    /// `auto_k` is set.
-    pub warm_start: bool,
     /// Bound on the model list (Theorem 3's B term). The paper lets the
     /// list grow with every distribution ever seen; with a bound, creating
     /// a model beyond it evicts the least-recently-active non-current
@@ -80,10 +66,7 @@ impl Default for Config {
             em_tol: 1e-4,
             em_max_iters: 100,
             covariance: CovarianceType::Full,
-            em_init: InitMethod::KMeansPlusPlus,
             seed: 0,
-            auto_k: None,
-            warm_start: false,
             max_models: None,
             em_threads: 1,
             event_retention_chunks: None,
@@ -119,14 +102,6 @@ impl Config {
                 constraint: "at least 2 (current + one history slot) or None",
             });
         }
-        if let Some((lo, hi)) = self.auto_k {
-            if lo == 0 || hi < lo {
-                return Err(GmmError::InvalidParameter {
-                    name: "auto_k",
-                    constraint: "1 <= k_min <= k_max",
-                });
-            }
-        }
         if let Some(quality) = &self.quality {
             if let Err((name, constraint)) = quality.validate() {
                 return Err(GmmError::InvalidParameter { name, constraint });
@@ -149,7 +124,6 @@ impl Config {
             max_iters: self.em_max_iters,
             tol: self.em_tol,
             covariance: self.covariance,
-            init: self.em_init,
             seed: self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(chunk_seed),
             min_weight: 1e-6,
             threads: self.em_threads,
@@ -217,13 +191,6 @@ mod tests {
             bad.validate(),
             Err(GmmError::InvalidParameter { name: "quality.ph_lambda", .. })
         ));
-    }
-
-    #[test]
-    fn auto_k_validation() {
-        assert!(Config { auto_k: Some((1, 5)), ..Default::default() }.validate().is_ok());
-        assert!(Config { auto_k: Some((0, 5)), ..Default::default() }.validate().is_err());
-        assert!(Config { auto_k: Some((3, 2)), ..Default::default() }.validate().is_err());
     }
 
     #[test]

@@ -222,14 +222,6 @@ impl Group {
         removed
     }
 
-    /// Removes members matching the predicate, returning them; refreshes
-    /// the aggregate when any member remains.
-    pub fn drain_matching(&mut self, mut pred: impl FnMut(&Member) -> bool) -> Vec<Member> {
-        let seqs: Vec<u64> =
-            self.members.iter().filter(|(_, m)| pred(m)).map(|(&seq, _)| seq).collect();
-        self.remove(seqs)
-    }
-
     /// Multiplies the weight of the members with these sequence numbers by
     /// `scale` and refreshes the aggregate.
     pub(crate) fn rescale(&mut self, seqs: impl IntoIterator<Item = u64>, scale: f64) {
@@ -360,15 +352,15 @@ mod tests {
     }
 
     #[test]
-    fn drain_matching_removes_and_recomputes() {
+    fn remove_drops_members_and_recomputes() {
         let mut g = Group::new(0, member(0, 0.0, 100.0));
-        g.push(member(1, 10.0, 100.0));
-        let removed = g.drain_matching(|m| m.key.site == 0);
+        let second = g.push(member(1, 10.0, 100.0));
+        let removed = g.remove([0]);
         assert_eq!(removed.len(), 1);
         assert_eq!(g.len(), 1);
         assert!((g.aggregate().mean()[0] - 10.0).abs() < 1e-9);
-        // Draining everything leaves an empty group.
-        let _ = g.drain_matching(|_| true);
+        // Removing everything leaves an empty group.
+        let _ = g.remove([second]);
         assert!(g.is_empty());
     }
 

@@ -4,13 +4,11 @@
 //! refinement of merged components.
 
 mod group;
-mod index;
 mod merge;
 mod query;
 mod split;
 
 pub use group::{ComponentKey, Group, Member};
-pub use index::GroupIndex;
 pub use query::DenseRegion;
 
 pub use merge::{
@@ -44,13 +42,6 @@ pub struct CoordinatorConfig {
     pub refiner: MergeRefiner,
     /// Covariance representation for synopsis size accounting.
     pub covariance: CovarianceType,
-    /// Accelerate nearest-group lookups with a kd-tree over aggregate
-    /// means (the paper's future-work index structure). The Euclidean
-    /// pre-filter inspects `index_candidates` groups and evaluates the
-    /// exact precision-weighted criterion only on those.
-    pub use_index: bool,
-    /// Candidates retrieved from the index per lookup.
-    pub index_candidates: usize,
     /// Emit model-quality gauges (`quality.weight_entropy`,
     /// `quality.weight_min`/`weight_max` over the global mixture, and the
     /// `quality.churn_ewma` merge/split rate) after every applied
@@ -68,12 +59,6 @@ pub struct CoordinatorConfig {
     /// `coord.merges_compacted` counter. Aggregator tiers set this so the
     /// root stays O(models).
     pub merge_log_cap: Option<usize>,
-    /// Record a wall-clock `coord.apply_us` histogram per applied message.
-    /// Off by default: simulated transports must stay cost-identical and
-    /// wall-clock has no place in their journals (histograms are never
-    /// journaled, but the flag keeps the apply path free of clock reads
-    /// too). The swarm benchmark enables it to attribute root CPU.
-    pub time_applies: bool,
 }
 
 impl Default for CoordinatorConfig {
@@ -84,11 +69,8 @@ impl Default for CoordinatorConfig {
             refine_merges: false,
             refiner: MergeRefiner::default(),
             covariance: CovarianceType::Full,
-            use_index: false,
-            index_candidates: 4,
             quality: false,
             merge_log_cap: None,
-            time_applies: false,
         }
     }
 }
@@ -157,11 +139,6 @@ pub struct Coordinator {
     registry: HashMap<(u32, ModelId), ModelInfo>,
     /// Messages applied (for reporting).
     messages_applied: u64,
-    /// Cached kd-tree over group aggregate means (when `use_index`).
-    /// Invalidated whenever the group set changes; tolerated slightly
-    /// stale while only member weights move (the pre-filter is
-    /// approximate by design — the exact criterion re-ranks candidates).
-    index_cache: Option<GroupIndex>,
     /// Merge history (the hierarchy record), oldest first. Append-only
     /// unless [`CoordinatorConfig::merge_log_cap`] trims the front.
     merge_log: Vec<MergeRecord>,
@@ -203,7 +180,6 @@ impl Coordinator {
             next_group_id: 0,
             registry: HashMap::new(),
             messages_applied: 0,
-            index_cache: None,
             merge_log: Vec::new(),
             merges_compacted: 0,
             merge_scratch: MergeScratch::default(),
@@ -320,7 +296,6 @@ impl Coordinator {
 
     /// Applies one protocol message.
     pub fn apply(&mut self, message: &Message) -> Result<(), GmmError> {
-        let timer = self.config.time_applies.then(std::time::Instant::now);
         self.messages_applied += 1;
         self.obs.counter("coord.messages", 1);
         let churn_before = self.churn_events;
@@ -390,9 +365,6 @@ impl Coordinator {
         }
         self.obs.gauge("coord.groups", self.groups.len() as f64);
         self.obs.gauge("coord.event_table_entries", self.event_table_entries() as f64);
-        if let Some(t0) = timer {
-            self.obs.observe("coord.apply_us", t0.elapsed().as_micros() as u64);
-        }
         if self.config.quality {
             // Churn per applied message, smoothed: a sustained rise means
             // the hierarchy keeps reshuffling (streams drifting apart or
@@ -413,20 +385,6 @@ impl Coordinator {
         result.and_then(|()| self.groups.iter().try_for_each(Group::check))
     }
 
-    /// The "simple procedure" of Sec. 5.2: the flat mixture of all known
-    /// components (r·K components). Exposed for the scalability comparison.
-    pub fn flat_mixture(&self) -> Result<Mixture, GmmError> {
-        let mut comps = Vec::new();
-        let mut weights = Vec::new();
-        for g in &self.groups {
-            for m in g.members() {
-                comps.push(m.gaussian.clone());
-                weights.push(m.weight.max(1e-12));
-            }
-        }
-        Mixture::new(comps, weights)
-    }
-
     /// The global mixture: one component per group (refined representative
     /// when available), weighted by group record mass.
     pub fn global_mixture(&self) -> Result<Mixture, GmmError> {
@@ -443,7 +401,6 @@ impl Coordinator {
             let _ = self.groups[slot].remove(seqs);
         }
         self.groups.retain(|g| !g.is_empty());
-        self.index_cache = None;
     }
 
     /// Records in the model→member index that component `key` now lives
@@ -462,34 +419,12 @@ impl Coordinator {
     /// Returns where the component landed.
     fn insert_component(&mut self, key: ComponentKey, gaussian: Gaussian, weight: f64) -> Home {
         let d = gaussian.dim() as f64;
-        let best = if self.config.use_index && self.groups.len() > self.config.index_candidates {
-            // Index-accelerated: Euclidean pre-filter over aggregate means,
-            // exact criterion on the shortlisted candidates only. The tree
-            // is cached across insertions and rebuilt only when the group
-            // set changed.
-            if self.index_cache.as_ref().is_some_and(|idx| idx.len() != self.groups.len()) {
-                self.index_cache = None;
-            }
-            let idx = self.index_cache.get_or_insert_with(|| {
-                GroupIndex::build(
-                    self.groups
-                        .iter()
-                        .enumerate()
-                        .map(|(i, g)| (i, g.aggregate().mean().clone())),
-                )
-            });
-            idx.nearest(gaussian.mean(), self.config.index_candidates)
-                .into_iter()
-                .filter(|&i| i < self.groups.len())
-                .map(|i| (i, m_split(&gaussian, self.groups[i].aggregate())))
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-        } else {
-            self.groups
-                .iter()
-                .enumerate()
-                .map(|(i, g)| (i, m_split(&gaussian, g.aggregate())))
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-        };
+        let best = self
+            .groups
+            .iter()
+            .enumerate()
+            .map(|(i, g)| (i, m_split(&gaussian, g.aggregate())))
+            .min_by(|a, b| a.1.total_cmp(&b.1));
         let member = Member::new(key, gaussian, weight);
         match best {
             Some((idx, dist)) if dist <= self.config.join_distance * d => {
@@ -541,7 +476,6 @@ impl Coordinator {
             }
         }
         self.groups.retain(|g| !g.is_empty());
-        self.index_cache = None;
         for m in split_off {
             let key = m.key;
             let home = self.insert_component(key, m.gaussian, m.weight);
@@ -567,7 +501,6 @@ impl Coordinator {
                 }
             }
             let Some((i, j, m)) = best else { break };
-            self.index_cache = None;
             let absorbed = self.groups.remove(j);
             self.merge_log.push(MergeRecord {
                 at_message: self.messages_applied,
@@ -767,17 +700,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_mixture_preserves_all_components() {
-        let mut c = Coordinator::new(CoordinatorConfig::default()).unwrap();
-        c.apply(&new_model(0, 0, &[0.0, 20.0], 100)).unwrap();
-        c.apply(&new_model(1, 0, &[0.5, 19.5], 100)).unwrap();
-        let flat = c.flat_mixture().unwrap();
-        assert_eq!(flat.k(), 4);
-        let global = c.global_mixture().unwrap();
-        assert!(global.k() < flat.k());
-    }
-
-    #[test]
     fn refinement_produces_valid_global_mixture() {
         let mut c = Coordinator::new(CoordinatorConfig {
             max_groups: 1,
@@ -816,42 +738,6 @@ mod tests {
             assert!(!g.is_empty());
         }
         assert_eq!(c.component_count(), 3);
-    }
-
-    #[test]
-    fn index_accelerated_insertion_matches_linear_scan() {
-        let run = |use_index: bool| {
-            let mut c = Coordinator::new(CoordinatorConfig {
-                max_groups: 32,
-                use_index,
-                index_candidates: 4,
-                ..Default::default()
-            }).unwrap();
-            // 12 well-separated site models plus near-duplicates from a
-            // second site: grouping decisions are unambiguous, so the
-            // approximate pre-filter must agree with the exact scan.
-            for m in 0..12u64 {
-                c.apply(&new_model(0, m, &[m as f64 * 40.0], 100)).unwrap();
-            }
-            for m in 0..12u64 {
-                c.apply(&new_model(1, m, &[m as f64 * 40.0 + 0.5], 100)).unwrap();
-            }
-            let mut means: Vec<f64> = c
-                .global_mixture()
-                .unwrap()
-                .components()
-                .iter()
-                .map(|g| g.mean()[0])
-                .collect();
-            means.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            (c.group_count(), means)
-        };
-        let (g_lin, m_lin) = run(false);
-        let (g_idx, m_idx) = run(true);
-        assert_eq!(g_lin, g_idx);
-        for (a, b) in m_lin.iter().zip(&m_idx) {
-            assert!((a - b).abs() < 1e-9, "means diverge: {a} vs {b}");
-        }
     }
 
     #[test]
@@ -1025,27 +911,6 @@ mod tests {
             registry.gauge_value("coord.event_table_entries"),
             Some(c.event_table_entries() as f64)
         );
-    }
-
-    #[test]
-    fn apply_timing_flag_gates_histogram() {
-        use cludistream_obs::Registry;
-        use std::sync::Arc;
-
-        let run = |time_applies: bool| {
-            let registry = Arc::new(Registry::new());
-            let mut c = Coordinator::new(CoordinatorConfig {
-                time_applies,
-                ..Default::default()
-            })
-            .unwrap();
-            c.set_observer(Obs::from_registry(Arc::clone(&registry)));
-            c.apply(&new_model(0, 0, &[0.0], 100)).unwrap();
-            registry
-        };
-        assert!(run(false).histogram_snapshot("coord.apply_us").is_none());
-        let snap = run(true).histogram_snapshot("coord.apply_us").expect("histogram recorded");
-        assert_eq!(snap.count, 1);
     }
 
     #[test]

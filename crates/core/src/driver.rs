@@ -6,8 +6,7 @@
 //! The entry point is the [`Simulation`] builder. By default runs execute
 //! on the deterministic discrete-event transport
 //! ([`crate::SimnetTransport`]); transport-specific knobs — fault plans,
-//! link timing, socket heartbeats — live on the transport value, not
-//! here:
+//! socket heartbeats — live on the transport value, not here:
 //!
 //! ```no_run
 //! use cludistream::{Simulation, SimnetTransport, WindowSpec};
@@ -57,8 +56,8 @@ use std::sync::Arc;
 /// can move each site's stream into its own thread.
 pub type RecordStream = Box<dyn Iterator<Item = Vector> + Send>;
 
-/// Driver parameters (transport-agnostic; link timing and fault plans
-/// moved to [`SimnetTransport`]).
+/// Driver parameters (transport-agnostic; fault plans live on
+/// [`SimnetTransport`]).
 #[derive(Debug, Clone)]
 pub struct DriverConfig {
     /// Remote-site configuration.
@@ -489,18 +488,6 @@ impl Simulation {
         self
     }
 
-    /// Sets the remote-site configuration.
-    pub fn with_config(mut self, site: Config) -> Simulation {
-        self.config.site = site;
-        self
-    }
-
-    /// Sets the coordinator configuration.
-    pub fn with_coordinator(mut self, coordinator: CoordinatorConfig) -> Simulation {
-        self.config.coordinator = coordinator;
-        self
-    }
-
     /// Sets the window semantics every site runs under.
     pub fn with_window(mut self, window: WindowSpec) -> Simulation {
         self.window = window;
@@ -508,8 +495,8 @@ impl Simulation {
     }
 
     /// Selects the transport (default: a fault-free [`SimnetTransport`]).
-    /// Transport-specific knobs — fault plans, link timing, socket
-    /// addresses and heartbeats — are configured on the transport value.
+    /// Transport-specific knobs — fault plans, socket addresses and
+    /// heartbeats — are configured on the transport value.
     pub fn with_transport(mut self, transport: Box<dyn Transport>) -> Simulation {
         self.transport = Some(transport);
         self
@@ -520,25 +507,6 @@ impl Simulation {
     /// TCP is reliable-only).
     pub fn with_reliability(mut self, delivery: DeliveryConfig) -> Simulation {
         self.delivery = Some(delivery);
-        self
-    }
-
-    /// Attaches a telemetry observer.
-    pub fn with_recorder(mut self, obs: Obs) -> Simulation {
-        self.config.obs = obs;
-        self
-    }
-
-    /// Sets the per-site record arrival rate (records per simulated
-    /// second).
-    pub fn with_rate(mut self, records_per_second: u64) -> Simulation {
-        self.config.records_per_second = records_per_second;
-        self
-    }
-
-    /// Sets how many records each site pulls per timer tick.
-    pub fn with_batch(mut self, batch: usize) -> Simulation {
-        self.config.batch = batch;
         self
     }
 
@@ -659,7 +627,6 @@ pub(crate) fn build_site_core(
 /// `j` is site `j` to its parent.
 pub(crate) fn run_simnet(
     recipe: RunRecipe,
-    link: LinkModel,
     faults: Option<FaultPlan>,
 ) -> Result<StarReport, CludiError> {
     let RunRecipe { sites, window, config, delivery, streams, updates_per_site, snapshots, tree } =
@@ -701,7 +668,7 @@ pub(crate) fn run_simnet(
     }
 
     let mut sim: NetSimulation<ByteBuf> =
-        NetSimulation::new(Topology::Tree { parent: parent.clone() }, link);
+        NetSimulation::new(Topology::Tree { parent: parent.clone() }, LinkModel::default());
     if let Some(plan) = faults {
         sim.set_fault_plan(plan);
     }
@@ -938,14 +905,14 @@ mod tests {
         assert!(matches!(
             Simulation::star(1)
                 .with_streams(vec![stable_stream(0.0, 1)])
-                .with_rate(0)
+                .with_driver_config(DriverConfig { records_per_second: 0, ..Default::default() })
                 .run(),
             Err(CludiError::InvalidConfig { name: "records_per_second", .. })
         ));
         assert!(matches!(
             Simulation::star(1)
                 .with_streams(vec![stable_stream(0.0, 1)])
-                .with_batch(0)
+                .with_driver_config(DriverConfig { batch: 0, ..Default::default() })
                 .run(),
             Err(CludiError::InvalidConfig { name: "batch", .. })
         ));

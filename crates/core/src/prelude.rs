@@ -40,7 +40,7 @@ pub use crate::runtime::{
 pub use crate::serving::{
     score_snapshot, ModelSnapshot, SnapshotGroup, SnapshotHandle, SnapshotMember,
 };
-pub use crate::transport::{RunRecipe, SimnetTransport, Transport, TransportSemantics};
+pub use crate::transport::{RunRecipe, SimnetTransport, Transport};
 pub use crate::windows::WindowSpec;
 pub use cludistream_gmm::{
     score, score_record, Batch, CovarianceType, Gaussian, Mixture, Scores,

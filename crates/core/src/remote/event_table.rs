@@ -51,11 +51,6 @@ impl EventTable {
         self.open.map(|(_, m)| m)
     }
 
-    /// Closed entries, oldest first.
-    pub fn closed_entries(&self) -> &[EventEntry] {
-        &self.closed
-    }
-
     /// All entries including the open one, materialized up to `now_chunk`
     /// (the open span is reported as ending at `now_chunk`).
     pub fn entries_at(&self, now_chunk: u64) -> Vec<EventEntry> {
@@ -123,12 +118,12 @@ mod tests {
         let mut t = EventTable::new();
         t.switch_to(ModelId(0), 0);
         assert_eq!(t.current(), Some(ModelId(0)));
-        assert!(t.closed_entries().is_empty());
+        assert!(t.closed.is_empty());
         t.switch_to(ModelId(1), 5);
         assert_eq!(t.current(), Some(ModelId(1)));
         assert_eq!(
-            t.closed_entries(),
-            &[EventEntry { start_chunk: 0, end_chunk: 4, model: ModelId(0) }]
+            t.closed,
+            [EventEntry { start_chunk: 0, end_chunk: 4, model: ModelId(0) }]
         );
         assert_eq!(t.switches(), 1);
     }

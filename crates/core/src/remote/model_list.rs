@@ -110,11 +110,6 @@ impl ModelList {
         self.entries.iter().rev().filter(move |e| e.id != skip)
     }
 
-    /// Total records across all models.
-    pub fn total_count(&self) -> u64 {
-        self.entries.iter().map(|e| e.count).sum()
-    }
-
     /// Next id to be assigned (for snapshot/restore).
     pub(crate) fn next_id(&self) -> u64 {
         self.next_id
@@ -180,7 +175,6 @@ mod tests {
         let a = l.insert(mixture(0.0), -1.0, 0.5, 100, 0);
         l.get_mut(a).unwrap().count += 50;
         assert_eq!(l.get(a).unwrap().count, 150);
-        assert_eq!(l.total_count(), 150);
     }
 
     #[test]

@@ -2,8 +2,8 @@ use crate::config::Config;
 use crate::remote::event_table::EventTable;
 use crate::remote::model_list::{ModelId, ModelList};
 use cludistream_gmm::{
-    avg_log_likelihood, fit_em_bic, fit_em_recorded, fit_em_warm_recorded, fit_tolerance,
-    free_parameters, j_fit, log_likelihood_std, GmmError, Mixture,
+    avg_log_likelihood, fit_em_recorded, fit_tolerance, free_parameters, j_fit,
+    log_likelihood_std, GmmError, Mixture,
 };
 use cludistream_linalg::Vector;
 use cludistream_obs::{
@@ -509,19 +509,7 @@ impl RemoteSite {
         root: Option<(TraceId, SpanId)>,
     ) -> Result<ModelId, GmmError> {
         self.obs.event(&Event::Reclustered { site: self.obs_site, chunk: this_chunk });
-        let fit = match self.config.auto_k {
-            None => {
-                let em_config = self.config.em_config(this_chunk);
-                match self.current_mixture().filter(|_| self.config.warm_start) {
-                    Some(current) => fit_em_warm_recorded(chunk, current, &em_config, &self.obs)?,
-                    None => fit_em_recorded(chunk, &em_config, &self.obs)?,
-                }
-            }
-            Some((lo, hi)) => {
-                let (scored, _) = fit_em_bic(chunk, lo..=hi, &self.config.em_config(this_chunk))?;
-                scored.fit
-            }
-        };
+        let fit = fit_em_recorded(chunk, &self.config.em_config(this_chunk), &self.obs)?;
         self.stats.clustered += 1;
         self.stats.em_iterations += fit.iterations as u64;
         self.obs.counter("site.clustered", 1);
@@ -793,63 +781,6 @@ mod tests {
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].span(), 2);
         assert_eq!(entries[1].span(), 2);
-    }
-
-    #[test]
-    fn warm_start_site_learns_like_cold_start() {
-        let cold_cfg = test_config();
-        let mut warm_cfg = test_config();
-        warm_cfg.warm_start = true;
-        let mut cold = RemoteSite::new(cold_cfg.clone()).unwrap();
-        let mut warm = RemoteSite::new(warm_cfg).unwrap();
-        let (a, rng_a) = sampler(0.0, 50);
-        let (b, rng_b) = sampler(60.0, 51);
-        for site in [&mut cold, &mut warm] {
-            let mut ra = rng_a.clone();
-            let mut rb = rng_b.clone();
-            for _ in 0..(2 * site.chunk_size()) {
-                site.push(a.sample(&mut ra)).unwrap();
-            }
-            for _ in 0..(2 * site.chunk_size()) {
-                site.push(b.sample(&mut rb)).unwrap();
-            }
-        }
-        // Both detect the regime change and end with two models.
-        assert_eq!(cold.models().len(), 2);
-        assert_eq!(warm.models().len(), 2);
-        // The warm site's second model must describe the new regime's
-        // blobs (at 60 ± 3).
-        let m = warm.current_mixture().unwrap();
-        assert!(m.log_pdf(&Vector::from_slice(&[57.0])) > -4.0);
-        assert!(m.log_pdf(&Vector::from_slice(&[63.0])) > -4.0);
-    }
-
-    #[test]
-    fn auto_k_picks_component_count_per_chunk() {
-        let mut cfg = test_config();
-        cfg.auto_k = Some((1, 4));
-        // BIC needs a decent sample; ε=0.05 gives M ≈ 314 here.
-        cfg.chunk.epsilon = 0.05;
-        let mut site = RemoteSite::new(cfg).unwrap();
-        // Regime with TWO blobs → BIC should pick K=2.
-        let (two, mut rng_a) = sampler(0.0, 20);
-        feed_chunks(&mut site, &two, &mut rng_a, 1);
-        // Small chunks make BIC slightly noisy; the bimodal regime must
-        // select at least 2 components (it picks 2 or 3 at this M).
-        let k_two = site.current_mixture().unwrap().k();
-        assert!((2..=3).contains(&k_two), "two-blob regime selected K={k_two}");
-        // Regime with ONE blob far away → new model with K=1.
-        let one = Mixture::single(
-            Gaussian::spherical(Vector::from_slice(&[200.0]), 0.5).unwrap(),
-        );
-        let mut rng_b = StdRng::seed_from_u64(21);
-        feed_chunks(&mut site, &one, &mut rng_b, 1);
-        assert_eq!(site.models().len(), 2);
-        assert_eq!(
-            site.current_mixture().unwrap().k(),
-            1,
-            "unimodal regime should select K=1"
-        );
     }
 
     #[test]

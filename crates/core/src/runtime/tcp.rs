@@ -48,7 +48,7 @@ use crate::runtime::control::{Control, HealthAlert};
 use crate::runtime::downlink::{Downlink, Shard};
 use crate::runtime::uplink::{Uplink, Work};
 use crate::serving::{ModelSnapshot, SnapshotHandle};
-use crate::transport::{RunRecipe, Transport, TransportSemantics};
+use crate::transport::{RunRecipe, Transport};
 use crate::windows::WindowSpec;
 use cludistream_gmm::{CovarianceType, Mixture};
 use cludistream_obs::{intern, AlertSet, FleetAggregator, Obs, Recorder};
@@ -612,16 +612,6 @@ impl TcpTransport {
 }
 
 impl Transport for TcpTransport {
-    fn semantics(&self) -> TransportSemantics {
-        TransportSemantics {
-            name: "tcp",
-            deterministic_clock: false,
-            lossy: true,
-            supports_fire_and_forget: false,
-            multi_process: true,
-        }
-    }
-
     fn run(self: Box<Self>, recipe: RunRecipe) -> Result<StarReport, CludiError> {
         if recipe.tree.is_some() {
             return Err(CludiError::Build(

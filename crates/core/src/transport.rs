@@ -9,15 +9,15 @@
 //! [`Transport`] decides how the bytes actually move:
 //!
 //! - [`SimnetTransport`] — the discrete-event simulator. Deterministic,
-//!   simulated clock, optional fault injection ([`FaultPlan`]) and link
-//!   timing ([`LinkModel`]). Golden journal/trace fixtures are recorded
-//!   through this transport and stay byte-identical.
+//!   simulated clock, optional fault injection ([`FaultPlan`]). Golden
+//!   journal/trace fixtures are recorded through this transport and stay
+//!   byte-identical.
 //! - [`crate::runtime::TcpTransport`] — real `std::net` TCP sockets on
 //!   loopback, one OS thread per site, wall clock, reliable delivery
 //!   always on. Same synopsis bytes, same merge/split decisions, same
 //!   `net.*` counters — different clock.
 //!
-//! Transport-specific knobs (fault plans, link timing, heartbeat tuning)
+//! Transport-specific knobs (fault plans, heartbeat tuning)
 //! live on the transport value, not on the builder, so the builder stays
 //! implementation-agnostic:
 //!
@@ -42,7 +42,7 @@ use crate::driver::{DeliveryConfig, DriverConfig, RecordStream, StarReport};
 use crate::error::CludiError;
 use crate::serving::SnapshotHandle;
 use crate::windows::WindowSpec;
-use cludistream_simnet::{FaultPlan, LinkModel};
+use cludistream_simnet::FaultPlan;
 use std::sync::Arc;
 
 /// Shape of an aggregator tier between the sites and the root (paper
@@ -83,18 +83,6 @@ impl TreeTopology {
     /// `upper` mid-tier aggregators feeding the root.
     pub fn three_level(lower: usize, upper: usize) -> TreeTopology {
         TreeTopology { levels: vec![lower, upper], epsilon: 0.0, flush_interval_us: 50_000 }
-    }
-
-    /// Sets the upward significance threshold.
-    pub fn with_epsilon(mut self, epsilon: f64) -> TreeTopology {
-        self.epsilon = epsilon;
-        self
-    }
-
-    /// Sets the dirty-to-flush delay, microseconds.
-    pub fn with_flush_interval_us(mut self, us: u64) -> TreeTopology {
-        self.flush_interval_us = us;
-        self
     }
 
     /// Checks the shape over `sites` sites: every aggregator must get at
@@ -160,46 +148,21 @@ pub struct RunRecipe {
     pub tree: Option<TreeTopology>,
 }
 
-/// What a transport guarantees (and costs), for documentation, test
-/// assertions, and operator diagnostics. See DESIGN.md's "Transport
-/// abstraction" section for the full contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TransportSemantics {
-    /// Short identifier (`"simnet"`, `"tcp"`).
-    pub name: &'static str,
-    /// `true` when timestamps are simulated microseconds (byte-identical
-    /// reruns); `false` when they come from the wall clock.
-    pub deterministic_clock: bool,
-    /// `true` when the transport can drop, duplicate, or reorder frames
-    /// (simnet with a fault plan; TCP across connection drops).
-    pub lossy: bool,
-    /// `true` when fire-and-forget delivery is supported. TCP is
-    /// reliable-only: a reconnect needs sequence state to resync.
-    pub supports_fire_and_forget: bool,
-    /// `true` when sites run as independent threads/processes talking
-    /// over real sockets.
-    pub multi_process: bool,
-}
-
 /// How synopsis frames travel between sites and the coordinator.
 ///
 /// Implementations consume a [`RunRecipe`] and drive the shared site and
 /// coordinator engines to completion, returning the same [`StarReport`]
 /// shape regardless of what moved the bytes.
 pub trait Transport {
-    /// The ordering/delivery/failure contract this transport provides.
-    fn semantics(&self) -> TransportSemantics;
-
     /// Runs the recipe to completion.
     fn run(self: Box<Self>, recipe: RunRecipe) -> Result<StarReport, CludiError>;
 }
 
 /// The deterministic discrete-event transport (the default). Owns the
-/// simnet-specific knobs that used to sit on the `Simulation` builder:
-/// the link timing model and the fault plan.
+/// simnet-specific knob that used to sit on the `Simulation` builder: the
+/// fault plan.
 #[derive(Debug, Default)]
 pub struct SimnetTransport {
-    link: LinkModel,
     faults: Option<FaultPlan>,
 }
 
@@ -207,12 +170,6 @@ impl SimnetTransport {
     /// A fault-free simulator transport with default link timing.
     pub fn new() -> SimnetTransport {
         SimnetTransport::default()
-    }
-
-    /// Sets the link timing model (latency, bandwidth).
-    pub fn with_link(mut self, link: LinkModel) -> SimnetTransport {
-        self.link = link;
-        self
     }
 
     /// Attaches a deterministic fault plan. Unless the recipe overrides
@@ -224,17 +181,7 @@ impl SimnetTransport {
 }
 
 impl Transport for SimnetTransport {
-    fn semantics(&self) -> TransportSemantics {
-        TransportSemantics {
-            name: "simnet",
-            deterministic_clock: true,
-            lossy: self.faults.is_some(),
-            supports_fire_and_forget: true,
-            multi_process: false,
-        }
-    }
-
     fn run(self: Box<Self>, recipe: RunRecipe) -> Result<StarReport, CludiError> {
-        crate::driver::run_simnet(recipe, self.link, self.faults)
+        crate::driver::run_simnet(recipe, self.faults)
     }
 }

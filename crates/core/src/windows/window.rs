@@ -11,8 +11,7 @@
 use crate::config::Config;
 use crate::error::CludiError;
 use crate::remote::{ChunkOutcome, ModelId, RemoteSite, SiteEvent};
-use crate::windows::{landmark_mixture, SlidingWindowSite};
-use cludistream_gmm::Mixture;
+use crate::windows::SlidingWindowSite;
 use cludistream_linalg::Vector;
 use cludistream_obs::{Obs, TraceCtx};
 use cludistream_wire::{ByteBuf, ByteReader};
@@ -47,11 +46,6 @@ pub trait Window: std::fmt::Debug + Send {
 
     /// Attaches a telemetry observer to the wrapped site.
     fn set_observer(&mut self, obs: Obs, site: u32);
-
-    /// The window's summary mixture over the data it currently covers,
-    /// when one exists (landmark: everything since stream start; sliding:
-    /// the in-window chunks).
-    fn mixture(&self) -> Result<Mixture, CludiError>;
 
     /// Serializes the window's full durable state (including the wrapped
     /// site) for crash recovery.
@@ -98,10 +92,6 @@ impl Window for LandmarkWindow {
         self.site.set_observer(obs, site);
     }
 
-    fn mixture(&self) -> Result<Mixture, CludiError> {
-        Ok(landmark_mixture(&self.site)?)
-    }
-
     fn snapshot(&self) -> ByteBuf {
         self.site.snapshot()
     }
@@ -135,10 +125,6 @@ impl Window for SlidingWindowSite {
 
     fn set_observer(&mut self, obs: Obs, site: u32) {
         SlidingWindowSite::set_observer(self, obs, site);
-    }
-
-    fn mixture(&self) -> Result<Mixture, CludiError> {
-        Ok(self.window_mixture()?)
     }
 
     fn snapshot(&self) -> ByteBuf {
@@ -211,7 +197,6 @@ mod tests {
             let mut w = spec.build(small_config()).unwrap();
             feed(w.as_mut(), 0.0, 2, 1);
             assert!(!w.drain_events().is_empty());
-            assert!(w.mixture().is_ok());
         }
         assert!(WindowSpec::Sliding { chunks: 0 }.build(small_config()).is_err());
     }

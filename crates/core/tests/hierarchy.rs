@@ -188,7 +188,9 @@ fn builder_rejects_bad_trees() {
     ));
     // Zero flush interval.
     assert!(matches!(
-        make().with_tree(TreeTopology::two_level(1).with_flush_interval_us(0)).run(),
+        make()
+            .with_tree(TreeTopology { flush_interval_us: 0, ..TreeTopology::two_level(1) })
+            .run(),
         Err(CludiError::InvalidConfig { name: "tree.flush_interval_us", .. })
     ));
 }

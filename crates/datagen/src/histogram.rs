@@ -81,18 +81,6 @@ impl Histogram {
         let norm = self.total as f64 * self.bin_width();
         self.counts.iter().map(|&c| c as f64 / norm).collect()
     }
-
-    /// Index of the fullest bin (first on ties), or `None` when empty.
-    pub fn mode_bin(&self) -> Option<usize> {
-        if self.total == self.outliers {
-            return None;
-        }
-        self.counts
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, c)| *c)
-            .map(|(i, _)| i)
-    }
 }
 
 #[cfg(test)]
@@ -144,17 +132,6 @@ mod tests {
         let h = Histogram::new(0.0, 10.0, 5);
         assert_eq!(h.bin_center(0), 1.0);
         assert_eq!(h.bin_center(4), 9.0);
-    }
-
-    #[test]
-    fn mode_bin_finds_peak() {
-        let mut h = Histogram::new(0.0, 3.0, 3);
-        h.add(0.5);
-        h.add(1.5);
-        h.add(1.6);
-        assert_eq!(h.mode_bin(), Some(1));
-        let empty = Histogram::new(0.0, 1.0, 2);
-        assert_eq!(empty.mode_bin(), None);
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //! - [`normalize`] — the per-attribute normalization the paper applies to
 //!   NFD ("we normalize each attribute to reduce the data range effect").
 //! - [`Histogram`] — 1-d histograms for the Figure 3 reproduction.
-//! - [`powerlaw`] — Zipf sampling (heavy-tailed hosts/ports) and the
-//!   power-law event process of Sec. 5.1.3.
+//! - [`powerlaw`] — Zipf sampling (heavy-tailed hosts/ports).
 //!
 //! # Example
 //!
@@ -51,6 +50,6 @@ pub use histogram::Histogram;
 pub use mixture_gen::{random_mixture, random_spd_matrix, MixtureGenConfig};
 pub use netflow::{NetflowConfig, NetflowGenerator};
 pub use noise::{impute_missing, MissingValueInjector, NoiseInjector};
-pub use normalize::{MinMaxNormalizer, StreamingNormalizer};
-pub use powerlaw::{PowerLawEventProcess, Zipf};
+pub use normalize::MinMaxNormalizer;
+pub use powerlaw::Zipf;
 pub use stream::{EvolvingStream, EvolvingStreamConfig};

@@ -1,10 +1,8 @@
 //! Attribute normalization.
 //!
 //! The paper normalizes each NFD attribute "to reduce the data range effect
-//! of different attributes". [`MinMaxNormalizer`] is the batch version
-//! (fit on a sample, apply to the stream); [`StreamingNormalizer`] adapts
-//! its range on the fly, which is what a remote site with no global view
-//! must do.
+//! of different attributes". [`MinMaxNormalizer`] fits the ranges on a
+//! sample and applies them to the stream.
 
 use cludistream_linalg::Vector;
 
@@ -54,66 +52,6 @@ impl MinMaxNormalizer {
             })
             .collect()
     }
-
-    /// Transforms a whole batch.
-    pub fn transform_batch(&self, data: &[Vector]) -> Vec<Vector> {
-        data.iter().map(|x| self.transform(x)).collect()
-    }
-}
-
-/// Streaming z-score normalizer: maintains running per-attribute mean and
-/// variance (Welford) and emits `(x - mean) / std`. Until two records have
-/// been seen, records pass through centred only.
-#[derive(Debug, Clone)]
-pub struct StreamingNormalizer {
-    count: u64,
-    means: Vec<f64>,
-    /// Sum of squared deviations (Welford's M2).
-    m2: Vec<f64>,
-}
-
-impl StreamingNormalizer {
-    /// Creates a normalizer for dimension `d`.
-    pub fn new(d: usize) -> Self {
-        StreamingNormalizer { count: 0, means: vec![0.0; d], m2: vec![0.0; d] }
-    }
-
-    /// Records seen so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Current per-attribute standard deviation estimate (population).
-    pub fn stds(&self) -> Vec<f64> {
-        self.m2
-            .iter()
-            .map(|&m2| if self.count > 1 { (m2 / self.count as f64).sqrt() } else { 0.0 })
-            .collect()
-    }
-
-    /// Updates the running statistics with `x` and returns the normalized
-    /// record under the *updated* statistics.
-    pub fn push(&mut self, x: &Vector) -> Vector {
-        assert_eq!(x.dim(), self.means.len(), "streaming normalize: dimension mismatch");
-        self.count += 1;
-        let n = self.count as f64;
-        for i in 0..x.dim() {
-            let delta = x[i] - self.means[i];
-            self.means[i] += delta / n;
-            self.m2[i] += delta * (x[i] - self.means[i]);
-        }
-        let stds = self.stds();
-        (0..x.dim())
-            .map(|i| {
-                let s = stds[i];
-                if s > 0.0 {
-                    (x[i] - self.means[i]) / s
-                } else {
-                    x[i] - self.means[i]
-                }
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -148,53 +86,6 @@ mod tests {
         let sample = vec![Vector::from_slice(&[7.0]), Vector::from_slice(&[7.0])];
         let n = MinMaxNormalizer::fit(&sample);
         assert_eq!(n.transform(&Vector::from_slice(&[7.0]))[0], 0.5);
-    }
-
-    #[test]
-    fn minmax_batch_matches_single() {
-        let sample = vec![Vector::from_slice(&[0.0]), Vector::from_slice(&[2.0])];
-        let n = MinMaxNormalizer::fit(&sample);
-        let batch = n.transform_batch(&sample);
-        assert_eq!(batch[1], n.transform(&sample[1]));
-    }
-
-    #[test]
-    fn streaming_stats_converge() {
-        let mut n = StreamingNormalizer::new(1);
-        // Feed a deterministic sequence with mean 10, variance ~8.25
-        // (values 5..=15 cyclic).
-        for i in 0..1100 {
-            let v = 5.0 + (i % 11) as f64;
-            let _ = n.push(&Vector::from_slice(&[v]));
-        }
-        assert_eq!(n.count(), 1100);
-        let std = n.stds()[0];
-        // Population variance of 5..=15 uniform discrete = (11²-1)/12 = 10.
-        assert!((std * std - 10.0).abs() < 0.1, "var {}", std * std);
-    }
-
-    #[test]
-    fn streaming_normalized_output_is_standardized() {
-        let mut n = StreamingNormalizer::new(1);
-        let mut out = Vec::new();
-        for i in 0..2000 {
-            let v = (i % 7) as f64;
-            out.push(n.push(&Vector::from_slice(&[v]))[0]);
-        }
-        // Late outputs should have ~zero mean and ~unit variance.
-        let tail = &out[1000..];
-        let mean = tail.iter().sum::<f64>() / tail.len() as f64;
-        let var = tail.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / tail.len() as f64;
-        assert!(mean.abs() < 0.1, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.15, "var {var}");
-    }
-
-    #[test]
-    fn streaming_first_record_passes_through_centred() {
-        let mut n = StreamingNormalizer::new(2);
-        let out = n.push(&Vector::from_slice(&[3.0, -1.0]));
-        // After one record the mean equals the record → output 0.
-        assert_eq!(out.as_slice(), &[0.0, 0.0]);
     }
 
     #[test]

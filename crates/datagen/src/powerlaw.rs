@@ -1,10 +1,7 @@
 //! Heavy-tailed samplers.
 //!
-//! Two uses in the reproduction: the NFD-substitute netflow generator needs
-//! Zipf-distributed hosts and ports (real traffic is famously heavy-tailed),
-//! and Sec. 5.1.3 of the paper argues via a power-law event process that the
-//! probability `P_d` of a genuinely new distribution is small (< 0.1),
-//! which is what makes test-and-cluster profitable.
+//! The NFD-substitute netflow generator needs Zipf-distributed hosts and
+//! ports (real traffic is famously heavy-tailed).
 
 use cludistream_rng::Rng;
 
@@ -60,50 +57,6 @@ impl Zipf {
     }
 }
 
-/// The power-law event process of paper Sec. 5.1.3: event frequencies
-/// converge to `p(y) = β y^(-q)` with `q = 1/(1-γ)` where γ is the average
-/// growth rate; the expected probability of a *new* distribution is
-/// `P_d = β/(2-q)`.
-///
-/// This struct evaluates that steady-state model; it backs the Theorem 4
-/// cost analysis and the Fig. 14 discussion ("in real applications it is
-/// unlikely for every new data chunk to have many different distributions").
-#[derive(Debug, Clone, Copy)]
-pub struct PowerLawEventProcess {
-    /// Normalization constant β.
-    pub beta: f64,
-    /// Average growth rate γ ∈ (0, 1) ∖ {values making q = 2}.
-    pub gamma: f64,
-}
-
-impl PowerLawEventProcess {
-    /// Creates the process; requires `0 < gamma < 1`.
-    pub fn new(beta: f64, gamma: f64) -> Self {
-        assert!(beta > 0.0, "beta must be positive");
-        assert!((0.0..1.0).contains(&gamma), "gamma must be in (0,1)");
-        PowerLawEventProcess { beta, gamma }
-    }
-
-    /// Exponent `q = 1/(1-γ)`.
-    pub fn q(&self) -> f64 {
-        1.0 / (1.0 - self.gamma)
-    }
-
-    /// Steady-state density `p(y) = β y^(-q)` for `y ≥ 1`.
-    pub fn density(&self, y: f64) -> f64 {
-        assert!(y >= 1.0, "density defined for y >= 1");
-        self.beta * y.powf(-self.q())
-    }
-
-    /// Expected probability of a new underlying distribution,
-    /// `P_d = β/(2-q)`. Only meaningful for `q < 2` (γ < 0.5).
-    pub fn p_d(&self) -> f64 {
-        let q = self.q();
-        assert!(q < 2.0, "P_d formula requires q < 2 (gamma < 0.5)");
-        self.beta / (2.0 - q)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,24 +107,6 @@ mod tests {
         let flat = Zipf::new(100, 0.5);
         let steep = Zipf::new(100, 2.0);
         assert!(steep.pmf(1) > flat.pmf(1));
-    }
-
-    #[test]
-    fn power_law_process_formulas() {
-        // γ = 0.2 → q = 1.25; β = 0.05 → P_d = 0.05/0.75 ≈ 0.0667 < 0.1,
-        // matching the paper's claim that P_d is "often less than 0.1".
-        let p = PowerLawEventProcess::new(0.05, 0.2);
-        assert!((p.q() - 1.25).abs() < 1e-12);
-        assert!((p.p_d() - 0.05 / 0.75).abs() < 1e-12);
-        assert!(p.p_d() < 0.1);
-        assert!((p.density(1.0) - 0.05).abs() < 1e-12);
-        assert!(p.density(2.0) < p.density(1.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "q < 2")]
-    fn p_d_requires_small_q() {
-        let _ = PowerLawEventProcess::new(0.05, 0.8).p_d();
     }
 
     #[test]

@@ -7,18 +7,6 @@ use cludistream_obs::{em_cost_us, Event, NopRecorder, Recorder};
 use cludistream_par::{par_block_map, resolve_workers};
 use cludistream_rng::{Rng, StdRng};
 
-/// How EM's initial mixture is chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InitMethod {
-    /// Seed component means with k-means++ followed by a short Lloyd run;
-    /// variances from the global covariance. The robust default.
-    #[default]
-    KMeansPlusPlus,
-    /// Component means drawn uniformly from the data (Forgy); spherical
-    /// covariances from the global variance.
-    Forgy,
-}
-
 /// Configuration of the classical EM algorithm (paper Sec. 3.2).
 #[derive(Debug, Clone)]
 pub struct EmConfig {
@@ -33,9 +21,7 @@ pub struct EmConfig {
     pub tol: f64,
     /// Covariance structure estimated in the M-step.
     pub covariance: CovarianceType,
-    /// Initialization strategy.
-    pub init: InitMethod,
-    /// RNG seed for initialization.
+    /// RNG seed for the k-means++ initialization.
     pub seed: u64,
     /// Floor on component responsibilities' total mass, as a fraction of
     /// |D|; components falling below are re-seeded from the lowest-density
@@ -58,7 +44,6 @@ impl Default for EmConfig {
             max_iters: 100,
             tol: 1e-4,
             covariance: CovarianceType::Full,
-            init: InitMethod::KMeansPlusPlus,
             seed: 0,
             min_weight: 1e-6,
             threads: 1,
@@ -141,7 +126,7 @@ pub fn fit_em(data: &[Vector], config: &EmConfig) -> Result<EmFit> {
     // Monomorphized against the no-op recorder: the telemetry calls in the
     // loop compile away entirely (the `noop_alloc` contract test and the
     // `obs` microbench group both pin this down).
-    fit_em_impl(data, config, None, &NopRecorder)
+    fit_em_recorded(data, config, &NopRecorder)
 }
 
 /// [`fit_em`] with telemetry: per-iteration counters (`em.iterations`,
@@ -151,41 +136,6 @@ pub fn fit_em(data: &[Vector], config: &EmConfig) -> Result<EmFit> {
 pub fn fit_em_recorded(
     data: &[Vector],
     config: &EmConfig,
-    recorder: &(impl Recorder + ?Sized),
-) -> Result<EmFit> {
-    fit_em_impl(data, config, None, recorder)
-}
-
-/// Fits EM warm-started from `initial` instead of k-means++ — the
-/// "update the current model" alternative to re-clustering from scratch.
-/// `initial` must match the data's dimensionality; its component count
-/// overrides `config.k`.
-///
-/// Warm starts converge in fewer iterations when the distribution drifted
-/// mildly, but inherit the initial model's local optimum; the
-/// `warm_vs_cold` ablation quantifies the trade-off.
-pub fn fit_em_warm(data: &[Vector], initial: &Mixture, config: &EmConfig) -> Result<EmFit> {
-    fit_em_warm_recorded(data, initial, config, &NopRecorder)
-}
-
-/// [`fit_em_warm`] with telemetry; see [`fit_em_recorded`].
-pub fn fit_em_warm_recorded(
-    data: &[Vector],
-    initial: &Mixture,
-    config: &EmConfig,
-    recorder: &(impl Recorder + ?Sized),
-) -> Result<EmFit> {
-    if !data.is_empty() && data[0].dim() != initial.dim() {
-        return Err(GmmError::DimensionMismatch { expected: initial.dim(), got: data[0].dim() });
-    }
-    let config = EmConfig { k: initial.k(), ..config.clone() };
-    fit_em_impl(data, &config, Some(initial.clone()), recorder)
-}
-
-fn fit_em_impl(
-    data: &[Vector],
-    config: &EmConfig,
-    warm: Option<Mixture>,
     recorder: &(impl Recorder + ?Sized),
 ) -> Result<EmFit> {
     if config.k == 0 {
@@ -211,10 +161,7 @@ fn fit_em_impl(
     }
 
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut mixture = match warm {
-        Some(m) => m,
-        None => initialize(data, config, &mut rng)?,
-    };
+    let mut mixture = initialize(data, config, &mut rng)?;
 
     // Global per-dimension variance, reused by every starvation rescue.
     let global_avg_var = {
@@ -418,7 +365,8 @@ fn score_block(
     out
 }
 
-/// Produces the initial mixture for EM.
+/// Produces the initial mixture for EM: k-means++ seeding followed by a
+/// short Lloyd run, variances from the partition.
 fn initialize<R: Rng + ?Sized>(data: &[Vector], config: &EmConfig, rng: &mut R) -> Result<Mixture> {
     let d = data[0].dim();
     let mut global = SuffStats::new(d);
@@ -428,42 +376,29 @@ fn initialize<R: Rng + ?Sized>(data: &[Vector], config: &EmConfig, rng: &mut R) 
     let gcov = global.cov()?;
     let avg_var = (gcov.trace() / d as f64).max(1e-6);
 
-    match config.init {
-        InitMethod::KMeansPlusPlus => {
-            let km = kmeans(
-                data,
-                &KMeansConfig { k: config.k, max_iters: 10, seed: rng.gen() },
-            )?;
-            // Per-cluster covariance from the k-means partition; clusters too
-            // small for a stable estimate fall back to the global sphere.
-            let mut stats: Vec<SuffStats> = (0..config.k).map(|_| SuffStats::new(d)).collect();
-            for (&a, x) in km.assignments.iter().zip(data) {
-                stats[a].add(x, 1.0);
-            }
-            let mut comps = Vec::with_capacity(config.k);
-            let mut weights = Vec::with_capacity(config.k);
-            for (s, centroid) in stats.iter().zip(km.centroids) {
-                let count = s.n().max(1.0);
-                let g = if s.n() >= (d + 1) as f64 {
-                    Gaussian::new(s.mean()?, s.cov()?)?
-                } else {
-                    Gaussian::spherical(centroid, avg_var)?
-                };
-                comps.push(g);
-                weights.push(count);
-            }
-            Mixture::new(comps, weights)
-        }
-        InitMethod::Forgy => {
-            let comps: Result<Vec<Gaussian>> = (0..config.k)
-                .map(|_| {
-                    let idx = rng.gen_range(0..data.len());
-                    Gaussian::spherical(data[idx].clone(), avg_var)
-                })
-                .collect();
-            Mixture::uniform(comps?)
-        }
+    let km = kmeans(
+        data,
+        &KMeansConfig { k: config.k, max_iters: 10, seed: rng.gen() },
+    )?;
+    // Per-cluster covariance from the k-means partition; clusters too
+    // small for a stable estimate fall back to the global sphere.
+    let mut stats: Vec<SuffStats> = (0..config.k).map(|_| SuffStats::new(d)).collect();
+    for (&a, x) in km.assignments.iter().zip(data) {
+        stats[a].add(x, 1.0);
     }
+    let mut comps = Vec::with_capacity(config.k);
+    let mut weights = Vec::with_capacity(config.k);
+    for (s, centroid) in stats.iter().zip(km.centroids) {
+        let count = s.n().max(1.0);
+        let g = if s.n() >= (d + 1) as f64 {
+            Gaussian::new(s.mean()?, s.cov()?)?
+        } else {
+            Gaussian::spherical(centroid, avg_var)?
+        };
+        comps.push(g);
+        weights.push(count);
+    }
+    Mixture::new(comps, weights)
 }
 
 #[cfg(test)]
@@ -569,17 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn forgy_initialization_works() {
-        let data = two_component_data(500, 11);
-        let fit = fit_em(
-            &data,
-            &EmConfig { k: 2, init: InitMethod::Forgy, seed: 12, ..Default::default() },
-        )
-        .unwrap();
-        assert!(fit.avg_log_likelihood.is_finite());
-    }
-
-    #[test]
     fn avg_equals_total_over_n() {
         let data = two_component_data(200, 13);
         let fit = fit_em(&data, &EmConfig { k: 2, seed: 14, ..Default::default() }).unwrap();
@@ -608,51 +532,6 @@ mod tests {
             // Rescued components are jittered by up to K·1e-3.
             assert!((c.mean()[0] - 2.0).abs() < 1e-2);
         }
-    }
-
-    #[test]
-    fn warm_start_converges_faster_on_mild_drift() {
-        // Fit on a chunk, drift the distribution slightly, re-fit: warm
-        // start should need no more iterations than a cold start.
-        let data = two_component_data(800, 30);
-        let cfg = EmConfig { k: 2, seed: 31, ..Default::default() };
-        let first = fit_em(&data, &cfg).unwrap();
-        // Mildly drifted continuation.
-        let drifted: Vec<Vector> = two_component_data(800, 32)
-            .into_iter()
-            .map(|x| Vector::from_slice(&[x[0] + 0.3]))
-            .collect();
-        let warm = fit_em_warm(&drifted, &first.mixture, &cfg).unwrap();
-        let cold = fit_em(&drifted, &cfg).unwrap();
-        // Both converge quickly on separated blobs; the warm start must not
-        // be materially slower and must reach comparable quality.
-        assert!(
-            warm.iterations <= cold.iterations + 2,
-            "warm {} vs cold {} iterations",
-            warm.iterations,
-            cold.iterations
-        );
-        assert!(warm.converged);
-        assert!(warm.avg_log_likelihood > cold.avg_log_likelihood - 0.2);
-    }
-
-    #[test]
-    fn warm_start_uses_initial_component_count() {
-        let data = two_component_data(300, 33);
-        let three = fit_em(&data, &EmConfig { k: 3, seed: 34, ..Default::default() }).unwrap();
-        // config.k says 5, but the warm model has 3 components.
-        let warm = fit_em_warm(&data, &three.mixture, &EmConfig { k: 5, seed: 35, ..Default::default() })
-            .unwrap();
-        assert_eq!(warm.mixture.k(), 3);
-    }
-
-    #[test]
-    fn warm_start_dimension_mismatch_rejected() {
-        let data = two_component_data(100, 36);
-        let m = Mixture::single(
-            Gaussian::spherical(Vector::from_slice(&[0.0, 0.0]), 1.0).unwrap(),
-        );
-        assert!(fit_em_warm(&data, &m, &EmConfig::default()).is_err());
     }
 
     #[test]

@@ -120,11 +120,6 @@ impl Gaussian {
         self.ridge
     }
 
-    /// `log |Σ|`.
-    pub fn log_det_cov(&self) -> f64 {
-        self.chol.log_det()
-    }
-
     /// Log density `ln p(x)`.
     pub fn log_pdf(&self, x: &Vector) -> f64 {
         self.log_norm - 0.5 * self.mahalanobis_sq(x)
@@ -204,12 +199,6 @@ impl Gaussian {
     /// is active).
     pub fn is_diagonal(&self) -> bool {
         self.inv_diag.is_some()
-    }
-
-    /// Precision matrix `Σ⁻¹` (computed on demand; the paper's merge and
-    /// split criteria need explicit precision sums).
-    pub fn precision(&self) -> Matrix {
-        self.chol.inverse()
     }
 
     /// Draws one sample `μ + L z` with `z ~ N(0, I)` via Box–Muller.
@@ -368,23 +357,6 @@ mod tests {
             (a.precision_weighted_mean_dist(&b) - b.precision_weighted_mean_dist(&a)).abs()
                 < 1e-12
         );
-    }
-
-    #[test]
-    fn precision_matches_inverse() {
-        let g = Gaussian::new(
-            Vector::zeros(2),
-            Matrix::from_rows(&[&[2.0, 0.5], &[0.5, 1.0]]),
-        )
-        .unwrap();
-        let p = g.precision();
-        let prod = g.cov().matmul(&p);
-        for i in 0..2 {
-            for j in 0..2 {
-                let expect = if i == j { 1.0 } else { 0.0 };
-                assert!((prod[(i, j)] - expect).abs() < 1e-10);
-            }
-        }
     }
 
     #[test]

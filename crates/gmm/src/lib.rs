@@ -8,9 +8,8 @@
 //! - [`Gaussian`] — a d-dimensional Gaussian with a cached Cholesky factor,
 //!   log-density evaluation and sampling.
 //! - [`Mixture`] — a weighted Gaussian mixture: densities, posteriors
-//!   (Eq. 2), average log likelihood (Definition 1), moment-preserving
-//!   component merges, and aggregate mean/covariance (used by the
-//!   coordinator's split criterion).
+//!   (Eq. 2), average log likelihood (Definition 1), and moment-preserving
+//!   component merges.
 //! - [`EmConfig`] / [`fit_em`] — the classical EM algorithm of Sec. 3.2 in
 //!   the log domain, with k-means++ initialization and ridge-regularized
 //!   covariance estimation.
@@ -43,7 +42,6 @@ mod batch;
 pub mod chunk;
 pub mod codec;
 mod covariance;
-pub mod divergence;
 mod em;
 mod error;
 mod gaussian;
@@ -58,15 +56,13 @@ mod suffstats;
 pub use batch::{Batch, DensityScratch, MixtureScratch, BLOCK};
 pub use chunk::{chunk_size, ChunkParams};
 pub use covariance::CovarianceType;
-pub use em::{
-    fit_em, fit_em_recorded, fit_em_warm, fit_em_warm_recorded, EmConfig, EmFit, InitMethod,
-};
+pub use em::{fit_em, fit_em_recorded, EmConfig, EmFit};
 pub use error::GmmError;
 pub use gaussian::{sample_standard_normal, Gaussian};
 pub use kmeans::{kmeans, KMeansConfig, KMeansFit};
 pub use likelihood::{
     avg_log_likelihood, fit_tolerance, free_parameters, j_fit, log_likelihood_std,
-    sharpened_avg_log_likelihood, standard_normal_quantile,
+    standard_normal_quantile,
 };
 pub use mixture::Mixture;
 pub use model_selection::{bic, fit_em_bic, ScoredFit};

@@ -14,39 +14,6 @@ pub fn avg_log_likelihood(mixture: &Mixture, data: &[Vector]) -> f64 {
     mixture.avg_log_likelihood(data)
 }
 
-/// Sharpened average log likelihood: for each record, use the *maximal*
-/// per-component weighted log density `max_j log(w_j p(x|j))` instead of the
-/// full mixture density. The paper's Theorem 2 proof sharpens the test this
-/// way ("we use the maximal probability of x belongs to one of the clusters
-/// instead of the overall probability").
-pub fn sharpened_avg_log_likelihood(mixture: &Mixture, data: &[Vector]) -> f64 {
-    if data.is_empty() {
-        return f64::NEG_INFINITY;
-    }
-    // Batched evaluation: the weighted log-density table holds exactly the
-    // `ln w_j + ln p(x|j)` terms the per-record path folded over, so the
-    // per-record j-order max and flat record-order sum are bit-identical
-    // to the scalar implementation this replaces.
-    let batch = Batch::from_records(data);
-    let mut scratch = MixtureScratch::default();
-    let k = mixture.k();
-    let mut total = 0.0;
-    let mut start = 0;
-    while start < batch.len() {
-        let count = BLOCK.min(batch.len() - start);
-        mixture.weighted_log_density_block(batch.rows(start, count), count, &mut scratch);
-        for b in 0..count {
-            let mut best = f64::NEG_INFINITY;
-            for j in 0..k {
-                best = best.max(scratch.weighted[j * count + b]);
-            }
-            total += best;
-        }
-        start += count;
-    }
-    total / data.len() as f64
-}
-
 /// The test statistic of the test-and-cluster strategy (paper Eq. 4):
 /// `J_fit = |Avg_Pr_n − Avg_Pr_0|`. A chunk fits its model when
 /// `J_fit ≤ ε`.
@@ -191,46 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn sharpened_is_lower_bound() {
-        // max_j w_j p(x|j) ≤ Σ_j w_j p(x|j), so the sharpened average is a
-        // lower bound on Definition 1.
-        let m = mix();
-        let data: Vec<Vector> =
-            (0..20).map(|i| Vector::from_slice(&[i as f64 * 0.5])).collect();
-        assert!(sharpened_avg_log_likelihood(&m, &data) <= avg_log_likelihood(&m, &data) + 1e-12);
-    }
-
-    #[test]
-    fn sharpened_close_for_separated_components() {
-        // For well-separated components one term dominates the sum, so the
-        // two statistics nearly coincide.
-        let m = mix();
-        let data = vec![Vector::from_slice(&[0.0]), Vector::from_slice(&[8.0])];
-        let diff = avg_log_likelihood(&m, &data) - sharpened_avg_log_likelihood(&m, &data);
-        assert!(diff.abs() < 1e-6, "diff {diff}");
-    }
-
-    #[test]
-    fn sharpened_bit_identical_to_per_record_reference() {
-        let m = mix();
-        let data: Vec<Vector> =
-            (0..600).map(|i| Vector::from_slice(&[(i % 37) as f64 * 0.4])).collect();
-        // Hand-rolled per-record reference (the pre-batching definition).
-        let reference = data
-            .iter()
-            .map(|x| {
-                m.components()
-                    .iter()
-                    .zip(m.log_weights())
-                    .map(|(c, lw)| lw + c.log_pdf(x))
-                    .fold(f64::NEG_INFINITY, f64::max)
-            })
-            .sum::<f64>()
-            / data.len() as f64;
-        assert_eq!(sharpened_avg_log_likelihood(&m, &data).to_bits(), reference.to_bits());
-    }
-
-    #[test]
     fn ll_std_bit_identical_to_per_record_reference() {
         let m = mix();
         let data: Vec<Vector> =
@@ -304,12 +231,6 @@ mod tests {
         assert_eq!(j_fit(-1.0, -1.5), 0.5);
         assert_eq!(j_fit(-1.5, -1.0), 0.5);
         assert_eq!(j_fit(-1.0, -1.0), 0.0);
-    }
-
-    #[test]
-    fn empty_data_neg_inf() {
-        let m = mix();
-        assert_eq!(sharpened_avg_log_likelihood(&m, &[]), f64::NEG_INFINITY);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use crate::{log_sum_exp, Gaussian, GmmError, Result, SuffStats};
+use crate::{log_sum_exp, Gaussian, GmmError, Result};
 use cludistream_linalg::{Matrix, Vector};
 use cludistream_rng::Rng;
 
@@ -233,49 +233,6 @@ impl Mixture {
         Ok((Gaussian::new(mu, cov)?, w))
     }
 
-    /// Aggregate mean and covariance of the whole mixture, treating it as a
-    /// single distribution (the `(μ_Mix, Σ_Mix)` of the paper's split
-    /// criterion, Eq. 6).
-    pub fn aggregate(&self) -> Result<Gaussian> {
-        let mut stats = SuffStats::new(self.dim());
-        for (c, &w) in self.components.iter().zip(&self.weights) {
-            stats.merge(&SuffStats::from_gaussian(c, w));
-        }
-        stats.to_gaussian().map(|(g, _)| g)
-    }
-
-    /// Returns a new mixture with component `idx` removed and the remaining
-    /// weights renormalized. Errors when this would empty the mixture.
-    pub fn without_component(&self, idx: usize) -> Result<Mixture> {
-        if idx >= self.k() {
-            return Err(GmmError::InvalidParameter { name: "idx", constraint: "idx < K" });
-        }
-        if self.k() == 1 {
-            return Err(GmmError::InvalidParameter {
-                name: "idx",
-                constraint: "mixture must keep at least one component",
-            });
-        }
-        let mut comps = self.components.clone();
-        let mut weights = self.weights.clone();
-        comps.remove(idx);
-        weights.remove(idx);
-        Mixture::new(comps, weights)
-    }
-
-    /// Returns a new mixture with `component` appended at the given
-    /// (unnormalized relative) weight.
-    pub fn with_component(&self, component: Gaussian, weight: f64) -> Result<Mixture> {
-        if component.dim() != self.dim() {
-            return Err(GmmError::DimensionMismatch { expected: self.dim(), got: component.dim() });
-        }
-        let mut comps = self.components.clone();
-        let mut weights = self.weights.clone();
-        comps.push(component);
-        weights.push(weight);
-        Mixture::new(comps, weights)
-    }
-
     /// Concatenates several weighted mixtures into one flat mixture; `scales`
     /// gives each input mixture's relative mass (e.g. record counts). The
     /// "simple procedure at the coordinator" of Sec. 5.2.
@@ -406,28 +363,6 @@ mod tests {
         let m = two_blobs();
         assert!(m.moment_merge(0, 0).is_err());
         assert!(m.moment_merge(0, 5).is_err());
-    }
-
-    #[test]
-    fn aggregate_matches_moment_merge_for_two() {
-        let m = two_blobs();
-        let agg = m.aggregate().unwrap();
-        let (merged, _) = m.moment_merge(0, 1).unwrap();
-        assert!((agg.mean()[0] - merged.mean()[0]).abs() < 1e-9);
-        assert!((agg.cov()[(0, 0)] - merged.cov()[(0, 0)]).abs() < 1e-6);
-    }
-
-    #[test]
-    fn add_remove_components() {
-        let m = two_blobs();
-        let m2 = m.with_component(Gaussian::spherical(Vector::from_slice(&[5.0]), 1.0).unwrap(), 1.0).unwrap();
-        assert_eq!(m2.k(), 3);
-        let m3 = m2.without_component(2).unwrap();
-        assert_eq!(m3.k(), 2);
-        assert!((m3.weights()[1] - 0.75).abs() < 1e-12);
-        assert!(Mixture::single(Gaussian::spherical(Vector::zeros(1), 1.0).unwrap())
-            .without_component(0)
-            .is_err());
     }
 
     #[test]

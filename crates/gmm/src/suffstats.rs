@@ -114,13 +114,6 @@ impl SuffStats {
         scatter.rank1_update(n, mu);
         SuffStats { n, sum, scatter }
     }
-
-    /// Bytes needed to represent these statistics (for synopsis size
-    /// accounting): n + d values + d×d matrix, 8 bytes each.
-    pub fn synopsis_bytes(&self) -> usize {
-        let d = self.dim();
-        8 * (1 + d + d * d)
-    }
 }
 
 #[cfg(test)]
@@ -216,12 +209,6 @@ mod tests {
         let mut back = s.scaled(0.5);
         back.merge(&half);
         assert!((back.n() - s.n()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn synopsis_bytes_formula() {
-        let s = SuffStats::new(4);
-        assert_eq!(s.synopsis_bytes(), 8 * (1 + 4 + 16));
     }
 
     #[test]

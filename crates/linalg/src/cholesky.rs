@@ -60,11 +60,6 @@ impl Cholesky {
         &self.l
     }
 
-    /// Consumes the factorization, returning `L`.
-    pub fn into_l(self) -> Matrix {
-        self.l
-    }
-
     /// Builds a factorization directly from a known-valid lower factor
     /// (positive diagonal). Used when optimizing over Cholesky parameters.
     pub fn from_factor(l: Matrix) -> Result<Self> {

@@ -227,17 +227,6 @@ impl Matrix {
         }
     }
 
-    /// Maximum absolute deviation from symmetry (0 for symmetric matrices).
-    pub fn asymmetry(&self) -> f64 {
-        let mut worst = 0.0f64;
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                worst = worst.max((self[(i, j)] - self[(j, i)]).abs());
-            }
-        }
-        worst
-    }
-
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
@@ -427,13 +416,11 @@ mod tests {
     }
 
     #[test]
-    fn symmetrize_and_asymmetry() {
+    fn symmetrize_averages_off_diagonals() {
         let mut m = Matrix::from_rows(&[&[1.0, 2.0], &[4.0, 1.0]]);
-        assert_eq!(m.asymmetry(), 2.0);
         m.symmetrize();
         assert_eq!(m[(0, 1)], 3.0);
         assert_eq!(m[(1, 0)], 3.0);
-        assert_eq!(m.asymmetry(), 0.0);
     }
 
     #[test]

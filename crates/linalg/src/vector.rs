@@ -73,11 +73,6 @@ impl Vector {
         self.dot(self).sqrt()
     }
 
-    /// L1 norm (sum of absolute values).
-    pub fn norm_l1(&self) -> f64 {
-        self.data.iter().map(|x| x.abs()).sum()
-    }
-
     /// Squared Euclidean distance to `other`.
     pub fn dist_sq(&self, other: &Vector) -> f64 {
         assert_eq!(self.dim(), other.dim(), "dist_sq: dimension mismatch");
@@ -253,7 +248,6 @@ mod tests {
         let b = Vector::from_slice(&[1.0, 2.0]);
         assert_eq!(a.dot(&b), 11.0);
         assert_eq!(a.norm(), 5.0);
-        assert_eq!(a.norm_l1(), 7.0);
         assert_eq!(a.dist_sq(&b), 8.0);
     }
 

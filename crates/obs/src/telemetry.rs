@@ -24,7 +24,7 @@
 use crate::trace::{SpanId, SpanRecord, TraceId};
 use cludistream_wire::{ByteBuf, ByteReader};
 use std::collections::BTreeSet;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Version byte leading every encoded delta; bump on layout change.
 pub const TELEMETRY_VERSION: u8 = 1;
@@ -34,10 +34,12 @@ pub const TELEMETRY_VERSION: u8 = 1;
 /// and when synthesizing per-site names (`site3.em.cost_us`).
 pub fn intern(name: &str) -> &'static str {
     static POOL: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
+    // A poisoned pool is still a valid set (an insert either happened or
+    // did not), and this runs while decoding peer telemetry: recover.
     let mut pool = POOL
         .get_or_init(|| Mutex::new(BTreeSet::new()))
         .lock()
-        .expect("intern pool lock");
+        .unwrap_or_else(PoisonError::into_inner);
     if let Some(&existing) = pool.get(name) {
         return existing;
     }

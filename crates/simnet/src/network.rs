@@ -34,16 +34,6 @@ impl Topology {
         NodeId(spokes)
     }
 
-    /// Builds a balanced tree with the given fanout over `n` nodes; node 0
-    /// is the root. Returns the topology and the parent table.
-    pub fn balanced_tree(n: usize, fanout: usize) -> Self {
-        assert!(n > 0, "tree needs at least one node");
-        assert!(fanout >= 1, "fanout must be at least 1");
-        let parent: Vec<usize> =
-            (0..n).map(|i| if i == 0 { 0 } else { (i - 1) / fanout }).collect();
-        Topology::Tree { parent }
-    }
-
     /// Number of nodes the topology describes (`None` for `Complete`, which
     /// imposes no size).
     pub fn size(&self) -> Option<usize> {
@@ -138,8 +128,8 @@ mod tests {
 
     #[test]
     fn tree_allows_parent_child_only() {
-        // 0 ← 1, 0 ← 2, 1 ← 3 (balanced fanout 2 over 4 nodes).
-        let t = Topology::balanced_tree(4, 2);
+        // 0 ← 1, 0 ← 2, 1 ← 3.
+        let t = Topology::Tree { parent: vec![0, 0, 0, 1] };
         assert!(t.allows(NodeId(1), NodeId(0)));
         assert!(t.allows(NodeId(0), NodeId(2)));
         assert!(t.allows(NodeId(3), NodeId(1)));
@@ -147,15 +137,6 @@ mod tests {
         assert!(!t.allows(NodeId(3), NodeId(0)), "grandparent must be illegal");
         assert!(!t.allows(NodeId(0), NodeId(9)), "out of range");
         assert_eq!(t.size(), Some(4));
-    }
-
-    #[test]
-    fn balanced_tree_parents() {
-        if let Topology::Tree { parent } = Topology::balanced_tree(7, 2) {
-            assert_eq!(parent, vec![0, 0, 0, 1, 1, 2, 2]);
-        } else {
-            panic!("expected tree");
-        }
     }
 
     #[test]

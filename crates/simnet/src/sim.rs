@@ -125,16 +125,6 @@ impl<M: 'static> Simulation<M> {
         &self.fault_stats
     }
 
-    /// The attached fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.fault.as_ref().map(|f| &f.plan)
-    }
-
-    /// True when `node` is currently crashed.
-    pub fn is_down(&self, node: NodeId) -> bool {
-        self.down.get(node.0).copied().unwrap_or(false)
-    }
-
     /// Enables per-message tracing (off by default; traces grow with the
     /// message count). Read the result with [`Self::trace`] after the run.
     pub fn enable_trace(&mut self) {
@@ -164,11 +154,6 @@ impl<M: 'static> Simulation<M> {
         NodeId(self.nodes.len() - 1)
     }
 
-    /// Number of registered nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.time
@@ -177,12 +162,6 @@ impl<M: 'static> Simulation<M> {
     /// Communication statistics accumulated so far.
     pub fn stats(&self) -> &CommStats {
         &self.stats
-    }
-
-    /// Mutable access to a node (for injecting work or reading results
-    /// after the run). The concrete type must be recovered by the caller.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut dyn Node<M> {
-        self.nodes[id.0].as_mut()
     }
 
     /// Downcasts a node to its concrete type — the way experiments read a

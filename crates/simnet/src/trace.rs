@@ -58,15 +58,6 @@ impl Trace {
         self.entries.iter().filter(|e| e.from == from && e.to == to).copied().collect()
     }
 
-    /// Entries sent inside the half-open time window `[start, end)`.
-    pub fn in_window(&self, start: SimTime, end: SimTime) -> Vec<TraceEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.sent_at >= start && e.sent_at < end)
-            .copied()
-            .collect()
-    }
-
     /// The longest gap (microseconds) between consecutive sends — the
     /// "silence" metric behind the stability claims. Returns `None` with
     /// fewer than two entries.
@@ -78,26 +69,6 @@ impl Trace {
             .windows(2)
             .map(|w| w[1].sent_at - w[0].sent_at)
             .max()
-    }
-
-    /// [`Trace::longest_silence`] restricted to the window `[start, end)`.
-    ///
-    /// The window edges act as virtual events: the gap from `start` to the
-    /// first in-window send and from the last in-window send to `end` both
-    /// count, so an empty window reports `end - start` of silence. Returns
-    /// `None` when `end <= start` (an empty or inverted window has no
-    /// well-defined silence).
-    pub fn longest_silence_in(&self, start: SimTime, end: SimTime) -> Option<SimTime> {
-        if end <= start {
-            return None;
-        }
-        let mut prev = start;
-        let mut longest = 0;
-        for e in self.entries.iter().filter(|e| e.sent_at >= start && e.sent_at < end) {
-            longest = longest.max(e.sent_at - prev);
-            prev = e.sent_at;
-        }
-        Some(longest.max(end - prev))
     }
 
     /// True when entries are in non-decreasing time order (the simulator
@@ -137,36 +108,10 @@ mod tests {
     }
 
     #[test]
-    fn window_filter_half_open() {
-        let t = sample();
-        assert_eq!(t.in_window(0, 100).len(), 1);
-        assert_eq!(t.in_window(0, 101).len(), 2);
-        assert_eq!(t.in_window(100, 501).len(), 2);
-    }
-
-    #[test]
     fn longest_silence() {
         let t = sample();
         assert_eq!(t.longest_silence(), Some(400));
         assert_eq!(Trace::new().longest_silence(), None);
-    }
-
-    #[test]
-    fn longest_silence_in_window() {
-        let t = sample(); // sends at 0, 100, 500
-        // Full span: leading gap 0, gaps 100 and 400, trailing gap 100.
-        assert_eq!(t.longest_silence_in(0, 600), Some(400));
-        // Window ending before the big gap closes: trailing silence wins.
-        assert_eq!(t.longest_silence_in(0, 450), Some(350));
-        // Window covering only the first two sends.
-        assert_eq!(t.longest_silence_in(0, 200), Some(100));
-        // Empty window: wall-to-wall silence.
-        assert_eq!(t.longest_silence_in(200, 450), Some(250));
-        // Inverted / zero-length windows are undefined.
-        assert_eq!(t.longest_silence_in(100, 100), None);
-        assert_eq!(t.longest_silence_in(300, 200), None);
-        // Leading silence before the first in-window send.
-        assert_eq!(t.longest_silence_in(250, 520), Some(250));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! cargo run --release --example sensor_fusion
 //! ```
 
-use cludistream::{Config, NodeId, RecordStream, Simulation, TreeTopology};
+use cludistream::{Config, DriverConfig, NodeId, RecordStream, Simulation, TreeTopology};
 use cludistream_datagen::{impute_missing, EvolvingStream, EvolvingStreamConfig, MissingValueInjector, NoiseInjector};
 use cludistream_gmm::ChunkParams;
 
@@ -40,11 +40,14 @@ fn main() {
     // gateways 6 and 7, the root 8.
     println!("tree: root, {GATEWAYS} gateways, sensors 0..{SENSORS}");
     let report = Simulation::star(SENSORS)
-        .with_config(Config {
-            dim: 2,
-            k: 2,
-            chunk: ChunkParams { epsilon: 0.1, delta: 0.01 },
-            seed: 5,
+        .with_driver_config(DriverConfig {
+            site: Config {
+                dim: 2,
+                k: 2,
+                chunk: ChunkParams { epsilon: 0.1, delta: 0.01 },
+                seed: 5,
+                ..Default::default()
+            },
             ..Default::default()
         })
         .with_tree(TreeTopology::two_level(GATEWAYS))

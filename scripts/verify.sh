@@ -246,22 +246,28 @@ done
 # Panic-free public API gate: non-test code in the core and par crates
 # must not use `unwrap()` or `panic!` — public entry points return
 # Result<_, CludiError>, and the thread pool forwards worker panics via
-# resume_unwind. The coordinator computes on values that arrive in
-# messages (means, covariances, counts), so there an `expect` on a value
-# is a remote panic too and is rejected as well: orderings use
-# `f64::total_cmp`, and a group whose statistics yield no Gaussian keeps
-# its previous aggregate and reports an error. Test modules (everything
-# below `#[cfg(test)]`) and comment lines are exempt.
+# resume_unwind. Everything that parses or computes on bytes a peer sent
+# — the coordinator (means, covariances, counts arrive in messages), the
+# socket runtime, the protocol and snapshot codecs, the engines, and the
+# telemetry codec in crates/obs — must not `expect` either: there an
+# `expect` on a value is a remote panic. Orderings use `f64::total_cmp`,
+# a group whose statistics yield no Gaussian keeps its previous aggregate
+# and reports an error, and a poisoned lock is recovered. Test modules
+# (everything below `#[cfg(test)]`) and comment lines are exempt.
 gate_failed=0
-for f in $(find crates/core/src crates/par/src -name '*.rs'); do
+for f in $(find crates/core/src crates/par/src -name '*.rs') crates/obs/src/telemetry.rs; do
     banned='\.unwrap\(\)|panic!\('
     case "$f" in
-        crates/core/src/coordinator/*) banned="$banned|\.expect\(" ;;
+        crates/core/src/coordinator/* | crates/core/src/runtime/* | \
+        crates/core/src/protocol.rs | crates/core/src/serving.rs | \
+        crates/core/src/engine.rs | crates/core/src/aggregator.rs | \
+        crates/obs/src/telemetry.rs) banned="$banned|\.expect\(" ;;
     esac
     hits="$(awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//' "$f" \
         | grep -nE "$banned" || true)"
     if [ -n "$hits" ]; then
-        echo "unwrap()/panic!/coordinator expect( in non-test code of $f:" >&2
+        echo "unwrap()/panic!, or expect( in coordinator/, runtime/, protocol.rs," \
+            "serving.rs, engine.rs, aggregator.rs or obs telemetry.rs — non-test code of $f:" >&2
         echo "$hits" >&2
         gate_failed=1
     fi
@@ -270,5 +276,9 @@ if [ "$gate_failed" -ne 0 ]; then
     echo "verify: FAILED (panic-free gate)" >&2
     exit 1
 fi
+
+# Non-test source lines per crate (informational; ROADMAP's size gates
+# quote this table).
+scripts/loc.sh
 
 echo "verify: OK"

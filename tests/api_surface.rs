@@ -7,9 +7,8 @@
 //! Three workflows, matching the facade's documentation:
 //!
 //! - *simulate*: [`Simulation`] over a custom [`Transport`] wrapper
-//!   (exercising [`RunRecipe`], [`SimnetTransport`],
-//!   [`TransportSemantics`], [`WindowSpec`]) with a serving
-//!   [`SnapshotHandle`] attached;
+//!   (exercising [`RunRecipe`], [`SimnetTransport`], [`WindowSpec`])
+//!   with a serving [`SnapshotHandle`] attached;
 //! - *score*: the published [`ModelSnapshot`] through [`score`] /
 //!   [`score_record`] / [`Scores`], plus the snapshot wire codec;
 //! - *run it for real*: [`serve`] + [`run_site`] over loopback TCP via
@@ -45,10 +44,6 @@ struct InspectingTransport {
 }
 
 impl Transport for InspectingTransport {
-    fn semantics(&self) -> TransportSemantics {
-        self.inner.semantics()
-    }
-
     fn run(self: Box<Self>, recipe: RunRecipe) -> Result<StarReport, CludiError> {
         assert_eq!(recipe.sites, recipe.streams.len());
         assert!(matches!(recipe.window, WindowSpec::Landmark));
@@ -62,7 +57,6 @@ fn simulate_publish_and_score_through_the_facade() {
     let registry = Arc::new(Registry::new());
     let obs: Obs = Obs::from_registry(Arc::clone(&registry));
     let transport = InspectingTransport { inner: Box::new(SimnetTransport::new()) };
-    assert_eq!(transport.semantics().name, "simnet");
 
     let serving = Arc::new(SnapshotHandle::new());
     let chunk = RemoteSite::new(site_config()).unwrap().chunk_size() as u64;
@@ -155,10 +149,6 @@ fn socket_round_through_the_facade_builders() {
     let checkpoint = report.snapshot.expect("round learned a model");
     assert_eq!(checkpoint.version, serving.version());
 
-    // TcpTransport drives the same loops in-process; its semantics are
-    // part of the documented contract.
-    let tcp = TcpTransport::new();
-    let semantics = tcp.semantics();
-    assert_eq!(semantics.name, "tcp");
-    assert!(!semantics.supports_fire_and_forget);
+    // TcpTransport drives the same loops in-process.
+    let _tcp: TcpTransport = TcpTransport::new();
 }

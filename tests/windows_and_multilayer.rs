@@ -2,8 +2,8 @@
 //! aggregator tree against an equivalent flat deployment.
 
 use cludistream_suite::cludistream::{
-    Config, Coordinator, CoordinatorConfig, Message, RecordStream, Simulation, SlidingWindowSite,
-    StarReport, TreeTopology,
+    Config, Coordinator, CoordinatorConfig, DriverConfig, Message, RecordStream, Simulation,
+    SlidingWindowSite, StarReport, TreeTopology,
 };
 use cludistream_suite::datagen::{EvolvingStream, EvolvingStreamConfig};
 use cludistream_suite::gmm::{ChunkParams, Gaussian};
@@ -77,7 +77,7 @@ fn sliding_window_deletions_keep_coordinator_in_sync() {
 fn run_sites(streams: Vec<Vec<Vector>>, tree: Option<TreeTopology>) -> StarReport {
     let updates = streams[0].len() as u64;
     let mut sim = Simulation::star(streams.len())
-        .with_config(small_config())
+        .with_driver_config(DriverConfig { site: small_config(), ..Default::default() })
         .with_streams(
             streams.into_iter().map(|s| Box::new(s.into_iter()) as RecordStream).collect(),
         )
