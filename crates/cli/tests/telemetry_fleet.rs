@@ -11,8 +11,9 @@
 //! - after the round, every counter and histogram in each site's local
 //!   registry equals its `siteN.`-prefixed copy in the fleet registry,
 //!   and the unprefixed fleet counter equals the sum across sites
-//!   (control-plane counters excluded: frames sent after a site's final
-//!   telemetry flush — `Done`, the last heartbeat — can never be
+//!   (control-plane counters and the idle-wait series excluded: frames
+//!   sent after a site's final telemetry flush — `Done`, the last
+//!   heartbeat — and the wait for `Stop` that follows can never be
 //!   reported);
 //! - shipped spans are rebased onto the coordinator clock (they land
 //!   inside the observed round window) and keep per-site node ids
@@ -192,14 +193,15 @@ fn fleet_registry_matches_site_registries_and_rebases_spans() {
     // reproduced verbatim under its `siteN.` prefix, and the unprefixed
     // counters must be the cross-site sums. Control-plane traffic is the
     // one legitimate laggard — `Done` and the final heartbeat are sent
-    // after the last telemetry flush, so their counts never ship.
+    // after the last telemetry flush, so their counts never ship — and so
+    // is the wait for `Stop` that follows them.
     let fleet_registry = fleet.registry();
     let mut sums: BTreeMap<&str, u64> = BTreeMap::new();
     for (site, registry) in registries.iter().enumerate() {
         let counters = registry.counters();
         assert!(!counters.is_empty(), "site {site} recorded no counters");
         for (name, value) in counters {
-            if name.starts_with("net.ctrl_") {
+            if name.starts_with("net.ctrl_") || name == "uplink.wakeups" {
                 continue;
             }
             assert_eq!(
@@ -210,8 +212,9 @@ fn fleet_registry_matches_site_registries_and_rebases_spans() {
             *sums.entry(name).or_insert(0) += value;
         }
         for (name, snap) in registry.histograms() {
-            // RTT samples observed after the final flush stay local.
-            if name == "hb.rtt_us" {
+            // RTT samples and idle waits observed after the final flush
+            // stay local.
+            if name == "hb.rtt_us" || name == "uplink.wait_us" {
                 continue;
             }
             let fleet_snap = fleet_registry

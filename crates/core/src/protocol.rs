@@ -350,8 +350,10 @@ pub struct ReliableSender {
 }
 
 impl ReliableSender {
-    /// A sender with the given initial retransmission timeout and cap
-    /// (both simulated microseconds).
+    /// A sender with the given initial retransmission timeout and cap, in
+    /// microseconds of whichever clock arms the timer. Only the simulator
+    /// arms one: the socket runtime re-sends after a reconnect, never on a
+    /// timeout, and reads neither value.
     pub fn new(base_rto_us: u64, max_rto_us: u64) -> ReliableSender {
         ReliableSender {
             next_seq: 0,

@@ -9,7 +9,10 @@
 //! channels, answers their handshakes, heartbeats and scrapes, and folds
 //! their synopses into the local shard coordinator; upward it behaves as
 //! site `index`: one reduced sequenced `NewModel` per flush interval,
-//! retransmitted on RTO, resynced on reconnect.
+//! resynced on reconnect. Both directions feed one event queue and the
+//! node is one loop over it: a child's frame reaches the engine as soon
+//! as its reader has it, and an aggregator with quiet children sleeps
+//! until its next deadline (flush, eviction horizon, heartbeat).
 //!
 //! Durability is deliberately soft-state: the aggregator never
 //! checkpoints. If the process dies, its children reconnect to the
@@ -21,7 +24,7 @@
 //! already existed before the tier.
 
 use std::net::TcpListener;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use crate::aggregator::{AggregatorConfig, AggregatorEngine};
@@ -30,9 +33,9 @@ use crate::driver::{DeliveryConfig, DeliveryMode};
 use crate::engine::UpChannel;
 use crate::error::CludiError;
 use crate::runtime::control::Control;
-use crate::runtime::downlink::{Downlink, Shard};
+use crate::runtime::downlink::{Downlink, NetEvent, Shard};
 use crate::runtime::tcp::{validate_socket, SocketConfig};
-use crate::runtime::uplink::{Uplink, Work};
+use crate::runtime::uplink::{Step, Uplink, Work};
 use crate::serving::ModelSnapshot;
 use cludistream_gmm::CovarianceType;
 use cludistream_obs::{FleetAggregator, Obs};
@@ -133,8 +136,9 @@ impl AggregatorRunBuilder {
         self
     }
 
-    /// Overrides the upward channel's delivery tuning (RTO base/cap).
-    /// The mode must stay [`DeliveryMode::Reliable`];
+    /// Overrides the upward channel's delivery settings. The mode must
+    /// stay [`DeliveryMode::Reliable`] (the RTO pair is the simulator's:
+    /// a socket re-sends only after a reconnect);
     /// [`AggregatorRunBuilder::build`] rejects anything else.
     pub fn delivery(mut self, delivery: DeliveryConfig) -> Self {
         self.0.delivery = delivery;
@@ -219,9 +223,9 @@ pub struct AggregatorReport {
     pub sent_messages: u64,
     /// Bytes put on the upward wire (payloads, no length prefix).
     pub sent_bytes: u64,
-    /// Upward frames re-sent on RTO expiry.
+    /// Upward frames re-sent after a reconnect to the parent.
     pub retransmitted_messages: u64,
-    /// Upward bytes re-sent on RTO expiry.
+    /// Upward bytes re-sent after a reconnect to the parent.
     pub retransmitted_bytes: u64,
     /// ACK frames sent downward to children.
     pub ack_messages: u64,
@@ -261,16 +265,17 @@ impl Shard for AggregatorEngine {
     }
 }
 
-/// An aggregator's work between polls of its parent: serve the children,
-/// and forward one reduced update when the shard went dirty and the flush
-/// interval elapsed (or the children are all done).
+/// An aggregator's work between events: serve the children, and forward
+/// one reduced update when the shard went dirty and the flush interval
+/// elapsed (or the children are all done). All of it is driven by events
+/// and deadlines, so no step leaves it busy.
 struct Relay {
     down: Downlink,
     agg: AggregatorEngine,
     up: UpChannel,
     flush_interval: Duration,
     last_flush: Instant,
-    deadline: Option<Duration>,
+    deadline: Option<Instant>,
 }
 
 impl Work for Relay {
@@ -278,11 +283,23 @@ impl Work for Relay {
         &mut self.up
     }
 
-    fn step(&mut self, send: &mut dyn FnMut(ByteBuf)) -> Result<bool, CludiError> {
-        if self.deadline.is_some_and(|d| self.down.epoch.elapsed() > d) {
+    fn on_event(&mut self, event: NetEvent) {
+        self.down.on_event(&mut self.agg, event);
+    }
+
+    /// The earliest of: a child falling silent past the timeout, the
+    /// run's deadline, and — while something is batching — the next flush.
+    fn deadline(&self) -> Option<Instant> {
+        let flush =
+            if self.agg.dirty() { self.last_flush.checked_add(self.flush_interval) } else { None };
+        [self.down.next_eviction(), self.deadline, flush].into_iter().flatten().min()
+    }
+
+    fn step(&mut self, send: &mut dyn FnMut(ByteBuf)) -> Result<Step, CludiError> {
+        if self.deadline.is_some_and(|d| Instant::now() > d) {
             return Err(CludiError::Net("aggregator deadline exceeded".into()));
         }
-        self.down.pump(&mut self.agg, Duration::ZERO)?;
+        self.down.evict();
         // Every child done (or evicted): flush whatever is still batching
         // without waiting out the interval.
         let finished = self.down.machine.finished();
@@ -292,7 +309,7 @@ impl Work for Relay {
                 self.up.send(msg, send);
             }
         }
-        Ok(finished && !self.agg.dirty())
+        Ok(if finished && !self.agg.dirty() { Step::Exhausted } else { Step::Idle })
     }
 
     /// Propagates the round end to the subtree before this node tears
@@ -325,8 +342,20 @@ pub fn run_aggregator(
         },
         obs.clone(),
     )?;
-    let down =
-        Downlink::new(listener, child_base, children, dim, cov, obs.clone(), socket, run.fleet)?;
+    // One queue for the whole node: the parent's reader and the
+    // children's readers wake the same loop.
+    let (events_tx, events) = mpsc::channel();
+    let down = Downlink::new(
+        listener,
+        events_tx.clone(),
+        child_base,
+        children,
+        dim,
+        cov,
+        obs.clone(),
+        socket,
+        run.fleet,
+    )?;
     let mut up = Uplink {
         parent_addr,
         role: "aggregator",
@@ -339,20 +368,21 @@ pub fn run_aggregator(
         // One clock per node: the children's Cristian probes and this
         // node's own echoes upward read the same epoch.
         epoch: down.epoch,
+        events,
+        events_tx,
         sent_messages: 0,
         sent_bytes: 0,
         resyncs: 0,
     };
+    let deadline = socket.deadline.and_then(|d| down.epoch.checked_add(d));
     let mut relay = Relay {
         down,
         agg,
         up: UpChannel::new(index, cov, obs, run.delivery),
         flush_interval: Duration::from_micros(run.flush_interval_us),
         last_flush: Instant::now(),
-        deadline: socket.deadline,
+        deadline,
     };
-    // While the parent rendezvous (and any reconnect) runs, children queue
-    // on the downlink's channel; the first step drains the backlog.
     let outcome = up.run(&mut relay);
     relay.down.close();
     outcome?;

@@ -9,7 +9,7 @@
 //! `Telemetry`, status/snapshot/health requests, `Done`, data frames →
 //! ACK — and evicts children silent past the timeout. The root
 //! coordinator ([`super::serve`]) is a Downlink with `base = 0`; an
-//! aggregator ([`super::run_aggregator`]) pumps one from its upward loop.
+//! aggregator ([`super::run_aggregator`]) feeds one from its upward loop.
 //!
 //! What a root and an aggregator answer *differently* sits behind the
 //! [`Shard`] trait and nowhere else. Wire indices, journal `site` fields
@@ -17,13 +17,16 @@
 //! round machine and the [`CommStats`] node ids are local (`site - base`,
 //! with this node as id `count`).
 //!
-//! Threading: the acceptor thread hands connections to per-connection
-//! reader threads, which feed decoded frames over a channel into the one
-//! thread calling [`Downlink::pump`]. Keeping the engine single-threaded
-//! preserves the telemetry call order the golden fixtures depend on.
+//! Threading: the acceptor thread blocks in `accept` and hands each
+//! connection to a reader thread blocking in `read`; both feed
+//! [`NetEvent`]s into the node's one event queue, and the one thread that
+//! owns the queue's receiving end hands them to [`Downlink::on_event`].
+//! Nothing here polls or sleeps: a frame wakes its reader, the reader
+//! wakes the node. Keeping the engine single-threaded preserves the
+//! telemetry call order the golden fixtures depend on.
 
 use std::collections::HashMap;
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
@@ -62,8 +65,10 @@ pub(crate) trait Shard {
     }
 }
 
-/// Events the acceptor/reader threads feed the pumping thread.
-enum NetEvent {
+/// What the acceptor and reader threads feed a node's event queue. Every
+/// event names its connection, so the node can tell a child's frame from
+/// its parent's and a dead connection's last words from the live one's.
+pub(crate) enum NetEvent {
     /// A connection arrived; `writer` is the write half (a
     /// `try_clone`).
     Accepted { conn: u64, writer: TcpStream },
@@ -71,6 +76,34 @@ enum NetEvent {
     Frame { conn: u64, payload: Vec<u8> },
     /// The connection closed or its reader failed.
     Closed { conn: u64 },
+}
+
+impl NetEvent {
+    /// The connection the event happened on.
+    pub fn conn(&self) -> u64 {
+        match self {
+            NetEvent::Accepted { conn, .. }
+            | NetEvent::Frame { conn, .. }
+            | NetEvent::Closed { conn } => *conn,
+        }
+    }
+}
+
+/// Blocks until the next event or until `until` passes (forever when
+/// `None`); `Ok(None)` is the deadline.
+pub(crate) fn next_event(
+    events: &mpsc::Receiver<NetEvent>,
+    until: Option<Instant>,
+) -> Result<Option<NetEvent>, CludiError> {
+    let closed = || CludiError::Net("node event queue closed".into());
+    match until {
+        None => events.recv().map(Some).map_err(|_| closed()),
+        Some(until) => match events.recv_timeout(until.saturating_duration_since(Instant::now())) {
+            Ok(event) => Ok(Some(event)),
+            Err(mpsc::RecvTimeoutError::Timeout) => Ok(None),
+            Err(mpsc::RecvTimeoutError::Disconnected) => Err(closed()),
+        },
+    }
 }
 
 /// A live connection as the pumping thread sees it.
@@ -94,9 +127,10 @@ pub(crate) fn send_control(stream: &TcpStream, obs: &Obs, frame: &Control) -> bo
     write_payload(stream, bytes.as_slice()).is_ok()
 }
 
-/// Blocking per-connection reader: length-prefixed frames in, channel
-/// events out, `Closed` on EOF or error.
-fn read_loop(conn: u64, mut stream: TcpStream, tx: &mpsc::Sender<NetEvent>) {
+/// Blocking per-connection reader: length-prefixed frames in, queue
+/// events out, `Closed` on EOF or error. Shutting the socket down from
+/// another thread is how a node ends it.
+pub(crate) fn read_loop(conn: u64, mut stream: TcpStream, tx: &mpsc::Sender<NetEvent>) {
     let mut fr = FrameReader::new();
     loop {
         match fr.poll(&mut stream) {
@@ -121,9 +155,10 @@ fn read_loop(conn: u64, mut stream: TcpStream, tx: &mpsc::Sender<NetEvent>) {
 
 /// The serving half of a socket node (see the module docs).
 pub(crate) struct Downlink {
-    rx: mpsc::Receiver<NetEvent>,
     done: Arc<AtomicBool>,
     acceptor: Option<thread::JoinHandle<()>>,
+    /// Where the acceptor is blocked; [`Downlink::close`] dials it.
+    listening_on: SocketAddr,
     conns: HashMap<u64, Conn>,
     /// Live connection per local child slot (newest wins).
     child_conn: Vec<Option<u64>>,
@@ -146,12 +181,15 @@ pub(crate) struct Downlink {
 
 impl Downlink {
     /// Starts accepting on `listener` for the children
-    /// `[base, base + count)`. With a `fleet`, the telemetry plane is on:
-    /// clock probes after every `Welcome`, deltas folded into the fleet
-    /// registry, journal events stamped with microseconds since `epoch`.
+    /// `[base, base + count)`, feeding `events` — the node's queue, whose
+    /// receiving end the caller keeps. With a `fleet`, the telemetry plane
+    /// is on: clock probes after every `Welcome`, deltas folded into the
+    /// fleet registry, journal events stamped with microseconds since
+    /// `epoch`.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         listener: TcpListener,
+        events: mpsc::Sender<NetEvent>,
         base: u32,
         count: usize,
         dim: u32,
@@ -160,38 +198,34 @@ impl Downlink {
         socket: SocketConfig,
         fleet: Option<Arc<FleetAggregator>>,
     ) -> Result<Downlink, CludiError> {
-        listener.set_nonblocking(true)?;
+        let listening_on = listener.local_addr()?;
         let done = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = mpsc::channel::<NetEvent>();
         let acceptor = {
             let done = Arc::clone(&done);
             thread::spawn(move || {
                 let mut next_conn = 0u64;
-                while !done.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let _ = stream.set_nodelay(true);
-                            let conn = next_conn;
-                            next_conn += 1;
-                            let Ok(writer) = stream.try_clone() else { continue };
-                            if tx.send(NetEvent::Accepted { conn, writer }).is_err() {
-                                return;
-                            }
-                            let tx = tx.clone();
-                            thread::spawn(move || read_loop(conn, stream, &tx));
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            thread::sleep(Duration::from_millis(10));
-                        }
-                        Err(_) => return,
+                // Blocks in `accept`; the connection that wakes it after
+                // `done` is `close` dialling in, not a child.
+                while let Ok((stream, _)) = listener.accept() {
+                    if done.load(Ordering::SeqCst) {
+                        return;
                     }
+                    let _ = stream.set_nodelay(true);
+                    let conn = next_conn;
+                    next_conn += 1;
+                    let Ok(writer) = stream.try_clone() else { continue };
+                    if events.send(NetEvent::Accepted { conn, writer }).is_err() {
+                        return;
+                    }
+                    let events = events.clone();
+                    thread::spawn(move || read_loop(conn, stream, &events));
                 }
             })
         };
         Ok(Downlink {
-            rx,
             done,
             acceptor: Some(acceptor),
+            listening_on,
             conns: HashMap::new(),
             child_conn: vec![None; count],
             machine: RoundMachine::new(count, socket.timeout_us),
@@ -212,36 +246,36 @@ impl Downlink {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    /// Drains the event channel — blocking up to `wait` for the first
-    /// event — then evicts children silent past the timeout.
-    pub fn pump(&mut self, shard: &mut impl Shard, wait: Duration) -> Result<(), CludiError> {
-        let mut event = match self.rx.recv_timeout(wait) {
-            Ok(event) => Some(event),
-            Err(mpsc::RecvTimeoutError::Timeout) => None,
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return Err(CludiError::Net("listener event channel closed".into()));
+    /// Handles one event from an accepted connection.
+    pub fn on_event(&mut self, shard: &mut impl Shard, event: NetEvent) {
+        match event {
+            NetEvent::Accepted { conn, writer } => {
+                self.conns.insert(conn, Conn { writer, child: None });
             }
-        };
-        while let Some(current) = event {
-            match current {
-                NetEvent::Accepted { conn, writer } => {
-                    self.conns.insert(conn, Conn { writer, child: None });
-                }
-                NetEvent::Frame { conn, payload } => {
-                    let now_us = self.stamp();
-                    self.on_frame(shard, &payload, conn, now_us);
-                }
-                NetEvent::Closed { conn } => {
-                    if let Some(child) = self.conns.remove(&conn).and_then(|c| c.child) {
-                        if self.child_conn[child] == Some(conn) {
-                            self.child_conn[child] = None;
-                        }
+            NetEvent::Frame { conn, payload } => {
+                let now_us = self.stamp();
+                self.on_frame(shard, &payload, conn, now_us);
+            }
+            NetEvent::Closed { conn } => {
+                if let Some(child) = self.conns.remove(&conn).and_then(|c| c.child) {
+                    if self.child_conn[child] == Some(conn) {
+                        self.child_conn[child] = None;
                     }
                 }
             }
-            // A disconnect here surfaces at the next pump's blocking wait.
-            event = self.rx.try_recv().ok();
         }
+    }
+
+    /// When the next child falls silent past the timeout unless it speaks
+    /// first: the latest a node with nothing else to do may sleep before
+    /// calling [`Downlink::evict`].
+    pub fn next_eviction(&self) -> Option<Instant> {
+        let horizon_us = self.machine.next_eviction_us()?;
+        self.epoch.checked_add(Duration::from_micros(horizon_us))
+    }
+
+    /// Evicts children silent past the timeout and cuts their sockets.
+    pub fn evict(&mut self) {
         let now_us = self.stamp();
         for (child, silent_us) in self.machine.evictions(now_us) {
             let site = self.base + child as u32;
@@ -251,7 +285,6 @@ impl Downlink {
                 let _ = c.writer.shutdown(Shutdown::Both);
             }
         }
-        Ok(())
     }
 
     /// Reads the clock and, with a fleet, stamps journal events and spans
@@ -275,11 +308,16 @@ impl Downlink {
     /// Tears down: stop accepting, cut every socket so blocked readers
     /// exit, and collect the acceptor (reader threads die on their own).
     pub fn close(&mut self) {
-        self.done.store(true, Ordering::Relaxed);
+        self.done.store(true, Ordering::SeqCst);
         for c in self.conns.values() {
             let _ = c.writer.shutdown(Shutdown::Both);
         }
-        if let Some(acceptor) = self.acceptor.take() {
+        // The acceptor is blocked in `accept`: dial it so it wakes, sees
+        // `done` and returns. A failed dial means the listener is already
+        // gone and the thread with it — or, on a host that cannot reach
+        // its own listener, that joining would hang the teardown.
+        let woken = TcpStream::connect(self.listening_on).is_ok();
+        if let Some(acceptor) = self.acceptor.take().filter(|_| woken) {
             let _ = acceptor.join();
         }
     }

@@ -112,6 +112,14 @@ impl RoundMachine {
         evicted
     }
 
+    /// The earliest time at which [`RoundMachine::evictions`] would evict
+    /// someone if nobody speaks until then: what a serving loop with
+    /// nothing else to do sleeps until. `None` while no site is `Joined`.
+    pub fn next_eviction_us(&self) -> Option<u64> {
+        let joined = (0..self.states.len()).filter(|&s| self.states[s] == SiteState::Joined);
+        joined.map(|s| self.last_seen[s].saturating_add(self.timeout_us).saturating_add(1)).min()
+    }
+
     /// `true` when the round can end: every site is `Done` or `Evicted`.
     pub fn finished(&self) -> bool {
         self.started
@@ -178,7 +186,11 @@ mod tests {
         m.join(0, 0);
         m.join(1, 0);
         m.heard(0, 900);
-        // Site 1 last heard at t=0; at t=1500 it is 1500 µs silent.
+        // The horizon a sleeping server wakes at is the first instant the
+        // sweep evicts at: site 1, last heard at t=0.
+        assert_eq!(m.next_eviction_us(), Some(TIMEOUT + 1));
+        assert!(m.evictions(TIMEOUT).is_empty(), "silent for exactly the timeout is not past it");
+        // At t=1500 it is 1500 µs silent.
         let evicted = m.evictions(1_500);
         assert_eq!(evicted, vec![(1, 1_500)]);
         assert_eq!(m.state(1), SiteState::Evicted);
@@ -187,6 +199,9 @@ mod tests {
         // only 700 µs silent here and stays joined).
         assert!(m.evictions(1_600).is_empty());
         assert_eq!(m.evicted_sites(), vec![1]);
+        assert_eq!(m.next_eviction_us(), Some(900 + TIMEOUT + 1), "only site 0 is left to watch");
+        m.done(0);
+        assert_eq!(m.next_eviction_us(), None, "done and evicted sites have no horizon");
     }
 
     #[test]

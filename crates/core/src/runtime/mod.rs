@@ -11,18 +11,21 @@
 //!
 //! A socket node is built from two halves, each defined once (paper
 //! Sec. 7: an internal node is a coordinator to its children and a site
-//! to its parent, nothing more):
+//! to its parent, nothing more), and runs as one loop over one event
+//! queue that a reader thread per connection feeds — it sleeps only when
+//! it has nothing to do, until an event or its next deadline:
 //!
 //! - `downlink` (crate-internal) — serve a contiguous child range:
 //!   acceptor, `Hello` validation, liveness and eviction, ACKs, scrapes.
 //! - `uplink` (crate-internal) — play a site toward one parent: connect,
-//!   rendezvous, RTO retransmit, heartbeat, `Done`, reconnect-and-resync.
+//!   rendezvous, heartbeat, `Done`, reconnect-and-resync (the only
+//!   retransmission on a socket; RTO timers are the simulator's).
 //! - [`tcp`] — the coordinator ([`serve`] = a downlink over the root
 //!   engine), the site ([`run_site`] = an uplink over a windowed site),
 //!   and the in-process [`TcpTransport`].
 //! - [`aggregator`] — the intermediate fan-in role ([`run_aggregator`] =
-//!   an uplink whose work pumps a downlink), forwarding one pre-merged
-//!   update per flush interval.
+//!   an uplink whose work serves a downlink from the same queue),
+//!   forwarding one pre-merged update per flush interval.
 //! - [`control`] — handshake/liveness frame codec.
 //! - `liveness` (crate-internal) — the pure round/eviction state machine.
 //!

@@ -12,10 +12,14 @@
 //! Both roles are thin: [`serve`] is a `Downlink` (acceptor, handshake,
 //! liveness, eviction, scrapes — see `runtime/downlink.rs`) over a
 //! `CoordinatorEngine`; [`run_site`] is an `Uplink` (connect, rendezvous,
-//! RTO retransmit, heartbeat, reconnect-and-resync — see
-//! `runtime/uplink.rs`) whose work pulls records through a `SiteCore`.
+//! heartbeat, reconnect-and-resync — see `runtime/uplink.rs`) whose work
+//! pulls records through a `SiteCore`. Each is one loop over one event
+//! queue that reader threads feed: it sleeps only when it has nothing to
+//! do, and then until an event or its next deadline. Nothing is re-sent
+//! on a timer — on TCP a reconnect is the only retransmission.
 //! This module holds what is particular to each: the root's snapshot and
-//! alert answers, the site's record pump, and the builders and reports.
+//! alert answers, the site's record pump and send window, and the
+//! builders and reports.
 //!
 //! Fleet telemetry plane (opt-in): when [`CoordinatorRunBuilder::fleet`]
 //! is set and sites run with [`SiteRunBuilder::telemetry`], each site
@@ -31,7 +35,7 @@
 //! fixtures see a control plane identical to the pre-telemetry one.
 
 use std::net::TcpListener;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -45,8 +49,8 @@ use crate::error::CludiError;
 use crate::protocol::ReliableInbox;
 use crate::remote::SiteStats;
 use crate::runtime::control::{Control, HealthAlert};
-use crate::runtime::downlink::{Downlink, Shard};
-use crate::runtime::uplink::{Uplink, Work};
+use crate::runtime::downlink::{next_event, Downlink, Shard};
+use crate::runtime::uplink::{Step, Uplink, Work};
 use crate::serving::{ModelSnapshot, SnapshotHandle};
 use crate::transport::{RunRecipe, Transport};
 use crate::windows::WindowSpec;
@@ -279,9 +283,10 @@ pub struct SiteReport {
     /// Bytes put on the wire (payloads; the 4-byte length prefix is
     /// excluded to match the simulator's accounting).
     pub sent_bytes: u64,
-    /// Frames re-sent on RTO expiry.
+    /// Frames re-sent after a reconnect (the tail past the parent's
+    /// cumulative ACK); zero on a connection that never dropped.
     pub retransmitted_messages: u64,
-    /// Bytes re-sent on RTO expiry.
+    /// Bytes re-sent after a reconnect.
     pub retransmitted_bytes: u64,
     /// Times this site reconnected and resynced.
     pub resyncs: u64,
@@ -366,15 +371,29 @@ pub fn serve(listener: TcpListener, run: CoordinatorRun) -> Result<CoordReport, 
     let mut engine = CoordinatorEngine::new(coord, sites, cov, obs.clone());
     engine.publish = snapshots;
     let mut root = Root { engine, alerts };
-    let mut down = Downlink::new(listener, 0, sites, dim, cov, obs, socket, fleet)?;
+    let (events_tx, events) = mpsc::channel();
+    let mut down = Downlink::new(listener, events_tx, 0, sites, dim, cov, obs, socket, fleet)?;
+    let deadline = socket.deadline.and_then(|d| down.epoch.checked_add(d));
+    let linger = socket.linger.unwrap_or(Duration::ZERO);
     let mut finished_at: Option<Instant> = None;
 
     let outcome = loop {
-        if socket.deadline.is_some_and(|d| down.epoch.elapsed() > d) {
-            break Err(CludiError::Net("coordinator serve deadline exceeded".into()));
+        // Sleep until something arrives, or until the earliest moment the
+        // loop has to act on its own: a child falling silent past the
+        // timeout, the deadline, the end of the linger window.
+        let linger_until = finished_at.and_then(|f| f.checked_add(linger));
+        let until = [down.next_eviction(), deadline, linger_until].into_iter().flatten().min();
+        let mut event = match next_event(&events, until) {
+            Ok(event) => event,
+            Err(e) => break Err(e),
+        };
+        while let Some(current) = event {
+            down.on_event(&mut root, current);
+            event = events.try_recv().ok();
         }
-        if let Err(e) = down.pump(&mut root, Duration::from_millis(20)) {
-            break Err(e);
+        down.evict();
+        if deadline.is_some_and(|d| Instant::now() > d) {
+            break Err(CludiError::Net("coordinator serve deadline exceeded".into()));
         }
         if down.machine.finished() {
             // Broadcast Stop exactly once; with a linger window the loop
@@ -385,7 +404,7 @@ pub fn serve(listener: TcpListener, run: CoordinatorRun) -> Result<CoordReport, 
                 down.broadcast(&Control::Stop);
                 Instant::now()
             });
-            if finished.elapsed() >= socket.linger.unwrap_or(Duration::ZERO) {
+            if finished.elapsed() >= linger {
                 break Ok(());
             }
         }
@@ -474,9 +493,10 @@ impl SiteRunBuilder {
         self
     }
 
-    /// Overrides the delivery tuning. The mode must stay
-    /// [`DeliveryMode::Reliable`]; [`SiteRunBuilder::build`] rejects
-    /// anything else.
+    /// Overrides the delivery settings. The mode must stay
+    /// [`DeliveryMode::Reliable`] ([`SiteRunBuilder::build`] rejects
+    /// anything else); the RTO pair is the simulator's — a socket re-sends
+    /// only after a reconnect.
     pub fn delivery(mut self, delivery: DeliveryConfig) -> Self {
         self.0.delivery = delivery;
         self
@@ -518,8 +538,33 @@ impl SiteRunBuilder {
     }
 }
 
-/// A site's work between polls: pull the next batch of records through
-/// the window and send whatever synopses that produced.
+/// Frames a site keeps unacknowledged before it stops pulling records
+/// (go-back-N's N). It bounds the site's queue under a slow or partitioned
+/// parent, and it turns snapshot latency from queue length back into
+/// work: with sites faster than the coordinator, every synopsis waits
+/// behind the ones in flight. The window is looked at between batches and
+/// a batch is drained whole, as the simulator drains it (the journals must
+/// agree), so a batch that ends several chunks can overshoot by its extra
+/// frames; at the default 100-record batch against a 1567-record chunk it
+/// cannot.
+///
+/// Measured on `drift_tcp` (seed 1, 2 cores, two runs each; best and
+/// median repetition, then `change_to_snapshot_ms` p50 / p90):
+///
+/// | W         | records/s best | median    | p50 ms      | p90 ms      |
+/// |-----------|----------------|-----------|-------------|-------------|
+/// | 1         | 579–606 k      | 511–533 k | 9.8–10.7    | 14.2–15.3   |
+/// | 2         | 632–656 k      | 541–591 k | 17.0–18.2   | 20.6–22.3   |
+/// | 4         | 640–672 k      | 586 k     | 36.0        | 43.5–51.4   |
+/// | unbounded | 635–640 k      | 540 k     | 54.2–65.8   | 94.5–98.3   |
+///
+/// The run is coordinator-bound, so past 2 the window buys no throughput
+/// and every doubling doubles the latency; 1 leaves a site idle for the
+/// ACK's round trip after every synopsis (−8 %).
+const SEND_WINDOW: usize = 2;
+
+/// A site's work between looks at its event queue: pull the next batch of
+/// records through the window and send whatever synopses that produced.
 struct SitePump {
     core: SiteCore,
     stream: RecordStream,
@@ -532,20 +577,26 @@ impl Work for SitePump {
         &mut self.core.up
     }
 
-    fn step(&mut self, send: &mut dyn FnMut(ByteBuf)) -> Result<bool, CludiError> {
-        if self.remaining > 0 {
-            let take = (self.batch as u64).min(self.remaining) as usize;
-            for _ in 0..take {
-                let Some(record) = self.stream.next() else {
-                    self.remaining = 0;
-                    break;
-                };
-                let _ = self.core.window.push(record)?;
-                self.remaining -= 1;
-            }
-            self.core.drain_outbound(send);
+    fn step(&mut self, send: &mut dyn FnMut(ByteBuf)) -> Result<Step, CludiError> {
+        if self.remaining == 0 {
+            return Ok(Step::Exhausted);
         }
-        Ok(self.remaining == 0)
+        if self.core.up.pending() >= SEND_WINDOW {
+            // Parent-bound: sleep until an ACK opens the window.
+            self.core.up.obs.counter("uplink.window_stalls", 1);
+            return Ok(Step::Idle);
+        }
+        let take = (self.batch as u64).min(self.remaining) as usize;
+        for _ in 0..take {
+            let Some(record) = self.stream.next() else {
+                self.remaining = 0;
+                break;
+            };
+            let _ = self.core.window.push(record)?;
+            self.remaining -= 1;
+        }
+        self.core.drain_outbound(send);
+        Ok(if self.remaining == 0 { Step::Exhausted } else { Step::Busy })
     }
 }
 
@@ -556,6 +607,7 @@ pub fn run_site(addr: &str, run: SiteRun) -> Result<SiteReport, CludiError> {
     let SiteRun { site, window, config, delivery, stream, updates, socket, telemetry } = run;
     let core = build_site_core(&config, window, site, delivery)?;
     let mut pump = SitePump { core, stream, remaining: updates, batch: config.batch };
+    let (events_tx, events) = mpsc::channel();
     let mut up = Uplink {
         parent_addr: addr,
         role: "site",
@@ -566,6 +618,8 @@ pub fn run_site(addr: &str, run: SiteRun) -> Result<SiteReport, CludiError> {
         socket,
         telemetry,
         epoch: Instant::now(),
+        events,
+        events_tx,
         sent_messages: 0,
         sent_bytes: 0,
         resyncs: 0,
@@ -743,26 +797,15 @@ mod tests {
         stream.flush().expect("flush");
     }
 
-    /// Blocks until one whole frame arrives.
-    fn next_frame(stream: &mut TcpStream, reader: &mut FrameReader) -> Vec<u8> {
-        loop {
-            let polled = reader.poll(stream).expect("poll");
-            if let Some(frame) = polled.frames.into_iter().next() {
-                return frame;
-            }
-            assert!(!polled.eof, "coordinator closed the connection early");
-        }
-    }
-
     fn hello(site: u32, resume: bool) -> Control {
         Control::Hello { version: PROTOCOL_VERSION, site, dim: 1, cov: CovarianceType::Full, resume }
     }
 
     /// Reads frames until the coordinator's `Welcome`, skipping `Start`
     /// (whose arrival order depends on when the other site joins).
-    fn await_welcome(stream: &mut TcpStream, reader: &mut FrameReader) -> u64 {
+    fn await_welcome(stream: &mut TcpStream, reader: &mut FrameRx) -> u64 {
         loop {
-            let frame = next_frame(stream, reader);
+            let frame = reader.next_payload(stream);
             if !Control::is_control(&frame) {
                 continue;
             }
@@ -810,7 +853,7 @@ mod tests {
         let finish_signal = Arc::clone(&finish);
         let site1 = thread::spawn(move || {
             let mut s = TcpStream::connect(addr).expect("site 1 connect");
-            let mut reader = FrameReader::new();
+            let mut reader = FrameRx::new();
             send(&mut s, hello(1, false).encode().as_slice());
             await_welcome(&mut s, &mut reader);
             s.set_read_timeout(Some(Duration::from_millis(10))).expect("read timeout");
@@ -820,14 +863,14 @@ mod tests {
                 // closing a socket with unread data queued makes TCP
                 // reset the connection, which would discard our final
                 // `Done` in flight. The real site loop drains too.
-                let _ = reader.poll(&mut s);
+                let _ = reader.reader.poll(&mut s);
                 thread::sleep(Duration::from_millis(40));
             }
             send(&mut s, Control::Done { site: 1 }.encode().as_slice());
             // Hold the socket open until `Stop` (or the teardown EOF) so
             // the `Done` is delivered before the close.
             loop {
-                match reader.poll(&mut s) {
+                match reader.reader.poll(&mut s) {
                     Ok(polled) => {
                         if polled.frames.iter().any(|f| {
                             matches!(
@@ -846,7 +889,7 @@ mod tests {
 
         // Site 0 joins and gets one sequenced data frame acknowledged.
         let mut s0 = TcpStream::connect(addr).expect("site 0 connect");
-        let mut reader0 = FrameReader::new();
+        let mut reader0 = FrameRx::new();
         send(&mut s0, hello(0, false).encode().as_slice());
         assert_eq!(await_welcome(&mut s0, &mut reader0), 0, "fresh inbox");
         // Sequence numbers start at 0; the cumulative ACK counts in-order
@@ -858,7 +901,7 @@ mod tests {
         };
         send(&mut s0, data.encode(CovarianceType::Full).as_slice());
         let ack = loop {
-            let frame = next_frame(&mut s0, &mut reader0);
+            let frame = reader0.next_payload(&mut s0);
             if Control::is_control(&frame) {
                 continue; // Start
             }
@@ -884,7 +927,7 @@ mod tests {
         // Reconnect-resume: the Welcome must carry cumulative ACK 1, the
         // go-back-N resync point (nothing before it is retransmitted).
         let mut s0 = TcpStream::connect(addr).expect("site 0 reconnect");
-        let mut reader0 = FrameReader::new();
+        let mut reader0 = FrameRx::new();
         send(&mut s0, hello(0, true).encode().as_slice());
         assert_eq!(await_welcome(&mut s0, &mut reader0), 1, "resync from the inbox position");
         send(&mut s0, Control::Done { site: 0 }.encode().as_slice());
@@ -977,7 +1020,7 @@ mod tests {
         let server = thread::spawn(move || serve(listener, run));
 
         let mut bad = TcpStream::connect(addr).expect("connect");
-        let mut reader = FrameReader::new();
+        let mut reader = FrameRx::new();
         let wrong = Control::Hello {
             version: PROTOCOL_VERSION + 1,
             site: 0,
@@ -986,7 +1029,7 @@ mod tests {
             resume: false,
         };
         send(&mut bad, wrong.encode().as_slice());
-        let frame = next_frame(&mut bad, &mut reader);
+        let frame = reader.next_payload(&mut bad);
         match Control::decode(&mut ByteReader::new(&frame)).expect("control") {
             Control::Reject { code, expect, got } => {
                 assert_eq!(code, RejectCode::Version);
@@ -999,7 +1042,7 @@ mod tests {
 
         // A well-versioned site still completes the round.
         let mut good = TcpStream::connect(addr).expect("connect");
-        let mut reader = FrameReader::new();
+        let mut reader = FrameRx::new();
         send(&mut good, hello(0, false).encode().as_slice());
         await_welcome(&mut good, &mut reader);
         send(&mut good, Control::Done { site: 0 }.encode().as_slice());
@@ -1071,10 +1114,10 @@ mod tests {
 
         let pull = || -> Vec<u8> {
             let mut s = TcpStream::connect(addr).expect("connect");
-            let mut reader = FrameReader::new();
+            let mut reader = FrameRx::new();
             send(&mut s, Control::SnapshotRequest.encode().as_slice());
             loop {
-                let frame = next_frame(&mut s, &mut reader);
+                let frame = reader.next_payload(&mut s);
                 if let Ok(Control::SnapshotReply { snapshot }) =
                     Control::decode(&mut ByteReader::new(&frame))
                 {
@@ -1112,7 +1155,7 @@ mod tests {
         // Finish the round so serve() returns; its report repeats the
         // published snapshot as the end-of-round checkpoint.
         let mut s = TcpStream::connect(addr).expect("connect");
-        let mut reader = FrameReader::new();
+        let mut reader = FrameRx::new();
         send(&mut s, hello(0, false).encode().as_slice());
         await_welcome(&mut s, &mut reader);
         send(&mut s, Control::Done { site: 0 }.encode().as_slice());
@@ -1225,9 +1268,9 @@ mod tests {
         assert!(report.evicted.is_empty());
     }
 
-    /// Like [`next_frame`] but keeps *every* frame a poll returns —
-    /// back-to-back control frames (Welcome + ClockProbe + Start
-    /// coalesce under nodelay) must not be dropped.
+    /// A hand-rolled peer's reading half. It keeps *every* frame a poll
+    /// returns: back-to-back frames (Welcome + ClockProbe + Start, Start +
+    /// an ACK) coalesce into one read and none of them may be dropped.
     struct FrameRx {
         reader: FrameReader,
         pending: std::collections::VecDeque<Vec<u8>>,
@@ -1238,6 +1281,21 @@ mod tests {
             FrameRx { reader: FrameReader::new(), pending: std::collections::VecDeque::new() }
         }
 
+        /// Blocks until the next frame of either plane.
+        fn next_payload(&mut self, stream: &mut TcpStream) -> Vec<u8> {
+            loop {
+                if let Some(frame) = self.pending.pop_front() {
+                    return frame;
+                }
+                let polled = self.reader.poll(stream).expect("poll");
+                assert!(
+                    !(polled.frames.is_empty() && polled.eof),
+                    "connection closed while awaiting a frame"
+                );
+                self.pending.extend(polled.frames);
+            }
+        }
+
         /// Reads control frames until `want` accepts one, skipping the
         /// rest (Start arrives interleaved with the telemetry plane).
         fn next_control(
@@ -1246,25 +1304,235 @@ mod tests {
             want: impl Fn(&Control) -> bool,
         ) -> Control {
             loop {
-                if let Some(frame) = self.pending.pop_front() {
-                    if !Control::is_control(&frame) {
-                        continue;
-                    }
-                    let ctrl =
-                        Control::decode(&mut ByteReader::new(&frame)).expect("control frame");
-                    if want(&ctrl) {
-                        return ctrl;
-                    }
+                let frame = self.next_payload(stream);
+                if !Control::is_control(&frame) {
                     continue;
                 }
-                let polled = self.reader.poll(stream).expect("poll");
-                assert!(
-                    !(polled.frames.is_empty() && polled.eof),
-                    "connection closed while awaiting a control frame"
-                );
-                self.pending.extend(polled.frames);
+                let ctrl = Control::decode(&mut ByteReader::new(&frame)).expect("control frame");
+                if want(&ctrl) {
+                    return ctrl;
+                }
             }
         }
+    }
+
+    /// A hand-rolled parent's side of the rendezvous with site 0: accept,
+    /// expect `Hello` with the given `resume`, answer `Welcome { ack }`
+    /// under a 10 s heartbeat (so no timer of the site's fires in a test).
+    fn welcome_site0(listener: &TcpListener, resume: bool, ack: u64) -> (TcpStream, FrameRx) {
+        let (mut s, _) = listener.accept().expect("accept");
+        let mut rx = FrameRx::new();
+        rx.next_control(
+            &mut s,
+            |c| matches!(c, Control::Hello { site: 0, resume: r, .. } if *r == resume),
+        );
+        let welcome = Control::Welcome {
+            version: PROTOCOL_VERSION,
+            heartbeat_us: 10_000_000,
+            timeout_us: 60_000_000,
+            ack,
+        };
+        send(&mut s, welcome.encode().as_slice());
+        (s, rx)
+    }
+
+    /// The sequence number of a data-plane payload that must be a data
+    /// frame (a site sends nothing else on that plane).
+    fn data_seq(payload: &[u8]) -> u64 {
+        match Frame::decode(&mut ByteReader::new(payload)).expect("data-plane frame") {
+            Frame::Data { seq, .. } => seq,
+            other => panic!("expected a data frame, got {other:?}"),
+        }
+    }
+
+    /// The rest of a `total`-frame round as a parent that acknowledges
+    /// one frame for every frame it reads sees it: every data frame
+    /// exactly once and in order starting at `next_seq`, never one the
+    /// window should have held back, and `Done` only after the last ACK —
+    /// promptly, with no timer tick in between.
+    fn ack_one_by_one_until_done(
+        s: &mut TcpStream,
+        rx: &mut FrameRx,
+        mut acked: u64,
+        mut next_seq: u64,
+        total: u64,
+    ) {
+        let mut last_ack_at = Instant::now();
+        loop {
+            if acked < next_seq {
+                acked += 1;
+                send(s, Frame::Ack { cumulative: acked }.encode(CovarianceType::Full).as_slice());
+                last_ack_at = Instant::now();
+                if next_seq == total && acked < total {
+                    // Nothing more is coming: acknowledge what is left.
+                    continue;
+                }
+            }
+            let frame = rx.next_payload(s);
+            if Control::is_control(&frame) {
+                let ctrl = Control::decode(&mut ByteReader::new(&frame)).expect("control frame");
+                if ctrl == (Control::Done { site: 0 }) {
+                    assert_eq!((acked, next_seq), (total, total), "Done must follow the last ACK");
+                    assert!(
+                        last_ack_at.elapsed() < Duration::from_secs(1),
+                        "Done waited {:?} after the last ACK: a timer, not the ACK, woke the site",
+                        last_ack_at.elapsed()
+                    );
+                    return;
+                }
+                continue;
+            }
+            let seq = data_seq(&frame);
+            assert_eq!(seq, next_seq, "every seq exactly once, in order");
+            assert!(seq < total, "one synopsis per chunk");
+            assert!(
+                seq < acked + SEND_WINDOW as u64,
+                "seq {seq} left the site with only {acked} acknowledged: window is {SEND_WINDOW}"
+            );
+            next_seq += 1;
+        }
+    }
+
+    /// A 1-d site whose every chunk comes from a region of its own, so
+    /// every chunk fails every fit test and sends one synopsis: `chunks`
+    /// data frames in all.
+    fn restless_site(chunks: u64, registry: &Arc<Registry>) -> SiteRun {
+        use cludistream_gmm::{ChunkParams, Gaussian};
+        use cludistream_linalg::Vector;
+        use cludistream_rng::StdRng;
+
+        let site = crate::config::Config {
+            dim: 1,
+            k: 1,
+            chunk: ChunkParams { epsilon: 0.15, delta: 0.01 },
+            seed: 41,
+            ..Default::default()
+        };
+        let chunk = crate::remote::RemoteSite::new(site.clone()).expect("site config").chunk_size();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut emitted = 0usize;
+        let stream = std::iter::from_fn(move || {
+            let center = 60.0 * (emitted / chunk) as f64;
+            emitted += 1;
+            let g = Gaussian::spherical(Vector::from_slice(&[center]), 0.5).expect("gaussian");
+            Some(g.sample(&mut rng))
+        });
+        SiteRun::builder(0, Box::new(stream))
+            .config(DriverConfig {
+                site,
+                // At most one chunk, so one frame, per step: a batch is
+                // drained whole, as the simulator drains it, and the
+                // window is looked at between batches.
+                batch: chunk / 2,
+                obs: Obs::from_registry(Arc::clone(registry)),
+                ..Default::default()
+            })
+            .updates(chunks * chunk as u64)
+            .socket(SocketConfig { connect_retry_ms: 10, ..SocketConfig::default() })
+            .build()
+            .expect("valid site run")
+    }
+
+    /// Invariants 1 and 2 of the socket sender. A parent that withholds
+    /// every ACK for four RTOs sees the first `SEND_WINDOW` frames once
+    /// each and nothing else — no timer re-sends on a live connection, and
+    /// the site stops pulling records with the window full. Once it
+    /// acknowledges, the rest flow under the same window and `Done`
+    /// follows the last ACK.
+    #[test]
+    fn live_connection_never_resends_and_keeps_the_window() {
+        const CHUNKS: u64 = 6;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let registry = Arc::new(Registry::new());
+        let run = restless_site(CHUNKS, &registry);
+        let site = thread::spawn(move || run_site(&addr, run));
+
+        let (mut s, mut rx) = welcome_site0(&listener, false, 0);
+        let hold = Duration::from_micros(4 * DeliveryConfig::default().rto_us);
+        let hold_until = Instant::now() + hold;
+        s.set_read_timeout(Some(Duration::from_millis(10))).expect("read timeout");
+        let mut held: Vec<Vec<u8>> = rx.pending.drain(..).collect();
+        while Instant::now() < hold_until {
+            held.extend(rx.reader.poll(&mut s).expect("poll").frames);
+        }
+        s.set_read_timeout(None).expect("blocking reads");
+        let seqs: Vec<u64> =
+            held.iter().filter(|f| !Control::is_control(f)).map(|f| data_seq(f)).collect();
+        let window: Vec<u64> = (0..SEND_WINDOW as u64).collect();
+        assert_eq!(seqs, window, "{hold:?} without an ACK: the window once, nothing re-sent");
+
+        ack_one_by_one_until_done(&mut s, &mut rx, 0, SEND_WINDOW as u64, CHUNKS);
+        send(&mut s, Control::Stop.encode().as_slice());
+        let report = site.join().expect("site thread").expect("site run ok");
+        assert_eq!(report.sent_messages, CHUNKS);
+        assert_eq!(report.retransmitted_messages, 0);
+        assert_eq!(report.resyncs, 0);
+        assert!(
+            registry.counter_value("uplink.window_stalls") >= 1,
+            "the withheld ACKs must show as window stalls"
+        );
+    }
+
+    /// Invariant 1's other half: a lost connection is the one thing that
+    /// re-sends. The parent drops the socket with the window
+    /// unacknowledged, then answers the resuming `Hello` with a `Welcome`
+    /// whose ACK covers all but the last frame: exactly that tail comes
+    /// again, once, and the round goes on from there.
+    #[test]
+    fn reconnect_resends_exactly_the_unacknowledged_tail() {
+        const CHUNKS: u64 = 5;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let registry = Arc::new(Registry::new());
+        let run = restless_site(CHUNKS, &registry);
+        let site = thread::spawn(move || run_site(&addr, run));
+
+        let (mut s, mut rx) = welcome_site0(&listener, false, 0);
+        for expect in 0..SEND_WINDOW as u64 {
+            let frame = loop {
+                let frame = rx.next_payload(&mut s);
+                if !Control::is_control(&frame) {
+                    break frame;
+                }
+            };
+            assert_eq!(data_seq(&frame), expect);
+        }
+        drop(s);
+
+        let ack = SEND_WINDOW as u64 - 1;
+        let (mut s, mut rx) = welcome_site0(&listener, true, ack);
+        ack_one_by_one_until_done(&mut s, &mut rx, ack, ack, CHUNKS);
+        send(&mut s, Control::Stop.encode().as_slice());
+        let report = site.join().expect("site thread").expect("site run ok");
+        assert_eq!(report.resyncs, 1);
+        assert_eq!(report.retransmitted_messages, 1, "the tail past the Welcome's ACK, once");
+        assert_eq!(report.sent_messages, CHUNKS + 1);
+    }
+
+    /// Invariant 3: a node with nothing to do sleeps. A site that is done
+    /// and waiting for a withheld `Stop` — 300 ms under a 10 s heartbeat —
+    /// wakes for what arrives and for nothing else (a polling loop turns
+    /// about 15 times in that window, a spinning one 10⁵).
+    #[test]
+    fn idle_site_sleeps_until_stop() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let registry = Arc::new(Registry::new());
+        let run = restless_site(0, &registry);
+        let site = thread::spawn(move || run_site(&addr, run));
+
+        let (mut s, mut rx) = welcome_site0(&listener, false, 0);
+        rx.next_control(&mut s, |c| matches!(c, Control::Done { site: 0 }));
+        thread::sleep(Duration::from_millis(300));
+        send(&mut s, Control::Stop.encode().as_slice());
+        site.join().expect("site thread").expect("site run ok");
+
+        let wakeups = registry.counter_value("uplink.wakeups");
+        assert!((1..=4).contains(&wakeups), "{wakeups} wake-ups while waiting for Stop");
+        let waits = registry.histogram_snapshot("uplink.wait_us").expect("uplink.wait_us");
+        assert_eq!(waits.count, wakeups, "one wait per wake-up");
+        assert!(waits.sum >= 250_000, "the wait for Stop was spent blocked, not polling");
     }
 
     /// Drives the whole telemetry plane with a hand-rolled site: the

@@ -1,20 +1,37 @@
 //! The upward half of a socket node: play a site toward one parent.
 //!
-//! An [`Uplink`] dials the parent, says `Hello` and waits for `Welcome`
-//! (resyncing go-back-N from the parent's cumulative ACK on a reconnect),
-//! then loops: poll the socket, dispatch `Stop`/`Pong`/`ClockProbe`/ACKs,
-//! let the node do one step of [`Work`], retransmit on RTO, announce
-//! `Done` once the work is exhausted and everything acknowledged, and
-//! heartbeat (with a telemetry flush when opted in). Any socket failure
-//! before `Done` reconnects and resyncs; after `Done` it ends the round —
-//! the parent has everything and is tearing down.
+//! An [`Uplink`] dials the parent, hands the socket's read half to a
+//! reader thread — the same `read_loop` a downlink's connections get —
+//! that feeds the node's one event queue, says `Hello` and waits for
+//! `Welcome` (resyncing go-back-N from the parent's cumulative ACK on a
+//! reconnect). Then it is one loop over that queue: dispatch what arrived
+//! (`Stop`/`Pong`/`ClockProbe`/ACKs from the parent; anything from another
+//! connection is a child's and goes to the [`Work`]), let the node do one
+//! step of work, announce `Done` once the work is exhausted and everything
+//! acknowledged, and heartbeat (with a telemetry flush when opted in).
+//! While the work reports [`Step::Busy`] the loop only looks at the queue
+//! between steps; otherwise it blocks on it until an event arrives or the
+//! earliest deadline — the next heartbeat, or whatever the work is waiting
+//! for — passes. No read timeout, no sleep: a node with work never waits
+//! and a node without never spins.
+//!
+//! Timer retransmission is the simulator's, whose links really drop
+//! frames. A TCP connection is an in-order, lossless byte stream: a frame
+//! written to a live connection is never written to it again, because the
+//! second copy could only ever be a duplicate. Loss on TCP *is* a lost
+//! connection, and that is the one retransmission here — any socket
+//! failure before `Done` reconnects, and the `Welcome`'s cumulative ACK
+//! says which tail of the queue to re-send. After `Done` a failure ends
+//! the round: the parent has everything and is tearing down.
 //!
 //! A site ([`super::run_site`]) is an Uplink whose work pulls records
 //! through its window; an aggregator ([`super::run_aggregator`]) is an
-//! Uplink whose work pumps a [`super::downlink::Downlink`]. What the two
-//! do *between* polls sits behind [`Work`] and nowhere else.
+//! Uplink whose work serves a [`super::downlink::Downlink`] from the same
+//! queue. What the two do *between* events sits behind [`Work`] and
+//! nowhere else.
 
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
+use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -22,25 +39,75 @@ use crate::engine::UpChannel;
 use crate::error::CludiError;
 use crate::protocol::Frame;
 use crate::runtime::control::{Control, PROTOCOL_VERSION};
-use crate::runtime::downlink::{send_control, write_payload};
+use crate::runtime::downlink::{next_event, read_loop, send_control, write_payload, NetEvent};
 use crate::runtime::tcp::SocketConfig;
 use cludistream_gmm::CovarianceType;
 use cludistream_obs::{net, Obs, Recorder};
-use cludistream_wire::framing::FrameReader;
 use cludistream_wire::{ByteBuf, ByteReader};
 
-/// What a node does between two polls of its upward socket.
+/// What one [`Work::step`] left the node with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// More work in hand: step again without waiting.
+    Busy,
+    /// Nothing to do until an event arrives or [`Work::deadline`] passes.
+    Idle,
+    /// Nothing more will ever be sent, so `Done` may follow the last
+    /// acknowledgement; then as `Idle`.
+    Exhausted,
+}
+
+/// What a node does between two looks at its event queue.
 pub(crate) trait Work {
     /// The go-back-N channel the node's upward messages go through.
     fn channel(&mut self) -> &mut UpChannel;
 
     /// One unit of work, sending whatever it produced through `send`.
-    /// Returns `true` once exhausted: nothing more will ever be sent, so
-    /// `Done` may follow the last acknowledgement.
-    fn step(&mut self, send: &mut dyn FnMut(ByteBuf)) -> Result<bool, CludiError>;
+    fn step(&mut self, send: &mut dyn FnMut(ByteBuf)) -> Result<Step, CludiError>;
+
+    /// An event from a connection that is not the parent's: a child's,
+    /// on a node that serves any.
+    fn on_event(&mut self, _event: NetEvent) {}
+
+    /// When `step` must run next even if no event arrives.
+    fn deadline(&self) -> Option<Instant> {
+        None
+    }
 
     /// The parent said `Stop`, right before the uplink returns.
     fn on_stop(&mut self) {}
+}
+
+/// Connection ids with this bit set are a node's own upward connections,
+/// numbered by reconnect, so they never collide with the ids its acceptor
+/// hands to children — and a dead upward connection's `Closed` cannot be
+/// taken for the live one's.
+const UP_CONN: u64 = 1 << 63;
+
+/// One live upward connection: the write half, its id in the event queue,
+/// and the reader thread feeding that queue. Dropping it shuts the socket
+/// down, which is what ends the reader.
+struct UpConn {
+    stream: TcpStream,
+    id: u64,
+    reader: Option<thread::JoinHandle<()>>,
+}
+
+impl Drop for UpConn {
+    fn drop(&mut self) {
+        let _ = self.stream.shutdown(Shutdown::Both);
+        if let Some(reader) = self.reader.take() {
+            let _ = reader.join();
+        }
+    }
+}
+
+/// What a frame from the parent means for the loop.
+enum Heard {
+    Nothing,
+    /// The connection is gone (EOF, read error, or a failed reply).
+    Lost,
+    Stop,
 }
 
 /// One node's connection to its parent (see the module docs). The caller
@@ -66,7 +133,12 @@ pub(crate) struct Uplink<'a> {
     /// estimates this node's offset from the ClockProbe/ClockEcho
     /// exchange and rebases on its side.
     pub epoch: Instant,
-    /// Frames put on the wire (including retransmissions).
+    /// The node's one event queue. This uplink's reader threads feed it
+    /// through `events_tx`; an aggregator hands a clone of the sending end
+    /// to its downlink, so children wake the same loop.
+    pub events: mpsc::Receiver<NetEvent>,
+    pub events_tx: mpsc::Sender<NetEvent>,
+    /// Frames put on the wire (including a resync's re-sends).
     pub sent_messages: u64,
     /// Payload bytes put on the wire (no length prefix, to match the
     /// simulator's accounting).
@@ -137,17 +209,41 @@ impl<'a> Uplink<'a> {
         }
     }
 
+    /// Dials the parent and starts the reader that turns what it says
+    /// into events of connection `UP_CONN | generation`.
+    fn dial(&self, generation: u64) -> Result<UpConn, CludiError> {
+        let stream = connect(self.parent_addr, &self.socket)?;
+        stream.set_nodelay(true)?;
+        let id = UP_CONN | generation;
+        let (read_half, events) = (stream.try_clone()?, self.events_tx.clone());
+        let reader = thread::spawn(move || read_loop(id, read_half, &events));
+        Ok(UpConn { stream, id, reader: Some(reader) })
+    }
+
+    /// Sorts one event: the live upward connection's is returned, a
+    /// child connection's goes to the work, and a dead upward
+    /// connection's is dropped.
+    fn route(event: NetEvent, conn: &UpConn, work: &mut impl Work) -> Option<NetEvent> {
+        if event.conn() == conn.id {
+            return Some(event);
+        }
+        if event.conn() & UP_CONN == 0 {
+            work.on_event(event);
+        }
+        None
+    }
+
     /// Rendezvous: says `Hello`, then waits for `Welcome` (or `Reject`)
-    /// under the handshake deadline. Returns the parent's heartbeat
-    /// period, its cumulative ACK, and the frames that arrived behind the
-    /// `Welcome` in the same poll (`Start`, the parent's `ClockProbe`) —
-    /// they belong to the main loop and must not be dropped.
+    /// under the handshake deadline, serving the work's own connections
+    /// meanwhile. Returns the parent's heartbeat period and its cumulative
+    /// ACK. Whatever the parent sent behind the `Welcome` (`Start`, its
+    /// `ClockProbe`) stays queued for the main loop.
     fn rendezvous(
         &self,
-        conn: &TcpStream,
-        fr: &mut FrameReader,
+        conn: &UpConn,
         resume: bool,
-    ) -> Result<(u64, u64, Vec<Vec<u8>>), CludiError> {
+        work: &mut impl Work,
+    ) -> Result<(u64, u64), CludiError> {
         let hello = Control::Hello {
             version: PROTOCOL_VERSION,
             site: self.index,
@@ -157,52 +253,87 @@ impl<'a> Uplink<'a> {
         };
         let bytes = hello.encode();
         net::on_ctrl_send(&self.obs, bytes.len() as u64);
-        write_payload(conn, bytes.as_slice())?;
+        write_payload(&conn.stream, bytes.as_slice())?;
 
-        let deadline = Instant::now() + Duration::from_micros(self.socket.timeout_us.max(1));
+        let deadline = Instant::now().checked_add(Duration::from_micros(self.socket.timeout_us));
         loop {
-            if Instant::now() > deadline {
+            let Some(event) = next_event(&self.events, deadline)? else {
                 return Err(self.net_err("handshake timed out"));
-            }
-            let polled = fr.poll(&mut { conn })?;
-            let mut frames = polled.frames.into_iter();
-            while let Some(payload) = frames.next() {
-                if !Control::is_control(&payload) {
-                    continue;
+            };
+            let payload = match Self::route(event, conn, work) {
+                Some(NetEvent::Frame { payload, .. }) if Control::is_control(&payload) => payload,
+                Some(NetEvent::Closed { .. }) => {
+                    return Err(self.net_err("connection closed during handshake"));
                 }
-                match Control::decode(&mut ByteReader::new(&payload))? {
-                    Control::Welcome { heartbeat_us, ack, .. } => {
-                        return Ok((heartbeat_us, ack, frames.collect()));
-                    }
-                    Control::Reject { code, expect, got } => {
-                        return Err(self.net_err(format_args!(
-                            "parent rejected handshake: {} mismatch (parent has {expect}, \
-                             this {} sent {got})",
-                            code.describe(),
-                            self.role
-                        )));
-                    }
-                    _ => {}
+                _ => continue,
+            };
+            match Control::decode(&mut ByteReader::new(&payload))? {
+                Control::Welcome { heartbeat_us, ack, .. } => return Ok((heartbeat_us, ack)),
+                Control::Reject { code, expect, got } => {
+                    return Err(self.net_err(format_args!(
+                        "parent rejected handshake: {} mismatch (parent has {expect}, \
+                         this {} sent {got})",
+                        code.describe(),
+                        self.role
+                    )));
                 }
-            }
-            if polled.eof {
-                return Err(self.net_err("connection closed during handshake"));
+                _ => {}
             }
         }
+    }
+
+    /// Dispatches one event of the live upward connection.
+    fn on_parent(&self, event: NetEvent, conn: &UpConn, work: &mut impl Work) -> Heard {
+        let payload = match event {
+            NetEvent::Frame { payload, .. } => payload,
+            NetEvent::Closed { .. } => return Heard::Lost,
+            NetEvent::Accepted { .. } => return Heard::Nothing,
+        };
+        if !Control::is_control(&payload) {
+            if let Ok(Frame::Ack { cumulative }) = Frame::decode(&mut ByteReader::new(&payload)) {
+                work.channel().on_ack(cumulative);
+            }
+            return Heard::Nothing;
+        }
+        match Control::decode(&mut ByteReader::new(&payload)) {
+            Ok(Control::Stop) => return Heard::Stop,
+            Ok(Control::Pong { echo_us, .. }) if self.telemetry => {
+                let rtt = self.now_us().saturating_sub(echo_us);
+                self.obs.observe("hb.rtt_us", rtt);
+            }
+            Ok(Control::ClockProbe { t0_us }) => {
+                let echo = Control::ClockEcho { site: self.index, t0_us, site_us: self.now_us() };
+                if !send_control(&conn.stream, &self.obs, &echo) {
+                    return Heard::Lost;
+                }
+            }
+            _ => {}
+        }
+        Heard::Nothing
+    }
+
+    /// The idle wait: blocks until an event arrives or `until` passes.
+    /// `uplink.wait_us` and `uplink.wakeups` are this node's answer to
+    /// "waiting or computing" — a busy node never comes here.
+    fn wait(&self, until: Option<Instant>) -> Result<Option<NetEvent>, CludiError> {
+        let started = Instant::now();
+        let event = next_event(&self.events, until)?;
+        self.obs.counter("uplink.wakeups", 1);
+        self.obs.observe("uplink.wait_us", started.elapsed().as_micros() as u64);
+        Ok(event)
     }
 
     /// Runs the node against its parent until the parent says `Stop` (or
     /// vanishes after `Done`): rendezvous, work, liveness, and
     /// reconnect-with-resync on any earlier socket failure.
     pub fn run(&mut self, work: &mut impl Work) -> Result<(), CludiError> {
-        let mut reconnects = 0u32;
+        let mut reconnects = 0u64;
         'round: loop {
-            let conn = connect(self.parent_addr, &self.socket)?;
-            conn.set_nodelay(true)?;
-            conn.set_read_timeout(Some(Duration::from_millis(20)))?;
+            // Dropped at the end of every pass, which shuts the socket
+            // down and collects its reader before the next dial.
+            let conn = self.dial(reconnects)?;
             let resume = reconnects > 0;
-            let mut fr = FrameReader::new();
-            let (heartbeat_us, parent_ack, mut inbound) = self.rendezvous(&conn, &mut fr, resume)?;
+            let (heartbeat_us, parent_ack) = self.rendezvous(&conn, resume, work)?;
             let heartbeat = Duration::from_micros(heartbeat_us.max(1));
             work.channel().on_ack(parent_ack);
             let mut io_err = false;
@@ -210,55 +341,41 @@ impl<'a> Uplink<'a> {
                 // Go-back-N resync: the Welcome told us the parent's
                 // cumulative position; re-send everything past it now.
                 self.resyncs += 1;
-                work.channel().retransmit(&mut self.sender(&conn, &mut io_err));
+                work.channel().retransmit(&mut self.sender(&conn.stream, &mut io_err));
             }
 
             let mut done_sent = false;
-            let mut last_ping = Instant::now();
-            let mut retx_at: Option<Instant> = None;
-            // Busy-poll (1 ms) while there is work, block up to 20 ms once
-            // exhausted.
-            let mut polling_fast = true;
+            // `None` is a heartbeat period past the end of the clock.
+            let mut next_ping = Instant::now().checked_add(heartbeat);
             // The first flush after a resync carries the flight-recorder
             // ring: the parent journals what this node saw before the
             // crash.
             let mut flush_flight = self.telemetry && resume;
-            conn.set_read_timeout(Some(Duration::from_millis(1)))?;
+            let mut busy = true;
             loop {
                 if self.telemetry {
                     self.obs.set_sim_time(self.now_us());
                 }
                 // A failed write counts as a lost connection, like EOF or
                 // a failed read.
-                let polled = if io_err { None } else { fr.poll(&mut { &conn }).ok() };
-                let (frames, mut lost) = polled.map_or((Vec::new(), true), |p| (p.frames, p.eof));
-                inbound.extend(frames);
-                for payload in inbound.drain(..) {
-                    if Control::is_control(&payload) {
-                        match Control::decode(&mut ByteReader::new(&payload)) {
-                            Ok(Control::Stop) => {
+                let mut lost = io_err;
+                let mut event = if busy || lost {
+                    self.events.try_recv().ok()
+                } else {
+                    self.wait([next_ping, work.deadline()].into_iter().flatten().min())?
+                };
+                while let Some(current) = event {
+                    if let Some(current) = Self::route(current, &conn, work) {
+                        match self.on_parent(current, &conn, work) {
+                            Heard::Stop => {
                                 work.on_stop();
                                 break 'round;
                             }
-                            Ok(Control::Pong { echo_us, .. }) if self.telemetry => {
-                                let rtt = self.now_us().saturating_sub(echo_us);
-                                self.obs.observe("hb.rtt_us", rtt);
-                            }
-                            Ok(Control::ClockProbe { t0_us }) => {
-                                let echo = Control::ClockEcho {
-                                    site: self.index,
-                                    t0_us,
-                                    site_us: self.now_us(),
-                                };
-                                lost |= !send_control(&conn, &self.obs, &echo);
-                            }
-                            _ => {}
+                            Heard::Lost => lost = true,
+                            Heard::Nothing => {}
                         }
-                    } else if let Ok(Frame::Ack { cumulative }) =
-                        Frame::decode(&mut ByteReader::new(&payload))
-                    {
-                        work.channel().on_ack(cumulative);
                     }
+                    event = self.events.try_recv().ok();
                 }
                 if lost {
                     if done_sent {
@@ -270,47 +387,36 @@ impl<'a> Uplink<'a> {
                     }
                     break; // reconnect
                 }
-                let exhausted = work.step(&mut self.sender(&conn, &mut io_err))?;
-                if exhausted == polling_fast {
-                    polling_fast = !exhausted;
-                    let timeout = Duration::from_millis(if polling_fast { 1 } else { 20 });
-                    conn.set_read_timeout(Some(timeout))?;
-                }
-                let up = work.channel();
-                if up.pending() > 0 {
-                    let rto = Duration::from_micros(up.next_timeout_us());
-                    if Instant::now() >= *retx_at.get_or_insert_with(|| Instant::now() + rto) {
-                        up.retransmit(&mut self.sender(&conn, &mut io_err));
-                        let backoff = Duration::from_micros(up.next_timeout_us());
-                        retx_at = Some(Instant::now() + backoff);
-                    }
-                } else {
-                    retx_at = None;
-                }
-                if exhausted && up.pending() == 0 && !done_sent && !io_err {
+                let step = work.step(&mut self.sender(&conn.stream, &mut io_err))?;
+                busy = step == Step::Busy;
+                if step == Step::Exhausted
+                    && work.channel().pending() == 0
+                    && !done_sent
+                    && !io_err
+                {
                     if self.telemetry {
                         // Flush before Done: once every node is done the
                         // parent may Stop and tear down, so this is the
                         // last delta guaranteed to land in the fleet
                         // registry. Every data-plane counter is final here
                         // (work exhausted, everything acknowledged).
-                        self.flush_telemetry(&conn, &mut flush_flight, &mut io_err);
+                        self.flush_telemetry(&conn.stream, &mut flush_flight, &mut io_err);
                     }
-                    if send_control(&conn, &self.obs, &Control::Done { site: self.index }) {
+                    if send_control(&conn.stream, &self.obs, &Control::Done { site: self.index }) {
                         done_sent = true;
                     } else {
                         io_err = true;
                     }
                 }
-                if last_ping.elapsed() >= heartbeat {
+                if next_ping.is_some_and(|at| Instant::now() >= at) {
                     let ping = Control::Ping { site: self.index, sent_us: self.now_us() };
-                    if !send_control(&conn, &self.obs, &ping) {
+                    if !send_control(&conn.stream, &self.obs, &ping) {
                         io_err = true;
                     }
                     if self.telemetry {
-                        self.flush_telemetry(&conn, &mut flush_flight, &mut io_err);
+                        self.flush_telemetry(&conn.stream, &mut flush_flight, &mut io_err);
                     }
-                    last_ping = Instant::now();
+                    next_ping = Instant::now().checked_add(heartbeat);
                 }
             }
             reconnects += 1;

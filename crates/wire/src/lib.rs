@@ -289,6 +289,10 @@ pub mod framing {
     /// Writes one length-prefixed frame. A payload exceeding
     /// [`MAX_FRAME_BYTES`] is refused with an `InvalidData` error instead
     /// of being written (the peer would refuse to read it anyway).
+    ///
+    /// Prefix and payload go out in one `write`: every socket in the
+    /// runtime has `TCP_NODELAY` set, so two writes would be two syscalls,
+    /// two segments, and two wake-ups of the peer's reader per frame.
     pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
         if payload.len() > MAX_FRAME_BYTES {
             return Err(io::Error::new(
@@ -296,8 +300,10 @@ pub mod framing {
                 format!("frame of {} bytes exceeds MAX_FRAME_BYTES", payload.len()),
             ));
         }
-        w.write_all(&(payload.len() as u32).to_le_bytes())?;
-        w.write_all(payload)
+        let mut frame = Vec::with_capacity(LENGTH_PREFIX_BYTES + payload.len());
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(payload);
+        w.write_all(&frame)
     }
 
     /// Incremental reader for length-prefixed frames.
@@ -630,6 +636,39 @@ mod tests {
             let big = vec![0u8; MAX_FRAME_BYTES + 1];
             let err = write_frame(&mut NullSink, &big).expect_err("oversize must error");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
+
+        #[test]
+        fn one_frame_is_one_write_and_reassembles_from_single_byte_reads() {
+            /// Keeps the bytes and counts the `write` calls that brought them.
+            #[derive(Default)]
+            struct Counting {
+                bytes: Vec<u8>,
+                writes: usize,
+            }
+            impl io::Write for Counting {
+                fn write(&mut self, b: &[u8]) -> io::Result<usize> {
+                    self.writes += 1;
+                    self.bytes.extend_from_slice(b);
+                    Ok(b.len())
+                }
+                fn flush(&mut self) -> io::Result<()> {
+                    Ok(())
+                }
+            }
+            let payload = vec![0x5A; 300];
+            let mut sink = Counting::default();
+            write_frame(&mut sink, &payload).expect("write");
+            assert_eq!(sink.writes, 1, "prefix and payload must leave in one write");
+            assert_eq!(sink.bytes.len(), LENGTH_PREFIX_BYTES + payload.len());
+
+            let mut reader = FrameReader::new();
+            let mut src = Chunked { data: sink.bytes, pos: 0, chunk: 1 };
+            let mut collected = Vec::new();
+            while src.pos < src.data.len() {
+                collected.extend(reader.poll(&mut src).expect("poll").frames);
+            }
+            assert_eq!(collected, vec![payload]);
         }
 
         #[test]

@@ -62,7 +62,7 @@ for _ in $(seq 1 150); do
 done
 addr="$(cat "$smokedir/port.txt")"
 ./target/release/cludistream site --connect "$addr" --site 0 \
-    --journal "$smokedir/tcp_site0.jsonl" >/dev/null &
+    --journal "$smokedir/tcp_site0.jsonl" > "$smokedir/tcp_site0.out" &
 # Mid-round status scrape: with site 1 not yet launched the round cannot
 # end, so the scrape deterministically observes a live fleet. Site 0's
 # telemetry rides its heartbeat cadence (500 ms), hence the poll.
@@ -93,14 +93,19 @@ if [ -n "$bad" ]; then
     exit 1
 fi
 ./target/release/cludistream site --connect "$addr" --site 1 \
-    --journal "$smokedir/tcp_site1.jsonl" >/dev/null &
+    --journal "$smokedir/tcp_site1.jsonl" > "$smokedir/tcp_site1.out" &
 wait
 ./target/release/cludistream metrics --reliable --journal "$smokedir/sim.jsonl" \
     > "$smokedir/sim.out"
 grep '^coordinator groups:' "$smokedir/coord.out" > "$smokedir/coord_groups"
 grep '^coordinator groups:' "$smokedir/sim.out" > "$smokedir/sim_groups"
 diff -u "$smokedir/sim_groups" "$smokedir/coord_groups"
+# Exact counts: a frame written to a live connection is never written to
+# it again, so with no connection lost nothing is re-sent and nothing
+# arrives twice — by construction, on any host, however loaded.
+grep -q 'dup/stale discarded: 0$' "$smokedir/coord.out"
 for i in 0 1; do
+    grep -q 'retransmitted: 0 msgs 0 bytes | resyncs: 0$' "$smokedir/tcp_site$i.out"
     grep -E '"event":"(ChunkTested|Reclustered|SynopsisSent)"' "$smokedir/sim.jsonl" \
         | grep "\"site\":$i" | sed 's/"t":[0-9]*/"t":_/' > "$smokedir/sim_site$i"
     grep -E '"event":"(ChunkTested|Reclustered|SynopsisSent)"' "$smokedir/tcp_site$i.jsonl" \
@@ -218,9 +223,9 @@ for _ in $(seq 1 150); do
 done
 aaddr="$(cat "$smokedir/aport.txt")"
 ./target/release/cludistream site --connect "$aaddr" --site 0 \
-    --journal "$smokedir/agg_site0.jsonl" >/dev/null &
+    --journal "$smokedir/agg_site0.jsonl" > "$smokedir/agg_site0.out" &
 ./target/release/cludistream site --connect "$aaddr" --site 1 \
-    --journal "$smokedir/agg_site1.jsonl" >/dev/null &
+    --journal "$smokedir/agg_site1.jsonl" > "$smokedir/agg_site1.out" &
 wait
 # The root behind the fan-in reaches the simulator's groups; one
 # aggregator hop adds no churn (no resyncs, no evictions, >= 1 reduced
@@ -230,7 +235,12 @@ diff -u "$smokedir/sim_groups" "$smokedir/tree_groups"
 grep -q '^aggregator groups: 2$' "$smokedir/agg.out"
 grep -qE '^flushes up: [1-9]' "$smokedir/agg.out"
 grep -q 'resyncs: up 0 down 0 | evicted sites: \[\]' "$smokedir/agg.out"
+# Exact counts, on both hops (see the star smoke above).
+grep -q 'retransmitted: 0 msgs 0 bytes$' "$smokedir/agg.out"
+grep -q 'dup/stale discarded: 0 | decode errors: 0$' "$smokedir/agg.out"
+grep -q 'dup/stale discarded: 0$' "$smokedir/rcoord.out"
 for i in 0 1; do
+    grep -q 'retransmitted: 0 msgs 0 bytes | resyncs: 0$' "$smokedir/agg_site$i.out"
     grep -E '"event":"(ChunkTested|Reclustered|SynopsisSent)"' "$smokedir/agg_site$i.jsonl" \
         | sed 's/"t":[0-9]*/"t":_/' > "$smokedir/agg_site$i"
     diff -u "$smokedir/sim_site$i" "$smokedir/agg_site$i"
