@@ -8,7 +8,7 @@
 //! minimizing the L1 accuracy loss `l(x)` with the downhill-simplex method,
 //! starting from the moment-preserving merge.
 
-use cludistream_gmm::{sample_standard_normal, Gaussian, Mixture};
+use cludistream_gmm::{sample_standard_normal, DensityScratch, Gaussian, Mixture};
 use cludistream_linalg::{Cholesky, Matrix, Vector};
 use cludistream_optimize::{NelderMead, NelderMeadConfig};
 use cludistream_rng::StdRng;
@@ -73,6 +73,11 @@ pub fn normalize_column(values: &[f64]) -> Vec<f64> {
 /// `l(x) = ∫ |w_i p(x|i) + w_j p(x|j) − (w_i+w_j) p(x|i')| dx`
 /// via self-normalized importance sampling with proposal
 /// `q = ½ p(x|i) + ½ p(x|j)` over the fixed point set `points`.
+///
+/// This is the definition of `l(x)` and the reference implementation:
+/// [`MergeRefiner::refine_with`] does not call it — it computes the terms
+/// that do not depend on `merged` once per merge — and a differential test
+/// holds the two bit-identical.
 pub fn accuracy_loss(
     wi: f64,
     gi: &Gaussian,
@@ -99,17 +104,26 @@ pub fn accuracy_loss(
     total / points.len().max(1) as f64
 }
 
-/// Reusable scratch buffers for [`MergeRefiner::refine_with`]. The refiner
-/// used to allocate a fresh Monte-Carlo point set and parameter vector per
-/// merge; hoisting them here lets the coordinator reuse one allocation
-/// across every `apply()` — the swarm benchmark's root-CPU attribution
-/// showed the per-merge allocs as pure overhead. Sampling into a cleared
-/// buffer draws the identical point sequence, so refinement results are
-/// bit-identical to the allocating path.
+/// Reusable buffers for [`MergeRefiner::refine_with`]: what one merge
+/// computes once and every simplex evaluation reads. Of the loss's three
+/// densities per point only the candidate's changes between evaluations,
+/// so per merge the refiner evaluates the 2·S fixed densities once, folds
+/// them into `mix` and `q`, and then pays S candidate densities per
+/// evaluation through the batched kernel. Every buffer is cleared or
+/// overwritten at the start of a merge, so a long-lived coordinator
+/// allocates once and results are bit-identical to fresh scratch.
 #[derive(Debug, Default)]
 pub struct MergeScratch {
-    /// Monte-Carlo evaluation points (capacity persists across merges).
-    points: Vec<Vector>,
+    /// The S Monte-Carlo points, row-major (`rows[b*d..(b+1)*d]` is `x_b`).
+    rows: Vec<f64>,
+    /// `mix[b] = r_i·p_i(x_b) + r_j·p_j(x_b)`: the pair's density at `x_b`.
+    mix: Vec<f64>,
+    /// `q[b] = ½p_i(x_b) + ½p_j(x_b)`: the proposal's density at `x_b`.
+    q: Vec<f64>,
+    /// The candidate's log-densities, overwritten by every evaluation.
+    logp: Vec<f64>,
+    /// Solve buffer of [`Gaussian::log_pdf_batch`]'s dense path.
+    density: DensityScratch,
     /// Packed simplex start parameters.
     params: Vec<f64>,
 }
@@ -156,9 +170,13 @@ impl MergeRefiner {
     }
 
     /// [`MergeRefiner::refine_detailed`] against caller-owned scratch
-    /// buffers, so a long-lived coordinator pays the Monte-Carlo point
-    /// allocation once instead of per merge. Results are bit-identical to
-    /// [`MergeRefiner::refine_detailed`].
+    /// buffers. Cost per merge: 2·S fixed densities once, then S candidate
+    /// densities per simplex evaluation, scored by one
+    /// [`Gaussian::log_pdf_batch`] (bit-identical to per-point `log_pdf`,
+    /// no allocation). The objective is [`accuracy_loss`] term for term —
+    /// `(r_i·p_i + r_j·p_j) − w·p_m` parses left to right, so naming the
+    /// first sum `mix[b]` changes no rounding — summed in point order, so
+    /// every loss and every simplex decision equals the reference's bits.
     pub fn refine_with(
         &self,
         scratch: &mut MergeScratch,
@@ -177,19 +195,45 @@ impl MergeRefiner {
         // Relative weights within the pair.
         let (ri, rj) = (wi / (wi + wj), wj / (wi + wj));
 
-        // Fixed evaluation points from the pair mixture (half from each).
+        let MergeScratch { rows, mix, q, logp, density, params } = scratch;
+
+        // Fixed evaluation points from the pair mixture (half from each),
+        // and at each the two densities no candidate can change.
         let mut rng = StdRng::seed_from_u64(self.seed);
-        scratch.points.clear();
-        scratch.points.extend((0..self.samples).map(|s| {
-            let g = if s % 2 == 0 { gi } else { gj };
-            g.sample(&mut rng)
-        }));
-        let points = &scratch.points;
+        rows.clear();
+        mix.clear();
+        q.clear();
+        for s in 0..self.samples {
+            let x = if s % 2 == 0 { gi } else { gj }.sample(&mut rng);
+            let (pi, pj) = (gi.pdf(&x), gj.pdf(&x));
+            mix.push(ri * pi + rj * pj);
+            q.push(0.5 * pi + 0.5 * pj);
+            rows.extend_from_slice(x.as_slice());
+        }
+        logp.resize(self.samples, 0.0);
         let _ = sample_standard_normal(&mut rng); // decorrelate future seeds
 
+        let w = ri + rj;
+        let mut loss = |candidate: &Gaussian| -> f64 {
+            candidate.log_pdf_batch(rows, logp, density);
+            let total: f64 = mix
+                .iter()
+                .zip(q.iter())
+                .zip(logp.iter())
+                .map(|((&mix, &q), &logp)| {
+                    if q <= 0.0 {
+                        0.0
+                    } else {
+                        (mix - w * logp.exp()).abs() / q
+                    }
+                })
+                .sum();
+            total / mix.len().max(1) as f64
+        };
+
         let d = start.dim();
-        scratch.params.clear();
-        pack_into(&start, &mut scratch.params);
+        params.clear();
+        pack_into(&start, params);
         let nm = NelderMead::new(NelderMeadConfig {
             max_evals: self.max_evals,
             f_tol: 1e-9,
@@ -198,12 +242,12 @@ impl MergeRefiner {
         });
         let result = nm.minimize(
             |params| match unpack(params, d) {
-                Some(g) => accuracy_loss(ri, gi, rj, gj, &g, points),
+                Some(g) => loss(&g),
                 None => f64::MAX,
             },
-            &scratch.params,
+            params,
         );
-        let start_loss = accuracy_loss(ri, gi, rj, gj, &start, points);
+        let start_loss = loss(&start);
         match unpack(&result.point, d) {
             // Keep the refinement only when it actually improved on the
             // moment merge.
@@ -400,25 +444,174 @@ mod tests {
         }
     }
 
+    fn assert_same_bits(
+        (want, want_loss, want_evals): &(Gaussian, f64, usize),
+        (got, got_loss, got_evals): &(Gaussian, f64, usize),
+    ) {
+        assert_eq!(want_evals, got_evals, "evaluations");
+        assert_eq!(want_loss.to_bits(), got_loss.to_bits(), "loss {want_loss} vs {got_loss}");
+        let d = want.dim();
+        assert_eq!(d, got.dim());
+        for i in 0..d {
+            assert_eq!(want.mean()[i].to_bits(), got.mean()[i].to_bits(), "mean[{i}]");
+            for j in 0..d {
+                assert_eq!(
+                    want.cov()[(i, j)].to_bits(),
+                    got.cov()[(i, j)].to_bits(),
+                    "cov[({i}, {j})]"
+                );
+            }
+        }
+    }
+
     #[test]
     fn refine_with_reused_scratch_is_bit_identical() {
         let a = g(0.0, 1.0);
         let b = g(2.0, 2.0);
         let refiner = MergeRefiner { seed: 5, ..Default::default() };
-        let (fresh, fresh_loss, fresh_evals) = refiner.refine_detailed(0.6, &a, 0.4, &b);
+        let fresh = refiner.refine_detailed(0.6, &a, 0.4, &b);
         let mut scratch = MergeScratch::default();
-        // Dirty the scratch with an unrelated refinement first: reuse must
-        // not leak state between merges.
-        let _ = refiner.refine_with(&mut scratch, 0.5, &g(10.0, 1.0), 0.5, &g(11.0, 3.0));
-        let (reused, reused_loss, reused_evals) =
-            refiner.refine_with(&mut scratch, 0.6, &a, 0.4, &b);
-        assert_eq!(fresh_evals, reused_evals);
-        assert_eq!(fresh_loss.to_bits(), reused_loss.to_bits());
-        assert_eq!(fresh.mean()[0].to_bits(), reused.mean()[0].to_bits());
-        for i in 0..2 {
-            for j in 0..2 {
-                assert_eq!(fresh.cov()[(i, j)].to_bits(), reused.cov()[(i, j)].to_bits());
+        // Dirty the scratch with unrelated refinements first — more points
+        // in more dimensions, then fewer in fewer: stale `rows`, `mix`,
+        // `q`, `logp` of another length must not leak between merges.
+        let wide = |c: f64| Gaussian::spherical(Vector::filled(5, c), 1.5).unwrap();
+        let _ = MergeRefiner { samples: 300, ..refiner.clone() }
+            .refine_with(&mut scratch, 0.5, &wide(10.0), 0.5, &wide(11.0));
+        let line = |c: f64| Gaussian::spherical(Vector::from_slice(&[c]), 3.0).unwrap();
+        let _ = MergeRefiner { samples: 7, ..refiner.clone() }
+            .refine_with(&mut scratch, 0.5, &line(10.0), 0.5, &line(11.0));
+        let reused = refiner.refine_with(&mut scratch, 0.6, &a, 0.4, &b);
+        assert_same_bits(&fresh, &reused);
+    }
+
+    /// The refiner as it ran before the fixed densities were hoisted: the
+    /// same draw, the same simplex, but the objective and the start loss
+    /// call the public [`accuracy_loss`] on a freshly drawn `Vec<Vector>`.
+    /// Also reports how many candidates took the diagonal density path and
+    /// how many the dense one.
+    fn refine_reference(
+        refiner: &MergeRefiner,
+        wi: f64,
+        gi: &Gaussian,
+        wj: f64,
+        gj: &Gaussian,
+    ) -> ((Gaussian, f64, usize), [usize; 2]) {
+        let two = Mixture::new(vec![gi.clone(), gj.clone()], vec![wi, wj]).unwrap();
+        let (start, _) = two.moment_merge(0, 1).unwrap();
+        let (ri, rj) = (wi / (wi + wj), wj / (wi + wj));
+        let mut rng = StdRng::seed_from_u64(refiner.seed);
+        let points: Vec<Vector> = (0..refiner.samples)
+            .map(|s| if s % 2 == 0 { gi } else { gj }.sample(&mut rng))
+            .collect();
+        let d = start.dim();
+        let nm = NelderMead::new(NelderMeadConfig {
+            max_evals: refiner.max_evals,
+            f_tol: 1e-9,
+            x_tol: 1e-7,
+            ..Default::default()
+        });
+        let mut paths = [0usize; 2];
+        let result = nm.minimize(
+            |params| match unpack(params, d) {
+                Some(g) => {
+                    paths[usize::from(g.is_diagonal())] += 1;
+                    accuracy_loss(ri, gi, rj, gj, &g, &points)
+                }
+                None => f64::MAX,
+            },
+            &pack(&start),
+        );
+        let start_loss = accuracy_loss(ri, gi, rj, gj, &start, &points);
+        let refined = match unpack(&result.point, d) {
+            Some(g) if result.value <= start_loss => (g, result.value, result.evaluations),
+            _ => (start, start_loss, result.evaluations),
+        };
+        (refined, paths)
+    }
+
+    /// A random component for the oracle, `shift` standard deviations along
+    /// axis 0. An exactly-diagonal one has mean 0 on every other axis, so
+    /// the moment merge of two of them is itself exactly diagonal.
+    fn oracle_component(rng: &mut StdRng, d: usize, diagonal: bool, shift: f64) -> Gaussian {
+        use cludistream_rng::Rng;
+        let vars: Vec<f64> = (0..d).map(|_| rng.gen_range(0.5..2.0)).collect();
+        let mut cov = Matrix::from_diag(&vars);
+        let mut mean = vec![0.0; d];
+        mean[0] = shift * vars[0].sqrt();
+        if !diagonal {
+            for m in &mut mean[1..] {
+                *m = rng.gen_range(-3.0..3.0);
             }
+            for i in 0..d {
+                for j in 0..i {
+                    let c = rng.gen_range(-0.3..0.3) / d as f64;
+                    cov[(i, j)] = c;
+                    cov[(j, i)] = c;
+                }
+            }
+        }
+        Gaussian::new(Vector::from_slice(&mean), cov).unwrap()
+    }
+
+    /// Differential oracle: `refine_with` equals [`refine_reference`] in
+    /// evaluations, loss bits and every mean/covariance bit — 240 cases
+    /// over dimension, covariance shape, separation, weights and sample
+    /// count, about half of them on one scratch reused across cases.
+    #[test]
+    fn refine_with_is_bit_identical_to_accuracy_loss_reference() {
+        use cludistream_rng::{check, Rng};
+        use std::cell::{Cell, RefCell};
+
+        let scratch = RefCell::new(MergeScratch::default());
+        let cases = Cell::new(0usize);
+        // Means 0.5 and 60 standard deviations apart; at 60 each side's
+        // density underflows to 0 at the other's points.
+        let grid = (1..=6usize).flat_map(|d| {
+            [false, true].into_iter().flat_map(move |diagonal| {
+                [0.5, 60.0].into_iter().flat_map(move |sigmas| {
+                    [0usize, 1, 7, 32, 64].map(|samples| (d, diagonal, sigmas, samples))
+                })
+            })
+        });
+        for (d, exactly_diagonal, sigmas, samples) in grid {
+            let name =
+                format!("refine_oracle_d{d}_diag{exactly_diagonal}_sep{sigmas}_s{samples}");
+            let paths = Cell::new([0usize; 2]);
+            check::cases(&name, 2, |rng| {
+                let gi = oracle_component(rng, d, exactly_diagonal, 0.0);
+                let gj = oracle_component(rng, d, exactly_diagonal, sigmas);
+                let (wi, wj) =
+                    (10f64.powf(rng.gen_range(-9.0..6.0)), 10f64.powf(rng.gen_range(-9.0..6.0)));
+                let refiner = MergeRefiner {
+                    samples,
+                    seed: rng.gen(),
+                    max_evals: [40, 100, 300][rng.gen_range(0..3usize)],
+                };
+
+                let (want, [dense, diagonal]) = refine_reference(&refiner, wi, &gi, wj, &gj);
+                let [dense_so_far, diagonal_so_far] = paths.get();
+                paths.set([dense_so_far + dense, diagonal_so_far + diagonal]);
+                let got = if rng.gen::<bool>() {
+                    refiner.refine_with(&mut scratch.borrow_mut(), wi, &gi, wj, &gj)
+                } else {
+                    refiner.refine_detailed(wi, &gi, wj, &gj)
+                };
+                assert_same_bits(&want, &got);
+                cases.set(cases.get() + 1);
+            });
+            if exactly_diagonal && d > 1 {
+                // The start vertex is diagonal; the vertices that step an
+                // off-diagonal factor entry are not.
+                let [dense, diagonal] = paths.get();
+                assert!(
+                    dense > 0 && diagonal > 0,
+                    "{name}: {dense} dense / {diagonal} diagonal candidates"
+                );
+            }
+        }
+        // Unless one case is being replayed by seed.
+        if std::env::var(check::SEED_ENV).is_err() {
+            assert_eq!(cases.get(), 240);
         }
     }
 

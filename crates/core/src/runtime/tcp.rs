@@ -553,14 +553,21 @@ impl SiteRunBuilder {
 ///
 /// | W         | records/s best | median    | p50 ms      | p90 ms      |
 /// |-----------|----------------|-----------|-------------|-------------|
+/// | *at PR 17's merge cost (≈ 0.9 ms per merge)*                       |
 /// | 1         | 579–606 k      | 511–533 k | 9.8–10.7    | 14.2–15.3   |
 /// | 2         | 632–656 k      | 541–591 k | 17.0–18.2   | 20.6–22.3   |
 /// | 4         | 640–672 k      | 586 k     | 36.0        | 43.5–51.4   |
 /// | unbounded | 635–640 k      | 540 k     | 54.2–65.8   | 94.5–98.3   |
+/// | *at PR 19's merge cost (≈ 0.25 ms per merge), 2026-10-02*          |
+/// | 2         | 1 232–1 317 k  | 870–880 k | 6.2–7.4     | 9.9–12.2    |
 ///
-/// The run is coordinator-bound, so past 2 the window buys no throughput
-/// and every doubling doubles the latency; 1 leaves a site idle for the
-/// ACK's round trip after every synopsis (−8 %).
+/// At PR 17's merge cost the run was coordinator-bound, so past 2 the
+/// window bought no throughput and every doubling doubled the latency.
+/// At PR 19's it is site-bound: the coordinator keeps up, a synopsis
+/// seldom waits behind another, and W = 1 and W = 2 read the same
+/// latency within run-to-run spread; what W = 2 still buys is that a
+/// site does not idle for the ACK's round trip after every synopsis
+/// (W = 1: −8 % then, −10 % now).
 const SEND_WINDOW: usize = 2;
 
 /// A site's work between looks at its event queue: pull the next batch of

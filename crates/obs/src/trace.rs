@@ -133,8 +133,9 @@ impl SpanRecord {
 pub const EM_ITER_COST_US: u64 = 40;
 
 /// Virtual cost of one downhill-simplex objective evaluation,
-/// microseconds (each evaluates a sampled KL-style loss over two
-/// Gaussians — far cheaper than an EM iteration over a chunk).
+/// microseconds (each evaluates the Monte-Carlo L1 accuracy loss `l(x)`
+/// of one candidate Gaussian at the merge's fixed points — far cheaper
+/// than an EM iteration over a chunk).
 pub const SIMPLEX_EVAL_COST_US: u64 = 5;
 
 /// Deterministic virtual cost of an EM fit that ran `iters` iterations.

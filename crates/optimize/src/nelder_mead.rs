@@ -114,9 +114,11 @@ impl NelderMead {
 
         let mut converged = false;
         while evals < cfg.max_evals {
-            // Order vertices by objective value (best first).
+            // Order vertices by objective value (best first). `eval` left
+            // only finite values, on which `total_cmp` is `partial_cmp`
+            // except that it puts -0.0 before +0.0.
             let mut order: Vec<usize> = (0..=n).collect();
-            order.sort_by(|&a, &b| values[a].partial_cmp(&values[b]).expect("NaN objective"));
+            order.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
             let best = order[0];
             let worst = order[n];
             let second_worst = order[n - 1];
@@ -207,14 +209,11 @@ impl NelderMead {
             }
         }
 
-        let (best_idx, &best_val) = values
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("NaN objective"))
-            .expect("non-empty simplex");
+        // The simplex has n + 1 ≥ 2 vertices, so the default is never taken.
+        let best_idx = (0..=n).min_by(|&a, &b| values[a].total_cmp(&values[b])).unwrap_or(0);
         OptimizeResult {
             point: simplex[best_idx].clone(),
-            value: best_val,
+            value: values[best_idx],
             evaluations: evals,
             converged,
         }

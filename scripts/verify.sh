@@ -10,10 +10,34 @@ export RUSTFLAGS="-D warnings"
 export RUSTDOCFLAGS="-D warnings"
 
 cargo build --release --offline --workspace
-# The benchmark is its own package path-depending on crates/*: build it
-# (build only — no run, no gate) so a public-surface cut that breaks it
-# fails here instead of in the next benchmark run.
+# The benchmark is its own package path-depending on crates/*: building it
+# here makes a public-surface cut that breaks it fail now instead of in the
+# next benchmark run.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml --target-dir target
+
+# Exact-count gate: a 2-second run of the two workloads that carry the
+# paper's distributed claim must end in a result line that is correct, has
+# no failed operation, and reads exactly the bytes per record and the state
+# size below. Both are exact per seed — they count what the sites decided
+# to send and what the coordinator decided to keep — so a change to a
+# decision, to the accounting or to the wire format moves them on any
+# host, however loaded. No rate is compared. A PR that means to change a
+# decision or the wire updates these four numbers in the same diff.
+exact_counts() { # workload bytes_per_record state_kb
+    local last want
+    last="$(./target/release/bench --workload "$1" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+    for want in '"correct":true' '"failed":0' \
+        "\"bytes_per_record\":{\"value\":$2," "\"state_kb\":{\"value\":$3,"; do
+        if ! grep -qF -- "$want" <<< "$last"; then
+            echo "verify: FAILED (exact counts): $1 wants $want in:" >&2
+            echo "$last" >&2
+            exit 1
+        fi
+    done
+}
+exact_counts drift     0.328414  410.453125
+exact_counts drift_tcp 0.3476875 150.859375
+
 cargo test -q --offline --workspace
 cargo doc --no-deps -q --offline --workspace
 
@@ -253,31 +277,34 @@ done
 # there, so the gate is slowdown-tolerance.)
 ./target/release/microbench --assert-parallel-speedup
 
-# Panic-free public API gate: non-test code in the core and par crates
-# must not use `unwrap()` or `panic!` — public entry points return
+# Panic-free public API gate: non-test code in the core, par and optimize
+# crates must not use `unwrap()` or `panic!` — public entry points return
 # Result<_, CludiError>, and the thread pool forwards worker panics via
 # resume_unwind. Everything that parses or computes on bytes a peer sent
-# — the coordinator (means, covariances, counts arrive in messages), the
-# socket runtime, the protocol and snapshot codecs, the engines, and the
-# telemetry codec in crates/obs — must not `expect` either: there an
-# `expect` on a value is a remote panic. Orderings use `f64::total_cmp`,
+# — the coordinator (means, covariances, counts arrive in messages) and
+# the simplex in crates/optimize it runs on them, the socket runtime, the
+# protocol and snapshot codecs, the engines, and the telemetry codec in
+# crates/obs — must not `expect` either: there an `expect` on a value is
+# a remote panic. Orderings use `f64::total_cmp`,
 # a group whose statistics yield no Gaussian keeps its previous aggregate
 # and reports an error, and a poisoned lock is recovered. Test modules
 # (everything below `#[cfg(test)]`) and comment lines are exempt.
 gate_failed=0
-for f in $(find crates/core/src crates/par/src -name '*.rs') crates/obs/src/telemetry.rs; do
+for f in $(find crates/core/src crates/par/src crates/optimize/src -name '*.rs') \
+        crates/obs/src/telemetry.rs; do
     banned='\.unwrap\(\)|panic!\('
     case "$f" in
         crates/core/src/coordinator/* | crates/core/src/runtime/* | \
         crates/core/src/protocol.rs | crates/core/src/serving.rs | \
         crates/core/src/engine.rs | crates/core/src/aggregator.rs | \
-        crates/obs/src/telemetry.rs) banned="$banned|\.expect\(" ;;
+        crates/obs/src/telemetry.rs | crates/optimize/src/*) banned="$banned|\.expect\(" ;;
     esac
     hits="$(awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//' "$f" \
         | grep -nE "$banned" || true)"
     if [ -n "$hits" ]; then
         echo "unwrap()/panic!, or expect( in coordinator/, runtime/, protocol.rs," \
-            "serving.rs, engine.rs, aggregator.rs or obs telemetry.rs — non-test code of $f:" >&2
+            "serving.rs, engine.rs, aggregator.rs, obs telemetry.rs or crates/optimize" \
+            "— non-test code of $f:" >&2
         echo "$hits" >&2
         gate_failed=1
     fi
