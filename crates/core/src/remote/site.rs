@@ -2,8 +2,8 @@ use crate::config::Config;
 use crate::remote::event_table::EventTable;
 use crate::remote::model_list::{ModelId, ModelList};
 use cludistream_gmm::{
-    avg_log_likelihood, fit_em_recorded, fit_tolerance, free_parameters, j_fit,
-    log_likelihood_std, GmmError, Mixture,
+    fit_em_recorded, fit_tolerance, free_parameters, j_fit, log_likelihood_std, Batch, GmmError,
+    Mixture, MixtureScratch,
 };
 use cludistream_linalg::Vector;
 use cludistream_obs::{
@@ -122,6 +122,8 @@ pub struct RemoteSite {
     obs: Obs,
     obs_site: u32,
     quality: Option<QualityState>,
+    /// Workspace of the chunk tests' density kernels, reused across chunks.
+    scratch: MixtureScratch,
 }
 
 /// Streaming model-quality state, allocated only when
@@ -165,6 +167,7 @@ impl RemoteSite {
             obs: Obs::noop(),
             obs_site: 0,
             quality,
+            scratch: MixtureScratch::default(),
         })
     }
 
@@ -417,7 +420,9 @@ impl RemoteSite {
         let (epsilon, delta) = (self.config.chunk.epsilon, self.config.chunk.delta);
         let current = self.models.get(current_id).expect("current model exists");
         let p_free = free_parameters(self.config.k, self.config.dim, self.config.covariance);
-        let avg_n = avg_log_likelihood(&current.mixture, chunk);
+        // Flattened once for every test this chunk goes through.
+        let batch = Batch::from_records(chunk);
+        let avg_n = current.mixture.avg_log_likelihood_batch(&batch, &mut self.scratch);
         let j = j_fit(avg_n, current.avg_ll);
         let tol = fit_tolerance(epsilon, delta, current.ll_std, chunk.len(), p_free);
         self.stats.tests += 1;
@@ -448,7 +453,7 @@ impl RemoteSite {
                 break;
             }
             tests += 1;
-            let avg = avg_log_likelihood(&entry.mixture, chunk);
+            let avg = entry.mixture.avg_log_likelihood_batch(&batch, &mut self.scratch);
             let j = j_fit(avg, entry.avg_ll);
             let entry_tol = fit_tolerance(epsilon, delta, entry.ll_std, chunk.len(), p_free);
             if j <= entry_tol {
@@ -518,7 +523,9 @@ impl RemoteSite {
         // AvgPr₀ is the founding chunk's average log likelihood, exactly as
         // in the paper; the optimism allowance lives in the tolerance.
         let avg_ll = fit.avg_log_likelihood;
-        let ll_std = log_likelihood_std(&fit.mixture, chunk);
+        // σ̂ comes with a converged fit; only an iteration-cap exit, whose
+        // returned mixture no E-step has scored, pays for the pass here.
+        let ll_std = fit.ll_std.unwrap_or_else(|| log_likelihood_std(&fit.mixture, chunk));
         let id = self.models.insert(fit.mixture.clone(), avg_ll, ll_std, count, this_chunk);
         self.events.switch_to(id, this_chunk);
         self.current = Some(id);

@@ -18,6 +18,14 @@
 //! amortizes passes over the Cholesky factor, never the arithmetic.
 //! The EM engine builds on this to keep its fitted models independent of
 //! both batching and thread count.
+//!
+//! The contract also covers how the engine *schedules* the kernels: a
+//! pass over the chunk may be split in two (score every block into a
+//! kept table, then accumulate from that table) and a pass whose output
+//! nobody reads may be skipped, but arithmetic may not move — every
+//! value is still produced by the same operations on the same operands,
+//! summed component by component inside a record, record by record
+//! inside a [`BLOCK`], block by block across the chunk.
 
 use crate::{log_sum_exp, Mixture};
 use cludistream_linalg::Vector;
@@ -139,13 +147,28 @@ impl Mixture {
         scratch: &mut MixtureScratch,
     ) {
         let k = self.k();
-        debug_assert_eq!(rows.len(), count * self.dim());
         if scratch.weighted.len() < k * count {
             scratch.weighted.resize(k * count, 0.0);
         }
-        for (j, (c, &lw)) in self.components().iter().zip(self.log_weights()).enumerate() {
-            let out = &mut scratch.weighted[j * count..(j + 1) * count];
-            c.log_pdf_batch(rows, out, &mut scratch.density);
+        let table = &mut scratch.weighted[..k * count];
+        self.weighted_log_density_into(rows, table, &mut scratch.density);
+    }
+
+    /// [`Self::weighted_log_density_block`] into a caller-owned table of
+    /// exactly `k × count` entries — the EM score pass keeps every block's
+    /// table for the accumulate pass instead of overwriting one scratch.
+    pub(crate) fn weighted_log_density_into(
+        &self,
+        rows: &[f64],
+        table: &mut [f64],
+        density: &mut DensityScratch,
+    ) {
+        let count = table.len() / self.k();
+        debug_assert_eq!(rows.len(), count * self.dim());
+        for ((c, &lw), out) in
+            self.components().iter().zip(self.log_weights()).zip(table.chunks_mut(count.max(1)))
+        {
+            c.log_pdf_batch(rows, out, density);
             for t in out.iter_mut() {
                 *t = lw + *t;
             }

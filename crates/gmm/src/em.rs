@@ -1,10 +1,11 @@
+use crate::likelihood::std_dev;
 use crate::{
     kmeans, log_sum_exp, Batch, CovarianceType, Gaussian, GmmError, KMeansConfig, Mixture,
     MixtureScratch, Result, SuffStats, BLOCK,
 };
 use cludistream_linalg::Vector;
 use cludistream_obs::{em_cost_us, Event, NopRecorder, Recorder};
-use cludistream_par::{par_block_map, resolve_workers};
+use cludistream_par::{par_block_reduce, resolve_workers};
 use cludistream_rng::{Rng, StdRng};
 
 /// Configuration of the classical EM algorithm (paper Sec. 3.2).
@@ -52,68 +53,38 @@ impl Default for EmConfig {
 }
 
 /// Result of an EM fit.
+///
+/// Which model the numbers describe depends on how the loop ended. An
+/// iteration scores the chunk under the current mixture, tests
+/// ϖ-convergence on that score, and only then re-estimates the mixture.
+/// A converged fit leaves through the test, so `mixture`,
+/// `log_likelihood`, `avg_log_likelihood` and `ll_std` all describe the
+/// same model. A fit stopped by `max_iters` leaves after an M-step:
+/// `mixture` is the last re-estimate, while `log_likelihood` and
+/// `avg_log_likelihood` are still the score of the iterate *before* it.
 #[derive(Debug, Clone)]
 pub struct EmFit {
     /// The learned mixture.
     pub mixture: Mixture,
-    /// Total log likelihood `Σ_x ln p(x)` of the training chunk.
+    /// Total log likelihood `Σ_x ln p(x)` of the training chunk under the
+    /// mixture the last E-step scored — `mixture` itself when `converged`,
+    /// its predecessor on an iteration-cap exit.
     pub log_likelihood: f64,
     /// Average log likelihood (Definition 1) — the `AvgPr₀` the
-    /// test-and-cluster strategy compares future chunks against.
+    /// test-and-cluster strategy compares future chunks against. Same
+    /// model as `log_likelihood`.
     pub avg_log_likelihood: f64,
+    /// σ̂: standard deviation of the per-record log density of the
+    /// training chunk under `mixture`, bit-identical to
+    /// [`crate::log_likelihood_std`]`(&mixture, data)`. `Some` when
+    /// `converged` — the last score pass already holds those densities —
+    /// and `None` on an iteration-cap exit, where nothing has scored
+    /// `mixture` yet and a caller that needs σ̂ pays for that pass itself.
+    pub ll_std: Option<f64>,
     /// EM iterations performed.
     pub iterations: usize,
     /// True when ϖ-convergence (not the iteration cap) stopped the loop.
     pub converged: bool,
-}
-
-/// Lightweight accumulator for diagonal-covariance EM: per-dimension sums
-/// and sums of squares only — O(d) per record where full scatter is O(d²).
-#[derive(Debug, Clone)]
-struct DiagStats {
-    n: f64,
-    sum: Vec<f64>,
-    sum_sq: Vec<f64>,
-}
-
-impl DiagStats {
-    fn new(d: usize) -> Self {
-        DiagStats { n: 0.0, sum: vec![0.0; d], sum_sq: vec![0.0; d] }
-    }
-
-    fn add_slice(&mut self, x: &[f64], w: f64) {
-        self.n += w;
-        for (i, (s, sq)) in self.sum.iter_mut().zip(self.sum_sq.iter_mut()).enumerate() {
-            let v = x[i];
-            *s += w * v;
-            *sq += w * v * v;
-        }
-    }
-
-    /// Merges another accumulator (block-order reduction of the parallel
-    /// E-step).
-    fn merge(&mut self, other: &DiagStats) {
-        self.n += other.n;
-        for (s, o) in self.sum.iter_mut().zip(&other.sum) {
-            *s += o;
-        }
-        for (s, o) in self.sum_sq.iter_mut().zip(&other.sum_sq) {
-            *s += o;
-        }
-    }
-
-    /// Mean and per-dimension variance (ML, biased).
-    fn moments(&self) -> (Vector, Vec<f64>) {
-        let inv = 1.0 / self.n;
-        let mean: Vector = self.sum.iter().map(|s| s * inv).collect();
-        let vars: Vec<f64> = self
-            .sum_sq
-            .iter()
-            .zip(mean.iter())
-            .map(|(sq, m)| (sq * inv - m * m).max(0.0))
-            .collect();
-        (mean, vars)
-    }
 }
 
 /// Fits a K-component Gaussian mixture to `data` with EM (paper Sec. 3.2).
@@ -159,18 +130,13 @@ pub fn fit_em_recorded(
             });
         }
     }
+    let k = config.k;
 
+    // Global per-dimension variance: the k-means fallback sphere and every
+    // starvation rescue use it.
+    let avg_var = global_avg_var(data)?;
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut mixture = initialize(data, config, &mut rng)?;
-
-    // Global per-dimension variance, reused by every starvation rescue.
-    let global_avg_var = {
-        let mut global = SuffStats::new(d);
-        for x in data {
-            global.add(x, 1.0);
-        }
-        (global.cov()?.trace() / d as f64).max(1e-6)
-    };
+    let mut mixture = initialize(data, config, avg_var, &mut rng)?;
 
     let n = data.len() as f64;
     let mut prev_avg = f64::NEG_INFINITY;
@@ -178,37 +144,16 @@ pub fn fit_em_recorded(
     let mut iterations = 0;
     let mut converged = false;
 
-    // SoA copy of the chunk, scored [`BLOCK`] records at a time. The block
-    // partition — not the thread count — is the unit of reduction, so the
-    // fitted model is bit-identical for every `config.threads` value.
-    let batch = Batch::from_records(data);
+    let diagonal = config.covariance == CovarianceType::Diagonal;
+    let mut estep = EStep::new(data, k, diagonal, resolve_workers(config.threads));
     let blocks = data.len().div_ceil(BLOCK);
-    let workers = resolve_workers(config.threads);
     let mut estep_blocks = 0u64;
 
-    let diagonal = config.covariance == CovarianceType::Diagonal;
     for iter in 0..config.max_iters {
         iterations = iter + 1;
-
-        // Fused E-step: each block is scored against the current mixture
-        // with the batched density kernels, accumulating its own
-        // responsibility-weighted sufficient statistics (per-dimension
-        // moments in diagonal mode — O(d) per record — full scatter
-        // otherwise) plus its log-likelihood contribution. Workers hand
-        // blocks back in block order; the reduction below is a strict
-        // left fold over that order, seeded with block 0's statistics.
-        let results = par_block_map(blocks, workers, MixtureScratch::default, |scratch, b| {
-            score_block(&mixture, &batch, b, config.k, diagonal, scratch)
-        });
+        log_likelihood = estep.score(&mixture);
         estep_blocks += blocks as u64;
-        let mut results = results.into_iter();
-        let mut acc = results.next().expect("non-empty data yields at least one block");
-        for r in results {
-            acc.merge(&r);
-        }
-
-        log_likelihood = acc.ll;
-        let avg = acc.ll / n;
+        let avg = log_likelihood / n;
 
         // ϖ-convergence on the average log likelihood. Strict comparison:
         // tol = 0 means "run max_iters" rather than stopping on an exact
@@ -221,15 +166,18 @@ pub fn fit_em_recorded(
         }
         prev_avg = avg;
 
+        // Only now that its output will be read.
+        let stats = estep.accumulate();
+
         // M-step: rebuild the mixture from the statistics, rescuing starved
         // components. The re-seed target is the worst-explained record of a
         // bounded sample, located at most once per M-step — a full per-
         // component scan would dominate high-K/high-d fits.
         let mut worst_record: Option<Vector> = None;
-        let mut comps = Vec::with_capacity(config.k);
-        let mut weights = Vec::with_capacity(config.k);
-        for j in 0..config.k {
-            let mass = if diagonal { acc.diag[j].n } else { acc.stats[j].n() };
+        let mut comps = Vec::with_capacity(k);
+        let mut weights = Vec::with_capacity(k);
+        for acc in stats.chunks(stats.len() / k) {
+            let mass = acc[0];
             if mass < config.min_weight * n || mass <= 0.0 {
                 let worst = worst_record.get_or_insert_with(|| {
                     const RESCUE_SAMPLE: usize = 256;
@@ -246,19 +194,23 @@ pub fn fit_em_recorded(
                 // don't collapse onto the same point.
                 let mut seed = worst.clone();
                 seed[0] += (comps.len() as f64) * 1e-3;
-                let g = Gaussian::spherical(seed, global_avg_var)?;
-                comps.push(g);
+                comps.push(Gaussian::spherical(seed, avg_var)?);
                 weights.push(1.0 / n);
                 continue;
             }
             let g = if diagonal {
-                let (mean, mut vars) = acc.diag[j].moments();
-                for v in &mut vars {
-                    *v = v.max(1e-12);
-                }
+                // ML (biased) per-dimension moments.
+                let inv = 1.0 / mass;
+                let (sum, sum_sq) = acc[1..].split_at(d);
+                let mean: Vector = sum.iter().map(|s| s * inv).collect();
+                let vars: Vec<f64> = sum_sq
+                    .iter()
+                    .zip(mean.iter())
+                    .map(|(sq, m)| (sq * inv - m * m).max(0.0).max(1e-12))
+                    .collect();
                 Gaussian::diagonal(mean, &vars)?
             } else {
-                Gaussian::new(acc.stats[j].mean()?, acc.stats[j].cov()?)?
+                SuffStats::from_flat(d, acc).to_gaussian()?.0
             };
             comps.push(g);
             weights.push(mass / n);
@@ -277,105 +229,185 @@ pub fn fit_em_recorded(
         avg_log_likelihood: log_likelihood / n,
         mixture,
         log_likelihood,
+        // A converged fit left through the score pass, so the normalizers
+        // it kept are the log densities of the mixture being returned.
+        ll_std: converged.then(|| std_dev(&estep.norms)),
         iterations,
         converged,
     })
 }
 
-/// One block's E-step output: its log-likelihood contribution plus
-/// responsibility-weighted sufficient statistics for every component
-/// (exactly one of `stats`/`diag` is populated, by covariance mode).
-struct BlockStats {
-    ll: f64,
-    stats: Vec<SuffStats>,
-    diag: Vec<DiagStats>,
-}
-
-impl BlockStats {
-    fn new(d: usize, k: usize, diagonal: bool) -> Self {
-        if diagonal {
-            BlockStats { ll: 0.0, stats: Vec::new(), diag: (0..k).map(|_| DiagStats::new(d)).collect() }
-        } else {
-            BlockStats { ll: 0.0, stats: (0..k).map(|_| SuffStats::new(d)).collect(), diag: Vec::new() }
-        }
-    }
-
-    fn add(&mut self, j: usize, x: &[f64], w: f64) {
-        if self.diag.is_empty() {
-            self.stats[j].add_slice(x, w);
-        } else {
-            self.diag[j].add_slice(x, w);
-        }
-    }
-
-    fn merge(&mut self, other: &BlockStats) {
-        self.ll += other.ll;
-        for (a, b) in self.stats.iter_mut().zip(&other.stats) {
-            a.merge(b);
-        }
-        for (a, b) in self.diag.iter_mut().zip(&other.diag) {
-            a.merge(b);
-        }
-    }
-}
-
-/// Scores one [`BLOCK`]-sized block of records against `mixture`. Per
-/// record the arithmetic is the scalar E-step's, identically ordered:
-/// weighted log densities (batched kernel, bit-identical to
-/// `lw + log_pdf`), log-sum-exp normalizer over components in order,
-/// `exp(t - norm)` responsibilities, statistics accumulated in record
-/// order with the uniform fallback for degenerate points.
-fn score_block(
-    mixture: &Mixture,
-    batch: &Batch,
-    block: usize,
+/// The E-step in two passes, and everything they write — created once per
+/// fit, so at one worker nothing in the iteration loop allocates per block
+/// or per record. [`BLOCK`] — not the thread count — is the unit of
+/// reduction in both passes, so their outputs are bit-identical for every
+/// worker count.
+struct EStep {
+    /// SoA copy of the chunk.
+    batch: Batch,
     k: usize,
     diagonal: bool,
-    scratch: &mut MixtureScratch,
-) -> BlockStats {
-    let d = batch.dim();
-    let start = block * BLOCK;
-    let count = BLOCK.min(batch.len() - start);
-    let rows = batch.rows(start, count);
-    mixture.weighted_log_density_block(rows, count, scratch);
-    let mut out = BlockStats::new(d, k, diagonal);
-    scratch.terms.resize(k, 0.0);
-    for b in 0..count {
-        for j in 0..k {
-            scratch.terms[j] = scratch.weighted[j * count + b];
+    workers: usize,
+    /// Block `b`'s `k × count` weighted log-density table, at
+    /// `k * BLOCK * b` (see [`score_block`]).
+    table: Vec<f64>,
+    /// `norms[i] = ln p(x_i)` under the mixture last scored.
+    norms: Vec<f64>,
+    /// One flat accumulator per component (see [`accumulate_block`]).
+    stats: Vec<f64>,
+    /// Per-block storage of both reductions.
+    slots: Vec<f64>,
+    /// The calling thread's kernel workspace.
+    scratch: MixtureScratch,
+}
+
+impl EStep {
+    fn new(data: &[Vector], k: usize, diagonal: bool, workers: usize) -> Self {
+        let d = data[0].dim();
+        let width = if diagonal { 1 + 2 * d } else { 1 + d + d * d };
+        EStep {
+            batch: Batch::from_records(data),
+            k,
+            diagonal,
+            workers,
+            table: vec![0.0; k * data.len()],
+            norms: vec![0.0; data.len()],
+            stats: vec![0.0; k * width],
+            slots: Vec::new(),
+            scratch: MixtureScratch::default(),
         }
-        let norm = log_sum_exp(&scratch.terms);
-        out.ll += norm;
-        let x = &rows[b * d..(b + 1) * d];
-        if norm.is_finite() {
-            for (j, &t) in scratch.terms.iter().enumerate() {
-                let r = (t - norm).exp();
-                if r > 0.0 {
-                    out.add(j, x, r);
-                }
-            }
-        } else {
-            // Degenerate point: spread responsibility uniformly.
-            let r = 1.0 / k as f64;
-            for j in 0..k {
-                out.add(j, x, r);
+    }
+
+    /// Score pass: keeps every block's table and normalizers and returns
+    /// the chunk's log likelihood, block log-likelihoods folded in block
+    /// order.
+    fn score(&mut self, mixture: &Mixture) -> f64 {
+        let batch = &self.batch;
+        let mut ll = [0.0];
+        par_block_reduce(
+            self.table.chunks_mut(self.k * BLOCK).zip(self.norms.chunks_mut(BLOCK)),
+            self.workers,
+            &mut self.scratch,
+            MixtureScratch::default,
+            &mut self.slots,
+            &mut ll,
+            |scratch, b, (table, norms), ll| {
+                let rows = batch.rows(b * BLOCK, norms.len());
+                ll[0] = score_block(mixture, rows, table, norms, scratch);
+            },
+        );
+        ll[0]
+    }
+
+    /// Accumulate pass over what the last [`Self::score`] kept: every
+    /// block's responsibility-weighted statistics, reduced in block order.
+    fn accumulate(&mut self) -> &[f64] {
+        let (batch, diagonal) = (&self.batch, self.diagonal);
+        par_block_reduce(
+            self.table.chunks(self.k * BLOCK).zip(self.norms.chunks(BLOCK)),
+            self.workers,
+            &mut (),
+            || (),
+            &mut self.slots,
+            &mut self.stats,
+            |_, b, (table, norms), acc| {
+                accumulate_block(batch.rows(b * BLOCK, norms.len()), table, norms, diagonal, acc);
+            },
+        );
+        &self.stats
+    }
+}
+
+/// Score pass over one [`BLOCK`]-sized block: fills `table` (component-
+/// major, `table[j*count + b] = ln w_j + ln p(x_b|j)`, the batched kernel,
+/// bit-identical to `lw + log_pdf`) and `norms` (`ln p(x_b)`: log-sum-exp
+/// over components in order), and returns the block's log likelihood, the
+/// normalizers summed in record order.
+fn score_block(
+    mixture: &Mixture,
+    rows: &[f64],
+    table: &mut [f64],
+    norms: &mut [f64],
+    scratch: &mut MixtureScratch,
+) -> f64 {
+    let (k, count) = (mixture.k(), norms.len());
+    mixture.weighted_log_density_into(rows, table, &mut scratch.density);
+    scratch.terms.resize(k, 0.0);
+    let mut ll = 0.0;
+    for (b, norm) in norms.iter_mut().enumerate() {
+        for j in 0..k {
+            scratch.terms[j] = table[j * count + b];
+        }
+        *norm = log_sum_exp(&scratch.terms);
+        ll += *norm;
+    }
+    ll
+}
+
+/// Accumulate pass over one block: adds every record, weighted by its
+/// responsibility `exp(t − norm)` (uniform `1/k` for a degenerate point
+/// whose normalizer is not finite), into one flat accumulator per
+/// component — `[n | Σwx | Σwxxᵀ]`, or `[n | Σwx | Σwx²]` (O(d) per
+/// record) in diagonal mode. Records in order, components in order inside
+/// a record, and per element the operand order of `SuffStats::add_slice`.
+fn accumulate_block(rows: &[f64], table: &[f64], norms: &[f64], diagonal: bool, acc: &mut [f64]) {
+    let count = norms.len();
+    let d = rows.len() / count;
+    let k = table.len() / count;
+    let width = acc.len() / k;
+    for (b, (&norm, x)) in norms.iter().zip(rows.chunks(d)).enumerate() {
+        for (j, acc) in acc.chunks_mut(width).enumerate() {
+            let r =
+                if norm.is_finite() { (table[j * count + b] - norm).exp() } else { 1.0 / k as f64 };
+            if r > 0.0 {
+                add_weighted(acc, x, r, diagonal);
             }
         }
     }
-    out
 }
 
-/// Produces the initial mixture for EM: k-means++ seeding followed by a
-/// short Lloyd run, variances from the partition.
-fn initialize<R: Rng + ?Sized>(data: &[Vector], config: &EmConfig, rng: &mut R) -> Result<Mixture> {
+/// `acc += r · (1, x, x xᵀ)` (or `(1, x, x²)` when `diagonal`) on one flat
+/// accumulator.
+fn add_weighted(acc: &mut [f64], x: &[f64], r: f64, diagonal: bool) {
+    acc[0] += r;
+    let (sum, rest) = acc[1..].split_at_mut(x.len());
+    if diagonal {
+        for ((s, sq), &v) in sum.iter_mut().zip(rest).zip(x) {
+            *s += r * v;
+            *sq += r * v * v;
+        }
+    } else {
+        for (s, &v) in sum.iter_mut().zip(x) {
+            *s += r * v;
+        }
+        for (row, &v) in rest.chunks_mut(x.len()).zip(x) {
+            let xi = r * v;
+            for (e, &w) in row.iter_mut().zip(x) {
+                *e += xi * w;
+            }
+        }
+    }
+}
+
+/// Global per-dimension variance of the chunk, floored at 1e-6.
+fn global_avg_var(data: &[Vector]) -> Result<f64> {
     let d = data[0].dim();
     let mut global = SuffStats::new(d);
     for x in data {
         global.add(x, 1.0);
     }
-    let gcov = global.cov()?;
-    let avg_var = (gcov.trace() / d as f64).max(1e-6);
+    Ok((global.cov()?.trace() / d as f64).max(1e-6))
+}
 
+/// Produces the initial mixture for EM: k-means++ seeding followed by a
+/// short Lloyd run, variances from the partition.
+fn initialize<R: Rng + ?Sized>(
+    data: &[Vector],
+    config: &EmConfig,
+    avg_var: f64,
+    rng: &mut R,
+) -> Result<Mixture> {
+    let d = data[0].dim();
     let km = kmeans(
         data,
         &KMeansConfig { k: config.k, max_iters: 10, seed: rng.gen() },
@@ -399,6 +431,221 @@ fn initialize<R: Rng + ?Sized>(data: &[Vector], config: &EmConfig, rng: &mut R) 
         weights.push(count);
     }
     Mixture::new(comps, weights)
+}
+
+/// The fused one-pass E-step the two-pass engine replaced, kept verbatim
+/// as the reference of the differential tests: every block is scored and
+/// accumulated in one go into per-component heap statistics, converged or
+/// not, and σ̂ is a separate re-scoring of the chunk.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use crate::log_likelihood_std;
+    use cludistream_par::par_block_map;
+
+    #[derive(Debug, Clone)]
+    pub struct DiagStats {
+        pub n: f64,
+        pub sum: Vec<f64>,
+        pub sum_sq: Vec<f64>,
+    }
+
+    impl DiagStats {
+        fn new(d: usize) -> Self {
+            DiagStats { n: 0.0, sum: vec![0.0; d], sum_sq: vec![0.0; d] }
+        }
+
+        fn add_slice(&mut self, x: &[f64], w: f64) {
+            self.n += w;
+            for (i, (s, sq)) in self.sum.iter_mut().zip(self.sum_sq.iter_mut()).enumerate() {
+                let v = x[i];
+                *s += w * v;
+                *sq += w * v * v;
+            }
+        }
+
+        fn merge(&mut self, other: &DiagStats) {
+            self.n += other.n;
+            for (s, o) in self.sum.iter_mut().zip(&other.sum) {
+                *s += o;
+            }
+            for (s, o) in self.sum_sq.iter_mut().zip(&other.sum_sq) {
+                *s += o;
+            }
+        }
+
+        fn moments(&self) -> (Vector, Vec<f64>) {
+            let inv = 1.0 / self.n;
+            let mean: Vector = self.sum.iter().map(|s| s * inv).collect();
+            let vars: Vec<f64> = self
+                .sum_sq
+                .iter()
+                .zip(mean.iter())
+                .map(|(sq, m)| (sq * inv - m * m).max(0.0))
+                .collect();
+            (mean, vars)
+        }
+    }
+
+    /// One block's (after [`estep`], the whole chunk's) log likelihood
+    /// and statistics; exactly one of `stats`/`diag` is populated.
+    pub struct BlockStats {
+        pub ll: f64,
+        pub stats: Vec<SuffStats>,
+        pub diag: Vec<DiagStats>,
+    }
+
+    impl BlockStats {
+        fn new(d: usize, k: usize, diagonal: bool) -> Self {
+            if diagonal {
+                BlockStats { ll: 0.0, stats: Vec::new(), diag: (0..k).map(|_| DiagStats::new(d)).collect() }
+            } else {
+                BlockStats { ll: 0.0, stats: (0..k).map(|_| SuffStats::new(d)).collect(), diag: Vec::new() }
+            }
+        }
+
+        fn add(&mut self, j: usize, x: &[f64], w: f64) {
+            if self.diag.is_empty() {
+                self.stats[j].add_slice(x, w);
+            } else {
+                self.diag[j].add_slice(x, w);
+            }
+        }
+
+        fn merge(&mut self, other: &BlockStats) {
+            self.ll += other.ll;
+            for (a, b) in self.stats.iter_mut().zip(&other.stats) {
+                a.merge(b);
+            }
+            for (a, b) in self.diag.iter_mut().zip(&other.diag) {
+                a.merge(b);
+            }
+        }
+    }
+
+    fn score_block(
+        mixture: &Mixture,
+        batch: &Batch,
+        block: usize,
+        k: usize,
+        diagonal: bool,
+        scratch: &mut MixtureScratch,
+    ) -> BlockStats {
+        let d = batch.dim();
+        let start = block * BLOCK;
+        let count = BLOCK.min(batch.len() - start);
+        let rows = batch.rows(start, count);
+        mixture.weighted_log_density_block(rows, count, scratch);
+        let mut out = BlockStats::new(d, k, diagonal);
+        scratch.terms.resize(k, 0.0);
+        for b in 0..count {
+            for j in 0..k {
+                scratch.terms[j] = scratch.weighted[j * count + b];
+            }
+            let norm = log_sum_exp(&scratch.terms);
+            out.ll += norm;
+            let x = &rows[b * d..(b + 1) * d];
+            if norm.is_finite() {
+                for (j, &t) in scratch.terms.iter().enumerate() {
+                    let r = (t - norm).exp();
+                    if r > 0.0 {
+                        out.add(j, x, r);
+                    }
+                }
+            } else {
+                let r = 1.0 / k as f64;
+                for j in 0..k {
+                    out.add(j, x, r);
+                }
+            }
+        }
+        out
+    }
+
+    /// One fused E-step over the whole chunk, blocks reduced in order.
+    pub fn estep(mixture: &Mixture, batch: &Batch, k: usize, diagonal: bool) -> BlockStats {
+        let blocks = batch.len().div_ceil(BLOCK);
+        let results = par_block_map(blocks, 1, MixtureScratch::default, |scratch, b| {
+            score_block(mixture, batch, b, k, diagonal, scratch)
+        });
+        let mut results = results.into_iter();
+        let mut acc = results.next().expect("non-empty data yields at least one block");
+        for r in results {
+            acc.merge(&r);
+        }
+        acc
+    }
+
+    /// The fit loop as it stood around the fused E-step. Validation is
+    /// the caller's; `ll_std` is always the separate re-scoring.
+    pub fn fit(data: &[Vector], config: &EmConfig) -> Result<EmFit> {
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let global_avg_var = global_avg_var(data)?;
+        let mut mixture = initialize(data, config, global_avg_var, &mut rng)?;
+        let n = data.len() as f64;
+        let mut prev_avg = f64::NEG_INFINITY;
+        let mut log_likelihood = f64::NEG_INFINITY;
+        let mut iterations = 0;
+        let mut converged = false;
+        let batch = Batch::from_records(data);
+        let diagonal = config.covariance == CovarianceType::Diagonal;
+        for iter in 0..config.max_iters {
+            iterations = iter + 1;
+            let acc = estep(&mixture, &batch, config.k, diagonal);
+            log_likelihood = acc.ll;
+            let avg = acc.ll / n;
+            let delta_ll = (avg - prev_avg).abs();
+            if delta_ll < config.tol {
+                converged = true;
+                break;
+            }
+            prev_avg = avg;
+            let mut worst_record: Option<Vector> = None;
+            let mut comps = Vec::with_capacity(config.k);
+            let mut weights = Vec::with_capacity(config.k);
+            for j in 0..config.k {
+                let mass = if diagonal { acc.diag[j].n } else { acc.stats[j].n() };
+                if mass < config.min_weight * n || mass <= 0.0 {
+                    let worst = worst_record.get_or_insert_with(|| {
+                        const RESCUE_SAMPLE: usize = 256;
+                        let stride = (data.len() / RESCUE_SAMPLE).max(1);
+                        data.iter()
+                            .step_by(stride)
+                            .min_by(|a, b| {
+                                mixture.log_pdf(a).partial_cmp(&mixture.log_pdf(b)).expect("NaN")
+                            })
+                            .expect("non-empty data")
+                            .clone()
+                    });
+                    let mut seed = worst.clone();
+                    seed[0] += (comps.len() as f64) * 1e-3;
+                    comps.push(Gaussian::spherical(seed, global_avg_var)?);
+                    weights.push(1.0 / n);
+                    continue;
+                }
+                let g = if diagonal {
+                    let (mean, mut vars) = acc.diag[j].moments();
+                    for v in &mut vars {
+                        *v = v.max(1e-12);
+                    }
+                    Gaussian::diagonal(mean, &vars)?
+                } else {
+                    Gaussian::new(acc.stats[j].mean()?, acc.stats[j].cov()?)?
+                };
+                comps.push(g);
+                weights.push(mass / n);
+            }
+            mixture = Mixture::new(comps, weights)?;
+        }
+        Ok(EmFit {
+            avg_log_likelihood: log_likelihood / n,
+            ll_std: Some(log_likelihood_std(&mixture, data)),
+            mixture,
+            log_likelihood,
+            iterations,
+            converged,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -658,5 +905,173 @@ mod tests {
             f2.avg_log_likelihood,
             f1.avg_log_likelihood
         );
+    }
+
+    fn assert_same_bits(a: &[f64], b: &[f64], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: length");
+        for (i, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}[{i}]: {x} vs {y}");
+        }
+    }
+
+    /// `fit_em` against the fused reference, to the bit, in everything a
+    /// caller can read; `ll_std` against the separate re-scoring it
+    /// replaces (present exactly when the fit converged).
+    fn assert_matches_reference(data: &[Vector], config: &EmConfig, what: &str) {
+        let want = reference::fit(data, config);
+        let got = fit_em(data, config);
+        let (want, got) = match (want, got) {
+            (Ok(w), Ok(g)) => (w, g),
+            (Err(w), Err(g)) => {
+                assert_eq!(format!("{w:?}"), format!("{g:?}"), "{what}: error");
+                return;
+            }
+            (w, g) => panic!("{what}: reference {w:?} but fit_em {g:?}"),
+        };
+        assert_eq!(got.iterations, want.iterations, "{what}: iterations");
+        assert_eq!(got.converged, want.converged, "{what}: converged");
+        assert_same_bits(&[got.log_likelihood], &[want.log_likelihood], &format!("{what}: ll"));
+        assert_same_bits(
+            &[got.avg_log_likelihood],
+            &[want.avg_log_likelihood],
+            &format!("{what}: avg ll"),
+        );
+        assert_same_bits(got.mixture.weights(), want.mixture.weights(), &format!("{what}: weights"));
+        for (g, w) in got.mixture.components().iter().zip(want.mixture.components()) {
+            assert_same_bits(g.mean().as_slice(), w.mean().as_slice(), &format!("{what}: mean"));
+            assert_same_bits(g.cov().as_slice(), w.cov().as_slice(), &format!("{what}: cov"));
+        }
+        match got.ll_std {
+            Some(std) => {
+                assert!(got.converged, "{what}: σ̂ without convergence");
+                assert_same_bits(&[std], &[want.ll_std.expect("reference σ̂")], &format!("{what}: σ̂"));
+            }
+            None => assert!(!got.converged, "{what}: converged without σ̂"),
+        }
+    }
+
+    #[test]
+    fn two_pass_fit_matches_the_fused_reference_bit_for_bit() {
+        use cludistream_rng::check;
+        check::cases("em.two_pass_matches_fused", 4, |rng| {
+            let d = 1 + (rng.gen::<u64>() % 4) as usize;
+            let k = 2 + (rng.gen::<u64>() % 3) as usize;
+            let seed = rng.gen::<u64>();
+            let comps: Vec<Gaussian> = (0..k)
+                .map(|j| Gaussian::spherical(Vector::filled(d, j as f64 * 6.0 - 4.0), 1.0).unwrap())
+                .collect();
+            let gen = Mixture::uniform(comps).unwrap();
+            // One block short, exact, one over, a ragged third block, and
+            // the paper's default chunk; `k` records is the minimum.
+            for n in [k, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 17, 1567] {
+                let data: Vec<Vector> = (0..n).map(|_| gen.sample(rng)).collect();
+                for covariance in [CovarianceType::Full, CovarianceType::Diagonal] {
+                    for threads in [1usize, 2, 4] {
+                        // ϖ-convergence, then the iteration cap (tol = 0).
+                        for (tol, max_iters) in [(1e-4, 30), (0.0, 3)] {
+                            let cfg = EmConfig {
+                                k,
+                                max_iters,
+                                tol,
+                                covariance,
+                                seed,
+                                threads,
+                                ..Default::default()
+                            };
+                            let what = format!(
+                                "n={n} d={d} k={k} {covariance:?} threads={threads} tol={tol}"
+                            );
+                            assert_matches_reference(&data, &cfg, &what);
+                        }
+                    }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn two_pass_fit_matches_the_fused_reference_through_the_starvation_rescue() {
+        // Identical points: every cluster but one starves on every M-step.
+        let data = vec![Vector::from_slice(&[2.0, 2.0]); 300];
+        for covariance in [CovarianceType::Full, CovarianceType::Diagonal] {
+            for threads in [1usize, 2] {
+                let cfg = EmConfig { k: 3, seed: 16, covariance, threads, ..Default::default() };
+                assert_matches_reference(&data, &cfg, &format!("{covariance:?} threads={threads}"));
+            }
+        }
+    }
+
+    #[test]
+    fn two_pass_estep_matches_the_fused_reference_on_degenerate_points() {
+        // Two needle-thin components and, among ordinary records, points so
+        // far out that every weighted log density is -inf: their normalizer
+        // is not finite and both E-steps must spread them uniformly.
+        let d = 2;
+        for diagonal in [false, true] {
+            let mixture = Mixture::new(
+                vec![
+                    Gaussian::spherical(Vector::filled(d, 0.0), 1e-12).unwrap(),
+                    Gaussian::spherical(Vector::filled(d, 1.0), 1e-12).unwrap(),
+                ],
+                vec![0.25, 0.75],
+            )
+            .unwrap();
+            let mut data: Vec<Vector> =
+                (0..BLOCK + 40).map(|i| Vector::filled(d, (i % 2) as f64 + i as f64 * 1e-9)).collect();
+            data[3] = Vector::filled(d, 1e150);
+            data[BLOCK + 7] = Vector::filled(d, -1e150);
+            let batch = Batch::from_records(&data);
+            let want = reference::estep(&mixture, &batch, 2, diagonal);
+            assert_eq!(want.ll, f64::NEG_INFINITY, "the case must reach the uniform branch");
+            for workers in [1usize, 2] {
+                let mut estep = EStep::new(&data, 2, diagonal, workers);
+                assert_eq!(estep.score(&mixture), f64::NEG_INFINITY);
+                assert_eq!(estep.norms[3], f64::NEG_INFINITY);
+                let got = estep.accumulate();
+                for (j, acc) in got.chunks(got.len() / 2).enumerate() {
+                    if diagonal {
+                        let w = &want.diag[j];
+                        assert_same_bits(&acc[..1], &[w.n], "mass");
+                        assert_same_bits(&acc[1..1 + d], &w.sum, "sum");
+                        assert_same_bits(&acc[1 + d..], &w.sum_sq, "sum of squares");
+                    } else {
+                        let (g, w) = (SuffStats::from_flat(d, acc), &want.stats[j]);
+                        assert_same_bits(&[g.n()], &[w.n()], "mass");
+                        assert_same_bits(
+                            g.mean().unwrap().as_slice(),
+                            w.mean().unwrap().as_slice(),
+                            "mean",
+                        );
+                        assert_same_bits(
+                            g.cov().unwrap().as_slice(),
+                            w.cov().unwrap().as_slice(),
+                            "cov",
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cap_exit_reports_the_previous_iterate_and_no_sigma() {
+        // Pinned: when `max_iters` stops the loop the M-step has run after
+        // the last score, so `log_likelihood` is the score of the iterate
+        // before `mixture` — not of `mixture` — and σ̂ is left to the caller.
+        let data = two_component_data(500, 3);
+        let cfg = EmConfig { k: 3, max_iters: 3, tol: 0.0, seed: 4, ..Default::default() };
+        let fit = fit_em(&data, &cfg).unwrap();
+        assert!(!fit.converged);
+        assert_eq!(fit.iterations, 3);
+        assert_eq!(fit.ll_std, None);
+        assert_eq!(fit.log_likelihood.to_bits(), (-892.3618559732106f64).to_bits());
+        assert_eq!(fit.avg_log_likelihood.to_bits(), (-1.7847237119464212f64).to_bits());
+        // The returned mixture's own score is what one more iteration
+        // reports (up to the block-wise summation order), and it is not
+        // the number above.
+        let of_returned = fit.mixture.avg_log_likelihood(&data);
+        let next = fit_em(&data, &EmConfig { max_iters: 4, ..cfg }).unwrap();
+        assert!((next.avg_log_likelihood - of_returned).abs() < 1e-12);
+        assert!(of_returned - fit.avg_log_likelihood > 1e-9, "{of_returned}");
     }
 }

@@ -24,9 +24,6 @@ pub fn j_fit(avg_chunk: f64, avg_model: f64) -> f64 {
 /// Standard deviation of the per-record log density `log p(x)` over `data`
 /// under `mixture` — the σ̂ that calibrates the fit test's tolerance.
 pub fn log_likelihood_std(mixture: &Mixture, data: &[Vector]) -> f64 {
-    if data.len() < 2 {
-        return 0.0;
-    }
     // Per-record log densities via the batch kernel (bit-identical to
     // `log_pdf` per record), then the same flat mean/variance passes.
     let batch = Batch::from_records(data);
@@ -42,8 +39,18 @@ pub fn log_likelihood_std(mixture: &Mixture, data: &[Vector]) -> f64 {
         );
         start += count;
     }
-    let mean = lls.iter().sum::<f64>() / lls.len() as f64;
-    let var = lls.iter().map(|l| (l - mean) * (l - mean)).sum::<f64>() / lls.len() as f64;
+    std_dev(&lls)
+}
+
+/// Population standard deviation in two flat passes (mean, then squared
+/// deviations), both summed in slice order; 0 for fewer than two values.
+pub(crate) fn std_dev(values: &[f64]) -> f64 {
+    if values.len() < 2 {
+        return 0.0;
+    }
+    let mean = values.iter().sum::<f64>() / values.len() as f64;
+    let var =
+        values.iter().map(|l| (l - mean) * (l - mean)).sum::<f64>() / values.len() as f64;
     var.sqrt()
 }
 

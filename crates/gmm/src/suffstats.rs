@@ -24,6 +24,16 @@ impl SuffStats {
         SuffStats { n: 0.0, sum: Vector::zeros(d), scatter: Matrix::zeros(d, d) }
     }
 
+    /// Statistics from the flat `[n | Σwx | Σwxxᵀ]` layout (`1 + d + d²`
+    /// values, scatter row-major) the EM accumulate pass sums into.
+    pub(crate) fn from_flat(d: usize, flat: &[f64]) -> Self {
+        SuffStats {
+            n: flat[0],
+            sum: Vector::from_slice(&flat[1..1 + d]),
+            scatter: Matrix::from_vec(d, d, flat[1 + d..].to_vec()),
+        }
+    }
+
     /// Dimensionality.
     pub fn dim(&self) -> usize {
         self.sum.dim()

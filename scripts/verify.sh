@@ -15,14 +15,14 @@ cargo build --release --offline --workspace
 # next benchmark run.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml --target-dir target
 
-# Exact-count gate: a 2-second run of the two workloads that carry the
-# paper's distributed claim must end in a result line that is correct, has
-# no failed operation, and reads exactly the bytes per record and the state
-# size below. Both are exact per seed — they count what the sites decided
-# to send and what the coordinator decided to keep — so a change to a
-# decision, to the accounting or to the wire format moves them on any
-# host, however loaded. No rate is compared. A PR that means to change a
-# decision or the wire updates these four numbers in the same diff.
+# Exact-count gate: a 2-second run of each of the four workloads must end
+# in a result line that is correct, has no failed operation, and reads
+# exactly the bytes per record and the state size below. Both are exact
+# per seed — they count what the sites decided to send and what the
+# coordinator decided to keep — so a change to a decision, to the
+# accounting or to the wire format moves them on any host, however
+# loaded. No rate is compared. A PR that means to change a decision or
+# the wire updates these eight numbers in the same diff.
 exact_counts() { # workload bytes_per_record state_kb
     local last want
     last="$(./target/release/bench --workload "$1" --seed 1 --seconds 2 --trace 0 | tail -n 1)"
@@ -37,6 +37,8 @@ exact_counts() { # workload bytes_per_record state_kb
 }
 exact_counts drift     0.328414  410.453125
 exact_counts drift_tcp 0.3476875 150.859375
+exact_counts steady    0.00029266666666666666 102.578125
+exact_counts fanin     0.1297096520176751     522.2109375
 
 cargo test -q --offline --workspace
 cargo doc --no-deps -q --offline --workspace
