@@ -445,17 +445,29 @@ impl RemoteSite {
             return Ok(ChunkOutcome::FitCurrent { j_fit: j });
         }
 
-        // Tests 2..c_max: most recent other models in the list.
+        // Tests 2..c_max: most recent other models in the list. Only the
+        // verdict of a failing one is read, so its scoring stops at the
+        // block after which the model's density ceiling has settled it
+        // (DESIGN.md "A test that is decided stops"); test 1 above runs
+        // to the end because its average is journaled and fed to the
+        // drift detectors.
         let mut tests = 1usize;
+        let mut cut = 0u64;
         let mut hit: Option<(ModelId, f64, f64, f64)> = None;
         for entry in self.models.recent_except(current_id) {
             if tests >= self.config.c_max {
                 break;
             }
             tests += 1;
-            let avg = entry.mixture.avg_log_likelihood_batch(&batch, &mut self.scratch);
-            let j = j_fit(avg, entry.avg_ll);
             let entry_tol = fit_tolerance(epsilon, delta, entry.ll_std, chunk.len(), p_free);
+            let floor = fail_low_floor(entry.avg_ll, entry_tol);
+            let Some(avg) =
+                entry.mixture.avg_log_likelihood_unless_below(&batch, &mut self.scratch, floor)
+            else {
+                cut += 1;
+                continue;
+            };
+            let j = j_fit(avg, entry.avg_ll);
             if j <= entry_tol {
                 hit = Some((entry.id, j, avg, entry_tol));
                 break;
@@ -463,6 +475,9 @@ impl RemoteSite {
         }
         self.stats.tests += (tests - 1) as u64;
         self.obs.counter("site.tests", (tests - 1) as u64);
+        if cut > 0 {
+            self.obs.counter("site.tests_cut", cut);
+        }
 
         if let Some((model, j, hit_avg, hit_tol)) = hit {
             // Multi-test hit: switch the current model and queue a weight
@@ -559,6 +574,14 @@ impl RemoteSite {
         let buffer = 8 * self.chunk_size * self.config.dim;
         buffer + self.models.memory_bytes(self.config.covariance) + self.events.memory_bytes()
     }
+}
+
+/// An average below which `j_fit(avg, reference) > tol` for certain, in
+/// floating point: the threshold `reference − tol`, lowered by more than the
+/// rounding of that subtraction and of `j_fit`'s own can move the comparison
+/// (each at most half an ulp of a value no larger than `|reference| + tol`).
+fn fail_low_floor(reference: f64, tol: f64) -> f64 {
+    reference - tol - 4.0 * f64::EPSILON * (reference.abs() + tol)
 }
 
 #[cfg(test)]
@@ -658,6 +681,266 @@ mod tests {
         assert_eq!(registry.counter_value("quality.ph_drift"), 0);
         assert!(registry.gauge_value("quality.avg_ll").is_none());
         assert!(registry.gauge_value("quality.recluster_ewma").is_none());
+    }
+
+    /// 2-d, K = 2, ε = 0.02: chunks of 784 records, four kernel blocks, so
+    /// a test has blocks to skip (`test_config`'s 53-record chunk is one).
+    fn multi_block_config() -> Config {
+        Config {
+            dim: 2,
+            k: 2,
+            chunk: ChunkParams { epsilon: 0.02, delta: 0.01 },
+            c_max: 4,
+            seed: 7,
+            ..Default::default()
+        }
+    }
+
+    /// A two-blob regime around `(center, center)`.
+    fn regime(center: f64) -> Mixture {
+        Mixture::uniform(vec![
+            Gaussian::spherical(Vector::from_slice(&[center - 3.0, center]), 0.5).unwrap(),
+            Gaussian::spherical(Vector::from_slice(&[center + 3.0, center]), 0.5).unwrap(),
+        ])
+        .unwrap()
+    }
+
+    fn has_series(registry: &cludistream_obs::Registry, name: &str) -> bool {
+        registry.counters().iter().any(|(n, _)| *n == name)
+    }
+
+    /// `site.tests_cut` counts the tests the density ceiling decided before
+    /// their last block: none on a stationary stream (the series is never
+    /// created), some — and at most the non-current-model tests — across
+    /// regime changes with other models listed, while `site.tests` still
+    /// counts every test started.
+    #[test]
+    fn tests_cut_counts_the_tests_the_ceiling_decided() {
+        use cludistream_obs::Registry;
+        use std::sync::Arc;
+
+        let registry = Arc::new(Registry::new());
+        let mut site = RemoteSite::new(multi_block_config()).unwrap();
+        site.set_observer(Obs::from_registry(Arc::clone(&registry)), 0);
+        let mut rng = StdRng::seed_from_u64(70);
+        feed_chunks(&mut site, &regime(0.0), &mut rng, 5);
+        assert_eq!(registry.counter_value("site.tests"), 4);
+        assert!(!has_series(&registry, "site.tests_cut"), "a passing test scores every block");
+
+        // Three new regimes: each chunk fails against the current model and
+        // then against the 0, 1 and 2 other models listed by then.
+        for center in [40.0, 80.0, 120.0] {
+            feed_chunks(&mut site, &regime(center), &mut rng, 1);
+        }
+        let s = site.stats();
+        assert_eq!(s.clustered, 4);
+        assert_eq!(s.tests, 4 + 1 + 2 + 3, "a cut test is still a test");
+        assert_eq!(registry.counter_value("site.tests"), s.tests);
+        let cut = registry.counter_value("site.tests_cut");
+        assert!(cut > 0, "a regime 40 apart is decided after one block of four");
+        assert!(cut <= 1 + 2, "{cut} cut of 3 non-current-model tests");
+    }
+
+    /// What Algorithm 1 with the multi-test must decide for `chunk`, from
+    /// the paper's definitions alone: the scalar Definition 1 average of
+    /// every record, `J_fit` against `AvgPr₀`, the calibrated tolerance,
+    /// the current model first and then the list most recent first.
+    #[derive(Debug)]
+    enum Expected {
+        First,
+        Fit { j: f64 },
+        Switch { model: ModelId, j: f64, tests: usize },
+        New { tests: usize },
+    }
+
+    fn expected_verdict(site: &RemoteSite, chunk: &[Vector]) -> Expected {
+        let Some(current) = site.current_model() else { return Expected::First };
+        let cfg = site.config();
+        let p_free = free_parameters(cfg.k, cfg.dim, cfg.covariance);
+        let fits = |entry: &crate::remote::model_list::ModelEntry| {
+            let mut total = 0.0;
+            for x in chunk {
+                total += entry.mixture.log_pdf(x);
+            }
+            let j = j_fit(total / chunk.len() as f64, entry.avg_ll);
+            let tol = fit_tolerance(
+                cfg.chunk.epsilon,
+                cfg.chunk.delta,
+                entry.ll_std,
+                chunk.len(),
+                p_free,
+            );
+            (j <= tol).then_some(j)
+        };
+        if let Some(j) = fits(site.models().get(current).unwrap()) {
+            return Expected::Fit { j };
+        }
+        let mut tests = 1;
+        for entry in site.models().recent_except(current) {
+            if tests >= cfg.c_max {
+                break;
+            }
+            tests += 1;
+            if let Some(j) = fits(entry) {
+                return Expected::Switch { model: entry.id, j, tests };
+            }
+        }
+        Expected::New { tests }
+    }
+
+    /// The permanent statement that the density ceiling changes what a
+    /// failing test costs and nothing it decides: over recurring and new
+    /// regimes, a chunk that fails *high*, a half-and-half chunk, every
+    /// `c_max` and a bounded and an unbounded list, the site's outcomes,
+    /// counters and queued events are the reference's.
+    #[test]
+    fn site_decides_what_the_scalar_reference_decides() {
+        use cludistream_obs::Registry;
+        use std::sync::Arc;
+
+        use Chunk::{AtMode, Half, Regime};
+        enum Chunk {
+            /// Drawn from the regime around this center.
+            Regime(f64),
+            /// Every record at one mode of regime 0: fails *high* there.
+            AtMode,
+            /// Half regime 0, half regime 40.
+            Half,
+        }
+        let stream = [
+            Regime(0.0),
+            Regime(0.0),
+            Regime(40.0),
+            Regime(0.0),
+            Regime(80.0),
+            Regime(40.0),
+            Regime(120.0),
+            Regime(0.0),
+            AtMode,
+            Regime(40.0),
+            Half,
+            Regime(160.0),
+            Regime(120.0),
+            Regime(120.0),
+        ];
+        for c_max in [1usize, 2, 4] {
+            for max_models in [None, Some(2)] {
+                let what = format!("c_max={c_max} max_models={max_models:?}");
+                let registry = Arc::new(Registry::new());
+                let mut site =
+                    RemoteSite::new(Config { c_max, max_models, ..multi_block_config() }).unwrap();
+                site.set_observer(Obs::from_registry(Arc::clone(&registry)), 0);
+                let m = site.chunk_size();
+                let mut rng = StdRng::seed_from_u64(71);
+                let mut want = SiteStats::default();
+                for (i, kind) in stream.iter().enumerate() {
+                    let what = format!("{what} chunk {i}");
+                    let chunk: Vec<Vector> = match *kind {
+                        Regime(center) => {
+                            let mix = regime(center);
+                            (0..m).map(|_| mix.sample(&mut rng)).collect()
+                        }
+                        AtMode => vec![Vector::from_slice(&[-3.0, 0.0]); m],
+                        Half => {
+                            let (a, b) = (regime(0.0), regime(40.0));
+                            let from = |r| if r < m / 2 { &a } else { &b };
+                            (0..m).map(|r| from(r).sample(&mut rng)).collect()
+                        }
+                    };
+                    let expected = expected_verdict(&site, &chunk);
+                    let outcomes = site.push_batch(chunk).unwrap();
+                    let events = site.drain_events();
+                    assert_eq!(outcomes.len(), 1, "{what}");
+                    want.records += m as u64;
+                    want.chunks += 1;
+                    match (outcomes[0], expected) {
+                        (ChunkOutcome::FitCurrent { j_fit }, Expected::Fit { j }) => {
+                            assert_eq!(j_fit.to_bits(), j.to_bits(), "{what}");
+                            assert!(events.is_empty(), "{what}: {events:?}");
+                            want.fit_current += 1;
+                            want.tests += 1;
+                        }
+                        (
+                            ChunkOutcome::SwitchedTo { model, j_fit, tests },
+                            Expected::Switch { model: want_model, j, tests: want_tests },
+                        ) => {
+                            assert_eq!((model, tests), (want_model, want_tests), "{what}");
+                            assert_eq!(j_fit.to_bits(), j.to_bits(), "{what}");
+                            assert!(
+                                matches!(
+                                    events[..],
+                                    [SiteEvent::WeightUpdate { model: to, count_delta }]
+                                        if to == model && count_delta == m as u64
+                                ),
+                                "{what}: {events:?}"
+                            );
+                            want.switched += 1;
+                            want.tests += tests as u64;
+                        }
+                        (ChunkOutcome::NewModel { model, tests }, Expected::First) => {
+                            assert_eq!((model, tests), (ModelId(0), 0), "{what}");
+                            want.clustered += 1;
+                        }
+                        (ChunkOutcome::NewModel { model, tests }, Expected::New { tests: t }) => {
+                            assert_eq!(tests, t, "{what}");
+                            assert!(
+                                matches!(
+                                    events[0],
+                                    SiteEvent::NewModel { model: new, count, .. }
+                                        if new == model && count == m as u64
+                                ),
+                                "{what}: {events:?}"
+                            );
+                            assert!(
+                                events[1..].iter().all(|e| matches!(e, SiteEvent::Retired { .. })),
+                                "{what}: {events:?}"
+                            );
+                            want.clustered += 1;
+                            want.tests += tests as u64;
+                        }
+                        (got, expected) => panic!("{what}: site {got:?}, reference {expected:?}"),
+                    }
+                    if let Some(bound) = max_models {
+                        assert!(site.models().len() <= bound, "{what}");
+                    }
+                }
+                want.em_iterations = site.stats().em_iterations;
+                assert_eq!(site.stats(), want, "{what}");
+                assert_eq!(registry.counter_value("site.tests"), want.tests, "{what}");
+                // The stream did exercise what it is here for.
+                assert!(want.clustered >= 5 && want.fit_current >= 2, "{what}: {want:?}");
+                if c_max > 1 {
+                    assert!(want.switched >= 1, "{what}: {want:?}");
+                    assert!(registry.counter_value("site.tests_cut") > 0, "{what}");
+                } else {
+                    assert!(!has_series(&registry, "site.tests_cut"), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_average_below_the_floor_fails_the_fit_test() {
+        use cludistream_rng::{check, Rng};
+        check::cases("site.fail_low_floor", 2000, |rng| {
+            // Magnitudes from 1e-6 to 1e6, either sign of AvgPr₀, and
+            // tolerances from far smaller to far larger than it.
+            let mag = |rng: &mut StdRng| 10f64.powf(rng.gen::<f64>() * 12.0 - 6.0);
+            let reference = if rng.gen_bool(0.5) { mag(rng) } else { -mag(rng) };
+            let tol = mag(rng);
+            let floor = fail_low_floor(reference, tol);
+            // The floats just below the floor, then further down.
+            let mut avg = floor;
+            for step in 0..64u32 {
+                avg = if step < 8 {
+                    f64::from_bits(if avg > 0.0 { avg.to_bits() - 1 } else { avg.to_bits() + 1 })
+                } else {
+                    avg - avg.abs() * 0.5 - tol
+                };
+                assert!(avg < floor);
+                assert!(j_fit(avg, reference) > tol, "{avg} vs {reference} ± {tol}");
+            }
+        });
     }
 
     #[test]

@@ -25,7 +25,11 @@
 //! nobody reads may be skipped, but arithmetic may not move — every
 //! value is still produced by the same operations on the same operands,
 //! summed component by component inside a record, record by record
-//! inside a [`BLOCK`], block by block across the chunk.
+//! inside a [`BLOCK`], block by block across the chunk. And a pass may
+//! stop once its consumer's decision is fixed:
+//! [`Mixture::avg_log_likelihood_unless_below`] gives up on an average
+//! that the mixture's density ceiling proves is below the caller's floor,
+//! and returns the full pass's bits whenever it cannot prove that.
 
 use crate::{log_sum_exp, Mixture};
 use cludistream_linalg::Vector;
@@ -198,21 +202,77 @@ impl Mixture {
     /// log densities are bit-identical and the sum is accumulated in the
     /// same flat record order. Returns `-inf` on an empty batch.
     pub fn avg_log_likelihood_batch(&self, batch: &Batch, scratch: &mut MixtureScratch) -> f64 {
+        self.avg_log_likelihood_unless_below(batch, scratch, f64::NEG_INFINITY)
+            .expect("no average is below -inf")
+    }
+
+    /// [`Self::avg_log_likelihood_batch`] for a caller that only needs the
+    /// average if it reaches `floor`: `Some(avg)`, bit-identical to the
+    /// full pass, or `None` once the average is provably below `floor` —
+    /// decided after a [`BLOCK`], without scoring the blocks left.
+    ///
+    /// The proof is the mixture's **density ceiling**. No record scores
+    /// above `U = ln Σ_k w_k (2π)^{−d/2} |Σ_k|^{−1/2}` (every component at
+    /// its mode), so after `m` of `n` records with running sum `S_m` the
+    /// final average is at most `(S_m + (n − m)·U) / n`. In floating point:
+    /// the kernel computes each term as `fl(ln w_k + fl(log_norm_k −
+    /// fl(½·acc)))` with `acc ≥ 0`, which monotone rounding keeps at or
+    /// below `fl(ln w_k + log_norm_k)`, the terms `U` is summed from;
+    /// [`log_sum_exp`] over `K` terms is then off by a few `ε·(K + |U|)` on
+    /// either side, summing the `n − m` records left perturbs each addend
+    /// by a relative `n·ε` at most, and the bound's own three operations,
+    /// the final division and `floor − slack` add a few `ε` of their
+    /// operands — together below `(n + K + 8)·ε·(|S_m|/n + |U| + |floor| +
+    /// 1)`. The slack is eight times `(n + K)·ε` times that scale, and the
+    /// pass stops only when `bound < floor − slack`; anything closer runs
+    /// to the end and is the caller's to decide on the exact value.
+    ///
+    /// Every comparison with a `NaN` (sum, ceiling, floor) is false, so a
+    /// `NaN` never stops a pass, nor does a floor of `-inf`; a batch of one
+    /// block has no block left to skip; an empty batch is `Some(-inf)`. If
+    /// a record *after* the stop is non-finite the full average is `NaN`
+    /// or `-inf`, not a number at or above `floor` either.
+    pub fn avg_log_likelihood_unless_below(
+        &self,
+        batch: &Batch,
+        scratch: &mut MixtureScratch,
+        floor: f64,
+    ) -> Option<f64> {
         if batch.is_empty() {
-            return f64::NEG_INFINITY;
+            return Some(f64::NEG_INFINITY);
         }
+        let n = batch.len() as f64;
+        let ceiling = self.log_density_ceiling(&mut scratch.terms);
+        let slack_unit = 8.0 * f64::EPSILON * (n + self.k() as f64);
         let mut out = [0.0f64; BLOCK];
         let mut total = 0.0;
         let mut start = 0;
-        while start < batch.len() {
+        loop {
             let count = BLOCK.min(batch.len() - start);
             self.log_pdf_batch(batch.rows(start, count), &mut out[..count], scratch);
             for &v in &out[..count] {
                 total += v;
             }
             start += count;
+            if start == batch.len() {
+                return Some(total / n);
+            }
+            let bound = (total + (batch.len() - start) as f64 * ceiling) / n;
+            let slack = slack_unit * (1.0 + floor.abs() + ceiling.abs() + (total / n).abs());
+            if bound < floor - slack {
+                return None;
+            }
         }
-        total / batch.len() as f64
+    }
+
+    /// The density ceiling `ln Σ_k w_k (2π)^{−d/2} |Σ_k|^{−1/2}`: the
+    /// mixture's log density if every component were at its mode at once.
+    fn log_density_ceiling(&self, terms: &mut Vec<f64>) -> f64 {
+        terms.clear();
+        terms.extend(
+            self.components().iter().zip(self.log_weights()).map(|(c, lw)| lw + c.log_norm()),
+        );
+        log_sum_exp(terms)
     }
 }
 
@@ -372,6 +432,229 @@ mod tests {
         let batch = Batch::from_records(&[]);
         let mut scratch = MixtureScratch::default();
         assert_eq!(mix.avg_log_likelihood_batch(&batch, &mut scratch), f64::NEG_INFINITY);
+    }
+
+    /// Definition 1 one record at a time, summed in record order: the
+    /// reference the early-stopping pass is held to. (`avg_log_likelihood`
+    /// and `avg_log_likelihood_batch` both run the loop under test.)
+    fn scalar_average(mix: &Mixture, recs: &[Vector]) -> f64 {
+        let mut total = 0.0;
+        for x in recs {
+            total += mix.log_pdf(x);
+        }
+        total / recs.len() as f64
+    }
+
+    /// A record slice as the kernel takes it, with its scalar average.
+    fn flattened(mix: &Mixture, recs: &[Vector]) -> (Batch, f64) {
+        (Batch::from_records(recs), scalar_average(mix, recs))
+    }
+
+    /// The contract of `avg_log_likelihood_unless_below` against `full`, the
+    /// scalar average of the batch's records. Returns whether the pass
+    /// stopped early.
+    fn assert_sound(mix: &Mixture, batch: &Batch, full: f64, floor: f64, what: &str) -> bool {
+        let mut scratch = MixtureScratch::default();
+        match mix.avg_log_likelihood_unless_below(batch, &mut scratch, floor) {
+            Some(avg) => {
+                assert_eq!(avg.to_bits(), full.to_bits(), "{what} floor={floor}: {avg} vs {full}");
+                false
+            }
+            None => {
+                assert!(floor != f64::NEG_INFINITY, "{what}: stopped below -inf");
+                assert!(full < floor, "{what}: stopped, but {full} is not below {floor}");
+                true
+            }
+        }
+    }
+
+    fn random_mixture(rng: &mut StdRng, k: usize, d: usize, diagonal: bool) -> Mixture {
+        let comps = (0..k)
+            .map(|_| {
+                let mean: Vector = (0..d).map(|_| rng.gen::<f64>() * 12.0 - 6.0).collect();
+                let mut cov = Matrix::zeros(d, d);
+                for i in 0..d {
+                    cov[(i, i)] = 0.2 + 2.0 * rng.gen::<f64>();
+                }
+                if !diagonal {
+                    // B Bᵀ / d on top of the diagonal: SPD, correlated.
+                    let b: Vec<f64> = (0..d * d).map(|_| rng.gen::<f64>() * 2.0 - 1.0).collect();
+                    for i in 0..d {
+                        for j in 0..d {
+                            let dot: f64 = (0..d).map(|l| b[i * d + l] * b[j * d + l]).sum();
+                            cov[(i, j)] += dot / d as f64;
+                        }
+                    }
+                }
+                Gaussian::new(mean, cov).unwrap()
+            })
+            .collect();
+        let weights = (0..k).map(|_| 0.05 + rng.gen::<f64>()).collect();
+        Mixture::new(comps, weights).unwrap()
+    }
+
+    #[test]
+    fn unless_below_is_the_full_pass_or_a_proof_it_is_below() {
+        use cludistream_rng::check;
+        // 0.5 σ … 50 σ off the model, then a chunk whose second half is.
+        const SHIFTS: [f64; 6] = [0.0, 0.5, 2.0, 5.0, 20.0, 50.0];
+        check::cases("batch.unless_below_is_sound", 3, |rng| {
+            let mut stopped = 0;
+            let mut shape = 0;
+            for diagonal in [false, true] {
+                for k in [1usize, 2, 5, 12] {
+                    for d in [1usize, 4, 9] {
+                        let mix = random_mixture(rng, k, d, diagonal);
+                        for n in [1usize, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 17, 1567] {
+                            // Every (shape, n) takes another kind of chunk.
+                            shape += 1;
+                            let kind = shape % (SHIFTS.len() + 1);
+                            let recs: Vec<Vector> = (0..n)
+                                .map(|i| {
+                                    let shift = match SHIFTS.get(kind) {
+                                        Some(&s) => s,
+                                        None if i >= n / 2 => 50.0,
+                                        None => 0.0,
+                                    };
+                                    let mut x = mix.sample(rng);
+                                    for v in x.as_mut_slice() {
+                                        *v += shift * 1.5;
+                                    }
+                                    x
+                                })
+                                .collect();
+                            let (batch, full) = flattened(&mix, &recs);
+                            let in_dist = scalar_average(
+                                &mix,
+                                &(0..64).map(|_| mix.sample(rng)).collect::<Vec<_>>(),
+                            );
+                            let what = format!("diag={diagonal} k={k} d={d} n={n} kind={kind}");
+                            for floor in [
+                                f64::NEG_INFINITY,
+                                full - 1e6,
+                                full - 1e-12,
+                                full,
+                                full + 1e-12,
+                                full + 0.5,
+                                // What the site asks: "as good as in distribution?"
+                                in_dist - 0.5,
+                                f64::NAN,
+                                f64::INFINITY,
+                            ] {
+                                let cut = assert_sound(&mix, &batch, full, floor, &what);
+                                assert!(!cut || n > BLOCK, "{what}: one block, nothing to skip");
+                                stopped += cut as usize;
+                            }
+                            // Not vacuous: 20 σ off, more than one block, a
+                            // floor near the in-distribution average.
+                            if n > BLOCK && matches!(SHIFTS.get(kind), Some(&s) if s >= 20.0) {
+                                assert!(
+                                    assert_sound(&mix, &batch, full, in_dist - 0.5, &what),
+                                    "{what}: {full} against {in_dist} not stopped"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+            assert!(stopped > 0);
+        });
+    }
+
+    #[test]
+    fn unless_below_runs_on_while_the_ceiling_is_attained() {
+        // One component: a record at its mean scores exactly the ceiling,
+        // so after a far-off first block the bound *is* the final average.
+        let g = dense_gaussian(3);
+        let mode = g.mean().clone();
+        let mix = Mixture::single(g);
+        let mut recs = vec![Vector::filled(3, 40.0); BLOCK];
+        recs.extend(vec![mode; 2 * BLOCK + 5]);
+        let (batch, full) = flattened(&mix, &recs);
+        // A hair under the truth: no proof, the full pass's bits.
+        for floor in [full - 1e-9, full - 1e-12, full] {
+            assert!(!assert_sound(&mix, &batch, full, floor, "ceiling attained"));
+        }
+        // Truly below: one block is proof enough.
+        assert!(assert_sound(&mix, &batch, full, full + 1e-6, "ceiling attained"));
+
+        // Several components, the rest of the chunk at the heaviest one's
+        // mode: the ceiling is approached, never crossed.
+        let mix = Mixture::new(
+            vec![
+                dense_gaussian(3),
+                Gaussian::spherical(Vector::filled(3, -6.0), 0.5).unwrap(),
+                Gaussian::spherical(Vector::filled(3, 9.0), 2.0).unwrap(),
+            ],
+            vec![0.7, 0.2, 0.1],
+        )
+        .unwrap();
+        let mode = mix.components()[0].mean().clone();
+        let mut recs = vec![Vector::filled(3, 40.0); BLOCK];
+        recs.extend(vec![mode; 2 * BLOCK + 5]);
+        let (batch, full) = flattened(&mix, &recs);
+        for floor in [full - 1.0, full - 1e-12, full, full + 1e-12, full + 1.0] {
+            assert_sound(&mix, &batch, full, floor, "heaviest mode");
+        }
+    }
+
+    #[test]
+    fn unless_below_returns_an_average_that_fails_high() {
+        // Every record at the mode: far *above* what the model scored on
+        // its own data. The floor only guards the low side, so the caller
+        // gets the exact value and rejects it with the two-sided test.
+        let mix = Mixture::new(
+            vec![dense_gaussian(2), Gaussian::spherical(Vector::filled(2, 8.0), 1.0).unwrap()],
+            vec![0.5, 0.5],
+        )
+        .unwrap();
+        let mut rng = StdRng::seed_from_u64(47);
+        let own: Vec<Vector> = (0..1567).map(|_| mix.sample(&mut rng)).collect();
+        let (avg0, tol) = (scalar_average(&mix, &own), 0.1);
+        let recs = vec![mix.components()[0].mean().clone(); 1567];
+        let batch = Batch::from_records(&recs);
+        let avg = mix
+            .avg_log_likelihood_unless_below(&batch, &mut MixtureScratch::default(), avg0 - tol)
+            .expect("an average above the floor is returned");
+        assert_eq!(avg.to_bits(), scalar_average(&mix, &recs).to_bits());
+        assert!(crate::j_fit(avg, avg0) > tol, "{avg} against {avg0}");
+    }
+
+    #[test]
+    fn unless_below_with_a_record_of_no_density() {
+        let mix = Mixture::single(dense_gaussian(2));
+        let mut rng = StdRng::seed_from_u64(48);
+        let mut recs: Vec<Vector> = (0..3 * BLOCK).map(|_| mix.sample(&mut rng)).collect();
+        // 1e200² overflows: ln p = -inf, and so is the average.
+        let nowhere = Vector::filled(2, 1e200);
+        assert_eq!(mix.log_pdf(&nowhere), f64::NEG_INFINITY);
+        for at in [0, BLOCK + 3, 3 * BLOCK - 1] {
+            let kept = std::mem::replace(&mut recs[at], nowhere.clone());
+            let (batch, full) = flattened(&mix, &recs);
+            assert_eq!(full, f64::NEG_INFINITY);
+            for floor in [f64::NEG_INFINITY, -1e300, -5.0, f64::NAN] {
+                assert_sound(&mix, &batch, full, floor, &format!("-inf record at {at}"));
+            }
+            recs[at] = kept;
+        }
+        // After a stop the record is never scored; the verdict still holds.
+        let mut far = vec![Vector::filled(2, 60.0); BLOCK];
+        far.extend(vec![nowhere; BLOCK]);
+        let (batch, full) = flattened(&mix, &far);
+        assert!(assert_sound(&mix, &batch, full, -5.0, "-inf after the stop"));
+    }
+
+    #[test]
+    fn unless_below_on_an_empty_batch_is_neg_inf_whatever_the_floor() {
+        let mix = Mixture::single(Gaussian::spherical(Vector::zeros(1), 1.0).unwrap());
+        let batch = Batch::from_records(&[]);
+        let mut scratch = MixtureScratch::default();
+        for floor in [f64::NEG_INFINITY, 0.0, f64::INFINITY, f64::NAN] {
+            assert_eq!(
+                mix.avg_log_likelihood_unless_below(&batch, &mut scratch, floor),
+                Some(f64::NEG_INFINITY)
+            );
+        }
     }
 
     #[test]

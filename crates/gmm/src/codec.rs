@@ -33,6 +33,16 @@ pub fn encoded_len(k: usize, d: usize, cov: CovarianceType) -> usize {
     1 + 4 + 4 + 8 * k * (1 + d + cov.param_count(d))
 }
 
+/// Bytes after the header, `8 · K · (1 + d + d² | d)`; `None` when that does
+/// not fit a `usize`.
+fn body_len(k: usize, d: usize, cov: CovarianceType) -> Option<usize> {
+    let cov_params = match cov {
+        CovarianceType::Full => d.checked_mul(d)?,
+        CovarianceType::Diagonal => d,
+    };
+    cov_params.checked_add(d)?.checked_add(1)?.checked_mul(k)?.checked_mul(8)
+}
+
 /// Encodes a mixture into a fresh buffer.
 pub fn encode_mixture(mixture: &Mixture, cov: CovarianceType) -> ByteBuf {
     let (k, d) = (mixture.k(), mixture.dim());
@@ -84,7 +94,9 @@ pub fn decode_mixture(buf: &mut ByteReader<'_>) -> Result<Mixture> {
     if k == 0 || d == 0 {
         return Err(GmmError::Codec("zero K or d"));
     }
-    let body = 8 * k * (1 + d + cov.param_count(d));
+    // K and d are the peer's: the body length is computed checked, and
+    // nothing is allocated until the buffer is known to hold that many bytes.
+    let body = body_len(k, d, cov).ok_or(GmmError::Codec("K and d overflow the body length"))?;
     if buf.remaining() < body {
         return Err(GmmError::Codec("truncated body"));
     }

@@ -120,6 +120,12 @@ impl Gaussian {
         self.ridge
     }
 
+    /// The log normalizing constant `-½ (d ln 2π + log|Σ|)`: the log density
+    /// at the mean, which no record exceeds.
+    pub(crate) fn log_norm(&self) -> f64 {
+        self.log_norm
+    }
+
     /// Log density `ln p(x)`.
     pub fn log_pdf(&self, x: &Vector) -> f64 {
         self.log_norm - 0.5 * self.mahalanobis_sq(x)
