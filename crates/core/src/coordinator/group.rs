@@ -48,11 +48,6 @@ impl Member {
     fn anchored_weight(&self) -> f64 {
         self.weight.max(1e-9)
     }
-
-    /// The member's share of its group's statistics.
-    fn stats(&self) -> SuffStats {
-        SuffStats::from_gaussian(&self.gaussian, self.anchored_weight())
-    }
 }
 
 /// The running statistics are rebuilt exactly once their mass has fallen
@@ -194,11 +189,11 @@ impl Group {
         self.merged_aggregate = Some(self.aggregate.clone());
     }
 
-    /// Files `member` under the next sequence number and folds it into the
-    /// running statistics — the same additions, in the same order, as the
-    /// exact rebuild makes.
+    /// Files `member` under the next sequence number and folds its share
+    /// (its Gaussian at its anchored weight) into the running statistics —
+    /// the same additions, in the same order, as the exact rebuild makes.
     fn adopt(&mut self, member: Member) -> u64 {
-        self.stats.merge(&member.stats());
+        self.stats.merge_gaussian(&member.gaussian, member.anchored_weight());
         self.weight += member.weight;
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -212,7 +207,7 @@ impl Group {
         let removed: Vec<Member> =
             seqs.into_iter().filter_map(|seq| self.members.remove(&seq)).collect();
         for m in &removed {
-            self.stats.unmerge(&m.stats());
+            self.stats.unmerge_gaussian(&m.gaussian, m.anchored_weight());
             self.weight -= m.weight;
         }
         if !removed.is_empty() {
@@ -233,7 +228,7 @@ impl Group {
             // Statistics are linear in the weight: the difference replaces
             // the member's old share by its new one.
             let delta = m.anchored_weight() - old_anchored;
-            self.stats.merge(&SuffStats::from_gaussian(&m.gaussian, delta));
+            self.stats.merge_gaussian(&m.gaussian, delta);
             self.weight += m.weight - old;
             touched += 1;
         }
@@ -283,7 +278,7 @@ impl Group {
         self.stats = SuffStats::new(self.stats.dim());
         self.weight = 0.0;
         for m in self.members.values() {
-            self.stats.merge(&m.stats());
+            self.stats.merge_gaussian(&m.gaussian, m.anchored_weight());
             self.weight += m.weight;
         }
         self.peak_mass = self.stats.n();

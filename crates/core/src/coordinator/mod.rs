@@ -126,6 +126,28 @@ fn by_group(
     located.chunk_by(|a, b| a.0 == b.0).map(|run| (run[0].0, run.iter().map(|&(_, seq)| seq)))
 }
 
+/// `M_merge` between the aggregates of the groups in slots `lo < hi`.
+fn pair_score(groups: &[Group], lo: usize, hi: usize) -> f64 {
+    m_merge(groups[lo].aggregate(), groups[hi].aggregate())
+}
+
+/// The pair `i < j` of `0..n` with the largest `score(i, j)`: pairs in
+/// slot order, strict `>`, so the first maximum wins and a NaN score is
+/// never picked over an earlier one. The one place that scans for the pair
+/// to merge.
+fn best_pair(n: usize, score: impl Fn(usize, usize) -> f64) -> Option<(usize, usize, f64)> {
+    let mut best: Option<(usize, usize, f64)> = None;
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let m = score(i, j);
+            if best.is_none_or(|(_, _, bm)| m > bm) {
+                best = Some((i, j, m));
+            }
+        }
+    }
+    best
+}
+
 /// The CluDistream coordinator.
 ///
 /// Applies [`Message`]s from remote sites, maintains the two-level group
@@ -301,6 +323,14 @@ impl Coordinator {
         let churn_before = self.churn_events;
         let result = match message {
             Message::NewModel { site, model, count, mixture, .. } => {
+                // The handshake checks the dimension a peer declares, not
+                // the one its synopses have; the criteria below assume it.
+                // Refused before the replace, so a hostile duplicate does
+                // not delete the model it names.
+                let held = self.groups.first().map(|g| g.aggregate().dim());
+                if let Some(expected) = held.filter(|&held| held != mixture.dim()) {
+                    return Err(GmmError::DimensionMismatch { expected, got: mixture.dim() });
+                }
                 // Idempotent under retransmission: a duplicate NewModel for
                 // a known (site, model) replaces the previous components
                 // instead of double-counting them.
@@ -489,19 +519,53 @@ impl Coordinator {
     /// Merges the closest pair of groups (largest `M_merge` between
     /// aggregates) until at most `max_groups` remain, refining merged
     /// representatives with the downhill simplex when enabled.
+    ///
+    /// Each pair is scored once per call. `M_merge` is a pure function of
+    /// two aggregates and an aggregate changes only in `absorb`, so the
+    /// scores live in a table local to this call: the upper triangle is
+    /// filled once, and after slot `j` is absorbed into slot `i` only the
+    /// pairs that contain the host are scored again — at the top of the
+    /// next pass, so the last merge of a call re-scores nothing. The table
+    /// is indexed by the slots the groups had when the call began (`live`
+    /// maps today's slots to them); `Vec::remove` keeps slot order, so a
+    /// score is always stored, and computed, as (lower slot, higher slot),
+    /// and [`best_pair`] scans slots in the order the full re-scan did.
+    /// The picks are therefore the re-scan's, bit for bit — which debug
+    /// builds assert at every merge.
     fn consolidate(&mut self) {
+        let n = self.groups.len();
+        if n <= self.config.max_groups {
+            return;
+        }
+        let mut live: Vec<usize> = (0..n).collect();
+        let mut scores = vec![0.0; n * n];
+        let mut scored = 0u64;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                scores[i * n + j] = pair_score(&self.groups, i, j);
+                scored += 1;
+            }
+        }
+        let mut rescore: Option<usize> = None;
         while self.groups.len() > self.config.max_groups {
-            let mut best: Option<(usize, usize, f64)> = None;
-            for i in 0..self.groups.len() {
-                for j in (i + 1)..self.groups.len() {
-                    let m = m_merge(self.groups[i].aggregate(), self.groups[j].aggregate());
-                    if best.is_none_or(|(_, _, bm)| m > bm) {
-                        best = Some((i, j, m));
-                    }
+            if let Some(host) = rescore.take() {
+                for other in (0..self.groups.len()).filter(|&other| other != host) {
+                    let (lo, hi) = (host.min(other), host.max(other));
+                    scores[live[lo] * n + live[hi]] = pair_score(&self.groups, lo, hi);
+                    scored += 1;
                 }
             }
+            let best = best_pair(self.groups.len(), |i, j| scores[live[i] * n + live[j]]);
+            debug_assert_eq!(
+                best.map(|(i, j, m)| (i, j, m.to_bits())),
+                best_pair(self.groups.len(), |i, j| pair_score(&self.groups, i, j))
+                    .map(|(i, j, m)| (i, j, m.to_bits())),
+                "the score table picked another pair than a full re-scan"
+            );
             let Some((i, j, m)) = best else { break };
             let absorbed = self.groups.remove(j);
+            live.remove(j);
+            rescore = Some(i);
             self.merge_log.push(MergeRecord {
                 at_message: self.messages_applied,
                 into_group: self.groups[i].id,
@@ -549,6 +613,7 @@ impl Coordinator {
             host.absorb(absorbed, |key, seq| Self::rehome(registry, key, (host_id, seq)));
             host.refined = refined;
         }
+        self.obs.counter("coord.pairs_scored", scored);
     }
 
     /// Memory footprint of the coordinator state: one Gaussian synopsis per
@@ -833,6 +898,68 @@ mod tests {
         c.apply(&new_model(2, 0, &[50.0], 100)).unwrap();
         assert!(c.check().is_ok());
         assert!((c.total_weight() - 300.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn new_model_of_another_dimension_is_refused_and_changes_nothing() {
+        let three_d = |site: u32, model: u64| Message::NewModel {
+            site,
+            model: ModelId(model),
+            count: 100,
+            avg_ll: -1.0,
+            mixture: Mixture::uniform(vec![
+                Gaussian::spherical(Vector::from_slice(&[0.0, 0.0, 0.0]), 1.0).unwrap()
+            ])
+            .unwrap(),
+        };
+        let mut c = Coordinator::new(CoordinatorConfig::default()).unwrap();
+        c.apply(&new_model(0, 0, &[0.0, 20.0], 100)).unwrap();
+        let before = (c.group_count(), c.component_count(), c.known_models(), c.total_weight());
+        // A new id, and the id of the valid model: a hostile duplicate
+        // must not delete what it names.
+        for message in [three_d(1, 0), three_d(0, 0)] {
+            assert!(matches!(
+                c.apply(&message),
+                Err(GmmError::DimensionMismatch { expected: 2, got: 3 })
+            ));
+            let after = (c.group_count(), c.component_count(), c.known_models(), c.total_weight());
+            assert_eq!(after, before);
+            c.check().unwrap();
+        }
+        c.apply(&new_model(1, 0, &[0.5], 100)).unwrap();
+        assert_eq!(c.known_models(), 2);
+        assert_eq!(c.component_count(), 3);
+        // An empty coordinator holds no dimension: whatever comes first
+        // sets it.
+        let mut c = Coordinator::new(CoordinatorConfig::default()).unwrap();
+        c.apply(&three_d(0, 0)).unwrap();
+        assert!(c.apply(&new_model(1, 0, &[0.0], 100)).is_err());
+    }
+
+    #[test]
+    fn pairs_scored_counts_each_pair_once_per_consolidation() {
+        use cludistream_obs::Registry;
+        use std::sync::Arc;
+
+        let registry = Arc::new(Registry::new());
+        let mut c = Coordinator::new(CoordinatorConfig::default()).unwrap();
+        c.set_observer(Obs::from_registry(Arc::clone(&registry)));
+        // Eight far-apart singletons: no message needs a merge, and a
+        // message that needs none does not create the series.
+        for site in 0..8 {
+            c.apply(&new_model(site, 0, &[site as f64 * 500.0], 100)).unwrap();
+        }
+        assert_eq!(c.group_count(), 8);
+        assert_eq!(registry.counter_value("coord.pairs_scored"), 0);
+        assert!(registry.counters().iter().all(|(name, _)| *name != "coord.pairs_scored"));
+        // Five more in one message: 13 groups back to 8 in five merges.
+        // 78 pairs once, then the host's 11, 10, 9 and 8 — the last merge
+        // re-scores nothing — where scanning every pair before every
+        // merge would read 78 + 66 + 55 + 45 + 36 = 280.
+        c.apply(&new_model(8, 0, &[-500.0, -1000.0, -1500.0, -2000.0, -2500.0], 100)).unwrap();
+        assert_eq!(c.group_count(), 8);
+        assert_eq!(registry.counter_value("coord.merges"), 5);
+        assert_eq!(registry.counter_value("coord.pairs_scored"), 78 + 11 + 10 + 9 + 8);
     }
 
     #[test]

@@ -335,3 +335,43 @@ impl CoordinatorEngine {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::coordinator::CoordinatorConfig;
+    use crate::remote::ModelId;
+    use cludistream_gmm::{Gaussian, Mixture};
+    use cludistream_linalg::Vector;
+
+    /// The `Hello` handshake checks the dimension a peer declares; a frame
+    /// that decodes to a synopsis of another dimension must end as an
+    /// `apply_error` with its ACK, not as a panic in the merge criteria.
+    #[test]
+    fn synopsis_of_another_dimension_is_an_apply_error_and_still_acked() {
+        let coordinator = Coordinator::new(CoordinatorConfig::default()).unwrap();
+        let mut engine = CoordinatorEngine::new(coordinator, 2, CovarianceType::Full, Obs::noop());
+        let frame = |seq: u64, site: u32, mean: &[f64]| {
+            let mixture = Mixture::uniform(vec![
+                Gaussian::spherical(Vector::from_slice(mean), 1.0).unwrap()
+            ])
+            .unwrap();
+            let message =
+                Message::NewModel { site, model: ModelId(0), count: 100, avg_ll: -1.0, mixture };
+            Frame::Data { seq, message, ctx: None }.encode(CovarianceType::Full)
+        };
+        assert!(engine.on_wire(&frame(0, 0, &[0.0, 0.0])).is_some());
+        assert_eq!(engine.apply_errors, 0);
+        let weight = engine.coordinator.total_weight();
+        assert!(engine.on_wire(&frame(0, 1, &[0.0, 0.0, 0.0])).is_some(), "still ACKed");
+        assert_eq!(engine.apply_errors, 1);
+        assert_eq!(engine.decode_errors, 0);
+        assert_eq!(engine.coordinator.known_models(), 1);
+        assert_eq!(engine.coordinator.total_weight(), weight);
+        engine.coordinator.check().unwrap();
+        // The peer's next, valid frame applies.
+        assert!(engine.on_wire(&frame(1, 1, &[9.0, 9.0])).is_some());
+        assert_eq!(engine.apply_errors, 1);
+        assert_eq!(engine.coordinator.known_models(), 2);
+    }
+}

@@ -1,0 +1,126 @@
+//! Contract test for "the merge criteria and the group folds do not
+//! allocate": `M_merge` / `M_split` / `M_remerge` work in a stack buffer
+//! up to d = 16, a member's share of its group's statistics is folded in
+//! place, and consolidation fills one score table per call — so what a
+//! message allocates is its bookkeeping and the aggregates `Gaussian::new`
+//! builds, not something per pair scored or per member folded.
+//!
+//! A counting allocator shim wraps the system allocator (as in
+//! `crates/gmm/tests/estep_alloc.rs`); this is an integration test so it
+//! owns the process-wide `#[global_allocator]`.
+
+use cludistream::coordinator::{m_merge, m_remerge, m_split, Coordinator, CoordinatorConfig};
+use cludistream::{Message, ModelId};
+use cludistream_gmm::{Gaussian, Mixture};
+use cludistream_linalg::{Matrix, Vector};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::hint::black_box;
+
+struct CountingAlloc;
+
+thread_local! {
+    /// Allocations made by *this* thread (the harness runs tests
+    /// concurrently); const-initialised with no destructor, so reading or
+    /// bumping it never allocates itself.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// A `WeightUpdate` that splits nothing reads 16 today — one `locate` list
+/// and the refreshed aggregate (`to_gaussian`: mean, covariance, factor,
+/// and what `Gaussian::new` clones on the way). With a temporary
+/// `SuffStats` per fold and six vectors per criterion it read 46.
+const WEIGHT_UPDATE_BOUND: u64 = 24;
+
+/// A `NewModel` of five components that founds five groups and merges
+/// five times reads 116 today: member clones, singleton groups, merged
+/// aggregates, one score table and the bookkeeping. Scoring every pair
+/// before every merge at six allocations a score, it read 2 116.
+const NEW_MODEL_BOUND: u64 = 200;
+
+fn allocations(work: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    work();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+/// A full-covariance Gaussian of dimension `d` around `center`.
+fn gaussian(d: usize, center: f64) -> Gaussian {
+    let mut cov = Matrix::from_diag(&vec![1.5; d]);
+    for i in 1..d {
+        cov[(i, i - 1)] = 0.2;
+        cov[(i - 1, i)] = 0.2;
+    }
+    Gaussian::new(Vector::filled(d, center), cov).unwrap()
+}
+
+fn new_model(site: u32, model: u64, centers: &[f64], count: u64) -> Message {
+    let mixture =
+        Mixture::uniform(centers.iter().map(|&c| gaussian(4, c)).collect()).unwrap();
+    Message::NewModel { site, model: ModelId(model), count, avg_ll: -1.0, mixture }
+}
+
+#[test]
+fn the_merge_criteria_allocate_nothing_up_to_sixteen_dimensions() {
+    for d in [4, 16] {
+        let (a, b) = (gaussian(d, 0.0), gaussian(d, 3.0));
+        let n = allocations(|| {
+            black_box(m_merge(black_box(&a), black_box(&b)));
+            black_box(m_split(black_box(&a), black_box(&b)));
+            black_box(m_remerge(black_box(&a), black_box(&b)));
+        });
+        assert_eq!(n, 0, "d = {d}: the three criteria allocated {n} times");
+    }
+}
+
+/// Allocations of a `WeightUpdate` that splits nothing, for a model whose
+/// one component sits in a group of `members`.
+fn weight_update_allocations(members: u32) -> u64 {
+    let mut c = Coordinator::new(CoordinatorConfig::default()).unwrap();
+    for site in 0..members {
+        c.apply(&new_model(site, 0, &[0.001 * f64::from(site % 7)], 100)).unwrap();
+    }
+    c.apply(&new_model(members, 0, &[500.0], 100)).unwrap();
+    assert_eq!((c.group_count(), c.component_count()), (2, members as usize + 1));
+    let update = Message::WeightUpdate { site: 0, model: ModelId(0), count_delta: 1 };
+    let n = allocations(|| c.apply(&update).unwrap());
+    assert_eq!((c.group_count(), c.component_count()), (2, members as usize + 1), "no split");
+    n
+}
+
+#[test]
+fn a_weight_update_allocates_the_same_in_a_group_of_ten_as_of_a_thousand() {
+    let (ten, thousand) = (weight_update_allocations(10), weight_update_allocations(1000));
+    assert_eq!(ten, thousand, "{ten} allocations against 10 members, {thousand} against 1000");
+    assert!(ten <= WEIGHT_UPDATE_BOUND, "a WeightUpdate allocated {ten} times");
+}
+
+#[test]
+fn a_new_model_that_merges_five_times_stays_under_its_bound() {
+    let mut c = Coordinator::new(CoordinatorConfig::default()).unwrap();
+    for site in 0..8 {
+        c.apply(&new_model(site, 0, &[f64::from(site) * 500.0], 100)).unwrap();
+    }
+    assert_eq!(c.group_count(), 8);
+    let five = new_model(8, 0, &[-500.0, -1000.0, -1500.0, -2000.0, -2500.0], 100);
+    let n = allocations(|| c.apply(&five).unwrap());
+    assert_eq!((c.group_count(), c.merge_log().len()), (8, 5));
+    assert!(n <= NEW_MODEL_BOUND, "a NewModel with five merges allocated {n} times");
+}

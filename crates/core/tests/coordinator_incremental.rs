@@ -10,14 +10,16 @@
 //! same order, and aggregates that agree — bit for bit while the script
 //! only adds, within [`TOLERANCE`] once it subtracts.
 
-use cludistream::coordinator::{Coordinator, CoordinatorConfig, Group};
-use cludistream::{Message, ModelId};
+use cludistream::coordinator::{
+    m_merge, m_split, ComponentKey, Coordinator, CoordinatorConfig, Group, Member, MergeRefiner,
+};
+use cludistream::{MergeRecord, Message, ModelId};
 use cludistream_gmm::{Gaussian, Mixture};
 use cludistream_linalg::Vector;
-use cludistream_obs::{Obs, Registry};
+use cludistream_obs::{Event, Obs, Recorder, Registry};
 use cludistream_rng::{check, Rng, StdRng};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Stated tolerance of a running aggregate against the exact rebuild, for
 /// means and covariances alike, relative to the group's second moment
@@ -266,4 +268,158 @@ fn shedding_a_dominant_member_does_not_leave_its_rounding_behind() {
     let det = running.cov()[(0, 0)] * running.cov()[(1, 1)] - running.cov()[(0, 1)].powi(2);
     assert!(det > 0.0, "det {det}");
     c.check().unwrap();
+}
+
+/// The coordinator's consolidation as it was before it kept a score table:
+/// every pair of aggregates re-scored before every merge. Written against
+/// the public group API (an absorbed group's members are `push`ed into the
+/// host in their order, which folds the same statistics in the same order
+/// as the merge), for scripts of fresh `NewModel`s only.
+struct RescanTwin {
+    groups: Vec<Group>,
+    next_group_id: u64,
+    applied: u64,
+    max_groups: usize,
+    join_distance: f64,
+    /// Every merge made, with the bits of the winning `M_merge`.
+    merges: Vec<(MergeRecord, u64)>,
+}
+
+impl RescanTwin {
+    fn apply(&mut self, message: &Message) {
+        let Message::NewModel { site, model, count, mixture, .. } = message else {
+            panic!("the twin takes NewModels only");
+        };
+        self.applied += 1;
+        for (component, (g, &w)) in mixture.components().iter().zip(mixture.weights()).enumerate() {
+            let key = ComponentKey { site: *site, model: *model, component };
+            let member = Member::new(key, g.clone(), w * *count as f64);
+            let best = self
+                .groups
+                .iter()
+                .enumerate()
+                .map(|(i, group)| (i, m_split(g, group.aggregate())))
+                .min_by(|a, b| a.1.total_cmp(&b.1));
+            match best {
+                Some((i, dist)) if dist <= self.join_distance * g.dim() as f64 => {
+                    self.groups[i].push(member);
+                }
+                _ => {
+                    self.groups.push(Group::new(self.next_group_id, member));
+                    self.next_group_id += 1;
+                }
+            }
+        }
+        while self.groups.len() > self.max_groups {
+            let mut best: Option<(usize, usize, f64)> = None;
+            for i in 0..self.groups.len() {
+                for j in (i + 1)..self.groups.len() {
+                    let m = m_merge(self.groups[i].aggregate(), self.groups[j].aggregate());
+                    if best.is_none_or(|(_, _, bm)| m > bm) {
+                        best = Some((i, j, m));
+                    }
+                }
+            }
+            let (i, j, m) = best.unwrap();
+            let absorbed = self.groups.remove(j);
+            let record = MergeRecord {
+                at_message: self.applied,
+                into_group: self.groups[i].id,
+                absorbed_group: absorbed.id,
+                members_moved: absorbed.len(),
+            };
+            self.merges.push((record, m.to_bits()));
+            for member in absorbed.members() {
+                self.groups[i].push(member.clone());
+            }
+        }
+    }
+}
+
+/// Keeps the `Merge` events a coordinator journals.
+#[derive(Default)]
+struct MergeEvents(Mutex<Vec<((u64, u64), u64)>>);
+
+impl Recorder for MergeEvents {
+    fn event(&self, event: &Event) {
+        if let Event::Merge { groups, mahalanobis } = event {
+            self.0.lock().unwrap().push((*groups, mahalanobis.to_bits()));
+        }
+    }
+}
+
+/// The score table of `Coordinator::consolidate` against the full re-scan
+/// it replaced. Debug builds assert every pick inside the coordinator;
+/// this holds in release builds too, and only where it is not vacuous:
+/// five far-apart components per message force several merges per call, so
+/// the host's row and column are re-scored and rows are dropped between
+/// picks.
+#[test]
+fn consolidation_with_a_score_table_picks_what_the_full_rescan_picks() {
+    let deepest = Cell::new(0);
+    check::cases("coordinator_consolidation_score_table", 12, |rng| {
+        for max_groups in [2, 4, 8] {
+            for refine_merges in [false, true] {
+                let config = CoordinatorConfig {
+                    max_groups,
+                    refine_merges,
+                    refiner: MergeRefiner { samples: 16, max_evals: 30, seed: 3 },
+                    ..CoordinatorConfig::default()
+                };
+                let mut twin = RescanTwin {
+                    groups: Vec::new(),
+                    next_group_id: 0,
+                    applied: 0,
+                    max_groups,
+                    join_distance: config.join_distance,
+                    merges: Vec::new(),
+                };
+                let events = Arc::new(MergeEvents::default());
+                let mut running = Coordinator::new(config).unwrap();
+                running.set_observer(Obs::new(Arc::clone(&events) as Arc<dyn Recorder + Send + Sync>));
+                for model in 0..10u64 {
+                    let components = (0..5)
+                        .map(|_| {
+                            let mean: Vec<f64> =
+                                (0..DIM).map(|_| rng.gen_range(-400.0..400.0)).collect();
+                            let vars: Vec<f64> = (0..DIM).map(|_| rng.gen_range(0.4..2.5)).collect();
+                            Gaussian::diagonal(Vector::from_slice(&mean), &vars).unwrap()
+                        })
+                        .collect();
+                    let message = Message::NewModel {
+                        site: rng.gen_range(0..6u32),
+                        model: ModelId(model),
+                        count: rng.gen_range(50..5_000u64),
+                        avg_ll: -1.0,
+                        mixture: Mixture::new(
+                            components,
+                            (0..5).map(|_| rng.gen_range(0.2..1.0)).collect(),
+                        )
+                        .unwrap(),
+                    };
+                    let merges_before = running.merge_log().len();
+                    running.apply(&message).unwrap();
+                    twin.apply(&message);
+                    deepest.set(deepest.get().max(running.merge_log().len() - merges_before));
+
+                    let log: Vec<MergeRecord> = twin.merges.iter().map(|&(r, _)| r).collect();
+                    assert_eq!(running.merge_log(), &log[..], "model {model}: merge log");
+                    let journaled: Vec<((u64, u64), u64)> = twin
+                        .merges
+                        .iter()
+                        .map(|&(r, bits)| ((r.into_group, r.absorbed_group), bits))
+                        .collect();
+                    assert_eq!(*events.0.lock().unwrap(), journaled, "model {model}: Merge events");
+                    assert_eq!(running.group_count(), twin.groups.len());
+                    for (r, t) in running.groups().iter().zip(&twin.groups) {
+                        assert_eq!(r.id, t.id, "model {model}: group ids");
+                        assert_eq!(keys(r), keys(t), "model {model}: members of group {}", r.id);
+                        assert_eq!(r.aggregate().mean().as_slice(), t.aggregate().mean().as_slice());
+                        assert_eq!(r.aggregate().cov().as_slice(), t.aggregate().cov().as_slice());
+                    }
+                }
+            }
+        }
+    });
+    assert!(deepest.get() >= 3, "no call merged three times: deepest {}", deepest.get());
 }

@@ -38,6 +38,11 @@ impl Gaussian {
     /// estimate fails to factorize.
     pub const BASE_RIDGE: f64 = 1e-9;
 
+    /// Largest dimension at which [`Self::precision_weighted_mean_dist`]
+    /// works on the stack (the paper runs at d = 4–6); above it the same
+    /// code runs over one heap buffer.
+    const STACK_DIM: usize = 16;
+
     /// Creates a Gaussian from a mean and covariance. The covariance is
     /// symmetrized, then factorized with escalating ridge regularization;
     /// a covariance that cannot be repaired is an error.
@@ -216,12 +221,37 @@ impl Gaussian {
     /// Squared Mahalanobis distance between the means of `self` and `other`
     /// under the summed precisions, `(μ₁-μ₂)ᵀ(Σ₁⁻¹+Σ₂⁻¹)(μ₁-μ₂)` — the
     /// quantity inside the paper's `M_merge` / `M_split` criteria (Eqs. 5, 6).
+    ///
+    /// Allocates nothing up to 16 dimensions (`STACK_DIM`), and once
+    /// above. It is the `Vector` formulation
+    /// `diff.dot(&(&Σ₁.solve(&diff) + &Σ₂.solve(&diff)))` with the three
+    /// vectors laid side by side in one buffer, operand for operand:
+    /// `diff_i = μ₁_i − μ₂_i`; `a = Σ₁⁻¹diff` and `b = Σ₂⁻¹diff` by
+    /// [`Cholesky::solve_in_place`] on copies of `diff` (bit-identical to
+    /// `solve`); then `Σ_i diff_i·(a_i + b_i)` by the same `sum()` in
+    /// index order. Both Gaussians must have the same dimension.
     pub fn precision_weighted_mean_dist(&self, other: &Gaussian) -> f64 {
-        let diff = &self.mean - &other.mean;
+        let d = self.dim();
+        assert_eq!(d, other.dim(), "precision_weighted_mean_dist: dimension mismatch");
+        let mut stack = [0.0; 3 * Self::STACK_DIM];
+        let mut heap = Vec::new();
+        let buf = if d <= Self::STACK_DIM {
+            &mut stack[..3 * d]
+        } else {
+            heap.resize(3 * d, 0.0);
+            &mut heap[..]
+        };
+        let (diff, solves) = buf.split_at_mut(d);
+        let (a, b) = solves.split_at_mut(d);
+        for ((v, m1), m2) in diff.iter_mut().zip(self.mean.iter()).zip(other.mean.iter()) {
+            *v = m1 - m2;
+        }
         // (Σ₁⁻¹+Σ₂⁻¹)v = Σ₁⁻¹v + Σ₂⁻¹v: two solves, no explicit inverses.
-        let a = self.chol.solve(&diff);
-        let b = other.chol.solve(&diff);
-        diff.dot(&(&a + &b))
+        a.copy_from_slice(diff);
+        self.chol.solve_in_place(a);
+        b.copy_from_slice(diff);
+        other.chol.solve_in_place(b);
+        diff.iter().zip(a.iter().zip(b.iter())).map(|(v, (a, b))| v * (a + b)).sum()
     }
 }
 
@@ -242,7 +272,7 @@ pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cludistream_rng::StdRng;
 
@@ -363,6 +393,62 @@ mod tests {
             (a.precision_weighted_mean_dist(&b) - b.precision_weighted_mean_dist(&a)).abs()
                 < 1e-12
         );
+    }
+
+    /// A Gaussian of dimension `d` at a random scale in 1e-8 … 1e8, full
+    /// (`A Aᵀ + I`) or exactly diagonal.
+    pub(crate) fn random_gaussian(rng: &mut StdRng, d: usize) -> Gaussian {
+        let scale = 10f64.powi(rng.gen_range(-8..=8));
+        let mean: Vector = (0..d).map(|_| rng.gen_range(-5.0..5.0) * scale).collect();
+        let mut cov = if rng.gen_bool(0.5) {
+            let a = Matrix::from_vec(d, d, (0..d * d).map(|_| rng.gen_range(-2.0..2.0)).collect());
+            let mut m = a.matmul(&a.transpose());
+            m.add_ridge(1.0);
+            m
+        } else {
+            Matrix::from_diag(&(0..d).map(|_| rng.gen_range(0.1..5.0)).collect::<Vec<_>>())
+        };
+        cov.scale(scale * scale);
+        Gaussian::new(mean, cov).unwrap()
+    }
+
+    /// The formulation `precision_weighted_mean_dist` had before it stopped
+    /// allocating: the reference it must match bit for bit.
+    fn vector_formulation(g1: &Gaussian, g2: &Gaussian) -> f64 {
+        let diff = g1.mean() - g2.mean();
+        let a = g1.chol().solve(&diff);
+        let b = g2.chol().solve(&diff);
+        diff.dot(&(&a + &b))
+    }
+
+    #[test]
+    fn precision_weighted_mean_dist_is_bit_identical_to_the_vector_formulation() {
+        use cludistream_rng::check;
+        check::cases("precision_weighted_mean_dist_bit_identity", 32, |rng| {
+            // Both sides of STACK_DIM.
+            for d in [1, 2, 4, 9, 16, 17, 24] {
+                let (g1, g2) = (random_gaussian(rng, d), random_gaussian(rng, d));
+                for (a, b) in [(&g1, &g2), (&g2, &g1), (&g1, &g1)] {
+                    let (got, want) = (a.precision_weighted_mean_dist(b), vector_formulation(a, b));
+                    assert!(
+                        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                        "d {d}: {got:e} vs {want:e}"
+                    );
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn precision_weighted_mean_dist_keeps_the_class_of_an_overflow() {
+        // Means 1e308 apart under a 1e-300 variance: the solves overflow.
+        for d in [2, 17] {
+            let far = |at: f64| Gaussian::spherical(Vector::filled(d, at), 1e-300).unwrap();
+            let (g1, g2) = (far(1e308), far(-1e308));
+            let (got, want) = (g1.precision_weighted_mean_dist(&g2), vector_formulation(&g1, &g2));
+            assert!(!want.is_finite());
+            assert!(got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()));
+        }
     }
 
     #[test]

@@ -83,6 +83,44 @@ impl SuffStats {
         self.scatter -= &other.scatter;
     }
 
+    /// `self.merge(&SuffStats::from_gaussian(g, n))` without the temporary:
+    /// nothing is allocated, and each element is formed exactly as
+    /// [`Self::from_gaussian`] forms it — `μ_i·n` for the sum; for the
+    /// scatter `Σ_ij·n`, then `+= (n·μ_i)·μ_j` — before it is added to the
+    /// running element, so the result is bit-identical. No element of the
+    /// temporary depends on another: forming them one at a time moves where
+    /// the operands live, not which operations run.
+    pub fn merge_gaussian(&mut self, g: &Gaussian, n: f64) {
+        self.fold_gaussian(g, n, |acc, v| *acc += v);
+    }
+
+    /// `self.unmerge(&SuffStats::from_gaussian(g, n))` without the
+    /// temporary: [`Self::merge_gaussian`] with every element subtracted.
+    pub fn unmerge_gaussian(&mut self, g: &Gaussian, n: f64) {
+        self.fold_gaussian(g, n, |acc, v| *acc -= v);
+    }
+
+    /// Forms each element of `from_gaussian(g, n)` and hands it to `fold`
+    /// with the running element it belongs to.
+    fn fold_gaussian(&mut self, g: &Gaussian, n: f64, fold: impl Fn(&mut f64, f64)) {
+        let d = self.dim();
+        assert_eq!(d, g.dim(), "suffstats fold: dimension mismatch");
+        let (mu, cov) = (g.mean().as_slice(), g.cov().as_slice());
+        fold(&mut self.n, n);
+        for (acc, m) in self.sum.as_mut_slice().iter_mut().zip(mu) {
+            fold(acc, m * n);
+        }
+        let rows = self.scatter.as_mut_slice().chunks_exact_mut(d).zip(cov.chunks_exact(d));
+        for ((acc_row, cov_row), mi) in rows.zip(mu) {
+            let xi = n * mi;
+            for ((acc, c), mj) in acc_row.iter_mut().zip(cov_row).zip(mu) {
+                let mut v = c * n;
+                v += xi * mj;
+                fold(acc, v);
+            }
+        }
+    }
+
     /// Weighted mean `Σwx / n`. Errors when empty.
     pub fn mean(&self) -> Result<Vector> {
         if self.n <= 0.0 {
@@ -196,6 +234,52 @@ mod tests {
                 assert!((c1[(i, j)] - c2[(i, j)]).abs() < 1e-8, "cov ({i},{j})");
             }
         }
+    }
+
+    #[test]
+    fn gaussian_folds_are_bit_identical_to_merging_the_temporary() {
+        use crate::gaussian::tests::random_gaussian;
+        use cludistream_rng::{check, Rng};
+        let same = |got: &SuffStats, want: &SuffStats, what: &str| {
+            let flat = |s: &SuffStats| {
+                let mut v = vec![s.n];
+                v.extend_from_slice(s.sum.as_slice());
+                v.extend_from_slice(s.scatter.as_slice());
+                v
+            };
+            for (i, (g, w)) in flat(got).into_iter().zip(flat(want)).enumerate() {
+                assert!(
+                    g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                    "{what}, element {i}: {g:e} vs {w:e}"
+                );
+            }
+        };
+        check::cases("suffstats_gaussian_fold_bit_identity", 32, |rng| {
+            for d in [1, 2, 4, 9, 16, 17, 24] {
+                // A non-empty running sum, as a group's is.
+                let mut running = SuffStats::from_gaussian(&random_gaussian(rng, d), 1e3);
+                let mut reference = running.clone();
+                for _ in 0..4 {
+                    let g = random_gaussian(rng, d);
+                    let mut n = 10f64.powf(rng.gen_range(-9.0..9.0));
+                    match rng.gen_range(0..8u32) {
+                        // The negative difference a down-weighting
+                        // `rescale` folds in.
+                        0..=2 => n = -n,
+                        3 => n = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..3usize)],
+                        _ => {}
+                    }
+                    if rng.gen_bool(0.5) {
+                        running.merge_gaussian(&g, n);
+                        reference.merge(&SuffStats::from_gaussian(&g, n));
+                    } else {
+                        running.unmerge_gaussian(&g, n);
+                        reference.unmerge(&SuffStats::from_gaussian(&g, n));
+                    }
+                    same(&running, &reference, &format!("d {d}, n {n:e}"));
+                }
+            }
+        });
     }
 
     #[test]

@@ -154,6 +154,38 @@ impl Cholesky {
         self.solve_upper(&self.solve_lower(b))
     }
 
+    /// Solves `A x = b` in place: `x` holds `b` on entry and the solution
+    /// on return, and nothing is allocated.
+    ///
+    /// Operand for operand what [`Self::solve`] does, so the result is
+    /// bit-identical to it. Forward substitution, `i` ascending: start
+    /// from `b[i]`, subtract `L[i,k]·y[k]` in ascending `k < i`, divide by
+    /// `L[i,i]` — `x[k]` for `k < i` already holds `y[k]` and `x[i]` still
+    /// holds `b[i]`, exactly what [`Self::solve_lower`] reads from its two
+    /// vectors. Backward substitution, `i` descending: start from `y[i]`,
+    /// subtract `L[k,i]·x[k]` in ascending `k > i`, divide by `L[i,i]` —
+    /// `x[k]` for `k > i` is already solved and `x[i]` still holds `y[i]`,
+    /// as in [`Self::solve_upper`].
+    pub fn solve_in_place(&self, x: &mut [f64]) {
+        let n = self.dim();
+        assert_eq!(x.len(), n, "solve_in_place: dimension mismatch");
+        for i in 0..n {
+            let row = self.l.row(i);
+            let mut sum = x[i];
+            for (lik, yk) in row[..i].iter().zip(&x[..i]) {
+                sum -= lik * yk;
+            }
+            x[i] = sum / row[i];
+        }
+        for i in (0..n).rev() {
+            let mut sum = x[i];
+            for (k, xk) in x.iter().enumerate().skip(i + 1) {
+                sum -= self.l[(k, i)] * xk;
+            }
+            x[i] = sum / self.l[(i, i)];
+        }
+    }
+
     /// Explicit inverse `A⁻¹` (needed for the paper's `Σ_i⁻¹ + Σ_j⁻¹`
     /// merge/split criteria). The result is symmetrized to kill rounding
     /// noise.
@@ -345,6 +377,45 @@ mod tests {
         c.solve_lower_batch(&mut rhs, 1);
         let scalar = c.solve_lower(&b);
         assert_eq!(rhs, scalar.as_slice());
+    }
+
+    #[test]
+    fn solve_in_place_is_bit_identical_to_solve() {
+        use cludistream_rng::{check, Rng};
+        check::cases("solve_in_place_is_bit_identical_to_solve", 32, |rng| {
+            for n in [1, 2, 4, 9, 16, 17, 24] {
+                // Full (`A Aᵀ + I`) or exactly diagonal, at a scale in
+                // 1e-8 … 1e8.
+                let mut m = if rng.gen_bool(0.5) {
+                    let entries = (0..n * n).map(|_| rng.gen_range(-5.0..5.0)).collect();
+                    let a = Matrix::from_vec(n, n, entries);
+                    let mut m = a.matmul(&a.transpose());
+                    m.add_ridge(1.0);
+                    m
+                } else {
+                    Matrix::from_diag(&(0..n).map(|_| rng.gen_range(0.1..5.0)).collect::<Vec<_>>())
+                };
+                let scale = 10f64.powi(rng.gen_range(-8..=8));
+                m.scale(scale * scale);
+                let chol = Cholesky::new(&m).unwrap();
+                let mut b: Vector = (0..n).map(|_| rng.gen_range(-5.0..5.0)).collect();
+                b.scale(10f64.powi(rng.gen_range(-8..=8)));
+                if rng.gen_bool(0.25) {
+                    b[rng.gen_range(0..n)] =
+                        [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..3usize)];
+                }
+                let reference = chol.solve(&b);
+                let mut x = b.as_slice().to_vec();
+                chol.solve_in_place(&mut x);
+                for (i, (got, want)) in x.iter().zip(reference.iter()).enumerate() {
+                    // Same bits; for the non-finite inputs, the same class.
+                    assert!(
+                        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                        "n {n} [{i}]: {got:e} vs {want:e}"
+                    );
+                }
+            }
+        });
     }
 
     #[test]

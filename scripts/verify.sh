@@ -25,23 +25,37 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml --target-di
 # the measurement procedure keeps unused while a change is written. A PR
 # that means to change a decision or the wire updates these ten numbers
 # in the same diff.
-exact_counts() { # workload seed bytes_per_record state_kb
-    local last want
-    last="$(./target/release/bench --workload "$1" --seed "$2" --seconds 2 --trace 0 | tail -n 1)"
-    for want in '"correct":true' '"failed":0' \
-        "\"bytes_per_record\":{\"value\":$3," "\"state_kb\":{\"value\":$4,"; do
+exact_counts() { # workload seed trace [metric value]...
+    local workload="$1" seed="$2" trace="$3" last want
+    shift 3
+    local wants=('"correct":true' '"failed":0')
+    while [ "$#" -gt 0 ]; do
+        wants+=("\"$1\":{\"value\":$2,")
+        shift 2
+    done
+    last="$(./target/release/bench --workload "$workload" --seed "$seed" --seconds 2 \
+        --trace "$trace" | tail -n 1)"
+    for want in "${wants[@]}"; do
         if ! grep -qF -- "$want" <<< "$last"; then
-            echo "verify: FAILED (exact counts): $1 seed $2 wants $want in:" >&2
+            echo "verify: FAILED (exact counts): $workload seed $seed trace $trace wants $want in:" >&2
             echo "$last" >&2
             exit 1
         fi
     done
 }
-exact_counts drift     1 0.328414  410.453125
-exact_counts drift     2 0.324902  407.125
-exact_counts drift_tcp 1 0.3476875 150.859375
-exact_counts steady    1 0.00029266666666666666 102.578125
-exact_counts fanin     1 0.1297096520176751     522.2109375
+exact_counts drift     1 0 bytes_per_record 0.328414  state_kb 410.453125
+exact_counts drift     2 0 bytes_per_record 0.324902  state_kb 407.125
+exact_counts drift_tcp 1 0 bytes_per_record 0.3476875 state_kb 150.859375
+exact_counts steady    1 0 bytes_per_record 0.00029266666666666666 state_kb 102.578125
+exact_counts fanin     1 0 bytes_per_record 0.1297096520176751     state_kb 522.2109375
+# The same for the per-layer counts of the one workload whose traced run is
+# short (2.3 s): the root's decisions — merges made, components and groups
+# kept, frames and bytes taken in, snapshots and snapshot bytes put out — so
+# a change to the coordinator that means to leave its decisions alone is
+# checked on every host.
+exact_counts fanin     1 1 coordinator.merges 3155 coordinator.components 3175 \
+    coordinator.groups 8 coordinator.apply_errors 0 protocol.frames 1600 \
+    protocol.bytes 616879 serving.snapshots 1600 serving.snapshot_bytes 52339
 
 cargo test -q --offline --workspace
 cargo doc --no-deps -q --offline --workspace
