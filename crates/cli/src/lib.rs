@@ -1969,9 +1969,10 @@ mod tests {
                 SnapshotGroup {
                     id: 1,
                     weight: 0.5,
-                    members: vec![SnapshotMember { site: 0, model: ModelId(0), component: 0 }],
+                    members: vec![SnapshotMember { site: 0, model: ModelId(0), component: 0 }]
+                        .into(),
                 },
-                SnapshotGroup { id: 2, weight: 0.5, members: Vec::new() },
+                SnapshotGroup { id: 2, weight: 0.5, members: Default::default() },
             ],
         };
         let snap_path = std::env::temp_dir().join("cludistream_cli_score_snap.bin");

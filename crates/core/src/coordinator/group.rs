@@ -1,7 +1,9 @@
 use super::split::m_remerge;
 use crate::remote::ModelId;
+use crate::serving::{SnapshotMember, SnapshotMembers};
 use cludistream_gmm::{Gaussian, GmmError, SuffStats};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// Global identity of a remote component: which site, which of its models,
 /// and which component within that model.
@@ -101,6 +103,12 @@ pub struct Group {
     /// The aggregate right after the last merge: what `M_remerge` of every
     /// member that was present then is measured against.
     merged_aggregate: Option<Gaussian>,
+    /// The members' `(site, model, component)` in join order, as a
+    /// snapshot publishes them: built on the first `Group::lineage` after
+    /// a membership change and shared by every snapshot until the next
+    /// one. Reweights leave it alone. Not synopsis payload, so
+    /// [`super::Coordinator::memory_bytes`] does not count it.
+    lineage: OnceLock<SnapshotMembers>,
 }
 
 impl Group {
@@ -123,6 +131,7 @@ impl Group {
             refined: None,
             epoch: 0,
             merged_aggregate: None,
+            lineage: OnceLock::new(),
         };
         g.recompute();
         g
@@ -152,6 +161,23 @@ impl Group {
     /// here.
     pub(crate) fn member(&self, seq: u64) -> Option<&Member> {
         self.members.get(&seq)
+    }
+
+    /// The members' identities in join order, built on the first call
+    /// after a membership change and shared until the next one.
+    pub(crate) fn lineage(&self) -> &SnapshotMembers {
+        self.lineage.get_or_init(|| {
+            let members: Vec<SnapshotMember> = self
+                .members
+                .values()
+                .map(|m| SnapshotMember {
+                    site: m.key.site,
+                    model: m.key.model,
+                    component: m.key.component as u32,
+                })
+                .collect();
+            members.into()
+        })
     }
 
     /// The aggregate Gaussian. Of an empty group, the last one it had.
@@ -198,6 +224,7 @@ impl Group {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.members.insert(seq, member);
+        self.lineage = OnceLock::new();
         seq
     }
 
@@ -212,6 +239,7 @@ impl Group {
         }
         if !removed.is_empty() {
             self.inexact_ops += removed.len();
+            self.lineage = OnceLock::new();
             self.refresh();
         }
         removed

@@ -98,7 +98,9 @@ pub use driver::{
 pub use error::CludiError;
 pub use protocol::{Frame, Message, ReliableInbox, ReliableSender};
 pub use remote::{ChunkOutcome, ModelId, RemoteSite, SiteEvent, SiteStats};
-pub use serving::{score_snapshot, ModelSnapshot, SnapshotGroup, SnapshotHandle, SnapshotMember};
+pub use serving::{
+    score_snapshot, ModelSnapshot, SnapshotGroup, SnapshotHandle, SnapshotMember, SnapshotMembers,
+};
 pub use transport::{RunRecipe, SimnetTransport, Transport, TreeTopology};
 pub use windows::{
     horizon_mixture, landmark_mixture, LandmarkWindow, SlidingWindowSite, Window, WindowSpec,

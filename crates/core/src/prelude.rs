@@ -38,7 +38,7 @@ pub use crate::runtime::{
     SocketConfig, TcpTransport,
 };
 pub use crate::serving::{
-    score_snapshot, ModelSnapshot, SnapshotGroup, SnapshotHandle, SnapshotMember,
+    score_snapshot, ModelSnapshot, SnapshotGroup, SnapshotHandle, SnapshotMember, SnapshotMembers,
 };
 pub use crate::transport::{RunRecipe, SimnetTransport, Transport};
 pub use crate::windows::WindowSpec;

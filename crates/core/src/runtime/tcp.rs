@@ -1148,7 +1148,7 @@ mod tests {
             groups: vec![crate::serving::SnapshotGroup {
                 id: 7,
                 weight: 1.0,
-                members: Vec::new(),
+                members: Default::default(),
             }],
         };
         let version = handle.publish(published);

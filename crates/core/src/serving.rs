@@ -54,6 +54,9 @@ const MAGIC: u32 = 0x434C_4D53;
 /// Version of the snapshot wire layout (bump on incompatible change).
 pub const SNAPSHOT_FORMAT_VERSION: u16 = 1;
 
+/// Encoded size of one member: `u32 site, u64 model, u32 component`.
+const MEMBER_BYTES: usize = 16;
+
 /// One member component of a snapshot group: which site model component
 /// contributed to it (the lineage the coordinator's hierarchy tracks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,6 +69,46 @@ pub struct SnapshotMember {
     pub component: u32,
 }
 
+/// A group's lineage: its member components in join order, as an
+/// immutable slice shared by reference count.
+///
+/// The coordinator builds a group's lineage at most once per membership
+/// change, and every snapshot published until the next change holds the
+/// same slice, so a publish copies the member lists of only the groups
+/// whose membership changed. Reads as a `[SnapshotMember]`; equality
+/// compares the members, never the allocation.
+#[derive(Clone, PartialEq, Default)]
+pub struct SnapshotMembers(Arc<[SnapshotMember]>);
+
+impl std::ops::Deref for SnapshotMembers {
+    type Target = [SnapshotMember];
+
+    fn deref(&self) -> &[SnapshotMember] {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a SnapshotMembers {
+    type Item = &'a SnapshotMember;
+    type IntoIter = std::slice::Iter<'a, SnapshotMember>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+impl From<Vec<SnapshotMember>> for SnapshotMembers {
+    fn from(members: Vec<SnapshotMember>) -> Self {
+        SnapshotMembers(members.into())
+    }
+}
+
+impl std::fmt::Debug for SnapshotMembers {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
 /// Metadata for one coordinator group, frozen at publish time. Group `g`
 /// corresponds to component `g` of [`ModelSnapshot::mixture`].
 #[derive(Debug, Clone, PartialEq)]
@@ -74,8 +117,8 @@ pub struct SnapshotGroup {
     pub id: u64,
     /// Record mass attributed to the group.
     pub weight: f64,
-    /// Site components merged into this group.
-    pub members: Vec<SnapshotMember>,
+    /// Site components merged into this group, in join order.
+    pub members: SnapshotMembers,
 }
 
 /// An immutable, versioned copy of the coordinator's global model: the
@@ -102,23 +145,16 @@ impl ModelSnapshot {
     /// Freezes the coordinator's current global model into a snapshot
     /// (version 0 — [`SnapshotHandle::publish`] assigns the real one).
     /// Errors when the coordinator has no groups yet.
+    ///
+    /// Each group's members are its shared lineage: built here only for a
+    /// group whose membership changed since the last capture, shared with
+    /// the previous snapshot otherwise.
     pub fn capture(coordinator: &Coordinator) -> Result<ModelSnapshot, CludiError> {
         let mixture = coordinator.global_mixture()?;
         let groups = coordinator
             .groups()
             .iter()
-            .map(|g| SnapshotGroup {
-                id: g.id,
-                weight: g.weight(),
-                members: g
-                    .members()
-                    .map(|m| SnapshotMember {
-                        site: m.key.site,
-                        model: m.key.model,
-                        component: m.key.component as u32,
-                    })
-                    .collect(),
-            })
+            .map(|g| SnapshotGroup { id: g.id, weight: g.weight(), members: g.lineage().clone() })
             .collect();
         Ok(ModelSnapshot {
             version: 0,
@@ -193,17 +229,23 @@ impl ModelSnapshot {
                 return Err(CludiError::Decode("invalid snapshot group weight"));
             }
             let member_count = reader.get_u32_le() as usize;
-            if reader.remaining() < member_count * 16 {
+            let Some(member_bytes) = member_count.checked_mul(MEMBER_BYTES) else {
+                return Err(CludiError::Decode("snapshot member count overflows"));
+            };
+            if reader.remaining() < member_bytes {
                 return Err(CludiError::Decode("truncated snapshot members"));
             }
-            let mut members = Vec::with_capacity(member_count);
-            for _ in 0..member_count {
-                members.push(SnapshotMember {
-                    site: reader.get_u32_le(),
-                    model: ModelId(reader.get_u64_le()),
-                    component: reader.get_u32_le(),
-                });
-            }
+            // A mapped range has an exact length: one allocation, straight
+            // into the shared slice.
+            let members = SnapshotMembers(
+                (0..member_count)
+                    .map(|_| SnapshotMember {
+                        site: reader.get_u32_le(),
+                        model: ModelId(reader.get_u64_le()),
+                        component: reader.get_u32_le(),
+                    })
+                    .collect(),
+            );
             groups.push(SnapshotGroup { id, weight, members });
         }
         Ok(ModelSnapshot { version, messages_applied, covariance, mixture, groups })
@@ -219,7 +261,8 @@ impl ModelSnapshot {
 /// with no lock and no contention with the writer. Publishing swaps the
 /// `Arc` and assigns the next version atomically under the same mutex,
 /// so observed versions are strictly monotonic and a snapshot is always
-/// seen whole or not at all.
+/// seen whole or not at all. The snapshot a publish replaces is released
+/// after the mutex, so a reader never waits on the writer's frees.
 pub struct SnapshotHandle {
     slot: Mutex<Option<Arc<ModelSnapshot>>>,
     version: AtomicU64,
@@ -232,7 +275,9 @@ impl SnapshotHandle {
     }
 
     /// Publishes a snapshot, assigning it the next version. Returns the
-    /// version it was published as.
+    /// version it was published as. The replaced snapshot is dropped after
+    /// the lock is released: when no reader holds it, freeing it (and any
+    /// member list no later snapshot shares) is the writer's cost alone.
     pub fn publish(&self, mut snapshot: ModelSnapshot) -> u64 {
         let mut slot = match self.slot.lock() {
             Ok(guard) => guard,
@@ -242,8 +287,10 @@ impl SnapshotHandle {
         };
         let version = self.version.load(Ordering::Relaxed) + 1;
         snapshot.version = version;
-        *slot = Some(Arc::new(snapshot));
+        let replaced = slot.replace(Arc::new(snapshot));
         self.version.store(version, Ordering::Release);
+        drop(slot);
+        drop(replaced);
         version
     }
 
@@ -400,6 +447,29 @@ mod tests {
             ModelSnapshot::decode(&mut bad.reader()),
             Err(CludiError::Decode("unsupported snapshot format version"))
         ));
+    }
+
+    #[test]
+    fn an_inflated_member_count_is_refused() {
+        let c = seeded_coordinator();
+        let snap = ModelSnapshot::capture(&c).unwrap();
+        let bytes = snap.encode();
+        // Header, mixture, group count, then the first group's id and
+        // weight: its member count follows.
+        let mixture = codec::encode_mixture(&snap.mixture, snap.covariance);
+        let at = 22 + mixture.len() + 4 + 16;
+        let count = |b: &ByteBuf| u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]]);
+        assert_eq!(count(&bytes) as usize, snap.groups[0].members.len());
+        // 2^28 members are 2^32 bytes: past the end of the input on a
+        // 64-bit host, past `usize` on a 32-bit one.
+        for inflated in [u32::MAX, u32::MAX / 16 + 1] {
+            let mut bad = bytes.clone();
+            bad[at..at + 4].copy_from_slice(&inflated.to_le_bytes());
+            assert!(
+                matches!(ModelSnapshot::decode(&mut bad.reader()), Err(CludiError::Decode(_))),
+                "member count {inflated}"
+            );
+        }
     }
 
     #[test]

@@ -5,12 +5,17 @@
 //! message allocates is its bookkeeping and the aggregates `Gaussian::new`
 //! builds, not something per pair scored or per member folded.
 //!
+//! The same holds for the snapshot the root publishes after a message that
+//! changes no group's membership: every member list is shared with the
+//! previous snapshot, so the publish allocates and copies nothing per
+//! member.
+//!
 //! A counting allocator shim wraps the system allocator (as in
 //! `crates/gmm/tests/estep_alloc.rs`); this is an integration test so it
 //! owns the process-wide `#[global_allocator]`.
 
 use cludistream::coordinator::{m_merge, m_remerge, m_split, Coordinator, CoordinatorConfig};
-use cludistream::{Message, ModelId};
+use cludistream::{Message, ModelId, SnapshotHandle};
 use cludistream_gmm::{Gaussian, Mixture};
 use cludistream_linalg::{Matrix, Vector};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -24,18 +29,25 @@ thread_local! {
     /// concurrently); const-initialised with no destructor, so reading or
     /// bumping it never allocates itself.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes those allocations asked for (a `realloc` counts its new size).
+    static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    ALLOCATED_BYTES.with(|n| n.set(n.get() + bytes as u64));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        count(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -55,10 +67,22 @@ const WEIGHT_UPDATE_BOUND: u64 = 24;
 /// before every merge at six allocations a score, it read 2 116.
 const NEW_MODEL_BOUND: u64 = 200;
 
+/// A publish after a `WeightUpdate` that changes no membership reads 11
+/// today (1 096 bytes) against 2 groups: the global mixture, the group list
+/// and the snapshot. Copying every group's member list it read 13, and its
+/// bytes grew by 16 a member (1 288 against 10 members, 17 128 against
+/// 1 000).
+const PUBLISH_BOUND: u64 = 16;
+
 fn allocations(work: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
+    allocated(work).0
+}
+
+/// Allocations and bytes asked for by `work`.
+fn allocated(work: impl FnOnce()) -> (u64, u64) {
+    let before = (ALLOCATIONS.with(Cell::get), ALLOCATED_BYTES.with(Cell::get));
     work();
-    ALLOCATIONS.with(Cell::get) - before
+    (ALLOCATIONS.with(Cell::get) - before.0, ALLOCATED_BYTES.with(Cell::get) - before.1)
 }
 
 /// A full-covariance Gaussian of dimension `d` around `center`.
@@ -90,19 +114,46 @@ fn the_merge_criteria_allocate_nothing_up_to_sixteen_dimensions() {
     }
 }
 
-/// Allocations of a `WeightUpdate` that splits nothing, for a model whose
-/// one component sits in a group of `members`.
-fn weight_update_allocations(members: u32) -> u64 {
+/// Two groups: `members` one-component models together, and one far away.
+fn two_groups(members: u32) -> Coordinator {
     let mut c = Coordinator::new(CoordinatorConfig::default()).unwrap();
     for site in 0..members {
         c.apply(&new_model(site, 0, &[0.001 * f64::from(site % 7)], 100)).unwrap();
     }
     c.apply(&new_model(members, 0, &[500.0], 100)).unwrap();
     assert_eq!((c.group_count(), c.component_count()), (2, members as usize + 1));
+    c
+}
+
+/// Allocations of a `WeightUpdate` that splits nothing, for a model whose
+/// one component sits in a group of `members`.
+fn weight_update_allocations(members: u32) -> u64 {
+    let mut c = two_groups(members);
     let update = Message::WeightUpdate { site: 0, model: ModelId(0), count_delta: 1 };
     let n = allocations(|| c.apply(&update).unwrap());
     assert_eq!((c.group_count(), c.component_count()), (2, members as usize + 1), "no split");
     n
+}
+
+/// Allocations and bytes of the publish that follows a `WeightUpdate` of
+/// the far singleton (a singleton never splits), the snapshot before it
+/// already published: no group's membership changed in between.
+fn publish_after_weight_update(members: u32) -> (u64, u64) {
+    let mut c = two_groups(members);
+    let handle = SnapshotHandle::new();
+    handle.publish_from(&c).unwrap();
+    let before = handle.load().unwrap();
+    c.apply(&Message::WeightUpdate { site: members, model: ModelId(0), count_delta: 1 }).unwrap();
+    let allocs = allocated(|| {
+        handle.publish_from(&c).unwrap();
+    });
+    let after = handle.load().unwrap();
+    assert_ne!(before.groups[1].weight, after.groups[1].weight, "the update was applied");
+    for (b, a) in before.groups.iter().zip(&after.groups) {
+        assert_eq!(a.members.len(), if a.id == 0 { members as usize } else { 1 });
+        assert!(std::ptr::eq(b.members.as_ptr(), a.members.as_ptr()), "group {}", a.id);
+    }
+    allocs
 }
 
 #[test]
@@ -123,4 +174,14 @@ fn a_new_model_that_merges_five_times_stays_under_its_bound() {
     let n = allocations(|| c.apply(&five).unwrap());
     assert_eq!((c.group_count(), c.merge_log().len()), (8, 5));
     assert!(n <= NEW_MODEL_BOUND, "a NewModel with five merges allocated {n} times");
+}
+
+#[test]
+fn a_publish_after_a_weight_update_allocates_the_same_in_a_group_of_ten_as_of_a_thousand() {
+    let (ten, thousand) = (publish_after_weight_update(10), publish_after_weight_update(1000));
+    assert_eq!(
+        ten, thousand,
+        "(allocations, bytes) {ten:?} against 10 members, {thousand:?} against 1000"
+    );
+    assert!(ten.0 <= PUBLISH_BOUND, "a publish allocated {} times", ten.0);
 }

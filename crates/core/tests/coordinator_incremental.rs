@@ -9,16 +9,25 @@
 //! scripts must leave both with the same groups, the same members in the
 //! same order, and aggregates that agree — bit for bit while the script
 //! only adds, within [`TOLERANCE`] once it subtracts.
+//!
+//! The same scripts check the lineage a snapshot publishes, which each group
+//! builds once per membership change and shares until the next: after every
+//! message it must equal a fresh walk of every group's members, and be
+//! shared with the previous snapshot by exactly the groups whose membership
+//! the message left alone.
 
 use cludistream::coordinator::{
     m_merge, m_split, ComponentKey, Coordinator, CoordinatorConfig, Group, Member, MergeRefiner,
 };
-use cludistream::{MergeRecord, Message, ModelId};
+use cludistream::{
+    MergeRecord, Message, ModelId, ModelSnapshot, SnapshotGroup, SnapshotHandle, SnapshotMember,
+};
 use cludistream_gmm::{Gaussian, Mixture};
 use cludistream_linalg::Vector;
 use cludistream_obs::{Event, Obs, Recorder, Registry};
 use cludistream_rng::{check, Rng, StdRng};
 use std::cell::Cell;
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 /// Stated tolerance of a running aggregate against the exact rebuild, for
@@ -422,4 +431,202 @@ fn consolidation_with_a_score_table_picks_what_the_full_rescan_picks() {
         }
     });
     assert!(deepest.get() >= 3, "no call merged three times: deepest {}", deepest.get());
+}
+
+/// Keeps the groups a `Split`, `ReMerge` or `Merge` event names as changed
+/// (the group that lost members, the one a split member joined, the host
+/// of a merge), and counts the splits.
+#[derive(Default)]
+struct MembershipEvents(Mutex<(HashSet<u64>, u64)>);
+
+impl Recorder for MembershipEvents {
+    fn event(&self, event: &Event) {
+        let mut seen = self.0.lock().unwrap();
+        match event {
+            Event::Split { group, .. } => {
+                seen.0.insert(*group);
+                seen.1 += 1;
+            }
+            Event::ReMerge { group } => {
+                seen.0.insert(*group);
+            }
+            Event::Merge { groups, .. } => {
+                seen.0.insert(groups.0);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The capture as it was before groups kept their lineage: every member of
+/// every group walked, on every publish.
+fn walked_capture(c: &Coordinator, version: u64) -> ModelSnapshot {
+    let groups = c
+        .groups()
+        .iter()
+        .map(|g| SnapshotGroup {
+            id: g.id,
+            weight: g.weight(),
+            members: g
+                .members()
+                .map(|m| SnapshotMember {
+                    site: m.key.site,
+                    model: m.key.model,
+                    component: m.key.component as u32,
+                })
+                .collect::<Vec<_>>()
+                .into(),
+        })
+        .collect();
+    ModelSnapshot {
+        version,
+        messages_applied: c.messages_applied(),
+        covariance: c.covariance(),
+        mixture: c.global_mixture().unwrap(),
+        groups,
+    }
+}
+
+/// Ids of the groups of `snapshot` that hold a component of `(site, model)`.
+fn holding(snapshot: &ModelSnapshot, site: u32, model: ModelId) -> HashSet<u64> {
+    snapshot
+        .groups
+        .iter()
+        .filter(|g| g.members.iter().any(|m| m.site == site && m.model == model))
+        .map(|g| g.id)
+        .collect()
+}
+
+/// What the lineage scripts went through, summed over every case.
+#[derive(Default, Debug)]
+struct LineageTally {
+    replaces: u64,
+    deletes_to_zero: u64,
+    splits: u64,
+    merges: u64,
+    /// `WeightUpdate`s after which every group shared its members.
+    weight_updates_shared: u64,
+    fresh: u64,
+    shared: u64,
+}
+
+#[test]
+fn the_shared_lineage_equals_a_fresh_walk_after_every_message() {
+    let tally = Mutex::new(LineageTally::default());
+    check::cases("snapshot_lineage_shared", 12, |rng| {
+        for max_groups in [1, 2, 8] {
+            for refine_merges in [false, true] {
+                let config = CoordinatorConfig {
+                    max_groups,
+                    refine_merges,
+                    refiner: MergeRefiner { samples: 16, max_evals: 30, seed: 3 },
+                    ..CoordinatorConfig::default()
+                };
+                let events = Arc::new(MembershipEvents::default());
+                let mut c = Coordinator::new(config).unwrap();
+                c.set_observer(Obs::new(Arc::clone(&events) as Arc<dyn Recorder + Send + Sync>));
+                let handle = SnapshotHandle::new();
+                let mut script = Script { live: Vec::new(), next_model: 0 };
+                let mut previous: Option<Arc<ModelSnapshot>> = None;
+                let mut held: Vec<(Arc<ModelSnapshot>, Vec<u8>)> = Vec::new();
+                let mut t = tally.lock().unwrap();
+                for step in 0..120 {
+                    let message = script.any(rng);
+                    let (site, model) = match &message {
+                        Message::NewModel { site, model, .. }
+                        | Message::WeightUpdate { site, model, .. }
+                        | Message::Delete { site, model, .. } => (*site, *model),
+                    };
+                    let before = previous.as_ref().map(|p| holding(p, site, model));
+                    let merges_before = c.merge_log().len();
+                    c.apply(&message).unwrap();
+                    t.merges += (c.merge_log().len() - merges_before) as u64;
+                    if c.group_count() == 0 {
+                        // Everything deleted: nothing to publish, and the
+                        // groups that come next have ids never seen.
+                        assert!(handle.publish_from(&c).is_err());
+                        events.0.lock().unwrap().0.clear();
+                        continue;
+                    }
+                    let version = handle.publish_from(&c).unwrap();
+                    let snapshot = handle.load().unwrap();
+
+                    // The published snapshot is the walked one, byte for byte.
+                    let reference = walked_capture(&c, version);
+                    assert_eq!(
+                        snapshot.encode().as_slice(),
+                        reference.encode().as_slice(),
+                        "step {step}: encoded snapshot"
+                    );
+                    assert_eq!(snapshot.groups.len(), reference.groups.len());
+                    for (s, r) in snapshot.groups.iter().zip(&reference.groups) {
+                        assert_eq!(s.id, r.id, "step {step}: group ids");
+                        assert_eq!(s.weight.to_bits(), r.weight.to_bits(), "step {step}: weights");
+                        assert_eq!(s.members, r.members, "step {step}: members of group {}", s.id);
+                    }
+
+                    // Which groups the message changed the membership of.
+                    let (mut changed, splits) = std::mem::take(&mut *events.0.lock().unwrap());
+                    t.splits += splits;
+                    let after = holding(&snapshot, site, model);
+                    let before = before.unwrap_or_default();
+                    match message {
+                        Message::NewModel { .. } => {
+                            t.replaces += u64::from(!before.is_empty());
+                            changed.extend(&before);
+                            changed.extend(&after);
+                        }
+                        Message::Delete { .. } if after.is_empty() && !before.is_empty() => {
+                            t.deletes_to_zero += 1;
+                            changed.extend(&before);
+                        }
+                        _ => {}
+                    }
+
+                    // Shared exactly where the membership stayed.
+                    if let Some(prev) = &previous {
+                        let mut all_shared = true;
+                        for g in &snapshot.groups {
+                            let Some(p) = prev.groups.iter().find(|p| p.id == g.id) else {
+                                continue;
+                            };
+                            let shared = std::ptr::eq(p.members.as_ptr(), g.members.as_ptr());
+                            assert_eq!(
+                                shared,
+                                !changed.contains(&g.id),
+                                "step {step}: group {} after {message:?}",
+                                g.id
+                            );
+                            all_shared &= shared;
+                            if shared {
+                                t.shared += 1;
+                            } else {
+                                t.fresh += 1;
+                            }
+                        }
+                        if matches!(message, Message::WeightUpdate { .. }) && all_shared {
+                            t.weight_updates_shared += 1;
+                        }
+                    }
+                    held.push((Arc::clone(&snapshot), snapshot.encode().as_slice().to_vec()));
+                    previous = Some(snapshot);
+                }
+                // A snapshot held across later publishes is what it was.
+                for (snapshot, bytes) in &held {
+                    assert_eq!(snapshot.encode().as_slice(), &bytes[..], "v{}", snapshot.version);
+                }
+            }
+        }
+    });
+    let t = tally.into_inner().unwrap();
+    assert!(
+        t.replaces > 0
+            && t.deletes_to_zero > 0
+            && t.splits > 0
+            && t.merges > 0
+            && t.weight_updates_shared > 0
+            && t.fresh > 0
+            && t.shared > 0,
+        "a kind of change never happened: {t:?}"
+    );
 }

@@ -56,6 +56,13 @@ exact_counts fanin     1 0 bytes_per_record 0.1297096520176751     state_kb 522.
 exact_counts fanin     1 1 coordinator.merges 3155 coordinator.components 3175 \
     coordinator.groups 8 coordinator.apply_errors 0 protocol.frames 1600 \
     protocol.bytes 616879 serving.snapshots 1600 serving.snapshot_bytes 52339
+# And for `drift`'s traced run (6 s): the sites' decisions — chunks
+# clustered, tests run, EM iterations — and the root's merges, groups,
+# components and published snapshot bytes, on a workload whose groups split
+# and whose merges are refined.
+exact_counts drift     1 1 coordinator.merges 810 coordinator.groups 8 \
+    coordinator.components 935 remote.chunks_clustered 187 remote.tests 860 \
+    remote.em_iterations 703 serving.snapshots 188 serving.snapshot_bytes 16499
 
 cargo test -q --offline --workspace
 cargo doc --no-deps -q --offline --workspace

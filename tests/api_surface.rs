@@ -82,6 +82,8 @@ fn simulate_publish_and_score_through_the_facade() {
     assert_eq!(groups.len(), snapshot.mixture.k());
     let members: Vec<&SnapshotMember> = groups.iter().flat_map(|g| &g.members).collect();
     assert!(!members.is_empty(), "published groups name their site components");
+    let lineage: &SnapshotMembers = &groups[0].members;
+    assert_eq!(lineage.len(), groups[0].members.iter().count());
 
     let records = vec![Vector::from_slice(&[-3.0]), Vector::from_slice(&[3.1])];
     let batch = Batch::from_records(&records);

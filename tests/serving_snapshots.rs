@@ -51,7 +51,7 @@ fn snapshot_for_round(round: u64) -> ModelSnapshot {
         .map(|j| SnapshotGroup {
             id: 1000 * round + j as u64,
             weight: mixture.weights()[j],
-            members: Vec::new(),
+            members: Default::default(),
         })
         .collect();
     ModelSnapshot {
