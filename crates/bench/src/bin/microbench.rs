@@ -27,7 +27,7 @@ use cludistream_gmm::{
 };
 use cludistream_linalg::{jacobi_eigen, Cholesky, Vector};
 use cludistream_obs::{
-    json_f64, NopRecorder, Obs, QualityConfig, QuantileSketch, Recorder, Registry,
+    catalogue, json_f64, NopRecorder, Obs, QualityConfig, QuantileSketch, Recorder, Registry,
 };
 use cludistream_rng::StdRng;
 use std::io::Write;
@@ -416,13 +416,13 @@ fn bench_obs(sink: &mut Sink) {
     // Raw registry primitive costs, amortized over 1000 operations.
     let t = best_of(RUNS, || {
         for _ in 0..1000 {
-            live.counter("bench.counter", 1);
+            live.counter(catalogue::EM_ESTEP_BLOCKS, 1);
         }
     });
     sink.report("obs", "registry_counter_x1000", "", t);
     let t = best_of(RUNS, || {
         for i in 0..1000u64 {
-            live.observe("bench.histogram", i);
+            live.observe(catalogue::EM_ITERS_PER_FIT, i);
         }
     });
     sink.report("obs", "registry_observe_x1000", "", t);

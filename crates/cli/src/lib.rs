@@ -63,7 +63,7 @@ use cludistream_gmm::{
 };
 use cludistream_linalg::Vector;
 use cludistream_obs::{
-    analyze, perfetto_json, AlertSet, FleetAggregator, Obs, QualityConfig, Registry,
+    analyze, catalogue, perfetto_json, AlertSet, FleetAggregator, Obs, QualityConfig, Registry,
 };
 use cludistream_rng::StdRng;
 use cludistream_wire::framing::{write_frame, FrameReader};
@@ -1252,11 +1252,10 @@ fn run_generate(
 /// The registry behind the subcommands whose sites run EM (`metrics`,
 /// `faults`, `site`): journaling when asked, with exact quantiles
 /// alongside the histogram's power-of-two bounds for the deterministic
-/// EM-cost distributions.
+/// iterations-per-fit distribution.
 fn em_registry(journal: &Option<String>) -> std::io::Result<Arc<Registry>> {
     let registry = journal_registry(journal)?;
-    registry.track_quantiles("em.iters_per_fit");
-    registry.track_quantiles("em.cost_us");
+    registry.track_quantiles(catalogue::EM_ITERS_PER_FIT);
     Ok(registry)
 }
 
@@ -1439,8 +1438,8 @@ fn run_coordinator(opts: CoordinatorOpts, out: &mut impl Write) -> Result<(), Cl
         "resyncs served: {} | evicted sites: {:?} | ctrl sent: {} msgs {} bytes",
         report.resyncs,
         report.evicted,
-        registry.counter_value("net.ctrl_messages"),
-        registry.counter_value("net.ctrl_bytes")
+        registry.counter_value(catalogue::NET_CTRL_MESSAGES.as_str()),
+        registry.counter_value(catalogue::NET_CTRL_BYTES.as_str())
     )?;
     write_journal_note(out, &opts.journal)?;
     if let Some(path) = opts.trace_out {
@@ -1483,7 +1482,7 @@ fn run_site_role(
     out: &mut impl Write,
 ) -> Result<(), CliError> {
     let registry = em_registry(&journal)?;
-    registry.track_quantiles("hb.rtt_us");
+    registry.track_quantiles(catalogue::HB_RTT_US);
     // A CLI site always reports telemetry — its registry is its
     // own, so there is nothing to double-count — and keeps a
     // flight-recorder ring for crash forensics. Span recording
@@ -1537,7 +1536,7 @@ fn run_site_role(
 /// `aggregator`: the socket fan-in tier between sites and a parent.
 fn run_aggregator_role(opts: AggregatorOpts, out: &mut impl Write) -> Result<(), CliError> {
     let registry = journal_registry(&opts.journal)?;
-    registry.track_quantiles("hb.rtt_us");
+    registry.track_quantiles(catalogue::HB_RTT_US);
     // Like a CLI opts.site, an aggregator always reports telemetry
     // upward, so the root's fleet registry shows the subtree
     // under this node's `opts.site<I>.` prefix.
@@ -1660,7 +1659,7 @@ fn run_score(
     // observations a long-lived scorer would feed its quantile
     // tracker from.
     let registry = Arc::new(Registry::new());
-    registry.track_quantiles("serve.score_us");
+    registry.track_quantiles(catalogue::SERVE_SCORE_US);
     let score_obs = Obs::from_registry(Arc::clone(&registry));
     let scores = score_snapshot(&snapshot, &batch, threads, &score_obs)?;
     writeln!(
@@ -1696,7 +1695,7 @@ fn run_score(
         writeln!(out)?;
     }
     writeln!(out, "avg log likelihood: {:.4}", scores.avg_log_likelihood())?;
-    if let Some(us) = registry.exact_quantile("serve.score_us", 0.5) {
+    if let Some(us) = registry.exact_quantile(catalogue::SERVE_SCORE_US.as_str(), 0.5) {
         writeln!(out, "score latency: {us} us for {} records", records.len())?;
     }
     Ok(())

@@ -63,7 +63,7 @@ fn journal_is_deterministic_and_matches_fixture() {
 
     // The human table reports the registry, not the journal.
     assert!(table.contains("counters:"), "{table}");
-    assert!(table.contains("em.fits"), "{table}");
+    assert!(table.contains("em.estep_blocks"), "{table}");
     assert!(table.contains("events recorded:"), "{table}");
 }
 

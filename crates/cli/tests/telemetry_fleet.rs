@@ -11,7 +11,7 @@
 //! - after the round, every counter and histogram in each site's local
 //!   registry equals its `siteN.`-prefixed copy in the fleet registry,
 //!   and the unprefixed fleet counter equals the sum across sites
-//!   (control-plane counters and the idle-wait series excluded: frames
+//!   (control-plane counters and the idle-wait histogram excluded: frames
 //!   sent after a site's final telemetry flush — `Done`, the last
 //!   heartbeat — and the wait for `Stop` that follows can never be
 //!   reported);
@@ -26,6 +26,7 @@ use cludistream::{Config, CoordinatorConfig, DriverConfig, RecordStream, RemoteS
 use cludistream_cli::{run, Command};
 use cludistream_gmm::{ChunkParams, Gaussian, Mixture};
 use cludistream_linalg::Vector;
+use cludistream_obs::catalogue::HB_RTT_US;
 use cludistream_obs::{perfetto_json, FleetAggregator, Obs, Registry};
 use cludistream_rng::StdRng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -128,7 +129,7 @@ fn fleet_registry_matches_site_registries_and_rebases_spans() {
         registry.enable_telemetry();
         registry.enable_flight_recorder(64);
         registry.enable_tracing();
-        registry.track_quantiles("hb.rtt_us");
+        registry.track_quantiles(HB_RTT_US);
         let obs = Obs::from_registry(Arc::clone(&registry));
         let config = site_config.clone();
         let connect = addr.clone();
@@ -201,7 +202,7 @@ fn fleet_registry_matches_site_registries_and_rebases_spans() {
         let counters = registry.counters();
         assert!(!counters.is_empty(), "site {site} recorded no counters");
         for (name, value) in counters {
-            if name.starts_with("net.ctrl_") || name == "uplink.wakeups" {
+            if name.starts_with("net.ctrl_") {
                 continue;
             }
             assert_eq!(
@@ -243,10 +244,10 @@ fn fleet_registry_matches_site_registries_and_rebases_spans() {
     );
     assert!(site_nodes.len() >= 2, "expected spans from several sites, got {site_nodes:?}");
     for span in &fleet_spans {
-        assert!(span.start_us <= span.end_us, "span {} runs backwards", span.name);
+        assert!(span.start_us <= span.end_us, "span {:?} runs backwards", span.name);
         assert!(
             span.end_us <= round_us + 2_000_000,
-            "span {} ends at {} µs — past the {} µs round window, so it was not rebased",
+            "span {:?} ends at {} µs — past the {} µs round window, so it was not rebased",
             span.name,
             span.end_us,
             round_us

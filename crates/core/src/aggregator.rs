@@ -28,7 +28,7 @@ use crate::error::CludiError;
 use crate::protocol::Message;
 use crate::remote::ModelId;
 use cludistream_gmm::Mixture;
-use cludistream_obs::{Obs, Recorder};
+use cludistream_obs::{catalogue, Obs, Recorder};
 use cludistream_wire::ByteBuf;
 
 /// Decides whether an aggregator's summary changed enough to re-upload
@@ -180,15 +180,14 @@ impl AggregatorEngine {
             .last_upload
             .as_ref()
             .is_some_and(|old| !summary_changed(old, &summary, self.epsilon));
-        self.observe_shard();
         if unchanged {
             self.flushes_suppressed += 1;
-            self.obs.counter("agg.flushes_suppressed", 1);
+            self.obs.counter(catalogue::AGG_FLUSHES_SUPPRESSED, 1);
             return None;
         }
         let count = (self.engine.coordinator.total_weight().round() as u64).max(1);
         self.flushes += 1;
-        self.obs.counter("agg.flushes", 1);
+        self.obs.counter(catalogue::AGG_FLUSHES, 1);
         self.last_upload = Some(summary.clone());
         Some(Message::NewModel {
             site: self.index,
@@ -199,18 +198,6 @@ impl AggregatorEngine {
             avg_ll: 0.0,
             mixture: summary,
         })
-    }
-
-    /// Publishes the per-shard `agg.event_table_entries` gauge: this
-    /// shard's registry + retained merge log, the rows the fan-in boundary
-    /// keeps *out* of the root. Shipped upward by the telemetry plane, it
-    /// appears at the root as `site<index>.agg.event_table_entries` — the
-    /// per-shard variant of the root's own `coord.event_table_entries`.
-    fn observe_shard(&self) {
-        self.obs.gauge(
-            "agg.event_table_entries",
-            self.engine.coordinator.event_table_entries() as f64,
-        );
     }
 
     /// Reduced updates sent upward so far.

@@ -20,7 +20,7 @@ pub use split::{m_remerge, m_split, should_split};
 use crate::protocol::Message;
 use crate::remote::ModelId;
 use cludistream_gmm::{CovarianceType, Gaussian, GmmError, Mixture};
-use cludistream_obs::{simplex_cost_us, Event, Obs, Recorder, SpanRecord, SpanScope};
+use cludistream_obs::{catalogue, simplex_cost_us, Event, Obs, Recorder, SpanRecord, SpanScope};
 use std::collections::HashMap;
 
 /// Coordinator tuning knobs.
@@ -319,7 +319,7 @@ impl Coordinator {
     /// Applies one protocol message.
     pub fn apply(&mut self, message: &Message) -> Result<(), GmmError> {
         self.messages_applied += 1;
-        self.obs.counter("coord.messages", 1);
+        self.obs.counter(catalogue::COORD_MESSAGES, 1);
         let churn_before = self.churn_events;
         let result = match message {
             Message::NewModel { site, model, count, mixture, .. } => {
@@ -390,11 +390,11 @@ impl Coordinator {
                 let dropped = self.merge_log.len() - cap;
                 self.merge_log.drain(..dropped);
                 self.merges_compacted += dropped as u64;
-                self.obs.counter("coord.merges_compacted", dropped as u64);
+                self.obs.counter(catalogue::COORD_MERGES_COMPACTED, dropped as u64);
             }
         }
-        self.obs.gauge("coord.groups", self.groups.len() as f64);
-        self.obs.gauge("coord.event_table_entries", self.event_table_entries() as f64);
+        self.obs.gauge(catalogue::COORD_GROUPS, self.groups.len() as f64);
+        self.obs.gauge(catalogue::COORD_EVENT_TABLE_ENTRIES, self.event_table_entries() as f64);
         if self.config.quality {
             // Churn per applied message, smoothed: a sustained rise means
             // the hierarchy keeps reshuffling (streams drifting apart or
@@ -402,12 +402,12 @@ impl Coordinator {
             const CHURN_ALPHA: f64 = 0.2;
             let churn = (self.churn_events - churn_before) as f64;
             self.churn_ewma += CHURN_ALPHA * (churn - self.churn_ewma);
-            self.obs.gauge("quality.churn_ewma", self.churn_ewma);
+            self.obs.gauge(catalogue::QUALITY_CHURN_EWMA, self.churn_ewma);
             if let Ok(m) = self.global_mixture() {
                 let (w_min, w_max) = m.weight_extrema();
-                self.obs.gauge("quality.weight_entropy", m.weight_entropy());
-                self.obs.gauge("quality.weight_min", w_min);
-                self.obs.gauge("quality.weight_max", w_max);
+                self.obs.gauge(catalogue::QUALITY_WEIGHT_ENTROPY, m.weight_entropy());
+                self.obs.gauge(catalogue::QUALITY_WEIGHT_MIN, w_min);
+                self.obs.gauge(catalogue::QUALITY_WEIGHT_MAX, w_max);
             }
         }
         // A group whose statistics yield no Gaussian (non-finite synopsis
@@ -499,7 +499,7 @@ impl Coordinator {
                 })
                 .collect();
             if !to_split.is_empty() {
-                self.obs.counter("coord.splits", to_split.len() as u64);
+                self.obs.counter(catalogue::COORD_SPLITS, to_split.len() as u64);
                 self.obs.event(&Event::Split { group: g.id, members: to_split.len() as u64 });
                 self.churn_events += to_split.len() as u64;
                 split_off.extend(g.remove(to_split));
@@ -510,7 +510,6 @@ impl Coordinator {
             let key = m.key;
             let home = self.insert_component(key, m.gaussian, m.weight);
             Self::rehome(&mut self.registry, key, home);
-            self.obs.counter("coord.remerges", 1);
             self.obs.event(&Event::ReMerge { group: home.0 });
         }
         self.consolidate();
@@ -572,7 +571,7 @@ impl Coordinator {
                 absorbed_group: absorbed.id,
                 members_moved: absorbed.len(),
             });
-            self.obs.counter("coord.merges", 1);
+            self.obs.counter(catalogue::COORD_MERGES, 1);
             self.churn_events += 1;
             self.obs.event(&Event::Merge {
                 groups: (self.groups[i].id, absorbed.id),
@@ -597,7 +596,7 @@ impl Coordinator {
                         trace: scope.trace,
                         span,
                         parent: Some(scope.parent),
-                        name: "coord.simplex",
+                        name: catalogue::COORD_SIMPLEX,
                         node: scope.node,
                         start_us: now,
                         end_us: now,
@@ -613,7 +612,7 @@ impl Coordinator {
             host.absorb(absorbed, |key, seq| Self::rehome(registry, key, (host_id, seq)));
             host.refined = refined;
         }
-        self.obs.counter("coord.pairs_scored", scored);
+        self.obs.counter(catalogue::COORD_PAIRS_SCORED, scored);
     }
 
     /// Memory footprint of the coordinator state: one Gaussian synopsis per

@@ -18,7 +18,7 @@ use crate::protocol::{Frame, Message, ReliableInbox, ReliableSender};
 use crate::serving::SnapshotHandle;
 use crate::windows::Window;
 use cludistream_gmm::CovarianceType;
-use cludistream_obs::{Event, Obs, Recorder, SpanRecord, SpanScope, TraceCtx};
+use cludistream_obs::{catalogue, Event, Obs, Recorder, SpanRecord, SpanScope, TraceCtx};
 use cludistream_wire::{ByteBuf, ByteReader};
 use std::sync::Arc;
 
@@ -85,7 +85,7 @@ impl UpChannel {
             trace: tc.trace,
             span,
             parent: Some(tc.span),
-            name: "wire.send",
+            name: catalogue::WIRE_SEND,
             node: self.index,
             start_us: now,
             end_us: now,
@@ -123,7 +123,7 @@ impl UpChannel {
             let bytes = frame.encode(self.cov);
             let len = bytes.len() as u64;
             if let Frame::Data { seq, ctx: tctx, .. } = &frame {
-                self.obs.counter("net.retransmits", 1);
+                self.obs.counter(catalogue::NET_RETRANSMITS, 1);
                 self.obs.event(&Event::Retransmitted { site: self.index, seq: *seq, bytes: len });
                 self.record_send(*tctx);
             }
@@ -189,7 +189,7 @@ impl SiteCore {
                 let records = self.window.site().stats().records;
                 if records > 0 {
                     obs.gauge(
-                        "quality.synopsis_bytes_per_record",
+                        catalogue::QUALITY_SYNOPSIS_BYTES_PER_RECORD,
                         self.synopsis_bytes as f64 / records as f64,
                     );
                 }
@@ -276,7 +276,7 @@ impl CoordinatorEngine {
                 trace: tc.trace,
                 span,
                 parent: Some(tc.span),
-                name: "coord.apply",
+                name: catalogue::COORD_APPLY,
                 node: self.trace_node,
                 start_us: now,
                 end_us: now,
@@ -296,9 +296,8 @@ impl CoordinatorEngine {
         if let Some(handle) = &self.publish {
             // Nothing to serve until the first model arrives; every later
             // failure mode of capture is also "no groups yet".
-            if let Ok(version) = handle.publish_from(&self.coordinator) {
-                self.obs.counter("serve.snapshots", 1);
-                self.obs.gauge("serve.snapshot_version", version as f64);
+            if handle.publish_from(&self.coordinator).is_ok() {
+                self.obs.counter(catalogue::SERVE_SNAPSHOTS, 1);
             }
         }
     }

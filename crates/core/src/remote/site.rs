@@ -7,8 +7,8 @@ use cludistream_gmm::{
 };
 use cludistream_linalg::Vector;
 use cludistream_obs::{
-    em_cost_us, Event, EwmaDetector, Obs, PageHinkley, Recorder, SpanId, SpanRecord, TraceCtx,
-    TraceId, Verdict,
+    catalogue, em_cost_us, Event, EwmaDetector, Obs, PageHinkley, Recorder, SpanId, SpanName,
+    SpanRecord, TraceCtx, TraceId, Verdict,
 };
 
 /// What a remote site emits toward the coordinator. Stability costs
@@ -314,7 +314,7 @@ impl RemoteSite {
             trace,
             span,
             parent: None,
-            name: "site.chunk",
+            name: catalogue::SITE_CHUNK,
             node: self.obs_site,
             start_us: now,
             end_us: now,
@@ -329,7 +329,7 @@ impl RemoteSite {
     fn trace_child(
         &self,
         root: Option<(TraceId, SpanId)>,
-        name: &'static str,
+        name: SpanName,
         cost_us: u64,
     ) -> Option<TraceCtx> {
         let (trace, parent) = root?;
@@ -366,23 +366,23 @@ impl RemoteSite {
     fn quality_after_test(&mut self, avg_ll: f64, j: f64, reclustered: bool) {
         let Some(q) = &mut self.quality else { return };
         if q.ph.update(avg_ll) {
-            self.obs.counter("quality.ph_drift", 1);
+            self.obs.counter(catalogue::QUALITY_PH_DRIFT, 1);
         }
         if q.ewma.update(avg_ll) {
-            self.obs.counter("quality.ewma_drift", 1);
+            self.obs.counter(catalogue::QUALITY_EWMA_DRIFT, 1);
         }
         let indicator = if reclustered { 1.0 } else { 0.0 };
         q.recluster_ewma += q.alpha * (indicator - q.recluster_ewma);
-        self.obs.gauge("quality.avg_ll", avg_ll);
-        self.obs.gauge("quality.test_stat", j);
-        self.obs.gauge("quality.ph_stat", q.ph.stat());
-        self.obs.gauge("quality.ewma_stat", q.ewma.stat());
-        self.obs.gauge("quality.recluster_ewma", q.recluster_ewma);
+        self.obs.gauge(catalogue::QUALITY_AVG_LL, avg_ll);
+        self.obs.gauge(catalogue::QUALITY_TEST_STAT, j);
+        self.obs.gauge(catalogue::QUALITY_PH_STAT, q.ph.stat());
+        self.obs.gauge(catalogue::QUALITY_EWMA_STAT, q.ewma.stat());
+        self.obs.gauge(catalogue::QUALITY_RECLUSTER_EWMA, q.recluster_ewma);
         if let Some(m) = self.current_mixture() {
             let (w_min, w_max) = m.weight_extrema();
-            self.obs.gauge("quality.weight_entropy", m.weight_entropy());
-            self.obs.gauge("quality.weight_min", w_min);
-            self.obs.gauge("quality.weight_max", w_max);
+            self.obs.gauge(catalogue::QUALITY_WEIGHT_ENTROPY, m.weight_entropy());
+            self.obs.gauge(catalogue::QUALITY_WEIGHT_MIN, w_min);
+            self.obs.gauge(catalogue::QUALITY_WEIGHT_MAX, w_max);
         }
     }
 
@@ -391,7 +391,7 @@ impl RemoteSite {
         // Clone the (Arc-backed) handle so the span's Drop does not hold a
         // borrow of `self` across the mutable calls below.
         let obs = self.obs.clone();
-        let _span = obs.span("site.chunk_ns");
+        let _span = obs.span(catalogue::SITE_CHUNK_NS);
         let this_chunk = self.chunk_index;
         self.chunk_index += 1;
         self.stats.chunks += 1;
@@ -401,12 +401,11 @@ impl RemoteSite {
         if let Some(retention) = self.config.event_retention_chunks {
             let dropped = self.events.compact_before(this_chunk.saturating_sub(retention)) as u64;
             if dropped > 0 {
-                self.obs.counter("site.events_compacted", dropped);
+                self.obs.counter(catalogue::SITE_EVENTS_COMPACTED, dropped);
             }
         }
         let m = chunk.len() as u64;
-        self.obs.counter("site.chunks", 1);
-        self.obs.counter("site.records", m);
+        self.obs.counter(catalogue::SITE_RECORDS, m);
         let root = self.trace_root(this_chunk);
 
         // The very first chunk is always clustered (Algorithm 1 line 2).
@@ -426,14 +425,14 @@ impl RemoteSite {
         let j = j_fit(avg_n, current.avg_ll);
         let tol = fit_tolerance(epsilon, delta, current.ll_std, chunk.len(), p_free);
         self.stats.tests += 1;
-        self.obs.counter("site.tests", 1);
-        self.trace_child(root, "site.test", 0);
+        self.obs.counter(catalogue::SITE_TESTS, 1);
+        self.trace_child(root, catalogue::SITE_TEST, 0);
         if j <= tol {
             let entry = self.models.get_mut(current_id).expect("current model exists");
             entry.count += m;
             entry.last_active_chunk = this_chunk;
             self.stats.fit_current += 1;
-            self.obs.counter("site.fit_current", 1);
+            self.obs.counter(catalogue::SITE_FIT_CURRENT, 1);
             self.obs.event(&Event::ChunkTested {
                 site: self.obs_site,
                 chunk: this_chunk,
@@ -474,9 +473,9 @@ impl RemoteSite {
             }
         }
         self.stats.tests += (tests - 1) as u64;
-        self.obs.counter("site.tests", (tests - 1) as u64);
+        self.obs.counter(catalogue::SITE_TESTS, (tests - 1) as u64);
         if cut > 0 {
-            self.obs.counter("site.tests_cut", cut);
+            self.obs.counter(catalogue::SITE_TESTS_CUT, cut);
         }
 
         if let Some((model, j, hit_avg, hit_tol)) = hit {
@@ -488,7 +487,7 @@ impl RemoteSite {
             self.events.switch_to(model, this_chunk);
             self.current = Some(model);
             self.stats.switched += 1;
-            self.obs.counter("site.switched", 1);
+            self.obs.counter(catalogue::SITE_SWITCHED, 1);
             self.obs.event(&Event::ChunkTested {
                 site: self.obs_site,
                 chunk: this_chunk,
@@ -496,7 +495,7 @@ impl RemoteSite {
                 threshold: hit_tol,
                 verdict: Verdict::Switched,
             });
-            let ctx = self.trace_child(root, "wire.update", 0);
+            let ctx = self.trace_child(root, catalogue::WIRE_UPDATE, 0);
             self.queue_event(SiteEvent::WeightUpdate { model, count_delta: m }, ctx);
             self.quality_after_test(hit_avg, j, false);
             return Ok(ChunkOutcome::SwitchedTo { model, j_fit: j, tests });
@@ -532,8 +531,8 @@ impl RemoteSite {
         let fit = fit_em_recorded(chunk, &self.config.em_config(this_chunk), &self.obs)?;
         self.stats.clustered += 1;
         self.stats.em_iterations += fit.iterations as u64;
-        self.obs.counter("site.clustered", 1);
-        self.trace_child(root, "site.em", em_cost_us(fit.iterations as u64));
+        self.obs.counter(catalogue::SITE_CLUSTERED, 1);
+        self.trace_child(root, catalogue::SITE_EM, em_cost_us(fit.iterations as u64));
         let count = chunk.len() as u64;
         // AvgPr₀ is the founding chunk's average log likelihood, exactly as
         // in the paper; the optimism allowance lives in the tolerance.
@@ -544,7 +543,7 @@ impl RemoteSite {
         let id = self.models.insert(fit.mixture.clone(), avg_ll, ll_std, count, this_chunk);
         self.events.switch_to(id, this_chunk);
         self.current = Some(id);
-        let ctx = self.trace_child(root, "wire.synopsis", 0);
+        let ctx = self.trace_child(root, catalogue::WIRE_SYNOPSIS, 0);
         self.queue_event(
             SiteEvent::NewModel {
                 model: id,

@@ -37,7 +37,7 @@ use crate::runtime::control::{Control, HealthAlert, RejectCode, PROTOCOL_VERSION
 use crate::runtime::liveness::RoundMachine;
 use crate::runtime::tcp::SocketConfig;
 use cludistream_gmm::CovarianceType;
-use cludistream_obs::{intern, net, Event, FleetAggregator, Obs, Recorder, TelemetryDelta};
+use cludistream_obs::{catalogue, net, Event, FleetAggregator, Obs, Recorder, TelemetryDelta};
 use cludistream_simnet::{CommStats, NodeId};
 use cludistream_wire::framing::{write_frame, FrameReader};
 use cludistream_wire::{ByteBuf, ByteReader};
@@ -280,7 +280,7 @@ impl Downlink {
         for (child, silent_us) in self.machine.evictions(now_us) {
             let site = self.base + child as u32;
             self.obs.event(&Event::SiteEvicted { site, silent_us });
-            self.obs.counter("coord.evict", 1);
+            self.obs.counter(catalogue::COORD_EVICT, 1);
             if let Some(c) = self.child_conn[child].take().and_then(|id| self.conns.get(&id)) {
                 let _ = c.writer.shutdown(Shutdown::Both);
             }
@@ -337,14 +337,11 @@ impl Downlink {
     /// render and an alert evaluation read the same round state.
     fn refresh_liveness(&self, fleet: &FleetAggregator) {
         for (s, &state) in self.machine.states().iter().enumerate() {
-            let site = self.base as usize + s;
-            fleet.registry().gauge(
-                intern(&format!("site{site}.round_state")),
-                f64::from(RoundMachine::state_code(state)),
-            );
+            let code = f64::from(RoundMachine::state_code(state));
+            fleet.set_site_gauge(self.base + s as u32, catalogue::ROUND_STATE, code);
         }
         let started = if self.machine.started() { 1.0 } else { 0.0 };
-        fleet.registry().gauge("coord.round_started", started);
+        fleet.registry().gauge(catalogue::COORD_ROUND_STARTED, started);
     }
 
     /// Handles one inbound payload: handshake and liveness for control
@@ -374,21 +371,36 @@ impl Downlink {
             self.on_hello(shard, version, site, dim, cov, resume, conn, now_us);
             return;
         }
+        // A frame speaking for a site counts only on that site's live
+        // handshaken connection: from a bare connection, or one the site
+        // has since replaced, a `Done` could end the round and a `Ping`
+        // keep a dead site from eviction.
+        let speaker = match frame {
+            Control::Ping { site, .. }
+            | Control::ClockEcho { site, .. }
+            | Control::Telemetry { site, .. }
+            | Control::Done { site } => {
+                let own = self.local(site).filter(|&child| self.child_conn[child] == Some(conn));
+                let Some(child) = own else {
+                    self.obs.counter(catalogue::COORD_STRAY_FRAMES, 1);
+                    return;
+                };
+                self.machine.heard(child, now_us);
+                Some(child)
+            }
+            _ => None,
+        };
         // Everything else is answered on the asking connection; scrapers
         // and monitors skip the handshake, so any connection may ask.
         let Some(c) = self.conns.get(&conn) else { return };
         let fleet = self.fleet.as_deref();
         match frame {
             Control::Ping { site, sent_us } => {
-                let Some(child) = self.local(site) else { return };
-                self.machine.heard(child, now_us);
                 // Echo the child's send stamp back so it can measure the
                 // heartbeat round-trip on its own clock.
                 send_control(&c.writer, &self.obs, &Control::Pong { site, echo_us: sent_us });
             }
             Control::ClockEcho { site, t0_us, site_us } => {
-                let Some(child) = self.local(site) else { return };
-                self.machine.heard(child, now_us);
                 if let Some(fleet) = fleet {
                     // Cristian's algorithm: the child read its clock
                     // somewhere between t0 (probe sent) and t1 = now_us
@@ -398,14 +410,13 @@ impl Downlink {
                 }
             }
             Control::Telemetry { site, payload } => {
-                let Some(child) = self.local(site) else { return };
-                self.machine.heard(child, now_us);
                 let Some(fleet) = fleet else { return };
                 let Ok(mut delta) = TelemetryDelta::decode(&mut ByteReader::new(&payload)) else {
-                    self.obs.counter("coord.telemetry_decode_err", 1);
+                    self.obs.counter(catalogue::COORD_TELEMETRY_DECODE_ERR, 1);
                     return;
                 };
-                // Trust the authenticated frame header over the payload.
+                // Trust the site this connection handshook as over the
+                // payload's own field.
                 delta.site = site;
                 for entry in delta.flight.drain(..) {
                     self.obs.event(&Event::FlightRecorder { site, entry });
@@ -432,7 +443,6 @@ impl Downlink {
                 // An empty payload means "nothing published yet" — the
                 // reader polls again.
                 let snapshot = shard.snapshot_bytes();
-                self.obs.counter("serve.snapshot_pulls", 1);
                 send_control(&c.writer, &self.obs, &Control::SnapshotReply { snapshot });
             }
             Control::HealthRequest => {
@@ -443,13 +453,12 @@ impl Downlink {
                     self.refresh_liveness(fleet);
                     shard.health(fleet)
                 });
-                self.obs.counter("coord.health_requests", 1);
                 send_control(&c.writer, &self.obs, &Control::HealthReply { alerts });
             }
-            Control::Done { site } => {
-                let Some(child) = self.local(site) else { return };
-                self.machine.heard(child, now_us);
-                self.machine.done(child);
+            Control::Done { .. } => {
+                if let Some(child) = speaker {
+                    self.machine.done(child);
+                }
             }
             _ => {}
         }
@@ -506,12 +515,12 @@ impl Downlink {
         }
         self.machine.join(child, now_us);
         self.obs.event(&Event::SiteJoined { site });
-        self.obs.counter("coord.join", 1);
+        self.obs.counter(catalogue::COORD_JOIN, 1);
         let ack = shard.cumulative(child);
         if resume {
             self.resyncs += 1;
             self.obs.event(&Event::SiteResynced { site, ack });
-            self.obs.counter("coord.resync", 1);
+            self.obs.counter(catalogue::COORD_RESYNC, 1);
         }
         let Some(c) = self.conns.get(&conn) else { return };
         let welcome = Control::Welcome {

@@ -55,7 +55,7 @@ use crate::serving::{ModelSnapshot, SnapshotHandle};
 use crate::transport::{RunRecipe, Transport};
 use crate::windows::WindowSpec;
 use cludistream_gmm::{CovarianceType, Mixture};
-use cludistream_obs::{intern, AlertSet, FleetAggregator, Obs, Recorder};
+use cludistream_obs::{catalogue, AlertSet, FleetAggregator, Obs, Recorder};
 use cludistream_simnet::{CommStats, NodeId};
 use cludistream_wire::ByteBuf;
 
@@ -321,8 +321,8 @@ impl Shard for Root {
         }
     }
 
-    /// Evaluates the rule set; each rule's verdict is mirrored back into
-    /// the registry as an `alert.<name>` gauge so the Prometheus
+    /// Evaluates the rule set; the fleet mirrors each rule's verdict back
+    /// into its registry as an `alert.<name>` gauge so the Prometheus
     /// exposition carries the same story as the reply.
     fn health(&self, fleet: &FleetAggregator) -> Vec<HealthAlert> {
         let Some(alerts) = &self.alerts else { return Vec::new() };
@@ -334,16 +334,10 @@ impl Shard for Root {
                 .coordinator
                 .messages_applied()
                 .saturating_sub(snapshot.messages_applied);
-            fleet.registry().gauge("serve.staleness_rounds", behind as f64);
+            fleet.registry().gauge(catalogue::SERVE_STALENESS_ROUNDS, behind as f64);
         }
-        let states = alerts.evaluate(fleet.registry());
-        let firing = states.iter().filter(|a| a.firing).count();
-        fleet.registry().gauge("alert.firing", firing as f64);
-        for a in &states {
-            let value = if a.firing { 1.0 } else { 0.0 };
-            fleet.registry().gauge(intern(&format!("alert.{}", a.name)), value);
-        }
-        states
+        fleet
+            .evaluate_alerts(alerts)
             .into_iter()
             .map(|a| HealthAlert {
                 name: a.name,
@@ -590,7 +584,7 @@ impl Work for SitePump {
         }
         if self.core.up.pending() >= SEND_WINDOW {
             // Parent-bound: sleep until an ACK opens the window.
-            self.core.up.obs.counter("uplink.window_stalls", 1);
+            self.core.up.obs.counter(catalogue::UPLINK_WINDOW_STALLS, 1);
             return Ok(Step::Idle);
         }
         let take = (self.batch as u64).min(self.remaining) as usize;
@@ -1222,7 +1216,6 @@ mod tests {
         assert!(state(&before, "round-stalled"), "no site joined: round-stalled must fire");
         assert!(!state(&before, "ph-drift"), "no drift counted yet");
         assert_eq!(fleet.registry().gauge_value("alert.round-stalled"), Some(1.0));
-        assert!(fleet.registry().gauge_value("alert.firing").is_some_and(|v| v >= 1.0));
 
         // Phase 2: the site joins (starting the round) and ships one
         // Page-Hinkley drift alarm as a telemetry delta.
@@ -1232,7 +1225,7 @@ mod tests {
         rx.next_control(&mut s, |c| matches!(c, Control::Welcome { .. }));
         let delta = TelemetryDelta {
             site: 0,
-            counters: vec![("quality.ph_drift", 1)],
+            counters: vec![(cludistream_obs::catalogue::QUALITY_PH_DRIFT, 1)],
             ..TelemetryDelta::default()
         };
         send(
@@ -1273,6 +1266,133 @@ mod tests {
 
         let report = server.join().expect("serve thread").expect("serve succeeds");
         assert!(report.evicted.is_empty());
+    }
+
+    /// One 2-site round of the `metrics` workload's shape (1-d, two
+    /// regimes, two groups kept) against a fleet-enabled [`serve`]. The
+    /// sites' streams hold their first record until `gate` opens, so a
+    /// test can act between `Start` and the first synopsis; with
+    /// `stranger`, a raw connection that never says `Hello` sends `Done`,
+    /// `Ping` and `Telemetry` for both sites in that window.
+    fn gated_round(stranger: bool) -> (CoordReport, Arc<FleetAggregator>, Arc<Registry>) {
+        use cludistream_gmm::{ChunkParams, Gaussian};
+        use cludistream_linalg::Vector;
+        use cludistream_obs::catalogue::QUALITY_PH_DRIFT;
+        use cludistream_obs::TelemetryDelta;
+        use cludistream_rng::StdRng;
+
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let fleet = Arc::new(FleetAggregator::new());
+        let registry = Arc::new(Registry::new());
+        let run = CoordinatorRun::builder(2)
+            .coordinator(CoordinatorConfig { max_groups: 2, ..CoordinatorConfig::default() })
+            .obs(Obs::from_registry(Arc::clone(&registry)))
+            .socket(SocketConfig { deadline: Some(Duration::from_secs(60)), ..Default::default() })
+            .fleet(Arc::clone(&fleet))
+            .build()
+            .expect("valid coordinator run");
+        let server = thread::spawn(move || serve(listener, run));
+
+        let config = crate::config::Config {
+            dim: 1,
+            k: 2,
+            chunk: ChunkParams { epsilon: 0.15, delta: 0.01 },
+            seed: 7,
+            ..Default::default()
+        };
+        let chunk =
+            crate::remote::RemoteSite::new(config.clone()).expect("site config").chunk_size();
+        let gate = Arc::new(AtomicBool::new(false));
+        let sites: Vec<_> = (0..2u32)
+            .map(|site| {
+                let gate = Arc::clone(&gate);
+                let mut rng = StdRng::seed_from_u64(7 + u64::from(site));
+                let mut emitted = 0usize;
+                let stream = std::iter::from_fn(move || {
+                    while !gate.load(Ordering::Acquire) {
+                        thread::sleep(Duration::from_millis(1));
+                    }
+                    let center = if emitted < 2 * chunk { 0.0 } else { 40.0 };
+                    let side = if emitted.is_multiple_of(2) { -3.0 } else { 3.0 };
+                    emitted += 1;
+                    let g = Gaussian::spherical(Vector::from_slice(&[center + side]), 0.5)
+                        .expect("gaussian");
+                    Some(g.sample(&mut rng))
+                });
+                let run = SiteRun::builder(site as usize, Box::new(stream))
+                    .config(DriverConfig { site: config.clone(), ..Default::default() })
+                    .updates(4 * chunk as u64)
+                    .socket(SocketConfig {
+                        connect_attempts: 2,
+                        connect_retry_ms: 10,
+                        ..SocketConfig::default()
+                    })
+                    .build()
+                    .expect("valid site run");
+                let addr = addr.to_string();
+                thread::spawn(move || run_site(&addr, run))
+            })
+            .collect();
+
+        if stranger {
+            let mut s = TcpStream::connect(addr).expect("stranger connect");
+            let mut rx = FrameRx::new();
+            let status = |s: &mut TcpStream, rx: &mut FrameRx| {
+                send(s, Control::StatusRequest.encode().as_slice());
+                match rx.next_control(s, |c| matches!(c, Control::StatusReply { .. })) {
+                    Control::StatusReply { text } => String::from_utf8(text).expect("utf-8"),
+                    _ => unreachable!(),
+                }
+            };
+            // Wait for `Start`: both sites joined, their streams still shut.
+            while !status(&mut s, &mut rx).contains("cludistream_coord_round_started 1\n") {
+                thread::sleep(Duration::from_millis(5));
+            }
+            let counters = vec![(QUALITY_PH_DRIFT, 99)];
+            let delta = TelemetryDelta { counters, ..TelemetryDelta::default() };
+            for site in 0..2 {
+                send(&mut s, Control::Done { site }.encode().as_slice());
+                send(&mut s, Control::Ping { site, sent_us: 0 }.encode().as_slice());
+                let payload = delta.encode().into_vec();
+                send(&mut s, Control::Telemetry { site, payload }.encode().as_slice());
+            }
+            // One more scrape on the same connection: its reply means every
+            // frame above was handled — unless they ended the round, in
+            // which case the connection closes instead.
+            send(&mut s, Control::StatusRequest.encode().as_slice());
+            let _ = rx.reader.poll(&mut s);
+        }
+        gate.store(true, Ordering::Release);
+        let report = server.join().expect("serve thread").expect("serve succeeds");
+        for site in sites {
+            site.join().expect("site thread").expect("site run ok");
+        }
+        (report, fleet, registry)
+    }
+
+    /// A connection that never said `Hello` cannot speak for a site: its
+    /// `Done`s do not end the round, its `Ping`s keep no one alive, and its
+    /// `Telemetry` never reaches the fleet. The round ends as an
+    /// undisturbed one does, and all six frames are counted as strays.
+    #[test]
+    fn stranger_frames_neither_end_the_round_nor_reach_the_fleet() {
+        let (quiet, _, quiet_registry) = gated_round(false);
+        let (disturbed, fleet, registry) = gated_round(true);
+        assert_eq!(quiet.groups, 2, "the undisturbed round keeps two groups");
+        assert_eq!(disturbed.groups, quiet.groups, "coordinator groups: must not move");
+        assert_eq!(
+            registry.counter_value("coord.messages"),
+            quiet_registry.counter_value("coord.messages"),
+            "every synopsis still applied"
+        );
+        assert!(
+            fleet.registry().counters().is_empty(),
+            "the stranger's telemetry reached the fleet: {:?}",
+            fleet.registry().counters()
+        );
+        assert_eq!(registry.counter_value("coord.stray_frames"), 6);
+        assert_eq!(quiet_registry.counter_value("coord.stray_frames"), 0);
     }
 
     /// A hand-rolled peer's reading half. It keeps *every* frame a poll
@@ -1535,10 +1655,9 @@ mod tests {
         send(&mut s, Control::Stop.encode().as_slice());
         site.join().expect("site thread").expect("site run ok");
 
-        let wakeups = registry.counter_value("uplink.wakeups");
-        assert!((1..=4).contains(&wakeups), "{wakeups} wake-ups while waiting for Stop");
         let waits = registry.histogram_snapshot("uplink.wait_us").expect("uplink.wait_us");
-        assert_eq!(waits.count, wakeups, "one wait per wake-up");
+        let wakeups = waits.count;
+        assert!((1..=4).contains(&wakeups), "{wakeups} wake-ups while waiting for Stop");
         assert!(waits.sum >= 250_000, "the wait for Stop was spent blocked, not polling");
     }
 
@@ -1550,6 +1669,7 @@ mod tests {
     /// the folded metrics as Prometheus text.
     #[test]
     fn telemetry_plane_folds_deltas_and_serves_status() {
+        use cludistream_obs::catalogue::{EM_ESTEP_BLOCKS, HB_RTT_US, SITE_CHUNK};
         use cludistream_obs::trace::{SpanId, TraceId};
         use cludistream_obs::{FleetAggregator, SpanRecord, TelemetryDelta};
 
@@ -1593,13 +1713,13 @@ mod tests {
         let delta = TelemetryDelta {
             site: 0,
             local_now_us: 50,
-            counters: vec![("em.iterations", 7)],
-            observations: vec![("hb.rtt_us", vec![777])],
+            counters: vec![(EM_ESTEP_BLOCKS, 7)],
+            observations: vec![(HB_RTT_US, vec![777])],
             spans: vec![SpanRecord {
                 trace: TraceId(1),
                 span: SpanId(1),
                 parent: None,
-                name: "site.chunk",
+                name: SITE_CHUNK,
                 node: 0,
                 start_us: 10,
                 end_us: 40,
@@ -1629,17 +1749,17 @@ mod tests {
                 srx.next_control(&mut scraper, |c| matches!(c, Control::StatusReply { .. }));
             let Control::StatusReply { text } = reply else { unreachable!() };
             let text = String::from_utf8(text).expect("utf-8 exposition");
-            if text.contains("em_iterations") || Instant::now() > deadline {
+            if text.contains("em_estep_blocks") || Instant::now() > deadline {
                 break text;
             }
             thread::sleep(Duration::from_millis(20));
         };
         assert!(
-            text.contains("cludistream_em_iterations_total{site=\"0\"} 7\n"),
+            text.contains("cludistream_em_estep_blocks_total{site=\"0\"} 7\n"),
             "per-site counter missing:\n{text}"
         );
         assert!(
-            text.contains("cludistream_em_iterations_total 7\n"),
+            text.contains("cludistream_em_estep_blocks_total 7\n"),
             "fleet sum missing:\n{text}"
         );
         assert!(

@@ -42,7 +42,7 @@ use crate::runtime::control::{Control, PROTOCOL_VERSION};
 use crate::runtime::downlink::{next_event, read_loop, send_control, write_payload, NetEvent};
 use crate::runtime::tcp::SocketConfig;
 use cludistream_gmm::CovarianceType;
-use cludistream_obs::{net, Obs, Recorder};
+use cludistream_obs::{catalogue, net, Obs, Recorder};
 use cludistream_wire::{ByteBuf, ByteReader};
 
 /// What one [`Work::step`] left the node with.
@@ -299,7 +299,7 @@ impl<'a> Uplink<'a> {
             Ok(Control::Stop) => return Heard::Stop,
             Ok(Control::Pong { echo_us, .. }) if self.telemetry => {
                 let rtt = self.now_us().saturating_sub(echo_us);
-                self.obs.observe("hb.rtt_us", rtt);
+                self.obs.observe(catalogue::HB_RTT_US, rtt);
             }
             Ok(Control::ClockProbe { t0_us }) => {
                 let echo = Control::ClockEcho { site: self.index, t0_us, site_us: self.now_us() };
@@ -313,13 +313,12 @@ impl<'a> Uplink<'a> {
     }
 
     /// The idle wait: blocks until an event arrives or `until` passes.
-    /// `uplink.wait_us` and `uplink.wakeups` are this node's answer to
+    /// `uplink.wait_us` (one observation per wake-up) is this node's answer to
     /// "waiting or computing" — a busy node never comes here.
     fn wait(&self, until: Option<Instant>) -> Result<Option<NetEvent>, CludiError> {
         let started = Instant::now();
         let event = next_event(&self.events, until)?;
-        self.obs.counter("uplink.wakeups", 1);
-        self.obs.observe("uplink.wait_us", started.elapsed().as_micros() as u64);
+        self.obs.observe(catalogue::UPLINK_WAIT_US, started.elapsed().as_micros() as u64);
         Ok(event)
     }
 

@@ -335,7 +335,7 @@ impl std::fmt::Debug for SnapshotHandle {
 ///
 /// This is [`cludistream_gmm::score`] plus the quality plane's
 /// instrumentation: call [`cludistream_obs::Registry::track_quantiles`]
-/// with `"serve.score_us"` on the registry behind `obs` to get p50/p99
+/// with `SERVE_SCORE_US` on the registry behind `obs` to get p50/p99
 /// latency quantiles out of the recorded observations.
 pub fn score_snapshot(
     snapshot: &ModelSnapshot,
@@ -343,11 +343,11 @@ pub fn score_snapshot(
     threads: usize,
     obs: &cludistream_obs::Obs,
 ) -> Result<cludistream_gmm::Scores, cludistream_gmm::GmmError> {
-    use cludistream_obs::Recorder;
+    use cludistream_obs::{catalogue, Recorder};
     let start = std::time::Instant::now();
     let scores = cludistream_gmm::score(&snapshot.mixture, batch, threads)?;
-    obs.observe("serve.score_us", start.elapsed().as_micros() as u64);
-    obs.counter("serve.scored_records", batch.len() as u64);
+    obs.observe(catalogue::SERVE_SCORE_US, start.elapsed().as_micros() as u64);
+    obs.counter(catalogue::SERVE_SCORED_RECORDS, batch.len() as u64);
     Ok(scores)
 }
 
@@ -481,7 +481,7 @@ mod tests {
         let c = seeded_coordinator();
         let snap = ModelSnapshot::capture(&c).unwrap();
         let registry = Arc::new(Registry::new());
-        registry.track_quantiles("serve.score_us");
+        registry.track_quantiles(cludistream_obs::catalogue::SERVE_SCORE_US);
         let obs = Obs::from_registry(Arc::clone(&registry));
         let batch = Batch::from_records(&[
             Vector::from_slice(&[0.1, -0.2]),

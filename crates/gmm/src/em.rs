@@ -4,7 +4,7 @@ use crate::{
     MixtureScratch, Result, SuffStats, BLOCK,
 };
 use cludistream_linalg::Vector;
-use cludistream_obs::{em_cost_us, Event, NopRecorder, Recorder};
+use cludistream_obs::{catalogue, Event, NopRecorder, Recorder};
 use cludistream_par::{par_block_reduce, resolve_workers};
 use cludistream_rng::{Rng, StdRng};
 
@@ -100,10 +100,10 @@ pub fn fit_em(data: &[Vector], config: &EmConfig) -> Result<EmFit> {
     fit_em_recorded(data, config, &NopRecorder)
 }
 
-/// [`fit_em`] with telemetry: per-iteration counters (`em.iterations`,
-/// `em.fits`, `em.converged`/`em.iter_capped`), an `em.iters_per_fit`
-/// histogram, and an [`Event::EmConverged`] journal event when
-/// ϖ-convergence (not the iteration cap) stops the loop.
+/// [`fit_em`] with telemetry: an `em.iters_per_fit` observation, the
+/// `em.estep_blocks` counter, `em.iter_capped` when the cap (not
+/// ϖ-convergence) stops the loop, and an [`Event::EmConverged`] journal
+/// event when convergence does.
 pub fn fit_em_recorded(
     data: &[Vector],
     config: &EmConfig,
@@ -218,12 +218,11 @@ pub fn fit_em_recorded(
         mixture = Mixture::new(comps, weights)?;
     }
 
-    recorder.counter("em.fits", 1);
-    recorder.counter("em.iterations", iterations as u64);
-    recorder.counter("em.estep_blocks", estep_blocks);
-    recorder.counter(if converged { "em.converged" } else { "em.iter_capped" }, 1);
-    recorder.observe("em.iters_per_fit", iterations as u64);
-    recorder.observe("em.cost_us", em_cost_us(iterations as u64));
+    recorder.counter(catalogue::EM_ESTEP_BLOCKS, estep_blocks);
+    if !converged {
+        recorder.counter(catalogue::EM_ITER_CAPPED, 1);
+    }
+    recorder.observe(catalogue::EM_ITERS_PER_FIT, iterations as u64);
 
     Ok(EmFit {
         avg_log_likelihood: log_likelihood / n,
@@ -794,12 +793,7 @@ mod tests {
         // Telemetry must not perturb the numerics.
         assert_eq!(plain.log_likelihood, recorded.log_likelihood);
         assert_eq!(plain.iterations, recorded.iterations);
-        assert_eq!(registry.counter_value("em.fits"), 1);
-        assert_eq!(registry.counter_value("em.iterations"), recorded.iterations as u64);
-        assert_eq!(
-            registry.counter_value("em.converged"),
-            u64::from(recorded.converged)
-        );
+        assert_eq!(registry.counter_value("em.iter_capped"), u64::from(!recorded.converged));
         let h = registry.histogram_snapshot("em.iters_per_fit").unwrap();
         assert_eq!(h.count, 1);
         assert_eq!(h.max, recorded.iterations as u64);

@@ -16,6 +16,7 @@
 //!   last send: propagation delay plus in-order head-of-line blocking at
 //!   the reliable inbox.
 
+use crate::catalogue;
 use crate::trace::SpanRecord;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -89,20 +90,13 @@ impl LatencyBreakdown {
     }
 }
 
-/// True for the spans covering a frame's whole wire lifetime (send →
-/// inbox release); `wire.send` markers are their children, not wire spans
-/// themselves.
-fn is_wire_span(name: &str) -> bool {
-    name.starts_with("wire.") && name != "wire.send"
-}
-
 /// Walks every trace in `spans` and attributes its latency. See the
 /// module docs for the category definitions.
 pub fn analyze(spans: &[SpanRecord]) -> LatencyBreakdown {
     // Group sends under their parent wire span up front.
     let mut sends: BTreeMap<u64, Vec<&SpanRecord>> = BTreeMap::new();
     for s in spans {
-        if s.name == "wire.send" {
+        if s.name == catalogue::WIRE_SEND {
             if let Some(parent) = s.parent {
                 sends.entry(parent.0).or_default().push(s);
             }
@@ -113,9 +107,11 @@ pub fn analyze(spans: &[SpanRecord]) -> LatencyBreakdown {
     let mut out = LatencyBreakdown::default();
     for s in spans {
         match s.name {
-            "site.em" => out.em_us += s.cost_us,
-            "coord.simplex" => out.simplex_us += s.cost_us,
-            _ if is_wire_span(s.name) => {
+            catalogue::SITE_EM => out.em_us += s.cost_us,
+            catalogue::COORD_SIMPLEX => out.simplex_us += s.cost_us,
+            // The spans covering a frame's whole wire lifetime (send →
+            // inbox release); `wire.send` markers are their children.
+            catalogue::WIRE_SYNOPSIS | catalogue::WIRE_UPDATE => {
                 traced.insert(s.trace.0, true);
                 let (first, last) = match sends.get(&s.span.0) {
                     Some(v) => {
@@ -140,13 +136,17 @@ pub fn analyze(spans: &[SpanRecord]) -> LatencyBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalogue::{
+        SpanName, COORD_APPLY, COORD_SIMPLEX, SITE_CHUNK, SITE_EM, WIRE_SEND, WIRE_SYNOPSIS,
+        WIRE_UPDATE,
+    };
     use crate::trace::{SpanId, SpanRecord, TraceId};
 
     fn span(
         trace: u64,
         seq: u64,
         parent: Option<u64>,
-        name: &'static str,
+        name: SpanName,
         start: u64,
         end: u64,
         cost: u64,
@@ -174,10 +174,10 @@ mod tests {
     #[test]
     fn single_send_has_zero_retransmit() {
         let spans = vec![
-            span(1, 10, None, "site.chunk", 100, 100, 0),
-            span(1, 11, Some(10), "site.em", 100, 100, 120),
-            span(1, 12, Some(10), "wire.synopsis", 100, 400, 0),
-            span(1, 13, Some(12), "wire.send", 100, 100, 0),
+            span(1, 10, None, SITE_CHUNK, 100, 100, 0),
+            span(1, 11, Some(10), SITE_EM, 100, 100, 120),
+            span(1, 12, Some(10), WIRE_SYNOPSIS, 100, 400, 0),
+            span(1, 13, Some(12), WIRE_SEND, 100, 100, 0),
         ];
         let b = analyze(&spans);
         assert_eq!(b.traces, 1);
@@ -192,12 +192,12 @@ mod tests {
         // Sent at 100, retransmitted at 600 and 1600, released at 1900:
         // retransmit = 1600-100, queueing = 1900-1600.
         let spans = vec![
-            span(1, 12, None, "wire.synopsis", 100, 1900, 0),
-            span(1, 13, Some(12), "wire.send", 100, 100, 0),
-            span(1, 14, Some(12), "wire.send", 600, 600, 0),
-            span(1, 15, Some(12), "wire.send", 1600, 1600, 0),
-            span(1, 16, Some(12), "coord.apply", 1900, 1900, 0),
-            span(1, 17, Some(16), "coord.simplex", 1900, 1900, 55),
+            span(1, 12, None, WIRE_SYNOPSIS, 100, 1900, 0),
+            span(1, 13, Some(12), WIRE_SEND, 100, 100, 0),
+            span(1, 14, Some(12), WIRE_SEND, 600, 600, 0),
+            span(1, 15, Some(12), WIRE_SEND, 1600, 1600, 0),
+            span(1, 16, Some(12), COORD_APPLY, 1900, 1900, 0),
+            span(1, 17, Some(16), COORD_SIMPLEX, 1900, 1900, 55),
         ];
         let b = analyze(&spans);
         assert_eq!(b.retransmit_us, 1500);
@@ -212,10 +212,10 @@ mod tests {
     #[test]
     fn traces_count_distinct_wire_traces() {
         let spans = vec![
-            span(1, 12, None, "wire.synopsis", 0, 10, 0),
-            span(1, 13, None, "wire.update", 20, 30, 0),
-            span(2, 21, None, "wire.update", 5, 9, 0),
-            span(3, 31, None, "site.chunk", 0, 0, 0), // no wire span: not a group update
+            span(1, 12, None, WIRE_SYNOPSIS, 0, 10, 0),
+            span(1, 13, None, WIRE_UPDATE, 20, 30, 0),
+            span(2, 21, None, WIRE_UPDATE, 5, 9, 0),
+            span(3, 31, None, SITE_CHUNK, 0, 0, 0), // no wire span: not a group update
         ];
         assert_eq!(analyze(&spans).traces, 2);
     }

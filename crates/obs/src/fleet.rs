@@ -2,7 +2,7 @@
 //!
 //! The coordinator folds each site's [`TelemetryDelta`] into one
 //! [`FleetAggregator`]: every metric lands twice, once under its per-site
-//! name (`site3.em.cost_us`) and once under its plain name, so the plain
+//! name (`site3.em.iters_per_fit`) and once under its plain name, so the plain
 //! entry is *structurally* the sum over sites — the fleet-equivalence
 //! test in `crates/cli/tests` checks exactly that identity. Histogram
 //! observations are re-inserted value by value, which keeps both the log2
@@ -24,18 +24,40 @@
 //! byte-deterministic for a given registry state (BTreeMap iteration
 //! order everywhere).
 
-use crate::registry::Registry;
-use crate::telemetry::{intern, TelemetryDelta};
+use crate::catalogue::{self, Counter, Gauge, Histogram};
+use crate::quality::{AlertSet, AlertState};
+use crate::registry::{lock, Registry};
+use crate::telemetry::TelemetryDelta;
 use crate::trace::SpanRecord;
 use crate::Recorder;
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Arc, Mutex, OnceLock};
+
+/// The `&'static str` equal to `name`, leaked once per distinct string.
+/// Only the `site<N>.` and `alert.<rule>` rules call it, on local values,
+/// so the keys stay bounded by children × entries plus rules.
+fn intern(name: String) -> &'static str {
+    static POOL: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
+    let mut pool = lock(POOL.get_or_init(Mutex::default));
+    if let Some(&existing) = pool.get(name.as_str()) {
+        return existing;
+    }
+    let leaked: &'static str = Box::leak(name.into_boxed_str());
+    pool.insert(leaked);
+    leaked
+}
+
+/// Child `site`'s copy of a declared `name`: `site<N>.<name>`.
+fn site_name(site: u32, name: &str) -> &'static str {
+    intern(format!("site{site}.{name}"))
+}
 
 /// The coordinator's fold target for site telemetry deltas.
 ///
 /// Owns its own [`Registry`] — separate from the coordinator's journal
 /// registry — so fleet metrics are purely site-originated and never mix
 /// with the coordinator's local instrumentation.
+#[derive(Default)]
 pub struct FleetAggregator {
     registry: Arc<Registry>,
     inner: Mutex<FleetInner>,
@@ -56,19 +78,10 @@ impl std::fmt::Debug for FleetAggregator {
     }
 }
 
-impl Default for FleetAggregator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl FleetAggregator {
     /// An empty aggregator with a fresh registry.
     pub fn new() -> Self {
-        FleetAggregator {
-            registry: Arc::new(Registry::new()),
-            inner: Mutex::new(FleetInner::default()),
-        }
+        Self::default()
     }
 
     /// The registry fleet metrics accumulate into.
@@ -80,41 +93,45 @@ impl FleetAggregator {
     /// handshake's Cristian-style probe. Must be set before the site's
     /// first delta for its spans to land on the coordinator timeline.
     pub fn set_offset(&self, site: u32, offset_us: i64) {
-        self.inner.lock().expect("fleet lock").offsets.insert(site, offset_us);
+        lock(&self.inner).offsets.insert(site, offset_us);
     }
 
     /// The stored offset for `site` (0 when no probe completed).
     pub fn offset(&self, site: u32) -> i64 {
-        self.inner.lock().expect("fleet lock").offsets.get(&site).copied().unwrap_or(0)
+        lock(&self.inner).offsets.get(&site).copied().unwrap_or(0)
     }
 
     /// Folds one delta into the fleet registry: counters and observations
     /// land under both `site<N>.<name>` and the plain `<name>` (so plain
     /// names sum over sites), gauges under the per-site name only (a sum
-    /// of gauges is rarely meaningful), and spans are rebased onto the
-    /// coordinator clock via the site's stored offset.
+    /// of gauges is rarely meaningful), names the decoder skipped add to
+    /// `obs.unknown_series`, and spans are rebased onto the coordinator
+    /// clock via the site's stored offset. `delta.site` must be a
+    /// validated child index: the caller stamps it from the connection
+    /// the delta arrived on.
     pub fn apply(&self, delta: &TelemetryDelta) {
         let site = delta.site;
-        let site_name =
-            |name: &str| -> &'static str { intern(&format!("site{site}.{name}")) };
-        for &(name, value) in &delta.counters {
-            self.registry.counter(site_name(name), value);
-            self.registry.counter(name, value);
+        for &(counter, value) in &delta.counters {
+            self.registry.counter(Counter(site_name(site, counter.as_str())), value);
+            self.registry.counter(counter, value);
         }
-        for &(name, value) in &delta.gauges {
-            self.registry.gauge(site_name(name), value);
+        for &(gauge, value) in &delta.gauges {
+            self.set_site_gauge(site, gauge, value);
         }
-        for (name, values) in &delta.observations {
-            let per_site = site_name(name);
+        for (histogram, values) in &delta.observations {
+            let per_site = Histogram(site_name(site, histogram.as_str()));
             self.registry.track_quantiles(per_site);
-            self.registry.track_quantiles(name);
+            self.registry.track_quantiles(*histogram);
             for &v in values {
                 self.registry.observe(per_site, v);
-                self.registry.observe(name, v);
+                self.registry.observe(*histogram, v);
             }
         }
+        if delta.unknown > 0 {
+            self.registry.counter(catalogue::OBS_UNKNOWN_SERIES, delta.unknown);
+        }
         if !delta.spans.is_empty() {
-            let mut inner = self.inner.lock().expect("fleet lock");
+            let mut inner = lock(&self.inner);
             let offset = inner.offsets.get(&site).copied().unwrap_or(0);
             let rebase = |us: u64| (us as i64).saturating_add(offset).max(0) as u64;
             for span in &delta.spans {
@@ -127,9 +144,28 @@ impl FleetAggregator {
         }
     }
 
+    /// Sets child `site`'s copy of `gauge` (`site<N>.<name>`), as a folded
+    /// delta does and as a parent's liveness gauges are kept. `site` must
+    /// be a validated child index.
+    pub fn set_site_gauge(&self, site: u32, gauge: Gauge, value: f64) {
+        self.registry.gauge(Gauge(site_name(site, gauge.as_str())), value);
+    }
+
+    /// Evaluates `alerts` against the fleet registry and mirrors each
+    /// verdict into it as an `alert.<rule>` 0/1 gauge, so a status scrape
+    /// tells the same story as the reply.
+    pub fn evaluate_alerts(&self, alerts: &AlertSet) -> Vec<AlertState> {
+        let states = alerts.evaluate(&self.registry);
+        for a in &states {
+            let value = if a.firing { 1.0 } else { 0.0 };
+            self.registry.gauge(Gauge(intern(format!("alert.{}", a.name))), value);
+        }
+        states
+    }
+
     /// All rebased span records collected so far (coordinator clock).
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.inner.lock().expect("fleet lock").spans.clone()
+        lock(&self.inner).spans.clone()
     }
 
     /// Renders the fleet registry in Prometheus text exposition format.
@@ -301,17 +337,25 @@ pub fn prometheus_text(registry: &Registry) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalogue::{
+        COORD_GROUPS, COORD_ROUND_STARTED, COORD_TELEMETRY_DECODE_ERR, EM_ITERS_PER_FIT,
+        HB_RTT_US, NET_BYTES, QUALITY_AVG_LL, QUALITY_EWMA_DRIFT, QUALITY_PH_DRIFT,
+        QUALITY_PH_STAT, QUALITY_RECLUSTER_EWMA, QUALITY_WEIGHT_MIN, ROUND_STATE, SERVE_SCORE_US,
+        SERVE_STALENESS_ROUNDS, SITE_CHUNK,
+    };
+    use crate::quality::{AlertKind, AlertRule};
     use crate::trace::{SpanId, TraceId};
 
     fn delta(site: u32) -> TelemetryDelta {
         TelemetryDelta {
             site,
             local_now_us: 1000,
-            counters: vec![(intern("net.bytes"), 100 * (site as u64 + 1))],
-            gauges: vec![(intern("window.models"), site as f64)],
-            observations: vec![(intern("em.cost_us"), vec![10 * (site as u64 + 1)])],
+            counters: vec![(NET_BYTES, 100 * (site as u64 + 1))],
+            gauges: vec![(COORD_GROUPS, site as f64)],
+            observations: vec![(EM_ITERS_PER_FIT, vec![10 * (site as u64 + 1)])],
             spans: Vec::new(),
             flight: Vec::new(),
+            unknown: 0,
         }
     }
 
@@ -326,12 +370,12 @@ mod tests {
         assert_eq!(r.counter_value("site1.net.bytes"), 400);
         assert_eq!(r.counter_value("net.bytes"), 500);
         // Gauges stay per-site.
-        assert_eq!(r.gauge_value("site1.window.models"), Some(1.0));
-        assert_eq!(r.gauge_value("window.models"), None);
+        assert_eq!(r.gauge_value("site1.coord.groups"), Some(1.0));
+        assert_eq!(r.gauge_value("coord.groups"), None);
         // Observations feed both histograms and exact sketches.
-        assert_eq!(r.histogram_snapshot("em.cost_us").unwrap().count, 3);
-        assert_eq!(r.histogram_snapshot("site1.em.cost_us").unwrap().count, 2);
-        assert_eq!(r.exact_quantile("em.cost_us", 1.0), Some(20));
+        assert_eq!(r.histogram_snapshot("em.iters_per_fit").unwrap().count, 3);
+        assert_eq!(r.histogram_snapshot("site1.em.iters_per_fit").unwrap().count, 2);
+        assert_eq!(r.exact_quantile("em.iters_per_fit", 1.0), Some(20));
     }
 
     #[test]
@@ -344,7 +388,7 @@ mod tests {
             trace: TraceId::new(site, 0),
             span: SpanId::new(site, 1),
             parent: None,
-            name: intern("site.chunk"),
+            name: SITE_CHUNK,
             node: site,
             start_us: start,
             end_us: end,
@@ -375,7 +419,7 @@ mod tests {
             trace: TraceId::new(0, 0),
             span: SpanId::new(0, 1),
             parent: None,
-            name: intern("early"),
+            name: SITE_CHUNK,
             node: 0,
             start_us: 100,
             end_us: 600,
@@ -406,12 +450,12 @@ mod tests {
         assert!(text.contains("# TYPE cludistream_net_bytes_total counter\n"), "{text}");
         assert!(text.contains("cludistream_net_bytes_total 300\n"), "{text}");
         assert!(text.contains("cludistream_net_bytes_total{site=\"0\"} 100\n"), "{text}");
-        assert!(text.contains("cludistream_window_models{site=\"1\"} 1\n"), "{text}");
+        assert!(text.contains("cludistream_coord_groups{site=\"1\"} 1\n"), "{text}");
         assert!(
-            text.contains("cludistream_em_cost_us{site=\"1\",quantile=\"0.5\"} 20\n"),
+            text.contains("cludistream_em_iters_per_fit{site=\"1\",quantile=\"0.5\"} 20\n"),
             "{text}"
         );
-        assert!(text.contains("cludistream_em_cost_us_count{site=\"0\"} 1\n"), "{text}");
+        assert!(text.contains("cludistream_em_iters_per_fit_count{site=\"0\"} 1\n"), "{text}");
         // Deterministic: rendering twice is byte-identical.
         assert_eq!(text, fleet.prometheus_text());
     }
@@ -430,5 +474,166 @@ mod tests {
         assert_eq!(format_f64(f64::NAN), "NaN");
         assert_eq!(format_f64(f64::INFINITY), "+Inf");
         assert_eq!(format_f64(f64::NEG_INFINITY), "-Inf");
+    }
+
+    #[test]
+    fn skipped_names_count_as_unknown_series() {
+        let fleet = FleetAggregator::new();
+        fleet.apply(&TelemetryDelta { site: 0, unknown: 3, ..TelemetryDelta::default() });
+        fleet.apply(&TelemetryDelta { site: 1, unknown: 2, ..TelemetryDelta::default() });
+        assert_eq!(fleet.registry().counter_value("obs.unknown_series"), 5);
+    }
+
+    /// Interning is what keeps a long-lived node from leaking a name per
+    /// heartbeat: the same per-site or alert name is the same allocation.
+    #[test]
+    fn derived_names_are_interned_once() {
+        let a = site_name(3, EM_ITERS_PER_FIT.as_str());
+        let b = site_name(3, EM_ITERS_PER_FIT.as_str());
+        assert_eq!(a, "site3.em.iters_per_fit");
+        assert!(std::ptr::eq(a, b), "site name leaked twice");
+        assert!(std::ptr::eq(intern("alert.x".into()), intern("alert.x".into())));
+        assert!(!std::ptr::eq(a, site_name(4, EM_ITERS_PER_FIT.as_str())));
+    }
+
+    #[test]
+    fn alert_verdicts_are_mirrored_as_gauges() {
+        let fleet = FleetAggregator::new();
+        fleet.set_site_gauge(4, ROUND_STATE, 1.0);
+        assert_eq!(fleet.registry().gauge_value("site4.round_state"), Some(1.0));
+        let alerts = AlertSet::new(vec![AlertRule {
+            name: "round-stalled".into(),
+            metric: COORD_ROUND_STARTED.as_str().into(),
+            kind: AlertKind::GaugeBelow { threshold: 1.0 },
+        }]);
+        let states = fleet.evaluate_alerts(&alerts);
+        assert!(states[0].firing, "absent gauge fires");
+        assert_eq!(fleet.registry().gauge_value("alert.round-stalled"), Some(1.0));
+        fleet.registry().gauge(COORD_ROUND_STARTED, 1.0);
+        fleet.evaluate_alerts(&alerts);
+        assert_eq!(fleet.registry().gauge_value("alert.round-stalled"), Some(0.0));
+    }
+
+    // Byte-exact goldens for the Prometheus renderer: families in
+    // mangled-name order, the unlabelled fleet total before per-site
+    // samples, per-site samples in label order, counters suffixed
+    // `_total`, histograms as summaries with exact quantiles only for
+    // tracked series. They sit inside the crate because they record names
+    // no catalogue entry declares (`load.factor`, `alert.firing`, a child's
+    // `em.cost_us`) to pin the renderer, not the vocabulary.
+
+    #[test]
+    fn exposition_matches_golden_document() {
+        let r = Registry::new();
+        r.counter(NET_BYTES, 300);
+        r.counter(Counter("site0.net.bytes"), 100);
+        r.counter(Counter("site1.net.bytes"), 200);
+        r.counter(COORD_TELEMETRY_DECODE_ERR, 1);
+        r.gauge(COORD_ROUND_STARTED, 1.0);
+        r.gauge(Gauge("load.factor"), 0.625);
+        r.gauge(Gauge("site10.round_state"), 2.0);
+        r.gauge(Gauge("site2.round_state"), 1.0);
+        r.track_quantiles(HB_RTT_US);
+        for v in [100, 200, 300] {
+            r.observe(HB_RTT_US, v);
+        }
+        // Untracked series: a summary with `_count`/`_sum` but no quantiles.
+        r.observe(Histogram("site0.em.cost_us"), 50);
+
+        let golden = "\
+# TYPE cludistream_up gauge
+cludistream_up 1
+# TYPE cludistream_coord_telemetry_decode_err_total counter
+cludistream_coord_telemetry_decode_err_total 1
+# TYPE cludistream_net_bytes_total counter
+cludistream_net_bytes_total 300
+cludistream_net_bytes_total{site=\"0\"} 100
+cludistream_net_bytes_total{site=\"1\"} 200
+# TYPE cludistream_coord_round_started gauge
+cludistream_coord_round_started 1
+# TYPE cludistream_load_factor gauge
+cludistream_load_factor 0.625
+# TYPE cludistream_round_state gauge
+cludistream_round_state{site=\"10\"} 2
+cludistream_round_state{site=\"2\"} 1
+# TYPE cludistream_em_cost_us summary
+cludistream_em_cost_us_count{site=\"0\"} 1
+cludistream_em_cost_us_sum{site=\"0\"} 50
+# TYPE cludistream_hb_rtt_us summary
+cludistream_hb_rtt_us{quantile=\"0.5\"} 200
+cludistream_hb_rtt_us{quantile=\"0.9\"} 300
+cludistream_hb_rtt_us{quantile=\"0.99\"} 300
+cludistream_hb_rtt_us_count 3
+cludistream_hb_rtt_us_sum 600
+";
+        assert_eq!(prometheus_text(&r), golden);
+    }
+
+    /// The quality/health plane's series — per-site quality gauges folded
+    /// from telemetry deltas, fleet-summed drift counters, the
+    /// coordinator's `alert.<rule>` rule-state gauges, and the tracked
+    /// `serve.score_us` latency summary — must render byte-exactly:
+    /// kebab-case rule names mangle to underscores, negative log
+    /// likelihoods keep their sign, and family ordering stays sorted.
+    #[test]
+    fn quality_and_health_series_match_golden_document() {
+        let r = Registry::new();
+        r.counter(QUALITY_PH_DRIFT, 1);
+        r.counter(Counter("site0.quality.ph_drift"), 1);
+        r.counter(QUALITY_EWMA_DRIFT, 2);
+        r.counter(Counter("site0.quality.ewma_drift"), 2);
+        r.gauge(Gauge("alert.firing"), 1.0);
+        r.gauge(Gauge("alert.round-stalled"), 0.0);
+        r.gauge(Gauge("alert.snapshot-stale"), 1.0);
+        r.gauge(COORD_ROUND_STARTED, 1.0);
+        r.gauge(SERVE_STALENESS_ROUNDS, 9.0);
+        for (gauge, v) in [
+            (QUALITY_AVG_LL, -1.25),
+            (QUALITY_PH_STAT, 0.75),
+            (QUALITY_RECLUSTER_EWMA, 0.2),
+            (QUALITY_WEIGHT_MIN, 0.125),
+        ] {
+            r.gauge(Gauge(site_name(0, gauge.as_str())), v);
+        }
+        r.track_quantiles(SERVE_SCORE_US);
+        for v in [40, 80, 120] {
+            r.observe(SERVE_SCORE_US, v);
+        }
+
+        let golden = "\
+# TYPE cludistream_up gauge
+cludistream_up 1
+# TYPE cludistream_quality_ewma_drift_total counter
+cludistream_quality_ewma_drift_total 2
+cludistream_quality_ewma_drift_total{site=\"0\"} 2
+# TYPE cludistream_quality_ph_drift_total counter
+cludistream_quality_ph_drift_total 1
+cludistream_quality_ph_drift_total{site=\"0\"} 1
+# TYPE cludistream_alert_firing gauge
+cludistream_alert_firing 1
+# TYPE cludistream_alert_round_stalled gauge
+cludistream_alert_round_stalled 0
+# TYPE cludistream_alert_snapshot_stale gauge
+cludistream_alert_snapshot_stale 1
+# TYPE cludistream_coord_round_started gauge
+cludistream_coord_round_started 1
+# TYPE cludistream_quality_avg_ll gauge
+cludistream_quality_avg_ll{site=\"0\"} -1.25
+# TYPE cludistream_quality_ph_stat gauge
+cludistream_quality_ph_stat{site=\"0\"} 0.75
+# TYPE cludistream_quality_recluster_ewma gauge
+cludistream_quality_recluster_ewma{site=\"0\"} 0.2
+# TYPE cludistream_quality_weight_min gauge
+cludistream_quality_weight_min{site=\"0\"} 0.125
+# TYPE cludistream_serve_staleness_rounds gauge
+cludistream_serve_staleness_rounds 9
+# TYPE cludistream_serve_score_us summary
+cludistream_serve_score_us{quantile=\"0.5\"} 80
+cludistream_serve_score_us{quantile=\"0.9\"} 120
+cludistream_serve_score_us{quantile=\"0.99\"} 120
+cludistream_serve_score_us_count 3
+cludistream_serve_score_us_sum 240
+";
+        assert_eq!(prometheus_text(&r), golden);
     }
 }

@@ -11,7 +11,7 @@ pub const BUCKETS: usize = 65;
 
 /// A fixed-size log2-bucket histogram with count/sum/min/max side stats.
 #[derive(Debug, Clone)]
-pub struct Histogram {
+pub struct Log2Histogram {
     buckets: [u64; BUCKETS],
     count: u64,
     sum: u64,
@@ -19,9 +19,9 @@ pub struct Histogram {
     max: u64,
 }
 
-impl Default for Histogram {
+impl Default for Log2Histogram {
     fn default() -> Self {
-        Histogram { buckets: [0; BUCKETS], count: 0, sum: 0, min: u64::MAX, max: 0 }
+        Log2Histogram { buckets: [0; BUCKETS], count: 0, sum: 0, min: u64::MAX, max: 0 }
     }
 }
 
@@ -40,7 +40,7 @@ pub(crate) fn bucket_lo(i: usize) -> u64 {
     }
 }
 
-impl Histogram {
+impl Log2Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
         Self::default()
@@ -103,7 +103,7 @@ impl Histogram {
         Some(bucket_lo(BUCKETS - 1))
     }
 
-    /// Exclusive upper bound of the bucket answering [`Histogram::quantile_bound`]
+    /// Exclusive upper bound of the bucket answering [`Log2Histogram::quantile_bound`]
     /// for `q`: at least `q` of observations are `< ` the returned value
     /// (capped at `u64::MAX` for the top bucket, and 1 for the zero
     /// bucket). `None` when empty. This is what a log2 histogram can
@@ -132,7 +132,7 @@ impl Histogram {
     }
 }
 
-/// A point-in-time summary of a [`Histogram`].
+/// A point-in-time summary of a [`Log2Histogram`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistogramSnapshot {
     /// Number of observations.
@@ -190,7 +190,7 @@ mod tests {
 
     #[test]
     fn side_stats_track_observations() {
-        let mut h = Histogram::new();
+        let mut h = Log2Histogram::new();
         assert_eq!(h.count(), 0);
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
@@ -211,37 +211,37 @@ mod tests {
 
     #[test]
     fn quantile_bound_is_log2_coarse() {
-        let mut h = Histogram::new();
+        let mut h = Log2Histogram::new();
         for v in 1..=100u64 {
             h.record(v);
         }
         // The median of 1..=100 is ~50, whose bucket is [32, 64).
         assert_eq!(h.quantile_bound(0.5), Some(32));
         assert_eq!(h.quantile_bound(1.0), Some(64));
-        assert_eq!(Histogram::new().quantile_bound(0.5), None);
+        assert_eq!(Log2Histogram::new().quantile_bound(0.5), None);
     }
 
     #[test]
     fn quantile_upper_bound_is_exclusive_bucket_end() {
-        let mut h = Histogram::new();
+        let mut h = Log2Histogram::new();
         for v in 1..=100u64 {
             h.record(v);
         }
         // Median bucket is [32, 64): the true median is < 64.
         assert_eq!(h.quantile_upper_bound(0.5), Some(64));
         assert_eq!(h.quantile_upper_bound(1.0), Some(128));
-        let mut z = Histogram::new();
+        let mut z = Log2Histogram::new();
         z.record(0);
         assert_eq!(z.quantile_upper_bound(0.5), Some(1));
-        let mut top = Histogram::new();
+        let mut top = Log2Histogram::new();
         top.record(u64::MAX);
         assert_eq!(top.quantile_upper_bound(0.5), Some(u64::MAX));
-        assert_eq!(Histogram::new().quantile_upper_bound(0.5), None);
+        assert_eq!(Log2Histogram::new().quantile_upper_bound(0.5), None);
     }
 
     #[test]
     fn snapshot_summarizes() {
-        let mut h = Histogram::new();
+        let mut h = Log2Histogram::new();
         h.record(10);
         h.record(30);
         let s = h.snapshot();

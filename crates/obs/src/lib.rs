@@ -7,9 +7,10 @@
 //! and clustering-quality response to concept drift. This crate is the
 //! in-repo instrument those measurements flow through:
 //!
-//! - a **metrics registry** ([`Registry`]) with named counters, gauges and
-//!   fixed-bucket log2 [`Histogram`]s, plus [`Span`] timers that record
-//!   wall-clock durations into histograms;
+//! - a **metrics registry** ([`Registry`]) with counters, gauges and
+//!   fixed-bucket [`Log2Histogram`]s, plus [`Span`] timers that record
+//!   wall-clock durations into histograms, under the names the
+//!   [`catalogue`] declares once (`docs/METRICS.md`);
 //! - a **structured event journal**: typed [`Event`]s serialized to JSONL
 //!   by a hand-rolled writer, stamped with *simulated* time so journals of
 //!   seeded runs are byte-identical and diffable;
@@ -57,17 +58,19 @@
 //! ## Quickstart
 //!
 //! ```
+//! use cludistream_obs::catalogue::{EM_ESTEP_BLOCKS, EM_ITERS_PER_FIT};
 //! use cludistream_obs::{Event, Obs, Recorder, Registry, Verdict};
 //! use std::sync::Arc;
 //!
 //! let registry = Arc::new(Registry::new());
 //! let obs = Obs::from_registry(registry.clone());
-//! obs.counter("em.iterations", 12);
-//! obs.observe("em.iters_per_fit", 12);
+//! obs.counter(EM_ESTEP_BLOCKS, 12);
+//! obs.observe(EM_ITERS_PER_FIT, 12);
 //! obs.event(&Event::EmConverged { iters: 12, delta_ll: 3.2e-5 });
-//! assert_eq!(registry.counter_value("em.iterations"), 12);
+//! assert_eq!(registry.counter_value("em.estep_blocks"), 12);
 //! ```
 
+pub mod catalogue;
 pub mod critical_path;
 mod fleet;
 mod histogram;
@@ -81,9 +84,10 @@ mod registry;
 mod telemetry;
 pub mod trace;
 
+pub use catalogue::{Counter, Gauge, Histogram, SpanName};
 pub use critical_path::{analyze, LatencyBreakdown};
 pub use fleet::{prometheus_text, FleetAggregator};
-pub use histogram::{Histogram, HistogramSnapshot, BUCKETS};
+pub use histogram::{HistogramSnapshot, Log2Histogram, BUCKETS};
 pub use journal::{json_escape, json_f64, DropReason, Event, Verdict};
 pub use perfetto::perfetto_json;
 pub use quality::{
@@ -92,7 +96,7 @@ pub use quality::{
 pub use quantile::{QuantileSketch, DEFAULT_EPSILON};
 pub use recorder::{NopRecorder, Obs, Recorder, Span};
 pub use registry::Registry;
-pub use telemetry::{intern, TelemetryDelta, TELEMETRY_VERSION};
+pub use telemetry::{TelemetryDelta, TELEMETRY_VERSION};
 pub use trace::{
     em_cost_us, simplex_cost_us, SpanId, SpanRecord, SpanScope, TraceCtx, TraceId,
     EM_ITER_COST_US, SIMPLEX_EVAL_COST_US,

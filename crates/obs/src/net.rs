@@ -1,42 +1,27 @@
 //! Shared `net.*` instrumentation helpers.
 //!
-//! The ISSUE-6 transport split means two independent runtimes — the
-//! discrete-event simulator and the socket runtime — both account for
-//! network traffic. The paper's communication-cost figures (Sec. 5.3)
-//! only stay comparable across transports if both record *the same
-//! counters from the same callsites*, so the counter names and the
-//! exact set of updates per network event live here, and both runtimes
-//! call these helpers instead of open-coding `obs.counter(...)` lines.
-//!
-//! Counter vocabulary (all monotonic):
-//!
-//! | name              | incremented when                                 |
-//! |-------------------|--------------------------------------------------|
-//! | `net.messages`    | a payload is handed to the transport for sending |
-//! | `net.bytes`       | ditto, by the payload's encoded size             |
-//! | `net.msg_bytes`   | histogram of per-message encoded sizes           |
-//! | `net.dropped`     | the transport discarded a message                |
-//! | `net.duplicated`  | the fault layer delivered an extra copy          |
-//! | `net.reordered`   | the fault layer delayed a message out of order   |
-//! | `net.crashes`     | a node went down                                 |
-//! | `net.restarts`    | a node came back up                              |
-//! | `net.ctrl_messages` | a control frame was sent (socket runtime only) |
-//! | `net.ctrl_bytes`  | ditto, by encoded size                           |
+//! Two independent runtimes — the discrete-event simulator and the socket
+//! runtime — both account for network traffic. The paper's
+//! communication-cost figures (Sec. 5.3) only stay comparable across
+//! transports if both record *the same counters from the same callsites*,
+//! so the exact set of updates per network event lives here, and both
+//! runtimes call these helpers instead of open-coding `obs.counter(...)`
+//! lines. What each `net.*` series means is in `docs/METRICS.md`.
 //!
 //! Payload size means the *frame encoding* the simulator would deliver
 //! as one message — the socket transport's 4-byte length prefix is
 //! excluded, so bytes-at-coordinator numbers match across transports.
 
+use crate::catalogue;
 use crate::journal::{DropReason, Event};
 use crate::recorder::{Obs, Recorder};
 
-/// Records one message leaving on the wire: `net.messages`, `net.bytes`,
-/// and the `net.msg_bytes` size histogram.
+/// Records one message leaving on the wire: `net.messages` and
+/// `net.bytes`.
 pub fn on_send(obs: &Obs, bytes: u64) {
     if obs.enabled() {
-        obs.counter("net.messages", 1);
-        obs.counter("net.bytes", bytes);
-        obs.observe("net.msg_bytes", bytes);
+        obs.counter(catalogue::NET_MESSAGES, 1);
+        obs.counter(catalogue::NET_BYTES, bytes);
     }
 }
 
@@ -48,8 +33,8 @@ pub fn on_send(obs: &Obs, bytes: u64) {
 /// plane) and the socket runtime.
 pub fn on_ctrl_send(obs: &Obs, bytes: u64) {
     if obs.enabled() {
-        obs.counter("net.ctrl_messages", 1);
-        obs.counter("net.ctrl_bytes", bytes);
+        obs.counter(catalogue::NET_CTRL_MESSAGES, 1);
+        obs.counter(catalogue::NET_CTRL_BYTES, bytes);
     }
 }
 
@@ -57,7 +42,7 @@ pub fn on_ctrl_send(obs: &Obs, bytes: u64) {
 /// [`Event::Dropped`] carrying the endpoints and reason.
 pub fn on_dropped(obs: &Obs, from: u64, to: u64, bytes: u64, reason: DropReason) {
     if obs.enabled() {
-        obs.counter("net.dropped", 1);
+        obs.counter(catalogue::NET_DROPPED, 1);
         obs.event(&Event::Dropped { from, to, bytes, reason });
     }
 }
@@ -66,7 +51,7 @@ pub fn on_dropped(obs: &Obs, from: u64, to: u64, bytes: u64, reason: DropReason)
 /// journaled [`Event::Duplicated`].
 pub fn on_duplicated(obs: &Obs, from: u64, to: u64, bytes: u64) {
     if obs.enabled() {
-        obs.counter("net.duplicated", 1);
+        obs.counter(catalogue::NET_DUPLICATED, 1);
         obs.event(&Event::Duplicated { from, to, bytes });
     }
 }
@@ -74,7 +59,7 @@ pub fn on_duplicated(obs: &Obs, from: u64, to: u64, bytes: u64) {
 /// Records a fault-layer reorder delay: `net.reordered`.
 pub fn on_reordered(obs: &Obs) {
     if obs.enabled() {
-        obs.counter("net.reordered", 1);
+        obs.counter(catalogue::NET_REORDERED, 1);
     }
 }
 
@@ -82,7 +67,7 @@ pub fn on_reordered(obs: &Obs) {
 /// [`Event::SiteCrashed`].
 pub fn on_crash(obs: &Obs, node: u64) {
     if obs.enabled() {
-        obs.counter("net.crashes", 1);
+        obs.counter(catalogue::NET_CRASHES, 1);
         obs.event(&Event::SiteCrashed { node });
     }
 }
@@ -91,7 +76,7 @@ pub fn on_crash(obs: &Obs, node: u64) {
 /// [`Event::SiteRecovered`].
 pub fn on_restart(obs: &Obs, node: u64) {
     if obs.enabled() {
-        obs.counter("net.restarts", 1);
+        obs.counter(catalogue::NET_RESTARTS, 1);
         obs.event(&Event::SiteRecovered { node });
     }
 }
@@ -103,7 +88,7 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn on_send_updates_all_three_instruments() {
+    fn on_send_updates_both_counters() {
         let registry = Arc::new(Registry::new());
         let obs = Obs::from_registry(registry.clone());
         on_send(&obs, 628);

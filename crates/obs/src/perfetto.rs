@@ -46,7 +46,7 @@ pub fn perfetto_json(spans: &[SpanRecord]) -> String {
             out,
             "{{\"name\":\"{}\",\"cat\":\"cludistream\",\"ph\":\"X\",\"pid\":{},\"tid\":{},\
              \"ts\":{},\"dur\":{},\"args\":{{\"trace\":{},\"span\":{},\"parent\":{},\"cost_us\":{}}}}}",
-            r.name,
+            r.name.as_str(),
             r.node,
             r.node,
             r.start_us,
@@ -64,6 +64,7 @@ pub fn perfetto_json(spans: &[SpanRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalogue::SpanName;
     use crate::trace::{SpanId, SpanRecord, TraceId};
 
     fn rec(node: u32, seq: u64, start: u64, end: u64, cost: u64) -> SpanRecord {
@@ -71,7 +72,7 @@ mod tests {
             trace: TraceId::new(node, 0),
             span: SpanId::new(node, seq),
             parent: (seq > 1).then(|| SpanId::new(node, seq - 1)),
-            name: "s",
+            name: SpanName("s"),
             node,
             start_us: start,
             end_us: end,

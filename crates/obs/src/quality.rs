@@ -18,6 +18,7 @@
 //! reproduces the detector state *bit for bit* — which is exactly how
 //! the property tests in `tests/quality_props.rs` check them.
 
+use crate::catalogue;
 use crate::Registry;
 
 /// Tuning for the per-site quality plane. Everything is opt-in: a site
@@ -327,17 +328,17 @@ impl AlertSet {
         AlertSet::new(vec![
             AlertRule {
                 name: "round-stalled".into(),
-                metric: "coord.round_started".into(),
+                metric: catalogue::COORD_ROUND_STARTED.as_str().into(),
                 kind: AlertKind::GaugeBelow { threshold: 1.0 },
             },
             AlertRule {
                 name: "snapshot-stale".into(),
-                metric: "serve.staleness_rounds".into(),
+                metric: catalogue::SERVE_STALENESS_ROUNDS.as_str().into(),
                 kind: AlertKind::GaugeAbove { threshold: 4.0 },
             },
             AlertRule {
                 name: "heartbeat-p99".into(),
-                metric: "hb.rtt_us".into(),
+                metric: catalogue::HB_RTT_US.as_str().into(),
                 kind: AlertKind::QuantileAbove { q: 0.99, threshold: 1_000_000.0 },
             },
         ])
@@ -405,6 +406,8 @@ impl AlertSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalogue::{lookup, Counter, Gauge, Histogram};
+    use crate::catalogue::{COORD_ROUND_STARTED, QUALITY_PH_DRIFT, SERVE_STALENESS_ROUNDS};
     use crate::Recorder;
 
     #[test]
@@ -461,7 +464,7 @@ mod tests {
     #[test]
     fn alert_rules_read_gauges_counters_and_quantiles() {
         let registry = Registry::new();
-        registry.track_quantiles("lat.us");
+        registry.track_quantiles(Histogram("lat.us"));
         let mut set = AlertSet::default_rules();
         set.push(AlertRule {
             name: "drift".into(),
@@ -484,10 +487,10 @@ mod tests {
         assert!(!states[3].firing, "counter at 0 is healthy");
         assert!(!states[4].firing, "empty sketch is healthy");
 
-        registry.gauge("coord.round_started", 1.0);
-        registry.gauge("serve.staleness_rounds", 9.0);
-        registry.counter("quality.ph_drift", 2);
-        registry.observe("lat.us", 50);
+        registry.gauge(COORD_ROUND_STARTED, 1.0);
+        registry.gauge(SERVE_STALENESS_ROUNDS, 9.0);
+        registry.counter(QUALITY_PH_DRIFT, 2);
+        registry.observe(Histogram("lat.us"), 50);
         let states = set.evaluate(&registry);
         assert!(!states[0].firing, "round started");
         assert!(states[1].firing && states[1].value == 9.0, "stale snapshot");
@@ -508,5 +511,22 @@ mod tests {
         assert_eq!(bad.validate().unwrap_err().0, "quality.ph_delta");
         let bad = QualityConfig { ewma_l: -1.0, ..QualityConfig::default() };
         assert_eq!(bad.validate().unwrap_err().0, "quality.ewma_l");
+    }
+
+    /// A rule names its series as a string, so a renamed or retyped series
+    /// would leave it silently reading NaN (or 0): each default rule must
+    /// read a catalogue entry of the kind its predicate reads.
+    #[test]
+    fn default_rules_read_declared_series_of_their_kind() {
+        for rule in AlertSet::default_rules().rules() {
+            let want = match rule.kind {
+                AlertKind::GaugeBelow { .. } | AlertKind::GaugeAbove { .. } => Gauge::KIND,
+                AlertKind::CounterAbove { .. } => Counter::KIND,
+                AlertKind::QuantileAbove { .. } => Histogram::KIND,
+            };
+            let entry = lookup(&rule.metric)
+                .unwrap_or_else(|| panic!("rule {} reads undeclared {}", rule.name, rule.metric));
+            assert_eq!(entry.kind, want, "rule {} reads {} as a {want}", rule.name, rule.metric);
+        }
     }
 }

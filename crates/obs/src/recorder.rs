@@ -1,6 +1,7 @@
 //! The [`Recorder`] trait, the free no-op implementation, the shared
 //! [`Obs`] handle, and span timers.
 
+use crate::catalogue::{Counter, Gauge, Histogram};
 use crate::journal::Event;
 use crate::telemetry::TelemetryDelta;
 use crate::trace::{SpanId, SpanRecord};
@@ -23,19 +24,19 @@ pub trait Recorder {
         false
     }
 
-    /// Adds `delta` to the named monotone counter.
-    fn counter(&self, name: &'static str, delta: u64) {
-        let _ = (name, delta);
+    /// Adds `delta` to a declared monotone counter.
+    fn counter(&self, counter: Counter, delta: u64) {
+        let _ = (counter, delta);
     }
 
-    /// Sets the named gauge to `value`.
-    fn gauge(&self, name: &'static str, value: f64) {
-        let _ = (name, value);
+    /// Sets a declared gauge to `value`.
+    fn gauge(&self, gauge: Gauge, value: f64) {
+        let _ = (gauge, value);
     }
 
-    /// Records one observation into the named log2 histogram.
-    fn observe(&self, name: &'static str, value: u64) {
-        let _ = (name, value);
+    /// Records one observation into a declared log2 histogram.
+    fn observe(&self, histogram: Histogram, value: u64) {
+        let _ = (histogram, value);
     }
 
     /// Appends a typed event to the journal (stamped with the current
@@ -146,12 +147,12 @@ impl Obs {
     }
 
     /// Starts a wall-clock span that records its duration in nanoseconds
-    /// into the named histogram when dropped. When the recorder is
-    /// disabled the clock is never read.
-    pub fn span(&self, name: &'static str) -> Span<'_> {
+    /// into `histogram` when dropped. When the recorder is disabled the
+    /// clock is never read.
+    pub fn span(&self, histogram: Histogram) -> Span<'_> {
         Span {
             obs: self,
-            name,
+            histogram,
             start: self.0.enabled().then(Instant::now),
         }
     }
@@ -161,14 +162,14 @@ impl Recorder for Obs {
     fn enabled(&self) -> bool {
         self.0.enabled()
     }
-    fn counter(&self, name: &'static str, delta: u64) {
-        self.0.counter(name, delta);
+    fn counter(&self, counter: Counter, delta: u64) {
+        self.0.counter(counter, delta);
     }
-    fn gauge(&self, name: &'static str, value: f64) {
-        self.0.gauge(name, value);
+    fn gauge(&self, gauge: Gauge, value: f64) {
+        self.0.gauge(gauge, value);
     }
-    fn observe(&self, name: &'static str, value: u64) {
-        self.0.observe(name, value);
+    fn observe(&self, histogram: Histogram, value: u64) {
+        self.0.observe(histogram, value);
     }
     fn event(&self, event: &Event) {
         self.0.event(event);
@@ -202,7 +203,7 @@ impl Recorder for Obs {
 #[must_use = "a span records on drop; binding it to _ drops it immediately"]
 pub struct Span<'a> {
     obs: &'a Obs,
-    name: &'static str,
+    histogram: Histogram,
     start: Option<Instant>,
 }
 
@@ -210,7 +211,7 @@ impl Drop for Span<'_> {
     fn drop(&mut self) {
         if let Some(start) = self.start {
             let ns = start.elapsed().as_nanos();
-            self.obs.observe(self.name, ns.min(u64::MAX as u128) as u64);
+            self.obs.observe(self.histogram, ns.min(u64::MAX as u128) as u64);
         }
     }
 }
@@ -218,15 +219,16 @@ impl Drop for Span<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalogue::{COORD_GROUPS, EM_ESTEP_BLOCKS, SITE_CHUNK_NS};
     use crate::Registry;
 
     #[test]
     fn noop_recorder_is_disabled_and_silent() {
         let r = NopRecorder;
         assert!(!r.enabled());
-        r.counter("a", 1);
-        r.gauge("b", 1.0);
-        r.observe("c", 1);
+        r.counter(EM_ESTEP_BLOCKS, 1);
+        r.gauge(COORD_GROUPS, 1.0);
+        r.observe(SITE_CHUNK_NS, 1);
         r.event(&Event::ReMerge { group: 0 });
         r.set_sim_time(9);
         assert!(!r.tracing_enabled());
@@ -248,17 +250,17 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let obs = Obs::from_registry(registry.clone());
         {
-            let _span = obs.span("test.span_ns");
+            let _span = obs.span(SITE_CHUNK_NS);
             std::hint::black_box(1 + 1);
         }
-        let h = registry.histogram_snapshot("test.span_ns").expect("recorded");
+        let h = registry.histogram_snapshot("site.chunk_ns").expect("recorded");
         assert_eq!(h.count, 1);
     }
 
     #[test]
     fn span_skips_clock_when_disabled() {
         let obs = Obs::noop();
-        let span = obs.span("never");
+        let span = obs.span(SITE_CHUNK_NS);
         assert!(span.start.is_none());
     }
 }

@@ -1,7 +1,8 @@
 //! The storing [`Recorder`]: named counters, gauges and histograms behind
 //! one mutex, plus the optional JSONL journal writer.
 
-use crate::histogram::{Histogram, HistogramSnapshot};
+use crate::catalogue::{Counter, Gauge, Histogram};
+use crate::histogram::{HistogramSnapshot, Log2Histogram};
 use crate::journal::Event;
 use crate::quantile::QuantileSketch;
 use crate::recorder::Recorder;
@@ -10,20 +11,26 @@ use crate::trace::{SpanId, SpanRecord};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `mutex`, recovering it when poisoned: every structure this crate
+/// guards is valid between statements, and peer bytes reach the callers.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 #[derive(Debug, Default)]
 struct Metrics {
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, f64>,
-    histograms: BTreeMap<&'static str, Histogram>,
+    histograms: BTreeMap<&'static str, Log2Histogram>,
     sketches: BTreeMap<&'static str, QuantileSketch>,
     /// When true, every record call also feeds the telemetry capture
     /// below, which [`Registry::drain_telemetry`] swaps out periodically.
     telemetry: bool,
-    tele_counters: BTreeMap<&'static str, u64>,
-    tele_gauges: BTreeMap<&'static str, f64>,
-    tele_observations: Vec<(&'static str, u64)>,
+    tele_counters: BTreeMap<Counter, u64>,
+    tele_gauges: BTreeMap<Gauge, f64>,
+    tele_observations: Vec<(Histogram, u64)>,
 }
 
 /// Span storage: per-node id allocators plus the flat record list. Records
@@ -52,7 +59,9 @@ struct FlightRing {
 /// One `Registry` is shared (via [`crate::Obs`]) by every instrumented
 /// layer of a run: sites, coordinator, driver and simulator. `BTreeMap`
 /// storage means every report is name-sorted without an explicit sort,
-/// and `&'static str` keys mean recording never allocates for the name.
+/// and keys are the `&'static str` of a [`crate::catalogue`] handle, so
+/// recording never allocates for the name.
+#[derive(Default)]
 pub struct Registry {
     metrics: Mutex<Metrics>,
     events_recorded: AtomicU64,
@@ -72,25 +81,11 @@ impl std::fmt::Debug for Registry {
     }
 }
 
-impl Default for Registry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Registry {
     /// Creates a registry with no journal: events still count toward
     /// [`Registry::events_recorded`] but are not persisted.
     pub fn new() -> Self {
-        Registry {
-            metrics: Mutex::new(Metrics::default()),
-            events_recorded: AtomicU64::new(0),
-            sim_time: AtomicU64::new(0),
-            journal: Mutex::new(None),
-            tracing: AtomicBool::new(false),
-            trace: Mutex::new(TraceState::default()),
-            flight: Mutex::new(FlightRing::default()),
-        }
+        Self::default()
     }
 
     /// Turns on telemetry capture: from now on every counter/gauge/observe
@@ -98,7 +93,7 @@ impl Registry {
     /// [`Registry::drain_telemetry`]. Off by default, so registries that
     /// never flush (the simulator, tests) pay only a `bool` check.
     pub fn enable_telemetry(&self) {
-        self.metrics.lock().expect("metrics lock").telemetry = true;
+        lock(&self.metrics).telemetry = true;
     }
 
     /// Turns on the flight recorder: the last `cap` journal lines are
@@ -106,7 +101,7 @@ impl Registry {
     /// attached) and shipped with the next drained delta that asks for
     /// them — the post-mortem trail a crashed site leaves behind.
     pub fn enable_flight_recorder(&self, cap: usize) {
-        let mut flight = self.flight.lock().expect("flight lock");
+        let mut flight = lock(&self.flight);
         flight.cap = cap;
         while flight.lines.len() > cap {
             flight.lines.pop_front();
@@ -126,26 +121,26 @@ impl Registry {
             ..TelemetryDelta::default()
         };
         {
-            let mut m = self.metrics.lock().expect("metrics lock");
+            let mut m = lock(&self.metrics);
             if !m.telemetry {
                 return None;
             }
             delta.counters = std::mem::take(&mut m.tele_counters).into_iter().collect();
             delta.gauges = std::mem::take(&mut m.tele_gauges).into_iter().collect();
-            let mut grouped: BTreeMap<&'static str, Vec<u64>> = BTreeMap::new();
-            for (name, value) in std::mem::take(&mut m.tele_observations) {
-                grouped.entry(name).or_default().push(value);
+            let mut grouped: BTreeMap<Histogram, Vec<u64>> = BTreeMap::new();
+            for (histogram, value) in std::mem::take(&mut m.tele_observations) {
+                grouped.entry(histogram).or_default().push(value);
             }
             delta.observations = grouped.into_iter().collect();
         }
         {
-            let mut trace = self.trace.lock().expect("trace lock");
+            let mut trace = lock(&self.trace);
             let from = trace.drained;
             delta.spans.extend_from_slice(&trace.records[from..]);
             trace.drained = trace.records.len();
         }
         if include_flight {
-            let mut flight = self.flight.lock().expect("flight lock");
+            let mut flight = lock(&self.flight);
             delta.flight = flight.lines.drain(..).collect();
         }
         (!delta.is_empty()).then_some(delta)
@@ -161,37 +156,27 @@ impl Registry {
     /// All span records, in allocation order. Open spans (never closed)
     /// keep `end_us == start_us`.
     pub fn spans(&self) -> Vec<SpanRecord> {
-        self.trace.lock().expect("trace lock").records.clone()
+        lock(&self.trace).records.clone()
     }
 
     /// Registers an exact quantile sketch fed by every subsequent
-    /// [`Recorder::observe`] of `name` (with the default rank-error bound
-    /// [`crate::quantile::DEFAULT_EPSILON`]). Observations recorded before
-    /// registration are not replayed.
-    pub fn track_quantiles(&self, name: &'static str) {
-        self.metrics
-            .lock()
-            .expect("metrics lock")
-            .sketches
-            .entry(name)
-            .or_insert_with(QuantileSketch::default);
+    /// [`Recorder::observe`] of `histogram` (with the default rank-error
+    /// bound [`crate::quantile::DEFAULT_EPSILON`]). Observations recorded
+    /// before registration are not replayed.
+    pub fn track_quantiles(&self, histogram: Histogram) {
+        lock(&self.metrics).sketches.entry(histogram.0).or_default();
     }
 
     /// Exact (within the sketch's εn rank error) quantile of a tracked
     /// series, or `None` when no sketch is registered or it is empty.
     pub fn exact_quantile(&self, name: &str, q: f64) -> Option<u64> {
-        self.metrics
-            .lock()
-            .expect("metrics lock")
-            .sketches
-            .get(name)
-            .and_then(|s| s.query(q))
+        lock(&self.metrics).sketches.get(name).and_then(|s| s.query(q))
     }
 
     /// Name-sorted `(name, count, p50, p90, p99, max)` rows for every
     /// non-empty registered quantile sketch.
     pub fn quantile_rows(&self) -> Vec<(&'static str, u64, u64, u64, u64, u64)> {
-        let metrics = self.metrics.lock().expect("metrics lock");
+        let metrics = lock(&self.metrics);
         metrics
             .sketches
             .iter()
@@ -214,13 +199,13 @@ impl Registry {
     /// output.
     pub fn with_journal(writer: Box<dyn Write + Send>) -> Self {
         let r = Registry::new();
-        *r.journal.lock().expect("journal lock") = Some(writer);
+        *lock(&r.journal) = Some(writer);
         r
     }
 
     /// Flushes the journal writer, if any.
     pub fn flush_journal(&self) -> std::io::Result<()> {
-        match self.journal.lock().expect("journal lock").as_mut() {
+        match lock(&self.journal).as_mut() {
             Some(w) => w.flush(),
             None => Ok(()),
         }
@@ -233,55 +218,32 @@ impl Registry {
 
     /// Current value of a counter (0 when never touched).
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.metrics.lock().expect("metrics lock").counters.get(name).copied().unwrap_or(0)
+        lock(&self.metrics).counters.get(name).copied().unwrap_or(0)
     }
 
     /// Current value of a gauge, if set.
     pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.metrics.lock().expect("metrics lock").gauges.get(name).copied()
+        lock(&self.metrics).gauges.get(name).copied()
     }
 
     /// Snapshot of a histogram, if it has recorded anything.
     pub fn histogram_snapshot(&self, name: &str) -> Option<HistogramSnapshot> {
-        self.metrics
-            .lock()
-            .expect("metrics lock")
-            .histograms
-            .get(name)
-            .map(Histogram::snapshot)
+        lock(&self.metrics).histograms.get(name).map(Log2Histogram::snapshot)
     }
 
     /// All counters, name-sorted.
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        self.metrics
-            .lock()
-            .expect("metrics lock")
-            .counters
-            .iter()
-            .map(|(&k, &v)| (k, v))
-            .collect()
+        lock(&self.metrics).counters.iter().map(|(&k, &v)| (k, v)).collect()
     }
 
     /// All gauges, name-sorted.
     pub fn gauges(&self) -> Vec<(&'static str, f64)> {
-        self.metrics
-            .lock()
-            .expect("metrics lock")
-            .gauges
-            .iter()
-            .map(|(&k, &v)| (k, v))
-            .collect()
+        lock(&self.metrics).gauges.iter().map(|(&k, &v)| (k, v)).collect()
     }
 
     /// All histogram snapshots, name-sorted.
     pub fn histograms(&self) -> Vec<(&'static str, HistogramSnapshot)> {
-        self.metrics
-            .lock()
-            .expect("metrics lock")
-            .histograms
-            .iter()
-            .map(|(&k, h)| (k, h.snapshot()))
-            .collect()
+        lock(&self.metrics).histograms.iter().map(|(&k, h)| (k, h.snapshot())).collect()
     }
 
     /// Renders the whole registry as a fixed-width human-readable table
@@ -343,44 +305,44 @@ impl Recorder for Registry {
         true
     }
 
-    fn counter(&self, name: &'static str, delta: u64) {
-        let mut metrics = self.metrics.lock().expect("metrics lock");
-        *metrics.counters.entry(name).or_insert(0) += delta;
+    fn counter(&self, counter: Counter, delta: u64) {
+        let mut metrics = lock(&self.metrics);
+        *metrics.counters.entry(counter.0).or_insert(0) += delta;
         if metrics.telemetry {
-            *metrics.tele_counters.entry(name).or_insert(0) += delta;
+            *metrics.tele_counters.entry(counter).or_insert(0) += delta;
         }
     }
 
-    fn gauge(&self, name: &'static str, value: f64) {
-        let mut metrics = self.metrics.lock().expect("metrics lock");
-        metrics.gauges.insert(name, value);
+    fn gauge(&self, gauge: Gauge, value: f64) {
+        let mut metrics = lock(&self.metrics);
+        metrics.gauges.insert(gauge.0, value);
         if metrics.telemetry {
-            metrics.tele_gauges.insert(name, value);
+            metrics.tele_gauges.insert(gauge, value);
         }
     }
 
-    fn observe(&self, name: &'static str, value: u64) {
-        let mut metrics = self.metrics.lock().expect("metrics lock");
-        metrics.histograms.entry(name).or_default().record(value);
-        if let Some(sketch) = metrics.sketches.get_mut(name) {
+    fn observe(&self, histogram: Histogram, value: u64) {
+        let mut metrics = lock(&self.metrics);
+        metrics.histograms.entry(histogram.0).or_default().record(value);
+        if let Some(sketch) = metrics.sketches.get_mut(histogram.0) {
             sketch.insert(value);
         }
         if metrics.telemetry {
-            metrics.tele_observations.push((name, value));
+            metrics.tele_observations.push((histogram, value));
         }
     }
 
     fn event(&self, event: &Event) {
         self.events_recorded.fetch_add(1, Ordering::Relaxed);
         let t = self.sim_time.load(Ordering::Relaxed);
-        let mut journal = self.journal.lock().expect("journal lock");
+        let mut journal = lock(&self.journal);
         if let Some(w) = journal.as_mut() {
             // Journal I/O errors must not poison the run; they surface
             // via the flush the reader performs before consuming output.
             let _ = writeln!(w, "{}", event.to_json(t));
         }
         drop(journal);
-        let mut flight = self.flight.lock().expect("flight lock");
+        let mut flight = lock(&self.flight);
         if flight.cap > 0 {
             if flight.lines.len() == flight.cap {
                 flight.lines.pop_front();
@@ -405,7 +367,7 @@ impl Recorder for Registry {
         if !self.tracing_enabled() {
             return SpanId::NONE;
         }
-        let mut trace = self.trace.lock().expect("trace lock");
+        let mut trace = lock(&self.trace);
         let seq = trace.next_seq.entry(node).or_insert(0);
         *seq += 1;
         SpanId::new(node, *seq)
@@ -415,7 +377,7 @@ impl Recorder for Registry {
         if !self.tracing_enabled() {
             return;
         }
-        let mut trace = self.trace.lock().expect("trace lock");
+        let mut trace = lock(&self.trace);
         let idx = trace.records.len();
         trace.records.push(*record);
         trace.index.insert(record.span.0, idx);
@@ -425,7 +387,7 @@ impl Recorder for Registry {
         if !self.tracing_enabled() {
             return;
         }
-        let mut trace = self.trace.lock().expect("trace lock");
+        let mut trace = lock(&self.trace);
         if let Some(&idx) = trace.index.get(&span.0) {
             let r = &mut trace.records[idx];
             r.end_us = end_us.max(r.start_us);
@@ -445,9 +407,9 @@ mod tests {
     #[test]
     fn counters_accumulate_and_sort() {
         let r = Registry::new();
-        r.counter("b.two", 2);
-        r.counter("a.one", 1);
-        r.counter("b.two", 3);
+        r.counter(Counter("b.two"), 2);
+        r.counter(Counter("a.one"), 1);
+        r.counter(Counter("b.two"), 3);
         assert_eq!(r.counter_value("b.two"), 5);
         assert_eq!(r.counter_value("missing"), 0);
         let names: Vec<_> = r.counters().iter().map(|(n, _)| *n).collect();
@@ -457,8 +419,8 @@ mod tests {
     #[test]
     fn gauges_overwrite() {
         let r = Registry::new();
-        r.gauge("g", 1.0);
-        r.gauge("g", 2.5);
+        r.gauge(Gauge("g"), 1.0);
+        r.gauge(Gauge("g"), 2.5);
         assert_eq!(r.gauge_value("g"), Some(2.5));
         assert_eq!(r.gauge_value("missing"), None);
     }
@@ -466,8 +428,8 @@ mod tests {
     #[test]
     fn histograms_record() {
         let r = Registry::new();
-        r.observe("h", 3);
-        r.observe("h", 5);
+        r.observe(Histogram("h"), 3);
+        r.observe(Histogram("h"), 5);
         let s = r.histogram_snapshot("h").unwrap();
         assert_eq!(s.count, 2);
         assert_eq!(s.sum, 8);
@@ -513,7 +475,8 @@ mod tests {
 
     #[test]
     fn tracing_is_opt_in_and_deterministic() {
-        use crate::trace::{TraceId, SpanRecord, SpanId};
+        use crate::catalogue::SpanName;
+        use crate::trace::{SpanId, SpanRecord, TraceId};
         let r = Registry::new();
         // Off by default: allocations return NONE, records are dropped.
         assert!(!r.tracing_enabled());
@@ -522,7 +485,7 @@ mod tests {
             trace: TraceId::new(0, 0),
             span: SpanId::new(0, 1),
             parent: None,
-            name: "dropped",
+            name: SpanName("dropped"),
             node: 0,
             start_us: 0,
             end_us: 0,
@@ -539,7 +502,7 @@ mod tests {
             trace: TraceId::new(0, 0),
             span,
             parent: None,
-            name: "wire",
+            name: SpanName("wire"),
             node: 0,
             start_us: 100,
             end_us: 100,
@@ -558,10 +521,10 @@ mod tests {
     #[test]
     fn sketches_feed_from_observe_after_registration() {
         let r = Registry::new();
-        r.observe("lat", 1); // before registration: not replayed
-        r.track_quantiles("lat");
+        r.observe(Histogram("lat"), 1); // before registration: not replayed
+        r.track_quantiles(Histogram("lat"));
         for v in [10u64, 20, 30, 40] {
-            r.observe("lat", v);
+            r.observe(Histogram("lat"), v);
         }
         assert_eq!(r.exact_quantile("lat", 0.5), Some(20));
         assert_eq!(r.exact_quantile("lat", 1.0), Some(40));
@@ -580,31 +543,32 @@ mod tests {
     #[test]
     fn telemetry_capture_is_opt_in_and_drains_once() {
         let r = Registry::new();
-        r.counter("pre", 1);
+        r.counter(Counter("pre"), 1);
         assert!(r.drain_telemetry(false).is_none(), "capture off: nothing staged");
         r.enable_telemetry();
         // Metrics recorded before enabling are not replayed.
-        r.counter("net.bytes", 10);
-        r.counter("net.bytes", 5);
-        r.gauge("window.models", 2.0);
-        r.gauge("window.models", 3.0);
-        r.observe("em.cost_us", 40);
-        r.observe("em.cost_us", 80);
+        r.counter(Counter("net.bytes"), 10);
+        r.counter(Counter("net.bytes"), 5);
+        r.gauge(Gauge("window.models"), 2.0);
+        r.gauge(Gauge("window.models"), 3.0);
+        r.observe(Histogram("em.cost_us"), 40);
+        r.observe(Histogram("em.cost_us"), 80);
         let delta = r.drain_telemetry(false).expect("staged");
-        assert_eq!(delta.counters, vec![("net.bytes", 15)]);
-        assert_eq!(delta.gauges, vec![("window.models", 3.0)]);
-        assert_eq!(delta.observations, vec![("em.cost_us", vec![40, 80])]);
+        assert_eq!(delta.counters, vec![(Counter("net.bytes"), 15)]);
+        assert_eq!(delta.gauges, vec![(Gauge("window.models"), 3.0)]);
+        assert_eq!(delta.observations, vec![(Histogram("em.cost_us"), vec![40, 80])]);
         assert!(delta.spans.is_empty() && delta.flight.is_empty());
         // Drained means drained: a second drain with nothing new is None.
         assert!(r.drain_telemetry(false).is_none());
-        r.counter("net.bytes", 1);
-        assert_eq!(r.drain_telemetry(false).unwrap().counters, vec![("net.bytes", 1)]);
+        r.counter(Counter("net.bytes"), 1);
+        assert_eq!(r.drain_telemetry(false).unwrap().counters, vec![(Counter("net.bytes"), 1)]);
         // The cumulative registry view is unaffected by draining.
         assert_eq!(r.counter_value("net.bytes"), 16);
     }
 
     #[test]
     fn telemetry_drains_new_spans_only() {
+        use crate::catalogue::SpanName;
         use crate::trace::{SpanId, SpanRecord, TraceId};
         let r = Registry::new();
         r.enable_telemetry();
@@ -613,7 +577,7 @@ mod tests {
             trace: TraceId::new(0, 0),
             span: SpanId::new(0, seq),
             parent: None,
-            name: "s",
+            name: SpanName("s"),
             node: 0,
             start_us: seq,
             end_us: seq,
@@ -654,11 +618,11 @@ mod tests {
     #[test]
     fn render_table_lists_everything() {
         let r = Registry::new();
-        r.counter("site.chunks", 4);
-        r.gauge("coord.groups", 2.0);
-        r.observe("em.iters_per_fit", 12);
+        r.counter(Counter("site.records"), 4);
+        r.gauge(Gauge("coord.groups"), 2.0);
+        r.observe(Histogram("em.iters_per_fit"), 12);
         let table = r.render_table();
-        assert!(table.contains("site.chunks"), "{table}");
+        assert!(table.contains("site.records"), "{table}");
         assert!(table.contains("coord.groups"), "{table}");
         assert!(table.contains("em.iters_per_fit"), "{table}");
         assert!(table.contains("events recorded: 0"), "{table}");

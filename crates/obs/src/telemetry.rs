@@ -16,37 +16,23 @@
 //! existing heartbeat cadence, so the control-plane overhead is bounded
 //! and separately accounted (`net.ctrl_bytes`).
 //!
-//! Metric names cross the wire as strings but the registry keys on
-//! `&'static str`; [`intern`] bridges the two by leaking each *unique*
-//! name once. The vocabulary is bounded (a fixed set of instrument names
-//! times the site count), so the leak is a one-time cost, not a growth.
+//! Names cross the wire as strings, and the [`crate::catalogue`] is the
+//! contract: decoding maps each one onto its declared entry, and a name
+//! that is not declared with the kind of its section is skipped and
+//! counted ([`TelemetryDelta::unknown`]). A peer can therefore neither
+//! mint a registry key nor grow the node that decodes it.
 
+use crate::catalogue::{lookup, Counter, Gauge, Histogram, SpanName};
+use crate::catalogue::{OBS_UNKNOWN_SERIES, ROUND_STATE};
 use crate::trace::{SpanId, SpanRecord, TraceId};
 use cludistream_wire::{ByteBuf, ByteReader};
-use std::collections::BTreeSet;
-use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Version byte leading every encoded delta; bump on layout change.
 pub const TELEMETRY_VERSION: u8 = 1;
 
-/// Returns a `&'static str` equal to `name`, leaking each unique string
-/// at most once. Used when decoding wire metric names into registry keys
-/// and when synthesizing per-site names (`site3.em.cost_us`).
-pub fn intern(name: &str) -> &'static str {
-    static POOL: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
-    // A poisoned pool is still a valid set (an insert either happened or
-    // did not), and this runs while decoding peer telemetry: recover.
-    let mut pool = POOL
-        .get_or_init(|| Mutex::new(BTreeSet::new()))
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    if let Some(&existing) = pool.get(name) {
-        return existing;
-    }
-    let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-    pool.insert(leaked);
-    leaked
-}
+/// Declared names only the decoding parent records (a child's liveness as
+/// it sees it, the names it skipped): a peer that sends one is spoofing.
+const PARENT_ONLY: [&str; 2] = [ROUND_STATE.as_str(), OBS_UNKNOWN_SERIES.as_str()];
 
 /// Everything one site recorded since its previous telemetry flush.
 ///
@@ -62,13 +48,13 @@ pub struct TelemetryDelta {
     /// clock-offset estimate from the handshake.
     pub local_now_us: u64,
     /// Counter increments since the last flush, name-sorted.
-    pub counters: Vec<(&'static str, u64)>,
+    pub counters: Vec<(Counter, u64)>,
     /// Gauge values set since the last flush (last write wins),
     /// name-sorted.
-    pub gauges: Vec<(&'static str, f64)>,
+    pub gauges: Vec<(Gauge, f64)>,
     /// Raw histogram observations since the last flush, in record order
     /// grouped by name.
-    pub observations: Vec<(&'static str, Vec<u64>)>,
+    pub observations: Vec<(Histogram, Vec<u64>)>,
     /// Span records newly visible since the last flush (still on the
     /// site's local clock; the aggregator rebases them).
     pub spans: Vec<SpanRecord>,
@@ -76,6 +62,10 @@ pub struct TelemetryDelta {
     /// first flush after a crash-resync so post-mortems reach the
     /// coordinator journal.
     pub flight: Vec<String>,
+    /// Names [`TelemetryDelta::decode`] skipped: undeclared, or declared
+    /// with another kind than their section's. Never encoded; the fleet
+    /// counts them as `obs.unknown_series`.
+    pub unknown: u64,
 }
 
 impl TelemetryDelta {
@@ -111,17 +101,17 @@ impl TelemetryDelta {
         buf.put_u64_le(self.local_now_us);
         buf.put_u32_le(self.counters.len() as u32);
         for (name, delta) in &self.counters {
-            buf.put_var_str(name);
+            buf.put_var_str(name.as_str());
             buf.put_u64_le(*delta);
         }
         buf.put_u32_le(self.gauges.len() as u32);
         for (name, value) in &self.gauges {
-            buf.put_var_str(name);
+            buf.put_var_str(name.as_str());
             buf.put_f64_le(*value);
         }
         buf.put_u32_le(self.observations.len() as u32);
         for (name, values) in &self.observations {
-            buf.put_var_str(name);
+            buf.put_var_str(name.as_str());
             buf.put_u32_le(values.len() as u32);
             for v in values {
                 buf.put_u64_le(*v);
@@ -132,7 +122,7 @@ impl TelemetryDelta {
             buf.put_u64_le(s.trace.0);
             buf.put_u64_le(s.span.0);
             buf.put_u64_le(s.parent.map_or(0, |p| p.0));
-            buf.put_var_str(s.name);
+            buf.put_var_str(s.name.as_str());
             buf.put_u32_le(s.node);
             buf.put_u64_le(s.start_us);
             buf.put_u64_le(s.end_us);
@@ -146,8 +136,11 @@ impl TelemetryDelta {
     }
 
     /// Decodes a delta, checking `remaining()` before every fixed-width
-    /// read so malformed input is an `Err`, never a panic. Metric and
-    /// span names are interned.
+    /// read so malformed input is an `Err`, never a panic. Every name is
+    /// looked up in the catalogue: an entry of the section's kind becomes
+    /// its handle, anything else (parent-only entries included) is skipped,
+    /// a span with its whole record, and counted in
+    /// [`TelemetryDelta::unknown`].
     pub fn decode(r: &mut ByteReader<'_>) -> Result<TelemetryDelta, &'static str> {
         fn need(r: &ByteReader<'_>, bytes: usize) -> Result<(), &'static str> {
             if r.remaining() < bytes {
@@ -160,9 +153,17 @@ impl TelemetryDelta {
             need(r, 4)?;
             Ok(r.get_u32_le() as usize)
         }
-        fn name(r: &mut ByteReader<'_>) -> Result<&'static str, &'static str> {
+        /// The declared name of `kind` the next string spells, `None`
+        /// (counted) for anything else.
+        fn name(
+            r: &mut ByteReader<'_>,
+            kind: &str,
+            unknown: &mut u64,
+        ) -> Result<Option<&'static str>, &'static str> {
             let s = r.get_var_str().ok_or("bad telemetry string")?;
-            Ok(intern(&s))
+            let found = lookup(&s).filter(|e| e.kind == kind && !PARENT_ONLY.contains(&e.name));
+            *unknown += u64::from(found.is_none());
+            Ok(found.map(|e| e.name))
         }
 
         need(r, 1 + 4 + 8)?;
@@ -172,86 +173,159 @@ impl TelemetryDelta {
         }
         let site = r.get_u32_le();
         let local_now_us = r.get_u64_le();
-        let mut delta = TelemetryDelta { site, local_now_us, ..TelemetryDelta::default() };
+        let mut d = TelemetryDelta { site, local_now_us, ..TelemetryDelta::default() };
         for _ in 0..count(r)? {
-            let n = name(r)?;
+            let n = name(r, Counter::KIND, &mut d.unknown)?;
             need(r, 8)?;
-            delta.counters.push((n, r.get_u64_le()));
+            let value = r.get_u64_le();
+            d.counters.extend(n.map(|n| (Counter(n), value)));
         }
         for _ in 0..count(r)? {
-            let n = name(r)?;
+            let n = name(r, Gauge::KIND, &mut d.unknown)?;
             need(r, 8)?;
-            delta.gauges.push((n, r.get_f64_le()));
+            let value = r.get_f64_le();
+            d.gauges.extend(n.map(|n| (Gauge(n), value)));
         }
         for _ in 0..count(r)? {
-            let n = name(r)?;
+            let n = name(r, Histogram::KIND, &mut d.unknown)?;
             let k = count(r)?;
             need(r, k.checked_mul(8).ok_or("bad observation count")?)?;
-            let mut values = Vec::with_capacity(k);
-            for _ in 0..k {
-                values.push(r.get_u64_le());
-            }
-            delta.observations.push((n, values));
+            let values: Vec<u64> = (0..k).map(|_| r.get_u64_le()).collect();
+            d.observations.extend(n.map(|n| (Histogram(n), values)));
         }
         for _ in 0..count(r)? {
             need(r, 8 * 3)?;
             let trace = TraceId(r.get_u64_le());
             let span = SpanId(r.get_u64_le());
             let parent_raw = r.get_u64_le();
-            let sname = name(r)?;
+            let n = name(r, SpanName::KIND, &mut d.unknown)?;
             need(r, 4 + 8 * 3)?;
-            delta.spans.push(SpanRecord {
+            let (node, start_us, end_us, cost_us) =
+                (r.get_u32_le(), r.get_u64_le(), r.get_u64_le(), r.get_u64_le());
+            d.spans.extend(n.map(|n| SpanRecord {
                 trace,
                 span,
                 parent: (parent_raw != 0).then_some(SpanId(parent_raw)),
-                name: sname,
-                node: r.get_u32_le(),
-                start_us: r.get_u64_le(),
-                end_us: r.get_u64_le(),
-                cost_us: r.get_u64_le(),
-            });
+                name: SpanName(n),
+                node,
+                start_us,
+                end_us,
+                cost_us,
+            }));
         }
         for _ in 0..count(r)? {
-            delta.flight.push(r.get_var_str().ok_or("bad flight line")?);
+            d.flight.push(r.get_var_str().ok_or("bad flight line")?);
         }
-        Ok(delta)
+        Ok(d)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalogue::{
+        COORD_GROUPS, EM_ITERS_PER_FIT, HB_RTT_US, NET_BYTES, SITE_CHUNK, SITE_RECORDS,
+    };
 
     fn sample() -> TelemetryDelta {
         TelemetryDelta {
             site: 3,
             local_now_us: 42_000,
-            counters: vec![(intern("net.bytes"), 512), (intern("site.chunks"), 2)],
-            gauges: vec![(intern("coord.groups"), 2.5)],
-            observations: vec![
-                (intern("em.cost_us"), vec![120, 80, 3000]),
-                (intern("hb.rtt_us"), vec![]),
-            ],
+            counters: vec![(NET_BYTES, 512), (SITE_RECORDS, 2)],
+            gauges: vec![(COORD_GROUPS, 2.5)],
+            observations: vec![(EM_ITERS_PER_FIT, vec![120, 80, 3000]), (HB_RTT_US, vec![])],
             spans: vec![SpanRecord {
                 trace: TraceId::new(3, 7),
                 span: SpanId::new(3, 1),
                 parent: Some(SpanId::new(3, 9)),
-                name: intern("site.chunk"),
+                name: SITE_CHUNK,
                 node: 3,
                 start_us: 100,
                 end_us: 900,
                 cost_us: 40,
             }],
             flight: vec!["{\"t\":0,\"event\":\"ReMerge\",\"group\":1}".to_owned()],
+            unknown: 0,
         }
     }
 
+    /// The documented layout, byte for byte: what a peer built before
+    /// names were typed still decodes, and what this one encodes is what
+    /// such a peer expects.
     #[test]
-    fn intern_dedups_and_is_stable() {
-        let a = intern("em.cost_us");
-        let b = intern(&"em.cost_us".to_owned());
-        assert_eq!(a as *const str, b as *const str);
-        assert_eq!(a, "em.cost_us");
+    fn encoding_is_the_documented_layout() {
+        let mut want = ByteBuf::new();
+        want.put_u8(TELEMETRY_VERSION);
+        want.put_u32_le(3);
+        want.put_u64_le(42_000);
+        want.put_u32_le(2);
+        for (name, v) in [("net.bytes", 512), ("site.records", 2)] {
+            want.put_var_str(name);
+            want.put_u64_le(v);
+        }
+        want.put_u32_le(1);
+        want.put_var_str("coord.groups");
+        want.put_f64_le(2.5);
+        want.put_u32_le(2);
+        want.put_var_str("em.iters_per_fit");
+        want.put_u32_le(3);
+        for v in [120, 80, 3000] {
+            want.put_u64_le(v);
+        }
+        want.put_var_str("hb.rtt_us");
+        want.put_u32_le(0);
+        want.put_u32_le(1);
+        for v in [TraceId::new(3, 7).0, SpanId::new(3, 1).0, SpanId::new(3, 9).0] {
+            want.put_u64_le(v);
+        }
+        want.put_var_str("site.chunk");
+        want.put_u32_le(3);
+        for v in [100, 900, 40] {
+            want.put_u64_le(v);
+        }
+        want.put_u32_le(1);
+        want.put_var_str("{\"t\":0,\"event\":\"ReMerge\",\"group\":1}");
+        assert_eq!(sample().encode().as_slice(), want.as_slice());
+    }
+
+    /// An undeclared name, a declared one in another kind's section, or a
+    /// parent-only one is skipped with its value (a span with its record)
+    /// and counted; the declared names around it still decode.
+    #[test]
+    fn undeclared_wrong_kind_and_parent_only_names_are_skipped_and_counted() {
+        let mut buf = ByteBuf::new();
+        buf.put_u8(TELEMETRY_VERSION);
+        buf.put_u32_le(0);
+        buf.put_u64_le(0);
+        buf.put_u32_le(4); // counters
+        for name in ["made.up", "coord.groups", "obs.unknown_series", "net.bytes"] {
+            buf.put_var_str(name);
+            buf.put_u64_le(7);
+        }
+        buf.put_u32_le(2); // gauges
+        for name in ["net.bytes", "round_state"] {
+            buf.put_var_str(name);
+            buf.put_f64_le(1.0);
+        }
+        buf.put_u32_le(1); // observations
+        buf.put_var_str("site.chunk");
+        buf.put_u32_le(2);
+        buf.put_u64_le(1);
+        buf.put_u64_le(2);
+        buf.put_u32_le(1); // spans
+        for v in [1, 2, 0] {
+            buf.put_u64_le(v);
+        }
+        buf.put_var_str("hb.rtt_us");
+        buf.put_u32_le(0);
+        for v in [0, 0, 0] {
+            buf.put_u64_le(v);
+        }
+        buf.put_u32_le(0); // flight
+        let d = TelemetryDelta::decode(&mut buf.reader()).expect("well-formed");
+        assert_eq!(d.counters, vec![(NET_BYTES, 7)]);
+        assert!(d.gauges.is_empty() && d.observations.is_empty() && d.spans.is_empty());
+        assert_eq!(d.unknown, 7);
     }
 
     #[test]
@@ -277,7 +351,7 @@ mod tests {
             trace: TraceId::new(0, 0),
             span: SpanId::new(0, 1),
             parent: None,
-            name: intern("root"),
+            name: SITE_CHUNK,
             node: 0,
             start_us: 5,
             end_us: 6,

@@ -15,6 +15,8 @@
 //! critical-path extractor report `max(sim width, cost)` so compute and
 //! wire time are comparable on one axis.
 
+use crate::catalogue::SpanName;
+
 /// Bits reserved for the per-node sequence / per-site chunk index in the
 /// packed 64-bit identifiers. 40 bits ≈ 10¹² spans per node.
 const SEQ_BITS: u32 = 40;
@@ -103,9 +105,9 @@ pub struct SpanRecord {
     pub span: SpanId,
     /// Parent span, `None` for a trace root.
     pub parent: Option<SpanId>,
-    /// Static span name (e.g. `site.chunk`, `wire.synopsis`,
+    /// Declared span name (e.g. `site.chunk`, `wire.synopsis`,
     /// `coord.simplex`).
-    pub name: &'static str,
+    pub name: SpanName,
     /// Emitting node (site index, or the coordinator's node id).
     pub node: u32,
     /// Simulated start time, microseconds.
@@ -180,7 +182,7 @@ mod tests {
             trace: TraceId::new(0, 0),
             span: SpanId::new(0, 1),
             parent: None,
-            name: "x",
+            name: SpanName("x"),
             node: 0,
             start_us: 100,
             end_us: 130,

@@ -7,6 +7,7 @@
 //! calls. This is an
 //! integration test so it owns the process-wide `#[global_allocator]`.
 
+use cludistream_obs::catalogue::{COORD_GROUPS, EM_ESTEP_BLOCKS, EM_ITERS_PER_FIT, SITE_CHUNK_NS};
 use cludistream_obs::{Event, NopRecorder, Obs, Recorder, Verdict};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -61,18 +62,18 @@ fn noop_recorder_never_allocates() {
 
     let before = allocations();
     for i in 0..1000u64 {
-        obs.counter("em.iterations", i);
-        obs.gauge("coord.groups", i as f64);
-        obs.observe("site.chunk_ns", i);
+        obs.counter(EM_ESTEP_BLOCKS, i);
+        obs.gauge(COORD_GROUPS, i as f64);
+        obs.observe(SITE_CHUNK_NS, i);
         for e in &events {
             obs.event(e);
         }
         obs.set_sim_time(i);
-        let _span = obs.span("site.chunk_ns");
+        let _span = obs.span(SITE_CHUNK_NS);
     }
     // Cloning the shared handle must also be allocation-free.
     let clone = obs.clone();
-    clone.counter("x", 1);
+    clone.counter(EM_ESTEP_BLOCKS, 1);
     let after = allocations();
 
     assert_eq!(
@@ -88,8 +89,8 @@ fn monomorphized_noop_recorder_never_allocates() {
     // The statically-dispatched form used inside `gmm::em`'s hot loop.
     fn instrumented<R: Recorder + ?Sized>(rec: &R) {
         for i in 0..1000u64 {
-            rec.counter("em.iterations", i);
-            rec.observe("em.iters_per_fit", i);
+            rec.counter(EM_ESTEP_BLOCKS, i);
+            rec.observe(EM_ITERS_PER_FIT, i);
         }
     }
     let before = allocations();

@@ -141,8 +141,7 @@ impl<M: 'static> Simulation<M> {
     /// Attaches a telemetry observer. The simulator stamps the observer's
     /// sim-time clock as the event loop advances (so journaled events carry
     /// deterministic simulated timestamps, never wall-clock) and records
-    /// `net.messages` / `net.bytes` counters plus a `net.msg_bytes`
-    /// size histogram for every send.
+    /// the `net.messages` / `net.bytes` counters for every send.
     pub fn set_observer(&mut self, obs: Obs) {
         self.obs = obs;
     }
