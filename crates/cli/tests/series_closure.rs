@@ -17,8 +17,9 @@
 //!   and event tables are capped at one entry;
 //! - an aggregator round whose second summary is suppressed;
 //! - hostile peers: a handshaken child that resumes, sends undecodable and
-//!   undeclared telemetry and falls silent until evicted, and a stranger
-//!   that speaks for it without a handshake;
+//!   undeclared telemetry and a data frame far past its inbox's ACK, and
+//!   falls silent until evicted, and a stranger that speaks for it without
+//!   a handshake;
 //! - a site whose parent withholds ACKs (send-window stalls), an EM fit
 //!   stopped by its iteration cap, and a member split out of its group.
 
@@ -28,7 +29,7 @@ use cludistream::runtime::{
     PROTOCOL_VERSION,
 };
 use cludistream::{
-    score_snapshot, Config, DriverConfig, Message, ModelId, RecordStream, RemoteSite,
+    score_snapshot, Config, DriverConfig, Frame, Message, ModelId, RecordStream, RemoteSite,
     SnapshotHandle,
 };
 use cludistream_cli::{run, Command, MetricsWorkload};
@@ -379,7 +380,8 @@ fn aggregator_round(seen: &mut Seen) {
 }
 
 /// A child that handshakes as a resuming site 0, sends one undecodable
-/// and one undeclared telemetry delta, and falls silent until evicted —
+/// and one undeclared telemetry delta and one data frame beyond its
+/// inbox's span, and falls silent until evicted —
 /// which ends the round — while a stranger sends `Done` for it.
 fn hostile_peers(seen: &mut Seen) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -418,6 +420,13 @@ fn hostile_peers(seen: &mut Seen) {
     }
     assert!(TelemetryDelta::decode(&mut undeclared.reader()).is_ok_and(|d| d.unknown == 1));
     child.send(&Control::Telemetry { site: 0, payload: undeclared.into_vec() });
+    let ahead = Frame::Data {
+        seq: 1 << 40,
+        message: Message::WeightUpdate { site: 0, model: ModelId(0), count_delta: 1 },
+        ctx: None,
+    };
+    write_frame(&mut child.stream, ahead.encode(CovarianceType::Full).as_slice())
+        .expect("write frame");
     let mut stranger = Raw::connect(&addr);
     stranger.send(&Control::Done { site: 0 });
     stranger.send(&Control::StatusRequest);

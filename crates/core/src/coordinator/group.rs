@@ -1,7 +1,7 @@
 use super::split::m_remerge;
 use crate::remote::ModelId;
 use crate::serving::{SnapshotMember, SnapshotMembers};
-use cludistream_gmm::{Gaussian, GmmError, SuffStats};
+use cludistream_gmm::{DistBoundFactor, Gaussian, GmmError, SuffStats};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -91,6 +91,11 @@ pub struct Group {
     /// Moment-matched aggregate of the members (the `(μ_Mix, Σ_Mix)` of
     /// Eq. 6), derived from `stats` after every change.
     aggregate: Gaussian,
+    /// `aggregate`'s [`Gaussian::dist_bound_factor`], set with it: what
+    /// lets placement and consolidation skip pairs that cannot win. Not
+    /// synopsis payload, so [`super::Coordinator::memory_bytes`] does not
+    /// count it.
+    dist_factor: Option<DistBoundFactor>,
     /// Set when the last change left statistics that yield no Gaussian
     /// even after an exact rebuild; `aggregate` is then the previous one.
     stale: bool,
@@ -125,6 +130,7 @@ impl Group {
             // A singleton's aggregate is its member, should the statistics
             // of a hostile seed yield nothing.
             aggregate: seed.gaussian.clone(),
+            dist_factor: None,
             stale: false,
             members: BTreeMap::from([(0, seed)]),
             next_seq: 1,
@@ -183,6 +189,19 @@ impl Group {
     /// The aggregate Gaussian. Of an empty group, the last one it had.
     pub fn aggregate(&self) -> &Gaussian {
         &self.aggregate
+    }
+
+    /// The aggregate's [`Gaussian::dist_bound_factor`]: `None` while the
+    /// aggregate is the seed a hostile group kept, or fails the
+    /// certificate.
+    pub(crate) fn dist_factor(&self) -> Option<DistBoundFactor> {
+        self.dist_factor
+    }
+
+    /// Makes `aggregate` the group's aggregate, with its bound factor.
+    fn set_aggregate(&mut self, aggregate: Gaussian) {
+        self.dist_factor = aggregate.dist_bound_factor();
+        self.aggregate = aggregate;
     }
 
     /// Adds a member, refreshes the aggregate, and captures the member's
@@ -288,7 +307,7 @@ impl Group {
             || self.stats.n() < self.peak_mass * CANCELLATION_GUARD;
         if !rebuild_due {
             if let Ok((aggregate, _)) = self.stats.to_gaussian() {
-                self.aggregate = aggregate;
+                self.set_aggregate(aggregate);
                 self.stale = false;
                 return;
             }
@@ -313,7 +332,7 @@ impl Group {
         self.stale = false;
         if !self.members.is_empty() {
             match self.stats.to_gaussian() {
-                Ok((aggregate, _)) => self.aggregate = aggregate,
+                Ok((aggregate, _)) => self.set_aggregate(aggregate),
                 Err(_) => self.stale = true,
             }
         }

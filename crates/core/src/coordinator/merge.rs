@@ -22,7 +22,16 @@ const DIST_FLOOR: f64 = 1e-12;
 /// Larger values mean the components are closer and better merge
 /// candidates.
 pub fn m_merge(a: &Gaussian, b: &Gaussian) -> f64 {
-    1.0 / a.precision_weighted_mean_dist(b).max(DIST_FLOOR)
+    m_merge_of_dist(a.precision_weighted_mean_dist(b))
+}
+
+/// `M_merge` as a function of the distance inside it. Given a lower bound
+/// on that distance ([`Gaussian::dist_lower_bound`]) it is an upper bound
+/// on [`m_merge`]: `max` with the floor and a correctly rounded reciprocal
+/// are both monotone, and `−∞` gives the largest value `M_merge` takes.
+/// Never `NaN`: `max` drops a `NaN` distance for the floor.
+pub(crate) fn m_merge_of_dist(dist: f64) -> f64 {
+    1.0 / dist.max(DIST_FLOOR)
 }
 
 /// SMEM's data-driven criterion `J_merge(i,j) = Σ_x Pr(i|x)·Pr(j|x)`

@@ -17,6 +17,8 @@ pub use merge::{
 };
 pub use split::{m_remerge, m_split, should_split};
 
+use merge::m_merge_of_dist;
+
 use crate::protocol::Message;
 use crate::remote::ModelId;
 use cludistream_gmm::{CovarianceType, Gaussian, GmmError, Mixture};
@@ -131,10 +133,18 @@ fn pair_score(groups: &[Group], lo: usize, hi: usize) -> f64 {
     m_merge(groups[lo].aggregate(), groups[hi].aggregate())
 }
 
+/// An upper bound on [`pair_score`] from the groups' cached bound factors,
+/// in O(d); the largest score there is when either aggregate is
+/// uncertified.
+fn pair_cap(groups: &[Group], lo: usize, hi: usize) -> f64 {
+    let (a, b) = (&groups[lo], &groups[hi]);
+    m_merge_of_dist(a.aggregate().dist_lower_bound(a.dist_factor(), b.aggregate(), b.dist_factor()))
+}
+
 /// The pair `i < j` of `0..n` with the largest `score(i, j)`: pairs in
 /// slot order, strict `>`, so the first maximum wins and a NaN score is
-/// never picked over an earlier one. The one place that scans for the pair
-/// to merge.
+/// never picked over an earlier one. The full re-scan debug builds check
+/// every pick of [`Coordinator::consolidate`] against.
 fn best_pair(n: usize, score: impl Fn(usize, usize) -> f64) -> Option<(usize, usize, f64)> {
     let mut best: Option<(usize, usize, f64)> = None;
     for i in 0..n {
@@ -447,17 +457,30 @@ impl Coordinator {
     /// Inserts a component under the re-merge rule: join the group with the
     /// largest `M_remerge` when close enough, found a new group otherwise.
     /// Returns where the component landed.
+    ///
+    /// The pick is the first minimum of `M_split` in slot order under
+    /// `total_cmp`, but a group whose certified lower bound
+    /// ([`Gaussian::dist_lower_bound`]) already exceeds the join limit or
+    /// the best distance so far is not scored: its distance, which is at
+    /// least the bound and then finite, could neither be joined nor be the
+    /// first minimum. An uncertified group's bound is `−∞`, so it is scored.
     fn insert_component(&mut self, key: ComponentKey, gaussian: Gaussian, weight: f64) -> Home {
-        let d = gaussian.dim() as f64;
-        let best = self
-            .groups
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (i, m_split(&gaussian, g.aggregate())))
-            .min_by(|a, b| a.1.total_cmp(&b.1));
+        let limit = self.config.join_distance * gaussian.dim() as f64;
+        let factor = gaussian.dist_bound_factor();
+        let mut best: Option<(usize, f64)> = None;
+        for (i, g) in self.groups.iter().enumerate() {
+            let cap = best.map_or(limit, |(_, dist)| dist.min(limit));
+            if gaussian.dist_lower_bound(factor, g.aggregate(), g.dist_factor()) > cap {
+                continue;
+            }
+            let dist = m_split(&gaussian, g.aggregate());
+            if best.is_none_or(|(_, b)| dist.total_cmp(&b).is_lt()) {
+                best = Some((i, dist));
+            }
+        }
         let member = Member::new(key, gaussian, weight);
         match best {
-            Some((idx, dist)) if dist <= self.config.join_distance * d => {
+            Some((idx, dist)) if dist <= limit => {
                 let group = &mut self.groups[idx];
                 (group.id, group.push(member))
             }
@@ -519,42 +542,78 @@ impl Coordinator {
     /// aggregates) until at most `max_groups` remain, refining merged
     /// representatives with the downhill simplex when enabled.
     ///
-    /// Each pair is scored once per call. `M_merge` is a pure function of
-    /// two aggregates and an aggregate changes only in `absorb`, so the
-    /// scores live in a table local to this call: the upper triangle is
-    /// filled once, and after slot `j` is absorbed into slot `i` only the
-    /// pairs that contain the host are scored again — at the top of the
-    /// next pass, so the last merge of a call re-scores nothing. The table
-    /// is indexed by the slots the groups had when the call began (`live`
-    /// maps today's slots to them); `Vec::remove` keeps slot order, so a
-    /// score is always stored, and computed, as (lower slot, higher slot),
-    /// and [`best_pair`] scans slots in the order the full re-scan did.
-    /// The picks are therefore the re-scan's, bit for bit — which debug
-    /// builds assert at every merge.
+    /// Each pair is scored at most once per call, and only while it can
+    /// still win. `M_merge` is a pure function of two aggregates and an
+    /// aggregate changes only in `absorb`, so the scores live in a table
+    /// local to this call, indexed by the slots the groups had when the
+    /// call began (`live` maps today's slots to them). Next to its score
+    /// each pair keeps a cap, an upper bound on it ([`pair_cap`], O(d)). A
+    /// pass takes the first maximum of the pairs scored so far, then scores
+    /// the others widest cap first and stops at the first cap below the
+    /// best score seen: no pair from there on can reach that score, and
+    /// every pair that could tie it was scored, so the first maximum in
+    /// slot order is among the scored. `Vec::remove` keeps slot order and a
+    /// score is always computed as (lower slot, higher slot), so that is
+    /// the pick of a full re-scan ([`best_pair`]), bit for bit — which debug
+    /// builds assert at every merge. After slot `j` is absorbed into slot
+    /// `i`, the host's caps are recomputed and its scores forgotten at the
+    /// top of the next pass, so the last merge of a call re-scores nothing.
+    /// An uncertified aggregate's cap is the largest score `M_merge` takes,
+    /// so its pairs are scored as they were before there were caps.
     fn consolidate(&mut self) {
         let n = self.groups.len();
         if n <= self.config.max_groups {
             return;
         }
         let mut live: Vec<usize> = (0..n).collect();
-        let mut scores = vec![0.0; n * n];
-        let mut scored = 0u64;
+        // `M_merge` is never NaN, so NaN marks a pair not scored yet.
+        let mut scores = vec![f64::NAN; n * n];
+        let mut caps = vec![0.0; n * n];
         for i in 0..n {
             for j in (i + 1)..n {
-                scores[i * n + j] = pair_score(&self.groups, i, j);
-                scored += 1;
+                caps[i * n + j] = pair_cap(&self.groups, i, j);
             }
         }
+        let mut widest: Vec<(f64, usize, usize)> = Vec::with_capacity(n * (n - 1) / 2);
+        let mut scored = 0u64;
         let mut rescore: Option<usize> = None;
         while self.groups.len() > self.config.max_groups {
             if let Some(host) = rescore.take() {
                 for other in (0..self.groups.len()).filter(|&other| other != host) {
                     let (lo, hi) = (host.min(other), host.max(other));
-                    scores[live[lo] * n + live[hi]] = pair_score(&self.groups, lo, hi);
-                    scored += 1;
+                    let at = live[lo] * n + live[hi];
+                    scores[at] = f64::NAN;
+                    caps[at] = pair_cap(&self.groups, lo, hi);
                 }
             }
-            let best = best_pair(self.groups.len(), |i, j| scores[live[i] * n + live[j]]);
+            // The first maximum of the pairs scored already; then the pairs
+            // not scored yet that can still reach it, widest cap first.
+            let mut best: Option<(usize, usize, f64)> = None;
+            widest.clear();
+            for i in 0..self.groups.len() {
+                for j in (i + 1)..self.groups.len() {
+                    let at = live[i] * n + live[j];
+                    let m = scores[at];
+                    if m.is_nan() {
+                        widest.push((caps[at], i, j));
+                    } else if best.is_none_or(|(_, _, bm)| m > bm) {
+                        best = Some((i, j, m));
+                    }
+                }
+            }
+            widest.retain(|&(cap, _, _)| best.is_none_or(|(_, _, bm)| cap >= bm));
+            widest.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
+            for &(cap, i, j) in &widest {
+                if best.is_some_and(|(_, _, bm)| cap < bm) {
+                    break;
+                }
+                let m = pair_score(&self.groups, i, j);
+                scores[live[i] * n + live[j]] = m;
+                scored += 1;
+                if best.is_none_or(|(bi, bj, bm)| m > bm || (m == bm && (i, j) < (bi, bj))) {
+                    best = Some((i, j, m));
+                }
+            }
             debug_assert_eq!(
                 best.map(|(i, j, m)| (i, j, m.to_bits())),
                 best_pair(self.groups.len(), |i, j| pair_score(&self.groups, i, j))
@@ -940,25 +999,59 @@ mod tests {
         use cludistream_obs::Registry;
         use std::sync::Arc;
 
-        let registry = Arc::new(Registry::new());
-        let mut c = Coordinator::new(CoordinatorConfig::default()).unwrap();
-        c.set_observer(Obs::from_registry(Arc::clone(&registry)));
-        // Eight far-apart singletons: no message needs a merge, and a
-        // message that needs none does not create the series.
-        for site in 0..8 {
-            c.apply(&new_model(site, 0, &[site as f64 * 500.0], 100)).unwrap();
-        }
-        assert_eq!(c.group_count(), 8);
-        assert_eq!(registry.counter_value("coord.pairs_scored"), 0);
-        assert!(registry.counters().iter().all(|(name, _)| *name != "coord.pairs_scored"));
-        // Five more in one message: 13 groups back to 8 in five merges.
-        // 78 pairs once, then the host's 11, 10, 9 and 8 — the last merge
-        // re-scores nothing — where scanning every pair before every
-        // merge would read 78 + 66 + 55 + 45 + 36 = 280.
-        c.apply(&new_model(8, 0, &[-500.0, -1000.0, -1500.0, -2000.0, -2500.0], 100)).unwrap();
-        assert_eq!(c.group_count(), 8);
-        assert_eq!(registry.counter_value("coord.merges"), 5);
-        assert_eq!(registry.counter_value("coord.pairs_scored"), 78 + 11 + 10 + 9 + 8);
+        // Components at (x, 0) with variances (1, var_y).
+        let model = |site: u32, xs: &[f64], var_y: f64| Message::NewModel {
+            site,
+            model: ModelId(0),
+            count: 100,
+            avg_ll: -1.0,
+            mixture: Mixture::uniform(
+                xs.iter()
+                    .map(|&x| {
+                        Gaussian::diagonal(Vector::from_slice(&[x, 0.0]), &[1.0, var_y]).unwrap()
+                    })
+                    .collect(),
+            )
+            .unwrap(),
+        };
+        let run = |var_y: f64| {
+            let registry = Arc::new(Registry::new());
+            let mut c = Coordinator::new(CoordinatorConfig::default()).unwrap();
+            c.set_observer(Obs::from_registry(Arc::clone(&registry)));
+            // Eight far-apart singletons: no message needs a merge, and a
+            // message that needs none does not create the series.
+            for site in 0..8 {
+                c.apply(&model(site, &[f64::from(site) * 500.0], var_y)).unwrap();
+            }
+            assert_eq!(c.group_count(), 8);
+            assert_eq!(registry.counter_value("coord.pairs_scored"), 0);
+            assert!(registry.counters().iter().all(|(name, _)| *name != "coord.pairs_scored"));
+            // Five more in one message: 13 groups back to 8 in five merges.
+            c.apply(&model(8, &[-500.0, -1000.0, -1500.0, -2000.0, -2500.0], var_y)).unwrap();
+            assert_eq!(c.group_count(), 8);
+            assert_eq!(registry.counter_value("coord.merges"), 5);
+            let certified = c.groups().iter().filter(|g| g.dist_factor().is_some()).count();
+            (registry.counter_value("coord.pairs_scored"), certified, c.merge_log().to_vec())
+        };
+        // The caps rule out all but the 12 pairs of neighbours 500 apart,
+        // which tie at M_merge = 2e-6. A merge leaves a host wide along x,
+        // and of its re-capped pairs only those that might reach 2e-6 are
+        // scored: the first host's two new neighbours (1.8e-6 each), the
+        // second's nearest wide group (3.1e-2, merged next), none of the
+        // third's, one of the fourth's: 12, 2, 1, 0 and 1 a pass.
+        let (scored, certified, merges) = run(1.0);
+        assert_eq!(certified, 8);
+        assert_eq!(scored, 12 + 2 + 1 + 1);
+        // κ(Σ) = 1e12 fails every certificate: every cap is the largest
+        // score, and the pairs are scored as the table without caps scored
+        // them — 78 pairs once, then the host's 11, 10, 9 and 8 (the last
+        // merge re-scores nothing), where scanning every pair before every
+        // merge would read 78 + 66 + 55 + 45 + 36 = 280. The y-axis adds
+        // nothing to any distance, so the merges are the same.
+        let (scored, certified, same_merges) = run(1e-12);
+        assert_eq!(certified, 0);
+        assert_eq!(scored, 78 + 11 + 10 + 9 + 8);
+        assert_eq!(same_merges, merges);
     }
 
     #[test]

@@ -318,7 +318,13 @@ impl CoordinatorEngine {
                     self.decode_errors += 1;
                     return None;
                 }
-                for (ready, rctx) in self.inboxes[site].accept_traced(seq, message, tctx) {
+                let inbox = &mut self.inboxes[site];
+                let overflows = inbox.overflows();
+                let released = inbox.accept_traced(seq, message, tctx);
+                if inbox.overflows() > overflows {
+                    self.obs.counter(catalogue::PROTOCOL_INBOX_OVERFLOW, 1);
+                }
+                for (ready, rctx) in released {
                     self.apply_traced(&ready, rctx);
                 }
                 let ack = Frame::Ack { cumulative: self.inboxes[site].cumulative() };

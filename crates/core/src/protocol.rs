@@ -506,14 +506,25 @@ impl ReliableSender {
     }
 }
 
+/// How far past its cumulative ACK an inbox holds frames for a gap to
+/// fill: it buffers sequence numbers `next .. next + INBOX_SPAN` and
+/// discards anything beyond ([`ReliableInbox::overflows`]), which the
+/// sender's go-back-N resends once the ACK moves. A socket sender keeps a
+/// two-frame window, and no simulated fault plan the tests run comes near
+/// it; a peer that opens a gap and never fills it costs the node at most
+/// this many held messages.
+pub const INBOX_SPAN: u64 = 1024;
+
 /// The coordinator half of the reliable-delivery protocol: one inbox per
 /// site. Releases messages in sequence order exactly once; duplicates and
-/// stale retransmits are discarded idempotently.
+/// stale retransmits are discarded idempotently, and frames more than
+/// [`INBOX_SPAN`] ahead are discarded and counted.
 #[derive(Debug, Clone, Default)]
 pub struct ReliableInbox {
     next: u64,
     buffer: BTreeMap<u64, (Message, Option<TraceCtx>)>,
     duplicates: u64,
+    overflows: u64,
 }
 
 impl ReliableInbox {
@@ -544,6 +555,10 @@ impl ReliableInbox {
             self.duplicates += 1;
             return Vec::new();
         }
+        if seq - self.next >= INBOX_SPAN {
+            self.overflows += 1;
+            return Vec::new();
+        }
         self.buffer.insert(seq, (message, ctx));
         let mut ready = Vec::new();
         while let Some(entry) = self.buffer.remove(&self.next) {
@@ -567,6 +582,12 @@ impl ReliableInbox {
     /// Duplicate or stale frames discarded so far.
     pub fn duplicates(&self) -> u64 {
         self.duplicates
+    }
+
+    /// Frames discarded so far for arriving [`INBOX_SPAN`] or more past
+    /// the cumulative ACK.
+    pub fn overflows(&self) -> u64 {
+        self.overflows
     }
 }
 
@@ -801,6 +822,26 @@ mod tests {
         // A duplicate of a buffered-then-released frame is stale now.
         assert!(inbox.accept(2, update(2)).is_empty());
         assert_eq!(inbox.duplicates(), 1);
+    }
+
+    #[test]
+    fn inbox_holds_at_most_its_span_past_a_gap_that_is_never_filled() {
+        let mut inbox = ReliableInbox::new();
+        // A peer sends next + 1 … next + 100 000 and never sends `next`.
+        for seq in 1..=100_000 {
+            assert!(inbox.accept(seq, update(seq)).is_empty());
+            assert!(inbox.buffered() as u64 <= INBOX_SPAN);
+        }
+        assert_eq!(inbox.buffered() as u64, INBOX_SPAN - 1);
+        assert_eq!(inbox.overflows(), 100_000 - (INBOX_SPAN - 1));
+        assert_eq!((inbox.cumulative(), inbox.duplicates()), (0, 0));
+        // The gap fill releases the held prefix, in order.
+        let ready = inbox.accept(0, update(0));
+        assert_eq!(ready.iter().map(model_of).collect::<Vec<_>>(), (0..INBOX_SPAN).collect::<Vec<_>>());
+        assert_eq!((inbox.cumulative(), inbox.buffered()), (INBOX_SPAN, 0));
+        // Go-back-N resends what was discarded; it is now in order.
+        assert_eq!(inbox.accept(INBOX_SPAN, update(INBOX_SPAN)).len(), 1);
+        assert_eq!(inbox.cumulative(), INBOX_SPAN + 1);
     }
 
     #[test]

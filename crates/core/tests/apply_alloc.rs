@@ -62,9 +62,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const WEIGHT_UPDATE_BOUND: u64 = 24;
 
 /// A `NewModel` of five components that founds five groups and merges
-/// five times reads 116 today: member clones, singleton groups, merged
-/// aggregates, one score table and the bookkeeping. Scoring every pair
-/// before every merge at six allocations a score, it read 2 116.
+/// five times reads 118 today: member clones, singleton groups, merged
+/// aggregates, one score table with its caps and the list of pairs a pass
+/// still has to score, and the bookkeeping. Scoring every pair before every
+/// merge at six allocations a score, it read 2 116.
 const NEW_MODEL_BOUND: u64 = 200;
 
 /// A publish after a `WeightUpdate` that changes no membership reads 11

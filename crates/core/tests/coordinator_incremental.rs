@@ -23,11 +23,13 @@ use cludistream::{
     MergeRecord, Message, ModelId, ModelSnapshot, SnapshotGroup, SnapshotHandle, SnapshotMember,
 };
 use cludistream_gmm::{Gaussian, Mixture};
-use cludistream_linalg::Vector;
+use cludistream_linalg::{Matrix, Vector};
+use cludistream_obs::catalogue::{Counter, COORD_PAIRS_SCORED};
 use cludistream_obs::{Event, Obs, Recorder, Registry};
 use cludistream_rng::{check, Rng, StdRng};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Stated tolerance of a running aggregate against the exact rebuild, for
@@ -279,11 +281,13 @@ fn shedding_a_dominant_member_does_not_leave_its_rounding_behind() {
     c.check().unwrap();
 }
 
-/// The coordinator's consolidation as it was before it kept a score table:
-/// every pair of aggregates re-scored before every merge. Written against
-/// the public group API (an absorbed group's members are `push`ed into the
-/// host in their order, which folds the same statistics in the same order
-/// as the merge), for scripts of fresh `NewModel`s only.
+/// The coordinator's placement and consolidation as they were before they
+/// kept a score table and skipped pairs that cannot win: every group scored
+/// for every component placed, every pair of aggregates re-scored before
+/// every merge. Written against the public group API (an absorbed group's
+/// members are `push`ed into the host in their order, which folds the same
+/// statistics in the same order as the merge), for scripts of fresh
+/// `NewModel`s only.
 struct RescanTwin {
     groups: Vec<Group>,
     next_group_id: u64,
@@ -292,9 +296,45 @@ struct RescanTwin {
     join_distance: f64,
     /// Every merge made, with the bits of the winning `M_merge`.
     merges: Vec<(MergeRecord, u64)>,
+    /// What the coordinator's bounds could and could not rule out.
+    tally: PruneTally,
+}
+
+/// Evaluations a full scan makes that a certified bound rules out, and
+/// evaluations it makes because a side has no certified bound.
+#[derive(Default, Debug)]
+struct PruneTally {
+    /// Placements: groups whose bound exceeds the join limit or the best
+    /// distance so far, the rule `insert_component` skips by.
+    placed_pruned: u64,
+    /// Placements: groups scored because a side is uncertified.
+    placed_fallback: u64,
+    /// Consolidation: the pairs a score table without caps scores.
+    table_pairs: u64,
+    /// Consolidation: those with an uncertified aggregate.
+    table_fallback: u64,
+    /// Consolidation: what the coordinator's `coord.pairs_scored` read.
+    pairs_scored: u64,
+}
+
+/// The bound of `Gaussian::dist_lower_bound` from each side's own factor.
+fn bound(a: &Gaussian, b: &Gaussian) -> f64 {
+    a.dist_lower_bound(a.dist_bound_factor(), b, b.dist_bound_factor())
 }
 
 impl RescanTwin {
+    fn new(config: &CoordinatorConfig) -> Self {
+        RescanTwin {
+            groups: Vec::new(),
+            next_group_id: 0,
+            applied: 0,
+            max_groups: config.max_groups,
+            join_distance: config.join_distance,
+            merges: Vec::new(),
+            tally: PruneTally::default(),
+        }
+    }
+
     fn apply(&mut self, message: &Message) {
         let Message::NewModel { site, model, count, mixture, .. } = message else {
             panic!("the twin takes NewModels only");
@@ -303,6 +343,20 @@ impl RescanTwin {
         for (component, (g, &w)) in mixture.components().iter().zip(mixture.weights()).enumerate() {
             let key = ComponentKey { site: *site, model: *model, component };
             let member = Member::new(key, g.clone(), w * *count as f64);
+            let limit = self.join_distance * g.dim() as f64;
+            let mut so_far: Option<f64> = None;
+            for group in &self.groups {
+                let dist = m_split(g, group.aggregate());
+                let bound = bound(g, group.aggregate());
+                if bound == f64::NEG_INFINITY {
+                    self.tally.placed_fallback += 1;
+                } else if bound > so_far.map_or(limit, |b| b.min(limit)) {
+                    self.tally.placed_pruned += 1;
+                }
+                if so_far.is_none_or(|b| dist.total_cmp(&b).is_lt()) {
+                    so_far = Some(dist);
+                }
+            }
             let best = self
                 .groups
                 .iter()
@@ -310,7 +364,7 @@ impl RescanTwin {
                 .map(|(i, group)| (i, m_split(g, group.aggregate())))
                 .min_by(|a, b| a.1.total_cmp(&b.1));
             match best {
-                Some((i, dist)) if dist <= self.join_distance * g.dim() as f64 => {
+                Some((i, dist)) if dist <= limit => {
                     self.groups[i].push(member);
                 }
                 _ => {
@@ -319,11 +373,17 @@ impl RescanTwin {
                 }
             }
         }
+        let mut host: Option<usize> = None;
         while self.groups.len() > self.max_groups {
             let mut best: Option<(usize, usize, f64)> = None;
             for i in 0..self.groups.len() {
                 for j in (i + 1)..self.groups.len() {
-                    let m = m_merge(self.groups[i].aggregate(), self.groups[j].aggregate());
+                    let (a, b) = (self.groups[i].aggregate(), self.groups[j].aggregate());
+                    let m = m_merge(a, b);
+                    if host.is_none_or(|h| h == i || h == j) {
+                        self.tally.table_pairs += 1;
+                        self.tally.table_fallback += u64::from(bound(a, b) == f64::NEG_INFINITY);
+                    }
                     if best.is_none_or(|(_, _, bm)| m > bm) {
                         best = Some((i, j, m));
                     }
@@ -331,6 +391,7 @@ impl RescanTwin {
             }
             let (i, j, m) = best.unwrap();
             let absorbed = self.groups.remove(j);
+            host = Some(i);
             let record = MergeRecord {
                 at_message: self.applied,
                 into_group: self.groups[i].id,
@@ -345,11 +406,18 @@ impl RescanTwin {
     }
 }
 
-/// Keeps the `Merge` events a coordinator journals.
+/// Keeps the `Merge` events a coordinator journals, and sums what it
+/// counts in `coord.pairs_scored`.
 #[derive(Default)]
-struct MergeEvents(Mutex<Vec<((u64, u64), u64)>>);
+struct MergeEvents(Mutex<Vec<((u64, u64), u64)>>, AtomicU64);
 
 impl Recorder for MergeEvents {
+    fn counter(&self, counter: Counter, delta: u64) {
+        if counter == COORD_PAIRS_SCORED {
+            self.1.fetch_add(delta, Ordering::Relaxed);
+        }
+    }
+
     fn event(&self, event: &Event) {
         if let Event::Merge { groups, mahalanobis } = event {
             self.0.lock().unwrap().push((*groups, mahalanobis.to_bits()));
@@ -357,15 +425,62 @@ impl Recorder for MergeEvents {
     }
 }
 
-/// The score table of `Coordinator::consolidate` against the full re-scan
-/// it replaced. Debug builds assert every pick inside the coordinator;
-/// this holds in release builds too, and only where it is not vacuous:
-/// five far-apart components per message force several merges per call, so
-/// the host's row and column are re-scored and rows are dropped between
-/// picks.
+/// Applies `messages` to a coordinator under `config` and to its
+/// [`RescanTwin`], and asserts after each that both placed every component
+/// in the same group, made the same merges with the same `M_merge` bits,
+/// and hold the same groups in the same order with the same aggregates.
+/// Returns the most merges one message made.
+fn against_the_rescan(
+    config: CoordinatorConfig,
+    messages: impl IntoIterator<Item = Message>,
+    tally: &mut PruneTally,
+) -> usize {
+    let mut twin = RescanTwin::new(&config);
+    let events = Arc::new(MergeEvents::default());
+    let mut running = Coordinator::new(config).unwrap();
+    running.set_observer(Obs::new(Arc::clone(&events) as Arc<dyn Recorder + Send + Sync>));
+    let mut deepest = 0;
+    for (at, message) in messages.into_iter().enumerate() {
+        let merges_before = running.merge_log().len();
+        running.apply(&message).unwrap();
+        twin.apply(&message);
+        deepest = deepest.max(running.merge_log().len() - merges_before);
+
+        let log: Vec<MergeRecord> = twin.merges.iter().map(|&(r, _)| r).collect();
+        assert_eq!(running.merge_log(), &log[..], "message {at}: merge log");
+        let journaled: Vec<((u64, u64), u64)> = twin
+            .merges
+            .iter()
+            .map(|&(r, bits)| ((r.into_group, r.absorbed_group), bits))
+            .collect();
+        assert_eq!(*events.0.lock().unwrap(), journaled, "message {at}: Merge events");
+        assert_eq!(running.group_count(), twin.groups.len(), "message {at}: group count");
+        for (r, t) in running.groups().iter().zip(&twin.groups) {
+            assert_eq!(r.id, t.id, "message {at}: group ids");
+            assert_eq!(keys(r), keys(t), "message {at}: members of group {}", r.id);
+            assert_eq!(r.aggregate().mean().as_slice(), t.aggregate().mean().as_slice());
+            assert_eq!(r.aggregate().cov().as_slice(), t.aggregate().cov().as_slice());
+        }
+    }
+    let PruneTally { placed_pruned, placed_fallback, table_pairs, table_fallback, .. } = twin.tally;
+    tally.placed_pruned += placed_pruned;
+    tally.placed_fallback += placed_fallback;
+    tally.table_pairs += table_pairs;
+    tally.table_fallback += table_fallback;
+    tally.pairs_scored += events.1.load(Ordering::Relaxed);
+    deepest
+}
+
+/// The score table and the caps of `Coordinator::consolidate`, and the
+/// bounds of its placement, against the full re-scan they replaced. Debug
+/// builds assert every merge pick inside the coordinator; this holds in
+/// release builds too, and only where it is not vacuous: five far-apart
+/// components per message force several merges per call, so the host's
+/// row and column are re-scored and rows are dropped between picks.
 #[test]
 fn consolidation_with_a_score_table_picks_what_the_full_rescan_picks() {
     let deepest = Cell::new(0);
+    let tally = RefCell::new(PruneTally::default());
     check::cases("coordinator_consolidation_score_table", 12, |rng| {
         for max_groups in [2, 4, 8] {
             for refine_merges in [false, true] {
@@ -375,62 +490,185 @@ fn consolidation_with_a_score_table_picks_what_the_full_rescan_picks() {
                     refiner: MergeRefiner { samples: 16, max_evals: 30, seed: 3 },
                     ..CoordinatorConfig::default()
                 };
-                let mut twin = RescanTwin {
-                    groups: Vec::new(),
-                    next_group_id: 0,
-                    applied: 0,
-                    max_groups,
-                    join_distance: config.join_distance,
-                    merges: Vec::new(),
-                };
-                let events = Arc::new(MergeEvents::default());
-                let mut running = Coordinator::new(config).unwrap();
-                running.set_observer(Obs::new(Arc::clone(&events) as Arc<dyn Recorder + Send + Sync>));
-                for model in 0..10u64 {
-                    let components = (0..5)
-                        .map(|_| {
-                            let mean: Vec<f64> =
-                                (0..DIM).map(|_| rng.gen_range(-400.0..400.0)).collect();
-                            let vars: Vec<f64> = (0..DIM).map(|_| rng.gen_range(0.4..2.5)).collect();
-                            Gaussian::diagonal(Vector::from_slice(&mean), &vars).unwrap()
-                        })
-                        .collect();
-                    let message = Message::NewModel {
-                        site: rng.gen_range(0..6u32),
-                        model: ModelId(model),
-                        count: rng.gen_range(50..5_000u64),
-                        avg_ll: -1.0,
-                        mixture: Mixture::new(
-                            components,
-                            (0..5).map(|_| rng.gen_range(0.2..1.0)).collect(),
-                        )
-                        .unwrap(),
-                    };
-                    let merges_before = running.merge_log().len();
-                    running.apply(&message).unwrap();
-                    twin.apply(&message);
-                    deepest.set(deepest.get().max(running.merge_log().len() - merges_before));
-
-                    let log: Vec<MergeRecord> = twin.merges.iter().map(|&(r, _)| r).collect();
-                    assert_eq!(running.merge_log(), &log[..], "model {model}: merge log");
-                    let journaled: Vec<((u64, u64), u64)> = twin
-                        .merges
-                        .iter()
-                        .map(|&(r, bits)| ((r.into_group, r.absorbed_group), bits))
-                        .collect();
-                    assert_eq!(*events.0.lock().unwrap(), journaled, "model {model}: Merge events");
-                    assert_eq!(running.group_count(), twin.groups.len());
-                    for (r, t) in running.groups().iter().zip(&twin.groups) {
-                        assert_eq!(r.id, t.id, "model {model}: group ids");
-                        assert_eq!(keys(r), keys(t), "model {model}: members of group {}", r.id);
-                        assert_eq!(r.aggregate().mean().as_slice(), t.aggregate().mean().as_slice());
-                        assert_eq!(r.aggregate().cov().as_slice(), t.aggregate().cov().as_slice());
-                    }
-                }
+                let messages: Vec<Message> = (0..10u64)
+                    .map(|model| {
+                        let components = (0..5)
+                            .map(|_| {
+                                let mean: Vec<f64> =
+                                    (0..DIM).map(|_| rng.gen_range(-400.0..400.0)).collect();
+                                let vars: Vec<f64> =
+                                    (0..DIM).map(|_| rng.gen_range(0.4..2.5)).collect();
+                                Gaussian::diagonal(Vector::from_slice(&mean), &vars).unwrap()
+                            })
+                            .collect();
+                        Message::NewModel {
+                            site: rng.gen_range(0..6u32),
+                            model: ModelId(model),
+                            count: rng.gen_range(50..5_000u64),
+                            avg_ll: -1.0,
+                            mixture: Mixture::new(
+                                components,
+                                (0..5).map(|_| rng.gen_range(0.2..1.0)).collect(),
+                            )
+                            .unwrap(),
+                        }
+                    })
+                    .collect();
+                let merged = against_the_rescan(config, messages, &mut tally.borrow_mut());
+                deepest.set(deepest.get().max(merged));
             }
         }
     });
     assert!(deepest.get() >= 3, "no call merged three times: deepest {}", deepest.get());
+    let tally = tally.into_inner();
+    assert!(tally.placed_pruned > 0 && tally.pairs_scored < tally.table_pairs, "{tally:?}");
+}
+
+/// A random rotation of dimension `d`: `2d` Givens rotations of the
+/// identity.
+fn rotation(rng: &mut StdRng, d: usize) -> Vec<f64> {
+    let mut q: Vec<f64> = (0..d * d).map(|at| f64::from(u8::from(at % (d + 1) == 0))).collect();
+    for _ in 0..2 * d {
+        let (i, j) = (rng.gen_range(0..d), rng.gen_range(0..d));
+        if i == j {
+            continue;
+        }
+        let (s, c) = rng.gen_range(0.0..std::f64::consts::TAU).sin_cos();
+        for k in 0..d {
+            let (a, b) = (q[k * d + i], q[k * d + j]);
+            q[k * d + i] = c * a - s * b;
+            q[k * d + j] = s * a + c * b;
+        }
+    }
+    q
+}
+
+/// A component of a hostile script in `d` dimensions at `scale`: a full
+/// covariance `scale²·QΛQᵀ` under a random rotation `Q`, its eigenvalues
+/// spread over a condition number of 1 to 1e14, and its mean one of
+/// `anchors` exactly (coincident with other components) or anywhere within
+/// ±100·scale.
+fn hostile_component(rng: &mut StdRng, d: usize, scale: f64, anchors: &[Vec<f64>]) -> Gaussian {
+    let log_kappa = rng.gen_range(0.0..14.0);
+    let top = rng.gen_range(0.4..2.5);
+    let lambda: Vec<f64> = (0..d)
+        .map(|i| match i {
+            0 => top,
+            _ if i == d - 1 => top * 10f64.powf(-log_kappa),
+            _ => top * 10f64.powf(-rng.gen_range(0.0..log_kappa)),
+        })
+        .collect();
+    let q = rotation(rng, d);
+    let cov: Vec<f64> = (0..d * d)
+        .map(|at| {
+            let (r, c) = (at / d, at % d);
+            (0..d).map(|k| q[r * d + k] * lambda[k] * q[c * d + k]).sum::<f64>() * scale * scale
+        })
+        .collect();
+    let mean: Vec<f64> = if rng.gen_bool(0.3) {
+        anchors[rng.gen_range(0..anchors.len())].clone()
+    } else {
+        (0..d).map(|_| rng.gen_range(-100.0..100.0) * scale).collect()
+    };
+    Gaussian::new(Vector::from_slice(&mean), Matrix::from_vec(d, d, cov)).unwrap()
+}
+
+/// The same against scripts built to defeat the bounds: rotated full
+/// covariances up to κ = 1e14 (about half of them past the certificate,
+/// so both sides of every rule run), means that coincide exactly, and
+/// scales of 1e-150 and 1e150 where `‖L‖²_F` and `‖L⁻¹‖²_F` sit near the
+/// ends of the exponent range. Then scripts on a knife edge: in one
+/// dimension the bound is tight, and the join limit is set to the very
+/// distance the second component has to the first one's group, where a
+/// bound without its slack can exceed that distance by a rounding and
+/// would turn a join into a new group.
+#[test]
+fn pruned_placement_and_consolidation_pick_what_the_full_rescan_picks_on_hostile_scripts() {
+    let tally = RefCell::new(PruneTally::default());
+    check::cases("coordinator_pruning_hostile", 8, |rng| {
+        for d in [2, 4] {
+            for scale in [1e-150, 1.0, 1e150] {
+                for max_groups in [2, 4, 8] {
+                    let anchors: Vec<Vec<f64>> = (0..3)
+                        .map(|_| (0..d).map(|_| rng.gen_range(-100.0..100.0) * scale).collect())
+                        .collect();
+                    let messages: Vec<Message> = (0..10u64)
+                        .map(|model| {
+                            let k = rng.gen_range(1..=5usize);
+                            let components =
+                                (0..k).map(|_| hostile_component(rng, d, scale, &anchors)).collect();
+                            // Small counts: at 1e150 a group's second
+                            // moment stays below f64::MAX.
+                            Message::NewModel {
+                                site: rng.gen_range(0..6u32),
+                                model: ModelId(model),
+                                count: rng.gen_range(50..150u64),
+                                avg_ll: -1.0,
+                                mixture: Mixture::new(
+                                    components,
+                                    (0..k).map(|_| rng.gen_range(0.2..1.0)).collect(),
+                                )
+                                .unwrap(),
+                            }
+                        })
+                        .collect();
+                    let config = CoordinatorConfig { max_groups, ..CoordinatorConfig::default() };
+                    against_the_rescan(config, messages, &mut tally.borrow_mut());
+                }
+            }
+        }
+    });
+    let tally = tally.into_inner();
+    assert!(
+        tally.placed_pruned > 0
+            && tally.placed_fallback > 0
+            && tally.pairs_scored < tally.table_pairs
+            && tally.table_fallback > 0,
+        "{tally:?}"
+    );
+
+    let joined = Cell::new(0);
+    check::cases("coordinator_pruning_knife_edge", 16, |rng| {
+        let one = |rng: &mut StdRng| {
+            let (mean, var) = (rng.gen_range(-50.0..50.0), rng.gen_range(0.1..10.0));
+            Mixture::new(vec![Gaussian::spherical(Vector::from_slice(&[mean]), var).unwrap()], vec![1.0])
+                .unwrap()
+        };
+        let born = |site: u32, mixture: Mixture| Message::NewModel {
+            site,
+            model: ModelId(0),
+            count: 100,
+            avg_ll: -1.0,
+            mixture,
+        };
+        let first = born(0, one(rng));
+        let mut probe = Coordinator::new(CoordinatorConfig::default()).unwrap();
+        probe.apply(&first).unwrap();
+        let group = probe.groups()[0].aggregate().clone();
+        // A second component whose bound, before the slack, exceeds its
+        // distance to the group.
+        let second = loop {
+            let mixture = one(rng);
+            let g = &mixture.components()[0];
+            let l_sq = |g: &Gaussian| g.chol().l()[(0, 0)] * g.chol().l()[(0, 0)];
+            let diff = g.mean()[0] - group.mean()[0];
+            let unslacked = diff * diff * (1.0 / l_sq(g) + 1.0 / l_sq(&group));
+            let dist = m_split(g, &group);
+            if dist > 1e-6 && unslacked > dist {
+                break mixture;
+            }
+        };
+        let join_distance = m_split(&second.components()[0], &group);
+        let config = CoordinatorConfig { join_distance, ..CoordinatorConfig::default() };
+        against_the_rescan(config.clone(), [first.clone(), born(1, second.clone())], &mut PruneTally::default());
+        let mut c = Coordinator::new(config).unwrap();
+        c.apply(&first).unwrap();
+        c.apply(&born(1, second)).unwrap();
+        joined.set(joined.get() + usize::from(c.group_count() == 1));
+    });
+    if std::env::var(check::SEED_ENV).is_err() {
+        assert_eq!(joined.get(), 16, "the second component joins at exactly the limit");
+    }
 }
 
 /// Keeps the groups a `Split`, `ReMerge` or `Merge` event names as changed

@@ -6,6 +6,12 @@ use cludistream_rng::Rng;
 /// Natural log of 2π, used by the Gaussian normalizer.
 pub(crate) const LN_2PI: f64 = 1.8378770664093453;
 
+/// What [`Gaussian::dist_lower_bound`] needs of one side: `1/‖L‖²_F` of a
+/// Cholesky factor that passed the conditioning certificate. Only
+/// [`Gaussian::dist_bound_factor`] makes one.
+#[derive(Debug, Clone, Copy)]
+pub struct DistBoundFactor(f64);
+
 /// A d-dimensional Gaussian `N(μ, Σ)` with a cached Cholesky factorization.
 ///
 /// This is the component model of the paper's mixtures (Sec. 3.1):
@@ -42,6 +48,14 @@ impl Gaussian {
     /// works on the stack (the paper runs at d = 4–6); above it the same
     /// code runs over one heap buffer.
     const STACK_DIM: usize = 16;
+
+    /// Relative slack of [`Self::dist_lower_bound`], 2⁻¹⁶: sixteen times
+    /// the just-over-2⁻²⁰ the rounding argument there needs.
+    const BOUND_SLACK: f64 = 1.0 / 65_536.0;
+
+    /// Limit of the conditioning certificate of [`Self::dist_bound_factor`],
+    /// 2⁻²⁰.
+    const CERTIFICATE: f64 = 1.0 / 1_048_576.0;
 
     /// Creates a Gaussian from a mean and covariance. The covariance is
     /// symmetrized, then factorized with escalating ridge regularization;
@@ -253,6 +267,95 @@ impl Gaussian {
         other.chol.solve_in_place(b);
         diff.iter().zip(a.iter().zip(b.iter())).map(|(v, (a, b))| v * (a + b)).sum()
     }
+
+    /// The factor [`Self::dist_lower_bound`] needs of this Gaussian,
+    /// `1/‖L‖²_F` of its Cholesky factor `L`. `None` unless d ≤ 16
+    /// (`STACK_DIM`), `‖L‖²_F` lies in [1e-304, 1e304], and `L` passes the
+    /// conditioning certificate `4·(d+2)·ε·‖L‖²_F·‖L⁻¹‖²_F ≤ 2⁻²⁰`, with
+    /// `‖L⁻¹‖_F` from d forward solves of unit vectors; a `NaN` or `∞`
+    /// anywhere fails it. About a factorisation's worth of work (d³/6
+    /// multiply-adds), so a caller that bounds the same Gaussian often
+    /// keeps it.
+    pub fn dist_bound_factor(&self) -> Option<DistBoundFactor> {
+        let d = self.dim();
+        if d > Self::STACK_DIM {
+            return None;
+        }
+        let l = self.chol.l();
+        let l_sq: f64 = (0..d).flat_map(|i| &l.row(i)[..=i]).map(|v| v * v).sum();
+        // Column j of L⁻¹ is zero above row j.
+        let mut x = [0.0; Self::STACK_DIM];
+        let mut inv_sq = 0.0;
+        for j in 0..d {
+            for i in j..d {
+                let row = l.row(i);
+                let mut sum = if i == j { 1.0 } else { 0.0 };
+                for (lik, xk) in row[j..i].iter().zip(&x[j..i]) {
+                    sum -= lik * xk;
+                }
+                x[i] = sum / row[i];
+                inv_sq += x[i] * x[i];
+            }
+        }
+        let certificate = 4.0 * (d + 2) as f64 * f64::EPSILON * l_sq * inv_sq;
+        (certificate <= Self::CERTIFICATE && (1e-304..=1e304).contains(&l_sq))
+            .then(|| DistBoundFactor(1.0 / l_sq))
+    }
+
+    /// A certified lower bound on [`Self::precision_weighted_mean_dist`]:
+    /// `‖μ₁−μ₂‖²·(1/‖L₁‖²_F + 1/‖L₂‖²_F)·(1 − 2⁻¹⁶)` from both sides'
+    /// [`Self::dist_bound_factor`], or `−∞`, which rules nothing out, when
+    /// either side has none. It never exceeds the distance *as computed*,
+    /// so a caller may skip the distance of any pair the bound already
+    /// rules out, and both argument orders give the same bits.
+    ///
+    /// Exactly, with `Σ = LLᵀ` for the factor the distance solves with,
+    /// `vᵀΣ⁻¹v = ‖L⁻¹v‖² ≥ ‖v‖²/λmax(LLᵀ) ≥ ‖v‖²/‖L‖²_F` on each side. In
+    /// floating point (`u = ε/2`, `γ_n = nu/(1−nu)`, and of either side
+    /// `κ² = ‖L‖²_F·‖L⁻¹‖²_F ≥ cond₂(Σ)`, the quantity the certificate
+    /// bounds): each triangular solve is backward stable, `(L + Δ)ŷ = v`
+    /// with `|Δ| ≤ γ_d·|L|`, and the two solves behind `â ≈ Σ⁻¹v` keep
+    /// `vᵀâ` within a relative `2γ_d·κ²` of `vᵀΣ⁻¹v`; the d products, the
+    /// `a_i + b_i` and the sum add at most `γ_{d+1}·Σ|v_i|·|a_i|`, which
+    /// `‖v‖·‖Σ⁻¹v‖ ≤ cond₂(Σ)·vᵀΣ⁻¹v` makes a relative `γ_{d+1}·κ²` of each
+    /// side's term. Both terms are non-negative, so the computed distance
+    /// is within a relative `(2γ_d + γ_{d+1})·κ² ≈ (3d+1)·u·κ²` of the
+    /// exact one, which is below `4(d+2)·ε·κ² ≤ 2⁻²⁰` under the
+    /// certificate: the computed distance is at least `1 − 2⁻²⁰` times the
+    /// exact one. The certificate is itself computed, but a
+    /// forward-substitution inverse `X̂` has `|LX̂ − I| ≤ γ_d·|L|·|X̂|`, so
+    /// once it passes the exact `‖L⁻¹‖_F` exceeds the computed one by a
+    /// relative 2⁻²⁰ at most, which moves the 2⁻²⁰ above by a relative
+    /// 2⁻¹⁹. The bound's own `d(d+1)/2 + d + 6` roundings lift it by less
+    /// than 2⁻⁴⁵; the 2⁻¹⁶ slack covers the just-over-2⁻²⁰ all of this needs
+    /// sixteen times over. The bound is returned only for
+    /// `‖μ₁−μ₂‖² ≥ 1e-280` and a value in [1e-270, 1e270]: there, with
+    /// both factors in range and `κ² ≤ 2²⁹`, nothing the distance computes
+    /// overflows (so it is finite, never `NaN`), and gradual underflow
+    /// moves it by far less than 2⁻⁸⁰ relative. Anything else — a `NaN` or
+    /// `∞` mean or bound, a bound that overflows or underflows, another
+    /// dimension — is `−∞`.
+    pub fn dist_lower_bound(
+        &self,
+        own: Option<DistBoundFactor>,
+        other: &Gaussian,
+        theirs: Option<DistBoundFactor>,
+    ) -> f64 {
+        let (Some(DistBoundFactor(a)), Some(DistBoundFactor(b))) = (own, theirs) else {
+            return f64::NEG_INFINITY;
+        };
+        if self.dim() != other.dim() {
+            return f64::NEG_INFINITY;
+        }
+        let sq: f64 =
+            self.mean.iter().zip(other.mean.iter()).map(|(m1, m2)| (m1 - m2) * (m1 - m2)).sum();
+        let bound = sq * (a + b) * (1.0 - Self::BOUND_SLACK);
+        if sq >= 1e-280 && (1e-270..=1e270).contains(&bound) {
+            bound
+        } else {
+            f64::NEG_INFINITY
+        }
+    }
 }
 
 /// Draws one standard-normal sample using the Box–Muller transform.
@@ -449,6 +552,115 @@ pub(crate) mod tests {
             assert!(!want.is_finite());
             assert!(got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()));
         }
+    }
+
+    /// A Gaussian of dimension `d` with covariance `scale²·QΛQᵀ`: `Q` a
+    /// random rotation (`2d` Givens rotations), `Λ` spread over a
+    /// condition number of 1 to 1e14, the mean within ±3·scale.
+    fn rotated_gaussian(rng: &mut StdRng, d: usize, scale: f64) -> Gaussian {
+        let log_kappa = rng.gen_range(0.0..14.0);
+        let lambda: Vec<f64> = (0..d)
+            .map(|i| match i {
+                0 => 1.0,
+                _ if i == d - 1 => 10f64.powf(-log_kappa),
+                _ => 10f64.powf(-rng.gen_range(0.0..log_kappa)),
+            })
+            .collect();
+        let mut q = Matrix::identity(d);
+        for _ in 0..2 * d {
+            let (i, j) = (rng.gen_range(0..d), rng.gen_range(0..d));
+            if i == j {
+                continue;
+            }
+            let (s, c) = rng.gen_range(0.0..std::f64::consts::TAU).sin_cos();
+            for k in 0..d {
+                let (a, b) = (q[(k, i)], q[(k, j)]);
+                q[(k, i)] = c * a - s * b;
+                q[(k, j)] = s * a + c * b;
+            }
+        }
+        let mut cov = Matrix::zeros(d, d);
+        for r in 0..d {
+            for c in 0..d {
+                let sum: f64 = (0..d).map(|k| q[(r, k)] * lambda[k] * q[(c, k)]).sum();
+                cov[(r, c)] = sum * scale * scale;
+            }
+        }
+        let mean: Vector = (0..d).map(|_| rng.gen_range(-3.0..3.0) * scale).collect();
+        Gaussian::new(mean, cov).unwrap()
+    }
+
+    #[test]
+    fn dist_lower_bound_never_exceeds_the_computed_distance() {
+        use cludistream_rng::check;
+        use std::cell::Cell;
+        let (bounded, unbounded) = (Cell::new(0), Cell::new(0));
+        check::cases("dist_lower_bound_soundness", 64, |rng| {
+            for d in [1, 2, 4, 9, 16] {
+                let scale = match rng.gen_range(0..4) {
+                    0 => 1e-150,
+                    1 => 1e150,
+                    _ => 10f64.powi(rng.gen_range(-8..=8)),
+                };
+                let g1 = rotated_gaussian(rng, d, scale);
+                let mut g2 = rotated_gaussian(rng, d, scale);
+                if rng.gen_bool(0.2) {
+                    g2 = Gaussian::new(g1.mean().clone(), g2.cov().clone()).unwrap();
+                }
+                for (a, b) in [(&g1, &g2), (&g2, &g1), (&g1, &g1)] {
+                    let bound = a.dist_lower_bound(a.dist_bound_factor(), b, b.dist_bound_factor());
+                    let dist = a.precision_weighted_mean_dist(b);
+                    assert!(
+                        bound == f64::NEG_INFINITY || bound <= dist,
+                        "d {d}, scale {scale:e}: bound {bound:e} above the distance {dist:e}"
+                    );
+                    let swapped = b.dist_lower_bound(b.dist_bound_factor(), a, a.dist_bound_factor());
+                    assert_eq!(bound.to_bits(), swapped.to_bits(), "d {d}: argument order");
+                    if bound > 0.0 {
+                        bounded.set(bounded.get() + 1);
+                    } else {
+                        unbounded.set(unbounded.get() + 1);
+                    }
+                }
+            }
+        });
+        // Unless one case is being replayed by seed, both sides ran.
+        if std::env::var(check::SEED_ENV).is_err() {
+            assert!(bounded.get() > 100 && unbounded.get() > 100, "{bounded:?} / {unbounded:?}");
+        }
+    }
+
+    #[test]
+    fn dist_bound_factor_is_none_where_nothing_is_certified() {
+        // Past STACK_DIM.
+        assert!(Gaussian::spherical(Vector::zeros(16), 1.0).unwrap().dist_bound_factor().is_some());
+        assert!(Gaussian::spherical(Vector::zeros(17), 1.0).unwrap().dist_bound_factor().is_none());
+        // ‖L‖²_F overflows; ‖L⁻¹‖²_F overflows.
+        for var in [1e308, 1e-310] {
+            assert!(Gaussian::spherical(Vector::zeros(4), var).unwrap().dist_bound_factor().is_none());
+        }
+        // Either side of the certificate: at d = 2 it reads
+        // 16·ε·(1 + κ)(1 + 1/κ) ≤ 2⁻²⁰, i.e. κ up to about 2²⁸.
+        let two = |kappa: f64| Gaussian::diagonal(Vector::zeros(2), &[1.0, 1.0 / kappa]).unwrap();
+        assert!(two(2f64.powi(27)).dist_bound_factor().is_some());
+        assert!(two(2f64.powi(29)).dist_bound_factor().is_none());
+        let mut rng = StdRng::seed_from_u64(3);
+        let certified = (0..200)
+            .map(|_| rotated_gaussian(&mut rng, 4, 1.0))
+            .filter(|g| g.dist_bound_factor().is_some())
+            .count();
+        assert!(certified > 20 && certified < 180, "{certified} of 200 certified");
+        let at = |x: f64| Gaussian::spherical(Vector::filled(2, x), 1.0).unwrap();
+        let bound = |a: &Gaussian, b: &Gaussian| {
+            a.dist_lower_bound(a.dist_bound_factor(), b, b.dist_bound_factor())
+        };
+        assert!(bound(&at(5.0), &at(0.0)) > 0.0);
+        // A side without a factor bounds nothing, nor do coincident means,
+        // nor a difference of means that overflows.
+        assert_eq!(bound(&at(5.0), &two(2f64.powi(29))), f64::NEG_INFINITY);
+        assert_eq!(bound(&at(5.0), &at(5.0)), f64::NEG_INFINITY);
+        assert!(at(1e308).dist_bound_factor().is_some());
+        assert_eq!(bound(&at(-1e308), &at(1e308)), f64::NEG_INFINITY);
     }
 
     #[test]

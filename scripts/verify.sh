@@ -311,29 +311,30 @@ done
 # the simplex in crates/optimize it runs on them, the socket runtime, the
 # protocol and snapshot codecs, the engines, the telemetry codec, the
 # fleet aggregator, the registry it folds into and the catalogue decoding
-# looks names up in (crates/obs), and the synopsis codec in crates/gmm —
-# must not `expect` either: there an `expect` on a value is a remote
-# panic. Orderings use `f64::total_cmp`, a group whose statistics yield no
+# looks names up in (crates/obs), and in crates/gmm the synopsis codec and
+# the Gaussian whose merge criteria and their bounds the coordinator runs
+# on peer-sent synopses — must not `expect` either: there an `expect` on a
+# value is a remote panic. Orderings use `f64::total_cmp`, a group whose statistics yield no
 # Gaussian keeps its previous aggregate and reports an error, and a
 # poisoned lock is recovered. Test modules (everything below
 # `#[cfg(test)]`) and comment lines are exempt.
 gate_failed=0
 for f in $(find crates/core/src crates/par/src crates/optimize/src -name '*.rs') \
-        crates/obs/src/{telemetry,fleet,registry,catalogue}.rs crates/gmm/src/codec.rs; do
+        crates/obs/src/{telemetry,fleet,registry,catalogue}.rs crates/gmm/src/{codec,gaussian}.rs; do
     banned='\.unwrap\(\)|panic!\('
     case "$f" in
         crates/core/src/coordinator/* | crates/core/src/runtime/* | \
         crates/core/src/protocol.rs | crates/core/src/serving.rs | \
         crates/core/src/engine.rs | crates/core/src/aggregator.rs | \
         crates/obs/src/* | crates/optimize/src/* | \
-        crates/gmm/src/codec.rs) banned="$banned|\.expect\(" ;;
+        crates/gmm/src/codec.rs | crates/gmm/src/gaussian.rs) banned="$banned|\.expect\(" ;;
     esac
     hits="$(awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//' "$f" \
         | grep -nE "$banned" || true)"
     if [ -n "$hits" ]; then
         echo "unwrap()/panic!, or expect( in coordinator/, runtime/, protocol.rs," \
             "serving.rs, engine.rs, aggregator.rs, obs telemetry/fleet/registry/catalogue.rs," \
-            "crates/optimize or gmm codec.rs — non-test code of $f:" >&2
+            "crates/optimize or gmm codec.rs/gaussian.rs — non-test code of $f:" >&2
         echo "$hits" >&2
         gate_failed=1
     fi
