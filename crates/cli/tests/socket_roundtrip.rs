@@ -10,7 +10,7 @@
 //! timestamps may differ (simulated vs. wall clock).
 
 use cludistream_cli::{run, Command, MetricsWorkload};
-use std::io::Read;
+use std::io::{Read, Write};
 use std::process::{Child, Command as Proc, Stdio};
 use std::time::{Duration, Instant};
 
@@ -144,5 +144,79 @@ fn three_site_loopback_round_matches_the_simulator() {
         assert_eq!(tcp_events, sim_events, "site {i}: event streams diverged");
     }
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The `coordinator groups:` line of `metrics --reliable` on `sites` sites.
+fn simulated_groups(sites: usize) -> String {
+    let mut out = Vec::new();
+    let workload = MetricsWorkload { sites, chunks: 2, seed: 7, epsilon: 0.15, threads: 1 };
+    run(Command::Metrics { workload, journal: None, reliable: true }, &mut out)
+        .expect("simulator run succeeds");
+    groups_line(&String::from_utf8(out).expect("utf-8")).to_string()
+}
+
+/// A connection that never says `Hello` and declares a 1 MiB frame is cut
+/// on its length prefix, long before 1 MiB of it arrives, while a live
+/// 2-site round goes on undisturbed.
+#[test]
+fn a_connection_that_has_not_said_hello_is_cut_on_an_oversized_length_prefix() {
+    let dir = std::env::temp_dir().join(format!("cludistream-prehello-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let port_file = dir.join("port.txt");
+    let mut coordinator = Proc::new(bin())
+        .args(["coordinator", "--sites", "2", "--deadline-s", "120"])
+        .arg("--port-file")
+        .arg(&port_file)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn coordinator");
+    let addr = wait_for_port(&port_file, &mut coordinator);
+    let site = |i: usize| {
+        Proc::new(bin())
+            .args(["site", "--connect", &addr, "--site", &i.to_string()])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap_or_else(|e| panic!("spawn site {i}: {e}"))
+    };
+    // Site 1 is withheld, so the round is live while the stranger talks.
+    let site0 = site(0);
+
+    let mut stranger = std::net::TcpStream::connect(&addr).expect("connect");
+    stranger.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    let mut sent = 0usize;
+    let declared = 1usize << 20;
+    if stranger.write_all(&(declared as u32).to_le_bytes()).is_ok() {
+        let zeros = [0u8; 4096];
+        while sent < declared && stranger.write_all(&zeros).is_ok() {
+            sent += zeros.len();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+    // The coordinator hung up: end of stream or a reset, not a timeout.
+    let mut byte = [0u8; 1];
+    match stranger.read(&mut byte) {
+        Ok(0) => {}
+        Ok(_) => panic!("the coordinator answered a frame it should have refused"),
+        Err(e) => assert!(
+            !matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut),
+            "the connection was still open after {sent} bytes: {e}"
+        ),
+    }
+    assert!(sent < declared, "all {declared} bytes went through");
+
+    let site1 = site(1);
+    let outs = [read_all(site0, "site 0"), read_all(site1, "site 1")];
+    let coord_out = read_all(coordinator, "coordinator");
+    assert_eq!(groups_line(&coord_out), simulated_groups(2), "group counts diverged");
+    assert!(coord_out.lines().any(|l| l.ends_with("dup/stale discarded: 0")), "{coord_out}");
+    for (i, out) in outs.iter().enumerate() {
+        assert!(
+            out.lines().any(|l| l.ends_with("retransmitted: 0 msgs 0 bytes | resyncs: 0")),
+            "site {i}:\n{out}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

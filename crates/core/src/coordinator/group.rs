@@ -52,6 +52,11 @@ impl Member {
     }
 }
 
+/// A member as a snapshot's lineage names it.
+fn snapshot_member(m: &Member) -> SnapshotMember {
+    SnapshotMember { site: m.key.site, model: m.key.model, component: m.key.component as u32 }
+}
+
 /// The running statistics are rebuilt exactly once their mass has fallen
 /// below this fraction of the largest mass they held since the last
 /// rebuild: what a subtraction leaves behind is the rounding error of the
@@ -111,9 +116,16 @@ pub struct Group {
     /// The members' `(site, model, component)` in join order, as a
     /// snapshot publishes them: built on the first `Group::lineage` after
     /// a membership change and shared by every snapshot until the next
-    /// one. Reweights leave it alone. Not synopsis payload, so
-    /// [`super::Coordinator::memory_bytes`] does not count it.
+    /// one. Reweights leave it alone. Neither it nor the two fields below
+    /// are synopsis payload, so [`super::Coordinator::memory_bytes`] does
+    /// not count them.
     lineage: OnceLock<SnapshotMembers>,
+    /// The lineage built last, set aside by the membership change that
+    /// ended it: what the next build shares its chunks with.
+    previous_lineage: Option<SnapshotMembers>,
+    /// Sequence numbers removed since `previous_lineage` was built, never
+    /// more than it has members.
+    removed_since: Vec<u64>,
 }
 
 impl Group {
@@ -138,6 +150,8 @@ impl Group {
             epoch: 0,
             merged_aggregate: None,
             lineage: OnceLock::new(),
+            previous_lineage: None,
+            removed_since: Vec::new(),
         };
         g.recompute();
         g
@@ -170,20 +184,48 @@ impl Group {
     }
 
     /// The members' identities in join order, built on the first call
-    /// after a membership change and shared until the next one.
+    /// after a membership change — from the lineage built last, sharing
+    /// every chunk the change left alone — and shared until the next one.
     pub(crate) fn lineage(&self) -> &SnapshotMembers {
         self.lineage.get_or_init(|| {
-            let members: Vec<SnapshotMember> = self
-                .members
-                .values()
-                .map(|m| SnapshotMember {
-                    site: m.key.site,
-                    model: m.key.model,
-                    component: m.key.component as u32,
-                })
-                .collect();
-            members.into()
+            let built = SnapshotMembers::rebuild(
+                self.previous_lineage.as_ref(),
+                &self.removed_since,
+                &self.members,
+                self.next_seq,
+                snapshot_member,
+            );
+            debug_assert!(
+                built.iter().copied().eq(self.members.values().map(snapshot_member)),
+                "group {}: the built lineage is not the member walk",
+                self.id
+            );
+            debug_assert!(
+                built.chunk_count() <= SnapshotMembers::max_chunks(built.len()),
+                "group {}: {} chunks for {} members",
+                self.id,
+                built.chunk_count(),
+                built.len()
+            );
+            built
         })
+    }
+
+    /// Sets a built lineage aside for the next build to start from; a
+    /// removal also notes its sequence number there. No walk, no copy.
+    fn lineage_changed(&mut self, removed: Option<u64>) {
+        if let Some(built) = self.lineage.take() {
+            self.previous_lineage = Some(built);
+            self.removed_since.clear();
+        }
+        let (Some(seq), Some(previous)) = (removed, &self.previous_lineage) else { return };
+        // Past as many removals as it has members, a walk is as cheap.
+        if self.removed_since.len() < previous.len() {
+            self.removed_since.push(seq);
+        } else {
+            self.previous_lineage = None;
+            self.removed_since.clear();
+        }
     }
 
     /// The aggregate Gaussian. Of an empty group, the last one it had.
@@ -243,22 +285,27 @@ impl Group {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.members.insert(seq, member);
-        self.lineage = OnceLock::new();
+        self.lineage_changed(None);
         seq
     }
 
     /// Removes the members with these sequence numbers, returning them in
     /// the order given; refreshes the aggregate when any member remains.
     pub(crate) fn remove(&mut self, seqs: impl IntoIterator<Item = u64>) -> Vec<Member> {
-        let removed: Vec<Member> =
-            seqs.into_iter().filter_map(|seq| self.members.remove(&seq)).collect();
+        let removed: Vec<Member> = seqs
+            .into_iter()
+            .filter_map(|seq| {
+                let m = self.members.remove(&seq)?;
+                self.lineage_changed(Some(seq));
+                Some(m)
+            })
+            .collect();
         for m in &removed {
             self.stats.unmerge_gaussian(&m.gaussian, m.anchored_weight());
             self.weight -= m.weight;
         }
         if !removed.is_empty() {
             self.inexact_ops += removed.len();
-            self.lineage = OnceLock::new();
             self.refresh();
         }
         removed

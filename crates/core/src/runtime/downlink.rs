@@ -27,7 +27,7 @@
 
 use std::collections::HashMap;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -39,7 +39,7 @@ use crate::runtime::tcp::SocketConfig;
 use cludistream_gmm::CovarianceType;
 use cludistream_obs::{catalogue, net, Event, FleetAggregator, Obs, Recorder, TelemetryDelta};
 use cludistream_simnet::{CommStats, NodeId};
-use cludistream_wire::framing::{write_frame, FrameReader};
+use cludistream_wire::framing::{write_frame, FrameReader, MAX_FRAME_BYTES};
 use cludistream_wire::{ByteBuf, ByteReader};
 
 /// What differs between the nodes a [`Downlink`] can serve for: the
@@ -70,8 +70,8 @@ pub(crate) trait Shard {
 /// its parent's and a dead connection's last words from the live one's.
 pub(crate) enum NetEvent {
     /// A connection arrived; `writer` is the write half (a
-    /// `try_clone`).
-    Accepted { conn: u64, writer: TcpStream },
+    /// `try_clone`), `cap` the frame cap its reader reads under.
+    Accepted { conn: u64, writer: TcpStream, cap: Arc<AtomicUsize> },
     /// One length-prefixed frame's payload arrived on `conn`.
     Frame { conn: u64, payload: Vec<u8> },
     /// The connection closed or its reader failed.
@@ -106,11 +106,22 @@ pub(crate) fn next_event(
     }
 }
 
+/// The longest frame a connection may send before it is welcomed: room
+/// for every control frame a fresh connection may send (`Hello` and the
+/// status, snapshot and health requests, 13 bytes at most) with space to
+/// grow, so that four bytes of length prefix from a connection that never
+/// said `Hello` buy no buffer of [`MAX_FRAME_BYTES`]. A stray site frame
+/// that fits (a small `Telemetry`) is counted and dropped as any stray is.
+pub(crate) const PRE_HELLO_MAX_FRAME_BYTES: usize = 128;
+
 /// A live connection as the pumping thread sees it.
 struct Conn {
     writer: TcpStream,
     /// Local child slot, once the connection has said `Hello`.
     child: Option<usize>,
+    /// The frame cap its reader reads under: raised to [`MAX_FRAME_BYTES`]
+    /// when the connection is welcomed.
+    cap: Arc<AtomicUsize>,
 }
 
 /// Writes one length-prefixed frame to a blocking stream.
@@ -128,11 +139,26 @@ pub(crate) fn send_control(stream: &TcpStream, obs: &Obs, frame: &Control) -> bo
 }
 
 /// Blocking per-connection reader: length-prefixed frames in, queue
-/// events out, `Closed` on EOF or error. Shutting the socket down from
-/// another thread is how a node ends it.
-pub(crate) fn read_loop(conn: u64, mut stream: TcpStream, tx: &mpsc::Sender<NetEvent>) {
+/// events out, `Closed` on EOF or error — a frame declared past `cap`
+/// among them. Shutting the socket down from another thread is how a
+/// node ends it.
+pub(crate) fn read_loop(
+    conn: u64,
+    mut stream: TcpStream,
+    cap: &AtomicUsize,
+    tx: &mpsc::Sender<NetEvent>,
+) {
     let mut fr = FrameReader::new();
+    fr.set_limit(cap.load(Ordering::Acquire));
     loop {
+        if fr.limit() < MAX_FRAME_BYTES {
+            // Not welcomed yet when last read: wait for the next bytes
+            // before reading the cap again. The pump raises it before it
+            // sends `Welcome`, so whatever a peer sends once welcomed is
+            // framed under the raised cap.
+            let _ = stream.peek(&mut [0u8; 1]);
+            fr.set_limit(cap.load(Ordering::Acquire));
+        }
         match fr.poll(&mut stream) {
             Ok(polled) => {
                 for payload in polled.frames {
@@ -214,11 +240,13 @@ impl Downlink {
                     let conn = next_conn;
                     next_conn += 1;
                     let Ok(writer) = stream.try_clone() else { continue };
-                    if events.send(NetEvent::Accepted { conn, writer }).is_err() {
+                    let cap = Arc::new(AtomicUsize::new(PRE_HELLO_MAX_FRAME_BYTES));
+                    let accepted = NetEvent::Accepted { conn, writer, cap: Arc::clone(&cap) };
+                    if events.send(accepted).is_err() {
                         return;
                     }
                     let events = events.clone();
-                    thread::spawn(move || read_loop(conn, stream, &events));
+                    thread::spawn(move || read_loop(conn, stream, &cap, &events));
                 }
             })
         };
@@ -249,8 +277,8 @@ impl Downlink {
     /// Handles one event from an accepted connection.
     pub fn on_event(&mut self, shard: &mut impl Shard, event: NetEvent) {
         match event {
-            NetEvent::Accepted { conn, writer } => {
-                self.conns.insert(conn, Conn { writer, child: None });
+            NetEvent::Accepted { conn, writer, cap } => {
+                self.conns.insert(conn, Conn { writer, child: None, cap });
             }
             NetEvent::Frame { conn, payload } => {
                 let now_us = self.stamp();
@@ -523,6 +551,7 @@ impl Downlink {
             self.obs.counter(catalogue::COORD_RESYNC, 1);
         }
         let Some(c) = self.conns.get(&conn) else { return };
+        c.cap.store(MAX_FRAME_BYTES, Ordering::Release);
         let welcome = Control::Welcome {
             version: PROTOCOL_VERSION,
             heartbeat_us: self.socket.heartbeat_us,
@@ -546,6 +575,32 @@ impl Downlink {
             for live in self.child_conn.iter().filter_map(|id| self.conns.get(&(*id)?)) {
                 send_control(&live.writer, &self.obs, &Control::Start);
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_frame_a_fresh_connection_may_send_fits_the_pre_hello_cap() {
+        let hello = |cov| Control::Hello {
+            version: u16::MAX,
+            site: u32::MAX,
+            dim: u32::MAX,
+            cov,
+            resume: true,
+        };
+        for frame in [
+            hello(CovarianceType::Full),
+            hello(CovarianceType::Diagonal),
+            Control::StatusRequest,
+            Control::SnapshotRequest,
+            Control::HealthRequest,
+        ] {
+            let len = frame.encode().len();
+            assert!(len <= PRE_HELLO_MAX_FRAME_BYTES, "{frame:?}: {len} bytes");
         }
     }
 }

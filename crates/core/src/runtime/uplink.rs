@@ -31,6 +31,7 @@
 //! nowhere else.
 
 use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::AtomicUsize;
 use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -43,6 +44,7 @@ use crate::runtime::downlink::{next_event, read_loop, send_control, write_payloa
 use crate::runtime::tcp::SocketConfig;
 use cludistream_gmm::CovarianceType;
 use cludistream_obs::{catalogue, net, Obs, Recorder};
+use cludistream_wire::framing::MAX_FRAME_BYTES;
 use cludistream_wire::{ByteBuf, ByteReader};
 
 /// What one [`Work::step`] left the node with.
@@ -216,7 +218,9 @@ impl<'a> Uplink<'a> {
         stream.set_nodelay(true)?;
         let id = UP_CONN | generation;
         let (read_half, events) = (stream.try_clone()?, self.events_tx.clone());
-        let reader = thread::spawn(move || read_loop(id, read_half, &events));
+        // The parent is trusted with the full frame cap from the start.
+        let cap = AtomicUsize::new(MAX_FRAME_BYTES);
+        let reader = thread::spawn(move || read_loop(id, read_half, &cap, &events));
         Ok(UpConn { stream, id, reader: Some(reader) })
     }
 

@@ -38,12 +38,17 @@
 //!
 //! Group order matches mixture component order: group `g` is summarized
 //! by mixture component `g`.
+//!
+//! In memory a group's members are shared chunks ([`SnapshotMembers`]);
+//! the layout above writes them one after another, as it always has, so
+//! the chunk boundaries never reach the wire.
 
 use crate::coordinator::Coordinator;
 use crate::error::CludiError;
 use crate::remote::ModelId;
 use cludistream_gmm::{codec, CovarianceType, Mixture};
 use cludistream_wire::{ByteBuf, ByteReader};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -69,43 +74,254 @@ pub struct SnapshotMember {
     pub component: u32,
 }
 
-/// A group's lineage: its member components in join order, as an
-/// immutable slice shared by reference count.
+/// Members per sealed chunk of a [`SnapshotMembers`].
+const CHUNK: usize = 64;
+
+/// A run of a lineage's members, tagged with the sequence number (in the
+/// group's join order) of its first member. It holds every member of the
+/// group numbered from `first` up to the next chunk's `first`.
+#[derive(Debug, Clone, Default)]
+struct Chunk {
+    first: u64,
+    members: Arc<[SnapshotMember]>,
+}
+
+/// A group's lineage: its member components in join order, as immutable
+/// chunks shared by reference count.
 ///
-/// The coordinator builds a group's lineage at most once per membership
-/// change, and every snapshot published until the next change holds the
-/// same slice, so a publish copies the member lists of only the groups
-/// whose membership changed. Reads as a `[SnapshotMember]`; equality
-/// compares the members, never the allocation.
-#[derive(Clone, PartialEq, Default)]
-pub struct SnapshotMembers(Arc<[SnapshotMember]>);
+/// The members sit in a list of sealed chunks of at most 64 members and
+/// a tail of fewer. The coordinator builds a group's lineage at most once
+/// per membership change, from the one it built last: a join copies only
+/// the tail, a removal only the chunk it took a member from, and every
+/// other chunk — and the list, when no chunk was sealed or rebuilt — is
+/// shared with the snapshots before. Equality compares the members, never
+/// the allocation; [`SnapshotMembers::ptr_eq`] tells the two apart.
+#[derive(Clone, Default)]
+pub struct SnapshotMembers {
+    sealed: Arc<[Chunk]>,
+    tail: Chunk,
+    len: usize,
+    /// The sequence number past the last member covered.
+    end: u64,
+}
 
-impl std::ops::Deref for SnapshotMembers {
-    type Target = [SnapshotMember];
+impl SnapshotMembers {
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.len
+    }
 
-    fn deref(&self) -> &[SnapshotMember] {
-        &self.0
+    /// True when there are no members.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The members, in join order.
+    pub fn iter(&self) -> MemberIter<'_> {
+        MemberIter {
+            chunks: self.sealed.iter(),
+            tail: &self.tail.members,
+            members: [].iter(),
+        }
+    }
+
+    /// True when both share all their storage: one is a clone of the
+    /// other, or was built from it with nothing to change.
+    pub fn ptr_eq(&self, other: &SnapshotMembers) -> bool {
+        Arc::ptr_eq(&self.sealed, &other.sealed)
+            && Arc::ptr_eq(&self.tail.members, &other.tail.members)
+    }
+
+    /// Chunks holding at least one member.
+    pub(crate) fn chunk_count(&self) -> usize {
+        self.sealed.len() + usize::from(!self.tail.members.is_empty())
+    }
+
+    /// The most chunks a lineage of `len` members is left with: past it,
+    /// a build re-chunks from the member walk.
+    pub(crate) fn max_chunks(len: usize) -> usize {
+        2 * len / CHUNK + 1
+    }
+
+    /// Cuts `(sequence number, member)` pairs, in join order and all below
+    /// `end`, into fresh chunks.
+    fn chunked(members: impl Iterator<Item = (u64, SnapshotMember)>, end: u64) -> Self {
+        let mut chunker = Chunker::default();
+        members.for_each(|(seq, m)| chunker.push(seq, m));
+        let tail = chunker.tail(end);
+        Self::assemble(chunker.sealed.into(), tail, end)
+    }
+
+    fn assemble(sealed: Arc<[Chunk]>, tail: Chunk, end: u64) -> Self {
+        let len = sealed.iter().map(|c| c.members.len()).sum::<usize>() + tail.members.len();
+        SnapshotMembers { sealed, tail, len, end }
+    }
+
+    /// The lineage of a group whose members are `members`, keyed by
+    /// sequence number, all below `end`. Built from `previous`, the lineage
+    /// built last, when there is one, with `removed` naming the sequence
+    /// numbers removed since. Every chunk no removal touched is shared; a
+    /// chunk that lost a member is rebuilt from the members in its range;
+    /// the members that joined since are read and cut into chunks behind a
+    /// copy of the old tail, which is shared as it is when nothing touched
+    /// it and nothing joined. Only when the chunks then outnumber
+    /// [`Self::max_chunks`] is the whole member walk re-chunked.
+    pub(crate) fn rebuild<M>(
+        previous: Option<&SnapshotMembers>,
+        removed: &[u64],
+        members: &BTreeMap<u64, M>,
+        end: u64,
+        entry: impl Fn(&M) -> SnapshotMember,
+    ) -> Self {
+        let entry = &entry;
+        let walk = move |from: u64, to: u64| {
+            members.range(from..to).map(move |(&seq, m)| (seq, entry(m)))
+        };
+        let Some(previous) = previous else { return Self::chunked(walk(0, end), end) };
+        // The chunks that lost a member, by index; `tail_at` is the old tail.
+        let tail_at = previous.sealed.len();
+        let mut touched: Vec<usize> = removed
+            .iter()
+            .filter(|&&seq| seq < previous.end)
+            .map(|&seq| {
+                if seq >= previous.tail.first {
+                    tail_at
+                } else {
+                    previous.sealed.partition_point(|c| c.first <= seq).saturating_sub(1)
+                }
+            })
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+
+        // The tail and the members that joined behind it.
+        let mut chunker = Chunker::default();
+        let tail = if touched.last() == Some(&tail_at) {
+            walk(previous.tail.first, end).for_each(|(seq, m)| chunker.push(seq, m));
+            chunker.tail(end)
+        } else if members.range(previous.end..end).next().is_some() {
+            chunker.resume(&previous.tail);
+            walk(previous.end, end).for_each(|(seq, m)| chunker.push(seq, m));
+            chunker.tail(end)
+        } else {
+            previous.tail.clone()
+        };
+        // The sealed chunks: the old ones, rebuilt where they lost a member,
+        // then the ones sealed behind them.
+        let sealed = if touched.first().is_some_and(|&i| i < tail_at) {
+            let mut sealed = Vec::with_capacity(tail_at + chunker.sealed.len());
+            for (i, chunk) in previous.sealed.iter().enumerate() {
+                if touched.binary_search(&i).is_err() {
+                    sealed.push(chunk.clone());
+                    continue;
+                }
+                let to = previous.sealed.get(i + 1).map_or(previous.tail.first, |c| c.first);
+                let mut rest = walk(chunk.first, to).peekable();
+                if let Some(&(first, _)) = rest.peek() {
+                    sealed.push(Chunk { first, members: rest.map(|(_, m)| m).collect() });
+                }
+            }
+            sealed.extend(chunker.sealed);
+            sealed.into()
+        } else if chunker.sealed.is_empty() {
+            Arc::clone(&previous.sealed)
+        } else {
+            previous.sealed.iter().cloned().chain(chunker.sealed).collect()
+        };
+        let built = Self::assemble(sealed, tail, end);
+        if built.chunk_count() > Self::max_chunks(built.len) {
+            return Self::chunked(walk(0, end), end);
+        }
+        built
+    }
+}
+
+/// Cuts members, in join order, into sealed chunks of [`CHUNK`] and an
+/// open remainder.
+#[derive(Default)]
+struct Chunker {
+    sealed: Vec<Chunk>,
+    open: Vec<SnapshotMember>,
+    first: u64,
+}
+
+impl Chunker {
+    fn push(&mut self, seq: u64, member: SnapshotMember) {
+        if self.open.is_empty() {
+            self.first = seq;
+            self.open.reserve_exact(CHUNK);
+        }
+        self.open.push(member);
+        if self.open.len() == CHUNK {
+            self.sealed.push(Chunk { first: self.first, members: self.open.as_slice().into() });
+            self.open.clear();
+        }
+    }
+
+    /// Opens with the members of an old tail (fewer than [`CHUNK`]).
+    fn resume(&mut self, tail: &Chunk) {
+        self.first = tail.first;
+        self.open.reserve_exact(CHUNK);
+        self.open.extend_from_slice(&tail.members);
+    }
+
+    /// The open remainder as a tail; an empty one starts at `end`.
+    fn tail(&self, end: u64) -> Chunk {
+        let first = if self.open.is_empty() { end } else { self.first };
+        Chunk { first, members: self.open.as_slice().into() }
+    }
+}
+
+/// The members of a [`SnapshotMembers`], in join order.
+#[derive(Debug, Clone)]
+pub struct MemberIter<'a> {
+    chunks: std::slice::Iter<'a, Chunk>,
+    tail: &'a [SnapshotMember],
+    members: std::slice::Iter<'a, SnapshotMember>,
+}
+
+impl<'a> Iterator for MemberIter<'a> {
+    type Item = &'a SnapshotMember;
+
+    fn next(&mut self) -> Option<&'a SnapshotMember> {
+        loop {
+            if let Some(m) = self.members.next() {
+                return Some(m);
+            }
+            self.members = match self.chunks.next() {
+                Some(chunk) => chunk.members.iter(),
+                None if !self.tail.is_empty() => std::mem::take(&mut self.tail).iter(),
+                None => return None,
+            };
+        }
     }
 }
 
 impl<'a> IntoIterator for &'a SnapshotMembers {
     type Item = &'a SnapshotMember;
-    type IntoIter = std::slice::Iter<'a, SnapshotMember>;
+    type IntoIter = MemberIter<'a>;
 
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.iter()
+    fn into_iter(self) -> MemberIter<'a> {
+        self.iter()
+    }
+}
+
+impl PartialEq for SnapshotMembers {
+    fn eq(&self, other: &SnapshotMembers) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
     }
 }
 
 impl From<Vec<SnapshotMember>> for SnapshotMembers {
     fn from(members: Vec<SnapshotMember>) -> Self {
-        SnapshotMembers(members.into())
+        let end = members.len() as u64;
+        SnapshotMembers::chunked((0..).zip(members), end)
     }
 }
 
 impl std::fmt::Debug for SnapshotMembers {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.0.fmt(f)
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -235,16 +451,16 @@ impl ModelSnapshot {
             if reader.remaining() < member_bytes {
                 return Err(CludiError::Decode("truncated snapshot members"));
             }
-            // A mapped range has an exact length: one allocation, straight
-            // into the shared slice.
-            let members = SnapshotMembers(
-                (0..member_count)
-                    .map(|_| SnapshotMember {
+            let members = SnapshotMembers::chunked(
+                (0..member_count as u64).map(|seq| {
+                    let member = SnapshotMember {
                         site: reader.get_u32_le(),
                         model: ModelId(reader.get_u64_le()),
                         component: reader.get_u32_le(),
-                    })
-                    .collect(),
+                    };
+                    (seq, member)
+                }),
+                member_count as u64,
             );
             groups.push(SnapshotGroup { id, weight, members });
         }

@@ -75,6 +75,13 @@ const NEW_MODEL_BOUND: u64 = 200;
 /// 1 000).
 const PUBLISH_BOUND: u64 = 16;
 
+/// How much more a publish after a join to a group of 10 000 may ask for
+/// than one after a join to a group of 10: one chunk of members (64 of
+/// 16 bytes) plus the list of chunk pointers of 10 000 members (157 of 24
+/// bytes). Copying the whole member list, it asked for 16 bytes a member
+/// more, ≈ 160 KB at 10 000.
+const JOIN_PUBLISH_SLACK: u64 = 64 * 16 + 157 * 24;
+
 fn allocations(work: impl FnOnce()) -> u64 {
     allocated(work).0
 }
@@ -152,9 +159,27 @@ fn publish_after_weight_update(members: u32) -> (u64, u64) {
     assert_ne!(before.groups[1].weight, after.groups[1].weight, "the update was applied");
     for (b, a) in before.groups.iter().zip(&after.groups) {
         assert_eq!(a.members.len(), if a.id == 0 { members as usize } else { 1 });
-        assert!(std::ptr::eq(b.members.as_ptr(), a.members.as_ptr()), "group {}", a.id);
+        assert!(b.members.ptr_eq(&a.members), "group {}", a.id);
     }
     allocs
+}
+
+/// Bytes asked for by the publish that follows a `NewModel` whose one
+/// component joins the group of `members`, the snapshot before it already
+/// published.
+fn publish_after_a_join(members: u32) -> u64 {
+    let mut c = two_groups(members);
+    let handle = SnapshotHandle::new();
+    handle.publish_from(&c).unwrap();
+    let before = handle.load().unwrap();
+    c.apply(&new_model(members + 1, 0, &[0.0], 100)).unwrap();
+    let (_, bytes) = allocated(|| {
+        handle.publish_from(&c).unwrap();
+    });
+    let after = handle.load().unwrap();
+    assert_eq!(after.groups[0].members.len(), members as usize + 1, "the model joined");
+    assert!(after.groups[1].members.ptr_eq(&before.groups[1].members));
+    bytes
 }
 
 #[test]
@@ -185,4 +210,13 @@ fn a_publish_after_a_weight_update_allocates_the_same_in_a_group_of_ten_as_of_a_
         "(allocations, bytes) {ten:?} against 10 members, {thousand:?} against 1000"
     );
     assert!(ten.0 <= PUBLISH_BOUND, "a publish allocated {} times", ten.0);
+}
+
+#[test]
+fn a_publish_after_a_join_copies_a_chunk_not_the_group() {
+    let (ten, big) = (publish_after_a_join(10), publish_after_a_join(10_000));
+    assert!(
+        big.abs_diff(ten) < JOIN_PUBLISH_SLACK,
+        "{ten} bytes after a join to 10 members, {big} after a join to 10 000"
+    );
 }

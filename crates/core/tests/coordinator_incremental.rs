@@ -14,7 +14,9 @@
 //! builds once per membership change and shares until the next: after every
 //! message it must equal a fresh walk of every group's members, and be
 //! shared with the previous snapshot by exactly the groups whose membership
-//! the message left alone.
+//! the message left alone. A lineage is cut into chunks of 64 members, and
+//! a build shares every chunk a change left alone, so scripted joins and
+//! removals on one group of several chunks aim at the chunk edges too.
 
 use cludistream::coordinator::{
     m_merge, m_split, ComponentKey, Coordinator, CoordinatorConfig, Group, Member, MergeRefiner,
@@ -828,7 +830,7 @@ fn the_shared_lineage_equals_a_fresh_walk_after_every_message() {
                             let Some(p) = prev.groups.iter().find(|p| p.id == g.id) else {
                                 continue;
                             };
-                            let shared = std::ptr::eq(p.members.as_ptr(), g.members.as_ptr());
+                            let shared = p.members.ptr_eq(&g.members);
                             assert_eq!(
                                 shared,
                                 !changed.contains(&g.id),
@@ -867,4 +869,137 @@ fn the_shared_lineage_equals_a_fresh_walk_after_every_message() {
             && t.shared > 0,
         "a kind of change never happened: {t:?}"
     );
+
+    // One group of several chunks, changed at the chunk edges. Member `s`
+    // is the one-component model of site `s`, the `s`-th to join.
+    let mut g = OneGroup::new(200);
+    g.publish(); // chunks [0, 64) [64, 128) [128, 192), tail [192, 200)
+    g.remove(&[64]); // a sealed chunk's first member
+    g.publish();
+    g.remove(&[127]); // its last member
+    g.publish();
+    g.remove(&(128..192).collect::<Vec<_>>()); // every member of a chunk
+    g.publish();
+    g.join(3); // members that joined since the last publish, removed again
+    g.remove(&[200, 201, 202]);
+    g.publish();
+    g.join(5); // several joins and removals, sealing a chunk on the way
+    g.remove(&[0, 199, 204]);
+    g.join(70);
+    g.remove(&[63, 65, 193, 275]);
+    g.publish();
+    g.join(1); // a join alone: a new tail, every sealed chunk shared
+    g.publish();
+    g.remove(&[278]); // a removal from the tail alone
+    g.publish();
+    g.hold_check();
+
+    // Churn: 10 000 joins and removals, one to four between two publishes;
+    // `Group::lineage` asserts the chunk-count bound at every build (debug
+    // builds).
+    let mut rng = StdRng::seed_from_u64(29);
+    let mut g = OneGroup::new(300);
+    let mut ops = 0;
+    while ops < 10_000 {
+        for _ in 0..rng.gen_range(1..=4) {
+            if g.live.len() > 150 && rng.gen_bool(0.5) {
+                let at = rng.gen_range(0..g.live.len());
+                g.remove(&[g.live[at]]);
+            } else {
+                g.join(1);
+            }
+            ops += 1;
+        }
+        g.publish();
+    }
+    g.hold_check();
+}
+
+/// Copies of a one-component model at the origin: every one joins the
+/// group the first founded.
+const ONE_GROUP_COUNT: u64 = 100;
+
+/// One coordinator group grown by scripted joins and removals, published
+/// on demand against the member walk.
+struct OneGroup {
+    c: Coordinator,
+    handle: SnapshotHandle,
+    /// Live members by site, in join order.
+    live: Vec<u32>,
+    next_site: u32,
+    /// Every publish with the members it had.
+    published: Vec<(Arc<ModelSnapshot>, Vec<u32>)>,
+}
+
+impl OneGroup {
+    fn new(members: u32) -> Self {
+        let mut g = OneGroup {
+            c: Coordinator::new(CoordinatorConfig::default()).unwrap(),
+            handle: SnapshotHandle::new(),
+            live: Vec::new(),
+            next_site: 0,
+            published: Vec::new(),
+        };
+        g.join(members);
+        g
+    }
+
+    fn join(&mut self, n: u32) {
+        for _ in 0..n {
+            let mixture =
+                Mixture::uniform(vec![Gaussian::spherical(Vector::zeros(DIM), 1.0).unwrap()])
+                    .unwrap();
+            let site = self.next_site;
+            self.next_site += 1;
+            let message = Message::NewModel {
+                site,
+                model: ModelId(0),
+                count: ONE_GROUP_COUNT,
+                avg_ll: -1.0,
+                mixture,
+            };
+            self.c.apply(&message).unwrap();
+            self.live.push(site);
+        }
+        assert_eq!(self.c.group_count(), 1);
+    }
+
+    fn remove(&mut self, sites: &[u32]) {
+        for &site in sites {
+            let at = self.live.iter().position(|&s| s == site).expect("a live member");
+            self.live.remove(at);
+            let message =
+                Message::Delete { site, model: ModelId(0), count_delta: ONE_GROUP_COUNT };
+            self.c.apply(&message).unwrap();
+        }
+        assert_eq!(self.c.component_count(), self.live.len());
+    }
+
+    /// Publishes: the snapshot is the walked one, byte for byte, and its
+    /// lineage is shared with the last publish's exactly when the members
+    /// are the same.
+    fn publish(&mut self) {
+        let version = self.handle.publish_from(&self.c).unwrap();
+        let snapshot = self.handle.load().unwrap();
+        let reference = walked_capture(&self.c, version);
+        let step = self.published.len();
+        assert_eq!(snapshot.encode().as_slice(), reference.encode().as_slice(), "publish {step}");
+        let members = &snapshot.groups[0].members;
+        assert_eq!(*members, reference.groups[0].members, "publish {step}");
+        let sites: Vec<u32> = members.iter().map(|m| m.site).collect();
+        assert_eq!(sites, self.live, "publish {step}");
+        if let Some((previous, live)) = self.published.last() {
+            let shared = previous.groups[0].members.ptr_eq(members);
+            assert_eq!(shared, *live == self.live, "publish {step}");
+        }
+        self.published.push((snapshot, self.live.clone()));
+    }
+
+    /// Every snapshot held across the later publishes is what it was.
+    fn hold_check(&self) {
+        for (snapshot, live) in &self.published {
+            let sites: Vec<u32> = snapshot.groups[0].members.iter().map(|m| m.site).collect();
+            assert_eq!(sites, *live, "v{}", snapshot.version);
+        }
+    }
 }

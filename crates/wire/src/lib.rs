@@ -313,9 +313,20 @@ pub mod framing {
     /// timeout can interrupt mid-frame. `FrameReader` buffers partial data
     /// across [`FrameReader::poll`] calls so none of that is visible to
     /// the caller: each call returns only *complete* payloads, in order.
-    #[derive(Debug, Default)]
+    ///
+    /// Each reader has its own limit on a declared payload length
+    /// ([`MAX_FRAME_BYTES`] unless set lower), so a connection that has
+    /// not yet earned the full cap can be held to a small one.
+    #[derive(Debug)]
     pub struct FrameReader {
         buf: Vec<u8>,
+        limit: usize,
+    }
+
+    impl Default for FrameReader {
+        fn default() -> FrameReader {
+            FrameReader { buf: Vec::new(), limit: MAX_FRAME_BYTES }
+        }
     }
 
     /// What one [`FrameReader::poll`] observed on the stream.
@@ -333,6 +344,17 @@ pub mod framing {
             FrameReader::default()
         }
 
+        /// The longest payload this reader accepts.
+        pub fn limit(&self) -> usize {
+            self.limit
+        }
+
+        /// Changes the limit for every frame not extracted yet (never more
+        /// than [`MAX_FRAME_BYTES`]).
+        pub fn set_limit(&mut self, limit: usize) {
+            self.limit = limit.min(MAX_FRAME_BYTES);
+        }
+
         /// Bytes buffered while waiting for the rest of a frame.
         pub fn buffered(&self) -> usize {
             self.buf.len()
@@ -341,10 +363,10 @@ pub mod framing {
         /// Reads whatever the stream currently has and returns every
         /// complete frame. `WouldBlock`/`TimedOut` (a read timeout on a
         /// blocking socket) is not an error — it ends the poll with the
-        /// frames extracted so far. A declared length beyond
-        /// [`MAX_FRAME_BYTES`] is an `InvalidData` error: the stream is
-        /// unrecoverable after it, since resynchronizing on a corrupt
-        /// prefix is impossible.
+        /// frames extracted so far. A declared length beyond the reader's
+        /// limit is an `InvalidData` error as soon as its prefix arrives:
+        /// the stream is unrecoverable after it, since resynchronizing on a
+        /// corrupt prefix is impossible.
         pub fn poll(&mut self, r: &mut impl Read) -> io::Result<Polled> {
             let mut scratch = [0u8; 16 * 1024];
             let mut eof = false;
@@ -384,7 +406,7 @@ pub mod framing {
                 let len = u32::from_le_bytes(
                     self.buf[offset..offset + LENGTH_PREFIX_BYTES].try_into().expect("4 bytes"),
                 ) as usize;
-                if len > MAX_FRAME_BYTES {
+                if len > self.limit {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
                         format!("peer declared a {len}-byte frame"),
@@ -619,6 +641,21 @@ mod tests {
             let mut reader = FrameReader::new();
             let mut src = io::Cursor::new(wire);
             let err = reader.poll(&mut src).expect_err("oversize must error");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
+
+        #[test]
+        fn a_lowered_limit_refuses_a_longer_frame_on_its_prefix() {
+            let mut reader = FrameReader::new();
+            assert_eq!(reader.limit(), MAX_FRAME_BYTES);
+            reader.set_limit(usize::MAX);
+            assert_eq!(reader.limit(), MAX_FRAME_BYTES, "never above the global cap");
+            reader.set_limit(8);
+            let mut src = io::Cursor::new(encode(&[&[7; 8]]));
+            assert_eq!(reader.poll(&mut src).expect("at the limit").frames, vec![vec![7; 8]]);
+            // Nine bytes declared, none of them sent: refused on the prefix.
+            let mut src = io::Cursor::new(9u32.to_le_bytes().to_vec());
+            let err = reader.poll(&mut src).expect_err("past the limit");
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         }
 

@@ -142,6 +142,19 @@ if [ -n "$bad" ]; then
     echo "$bad" >&2
     exit 1
 fi
+# Pre-`Hello` frame cap: a connection that never says `Hello` and declares
+# a 1 MiB frame is cut on its length prefix (end of stream or a reset, not
+# a 10 s timeout), and the round below goes on with its diffs unchanged.
+exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
+printf '\x00\x00\x10\x00' >&3
+head -c 65536 /dev/zero >&3 2>/dev/null || true
+cut=0
+timeout 10 cat <&3 >/dev/null 2>&1 || cut=$?
+exec 3<&-
+if [ "$cut" -eq 124 ]; then
+    echo "a connection that never said Hello kept a 1 MiB frame open" >&2
+    exit 1
+fi
 ./target/release/cludistream site --connect "$addr" --site 1 \
     --journal "$smokedir/tcp_site1.jsonl" > "$smokedir/tcp_site1.out" &
 wait

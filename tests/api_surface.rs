@@ -83,7 +83,15 @@ fn simulate_publish_and_score_through_the_facade() {
     let members: Vec<&SnapshotMember> = groups.iter().flat_map(|g| &g.members).collect();
     assert!(!members.is_empty(), "published groups name their site components");
     let lineage: &SnapshotMembers = &groups[0].members;
-    assert_eq!(lineage.len(), groups[0].members.iter().count());
+    assert_eq!(lineage.len(), lineage.iter().count());
+    assert!(!lineage.is_empty());
+    // A lineage compares member by member; `ptr_eq` tells a shared one
+    // from an equal copy.
+    let copy = SnapshotMembers::from(lineage.iter().copied().collect::<Vec<SnapshotMember>>());
+    assert_eq!(&copy, lineage);
+    assert!(lineage.clone().ptr_eq(lineage));
+    assert!(!copy.ptr_eq(lineage));
+    assert!(SnapshotMembers::default().is_empty());
 
     let records = vec![Vector::from_slice(&[-3.0]), Vector::from_slice(&[3.1])];
     let batch = Batch::from_records(&records);
