@@ -301,10 +301,8 @@ impl SiteNode {
 
     fn restore_checkpoint(&mut self, checkpoint: &ByteBuf) -> Result<(), CludiError> {
         let mut reader = checkpoint.reader();
-        if reader.remaining() < 8 {
-            return Err(CludiError::Decode("truncated site checkpoint"));
-        }
-        self.remaining = reader.get_u64_le();
+        self.remaining =
+            reader.get_u64_le().map_err(|_| CludiError::Decode("truncated node checkpoint"))?;
         self.core.up.restore(&mut reader)?;
         self.core.window.restore_from(&mut reader)?;
         // The restored site lost its observer wiring; re-attach.

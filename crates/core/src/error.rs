@@ -9,6 +9,7 @@
 
 use cludistream_gmm::GmmError;
 use cludistream_simnet::SimError;
+use cludistream_wire::Malformed;
 use std::fmt;
 
 /// Any failure of the CluDistream driver stack.
@@ -77,6 +78,13 @@ impl From<SimError> for CludiError {
 impl From<std::io::Error> for CludiError {
     fn from(e: std::io::Error) -> Self {
         CludiError::Net(e.to_string())
+    }
+}
+
+/// Inside a decoder, a failure of a nested one is a rejected value.
+impl From<CludiError> for Malformed<CludiError> {
+    fn from(e: CludiError) -> Self {
+        Malformed::Invalid(e)
     }
 }
 

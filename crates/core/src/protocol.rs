@@ -43,7 +43,7 @@ use crate::remote::{ModelId, SiteEvent};
 use cludistream_gmm::codec::{decode_mixture, encode_mixture, encoded_len};
 use cludistream_gmm::{CovarianceType, GmmError, Mixture};
 use cludistream_obs::{SpanId, TraceCtx, TraceId};
-use cludistream_wire::{ByteBuf, ByteReader};
+use cludistream_wire::{ByteBuf, ByteReader, Malformed, Truncated};
 use std::collections::{BTreeMap, VecDeque};
 
 /// A message from a remote site to the coordinator.
@@ -167,44 +167,36 @@ impl Message {
     }
 
     /// Decodes a message produced by [`Message::encode`].
-    pub fn decode(buf: &mut ByteReader<'_>) -> Result<Message, GmmError> {
-        if buf.remaining() < HEADER_BYTES {
-            return Err(GmmError::Codec("truncated message header"));
-        }
-        let tag = buf.get_u8();
-        Message::decode_after_tag(tag, buf)
+    pub fn decode(r: &mut ByteReader<'_>) -> Result<Message, GmmError> {
+        Message::read(r).map_err(|e| e.named(GmmError::Codec("truncated message")))
     }
 
-    /// Decodes the header remainder and body once `tag` has been read
+    /// Reads a message; a truncation is named by the codec around it.
+    fn read<E: From<GmmError>>(r: &mut ByteReader<'_>) -> Result<Message, Malformed<E>> {
+        let tag = r.get_u8()?;
+        Message::read_after_tag(tag, r)
+    }
+
+    /// Reads the header remainder and body once `tag` has been read
     /// (shared by [`Message::decode`] and [`Frame::decode`]).
-    fn decode_after_tag(tag: u8, buf: &mut ByteReader<'_>) -> Result<Message, GmmError> {
-        if buf.remaining() < HEADER_BYTES - 1 {
-            return Err(GmmError::Codec("truncated message header"));
-        }
-        let site = buf.get_u32_le();
-        let model = ModelId(buf.get_u64_le());
+    fn read_after_tag<E: From<GmmError>>(
+        tag: u8,
+        r: &mut ByteReader<'_>,
+    ) -> Result<Message, Malformed<E>> {
+        let site = r.get_u32_le()?;
+        let model = ModelId(r.get_u64_le()?);
         match tag {
             TAG_NEW_MODEL => {
-                if buf.remaining() < 16 {
-                    return Err(GmmError::Codec("truncated new-model body"));
-                }
-                let count = buf.get_u64_le();
-                let avg_ll = buf.get_f64_le();
-                let mixture = decode_mixture(buf)?;
+                let count = r.get_u64_le()?;
+                let avg_ll = r.get_f64_le()?;
+                let mixture = decode_mixture(r)?;
                 Ok(Message::NewModel { site, model, count, avg_ll, mixture })
             }
-            TAG_WEIGHT_UPDATE | TAG_DELETE => {
-                if buf.remaining() < 8 {
-                    return Err(GmmError::Codec("truncated update body"));
-                }
-                let count_delta = buf.get_u64_le();
-                if tag == TAG_WEIGHT_UPDATE {
-                    Ok(Message::WeightUpdate { site, model, count_delta })
-                } else {
-                    Ok(Message::Delete { site, model, count_delta })
-                }
+            TAG_WEIGHT_UPDATE => {
+                Ok(Message::WeightUpdate { site, model, count_delta: r.get_u64_le()? })
             }
-            _ => Err(GmmError::Codec("unknown message tag")),
+            TAG_DELETE => Ok(Message::Delete { site, model, count_delta: r.get_u64_le()? }),
+            _ => Err(GmmError::Codec("unknown message tag").into()),
         }
     }
 }
@@ -290,42 +282,33 @@ impl Frame {
 
     /// Decodes any frame: tags 1–3 are legacy bare messages, 4 is a
     /// sequenced data frame, 5 a cumulative ACK, 6 a traced data frame.
-    pub fn decode(buf: &mut ByteReader<'_>) -> Result<Frame, CludiError> {
-        if buf.remaining() < 1 {
-            return Err(CludiError::Decode("empty frame"));
-        }
-        let tag = buf.get_u8();
+    pub fn decode(r: &mut ByteReader<'_>) -> Result<Frame, CludiError> {
+        Frame::read(r).map_err(|e| e.named(CludiError::Decode("truncated frame")))
+    }
+
+    fn read(r: &mut ByteReader<'_>) -> Result<Frame, Malformed<CludiError>> {
+        let tag = r.get_u8()?;
         match tag {
             TAG_NEW_MODEL | TAG_WEIGHT_UPDATE | TAG_DELETE => {
-                Ok(Frame::Bare(Message::decode_after_tag(tag, buf)?))
+                Ok(Frame::Bare(Message::read_after_tag(tag, r)?))
             }
             TAG_DATA => {
-                if buf.remaining() < 8 {
-                    return Err(CludiError::Decode("truncated data frame"));
-                }
-                let seq = buf.get_u64_le();
-                let message = Message::decode(buf)?;
-                Ok(Frame::Data { seq, message, ctx: None })
+                let seq = r.get_u64_le()?;
+                Ok(Frame::Data { seq, message: Message::read(r)?, ctx: None })
             }
             TAG_TRACED => {
-                if buf.remaining() < TRACE_CTX_BYTES + 8 {
-                    return Err(CludiError::Decode("truncated traced frame"));
-                }
-                let trace = TraceId(buf.get_u64_le());
-                let span = SpanId(buf.get_u64_le());
-                let seq = buf.get_u64_le();
-                let message = Message::decode(buf)?;
-                Ok(Frame::Data { seq, message, ctx: Some(TraceCtx { trace, span }) })
+                let ctx = read_trace_ctx(r)?;
+                let seq = r.get_u64_le()?;
+                Ok(Frame::Data { seq, message: Message::read(r)?, ctx: Some(ctx) })
             }
-            TAG_ACK => {
-                if buf.remaining() < 8 {
-                    return Err(CludiError::Decode("truncated ack frame"));
-                }
-                Ok(Frame::Ack { cumulative: buf.get_u64_le() })
-            }
-            _ => Err(CludiError::Decode("unknown frame tag")),
+            TAG_ACK => Ok(Frame::Ack { cumulative: r.get_u64_le()? }),
+            _ => Err(CludiError::Decode("unknown frame tag").into()),
         }
     }
+}
+
+fn read_trace_ctx(r: &mut ByteReader<'_>) -> Result<TraceCtx, Truncated> {
+    Ok(TraceCtx { trace: TraceId(r.get_u64_le()?), span: SpanId(r.get_u64_le()?) })
 }
 
 /// The site half of the reliable-delivery protocol: assigns sequence
@@ -460,49 +443,31 @@ impl ReliableSender {
     pub fn restore(
         base_rto_us: u64,
         max_rto_us: u64,
-        buf: &mut ByteReader<'_>,
+        r: &mut ByteReader<'_>,
     ) -> Result<ReliableSender, CludiError> {
-        if buf.remaining() < 16 {
-            return Err(CludiError::Decode("truncated sender snapshot"));
-        }
-        let next_seq = buf.get_u64_le();
-        let n = buf.get_u64_le();
-        let mut unacked = VecDeque::new();
-        for _ in 0..n {
-            if buf.remaining() < 17 {
-                return Err(CludiError::Decode("truncated sender snapshot entry"));
-            }
-            let seq = buf.get_u64_le();
-            let ctx = match buf.get_u8() {
+        let mut sender = ReliableSender::new(base_rto_us, max_rto_us);
+        sender
+            .read_queue(r)
+            .map_err(|e| e.named(CludiError::Decode("truncated sender checkpoint")))?;
+        Ok(sender)
+    }
+
+    /// Reads the sequence counter and the unacknowledged queue.
+    fn read_queue(&mut self, r: &mut ByteReader<'_>) -> Result<(), Malformed<CludiError>> {
+        self.next_seq = r.get_u64_le()?;
+        for _ in 0..r.get_u64_le()? {
+            let seq = r.get_u64_le()?;
+            let ctx = match r.get_u8()? {
                 0 => None,
-                1 => {
-                    if buf.remaining() < TRACE_CTX_BYTES {
-                        return Err(CludiError::Decode("truncated sender snapshot trace ctx"));
-                    }
-                    let trace = TraceId(buf.get_u64_le());
-                    let span = SpanId(buf.get_u64_le());
-                    Some(TraceCtx { trace, span })
-                }
-                _ => return Err(CludiError::Decode("bad sender snapshot trace flag")),
+                1 => Some(read_trace_ctx(r)?),
+                _ => return Err(CludiError::Decode("bad sender snapshot trace flag").into()),
             };
-            if buf.remaining() < 8 {
-                return Err(CludiError::Decode("truncated sender snapshot entry"));
-            }
-            let len = buf.get_u64_le() as usize;
-            if buf.remaining() < len {
-                return Err(CludiError::Decode("truncated sender snapshot message"));
-            }
-            let message = Message::decode(buf)?;
-            unacked.push_back((seq, message, ctx));
+            // The message is read from exactly the bytes its length claims.
+            let len = r.get_u64_le()? as usize;
+            let message = Message::read(&mut ByteReader::new(r.bytes(len)?))?;
+            self.unacked.push_back((seq, message, ctx));
         }
-        Ok(ReliableSender {
-            next_seq,
-            unacked,
-            retries: 0,
-            base_rto_us: base_rto_us.max(1),
-            max_rto_us: max_rto_us.max(1),
-            retransmitted_messages: 0,
-        })
+        Ok(())
     }
 }
 

@@ -27,8 +27,7 @@ use crate::remote::model_list::{ModelEntry, ModelId, ModelList};
 use crate::remote::site::{RemoteSite, SiteStats};
 use cludistream_gmm::codec::{decode_mixture, encode_mixture};
 use cludistream_gmm::{CovarianceType, GmmError};
-use cludistream_linalg::Vector;
-use cludistream_wire::{ByteBuf, ByteReader};
+use cludistream_wire::{ByteBuf, ByteReader, Malformed};
 
 const MAGIC: u32 = 0x434C_4453; // "CLDS"
 const VERSION: u16 = 1;
@@ -100,66 +99,51 @@ impl RemoteSite {
     /// must match the one the snapshot was taken under (dimensionality is
     /// validated; the rest is the caller's contract).
     pub fn restore(config: crate::Config, snapshot: &mut ByteReader<'_>) -> Result<Self, GmmError> {
-        if snapshot.remaining() < 4 + 2 + 4 {
-            return Err(GmmError::Codec("truncated snapshot header"));
+        RemoteSite::read(config, snapshot)
+            .map_err(|e| e.named(GmmError::Codec("truncated site checkpoint")))
+    }
+
+    fn read(config: crate::Config, r: &mut ByteReader<'_>) -> Result<Self, Malformed<GmmError>> {
+        if r.get_u32_le()? != MAGIC {
+            return Err(GmmError::Codec("bad snapshot magic").into());
         }
-        if snapshot.get_u32_le() != MAGIC {
-            return Err(GmmError::Codec("bad snapshot magic"));
+        if r.get_u16_le()? != VERSION {
+            return Err(GmmError::Codec("unsupported snapshot version").into());
         }
-        if snapshot.get_u16_le() != VERSION {
-            return Err(GmmError::Codec("unsupported snapshot version"));
-        }
-        let dim = snapshot.get_u32_le() as usize;
+        let dim = r.get_u32_le()? as usize;
         if dim != config.dim {
-            return Err(GmmError::DimensionMismatch { expected: config.dim, got: dim });
+            return Err(GmmError::DimensionMismatch { expected: config.dim, got: dim }.into());
         }
         let mut site = RemoteSite::new(config)?;
 
-        if snapshot.remaining() < 8 + 8 + 1 {
-            return Err(GmmError::Codec("truncated snapshot body"));
-        }
-        let chunk_index = snapshot.get_u64_le();
-        let next_model_id = snapshot.get_u64_le();
-        let current = match snapshot.get_u8() {
+        let chunk_index = r.get_u64_le()?;
+        let next_model_id = r.get_u64_le()?;
+        let current = match r.get_u8()? {
             0 => None,
-            1 => {
-                if snapshot.remaining() < 8 {
-                    return Err(GmmError::Codec("truncated current-model id"));
-                }
-                Some(ModelId(snapshot.get_u64_le()))
-            }
-            _ => return Err(GmmError::Codec("bad current-model flag")),
+            1 => Some(ModelId(r.get_u64_le()?)),
+            _ => return Err(GmmError::Codec("bad current-model flag").into()),
         };
-        if snapshot.remaining() < 7 * 8 + 4 {
-            return Err(GmmError::Codec("truncated stats"));
-        }
         let stats = SiteStats {
-            records: snapshot.get_u64_le(),
-            chunks: snapshot.get_u64_le(),
-            fit_current: snapshot.get_u64_le(),
-            switched: snapshot.get_u64_le(),
-            clustered: snapshot.get_u64_le(),
-            tests: snapshot.get_u64_le(),
-            em_iterations: snapshot.get_u64_le(),
+            records: r.get_u64_le()?,
+            chunks: r.get_u64_le()?,
+            fit_current: r.get_u64_le()?,
+            switched: r.get_u64_le()?,
+            clustered: r.get_u64_le()?,
+            tests: r.get_u64_le()?,
+            em_iterations: r.get_u64_le()?,
         };
-        let model_count = snapshot.get_u32_le() as usize;
-        let mut entries = Vec::with_capacity(model_count);
-        for _ in 0..model_count {
-            if snapshot.remaining() < 8 + 8 + 8 + 8 + 8 {
-                return Err(GmmError::Codec("truncated model entry"));
-            }
-            let id = ModelId(snapshot.get_u64_le());
-            let avg_ll = snapshot.get_f64_le();
-            let ll_std = snapshot.get_f64_le();
-            let count = snapshot.get_u64_le();
-            let created_at_chunk = snapshot.get_u64_le();
-            if snapshot.remaining() < 8 {
-                return Err(GmmError::Codec("truncated model entry"));
-            }
-            let last_active_chunk = snapshot.get_u64_le();
-            let mixture = decode_mixture(snapshot)?;
+        // Not pre-sized: an entry's size depends on its mixture.
+        let mut entries = Vec::new();
+        for _ in 0..r.get_u32_le()? {
+            let id = ModelId(r.get_u64_le()?);
+            let avg_ll = r.get_f64_le()?;
+            let ll_std = r.get_f64_le()?;
+            let count = r.get_u64_le()?;
+            let created_at_chunk = r.get_u64_le()?;
+            let last_active_chunk = r.get_u64_le()?;
+            let mixture = decode_mixture(r)?;
             if id.0 >= next_model_id {
-                return Err(GmmError::Codec("model id exceeds next_id"));
+                return Err(GmmError::Codec("model id exceeds next_id").into());
             }
             entries.push(ModelEntry {
                 id,
@@ -172,48 +156,23 @@ impl RemoteSite {
             });
         }
         if current.is_some() && !entries.iter().any(|e| Some(e.id) == current) {
-            return Err(GmmError::Codec("current model not in model list"));
+            return Err(GmmError::Codec("current model not in model list").into());
         }
-        if snapshot.remaining() < 4 {
-            return Err(GmmError::Codec("truncated event table"));
-        }
-        let closed_count = snapshot.get_u32_le() as usize;
-        let mut closed = Vec::with_capacity(closed_count);
-        for _ in 0..closed_count {
-            if snapshot.remaining() < 24 {
-                return Err(GmmError::Codec("truncated event entry"));
-            }
-            closed.push(EventEntry {
-                start_chunk: snapshot.get_u64_le(),
-                end_chunk: snapshot.get_u64_le(),
-                model: ModelId(snapshot.get_u64_le()),
-            });
-        }
-        if snapshot.remaining() < 1 {
-            return Err(GmmError::Codec("truncated open-event flag"));
-        }
-        let open = match snapshot.get_u8() {
+        let closed_count = r.get_u32_le()? as usize;
+        let closed = r.items(closed_count, 24, |r| {
+            Ok(EventEntry {
+                start_chunk: r.get_u64_le()?,
+                end_chunk: r.get_u64_le()?,
+                model: ModelId(r.get_u64_le()?),
+            })
+        })?;
+        let open = match r.get_u8()? {
             0 => None,
-            1 => {
-                if snapshot.remaining() < 16 {
-                    return Err(GmmError::Codec("truncated open event"));
-                }
-                Some((snapshot.get_u64_le(), ModelId(snapshot.get_u64_le())))
-            }
-            _ => return Err(GmmError::Codec("bad open-event flag")),
+            1 => Some((r.get_u64_le()?, ModelId(r.get_u64_le()?))),
+            _ => return Err(GmmError::Codec("bad open-event flag").into()),
         };
-        if snapshot.remaining() < 4 {
-            return Err(GmmError::Codec("truncated buffer length"));
-        }
-        let buffered = snapshot.get_u32_le() as usize;
-        let mut buffer = Vec::with_capacity(buffered);
-        if snapshot.remaining() < buffered * dim * 8 {
-            return Err(GmmError::Codec("truncated buffer records"));
-        }
-        for _ in 0..buffered {
-            let x: Vector = (0..dim).map(|_| snapshot.get_f64_le()).collect();
-            buffer.push(x);
-        }
+        let buffered = r.get_u32_le()? as usize;
+        let buffer = r.items(buffered, 8, |r| Ok(r.f64s(dim)?.collect()))?;
 
         site.install_snapshot(
             ModelList::from_parts(entries, next_model_id),

@@ -27,7 +27,7 @@
 
 use crate::error::CludiError;
 use cludistream_gmm::CovarianceType;
-use cludistream_wire::{ByteBuf, ByteReader};
+use cludistream_wire::{ByteBuf, ByteReader, Malformed};
 
 /// Version both ends must agree on before any data-plane traffic.
 pub const PROTOCOL_VERSION: u16 = 1;
@@ -340,133 +340,67 @@ impl Control {
         buf
     }
 
-    /// Decodes one control frame, validating length before every field.
-    pub fn decode(reader: &mut ByteReader<'_>) -> Result<Control, CludiError> {
-        if reader.remaining() < 1 {
-            return Err(CludiError::Decode("empty control frame"));
-        }
-        match reader.get_u8() {
-            TAG_HELLO => {
-                if reader.remaining() < 12 {
-                    return Err(CludiError::Decode("truncated Hello"));
-                }
-                let version = reader.get_u16_le();
-                let site = reader.get_u32_le();
-                let dim = reader.get_u32_le();
-                let cov = cov_from_u8(reader.get_u8())?;
-                let resume = reader.get_u8() != 0;
-                Ok(Control::Hello { version, site, dim, cov, resume })
-            }
-            TAG_WELCOME => {
-                if reader.remaining() < 26 {
-                    return Err(CludiError::Decode("truncated Welcome"));
-                }
-                Ok(Control::Welcome {
-                    version: reader.get_u16_le(),
-                    heartbeat_us: reader.get_u64_le(),
-                    timeout_us: reader.get_u64_le(),
-                    ack: reader.get_u64_le(),
-                })
-            }
-            TAG_REJECT => {
-                if reader.remaining() < 17 {
-                    return Err(CludiError::Decode("truncated Reject"));
-                }
-                let code = RejectCode::from_u8(reader.get_u8())?;
-                let expect = reader.get_u64_le();
-                let got = reader.get_u64_le();
-                Ok(Control::Reject { code, expect, got })
-            }
-            TAG_START => Ok(Control::Start),
-            TAG_PING => {
-                if reader.remaining() < 12 {
-                    return Err(CludiError::Decode("truncated Ping"));
-                }
-                Ok(Control::Ping { site: reader.get_u32_le(), sent_us: reader.get_u64_le() })
-            }
-            TAG_DONE => {
-                if reader.remaining() < 4 {
-                    return Err(CludiError::Decode("truncated Done"));
-                }
-                Ok(Control::Done { site: reader.get_u32_le() })
-            }
-            TAG_STOP => Ok(Control::Stop),
+    /// Decodes one control frame; input that ends early (or a string that
+    /// is not UTF-8) is "truncated control frame".
+    pub fn decode(r: &mut ByteReader<'_>) -> Result<Control, CludiError> {
+        Control::read(r).map_err(|e| e.named(CludiError::Decode("truncated control frame")))
+    }
+
+    fn read(r: &mut ByteReader<'_>) -> Result<Control, Malformed<CludiError>> {
+        Ok(match r.get_u8()? {
+            TAG_HELLO => Control::Hello {
+                version: r.get_u16_le()?,
+                site: r.get_u32_le()?,
+                dim: r.get_u32_le()?,
+                cov: cov_from_u8(r.get_u8()?)?,
+                resume: r.get_u8()? != 0,
+            },
+            TAG_WELCOME => Control::Welcome {
+                version: r.get_u16_le()?,
+                heartbeat_us: r.get_u64_le()?,
+                timeout_us: r.get_u64_le()?,
+                ack: r.get_u64_le()?,
+            },
+            TAG_REJECT => Control::Reject {
+                code: RejectCode::from_u8(r.get_u8()?)?,
+                expect: r.get_u64_le()?,
+                got: r.get_u64_le()?,
+            },
+            TAG_START => Control::Start,
+            TAG_PING => Control::Ping { site: r.get_u32_le()?, sent_us: r.get_u64_le()? },
+            TAG_DONE => Control::Done { site: r.get_u32_le()? },
+            TAG_STOP => Control::Stop,
             TAG_TELEMETRY => {
-                if reader.remaining() < 4 {
-                    return Err(CludiError::Decode("truncated Telemetry"));
-                }
-                let site = reader.get_u32_le();
-                let payload = reader
-                    .get_var_bytes()
-                    .ok_or(CludiError::Decode("truncated Telemetry payload"))?;
-                Ok(Control::Telemetry { site, payload })
+                Control::Telemetry { site: r.get_u32_le()?, payload: r.get_var_bytes()? }
             }
-            TAG_PONG => {
-                if reader.remaining() < 12 {
-                    return Err(CludiError::Decode("truncated Pong"));
-                }
-                Ok(Control::Pong { site: reader.get_u32_le(), echo_us: reader.get_u64_le() })
-            }
-            TAG_CLOCK_PROBE => {
-                if reader.remaining() < 8 {
-                    return Err(CludiError::Decode("truncated ClockProbe"));
-                }
-                Ok(Control::ClockProbe { t0_us: reader.get_u64_le() })
-            }
-            TAG_CLOCK_ECHO => {
-                if reader.remaining() < 20 {
-                    return Err(CludiError::Decode("truncated ClockEcho"));
-                }
-                Ok(Control::ClockEcho {
-                    site: reader.get_u32_le(),
-                    t0_us: reader.get_u64_le(),
-                    site_us: reader.get_u64_le(),
-                })
-            }
-            TAG_STATUS_REQUEST => Ok(Control::StatusRequest),
-            TAG_STATUS_REPLY => {
-                let text = reader
-                    .get_var_bytes()
-                    .ok_or(CludiError::Decode("truncated StatusReply"))?;
-                Ok(Control::StatusReply { text })
-            }
-            TAG_SNAPSHOT_REQUEST => Ok(Control::SnapshotRequest),
-            TAG_SNAPSHOT_REPLY => {
-                let snapshot = reader
-                    .get_var_bytes()
-                    .ok_or(CludiError::Decode("truncated SnapshotReply"))?;
-                Ok(Control::SnapshotReply { snapshot })
-            }
-            TAG_HEALTH_REQUEST => Ok(Control::HealthRequest),
+            TAG_PONG => Control::Pong { site: r.get_u32_le()?, echo_us: r.get_u64_le()? },
+            TAG_CLOCK_PROBE => Control::ClockProbe { t0_us: r.get_u64_le()? },
+            TAG_CLOCK_ECHO => Control::ClockEcho {
+                site: r.get_u32_le()?,
+                t0_us: r.get_u64_le()?,
+                site_us: r.get_u64_le()?,
+            },
+            TAG_STATUS_REQUEST => Control::StatusRequest,
+            TAG_STATUS_REPLY => Control::StatusReply { text: r.get_var_bytes()? },
+            TAG_SNAPSHOT_REQUEST => Control::SnapshotRequest,
+            TAG_SNAPSHOT_REPLY => Control::SnapshotReply { snapshot: r.get_var_bytes()? },
+            TAG_HEALTH_REQUEST => Control::HealthRequest,
             TAG_HEALTH_REPLY => {
-                if reader.remaining() < 4 {
-                    return Err(CludiError::Decode("truncated HealthReply"));
-                }
-                let count = reader.get_u32_le() as usize;
-                let mut alerts = Vec::new();
-                for _ in 0..count {
-                    let name = reader
-                        .get_var_bytes()
-                        .ok_or(CludiError::Decode("truncated HealthReply name"))?;
-                    let name = String::from_utf8(name)
-                        .map_err(|_| CludiError::Decode("HealthReply name not UTF-8"))?;
-                    let metric = reader
-                        .get_var_bytes()
-                        .ok_or(CludiError::Decode("truncated HealthReply metric"))?;
-                    let metric = String::from_utf8(metric)
-                        .map_err(|_| CludiError::Decode("HealthReply metric not UTF-8"))?;
-                    if reader.remaining() < 17 {
-                        return Err(CludiError::Decode("truncated HealthReply alert"));
-                    }
-                    let firing = reader.get_u8() != 0;
-                    let value = f64::from_bits(reader.get_u64_le());
-                    let threshold = f64::from_bits(reader.get_u64_le());
-                    alerts.push(HealthAlert { name, metric, firing, value, threshold });
-                }
-                Ok(Control::HealthReply { alerts })
+                let count = r.get_u32_le()? as usize;
+                // Two empty strings and the flag, value and threshold.
+                let alerts = r.items(count, 4 + 4 + 17, |r| {
+                    Ok(HealthAlert {
+                        name: r.get_var_str()?,
+                        metric: r.get_var_str()?,
+                        firing: r.get_u8()? != 0,
+                        value: f64::from_bits(r.get_u64_le()?),
+                        threshold: f64::from_bits(r.get_u64_le()?),
+                    })
+                })?;
+                Control::HealthReply { alerts }
             }
-            _ => Err(CludiError::Decode("unknown control tag")),
-        }
+            _ => return Err(CludiError::Decode("unknown control tag").into()),
+        })
     }
 
     /// `true` when a payload's first byte marks a control frame rather

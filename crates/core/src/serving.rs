@@ -47,7 +47,7 @@ use crate::coordinator::Coordinator;
 use crate::error::CludiError;
 use crate::remote::ModelId;
 use cludistream_gmm::{codec, CovarianceType, Mixture};
-use cludistream_wire::{ByteBuf, ByteReader};
+use cludistream_wire::{ByteBuf, ByteReader, Malformed};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -148,8 +148,7 @@ impl SnapshotMembers {
     fn chunked(members: impl Iterator<Item = (u64, SnapshotMember)>, end: u64) -> Self {
         let mut chunker = Chunker::default();
         members.for_each(|(seq, m)| chunker.push(seq, m));
-        let tail = chunker.tail(end);
-        Self::assemble(chunker.sealed.into(), tail, end)
+        chunker.finish(end)
     }
 
     fn assemble(sealed: Arc<[Chunk]>, tail: Chunk, end: u64) -> Self {
@@ -269,6 +268,12 @@ impl Chunker {
     fn tail(&self, end: u64) -> Chunk {
         let first = if self.open.is_empty() { end } else { self.first };
         Chunk { first, members: self.open.as_slice().into() }
+    }
+
+    /// The lineage of the members pushed, all below `end`.
+    fn finish(self, end: u64) -> SnapshotMembers {
+        let tail = self.tail(end);
+        SnapshotMembers::assemble(self.sealed.into(), tail, end)
     }
 }
 
@@ -407,62 +412,48 @@ impl ModelSnapshot {
 
     /// Decodes a snapshot produced by [`ModelSnapshot::encode`],
     /// validating the magic, format version, and every length.
-    pub fn decode(reader: &mut ByteReader<'_>) -> Result<ModelSnapshot, CludiError> {
-        if reader.remaining() < 22 {
-            return Err(CludiError::Decode("truncated snapshot header"));
+    pub fn decode(r: &mut ByteReader<'_>) -> Result<ModelSnapshot, CludiError> {
+        ModelSnapshot::read(r).map_err(|e| e.named(CludiError::Decode("truncated model snapshot")))
+    }
+
+    fn read(r: &mut ByteReader<'_>) -> Result<ModelSnapshot, Malformed<CludiError>> {
+        if r.get_u32_le()? != MAGIC {
+            return Err(CludiError::Decode("bad snapshot magic").into());
         }
-        if reader.get_u32_le() != MAGIC {
-            return Err(CludiError::Decode("bad snapshot magic"));
+        if r.get_u16_le()? != SNAPSHOT_FORMAT_VERSION {
+            return Err(CludiError::Decode("unsupported snapshot format version").into());
         }
-        if reader.get_u16_le() != SNAPSHOT_FORMAT_VERSION {
-            return Err(CludiError::Decode("unsupported snapshot format version"));
-        }
-        let version = reader.get_u64_le();
-        let messages_applied = reader.get_u64_le();
-        // The mixture codec carries its own covariance tag; peek it so the
-        // decoded snapshot preserves the wire representation.
-        let covariance = match reader.peek_u8() {
-            Some(0) => CovarianceType::Full,
-            Some(1) => CovarianceType::Diagonal,
-            _ => return Err(CludiError::Decode("truncated snapshot mixture")),
-        };
-        let mixture = codec::decode_mixture(reader)?;
-        if reader.remaining() < 4 {
-            return Err(CludiError::Decode("truncated snapshot group count"));
-        }
-        let group_count = reader.get_u32_le() as usize;
+        let version = r.get_u64_le()?;
+        let messages_applied = r.get_u64_le()?;
+        // The mixture codec carries its own covariance tag (and rejects any
+        // other); peek it so the decoded snapshot preserves the wire
+        // representation.
+        let covariance =
+            if r.peek_u8() == Some(1) { CovarianceType::Diagonal } else { CovarianceType::Full };
+        let mixture = codec::decode_mixture(r)?;
+        let group_count = r.get_u32_le()? as usize;
         if group_count != mixture.k() {
-            return Err(CludiError::Decode("snapshot group count disagrees with mixture"));
+            return Err(CludiError::Decode("snapshot group count disagrees with mixture").into());
         }
         let mut groups = Vec::with_capacity(group_count);
         for _ in 0..group_count {
-            if reader.remaining() < 20 {
-                return Err(CludiError::Decode("truncated snapshot group"));
-            }
-            let id = reader.get_u64_le();
-            let weight = reader.get_f64_le();
+            let id = r.get_u64_le()?;
+            let weight = r.get_f64_le()?;
             if !weight.is_finite() || weight < 0.0 {
-                return Err(CludiError::Decode("invalid snapshot group weight"));
+                return Err(CludiError::Decode("invalid snapshot group weight").into());
             }
-            let member_count = reader.get_u32_le() as usize;
-            let Some(member_bytes) = member_count.checked_mul(MEMBER_BYTES) else {
-                return Err(CludiError::Decode("snapshot member count overflows"));
-            };
-            if reader.remaining() < member_bytes {
-                return Err(CludiError::Decode("truncated snapshot members"));
+            let member_count = r.get_u32_le()?;
+            r.need_items(member_count as usize, MEMBER_BYTES)?;
+            let mut chunker = Chunker::default();
+            for seq in 0..u64::from(member_count) {
+                let member = SnapshotMember {
+                    site: r.get_u32_le()?,
+                    model: ModelId(r.get_u64_le()?),
+                    component: r.get_u32_le()?,
+                };
+                chunker.push(seq, member);
             }
-            let members = SnapshotMembers::chunked(
-                (0..member_count as u64).map(|seq| {
-                    let member = SnapshotMember {
-                        site: reader.get_u32_le(),
-                        model: ModelId(reader.get_u64_le()),
-                        component: reader.get_u32_le(),
-                    };
-                    (seq, member)
-                }),
-                member_count as u64,
-            );
-            groups.push(SnapshotGroup { id, weight, members });
+            groups.push(SnapshotGroup { id, weight, members: chunker.finish(member_count.into()) });
         }
         Ok(ModelSnapshot { version, messages_applied, covariance, mixture, groups })
     }

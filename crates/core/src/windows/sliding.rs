@@ -2,6 +2,7 @@ use crate::config::Config;
 use crate::remote::{ChunkOutcome, ModelId, RemoteSite, SiteEvent};
 use cludistream_gmm::{GmmError, Mixture};
 use cludistream_linalg::Vector;
+use cludistream_wire::{ByteBuf, ByteReader, Malformed};
 use std::collections::VecDeque;
 
 /// A remote site with sliding-window semantics (paper Sec. 7): only the
@@ -67,8 +68,8 @@ impl SlidingWindowSite {
     /// Consumes one record, expiring old chunks as needed.
     pub fn push(&mut self, x: Vector) -> Result<Option<ChunkOutcome>, GmmError> {
         let outcome = self.inner.push(x)?;
-        if let Some(o) = &outcome {
-            let model = self.inner.current_model().expect("chunk processed");
+        // A processed chunk always leaves a current model.
+        if let (Some(o), Some(model)) = (&outcome, self.inner.current_model()) {
             if matches!(o, ChunkOutcome::FitCurrent { .. }) {
                 // Keep the coordinator's counter in sync so future
                 // deletions balance (see `fit_updates`).
@@ -79,7 +80,7 @@ impl SlidingWindowSite {
             }
             self.chunk_models.push_back(model);
             while self.chunk_models.len() > self.window_chunks {
-                let expired = self.chunk_models.pop_front().expect("non-empty");
+                let Some(expired) = self.chunk_models.pop_front() else { break };
                 self.expire_chunk(expired);
             }
         }
@@ -133,7 +134,7 @@ impl SlidingWindowSite {
     /// in-window chunk ledger and any undrained deletions/updates — for
     /// crash recovery. Restore with [`SlidingWindowSite::restore`] under
     /// the same configuration and window size.
-    pub fn snapshot(&self) -> cludistream_wire::ByteBuf {
+    pub fn snapshot(&self) -> ByteBuf {
         let mut buf = self.inner.snapshot();
         buf.put_u64_le(self.window_chunks as u64);
         buf.put_u64_le(self.chunk_models.len() as u64);
@@ -161,44 +162,32 @@ impl SlidingWindowSite {
     pub fn restore(
         config: Config,
         window_chunks: usize,
-        snapshot: &mut cludistream_wire::ByteReader<'_>,
+        snapshot: &mut ByteReader<'_>,
     ) -> Result<Self, GmmError> {
-        let inner = RemoteSite::restore(config, snapshot)?;
-        if snapshot.remaining() < 16 {
-            return Err(GmmError::Codec("truncated window snapshot"));
+        SlidingWindowSite::read(config, window_chunks, snapshot)
+            .map_err(|e| e.named(GmmError::Codec("truncated window checkpoint")))
+    }
+
+    fn read(
+        config: Config,
+        window_chunks: usize,
+        r: &mut ByteReader<'_>,
+    ) -> Result<Self, Malformed<GmmError>> {
+        let inner = RemoteSite::restore(config, r)?;
+        if r.get_u64_le()? != window_chunks as u64 {
+            return Err(GmmError::Codec("window size mismatch").into());
         }
-        if snapshot.get_u64_le() != window_chunks as u64 {
-            return Err(GmmError::Codec("window size mismatch"));
-        }
-        let n_chunks = snapshot.get_u64_le() as usize;
-        if snapshot.remaining() < n_chunks * 8 {
-            return Err(GmmError::Codec("truncated chunk ledger"));
-        }
-        let chunk_models: VecDeque<ModelId> =
-            (0..n_chunks).map(|_| ModelId(snapshot.get_u64_le())).collect();
-        if snapshot.remaining() < 8 {
-            return Err(GmmError::Codec("truncated deletion queue"));
-        }
-        let n_dels = snapshot.get_u64_le() as usize;
-        if snapshot.remaining() < n_dels * 16 {
-            return Err(GmmError::Codec("truncated deletion queue"));
-        }
-        let deletions = (0..n_dels)
-            .map(|_| (ModelId(snapshot.get_u64_le()), snapshot.get_u64_le()))
-            .collect();
-        if snapshot.remaining() < 8 {
-            return Err(GmmError::Codec("truncated update queue"));
-        }
-        let n_fit = snapshot.get_u64_le() as usize;
-        if snapshot.remaining() < n_fit * 16 {
-            return Err(GmmError::Codec("truncated update queue"));
-        }
-        let fit_updates = (0..n_fit)
-            .map(|_| SiteEvent::WeightUpdate {
-                model: ModelId(snapshot.get_u64_le()),
-                count_delta: snapshot.get_u64_le(),
+        let n_chunks = r.get_u64_le()? as usize;
+        let chunk_models = r.items(n_chunks, 8, |r| r.get_u64_le().map(ModelId))?.into();
+        let n_dels = r.get_u64_le()? as usize;
+        let deletions = r.items(n_dels, 16, |r| Ok((ModelId(r.get_u64_le()?), r.get_u64_le()?)))?;
+        let n_fit = r.get_u64_le()? as usize;
+        let fit_updates = r.items(n_fit, 16, |r| {
+            Ok(SiteEvent::WeightUpdate {
+                model: ModelId(r.get_u64_le()?),
+                count_delta: r.get_u64_le()?,
             })
-            .collect();
+        })?;
         Ok(SlidingWindowSite { inner, window_chunks, chunk_models, deletions, fit_updates })
     }
 

@@ -18,7 +18,7 @@
 //! ```
 
 use crate::{CovarianceType, Gaussian, GmmError, Mixture, Result};
-use cludistream_wire::{ByteBuf, ByteReader};
+use cludistream_wire::{ByteBuf, ByteReader, Malformed};
 use cludistream_linalg::{Matrix, Vector};
 
 const TAG_FULL: u8 = 0;
@@ -31,16 +31,6 @@ const TAG_DIAGONAL: u8 = 1;
 /// the 9-byte header.
 pub fn encoded_len(k: usize, d: usize, cov: CovarianceType) -> usize {
     1 + 4 + 4 + 8 * k * (1 + d + cov.param_count(d))
-}
-
-/// Bytes after the header, `8 · K · (1 + d + d² | d)`; `None` when that does
-/// not fit a `usize`.
-fn body_len(k: usize, d: usize, cov: CovarianceType) -> Option<usize> {
-    let cov_params = match cov {
-        CovarianceType::Full => d.checked_mul(d)?,
-        CovarianceType::Diagonal => d,
-    };
-    cov_params.checked_add(d)?.checked_add(1)?.checked_mul(k)?.checked_mul(8)
 }
 
 /// Encodes a mixture into a fresh buffer.
@@ -79,51 +69,41 @@ pub fn encode_mixture(mixture: &Mixture, cov: CovarianceType) -> ByteBuf {
 }
 
 /// Decodes a mixture from a buffer produced by [`encode_mixture`].
-pub fn decode_mixture(buf: &mut ByteReader<'_>) -> Result<Mixture> {
-    if buf.remaining() < 9 {
-        return Err(GmmError::Codec("truncated header"));
-    }
-    let tag = buf.get_u8();
-    let cov = match tag {
+pub fn decode_mixture(r: &mut ByteReader<'_>) -> Result<Mixture> {
+    read_mixture(r).map_err(|e| e.named(GmmError::Codec("truncated synopsis")))
+}
+
+fn read_mixture(r: &mut ByteReader<'_>) -> std::result::Result<Mixture, Malformed<GmmError>> {
+    let cov = match r.get_u8()? {
         TAG_FULL => CovarianceType::Full,
         TAG_DIAGONAL => CovarianceType::Diagonal,
-        _ => return Err(GmmError::Codec("unknown covariance tag")),
+        _ => return Err(GmmError::Codec("unknown covariance tag").into()),
     };
-    let k = buf.get_u32_le() as usize;
-    let d = buf.get_u32_le() as usize;
+    let k = r.get_u32_le()? as usize;
+    let d = r.get_u32_le()? as usize;
     if k == 0 || d == 0 {
-        return Err(GmmError::Codec("zero K or d"));
+        return Err(GmmError::Codec("zero K or d").into());
     }
-    // K and d are the peer's: the body length is computed checked, and
-    // nothing is allocated until the buffer is known to hold that many bytes.
-    let body = body_len(k, d, cov).ok_or(GmmError::Codec("K and d overflow the body length"))?;
-    if buf.remaining() < body {
-        return Err(GmmError::Codec("truncated body"));
-    }
-    let mut weights = Vec::with_capacity(k);
-    for _ in 0..k {
-        weights.push(buf.get_f64_le());
-    }
-    let mut means = Vec::with_capacity(k);
-    for _ in 0..k {
-        let m: Vector = (0..d).map(|_| buf.get_f64_le()).collect();
-        means.push(m);
-    }
+    // K and d are the peer's: nothing is allocated until the whole body —
+    // K weights, means and covariances — is known to be present.
+    let mean_bytes = r.need_items(d, 8)?;
+    let cov_bytes = match cov {
+        CovarianceType::Full => r.need_items(d, mean_bytes)?,
+        CovarianceType::Diagonal => mean_bytes,
+    };
+    r.need_items(k, 8usize.saturating_add(mean_bytes).saturating_add(cov_bytes))?;
+    let weights: Vec<f64> = r.f64s(k)?.collect();
+    let means: Vec<Vector> = r.items(k, mean_bytes, |r| Ok(r.f64s(d)?.collect()))?;
     let mut comps = Vec::with_capacity(k);
     for mean in means {
+        let values = r.f64s(cov_bytes / 8)?;
         let cov_matrix = match cov {
-            CovarianceType::Full => {
-                let data: Vec<f64> = (0..d * d).map(|_| buf.get_f64_le()).collect();
-                Matrix::from_vec(d, d, data)
-            }
-            CovarianceType::Diagonal => {
-                let diag: Vec<f64> = (0..d).map(|_| buf.get_f64_le()).collect();
-                Matrix::from_diag(&diag)
-            }
+            CovarianceType::Full => Matrix::from_vec(d, d, values.collect()),
+            CovarianceType::Diagonal => Matrix::from_diag(&values.collect::<Vec<f64>>()),
         };
         comps.push(Gaussian::new(mean, cov_matrix)?);
     }
-    Mixture::new(comps, weights)
+    Ok(Mixture::new(comps, weights)?)
 }
 
 #[cfg(test)]

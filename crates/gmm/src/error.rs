@@ -1,4 +1,5 @@
 use cludistream_linalg::LinalgError;
+use cludistream_wire::Malformed;
 use std::fmt;
 
 /// Errors produced by the mixture-model machinery.
@@ -64,6 +65,13 @@ impl std::error::Error for GmmError {
 impl From<LinalgError> for GmmError {
     fn from(e: LinalgError) -> Self {
         GmmError::Linalg(e)
+    }
+}
+
+/// Inside a decoder, a mixture-model failure is a rejected value.
+impl<E: From<GmmError>> From<GmmError> for Malformed<E> {
+    fn from(e: GmmError) -> Self {
+        Malformed::Invalid(e.into())
     }
 }
 

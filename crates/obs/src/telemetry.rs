@@ -25,7 +25,7 @@
 use crate::catalogue::{lookup, Counter, Gauge, Histogram, SpanName};
 use crate::catalogue::{OBS_UNKNOWN_SERIES, ROUND_STATE};
 use crate::trace::{SpanId, SpanRecord, TraceId};
-use cludistream_wire::{ByteBuf, ByteReader};
+use cludistream_wire::{ByteBuf, ByteReader, Malformed, Truncated};
 
 /// Version byte leading every encoded delta; bump on layout change.
 pub const TELEMETRY_VERSION: u8 = 1;
@@ -135,73 +135,60 @@ impl TelemetryDelta {
         buf
     }
 
-    /// Decodes a delta, checking `remaining()` before every fixed-width
-    /// read so malformed input is an `Err`, never a panic. Every name is
+    /// Decodes a delta. Input that ends early (or a string that is not
+    /// UTF-8) is "truncated telemetry delta", never a panic, and no count
+    /// sizes anything before its items are shown present. Every name is
     /// looked up in the catalogue: an entry of the section's kind becomes
     /// its handle, anything else (parent-only entries included) is skipped,
     /// a span with its whole record, and counted in
     /// [`TelemetryDelta::unknown`].
     pub fn decode(r: &mut ByteReader<'_>) -> Result<TelemetryDelta, &'static str> {
-        fn need(r: &ByteReader<'_>, bytes: usize) -> Result<(), &'static str> {
-            if r.remaining() < bytes {
-                Err("truncated telemetry delta")
-            } else {
-                Ok(())
-            }
-        }
-        fn count(r: &mut ByteReader<'_>) -> Result<usize, &'static str> {
-            need(r, 4)?;
-            Ok(r.get_u32_le() as usize)
-        }
+        Self::read(r).map_err(|e| e.named("truncated telemetry delta"))
+    }
+
+    fn read(r: &mut ByteReader<'_>) -> Result<TelemetryDelta, Malformed<&'static str>> {
         /// The declared name of `kind` the next string spells, `None`
         /// (counted) for anything else.
         fn name(
             r: &mut ByteReader<'_>,
             kind: &str,
             unknown: &mut u64,
-        ) -> Result<Option<&'static str>, &'static str> {
-            let s = r.get_var_str().ok_or("bad telemetry string")?;
+        ) -> Result<Option<&'static str>, Truncated> {
+            let s = r.get_var_str()?;
             let found = lookup(&s).filter(|e| e.kind == kind && !PARENT_ONLY.contains(&e.name));
             *unknown += u64::from(found.is_none());
             Ok(found.map(|e| e.name))
         }
 
-        need(r, 1 + 4 + 8)?;
-        let version = r.get_u8();
-        if version != TELEMETRY_VERSION {
-            return Err("unknown telemetry version");
+        if r.get_u8()? != TELEMETRY_VERSION {
+            return Err(Malformed::Invalid("unknown telemetry version"));
         }
-        let site = r.get_u32_le();
-        let local_now_us = r.get_u64_le();
+        let site = r.get_u32_le()?;
+        let local_now_us = r.get_u64_le()?;
         let mut d = TelemetryDelta { site, local_now_us, ..TelemetryDelta::default() };
-        for _ in 0..count(r)? {
+        for _ in 0..r.get_u32_le()? {
             let n = name(r, Counter::KIND, &mut d.unknown)?;
-            need(r, 8)?;
-            let value = r.get_u64_le();
+            let value = r.get_u64_le()?;
             d.counters.extend(n.map(|n| (Counter(n), value)));
         }
-        for _ in 0..count(r)? {
+        for _ in 0..r.get_u32_le()? {
             let n = name(r, Gauge::KIND, &mut d.unknown)?;
-            need(r, 8)?;
-            let value = r.get_f64_le();
+            let value = r.get_f64_le()?;
             d.gauges.extend(n.map(|n| (Gauge(n), value)));
         }
-        for _ in 0..count(r)? {
+        for _ in 0..r.get_u32_le()? {
             let n = name(r, Histogram::KIND, &mut d.unknown)?;
-            let k = count(r)?;
-            need(r, k.checked_mul(8).ok_or("bad observation count")?)?;
-            let values: Vec<u64> = (0..k).map(|_| r.get_u64_le()).collect();
+            let k = r.get_u32_le()? as usize;
+            let values = r.items(k, 8, ByteReader::get_u64_le)?;
             d.observations.extend(n.map(|n| (Histogram(n), values)));
         }
-        for _ in 0..count(r)? {
-            need(r, 8 * 3)?;
-            let trace = TraceId(r.get_u64_le());
-            let span = SpanId(r.get_u64_le());
-            let parent_raw = r.get_u64_le();
+        for _ in 0..r.get_u32_le()? {
+            let trace = TraceId(r.get_u64_le()?);
+            let span = SpanId(r.get_u64_le()?);
+            let parent_raw = r.get_u64_le()?;
             let n = name(r, SpanName::KIND, &mut d.unknown)?;
-            need(r, 4 + 8 * 3)?;
             let (node, start_us, end_us, cost_us) =
-                (r.get_u32_le(), r.get_u64_le(), r.get_u64_le(), r.get_u64_le());
+                (r.get_u32_le()?, r.get_u64_le()?, r.get_u64_le()?, r.get_u64_le()?);
             d.spans.extend(n.map(|n| SpanRecord {
                 trace,
                 span,
@@ -213,8 +200,8 @@ impl TelemetryDelta {
                 cost_us,
             }));
         }
-        for _ in 0..count(r)? {
-            d.flight.push(r.get_var_str().ok_or("bad flight line")?);
+        for _ in 0..r.get_u32_le()? {
+            d.flight.push(r.get_var_str()?);
         }
         Ok(d)
     }

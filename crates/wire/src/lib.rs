@@ -12,12 +12,18 @@
 //! `put_u32_le` / `get_u32_le` little-endian convention), which the
 //! golden-bytes fixtures in `cludistream-gmm` lock in place.
 //!
-//! `ByteReader`'s getters panic on underflow, mirroring the usual
-//! `Buf`-style contract; decoders check [`ByteReader::remaining`] before
-//! every read so malformed input surfaces as an `Err`, never a panic.
+//! Every byte a decoder reads may come from a peer, so `ByteReader`'s
+//! getters fail instead of panicking: a read past the end is
+//! `Err(`[`Truncated`]`)`, and a decoder propagates it with `?`.
+//! [`ByteReader::need_items`] is the only place a count read off the wire
+//! is multiplied by an item width — checked, so a lying count is
+//! `Truncated` too — and nothing is sized from such a count before it has
+//! shown that many items are present ([`ByteReader::items`],
+//! [`ByteReader::f64s`]). A codec names a truncation once, at its public
+//! entry ([`Malformed::named`]).
 //!
 //! ```
-//! use cludistream_wire::ByteBuf;
+//! use cludistream_wire::{ByteBuf, Truncated};
 //!
 //! let mut buf = ByteBuf::new();
 //! buf.put_u8(7);
@@ -26,13 +32,50 @@
 //! assert_eq!(buf.len(), 1 + 4 + 8);
 //!
 //! let mut r = buf.reader();
-//! assert_eq!(r.get_u8(), 7);
-//! assert_eq!(r.get_u32_le(), 0xDEAD_BEEF);
-//! assert_eq!(r.get_f64_le(), -2.5);
-//! assert_eq!(r.remaining(), 0);
+//! assert_eq!(r.get_u8(), Ok(7));
+//! assert_eq!(r.get_u32_le(), Ok(0xDEAD_BEEF));
+//! assert_eq!(r.get_f64_le(), Ok(-2.5));
+//! assert_eq!(r.get_u8(), Err(Truncated));
 //! ```
 
 use std::ops::{Deref, DerefMut, RangeTo};
+
+/// A getter found fewer bytes than its value needs: the input ended, a
+/// count asked for more items than are left, or a length-prefixed string
+/// was not UTF-8. Either way the bytes do not hold what was asked for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Truncated;
+
+/// Why a decode failed, before the codec's public entry names it: the
+/// input was [`Truncated`], or the decoder rejected a value it read
+/// (`Invalid`, in the codec's own error type). Decoders return it from
+/// their private bodies so `?` works on reads and on nested decoders
+/// alike; the public entry turns it into the codec's error with
+/// [`Malformed::named`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Malformed<E> {
+    /// The input ran out.
+    Truncated,
+    /// The input held a value the decoder rejects.
+    Invalid(E),
+}
+
+impl<E> From<Truncated> for Malformed<E> {
+    fn from(_: Truncated) -> Malformed<E> {
+        Malformed::Truncated
+    }
+}
+
+impl<E> Malformed<E> {
+    /// The codec's error: `truncated` (one message naming the codec) for a
+    /// truncation, the rejection itself otherwise.
+    pub fn named(self, truncated: E) -> E {
+        match self {
+            Malformed::Truncated => truncated,
+            Malformed::Invalid(e) => e,
+        }
+    }
+}
 
 /// A growable byte buffer with little-endian append methods.
 ///
@@ -166,97 +209,125 @@ impl From<&[u8]> for ByteBuf {
 /// A read cursor over a byte slice, consuming little-endian values from
 /// the front.
 ///
-/// Getters panic if fewer bytes remain than the value needs; callers
-/// guard with [`ByteReader::remaining`], exactly as the decoders did with
-/// `bytes::Buf`.
+/// Every getter returns `Err(`[`Truncated`]`)` when fewer bytes remain
+/// than its value needs, so a decoder needs no length check of its own:
+/// it reads with `?`.
 #[derive(Debug, Clone)]
 pub struct ByteReader<'a> {
+    /// The bytes not yet consumed.
     data: &'a [u8],
-    pos: usize,
 }
 
 impl<'a> ByteReader<'a> {
     /// A cursor at the start of `data`.
     pub fn new(data: &'a [u8]) -> ByteReader<'a> {
-        ByteReader { data, pos: 0 }
+        ByteReader { data }
     }
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.data.len() - self.pos
+        self.data.len()
     }
 
-    /// The unconsumed tail.
-    pub fn rest(&self) -> &'a [u8] {
-        &self.data[self.pos..]
+    /// Checks that `count` items of `item_bytes` each remain and returns
+    /// their size in bytes. This is the one place a count read off the
+    /// wire is multiplied: the product is checked, so a count too large
+    /// for the input — or for a `usize` — is `Truncated`, never an
+    /// overflow. For items of varying size, `item_bytes` is the least one
+    /// takes.
+    pub fn need_items(&self, count: usize, item_bytes: usize) -> Result<usize, Truncated> {
+        count.checked_mul(item_bytes).filter(|&n| n <= self.remaining()).ok_or(Truncated)
     }
 
-    /// Skips `n` bytes. Panics if fewer remain.
-    pub fn advance(&mut self, n: usize) {
-        assert!(n <= self.remaining(), "advance past end of buffer");
-        self.pos += n;
+    /// Reads `count` items with `read` into a vector sized once — after
+    /// [`ByteReader::need_items`] has shown that `count` items of at least
+    /// `item_bytes` each (and at least one byte) are present, so a lying
+    /// count allocates nothing.
+    pub fn items<T>(
+        &mut self,
+        count: usize,
+        item_bytes: usize,
+        mut read: impl FnMut(&mut ByteReader<'a>) -> Result<T, Truncated>,
+    ) -> Result<Vec<T>, Truncated> {
+        self.need_items(count, item_bytes.max(1))?;
+        let mut out = Vec::with_capacity(count);
+        for _ in 0..count {
+            out.push(read(self)?);
+        }
+        Ok(out)
     }
 
-    fn take<const N: usize>(&mut self) -> [u8; N] {
-        assert!(N <= self.remaining(), "read past end of buffer");
-        let out: [u8; N] = self.data[self.pos..self.pos + N].try_into().expect("length checked");
-        self.pos += N;
-        out
+    /// Consumes the next `n` bytes.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], Truncated> {
+        if n > self.data.len() {
+            return Err(Truncated);
+        }
+        let (head, rest) = self.data.split_at(n);
+        self.data = rest;
+        Ok(head)
+    }
+
+    /// Consumes `n` little-endian `f64`s, checked as one run: the iterator
+    /// knows its exact length, so collecting it allocates once.
+    pub fn f64s(&mut self, n: usize) -> Result<impl ExactSizeIterator<Item = f64> + 'a, Truncated> {
+        let run = self.bytes(self.need_items(n, 8)?)?;
+        Ok(run.chunks_exact(8).map(|b| {
+            let mut word = [0; 8];
+            word.copy_from_slice(b);
+            f64::from_le_bytes(word)
+        }))
+    }
+
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], Truncated> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.bytes(N)?);
+        Ok(out)
     }
 
     /// Consumes a `u8`.
-    pub fn get_u8(&mut self) -> u8 {
-        u8::from_le_bytes(self.take::<1>())
+    pub fn get_u8(&mut self) -> Result<u8, Truncated> {
+        self.take().map(u8::from_le_bytes)
     }
 
     /// The next byte without consuming it; `None` when exhausted. Lets a
     /// decoder dispatch on an embedded tag that an inner codec will
     /// consume itself.
     pub fn peek_u8(&self) -> Option<u8> {
-        self.data.get(self.pos).copied()
+        self.data.first().copied()
     }
 
     /// Consumes a little-endian `u16`.
-    pub fn get_u16_le(&mut self) -> u16 {
-        u16::from_le_bytes(self.take::<2>())
+    pub fn get_u16_le(&mut self) -> Result<u16, Truncated> {
+        self.take().map(u16::from_le_bytes)
     }
 
     /// Consumes a little-endian `u32`.
-    pub fn get_u32_le(&mut self) -> u32 {
-        u32::from_le_bytes(self.take::<4>())
+    pub fn get_u32_le(&mut self) -> Result<u32, Truncated> {
+        self.take().map(u32::from_le_bytes)
     }
 
     /// Consumes a little-endian `u64`.
-    pub fn get_u64_le(&mut self) -> u64 {
-        u64::from_le_bytes(self.take::<8>())
+    pub fn get_u64_le(&mut self) -> Result<u64, Truncated> {
+        self.take().map(u64::from_le_bytes)
     }
 
     /// Consumes a little-endian `f64`.
-    pub fn get_f64_le(&mut self) -> f64 {
-        f64::from_le_bytes(self.take::<8>())
+    pub fn get_f64_le(&mut self) -> Result<f64, Truncated> {
+        self.take().map(f64::from_le_bytes)
     }
 
     /// Consumes a length-prefixed byte string written by
-    /// [`ByteBuf::put_var_bytes`]. Unlike the fixed-width getters this
-    /// never panics: `None` means the prefix or the payload is truncated,
-    /// letting decoders propagate malformed input as an error.
-    pub fn get_var_bytes(&mut self) -> Option<Vec<u8>> {
-        if self.remaining() < 4 {
-            return None;
-        }
-        let len = self.get_u32_le() as usize;
-        if self.remaining() < len {
-            return None;
-        }
-        let out = self.data[self.pos..self.pos + len].to_vec();
-        self.pos += len;
-        Some(out)
+    /// [`ByteBuf::put_var_bytes`].
+    pub fn get_var_bytes(&mut self) -> Result<Vec<u8>, Truncated> {
+        let len = self.get_u32_le()? as usize;
+        Ok(self.bytes(len)?.to_vec())
     }
 
     /// Consumes a length-prefixed UTF-8 string written by
-    /// [`ByteBuf::put_var_str`]. `None` on truncation or invalid UTF-8.
-    pub fn get_var_str(&mut self) -> Option<String> {
-        String::from_utf8(self.get_var_bytes()?).ok()
+    /// [`ByteBuf::put_var_str`]; bytes that are not UTF-8 do not hold a
+    /// string, so they are `Truncated` as well.
+    pub fn get_var_str(&mut self) -> Result<String, Truncated> {
+        String::from_utf8(self.get_var_bytes()?).map_err(|_| Truncated)
     }
 }
 
@@ -275,6 +346,7 @@ impl<'a> ByteReader<'a> {
 /// never part of the synopsis wire format, so byte accounting stays
 /// comparable across transports by counting payload bytes only.
 pub mod framing {
+    use crate::ByteReader;
     use std::io::{self, Read, Write};
 
     /// Bytes of the length prefix preceding every payload.
@@ -401,26 +473,24 @@ pub mod framing {
         /// Extracts every complete frame from the internal buffer.
         fn extract(&mut self) -> io::Result<Vec<Vec<u8>>> {
             let mut frames = Vec::new();
-            let mut offset = 0usize;
-            while self.buf.len() - offset >= LENGTH_PREFIX_BYTES {
-                let len = u32::from_le_bytes(
-                    self.buf[offset..offset + LENGTH_PREFIX_BYTES].try_into().expect("4 bytes"),
-                ) as usize;
+            let mut rest = ByteReader::new(&self.buf);
+            loop {
+                let mut next = rest.clone();
+                let Ok(len) = next.get_u32_le() else { break };
+                let len = len as usize;
                 if len > self.limit {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
                         format!("peer declared a {len}-byte frame"),
                     ));
                 }
-                if self.buf.len() - offset - LENGTH_PREFIX_BYTES < len {
-                    break;
-                }
-                let start = offset + LENGTH_PREFIX_BYTES;
-                frames.push(self.buf[start..start + len].to_vec());
-                offset = start + len;
+                let Ok(payload) = next.bytes(len) else { break };
+                frames.push(payload.to_vec());
+                rest = next;
             }
-            if offset > 0 {
-                self.buf.drain(..offset);
+            let consumed = self.buf.len() - rest.remaining();
+            if consumed > 0 {
+                self.buf.drain(..consumed);
             }
             Ok(frames)
         }
@@ -438,7 +508,7 @@ mod tests {
         let mut r = buf.reader();
         assert_eq!(r.peek_u8(), Some(7));
         assert_eq!(r.remaining(), 1);
-        assert_eq!(r.get_u8(), 7);
+        assert_eq!(r.get_u8(), Ok(7));
         assert_eq!(r.peek_u8(), None);
     }
 
@@ -454,11 +524,11 @@ mod tests {
 
         let mut r = buf.reader();
         assert_eq!(r.remaining(), 23);
-        assert_eq!(r.get_u8(), 0xAB);
-        assert_eq!(r.get_u16_le(), 0x1234);
-        assert_eq!(r.get_u32_le(), 0xDEAD_BEEF);
-        assert_eq!(r.get_u64_le(), 0x0102_0304_0506_0708);
-        assert_eq!(r.get_f64_le(), std::f64::consts::PI);
+        assert_eq!(r.get_u8(), Ok(0xAB));
+        assert_eq!(r.get_u16_le(), Ok(0x1234));
+        assert_eq!(r.get_u32_le(), Ok(0xDEAD_BEEF));
+        assert_eq!(r.get_u64_le(), Ok(0x0102_0304_0506_0708));
+        assert_eq!(r.get_f64_le(), Ok(std::f64::consts::PI));
         assert_eq!(r.remaining(), 0);
     }
 
@@ -474,7 +544,7 @@ mod tests {
         let nan = f64::from_bits(0x7FF8_0000_0000_1234);
         let mut buf = ByteBuf::new();
         buf.put_f64_le(nan);
-        assert_eq!(buf.reader().get_f64_le().to_bits(), nan.to_bits());
+        assert_eq!(buf.reader().get_f64_le().map(f64::to_bits), Ok(nan.to_bits()));
     }
 
     #[test]
@@ -490,19 +560,43 @@ mod tests {
     }
 
     #[test]
-    fn advance_and_rest() {
-        let data = [9u8, 8, 7, 6];
-        let mut r = ByteReader::new(&data);
-        r.advance(2);
-        assert_eq!(r.rest(), &[7, 6]);
+    fn underflow_is_truncated_and_consumes_nothing() {
+        let mut r = ByteReader::new(&[1, 2]);
+        assert_eq!(r.get_u32_le(), Err(Truncated));
         assert_eq!(r.remaining(), 2);
+        assert_eq!(r.get_u16_le(), Ok(0x0201));
+        assert_eq!(r.get_u8(), Err(Truncated));
+        assert_eq!(r.bytes(1), Err(Truncated));
+        assert_eq!(r.bytes(0), Ok(&[][..]));
     }
 
     #[test]
-    #[should_panic(expected = "read past end")]
-    fn underflow_panics() {
-        let mut r = ByteReader::new(&[1, 2]);
-        let _ = r.get_u32_le();
+    fn need_items_is_checked_arithmetic_against_what_remains() {
+        let r = ByteReader::new(&[0; 24]);
+        assert_eq!(r.need_items(3, 8), Ok(24));
+        assert_eq!(r.need_items(0, usize::MAX), Ok(0));
+        assert_eq!(r.need_items(4, 8), Err(Truncated));
+        // A product past `usize::MAX` is a truncation, not an overflow.
+        assert_eq!(r.need_items(usize::MAX, 2), Err(Truncated));
+        assert_eq!(r.need_items(1 << 61, 16), Err(Truncated));
+    }
+
+    #[test]
+    fn items_and_f64s_read_a_checked_run() {
+        let mut buf = ByteBuf::new();
+        for v in [1.5, -2.0, 8.25] {
+            buf.put_f64_le(v);
+        }
+        let mut r = buf.reader();
+        let run = r.f64s(2).expect("two present");
+        assert_eq!(run.len(), 2);
+        assert_eq!(run.collect::<Vec<_>>(), vec![1.5, -2.0]);
+        assert_eq!(r.items(1, 8, ByteReader::get_f64_le), Ok(vec![8.25]));
+        // A count the input cannot hold fails before anything is read.
+        let mut r = buf.reader();
+        assert!(r.f64s(4).is_err());
+        assert_eq!(r.items(u32::MAX as usize, 8, ByteReader::get_f64_le), Err(Truncated));
+        assert_eq!(r.remaining(), 24);
     }
 
     #[test]
@@ -512,32 +606,39 @@ mod tests {
         buf.put_var_bytes(b"");
         buf.put_var_bytes(&[0xFF, 0x00, 0x7F]);
         let mut r = buf.reader();
-        assert_eq!(r.get_var_str().as_deref(), Some("em.cost_us"));
-        assert_eq!(r.get_var_bytes(), Some(Vec::new()));
-        assert_eq!(r.get_var_bytes(), Some(vec![0xFF, 0x00, 0x7F]));
+        assert_eq!(r.get_var_str().as_deref(), Ok("em.cost_us"));
+        assert_eq!(r.get_var_bytes(), Ok(Vec::new()));
+        assert_eq!(r.get_var_bytes(), Ok(vec![0xFF, 0x00, 0x7F]));
         assert_eq!(r.remaining(), 0);
     }
 
     #[test]
-    fn var_bytes_truncation_is_none_not_panic() {
+    fn var_bytes_truncation_is_an_error() {
         let mut buf = ByteBuf::new();
         buf.put_var_str("site0.net.bytes");
         for len in 0..buf.len() {
             let cut = buf.slice(..len);
-            assert_eq!(cut.reader().get_var_bytes(), None, "truncated at {len}");
+            assert_eq!(cut.reader().get_var_bytes(), Err(Truncated), "truncated at {len}");
         }
         // A declared length past the end must also fail cleanly.
         let mut lying = ByteBuf::new();
         lying.put_u32_le(100);
         lying.put_u8(1);
-        assert_eq!(lying.reader().get_var_bytes(), None);
+        assert_eq!(lying.reader().get_var_bytes(), Err(Truncated));
     }
 
     #[test]
     fn var_str_rejects_invalid_utf8() {
         let mut buf = ByteBuf::new();
         buf.put_var_bytes(&[0xFF, 0xFE]);
-        assert_eq!(buf.reader().get_var_str(), None);
+        assert_eq!(buf.reader().get_var_str(), Err(Truncated));
+    }
+
+    #[test]
+    fn malformed_is_named_once() {
+        let truncated: Malformed<&str> = Truncated.into();
+        assert_eq!(truncated.named("truncated frame"), "truncated frame");
+        assert_eq!(Malformed::Invalid("bad tag").named("truncated frame"), "bad tag");
     }
 
     #[test]

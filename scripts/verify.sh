@@ -327,27 +327,44 @@ done
 # looks names up in (crates/obs), and in crates/gmm the synopsis codec and
 # the Gaussian whose merge criteria and their bounds the coordinator runs
 # on peer-sent synopses — must not `expect` either: there an `expect` on a
-# value is a remote panic. Orderings use `f64::total_cmp`, a group whose statistics yield no
+# value is a remote panic. The same holds for crates/wire (the reader
+# every decoder reads through) and the site checkpoint decoders
+# (remote/snapshot.rs, windows/sliding.rs). Orderings use `f64::total_cmp`, a group whose statistics yield no
 # Gaussian keeps its previous aggregate and reports an error, and a
 # poisoned lock is recovered. Test modules (everything below
 # `#[cfg(test)]`) and comment lines are exempt.
+non_test() { awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//' "$1"; }
 gate_failed=0
-for f in $(find crates/core/src crates/par/src crates/optimize/src -name '*.rs') \
+for f in $(find crates/core/src crates/par/src crates/optimize/src crates/wire/src -name '*.rs') \
         crates/obs/src/{telemetry,fleet,registry,catalogue}.rs crates/gmm/src/{codec,gaussian}.rs; do
     banned='\.unwrap\(\)|panic!\('
     case "$f" in
         crates/core/src/coordinator/* | crates/core/src/runtime/* | \
         crates/core/src/protocol.rs | crates/core/src/serving.rs | \
         crates/core/src/engine.rs | crates/core/src/aggregator.rs | \
-        crates/obs/src/* | crates/optimize/src/* | \
+        crates/core/src/remote/snapshot.rs | crates/core/src/windows/sliding.rs | \
+        crates/obs/src/* | crates/optimize/src/* | crates/wire/src/* | \
         crates/gmm/src/codec.rs | crates/gmm/src/gaussian.rs) banned="$banned|\.expect\(" ;;
     esac
-    hits="$(awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//' "$f" \
-        | grep -nE "$banned" || true)"
+    hits="$(non_test "$f" | grep -nE "$banned" || true)"
     if [ -n "$hits" ]; then
         echo "unwrap()/panic!, or expect( in coordinator/, runtime/, protocol.rs," \
-            "serving.rs, engine.rs, aggregator.rs, obs telemetry/fleet/registry/catalogue.rs," \
-            "crates/optimize or gmm codec.rs/gaussian.rs — non-test code of $f:" >&2
+            "serving.rs, engine.rs, aggregator.rs, remote/snapshot.rs, windows/sliding.rs," \
+            "obs telemetry/fleet/registry/catalogue.rs, crates/optimize, crates/wire or" \
+            "gmm codec.rs/gaussian.rs — non-test code of $f:" >&2
+        echo "$hits" >&2
+        gate_failed=1
+    fi
+done
+# No hand-counted length guards: a decoder reads through `ByteReader`'s
+# fallible getters with `?`, and `need_items` is the one place a count read
+# off the wire is multiplied, so no decoder asks `remaining()` itself.
+for f in crates/gmm/src/codec.rs crates/obs/src/telemetry.rs crates/core/src/{protocol,serving,driver}.rs \
+        crates/core/src/runtime/control.rs crates/core/src/remote/snapshot.rs \
+        crates/core/src/windows/sliding.rs; do
+    hits="$(non_test "$f" | grep -n 'remaining()' || true)"
+    if [ -n "$hits" ]; then
+        echo "a hand-counted remaining() guard in the non-test code of decoder $f:" >&2
         echo "$hits" >&2
         gate_failed=1
     fi
