@@ -37,7 +37,7 @@ use cludistream_wire::ByteBuf;
 /// change in component count, any component mean drifting by more than
 /// `epsilon` (precision-weighted squared distance), or any weight moving by
 /// more than `epsilon`.
-pub fn summary_changed(old: &Mixture, new: &Mixture, epsilon: f64) -> bool {
+pub(crate) fn summary_changed(old: &Mixture, new: &Mixture, epsilon: f64) -> bool {
     if old.k() != new.k() {
         return true;
     }
@@ -66,7 +66,7 @@ pub struct AggregatorConfig {
     pub child_base: u32,
     /// Number of children (sites or lower-level aggregators) fanning in.
     pub children: usize,
-    /// Upload-on-change threshold (see [`summary_changed`]): a flush is
+    /// Upload-on-change threshold (see `summary_changed`): a flush is
     /// suppressed when no component moved and no weight changed by more
     /// than this. `0.0` re-uploads on any change — the deterministic
     /// default the topology-equivalence tests rely on.
@@ -159,7 +159,7 @@ impl AggregatorEngine {
     }
 
     /// True when child traffic arrived since the last flush attempt.
-    pub fn dirty(&self) -> bool {
+    pub(crate) fn dirty(&self) -> bool {
         self.engine.coordinator.messages_applied() > self.applied_at_last_flush
     }
 
@@ -201,32 +201,32 @@ impl AggregatorEngine {
     }
 
     /// Reduced updates sent upward so far.
-    pub fn flushes(&self) -> u64 {
+    pub(crate) fn flushes(&self) -> u64 {
         self.flushes
     }
 
     /// Flush attempts suppressed as unchanged.
-    pub fn flushes_suppressed(&self) -> u64 {
+    pub(crate) fn flushes_suppressed(&self) -> u64 {
         self.flushes_suppressed
     }
 
     /// Messages applied by the local coordinator (child-side traffic).
-    pub fn messages_applied(&self) -> u64 {
+    pub(crate) fn messages_applied(&self) -> u64 {
         self.engine.coordinator.messages_applied()
     }
 
     /// Local group count (size of the reduced upward summary).
-    pub fn group_count(&self) -> usize {
+    pub(crate) fn group_count(&self) -> usize {
         self.engine.coordinator.group_count()
     }
 
     /// Rows of shard bookkeeping (registry + retained merge log).
-    pub fn event_table_entries(&self) -> usize {
+    pub(crate) fn event_table_entries(&self) -> usize {
         self.engine.coordinator.event_table_entries()
     }
 
     /// The local coordinator (inspection; experiments).
-    pub fn coordinator(&self) -> &Coordinator {
+    pub(crate) fn coordinator(&self) -> &Coordinator {
         &self.engine.coordinator
     }
 
@@ -236,17 +236,17 @@ impl AggregatorEngine {
     }
 
     /// ACK frames sent downward to children.
-    pub fn ack_messages(&self) -> u64 {
+    pub(crate) fn ack_messages(&self) -> u64 {
         self.engine.ack_messages
     }
 
     /// Bytes of ACK frames sent downward.
-    pub fn ack_bytes(&self) -> u64 {
+    pub(crate) fn ack_bytes(&self) -> u64 {
         self.engine.ack_bytes
     }
 
     /// Duplicate or stale child frames discarded by the go-back-N inboxes.
-    pub fn duplicates_discarded(&self) -> u64 {
+    pub(crate) fn duplicates_discarded(&self) -> u64 {
         self.engine.inboxes.iter().map(crate::protocol::ReliableInbox::duplicates).sum()
     }
 

@@ -77,7 +77,7 @@ impl Default for Config {
 
 impl Config {
     /// Validates the configuration.
-    pub fn validate(&self) -> Result<(), GmmError> {
+    pub(crate) fn validate(&self) -> Result<(), GmmError> {
         if self.dim == 0 {
             return Err(GmmError::InvalidParameter { name: "dim", constraint: "dim >= 1" });
         }

@@ -31,7 +31,7 @@ pub struct Member {
     pub weight: f64,
     /// `M_remerge(i, Mix)` as captured when the member joined its group. A
     /// later merge of the group supersedes it without touching the member:
-    /// read it through [`Group::remerge_at_merge`].
+    /// read it through `Group::remerge_at_merge`.
     pub remerge_at_merge: f64,
     /// The group's merge epoch when `remerge_at_merge` was captured.
     pub(crate) epoch: u64,
@@ -71,7 +71,7 @@ const CANCELLATION_GUARD: f64 = 1.0 / 1024.0;
 ///
 /// The aggregate is maintained from running statistics: joins are folded
 /// in, removals subtracted, reweights applied as a difference, so no
-/// operation walks the members. [`Group::recompute`] is the exact rebuild;
+/// operation walks the members. `Group::recompute` is the exact rebuild;
 /// a history of joins alone matches it bit for bit (same additions in the
 /// same order), and a group falls back to it once it has taken as many
 /// inexact operations (removals, reweights) as it has members, when its
@@ -337,7 +337,7 @@ impl Group {
     /// merge. After a merge it is derived on demand from the aggregate the
     /// merge left, which gives what refreshing every member at merge time
     /// would have stored.
-    pub fn remerge_at_merge(&self, m: &Member) -> f64 {
+    pub(crate) fn remerge_at_merge(&self, m: &Member) -> f64 {
         match &self.merged_aggregate {
             Some(aggregate) if m.epoch != self.epoch => m_remerge(&m.gaussian, aggregate),
             _ => m.remerge_at_merge,
@@ -366,7 +366,7 @@ impl Group {
     /// from the members — the exact path, and the reference the running
     /// path is tested against — and drops any stale refined
     /// representative.
-    pub fn recompute(&mut self) {
+    pub(crate) fn recompute(&mut self) {
         self.refined = None;
         self.inexact_ops = 0;
         self.stats = SuffStats::new(self.stats.dim());
@@ -387,14 +387,14 @@ impl Group {
 
     /// The Gaussian representing this group in the global mixture: the
     /// refined component when present, the aggregate otherwise.
-    pub fn representative(&self) -> &Gaussian {
+    pub(crate) fn representative(&self) -> &Gaussian {
         self.refined.as_ref().unwrap_or(&self.aggregate)
     }
 
     /// Errors when the aggregate of a non-empty group could not be derived
     /// from its members (non-finite statistics); the group then still
     /// answers with its previous aggregate.
-    pub fn check(&self) -> Result<(), GmmError> {
+    pub(crate) fn check(&self) -> Result<(), GmmError> {
         if self.stale {
             return Err(GmmError::InvalidParameter {
                 name: "group",

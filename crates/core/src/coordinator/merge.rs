@@ -78,41 +78,6 @@ pub fn normalize_column(values: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Monte-Carlo estimate of the accuracy loss
-/// `l(x) = ∫ |w_i p(x|i) + w_j p(x|j) − (w_i+w_j) p(x|i')| dx`
-/// via self-normalized importance sampling with proposal
-/// `q = ½ p(x|i) + ½ p(x|j)` over the fixed point set `points`.
-///
-/// This is the definition of `l(x)` and the reference implementation:
-/// [`MergeRefiner::refine_with`] does not call it — it computes the terms
-/// that do not depend on `merged` once per merge — and a differential test
-/// holds the two bit-identical.
-pub fn accuracy_loss(
-    wi: f64,
-    gi: &Gaussian,
-    wj: f64,
-    gj: &Gaussian,
-    merged: &Gaussian,
-    points: &[Vector],
-) -> f64 {
-    let w = wi + wj;
-    let total: f64 = points
-        .iter()
-        .map(|x| {
-            let pi = gi.pdf(x);
-            let pj = gj.pdf(x);
-            let pm = merged.pdf(x);
-            let q = 0.5 * pi + 0.5 * pj;
-            if q <= 0.0 {
-                0.0
-            } else {
-                (wi * pi + wj * pj - w * pm).abs() / q
-            }
-        })
-        .sum();
-    total / points.len().max(1) as f64
-}
-
 /// Reusable buffers for [`MergeRefiner::refine_with`]: what one merge
 /// computes once and every simplex evaluation reads. Of the loss's three
 /// densities per point only the candidate's changes between evaluations,
@@ -122,7 +87,7 @@ pub fn accuracy_loss(
 /// overwritten at the start of a merge, so a long-lived coordinator
 /// allocates once and results are bit-identical to fresh scratch.
 #[derive(Debug, Default)]
-pub struct MergeScratch {
+pub(crate) struct MergeScratch {
     /// The S Monte-Carlo points, row-major (`rows[b*d..(b+1)*d]` is `x_b`).
     rows: Vec<f64>,
     /// `mix[b] = r_i·p_i(x_b) + r_j·p_j(x_b)`: the pair's density at `x_b`.
@@ -182,11 +147,12 @@ impl MergeRefiner {
     /// buffers. Cost per merge: 2·S fixed densities once, then S candidate
     /// densities per simplex evaluation, scored by one
     /// [`Gaussian::log_pdf_batch`] (bit-identical to per-point `log_pdf`,
-    /// no allocation). The objective is [`accuracy_loss`] term for term —
+    /// no allocation). The objective is the accuracy loss `l(x)` term for
+    /// term (the tests hold its per-point definition as the reference) —
     /// `(r_i·p_i + r_j·p_j) − w·p_m` parses left to right, so naming the
     /// first sum `mix[b]` changes no rounding — summed in point order, so
     /// every loss and every simplex decision equals the reference's bits.
-    pub fn refine_with(
+    pub(crate) fn refine_with(
         &self,
         scratch: &mut MergeScratch,
         wi: f64,
@@ -322,6 +288,42 @@ fn unpack(params: &[f64], d: usize) -> Option<Gaussian> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Monte-Carlo estimate of the accuracy loss
+    /// `l(x) = ∫ |w_i p(x|i) + w_j p(x|j) − (w_i+w_j) p(x|i')| dx`
+    /// via self-normalized importance sampling with proposal
+    /// `q = ½ p(x|i) + ½ p(x|j)` over the fixed point set `points`.
+    ///
+    /// This is the definition of `l(x)` and the reference implementation:
+    /// [`MergeRefiner::refine_with`] does not call it — it computes the terms
+    /// that do not depend on `merged` once per merge — and
+    /// `refine_with_is_bit_identical_to_accuracy_loss_reference` holds the two
+    /// bit-identical.
+    fn accuracy_loss(
+        wi: f64,
+        gi: &Gaussian,
+        wj: f64,
+        gj: &Gaussian,
+        merged: &Gaussian,
+        points: &[Vector],
+    ) -> f64 {
+        let w = wi + wj;
+        let total: f64 = points
+            .iter()
+            .map(|x| {
+                let pi = gi.pdf(x);
+                let pj = gj.pdf(x);
+                let pm = merged.pdf(x);
+                let q = 0.5 * pi + 0.5 * pj;
+                if q <= 0.0 {
+                    0.0
+                } else {
+                    (wi * pi + wj * pj - w * pm).abs() / q
+                }
+            })
+            .sum();
+        total / points.len().max(1) as f64
+    }
 
     fn g(center: f64, var: f64) -> Gaussian {
         Gaussian::spherical(Vector::from_slice(&[center, 0.0]), var).unwrap()
@@ -495,7 +497,7 @@ mod tests {
 
     /// The refiner as it ran before the fixed densities were hoisted: the
     /// same draw, the same simplex, but the objective and the start loss
-    /// call the public [`accuracy_loss`] on a freshly drawn `Vec<Vector>`.
+    /// call [`accuracy_loss`] on a freshly drawn `Vec<Vector>`.
     /// Also reports how many candidates took the diagonal density path and
     /// how many the dense one.
     fn refine_reference(

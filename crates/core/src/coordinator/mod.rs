@@ -5,17 +5,14 @@
 
 mod group;
 mod merge;
-mod query;
 mod split;
 
 pub use group::{ComponentKey, Group, Member};
-pub use query::DenseRegion;
+pub use merge::{j_merge, m_merge, merge_criteria_table, normalize_column, MergeRefiner};
+pub use split::{m_remerge, m_split};
 
-pub use merge::{
-    accuracy_loss, j_merge, m_merge, merge_criteria_table, normalize_column, MergeRefiner,
-    MergeScratch,
-};
-pub use split::{m_remerge, m_split, should_split};
+pub(crate) use merge::MergeScratch;
+use split::should_split;
 
 use merge::m_merge_of_dist;
 
@@ -232,7 +229,7 @@ impl Coordinator {
     /// Sets (or clears) the trace scope for the message being applied, so
     /// coordinator-side work records child spans under the right parent.
     /// The driver brackets each `apply` call with this.
-    pub fn set_trace_scope(&mut self, scope: Option<SpanScope>) {
+    pub(crate) fn set_trace_scope(&mut self, scope: Option<SpanScope>) {
         self.trace_scope = scope;
     }
 
@@ -283,16 +280,18 @@ impl Coordinator {
     }
 
     /// Rebuilds every group's aggregate from its members
-    /// ([`Group::recompute`]): the exact reference the running aggregates
+    /// (`Group::recompute`): the exact reference the running aggregates
     /// are tested against. Drops refined representatives.
     pub fn recompute_groups(&mut self) {
         self.groups.iter_mut().for_each(Group::recompute);
     }
 
-    /// Validation hook for tests: every group has a current aggregate, and
-    /// the model→member index and the groups' members are one to one — each
+    /// Validation hook for tests: every group has a current aggregate, the
+    /// model→member index and the groups' members are one to one — each
     /// index entry names a member carrying exactly that key, and there are
-    /// as many members as entries.
+    /// as many members as entries — and record mass is conserved: the
+    /// total weight equals the summed counts of the live site models to
+    /// 1e-9 relative.
     pub fn check(&self) -> Result<(), GmmError> {
         self.groups.iter().try_for_each(Group::check)?;
         let dangling = GmmError::InvalidParameter {
@@ -311,6 +310,13 @@ impl Coordinator {
         }
         if entries != self.component_count() {
             return Err(dangling);
+        }
+        let counted: f64 = self.registry.values().map(|info| info.count as f64).sum();
+        if (self.total_weight() - counted).abs() > 1e-9 * counted.max(1.0) {
+            return Err(GmmError::InvalidParameter {
+                name: "total_weight",
+                constraint: "record mass equals the summed counts of the live site models",
+            });
         }
         Ok(())
     }
@@ -340,6 +346,15 @@ impl Coordinator {
                 let held = self.groups.first().map(|g| g.aggregate().dim());
                 if let Some(expected) = held.filter(|&held| held != mixture.dim()) {
                     return Err(GmmError::DimensionMismatch { expected, got: mixture.dim() });
+                }
+                // Members are inserted at `w · count` and rescaled by
+                // `count / old` on updates, so a model founded on no
+                // records would hold no mass whatever later updates add.
+                if *count == 0 {
+                    return Err(GmmError::InvalidParameter {
+                        name: "count",
+                        constraint: "a new model summarises at least one record",
+                    });
                 }
                 // Idempotent under retransmission: a duplicate NewModel for
                 // a known (site, model) replaces the previous components
@@ -956,6 +971,27 @@ mod tests {
         c.apply(&new_model(2, 0, &[50.0], 100)).unwrap();
         assert!(c.check().is_ok());
         assert!((c.total_weight() - 300.0).abs() < 1e-9);
+    }
+
+    /// A model founded on no records would hold no mass whatever later
+    /// updates add: refused before the replace, like a wrong dimension,
+    /// so the mass the coordinator holds stays the records it accounts for.
+    #[test]
+    fn zero_count_new_model_is_refused_and_mass_is_conserved() {
+        let mut c = Coordinator::new(CoordinatorConfig::default()).unwrap();
+        assert!(c.apply(&new_model(0, 0, &[0.0], 0)).is_err());
+        assert_eq!((c.known_models(), c.component_count()), (0, 0));
+        let update = Message::WeightUpdate { site: 0, model: ModelId(0), count_delta: 500 };
+        assert!(c.apply(&update).is_err(), "no model was founded");
+        c.check().unwrap();
+        c.apply(&new_model(1, 0, &[0.0], 1000)).unwrap();
+        c.check().unwrap();
+        assert!((c.total_weight() - 1000.0).abs() < 1e-9);
+        // A zero-count duplicate of a live model does not delete it.
+        assert!(c.apply(&new_model(1, 0, &[5.0], 0)).is_err());
+        c.apply(&Message::WeightUpdate { site: 1, model: ModelId(0), count_delta: 500 }).unwrap();
+        c.check().unwrap();
+        assert!((c.total_weight() - 1500.0).abs() < 1e-9);
     }
 
     #[test]

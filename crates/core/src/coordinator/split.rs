@@ -31,7 +31,7 @@ pub fn m_remerge(component: &Gaussian, mix_aggregate: &Gaussian) -> f64 {
 /// The split decision of Algorithm 2: split when the component's current
 /// `M_split` exceeds the reciprocal of the `M_remerge` stored when it was
 /// merged into the group.
-pub fn should_split(current_m_split: f64, remerge_at_merge: f64) -> bool {
+pub(crate) fn should_split(current_m_split: f64, remerge_at_merge: f64) -> bool {
     current_m_split > 1.0 / remerge_at_merge.max(DIST_FLOOR)
 }
 

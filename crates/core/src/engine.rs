@@ -45,7 +45,7 @@ pub(crate) struct UpChannel {
 }
 
 impl UpChannel {
-    pub fn new(index: u32, cov: CovarianceType, obs: Obs, delivery: DeliveryConfig) -> Self {
+    pub(crate) fn new(index: u32, cov: CovarianceType, obs: Obs, delivery: DeliveryConfig) -> Self {
         let reliable = delivery.mode == DeliveryMode::Reliable;
         UpChannel {
             index,
@@ -59,7 +59,7 @@ impl UpChannel {
     }
 
     /// Sequences (when reliable) and encodes one message.
-    pub fn frame(&mut self, msg: Message, tctx: Option<TraceCtx>) -> ByteBuf {
+    pub(crate) fn frame(&mut self, msg: Message, tctx: Option<TraceCtx>) -> ByteBuf {
         let frame = match &mut self.sender {
             Some(sender) => sender.send_traced(msg, tctx),
             None => Frame::Bare(msg),
@@ -68,13 +68,13 @@ impl UpChannel {
     }
 
     /// Encodes and sends one untraced message, sequenced when reliable.
-    pub fn send(&mut self, msg: Message, send: &mut dyn FnMut(ByteBuf)) {
+    pub(crate) fn send(&mut self, msg: Message, send: &mut dyn FnMut(ByteBuf)) {
         send(self.frame(msg, None));
     }
 
     /// Records one `wire.send` marker under `tctx`'s wire span (one per
     /// transmit, so retransmits show up as extra markers).
-    pub fn record_send(&self, tctx: Option<TraceCtx>) {
+    pub(crate) fn record_send(&self, tctx: Option<TraceCtx>) {
         let Some(tc) = tctx else { return };
         if !self.obs.tracing_enabled() {
             return;
@@ -94,27 +94,27 @@ impl UpChannel {
     }
 
     /// Feeds a cumulative ACK from the parent to the sender.
-    pub fn on_ack(&mut self, cumulative: u64) {
+    pub(crate) fn on_ack(&mut self, cumulative: u64) {
         if let Some(sender) = &mut self.sender {
             sender.on_ack(cumulative);
         }
     }
 
     /// Frames still awaiting acknowledgement (0 in fire-and-forget mode).
-    pub fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.sender.as_ref().map_or(0, ReliableSender::pending)
     }
 
     /// Current retransmission timeout (with backoff), microseconds.
     /// `u64::MAX` without a reliable sender — nothing to retransmit.
-    pub fn next_timeout_us(&self) -> u64 {
+    pub(crate) fn next_timeout_us(&self) -> u64 {
         self.sender.as_ref().map_or(u64::MAX, ReliableSender::next_timeout_us)
     }
 
     /// Re-sends the whole unacknowledged queue (go-back-N timeout) through
     /// `send`, counting it under `net.retransmits` and the channel's
     /// `retransmitted_*` totals.
-    pub fn retransmit(&mut self, send: &mut dyn FnMut(ByteBuf)) {
+    pub(crate) fn retransmit(&mut self, send: &mut dyn FnMut(ByteBuf)) {
         let frames = match &mut self.sender {
             Some(sender) => sender.on_timeout(),
             None => Vec::new(),
@@ -135,14 +135,14 @@ impl UpChannel {
 
     /// Appends the sender's durable state (sequence counter, unacknowledged
     /// queue) to a node checkpoint; nothing in fire-and-forget mode.
-    pub fn snapshot(&self, buf: &mut ByteBuf) {
+    pub(crate) fn snapshot(&self, buf: &mut ByteBuf) {
         if let Some(sender) = &self.sender {
             sender.snapshot(self.cov, buf);
         }
     }
 
     /// Rebuilds the sender from [`UpChannel::snapshot`]'s bytes.
-    pub fn restore(&mut self, reader: &mut ByteReader<'_>) -> Result<(), CludiError> {
+    pub(crate) fn restore(&mut self, reader: &mut ByteReader<'_>) -> Result<(), CludiError> {
         if self.sender.is_some() {
             self.sender = Some(ReliableSender::restore(
                 self.delivery.rto_us,
@@ -201,7 +201,7 @@ impl SiteCore {
 
     /// Transmits whatever the test-and-cluster strategy queued, then the
     /// window-expiry deletions (paper Sec. 7, negative weights).
-    pub fn drain_outbound(&mut self, send: &mut dyn FnMut(ByteBuf)) {
+    pub(crate) fn drain_outbound(&mut self, send: &mut dyn FnMut(ByteBuf)) {
         for (event, tctx) in self.window.drain_events_traced() {
             let is_synopsis = matches!(event, crate::remote::SiteEvent::NewModel { .. });
             let msg = Message::from_site_event(self.up.index, event);
@@ -243,7 +243,12 @@ pub(crate) struct CoordinatorEngine {
 }
 
 impl CoordinatorEngine {
-    pub fn new(coordinator: Coordinator, sites: usize, cov: CovarianceType, obs: Obs) -> Self {
+    pub(crate) fn new(
+        coordinator: Coordinator,
+        sites: usize,
+        cov: CovarianceType,
+        obs: Obs,
+    ) -> Self {
         CoordinatorEngine {
             coordinator,
             inboxes: vec![ReliableInbox::new(); sites],
@@ -306,7 +311,7 @@ impl CoordinatorEngine {
     /// cumulative-ACK frame to answer with, when the payload was a
     /// sequenced data frame (a duplicate still gets an ACK — the site has
     /// not seen our cumulative position yet).
-    pub fn on_wire(&mut self, payload: &ByteBuf) -> Option<ByteBuf> {
+    pub(crate) fn on_wire(&mut self, payload: &ByteBuf) -> Option<ByteBuf> {
         match Frame::decode(&mut payload.reader()) {
             Ok(Frame::Bare(message)) => {
                 self.apply(&message);

@@ -19,23 +19,26 @@
 //! ## Crate layout
 //!
 //! - [`Config`] — the (ε, δ, K, c_max, …) parameter set.
-//! - [`remote`] — [`remote::RemoteSite`]: Algorithm 1 with the multi-test
+//! - [`remote`] — [`RemoteSite`]: Algorithm 1 with the multi-test
 //!   strategy, the model list, and the event table.
-//! - [`coordinator`] — [`coordinator::Coordinator`]: Algorithm 2
-//!   (`OnUpdates`), merge/split criteria and merge refinement.
-//! - [`protocol`] — the byte-accounted site→coordinator wire format.
-//! - [`windows`] — landmark, horizon, and sliding-window semantics.
-//! - [`change`] — change detection from chunk outcomes (Sec. 7).
-//! - [`aggregator`] — tree-structured networks (Sec. 7) as a deployable
-//!   tier: [`aggregator::AggregatorEngine`] terminates a fan-in of
-//!   children and forwards one reduced summary per round, so the root
-//!   scales to swarms (O(aggregators) messages, O(models) state).
-//! - [`driver`] — the [`Simulation`] builder: `Simulation::star(n)`
-//!   configures a star of `n` sites, `with_window` selects landmark or
-//!   sliding-window semantics ([`WindowSpec`]), and `run()` returns a
-//!   [`StarReport`] with byte-accurate communication and delivery
-//!   accounting — see the [`driver`] module docs for a worked example.
-//! - [`transport`] — how the bytes move: the deterministic
+//! - [`coordinator`] — [`Coordinator`]: Algorithm 2 (`OnUpdates`),
+//!   merge/split criteria and merge refinement.
+//! - [`Message`] and [`Frame`] — the byte-accounted site→coordinator wire
+//!   format, with [`ReliableSender`] / [`ReliableInbox`] for reliable
+//!   delivery.
+//! - [`WindowSpec`] — landmark or sliding-window semantics
+//!   ([`SlidingWindowSite`]), plus [`landmark_mixture`] and
+//!   [`horizon_mixture`] queries.
+//! - [`ChangeDetector`] — change detection from chunk outcomes (Sec. 7).
+//! - [`AggregatorEngine`] — tree-structured networks (Sec. 7) as a
+//!   deployable tier: it terminates a fan-in of children and forwards one
+//!   reduced summary per round, so the root scales to swarms
+//!   (O(aggregators) messages, O(models) state).
+//! - [`Simulation`] — the run builder: `Simulation::star(n)` configures a
+//!   star of `n` sites, `with_window` selects landmark or sliding-window
+//!   semantics, and `run()` returns a [`StarReport`] with byte-accurate
+//!   communication and delivery accounting ([`DeliveryReport`]).
+//! - [`Transport`] — how the bytes move: the deterministic
 //!   [`SimnetTransport`] (default; `with_faults` on the transport attaches
 //!   a [`FaultPlan`], switching synopsis delivery to the reliable
 //!   protocol) or the socket runtime's [`runtime::TcpTransport`], selected
@@ -43,14 +46,14 @@
 //! - [`runtime`] — the process-per-site TCP runtime: coordinator/site
 //!   loops over real `std::net` sockets, rendezvous handshake, heartbeats
 //!   and timeout-based eviction.
-//! - [`serving`] — the read-side serving layer: immutable, versioned
-//!   [`ModelSnapshot`]s published behind an Arc-swap [`SnapshotHandle`]
-//!   and scored lock-free with `cludistream_gmm::score`.
+//! - [`ModelSnapshot`] — the read side: immutable, versioned snapshots of
+//!   the global model published behind an Arc-swap [`SnapshotHandle`] and
+//!   scored lock-free with `cludistream_gmm::score`.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use cludistream::{Config, remote::RemoteSite};
+//! use cludistream::{Config, RemoteSite};
 //! use cludistream_gmm::ChunkParams;
 //! use cludistream_linalg::Vector;
 //!
@@ -71,24 +74,24 @@
 //! assert!(site.current_mixture().is_some()); // and one model learned
 //! ```
 
-pub mod aggregator;
-pub mod change;
+mod aggregator;
+mod change;
 mod config;
-pub mod prelude;
 pub mod coordinator;
-pub mod driver;
+mod driver;
 mod engine;
 mod error;
-pub mod protocol;
+pub mod prelude;
+mod protocol;
 pub mod remote;
 pub mod runtime;
-pub mod serving;
-pub mod transport;
-pub mod windows;
+mod serving;
+mod transport;
+mod windows;
 
 pub use aggregator::{AggregatorConfig, AggregatorEngine};
 pub use change::{ChangeDetector, ChangeKind, ChangePoint};
-pub use cludistream_simnet::{FaultPlan, FaultStats, LinkFaults, NodeId, Outage, Partition};
+pub use cludistream_simnet::{FaultPlan, LinkFaults, NodeId};
 pub use config::Config;
 pub use coordinator::{Coordinator, CoordinatorConfig, MergeRecord};
 pub use driver::{
@@ -99,9 +102,8 @@ pub use error::CludiError;
 pub use protocol::{Frame, Message, ReliableInbox, ReliableSender};
 pub use remote::{ChunkOutcome, ModelId, RemoteSite, SiteEvent, SiteStats};
 pub use serving::{
-    score_snapshot, ModelSnapshot, SnapshotGroup, SnapshotHandle, SnapshotMember, SnapshotMembers,
+    score_snapshot, MemberIter, ModelSnapshot, SnapshotGroup, SnapshotHandle, SnapshotMember,
+    SnapshotMembers,
 };
 pub use transport::{RunRecipe, SimnetTransport, Transport, TreeTopology};
-pub use windows::{
-    horizon_mixture, landmark_mixture, LandmarkWindow, SlidingWindowSite, Window, WindowSpec,
-};
+pub use windows::{horizon_mixture, landmark_mixture, SlidingWindowSite, WindowSpec};

@@ -119,15 +119,6 @@ impl Message {
         }
     }
 
-    /// The model the message concerns.
-    pub fn model(&self) -> ModelId {
-        match self {
-            Message::NewModel { model, .. }
-            | Message::WeightUpdate { model, .. }
-            | Message::Delete { model, .. } => *model,
-        }
-    }
-
     /// Exact encoded size under the given covariance representation.
     pub fn wire_bytes(&self, cov: CovarianceType) -> usize {
         match self {
@@ -228,19 +219,19 @@ pub enum Frame {
 }
 
 /// Wire size of an [`Frame::Ack`]: tag (1) + cumulative (8).
-pub const ACK_BYTES: usize = 9;
+pub(crate) const ACK_BYTES: usize = 9;
 
 /// Per-frame overhead of [`Frame::Data`] over the bare message: tag (1) +
 /// sequence number (8).
-pub const DATA_OVERHEAD_BYTES: usize = 9;
+pub(crate) const DATA_OVERHEAD_BYTES: usize = 9;
 
 /// Additional overhead of a traced data frame over an untraced one:
 /// trace id (8) + span id (8).
-pub const TRACE_CTX_BYTES: usize = 16;
+pub(crate) const TRACE_CTX_BYTES: usize = 16;
 
 impl Frame {
     /// Exact encoded size under the given covariance representation.
-    pub fn wire_bytes(&self, cov: CovarianceType) -> usize {
+    pub(crate) fn wire_bytes(&self, cov: CovarianceType) -> usize {
         match self {
             Frame::Bare(m) => m.wire_bytes(cov),
             Frame::Data { message, ctx, .. } => {
@@ -366,7 +357,7 @@ impl ReliableSender {
     /// Processes a cumulative ACK: drops every queued frame with sequence
     /// number `< cumulative` and, if that made progress, resets the
     /// backoff. Returns how many frames were newly acknowledged.
-    pub fn on_ack(&mut self, cumulative: u64) -> usize {
+    pub(crate) fn on_ack(&mut self, cumulative: u64) -> usize {
         let before = self.unacked.len();
         while self.unacked.front().is_some_and(|(seq, _, _)| *seq < cumulative) {
             self.unacked.pop_front();
@@ -379,18 +370,13 @@ impl ReliableSender {
     }
 
     /// Frames still awaiting acknowledgement.
-    pub fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.unacked.len()
-    }
-
-    /// Total retransmitted frames over the sender's lifetime.
-    pub fn retransmitted(&self) -> u64 {
-        self.retransmitted_messages
     }
 
     /// The delay before the next retransmission attempt: the base RTO
     /// doubled per consecutive unacknowledged timeout, capped.
-    pub fn next_timeout_us(&self) -> u64 {
+    pub(crate) fn next_timeout_us(&self) -> u64 {
         let shift = self.retries.min(32);
         (((self.base_rto_us as u128) << shift).min(self.max_rto_us as u128) as u64).max(1)
     }
@@ -398,7 +384,7 @@ impl ReliableSender {
     /// Retransmits the whole unacknowledged queue (go-back-N) and bumps
     /// the backoff. Returns the frames to put back on the wire, oldest
     /// first; empty when nothing is pending.
-    pub fn on_timeout(&mut self) -> Vec<Frame> {
+    pub(crate) fn on_timeout(&mut self) -> Vec<Frame> {
         if self.unacked.is_empty() {
             return Vec::new();
         }
@@ -478,12 +464,12 @@ impl ReliableSender {
 /// two-frame window, and no simulated fault plan the tests run comes near
 /// it; a peer that opens a gap and never fills it costs the node at most
 /// this many held messages.
-pub const INBOX_SPAN: u64 = 1024;
+pub(crate) const INBOX_SPAN: u64 = 1024;
 
 /// The coordinator half of the reliable-delivery protocol: one inbox per
 /// site. Releases messages in sequence order exactly once; duplicates and
 /// stale retransmits are discarded idempotently, and frames more than
-/// [`INBOX_SPAN`] ahead are discarded and counted.
+/// `INBOX_SPAN` ahead are discarded and counted.
 #[derive(Debug, Clone, Default)]
 pub struct ReliableInbox {
     next: u64,
@@ -510,7 +496,7 @@ impl ReliableInbox {
     /// trace context. Because release is exactly-once, the caller can
     /// close each context's wire span exactly once no matter how many
     /// duplicates arrived.
-    pub fn accept_traced(
+    pub(crate) fn accept_traced(
         &mut self,
         seq: u64,
         message: Message,
@@ -539,19 +525,14 @@ impl ReliableInbox {
         self.next
     }
 
-    /// Frames buffered out of order, awaiting a gap fill.
-    pub fn buffered(&self) -> usize {
-        self.buffer.len()
-    }
-
     /// Duplicate or stale frames discarded so far.
-    pub fn duplicates(&self) -> u64 {
+    pub(crate) fn duplicates(&self) -> u64 {
         self.duplicates
     }
 
     /// Frames discarded so far for arriving [`INBOX_SPAN`] or more past
     /// the cumulative ACK.
-    pub fn overflows(&self) -> u64 {
+    pub(crate) fn overflows(&self) -> u64 {
         self.overflows
     }
 }
@@ -701,7 +682,7 @@ mod tests {
     fn accessors() {
         let msg = Message::Delete { site: 2, model: ModelId(8), count_delta: 1 };
         assert_eq!(msg.site(), 2);
-        assert_eq!(msg.model(), ModelId(8));
+        assert_eq!(model_of(&msg), 8);
     }
 
     // ---- reliable delivery ----
@@ -711,7 +692,11 @@ mod tests {
     }
 
     fn model_of(m: &Message) -> u64 {
-        m.model().0
+        match m {
+            Message::NewModel { model, .. }
+            | Message::WeightUpdate { model, .. }
+            | Message::Delete { model, .. } => model.0,
+        }
     }
 
     #[test]
@@ -730,7 +715,7 @@ mod tests {
         match Frame::decode(&mut bytes.reader()).unwrap() {
             Frame::Data { seq, message, ctx } => {
                 assert_eq!(seq, 17);
-                assert_eq!(message.model(), ModelId(4));
+                assert_eq!(model_of(&message), 4);
                 assert_eq!(ctx, None);
             }
             other => panic!("wrong variant {other:?}"),
@@ -777,13 +762,13 @@ mod tests {
         let mut inbox = ReliableInbox::new();
         assert!(inbox.accept(2, update(2)).is_empty(), "gap: buffered");
         assert!(inbox.accept(1, update(1)).is_empty(), "still gapped");
-        assert_eq!(inbox.buffered(), 2);
+        assert_eq!(inbox.buffer.len(), 2);
         assert_eq!(inbox.cumulative(), 0);
         // The gap fill releases the whole run, in order.
         let ready = inbox.accept(0, update(0));
         assert_eq!(ready.iter().map(model_of).collect::<Vec<_>>(), vec![0, 1, 2]);
         assert_eq!(inbox.cumulative(), 3);
-        assert_eq!(inbox.buffered(), 0);
+        assert_eq!(inbox.buffer.len(), 0);
         // A duplicate of a buffered-then-released frame is stale now.
         assert!(inbox.accept(2, update(2)).is_empty());
         assert_eq!(inbox.duplicates(), 1);
@@ -795,15 +780,15 @@ mod tests {
         // A peer sends next + 1 … next + 100 000 and never sends `next`.
         for seq in 1..=100_000 {
             assert!(inbox.accept(seq, update(seq)).is_empty());
-            assert!(inbox.buffered() as u64 <= INBOX_SPAN);
+            assert!(inbox.buffer.len() as u64 <= INBOX_SPAN);
         }
-        assert_eq!(inbox.buffered() as u64, INBOX_SPAN - 1);
+        assert_eq!(inbox.buffer.len() as u64, INBOX_SPAN - 1);
         assert_eq!(inbox.overflows(), 100_000 - (INBOX_SPAN - 1));
         assert_eq!((inbox.cumulative(), inbox.duplicates()), (0, 0));
         // The gap fill releases the held prefix, in order.
         let ready = inbox.accept(0, update(0));
         assert_eq!(ready.iter().map(model_of).collect::<Vec<_>>(), (0..INBOX_SPAN).collect::<Vec<_>>());
-        assert_eq!((inbox.cumulative(), inbox.buffered()), (INBOX_SPAN, 0));
+        assert_eq!((inbox.cumulative(), inbox.buffer.len()), (INBOX_SPAN, 0));
         // Go-back-N resends what was discarded; it is now in order.
         assert_eq!(inbox.accept(INBOX_SPAN, update(INBOX_SPAN)).len(), 1);
         assert_eq!(inbox.cumulative(), INBOX_SPAN + 1);
@@ -828,7 +813,7 @@ mod tests {
         sender.on_timeout();
         sender.on_timeout();
         assert_eq!(sender.next_timeout_us(), 10_000, "capped at max");
-        assert_eq!(sender.retransmitted(), 8);
+        assert_eq!(sender.retransmitted_messages, 8);
 
         // Progress resets the backoff; acked frames leave the queue.
         assert_eq!(sender.on_ack(1), 1);
@@ -937,7 +922,7 @@ mod tests {
         match Frame::decode(&mut traced_bytes.reader()).unwrap() {
             Frame::Data { seq, message, ctx: c } => {
                 assert_eq!(seq, 3);
-                assert_eq!(message.model(), ModelId(4));
+                assert_eq!(model_of(&message), 4);
                 assert_eq!(c, Some(ctx(7, 99)));
             }
             other => panic!("wrong variant {other:?}"),

@@ -13,13 +13,6 @@ pub struct EventEntry {
     pub model: ModelId,
 }
 
-impl EventEntry {
-    /// Number of chunks the entry spans.
-    pub fn span(&self) -> u64 {
-        self.end_chunk - self.start_chunk + 1
-    }
-}
-
 /// The event table recording the evolving behaviour of the stream: closed
 /// spans for past regimes plus one open span for the model currently in
 /// charge. Backs the horizon/evolving-analysis queries of Sec. 7.
@@ -32,23 +25,18 @@ pub struct EventTable {
 
 impl EventTable {
     /// Creates an empty table.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Opens a new span for `model` starting at `chunk`, closing any span
     /// in progress at `chunk - 1`.
-    pub fn switch_to(&mut self, model: ModelId, chunk: u64) {
+    pub(crate) fn switch_to(&mut self, model: ModelId, chunk: u64) {
         if let Some((start, prev)) = self.open.take() {
             debug_assert!(chunk > start, "switch must advance time");
             self.closed.push(EventEntry { start_chunk: start, end_chunk: chunk - 1, model: prev });
         }
         self.open = Some((chunk, model));
-    }
-
-    /// The model currently in charge, if any.
-    pub fn current(&self) -> Option<ModelId> {
-        self.open.map(|(_, m)| m)
     }
 
     /// All entries including the open one, materialized up to `now_chunk`
@@ -64,7 +52,7 @@ impl EventTable {
     /// Models governing any chunk in `[from, to]` (inclusive), with the
     /// number of chunks of overlap — the evolving-analysis query of Sec. 7.
     /// `now_chunk` bounds the open span.
-    pub fn query(&self, from: u64, to: u64, now_chunk: u64) -> Vec<(ModelId, u64)> {
+    pub(crate) fn query(&self, from: u64, to: u64, now_chunk: u64) -> Vec<(ModelId, u64)> {
         assert!(from <= to, "query range inverted");
         self.entries_at(now_chunk)
             .into_iter()
@@ -86,25 +74,20 @@ impl EventTable {
         EventTable { closed, open }
     }
 
-    /// Number of regime switches recorded (closed spans).
-    pub fn switches(&self) -> usize {
-        self.closed.len()
-    }
-
     /// Compacts history: drops closed spans that ended before
     /// `watermark_chunk`, returning how many were dropped. Spans that
     /// straddle the watermark and the open span are always retained, so
     /// queries over `[watermark, now]` — and a go-back-N resync replaying
     /// from the retained watermark — see the exact same rows as an
     /// uncompacted table.
-    pub fn compact_before(&mut self, watermark_chunk: u64) -> usize {
+    pub(crate) fn compact_before(&mut self, watermark_chunk: u64) -> usize {
         let before = self.closed.len();
         self.closed.retain(|e| e.end_chunk >= watermark_chunk);
         before - self.closed.len()
     }
 
     /// Approximate memory footprint: 3 u64-sized fields per row.
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         24 * (self.closed.len() + usize::from(self.open.is_some()))
     }
 }
@@ -117,15 +100,15 @@ mod tests {
     fn switching_closes_previous_span() {
         let mut t = EventTable::new();
         t.switch_to(ModelId(0), 0);
-        assert_eq!(t.current(), Some(ModelId(0)));
+        assert_eq!(t.open.map(|(_, m)| m), Some(ModelId(0)));
         assert!(t.closed.is_empty());
         t.switch_to(ModelId(1), 5);
-        assert_eq!(t.current(), Some(ModelId(1)));
+        assert_eq!(t.open.map(|(_, m)| m), Some(ModelId(1)));
         assert_eq!(
             t.closed,
             [EventEntry { start_chunk: 0, end_chunk: 4, model: ModelId(0) }]
         );
-        assert_eq!(t.switches(), 1);
+        assert_eq!(t.closed.len(), 1);
     }
 
     #[test]
@@ -157,13 +140,13 @@ mod tests {
     fn query_empty_table() {
         let t = EventTable::new();
         assert!(t.query(0, 10, 10).is_empty());
-        assert_eq!(t.current(), None);
+        assert_eq!(t.open.map(|(_, m)| m), None);
     }
 
     #[test]
     fn span_length() {
         let e = EventEntry { start_chunk: 2, end_chunk: 6, model: ModelId(0) };
-        assert_eq!(e.span(), 5);
+        assert_eq!(e.end_chunk - e.start_chunk + 1, 5);
     }
 
     #[test]
@@ -192,12 +175,12 @@ mod tests {
         t.switch_to(ModelId(2), 10); // open
         // Watermark inside span 1: span 0 goes, span 1 straddles and stays.
         assert_eq!(t.compact_before(7), 1);
-        assert_eq!(t.switches(), 1);
+        assert_eq!(t.closed.len(), 1);
         // Queries at or after the watermark are unchanged.
         assert_eq!(t.query(7, 12, 12), vec![(ModelId(1), 3), (ModelId(2), 3)]);
         // The open span never compacts.
         assert_eq!(t.compact_before(u64::MAX), 1);
-        assert_eq!(t.current(), Some(ModelId(2)));
+        assert_eq!(t.open.map(|(_, m)| m), Some(ModelId(2)));
         // Idempotent below the watermark.
         assert_eq!(t.compact_before(0), 0);
     }

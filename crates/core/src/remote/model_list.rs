@@ -46,7 +46,7 @@ pub struct ModelList {
 
 impl ModelList {
     /// Creates an empty list.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -61,7 +61,7 @@ impl ModelList {
     }
 
     /// Inserts a freshly learned model, returning its id.
-    pub fn insert(
+    pub(crate) fn insert(
         &mut self,
         mixture: Mixture,
         avg_ll: f64,
@@ -84,29 +84,29 @@ impl ModelList {
     }
 
     /// Looks up a model by id.
-    pub fn get(&self, id: ModelId) -> Option<&ModelEntry> {
+    pub(crate) fn get(&self, id: ModelId) -> Option<&ModelEntry> {
         self.entries.iter().find(|e| e.id == id)
     }
 
     /// Mutable lookup.
-    pub fn get_mut(&mut self, id: ModelId) -> Option<&mut ModelEntry> {
+    pub(crate) fn get_mut(&mut self, id: ModelId) -> Option<&mut ModelEntry> {
         self.entries.iter_mut().find(|e| e.id == id)
     }
 
     /// Removes a model (sliding-window expiry), returning it.
-    pub fn remove(&mut self, id: ModelId) -> Option<ModelEntry> {
+    pub(crate) fn remove(&mut self, id: ModelId) -> Option<ModelEntry> {
         let pos = self.entries.iter().position(|e| e.id == id)?;
         Some(self.entries.remove(pos))
     }
 
     /// All entries in creation order.
-    pub fn entries(&self) -> &[ModelEntry] {
+    pub(crate) fn entries(&self) -> &[ModelEntry] {
         &self.entries
     }
 
     /// The most recent models first, excluding `skip` — the candidate order
     /// for the multi-test strategy.
-    pub fn recent_except(&self, skip: ModelId) -> impl Iterator<Item = &ModelEntry> {
+    pub(crate) fn recent_except(&self, skip: ModelId) -> impl Iterator<Item = &ModelEntry> {
         self.entries.iter().rev().filter(move |e| e.id != skip)
     }
 
@@ -125,7 +125,7 @@ impl ModelList {
     /// The least-recently-active model other than `keep` (the eviction
     /// candidate under a bounded model list). `None` when no other model
     /// exists.
-    pub fn least_recently_active_except(&self, keep: ModelId) -> Option<ModelId> {
+    pub(crate) fn least_recently_active_except(&self, keep: ModelId) -> Option<ModelId> {
         self.entries
             .iter()
             .filter(|e| e.id != keep)
@@ -136,7 +136,7 @@ impl ModelList {
     /// Model-parameter memory in bytes: `B · K(d² + d + 1)` f64 values
     /// (Theorem 3's second term), with the diagonal representation when
     /// applicable.
-    pub fn memory_bytes(&self, covariance: CovarianceType) -> usize {
+    pub(crate) fn memory_bytes(&self, covariance: CovarianceType) -> usize {
         self.entries
             .iter()
             .map(|e| {

@@ -185,7 +185,7 @@ impl RemoteSite {
     }
 
     /// The site configuration.
-    pub fn config(&self) -> &Config {
+    pub(crate) fn config(&self) -> &Config {
         &self.config
     }
 
@@ -216,7 +216,7 @@ impl RemoteSite {
     }
 
     /// Records buffered toward the next chunk (snapshot support).
-    pub fn buffered_records(&self) -> &[Vector] {
+    pub(crate) fn buffered_records(&self) -> &[Vector] {
         &self.buffer
     }
 
@@ -239,7 +239,7 @@ impl RemoteSite {
     }
 
     /// The current model's id, if a first chunk has been clustered.
-    pub fn current_model(&self) -> Option<ModelId> {
+    pub(crate) fn current_model(&self) -> Option<ModelId> {
         self.current
     }
 
@@ -264,21 +264,6 @@ impl RemoteSite {
         Ok(Some(outcome))
     }
 
-    /// Consumes a batch of records, returning the outcomes of any chunks
-    /// completed along the way.
-    pub fn push_batch(
-        &mut self,
-        records: impl IntoIterator<Item = Vector>,
-    ) -> Result<Vec<ChunkOutcome>, GmmError> {
-        let mut outcomes = Vec::new();
-        for x in records {
-            if let Some(o) = self.push(x)? {
-                outcomes.push(o);
-            }
-        }
-        Ok(outcomes)
-    }
-
     /// Drains the coordinator-bound message queue.
     pub fn drain_events(&mut self) -> Vec<SiteEvent> {
         self.outbox_ctx.clear();
@@ -288,7 +273,7 @@ impl RemoteSite {
     /// Drains the message queue with each event's trace context (the wire
     /// span allocated when the event was produced; `None` when tracing is
     /// off or the event has no traced origin).
-    pub fn drain_events_traced(&mut self) -> Vec<(SiteEvent, Option<TraceCtx>)> {
+    pub(crate) fn drain_events_traced(&mut self) -> Vec<(SiteEvent, Option<TraceCtx>)> {
         let ctxs = std::mem::take(&mut self.outbox_ctx);
         let events = std::mem::take(&mut self.outbox);
         debug_assert_eq!(events.len(), ctxs.len());
@@ -589,6 +574,12 @@ mod tests {
     use cludistream_gmm::{ChunkParams, Gaussian};
     use cludistream_rng::StdRng;
 
+    /// Pushes every record, returning the outcomes of the chunks completed
+    /// along the way.
+    fn push_batch(site: &mut RemoteSite, records: Vec<Vector>) -> Vec<ChunkOutcome> {
+        records.into_iter().filter_map(|x| site.push(x).unwrap()).collect()
+    }
+
     /// Small-chunk config so tests run fast: 1-d, K=2, M computed from
     /// loose ε.
     fn test_config() -> Config {
@@ -622,7 +613,7 @@ mod tests {
     ) -> Vec<ChunkOutcome> {
         let n = site.chunk_size() * chunks;
         let data: Vec<Vector> = (0..n).map(|_| mixture.sample(rng)).collect();
-        site.push_batch(data).unwrap()
+        push_batch(site, data)
     }
 
     /// With `Config::quality` set, tested chunks leave the full gauge
@@ -847,7 +838,7 @@ mod tests {
                         }
                     };
                     let expected = expected_verdict(&site, &chunk);
-                    let outcomes = site.push_batch(chunk).unwrap();
+                    let outcomes = push_batch(&mut site, chunk);
                     let events = site.drain_events();
                     assert_eq!(outcomes.len(), 1, "{what}");
                     want.records += m as u64;
@@ -985,7 +976,7 @@ mod tests {
         );
         assert!(matches!(outcomes[1], ChunkOutcome::FitCurrent { .. }));
         assert_eq!(site.models().len(), 2);
-        assert_eq!(site.events().switches(), 1);
+        assert_eq!(site.events().parts().0.len(), 1);
     }
 
     #[test]
@@ -1068,8 +1059,8 @@ mod tests {
         feed_chunks(&mut site, &b, &mut rng_b, 2);
         let entries = site.events().entries_at(site.chunk_index().saturating_sub(1));
         assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].span(), 2);
-        assert_eq!(entries[1].span(), 2);
+        assert_eq!(entries[0].end_chunk - entries[0].start_chunk + 1, 2);
+        assert_eq!(entries[1].end_chunk - entries[1].start_chunk + 1, 2);
     }
 
     #[test]
@@ -1125,7 +1116,7 @@ mod tests {
         let (a, mut rng) = sampler(0.0, 14);
         let n = site.chunk_size() - 1;
         let data: Vec<Vector> = (0..n).map(|_| a.sample(&mut rng)).collect();
-        let outcomes = site.push_batch(data).unwrap();
+        let outcomes = push_batch(&mut site, data);
         assert!(outcomes.is_empty());
         assert_eq!(site.models().len(), 0);
         assert_eq!(site.current_model(), None);

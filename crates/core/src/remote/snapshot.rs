@@ -250,8 +250,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let continuation: Vec<Vector> =
             (0..2 * original.chunk_size()).map(|_| g.sample(&mut rng)).collect();
-        let a = original.push_batch(continuation.clone()).unwrap();
-        let b = restored.push_batch(continuation).unwrap();
+        let outcomes = |site: &mut RemoteSite| -> Vec<_> {
+            continuation.iter().filter_map(|x| site.push(x.clone()).unwrap()).collect()
+        };
+        let (a, b) = (outcomes(&mut original), outcomes(&mut restored));
         assert_eq!(a, b, "divergent outcomes after restore");
         assert_eq!(original.stats(), restored.stats());
         assert_eq!(original.models().len(), restored.models().len());

@@ -37,7 +37,6 @@ use crate::runtime::downlink::{Downlink, NetEvent, Shard};
 use crate::runtime::tcp::{validate_socket, SocketConfig};
 use crate::runtime::uplink::{Step, Uplink, Work};
 use crate::serving::ModelSnapshot;
-use cludistream_gmm::CovarianceType;
 use cludistream_obs::{FleetAggregator, Obs};
 use cludistream_simnet::CommStats;
 use cludistream_wire::ByteBuf;
@@ -53,10 +52,8 @@ pub struct AggregatorRun {
     epsilon: f64,
     coordinator: CoordinatorConfig,
     dim: u32,
-    cov: CovarianceType,
     obs: Obs,
     socket: SocketConfig,
-    delivery: DeliveryConfig,
     flush_interval_us: u64,
     telemetry: bool,
     fleet: Option<Arc<FleetAggregator>>,
@@ -77,10 +74,8 @@ impl AggregatorRun {
                 ..CoordinatorConfig::default()
             },
             dim: 1,
-            cov: CovarianceType::default(),
             obs: Obs::noop(),
             socket: SocketConfig::default(),
-            delivery: DeliveryConfig { mode: DeliveryMode::Reliable, ..DeliveryConfig::default() },
             flush_interval_us: 50_000,
             telemetry: false,
             fleet: None,
@@ -90,7 +85,8 @@ impl AggregatorRun {
 
 /// Builder for [`AggregatorRun`]. Defaults mirror the simnet tree
 /// runner: ε = 0 (forward on any change), 50 ms flush interval, shard
-/// `merge_log_cap = Some(64)`, reliable delivery, default socket tuning.
+/// `merge_log_cap = Some(64)`, default socket tuning. The upward channel
+/// is always reliable: a reconnect needs sequence state to resync.
 pub struct AggregatorRunBuilder(AggregatorRun);
 
 impl AggregatorRunBuilder {
@@ -100,9 +96,8 @@ impl AggregatorRunBuilder {
         self
     }
 
-    /// Sets the shard coordinator's knobs. The covariance field is
-    /// overwritten by [`AggregatorRunBuilder::covariance`] at build time
-    /// so the handshake and the engine can never disagree.
+    /// Sets the shard coordinator's knobs. Its covariance kind is also the
+    /// one every child (and the parent) must agree on at the handshake.
     pub fn coordinator(mut self, coordinator: CoordinatorConfig) -> Self {
         self.0.coordinator = coordinator;
         self
@@ -112,13 +107,6 @@ impl AggregatorRunBuilder {
     /// on (default 1).
     pub fn dim(mut self, dim: u32) -> Self {
         self.0.dim = dim;
-        self
-    }
-
-    /// Sets the covariance kind every child (and the parent) must agree
-    /// on.
-    pub fn covariance(mut self, cov: CovarianceType) -> Self {
-        self.0.cov = cov;
         self
     }
 
@@ -133,15 +121,6 @@ impl AggregatorRunBuilder {
     /// advertises to its children).
     pub fn socket(mut self, socket: SocketConfig) -> Self {
         self.0.socket = socket;
-        self
-    }
-
-    /// Overrides the upward channel's delivery settings. The mode must
-    /// stay [`DeliveryMode::Reliable`] (the RTO pair is the simulator's:
-    /// a socket re-sends only after a reconnect);
-    /// [`AggregatorRunBuilder::build`] rejects anything else.
-    pub fn delivery(mut self, delivery: DeliveryConfig) -> Self {
-        self.0.delivery = delivery;
         self
     }
 
@@ -172,7 +151,7 @@ impl AggregatorRunBuilder {
 
     /// Validates and produces the run.
     pub fn build(self) -> Result<AggregatorRun, CludiError> {
-        let mut run = self.0;
+        let run = self.0;
         if run.children == 0 {
             return Err(CludiError::InvalidConfig {
                 name: "children",
@@ -194,13 +173,7 @@ impl AggregatorRunBuilder {
                 constraint: "finite and >= 0",
             });
         }
-        if run.delivery.mode != DeliveryMode::Reliable {
-            return Err(CludiError::Build(
-                "the TCP transport is reliable-only: a reconnect needs sequence state to resync",
-            ));
-        }
         validate_socket(&run.socket)?;
-        run.coordinator.covariance = run.cov;
         Ok(run)
     }
 }
@@ -331,7 +304,8 @@ pub fn run_aggregator(
     listener: TcpListener,
     run: AggregatorRun,
 ) -> Result<AggregatorReport, CludiError> {
-    let AggregatorRun { index, child_base, children, dim, cov, obs, socket, .. } = run;
+    let AggregatorRun { index, child_base, children, dim, obs, socket, .. } = run;
+    let cov = run.coordinator.covariance;
     let agg = AggregatorEngine::new(
         AggregatorConfig {
             index,
@@ -378,7 +352,14 @@ pub fn run_aggregator(
     let mut relay = Relay {
         down,
         agg,
-        up: UpChannel::new(index, cov, obs, run.delivery),
+        // The RTO pair is the simulator's: a socket re-sends only after a
+        // reconnect, so only the mode is read here.
+        up: UpChannel::new(
+            index,
+            cov,
+            obs,
+            DeliveryConfig { mode: DeliveryMode::Reliable, ..DeliveryConfig::default() },
+        ),
         flush_interval: Duration::from_micros(run.flush_interval_us),
         last_flush: Instant::now(),
         deadline,
@@ -417,6 +398,7 @@ mod tests {
     use crate::runtime::control::{RejectCode, PROTOCOL_VERSION};
     use crate::runtime::downlink::write_payload;
     use crate::runtime::tcp::{run_site, serve, CoordinatorRun, SiteRun};
+    use cludistream_gmm::CovarianceType;
     use cludistream_wire::ByteReader;
     use std::net::TcpStream;
     use std::thread;
@@ -461,16 +443,6 @@ mod tests {
             "zero flush interval"
         );
         assert!(AggregatorRun::builder(0, 0, 1).epsilon(-1.0).build().is_err(), "negative ε");
-        assert!(
-            AggregatorRun::builder(0, 0, 1)
-                .delivery(DeliveryConfig {
-                    mode: DeliveryMode::FireAndForget,
-                    ..DeliveryConfig::default()
-                })
-                .build()
-                .is_err(),
-            "fire-and-forget upward channel"
-        );
         assert!(AggregatorRun::builder(2, 10, 5).build().is_ok());
     }
 

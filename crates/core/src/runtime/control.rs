@@ -34,7 +34,7 @@ pub const PROTOCOL_VERSION: u16 = 1;
 
 /// First payload byte at or above this value marks a control frame;
 /// anything below is a data-plane [`crate::protocol::Frame`].
-pub const CONTROL_TAG_MIN: u8 = 32;
+pub(crate) const CONTROL_TAG_MIN: u8 = 32;
 
 const TAG_HELLO: u8 = 32;
 const TAG_WELCOME: u8 = 33;
@@ -89,7 +89,7 @@ impl RejectCode {
 
     /// Human-readable name of the mismatched parameter, for operator
     /// diagnostics.
-    pub fn describe(self) -> &'static str {
+    pub(crate) fn describe(self) -> &'static str {
         match self {
             RejectCode::Version => "protocol version",
             RejectCode::Dimension => "data dimension",

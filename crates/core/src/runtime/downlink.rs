@@ -80,7 +80,7 @@ pub(crate) enum NetEvent {
 
 impl NetEvent {
     /// The connection the event happened on.
-    pub fn conn(&self) -> u64 {
+    pub(crate) fn conn(&self) -> u64 {
         match self {
             NetEvent::Accepted { conn, .. }
             | NetEvent::Frame { conn, .. }
@@ -213,7 +213,7 @@ impl Downlink {
     /// fleet registry, journal events stamped with microseconds since
     /// `epoch`.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         listener: TcpListener,
         events: mpsc::Sender<NetEvent>,
         base: u32,
@@ -270,12 +270,12 @@ impl Downlink {
     }
 
     /// Microseconds since this node started serving.
-    pub fn now_us(&self) -> u64 {
+    pub(crate) fn now_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
     }
 
     /// Handles one event from an accepted connection.
-    pub fn on_event(&mut self, shard: &mut impl Shard, event: NetEvent) {
+    pub(crate) fn on_event(&mut self, shard: &mut impl Shard, event: NetEvent) {
         match event {
             NetEvent::Accepted { conn, writer, cap } => {
                 self.conns.insert(conn, Conn { writer, child: None, cap });
@@ -297,13 +297,13 @@ impl Downlink {
     /// When the next child falls silent past the timeout unless it speaks
     /// first: the latest a node with nothing else to do may sleep before
     /// calling [`Downlink::evict`].
-    pub fn next_eviction(&self) -> Option<Instant> {
+    pub(crate) fn next_eviction(&self) -> Option<Instant> {
         let horizon_us = self.machine.next_eviction_us()?;
         self.epoch.checked_add(Duration::from_micros(horizon_us))
     }
 
     /// Evicts children silent past the timeout and cuts their sockets.
-    pub fn evict(&mut self) {
+    pub(crate) fn evict(&mut self) {
         let now_us = self.stamp();
         for (child, silent_us) in self.machine.evictions(now_us) {
             let site = self.base + child as u32;
@@ -327,7 +327,7 @@ impl Downlink {
     }
 
     /// Sends `frame` on every live connection (`Stop` at round end).
-    pub fn broadcast(&self, frame: &Control) {
+    pub(crate) fn broadcast(&self, frame: &Control) {
         for c in self.conns.values() {
             send_control(&c.writer, &self.obs, frame);
         }
@@ -335,7 +335,7 @@ impl Downlink {
 
     /// Tears down: stop accepting, cut every socket so blocked readers
     /// exit, and collect the acceptor (reader threads die on their own).
-    pub fn close(&mut self) {
+    pub(crate) fn close(&mut self) {
         self.done.store(true, Ordering::SeqCst);
         for c in self.conns.values() {
             let _ = c.writer.shutdown(Shutdown::Both);
@@ -351,7 +351,7 @@ impl Downlink {
     }
 
     /// Children (global indices) currently evicted.
-    pub fn evicted(&self) -> Vec<u32> {
+    pub(crate) fn evicted(&self) -> Vec<u32> {
         self.machine.evicted_sites().into_iter().map(|s| s + self.base).collect()
     }
 

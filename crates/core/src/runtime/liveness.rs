@@ -13,7 +13,7 @@
 
 /// Lifecycle state of one site within a round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SiteState {
+pub(crate) enum SiteState {
     /// Never connected.
     Waiting,
     /// Connected and live.
@@ -26,7 +26,7 @@ pub enum SiteState {
 
 /// Pure round/liveness state machine for the socket coordinator.
 #[derive(Debug)]
-pub struct RoundMachine {
+pub(crate) struct RoundMachine {
     states: Vec<SiteState>,
     last_seen: Vec<u64>,
     joined_once: Vec<bool>,
@@ -37,7 +37,7 @@ pub struct RoundMachine {
 impl RoundMachine {
     /// A machine for `sites` sites evicting after `timeout_us` of
     /// silence.
-    pub fn new(sites: usize, timeout_us: u64) -> RoundMachine {
+    pub(crate) fn new(sites: usize, timeout_us: u64) -> RoundMachine {
         RoundMachine {
             states: vec![SiteState::Waiting; sites],
             last_seen: vec![0; sites],
@@ -50,7 +50,7 @@ impl RoundMachine {
     /// A site said hello at `now_us`. Returns `true` when this is a
     /// rejoin (the site had joined before — after a drop or an eviction —
     /// and needs a resync).
-    pub fn join(&mut self, site: usize, now_us: u64) -> bool {
+    pub(crate) fn join(&mut self, site: usize, now_us: u64) -> bool {
         let rejoin = self.joined_once[site];
         self.joined_once[site] = true;
         self.states[site] = SiteState::Joined;
@@ -59,7 +59,7 @@ impl RoundMachine {
     }
 
     /// Any traffic (data frame or ping) arrived from a site at `now_us`.
-    pub fn heard(&mut self, site: usize, now_us: u64) {
+    pub(crate) fn heard(&mut self, site: usize, now_us: u64) {
         self.last_seen[site] = now_us;
         // Traffic from an evicted site that skipped the handshake does
         // not resurrect it; only a fresh Hello (→ `join`) does, because
@@ -73,13 +73,13 @@ impl RoundMachine {
     }
 
     /// A site announced its stream is exhausted and fully acknowledged.
-    pub fn done(&mut self, site: usize) {
+    pub(crate) fn done(&mut self, site: usize) {
         self.states[site] = SiteState::Done;
     }
 
     /// `true` exactly once: when every site has joined at least once. The
     /// caller broadcasts `Start` on that edge.
-    pub fn ready_to_start(&mut self) -> bool {
+    pub(crate) fn ready_to_start(&mut self) -> bool {
         if self.started || !self.joined_once.iter().all(|&j| j) {
             return false;
         }
@@ -89,7 +89,7 @@ impl RoundMachine {
 
     /// Whether `Start` has been broadcast (late rejoiners get it
     /// immediately after their `Welcome`).
-    pub fn started(&self) -> bool {
+    pub(crate) fn started(&self) -> bool {
         self.started
     }
 
@@ -97,7 +97,7 @@ impl RoundMachine {
     /// `(site, silent_us)` pairs. Transitions them to `Evicted`; only
     /// `Joined` sites are eligible (done sites may close their socket and
     /// go quiet legitimately, waiting sites never spoke).
-    pub fn evictions(&mut self, now_us: u64) -> Vec<(usize, u64)> {
+    pub(crate) fn evictions(&mut self, now_us: u64) -> Vec<(usize, u64)> {
         let mut evicted = Vec::new();
         for site in 0..self.states.len() {
             if self.states[site] != SiteState::Joined {
@@ -115,13 +115,13 @@ impl RoundMachine {
     /// The earliest time at which [`RoundMachine::evictions`] would evict
     /// someone if nobody speaks until then: what a serving loop with
     /// nothing else to do sleeps until. `None` while no site is `Joined`.
-    pub fn next_eviction_us(&self) -> Option<u64> {
+    pub(crate) fn next_eviction_us(&self) -> Option<u64> {
         let joined = (0..self.states.len()).filter(|&s| self.states[s] == SiteState::Joined);
         joined.map(|s| self.last_seen[s].saturating_add(self.timeout_us).saturating_add(1)).min()
     }
 
     /// `true` when the round can end: every site is `Done` or `Evicted`.
-    pub fn finished(&self) -> bool {
+    pub(crate) fn finished(&self) -> bool {
         self.started
             && self
                 .states
@@ -131,19 +131,19 @@ impl RoundMachine {
 
     /// Current state of one site.
     #[cfg(test)]
-    pub fn state(&self, site: usize) -> SiteState {
+    pub(crate) fn state(&self, site: usize) -> SiteState {
         self.states[site]
     }
 
     /// States of all sites, indexed by site. The status scraper exports
     /// these as per-site gauges (`Waiting=0, Joined=1, Done=2,
     /// Evicted=3`).
-    pub fn states(&self) -> &[SiteState] {
+    pub(crate) fn states(&self) -> &[SiteState] {
         &self.states
     }
 
     /// The numeric encoding of a state used by the status exposition.
-    pub fn state_code(state: SiteState) -> u8 {
+    pub(crate) fn state_code(state: SiteState) -> u8 {
         match state {
             SiteState::Waiting => 0,
             SiteState::Joined => 1,
@@ -153,7 +153,7 @@ impl RoundMachine {
     }
 
     /// Sites currently in the `Evicted` state.
-    pub fn evicted_sites(&self) -> Vec<u32> {
+    pub(crate) fn evicted_sites(&self) -> Vec<u32> {
         (0..self.states.len())
             .filter(|&s| self.states[s] == SiteState::Evicted)
             .map(|s| s as u32)

@@ -441,7 +441,6 @@ pub struct SiteRun {
     site: usize,
     window: WindowSpec,
     config: DriverConfig,
-    delivery: DeliveryConfig,
     stream: RecordStream,
     updates: u64,
     socket: SocketConfig,
@@ -450,18 +449,14 @@ pub struct SiteRun {
 
 impl SiteRun {
     /// Starts a validated-defaults builder for site `site` streaming
-    /// `stream`. Delivery defaults to [`DeliveryMode::Reliable`] — the
-    /// only mode the socket runtime accepts.
+    /// `stream`. Delivery is always [`DeliveryMode::Reliable`]: a
+    /// reconnect needs sequence state to resync.
     pub fn builder(site: usize, stream: RecordStream) -> SiteRunBuilder {
         SiteRunBuilder(SiteRun {
             site,
             stream,
             window: WindowSpec::Landmark,
             config: DriverConfig::default(),
-            delivery: DeliveryConfig {
-                mode: DeliveryMode::Reliable,
-                ..DeliveryConfig::default()
-            },
             updates: 0,
             socket: SocketConfig::default(),
             telemetry: false,
@@ -469,9 +464,9 @@ impl SiteRun {
     }
 }
 
-/// Builder for [`SiteRun`]: landmark window, reliable delivery, and
-/// default socket tuning unless overridden; [`SiteRunBuilder::build`]
-/// rejects configurations [`run_site`] could only fail on at runtime.
+/// Builder for [`SiteRun`]: landmark window and default socket tuning
+/// unless overridden; [`SiteRunBuilder::build`] rejects configurations
+/// [`run_site`] could only fail on at runtime.
 pub struct SiteRunBuilder(SiteRun);
 
 impl SiteRunBuilder {
@@ -484,15 +479,6 @@ impl SiteRunBuilder {
     /// Sets the driver configuration (site config, rates, observer).
     pub fn config(mut self, config: DriverConfig) -> Self {
         self.0.config = config;
-        self
-    }
-
-    /// Overrides the delivery settings. The mode must stay
-    /// [`DeliveryMode::Reliable`] ([`SiteRunBuilder::build`] rejects
-    /// anything else); the RTO pair is the simulator's — a socket re-sends
-    /// only after a reconnect.
-    pub fn delivery(mut self, delivery: DeliveryConfig) -> Self {
-        self.0.delivery = delivery;
         self
     }
 
@@ -521,14 +507,8 @@ impl SiteRunBuilder {
 
     /// Validates and produces the run.
     pub fn build(self) -> Result<SiteRun, CludiError> {
-        let run = self.0;
-        if run.delivery.mode != DeliveryMode::Reliable {
-            return Err(CludiError::Build(
-                "the TCP transport is reliable-only: a reconnect needs sequence state to resync",
-            ));
-        }
-        validate_socket(&run.socket)?;
-        Ok(run)
+        validate_socket(&self.0.socket)?;
+        Ok(self.0)
     }
 }
 
@@ -605,7 +585,10 @@ impl Work for SitePump {
 /// records, keep liveness, and reconnect-with-resync on any socket
 /// failure until the coordinator says `Stop`.
 pub fn run_site(addr: &str, run: SiteRun) -> Result<SiteReport, CludiError> {
-    let SiteRun { site, window, config, delivery, stream, updates, socket, telemetry } = run;
+    let SiteRun { site, window, config, stream, updates, socket, telemetry } = run;
+    // The RTO pair is the simulator's: a socket re-sends only after a
+    // reconnect, so only the mode is read here.
+    let delivery = DeliveryConfig { mode: DeliveryMode::Reliable, ..DeliveryConfig::default() };
     let core = build_site_core(&config, window, site, delivery)?;
     let mut pump = SitePump { core, stream, remaining: updates, batch: config.batch };
     let (events_tx, events) = mpsc::channel();
@@ -674,12 +657,12 @@ impl Transport for TcpTransport {
                  `cludistream aggregator` processes between the sites and the root instead",
             ));
         }
+        if recipe.delivery.is_some_and(|d| d.mode != DeliveryMode::Reliable) {
+            return Err(CludiError::Build(
+                "the TCP transport is reliable-only: a reconnect needs sequence state to resync",
+            ));
+        }
         let RunRecipe { sites, config, .. } = recipe;
-        // `SiteRunBuilder::build` rejects anything but reliable delivery.
-        let delivery = recipe.delivery.unwrap_or(DeliveryConfig {
-            mode: DeliveryMode::Reliable,
-            ..DeliveryConfig::default()
-        });
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?.to_string();
         let started = Instant::now();
@@ -692,7 +675,6 @@ impl Transport for TcpTransport {
             let run = SiteRun::builder(i, stream)
                 .window(recipe.window)
                 .config(config.clone())
-                .delivery(delivery)
                 .updates(recipe.updates_per_site)
                 .socket(self.socket)
                 .build()?;
@@ -1082,13 +1064,6 @@ mod tests {
         );
         assert!(CoordinatorRun::builder(2).build().is_ok());
 
-        let fire_and_forget = SiteRun::builder(0, Box::new(std::iter::empty()))
-            .delivery(DeliveryConfig {
-                mode: DeliveryMode::FireAndForget,
-                ..DeliveryConfig::default()
-            })
-            .build();
-        assert!(fire_and_forget.is_err(), "the socket runtime is reliable-only");
         assert!(SiteRun::builder(0, Box::new(std::iter::empty())).build().is_ok());
     }
 

@@ -329,7 +329,7 @@ impl<'a> Uplink<'a> {
     /// Runs the node against its parent until the parent says `Stop` (or
     /// vanishes after `Done`): rendezvous, work, liveness, and
     /// reconnect-with-resync on any earlier socket failure.
-    pub fn run(&mut self, work: &mut impl Work) -> Result<(), CludiError> {
+    pub(crate) fn run(&mut self, work: &mut impl Work) -> Result<(), CludiError> {
         let mut reconnects = 0u64;
         'round: loop {
             // Dropped at the end of every pass, which shuts the socket

@@ -57,7 +57,7 @@ use std::sync::{Arc, Mutex};
 const MAGIC: u32 = 0x434C_4D53;
 
 /// Version of the snapshot wire layout (bump on incompatible change).
-pub const SNAPSHOT_FORMAT_VERSION: u16 = 1;
+pub(crate) const SNAPSHOT_FORMAT_VERSION: u16 = 1;
 
 /// Encoded size of one member: `u32 site, u64 model, u32 component`.
 const MEMBER_BYTES: usize = 16;

@@ -63,7 +63,7 @@ pub struct TreeTopology {
     pub levels: Vec<usize>,
     /// Upward-forwarding significance threshold: a freshly merged summary
     /// within `epsilon` of the last one uploaded (per
-    /// [`crate::aggregator::summary_changed`]) is suppressed.
+    /// [`crate::AggregatorConfig::epsilon`]) is suppressed.
     /// `0.0` forwards every change.
     pub epsilon: f64,
     /// Microseconds between an aggregator going dirty and its upward

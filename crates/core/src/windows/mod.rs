@@ -10,4 +10,5 @@ mod window;
 pub use horizon::horizon_mixture;
 pub use landmark::landmark_mixture;
 pub use sliding::SlidingWindowSite;
-pub use window::{LandmarkWindow, Window, WindowSpec};
+pub use window::WindowSpec;
+pub(crate) use window::Window;

@@ -51,12 +51,12 @@ impl SlidingWindowSite {
 
     /// Attaches a telemetry observer to the wrapped site (see
     /// [`RemoteSite::set_observer`]).
-    pub fn set_observer(&mut self, obs: cludistream_obs::Obs, site: u32) {
+    pub(crate) fn set_observer(&mut self, obs: cludistream_obs::Obs, site: u32) {
         self.inner.set_observer(obs, site);
     }
 
     /// Window capacity in chunks.
-    pub fn window_chunks(&self) -> usize {
+    pub(crate) fn window_chunks(&self) -> usize {
         self.window_chunks
     }
 
@@ -122,7 +122,7 @@ impl SlidingWindowSite {
     /// site's events keep their wire spans; the synthesized fit-chunk
     /// weight updates carry none (they aggregate many chunks, so no single
     /// chunk trace owns them).
-    pub fn drain_events_traced(
+    pub(crate) fn drain_events_traced(
         &mut self,
     ) -> Vec<(SiteEvent, Option<cludistream_obs::TraceCtx>)> {
         let mut events = self.inner.drain_events_traced();

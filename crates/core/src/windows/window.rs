@@ -19,7 +19,7 @@ use cludistream_wire::{ByteBuf, ByteReader};
 /// A remote site wrapped in some window semantics. Object safe: the
 /// driver holds `Box<dyn Window>`. `Send` so the socket transport can
 /// run each site's window on its own thread.
-pub trait Window: std::fmt::Debug + Send {
+pub(crate) trait Window: std::fmt::Debug + Send {
     /// Consumes one record; returns the chunk outcome when a chunk
     /// completed.
     fn push(&mut self, x: Vector) -> Result<Option<ChunkOutcome>, CludiError>;
@@ -60,13 +60,13 @@ pub trait Window: std::fmt::Debug + Send {
 /// Landmark-window semantics: every record since stream start counts, no
 /// expiry. The thinnest possible [`Window`] over a [`RemoteSite`].
 #[derive(Debug)]
-pub struct LandmarkWindow {
+pub(crate) struct LandmarkWindow {
     site: RemoteSite,
 }
 
 impl LandmarkWindow {
     /// A landmark window over a fresh site.
-    pub fn new(config: Config) -> Result<Self, CludiError> {
+    pub(crate) fn new(config: Config) -> Result<Self, CludiError> {
         Ok(LandmarkWindow { site: RemoteSite::new(config)? })
     }
 }
@@ -141,7 +141,7 @@ impl Window for SlidingWindowSite {
     }
 }
 
-/// A recipe for a [`Window`], used by the [`crate::Simulation`] builder to
+/// A recipe for a site window, used by the [`crate::Simulation`] builder to
 /// stamp out one window per site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowSpec {
@@ -157,7 +157,7 @@ pub enum WindowSpec {
 
 impl WindowSpec {
     /// Builds a window of this kind over a fresh site.
-    pub fn build(&self, config: Config) -> Result<Box<dyn Window>, CludiError> {
+    pub(crate) fn build(&self, config: Config) -> Result<Box<dyn Window>, CludiError> {
         match *self {
             WindowSpec::Landmark => Ok(Box::new(LandmarkWindow::new(config)?)),
             WindowSpec::Sliding { chunks } => {

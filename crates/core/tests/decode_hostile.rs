@@ -10,6 +10,10 @@
 //!   allocation the decode asks for stays within `16 × input + 4 KiB`.
 //! - Random bit flips never panic (`rng::check` prints the failing seed;
 //!   `CLUDI_PROP_SEED` replays it).
+//! - For every ordered pair of the wire encodings (`Message`, each `Frame`
+//!   kind, each `Control` variant, `ModelSnapshot`), one's tag byte on the
+//!   other's body, and a prefix of one joined to a suffix of the other at
+//!   every cut, decode to `Ok` or `Err` under the same allocation bound.
 //!
 //! Two checkpoint cases pin holes that were open: a lying model, event or
 //! record count made `RemoteSite::restore` reserve capacity for it before
@@ -316,6 +320,15 @@ fn cases() -> Vec<Case> {
     out
 }
 
+/// The encodings a peer can put on one connection: `Message`, each `Frame`
+/// kind, each `Control` variant and `ModelSnapshot` (the checkpoints,
+/// telemetry and sender queue are read back by their owner only).
+fn wire_cases() -> Vec<Case> {
+    let owner_only =
+        ["TelemetryDelta", "landmark checkpoint", "sliding checkpoint", "ReliableSender"];
+    cases().into_iter().filter(|c| !owner_only.contains(&c.name.as_str())).collect()
+}
+
 #[test]
 fn truncation_at_every_offset_is_an_error() {
     for case in cases() {
@@ -362,6 +375,43 @@ fn random_bit_flips_never_panic() {
         });
         assert!(asked <= allocation_bound(bytes.len()), "{}: asked for {asked}", case.name);
     });
+}
+
+#[test]
+fn tag_swaps_and_splices_of_two_encodings_never_panic_or_over_allocate() {
+    let cases = wire_cases();
+    let mut input = Vec::new();
+    for a in &cases {
+        for b in &cases {
+            // `cut == None` is the tag swap: b's tag byte on a's body. Every
+            // other cut joins a's first `cut` bytes to b's bytes from `cut`.
+            let longer = a.bytes.len().max(b.bytes.len());
+            for cut in std::iter::once(None).chain((0..=longer).map(Some)) {
+                input.clear();
+                match cut {
+                    None => {
+                        input.push(b.bytes[0]);
+                        input.extend_from_slice(&a.bytes[1..]);
+                    }
+                    Some(cut) => {
+                        input.extend_from_slice(&a.bytes[..cut.min(a.bytes.len())]);
+                        input.extend_from_slice(&b.bytes[cut.min(b.bytes.len())..]);
+                    }
+                }
+                for decode in [a.decode, b.decode] {
+                    let asked = largest(|| {
+                        decode(&input);
+                    });
+                    assert!(
+                        asked <= allocation_bound(input.len()),
+                        "{} + {} at {cut:?}: asked for {asked} bytes at once",
+                        a.name,
+                        b.name
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// Offsets in a fresh site's checkpoint: 87 bytes of header, counters and

@@ -68,16 +68,6 @@ impl CommStats {
             .collect()
     }
 
-    /// Bytes sent over a specific directed link.
-    pub fn link_bytes(&self, from: NodeId, to: NodeId) -> u64 {
-        self.per_link.get(&(from, to)).map(|l| l.bytes).unwrap_or(0)
-    }
-
-    /// Messages sent over a specific directed link.
-    pub fn link_messages(&self, from: NodeId, to: NodeId) -> u64 {
-        self.per_link.get(&(from, to)).map(|l| l.messages).unwrap_or(0)
-    }
-
     /// Bytes sent *by* a node over all links.
     pub fn bytes_from(&self, node: NodeId) -> u64 {
         self.per_link.iter().filter(|((f, _), _)| *f == node).map(|(_, l)| l.bytes).sum()
@@ -90,30 +80,9 @@ impl CommStats {
         self.per_link.iter().filter(|((_, t), _)| *t == node).map(|(_, l)| l.bytes).sum()
     }
 
-    /// Messages sent *by* a node over all links.
-    pub fn messages_from(&self, node: NodeId) -> u64 {
-        self.per_link.iter().filter(|((f, _), _)| *f == node).map(|(_, l)| l.messages).sum()
-    }
-
     /// Messages received *by* a node over all links.
     pub fn messages_to(&self, node: NodeId) -> u64 {
         self.per_link.iter().filter(|((_, t), _)| *t == node).map(|(_, l)| l.messages).sum()
-    }
-
-    /// Per-directed-link message counts, sorted by `(from, to)` so output
-    /// is deterministic despite the hash-map storage.
-    pub fn per_link_messages(&self) -> Vec<((NodeId, NodeId), u64)> {
-        let mut rows: Vec<_> =
-            self.per_link.iter().map(|(&k, l)| (k, l.messages)).collect();
-        rows.sort_by_key(|((f, t), _)| (f.0, t.0));
-        rows
-    }
-
-    /// Per-directed-link byte counts, sorted by `(from, to)`.
-    pub fn per_link_bytes(&self) -> Vec<((NodeId, NodeId), u64)> {
-        let mut rows: Vec<_> = self.per_link.iter().map(|(&k, l)| (k, l.bytes)).collect();
-        rows.sort_by_key(|((f, t), _)| (f.0, t.0));
-        rows
     }
 }
 
@@ -147,10 +116,9 @@ mod tests {
         s.record(0, NodeId(0), NodeId(2), 5);
         s.record(0, NodeId(1), NodeId(2), 7);
         s.record(0, NodeId(0), NodeId(2), 3);
-        assert_eq!(s.link_bytes(NodeId(0), NodeId(2)), 8);
-        assert_eq!(s.link_bytes(NodeId(1), NodeId(2)), 7);
-        assert_eq!(s.link_bytes(NodeId(2), NodeId(0)), 0);
         assert_eq!(s.bytes_from(NodeId(0)), 8);
+        assert_eq!(s.bytes_from(NodeId(1)), 7);
+        assert_eq!(s.bytes_from(NodeId(2)), 0);
     }
 
     #[test]
@@ -172,20 +140,8 @@ mod tests {
         s.record(0, NodeId(0), NodeId(2), 5);
         s.record(1, NodeId(0), NodeId(2), 5);
         s.record(2, NodeId(1), NodeId(2), 7);
-        assert_eq!(s.messages_from(NodeId(0)), 2);
-        assert_eq!(s.messages_from(NodeId(1)), 1);
-        assert_eq!(s.messages_from(NodeId(2)), 0);
         assert_eq!(s.messages_to(NodeId(2)), 3);
-        assert_eq!(s.link_messages(NodeId(0), NodeId(2)), 2);
-        assert_eq!(s.link_messages(NodeId(2), NodeId(0)), 0);
-        assert_eq!(
-            s.per_link_messages(),
-            vec![((NodeId(0), NodeId(2)), 2), ((NodeId(1), NodeId(2)), 1)]
-        );
-        assert_eq!(
-            s.per_link_bytes(),
-            vec![((NodeId(0), NodeId(2)), 10), ((NodeId(1), NodeId(2)), 7)]
-        );
+        assert_eq!(s.messages_to(NodeId(0)), 0);
     }
 
     #[test]
@@ -195,7 +151,6 @@ mod tests {
         assert!(s.per_second().is_empty());
         assert!(s.cumulative_per_second().is_empty());
         assert_eq!(s.bytes_to(NodeId(0)), 0);
-        assert_eq!(s.messages_from(NodeId(0)), 0);
-        assert!(s.per_link_messages().is_empty());
+        assert_eq!(s.messages_to(NodeId(0)), 0);
     }
 }

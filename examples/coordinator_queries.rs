@@ -1,13 +1,15 @@
 //! Mining queries at the coordinator: dense regions, soft membership, and
 //! anomaly checks over the union of all streams — the "user mining
 //! request" surface of the paper's problem statement, including the
-//! motivating "80% probability of attack" style of answer.
+//! motivating "80% probability of attack" style of answer. Every answer
+//! is read off one `ModelSnapshot` of the coordinator: its global mixture
+//! (one component per dense region) and its per-region group metadata.
 //!
 //! ```text
 //! cargo run --release --example coordinator_queries
 //! ```
 
-use cludistream::{Config, Coordinator, CoordinatorConfig, Message, RemoteSite};
+use cludistream::{Config, Coordinator, CoordinatorConfig, Message, ModelSnapshot, RemoteSite};
 use cludistream_gmm::{ChunkParams, Gaussian, Mixture};
 use cludistream_linalg::Vector;
 use cludistream_rng::StdRng;
@@ -73,20 +75,29 @@ fn main() {
         );
     }
 
+    let snapshot = ModelSnapshot::capture(&coordinator).expect("coordinator has models");
+    let mixture = &snapshot.mixture;
+    let total = snapshot.groups.iter().map(|g| g.weight).sum::<f64>().max(1e-12);
+
     println!("\n--- dense regions over the union of streams ---");
-    let regions = coordinator.dense_regions().expect("coordinator has models");
-    for (i, r) in regions.iter().enumerate() {
+    for (i, (c, g)) in mixture.components().iter().zip(&snapshot.groups).enumerate() {
+        let spread: Vec<f64> = c.cov().diag().iter().map(|v| v.max(0.0).sqrt()).collect();
         println!(
             "  region {i}: centre ({:+.1}, {:+.1}), weight {:.2}, spread ({:.2}, {:.2}), \
              merged from {} site components",
-            r.center[0], r.center[1], r.weight, r.spread[0], r.spread[1], r.member_components
+            c.mean()[0],
+            c.mean()[1],
+            g.weight / total,
+            spread[0],
+            spread[1],
+            g.members.len()
         );
     }
 
     println!("\n--- soft membership queries (the paper's '80% attacked' answer) ---");
     for probe in [[0.0, 0.0], [6.0, 0.0], [11.0, 1.0], [0.0, 11.0]] {
         let x = Vector::from_slice(&probe);
-        let membership = coordinator.membership(&x).expect("models exist");
+        let membership = mixture.posteriors(&x);
         let best = membership
             .iter()
             .enumerate()
@@ -98,14 +109,14 @@ fn main() {
             probe[1],
             best.0,
             best.1 * 100.0,
-            coordinator.density_at(&x).unwrap()
+            mixture.pdf(&x)
         );
     }
 
     println!("\n--- anomaly checks (Mahalanobis > 3σ from every region) ---");
     for probe in [[0.5, 0.2], [25.0, 25.0], [6.0, 6.0]] {
         let x = Vector::from_slice(&probe);
-        let outlier = coordinator.is_outlier(&x, 9.0).expect("models exist");
+        let outlier = mixture.components().iter().all(|c| c.mahalanobis_sq(&x) > 9.0);
         println!(
             "  ({:+5.1}, {:+5.1}) -> {}",
             probe[0],

@@ -1,12 +1,16 @@
 #!/usr/bin/env bash
-# Non-test source lines per crate — the number ROADMAP's size gates quote:
-# for each crates/<c>/src/**/*.rs, the lines before the first `#[cfg(test)]`.
+# Non-test source lines and public items per crate — the numbers ROADMAP's
+# size and surface gates quote: for each crates/<c>/src/**/*.rs, the lines
+# before the first `#[cfg(test)]`, and how many of them declare a `pub`
+# item (`pub fn`, `pub struct`, `pub use`, …; not `pub(crate)`, not fields).
 # usage: scripts/loc.sh [crate ...]   (default: every crate)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 [ $# -gt 0 ] || set -- $(ls crates)
+printf '%-10s %6s %5s\n' crate lines pub
 for c in "$@"; do
     find "crates/$c/src" -name '*.rs' -exec awk -v c="$c" \
         'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } !skip { n++ }
-         END { printf "%-10s %6d\n", c, n }' {} +
+         !skip && /^[[:space:]]*pub (fn|struct|enum|trait|type|const|static|mod|use)[[:space:]]/ { p++ }
+         END { printf "%-10s %6d %5d\n", c, n, p }' {} +
 done

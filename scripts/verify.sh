@@ -15,16 +15,10 @@ cargo build --release --offline --workspace
 # next benchmark run.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml --target-dir target
 
-# Exact-count gate: a 2-second run of each of the four workloads must end
-# in a result line that is correct, has no failed operation, and reads
-# exactly the bytes per record and the state size below. Both are exact
-# per seed — they count what the sites decided to send and what the
-# coordinator decided to keep — so a change to a decision, to the
-# accounting or to the wire format moves them on any host, however
-# loaded. No rate is compared. `drift` is also read on seed 2, the seed
-# the measurement procedure keeps unused while a change is written. A PR
-# that means to change a decision or the wire updates these ten numbers
-# in the same diff.
+# Exact-count gate: every row of scripts/exact_counts.txt is one 2-second
+# run of the benchmark binary whose last stdout line must be correct, have
+# no failed operation, and read exactly the metric values of its row. The
+# table says why the numbers are exact and when a change updates them.
 exact_counts() { # workload seed trace [metric value]...
     local workload="$1" seed="$2" trace="$3" last want
     shift 3
@@ -43,26 +37,9 @@ exact_counts() { # workload seed trace [metric value]...
         fi
     done
 }
-exact_counts drift     1 0 bytes_per_record 0.328414  state_kb 410.453125
-exact_counts drift     2 0 bytes_per_record 0.324902  state_kb 407.125
-exact_counts drift_tcp 1 0 bytes_per_record 0.3476875 state_kb 150.859375
-exact_counts steady    1 0 bytes_per_record 0.00029266666666666666 state_kb 102.578125
-exact_counts fanin     1 0 bytes_per_record 0.1297096520176751     state_kb 522.2109375
-# The same for the per-layer counts of the one workload whose traced run is
-# short (2.3 s): the root's decisions — merges made, components and groups
-# kept, frames and bytes taken in, snapshots and snapshot bytes put out — so
-# a change to the coordinator that means to leave its decisions alone is
-# checked on every host.
-exact_counts fanin     1 1 coordinator.merges 3155 coordinator.components 3175 \
-    coordinator.groups 8 coordinator.apply_errors 0 protocol.frames 1600 \
-    protocol.bytes 616879 serving.snapshots 1600 serving.snapshot_bytes 52339
-# And for `drift`'s traced run (6 s): the sites' decisions — chunks
-# clustered, tests run, EM iterations — and the root's merges, groups,
-# components and published snapshot bytes, on a workload whose groups split
-# and whose merges are refined.
-exact_counts drift     1 1 coordinator.merges 810 coordinator.groups 8 \
-    coordinator.components 935 remote.chunks_clustered 187 remote.tests 860 \
-    remote.em_iterations 703 serving.snapshots 188 serving.snapshot_bytes 16499
+while read -r -a row <&3; do
+    [ "${#row[@]}" -eq 0 ] || [ "${row[0]:0:1}" = "#" ] || exact_counts "${row[@]}"
+done 3< scripts/exact_counts.txt
 
 cargo test -q --offline --workspace
 cargo doc --no-deps -q --offline --workspace

@@ -146,7 +146,6 @@ fn socket_round_through_the_facade_builders() {
     let run: SiteRun = builder
         .window(WindowSpec::Landmark)
         .config(DriverConfig { site: site_config(), ..Default::default() })
-        .delivery(DeliveryConfig { mode: DeliveryMode::Reliable, ..Default::default() })
         .updates(2 * chunk)
         .build()
         .expect("valid site run");
