@@ -64,6 +64,10 @@ fn snapshot_member(m: &Member) -> SnapshotMember {
 /// would otherwise carry that member's error in its covariance.
 const CANCELLATION_GUARD: f64 = 1.0 / 1024.0;
 
+/// Largest relative gap [`Group::check_moments`] allows between the running
+/// statistics and a fresh fold of the members.
+const MOMENT_TOLERANCE: f64 = 1e-9;
+
 /// A group of components — one "Gaussian mixture model" node in the
 /// coordinator's hierarchy (the father of its members). The root of the
 /// paper's tree is the set of groups; each group's children are its member
@@ -403,6 +407,47 @@ impl Group {
         }
         Ok(())
     }
+
+    /// Errors unless the running statistics equal a fresh fold of the
+    /// members at their anchored weights (what [`Group::recompute`] folds)
+    /// to [`MOMENT_TOLERANCE`] relative: the mass and the summed weight
+    /// against the fresh mass; each entry of the pooled mean and covariance
+    /// against the fresh pooled second moment `max_i(Σ_ii + μ_i²)`, the
+    /// magnitude at which the statistics are summed. A check for tests: it
+    /// walks every member.
+    pub(crate) fn check_moments(&self) -> Result<(), GmmError> {
+        let mut fresh = SuffStats::new(self.stats.dim());
+        let mut weight = 0.0;
+        for m in self.members.values() {
+            fresh.merge_gaussian(&m.gaussian, m.anchored_weight());
+            weight += m.weight;
+        }
+        let broken = GmmError::InvalidParameter {
+            name: "group",
+            constraint: "running statistics equal a fresh fold of the members",
+        };
+        let close =
+            |got: f64, want: f64, scale: f64| (got - want).abs() <= MOMENT_TOLERANCE * scale;
+        if !close(self.stats.n(), fresh.n(), fresh.n()) || !close(self.weight, weight, fresh.n()) {
+            return Err(broken);
+        }
+        if self.members.is_empty() {
+            return Ok(());
+        }
+        let (mean, cov) = (self.stats.mean()?, self.stats.cov()?);
+        let (fresh_mean, fresh_cov) = (fresh.mean()?, fresh.cov()?);
+        let d = mean.dim();
+        let scale =
+            (0..d).map(|i| fresh_cov[(i, i)] + fresh_mean[i] * fresh_mean[i]).fold(0.0, f64::max);
+        let means = mean.iter().zip(fresh_mean.iter()).all(|(&a, &b)| close(a, b, scale.sqrt()));
+        let covs =
+            cov.as_slice().iter().zip(fresh_cov.as_slice()).all(|(&a, &b)| close(a, b, scale));
+        if means && covs {
+            Ok(())
+        } else {
+            Err(broken)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -503,6 +548,49 @@ mod tests {
         let (mean, cov) = (g.aggregate().mean()[0], g.aggregate().cov()[(0, 0)]);
         g.recompute();
         assert_eq!((g.aggregate().mean()[0], g.aggregate().cov()[(0, 0)]), (mean, cov));
+    }
+
+    #[test]
+    fn running_moments_stay_a_fresh_fold_through_every_operation() {
+        let wide = |site: u32, center: f64, var: f64, weight: f64| {
+            let mean = Vector::from_slice(&[center, -2.0 * center]);
+            let cov = cludistream_linalg::Matrix::from_rows(&[&[var, 0.3], &[0.3, 2.0 * var]]);
+            Member::new(
+                ComponentKey { site, model: ModelId(0), component: 0 },
+                Gaussian::new(mean, cov).unwrap(),
+                weight,
+            )
+        };
+        let mut g = Group::new(0, wide(0, 0.0, 1.0, 100.0));
+        g.check_moments().unwrap();
+        let seqs: Vec<u64> = (1..12).map(|i| g.push(wide(i, f64::from(i), 0.5, 50.0))).collect();
+        g.check_moments().unwrap();
+        g.rescale(seqs[..3].iter().copied(), 40.0);
+        g.check_moments().unwrap();
+        let _ = g.remove(seqs[3..5].iter().copied());
+        g.check_moments().unwrap();
+        g.rescale([seqs[6]], 1e-3);
+        g.check_moments().unwrap();
+        let mut other = Group::new(1, wide(20, 30.0, 3.0, 1e4));
+        other.push(wide(21, 31.0, 0.1, 0.0));
+        other.rescale([0], 0.5);
+        other.check_moments().unwrap();
+        g.absorb(other, |_, _| {});
+        g.check_moments().unwrap();
+        // A handle to the aggregate keeps the block it shares: the next
+        // refresh builds the group a new one and leaves that one alone.
+        let shared = g.aggregate().clone();
+        let _ = g.remove([seqs[0]]);
+        g.check_moments().unwrap();
+        assert_ne!(shared.mean().as_slice(), g.aggregate().mean().as_slice());
+        // A share folded in twice, or a member left out, is caught.
+        let extra = g.members().nth(2).unwrap().gaussian.clone();
+        g.stats.merge_gaussian(&extra, 50.0);
+        assert!(g.check_moments().is_err());
+        g.recompute();
+        g.check_moments().unwrap();
+        g.weight += 1.0;
+        assert!(g.check_moments().is_err());
     }
 
     #[test]

@@ -286,14 +286,16 @@ impl Coordinator {
         self.groups.iter_mut().for_each(Group::recompute);
     }
 
-    /// Validation hook for tests: every group has a current aggregate, the
-    /// model→member index and the groups' members are one to one — each
-    /// index entry names a member carrying exactly that key, and there are
-    /// as many members as entries — and record mass is conserved: the
-    /// total weight equals the summed counts of the live site models to
-    /// 1e-9 relative.
+    /// Validation hook for tests: every group has a current aggregate, and
+    /// running statistics that equal a fresh fold of its members to 1e-9
+    /// relative (`Group::check_moments`); the model→member index and the
+    /// groups' members are one to one — each index entry names a member
+    /// carrying exactly that key, and there are as many members as entries
+    /// — and record mass is conserved: the total weight equals the summed
+    /// counts of the live site models to 1e-9 relative.
     pub fn check(&self) -> Result<(), GmmError> {
         self.groups.iter().try_for_each(Group::check)?;
+        self.groups.iter().try_for_each(Group::check_moments)?;
         let dangling = GmmError::InvalidParameter {
             name: "registry",
             constraint: "every index entry names its member and every member has one",

@@ -10,6 +10,11 @@
 //! previous snapshot, so the publish allocates and copies nothing per
 //! member.
 //!
+//! A `Gaussian` is a handle to one immutable parameter block, so copying
+//! one — into a member, an aggregate, a merged aggregate or a snapshot's
+//! global mixture — allocates nothing; building one allocates its block
+//! once more than its parameters.
+//!
 //! A counting allocator shim wraps the system allocator (as in
 //! `crates/gmm/tests/estep_alloc.rs`); this is an integration test so it
 //! owns the process-wide `#[global_allocator]`.
@@ -55,25 +60,33 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// A `WeightUpdate` that splits nothing reads 16 today — one `locate` list
-/// and the refreshed aggregate (`to_gaussian`: mean, covariance, factor,
-/// and what `Gaussian::new` clones on the way). With a temporary
-/// `SuffStats` per fold and six vectors per criterion it read 46.
-const WEIGHT_UPDATE_BOUND: u64 = 24;
+/// Every bound below is today's count plus a slack of 2: less than the 3
+/// allocations (mean, covariance, factor) one deep copy of a 4-dimensional
+/// full-covariance `Gaussian` made, so a copy that stops sharing fails.
+const SLACK: u64 = 2;
+
+/// A `WeightUpdate` that splits nothing reads 19 today — one `locate` list
+/// and, three times (the reweight, the member it re-places taken out and
+/// put back), the refreshed aggregate (`to_gaussian`: mean, covariance,
+/// factor and the shared block). It read 16 while a `Gaussian` held its
+/// parameters inline, and 46 with a temporary `SuffStats` per fold and six
+/// vectors per criterion.
+const WEIGHT_UPDATE_BOUND: u64 = 19 + SLACK;
 
 /// A `NewModel` of five components that founds five groups and merges
-/// five times reads 118 today: member clones, singleton groups, merged
-/// aggregates, one score table with its caps and the list of pairs a pass
-/// still has to score, and the bookkeeping. Scoring every pair before every
-/// merge at six allocations a score, it read 2 116.
-const NEW_MODEL_BOUND: u64 = 200;
+/// five times reads 83 today: singleton groups, merged aggregates, one
+/// score table with its caps and the list of pairs a pass still has to
+/// score, and the bookkeeping. It read 118 while every member insert,
+/// singleton seed and merged aggregate deep-copied a `Gaussian`, and
+/// 2 116 scoring every pair before every merge at six allocations a score.
+const NEW_MODEL_BOUND: u64 = 83 + SLACK;
 
-/// A publish after a `WeightUpdate` that changes no membership reads 11
-/// today (1 096 bytes) against 2 groups: the global mixture, the group list
-/// and the snapshot. Copying every group's member list it read 13, and its
-/// bytes grew by 16 a member (1 288 against 10 members, 17 128 against
-/// 1 000).
-const PUBLISH_BOUND: u64 = 16;
+/// A publish after a `WeightUpdate` that changes no membership reads 5
+/// today (328 bytes) against 2 groups: the global mixture's lists, the
+/// group list and the snapshot. It read 11 (1 176 bytes) while the global
+/// mixture deep-copied each group's `Gaussian`, and 13 before that, when
+/// it also copied every group's member list (16 bytes more a member).
+const PUBLISH_BOUND: u64 = 5 + SLACK;
 
 /// How much more a publish after a join to a group of 10 000 may ask for
 /// than one after a join to a group of 10: one chunk of members (64 of
@@ -107,6 +120,22 @@ fn new_model(site: u32, model: u64, centers: &[f64], count: u64) -> Message {
     let mixture =
         Mixture::uniform(centers.iter().map(|&c| gaussian(4, c)).collect()).unwrap();
     Message::NewModel { site, model: ModelId(model), count, avg_ll: -1.0, mixture }
+}
+
+#[test]
+fn cloning_a_gaussian_allocates_nothing_and_keeps_every_bit() {
+    for d in [4, 16] {
+        let g = gaussian(d, 1.5);
+        let mut copy = None;
+        let n = allocations(|| copy = Some(black_box(&g).clone()));
+        assert_eq!(n, 0, "d = {d}: a clone allocated {n} times");
+        let copy = copy.unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(copy.mean().as_slice()), bits(g.mean().as_slice()), "d = {d}: mean");
+        assert_eq!(bits(copy.cov().as_slice()), bits(g.cov().as_slice()), "d = {d}: covariance");
+        let x = Vector::filled(d, -0.25);
+        assert_eq!(copy.log_pdf(&x).to_bits(), g.log_pdf(&x).to_bits(), "d = {d}: log density");
+    }
 }
 
 #[test]

@@ -2,6 +2,8 @@ use crate::batch::DensityScratch;
 use crate::{GmmError, Result};
 use cludistream_linalg::{cholesky_regularized, Cholesky, Matrix, Vector};
 use cludistream_rng::Rng;
+use std::fmt;
+use std::sync::Arc;
 
 /// Natural log of 2π, used by the Gaussian normalizer.
 pub(crate) const LN_2PI: f64 = 1.8378770664093453;
@@ -23,8 +25,24 @@ pub struct DistBoundFactor(f64);
 /// Construction factorizes Σ once (ridge-regularizing when the estimate is
 /// degenerate) so that density evaluation is two triangular solves, and
 /// `log|Σ|` never materializes the determinant.
-#[derive(Debug, Clone)]
+///
+/// A `Gaussian` is an immutable shared value: a handle to one parameter
+/// block that [`Gaussian::new`] builds and nothing changes afterwards.
+/// `clone()` is one atomic reference-count increment and allocates
+/// nothing, so the coordinator's member, aggregate, merged-aggregate and
+/// snapshot copies of one component are one block. The handle is `Send` and
+/// `Sync`, which is what lets snapshot readers score with blocks the writer
+/// still holds. The block has the natural alignment of its fields: giving
+/// the reference counts a cache line of their own sends every block through
+/// the allocator's over-aligned path, and measured slower on both the
+/// writer and the readers.
+#[derive(Clone)]
 pub struct Gaussian {
+    params: Arc<Params>,
+}
+
+/// The parameters one or more [`Gaussian`] handles share.
+struct Params {
     mean: Vector,
     cov: Matrix,
     chol: Cholesky,
@@ -37,6 +55,28 @@ pub struct Gaussian {
     /// dominates high-dimensional streaming; see Theorem 3's d-vector
     /// representation).
     inv_diag: Option<Vec<f64>>,
+}
+
+// Snapshot readers share parameter blocks across threads.
+const _: fn() = || {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<Gaussian>();
+};
+
+/// Prints the parameters as fields of a struct named `Gaussian`, so the
+/// shared block does not show in the text.
+impl fmt::Debug for Gaussian {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let p = &*self.params;
+        f.debug_struct("Gaussian")
+            .field("mean", &p.mean)
+            .field("cov", &p.cov)
+            .field("chol", &p.chol)
+            .field("log_norm", &p.log_norm)
+            .field("ridge", &p.ridge)
+            .field("inv_diag", &p.inv_diag)
+            .finish()
+    }
 }
 
 impl Gaussian {
@@ -93,7 +133,7 @@ impl Gaussian {
             }
         }
         let inv_diag = diagonal.then(|| cov.diag().iter().map(|&v| 1.0 / v).collect());
-        Ok(Gaussian { mean, cov, chol, log_norm, ridge, inv_diag })
+        Ok(Gaussian { params: Arc::new(Params { mean, cov, chol, log_norm, ridge, inv_diag }) })
     }
 
     /// Creates an isotropic Gaussian `N(mean, var·I)`.
@@ -115,39 +155,39 @@ impl Gaussian {
 
     /// Dimensionality d.
     pub fn dim(&self) -> usize {
-        self.mean.dim()
+        self.params.mean.dim()
     }
 
     /// Borrow the mean vector μ.
     pub fn mean(&self) -> &Vector {
-        &self.mean
+        &self.params.mean
     }
 
     /// Borrow the covariance matrix Σ (including any regularization ridge).
     pub fn cov(&self) -> &Matrix {
-        &self.cov
+        &self.params.cov
     }
 
     /// Borrow the cached Cholesky factorization of Σ.
     pub fn chol(&self) -> &Cholesky {
-        &self.chol
+        &self.params.chol
     }
 
     /// Ridge added during construction (0.0 when the covariance was already
     /// positive definite). Non-zero values signal a degenerate estimate.
     pub fn ridge(&self) -> f64 {
-        self.ridge
+        self.params.ridge
     }
 
     /// The log normalizing constant `-½ (d ln 2π + log|Σ|)`: the log density
     /// at the mean, which no record exceeds.
     pub(crate) fn log_norm(&self) -> f64 {
-        self.log_norm
+        self.params.log_norm
     }
 
     /// Log density `ln p(x)`.
     pub fn log_pdf(&self, x: &Vector) -> f64 {
-        self.log_norm - 0.5 * self.mahalanobis_sq(x)
+        self.params.log_norm - 0.5 * self.mahalanobis_sq(x)
     }
 
     /// Density `p(x)` (prefer [`Self::log_pdf`] in accumulations).
@@ -169,8 +209,9 @@ impl Gaussian {
         let d = self.dim();
         let count = out.len();
         assert_eq!(rows.len(), count * d, "log_pdf_batch: rows/out length mismatch");
-        let mean = self.mean.as_slice();
-        match &self.inv_diag {
+        let p = &*self.params;
+        let mean = p.mean.as_slice();
+        match &p.inv_diag {
             Some(inv) => {
                 for (x, o) in rows.chunks_exact(d).zip(out.iter_mut()) {
                     let mut acc = 0.0;
@@ -178,7 +219,7 @@ impl Gaussian {
                         let diff = x[i] - mean[i];
                         acc += diff * diff * inv[i];
                     }
-                    *o = self.log_norm - 0.5 * acc;
+                    *o = p.log_norm - 0.5 * acc;
                 }
             }
             None => {
@@ -191,14 +232,14 @@ impl Gaussian {
                         buf[i * count + b] = x[i] - mean[i];
                     }
                 }
-                self.chol.solve_lower_batch(buf, count);
+                p.chol.solve_lower_batch(buf, count);
                 for (b, o) in out.iter_mut().enumerate() {
                     let mut acc = 0.0;
                     for i in 0..d {
                         let y = buf[i * count + b];
                         acc += y * y;
                     }
-                    *o = self.log_norm - 0.5 * acc;
+                    *o = p.log_norm - 0.5 * acc;
                 }
             }
         }
@@ -207,29 +248,30 @@ impl Gaussian {
     /// Squared Mahalanobis distance `(x-μ)ᵀ Σ⁻¹ (x-μ)`. Uses the O(d)
     /// fast path for diagonal covariances, the Cholesky solve otherwise.
     pub fn mahalanobis_sq(&self, x: &Vector) -> f64 {
-        match &self.inv_diag {
+        let p = &*self.params;
+        match &p.inv_diag {
             Some(inv) => {
                 let mut acc = 0.0;
                 for i in 0..inv.len() {
-                    let diff = x[i] - self.mean[i];
+                    let diff = x[i] - p.mean[i];
                     acc += diff * diff * inv[i];
                 }
                 acc
             }
-            None => self.chol.mahalanobis_sq(x, &self.mean),
+            None => p.chol.mahalanobis_sq(x, &p.mean),
         }
     }
 
     /// True when the covariance is exactly diagonal (the O(d) density path
     /// is active).
     pub fn is_diagonal(&self) -> bool {
-        self.inv_diag.is_some()
+        self.params.inv_diag.is_some()
     }
 
     /// Draws one sample `μ + L z` with `z ~ N(0, I)` via Box–Muller.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vector {
         let z: Vector = (0..self.dim()).map(|_| sample_standard_normal(rng)).collect();
-        &self.mean + &self.chol.apply_l(&z)
+        self.mean() + &self.chol().apply_l(&z)
     }
 
     /// Squared Mahalanobis distance between the means of `self` and `other`
@@ -257,14 +299,14 @@ impl Gaussian {
         };
         let (diff, solves) = buf.split_at_mut(d);
         let (a, b) = solves.split_at_mut(d);
-        for ((v, m1), m2) in diff.iter_mut().zip(self.mean.iter()).zip(other.mean.iter()) {
+        for ((v, m1), m2) in diff.iter_mut().zip(self.mean().iter()).zip(other.mean().iter()) {
             *v = m1 - m2;
         }
         // (Σ₁⁻¹+Σ₂⁻¹)v = Σ₁⁻¹v + Σ₂⁻¹v: two solves, no explicit inverses.
         a.copy_from_slice(diff);
-        self.chol.solve_in_place(a);
+        self.chol().solve_in_place(a);
         b.copy_from_slice(diff);
-        other.chol.solve_in_place(b);
+        other.chol().solve_in_place(b);
         diff.iter().zip(a.iter().zip(b.iter())).map(|(v, (a, b))| v * (a + b)).sum()
     }
 
@@ -281,7 +323,7 @@ impl Gaussian {
         if d > Self::STACK_DIM {
             return None;
         }
-        let l = self.chol.l();
+        let l = self.chol().l();
         let l_sq: f64 = (0..d).flat_map(|i| &l.row(i)[..=i]).map(|v| v * v).sum();
         // Column j of L⁻¹ is zero above row j.
         let mut x = [0.0; Self::STACK_DIM];
@@ -348,7 +390,7 @@ impl Gaussian {
             return f64::NEG_INFINITY;
         }
         let sq: f64 =
-            self.mean.iter().zip(other.mean.iter()).map(|(m1, m2)| (m1 - m2) * (m1 - m2)).sum();
+            self.mean().iter().zip(other.mean().iter()).map(|(m1, m2)| (m1 - m2) * (m1 - m2)).sum();
         let bound = sq * (a + b) * (1.0 - Self::BOUND_SLACK);
         if sq >= 1e-280 && (1e-270..=1e270).contains(&bound) {
             bound
@@ -679,6 +721,36 @@ pub(crate) mod tests {
         let via_chol = diag.chol().mahalanobis_sq(&x, diag.mean());
         assert!((diag.mahalanobis_sq(&x) - via_chol).abs() < 1e-12);
         assert!((diag.log_pdf(&x).exp() - diag.pdf(&x)).abs() < 1e-15);
+    }
+
+    #[test]
+    fn debug_text_is_what_deriving_it_on_the_fields_printed() {
+        /// The struct as it was declared when it held its fields itself.
+        #[derive(Debug)]
+        #[allow(dead_code)]
+        struct Gaussian<'a> {
+            mean: &'a Vector,
+            cov: &'a Matrix,
+            chol: &'a Cholesky,
+            log_norm: f64,
+            ridge: f64,
+            inv_diag: &'a Option<Vec<f64>>,
+        }
+        let cov = Matrix::from_rows(&[&[2.0, 0.3], &[0.3, 1.0]]);
+        let dense = super::Gaussian::new(Vector::from_slice(&[0.5, -1.0]), cov).unwrap();
+        for g in [standard_2d(), dense] {
+            let p = &*g.params;
+            let derived = Gaussian {
+                mean: &p.mean,
+                cov: &p.cov,
+                chol: &p.chol,
+                log_norm: p.log_norm,
+                ridge: p.ridge,
+                inv_diag: &p.inv_diag,
+            };
+            assert_eq!(format!("{g:?}"), format!("{derived:?}"));
+            assert_eq!(format!("{g:#?}"), format!("{derived:#?}"));
+        }
     }
 
     #[test]
