@@ -41,8 +41,8 @@
 //! Every data-reading subcommand (`cluster`, `stream`, `score`) accepts
 //! the same `--input/--dim/--covariance` trio ([`DataOpts`]), and every
 //! subcommand that runs the `metrics` workload (`metrics`, `faults`,
-//! `trace`, `site`) the same `--sites/--chunks/--seed/--epsilon/--threads`
-//! description ([`MetricsWorkload`]); each is parsed once. The argument
+//! `trace`, `site`) the same `--sites/--chunks/--seed/--epsilon` description
+//! ([`MetricsWorkload`]); each is parsed once. The argument
 //! parser is deliberately dependency-free; see [`parse_args`].
 
 use cludistream::coordinator::MergeRefiner;
@@ -103,9 +103,6 @@ pub struct MetricsWorkload {
     pub seed: u64,
     /// Error bound ε (drives the chunk size).
     pub epsilon: f64,
-    /// E-step worker threads (0 = all cores). Results are bit-identical
-    /// for every value.
-    pub threads: usize,
 }
 
 /// The `coordinator` subcommand's options.
@@ -194,9 +191,6 @@ pub enum Command {
         seed: u64,
         /// Print per-record memberships.
         memberships: bool,
-        /// E-step worker threads (0 = all cores). Results are
-        /// bit-identical for every value.
-        threads: usize,
     },
     /// Stream a CSV file through a remote site.
     Stream {
@@ -212,9 +206,6 @@ pub enum Command {
         c_max: usize,
         /// RNG seed.
         seed: u64,
-        /// E-step worker threads (0 = all cores). Results are
-        /// bit-identical for every value.
-        threads: usize,
     },
     /// Generate a synthetic evolving stream as CSV.
     Generate {
@@ -305,9 +296,6 @@ pub enum Command {
         /// Pull the latest snapshot from a live coordinator at
         /// `HOST:PORT` over a `SnapshotRequest` control frame.
         connect: Option<String>,
-        /// Scoring worker threads (0 = all cores). Results are
-        /// bit-identical for every value.
-        threads: usize,
         /// Print per-record responsibilities alongside the hard label.
         responsibilities: bool,
     },
@@ -386,26 +374,25 @@ cludistream — EM-based (distributed) data stream clustering
 
 USAGE:
   cludistream cluster  <csv|-> [--dim D] [--covariance full|diagonal] [--k N]
-                       [--auto-k LO..HI] [--seed S] [--memberships] [--threads T]
+                       [--auto-k LO..HI] [--seed S] [--memberships]
   cludistream stream   <csv|-> [--dim D] [--covariance full|diagonal] [--k N]
-                       [--epsilon E] [--delta D] [--c-max C] [--seed S] [--threads T]
+                       [--epsilon E] [--delta D] [--c-max C] [--seed S]
   cludistream score    <csv|-> (--model SNAP.bin | --connect HOST:PORT) [--dim D]
-                       [--covariance full|diagonal] [--threads T] [--responsibilities]
+                       [--covariance full|diagonal] [--responsibilities]
   cludistream generate [--records N] [--dim D] [--k K] [--p-new P] [--seed S]
   cludistream metrics  [--sites R] [--chunks C] [--seed S] [--epsilon E] [--journal OUT.jsonl]
-                       [--threads T] [--reliable]
+                       [--reliable]
   cludistream faults   [--sites R] [--chunks C] [--seed S] [--epsilon E]
                        [--drop P] [--duplicate P] [--reorder P] [--journal OUT.jsonl]
-                       [--threads T]
   cludistream trace    [--sites R] [--chunks C] [--seed S] [--epsilon E]
-                       [--faults] [--out TRACE.json] [--threads T]
+                       [--faults] [--out TRACE.json]
   cludistream coordinator [--listen HOST:PORT] [--sites R] [--heartbeat-ms H]
                        [--timeout-ms T] [--deadline-s D] [--port-file PATH]
                        [--journal OUT.jsonl] [--trace-out TRACE.json]
                        [--snapshot-out SNAP.bin] [--alerts] [--linger-ms L]
                        [--quality]
   cludistream site     --connect HOST:PORT [--site I] [--chunks C] [--seed S]
-                       [--epsilon E] [--threads T] [--journal OUT.jsonl] [--trace]
+                       [--epsilon E] [--journal OUT.jsonl] [--trace]
                        [--quality]
   cludistream aggregator --connect HOST:PORT [--listen HOST:PORT] [--site I]
                        [--child-base B] [--children N] [--epsilon E] [--flush-ms F]
@@ -415,8 +402,8 @@ USAGE:
   cludistream health   --connect HOST:PORT
   cludistream help
 
-Defaults: k=5, epsilon=0.02, delta=0.01, c-max=4, seed=0, threads=1,
-          covariance=full, records=10000, dim=4, p-new=0.1,
+Defaults: k=5, epsilon=0.02, delta=0.01, c-max=4, seed=0, covariance=full,
+          records=10000, dim=4, p-new=0.1,
           metrics: sites=2, chunks=2, seed=7, epsilon=0.15,
           faults: metrics defaults + drop=0.1, duplicate=0.05, reorder=0.25,
           trace: metrics defaults,
@@ -471,10 +458,6 @@ average log-likelihood. The snapshot comes from a file written by
 `coordinator --snapshot-out` (`--model`) or is pulled live from a
 running coordinator over a SnapshotRequest control frame (`--connect`).
 
-`--threads T` parallelizes each EM fit's E-step over T scoped worker
-threads (0 = all cores). Clustering output is bit-identical for every T;
-only wall-clock time changes.
-
 `faults` replays the metrics workload over a lossy network (crashing and
 restarting site 0 mid-run) and prints the delivery accounting.
 
@@ -501,39 +484,39 @@ struct FlagTable {
 fn flag_table(cmd: &str) -> Option<FlagTable> {
     let (values, booleans, positional): (&[&str], &[&str], bool) = match cmd {
         "cluster" => (
-            &["--input", "--dim", "--covariance", "--k", "--auto-k", "--seed", "--threads"],
+            &["--input", "--dim", "--covariance", "--k", "--auto-k", "--seed"],
             &["--memberships"],
             true,
         ),
         "stream" => (
             &[
                 "--input", "--dim", "--covariance", "--k", "--epsilon", "--delta", "--c-max",
-                "--seed", "--threads",
+                "--seed",
             ],
             &[],
             true,
         ),
         "score" => (
-            &["--input", "--dim", "--covariance", "--model", "--connect", "--threads"],
+            &["--input", "--dim", "--covariance", "--model", "--connect"],
             &["--responsibilities"],
             true,
         ),
         "generate" => (&["--records", "--dim", "--k", "--p-new", "--seed"], &[], false),
         "metrics" => (
-            &["--sites", "--chunks", "--seed", "--epsilon", "--threads", "--journal"],
+            &["--sites", "--chunks", "--seed", "--epsilon", "--journal"],
             &["--reliable"],
             false,
         ),
         "faults" => (
             &[
-                "--sites", "--chunks", "--seed", "--epsilon", "--threads", "--drop",
+                "--sites", "--chunks", "--seed", "--epsilon", "--drop",
                 "--duplicate", "--reorder", "--journal",
             ],
             &[],
             false,
         ),
         "trace" => (
-            &["--sites", "--chunks", "--seed", "--epsilon", "--threads", "--out"],
+            &["--sites", "--chunks", "--seed", "--epsilon", "--out"],
             &["--faults"],
             false,
         ),
@@ -546,7 +529,7 @@ fn flag_table(cmd: &str) -> Option<FlagTable> {
             false,
         ),
         "site" => (
-            &["--connect", "--site", "--chunks", "--seed", "--epsilon", "--threads", "--journal"],
+            &["--connect", "--site", "--chunks", "--seed", "--epsilon", "--journal"],
             &["--trace", "--quality"],
             false,
         ),
@@ -658,7 +641,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             chunks: parse_int("--chunks", 2)?.max(1),
             seed: parse_int("--seed", 7)? as u64,
             epsilon: parse_num("--epsilon", 0.15)?,
-            threads: parse_int("--threads", 1)?,
         })
     };
     let owned = |name: &str| flag(name).map(|s| s.to_string());
@@ -693,7 +675,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 k_range,
                 seed: parse_int("--seed", 0)? as u64,
                 memberships: has("--memberships"),
-                threads: parse_int("--threads", 1)?,
             })
         }
         "stream" => Ok(Command::Stream {
@@ -703,7 +684,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             delta: parse_num("--delta", 0.01)?,
             c_max: parse_int("--c-max", 4)?,
             seed: parse_int("--seed", 0)? as u64,
-            threads: parse_int("--threads", 1)?,
         }),
         "generate" => Ok(Command::Generate {
             records: parse_int("--records", 10_000)?,
@@ -755,7 +735,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 data: data_opts()?,
                 model,
                 connect,
-                threads: parse_int("--threads", 1)?,
                 responsibilities: has("--responsibilities"),
             })
         }
@@ -921,14 +900,13 @@ fn metrics_coordinator_config() -> CoordinatorConfig {
 
 /// The site half of the `metrics` workload: 1-d, K = 2, up to four
 /// tests per chunk.
-fn metrics_site_config(seed: u64, epsilon: f64, threads: usize) -> Config {
+fn metrics_site_config(seed: u64, epsilon: f64) -> Config {
     Config {
         dim: 1,
         k: 2,
         chunk: ChunkParams { epsilon, delta: 0.01 },
         c_max: 4,
         seed,
-        em_threads: threads,
         ..Default::default()
     }
 }
@@ -981,7 +959,7 @@ impl MetricsWorkload {
     /// Assembles the run for sites `first_site..first_site + self.sites`
     /// (a simulated star starts at 0; a socket `site` is its own index).
     fn prepare(&self, first_site: usize, obs: Obs) -> Result<PreparedRun, CliError> {
-        let site = metrics_site_config(self.seed, self.epsilon, self.threads);
+        let site = metrics_site_config(self.seed, self.epsilon);
         let chunk_size = RemoteSite::new(site.clone())?.chunk_size();
         let per_regime = self.chunks * chunk_size;
         let updates = 2 * per_regime as u64;
@@ -1095,11 +1073,11 @@ fn read_data(opts: &DataOpts) -> Result<Vec<Vector>, CliError> {
 pub fn run(command: Command, out: &mut impl Write) -> Result<(), CliError> {
     match command {
         Command::Help => Ok(write!(out, "{USAGE}")?),
-        Command::Cluster { data, k, k_range, seed, memberships, threads } => {
-            run_cluster(data, k, k_range, seed, memberships, threads, out)
+        Command::Cluster { data, k, k_range, seed, memberships } => {
+            run_cluster(data, k, k_range, seed, memberships, out)
         }
-        Command::Stream { data, k, epsilon, delta, c_max, seed, threads } => {
-            run_stream(data, k, ChunkParams { epsilon, delta }, c_max, seed, threads, out)
+        Command::Stream { data, k, epsilon, delta, c_max, seed } => {
+            run_stream(data, k, ChunkParams { epsilon, delta }, c_max, seed, out)
         }
         Command::Generate { records, dim, k, p_new, seed } => {
             run_generate(records, dim, k, p_new, seed, out)
@@ -1118,8 +1096,8 @@ pub fn run(command: Command, out: &mut impl Write) -> Result<(), CliError> {
             run_site_role(&connect, site, workload, journal, trace, quality, out)
         }
         Command::Aggregator(opts) => run_aggregator_role(opts, out),
-        Command::Score { data, model, connect, threads, responsibilities } => {
-            run_score(data, model, connect, threads, responsibilities, out)
+        Command::Score { data, model, connect, responsibilities } => {
+            run_score(data, model, connect, responsibilities, out)
         }
         Command::Status { connect, watch } => run_status(&connect, watch, out),
         Command::Health { connect } => run_health(&connect, out),
@@ -1133,12 +1111,10 @@ fn run_cluster(
     k_range: Option<(usize, usize)>,
     seed: u64,
     memberships: bool,
-    threads: usize,
     out: &mut impl Write,
 ) -> Result<(), CliError> {
     let data = read_data(&opts)?;
-    let config =
-        EmConfig { k, seed, threads, covariance: opts.covariance, ..Default::default() };
+    let config = EmConfig { k, seed, covariance: opts.covariance, ..Default::default() };
     let (mixture, chosen_k, bic) = match k_range {
         None => {
             let fit = fit_em(&data, &config)?;
@@ -1176,7 +1152,6 @@ fn run_stream(
     chunk: ChunkParams,
     c_max: usize,
     seed: u64,
-    threads: usize,
     out: &mut impl Write,
 ) -> Result<(), CliError> {
     let data = read_data(&opts)?;
@@ -1187,7 +1162,6 @@ fn run_stream(
         chunk,
         c_max,
         seed,
-        em_threads: threads,
         covariance: opts.covariance,
         ..Default::default()
     };
@@ -1613,7 +1587,6 @@ fn run_score(
     opts: DataOpts,
     model: Option<String>,
     connect: Option<String>,
-    threads: usize,
     responsibilities: bool,
     out: &mut impl Write,
 ) -> Result<(), CliError> {
@@ -1661,7 +1634,7 @@ fn run_score(
     let registry = Arc::new(Registry::new());
     registry.track_quantiles(catalogue::SERVE_SCORE_US);
     let score_obs = Obs::from_registry(Arc::clone(&registry));
-    let scores = score_snapshot(&snapshot, &batch, threads, &score_obs)?;
+    let scores = score_snapshot(&snapshot, &batch, 1, &score_obs)?;
     writeln!(
         out,
         "snapshot: version {} | messages applied {} | groups {}",
@@ -1766,8 +1739,7 @@ mod tests {
                 k: 3,
                 k_range: None,
                 seed: 7,
-                memberships: true,
-                threads: 1
+                memberships: true
             }
         );
     }
@@ -1797,8 +1769,7 @@ mod tests {
                 epsilon: 0.02,
                 delta: 0.01,
                 c_max: 4,
-                seed: 0,
-                threads: 1
+                seed: 0
             }
         );
     }
@@ -1840,14 +1811,13 @@ mod tests {
 
     #[test]
     fn parses_score_command() {
-        let c = parse_args(&args("score d.csv --model snap.bin --threads 2")).unwrap();
+        let c = parse_args(&args("score d.csv --model snap.bin")).unwrap();
         assert_eq!(
             c,
             Command::Score {
                 data: opts("d.csv"),
                 model: Some("snap.bin".into()),
                 connect: None,
-                threads: 2,
                 responsibilities: false
             }
         );
@@ -1900,7 +1870,6 @@ mod tests {
                 k_range: None,
                 seed: 2,
                 memberships: false,
-                threads: 1,
             },
             &mut out,
         )
@@ -1933,7 +1902,6 @@ mod tests {
                 delta: 0.05,
                 c_max: 4,
                 seed: 4,
-                threads: 0,
             },
             &mut out,
         )
@@ -1987,7 +1955,6 @@ mod tests {
             },
             model: Some(snap_path.to_string_lossy().into_owned()),
             connect: None,
-            threads: 2,
             responsibilities: true,
         };
         let mut out = Vec::new();
@@ -2005,20 +1972,22 @@ mod tests {
     }
 
     #[test]
-    fn parses_threads_flag() {
-        match parse_args(&args("cluster data.csv --threads 4")).unwrap() {
-            Command::Cluster { threads, .. } => assert_eq!(threads, 4),
-            other => panic!("{other:?}"),
+    fn threads_is_an_unknown_flag() {
+        // EM runs on one thread everywhere; the removed flag is spelt in two
+        // pieces so a search for it finds no live use.
+        let flag = concat!("--", "threads");
+        for cmd in [
+            "cluster d.csv",
+            "stream d.csv",
+            "score d.csv --model m.bin",
+            "metrics",
+            "faults",
+            "trace",
+            "site --connect h:1",
+        ] {
+            let message = usage_error(&format!("{cmd} {flag} 2"));
+            assert_eq!(message, format!("unknown flag {flag:?}; try help"), "{cmd}");
         }
-        match parse_args(&args("metrics --threads 0")).unwrap() {
-            Command::Metrics { workload, .. } => assert_eq!(workload.threads, 0),
-            other => panic!("{other:?}"),
-        }
-        match parse_args(&args("trace")).unwrap() {
-            Command::Trace { workload, .. } => assert_eq!(workload.threads, 1),
-            other => panic!("{other:?}"),
-        }
-        assert!(parse_args(&args("stream in.csv --threads nope")).is_err());
     }
 
     #[test]
@@ -2198,8 +2167,8 @@ mod tests {
 
     #[test]
     fn workload_flags_parse_alike_everywhere() {
-        let flags = "--sites 3 --chunks 4 --seed 11 --epsilon 0.2 --threads 2";
-        let expect = MetricsWorkload { sites: 3, chunks: 4, seed: 11, epsilon: 0.2, threads: 2 };
+        let flags = "--sites 3 --chunks 4 --seed 11 --epsilon 0.2";
+        let expect = MetricsWorkload { sites: 3, chunks: 4, seed: 11, epsilon: 0.2 };
         for cmd in ["metrics", "faults", "trace"] {
             match parse_args(&args(&format!("{cmd} {flags}"))).unwrap() {
                 Command::Metrics { workload, .. }

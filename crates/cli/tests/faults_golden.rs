@@ -13,7 +13,7 @@ use cludistream_cli::{parse_args, run, Command, MetricsWorkload};
 /// The workload `scripts/verify.sh` smoke-tests: all defaults.
 fn default_faults(journal: &std::path::Path) -> Command {
     Command::Faults {
-        workload: MetricsWorkload { sites: 2, chunks: 2, seed: 7, epsilon: 0.15, threads: 1 },
+        workload: MetricsWorkload { sites: 2, chunks: 2, seed: 7, epsilon: 0.15 },
         drop: 0.1,
         duplicate: 0.05,
         reorder: 0.25,

@@ -11,7 +11,7 @@ use cludistream_cli::{parse_args, run, Command, MetricsWorkload};
 /// The workload `scripts/verify.sh` smoke-tests: all defaults.
 fn default_metrics(journal: &std::path::Path) -> Command {
     Command::Metrics {
-        workload: MetricsWorkload { sites: 2, chunks: 2, seed: 7, epsilon: 0.15, threads: 1 },
+        workload: MetricsWorkload { sites: 2, chunks: 2, seed: 7, epsilon: 0.15 },
         journal: Some(journal.to_string_lossy().into_owned()),
         reliable: false,
     }
@@ -92,7 +92,7 @@ fn metrics_without_journal_prints_table_only() {
     let mut out = Vec::new();
     run(
         Command::Metrics {
-            workload: MetricsWorkload { sites: 2, chunks: 1, seed: 7, epsilon: 0.15, threads: 1 },
+            workload: MetricsWorkload { sites: 2, chunks: 1, seed: 7, epsilon: 0.15 },
             journal: None,
             reliable: false,
         },

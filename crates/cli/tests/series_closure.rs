@@ -92,7 +92,7 @@ fn cli(command: Command) -> String {
 }
 
 const WORKLOAD: MetricsWorkload =
-    MetricsWorkload { sites: 2, chunks: 2, seed: 7, epsilon: 0.15, threads: 1 };
+    MetricsWorkload { sites: 2, chunks: 2, seed: 7, epsilon: 0.15 };
 
 fn workloads(seen: &mut Seen) {
     let metrics = cli(Command::Metrics { workload: WORKLOAD, journal: None, reliable: false });

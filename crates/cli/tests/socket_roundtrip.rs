@@ -114,13 +114,7 @@ fn three_site_loopback_round_matches_the_simulator() {
     let mut sim_out = Vec::new();
     run(
         Command::Metrics {
-            workload: MetricsWorkload {
-                sites: SITES,
-                chunks: 2,
-                seed: 7,
-                epsilon: 0.15,
-                threads: 1,
-            },
+            workload: MetricsWorkload { sites: SITES, chunks: 2, seed: 7, epsilon: 0.15 },
             journal: Some(sim_journal.to_string_lossy().into_owned()),
             reliable: true,
         },
@@ -150,7 +144,7 @@ fn three_site_loopback_round_matches_the_simulator() {
 /// The `coordinator groups:` line of `metrics --reliable` on `sites` sites.
 fn simulated_groups(sites: usize) -> String {
     let mut out = Vec::new();
-    let workload = MetricsWorkload { sites, chunks: 2, seed: 7, epsilon: 0.15, threads: 1 };
+    let workload = MetricsWorkload { sites, chunks: 2, seed: 7, epsilon: 0.15 };
     run(Command::Metrics { workload, journal: None, reliable: true }, &mut out)
         .expect("simulator run succeeds");
     groups_line(&String::from_utf8(out).expect("utf-8")).to_string()

@@ -117,7 +117,6 @@ fn fleet_registry_matches_site_registries_and_rebases_spans() {
         chunk: ChunkParams { epsilon: EPSILON, delta: 0.01 },
         c_max: 4,
         seed: SEED,
-        em_threads: 1,
         ..Default::default()
     };
     let chunk_size = RemoteSite::new(site_config.clone()).expect("site").chunk_size();

@@ -11,7 +11,7 @@ use cludistream_cli::{parse_args, run, Command, MetricsWorkload};
 
 fn default_trace(faults: bool, out: Option<&std::path::Path>) -> Command {
     Command::Trace {
-        workload: MetricsWorkload { sites: 2, chunks: 2, seed: 7, epsilon: 0.15, threads: 1 },
+        workload: MetricsWorkload { sites: 2, chunks: 2, seed: 7, epsilon: 0.15 },
         faults,
         out: out.map(|p| p.to_string_lossy().into_owned()),
     }

@@ -31,11 +31,6 @@ pub struct Config {
     /// model (its event-table spans remain but horizon queries skip it).
     /// `None` (default) reproduces the paper's unbounded behaviour.
     pub max_models: Option<usize>,
-    /// Worker threads for each chunk clustering's E-step (`EmConfig::
-    /// threads`): 1 (default) is sequential, 0 uses all available cores.
-    /// Clustering results — and therefore every simulation artifact — are
-    /// bit-identical for every value; only wall-clock time changes.
-    pub em_threads: usize,
     /// Bounded event-table retention, in chunks. When set, closed regime
     /// spans that ended more than this many chunks before the newest
     /// chunk are compacted out of the event table (and therefore out of
@@ -68,7 +63,6 @@ impl Default for Config {
             covariance: CovarianceType::Full,
             seed: 0,
             max_models: None,
-            em_threads: 1,
             event_retention_chunks: None,
             quality: None,
         }
@@ -126,7 +120,7 @@ impl Config {
             covariance: self.covariance,
             seed: self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(chunk_seed),
             min_weight: 1e-6,
-            threads: self.em_threads,
+            ..Default::default()
         }
     }
 }
@@ -198,12 +192,5 @@ mod tests {
         let c = Config::default();
         assert_ne!(c.em_config(0).seed, c.em_config(1).seed);
         assert_eq!(c.em_config(5).seed, c.em_config(5).seed);
-    }
-
-    #[test]
-    fn em_threads_plumbed_through() {
-        assert_eq!(Config::default().em_config(0).threads, 1);
-        let c = Config { em_threads: 4, ..Default::default() };
-        assert_eq!(c.em_config(0).threads, 4);
     }
 }

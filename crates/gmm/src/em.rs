@@ -95,8 +95,8 @@ pub struct EmFit {
 /// improves by less than `tol` or `max_iters` is reached.
 pub fn fit_em(data: &[Vector], config: &EmConfig) -> Result<EmFit> {
     // Monomorphized against the no-op recorder: the telemetry calls in the
-    // loop compile away entirely (the `noop_alloc` contract test and the
-    // `obs` microbench group both pin this down).
+    // loop compile away entirely (the `noop_alloc` contract test pins this
+    // down).
     fit_em_recorded(data, config, &NopRecorder)
 }
 

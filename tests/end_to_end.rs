@@ -117,6 +117,108 @@ fn site_memory_is_stream_length_independent() {
 }
 
 #[test]
+fn global_mixture_keeps_the_pooled_moments_of_every_record() {
+    // Exactness where the paper is exact: EM's M-step, the f64 synopsis
+    // codec and the coordinator's moment merge each preserve the record
+    // mass, Σ x and Σ x xᵀ of what they summarise, so when every chunk is
+    // clustered (no chunk is folded into an older model by a weight
+    // update) and merges are not refined, the global mixture's pooled
+    // mean Σ w_k μ_k and second moment Σ w_k (Σ_k + μ_k μ_kᵀ) equal the
+    // pooled moments of every record the sites streamed — the centralised
+    // answer.
+    const SITES: usize = 4;
+    const CHUNKS: usize = 2;
+    let cfg = DriverConfig {
+        site: small_config(),
+        coordinator: CoordinatorConfig {
+            max_groups: 2,
+            refine_merges: false,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let chunk = RemoteSite::new(cfg.site.clone()).unwrap().chunk_size();
+    // Every site sees a regime of its own per chunk, 40 apart, so each
+    // chunk fails every test and is clustered, and each of the 16 fitted
+    // components founds a group that consolidation to 2 must merge.
+    let records: Vec<Vec<Vector>> = (0..SITES)
+        .map(|site| {
+            (0..CHUNKS)
+                .flat_map(|c| {
+                    let x = 40.0 * (site * CHUNKS + c) as f64;
+                    let mut regime = blob_stream(&[(x, 0.0), (x + 8.0, 5.0)], 60 + site as u64);
+                    (0..chunk).map(move |_| regime.next().unwrap())
+                })
+                .collect()
+        })
+        .collect();
+    let streams: Vec<RecordStream> =
+        records.iter().map(|r| Box::new(r.clone().into_iter()) as RecordStream).collect();
+    let report = Simulation::star(SITES)
+        .with_driver_config(cfg)
+        .with_streams(streams)
+        .with_updates_per_site((CHUNKS * chunk) as u64)
+        .run()
+        .expect("run succeeds");
+    for stats in &report.site_stats {
+        assert_eq!(stats.clustered, CHUNKS as u64, "every chunk must be clustered: {stats:?}");
+        assert_eq!(stats.chunks, CHUNKS as u64);
+    }
+    assert_eq!(report.coordinator_groups, 2);
+    let global = report.global.expect("global model");
+
+    let d = 2;
+    let all: Vec<&Vector> = records.iter().flatten().collect();
+    let n = all.len() as f64;
+    let (mut mean, mut second) = (vec![0.0; d], vec![0.0; d * d]);
+    for x in &all {
+        for i in 0..d {
+            mean[i] += x[i] / n;
+            for j in 0..d {
+                second[i * d + j] += x[i] * x[j] / n;
+            }
+        }
+    }
+    let (mut g_mean, mut g_second) = (vec![0.0; d], vec![0.0; d * d]);
+    let mut ridge = 0.0;
+    for (c, &w) in global.components().iter().zip(global.weights()) {
+        let (mu, cov) = (c.mean(), c.cov());
+        ridge += w * c.ridge();
+        for i in 0..d {
+            g_mean[i] += w * mu[i];
+            for j in 0..d {
+                g_second[i * d + j] += w * (cov[(i, j)] + mu[i] * mu[j]);
+            }
+        }
+    }
+    // Tolerance: rounding, 1e-12 of the moment's scale (the two sides sum
+    // the same records of magnitude ~10² in different orders; they differ
+    // by ~1e-15 relative), plus on the diagonal the mass-weighted ridge any
+    // global component reports. A ridge is regularisation, not slack: a
+    // large one means a fold produced a covariance that is not positive
+    // definite, which moment-preserving folds of positive definite inputs
+    // never do. The sites' blobs are far from singular, so their fits need
+    // no ridge.
+    let scale = second.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+    assert!(ridge <= 1e-9 * scale, "the global components report a ridge of {ridge}");
+    for i in 0..d {
+        let gap = (g_mean[i] - mean[i]).abs();
+        let (g, r) = (g_mean[i], mean[i]);
+        assert!(gap <= 1e-12 * scale.sqrt(), "mean[{i}]: global {g} vs records {r}");
+        for j in 0..d {
+            let tol = 1e-12 * scale + if i == j { ridge } else { 0.0 };
+            let gap = (g_second[i * d + j] - second[i * d + j]).abs();
+            assert!(
+                gap <= tol,
+                "second moment ({i},{j}): global {} vs records {} (gap {gap:e} > {tol:e})",
+                g_second[i * d + j],
+                second[i * d + j]
+            );
+        }
+    }
+}
+
+#[test]
 fn communication_is_event_driven_not_linear() {
     // Doubling the stream length of a stable stream must NOT double the
     // bytes (contrast with the periodic baseline, tested in
