@@ -16,16 +16,6 @@ impl<T> ReservoirSampler<T> {
         ReservoirSampler { capacity, seen: 0, items: Vec::with_capacity(capacity) }
     }
 
-    /// Stream length observed so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// Capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current sample contents.
     pub fn items(&self) -> &[T] {
         &self.items
@@ -59,7 +49,7 @@ mod tests {
             r.offer(i, &mut rng);
         }
         assert_eq!(r.items().len(), 5);
-        assert_eq!(r.seen(), 100);
+        assert_eq!(r.seen, 100);
     }
 
     #[test]

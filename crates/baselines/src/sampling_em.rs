@@ -87,11 +87,6 @@ impl SamplingEm {
         self.refits
     }
 
-    /// Records seen.
-    pub fn records(&self) -> u64 {
-        self.reservoir.seen()
-    }
-
     /// Consumes one record; returns true when a refit happened.
     pub fn push(&mut self, x: Vector) -> Result<bool, GmmError> {
         self.reservoir.offer(x, &mut self.rng);
@@ -108,19 +103,8 @@ impl SamplingEm {
         Ok(true)
     }
 
-    /// Consumes a batch.
-    pub fn push_batch(
-        &mut self,
-        records: impl IntoIterator<Item = Vector>,
-    ) -> Result<(), GmmError> {
-        for x in records {
-            self.push(x)?;
-        }
-        Ok(())
-    }
-
     /// Forces a refit over the current reservoir.
-    pub fn refit(&mut self) -> Result<(), GmmError> {
+    pub(crate) fn refit(&mut self) -> Result<(), GmmError> {
         let fit = fit_em(
             self.reservoir.items(),
             &EmConfig {
@@ -140,13 +124,6 @@ impl SamplingEm {
     /// Average log likelihood of `data` under the current model.
     pub fn avg_log_likelihood(&self, data: &[Vector]) -> f64 {
         self.mixture.as_ref().map_or(f64::NEG_INFINITY, |m| m.avg_log_likelihood(data))
-    }
-
-    /// Memory: the reservoir plus the model.
-    pub fn memory_bytes(&self) -> usize {
-        let d = self.reservoir.items().first().map_or(0, |x| x.dim());
-        8 * d * self.reservoir.items().len()
-            + self.mixture.as_ref().map_or(0, |m| 8 * m.k() * (1 + d + d * d))
     }
 }
 
@@ -171,7 +148,9 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
-        s.push_batch(blob_stream(5.0, 500, 2)).unwrap();
+        for x in blob_stream(5.0, 500, 2) {
+            s.push(x).unwrap();
+        }
         let m = s.mixture().expect("model");
         assert!((m.components()[0].mean()[0] - 5.0).abs() < 0.3);
         assert!(s.refits() >= 2);
@@ -202,8 +181,12 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
-        s.push_batch(blob_stream(0.0, 500, 4)).unwrap();
-        s.push_batch(blob_stream(50.0, 20_000, 5)).unwrap();
+        for x in blob_stream(0.0, 500, 4) {
+            s.push(x).unwrap();
+        }
+        for x in blob_stream(50.0, 20_000, 5) {
+            s.push(x).unwrap();
+        }
         let old_frac = s
             .reservoir
             .items()
@@ -218,21 +201,6 @@ mod tests {
         let (old_ll, new_ll) =
             (s.avg_log_likelihood(&old_data), s.avg_log_likelihood(&new_data));
         assert!(old_ll < new_ll - 2.0, "no fade: old {old_ll} vs new {new_ll}");
-    }
-
-    #[test]
-    fn memory_bounded_by_reservoir() {
-        let mut s = SamplingEm::new(SamplingEmConfig {
-            k: 1,
-            sample_size: 100,
-            refit_interval: 100,
-            seed: 7,
-            ..Default::default()
-        })
-        .unwrap();
-        s.push_batch(blob_stream(0.0, 5000, 8)).unwrap();
-        // 100 1-d records + tiny model.
-        assert!(s.memory_bytes() < 100 * 8 + 100, "memory {}", s.memory_bytes());
     }
 
     #[test]
@@ -255,7 +223,9 @@ mod tests {
                 ..Default::default()
             })
             .unwrap();
-            s.push_batch(blob_stream(3.0, 300, 10)).unwrap();
+            for x in blob_stream(3.0, 300, 10) {
+                s.push(x).unwrap();
+            }
             s.mixture().unwrap().components()[0].mean()[0]
         };
         assert_eq!(mk(), mk());

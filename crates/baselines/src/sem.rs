@@ -127,22 +127,6 @@ impl ScalableEm {
         self.stats
     }
 
-    /// Records currently held as raw points (buffer + retained set).
-    pub fn raw_records_held(&self) -> usize {
-        self.buffer.len() + self.retained.len()
-    }
-
-    /// Memory footprint: raw records + sufficient statistics + model.
-    pub fn memory_bytes(&self) -> usize {
-        let d = self.dim.unwrap_or(0);
-        let per_record = 8 * d;
-        let per_stats = 8 * (1 + d + d * d);
-        let model = self.mixture.as_ref().map_or(0, |m| 8 * m.k() * (1 + d + d * d));
-        per_record * self.raw_records_held()
-            + per_stats * (self.discard.len() + self.compressed.len())
-            + model
-    }
-
     /// Consumes one record; returns true when this record triggered an
     /// extended-EM pass.
     pub fn push(&mut self, x: Vector) -> Result<bool, GmmError> {
@@ -160,17 +144,6 @@ impl ScalableEm {
         }
         self.process_buffer()?;
         Ok(true)
-    }
-
-    /// Consumes a batch.
-    pub fn push_batch(
-        &mut self,
-        records: impl IntoIterator<Item = Vector>,
-    ) -> Result<(), GmmError> {
-        for x in records {
-            self.push(x)?;
-        }
-        Ok(())
     }
 
     /// Average log likelihood of `data` under the current model (`-inf`
@@ -405,7 +378,9 @@ mod tests {
     #[test]
     fn first_buffer_builds_model() {
         let mut s = sem(2, 200);
-        s.push_batch(two_blob_data(200, 1)).unwrap();
+        for x in two_blob_data(200, 1) {
+            s.push(x).unwrap();
+        }
         let m = s.mixture().expect("model after first buffer");
         assert_eq!(m.k(), 2);
         let mut means: Vec<f64> = m.components().iter().map(|c| c.mean()[0]).collect();
@@ -417,7 +392,9 @@ mod tests {
     #[test]
     fn no_model_before_first_buffer() {
         let mut s = sem(2, 500);
-        s.push_batch(two_blob_data(100, 2)).unwrap();
+        for x in two_blob_data(100, 2) {
+            s.push(x).unwrap();
+        }
         assert!(s.mixture().is_none());
         assert_eq!(s.avg_log_likelihood(&two_blob_data(10, 3)), f64::NEG_INFINITY);
     }
@@ -425,13 +402,16 @@ mod tests {
     #[test]
     fn compression_bounds_raw_records() {
         let mut s = sem(2, 200);
-        s.push_batch(two_blob_data(2000, 4)).unwrap();
+        for x in two_blob_data(2000, 4) {
+            s.push(x).unwrap();
+        }
         // After ten buffers the raw working set must be far below the
         // stream length — that is SEM's whole point.
         assert!(
-            s.raw_records_held() < 600,
-            "working set {} holds too much raw data",
-            s.raw_records_held()
+            s.buffer.len() + s.retained.len() < 600,
+            "working set {} + {} holds too much raw data",
+            s.buffer.len(),
+            s.retained.len()
         );
         assert!(s.stats().primary_compressed > 1000, "stats {:?}", s.stats());
     }
@@ -439,7 +419,9 @@ mod tests {
     #[test]
     fn quality_holds_across_buffers() {
         let mut s = sem(2, 200);
-        s.push_batch(two_blob_data(2000, 5)).unwrap();
+        for x in two_blob_data(2000, 5) {
+            s.push(x).unwrap();
+        }
         let holdout = two_blob_data(500, 6);
         let avg = s.avg_log_likelihood(&holdout);
         // A two-component fit of two unit-ish blobs scores around -2.5;
@@ -454,7 +436,9 @@ mod tests {
         // the paper's core argument for CluDistream (Fig. 5).
         let mut s = sem(2, 200);
         let old_regime = two_blob_data(1000, 7);
-        s.push_batch(old_regime.clone()).unwrap();
+        for x in old_regime.clone() {
+            s.push(x).unwrap();
+        }
         let before = s.avg_log_likelihood(&old_regime);
         // New regime far away.
         let shifted: Vec<Vector> = two_blob_data(3000, 8)
@@ -463,7 +447,9 @@ mod tests {
                 Vector::from_slice(&[x[0] + 100.0, x[1] + 100.0])
             })
             .collect();
-        s.push_batch(shifted).unwrap();
+        for x in shifted {
+            s.push(x).unwrap();
+        }
         let after = s.avg_log_likelihood(&old_regime);
         assert!(
             after < before - 1.0,
@@ -473,11 +459,24 @@ mod tests {
 
     #[test]
     fn memory_stays_bounded() {
+        // SEM's state: raw records (buffer + retained set), the discard and
+        // compressed sufficient statistics, and the model.
+        let footprint = |s: &ScalableEm| {
+            let d = 2;
+            let model = s.mixture.as_ref().map_or(0, |m| 8 * m.k() * (1 + d + d * d));
+            8 * d * (s.buffer.len() + s.retained.len())
+                + 8 * (1 + d + d * d) * (s.discard.len() + s.compressed.len())
+                + model
+        };
         let mut s = sem(2, 200);
-        s.push_batch(two_blob_data(1000, 9)).unwrap();
-        let early = s.memory_bytes();
-        s.push_batch(two_blob_data(4000, 10)).unwrap();
-        let late = s.memory_bytes();
+        for x in two_blob_data(1000, 9) {
+            s.push(x).unwrap();
+        }
+        let early = footprint(&s);
+        for x in two_blob_data(4000, 10) {
+            s.push(x).unwrap();
+        }
+        let late = footprint(&s);
         // Memory may grow (CS entries accumulate) but must stay well below
         // raw-stream growth: 4000 more records of 2 f64s = 64 KB.
         assert!(late < early + 64_000 / 2, "memory grew too fast: {early} -> {late}");
@@ -486,7 +485,9 @@ mod tests {
     #[test]
     fn stats_track_processing() {
         let mut s = sem(2, 100);
-        s.push_batch(two_blob_data(350, 11)).unwrap();
+        for x in two_blob_data(350, 11) {
+            s.push(x).unwrap();
+        }
         let st = s.stats();
         assert_eq!(st.records, 350);
         assert_eq!(st.em_runs, 3);

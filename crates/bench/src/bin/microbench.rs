@@ -23,7 +23,7 @@ use cludistream::{Config, RemoteSite};
 use cludistream_bench::{timing::best_of, workloads};
 use cludistream_datagen::random_spd_matrix;
 use cludistream_gmm::{fit_em, ChunkParams, EmConfig, Mixture};
-use cludistream_linalg::{jacobi_eigen, Cholesky, Vector};
+use cludistream_linalg::{Cholesky, Vector};
 use cludistream_obs::{json_f64, Obs, QualityConfig, Registry};
 use cludistream_rng::StdRng;
 use std::io::Write;
@@ -139,7 +139,7 @@ fn bench_merge(sink: &mut Sink) {
 }
 
 /// Dense-kernel microbenchmarks: Cholesky factorization, triangular
-/// solves, Mahalanobis quadratic forms, and the Jacobi eigensolver.
+/// solves, Mahalanobis quadratic forms and the explicit inverse.
 fn bench_linalg(sink: &mut Sink) {
     for d in [4usize, 8, 16, 32] {
         let mut rng = StdRng::seed_from_u64(d as u64);
@@ -153,8 +153,6 @@ fn bench_linalg(sink: &mut Sink) {
         sink.report("linalg", "mahalanobis", p, best_of(RUNS, || chol.mahalanobis_sq(&x, &mu)));
         sink.report("linalg", "solve", p, best_of(RUNS, || chol.solve(&x)));
         sink.report("linalg", "inverse", p, best_of(RUNS, || chol.inverse()));
-        let t = best_of(RUNS, || jacobi_eigen(&spd, 100).expect("converges"));
-        sink.report("linalg", "jacobi_eigen", p, t);
     }
 }
 

@@ -32,7 +32,7 @@
 use cludistream::{
     AggregatorConfig, AggregatorEngine, Coordinator, CoordinatorConfig, Message, ModelId,
 };
-use cludistream_gmm::{avg_log_likelihood, CovarianceType, Gaussian, Mixture};
+use cludistream_gmm::{CovarianceType, Gaussian, Mixture};
 use cludistream_linalg::Vector;
 use cludistream_obs::{json_f64, Obs};
 use cludistream_rng::{Rng, StdRng};
@@ -190,7 +190,7 @@ fn drive_root(messages: &[Message], holdout: &[Vector]) -> RootSide {
         messages_at_root: messages.len() as u64,
         peak_root_entries: peak,
         groups: root.group_count(),
-        avg_ll: avg_log_likelihood(&global, holdout),
+        avg_ll: global.avg_log_likelihood(holdout),
         shard_apply_ns: None,
     }
 }

@@ -13,7 +13,7 @@ use crate::workloads;
 use crate::Scale;
 use cludistream::coordinator::MergeRefiner;
 use cludistream::{horizon_mixture, Coordinator, CoordinatorConfig, Message, RemoteSite};
-use cludistream_gmm::{avg_log_likelihood, fit_em, CovarianceType, EmConfig};
+use cludistream_gmm::{fit_em, CovarianceType, EmConfig};
 
 /// Runs every ablation.
 pub fn run(scale: Scale) {
@@ -162,7 +162,7 @@ fn theorem4(scale: Scale) {
         let _ = fit_em(&chunk, &em_cfg);
     });
     let test_cost = best_of(3, || {
-        let _ = avg_log_likelihood(&fit.mixture, &chunk);
+        let _ = fit.mixture.avg_log_likelihood(&chunk);
     });
     let lambda = test_cost / c_cost.max(1e-12);
     println!(

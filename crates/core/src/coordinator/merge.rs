@@ -8,10 +8,10 @@
 //! minimizing the L1 accuracy loss `l(x)` with the downhill-simplex method,
 //! starting from the moment-preserving merge.
 
-use cludistream_gmm::{sample_standard_normal, DensityScratch, Gaussian, Mixture};
+use cludistream_gmm::{DensityScratch, Gaussian, Mixture};
 use cludistream_linalg::{Cholesky, Matrix, Vector};
 use cludistream_optimize::{NelderMead, NelderMeadConfig};
-use cludistream_rng::StdRng;
+use cludistream_rng::{standard_normal, StdRng};
 
 /// Floor applied to distances before inversion, so coincident components
 /// produce a large-but-finite `M_merge`.
@@ -186,7 +186,7 @@ impl MergeRefiner {
             rows.extend_from_slice(x.as_slice());
         }
         logp.resize(self.samples, 0.0);
-        let _ = sample_standard_normal(&mut rng); // decorrelate future seeds
+        let _ = standard_normal(&mut rng); // decorrelate future seeds
 
         let w = ri + rj;
         let mut loss = |candidate: &Gaussian| -> f64 {

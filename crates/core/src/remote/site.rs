@@ -6,9 +6,10 @@ use cludistream_gmm::{
     Mixture, MixtureScratch,
 };
 use cludistream_linalg::Vector;
+use cludistream_obs::catalogue::{self, SpanName};
 use cludistream_obs::{
-    catalogue, em_cost_us, Event, EwmaDetector, Obs, PageHinkley, Recorder, SpanId, SpanName,
-    SpanRecord, TraceCtx, TraceId, Verdict,
+    em_cost_us, Event, EwmaDetector, Obs, PageHinkley, Recorder, SpanId, SpanRecord, TraceCtx,
+    TraceId, Verdict,
 };
 
 /// What a remote site emits toward the coordinator. Stability costs

@@ -1645,7 +1645,7 @@ mod tests {
     #[test]
     fn telemetry_plane_folds_deltas_and_serves_status() {
         use cludistream_obs::catalogue::{EM_ESTEP_BLOCKS, HB_RTT_US, SITE_CHUNK};
-        use cludistream_obs::trace::{SpanId, TraceId};
+        use cludistream_obs::{SpanId, TraceId};
         use cludistream_obs::{FleetAggregator, SpanRecord, TelemetryDelta};
 
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");

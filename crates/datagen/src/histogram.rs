@@ -24,17 +24,17 @@ impl Histogram {
     }
 
     /// Number of bins.
-    pub fn bins(&self) -> usize {
+    pub(crate) fn bins(&self) -> usize {
         self.counts.len()
     }
 
     /// Bin width.
-    pub fn bin_width(&self) -> f64 {
+    pub(crate) fn bin_width(&self) -> f64 {
         (self.hi - self.lo) / self.bins() as f64
     }
 
     /// Adds one scalar observation.
-    pub fn add(&mut self, x: f64) {
+    pub(crate) fn add(&mut self, x: f64) {
         self.total += 1;
         if !(self.lo..=self.hi).contains(&x) {
             self.outliers += 1;
@@ -49,21 +49,6 @@ impl Histogram {
         for r in records {
             self.add(r[coord]);
         }
-    }
-
-    /// Raw bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Observations outside the range.
-    pub fn outliers(&self) -> u64 {
-        self.outliers
-    }
-
-    /// Total observations (including outliers).
-    pub fn total(&self) -> u64 {
-        self.total
     }
 
     /// Centre of bin `i`.
@@ -93,18 +78,18 @@ mod tests {
         h.add(0.5);
         h.add(9.5);
         h.add(5.0);
-        assert_eq!(h.counts()[0], 1);
-        assert_eq!(h.counts()[9], 1);
-        assert_eq!(h.counts()[5], 1);
-        assert_eq!(h.total(), 3);
+        assert_eq!(h.counts[0], 1);
+        assert_eq!(h.counts[9], 1);
+        assert_eq!(h.counts[5], 1);
+        assert_eq!(h.total, 3);
     }
 
     #[test]
     fn upper_edge_goes_to_last_bin() {
         let mut h = Histogram::new(0.0, 1.0, 4);
         h.add(1.0);
-        assert_eq!(h.counts()[3], 1);
-        assert_eq!(h.outliers(), 0);
+        assert_eq!(h.counts[3], 1);
+        assert_eq!(h.outliers, 0);
     }
 
     #[test]
@@ -113,8 +98,8 @@ mod tests {
         h.add(-0.1);
         h.add(1.1);
         h.add(f64::NAN);
-        assert_eq!(h.outliers(), 3);
-        assert_eq!(h.counts().iter().sum::<u64>(), 0);
+        assert_eq!(h.outliers, 3);
+        assert_eq!(h.counts.iter().sum::<u64>(), 0);
     }
 
     #[test]
@@ -140,8 +125,8 @@ mod tests {
             vec![Vector::from_slice(&[1.0, 100.0]), Vector::from_slice(&[2.0, 200.0])];
         let mut h = Histogram::new(0.0, 3.0, 3);
         h.add_records(&recs, 0);
-        assert_eq!(h.total(), 2);
-        assert_eq!(h.outliers(), 0);
+        assert_eq!(h.total, 2);
+        assert_eq!(h.outliers, 0);
     }
 
     #[test]

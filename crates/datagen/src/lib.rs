@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 //! Synthetic workload generation for the CluDistream reproduction.
 //!
@@ -6,17 +6,20 @@
 //! series of Gaussian distributions", with a new distribution generated
 //! every 2K points with probability `P_d`, optionally corrupted by noise;
 //! and (b) the NFD real data set — net-flow records from Shanghai Telecom
-//! with six attributes. NFD was never published, so [`netflow`] provides a
-//! statistically analogous generator (see DESIGN.md, substitution 1).
+//! with six attributes. NFD was never published, so [`NetflowGenerator`]
+//! provides a statistically analogous generator (see DESIGN.md,
+//! substitution 1).
 //!
 //! - [`EvolvingStream`] — the paper's synthetic evolving-GMM stream.
-//! - [`noise`] — uniform outlier injection and missing-value simulation
-//!   ("noisy or incomplete data records").
-//! - [`netflow::NetflowGenerator`] — the NFD substitute.
-//! - [`normalize`] — the per-attribute normalization the paper applies to
-//!   NFD ("we normalize each attribute to reduce the data range effect").
+//! - [`NoiseInjector`], [`MissingValueInjector`] and [`impute_missing`] —
+//!   uniform outlier injection and missing-value simulation ("noisy or
+//!   incomplete data records").
+//! - [`NetflowGenerator`] — the NFD substitute, with Zipf-distributed
+//!   (heavy-tailed) hosts and ports.
+//! - [`MinMaxNormalizer`] — the per-attribute normalization the paper
+//!   applies to NFD ("we normalize each attribute to reduce the data range
+//!   effect").
 //! - [`Histogram`] — 1-d histograms for the Figure 3 reproduction.
-//! - [`powerlaw`] — Zipf sampling (heavy-tailed hosts/ports).
 //!
 //! # Example
 //!
@@ -38,18 +41,16 @@
 pub mod csvio;
 mod histogram;
 mod mixture_gen;
-pub mod netflow;
-pub mod noise;
-pub mod normalize;
-pub mod powerlaw;
+mod netflow;
+mod noise;
+mod normalize;
+mod powerlaw;
 mod props;
 mod stream;
 
-pub use csvio::{read_records, write_records, CsvError};
 pub use histogram::Histogram;
 pub use mixture_gen::{random_mixture, random_spd_matrix, MixtureGenConfig};
 pub use netflow::{NetflowConfig, NetflowGenerator};
 pub use noise::{impute_missing, MissingValueInjector, NoiseInjector};
 pub use normalize::MinMaxNormalizer;
-pub use powerlaw::Zipf;
 pub use stream::{EvolvingStream, EvolvingStreamConfig};

@@ -97,19 +97,21 @@ pub fn random_mixture<R: Rng + ?Sized>(config: &MixtureGenConfig, rng: &mut R) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cludistream_linalg::jacobi_eigen;
+    use cludistream_linalg::{Cholesky, Matrix};
     use cludistream_rng::StdRng;
 
     #[test]
     fn spd_matrix_is_spd_with_bounded_spectrum() {
+        // Every eigenvalue lies in (0.49, 2.01) iff both M − 0.49·I and
+        // 2.01·I − M are positive definite, i.e. both factor.
         let mut rng = StdRng::seed_from_u64(1);
         for dim in [1, 2, 4, 8] {
             let m = random_spd_matrix(dim, (0.5, 2.0), &mut rng);
-            let e = jacobi_eigen(&m, 100).unwrap();
-            assert!(e.is_positive_definite(0.0), "dim {dim} not SPD");
-            for &l in &e.values {
-                assert!(l > 0.49 && l < 2.01, "eigenvalue {l} out of range");
-            }
+            let mut above = m.clone();
+            above.add_ridge(-0.49);
+            assert!(Cholesky::new(&above).is_ok(), "dim {dim}: an eigenvalue is <= 0.49");
+            let below = &Matrix::identity(dim).scaled(2.01) - &m;
+            assert!(Cholesky::new(&below).is_ok(), "dim {dim}: an eigenvalue is >= 2.01");
         }
     }
 

@@ -23,12 +23,8 @@
 //! attribute").
 
 use crate::powerlaw::Zipf;
-use cludistream_gmm::sample_standard_normal;
 use cludistream_linalg::Vector;
-use cludistream_rng::{Rng, StdRng};
-
-/// Number of attributes in a net-flow record.
-pub const NETFLOW_DIM: usize = 6;
+use cludistream_rng::{standard_normal, Rng, StdRng};
 
 /// Configuration of the net-flow generator.
 #[derive(Debug, Clone)]
@@ -101,16 +97,6 @@ impl NetflowGenerator {
         NetflowGenerator { config, rng, host_zipf, profiles, emitted: 0, regime_id: 0 }
     }
 
-    /// Identity of the current traffic regime (increments on redraw).
-    pub fn regime_id(&self) -> usize {
-        self.regime_id
-    }
-
-    /// Records emitted so far.
-    pub fn emitted(&self) -> usize {
-        self.emitted
-    }
-
     /// Collects the next `n` records.
     pub fn take_chunk(&mut self, n: usize) -> Vec<Vector> {
         self.by_ref().take(n).collect()
@@ -174,11 +160,11 @@ impl Iterator for NetflowGenerator {
         let src_port = self.rng.gen_range(32768.0..61000.0);
         let dst_port = p.dst_port + self.rng.gen_range(-2.0..=2.0);
         let packets =
-            (p.log_packets_mean + p.log_packets_std * sample_standard_normal(&mut self.rng))
+            (p.log_packets_mean + p.log_packets_std * standard_normal(&mut self.rng))
                 .exp()
                 .max(1.0);
         let bytes =
-            packets * (p.bytes_per_packet + p.bytes_noise * sample_standard_normal(&mut self.rng))
+            packets * (p.bytes_per_packet + p.bytes_noise * standard_normal(&mut self.rng))
                 .max(40.0);
 
         Some(Vector::from_slice(&[src_host, dst_host, src_port, dst_port, packets, bytes]))
@@ -193,7 +179,7 @@ mod tests {
     fn records_have_six_finite_attributes() {
         let mut g = NetflowGenerator::new(NetflowConfig::default());
         for r in g.by_ref().take(200) {
-            assert_eq!(r.dim(), NETFLOW_DIM);
+            assert_eq!(r.dim(), 6);
             assert!(r.is_finite());
         }
     }
@@ -257,7 +243,7 @@ mod tests {
             ..Default::default()
         });
         let _ = g.take_chunk(1000);
-        assert_eq!(g.regime_id(), 9);
+        assert_eq!(g.regime_id, 9);
     }
 
     #[test]
@@ -269,7 +255,7 @@ mod tests {
             ..Default::default()
         });
         let _ = g.take_chunk(1000);
-        assert_eq!(g.regime_id(), 0);
+        assert_eq!(g.regime_id, 0);
     }
 
     #[test]

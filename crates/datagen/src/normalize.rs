@@ -33,7 +33,7 @@ impl MinMaxNormalizer {
     }
 
     /// Dimensionality.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.mins.len()
     }
 

@@ -78,16 +78,6 @@ impl EvolvingStream {
         self.regime_id
     }
 
-    /// The mixture generating the *next* record (ground truth).
-    pub fn current_mixture(&self) -> &Mixture {
-        &self.current
-    }
-
-    /// Records emitted so far.
-    pub fn emitted(&self) -> usize {
-        self.emitted
-    }
-
     /// `(start_index, regime_id)` pairs, in order; the ground-truth event
     /// table for evolving-analysis experiments.
     pub fn history(&self) -> &[(usize, usize)] {

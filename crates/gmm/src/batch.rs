@@ -77,18 +77,13 @@ impl Batch {
     }
 
     /// True when the batch holds no records.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.n == 0
     }
 
     /// Record dimensionality (0 for an empty batch).
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.d
-    }
-
-    /// The whole flat buffer, row-major.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
     }
 
     /// The flat sub-buffer holding `count` records starting at `start`.
@@ -182,7 +177,12 @@ impl Mixture {
     /// Batched [`Mixture::log_pdf`]: writes `out[b] = ln p(x_b)` for the
     /// `out.len()` row-major records in `rows`. Bit-identical to calling
     /// `log_pdf` on each record.
-    pub fn log_pdf_batch(&self, rows: &[f64], out: &mut [f64], scratch: &mut MixtureScratch) {
+    pub(crate) fn log_pdf_batch(
+        &self,
+        rows: &[f64],
+        out: &mut [f64],
+        scratch: &mut MixtureScratch,
+    ) {
         let count = out.len();
         assert_eq!(rows.len(), count * self.dim(), "log_pdf_batch: rows/out length mismatch");
         self.weighted_log_density_block(rows, count, scratch);
@@ -318,7 +318,6 @@ mod tests {
         assert!(!b.is_empty());
         assert_eq!(b.row(1), &[3.0, 4.0]);
         assert_eq!(b.rows(1, 2), &[3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(b.as_slice(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
     }
 
     #[test]
@@ -344,7 +343,7 @@ mod tests {
         let batch = Batch::from_records(&recs);
         let mut scratch = DensityScratch::default();
         let mut out = vec![0.0; recs.len()];
-        g.log_pdf_batch(batch.as_slice(), &mut out, &mut scratch);
+        g.log_pdf_batch(batch.rows(0, batch.len()), &mut out, &mut scratch);
         for (x, got) in recs.iter().zip(&out) {
             assert_eq!(got.to_bits(), g.log_pdf(x).to_bits());
         }
@@ -363,7 +362,7 @@ mod tests {
         let batch = Batch::from_records(&recs);
         let mut scratch = DensityScratch::default();
         let mut out = vec![0.0; recs.len()];
-        g.log_pdf_batch(batch.as_slice(), &mut out, &mut scratch);
+        g.log_pdf_batch(batch.rows(0, batch.len()), &mut out, &mut scratch);
         for (x, got) in recs.iter().zip(&out) {
             assert_eq!(got.to_bits(), g.log_pdf(x).to_bits());
         }
@@ -380,7 +379,7 @@ mod tests {
         let batch = Batch::from_records(&recs);
         let mut scratch = DensityScratch::default();
         let mut out = vec![0.0; recs.len()];
-        g.log_pdf_batch(batch.as_slice(), &mut out, &mut scratch);
+        g.log_pdf_batch(batch.rows(0, batch.len()), &mut out, &mut scratch);
         for (x, got) in recs.iter().zip(&out) {
             assert!((got - g.log_pdf(x)).abs() < 1e-12);
         }
@@ -402,7 +401,7 @@ mod tests {
         let batch = Batch::from_records(&recs);
         let mut scratch = MixtureScratch::default();
         let mut out = vec![0.0; recs.len()];
-        mix.log_pdf_batch(batch.as_slice(), &mut out, &mut scratch);
+        mix.log_pdf_batch(batch.rows(0, batch.len()), &mut out, &mut scratch);
         for (x, got) in recs.iter().zip(&out) {
             assert_eq!(got.to_bits(), mix.log_pdf(x).to_bits());
         }
@@ -668,7 +667,7 @@ mod tests {
             let recs = random_records(&mut rng, n, 4);
             let batch = Batch::from_records(&recs);
             let mut out = vec![0.0; n];
-            g.log_pdf_batch(batch.as_slice(), &mut out, &mut scratch);
+            g.log_pdf_batch(batch.rows(0, batch.len()), &mut out, &mut scratch);
             for (x, got) in recs.iter().zip(&out) {
                 assert_eq!(got.to_bits(), g.log_pdf(x).to_bits());
             }

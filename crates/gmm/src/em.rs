@@ -443,7 +443,7 @@ mod reference {
     use cludistream_par::par_block_map;
 
     #[derive(Debug, Clone)]
-    pub struct DiagStats {
+    pub(crate) struct DiagStats {
         pub n: f64,
         pub sum: Vec<f64>,
         pub sum_sq: Vec<f64>,
@@ -488,7 +488,7 @@ mod reference {
 
     /// One block's (after [`estep`], the whole chunk's) log likelihood
     /// and statistics; exactly one of `stats`/`diag` is populated.
-    pub struct BlockStats {
+    pub(crate) struct BlockStats {
         pub ll: f64,
         pub stats: Vec<SuffStats>,
         pub diag: Vec<DiagStats>,
@@ -562,7 +562,7 @@ mod reference {
     }
 
     /// One fused E-step over the whole chunk, blocks reduced in order.
-    pub fn estep(mixture: &Mixture, batch: &Batch, k: usize, diagonal: bool) -> BlockStats {
+    pub(crate) fn estep(mixture: &Mixture, batch: &Batch, k: usize, diagonal: bool) -> BlockStats {
         let blocks = batch.len().div_ceil(BLOCK);
         let results = par_block_map(blocks, 1, MixtureScratch::default, |scratch, b| {
             score_block(mixture, batch, b, k, diagonal, scratch)
@@ -577,7 +577,7 @@ mod reference {
 
     /// The fit loop as it stood around the fused E-step. Validation is
     /// the caller's; `ll_std` is always the separate re-scoring.
-    pub fn fit(data: &[Vector], config: &EmConfig) -> Result<EmFit> {
+    pub(crate) fn fit(data: &[Vector], config: &EmConfig) -> Result<EmFit> {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let global_avg_var = global_avg_var(data)?;
         let mut mixture = initialize(data, config, global_avg_var, &mut rng)?;

@@ -34,7 +34,11 @@ pub struct KMeansFit {
 
 /// k-means++ seeding: first centroid uniform, subsequent centroids sampled
 /// proportionally to squared distance from the nearest chosen centroid.
-pub fn kmeans_plusplus_seeds<R: Rng + ?Sized>(data: &[Vector], k: usize, rng: &mut R) -> Vec<Vector> {
+pub(crate) fn kmeans_plusplus_seeds<R: Rng + ?Sized>(
+    data: &[Vector],
+    k: usize,
+    rng: &mut R,
+) -> Vec<Vector> {
     assert!(!data.is_empty() && k >= 1, "kmeans++ needs data and k >= 1");
     let mut centroids: Vec<Vector> = Vec::with_capacity(k);
     centroids.push(data[rng.gen_range(0..data.len())].clone());

@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 //! Gaussian mixture modelling substrate for the CluDistream reproduction.
 //!
@@ -58,19 +58,16 @@ pub use chunk::{chunk_size, ChunkParams};
 pub use covariance::CovarianceType;
 pub use em::{fit_em, fit_em_recorded, EmConfig, EmFit};
 pub use error::GmmError;
-pub use gaussian::{sample_standard_normal, DistBoundFactor, Gaussian};
+pub use gaussian::{DistBoundFactor, Gaussian};
 pub use kmeans::{kmeans, KMeansConfig, KMeansFit};
-pub use likelihood::{
-    avg_log_likelihood, fit_tolerance, free_parameters, j_fit, log_likelihood_std,
-    standard_normal_quantile,
-};
+pub use likelihood::{fit_tolerance, free_parameters, j_fit, log_likelihood_std};
 pub use mixture::Mixture;
-pub use model_selection::{bic, fit_em_bic, ScoredFit};
+pub use model_selection::{fit_em_bic, ScoredFit};
 pub use scoring::{score, score_record, Scores};
 pub use suffstats::SuffStats;
 
 /// Result alias used throughout the crate.
-pub type Result<T> = std::result::Result<T, GmmError>;
+pub(crate) type Result<T> = std::result::Result<T, GmmError>;
 
 /// Numerically stable `log(Σ exp(x_i))`.
 ///

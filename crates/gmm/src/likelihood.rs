@@ -1,19 +1,6 @@
 use crate::{Batch, CovarianceType, Mixture, MixtureScratch, BLOCK};
 use cludistream_linalg::Vector;
 
-/// Average log likelihood of `data` under `mixture` — the paper's
-/// Definition 1:
-///
-/// ```text
-/// Avg_Pr = (1/|D|) Σ_{x∈D} log( Σ_j w_j p(x|j) )
-/// ```
-///
-/// Free-function form of [`Mixture::avg_log_likelihood`], exported for use
-/// in the test criterion.
-pub fn avg_log_likelihood(mixture: &Mixture, data: &[Vector]) -> f64 {
-    mixture.avg_log_likelihood(data)
-}
-
 /// The test statistic of the test-and-cluster strategy (paper Eq. 4):
 /// `J_fit = |Avg_Pr_n − Avg_Pr_0|`. A chunk fits its model when
 /// `J_fit ≤ ε`.
@@ -68,7 +55,7 @@ pub fn free_parameters(k: usize, d: usize, cov: CovarianceType) -> usize {
 
 /// Acklam's rational approximation of the standard normal quantile
 /// Φ⁻¹(p), accurate to ~1.15e-9 over (0, 1). Panics outside (0, 1).
-pub fn standard_normal_quantile(p: f64) -> f64 {
+pub(crate) fn standard_normal_quantile(p: f64) -> f64 {
     assert!(p > 0.0 && p < 1.0, "quantile needs p in (0,1)");
     const A: [f64; 6] = [
         -3.969683028665376e+01,
@@ -155,13 +142,6 @@ mod tests {
             vec![0.5, 0.5],
         )
         .unwrap()
-    }
-
-    #[test]
-    fn free_function_matches_method() {
-        let m = mix();
-        let data = vec![Vector::from_slice(&[0.1]), Vector::from_slice(&[7.9])];
-        assert_eq!(avg_log_likelihood(&m, &data), m.avg_log_likelihood(&data));
     }
 
     #[test]
@@ -254,7 +234,7 @@ mod tests {
                 .map(|_| {
                     let c1: Vec<Vector> = (0..chunk).map(|_| m.sample(rng)).collect();
                     let c2: Vec<Vector> = (0..chunk).map(|_| m.sample(rng)).collect();
-                    j_fit(avg_log_likelihood(&m, &c1), avg_log_likelihood(&m, &c2))
+                    j_fit(m.avg_log_likelihood(&c1), m.avg_log_likelihood(&c2))
                 })
                 .sum::<f64>()
                 / trials as f64

@@ -87,7 +87,7 @@ impl Mixture {
     /// are exactly the log weights the density and posterior paths use,
     /// so callers that combine them with component log densities reproduce
     /// [`Self::log_pdf`]'s terms bit for bit.
-    pub fn log_weights(&self) -> &[f64] {
+    pub(crate) fn log_weights(&self) -> &[f64] {
         &self.log_weights
     }
 
@@ -184,7 +184,7 @@ impl Mixture {
 
     /// Draws one sample together with the index of the component that
     /// generated it — ground truth for external validation metrics.
-    pub fn sample_labeled<R: Rng + ?Sized>(&self, rng: &mut R) -> (Vector, usize) {
+    pub(crate) fn sample_labeled<R: Rng + ?Sized>(&self, rng: &mut R) -> (Vector, usize) {
         let u: f64 = rng.gen();
         let mut acc = 0.0;
         for (j, (c, &w)) in self.components.iter().zip(&self.weights).enumerate() {

@@ -23,7 +23,7 @@ pub struct ScoredFit {
 }
 
 /// BIC of a fit with `k` components on `n` records.
-pub fn bic(fit: &EmFit, k: usize, dim: usize, n: usize, config: &EmConfig) -> f64 {
+pub(crate) fn bic(fit: &EmFit, k: usize, dim: usize, n: usize, config: &EmConfig) -> f64 {
     let p = free_parameters(k, dim, config.covariance) as f64;
     -2.0 * fit.log_likelihood + p * (n.max(1) as f64).ln()
 }

@@ -41,11 +41,6 @@ impl Scores {
         self.labels.len()
     }
 
-    /// True when no records were scored.
-    pub fn is_empty(&self) -> bool {
-        self.labels.is_empty()
-    }
-
     /// Number of mixture components `k` (the width of each
     /// responsibility row).
     pub fn k(&self) -> usize {
@@ -292,7 +287,7 @@ mod tests {
     fn empty_and_mismatched_inputs() {
         let m = dense_mixture(2);
         let empty = score(&m, &Batch::from_records(&[]), 1).unwrap();
-        assert!(empty.is_empty());
+        assert_eq!(empty.len(), 0);
         assert_eq!(empty.avg_log_likelihood(), f64::NEG_INFINITY);
         let bad = Batch::from_records(&[Vector::zeros(3)]);
         assert!(matches!(

@@ -58,7 +58,7 @@ impl SuffStats {
     /// [`Self::add`] over a raw row slice — the accumulation path of the
     /// batched E-step, which reads records out of a flat SoA buffer.
     /// Identical arithmetic (and arithmetic order) to `add`.
-    pub fn add_slice(&mut self, x: &[f64], weight: f64) {
+    pub(crate) fn add_slice(&mut self, x: &[f64], weight: f64) {
         debug_assert_eq!(x.len(), self.dim(), "suffstats add: dimension mismatch");
         self.n += weight;
         self.sum.axpy_slice(weight, x);
@@ -73,35 +73,28 @@ impl SuffStats {
         self.scatter += &other.scatter;
     }
 
-    /// Removes another set of statistics (sliding-window deletion). The
-    /// caller is responsible for only subtracting statistics that were
-    /// previously merged.
-    pub fn unmerge(&mut self, other: &SuffStats) {
-        assert_eq!(self.dim(), other.dim(), "suffstats unmerge: dimension mismatch");
-        self.n -= other.n;
-        self.sum -= &other.sum;
-        self.scatter -= &other.scatter;
-    }
-
-    /// `self.merge(&SuffStats::from_gaussian(g, n))` without the temporary:
-    /// nothing is allocated, and each element is formed exactly as
-    /// [`Self::from_gaussian`] forms it — `μ_i·n` for the sum; for the
-    /// scatter `Σ_ij·n`, then `+= (n·μ_i)·μ_j` — before it is added to the
-    /// running element, so the result is bit-identical. No element of the
-    /// temporary depends on another: forming them one at a time moves where
-    /// the operands live, not which operations run.
+    /// Adds the statistics a Gaussian would have produced from `n` records,
+    /// `sum = n μ` and `scatter = n (Σ + μμᵀ)`, without allocating: each
+    /// element is formed (`μ_i·n` for the sum; for the scatter `Σ_ij·n`,
+    /// then `+= (n·μ_i)·μ_j`) and added to the running element in place.
+    /// The result is bit-identical to building those statistics as a
+    /// temporary (`μ.scaled(n)`; `Σ.scaled(n)` then `rank1_update(n, μ)`)
+    /// and calling [`Self::merge`]: no element of the temporary depends on
+    /// another, so forming them one at a time moves where the operands
+    /// live, not which operations run.
     pub fn merge_gaussian(&mut self, g: &Gaussian, n: f64) {
         self.fold_gaussian(g, n, |acc, v| *acc += v);
     }
 
-    /// `self.unmerge(&SuffStats::from_gaussian(g, n))` without the
-    /// temporary: [`Self::merge_gaussian`] with every element subtracted.
+    /// [`Self::merge_gaussian`] with every element subtracted (sliding-window
+    /// deletion of a member's statistics), bit-identical to subtracting the
+    /// temporary element by element.
     pub fn unmerge_gaussian(&mut self, g: &Gaussian, n: f64) {
         self.fold_gaussian(g, n, |acc, v| *acc -= v);
     }
 
-    /// Forms each element of `from_gaussian(g, n)` and hands it to `fold`
-    /// with the running element it belongs to.
+    /// Forms each element of the statistics of `g` over `n` records and
+    /// hands it to `fold` with the running element it belongs to.
     fn fold_gaussian(&mut self, g: &Gaussian, n: f64, fold: impl Fn(&mut f64, f64)) {
         let d = self.dim();
         assert_eq!(d, g.dim(), "suffstats fold: dimension mismatch");
@@ -152,16 +145,6 @@ impl SuffStats {
     pub fn scaled(&self, r: f64) -> SuffStats {
         SuffStats { n: self.n * r, sum: self.sum.scaled(r), scatter: self.scatter.scaled(r) }
     }
-
-    /// Reconstructs the statistics a Gaussian would have produced from `n`
-    /// records: `sum = n μ`, `scatter = n (Σ + μμᵀ)`.
-    pub fn from_gaussian(g: &Gaussian, n: f64) -> Self {
-        let mu = g.mean();
-        let sum = mu.scaled(n);
-        let mut scatter = g.cov().scaled(n);
-        scatter.rank1_update(n, mu);
-        SuffStats { n, sum, scatter }
-    }
 }
 
 #[cfg(test)]
@@ -211,22 +194,12 @@ mod tests {
     }
 
     #[test]
-    fn unmerge_reverses_merge() {
-        let a = stats_of(&[&[1.0], &[5.0]]);
-        let b = stats_of(&[&[2.0], &[8.0]]);
-        let mut s = a.clone();
-        s.merge(&b);
-        s.unmerge(&b);
-        assert!((s.n() - a.n()).abs() < 1e-12);
-        assert!((s.mean().unwrap()[0] - a.mean().unwrap()[0]).abs() < 1e-12);
-    }
-
-    #[test]
     fn gaussian_roundtrip() {
         let s = stats_of(&[&[1.0, 0.0], &[2.0, 1.0], &[0.0, 2.0], &[3.0, 3.0]]);
         let (g, n) = s.to_gaussian().unwrap();
         assert_eq!(n, 4.0);
-        let back = SuffStats::from_gaussian(&g, n);
+        let mut back = SuffStats::new(2);
+        back.merge_gaussian(&g, n);
         assert!((back.mean().unwrap()[0] - s.mean().unwrap()[0]).abs() < 1e-10);
         let (c1, c2) = (back.cov().unwrap(), s.cov().unwrap());
         for i in 0..2 {
@@ -234,6 +207,18 @@ mod tests {
                 assert!((c1[(i, j)] - c2[(i, j)]).abs() < 1e-8, "cov ({i},{j})");
             }
         }
+        back.unmerge_gaussian(&g, n);
+        assert_eq!(back.n(), 0.0);
+        assert!(back.sum.as_slice().iter().all(|v| v.abs() < 1e-12));
+    }
+
+    /// The statistics of `g` over `n` records built as a temporary: the
+    /// reference the in-place folds must match bit for bit.
+    fn from_gaussian(g: &Gaussian, n: f64) -> SuffStats {
+        let mu = g.mean();
+        let mut scatter = g.cov().scaled(n);
+        scatter.rank1_update(n, mu);
+        SuffStats { n, sum: mu.scaled(n), scatter }
     }
 
     #[test]
@@ -257,7 +242,7 @@ mod tests {
         check::cases("suffstats_gaussian_fold_bit_identity", 32, |rng| {
             for d in [1, 2, 4, 9, 16, 17, 24] {
                 // A non-empty running sum, as a group's is.
-                let mut running = SuffStats::from_gaussian(&random_gaussian(rng, d), 1e3);
+                let mut running = from_gaussian(&random_gaussian(rng, d), 1e3);
                 let mut reference = running.clone();
                 for _ in 0..4 {
                     let g = random_gaussian(rng, d);
@@ -269,12 +254,15 @@ mod tests {
                         3 => n = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..3usize)],
                         _ => {}
                     }
+                    let temporary = from_gaussian(&g, n);
                     if rng.gen_bool(0.5) {
                         running.merge_gaussian(&g, n);
-                        reference.merge(&SuffStats::from_gaussian(&g, n));
+                        reference.merge(&temporary);
                     } else {
                         running.unmerge_gaussian(&g, n);
-                        reference.unmerge(&SuffStats::from_gaussian(&g, n));
+                        reference.n -= temporary.n;
+                        reference.sum -= &temporary.sum;
+                        reference.scatter -= &temporary.scatter;
                     }
                     same(&running, &reference, &format!("d {d}, n {n:e}"));
                 }

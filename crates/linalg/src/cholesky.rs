@@ -51,7 +51,7 @@ impl Cholesky {
     }
 
     /// Dimension of the factorized matrix.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.l.rows()
     }
 
@@ -83,14 +83,8 @@ impl Cholesky {
         2.0 * (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>()
     }
 
-    /// Determinant of the original matrix (may overflow for large
-    /// dimensions; prefer [`Self::log_det`]).
-    pub fn det(&self) -> f64 {
-        self.log_det().exp()
-    }
-
     /// Solves `L y = b` (forward substitution).
-    pub fn solve_lower(&self, b: &Vector) -> Vector {
+    pub(crate) fn solve_lower(&self, b: &Vector) -> Vector {
         let n = self.dim();
         assert_eq!(b.dim(), n, "solve_lower: dimension mismatch");
         let mut y = Vector::zeros(n);
@@ -110,7 +104,7 @@ impl Cholesky {
     ///
     /// Per column the operation order — subtract `L[i,k]·y[k]` in
     /// ascending `k`, then divide by `L[i,i]` — matches
-    /// [`Self::solve_lower`] exactly, so every column's result is
+    /// `solve_lower` exactly, so every column's result is
     /// bit-identical to the scalar solve. This is the kernel behind the
     /// batched Gaussian density evaluation: one pass over `L` serves the
     /// whole block instead of one pass per record.
@@ -135,7 +129,7 @@ impl Cholesky {
     }
 
     /// Solves `Lᵀ x = y` (backward substitution).
-    pub fn solve_upper(&self, y: &Vector) -> Vector {
+    pub(crate) fn solve_upper(&self, y: &Vector) -> Vector {
         let n = self.dim();
         assert_eq!(y.dim(), n, "solve_upper: dimension mismatch");
         let mut x = Vector::zeros(n);
@@ -161,11 +155,11 @@ impl Cholesky {
     /// bit-identical to it. Forward substitution, `i` ascending: start
     /// from `b[i]`, subtract `L[i,k]·y[k]` in ascending `k < i`, divide by
     /// `L[i,i]` — `x[k]` for `k < i` already holds `y[k]` and `x[i]` still
-    /// holds `b[i]`, exactly what [`Self::solve_lower`] reads from its two
+    /// holds `b[i]`, exactly what `solve_lower` reads from its two
     /// vectors. Backward substitution, `i` descending: start from `y[i]`,
     /// subtract `L[k,i]·x[k]` in ascending `k > i`, divide by `L[i,i]` —
     /// `x[k]` for `k > i` is already solved and `x[i]` still holds `y[i]`,
-    /// as in [`Self::solve_upper`].
+    /// as in `solve_upper`.
     pub fn solve_in_place(&self, x: &mut [f64]) {
         let n = self.dim();
         assert_eq!(x.len(), n, "solve_in_place: dimension mismatch");
@@ -256,7 +250,6 @@ pub fn cholesky_regularized(a: &Matrix, base_ridge: f64, max_tries: usize) -> Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx_eq;
 
     fn spd3() -> Matrix {
         Matrix::from_rows(&[&[4.0, 2.0, 0.6], &[2.0, 5.0, 1.0], &[0.6, 1.0, 3.0]])
@@ -269,7 +262,7 @@ mod tests {
         let r = c.reconstruct();
         for i in 0..3 {
             for j in 0..3 {
-                assert!(approx_eq(r[(i, j)], a[(i, j)], 1e-12));
+                assert!((r[(i, j)] - a[(i, j)]).abs() < 1e-12);
             }
         }
     }
@@ -289,8 +282,7 @@ mod tests {
         let a = spd3();
         let c = Cholesky::new(&a).unwrap();
         let lu_det = a.det().unwrap();
-        assert!(approx_eq(c.det(), lu_det, 1e-10));
-        assert!(approx_eq(c.log_det(), lu_det.ln(), 1e-10));
+        assert!((c.log_det() - lu_det.ln()).abs() < 1e-10);
     }
 
     #[test]
@@ -301,7 +293,7 @@ mod tests {
         let x = c.solve(&b);
         let back = a.matvec(&x);
         for i in 0..3 {
-            assert!(approx_eq(back[i], b[i], 1e-10));
+            assert!((back[i] - b[i]).abs() < 1e-10);
         }
     }
 
@@ -323,7 +315,7 @@ mod tests {
         let c = Cholesky::new(&Matrix::identity(2)).unwrap();
         let x = Vector::from_slice(&[3.0, 4.0]);
         let mu = Vector::zeros(2);
-        assert!(approx_eq(c.mahalanobis_sq(&x, &mu), 25.0, 1e-12));
+        assert!((c.mahalanobis_sq(&x, &mu) - 25.0).abs() < 1e-12);
     }
 
     #[test]
@@ -332,10 +324,9 @@ mod tests {
         let c = Cholesky::new(&a).unwrap();
         let x = Vector::from_slice(&[1.0, 2.0, 3.0]);
         let mu = Vector::from_slice(&[0.5, 1.5, 2.0]);
-        let inv = c.inverse();
         let diff = &x - &mu;
-        let explicit = inv.quad_form(&diff);
-        assert!(approx_eq(c.mahalanobis_sq(&x, &mu), explicit, 1e-10));
+        let explicit = diff.dot(&c.inverse().matvec(&diff));
+        assert!((c.mahalanobis_sq(&x, &mu) - explicit).abs() < 1e-10);
     }
 
     #[test]
@@ -464,7 +455,7 @@ mod tests {
         let c = Cholesky::new(&a).unwrap();
         let z = Vector::from_slice(&[1.0, 1.0]);
         let out = c.apply_l(&z);
-        assert!(approx_eq(out[0], 2.0, 1e-12));
-        assert!(approx_eq(out[1], 3.0, 1e-12));
+        assert!((out[0] - 2.0).abs() < 1e-12);
+        assert!((out[1] - 3.0).abs() < 1e-12);
     }
 }

@@ -1,13 +1,13 @@
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 //! Dense linear algebra substrate for the CluDistream reproduction.
 //!
 //! The EM algorithm over full-covariance Gaussian mixtures needs a small,
 //! well-tested set of dense kernels: vector/matrix arithmetic, a Cholesky
-//! factorization (log-determinants, solves, Mahalanobis quadratic forms), an
-//! LU factorization with partial pivoting (general inverses and determinants
-//! for non-SPD inputs), and a Jacobi eigendecomposition for symmetric
-//! matrices (covariance conditioning and random covariance generation).
+//! factorization (log-determinants, solves, Mahalanobis quadratic forms) and
+//! an LU factorization with partial pivoting (general inverses and
+//! determinants for non-SPD inputs, and the reference the Cholesky paths are
+//! tested against).
 //!
 //! Everything here is `f64`, row-major, and allocation-explicit. The sizes
 //! involved (d ≤ a few dozen for the paper's experiments) make cache-blocked
@@ -27,7 +27,6 @@
 //! ```
 
 mod cholesky;
-mod eigen;
 mod error;
 mod lu;
 mod matrix;
@@ -35,48 +34,10 @@ mod props;
 mod vector;
 
 pub use cholesky::{cholesky_regularized, Cholesky};
-pub use eigen::{jacobi_eigen, SymEigen};
 pub use error::LinalgError;
-pub use lu::Lu;
+pub(crate) use lu::Lu;
 pub use matrix::Matrix;
 pub use vector::Vector;
 
 /// Result alias used throughout the crate.
-pub type Result<T> = std::result::Result<T, LinalgError>;
-
-/// Relative tolerance used by approximate comparisons in tests and
-/// convergence checks.
-pub const EPS: f64 = 1e-10;
-
-/// Returns `true` when `a` and `b` agree to within `tol` absolutely or
-/// relatively (whichever is looser). Symmetric in its arguments.
-pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
-    let diff = (a - b).abs();
-    if diff <= tol {
-        return true;
-    }
-    let scale = a.abs().max(b.abs());
-    diff <= tol * scale
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn approx_eq_absolute() {
-        assert!(approx_eq(1.0, 1.0 + 1e-12, 1e-10));
-        assert!(!approx_eq(1.0, 1.1, 1e-10));
-    }
-
-    #[test]
-    fn approx_eq_relative() {
-        assert!(approx_eq(1e12, 1e12 + 1.0, 1e-10));
-        assert!(!approx_eq(1e12, 1.1e12, 1e-10));
-    }
-
-    #[test]
-    fn approx_eq_symmetric() {
-        assert_eq!(approx_eq(3.0, 3.0000001, 1e-6), approx_eq(3.0000001, 3.0, 1e-6));
-    }
-}
+pub(crate) type Result<T> = std::result::Result<T, LinalgError>;

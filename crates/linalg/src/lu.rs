@@ -7,7 +7,7 @@ use crate::{LinalgError, Matrix, Result, Vector};
 /// matrices before it has been symmetrized. For covariance work prefer
 /// [`crate::Cholesky`].
 #[derive(Debug, Clone)]
-pub struct Lu {
+pub(crate) struct Lu {
     /// Packed L (unit lower, below diagonal) and U (upper, including
     /// diagonal).
     lu: Matrix,
@@ -20,7 +20,7 @@ pub struct Lu {
 impl Lu {
     /// Factorizes `a`. Returns [`LinalgError::Singular`] when a pivot is
     /// exactly zero or not finite.
-    pub fn new(a: &Matrix) -> Result<Self> {
+    pub(crate) fn new(a: &Matrix) -> Result<Self> {
         if !a.is_square() {
             return Err(LinalgError::DimensionMismatch {
                 op: "lu",
@@ -72,12 +72,12 @@ impl Lu {
     }
 
     /// Dimension of the factorized matrix.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.lu.rows()
     }
 
     /// Determinant: product of U's diagonal times the permutation sign.
-    pub fn det(&self) -> f64 {
+    pub(crate) fn det(&self) -> f64 {
         let mut det = self.sign;
         for i in 0..self.dim() {
             det *= self.lu[(i, i)];
@@ -86,7 +86,7 @@ impl Lu {
     }
 
     /// Solves `A x = b`.
-    pub fn solve(&self, b: &Vector) -> Vector {
+    pub(crate) fn solve(&self, b: &Vector) -> Vector {
         let n = self.dim();
         assert_eq!(b.dim(), n, "lu solve: dimension mismatch");
         // Apply permutation, then forward substitution with unit-lower L.
@@ -111,7 +111,7 @@ impl Lu {
     }
 
     /// Explicit inverse.
-    pub fn inverse(&self) -> Result<Matrix> {
+    pub(crate) fn inverse(&self) -> Result<Matrix> {
         let n = self.dim();
         let mut inv = Matrix::zeros(n, n);
         for j in 0..n {
@@ -132,19 +132,18 @@ impl Lu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx_eq;
 
     #[test]
     fn det_matches_known() {
         let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
-        assert!(approx_eq(Lu::new(&a).unwrap().det(), 5.0, 1e-12));
+        assert!((Lu::new(&a).unwrap().det() - 5.0).abs() < 1e-12);
     }
 
     #[test]
     fn det_with_pivoting() {
         // First pivot is zero, forcing a row swap.
         let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        assert!(approx_eq(Lu::new(&a).unwrap().det(), -1.0, 1e-12));
+        assert!((Lu::new(&a).unwrap().det() + 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -155,7 +154,7 @@ mod tests {
         let x = lu.solve(&b);
         let back = a.matvec(&x);
         for i in 0..3 {
-            assert!(approx_eq(back[i], b[i], 1e-10));
+            assert!((back[i] - b[i]).abs() < 1e-10);
         }
     }
 
@@ -192,6 +191,6 @@ mod tests {
     fn permutation_sign_tracked_over_multiple_swaps() {
         // Rotating permutation matrix of size 3 has determinant +1.
         let a = Matrix::from_rows(&[&[0.0, 1.0, 0.0], &[0.0, 0.0, 1.0], &[1.0, 0.0, 0.0]]);
-        assert!(approx_eq(Lu::new(&a).unwrap().det(), 1.0, 1e-12));
+        assert!((Lu::new(&a).unwrap().det() - 1.0).abs() < 1e-12);
     }
 }

@@ -71,7 +71,7 @@ impl Matrix {
     }
 
     /// True for square matrices.
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
     }
 
@@ -92,15 +92,9 @@ impl Matrix {
     }
 
     /// Mutable borrow of row `i`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [f64] {
         assert!(i < self.rows, "row index out of bounds");
         &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Copies column `j` into a new [`Vector`].
-    pub fn col(&self, j: usize) -> Vector {
-        assert!(j < self.cols, "column index out of bounds");
-        (0..self.rows).map(|i| self[(i, j)]).collect()
     }
 
     /// Copies the main diagonal into a `Vec`.
@@ -180,19 +174,6 @@ impl Matrix {
         }
     }
 
-    /// Outer product `x yᵀ`.
-    pub fn outer(x: &Vector, y: &Vector) -> Matrix {
-        let mut out = Matrix::zeros(x.dim(), y.dim());
-        for i in 0..x.dim() {
-            let xi = x[i];
-            let row = out.row_mut(i);
-            for (j, r) in row.iter_mut().enumerate() {
-                *r = xi * y[j];
-            }
-        }
-        out
-    }
-
     /// Scales all entries in place.
     pub fn scale(&mut self, alpha: f64) {
         for a in &mut self.data {
@@ -260,11 +241,6 @@ impl Matrix {
             });
         }
         Ok(crate::Lu::new(self).map(|lu| lu.det()).unwrap_or(0.0))
-    }
-
-    /// Computes the quadratic form `vᵀ M v`.
-    pub fn quad_form(&self, v: &Vector) -> f64 {
-        self.matvec(v).dot(v)
     }
 }
 
@@ -359,7 +335,6 @@ mod tests {
         assert_eq!(m.cols(), 2);
         assert_eq!(m[(0, 1)], 2.0);
         assert_eq!(m.row(1), &[3.0, 4.0]);
-        assert_eq!(m.col(0).as_slice(), &[1.0, 3.0]);
         assert_eq!(m.diag(), vec![1.0, 4.0]);
         assert_eq!(m.trace(), 5.0);
     }
@@ -406,13 +381,11 @@ mod tests {
     }
 
     #[test]
-    fn rank1_and_outer() {
+    fn rank1_update_adds_scaled_outer_product() {
         let x = Vector::from_slice(&[1.0, 2.0]);
         let mut m = Matrix::zeros(2, 2);
         m.rank1_update(2.0, &x);
         assert_eq!(m, Matrix::from_rows(&[&[2.0, 4.0], &[4.0, 8.0]]));
-        let o = Matrix::outer(&x, &Vector::from_slice(&[3.0, 1.0]));
-        assert_eq!(o, Matrix::from_rows(&[&[3.0, 1.0], &[6.0, 2.0]]));
     }
 
     #[test]
@@ -428,13 +401,6 @@ mod tests {
         let mut m = Matrix::zeros(2, 2);
         m.add_ridge(0.5);
         assert_eq!(m.diag(), vec![0.5, 0.5]);
-    }
-
-    #[test]
-    fn quad_form_known() {
-        let m = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 3.0]]);
-        let v = Vector::from_slice(&[1.0, 2.0]);
-        assert_eq!(m.quad_form(&v), 14.0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 #![cfg(test)]
 
-use crate::{jacobi_eigen, Cholesky, Lu, Matrix, Vector};
+use crate::{Cholesky, Lu, Matrix, Vector};
 use cludistream_rng::{check, Rng, StdRng};
 
 /// An arbitrary matrix with entries in ±5.
@@ -103,19 +103,6 @@ fn lu_and_cholesky_solves_agree_on_spd() {
 }
 
 #[test]
-fn jacobi_eigenvalues_descending_and_positive_on_spd() {
-    check::cases("jacobi_eigenvalues_descending_and_positive_on_spd", 64, |rng| {
-        let m = spd(rng, 4);
-        let e = jacobi_eigen(&m, 200).expect("converges on symmetric input");
-        assert!(e.values.windows(2).all(|w| w[0] >= w[1] - 1e-12));
-        assert!(e.is_positive_definite(0.0));
-        // Trace is the eigenvalue sum.
-        let sum: f64 = e.values.iter().sum();
-        assert!((sum - m.trace()).abs() < 1e-8 * (1.0 + m.trace().abs()));
-    });
-}
-
-#[test]
 fn mahalanobis_positive_definite() {
     check::cases("mahalanobis_positive_definite", 64, |rng| {
         let m = spd(rng, 3);
@@ -136,10 +123,9 @@ fn rank1_update_matches_outer_product() {
         let alpha = rng.gen_range(-3.0..3.0);
         let mut m = Matrix::zeros(3, 3);
         m.rank1_update(alpha, &x);
-        let outer = Matrix::outer(&x, &x).scaled(alpha);
         for i in 0..3 {
             for j in 0..3 {
-                assert!((m[(i, j)] - outer[(i, j)]).abs() < 1e-12);
+                assert!((m[(i, j)] - alpha * x[i] * x[j]).abs() < 1e-12);
             }
         }
     });
@@ -151,6 +137,6 @@ fn dot_is_symmetric_and_cauchy_schwarz() {
         let a = vector(rng, 4);
         let b = vector(rng, 4);
         assert!((a.dot(&b) - b.dot(&a)).abs() < 1e-12);
-        assert!(a.dot(&b).abs() <= a.norm() * b.norm() + 1e-9);
+        assert!(a.dot(&b).powi(2) <= a.dot(&a) * b.dot(&b) + 1e-9);
     });
 }

@@ -37,11 +37,6 @@ impl Vector {
         self.data.len()
     }
 
-    /// True when the vector has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// Borrow the elements as a slice.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
@@ -50,11 +45,6 @@ impl Vector {
     /// Borrow the elements mutably.
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Consumes the vector, returning its storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Iterator over the elements.
@@ -66,11 +56,6 @@ impl Vector {
     pub fn dot(&self, other: &Vector) -> f64 {
         assert_eq!(self.dim(), other.dim(), "dot: dimension mismatch");
         self.data.iter().zip(&other.data).map(|(a, b)| a * b).sum()
-    }
-
-    /// Euclidean (L2) norm.
-    pub fn norm(&self) -> f64 {
-        self.dot(self).sqrt()
     }
 
     /// Squared Euclidean distance to `other`.
@@ -113,21 +98,6 @@ impl Vector {
         let mut out = self.clone();
         out.scale(alpha);
         out
-    }
-
-    /// Sum of all elements.
-    pub fn sum(&self) -> f64 {
-        self.data.iter().sum()
-    }
-
-    /// Largest element (NaN-free inputs assumed); `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        self.data.iter().cloned().fold(None, |m, x| Some(m.map_or(x, |m: f64| m.max(x))))
-    }
-
-    /// Smallest element; `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        self.data.iter().cloned().fold(None, |m, x| Some(m.map_or(x, |m: f64| m.min(x))))
     }
 
     /// True when every element is finite.
@@ -239,15 +209,13 @@ mod tests {
         assert_eq!(Vector::zeros(3).as_slice(), &[0.0, 0.0, 0.0]);
         assert_eq!(Vector::filled(2, 1.5).as_slice(), &[1.5, 1.5]);
         assert_eq!(Vector::from_slice(&[1.0]).dim(), 1);
-        assert!(Vector::zeros(0).is_empty());
     }
 
     #[test]
-    fn dot_and_norms() {
+    fn dot_and_distance() {
         let a = Vector::from_slice(&[3.0, 4.0]);
         let b = Vector::from_slice(&[1.0, 2.0]);
         assert_eq!(a.dot(&b), 11.0);
-        assert_eq!(a.norm(), 5.0);
         assert_eq!(a.dist_sq(&b), 8.0);
     }
 
@@ -267,15 +235,6 @@ mod tests {
         let b = Vector::from_slice(&[2.0, 3.0]);
         a.axpy(0.5, &b);
         assert_eq!(a.as_slice(), &[2.0, 2.5]);
-    }
-
-    #[test]
-    fn min_max_sum() {
-        let a = Vector::from_slice(&[3.0, -1.0, 2.0]);
-        assert_eq!(a.max(), Some(3.0));
-        assert_eq!(a.min(), Some(-1.0));
-        assert_eq!(a.sum(), 4.0);
-        assert_eq!(Vector::zeros(0).max(), None);
     }
 
     #[test]

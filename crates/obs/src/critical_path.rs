@@ -39,13 +39,13 @@ pub struct LatencyBreakdown {
 
 impl LatencyBreakdown {
     /// Sum of all attributed categories.
-    pub fn total_us(&self) -> u64 {
+    pub(crate) fn total_us(&self) -> u64 {
         self.em_us + self.simplex_us + self.retransmit_us + self.queueing_us
     }
 
     /// `(category name, microseconds)` of the largest contributor. Ties
     /// break in the fixed order em, simplex, retransmit, queueing.
-    pub fn dominant(&self) -> (&'static str, u64) {
+    pub(crate) fn dominant(&self) -> (&'static str, u64) {
         let cats = [
             ("em", self.em_us),
             ("simplex", self.simplex_us),
@@ -63,7 +63,7 @@ impl LatencyBreakdown {
 
     /// Share of the total in `[0, 1]` for a category value (0 when the
     /// total is 0).
-    pub fn share(&self, part_us: u64) -> f64 {
+    pub(crate) fn share(&self, part_us: u64) -> f64 {
         let total = self.total_us();
         if total == 0 {
             0.0

@@ -281,7 +281,7 @@ fn group_by_family<T>(rows: Vec<(&'static str, T)>) -> BTreeMap<String, Vec<(Opt
 /// `{quantile="..."}` samples for series registered with
 /// [`Registry::track_quantiles`]). Byte-deterministic for a given
 /// registry state.
-pub fn prometheus_text(registry: &Registry) -> String {
+pub(crate) fn prometheus_text(registry: &Registry) -> String {
     let mut out = String::new();
     out.push_str("# TYPE cludistream_up gauge\ncludistream_up 1\n");
 

@@ -7,11 +7,11 @@
 //! counts land in the same structure.
 
 /// Number of buckets: one for zero plus one per bit of `u64`.
-pub const BUCKETS: usize = 65;
+pub(crate) const BUCKETS: usize = 65;
 
 /// A fixed-size log2-bucket histogram with count/sum/min/max side stats.
 #[derive(Debug, Clone)]
-pub struct Log2Histogram {
+pub(crate) struct Log2Histogram {
     buckets: [u64; BUCKETS],
     count: u64,
     sum: u64,
@@ -41,13 +41,8 @@ pub(crate) fn bucket_lo(i: usize) -> u64 {
 }
 
 impl Log2Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records one observation.
-    pub fn record(&mut self, value: u64) {
+    pub(crate) fn record(&mut self, value: u64) {
         self.buckets[bucket_index(value)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
@@ -55,40 +50,25 @@ impl Log2Histogram {
         self.max = self.max.max(value);
     }
 
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observations (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
     /// Smallest observation, or `None` when empty.
-    pub fn min(&self) -> Option<u64> {
+    pub(crate) fn min(&self) -> Option<u64> {
         (self.count > 0).then_some(self.min)
     }
 
     /// Largest observation, or `None` when empty.
-    pub fn max(&self) -> Option<u64> {
+    pub(crate) fn max(&self) -> Option<u64> {
         (self.count > 0).then_some(self.max)
     }
 
     /// Mean observation, or `None` when empty.
-    pub fn mean(&self) -> Option<f64> {
+    pub(crate) fn mean(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum as f64 / self.count as f64)
-    }
-
-    /// Raw bucket counts (index per `bucket_index`).
-    pub fn buckets(&self) -> &[u64; BUCKETS] {
-        &self.buckets
     }
 
     /// Smallest bucket lower bound `b` such that at least `q` (in `[0,1]`)
     /// of observations are `< 2b` — a coarse quantile from the log2
     /// buckets. `None` when empty.
-    pub fn quantile_bound(&self, q: f64) -> Option<u64> {
+    pub(crate) fn quantile_bound(&self, q: f64) -> Option<u64> {
         if self.count == 0 {
             return None;
         }
@@ -109,7 +89,7 @@ impl Log2Histogram {
     /// bucket). `None` when empty. This is what a log2 histogram can
     /// honestly promise about a quantile — an upper *bound*, not the
     /// quantile itself.
-    pub fn quantile_upper_bound(&self, q: f64) -> Option<u64> {
+    pub(crate) fn quantile_upper_bound(&self, q: f64) -> Option<u64> {
         self.quantile_bound(q).map(|lo| match lo {
             0 => 1,
             l => l.saturating_mul(2),
@@ -117,7 +97,7 @@ impl Log2Histogram {
     }
 
     /// A copyable summary for reporting.
-    pub fn snapshot(&self) -> HistogramSnapshot {
+    pub(crate) fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             count: self.count,
             sum: self.sum,
@@ -132,7 +112,7 @@ impl Log2Histogram {
     }
 }
 
-/// A point-in-time summary of a [`Log2Histogram`].
+/// A point-in-time summary of a log2 histogram.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistogramSnapshot {
     /// Number of observations.
@@ -190,58 +170,58 @@ mod tests {
 
     #[test]
     fn side_stats_track_observations() {
-        let mut h = Log2Histogram::new();
-        assert_eq!(h.count(), 0);
+        let mut h = Log2Histogram::default();
+        assert_eq!(h.count, 0);
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
         assert_eq!(h.mean(), None);
         for v in [5u64, 1, 9, 5] {
             h.record(v);
         }
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.sum(), 20);
+        assert_eq!(h.count, 4);
+        assert_eq!(h.sum, 20);
         assert_eq!(h.min(), Some(1));
         assert_eq!(h.max(), Some(9));
         assert_eq!(h.mean(), Some(5.0));
         // 5 and 5 share [4,8); 1 is [1,2); 9 is [8,16).
-        assert_eq!(h.buckets()[bucket_index(5)], 2);
-        assert_eq!(h.buckets()[bucket_index(1)], 1);
-        assert_eq!(h.buckets()[bucket_index(9)], 1);
+        assert_eq!(h.buckets[bucket_index(5)], 2);
+        assert_eq!(h.buckets[bucket_index(1)], 1);
+        assert_eq!(h.buckets[bucket_index(9)], 1);
     }
 
     #[test]
     fn quantile_bound_is_log2_coarse() {
-        let mut h = Log2Histogram::new();
+        let mut h = Log2Histogram::default();
         for v in 1..=100u64 {
             h.record(v);
         }
         // The median of 1..=100 is ~50, whose bucket is [32, 64).
         assert_eq!(h.quantile_bound(0.5), Some(32));
         assert_eq!(h.quantile_bound(1.0), Some(64));
-        assert_eq!(Log2Histogram::new().quantile_bound(0.5), None);
+        assert_eq!(Log2Histogram::default().quantile_bound(0.5), None);
     }
 
     #[test]
     fn quantile_upper_bound_is_exclusive_bucket_end() {
-        let mut h = Log2Histogram::new();
+        let mut h = Log2Histogram::default();
         for v in 1..=100u64 {
             h.record(v);
         }
         // Median bucket is [32, 64): the true median is < 64.
         assert_eq!(h.quantile_upper_bound(0.5), Some(64));
         assert_eq!(h.quantile_upper_bound(1.0), Some(128));
-        let mut z = Log2Histogram::new();
+        let mut z = Log2Histogram::default();
         z.record(0);
         assert_eq!(z.quantile_upper_bound(0.5), Some(1));
-        let mut top = Log2Histogram::new();
+        let mut top = Log2Histogram::default();
         top.record(u64::MAX);
         assert_eq!(top.quantile_upper_bound(0.5), Some(u64::MAX));
-        assert_eq!(Log2Histogram::new().quantile_upper_bound(0.5), None);
+        assert_eq!(Log2Histogram::default().quantile_upper_bound(0.5), None);
     }
 
     #[test]
     fn snapshot_summarizes() {
-        let mut h = Log2Histogram::new();
+        let mut h = Log2Histogram::default();
         h.record(10);
         h.record(30);
         let s = h.snapshot();

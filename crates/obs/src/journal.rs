@@ -23,7 +23,7 @@ pub enum Verdict {
 
 impl Verdict {
     /// Stable wire name.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Verdict::FitCurrent => "fit_current",
             Verdict::Switched => "switched",
@@ -45,7 +45,7 @@ pub enum DropReason {
 
 impl DropReason {
     /// Stable wire name.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             DropReason::Loss => "loss",
             DropReason::Partition => "partition",
@@ -208,7 +208,7 @@ pub enum Event {
 
 impl Event {
     /// Stable event-type name (the `"event"` field of the JSONL line).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Event::EmConverged { .. } => "EmConverged",
             Event::ChunkTested { .. } => "ChunkTested",
@@ -233,7 +233,7 @@ impl Event {
 
     /// Renders the event as one JSON object (no trailing newline), stamped
     /// with simulated time `t` (microseconds).
-    pub fn to_json(&self, t: u64) -> String {
+    pub(crate) fn to_json(&self, t: u64) -> String {
         let mut s = String::with_capacity(96);
         let _ = write!(s, "{{\"t\":{t},\"event\":\"{}\"", self.name());
         match self {

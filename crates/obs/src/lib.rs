@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 //! # cludistream-obs — zero-dependency telemetry for the CluDistream stack
 //!
@@ -8,7 +8,7 @@
 //! in-repo instrument those measurements flow through:
 //!
 //! - a **metrics registry** ([`Registry`]) with counters, gauges and
-//!   fixed-bucket [`Log2Histogram`]s, plus [`Span`] timers that record
+//!   fixed-bucket log2 histograms, plus [`Span`] timers that record
 //!   wall-clock durations into histograms, under the names the
 //!   [`catalogue`] declares once (`docs/METRICS.md`);
 //! - a **structured event journal**: typed [`Event`]s serialized to JSONL
@@ -20,10 +20,10 @@
 //!   simulator all share.
 //!
 //! Since PR 4 it is also a **causal tracer**: deterministic
-//! [`TraceId`]/[`SpanId`] span trees ([`trace`]) that follow one chunk
+//! [`TraceId`]/[`SpanId`] span trees ([`SpanRecord`]) that follow one chunk
 //! from site ingestion to the coordinator's group update, a
 //! Perfetto-loadable Chrome trace-event exporter ([`perfetto_json`]), a
-//! critical-path extractor ([`critical_path`]) attributing group-update
+//! critical-path extractor ([`analyze`]) attributing group-update
 //! latency to {EM, simplex, retransmit, queueing}, and an exact
 //! Greenwald–Khanna streaming quantile sketch ([`QuantileSketch`])
 //! complementing the log2 histogram's coarse bounds.
@@ -31,10 +31,10 @@
 //! For the socket runtime it is additionally a **fleet telemetry plane**:
 //! a registry can stage everything it records into wire-encodable
 //! [`TelemetryDelta`]s ([`Registry::enable_telemetry`] /
-//! [`Registry::drain_telemetry`]), which a coordinator folds into one
+//! [`Recorder::drain_telemetry`]), which a coordinator folds into one
 //! [`FleetAggregator`] with per-site metric names and clock-rebased span
-//! records, renderable live in Prometheus text exposition format
-//! ([`prometheus_text`]). A bounded flight-recorder ring
+//! records, renderable live in Prometheus text exposition format. A
+//! bounded flight-recorder ring
 //! ([`Registry::enable_flight_recorder`]) preserves a site's last journal
 //! lines across a crash for post-mortem dumps at the coordinator.
 //!
@@ -71,7 +71,7 @@
 //! ```
 
 pub mod catalogue;
-pub mod critical_path;
+mod critical_path;
 mod fleet;
 mod histogram;
 mod journal;
@@ -82,22 +82,18 @@ mod quantile;
 mod recorder;
 mod registry;
 mod telemetry;
-pub mod trace;
+mod trace;
 
-pub use catalogue::{Counter, Gauge, Histogram, SpanName};
 pub use critical_path::{analyze, LatencyBreakdown};
-pub use fleet::{prometheus_text, FleetAggregator};
-pub use histogram::{HistogramSnapshot, Log2Histogram, BUCKETS};
+pub use fleet::FleetAggregator;
+pub use histogram::HistogramSnapshot;
 pub use journal::{json_escape, json_f64, DropReason, Event, Verdict};
 pub use perfetto::perfetto_json;
 pub use quality::{
     AlertKind, AlertRule, AlertSet, AlertState, EwmaDetector, PageHinkley, QualityConfig,
 };
-pub use quantile::{QuantileSketch, DEFAULT_EPSILON};
+pub use quantile::QuantileSketch;
 pub use recorder::{NopRecorder, Obs, Recorder, Span};
 pub use registry::Registry;
 pub use telemetry::{TelemetryDelta, TELEMETRY_VERSION};
-pub use trace::{
-    em_cost_us, simplex_cost_us, SpanId, SpanRecord, SpanScope, TraceCtx, TraceId,
-    EM_ITER_COST_US, SIMPLEX_EVAL_COST_US,
-};
+pub use trace::{em_cost_us, simplex_cost_us, SpanId, SpanRecord, SpanScope, TraceCtx, TraceId};

@@ -12,9 +12,9 @@ use std::fmt::Write as _;
 
 /// Renders span records as a Chrome trace-event JSON document. `pid` and
 /// `tid` are the emitting node; timestamps are simulated microseconds
-/// (the unit trace-event JSON expects); durations are
-/// [`SpanRecord::duration_us`], so pure-compute spans show their virtual
-/// cost as width.
+/// (the unit trace-event JSON expects); a duration is the larger of the
+/// simulated width and the virtual compute cost, so pure-compute spans
+/// show their virtual cost as width.
 pub fn perfetto_json(spans: &[SpanRecord]) -> String {
     let mut sorted: Vec<&SpanRecord> = spans.iter().collect();
     sorted.sort_by_key(|r| (r.start_us, r.node, r.span.0));

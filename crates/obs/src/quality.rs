@@ -149,7 +149,7 @@ impl PageHinkley {
     }
 
     /// Forgets all state, as after an alarm.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.sum = 0.0;
         self.count = 0;
         self.cum = 0.0;
@@ -224,7 +224,7 @@ impl EwmaDetector {
     }
 
     /// Forgets all state, as after an alarm.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.sum = 0.0;
         self.sumsq = 0.0;
         self.count = 0;
@@ -306,7 +306,7 @@ pub struct AlertSet {
 
 impl AlertSet {
     /// A set over the given rules.
-    pub fn new(rules: Vec<AlertRule>) -> AlertSet {
+    pub(crate) fn new(rules: Vec<AlertRule>) -> AlertSet {
         AlertSet { rules }
     }
 
@@ -354,18 +354,8 @@ impl AlertSet {
         &self.rules
     }
 
-    /// True when the set holds no rules.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
-    }
-
-    /// Number of rules.
-    pub fn len(&self) -> usize {
-        self.rules.len()
-    }
-
     /// Evaluates every rule against `registry`, in order.
-    pub fn evaluate(&self, registry: &Registry) -> Vec<AlertState> {
+    pub(crate) fn evaluate(&self, registry: &Registry) -> Vec<AlertState> {
         self.rules
             .iter()
             .map(|rule| {
@@ -476,8 +466,7 @@ mod tests {
             metric: "lat.us".into(),
             kind: AlertKind::QuantileAbove { q: 0.5, threshold: 10.0 },
         });
-        assert_eq!(set.len(), 5);
-        assert!(!set.is_empty());
+        assert_eq!(set.rules.len(), 5);
 
         // Nothing recorded: round-stalled fires on the *absent* gauge,
         // everything else is quiet.

@@ -32,7 +32,7 @@ pub struct QuantileSketch {
 }
 
 /// Default rank-error bound: exact to 1 part in 1000 of the stream.
-pub const DEFAULT_EPSILON: f64 = 0.001;
+pub(crate) const DEFAULT_EPSILON: f64 = 0.001;
 
 impl Default for QuantileSketch {
     fn default() -> Self {
@@ -59,11 +59,6 @@ impl QuantileSketch {
     /// Number of summary tuples currently retained (memory footprint).
     pub fn tuples(&self) -> usize {
         self.tuples.len()
-    }
-
-    /// The configured rank-error bound.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
     }
 
     /// Inserts one observation.

@@ -67,8 +67,8 @@ pub trait Recorder {
     }
 
     /// Allocates the next deterministic span id for `node` (per-node
-    /// sequence, starting at 1). Disabled recorders return
-    /// [`SpanId::NONE`].
+    /// sequence, starting at 1). Disabled recorders return the null id
+    /// `SpanId(0)`.
     fn alloc_span(&self, node: u32) -> SpanId {
         let _ = node;
         SpanId::NONE
@@ -88,7 +88,7 @@ pub trait Recorder {
     }
 
     /// Drains everything staged for fleet telemetry since the last drain
-    /// (see [`crate::Registry::drain_telemetry`]). `None` for recorders
+    /// (see [`crate::Registry::enable_telemetry`]). `None` for recorders
     /// without telemetry capture — the default — so transports flush
     /// through the [`Obs`] handle without knowing the concrete recorder.
     fn drain_telemetry(&self, include_flight: bool) -> Option<TelemetryDelta> {

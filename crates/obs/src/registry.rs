@@ -90,7 +90,7 @@ impl Registry {
 
     /// Turns on telemetry capture: from now on every counter/gauge/observe
     /// call is additionally staged for the next
-    /// [`Registry::drain_telemetry`]. Off by default, so registries that
+    /// [`Recorder::drain_telemetry`]. Off by default, so registries that
     /// never flush (the simulator, tests) pay only a `bool` check.
     pub fn enable_telemetry(&self) {
         lock(&self.metrics).telemetry = true;
@@ -115,7 +115,7 @@ impl Registry {
     /// when later closed. With `include_flight` the flight-recorder ring
     /// is moved into the delta too. Returns `None` when nothing new was
     /// recorded (including when telemetry capture was never enabled).
-    pub fn drain_telemetry(&self, include_flight: bool) -> Option<TelemetryDelta> {
+    pub(crate) fn drain_telemetry(&self, include_flight: bool) -> Option<TelemetryDelta> {
         let mut delta = TelemetryDelta {
             local_now_us: self.sim_time.load(Ordering::Relaxed),
             ..TelemetryDelta::default()
@@ -161,7 +161,7 @@ impl Registry {
 
     /// Registers an exact quantile sketch fed by every subsequent
     /// [`Recorder::observe`] of `histogram` (with the default rank-error
-    /// bound [`crate::quantile::DEFAULT_EPSILON`]). Observations recorded
+    /// bound, 0.001). Observations recorded
     /// before registration are not replayed.
     pub fn track_quantiles(&self, histogram: Histogram) {
         lock(&self.metrics).sketches.entry(histogram.0).or_default();
@@ -175,7 +175,7 @@ impl Registry {
 
     /// Name-sorted `(name, count, p50, p90, p99, max)` rows for every
     /// non-empty registered quantile sketch.
-    pub fn quantile_rows(&self) -> Vec<(&'static str, u64, u64, u64, u64, u64)> {
+    pub(crate) fn quantile_rows(&self) -> Vec<(&'static str, u64, u64, u64, u64, u64)> {
         let metrics = lock(&self.metrics);
         metrics
             .sketches

@@ -36,7 +36,7 @@ const PARENT_ONLY: [&str; 2] = [ROUND_STATE.as_str(), OBS_UNKNOWN_SERIES.as_str(
 
 /// Everything one site recorded since its previous telemetry flush.
 ///
-/// Produced by [`crate::Registry::drain_telemetry`], encoded into a
+/// Produced by [`crate::Recorder::drain_telemetry`], encoded into a
 /// `Control::Telemetry` frame by the socket runtime, and folded into the
 /// coordinator's fleet registry by [`crate::FleetAggregator::apply`].
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -70,7 +70,7 @@ pub struct TelemetryDelta {
 
 impl TelemetryDelta {
     /// True when the delta carries nothing worth transmitting.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.counters.is_empty()
             && self.gauges.is_empty()
             && self.observations.is_empty()

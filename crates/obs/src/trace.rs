@@ -32,41 +32,21 @@ impl TraceId {
     pub fn new(site: u32, chunk: u64) -> TraceId {
         TraceId(((site as u64) << SEQ_BITS) | (chunk & SEQ_MASK))
     }
-
-    /// The originating site.
-    pub fn site(&self) -> u32 {
-        (self.0 >> SEQ_BITS) as u32
-    }
-
-    /// The site-local chunk index.
-    pub fn chunk(&self) -> u64 {
-        self.0 & SEQ_MASK
-    }
 }
 
 /// Identity of one span, packed as `(node << 40) | seq` where `seq` is the
 /// emitting node's private allocation counter (starting at 1; 0 is the
-/// reserved null id [`SpanId::NONE`]).
+/// reserved null id).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanId(pub u64);
 
 impl SpanId {
     /// The null span id returned by disabled recorders.
-    pub const NONE: SpanId = SpanId(0);
+    pub(crate) const NONE: SpanId = SpanId(0);
 
     /// Span `seq` of `node`.
     pub fn new(node: u32, seq: u64) -> SpanId {
         SpanId(((node as u64) << SEQ_BITS) | (seq & SEQ_MASK))
-    }
-
-    /// The allocating node.
-    pub fn node(&self) -> u32 {
-        (self.0 >> SEQ_BITS) as u32
-    }
-
-    /// The node-local sequence number.
-    pub fn seq(&self) -> u64 {
-        self.0 & SEQ_MASK
     }
 }
 
@@ -123,7 +103,7 @@ pub struct SpanRecord {
 impl SpanRecord {
     /// The duration exporters report: simulated width or virtual compute
     /// cost, whichever dominates.
-    pub fn duration_us(&self) -> u64 {
+    pub(crate) fn duration_us(&self) -> u64 {
         (self.end_us.saturating_sub(self.start_us)).max(self.cost_us)
     }
 }
@@ -132,13 +112,13 @@ impl SpanRecord {
 /// calibration constant: EM cost is dominated by the E-step's `M · K`
 /// density evaluations, and the *relative* attribution (EM vs simplex vs
 /// wire) is what the critical-path profile reports.
-pub const EM_ITER_COST_US: u64 = 40;
+pub(crate) const EM_ITER_COST_US: u64 = 40;
 
 /// Virtual cost of one downhill-simplex objective evaluation,
 /// microseconds (each evaluates the Monte-Carlo L1 accuracy loss `l(x)`
 /// of one candidate Gaussian at the merge's fixed points — far cheaper
 /// than an EM iteration over a chunk).
-pub const SIMPLEX_EVAL_COST_US: u64 = 5;
+pub(crate) const SIMPLEX_EVAL_COST_US: u64 = 5;
 
 /// Deterministic virtual cost of an EM fit that ran `iters` iterations.
 pub fn em_cost_us(iters: u64) -> u64 {
@@ -156,16 +136,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ids_pack_and_unpack() {
-        let t = TraceId::new(3, 17);
-        assert_eq!(t.site(), 3);
-        assert_eq!(t.chunk(), 17);
+    fn ids_pack_owner_and_sequence() {
+        assert_eq!(TraceId::new(3, 17).0, (3 << 40) | 17);
         let s = SpanId::new(7, 42);
-        assert_eq!(s.node(), 7);
-        assert_eq!(s.seq(), 42);
+        assert_eq!(s.0, (7 << 40) | 42);
         assert_ne!(s, SpanId::NONE);
-        assert_eq!(SpanId::NONE.node(), 0);
-        assert_eq!(SpanId::NONE.seq(), 0);
     }
 
     #[test]

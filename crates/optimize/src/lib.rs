@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 //! Derivative-free optimization substrate for the CluDistream reproduction.
 //!
@@ -23,3 +23,4 @@
 mod nelder_mead;
 
 pub use nelder_mead::{NelderMead, NelderMeadConfig, OptimizeResult};
+

@@ -73,11 +73,6 @@ impl NelderMead {
         NelderMead { config }
     }
 
-    /// Borrow the configuration.
-    pub fn config(&self) -> &NelderMeadConfig {
-        &self.config
-    }
-
     /// Minimizes `f` starting from `x0`. Panics when `x0` is empty.
     pub fn minimize<F>(&self, mut f: F, x0: &[f64]) -> OptimizeResult
     where

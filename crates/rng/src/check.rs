@@ -18,7 +18,8 @@
 //! });
 //! ```
 
-use crate::{Rng, SplitMix64, StdRng};
+use crate::xoshiro::SplitMix64;
+use crate::{Rng, StdRng};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// Environment variable that pins the harness to a single replay seed.

@@ -1,5 +1,4 @@
-//! Distribution helpers: Box–Muller normals, Bernoulli trials,
-//! Fisher–Yates shuffling and reservoir sampling.
+//! Distribution helpers: Box–Muller normals and Fisher–Yates shuffling.
 
 use crate::traits::Rng;
 
@@ -42,57 +41,12 @@ impl Normal {
     }
 }
 
-/// A Bernoulli distribution: `true` with probability `p`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bernoulli {
-    p: f64,
-}
-
-impl Bernoulli {
-    /// Success probability `p`. Panics if `p` is outside `[0, 1]`.
-    pub fn new(p: f64) -> Bernoulli {
-        assert!((0.0..=1.0).contains(&p), "probability {p} outside [0, 1]");
-        Bernoulli { p }
-    }
-
-    /// One trial.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
-        rng.next_f64() < self.p
-    }
-}
-
 /// Uniform in-place permutation (Fisher–Yates, iterating from the end).
 pub fn shuffle<T, R: Rng + ?Sized>(slice: &mut [T], rng: &mut R) {
     for i in (1..slice.len()).rev() {
         let j = rng.gen_range(0..=i);
         slice.swap(i, j);
     }
-}
-
-/// A uniform sample of `k` items from an iterator of unknown length
-/// (Algorithm R). Returns fewer than `k` items only if the iterator is
-/// shorter than `k`; order within the reservoir is arbitrary but
-/// deterministic for a fixed seed.
-pub fn reservoir_sample<T, I, R>(iter: I, k: usize, rng: &mut R) -> Vec<T>
-where
-    I: IntoIterator<Item = T>,
-    R: Rng + ?Sized,
-{
-    let mut reservoir: Vec<T> = Vec::with_capacity(k);
-    if k == 0 {
-        return reservoir;
-    }
-    for (seen, item) in iter.into_iter().enumerate() {
-        if reservoir.len() < k {
-            reservoir.push(item);
-        } else {
-            let j = rng.gen_range(0..=seen);
-            if j < k {
-                reservoir[j] = item;
-            }
-        }
-    }
-    reservoir
 }
 
 #[cfg(test)]
@@ -128,14 +82,6 @@ mod tests {
     }
 
     #[test]
-    fn bernoulli_frequency() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let d = Bernoulli::new(0.3);
-        let hits = (0..100_000).filter(|_| d.sample(&mut rng)).count();
-        assert!((28_000..32_000).contains(&hits), "hits {hits}");
-    }
-
-    #[test]
     fn shuffle_is_a_permutation() {
         let mut rng = StdRng::seed_from_u64(13);
         let mut v: Vec<usize> = (0..100).collect();
@@ -144,24 +90,5 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
         assert_ne!(v, sorted, "identity shuffle on 100 items is implausible");
-    }
-
-    #[test]
-    fn reservoir_size_and_coverage() {
-        let mut rng = StdRng::seed_from_u64(14);
-        assert_eq!(reservoir_sample(0..3, 10, &mut rng).len(), 3);
-        assert!(reservoir_sample(0..100, 0, &mut rng).is_empty());
-        let s = reservoir_sample(0..1000, 10, &mut rng);
-        assert_eq!(s.len(), 10);
-        // Late items must be reachable.
-        let mut any_late = false;
-        for trial in 0..50 {
-            let mut r = StdRng::seed_from_u64(100 + trial);
-            if reservoir_sample(0..1000, 10, &mut r).iter().any(|&x| x >= 500) {
-                any_late = true;
-                break;
-            }
-        }
-        assert!(any_late, "reservoir never samples the tail");
     }
 }

@@ -1,3 +1,5 @@
+#![warn(unreachable_pub)]
+
 //! Deterministic pseudo-randomness for the CluDistream reproduction.
 //!
 //! Every stochastic component of the workspace — synthetic stream
@@ -7,7 +9,7 @@
 //! experiment in EXPERIMENTS.md is replayable from a single `u64` seed.
 //!
 //! The generator is xoshiro256++ ([`Xoshiro256PlusPlus`]), seeded through
-//! [`SplitMix64`] exactly as Blackman & Vigna recommend: the 64-bit seed is
+//! SplitMix64 exactly as Blackman & Vigna recommend: the 64-bit seed is
 //! expanded into the 256-bit state by four SplitMix64 steps, which keeps
 //! sparse seeds (0, 1, 2, …) far apart in state space. [`StdRng`] is an
 //! alias for the default generator so call sites name the *role* rather
@@ -33,19 +35,18 @@
 //! Beyond the raw generator the crate provides the small set of
 //! distributions the reproduction needs — uniform ranges via
 //! [`Rng::gen_range`], standard-normal deviates via Box–Muller
-//! ([`standard_normal`], [`Normal`]), [`Bernoulli`] trials, Fisher–Yates
-//! [`shuffle`] and [`reservoir_sample`] — plus [`check`], a seeded
-//! replacement for property-based testing that reports the failing seed on
-//! panic.
+//! ([`standard_normal`], [`Normal`]) and Fisher–Yates [`shuffle`] — plus
+//! [`check`], a seeded replacement for property-based testing that reports
+//! the failing seed on panic.
 
 pub mod check;
 mod dist;
 mod traits;
 mod xoshiro;
 
-pub use dist::{reservoir_sample, shuffle, standard_normal, Bernoulli, Normal};
+pub use dist::{shuffle, standard_normal, Normal};
 pub use traits::{Rng, Sample, SampleRange};
-pub use xoshiro::{SplitMix64, Xoshiro256PlusPlus};
+pub use xoshiro::Xoshiro256PlusPlus;
 
 /// The workspace's default deterministic generator.
 ///

@@ -32,7 +32,7 @@ pub trait Rng {
         range.sample_in(self)
     }
 
-    /// A Bernoulli trial: `true` with probability `p`.
+    /// `true` with probability `p`.
     fn gen_bool(&mut self, p: f64) -> bool {
         assert!((0.0..=1.0).contains(&p), "probability {p} outside [0, 1]");
         self.next_f64() < p

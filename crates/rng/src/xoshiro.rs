@@ -10,13 +10,13 @@ use crate::traits::Rng;
 /// [`Xoshiro256PlusPlus`] state and drives the property-test harness's
 /// per-case seed derivation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SplitMix64 {
+pub(crate) struct SplitMix64 {
     state: u64,
 }
 
 impl SplitMix64 {
     /// A generator starting from `seed`.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
 }
@@ -42,7 +42,7 @@ pub struct Xoshiro256PlusPlus {
 
 impl Xoshiro256PlusPlus {
     /// A generator whose 256-bit state is expanded from `seed` by four
-    /// [`SplitMix64`] steps (the seeding procedure the xoshiro authors
+    /// SplitMix64 steps (the seeding procedure the xoshiro authors
     /// recommend; it guarantees a non-zero state for every seed).
     pub fn seed_from_u64(seed: u64) -> Self {
         let mut mix = SplitMix64::new(seed);

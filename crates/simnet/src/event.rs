@@ -18,7 +18,7 @@ impl std::fmt::Display for NodeId {
 
 /// An event awaiting delivery.
 #[derive(Debug)]
-pub enum SimEvent<M> {
+pub(crate) enum SimEvent<M> {
     /// A message in flight.
     Message {
         /// Sender.
@@ -57,7 +57,7 @@ pub enum SimEvent<M> {
 /// Heap entry: an event plus its firing time and a monotone sequence number
 /// for deterministic FIFO tie-breaking.
 #[derive(Debug)]
-pub struct QueuedEvent<M> {
+pub(crate) struct QueuedEvent<M> {
     /// Firing time.
     pub time: SimTime,
     /// Tie-breaker (insertion order).

@@ -35,13 +35,6 @@ impl Default for LinkFaults {
     }
 }
 
-impl LinkFaults {
-    /// True when every probability is zero (no per-message faults).
-    pub fn is_quiet(&self) -> bool {
-        self.drop_p <= 0.0 && self.duplicate_p <= 0.0 && self.reorder_p <= 0.0
-    }
-}
-
 /// A timed bidirectional link partition: messages between `a` and `b`
 /// sent inside `[from_us, until_us)` are discarded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +51,7 @@ pub struct Partition {
 
 impl Partition {
     /// True when a send `from → to` at time `t` falls inside this window.
-    pub fn severs(&self, from: NodeId, to: NodeId, t: SimTime) -> bool {
+    pub(crate) fn severs(&self, from: NodeId, to: NodeId, t: SimTime) -> bool {
         let endpoints =
             (self.a == from && self.b == to) || (self.a == to && self.b == from);
         endpoints && t >= self.from_us && t < self.until_us
@@ -116,13 +109,8 @@ impl FaultPlan {
         self
     }
 
-    /// True when the plan injects nothing at all.
-    pub fn is_quiet(&self) -> bool {
-        self.link.is_quiet() && self.partitions.is_empty() && self.outages.is_empty()
-    }
-
     /// The first partition severing `from → to` at time `t`, if any.
-    pub fn severed(&self, from: NodeId, to: NodeId, t: SimTime) -> Option<&Partition> {
+    pub(crate) fn severed(&self, from: NodeId, to: NodeId, t: SimTime) -> Option<&Partition> {
         self.partitions.iter().find(|p| p.severs(from, to, t))
     }
 }
@@ -173,18 +161,6 @@ mod tests {
         assert!(!p.severs(NodeId(0), NodeId(2), 200), "until is exclusive");
         assert!(!p.severs(NodeId(0), NodeId(2), 99));
         assert!(!p.severs(NodeId(0), NodeId(1), 150), "wrong endpoints");
-    }
-
-    #[test]
-    fn quiet_plan_detection() {
-        assert!(FaultPlan::seeded(7).is_quiet());
-        let lossy = FaultPlan::seeded(7)
-            .with_link(LinkFaults { drop_p: 0.1, ..Default::default() });
-        assert!(!lossy.is_quiet());
-        let cut = FaultPlan::seeded(7).with_partition(NodeId(0), NodeId(1), 0, 10);
-        assert!(!cut.is_quiet());
-        let outage = FaultPlan::seeded(7).with_outage(NodeId(1), 5, 10);
-        assert!(!outage.is_quiet());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 //! Deterministic discrete-event network simulator.
 //!
@@ -9,7 +9,9 @@
 //! communication cost ... every second". This crate is that substrate:
 //!
 //! - [`Simulation`] — a single-threaded, deterministic event loop over
-//!   user-defined [`Node`]s, generic over the message type.
+//!   user-defined [`Node`]s, generic over the message type. A node's
+//!   callbacks see the clock, send messages and set timers through a
+//!   [`Context`]; the run ends when the event queue drains.
 //! - [`Topology`] — star and tree topologies whose edges are *enforced*: a
 //!   send along a non-edge is a simulation error, which keeps algorithm
 //!   implementations honest about the paper's communication model.
@@ -61,12 +63,10 @@ mod network;
 mod node;
 mod sim;
 mod stats;
-mod trace;
 
-pub use event::{NodeId, QueuedEvent, SimEvent, SimTime, MICROS_PER_SEC};
+pub use event::{NodeId, SimTime, MICROS_PER_SEC};
 pub use faults::{FaultPlan, FaultStats, LinkFaults, Outage, Partition};
 pub use network::{LinkModel, Topology};
 pub use node::{Context, Node};
 pub use sim::{SimError, Simulation};
 pub use stats::CommStats;
-pub use trace::{Trace, TraceEntry};

@@ -36,7 +36,7 @@ impl Topology {
 
     /// Number of nodes the topology describes (`None` for `Complete`, which
     /// imposes no size).
-    pub fn size(&self) -> Option<usize> {
+    pub(crate) fn size(&self) -> Option<usize> {
         match self {
             Topology::Complete => None,
             Topology::Star { spokes } => Some(spokes + 1),
@@ -45,7 +45,7 @@ impl Topology {
     }
 
     /// True when `from → to` is a legal link.
-    pub fn allows(&self, from: NodeId, to: NodeId) -> bool {
+    pub(crate) fn allows(&self, from: NodeId, to: NodeId) -> bool {
         if from == to {
             return false;
         }
@@ -86,13 +86,8 @@ impl Default for LinkModel {
 }
 
 impl LinkModel {
-    /// An idealized link: zero latency, infinite bandwidth.
-    pub fn instant() -> Self {
-        LinkModel { latency_us: 0, bandwidth_bps: 0 }
-    }
-
     /// Delivery delay for a message of `bytes` bytes.
-    pub fn delay(&self, bytes: usize) -> SimTime {
+    pub(crate) fn delay(&self, bytes: usize) -> SimTime {
         let transmit = if self.bandwidth_bps == 0 {
             0
         } else {
@@ -149,7 +144,7 @@ mod tests {
 
     #[test]
     fn instant_link_has_zero_delay() {
-        assert_eq!(LinkModel::instant().delay(1 << 20), 0);
+        assert_eq!(LinkModel { latency_us: 0, bandwidth_bps: 0 }.delay(1 << 20), 0);
     }
 
     #[test]

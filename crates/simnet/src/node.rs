@@ -6,7 +6,6 @@ use crate::event::{NodeId, SimTime};
 pub(crate) enum Action<M> {
     Send { to: NodeId, payload: M, bytes: usize },
     Timer { delay: SimTime, tag: u64 },
-    Halt,
 }
 
 /// The API surface a node sees during its callbacks: the clock, its own
@@ -14,7 +13,6 @@ pub(crate) enum Action<M> {
 #[derive(Debug)]
 pub struct Context<'a, M> {
     pub(crate) now: SimTime,
-    pub(crate) self_id: NodeId,
     pub(crate) actions: &'a mut Vec<Action<M>>,
 }
 
@@ -22,11 +20,6 @@ impl<M> Context<'_, M> {
     /// Current simulation time (microseconds).
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// This node's id.
-    pub fn self_id(&self) -> NodeId {
-        self.self_id
     }
 
     /// Sends `payload` to `to`, declaring its wire size in `bytes`. The
@@ -39,11 +32,6 @@ impl<M> Context<'_, M> {
     /// Schedules `on_timer(tag)` on this node after `delay` microseconds.
     pub fn set_timer(&mut self, delay: SimTime, tag: u64) {
         self.actions.push(Action::Timer { delay, tag });
-    }
-
-    /// Requests the whole simulation to stop after this callback returns.
-    pub fn halt(&mut self) {
-        self.actions.push(Action::Halt);
     }
 }
 
@@ -84,15 +72,12 @@ mod tests {
     #[test]
     fn context_records_actions() {
         let mut actions: Vec<Action<u8>> = Vec::new();
-        let mut ctx = Context { now: 42, self_id: NodeId(1), actions: &mut actions };
+        let mut ctx = Context { now: 42, actions: &mut actions };
         assert_eq!(ctx.now(), 42);
-        assert_eq!(ctx.self_id(), NodeId(1));
         ctx.send(NodeId(2), 5, 10);
         ctx.set_timer(100, 7);
-        ctx.halt();
-        assert_eq!(actions.len(), 3);
+        assert_eq!(actions.len(), 2);
         assert!(matches!(actions[0], Action::Send { to: NodeId(2), payload: 5, bytes: 10 }));
         assert!(matches!(actions[1], Action::Timer { delay: 100, tag: 7 }));
-        assert!(matches!(actions[2], Action::Halt));
     }
 }

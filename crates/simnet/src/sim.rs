@@ -3,7 +3,6 @@ use crate::faults::{FaultPlan, FaultStats};
 use crate::network::{LinkModel, Topology};
 use crate::node::{Action, Context, Node};
 use crate::stats::CommStats;
-use crate::trace::Trace;
 use cludistream_obs::{net, DropReason, Event as ObsEvent, Obs, Recorder};
 use cludistream_rng::{Rng, StdRng};
 use std::collections::BinaryHeap;
@@ -59,8 +58,7 @@ impl std::error::Error for SimError {}
 ///
 /// Nodes are registered in id order with [`Simulation::add_node`]; the run
 /// starts with every node's `on_start`, then drains the event queue until
-/// empty, a node calls [`Context::halt`], or the optional time limit is
-/// reached.
+/// empty or the optional time limit is reached.
 pub struct Simulation<M> {
     nodes: Vec<Box<dyn Node<M>>>,
     topology: Topology,
@@ -69,9 +67,7 @@ pub struct Simulation<M> {
     time: SimTime,
     seq: u64,
     stats: CommStats,
-    trace: Option<Trace>,
     obs: Obs,
-    halted: bool,
     /// Fault schedule plus its dedicated RNG stream (None = reliable net).
     fault: Option<FaultCtl>,
     /// Always-on delivery/fault accounting (zeros without a plan).
@@ -106,9 +102,7 @@ impl<M: 'static> Simulation<M> {
             time: 0,
             seq: 0,
             stats: CommStats::new(),
-            trace: None,
             obs: Obs::noop(),
-            halted: false,
             fault: None,
             fault_stats: FaultStats::default(),
             down: Vec::new(),
@@ -123,19 +117,6 @@ impl<M: 'static> Simulation<M> {
     /// completed deliveries.
     pub fn fault_stats(&self) -> &FaultStats {
         &self.fault_stats
-    }
-
-    /// Enables per-message tracing (off by default; traces grow with the
-    /// message count). Read the result with [`Self::trace`] after the run.
-    pub fn enable_trace(&mut self) {
-        if self.trace.is_none() {
-            self.trace = Some(Trace::new());
-        }
-    }
-
-    /// The message trace, when [`Self::enable_trace`] was called.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
     }
 
     /// Attaches a telemetry observer. The simulator stamps the observer's
@@ -171,15 +152,14 @@ impl<M: 'static> Simulation<M> {
         node.downcast_mut::<T>()
     }
 
-    /// Runs until the queue drains or a node halts. See
-    /// [`Self::run_until`] for a bounded variant.
+    /// Runs until the queue drains.
     pub fn run(&mut self) -> Result<(), SimError> {
         self.run_until(SimTime::MAX)
     }
 
-    /// Runs until the queue drains, a node halts, or simulated time would
-    /// exceed `deadline`.
-    pub fn run_until(&mut self, deadline: SimTime) -> Result<(), SimError> {
+    /// Runs until the queue drains or simulated time would exceed
+    /// `deadline`.
+    pub(crate) fn run_until(&mut self, deadline: SimTime) -> Result<(), SimError> {
         if let Some(need) = self.topology.size() {
             if self.nodes.len() != need {
                 return Err(SimError::TopologySize { have: self.nodes.len(), need });
@@ -195,7 +175,7 @@ impl<M: 'static> Simulation<M> {
             let id = NodeId(idx);
             let mut actions = Vec::new();
             {
-                let mut ctx = Context { now: self.time, self_id: id, actions: &mut actions };
+                let mut ctx = Context { now: self.time, actions: &mut actions };
                 self.nodes[idx].on_start(&mut ctx);
             }
             staged.push((id, actions));
@@ -205,8 +185,7 @@ impl<M: 'static> Simulation<M> {
         }
 
         // Event loop.
-        while !self.halted {
-            let Some(entry) = self.queue.pop() else { break };
+        while let Some(entry) = self.queue.pop() {
             if entry.time > deadline {
                 // Put it back conceptually: time limit reached.
                 self.queue.push(entry);
@@ -277,8 +256,7 @@ impl<M: 'static> Simulation<M> {
             }
             let mut actions = Vec::new();
             {
-                let mut ctx =
-                    Context { now: self.time, self_id: node_id, actions: &mut actions };
+                let mut ctx = Context { now: self.time, actions: &mut actions };
                 run(self.nodes[node_id.0].as_mut(), &mut ctx);
             }
             self.commit(node_id, actions)?;
@@ -298,9 +276,6 @@ impl<M: 'static> Simulation<M> {
                         return Err(SimError::IllegalLink { from, to });
                     }
                     self.stats.record(self.time, from, to, bytes);
-                    if let Some(trace) = &mut self.trace {
-                        trace.record(self.time, from, to, bytes);
-                    }
                     net::on_send(&self.obs, bytes as u64);
                     // Fault decisions, drawn in a fixed order from the
                     // plan's dedicated RNG stream so runs replay exactly.
@@ -374,7 +349,6 @@ impl<M: 'static> Simulation<M> {
                         event: SimEvent::Timer { node: from, tag, epoch },
                     });
                 }
-                Action::Halt => self.halted = true,
             }
         }
         Ok(())
@@ -448,6 +422,9 @@ impl<M: Clone + 'static> Simulation<M> {
 mod tests {
     use super::*;
 
+    /// Zero latency, infinite bandwidth.
+    const INSTANT: LinkModel = LinkModel { latency_us: 0, bandwidth_bps: 0 };
+
     /// Counts messages and echoes until a budget is exhausted.
     struct Echoer {
         remaining: u32,
@@ -479,7 +456,7 @@ mod tests {
 
     #[test]
     fn ping_pong_terminates_with_counts() {
-        let mut sim: Simulation<u32> = Simulation::new(Topology::star(1), LinkModel::instant());
+        let mut sim: Simulation<u32> = Simulation::new(Topology::star(1), INSTANT);
         sim.add_node(Box::new(Kicker));
         sim.add_node(Box::new(Echoer { remaining: 100, received: 0 }));
         sim.run().unwrap();
@@ -502,7 +479,7 @@ mod tests {
         impl Node<u32> for Sink {
             fn on_message(&mut self, _: &mut Context<'_, u32>, _: NodeId, _: u32) {}
         }
-        let mut sim: Simulation<u32> = Simulation::new(Topology::star(2), LinkModel::instant());
+        let mut sim: Simulation<u32> = Simulation::new(Topology::star(2), INSTANT);
         sim.add_node(Box::new(BadSender));
         sim.add_node(Box::new(Sink));
         sim.add_node(Box::new(Sink));
@@ -514,7 +491,7 @@ mod tests {
 
     #[test]
     fn topology_size_enforced() {
-        let mut sim: Simulation<u32> = Simulation::new(Topology::star(3), LinkModel::instant());
+        let mut sim: Simulation<u32> = Simulation::new(Topology::star(3), INSTANT);
         sim.add_node(Box::new(Kicker));
         assert_eq!(sim.run(), Err(SimError::TopologySize { have: 1, need: 4 }));
     }
@@ -536,7 +513,7 @@ mod tests {
                 self.fired.push(ctx.now());
             }
         }
-        let mut sim: Simulation<()> = Simulation::new(Topology::Complete, LinkModel::instant());
+        let mut sim: Simulation<()> = Simulation::new(Topology::Complete, INSTANT);
         let id = sim.add_node(Box::new(TimerNode { fired: vec![] }));
         sim.run().unwrap();
         let node: &mut TimerNode = sim.node_as(id).expect("concrete type");
@@ -545,10 +522,12 @@ mod tests {
 
     #[test]
     fn link_delay_advances_clock() {
-        struct Once;
+        struct Once {
+            sender: bool,
+        }
         impl Node<u32> for Once {
             fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
-                if ctx.self_id() == NodeId(0) {
+                if self.sender {
                     ctx.send(NodeId(1), 0, 1000);
                 }
             }
@@ -558,36 +537,10 @@ mod tests {
         }
         let link = LinkModel { latency_us: 100, bandwidth_bps: 1_000_000 };
         let mut sim: Simulation<u32> = Simulation::new(Topology::star(1), link);
-        sim.add_node(Box::new(Once));
-        sim.add_node(Box::new(Once));
+        sim.add_node(Box::new(Once { sender: true }));
+        sim.add_node(Box::new(Once { sender: false }));
         sim.run().unwrap();
         assert_eq!(sim.now(), 1100);
-    }
-
-    #[test]
-    fn halt_stops_immediately() {
-        struct Halter {
-            handled: u32,
-        }
-        impl Node<()> for Halter {
-            fn on_start(&mut self, ctx: &mut Context<'_, ()>) {
-                for i in 0..10 {
-                    ctx.set_timer(i * 10, i);
-                }
-            }
-            fn on_message(&mut self, _: &mut Context<'_, ()>, _: NodeId, _: ()) {}
-            fn on_timer(&mut self, ctx: &mut Context<'_, ()>, tag: u64) {
-                self.handled += 1;
-                if tag == 2 {
-                    ctx.halt();
-                }
-            }
-        }
-        let mut sim: Simulation<()> = Simulation::new(Topology::Complete, LinkModel::instant());
-        let id = sim.add_node(Box::new(Halter { handled: 0 }));
-        sim.run().unwrap();
-        let node: &mut Halter = sim.node_as(id).expect("concrete type");
-        assert_eq!(node.handled, 3);
     }
 
     #[test]
@@ -602,31 +555,10 @@ mod tests {
                 ctx.set_timer(1_000, 0); // forever
             }
         }
-        let mut sim: Simulation<()> = Simulation::new(Topology::Complete, LinkModel::instant());
+        let mut sim: Simulation<()> = Simulation::new(Topology::Complete, INSTANT);
         sim.add_node(Box::new(Periodic));
         sim.run_until(100_000).unwrap();
         assert!(sim.now() <= 100_000);
-    }
-
-    #[test]
-    fn trace_records_sends_when_enabled() {
-        let mut sim: Simulation<u32> = Simulation::new(Topology::star(1), LinkModel::instant());
-        sim.add_node(Box::new(Kicker));
-        sim.add_node(Box::new(Echoer { remaining: 100, received: 0 }));
-        sim.enable_trace();
-        sim.run().unwrap();
-        let trace = sim.trace().expect("trace enabled");
-        assert_eq!(trace.len() as u64, sim.stats().total_messages());
-        assert!(trace.is_monotone());
-        // Ping-pong alternates links.
-        assert_eq!(trace.on_link(NodeId(0), NodeId(1)).len(), 6);
-        assert_eq!(trace.on_link(NodeId(1), NodeId(0)).len(), 6);
-    }
-
-    #[test]
-    fn trace_disabled_by_default() {
-        let sim: Simulation<u32> = Simulation::new(Topology::Complete, LinkModel::instant());
-        assert!(sim.trace().is_none());
     }
 
     #[test]
@@ -638,7 +570,7 @@ mod tests {
             }
             fn on_message(&mut self, _: &mut Context<'_, ()>, _: NodeId, _: ()) {}
         }
-        let mut sim: Simulation<()> = Simulation::new(Topology::Complete, LinkModel::instant());
+        let mut sim: Simulation<()> = Simulation::new(Topology::Complete, INSTANT);
         sim.add_node(Box::new(Wild));
         assert_eq!(sim.run(), Err(SimError::UnknownNode(NodeId(42))));
     }
@@ -676,7 +608,7 @@ mod tests {
     }
 
     fn lossy_run(plan: FaultPlan) -> (u32, FaultStats) {
-        let mut sim: Simulation<u32> = Simulation::new(Topology::star(1), LinkModel::instant());
+        let mut sim: Simulation<u32> = Simulation::new(Topology::star(1), INSTANT);
         sim.add_node(Box::new(Blaster { count: 200 }));
         let hub = sim.add_node(Box::new(Sink { received: 0 }));
         sim.set_fault_plan(plan);
@@ -751,7 +683,7 @@ mod tests {
             reorder_max_delay_us: 500,
             ..Default::default()
         });
-        let mut sim: Simulation<u32> = Simulation::new(Topology::star(1), LinkModel::instant());
+        let mut sim: Simulation<u32> = Simulation::new(Topology::star(1), INSTANT);
         sim.add_node(Box::new(Burst));
         let hub = sim.add_node(Box::new(OrderSink { seen: vec![] }));
         sim.set_fault_plan(plan);
@@ -790,7 +722,7 @@ mod tests {
             }
         }
         let plan = FaultPlan::seeded(0).with_outage(NodeId(0), 10_500, 20_500);
-        let mut sim: Simulation<u32> = Simulation::new(Topology::Complete, LinkModel::instant());
+        let mut sim: Simulation<u32> = Simulation::new(Topology::Complete, INSTANT);
         let id = sim.add_node(Box::new(Phoenix { ticks: 0, crashes_seen: 0, restarts_seen: 0 }));
         sim.set_fault_plan(plan);
         sim.run_until(30_000).unwrap();
@@ -817,7 +749,7 @@ mod tests {
     #[test]
     fn bad_outage_rejected() {
         let plan = FaultPlan::seeded(0).with_outage(NodeId(0), 100, 100);
-        let mut sim: Simulation<u32> = Simulation::new(Topology::Complete, LinkModel::instant());
+        let mut sim: Simulation<u32> = Simulation::new(Topology::Complete, INSTANT);
         sim.add_node(Box::new(Blaster { count: 0 }));
         sim.set_fault_plan(plan);
         assert_eq!(sim.run(), Err(SimError::BadOutage { node: NodeId(0) }));
@@ -826,7 +758,7 @@ mod tests {
     #[test]
     fn outage_for_unknown_node_rejected() {
         let plan = FaultPlan::seeded(0).with_outage(NodeId(9), 100, 200);
-        let mut sim: Simulation<u32> = Simulation::new(Topology::Complete, LinkModel::instant());
+        let mut sim: Simulation<u32> = Simulation::new(Topology::Complete, INSTANT);
         sim.add_node(Box::new(Blaster { count: 0 }));
         sim.set_fault_plan(plan);
         assert_eq!(sim.run(), Err(SimError::UnknownNode(NodeId(9))));

@@ -68,14 +68,8 @@ impl CommStats {
             .collect()
     }
 
-    /// Bytes sent *by* a node over all links.
-    pub fn bytes_from(&self, node: NodeId) -> u64 {
-        self.per_link.iter().filter(|((f, _), _)| *f == node).map(|(_, l)| l.bytes).sum()
-    }
-
-    /// Bytes received *by* a node over all links — the counterpart of
-    /// [`CommStats::bytes_from`] (in a star this is the coordinator's
-    /// ingress load).
+    /// Bytes received *by* a node over all links (in a star this is the
+    /// coordinator's ingress load).
     pub fn bytes_to(&self, node: NodeId) -> u64 {
         self.per_link.iter().filter(|((_, t), _)| *t == node).map(|(_, l)| l.bytes).sum()
     }
@@ -111,17 +105,6 @@ mod tests {
     }
 
     #[test]
-    fn per_link_breakdown() {
-        let mut s = CommStats::new();
-        s.record(0, NodeId(0), NodeId(2), 5);
-        s.record(0, NodeId(1), NodeId(2), 7);
-        s.record(0, NodeId(0), NodeId(2), 3);
-        assert_eq!(s.bytes_from(NodeId(0)), 8);
-        assert_eq!(s.bytes_from(NodeId(1)), 7);
-        assert_eq!(s.bytes_from(NodeId(2)), 0);
-    }
-
-    #[test]
     fn ingress_mirrors_egress() {
         let mut s = CommStats::new();
         s.record(0, NodeId(0), NodeId(2), 5);
@@ -131,7 +114,6 @@ mod tests {
         assert_eq!(s.bytes_to(NodeId(2)), 12);
         assert_eq!(s.bytes_to(NodeId(0)), 11);
         assert_eq!(s.bytes_to(NodeId(1)), 0);
-        assert_eq!(s.bytes_from(NodeId(0)) + s.bytes_from(NodeId(1)), s.bytes_to(NodeId(2)));
     }
 
     #[test]

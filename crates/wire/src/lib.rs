@@ -1,3 +1,5 @@
+#![warn(unreachable_pub)]
+
 //! Little-endian byte buffers for the CluDistream wire formats.
 //!
 //! The communication-cost experiments (paper Sec. 5.3, Figs. 2 and 7)
@@ -130,16 +132,6 @@ impl ByteBuf {
         self.data.extend_from_slice(bytes);
     }
 
-    /// Number of bytes written.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// The contents as a slice.
     pub fn as_slice(&self) -> &[u8] {
         &self.data
@@ -225,7 +217,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.data.len()
     }
 
@@ -391,7 +383,8 @@ pub mod framing {
     /// not yet earned the full cap can be held to a small one.
     #[derive(Debug)]
     pub struct FrameReader {
-        buf: Vec<u8>,
+        /// Bytes buffered while waiting for the rest of a frame.
+        pub(crate) buf: Vec<u8>,
         limit: usize,
     }
 
@@ -425,11 +418,6 @@ pub mod framing {
         /// than [`MAX_FRAME_BYTES`]).
         pub fn set_limit(&mut self, limit: usize) {
             self.limit = limit.min(MAX_FRAME_BYTES);
-        }
-
-        /// Bytes buffered while waiting for the rest of a frame.
-        pub fn buffered(&self) -> usize {
-            self.buf.len()
         }
 
         /// Reads whatever the stream currently has and returns every
@@ -690,7 +678,7 @@ mod tests {
             let polled = reader.poll(&mut src).expect("poll");
             assert!(!polled.eof);
             assert_eq!(polled.frames, vec![b"alpha".to_vec(), Vec::new(), b"gamma-synopsis".to_vec()]);
-            assert_eq!(reader.buffered(), 0);
+            assert_eq!(reader.buf.len(), 0);
         }
 
         #[test]
@@ -704,7 +692,7 @@ mod tests {
                 collected.extend(reader.poll(&mut src).expect("poll").frames);
             }
             assert_eq!(collected, vec![vec![1, 2, 3], vec![0xFF; 300]]);
-            assert_eq!(reader.buffered(), 0);
+            assert_eq!(reader.buf.len(), 0);
         }
 
         #[test]
@@ -714,7 +702,7 @@ mod tests {
             let mut head = Chunked { data: wire[..2].to_vec(), pos: 0, chunk: 2 };
             let polled = reader.poll(&mut head).expect("poll");
             assert!(polled.frames.is_empty());
-            assert_eq!(reader.buffered(), 2);
+            assert_eq!(reader.buf.len(), 2);
             let mut tail = Chunked { data: wire[2..].to_vec(), pos: 0, chunk: 64 };
             let polled = reader.poll(&mut tail).expect("poll");
             assert_eq!(polled.frames, vec![b"payload".to_vec()]);

@@ -2,7 +2,8 @@
 # Non-test source lines and public items per crate — the numbers ROADMAP's
 # size and surface gates quote: for each crates/<c>/src/**/*.rs, the lines
 # before the first `#[cfg(test)]`, and how many of them declare a `pub`
-# item (`pub fn`, `pub struct`, `pub use`, …; not `pub(crate)`, not fields).
+# item (`pub fn`, `pub struct`, `pub use`, …; not `pub(crate)`, not fields),
+# then a `total` row over the crates listed.
 # Last, the settable values: the CLI flags, summed over the subcommands of
 # `flag_table` in crates/cli/src/lib.rs.
 # usage: scripts/loc.sh [crate ...]   (default: every crate)
@@ -15,5 +16,5 @@ for c in "$@"; do
         'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } !skip { n++ }
          !skip && /^[[:space:]]*pub (fn|struct|enum|trait|type|const|static|mod|use)[[:space:]]/ { p++ }
          END { printf "%-10s %6d %5d\n", c, n, p }' {} +
-done
+done | awk '{ print; n += $2; p += $3 } END { printf "%-10s %6d %5d\n", "total", n, p }'
 printf 'cli flags %d\n' "$(awk '/^fn flag_table/, /^}/' crates/cli/src/lib.rs | grep -o '"--[a-z-]*"' | wc -l)"

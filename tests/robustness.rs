@@ -7,7 +7,7 @@ use cludistream_suite::cludistream::{
 };
 use cludistream_suite::datagen::{impute_missing, MissingValueInjector, NoiseInjector};
 use cludistream_suite::gmm::metrics::{nmi, purity};
-use cludistream_suite::gmm::{ChunkParams, Gaussian, Mixture};
+use cludistream_suite::gmm::{ChunkParams, Gaussian, GmmError, Mixture};
 use cludistream_suite::linalg::Vector;
 use cludistream_rng::{check, Rng, StdRng};
 
@@ -56,6 +56,66 @@ fn noisy_incomplete_stream_still_learns_the_model() {
     }
     // And the stream must not have fragmented into many models.
     assert!(site.models().len() <= 2, "noise fragmented the model list");
+}
+
+/// Every parameter of `mixture` is a finite number.
+fn is_finite(mixture: &Mixture) -> bool {
+    mixture.weights().iter().all(|w| w.is_finite())
+        && mixture.components().iter().all(|g| g.mean().is_finite() && g.cov().is_finite())
+}
+
+#[test]
+fn hostile_data_at_a_site_ends_in_a_finite_model_or_a_typed_error() {
+    // Each case replaces one of four clean chunks with hostile data: chunk
+    // 0 is clustered with EM, a later chunk is first tested against the
+    // model. `Some(name)` is the parameter the typed error names.
+    type Corrupt = fn(&mut [Vector]);
+    let cases: [(&str, usize, Corrupt, Option<&str>); 5] = [
+        ("a NaN record", 0, |c| c[5] = Vector::from_slice(&[f64::NAN, 0.0]), Some("data")),
+        ("a +inf record", 1, |c| c[5] = Vector::from_slice(&[f64::INFINITY, 0.0]), Some("data")),
+        ("identical records", 1, |c| c.fill(Vector::from_slice(&[1.0, 1.0])), None),
+        ("collinear records", 1, |c| c.iter_mut().for_each(|x| x[1] = 2.0 * x[0]), None),
+        ("records at 1e300", 1, |c| c.iter_mut().for_each(|x| x.scale(1e300)), Some("mean/cov")),
+    ];
+    for (what, hostile, corrupt, error) in cases {
+        let mut site = RemoteSite::new(Config {
+            chunk: ChunkParams { epsilon: 0.2, delta: 0.05 },
+            ..small_config()
+        })
+        .unwrap();
+        let m = site.chunk_size();
+        assert_eq!(m, 47);
+        let truth = two_blob_mixture();
+        let mut rng = StdRng::seed_from_u64(29);
+        for chunk in 0..4 {
+            let mut records: Vec<Vector> = (0..m).map(|_| truth.sample(&mut rng)).collect();
+            if chunk == hostile {
+                corrupt(&mut records);
+            }
+            let last = records.pop().unwrap();
+            for x in records {
+                assert!(site.push(x).unwrap().is_none(), "{what}: chunk {chunk} ended early");
+            }
+            let models_before = site.models().len();
+            let outcome = site.push(last);
+            match (chunk == hostile, error) {
+                (true, Some(name)) => {
+                    let named = match &outcome {
+                        Err(GmmError::InvalidParameter { name: n, .. }) => *n == name,
+                        _ => false,
+                    };
+                    assert!(named, "{what}: chunk {chunk} gave {outcome:?}, not invalid `{name}`");
+                    assert_eq!(site.models().len(), models_before, "{what}: a model was added");
+                }
+                _ => assert!(outcome.unwrap().is_some(), "{what}: chunk {chunk} not processed"),
+            }
+            if let Some(model) = site.current_mixture() {
+                assert!(is_finite(model), "{what}: non-finite model after chunk {chunk}");
+            }
+        }
+        let end = site.current_mixture();
+        assert!(end.is_some_and(is_finite), "{what}: no finite model at the end");
+    }
 }
 
 #[test]
