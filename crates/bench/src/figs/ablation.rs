@@ -16,7 +16,7 @@ use cludistream::{horizon_mixture, Coordinator, CoordinatorConfig, Message, Remo
 use cludistream_gmm::{fit_em, CovarianceType, EmConfig};
 
 /// Runs every ablation.
-pub fn run(scale: Scale) {
+pub(crate) fn run(scale: Scale) {
     multitest(scale);
     merge_refinement(scale);
     covariance(scale);

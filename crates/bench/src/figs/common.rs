@@ -7,7 +7,7 @@ use std::collections::VecDeque;
 
 /// The paper's default remote-site configuration (Sec. 6): δ=0.01, ε=0.02,
 /// d=4, K=5, c_max=4.
-pub fn paper_config() -> Config {
+pub(crate) fn paper_config() -> Config {
     Config {
         dim: 4,
         k: 5,
@@ -20,7 +20,7 @@ pub fn paper_config() -> Config {
 
 /// Paper configuration adjusted to another dimensionality (NFD-like d=6,
 /// or the d sweeps).
-pub fn paper_config_dim(dim: usize) -> Config {
+pub(crate) fn paper_config_dim(dim: usize) -> Config {
     Config { dim, ..paper_config() }
 }
 
@@ -66,7 +66,7 @@ impl RollingWindow {
 /// Average log likelihood of `data` under an optional model; `NaN` when
 /// there is no model or no data (renders as a gap rather than skewing the
 /// series).
-pub fn quality(model: Option<&Mixture>, data: &[Vector]) -> f64 {
+pub(crate) fn quality(model: Option<&Mixture>, data: &[Vector]) -> f64 {
     match model {
         Some(m) if !data.is_empty() => m.avg_log_likelihood(data),
         _ => f64::NAN,
@@ -76,7 +76,7 @@ pub fn quality(model: Option<&Mixture>, data: &[Vector]) -> f64 {
 /// A stream cycling deterministically through `n_regimes` random mixtures,
 /// `records_per_regime` records at a time — the workload where the
 /// multi-test strategy shines (alternating distributions, Sec. 5.1.2).
-pub fn cycling_stream(
+pub(crate) fn cycling_stream(
     dim: usize,
     k: usize,
     n_regimes: usize,
@@ -100,7 +100,7 @@ pub fn cycling_stream(
 /// at deterministic positions: every regime has the same clustering
 /// difficulty, so scalability sweeps (Fig. 9) measure per-operation cost
 /// rather than EM convergence luck.
-pub fn separated_cycling_stream(
+pub(crate) fn separated_cycling_stream(
     dim: usize,
     k: usize,
     n_regimes: usize,

@@ -38,7 +38,7 @@ fn one_dataset(id: &str, title: &str, data: &[Vector], seed: u64) {
 }
 
 /// Runs the Fig. 1 experiment.
-pub fn run(scale: Scale) {
+pub(crate) fn run(scale: Scale) {
     let n = scale.updates(4000);
 
     // (a) NFD-like.

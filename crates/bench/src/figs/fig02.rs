@@ -52,7 +52,7 @@ fn periodic_run(streams: Vec<RecordStream>, updates: u64) -> Series {
 }
 
 /// Runs the Fig. 2 experiment.
-pub fn run(scale: Scale) {
+pub(crate) fn run(scale: Scale) {
     let updates = scale.updates(6000) as u64; // per site
 
     // (a) NFD-like.

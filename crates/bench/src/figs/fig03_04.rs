@@ -37,7 +37,7 @@ fn histogram_series(name: &str, window: &[Vector]) -> Series {
 }
 
 /// Runs the Fig. 3 experiment: data histograms at three time points.
-pub fn run_fig3(_scale: Scale) {
+pub(crate) fn run_fig3(_scale: Scale) {
     let mut stream = one_d_stream(31);
     let mut series = Vec::new();
     for t in 1..=3 {
@@ -49,7 +49,7 @@ pub fn run_fig3(_scale: Scale) {
 
 /// Runs the Fig. 4 experiment: CluDistream fitted densities at the same
 /// time points, plus the 5% noise variant.
-pub fn run_fig4(_scale: Scale) {
+pub(crate) fn run_fig4(_scale: Scale) {
     let config = Config {
         dim: 1,
         k: 3,

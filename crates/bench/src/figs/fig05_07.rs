@@ -21,7 +21,7 @@ use cludistream_rng::StdRng;
 const HORIZON: usize = 2000;
 
 /// Runs the Fig. 5 experiment: horizon quality over time.
-pub fn run_fig5(scale: Scale) {
+pub(crate) fn run_fig5(scale: Scale) {
     let checkpoints = scale.updates(20);
     let config = paper_config();
     let mut site = RemoteSite::new(config.clone()).expect("valid config");
@@ -50,7 +50,7 @@ pub fn run_fig5(scale: Scale) {
 }
 
 /// Runs the Fig. 6 experiment: landmark-window quality over time.
-pub fn run_fig6(scale: Scale) {
+pub(crate) fn run_fig6(scale: Scale) {
     let checkpoints = scale.updates(20);
     let config = paper_config();
     let mut site = RemoteSite::new(config.clone()).expect("valid config");
@@ -95,7 +95,7 @@ pub fn run_fig6(scale: Scale) {
 }
 
 /// Runs the Fig. 7 experiment: coordinator quality vs centralized SEM.
-pub fn run_fig7(scale: Scale) {
+pub(crate) fn run_fig7(scale: Scale) {
     // (a) NFD-like.
     let norm = workloads::nfd_like_normalizer(71);
     let nfd_streams: Vec<Box<dyn Iterator<Item = Vector> + Send>> =

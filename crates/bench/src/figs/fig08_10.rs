@@ -36,7 +36,7 @@ fn sem_time(k: usize, records: Vec<Vector>) -> f64 {
 }
 
 /// Runs the Fig. 8 experiment: time vs number of updates.
-pub fn run_fig8(scale: Scale) {
+pub(crate) fn run_fig8(scale: Scale) {
     let steps: Vec<usize> = (1..=5).map(|i| scale.updates(10_000) * i).collect();
 
     type Maker = Box<dyn Fn(usize) -> Vec<Vector>>;
@@ -90,7 +90,7 @@ pub fn run_fig8(scale: Scale) {
 /// can reuse), so every run performs the same *number* of EM clusterings
 /// and the measured scaling isolates the per-operation cost, as the
 /// paper's linear-scaling claim intends.
-pub fn run_fig9(scale: Scale) {
+pub(crate) fn run_fig9(scale: Scale) {
     use crate::figs::common::separated_cycling_stream;
     let updates = scale.updates(30_000);
 
@@ -146,7 +146,7 @@ pub fn run_fig9(scale: Scale) {
 }
 
 /// Runs the Fig. 10 experiment: memory usage.
-pub fn run_fig10(scale: Scale) {
+pub(crate) fn run_fig10(scale: Scale) {
     // (a) memory vs updates on both workloads: checkpoints along one run.
     let checkpoints: Vec<usize> = (1..=5).map(|i| scale.updates(10_000) * i).collect();
     let mut series = Vec::new();

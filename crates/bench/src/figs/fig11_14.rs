@@ -62,7 +62,7 @@ fn sensitivity_run(
 }
 
 /// Runs the Fig. 11 experiment: ε sensitivity.
-pub fn run_fig11(scale: Scale) {
+pub(crate) fn run_fig11(scale: Scale) {
     let updates = scale.updates(30_000);
     let mut q_clu = Series::new("CluDistream quality");
     let mut q_sem = Series::new("SEM quality");
@@ -80,7 +80,7 @@ pub fn run_fig11(scale: Scale) {
 }
 
 /// Runs the Fig. 12 experiment: δ sensitivity.
-pub fn run_fig12(scale: Scale) {
+pub(crate) fn run_fig12(scale: Scale) {
     let updates = scale.updates(30_000);
     let mut q_clu = Series::new("CluDistream quality");
     let mut q_sem = Series::new("SEM quality");
@@ -99,7 +99,7 @@ pub fn run_fig12(scale: Scale) {
 
 /// Runs the Fig. 13 experiment: c_max sensitivity on an alternating
 /// (cycling-regime) stream where the multi-test strategy matters.
-pub fn run_fig13(scale: Scale) {
+pub(crate) fn run_fig13(scale: Scale) {
     let updates = scale.updates(40_000);
     let mut time = Series::new("CluDistream time (s)");
     let mut em_runs = Series::new("EM clusterings");
@@ -131,7 +131,7 @@ pub fn run_fig13(scale: Scale) {
 }
 
 /// Runs the Fig. 14 experiment: time vs the new-distribution probability.
-pub fn run_fig14(scale: Scale) {
+pub(crate) fn run_fig14(scale: Scale) {
     let updates = scale.updates(30_000);
     let mut time = Series::new("CluDistream time (s)");
     let mut em_runs = Series::new("EM clusterings");

@@ -8,8 +8,8 @@
 //! a scenario or goes.
 //!
 //! Scenarios:
-//! - the `metrics`, `faults` (duplication raised so a duplicate happens)
-//!   and `trace --faults` workloads, in process through [`run`];
+//! - `simulate` plain, with `--faults` (duplication raised so a duplicate
+//!   happens) and with `--faults --trace-out`, in process through [`run`];
 //! - a loopback socket round with fleet telemetry, tracing, the quality
 //!   plane, snapshots and the default alert rules, scraped with `status`
 //!   and `health`; its sites return to an old regime after six new ones
@@ -95,20 +95,19 @@ const WORKLOAD: MetricsWorkload =
     MetricsWorkload { sites: 2, chunks: 2, seed: 7, epsilon: 0.15 };
 
 fn workloads(seen: &mut Seen) {
-    let metrics = cli(Command::Metrics { workload: WORKLOAD, journal: None, reliable: false });
-    collect_table(seen, &metrics);
-    let faults = cli(Command::Faults {
+    let simulate = |faults, trace_out| Command::Simulate {
         workload: WORKLOAD,
-        drop: 0.1,
-        duplicate: 0.5,
-        reorder: 0.25,
+        reliable: false,
+        faults,
         journal: None,
-    });
-    collect_table(seen, &faults);
+        trace_out,
+    };
+    collect_table(seen, &cli(simulate(None, None)));
+    collect_table(seen, &cli(simulate(Some((0.1, 0.5, 0.25)), None)));
     let file = format!("cludistream_closure_{}.json", std::process::id());
     let path = std::env::temp_dir().join(file);
     let out = Some(path.to_string_lossy().into_owned());
-    cli(Command::Trace { workload: WORKLOAD, faults: true, out });
+    cli(simulate(Some((0.1, 0.05, 0.25)), out));
     let json = std::fs::read_to_string(&path).expect("trace written");
     let _ = std::fs::remove_file(&path);
     for event in json.split("{\"name\":\"").skip(1) {

@@ -6,7 +6,7 @@
 //! This is the ISSUE acceptance check in test form: the socket runtime
 //! must reach the same merge/split decisions (`coordinator groups:`) and
 //! emit the identical protocol event stream — chunk tests,
-//! re-clusterings, synopsis byte counts — as `metrics --reliable`. Only
+//! re-clusterings, synopsis byte counts — as `simulate --reliable`. Only
 //! timestamps may differ (simulated vs. wall clock).
 
 use cludistream_cli::{run, Command, MetricsWorkload};
@@ -113,10 +113,12 @@ fn three_site_loopback_round_matches_the_simulator() {
     let sim_journal = dir.join("sim.jsonl");
     let mut sim_out = Vec::new();
     run(
-        Command::Metrics {
+        Command::Simulate {
             workload: MetricsWorkload { sites: SITES, chunks: 2, seed: 7, epsilon: 0.15 },
-            journal: Some(sim_journal.to_string_lossy().into_owned()),
             reliable: true,
+            faults: None,
+            journal: Some(sim_journal.to_string_lossy().into_owned()),
+            trace_out: None,
         },
         &mut sim_out,
     )
@@ -141,11 +143,13 @@ fn three_site_loopback_round_matches_the_simulator() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The `coordinator groups:` line of `metrics --reliable` on `sites` sites.
+/// The `coordinator groups:` line of `simulate --reliable` on `sites` sites.
 fn simulated_groups(sites: usize) -> String {
     let mut out = Vec::new();
     let workload = MetricsWorkload { sites, chunks: 2, seed: 7, epsilon: 0.15 };
-    run(Command::Metrics { workload, journal: None, reliable: true }, &mut out)
+    let command =
+        Command::Simulate { workload, reliable: true, faults: None, journal: None, trace_out: None };
+    run(command, &mut out)
         .expect("simulator run succeeds");
     groups_line(&String::from_utf8(out).expect("utf-8")).to_string()
 }

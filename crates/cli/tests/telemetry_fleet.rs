@@ -39,7 +39,7 @@ const CHUNKS: usize = 2;
 const SEED: u64 = 7;
 const EPSILON: f64 = 0.15;
 
-/// The `cludistream metrics` two-regime workload for one site (mirrors
+/// The `cludistream simulate` two-regime workload for one site (mirrors
 /// the CLI's private stream builder: two blobs at ±3, shifted 0.3 per
 /// site, jumping to 40 ± 3 halfway through).
 fn two_regime_stream(site: usize, per_regime: usize) -> RecordStream {

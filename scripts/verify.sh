@@ -44,19 +44,19 @@ done 3< scripts/exact_counts.txt
 cargo test -q --offline --workspace
 cargo doc --no-deps -q --offline --workspace
 
-# Telemetry smoke test: the default `metrics` workload must produce an event
+# Telemetry smoke test: the default `simulate` workload must produce an event
 # journal byte-identical to the committed golden fixture (journal entries are
 # stamped with deterministic sim-time, never wall-clock).
 journal="$(mktemp /tmp/cludistream_verify_XXXXXX.jsonl)"
 trap 'rm -f "$journal"' EXIT
-./target/release/cludistream metrics --journal "$journal" >/dev/null
+./target/release/cludistream simulate --journal "$journal" >/dev/null
 diff -u crates/cli/tests/fixtures/metrics_journal.jsonl "$journal"
 
-# Fault smoke test: the default `faults` workload — random loss, duplication,
-# reordering, and one site crash/restart — must replay byte-identically
-# against its committed journal fixture (fault decisions come from a
-# dedicated seeded RNG stream).
-./target/release/cludistream faults --journal "$journal" >/dev/null
+# Fault smoke test: the default `simulate --faults` workload — random loss,
+# duplication, reordering, and one site crash/restart — must replay
+# byte-identically against its committed journal fixture (fault decisions
+# come from a dedicated seeded RNG stream).
+./target/release/cludistream simulate --faults --journal "$journal" >/dev/null
 diff -u crates/cli/tests/fixtures/faults_journal.jsonl "$journal"
 
 # Trace smoke test: the traced faults workload must export a Perfetto
@@ -65,13 +65,13 @@ diff -u crates/cli/tests/fixtures/faults_journal.jsonl "$journal"
 # compute costs — no wall clock anywhere).
 trace="$(mktemp /tmp/cludistream_verify_XXXXXX.json)"
 trap 'rm -f "$journal" "$trace"' EXIT
-./target/release/cludistream trace --faults --out "$trace" >/dev/null
+./target/release/cludistream simulate --faults --trace-out "$trace" >/dev/null
 diff -u crates/cli/tests/fixtures/trace_faults.json "$trace"
 
 # Socket smoke test: a real multi-process round — one coordinator and two
 # site processes on 127.0.0.1 ephemeral ports — must reach the same
 # merge/split decisions and emit the same per-site protocol events as the
-# simulator running the identical workload (`metrics --reliable`). Only
+# simulator running the identical workload (`simulate --reliable`). Only
 # the "t" timestamps differ: sim-time on one side, wall-clock on the
 # other, so both are stripped before the diff. Mid-round, the `status`
 # subcommand must scrape a parseable Prometheus exposition with the
@@ -135,7 +135,7 @@ fi
 ./target/release/cludistream site --connect "$addr" --site 1 \
     --journal "$smokedir/tcp_site1.jsonl" > "$smokedir/tcp_site1.out" &
 wait
-./target/release/cludistream metrics --reliable --journal "$smokedir/sim.jsonl" \
+./target/release/cludistream simulate --reliable --journal "$smokedir/sim.jsonl" \
     > "$smokedir/sim.out"
 grep '^coordinator groups:' "$smokedir/coord.out" > "$smokedir/coord_groups"
 grep '^coordinator groups:' "$smokedir/sim.out" > "$smokedir/sim_groups"
