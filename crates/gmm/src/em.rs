@@ -1,6 +1,7 @@
+use crate::batch::log_sum_exp_cols;
 use crate::likelihood::std_dev;
 use crate::{
-    kmeans, log_sum_exp, Batch, CovarianceType, Gaussian, GmmError, KMeansConfig, Mixture,
+    kmeans, Batch, CovarianceType, Gaussian, GmmError, KMeansConfig, Mixture,
     MixtureScratch, Result, SuffStats, BLOCK,
 };
 use cludistream_linalg::Vector;
@@ -329,16 +330,11 @@ fn score_block(
     norms: &mut [f64],
     scratch: &mut MixtureScratch,
 ) -> f64 {
-    let (k, count) = (mixture.k(), norms.len());
     mixture.weighted_log_density_into(rows, table, &mut scratch.density);
-    scratch.terms.resize(k, 0.0);
+    log_sum_exp_cols(table, norms, &mut scratch.sum);
     let mut ll = 0.0;
-    for (b, norm) in norms.iter_mut().enumerate() {
-        for j in 0..k {
-            scratch.terms[j] = table[j * count + b];
-        }
-        *norm = log_sum_exp(&scratch.terms);
-        ll += *norm;
+    for &norm in norms.iter() {
+        ll += norm;
     }
     ll
 }
@@ -439,7 +435,7 @@ fn initialize<R: Rng + ?Sized>(
 #[cfg(test)]
 mod reference {
     use super::*;
-    use crate::log_likelihood_std;
+    use crate::{log_likelihood_std, log_sum_exp};
     use cludistream_par::par_block_map;
 
     #[derive(Debug, Clone)]
@@ -536,16 +532,16 @@ mod reference {
         let rows = batch.rows(start, count);
         mixture.weighted_log_density_block(rows, count, scratch);
         let mut out = BlockStats::new(d, k, diagonal);
-        scratch.terms.resize(k, 0.0);
+        let mut terms = vec![0.0; k];
         for b in 0..count {
             for j in 0..k {
-                scratch.terms[j] = scratch.weighted[j * count + b];
+                terms[j] = scratch.weighted[j * count + b];
             }
-            let norm = log_sum_exp(&scratch.terms);
+            let norm = log_sum_exp(&terms);
             out.ll += norm;
             let x = &rows[b * d..(b + 1) * d];
             if norm.is_finite() {
-                for (j, &t) in scratch.terms.iter().enumerate() {
+                for (j, &t) in terms.iter().enumerate() {
                     let r = (t - norm).exp();
                     if r > 0.0 {
                         out.add(j, x, r);

@@ -200,48 +200,58 @@ impl Gaussian {
     /// `out[b] = ln p(x_b)`.
     ///
     /// Bit-identical to calling `log_pdf` per record — both paths perform
-    /// the same floating-point operations in the same order. The win is
-    /// mechanical: the diagonal fast path streams one flat buffer, and
-    /// the dense path makes a single pass over the Cholesky factor per
-    /// block (one `solve_lower_batch`) instead of one pass per record,
-    /// with the solve buffer reused via `scratch`.
+    /// the same floating-point operations in the same order. The records
+    /// are transposed into `scratch` and scored by the column kernel the
+    /// mixture kernels share.
     pub fn log_pdf_batch(&self, rows: &[f64], out: &mut [f64], scratch: &mut DensityScratch) {
-        let d = self.dim();
+        assert_eq!(rows.len(), out.len() * self.dim(), "log_pdf_batch: rows/out length mismatch");
+        let (cols, solve) = scratch.transpose(rows, out.len());
+        self.log_pdf_cols(cols, out, solve);
+    }
+
+    /// [`Self::log_pdf`] of a dimension-major block: `cols[i*count + b]`
+    /// is element `i` of record `b`, `out[b] = ln p(x_b)`, and `solve`
+    /// (`d × count`) is the dense path's workspace.
+    ///
+    /// Every loop runs record-innermost, so it vectorises, while each
+    /// record sees the scalar path's operations in the scalar path's
+    /// order: `Σ_i diff_i²·inv_i` (diagonal) or the forward solve of the
+    /// centred record and `Σ_i y_i²` (dense), both summed from `0.0` in
+    /// ascending `i`, then `log_norm − ½·acc`.
+    pub(crate) fn log_pdf_cols(&self, cols: &[f64], out: &mut [f64], solve: &mut [f64]) {
         let count = out.len();
-        assert_eq!(rows.len(), count * d, "log_pdf_batch: rows/out length mismatch");
+        if count == 0 {
+            return;
+        }
         let p = &*self.params;
         let mean = p.mean.as_slice();
+        out.fill(0.0);
         match &p.inv_diag {
             Some(inv) => {
-                for (x, o) in rows.chunks_exact(d).zip(out.iter_mut()) {
-                    let mut acc = 0.0;
-                    for i in 0..d {
-                        let diff = x[i] - mean[i];
-                        acc += diff * diff * inv[i];
+                for ((col, &m), &inv) in cols.chunks_exact(count).zip(mean).zip(inv) {
+                    for (o, &x) in out.iter_mut().zip(col) {
+                        let diff = x - m;
+                        *o += diff * diff * inv;
                     }
-                    *o = p.log_norm - 0.5 * acc;
                 }
             }
             None => {
-                // Dimension-major transpose of the centered records:
-                // buf[i*count + b] = x_b[i] - μ_i, then one forward solve
-                // across the whole block.
-                let buf = scratch.buf(d * count);
-                for (b, x) in rows.chunks_exact(d).enumerate() {
-                    for i in 0..d {
-                        buf[i * count + b] = x[i] - mean[i];
+                let centred = solve.chunks_exact_mut(count).zip(cols.chunks_exact(count));
+                for ((y, col), &m) in centred.zip(mean) {
+                    for (y, &x) in y.iter_mut().zip(col) {
+                        *y = x - m;
                     }
                 }
-                p.chol.solve_lower_batch(buf, count);
-                for (b, o) in out.iter_mut().enumerate() {
-                    let mut acc = 0.0;
-                    for i in 0..d {
-                        let y = buf[i * count + b];
-                        acc += y * y;
+                p.chol.solve_lower_batch(solve, count);
+                for y in solve.chunks_exact(count) {
+                    for (o, &y) in out.iter_mut().zip(y) {
+                        *o += y * y;
                     }
-                    *o = p.log_norm - 0.5 * acc;
                 }
             }
+        }
+        for o in out.iter_mut() {
+            *o = p.log_norm - 0.5 * *o;
         }
     }
 

@@ -18,7 +18,8 @@
 //! per-record loop for *any* thread count — the same contract the
 //! data-parallel E-step honours.
 
-use crate::{log_sum_exp, Batch, GmmError, Mixture, MixtureScratch, Result, BLOCK};
+use crate::batch::log_sum_exp_cols;
+use crate::{Batch, GmmError, Mixture, MixtureScratch, Result, BLOCK};
 use cludistream_linalg::Vector;
 use cludistream_par::{par_block_map, resolve_workers};
 
@@ -77,8 +78,8 @@ impl Scores {
 
 /// Scores one block of `count` row-major records, appending to the
 /// output columns. The per-record arithmetic mirrors the scalar
-/// posterior path exactly: gather `k` weighted log densities, one
-/// log-sum-exp, one subtract-exp per responsibility.
+/// posterior path exactly: the block's weighted log-density table, one
+/// log-sum-exp per column of it, one subtract-exp per responsibility.
 fn score_block(
     mixture: &Mixture,
     rows: &[f64],
@@ -90,28 +91,25 @@ fn score_block(
 ) {
     let k = mixture.k();
     mixture.weighted_log_density_block(rows, count, scratch);
-    scratch.terms.resize(k, 0.0);
-    for b in 0..count {
-        for j in 0..k {
-            scratch.terms[j] = scratch.weighted[j * count + b];
-        }
-        let norm = log_sum_exp(&scratch.terms);
+    let table = &scratch.weighted[..k * count];
+    let start = log_pdf.len();
+    log_pdf.resize(start + count, 0.0);
+    log_sum_exp_cols(table, &mut log_pdf[start..], &mut scratch.sum);
+    for (b, &norm) in log_pdf[start..].iter().enumerate() {
+        let terms = table.iter().skip(b).step_by(count);
         // Last-maximum tie-breaking, exactly like Mixture::map_component's
         // max_by over the same terms.
         let mut label = 0u32;
         let mut best = f64::NEG_INFINITY;
-        for (j, &t) in scratch.terms.iter().enumerate() {
+        for (j, &t) in terms.clone().enumerate() {
             if t >= best {
                 best = t;
                 label = j as u32;
             }
         }
         labels.push(label);
-        log_pdf.push(norm);
         if norm.is_finite() {
-            for &t in scratch.terms.iter() {
-                responsibilities.push((t - norm).exp());
-            }
+            responsibilities.extend(terms.map(|&t| (t - norm).exp()));
         } else {
             // All densities underflowed: uniform fallback, matching
             // Mixture::posteriors.
@@ -214,14 +212,24 @@ mod tests {
 
     #[test]
     fn batched_scores_bit_identical_to_scalar_loop() {
-        let m = dense_mixture(4);
+        // Dense, diagonal and spherical components; several blocks with a
+        // ragged tail; every ninth record at ±1e200, where every density
+        // is -inf and the responsibilities take the uniform fallback.
+        let mut components = dense_mixture(4).components().to_vec();
+        let diagonal = Gaussian::diagonal(Vector::filled(4, -2.0), &[0.5, 1.0, 2.0, 4.0]);
+        components.push(diagonal.unwrap());
+        let m = Mixture::new(components, vec![0.5, 0.2, 0.3]).unwrap();
         let mut rng = StdRng::seed_from_u64(71);
-        // Spans several blocks with a ragged tail.
-        let recs = random_records(&mut rng, 2 * BLOCK + 31, 4);
+        let mut recs = random_records(&mut rng, 2 * BLOCK + 17, 4);
+        for x in recs.iter_mut().step_by(9) {
+            for v in x.as_mut_slice() {
+                *v = if rng.gen_bool(0.5) { 1e200 } else { -1e200 };
+            }
+        }
         let batch = Batch::from_records(&recs);
         let scores = score(&m, &batch, 1).unwrap();
         assert_eq!(scores.len(), recs.len());
-        assert_eq!(scores.k(), 2);
+        assert_eq!(scores.k(), 3);
         for (i, x) in recs.iter().enumerate() {
             let (label, lp, resp) = score_record(&m, x);
             assert_eq!(scores.labels()[i] as usize, label, "record {i}");
@@ -230,6 +238,8 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "record {i}");
             }
         }
+        assert_eq!(scores.log_pdf()[0], f64::NEG_INFINITY);
+        assert_eq!(scores.responsibilities(0), [1.0 / 3.0; 3]);
     }
 
     #[test]

@@ -42,6 +42,9 @@ while read -r -a row <&3; do
 done 3< scripts/exact_counts.txt
 
 cargo test -q --offline --workspace
+# The gmm block kernels' loops vectorise only under optimisation, so their
+# bit-identity tests run once more in release.
+cargo test --release -q --offline -p cludistream-gmm
 cargo doc --no-deps -q --offline --workspace
 
 # Telemetry smoke test: the default `simulate` workload must produce an event
