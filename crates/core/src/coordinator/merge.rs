@@ -96,7 +96,8 @@ pub(crate) struct MergeScratch {
     q: Vec<f64>,
     /// The candidate's log-densities, overwritten by every evaluation.
     logp: Vec<f64>,
-    /// Solve buffer of [`Gaussian::log_pdf_batch`]'s dense path.
+    /// Workspace of [`Gaussian::log_pdf_batch`]: the points' transpose and
+    /// the dense path's solve buffer.
     density: DensityScratch,
     /// Packed simplex start parameters.
     params: Vec<f64>,
