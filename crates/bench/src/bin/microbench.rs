@@ -22,7 +22,7 @@ use cludistream::coordinator::{j_merge, m_merge, MergeRefiner};
 use cludistream::{Config, RemoteSite};
 use cludistream_bench::{timing::best_of, workloads};
 use cludistream_datagen::random_spd_matrix;
-use cludistream_gmm::{fit_em, ChunkParams, EmConfig, Mixture};
+use cludistream_gmm::{fit_em, kmeans, ChunkParams, EmConfig, KMeansConfig, Mixture};
 use cludistream_linalg::{Cholesky, Vector};
 use cludistream_obs::{json_f64, Obs, QualityConfig, Registry};
 use cludistream_rng::StdRng;
@@ -87,7 +87,8 @@ impl Sink {
 }
 
 /// EM iteration cost vs dimensionality, component count, and chunk size —
-/// the microbenchmark behind the Figs. 8-9 scalability claims.
+/// the microbenchmark behind the Figs. 8-9 scalability claims — and the
+/// k-means initialization, a layer the benchmark does not time.
 fn bench_em(sink: &mut Sink) {
     for d in [2usize, 4, 8, 16] {
         let mut stream = workloads::synthetic_boxed(d, 5, 0.0, 1);
@@ -116,6 +117,14 @@ fn bench_em(sink: &mut Sink) {
         });
         sink.report("em", "n", &n.to_string(), t);
     }
+    // EM's initialization on its own: k-means++ and ten Lloyd iterations
+    // over one paper-sized chunk (M = 1 567, d = 4, K = 5).
+    let mut stream = workloads::synthetic_boxed(4, 5, 0.0, 7);
+    let data = workloads::collect(&mut *stream, 1567);
+    let t = best_of(RUNS, || {
+        kmeans(&data, &KMeansConfig { k: 5, max_iters: 10, seed: 8 }).expect("k-means fits")
+    });
+    sink.report("em", "kmeans_init", "", t);
 }
 
 /// Coordinator merge machinery: `M_merge`, `J_merge` (for contrast — it

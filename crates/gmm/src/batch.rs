@@ -6,7 +6,10 @@
 //! record; the kernels here instead flatten a chunk into one contiguous
 //! row-major buffer ([`Batch`]) and score [`BLOCK`]-sized row blocks at a
 //! time against all components, reusing caller-owned scratch buffers
-//! ([`MixtureScratch`]) across blocks and iterations.
+//! ([`MixtureScratch`]) across blocks and iterations. The EM fit goes one
+//! step further: it transposes its chunk once, block by block, into
+//! [`Columns`], and k-means, the initial moments and both E-step passes
+//! all read those columns.
 //!
 //! # Bit-identity contract
 //!
@@ -33,8 +36,11 @@
 //! kept table, then accumulate from that table) and a pass whose output
 //! nobody reads may be skipped, but arithmetic may not move — every
 //! value is still produced by the same operations on the same operands,
-//! summed component by component inside a record, record by record
-//! inside a [`BLOCK`], block by block across the chunk. And a pass may
+//! and every sum adds its terms in the same order: record by record
+//! inside a [`BLOCK`], block by block across the chunk, and, for a
+//! per-record sum over components, component by component. Sums that
+//! share no element, such as two components' statistics, may run in
+//! either order or side by side. And a pass may
 //! stop once its consumer's decision is fixed:
 //! [`Mixture::avg_log_likelihood_unless_below`] gives up on an average
 //! that the mixture's density ceiling proves is below the caller's floor,
@@ -106,6 +112,67 @@ impl Batch {
     }
 }
 
+/// A dimension-major copy of a record slice, [`BLOCK`] by block: block
+/// `k` holds records `k·BLOCK ..` (`count` of them, fewer in the last
+/// block) as `d` columns of `count` values, element `i` of the block's
+/// record `b` at `i*count + b` — the layout a transposed block has.
+///
+/// The EM fit builds one per chunk and every pass of the fit reads it:
+/// k-means seeding and Lloyd, the initial moments, and both passes of the
+/// E-step, which thus transpose no block.
+#[derive(Debug)]
+pub(crate) struct Columns {
+    data: Vec<f64>,
+    n: usize,
+    d: usize,
+}
+
+impl Columns {
+    /// Transposes `records`, which the caller has checked are non-empty
+    /// and of one dimension.
+    pub(crate) fn from_records(records: &[Vector]) -> Columns {
+        let (n, d) = (records.len(), records[0].dim());
+        let mut data = vec![0.0; n * d];
+        for (block, records) in data.chunks_mut(BLOCK * d.max(1)).zip(records.chunks(BLOCK)) {
+            let count = records.len();
+            for (b, x) in records.iter().enumerate() {
+                for (i, &v) in x.as_slice().iter().enumerate() {
+                    block[i * count + b] = v;
+                }
+            }
+        }
+        Columns { data, n, d }
+    }
+
+    /// Number of records.
+    pub(crate) fn len(&self) -> usize {
+        self.n
+    }
+
+    /// Record dimensionality.
+    pub(crate) fn dim(&self) -> usize {
+        self.d
+    }
+
+    /// Block `k`'s columns, `count × d` values.
+    pub(crate) fn block(&self, k: usize) -> &[f64] {
+        let start = k * BLOCK;
+        &self.data[start * self.d..(start + BLOCK).min(self.n) * self.d]
+    }
+
+    /// Every block in order, with the index of its first record.
+    pub(crate) fn blocks(&self) -> impl Iterator<Item = (usize, &[f64])> {
+        (0..self.n.div_ceil(BLOCK)).map(|k| (k * BLOCK, self.block(k)))
+    }
+
+    /// Record `b`, gathered from its block's columns.
+    pub(crate) fn record(&self, b: usize) -> impl Iterator<Item = f64> + '_ {
+        let block = self.block(b / BLOCK);
+        let count = block.len() / self.d.max(1);
+        (0..self.d).map(move |i| block[i * count + b % BLOCK])
+    }
+}
+
 /// Reusable workspace for [`crate::Gaussian::log_pdf_batch`]: a block's
 /// dimension-major copy and the dense-covariance path's solve buffer.
 /// Default-constructed empty; grows to the largest block it has seen and
@@ -137,6 +204,15 @@ impl DensityScratch {
             }
         }
         (cols, solve)
+    }
+
+    /// The solve buffer alone, `len` long, for a block that is already
+    /// dimension-major; its contents are unspecified.
+    pub(crate) fn solve(&mut self, len: usize) -> &mut [f64] {
+        if self.solve.len() < len {
+            self.solve.resize(len, 0.0);
+        }
+        &mut self.solve[..len]
     }
 }
 
@@ -208,30 +284,31 @@ impl Mixture {
         scratch: &mut MixtureScratch,
     ) {
         let k = self.k();
+        debug_assert_eq!(rows.len(), count * self.dim());
         if scratch.weighted.len() < k * count {
             scratch.weighted.resize(k * count, 0.0);
         }
-        let table = &mut scratch.weighted[..k * count];
-        self.weighted_log_density_into(rows, table, &mut scratch.density);
+        let (cols, solve) = scratch.density.transpose(rows, count);
+        self.weighted_log_density_cols(cols, &mut scratch.weighted[..k * count], solve);
     }
 
-    /// [`Self::weighted_log_density_block`] into a caller-owned table of
-    /// exactly `k × count` entries — the EM score pass keeps every block's
-    /// table for the accumulate pass instead of overwriting one scratch.
-    /// The block is transposed once and every component scores the same
-    /// dimension-major copy.
-    pub(crate) fn weighted_log_density_into(
+    /// The weighted log-density table of a block that is already
+    /// dimension-major (`cols[i*count + b]`, see
+    /// [`crate::Gaussian::log_pdf_cols`]) into a caller-owned table of
+    /// exactly `k × count` entries, with `solve` (`d × count`) as the
+    /// dense path's workspace — the EM score pass reads its blocks from
+    /// the chunk's [`Columns`] and keeps every block's table for the
+    /// accumulate pass.
+    pub(crate) fn weighted_log_density_cols(
         &self,
-        rows: &[f64],
+        cols: &[f64],
         table: &mut [f64],
-        density: &mut DensityScratch,
+        solve: &mut [f64],
     ) {
         let count = table.len() / self.k();
-        debug_assert_eq!(rows.len(), count * self.dim());
         if count == 0 {
             return;
         }
-        let (cols, solve) = density.transpose(rows, count);
         for ((c, &lw), out) in
             self.components().iter().zip(self.log_weights()).zip(table.chunks_exact_mut(count))
         {

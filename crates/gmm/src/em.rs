@@ -1,8 +1,10 @@
-use crate::batch::log_sum_exp_cols;
+use crate::batch::{log_sum_exp_cols, Columns};
+use crate::kmeans::kmeans_cols;
 use crate::likelihood::std_dev;
+use crate::suffstats::add_moments;
 use crate::{
-    kmeans, Batch, CovarianceType, Gaussian, GmmError, KMeansConfig, Mixture,
-    MixtureScratch, Result, SuffStats, BLOCK,
+    CovarianceType, Gaussian, GmmError, KMeansConfig, Mixture, MixtureScratch, Result, SuffStats,
+    BLOCK,
 };
 use cludistream_linalg::Vector;
 use cludistream_obs::{catalogue, Event, NopRecorder, Recorder};
@@ -133,20 +135,19 @@ pub fn fit_em_recorded(
     }
     let k = config.k;
 
+    let diagonal = config.covariance == CovarianceType::Diagonal;
+    let mut estep = EStep::new(data, k, diagonal, resolve_workers(config.threads));
     // Global per-dimension variance: the k-means fallback sphere and every
     // starvation rescue use it.
-    let avg_var = global_avg_var(data)?;
+    let avg_var = global_avg_var(&estep.cols, &mut estep.moments)?;
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut mixture = initialize(data, config, avg_var, &mut rng)?;
+    let mut mixture = initialize(&estep.cols, config, avg_var, &mut rng, &mut estep.moments)?;
 
     let n = data.len() as f64;
     let mut prev_avg = f64::NEG_INFINITY;
     let mut log_likelihood = f64::NEG_INFINITY;
     let mut iterations = 0;
     let mut converged = false;
-
-    let diagonal = config.covariance == CovarianceType::Diagonal;
-    let mut estep = EStep::new(data, k, diagonal, resolve_workers(config.threads));
     let blocks = data.len().div_ceil(BLOCK);
     let mut estep_blocks = 0u64;
 
@@ -243,8 +244,9 @@ pub fn fit_em_recorded(
 /// reduction in both passes, so their outputs are bit-identical for every
 /// worker count.
 struct EStep {
-    /// SoA copy of the chunk.
-    batch: Batch,
+    /// Dimension-major copy of the chunk, which both passes, k-means and
+    /// the initial moments read.
+    cols: Columns,
     k: usize,
     diagonal: bool,
     workers: usize,
@@ -257,8 +259,29 @@ struct EStep {
     stats: Vec<f64>,
     /// Per-block storage of both reductions.
     slots: Vec<f64>,
-    /// The calling thread's kernel workspace.
+    /// The calling thread's score-pass workspace.
     scratch: MixtureScratch,
+    /// The calling thread's workspace of the moment sums.
+    moments: Moments,
+}
+
+/// Workspace of [`add_moments`]: the weight row of a block of records,
+/// and the kernel's own rows.
+#[derive(Debug, Default)]
+struct Moments {
+    weights: Vec<f64>,
+    rows: Vec<f64>,
+}
+
+impl Moments {
+    /// A weight row of `count` records, contents unspecified, with the
+    /// kernel's workspace.
+    fn weights(&mut self, count: usize) -> (&mut [f64], &mut Vec<f64>) {
+        if self.weights.len() < count {
+            self.weights.resize(count, 0.0);
+        }
+        (&mut self.weights[..count], &mut self.rows)
+    }
 }
 
 impl EStep {
@@ -266,7 +289,7 @@ impl EStep {
         let d = data[0].dim();
         let width = if diagonal { 1 + 2 * d } else { 1 + d + d * d };
         EStep {
-            batch: Batch::from_records(data),
+            cols: Columns::from_records(data),
             k,
             diagonal,
             workers,
@@ -275,6 +298,7 @@ impl EStep {
             stats: vec![0.0; k * width],
             slots: Vec::new(),
             scratch: MixtureScratch::default(),
+            moments: Moments::default(),
         }
     }
 
@@ -282,7 +306,7 @@ impl EStep {
     /// the chunk's log likelihood, block log-likelihoods folded in block
     /// order.
     fn score(&mut self, mixture: &Mixture) -> f64 {
-        let batch = &self.batch;
+        let cols = &self.cols;
         let mut ll = [0.0];
         par_block_reduce(
             self.table.chunks_mut(self.k * BLOCK).zip(self.norms.chunks_mut(BLOCK)),
@@ -292,8 +316,7 @@ impl EStep {
             &mut self.slots,
             &mut ll,
             |scratch, b, (table, norms), ll| {
-                let rows = batch.rows(b * BLOCK, norms.len());
-                ll[0] = score_block(mixture, rows, table, norms, scratch);
+                ll[0] = score_block(mixture, cols.block(b), table, norms, scratch);
             },
         );
         ll[0]
@@ -302,35 +325,37 @@ impl EStep {
     /// Accumulate pass over what the last [`Self::score`] kept: every
     /// block's responsibility-weighted statistics, reduced in block order.
     fn accumulate(&mut self) -> &[f64] {
-        let (batch, diagonal) = (&self.batch, self.diagonal);
+        let (cols, diagonal) = (&self.cols, self.diagonal);
         par_block_reduce(
             self.table.chunks(self.k * BLOCK).zip(self.norms.chunks(BLOCK)),
             self.workers,
-            &mut (),
-            || (),
+            &mut self.moments,
+            Moments::default,
             &mut self.slots,
             &mut self.stats,
-            |_, b, (table, norms), acc| {
-                accumulate_block(batch.rows(b * BLOCK, norms.len()), table, norms, diagonal, acc);
+            |moments, b, (table, norms), acc| {
+                accumulate_block(cols.block(b), table, norms, diagonal, acc, moments);
             },
         );
         &self.stats
     }
 }
 
-/// Score pass over one [`BLOCK`]-sized block: fills `table` (component-
-/// major, `table[j*count + b] = ln w_j + ln p(x_b|j)`, the batched kernel,
-/// bit-identical to `lw + log_pdf`) and `norms` (`ln p(x_b)`: log-sum-exp
-/// over components in order), and returns the block's log likelihood, the
-/// normalizers summed in record order.
+/// Score pass over one [`BLOCK`]-sized block, its columns read from the
+/// chunk's [`Columns`]: fills `table` (component-major, `table[j*count +
+/// b] = ln w_j + ln p(x_b|j)`, the batched kernel, bit-identical to `lw +
+/// log_pdf`) and `norms` (`ln p(x_b)`: log-sum-exp over components in
+/// order), and returns the block's log likelihood, the normalizers summed
+/// in record order.
 fn score_block(
     mixture: &Mixture,
-    rows: &[f64],
+    cols: &[f64],
     table: &mut [f64],
     norms: &mut [f64],
     scratch: &mut MixtureScratch,
 ) -> f64 {
-    mixture.weighted_log_density_into(rows, table, &mut scratch.density);
+    let solve = scratch.density.solve(cols.len());
+    mixture.weighted_log_density_cols(cols, table, solve);
     log_sum_exp_cols(table, norms, &mut scratch.sum);
     let mut ll = 0.0;
     for &norm in norms.iter() {
@@ -339,80 +364,105 @@ fn score_block(
     ll
 }
 
-/// Accumulate pass over one block: adds every record, weighted by its
-/// responsibility `exp(t − norm)` (uniform `1/k` for a degenerate point
-/// whose normalizer is not finite), into one flat accumulator per
-/// component — `[n | Σwx | Σwxxᵀ]`, or `[n | Σwx | Σwx²]` (O(d) per
-/// record) in diagonal mode. Records in order, components in order inside
-/// a record, and per element the operand order of `SuffStats::add_slice`.
-fn accumulate_block(rows: &[f64], table: &[f64], norms: &[f64], diagonal: bool, acc: &mut [f64]) {
+/// Accumulate pass over one block, its columns as [`score_block`] reads
+/// them: component after component, one contiguous row of
+/// responsibilities `exp(t − norm)` (uniform `1/k` for a degenerate
+/// point whose normalizer is not finite; `0` where that is not positive,
+/// which adds nothing), then [`add_moments`] into the component's flat
+/// accumulator — `[n | Σwx | Σwxxᵀ]`, or `[n | Σwx | Σwx²]` (O(d) per
+/// record) in diagonal mode. The accumulators are disjoint and each
+/// element still adds the records in order with the operands of
+/// `SuffStats::add`, so the result is the record-outer loop's, bit for
+/// bit.
+fn accumulate_block(
+    cols: &[f64],
+    table: &[f64],
+    norms: &[f64],
+    diagonal: bool,
+    acc: &mut [f64],
+    moments: &mut Moments,
+) {
     let count = norms.len();
-    let d = rows.len() / count;
     let k = table.len() / count;
-    let width = acc.len() / k;
-    for (b, (&norm, x)) in norms.iter().zip(rows.chunks(d)).enumerate() {
-        for (j, acc) in acc.chunks_mut(width).enumerate() {
-            let r =
-                if norm.is_finite() { (table[j * count + b] - norm).exp() } else { 1.0 / k as f64 };
-            if r > 0.0 {
-                add_weighted(acc, x, r, diagonal);
-            }
+    let uniform = 1.0 / k as f64;
+    let (weights, rows) = moments.weights(count);
+    for (t, acc) in table.chunks_exact(count).zip(acc.chunks_exact_mut(acc.len() / k)) {
+        for ((w, &t), &norm) in weights.iter_mut().zip(t).zip(norms) {
+            let r = if norm.is_finite() { (t - norm).exp() } else { uniform };
+            *w = if r > 0.0 { r } else { 0.0 };
         }
+        add_moments(acc, cols, weights, diagonal, rows);
     }
 }
 
-/// `acc += r · (1, x, x xᵀ)` (or `(1, x, x²)` when `diagonal`) on one flat
-/// accumulator.
-fn add_weighted(acc: &mut [f64], x: &[f64], r: f64, diagonal: bool) {
-    acc[0] += r;
-    let (sum, rest) = acc[1..].split_at_mut(x.len());
-    if diagonal {
-        for ((s, sq), &v) in sum.iter_mut().zip(rest).zip(x) {
-            *s += r * v;
-            *sq += r * v * v;
-        }
-    } else {
-        for (s, &v) in sum.iter_mut().zip(x) {
-            *s += r * v;
-        }
-        for (row, &v) in rest.chunks_mut(x.len()).zip(x) {
-            let xi = r * v;
-            for (e, &w) in row.iter_mut().zip(x) {
-                *e += xi * w;
+/// The unweighted statistics of each part of a partition of the chunk,
+/// record `b` in part `part[b] < parts`: a counting sort gathers every
+/// part's records into columns of their own, in record order, then
+/// [`add_moments`] adds them with weight 1 — bit-identical to
+/// `SuffStats::add(x, 1.0)` of each of the part's records in order.
+fn part_moments(
+    cols: &Columns,
+    part: &[usize],
+    parts: usize,
+    moments: &mut Moments,
+) -> Vec<SuffStats> {
+    let (n, d) = (cols.len(), cols.dim());
+    let mut sizes = vec![0; parts];
+    for &p in part {
+        sizes[p] += 1;
+    }
+    // Part `p`'s `d` columns of `sizes[p]` values start at `starts[p]·d`.
+    let starts: Vec<usize> = sizes
+        .iter()
+        .scan(0, |next, &size| {
+            *next += size;
+            Some(*next - size)
+        })
+        .collect();
+    let mut filled = vec![0; parts];
+    let mut packed = vec![0.0; n * d];
+    for (start, block) in cols.blocks() {
+        let count = BLOCK.min(n - start);
+        for (b, &p) in part[start..start + count].iter().enumerate() {
+            let at = starts[p] * d + filled[p];
+            filled[p] += 1;
+            for (i, col) in block.chunks_exact(count).enumerate() {
+                packed[at + i * sizes[p]] = col[b];
             }
         }
     }
+    let (weights, rows) = moments.weights(n);
+    weights.fill(1.0);
+    let mut each = Vec::with_capacity(parts);
+    for (&start, &size) in starts.iter().zip(&sizes) {
+        let mut acc = vec![0.0; 1 + d + d * d];
+        let cols = &packed[start * d..(start + size) * d];
+        add_moments(&mut acc, cols, &weights[..size], false, rows);
+        each.push(SuffStats::from_flat(d, &acc));
+    }
+    each
 }
 
 /// Global per-dimension variance of the chunk, floored at 1e-6.
-fn global_avg_var(data: &[Vector]) -> Result<f64> {
-    let d = data[0].dim();
-    let mut global = SuffStats::new(d);
-    for x in data {
-        global.add(x, 1.0);
-    }
-    Ok((global.cov()?.trace() / d as f64).max(1e-6))
+fn global_avg_var(cols: &Columns, moments: &mut Moments) -> Result<f64> {
+    let global = part_moments(cols, &vec![0; cols.len()], 1, moments).remove(0);
+    Ok((global.cov()?.trace() / cols.dim() as f64).max(1e-6))
 }
 
 /// Produces the initial mixture for EM: k-means++ seeding followed by a
 /// short Lloyd run, variances from the partition.
 fn initialize<R: Rng + ?Sized>(
-    data: &[Vector],
+    cols: &Columns,
     config: &EmConfig,
     avg_var: f64,
     rng: &mut R,
+    moments: &mut Moments,
 ) -> Result<Mixture> {
-    let d = data[0].dim();
-    let km = kmeans(
-        data,
-        &KMeansConfig { k: config.k, max_iters: 10, seed: rng.gen() },
-    )?;
+    let d = cols.dim();
+    let km = kmeans_cols(cols, &KMeansConfig { k: config.k, max_iters: 10, seed: rng.gen() });
     // Per-cluster covariance from the k-means partition; clusters too
     // small for a stable estimate fall back to the global sphere.
-    let mut stats: Vec<SuffStats> = (0..config.k).map(|_| SuffStats::new(d)).collect();
-    for (&a, x) in km.assignments.iter().zip(data) {
-        stats[a].add(x, 1.0);
-    }
+    let stats = part_moments(cols, &km.assignments, config.k, moments);
     let mut comps = Vec::with_capacity(config.k);
     let mut weights = Vec::with_capacity(config.k);
     for (s, centroid) in stats.iter().zip(km.centroids) {
@@ -435,8 +485,53 @@ fn initialize<R: Rng + ?Sized>(
 #[cfg(test)]
 mod reference {
     use super::*;
-    use crate::{log_likelihood_std, log_sum_exp};
+    use crate::kmeans::reference::kmeans;
+    use crate::{log_likelihood_std, log_sum_exp, Batch};
     use cludistream_par::par_block_map;
+
+    /// Global per-dimension variance of the chunk, floored at 1e-6.
+    fn global_avg_var(data: &[Vector]) -> Result<f64> {
+        let d = data[0].dim();
+        let mut global = SuffStats::new(d);
+        for x in data {
+            global.add(x, 1.0);
+        }
+        Ok((global.cov()?.trace() / d as f64).max(1e-6))
+    }
+
+    /// Produces the initial mixture for EM: k-means++ seeding followed by a
+    /// short Lloyd run, variances from the partition.
+    fn initialize<R: Rng + ?Sized>(
+        data: &[Vector],
+        config: &EmConfig,
+        avg_var: f64,
+        rng: &mut R,
+    ) -> Result<Mixture> {
+        let d = data[0].dim();
+        let km = kmeans(
+            data,
+            &KMeansConfig { k: config.k, max_iters: 10, seed: rng.gen() },
+        )?;
+        // Per-cluster covariance from the k-means partition; clusters too
+        // small for a stable estimate fall back to the global sphere.
+        let mut stats: Vec<SuffStats> = (0..config.k).map(|_| SuffStats::new(d)).collect();
+        for (&a, x) in km.assignments.iter().zip(data) {
+            stats[a].add(x, 1.0);
+        }
+        let mut comps = Vec::with_capacity(config.k);
+        let mut weights = Vec::with_capacity(config.k);
+        for (s, centroid) in stats.iter().zip(km.centroids) {
+            let count = s.n().max(1.0);
+            let g = if s.n() >= (d + 1) as f64 {
+                Gaussian::new(s.mean()?, s.cov()?)?
+            } else {
+                Gaussian::spherical(centroid, avg_var)?
+            };
+            comps.push(g);
+            weights.push(count);
+        }
+        Mixture::new(comps, weights)
+    }
 
     #[derive(Debug, Clone)]
     pub(crate) struct DiagStats {
@@ -646,6 +741,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Batch;
     use cludistream_rng::StdRng;
 
     /// Samples `n` points from a known 1-d two-component mixture.
@@ -943,35 +1039,41 @@ mod tests {
     #[test]
     fn two_pass_fit_matches_the_fused_reference_bit_for_bit() {
         use cludistream_rng::check;
-        check::cases("em.two_pass_matches_fused", 4, |rng| {
-            let d = 1 + (rng.gen::<u64>() % 4) as usize;
-            let k = 2 + (rng.gen::<u64>() % 3) as usize;
-            let seed = rng.gen::<u64>();
-            let comps: Vec<Gaussian> = (0..k)
-                .map(|j| Gaussian::spherical(Vector::filled(d, j as f64 * 6.0 - 4.0), 1.0).unwrap())
-                .collect();
-            let gen = Mixture::uniform(comps).unwrap();
-            // One block short, exact, one over, a ragged third block, and
-            // the paper's default chunk; `k` records is the minimum.
-            for n in [k, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 17, 1567] {
-                let data: Vec<Vector> = (0..n).map(|_| gen.sample(rng)).collect();
-                for covariance in [CovarianceType::Full, CovarianceType::Diagonal] {
-                    for threads in [1usize, 2, 4] {
-                        // ϖ-convergence, then the iteration cap (tol = 0).
-                        for (tol, max_iters) in [(1e-4, 30), (0.0, 3)] {
-                            let cfg = EmConfig {
-                                k,
-                                max_iters,
-                                tol,
-                                covariance,
-                                seed,
-                                threads,
-                                ..Default::default()
-                            };
-                            let what = format!(
-                                "n={n} d={d} k={k} {covariance:?} threads={threads} tol={tol}"
-                            );
-                            assert_matches_reference(&data, &cfg, &what);
+        // d 1–9: the accumulate pass sums `1 + d + d²` (or `1 + 2d`)
+        // elements eight, four, two and one at a time, and these widths
+        // leave every remainder.
+        check::cases("em.two_pass_matches_fused", 1, |rng| {
+            for d in 1..=9 {
+                let k = 2 + (rng.gen::<u64>() % 3) as usize;
+                let seed = rng.gen::<u64>();
+                let comps: Vec<Gaussian> = (0..k)
+                    .map(|j| {
+                        Gaussian::spherical(Vector::filled(d, j as f64 * 6.0 - 4.0), 1.0).unwrap()
+                    })
+                    .collect();
+                let gen = Mixture::uniform(comps).unwrap();
+                // One block short, exact, one over, a ragged third block, and
+                // the paper's default chunk; `k` records is the minimum.
+                for n in [k, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 17, 1567] {
+                    let data: Vec<Vector> = (0..n).map(|_| gen.sample(rng)).collect();
+                    for covariance in [CovarianceType::Full, CovarianceType::Diagonal] {
+                        for threads in [1usize, 2, 4] {
+                            // ϖ-convergence, then the iteration cap (tol = 0).
+                            for (tol, max_iters) in [(1e-4, 30), (0.0, 3)] {
+                                let cfg = EmConfig {
+                                    k,
+                                    max_iters,
+                                    tol,
+                                    covariance,
+                                    seed,
+                                    threads,
+                                    ..Default::default()
+                                };
+                                let what = format!(
+                                    "n={n} d={d} k={k} {covariance:?} threads={threads} tol={tol}"
+                                );
+                                assert_matches_reference(&data, &cfg, &what);
+                            }
                         }
                     }
                 }

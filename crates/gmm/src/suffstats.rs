@@ -147,6 +147,158 @@ impl SuffStats {
     }
 }
 
+/// Records [`add_moments`] forms rows for at a time: a run's rows, `(1 +
+/// 2d) × 64` values, stay in L1 for the dimensions the experiments sweep
+/// (up to 16).
+const RUN: usize = 64;
+
+/// Adds the moments of `w.len()` weighted records to a flat accumulator:
+/// `[n | Σwx | Σwxxᵀ]` (`1 + d + d²` values, scatter row-major — the
+/// layout of [`SuffStats::from_flat`]) or, when `diagonal`, `[n | Σwx |
+/// Σwx²]` (`1 + 2d`). The `count = w.len()` records are dimension-major,
+/// element `i` of record `b` at `cols[i*count + b]`, and record `b`
+/// weighs `w[b]`, `+0` or more; `rows` is workspace.
+///
+/// The result is bit-identical to [`SuffStats::add`] of every record of
+/// positive weight, in order (and to its `[n | Σwx | Σwx²]` analogue).
+/// Every accumulator element is a sum over the records of one product
+/// `l_b·r_b`: `n += w·1`, `Σx_i += (w·x_i)·1`, `Σx_ix_j += (w·x_i)·x_j`
+/// and `Σx_i² += ((w·x_i)·x_i)·1`. Per run of [`RUN`] records the rows
+/// `w·x_i` (and `(w·x_i)·x_i`) are formed record-innermost, then
+/// [`sum_products`] adds the run's products into tiles of accumulator
+/// elements held in registers, record by record in order. Multiplying by
+/// `1` is exact, and a register holds the running value memory would, so
+/// every element sees `SuffStats::add`'s operations in its order. A record
+/// of weight `+0` adds `±0` to every element (`0·x` is `±0` for a finite
+/// `x`), which changes no element, since none is ever `-0`: each starts at
+/// `+0`, and a sum is `-0` only when both operands are.
+pub(crate) fn add_moments(
+    acc: &mut [f64],
+    cols: &[f64],
+    w: &[f64],
+    diagonal: bool,
+    rows: &mut Vec<f64>,
+) {
+    if w.is_empty() {
+        return;
+    }
+    let (stride, d) = (w.len(), cols.len() / w.len());
+    debug_assert_eq!(acc.len(), if diagonal { 1 + 2 * d } else { 1 + d + d * d });
+    if rows.len() < (1 + 2 * d) * RUN {
+        rows.resize((1 + 2 * d) * RUN, 0.0);
+    }
+    for start in (0..w.len()).step_by(RUN) {
+        let w = &w[start..w.len().min(start + RUN)];
+        add_run(acc, w, |i| &cols[i * stride + start..][..w.len()], d, diagonal, rows);
+    }
+}
+
+/// [`add_moments`] of one run: `w` and the columns `x(i)` are `count`
+/// long, and `rows` has room for `1 + 2d` rows of [`RUN`].
+fn add_run<'a>(
+    acc: &mut [f64],
+    w: &'a [f64],
+    x: impl Fn(usize) -> &'a [f64],
+    d: usize,
+    diagonal: bool,
+    rows: &mut [f64],
+) {
+    let count = w.len();
+    // `[1 … 1 | w·x_0 | … | w·x_{d−1}]`, then, when `diagonal`,
+    // `[(w·x_0)·x_0 | … ]`, `count` each.
+    let (ones, rest) = rows.split_at_mut(count);
+    let (weighted, squared) = rest[..2 * d * count].split_at_mut(d * count);
+    ones.fill(1.0);
+    for (i, wx) in weighted.chunks_exact_mut(count).enumerate() {
+        for ((wx, &w), &x) in wx.iter_mut().zip(w).zip(x(i)) {
+            *wx = w * x;
+        }
+    }
+    if diagonal {
+        for (i, sq) in squared.chunks_exact_mut(count).enumerate() {
+            for ((sq, &wx), &x) in sq.iter_mut().zip(&weighted[i * count..]).zip(x(i)) {
+                *sq = wx * x;
+            }
+        }
+    }
+    let (ones, weighted, squared) = (&*ones, &*weighted, &*squared);
+    let wx = |i: usize| &weighted[i * count..][..count];
+    let (sums, scatter) = acc.split_at_mut(1 + d);
+    // `n` and `Σwx`: the rows `w`, `w·x_i`, times 1.
+    sum_products(sums, 1 + d, 1, |i| if i == 0 { w } else { wx(i - 1) }, |_| ones);
+    if diagonal {
+        sum_products(scatter, d, 1, |i| &squared[i * count..][..count], |_| ones);
+    } else {
+        sum_products(scatter, d, d, wx, x);
+    }
+}
+
+/// `acc[p*width + q] += Σ_b left(p)_b·right(q)_b` for the `height ×
+/// width` grid of elements, in tiles of up to 8 × 2 elements: a tile is
+/// loaded into registers, every record in order adds its products, and
+/// the tile is stored back. The rows have one length, the record count.
+fn sum_products<'l, 'r>(
+    acc: &mut [f64],
+    height: usize,
+    width: usize,
+    left: impl Fn(usize) -> &'l [f64],
+    right: impl Fn(usize) -> &'r [f64],
+) {
+    let mut p = 0;
+    while p < height {
+        let tall = match height - p {
+            8.. => 8,
+            4.. => 4,
+            2.. => 2,
+            _ => 1,
+        };
+        let mut q = 0;
+        while q < width {
+            let wide = (width - q).min(2);
+            let (at, l, r) = (p * width + q, |i| left(p + i), |j| right(q + j));
+            match (tall, wide) {
+                (8, 2) => tile::<8, 2>(acc, at, width, l, r),
+                (8, _) => tile::<8, 1>(acc, at, width, l, r),
+                (4, 2) => tile::<4, 2>(acc, at, width, l, r),
+                (4, _) => tile::<4, 1>(acc, at, width, l, r),
+                (2, 2) => tile::<2, 2>(acc, at, width, l, r),
+                (2, _) => tile::<2, 1>(acc, at, width, l, r),
+                (_, 2) => tile::<1, 2>(acc, at, width, l, r),
+                _ => tile::<1, 1>(acc, at, width, l, r),
+            }
+            q += wide;
+        }
+        p += tall;
+    }
+}
+
+/// One `P × W` tile of [`sum_products`], its top-left element at
+/// `acc[at]` and its rows `width` apart.
+fn tile<'l, 'r, const P: usize, const W: usize>(
+    acc: &mut [f64],
+    at: usize,
+    width: usize,
+    left: impl Fn(usize) -> &'l [f64],
+    right: impl Fn(usize) -> &'r [f64],
+) {
+    let left: [&[f64]; P] = std::array::from_fn(left);
+    let count = left[0].len();
+    let left = left.map(|l| &l[..count]);
+    let right: [&[f64]; W] = std::array::from_fn(|j| &right(j)[..count]);
+    let mut sums: [[f64; W]; P] =
+        std::array::from_fn(|i| std::array::from_fn(|j| acc[at + i * width + j]));
+    for b in 0..count {
+        for (sums, l) in sums.iter_mut().zip(&left) {
+            for (sum, r) in sums.iter_mut().zip(&right) {
+                *sum += l[b] * r[b];
+            }
+        }
+    }
+    for (i, sums) in sums.iter().enumerate() {
+        acc[at + i * width..][..W].copy_from_slice(sums);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,6 +417,71 @@ mod tests {
                         reference.scatter -= &temporary.scatter;
                     }
                     same(&running, &reference, &format!("d {d}, n {n:e}"));
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn column_moments_are_bit_identical_to_adding_record_after_record() {
+        use cludistream_rng::{check, Rng};
+        check::cases("suffstats.add_moments_bit_identity", 4, |rng| {
+            let mut scratch = Vec::new();
+            for d in 1..=9 {
+                for count in [1, RUN - 1, RUN, RUN + 1, 256, 300] {
+                    let scale = 10f64.powf(rng.gen_range(-3.0..100.0));
+                    let cols: Vec<f64> =
+                        (0..d * count).map(|_| rng.gen_range(-1.0..1.0) * scale).collect();
+                    let x = |b: usize| -> Vector { (0..d).map(|i| cols[i * count + b]).collect() };
+                    // Mostly zero, some zero, or none; positive ones 1, or
+                    // from 1 down to the subnormal.
+                    let zero_share = [0.9, 0.05, 0.0][rng.gen_range(0..3usize)];
+                    let unit = rng.gen_bool(0.25);
+                    let w: Vec<f64> = (0..count)
+                        .map(|_| match () {
+                            _ if rng.gen_bool(zero_share) => 0.0,
+                            _ if unit => 1.0,
+                            _ => (-rng.gen_range(0.0..745.0f64)).exp(),
+                        })
+                        .collect();
+                    for diagonal in [false, true] {
+                        // A running sum, as a block's second call meets it.
+                        let mut want = SuffStats::new(d);
+                        want.add(&x(0), 0.5);
+                        let mut acc = vec![0.5];
+                        acc.extend(x(0).iter().map(|v| 0.5 * v));
+                        if diagonal {
+                            acc.extend(x(0).iter().map(|v| 0.5 * v * v));
+                        } else {
+                            acc.extend_from_slice(want.scatter.as_slice());
+                        }
+                        let mut diag = acc[1 + d..].to_vec();
+                        for (b, &w) in w.iter().enumerate() {
+                            if w > 0.0 {
+                                let x = x(b);
+                                want.add(&x, w);
+                                for (sq, &v) in diag.iter_mut().zip(x.iter()) {
+                                    *sq += w * v * v;
+                                }
+                            }
+                        }
+                        add_moments(&mut acc, &cols, &w, diagonal, &mut scratch);
+                        let mut flat = vec![want.n];
+                        flat.extend_from_slice(want.sum.as_slice());
+                        if diagonal {
+                            flat.extend_from_slice(&diag);
+                        } else {
+                            flat.extend_from_slice(want.scatter.as_slice());
+                        }
+                        for (e, (g, w)) in acc.iter().zip(&flat).enumerate() {
+                            assert_eq!(
+                                g.to_bits(),
+                                w.to_bits(),
+                                "d {d} count {count} diagonal {diagonal} zeros {zero_share} \
+                                 element {e}: {g:e} vs {w:e}"
+                            );
+                        }
+                    }
                 }
             }
         });

@@ -54,28 +54,31 @@ fn fit_allocations(data: &[Vector], covariance: CovarianceType, max_iters: usize
 
 #[test]
 fn an_iteration_allocates_the_same_for_two_blocks_as_for_twelve() {
-    // Three well-separated blobs and K = 3: no component starves, so no
-    // M-step takes the (allocating) rescue path on either size.
-    let gen = Mixture::uniform(
-        [-8.0, 0.0, 8.0]
-            .iter()
-            .map(|&c| Gaussian::spherical(Vector::filled(3, c), 1.0).expect("valid Gaussian"))
-            .collect(),
-    )
-    .expect("valid mixture");
-    let mut rng = StdRng::seed_from_u64(11);
-    let large: Vec<Vector> = (0..3000).map(|_| gen.sample(&mut rng)).collect();
-    let small = &large[..300];
-    for covariance in [CovarianceType::Full, CovarianceType::Diagonal] {
-        let eight_iterations = |data: &[Vector]| {
-            fit_allocations(data, covariance, 10) - fit_allocations(data, covariance, 2)
-        };
-        let (two_blocks, twelve_blocks) = (eight_iterations(small), eight_iterations(&large));
-        assert!(two_blocks > 0, "the M-step builds K Gaussians per iteration");
-        assert_eq!(
-            two_blocks, twelve_blocks,
-            "{covariance:?}: eight iterations allocated {two_blocks} times over 2 blocks \
-             but {twelve_blocks} times over 12"
-        );
+    // d = 3, and the paper's d = 4.
+    for d in [3, 4] {
+        // Three well-separated blobs and K = 3: no component starves, so no
+        // M-step takes the (allocating) rescue path on either size.
+        let gen = Mixture::uniform(
+            [-8.0, 0.0, 8.0]
+                .iter()
+                .map(|&c| Gaussian::spherical(Vector::filled(d, c), 1.0).expect("valid Gaussian"))
+                .collect(),
+        )
+        .expect("valid mixture");
+        let mut rng = StdRng::seed_from_u64(11);
+        let large: Vec<Vector> = (0..3000).map(|_| gen.sample(&mut rng)).collect();
+        let small = &large[..300];
+        for covariance in [CovarianceType::Full, CovarianceType::Diagonal] {
+            let eight_iterations = |data: &[Vector]| {
+                fit_allocations(data, covariance, 10) - fit_allocations(data, covariance, 2)
+            };
+            let (two_blocks, twelve_blocks) = (eight_iterations(small), eight_iterations(&large));
+            assert!(two_blocks > 0, "the M-step builds K Gaussians per iteration");
+            assert_eq!(
+                two_blocks, twelve_blocks,
+                "d = {d}, {covariance:?}: eight iterations allocated {two_blocks} times over \
+                 2 blocks but {twelve_blocks} times over 12"
+            );
+        }
     }
 }
