@@ -129,7 +129,7 @@ fn bench_em(sink: &mut Sink) {
 
 /// Coordinator merge machinery: `M_merge`, `J_merge` (for contrast — it
 /// needs raw data), the moment-preserving merge, and the Nelder-Mead
-/// refinement.
+/// refinement at a large budget and at the deployed one.
 fn bench_merge(sink: &mut Sink) {
     let mut stream = workloads::synthetic_boxed(4, 5, 0.0, 1);
     let data = workloads::collect(&mut *stream, 2000);
@@ -145,6 +145,11 @@ fn bench_merge(sink: &mut Sink) {
     let refiner = MergeRefiner { samples: 128, max_evals: 300, seed: 3 };
     let t = best_of(RUNS, || refiner.refine(0.5, a, 0.5, b));
     sink.report("merge", "simplex_refined_merge", "", t);
+    // The refiner at the settings the coordinator runs it with (the CLI's
+    // and the benchmark's).
+    let refiner = MergeRefiner { samples: 32, max_evals: 100, seed: 9 };
+    let t = best_of(RUNS, || refiner.refine(0.5, a, 0.5, b));
+    sink.report("merge", "refine_deployed", "", t);
 }
 
 /// Dense-kernel microbenchmarks: Cholesky factorization, triangular

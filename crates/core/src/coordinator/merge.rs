@@ -8,8 +8,8 @@
 //! minimizing the L1 accuracy loss `l(x)` with the downhill-simplex method,
 //! starting from the moment-preserving merge.
 
-use cludistream_gmm::{DensityScratch, Gaussian, Mixture};
-use cludistream_linalg::{Cholesky, Matrix, Vector};
+use cludistream_gmm::{Gaussian, GaussianScratch, Mixture};
+use cludistream_linalg::{Matrix, Vector};
 use cludistream_optimize::{NelderMead, NelderMeadConfig};
 use cludistream_rng::{standard_normal, StdRng};
 
@@ -78,29 +78,126 @@ pub fn normalize_column(values: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// Reusable buffers for [`MergeRefiner::refine_with`]: what one merge
-/// computes once and every simplex evaluation reads. Of the loss's three
-/// densities per point only the candidate's changes between evaluations,
-/// so per merge the refiner evaluates the 2·S fixed densities once, folds
-/// them into `mix` and `q`, and then pays S candidate densities per
-/// evaluation through the batched kernel. Every buffer is cleared or
-/// overwritten at the start of a merge, so a long-lived coordinator
-/// allocates once and results are bit-identical to fresh scratch.
+/// Reusable buffers for [`MergeRefiner::refine_with`]: the packed start
+/// point and the simplex objective. Every buffer is cleared or overwritten
+/// at the start of a merge, so a long-lived coordinator allocates once and
+/// results are bit-identical to fresh scratch.
 #[derive(Debug, Default)]
 pub(crate) struct MergeScratch {
-    /// The S Monte-Carlo points, row-major (`rows[b*d..(b+1)*d]` is `x_b`).
-    rows: Vec<f64>,
+    /// Packed simplex start parameters.
+    params: Vec<f64>,
+    objective: Objective,
+}
+
+/// The simplex objective of one merge: the accuracy loss of a packed
+/// candidate over fixed points. Of the loss's three densities per point
+/// only the candidate's changes between evaluations, so [`Self::draw`]
+/// writes the S points dimension-major once per merge and folds the 2·S
+/// fixed densities into `mix` and `q`; [`Self::loss`] then unpacks the
+/// candidate into `factor` and `candidate` and pays S candidate densities
+/// through the column kernel, allocating nothing.
+#[derive(Debug, Default)]
+struct Objective {
+    /// The points' dimension.
+    dim: usize,
+    /// `r_i + r_j`, the pair's relative weight.
+    weight: f64,
+    /// The S Monte-Carlo points, dimension-major (`cols[i*S + b]` is
+    /// element `i` of `x_b`).
+    cols: Vec<f64>,
     /// `mix[b] = r_i·p_i(x_b) + r_j·p_j(x_b)`: the pair's density at `x_b`.
     mix: Vec<f64>,
     /// `q[b] = ½p_i(x_b) + ½p_j(x_b)`: the proposal's density at `x_b`.
     q: Vec<f64>,
     /// The candidate's log-densities, overwritten by every evaluation.
     logp: Vec<f64>,
-    /// Workspace of [`Gaussian::log_pdf_batch`]: the points' transpose and
-    /// the dense path's solve buffer.
-    density: DensityScratch,
-    /// Packed simplex start parameters.
-    params: Vec<f64>,
+    /// The dense density path's `d × S` workspace.
+    solve: Vec<f64>,
+    /// The candidate's Cholesky factor `L`, unpacked from its parameters.
+    factor: Matrix,
+    /// The candidate Gaussian, rebuilt in place for every evaluation.
+    candidate: GaussianScratch,
+}
+
+impl Objective {
+    /// Draws `samples` fixed points from the pair mixture, half from each
+    /// side, and at each the two densities no candidate can change, by the
+    /// column kernel.
+    fn draw(
+        &mut self,
+        rng: &mut StdRng,
+        samples: usize,
+        (ri, gi): (f64, &Gaussian),
+        (rj, gj): (f64, &Gaussian),
+    ) {
+        let d = gi.dim();
+        self.dim = d;
+        self.weight = ri + rj;
+        self.cols.clear();
+        self.cols.resize(d * samples, 0.0);
+        for s in 0..samples {
+            let x = if s % 2 == 0 { gi } else { gj }.sample(rng);
+            for (i, &v) in x.iter().enumerate() {
+                self.cols[i * samples + s] = v;
+            }
+        }
+        self.logp.resize(samples, 0.0);
+        self.solve.resize(d * samples, 0.0);
+        // `p(x) = exp(ln p(x))`, as `Gaussian::pdf` computes it: the column
+        // kernel's `ln p` is the per-point `log_pdf`'s, bit for bit.
+        self.mix.resize(samples, 0.0);
+        self.q.resize(samples, 0.0);
+        gi.log_pdf_cols(&self.cols, &mut self.mix, &mut self.solve);
+        gj.log_pdf_cols(&self.cols, &mut self.q, &mut self.solve);
+        for (mix, q) in self.mix.iter_mut().zip(&mut self.q) {
+            let (pi, pj) = (mix.exp(), q.exp());
+            *mix = ri * pi + rj * pj;
+            *q = 0.5 * pi + 0.5 * pj;
+        }
+    }
+
+    /// The loss of the candidate `params` packs, or `f64::MAX` when they
+    /// unpack to no Gaussian.
+    fn loss(&mut self, params: &[f64]) -> f64 {
+        if !unpack_into(params, self.dim, &mut self.factor, &mut self.candidate) {
+            return f64::MAX;
+        }
+        self.candidate.log_pdf_cols(&self.cols, &mut self.logp, &mut self.solve);
+        self.fold()
+    }
+
+    /// The loss of `g`.
+    fn loss_of(&mut self, g: &Gaussian) -> f64 {
+        g.log_pdf_cols(&self.cols, &mut self.logp, &mut self.solve);
+        self.fold()
+    }
+
+    /// The Gaussian `params` packs, if any.
+    fn unpack(&mut self, params: &[f64]) -> Option<Gaussian> {
+        if !unpack_into(params, self.dim, &mut self.factor, &mut self.candidate) {
+            return None;
+        }
+        self.candidate.to_gaussian()
+    }
+
+    /// The loss of the candidate whose log-densities are in `logp`.
+    fn fold(&self) -> f64 {
+        let w = self.weight;
+        let total: f64 = self
+            .mix
+            .iter()
+            .zip(self.q.iter())
+            .zip(self.logp.iter())
+            .map(|((&mix, &q), &logp)| {
+                if q <= 0.0 {
+                    0.0
+                } else {
+                    (mix - w * logp.exp()).abs() / q
+                }
+            })
+            .sum();
+        total / self.mix.len().max(1) as f64
+    }
 }
 
 /// Refines merged components by downhill-simplex minimization of the
@@ -145,14 +242,17 @@ impl MergeRefiner {
     }
 
     /// [`MergeRefiner::refine_detailed`] against caller-owned scratch
-    /// buffers. Cost per merge: 2·S fixed densities once, then S candidate
-    /// densities per simplex evaluation, scored by one
-    /// [`Gaussian::log_pdf_batch`] (bit-identical to per-point `log_pdf`,
-    /// no allocation). The objective is the accuracy loss `l(x)` term for
-    /// term (the tests hold its per-point definition as the reference) —
-    /// `(r_i·p_i + r_j·p_j) − w·p_m` parses left to right, so naming the
-    /// first sum `mix[b]` changes no rounding — summed in point order, so
-    /// every loss and every simplex decision equals the reference's bits.
+    /// buffers. Cost per merge: 2·S fixed densities once, then per simplex
+    /// evaluation one in-place rebuild of the candidate
+    /// ([`GaussianScratch::rebuild_from_factor`], bit-identical to
+    /// `Gaussian::new`) and S candidate densities by its column kernel
+    /// (bit-identical to per-point `log_pdf`), with no allocation. The
+    /// objective is the accuracy loss `l(x)` term for term (the tests hold
+    /// its per-point definition as the reference) — `(r_i·p_i + r_j·p_j) −
+    /// w·p_m` parses left to right, so naming the first sum `mix[b]`
+    /// changes no rounding — summed in point order, so every loss and
+    /// every simplex decision equals the reference's bits. Only the point
+    /// the simplex returns is built as a [`Gaussian`].
     pub(crate) fn refine_with(
         &self,
         scratch: &mut MergeScratch,
@@ -171,43 +271,11 @@ impl MergeRefiner {
         // Relative weights within the pair.
         let (ri, rj) = (wi / (wi + wj), wj / (wi + wj));
 
-        let MergeScratch { rows, mix, q, logp, density, params } = scratch;
-
-        // Fixed evaluation points from the pair mixture (half from each),
-        // and at each the two densities no candidate can change.
+        let MergeScratch { params, objective } = scratch;
         let mut rng = StdRng::seed_from_u64(self.seed);
-        rows.clear();
-        mix.clear();
-        q.clear();
-        for s in 0..self.samples {
-            let x = if s % 2 == 0 { gi } else { gj }.sample(&mut rng);
-            let (pi, pj) = (gi.pdf(&x), gj.pdf(&x));
-            mix.push(ri * pi + rj * pj);
-            q.push(0.5 * pi + 0.5 * pj);
-            rows.extend_from_slice(x.as_slice());
-        }
-        logp.resize(self.samples, 0.0);
+        objective.draw(&mut rng, self.samples, (ri, gi), (rj, gj));
         let _ = standard_normal(&mut rng); // decorrelate future seeds
 
-        let w = ri + rj;
-        let mut loss = |candidate: &Gaussian| -> f64 {
-            candidate.log_pdf_batch(rows, logp, density);
-            let total: f64 = mix
-                .iter()
-                .zip(q.iter())
-                .zip(logp.iter())
-                .map(|((&mix, &q), &logp)| {
-                    if q <= 0.0 {
-                        0.0
-                    } else {
-                        (mix - w * logp.exp()).abs() / q
-                    }
-                })
-                .sum();
-            total / mix.len().max(1) as f64
-        };
-
-        let d = start.dim();
         params.clear();
         pack_into(&start, params);
         let nm = NelderMead::new(NelderMeadConfig {
@@ -216,15 +284,9 @@ impl MergeRefiner {
             x_tol: 1e-7,
             ..Default::default()
         });
-        let result = nm.minimize(
-            |params| match unpack(params, d) {
-                Some(g) => loss(&g),
-                None => f64::MAX,
-            },
-            params,
-        );
-        let start_loss = loss(&start);
-        match unpack(&result.point, d) {
+        let result = nm.minimize(|params| objective.loss(params), params);
+        let start_loss = objective.loss_of(&start);
+        match objective.unpack(&result.point) {
             // Keep the refinement only when it actually improved on the
             // moment merge.
             Some(g) if result.value <= start_loss => (g, result.value, result.evaluations),
@@ -259,31 +321,34 @@ fn pack_into(g: &Gaussian, out: &mut Vec<f64>) {
     }
 }
 
-/// Inverse of [`pack`]; `None` when the parameters produce a non-finite
-/// Gaussian.
-fn unpack(params: &[f64], d: usize) -> Option<Gaussian> {
+/// Inverse of [`pack`], in place: unpacks `L` into `factor` and rebuilds
+/// `candidate` as `N(μ, L·Lᵀ)`. False when the parameters produce no
+/// finite Gaussian.
+fn unpack_into(
+    params: &[f64],
+    d: usize,
+    factor: &mut Matrix,
+    candidate: &mut GaussianScratch,
+) -> bool {
     if params.len() != d + d * (d + 1) / 2 {
-        return None;
+        return false;
     }
-    let mean = Vector::from_slice(&params[..d]);
-    let mut l = Matrix::zeros(d, d);
+    factor.resize_zeroed(d, d);
     for i in 0..d {
         let v = params[d + i].exp();
         if !v.is_finite() || v <= 0.0 {
-            return None;
+            return false;
         }
-        l[(i, i)] = v;
+        factor[(i, i)] = v;
     }
     let mut idx = 2 * d;
     for i in 0..d {
         for j in 0..i {
-            l[(i, j)] = params[idx];
+            factor[(i, j)] = params[idx];
             idx += 1;
         }
     }
-    let chol = Cholesky::from_factor(l).ok()?;
-    let cov = chol.reconstruct();
-    Gaussian::new(mean, cov).ok()
+    candidate.rebuild_from_factor(&params[..d], factor).is_ok()
 }
 
 #[cfg(test)]
@@ -324,6 +389,31 @@ mod tests {
             })
             .sum();
         total / points.len().max(1) as f64
+    }
+
+    /// [`unpack_into`] as it was before the candidate was rebuilt in
+    /// place: a fresh `Gaussian::new(μ, L·Lᵀ)`.
+    fn unpack(params: &[f64], d: usize) -> Option<Gaussian> {
+        if params.len() != d + d * (d + 1) / 2 {
+            return None;
+        }
+        let mean = Vector::from_slice(&params[..d]);
+        let mut l = Matrix::zeros(d, d);
+        for i in 0..d {
+            let v = params[d + i].exp();
+            if !v.is_finite() || v <= 0.0 {
+                return None;
+            }
+            l[(i, i)] = v;
+        }
+        let mut idx = 2 * d;
+        for i in 0..d {
+            for j in 0..i {
+                l[(i, j)] = params[idx];
+                idx += 1;
+            }
+        }
+        Gaussian::new(mean, l.matmul(&l.transpose())).ok()
     }
 
     fn g(center: f64, var: f64) -> Gaussian {
@@ -447,7 +537,9 @@ mod tests {
         .unwrap();
         let packed = pack(&g);
         assert_eq!(packed.len(), 2 + 3);
-        let back = unpack(&packed, 2).unwrap();
+        let mut candidate = GaussianScratch::default();
+        assert!(unpack_into(&packed, 2, &mut Matrix::default(), &mut candidate));
+        let back = candidate.to_gaussian().unwrap();
         assert!((back.mean()[0] - 1.0).abs() < 1e-12);
         for i in 0..2 {
             for j in 0..2 {
@@ -627,12 +719,154 @@ mod tests {
         }
     }
 
+    /// Packed parameters of a hostile candidate in `d` dimensions, in one of
+    /// four shapes: ordinary; exactly diagonal (every off-diagonal factor
+    /// entry zero, so the density takes the diagonal path); a factor whose
+    /// `L·Lᵀ` loses its small diagonal to rounding (huge off-diagonals over
+    /// tiny pivots), so the first Cholesky fails and the ridge ladder runs;
+    /// and one whose entries may be NaN, ±inf, or log-diagonals whose `exp`
+    /// overflows, underflows, or whose square does.
+    fn hostile_params(rng: &mut StdRng, d: usize) -> Vec<f64> {
+        use cludistream_rng::Rng;
+        let shape = rng.gen_range(0..4usize);
+        let mut params = Vec::with_capacity(d + d * (d + 1) / 2);
+        params.extend((0..d).map(|_| rng.gen_range(-5.0..5.0)));
+        params.extend((0..d).map(|_| match shape {
+            2 => rng.gen_range(-25.0..-15.0),
+            _ => rng.gen_range(-2.0..2.0),
+        }));
+        params.extend((0..d * (d - 1) / 2).map(|_| match shape {
+            1 => 0.0,
+            2 => rng.gen_range(1e3..1e8) * if rng.gen::<bool>() { 1.0 } else { -1.0 },
+            _ => rng.gen_range(-2.0..2.0),
+        }));
+        if shape == 3 {
+            let hostile = [
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                710.0,  // exp overflows
+                -746.0, // exp underflows to 0
+                360.0,  // exp is finite, its square is not
+                -380.0, // exp is finite, its square is subnormal
+                1e200,
+                -0.0,
+            ];
+            for _ in 0..rng.gen_range(1..=3usize) {
+                let at = rng.gen_range(0..params.len());
+                params[at] = hostile[rng.gen_range(0..hostile.len())];
+            }
+        }
+        params
+    }
+
+    /// The in-place candidate equals what the refiner did before it: a
+    /// fresh `Gaussian::new(μ, L·Lᵀ)` (the test's [`unpack`]), its
+    /// `log_pdf_batch` over the row-major points and the loss fold, bit for
+    /// bit, with `f64::MAX` wherever [`unpack`] gives `None`; and the
+    /// Gaussian built for a returned point equals [`unpack`]'s. Over d 1–9
+    /// (beyond the refine oracle's d ≤ 6), S ∈ {0, 1, 7, 32, 256} and the
+    /// [`hostile_params`] shapes, on one objective reused across every
+    /// dimension and point count; the ridge ladder, rejection and both
+    /// density paths must each be taken.
+    #[test]
+    fn in_place_candidate_is_bit_identical_to_a_built_gaussian() {
+        use cludistream_gmm::DensityScratch;
+        use cludistream_rng::{check, Rng};
+        use std::cell::Cell;
+
+        // Ridged, rejected, diagonal and dense candidates seen.
+        let seen = Cell::new([0usize; 4]);
+        check::cases("in_place_candidate_is_bit_identical_to_a_built_gaussian", 3, |rng| {
+            let mut objective = Objective::default();
+            let mut density = DensityScratch::default();
+            for d in 1..=9 {
+                let (diagonal, shift) = (rng.gen_bool(0.3), rng.gen_range(0.0..5.0));
+                let gi = oracle_component(rng, d, diagonal, 0.0);
+                let gj = oracle_component(rng, d, false, shift);
+                let (wi, wj) =
+                    (10f64.powf(rng.gen_range(-3.0..3.0)), 10f64.powf(rng.gen_range(-3.0..3.0)));
+                let (ri, rj) = (wi / (wi + wj), wj / (wi + wj));
+                let w = ri + rj;
+                for samples in [0usize, 1, 7, 32, 256] {
+                    let seed = rng.gen();
+                    objective.draw(&mut StdRng::seed_from_u64(seed), samples, (ri, &gi), (rj, &gj));
+                    let mut draw = StdRng::seed_from_u64(seed);
+                    let points: Vec<Vector> = (0..samples)
+                        .map(|s| if s % 2 == 0 { &gi } else { &gj }.sample(&mut draw))
+                        .collect();
+                    let rows: Vec<f64> = points.iter().flat_map(|x| x.iter().copied()).collect();
+                    let mut logp = vec![0.0; samples];
+                    for _ in 0..12 {
+                        let params = hostile_params(rng, d);
+                        let mut counts = seen.get();
+                        let reference = unpack(&params, d);
+                        let want = match &reference {
+                            Some(g) => {
+                                counts[0] += usize::from(g.ridge() > 0.0);
+                                counts[if g.is_diagonal() { 2 } else { 3 }] += 1;
+                                g.log_pdf_batch(&rows, &mut logp, &mut density);
+                                let total: f64 = points
+                                    .iter()
+                                    .zip(&logp)
+                                    .map(|(x, &logp)| {
+                                        let (pi, pj) = (gi.pdf(x), gj.pdf(x));
+                                        let (mix, q) = (ri * pi + rj * pj, 0.5 * pi + 0.5 * pj);
+                                        if q <= 0.0 {
+                                            0.0
+                                        } else {
+                                            (mix - w * logp.exp()).abs() / q
+                                        }
+                                    })
+                                    .sum();
+                                total / samples.max(1) as f64
+                            }
+                            None => {
+                                counts[1] += 1;
+                                f64::MAX
+                            }
+                        };
+                        seen.set(counts);
+                        let got = objective.loss(&params);
+                        let case = format!("d {d} S {samples} params {params:?}");
+                        assert_eq!(want.to_bits(), got.to_bits(), "{case}: loss {want} vs {got}");
+                        match (reference, objective.unpack(&params)) {
+                            (None, None) => {}
+                            (Some(want), Some(got)) => {
+                                assert_same_bits(&(want.clone(), 0.0, 0), &(got.clone(), 0.0, 0));
+                                assert_eq!(want.ridge().to_bits(), got.ridge().to_bits(), "{case}");
+                                assert_eq!(want.is_diagonal(), got.is_diagonal(), "{case}");
+                                if let Some(x) = points.first() {
+                                    let (a, b) = (want.log_pdf(x), got.log_pdf(x));
+                                    assert_eq!(a.to_bits(), b.to_bits(), "{case}: log_pdf");
+                                }
+                            }
+                            (want, got) => panic!("{case}: built {want:?} vs {got:?}"),
+                        }
+                    }
+                }
+            }
+        });
+        // Unless one case is being replayed by seed.
+        if std::env::var(check::SEED_ENV).is_err() {
+            let [ridged, rejected, diagonal, dense] = seen.get();
+            assert!(
+                ridged > 0 && rejected > 0 && diagonal > 0 && dense > 0,
+                "{ridged} ridged, {rejected} rejected, {diagonal} diagonal, {dense} dense"
+            );
+        }
+    }
+
     #[test]
     fn unpack_rejects_bad_params() {
-        assert!(unpack(&[1.0], 2).is_none());
+        let mut candidate = GaussianScratch::default();
+        let mut factor = Matrix::default();
+        assert!(!unpack_into(&[1.0], 2, &mut factor, &mut candidate));
+        assert!(candidate.to_gaussian().is_none());
         // log-diagonal of +inf.
         let mut p = pack(&g(0.0, 1.0));
         p[2] = f64::INFINITY;
-        assert!(unpack(&p, 2).is_none());
+        assert!(!unpack_into(&p, 2, &mut factor, &mut candidate));
+        assert!(candidate.to_gaussian().is_none());
     }
 }

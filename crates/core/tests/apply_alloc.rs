@@ -5,6 +5,10 @@
 //! message allocates is its bookkeeping and the aggregates `Gaussian::new`
 //! builds, not something per pair scored or per member folded.
 //!
+//! A simplex evaluation of the merge refiner rebuilds its candidate in
+//! buffers the refiner keeps, so a refinement allocates the same however
+//! many evaluations it runs.
+//!
 //! The same holds for the snapshot the root publishes after a message that
 //! changes no group's membership: every member list is shared with the
 //! previous snapshot, so the publish allocates and copies nothing per
@@ -19,7 +23,9 @@
 //! `crates/gmm/tests/estep_alloc.rs`); this is an integration test so it
 //! owns the process-wide `#[global_allocator]`.
 
-use cludistream::coordinator::{m_merge, m_remerge, m_split, Coordinator, CoordinatorConfig};
+use cludistream::coordinator::{
+    m_merge, m_remerge, m_split, Coordinator, CoordinatorConfig, MergeRefiner,
+};
 use cludistream::{Message, ModelId, SnapshotHandle};
 use cludistream_gmm::{Gaussian, Mixture};
 use cludistream_linalg::{Matrix, Vector};
@@ -248,4 +254,29 @@ fn a_publish_after_a_join_copies_a_chunk_not_the_group() {
         big.abs_diff(ten) < JOIN_PUBLISH_SLACK,
         "{ten} bytes after a join to 10 members, {big} after a join to 10 000"
     );
+}
+
+#[test]
+fn a_refinement_allocates_the_same_for_40_evaluations_as_for_300() {
+    for d in [1, 4, 9] {
+        let (a, b) = (gaussian(d, 0.0), gaussian(d, 1.0));
+        let refine = |max_evals| {
+            let refiner = MergeRefiner { samples: 32, max_evals, seed: 9 };
+            let mut evaluations = 0;
+            let n = allocations(|| {
+                evaluations = black_box(refiner.refine_detailed(0.7, &a, 0.3, &b)).2;
+            });
+            (n, evaluations)
+        };
+        let (short, short_evals) = refine(40);
+        let (long, long_evals) = refine(300);
+        assert!(
+            long_evals >= 2 * short_evals,
+            "d = {d}: {short_evals} vs {long_evals} evaluations"
+        );
+        assert_eq!(
+            short, long,
+            "d = {d}: {short} allocations in {short_evals} evaluations, {long} in {long_evals}"
+        );
+    }
 }

@@ -1,6 +1,6 @@
 use crate::batch::DensityScratch;
 use crate::{GmmError, Result};
-use cludistream_linalg::{cholesky_regularized, Cholesky, Matrix, Vector};
+use cludistream_linalg::{Cholesky, Matrix, Vector};
 use cludistream_rng::{standard_normal, Rng};
 use std::fmt;
 use std::sync::Arc;
@@ -41,7 +41,9 @@ pub struct Gaussian {
     params: Arc<Params>,
 }
 
-/// The parameters one or more [`Gaussian`] handles share.
+/// The parameters one or more [`Gaussian`] handles share, and the buffers
+/// a [`GaussianScratch`] rebuilds in place.
+#[derive(Debug, Clone, Default)]
 struct Params {
     mean: Vector,
     cov: Matrix,
@@ -50,11 +52,142 @@ struct Params {
     log_norm: f64,
     /// Ridge added to the diagonal during factorization (0 when none).
     ridge: f64,
-    /// Inverse variances when Σ is exactly diagonal: the O(d) density
-    /// fast path (dense Cholesky solves are O(d²) per evaluation, which
-    /// dominates high-dimensional streaming; see Theorem 3's d-vector
-    /// representation).
-    inv_diag: Option<Vec<f64>>,
+    /// True when Σ is exactly diagonal: the O(d) density fast path over
+    /// `inv_diag` is active (dense Cholesky solves are O(d²) per
+    /// evaluation, which dominates high-dimensional streaming; see
+    /// Theorem 3's d-vector representation).
+    diagonal: bool,
+    /// The inverse variances when `diagonal`, empty otherwise.
+    inv_diag: Vec<f64>,
+}
+
+impl Params {
+    /// [`Gaussian::new`]'s work on the mean and covariance already in
+    /// `self`: validate, symmetrize, factorize with escalating ridge
+    /// regularization, then the normalizer and the exact-diagonal test.
+    /// Allocates nothing when the buffers are large enough and the
+    /// covariance factorizes without a ridge.
+    fn build(&mut self) -> Result<()> {
+        let d = self.mean.dim();
+        let cov = &mut self.cov;
+        if cov.rows() != d || cov.cols() != d {
+            return Err(GmmError::DimensionMismatch { expected: d, got: cov.rows() });
+        }
+        if d == 0 {
+            return Err(GmmError::InvalidParameter { name: "mean", constraint: "dimension > 0" });
+        }
+        if !self.mean.is_finite() || !cov.is_finite() {
+            return Err(GmmError::InvalidParameter {
+                name: "mean/cov",
+                constraint: "all entries finite",
+            });
+        }
+        cov.symmetrize();
+        self.ridge = self.chol.refactor_regularized(cov, Gaussian::BASE_RIDGE, 14)?;
+        if self.ridge > 0.0 {
+            // Keep the stored covariance consistent with the factorization.
+            cov.add_ridge(self.ridge);
+        }
+        self.log_norm = -0.5 * (d as f64 * LN_2PI + self.chol.log_det());
+        // Detect exactly-diagonal covariances and cache inverse variances
+        // for the O(d) density path.
+        let mut diagonal = true;
+        'outer: for i in 0..d {
+            for j in 0..d {
+                if i != j && cov[(i, j)] != 0.0 {
+                    diagonal = false;
+                    break 'outer;
+                }
+            }
+        }
+        self.diagonal = diagonal;
+        self.inv_diag.clear();
+        if diagonal {
+            self.inv_diag.extend((0..d).map(|i| 1.0 / cov[(i, i)]));
+        }
+        Ok(())
+    }
+
+    /// [`Gaussian::log_pdf_cols`] of these parameters.
+    fn log_pdf_cols(&self, cols: &[f64], out: &mut [f64], solve: &mut [f64]) {
+        let count = out.len();
+        if count == 0 {
+            return;
+        }
+        let mean = self.mean.as_slice();
+        out.fill(0.0);
+        if self.diagonal {
+            for ((col, &m), &inv) in cols.chunks_exact(count).zip(mean).zip(&self.inv_diag) {
+                for (o, &x) in out.iter_mut().zip(col) {
+                    let diff = x - m;
+                    *o += diff * diff * inv;
+                }
+            }
+        } else {
+            let centred = solve.chunks_exact_mut(count).zip(cols.chunks_exact(count));
+            for ((y, col), &m) in centred.zip(mean) {
+                for (y, &x) in y.iter_mut().zip(col) {
+                    *y = x - m;
+                }
+            }
+            self.chol.solve_lower_batch(solve, count);
+            for y in solve.chunks_exact(count) {
+                for (o, &y) in out.iter_mut().zip(y) {
+                    *o += y * y;
+                }
+            }
+        }
+        for o in out.iter_mut() {
+            *o = self.log_norm - 0.5 * *o;
+        }
+    }
+}
+
+/// A Gaussian rebuilt in place, for a caller that scores many short-lived
+/// candidates and keeps few of them (the merge refiner's simplex
+/// vertices). [`Self::rebuild_from_factor`] is [`Gaussian::new`] and
+/// [`Self::log_pdf_cols`] is [`Gaussian::log_pdf_cols`], sharing their
+/// code, so every bit equals the `Gaussian`'s; only
+/// [`Self::to_gaussian`] allocates a shared block. Once the buffers have
+/// grown to the dimension, a rebuild whose covariance factorizes without
+/// a ridge allocates nothing.
+#[derive(Debug, Default)]
+pub struct GaussianScratch {
+    params: Params,
+    /// `Lᵀ`, the right operand of the covariance `L·Lᵀ`.
+    lt: Matrix,
+    /// True when the last rebuild succeeded.
+    built: bool,
+}
+
+impl GaussianScratch {
+    /// Rebuilds as `Gaussian::new(mean, l.matmul(&l.transpose()))`
+    /// would: the covariance `L·Lᵀ` by [`Matrix::matmul_into`], then the
+    /// same checks, symmetrization, factorization, ridge ladder,
+    /// normalizer and diagonal test, operand for operand. Errs exactly
+    /// when that call errs.
+    pub fn rebuild_from_factor(&mut self, mean: &[f64], l: &Matrix) -> Result<()> {
+        let p = &mut self.params;
+        p.mean.copy_from(mean);
+        l.transpose_into(&mut self.lt);
+        l.matmul_into(&self.lt, &mut p.cov);
+        let built = p.build();
+        self.built = built.is_ok();
+        built
+    }
+
+    /// [`Gaussian::log_pdf_cols`] of the last rebuild. Writes `out` only
+    /// when that rebuild succeeded.
+    pub fn log_pdf_cols(&self, cols: &[f64], out: &mut [f64], solve: &mut [f64]) {
+        if self.built {
+            self.params.log_pdf_cols(cols, out, solve);
+        }
+    }
+
+    /// The Gaussian of the last rebuild, or `None` when it failed.
+    pub fn to_gaussian(&self) -> Option<Gaussian> {
+        self.built.then(|| Gaussian { params: Arc::new(self.params.clone()) })
+    }
 }
 
 // Snapshot readers share parameter blocks across threads.
@@ -74,7 +207,7 @@ impl fmt::Debug for Gaussian {
             .field("chol", &p.chol)
             .field("log_norm", &p.log_norm)
             .field("ridge", &p.ridge)
-            .field("inv_diag", &p.inv_diag)
+            .field("inv_diag", &p.diagonal.then_some(&p.inv_diag))
             .finish()
     }
 }
@@ -100,40 +233,10 @@ impl Gaussian {
     /// Creates a Gaussian from a mean and covariance. The covariance is
     /// symmetrized, then factorized with escalating ridge regularization;
     /// a covariance that cannot be repaired is an error.
-    pub fn new(mean: Vector, mut cov: Matrix) -> Result<Self> {
-        let d = mean.dim();
-        if cov.rows() != d || cov.cols() != d {
-            return Err(GmmError::DimensionMismatch { expected: d, got: cov.rows() });
-        }
-        if d == 0 {
-            return Err(GmmError::InvalidParameter { name: "mean", constraint: "dimension > 0" });
-        }
-        if !mean.is_finite() || !cov.is_finite() {
-            return Err(GmmError::InvalidParameter {
-                name: "mean/cov",
-                constraint: "all entries finite",
-            });
-        }
-        cov.symmetrize();
-        let (chol, ridge) = cholesky_regularized(&cov, Self::BASE_RIDGE, 14)?;
-        if ridge > 0.0 {
-            // Keep the stored covariance consistent with the factorization.
-            cov.add_ridge(ridge);
-        }
-        let log_norm = -0.5 * (d as f64 * LN_2PI + chol.log_det());
-        // Detect exactly-diagonal covariances and cache inverse variances
-        // for the O(d) density path.
-        let mut diagonal = true;
-        'outer: for i in 0..d {
-            for j in 0..d {
-                if i != j && cov[(i, j)] != 0.0 {
-                    diagonal = false;
-                    break 'outer;
-                }
-            }
-        }
-        let inv_diag = diagonal.then(|| cov.diag().iter().map(|&v| 1.0 / v).collect());
-        Ok(Gaussian { params: Arc::new(Params { mean, cov, chol, log_norm, ridge, inv_diag }) })
+    pub fn new(mean: Vector, cov: Matrix) -> Result<Self> {
+        let mut params = Params { mean, cov, ..Params::default() };
+        params.build()?;
+        Ok(Gaussian { params: Arc::new(params) })
     }
 
     /// Creates an isotropic Gaussian `N(mean, var·I)`.
@@ -218,64 +321,31 @@ impl Gaussian {
     /// order: `Σ_i diff_i²·inv_i` (diagonal) or the forward solve of the
     /// centred record and `Σ_i y_i²` (dense), both summed from `0.0` in
     /// ascending `i`, then `log_norm − ½·acc`.
-    pub(crate) fn log_pdf_cols(&self, cols: &[f64], out: &mut [f64], solve: &mut [f64]) {
-        let count = out.len();
-        if count == 0 {
-            return;
-        }
-        let p = &*self.params;
-        let mean = p.mean.as_slice();
-        out.fill(0.0);
-        match &p.inv_diag {
-            Some(inv) => {
-                for ((col, &m), &inv) in cols.chunks_exact(count).zip(mean).zip(inv) {
-                    for (o, &x) in out.iter_mut().zip(col) {
-                        let diff = x - m;
-                        *o += diff * diff * inv;
-                    }
-                }
-            }
-            None => {
-                let centred = solve.chunks_exact_mut(count).zip(cols.chunks_exact(count));
-                for ((y, col), &m) in centred.zip(mean) {
-                    for (y, &x) in y.iter_mut().zip(col) {
-                        *y = x - m;
-                    }
-                }
-                p.chol.solve_lower_batch(solve, count);
-                for y in solve.chunks_exact(count) {
-                    for (o, &y) in out.iter_mut().zip(y) {
-                        *o += y * y;
-                    }
-                }
-            }
-        }
-        for o in out.iter_mut() {
-            *o = p.log_norm - 0.5 * *o;
-        }
+    pub fn log_pdf_cols(&self, cols: &[f64], out: &mut [f64], solve: &mut [f64]) {
+        self.params.log_pdf_cols(cols, out, solve);
     }
 
     /// Squared Mahalanobis distance `(x-μ)ᵀ Σ⁻¹ (x-μ)`. Uses the O(d)
     /// fast path for diagonal covariances, the Cholesky solve otherwise.
     pub fn mahalanobis_sq(&self, x: &Vector) -> f64 {
         let p = &*self.params;
-        match &p.inv_diag {
-            Some(inv) => {
-                let mut acc = 0.0;
-                for i in 0..inv.len() {
-                    let diff = x[i] - p.mean[i];
-                    acc += diff * diff * inv[i];
-                }
-                acc
+        if p.diagonal {
+            let inv = &p.inv_diag;
+            let mut acc = 0.0;
+            for i in 0..inv.len() {
+                let diff = x[i] - p.mean[i];
+                acc += diff * diff * inv[i];
             }
-            None => p.chol.mahalanobis_sq(x, &p.mean),
+            acc
+        } else {
+            p.chol.mahalanobis_sq(x, &p.mean)
         }
     }
 
     /// True when the covariance is exactly diagonal (the O(d) density path
     /// is active).
     pub fn is_diagonal(&self) -> bool {
-        self.params.inv_diag.is_some()
+        self.params.diagonal
     }
 
     /// Draws one sample `μ + L z` with `z ~ N(0, I)` via Box–Muller.
@@ -729,7 +799,7 @@ pub(crate) mod tests {
                 chol: &p.chol,
                 log_norm: p.log_norm,
                 ridge: p.ridge,
-                inv_diag: &p.inv_diag,
+                inv_diag: &p.diagonal.then(|| p.inv_diag.clone()),
             };
             assert_eq!(format!("{g:?}"), format!("{derived:?}"));
             assert_eq!(format!("{g:#?}"), format!("{derived:#?}"));

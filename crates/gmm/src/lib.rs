@@ -58,7 +58,7 @@ pub use chunk::{chunk_size, ChunkParams};
 pub use covariance::CovarianceType;
 pub use em::{fit_em, fit_em_recorded, EmConfig, EmFit};
 pub use error::GmmError;
-pub use gaussian::{DistBoundFactor, Gaussian};
+pub use gaussian::{DistBoundFactor, Gaussian, GaussianScratch};
 pub use kmeans::{kmeans, KMeansConfig, KMeansFit};
 pub use likelihood::{fit_tolerance, free_parameters, j_fit, log_likelihood_std};
 pub use mixture::Mixture;

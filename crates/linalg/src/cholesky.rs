@@ -8,7 +8,10 @@ use crate::{LinalgError, Matrix, Result, Vector};
 /// determinant), linear solves for the Mahalanobis quadratic form
 /// `(x-μ)ᵀ Σ⁻¹ (x-μ)`, and the explicit inverse needed by the paper's
 /// merge/split criteria `(Σ_i⁻¹ + Σ_j⁻¹)`.
-#[derive(Debug, Clone)]
+///
+/// `Default` is the factor of the empty matrix: a buffer for
+/// [`Self::refactor`], which reuses it across factorizations.
+#[derive(Debug, Clone, Default)]
 pub struct Cholesky {
     /// Lower-triangular factor (entries above the diagonal are zero).
     l: Matrix,
@@ -19,6 +22,14 @@ impl Cholesky {
     /// pivot is non-positive (the matrix is not SPD, typically a degenerate
     /// covariance), and [`LinalgError::Empty`] for 0x0 input.
     pub fn new(a: &Matrix) -> Result<Self> {
+        let mut c = Cholesky::default();
+        c.refactor(a)?;
+        Ok(c)
+    }
+
+    /// [`Self::new`] into this factor's buffer, which is reused when it is
+    /// large enough. On an error the factor holds no factorization.
+    pub fn refactor(&mut self, a: &Matrix) -> Result<()> {
         if !a.is_square() {
             return Err(LinalgError::DimensionMismatch {
                 op: "cholesky",
@@ -30,7 +41,8 @@ impl Cholesky {
         if n == 0 {
             return Err(LinalgError::Empty);
         }
-        let mut l = Matrix::zeros(n, n);
+        let l = &mut self.l;
+        l.resize_zeroed(n, n);
         for i in 0..n {
             for j in 0..=i {
                 let mut sum = a[(i, j)];
@@ -47,7 +59,38 @@ impl Cholesky {
                 }
             }
         }
-        Ok(Cholesky { l })
+        Ok(())
+    }
+
+    /// [`cholesky_regularized`] into this factor's buffer: returns the
+    /// ridge that was finally applied. Allocates nothing when `a` factors
+    /// without a ridge into a buffer that is large enough; the ridge
+    /// ladder allocates one copy of `a`.
+    pub fn refactor_regularized(
+        &mut self,
+        a: &Matrix,
+        base_ridge: f64,
+        max_tries: usize,
+    ) -> Result<f64> {
+        match self.refactor(a) {
+            Ok(()) => return Ok(0.0),
+            Err(LinalgError::NotPositiveDefinite(_)) => {}
+            Err(e) => return Err(e),
+        }
+        // Scale the ridge to the matrix magnitude so tiny covariances get tiny
+        // ridges.
+        let scale = (a.trace().abs() / a.rows().max(1) as f64).max(1e-12);
+        let mut ridge = base_ridge * scale;
+        let mut b = a.clone();
+        for _ in 0..max_tries {
+            b.as_mut_slice().copy_from_slice(a.as_slice());
+            b.add_ridge(ridge);
+            if self.refactor(&b).is_ok() {
+                return Ok(ridge);
+            }
+            ridge *= 10.0;
+        }
+        Err(LinalgError::NoConvergence { iterations: max_tries })
     }
 
     /// Dimension of the factorized matrix.
@@ -58,24 +101,6 @@ impl Cholesky {
     /// Borrow the lower-triangular factor.
     pub fn l(&self) -> &Matrix {
         &self.l
-    }
-
-    /// Builds a factorization directly from a known-valid lower factor
-    /// (positive diagonal). Used when optimizing over Cholesky parameters.
-    pub fn from_factor(l: Matrix) -> Result<Self> {
-        if !l.is_square() {
-            return Err(LinalgError::DimensionMismatch {
-                op: "from_factor",
-                left: (l.rows(), l.cols()),
-                right: (l.rows(), l.cols()),
-            });
-        }
-        for i in 0..l.rows() {
-            if l[(i, i)] <= 0.0 || !l[(i, i)].is_finite() {
-                return Err(LinalgError::NotPositiveDefinite(i));
-            }
-        }
-        Ok(Cholesky { l })
     }
 
     /// `log |A| = 2 Σ log L_ii`.
@@ -211,12 +236,6 @@ impl Cholesky {
     pub fn apply_l(&self, z: &Vector) -> Vector {
         self.l.matvec(z)
     }
-
-    /// Reconstructs the original matrix `L Lᵀ` (mainly for tests and
-    /// round-trip checks).
-    pub fn reconstruct(&self) -> Matrix {
-        self.l.matmul(&self.l.transpose())
-    }
 }
 
 /// Factorizes `a`, retrying with geometrically increasing ridge terms when
@@ -227,24 +246,9 @@ impl Cholesky {
 /// regularized factorization keeps the algorithm live, matching the paper's
 /// footnote that zero-variance attributes are excluded from consideration.
 pub fn cholesky_regularized(a: &Matrix, base_ridge: f64, max_tries: usize) -> Result<(Cholesky, f64)> {
-    match Cholesky::new(a) {
-        Ok(c) => return Ok((c, 0.0)),
-        Err(LinalgError::NotPositiveDefinite(_)) => {}
-        Err(e) => return Err(e),
-    }
-    // Scale the ridge to the matrix magnitude so tiny covariances get tiny
-    // ridges.
-    let scale = (a.trace().abs() / a.rows().max(1) as f64).max(1e-12);
-    let mut ridge = base_ridge * scale;
-    for _ in 0..max_tries {
-        let mut b = a.clone();
-        b.add_ridge(ridge);
-        if let Ok(c) = Cholesky::new(&b) {
-            return Ok((c, ridge));
-        }
-        ridge *= 10.0;
-    }
-    Err(LinalgError::NoConvergence { iterations: max_tries })
+    let mut c = Cholesky::default();
+    let ridge = c.refactor_regularized(a, base_ridge, max_tries)?;
+    Ok((c, ridge))
 }
 
 #[cfg(test)]
@@ -259,7 +263,7 @@ mod tests {
     fn factor_reconstructs() {
         let a = spd3();
         let c = Cholesky::new(&a).unwrap();
-        let r = c.reconstruct();
+        let r = c.l().matmul(&c.l().transpose());
         for i in 0..3 {
             for j in 0..3 {
                 assert!((r[(i, j)] - a[(i, j)]).abs() < 1e-12);
@@ -439,14 +443,6 @@ mod tests {
         let (c, ridge) = cholesky_regularized(&spd3(), 1e-9, 12).unwrap();
         assert_eq!(ridge, 0.0);
         assert_eq!(c.dim(), 3);
-    }
-
-    #[test]
-    fn from_factor_validates_diagonal() {
-        let good = Matrix::from_rows(&[&[1.0, 0.0], &[0.5, 2.0]]);
-        assert!(Cholesky::from_factor(good).is_ok());
-        let bad = Matrix::from_rows(&[&[1.0, 0.0], &[0.5, -2.0]]);
-        assert!(Cholesky::from_factor(bad).is_err());
     }
 
     #[test]

@@ -8,7 +8,9 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Sub, SubAssign};
 /// accumulators are all `Matrix`. Structural mistakes (mismatched dimensions
 /// in arithmetic) panic; *numerical* failures (singularity, loss of positive
 /// definiteness) surface as [`LinalgError`] from the factorization types.
-#[derive(Debug, Clone, PartialEq)]
+/// `Default` is the empty 0 × 0 matrix, which allocates nothing: a buffer
+/// for the `_into` forms to fill.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -108,25 +110,49 @@ impl Matrix {
         self.diag().iter().sum()
     }
 
+    /// Reshapes to `rows x cols` of zeros, reusing the allocation when it
+    /// is large enough.
+    pub fn resize_zeroed(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
+    }
+
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
+        let mut out = Matrix::default();
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// [`Self::transpose`] into `out`, which is reshaped to fit.
+    pub fn transpose_into(&self, out: &mut Matrix) {
+        out.resize_zeroed(self.cols, self.rows);
         for i in 0..self.rows {
             for j in 0..self.cols {
                 out[(j, i)] = self[(i, j)];
             }
         }
-        out
     }
 
     /// Matrix-matrix product. Panics on inner-dimension mismatch.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        self.matmul_into(rhs, &mut out);
+        out
+    }
+
+    /// [`Self::matmul`] into `out`, which is reshaped to fit. Each
+    /// `out[i,j]` sums `a_ik·b_kj` from `0.0` in ascending `k`, skipping the
+    /// `k` whose `a_ik` is zero.
+    pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul: inner dimensions differ ({}x{} * {}x{})",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        out.resize_zeroed(self.rows, rhs.cols);
         for i in 0..self.rows {
             for k in 0..self.cols {
                 let aik = self[(i, k)];
@@ -140,7 +166,6 @@ impl Matrix {
                 }
             }
         }
-        out
     }
 
     /// Matrix-vector product. Panics on dimension mismatch.

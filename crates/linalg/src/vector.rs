@@ -6,7 +6,8 @@ use std::ops::{Add, AddAssign, Index, IndexMut, Mul, MulAssign, Neg, Sub, SubAss
 /// `Vector` is the record type throughout the workspace: a data stream is a
 /// sequence of `Vector`s, a Gaussian mean is a `Vector`. Arithmetic panics on
 /// dimension mismatch (mismatches are programming errors, not data errors).
-#[derive(Debug, Clone, PartialEq)]
+/// `Default` is the empty vector, which allocates nothing.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Vector {
     data: Vec<f64>,
 }
@@ -30,6 +31,13 @@ impl Vector {
     /// Creates a vector from an owned `Vec` without copying.
     pub fn from_vec(v: Vec<f64>) -> Self {
         Vector { data: v }
+    }
+
+    /// Overwrites with a copy of `s`, reusing the allocation when it is
+    /// large enough.
+    pub fn copy_from(&mut self, s: &[f64]) {
+        self.data.clear();
+        self.data.extend_from_slice(s);
     }
 
     /// Number of elements.

@@ -43,8 +43,8 @@ done 3< scripts/exact_counts.txt
 
 cargo test -q --offline --workspace
 # The gmm block kernels' loops vectorise only under optimisation, so their
-# bit-identity tests run once more in release.
-cargo test --release -q --offline -p cludistream-gmm
+# bit-identity tests run once more in release, as does the simplex's oracle.
+cargo test --release -q --offline -p cludistream-gmm -p cludistream-optimize
 cargo doc --no-deps -q --offline --workspace
 
 # Telemetry smoke test: the default `simulate` workload must produce an event
