@@ -143,12 +143,12 @@ fn bench_merge(sink: &mut Sink) {
     let t = best_of(RUNS, || mixture.moment_merge(0, 1).expect("valid merge"));
     sink.report("merge", "moment_merge", "", t);
     let refiner = MergeRefiner { samples: 128, max_evals: 300, seed: 3 };
-    let t = best_of(RUNS, || refiner.refine(0.5, a, 0.5, b));
+    let t = best_of(RUNS, || refiner.refine_detailed(0.5, a, 0.5, b));
     sink.report("merge", "simplex_refined_merge", "", t);
     // The refiner at the settings the coordinator runs it with (the CLI's
     // and the benchmark's).
     let refiner = MergeRefiner { samples: 32, max_evals: 100, seed: 9 };
-    let t = best_of(RUNS, || refiner.refine(0.5, a, 0.5, b));
+    let t = best_of(RUNS, || refiner.refine_detailed(0.5, a, 0.5, b));
     sink.report("merge", "refine_deployed", "", t);
 }
 

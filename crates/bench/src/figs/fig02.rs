@@ -65,16 +65,17 @@ pub(crate) fn run(scale: Scale) {
     let sem = periodic_run(sem_streams, updates);
     emit("fig2a", "Fig 2(a): cumulative communication, NFD-like", "seconds", &[clu, sem]);
 
-    // (b) synthetic, sweeping P_d. The three runs are independent
-    // simulations measuring byte counts (not wall time), so they fan out
-    // across threads.
-    let mut series = crate::parallel::par_map(vec![0.1, 0.3, 0.5], |p_d| {
-        let streams: Vec<RecordStream> =
-            (0..SITES).map(|i| workloads::synthetic_boxed(4, 5, p_d, 200 + i as u64)).collect();
-        let mut s = cludistream_run(streams, updates, 4);
-        s.name = format!("CluDistream P_d={p_d}");
-        s
-    });
+    // (b) synthetic, sweeping P_d.
+    let mut series: Vec<Series> = [0.1, 0.3, 0.5]
+        .into_iter()
+        .map(|p_d| {
+            let streams: Vec<RecordStream> =
+                (0..SITES).map(|i| workloads::synthetic_boxed(4, 5, p_d, 200 + i as u64)).collect();
+            let mut s = cludistream_run(streams, updates, 4);
+            s.name = format!("CluDistream P_d={p_d}");
+            s
+        })
+        .collect();
     let sem_streams: Vec<RecordStream> =
         (0..SITES).map(|i| workloads::synthetic_boxed(4, 5, 0.1, 200 + i as u64)).collect();
     series.push(periodic_run(sem_streams, updates));

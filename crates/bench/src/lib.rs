@@ -9,7 +9,6 @@
 //! paper-vs-measured notes.
 
 pub mod figs;
-pub mod parallel;
 pub mod table;
 pub mod timing;
 pub mod workloads;

@@ -6,7 +6,6 @@
 use cludistream::RecordStream;
 use cludistream_datagen::{
     EvolvingStream, EvolvingStreamConfig, MinMaxNormalizer, NetflowConfig, NetflowGenerator,
-    NoiseInjector,
 };
 use cludistream_linalg::Vector;
 
@@ -26,12 +25,6 @@ pub fn synthetic_stream(dim: usize, k: usize, p_d: f64, seed: u64) -> EvolvingSt
 /// Boxed synthetic stream for the simulation drivers.
 pub fn synthetic_boxed(dim: usize, k: usize, p_d: f64, seed: u64) -> RecordStream {
     Box::new(synthetic_stream(dim, k, p_d, seed))
-}
-
-/// Synthetic stream with 5% uniform noise (the Fig. 4(d) corruption).
-pub fn noisy_synthetic_boxed(dim: usize, k: usize, p_d: f64, seed: u64) -> RecordStream {
-    let base = synthetic_stream(dim, k, p_d, seed);
-    Box::new(NoiseInjector::new(base, 0.05, (-15.0, 15.0), seed ^ 0xD00D))
 }
 
 /// The NFD substitute: six normalized net-flow attributes. A shared
@@ -76,11 +69,5 @@ mod tests {
         let recs = collect(&mut *s, 100);
         assert!(recs.iter().all(|r| r.dim() == NFD_DIM));
         assert!(recs.iter().all(|r| r.iter().all(|&v| (0.0..=1.0).contains(&v))));
-    }
-
-    #[test]
-    fn noisy_stream_emits_finite_records() {
-        let mut s = noisy_synthetic_boxed(1, 2, 0.1, 3);
-        assert!(collect(&mut *s, 50).iter().all(|r| r.is_finite()));
     }
 }

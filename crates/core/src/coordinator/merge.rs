@@ -10,8 +10,9 @@
 
 use cludistream_gmm::{Gaussian, GaussianScratch, Mixture};
 use cludistream_linalg::{Matrix, Vector};
-use cludistream_optimize::{NelderMead, NelderMeadConfig};
 use cludistream_rng::{standard_normal, StdRng};
+
+use super::simplex;
 
 /// Floor applied to distances before inversion, so coincident components
 /// produce a large-but-finite `M_merge`.
@@ -223,14 +224,9 @@ impl MergeRefiner {
     /// Merges `(wi, gi)` and `(wj, gj)`: starts from the moment-preserving
     /// merge and refines the parameters with Nelder–Mead over
     /// (mean, log-Cholesky) space so every candidate is a valid Gaussian.
-    /// Returns the refined component and its accuracy loss.
-    pub fn refine(&self, wi: f64, gi: &Gaussian, wj: f64, gj: &Gaussian) -> (Gaussian, f64) {
-        let (g, loss, _) = self.refine_detailed(wi, gi, wj, gj);
-        (g, loss)
-    }
-
-    /// [`MergeRefiner::refine`] plus the number of simplex objective
-    /// evaluations spent — what telemetry journals as `SimplexRefine`.
+    /// Returns the refined component, its accuracy loss and the number of
+    /// simplex objective evaluations spent — what telemetry journals as
+    /// `SimplexRefine`.
     pub fn refine_detailed(
         &self,
         wi: f64,
@@ -278,13 +274,7 @@ impl MergeRefiner {
 
         params.clear();
         pack_into(&start, params);
-        let nm = NelderMead::new(NelderMeadConfig {
-            max_evals: self.max_evals,
-            f_tol: 1e-9,
-            x_tol: 1e-7,
-            ..Default::default()
-        });
-        let result = nm.minimize(|params| objective.loss(params), params);
+        let result = simplex::minimize(|params| objective.loss(params), params, self.max_evals);
         let start_loss = objective.loss_of(&start);
         match objective.unpack(&result.point) {
             // Keep the refinement only when it actually improved on the
@@ -514,7 +504,7 @@ mod tests {
         let two = Mixture::new(vec![a.clone(), b.clone()], vec![0.6, 0.4]).unwrap();
         let (start, _) = two.moment_merge(0, 1).unwrap();
         let refiner = MergeRefiner { seed: 5, ..Default::default() };
-        let (refined, refined_loss) = refiner.refine(0.6, &a, 0.4, &b);
+        let (refined, refined_loss, _) = refiner.refine_detailed(0.6, &a, 0.4, &b);
         // Evaluate both on an independent point set.
         let mut rng = StdRng::seed_from_u64(99);
         let points: Vec<Vector> =
@@ -608,14 +598,8 @@ mod tests {
             .map(|s| if s % 2 == 0 { gi } else { gj }.sample(&mut rng))
             .collect();
         let d = start.dim();
-        let nm = NelderMead::new(NelderMeadConfig {
-            max_evals: refiner.max_evals,
-            f_tol: 1e-9,
-            x_tol: 1e-7,
-            ..Default::default()
-        });
         let mut paths = [0usize; 2];
-        let result = nm.minimize(
+        let result = simplex::minimize(
             |params| match unpack(params, d) {
                 Some(g) => {
                     paths[usize::from(g.is_diagonal())] += 1;
@@ -624,6 +608,7 @@ mod tests {
                 None => f64::MAX,
             },
             &pack(&start),
+            refiner.max_evals,
         );
         let start_loss = accuracy_loss(ri, gi, rj, gj, &start, &points);
         let refined = match unpack(&result.point, d) {

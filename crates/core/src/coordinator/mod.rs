@@ -5,6 +5,7 @@
 
 mod group;
 mod merge;
+mod simplex;
 mod split;
 
 pub use group::{ComponentKey, Group, Member};

@@ -2,11 +2,8 @@
 
 //! Deterministic scoped-thread parallelism utilities.
 //!
-//! Three fan-out shapes cover everything the workspace parallelizes:
+//! Two fan-out shapes cover everything the workspace parallelizes:
 //!
-//! - [`par_map`] — one scoped thread per input, output in input order.
-//!   Used by the experiment harness's parameter sweeps (one independent
-//!   simulation per parameter value).
 //! - [`par_block_map`] — a fixed number of *block indices* sharded over a
 //!   bounded worker pool as contiguous ranges, with per-worker scratch
 //!   state. This is the shape of batched scoring: the block size (and
@@ -37,35 +34,6 @@ pub fn resolve_workers(requested: usize) -> usize {
     } else {
         requested
     }
-}
-
-/// Applies `f` to every input on its own scoped thread, preserving input
-/// order in the output. `f` must be `Sync` (it is shared across threads).
-///
-/// A panic inside any worker is re-raised on the caller with the
-/// worker's original panic payload.
-pub fn par_map<T, R, F>(inputs: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    std::thread::scope(|scope| {
-        let f = &f;
-        // Spawn in input order, join in the same order: the handle list
-        // itself is the ordering.
-        let workers: Vec<_> = inputs
-            .into_iter()
-            .map(|input| scope.spawn(move || f(input)))
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| match w.join() {
-                Ok(r) => r,
-                Err(payload) => resume_unwind(payload),
-            })
-            .collect()
-    })
 }
 
 /// Evaluates `f(scratch, block)` for every block index in `0..blocks`,
@@ -223,44 +191,6 @@ fn fold_into(running: &mut [f64], acc: &[f64], first: bool) {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn par_map_preserves_order() {
-        let out = par_map(vec![3u64, 1, 4, 1, 5], |x| x * 10);
-        assert_eq!(out, vec![30, 10, 40, 10, 50]);
-    }
-
-    #[test]
-    fn par_map_empty_input() {
-        let out: Vec<u8> = par_map(Vec::<u8>::new(), |x| x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn par_map_heavier_work_still_ordered() {
-        let out = par_map((0..16u64).collect(), |x| {
-            // Unequal work per item.
-            let mut acc = 0u64;
-            for i in 0..(x * 10_000) {
-                acc = acc.wrapping_add(i);
-            }
-            (x, acc)
-        });
-        for (i, (x, _)) in out.iter().enumerate() {
-            assert_eq!(*x, i as u64);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "boom")]
-    fn par_map_propagates_worker_panic_payload() {
-        let _ = par_map(vec![1, 2, 3], |x| {
-            if x == 2 {
-                panic!("boom");
-            }
-            x
-        });
-    }
 
     #[test]
     fn block_map_matches_sequential_for_any_worker_count() {

@@ -9,6 +9,10 @@ cd "$(dirname "$0")/.."
 export RUSTFLAGS="-D warnings"
 export RUSTDOCFLAGS="-D warnings"
 
+# No dead dependency edges: every workspace crate a manifest names is
+# named by that package's sources (see the script).
+scripts/deps.sh
+
 cargo build --release --offline --workspace
 # The benchmark is its own package path-depending on crates/*: building it
 # here makes a public-surface cut that breaks it fail now instead of in the
@@ -43,8 +47,10 @@ done 3< scripts/exact_counts.txt
 
 cargo test -q --offline --workspace
 # The gmm block kernels' loops vectorise only under optimisation, so their
-# bit-identity tests run once more in release, as does the simplex's oracle.
-cargo test --release -q --offline -p cludistream-gmm -p cludistream-optimize
+# bit-identity tests run once more in release, as do the coordinator's
+# simplex and its oracle.
+cargo test --release -q --offline -p cludistream-gmm
+cargo test --release -q --offline -p cludistream --lib coordinator::simplex
 cargo doc --no-deps -q --offline --workspace
 
 # Telemetry smoke test: the default `simulate` workload must produce an event
@@ -289,12 +295,12 @@ for i in 0 1; do
     diff -u "$smokedir/sim_site$i" "$smokedir/agg_site$i"
 done
 
-# Panic-free public API gate: non-test code in the core, par and optimize
-# crates must not use `unwrap()` or `panic!` — public entry points return
+# Panic-free public API gate: non-test code in the core and par crates
+# must not use `unwrap()` or `panic!` — public entry points return
 # Result<_, CludiError>, and the thread pool forwards worker panics via
 # resume_unwind. Everything that parses or computes on bytes a peer sent
 # — the coordinator (means, covariances, counts arrive in messages) and
-# the simplex in crates/optimize it runs on them, the socket runtime, the
+# the simplex in it that runs on them, the socket runtime, the
 # protocol and snapshot codecs, the engines, the telemetry codec, the
 # fleet aggregator, the registry it folds into and the catalogue decoding
 # looks names up in (crates/obs), and in crates/gmm the synopsis codec and
@@ -308,7 +314,7 @@ done
 # `#[cfg(test)]`) and comment lines are exempt.
 non_test() { awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//' "$1"; }
 gate_failed=0
-for f in $(find crates/core/src crates/par/src crates/optimize/src crates/wire/src -name '*.rs') \
+for f in $(find crates/core/src crates/par/src crates/wire/src -name '*.rs') \
         crates/obs/src/{telemetry,fleet,registry,catalogue}.rs crates/gmm/src/{codec,gaussian}.rs; do
     banned='\.unwrap\(\)|panic!\('
     case "$f" in
@@ -316,14 +322,14 @@ for f in $(find crates/core/src crates/par/src crates/optimize/src crates/wire/s
         crates/core/src/protocol.rs | crates/core/src/serving.rs | \
         crates/core/src/engine.rs | crates/core/src/aggregator.rs | \
         crates/core/src/remote/snapshot.rs | crates/core/src/windows/sliding.rs | \
-        crates/obs/src/* | crates/optimize/src/* | crates/wire/src/* | \
+        crates/obs/src/* | crates/wire/src/* | \
         crates/gmm/src/codec.rs | crates/gmm/src/gaussian.rs) banned="$banned|\.expect\(" ;;
     esac
     hits="$(non_test "$f" | grep -nE "$banned" || true)"
     if [ -n "$hits" ]; then
         echo "unwrap()/panic!, or expect( in coordinator/, runtime/, protocol.rs," \
             "serving.rs, engine.rs, aggregator.rs, remote/snapshot.rs, windows/sliding.rs," \
-            "obs telemetry/fleet/registry/catalogue.rs, crates/optimize, crates/wire or" \
+            "obs telemetry/fleet/registry/catalogue.rs, crates/wire or" \
             "gmm codec.rs/gaussian.rs — non-test code of $f:" >&2
         echo "$hits" >&2
         gate_failed=1

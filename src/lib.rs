@@ -10,7 +10,6 @@ pub use cludistream_datagen as datagen;
 pub use cludistream_gmm as gmm;
 pub use cludistream_linalg as linalg;
 pub use cludistream_obs as obs;
-pub use cludistream_optimize as optimize;
 pub use cludistream_rng as rng;
 pub use cludistream_simnet as simnet;
 pub use cludistream_wire as wire;
