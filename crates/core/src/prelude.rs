@@ -20,7 +20,7 @@
 //!     .run()?;
 //! if let Some(snapshot) = serving.load() {
 //!     let batch = Batch::from_records(&[Vector::from_slice(&[0.5])]);
-//!     let scores = score(&snapshot.mixture, &batch, 0)?;
+//!     let scores = score(&snapshot.mixture, &batch, 1)?;
 //!     println!("record 0 -> component {}", scores.labels()[0]);
 //! }
 //! # Ok::<(), cludistream::CludiError>(())

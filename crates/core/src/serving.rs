@@ -543,7 +543,9 @@ impl std::fmt::Debug for SnapshotHandle {
 /// This is [`cludistream_gmm::score`] plus the quality plane's
 /// instrumentation: call [`cludistream_obs::Registry::track_quantiles`]
 /// with `SERVE_SCORE_US` on the registry behind `obs` to get p50/p99
-/// latency quantiles out of the recorded observations.
+/// latency quantiles out of the recorded observations. The batch is
+/// scored on the calling thread; `threads` is accepted and ignored, like
+/// [`cludistream_gmm::score`]'s, and goes with it.
 pub fn score_snapshot(
     snapshot: &ModelSnapshot,
     batch: &cludistream_gmm::Batch,

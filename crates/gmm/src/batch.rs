@@ -28,8 +28,8 @@
 //! and nothing is contracted into a fused multiply-add. The column sums
 //! start from `0.0` where a scalar `Iterator::sum` starts from `-0.0`;
 //! every addend is `+0` or more, or NaN, so both give the same bits. The
-//! EM engine builds on this to keep its fitted models independent of both
-//! batching and thread count.
+//! EM engine builds on this to keep its fitted models independent of
+//! batching.
 //!
 //! The contract also covers how the engine *schedules* the kernels: a
 //! pass over the chunk may be split in two (score every block into a
@@ -51,13 +51,12 @@ use cludistream_linalg::Vector;
 
 /// Number of records a batch kernel scores per block.
 ///
-/// The block size is part of the *semantics* of the data-parallel EM
-/// engine, not just a tuning knob: per-block sufficient statistics are
-/// reduced in block order, so changing `BLOCK` changes the reduction tree
-/// (and thus low-order bits of fitted models), while changing the thread
-/// count never does. 256 rows keep the dimension-major solve buffer
-/// (`d × BLOCK` doubles) comfortably inside L1/L2 for the dimensions the
-/// paper's experiments use.
+/// The block size is part of the *semantics* of the EM engine, not just
+/// a tuning knob: per-block sufficient statistics are reduced in block
+/// order, so changing `BLOCK` changes the reduction tree (and thus
+/// low-order bits of fitted models). 256 rows keep the dimension-major
+/// solve buffer (`d × BLOCK` doubles) comfortably inside L1/L2 for the
+/// dimensions the paper's experiments use.
 pub const BLOCK: usize = 256;
 
 /// A contiguous, row-major (record-major) copy of a record slice: record
@@ -218,8 +217,8 @@ impl DensityScratch {
 
 /// Reusable workspace for the [`Mixture`] batch kernels: the `k × count`
 /// weighted log-density table, the column sums of its log-sum-exp, and
-/// the per-Gaussian [`DensityScratch`]. One per worker thread in the
-/// parallel E-step; buffers never cross threads.
+/// the per-Gaussian [`DensityScratch`]. One per E-step or scoring call,
+/// reused across its blocks.
 #[derive(Debug, Default)]
 pub struct MixtureScratch {
     /// Component-major table: `weighted[j*count + b] = ln w_j + ln p(x_b|j)`.

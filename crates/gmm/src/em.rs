@@ -8,7 +8,6 @@ use crate::{
 };
 use cludistream_linalg::Vector;
 use cludistream_obs::{catalogue, Event, NopRecorder, Recorder};
-use cludistream_par::{par_block_reduce, resolve_workers};
 use cludistream_rng::{Rng, StdRng};
 
 /// Configuration of the classical EM algorithm (paper Sec. 3.2).
@@ -31,13 +30,10 @@ pub struct EmConfig {
     /// |D|; components falling below are re-seeded from the lowest-density
     /// record to avoid starvation.
     pub min_weight: f64,
-    /// Worker threads for the E-step: `1` (the default) scores blocks
-    /// inline on the calling thread, `0` uses the machine's available
-    /// parallelism, any other value spawns that many scoped workers.
-    ///
-    /// The fitted model is **bit-identical for every value**: the E-step
-    /// always reduces per-[`BLOCK`] statistics in block order, and the
-    /// thread count only decides which worker scores which blocks.
+    /// Accepted and ignored: the E-step runs on the calling thread, so
+    /// the fitted model is the same for every value. Kept only so that
+    /// existing callers still build; the follow-up to ROADMAP item 11
+    /// step 1 deletes it.
     pub threads: usize,
 }
 
@@ -136,7 +132,7 @@ pub fn fit_em_recorded(
     let k = config.k;
 
     let diagonal = config.covariance == CovarianceType::Diagonal;
-    let mut estep = EStep::new(data, k, diagonal, resolve_workers(config.threads));
+    let mut estep = EStep::new(data, k, diagonal);
     // Global per-dimension variance: the k-means fallback sphere and every
     // starvation rescue use it.
     let avg_var = global_avg_var(&estep.cols, &mut estep.moments)?;
@@ -239,17 +235,16 @@ pub fn fit_em_recorded(
 }
 
 /// The E-step in two passes, and everything they write — created once per
-/// fit, so at one worker nothing in the iteration loop allocates per block
-/// or per record. [`BLOCK`] — not the thread count — is the unit of
-/// reduction in both passes, so their outputs are bit-identical for every
-/// worker count.
+/// fit, so nothing in the iteration loop allocates per block or per
+/// record. Both passes run on the calling thread, block after block, and
+/// [`BLOCK`] is their unit of reduction: each block fills its own
+/// accumulator, folded into the total in block order.
 struct EStep {
     /// Dimension-major copy of the chunk, which both passes, k-means and
     /// the initial moments read.
     cols: Columns,
     k: usize,
     diagonal: bool,
-    workers: usize,
     /// Block `b`'s `k × count` weighted log-density table, at
     /// `k * BLOCK * b` (see [`score_block`]).
     table: Vec<f64>,
@@ -257,11 +252,12 @@ struct EStep {
     norms: Vec<f64>,
     /// One flat accumulator per component (see [`accumulate_block`]).
     stats: Vec<f64>,
-    /// Per-block storage of both reductions.
-    slots: Vec<f64>,
-    /// The calling thread's score-pass workspace.
+    /// One block's accumulators in the accumulate pass, folded into
+    /// `stats`.
+    partial: Vec<f64>,
+    /// The score-pass workspace.
     scratch: MixtureScratch,
-    /// The calling thread's workspace of the moment sums.
+    /// The workspace of the moment sums.
     moments: Moments,
 }
 
@@ -285,18 +281,17 @@ impl Moments {
 }
 
 impl EStep {
-    fn new(data: &[Vector], k: usize, diagonal: bool, workers: usize) -> Self {
+    fn new(data: &[Vector], k: usize, diagonal: bool) -> Self {
         let d = data[0].dim();
         let width = if diagonal { 1 + 2 * d } else { 1 + d + d * d };
         EStep {
             cols: Columns::from_records(data),
             k,
             diagonal,
-            workers,
             table: vec![0.0; k * data.len()],
             norms: vec![0.0; data.len()],
             stats: vec![0.0; k * width],
-            slots: Vec::new(),
+            partial: vec![0.0; k * width],
             scratch: MixtureScratch::default(),
             moments: Moments::default(),
         }
@@ -306,37 +301,34 @@ impl EStep {
     /// the chunk's log likelihood, block log-likelihoods folded in block
     /// order.
     fn score(&mut self, mixture: &Mixture) -> f64 {
-        let cols = &self.cols;
-        let mut ll = [0.0];
-        par_block_reduce(
-            self.table.chunks_mut(self.k * BLOCK).zip(self.norms.chunks_mut(BLOCK)),
-            self.workers,
-            &mut self.scratch,
-            MixtureScratch::default,
-            &mut self.slots,
-            &mut ll,
-            |scratch, b, (table, norms), ll| {
-                ll[0] = score_block(mixture, cols.block(b), table, norms, scratch);
-            },
-        );
-        ll[0]
+        let blocks = self.table.chunks_mut(self.k * BLOCK).zip(self.norms.chunks_mut(BLOCK));
+        let mut ll = 0.0;
+        for (b, (table, norms)) in blocks.enumerate() {
+            let block = score_block(mixture, self.cols.block(b), table, norms, &mut self.scratch);
+            // Folded like the accumulate pass: block 0 as is, then the rest.
+            ll = if b == 0 { block } else { ll + block };
+        }
+        ll
     }
 
     /// Accumulate pass over what the last [`Self::score`] kept: every
-    /// block's responsibility-weighted statistics, reduced in block order.
+    /// block's responsibility-weighted statistics, folded in block order.
     fn accumulate(&mut self) -> &[f64] {
-        let (cols, diagonal) = (&self.cols, self.diagonal);
-        par_block_reduce(
-            self.table.chunks(self.k * BLOCK).zip(self.norms.chunks(BLOCK)),
-            self.workers,
-            &mut self.moments,
-            Moments::default,
-            &mut self.slots,
-            &mut self.stats,
-            |moments, b, (table, norms), acc| {
-                accumulate_block(cols.block(b), table, norms, diagonal, acc, moments);
-            },
-        );
+        let blocks = self.table.chunks(self.k * BLOCK).zip(self.norms.chunks(BLOCK));
+        for (b, (table, norms)) in blocks.enumerate() {
+            let cols = self.cols.block(b);
+            self.partial.fill(0.0);
+            accumulate_block(cols, table, norms, self.diagonal, &mut self.partial, &mut self.moments);
+            // Block 0 is copied rather than added to zeros, so the total is
+            // the left fold of the block accumulators, bit for bit.
+            if b == 0 {
+                self.stats.copy_from_slice(&self.partial);
+            } else {
+                for (s, a) in self.stats.iter_mut().zip(&self.partial) {
+                    *s += a;
+                }
+            }
+        }
         &self.stats
     }
 }
@@ -487,7 +479,6 @@ mod reference {
     use super::*;
     use crate::kmeans::reference::kmeans;
     use crate::{log_likelihood_std, log_sum_exp, Batch};
-    use cludistream_par::par_block_map;
 
     /// Global per-dimension variance of the chunk, floored at 1e-6.
     fn global_avg_var(data: &[Vector]) -> Result<f64> {
@@ -655,10 +646,8 @@ mod reference {
     /// One fused E-step over the whole chunk, blocks reduced in order.
     pub(crate) fn estep(mixture: &Mixture, batch: &Batch, k: usize, diagonal: bool) -> BlockStats {
         let blocks = batch.len().div_ceil(BLOCK);
-        let results = par_block_map(blocks, 1, MixtureScratch::default, |scratch, b| {
-            score_block(mixture, batch, b, k, diagonal, scratch)
-        });
-        let mut results = results.into_iter();
+        let mut scratch = MixtureScratch::default();
+        let mut results = (0..blocks).map(|b| score_block(mixture, batch, b, k, diagonal, &mut scratch));
         let mut acc = results.next().expect("non-empty data yields at least one block");
         for r in results {
             acc.merge(&r);
@@ -894,76 +883,30 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_never_changes_the_fit() {
-        use cludistream_rng::check;
-        // Random multi-block workloads (BLOCK = 256 → 2-3 blocks), both
-        // covariance modes: threads ∈ {2, 4, 8} must reproduce threads=1
-        // bit for bit — mixtures, log-likelihoods, iteration counts.
-        check::cases("em.threads_bit_identical", 6, |rng| {
-            let n = 300 + (rng.gen::<u64>() % 300) as usize;
-            let d = 1 + (rng.gen::<u64>() % 3) as usize;
-            let k = 2 + (rng.gen::<u64>() % 2) as usize;
-            let seed = rng.gen::<u64>();
-            let comps: Vec<Gaussian> = (0..k)
-                .map(|j| {
-                    Gaussian::spherical(Vector::filled(d, j as f64 * 8.0 - 4.0), 1.0).unwrap()
-                })
-                .collect();
-            let gen = Mixture::uniform(comps).unwrap();
-            let data: Vec<Vector> = (0..n).map(|_| gen.sample(rng)).collect();
-            for covariance in [CovarianceType::Full, CovarianceType::Diagonal] {
-                let cfg = EmConfig {
-                    k,
-                    max_iters: 12,
-                    tol: 1e-6,
-                    covariance,
-                    seed,
-                    threads: 1,
-                    ..Default::default()
-                };
-                let base = fit_em(&data, &cfg).unwrap();
-                for threads in [2usize, 4, 8] {
-                    let f = fit_em(&data, &EmConfig { threads, ..cfg.clone() }).unwrap();
-                    assert_eq!(
-                        f.log_likelihood.to_bits(),
-                        base.log_likelihood.to_bits(),
-                        "ll, threads={threads} cov={covariance:?}"
-                    );
-                    assert_eq!(
-                        f.avg_log_likelihood.to_bits(),
-                        base.avg_log_likelihood.to_bits(),
-                        "avg ll, threads={threads}"
-                    );
-                    assert_eq!(f.iterations, base.iterations, "iterations, threads={threads}");
-                    assert_eq!(f.converged, base.converged, "converged, threads={threads}");
-                    for (a, b) in f.mixture.weights().iter().zip(base.mixture.weights()) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "weight, threads={threads}");
-                    }
-                    for (ca, cb) in
-                        f.mixture.components().iter().zip(base.mixture.components())
-                    {
-                        for (a, b) in ca.mean().iter().zip(cb.mean().iter()) {
-                            assert_eq!(a.to_bits(), b.to_bits(), "mean, threads={threads}");
-                        }
-                        for (a, b) in ca.cov().as_slice().iter().zip(cb.cov().as_slice()) {
-                            assert_eq!(a.to_bits(), b.to_bits(), "cov, threads={threads}");
-                        }
-                    }
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn auto_threads_matches_single_thread() {
-        // threads = 0 resolves to the machine's parallelism; whatever that
-        // is, the fit must equal the sequential one bit for bit.
+    fn thread_count_is_ignored_by_fit_and_score() {
+        // `threads` is accepted and ignored: 0 and 8 fit and score exactly
+        // as 1 does.
         let data = two_component_data(700, 21);
         let cfg = EmConfig { k: 2, seed: 22, ..Default::default() };
         let base = fit_em(&data, &cfg).unwrap();
-        let auto = fit_em(&data, &EmConfig { threads: 0, ..cfg }).unwrap();
-        assert_eq!(base.log_likelihood.to_bits(), auto.log_likelihood.to_bits());
-        assert_eq!(base.iterations, auto.iterations);
+        let batch = Batch::from_records(&data);
+        let scores = crate::score(&base.mixture, &batch, 1).unwrap();
+        for threads in [0usize, 8] {
+            let fit = fit_em(&data, &EmConfig { threads, ..cfg.clone() }).unwrap();
+            assert_eq!(fit.iterations, base.iterations, "threads={threads}");
+            assert_same_bits(&[fit.log_likelihood], &[base.log_likelihood], "ll");
+            assert_same_bits(fit.mixture.weights(), base.mixture.weights(), "weights");
+            for (g, w) in fit.mixture.components().iter().zip(base.mixture.components()) {
+                assert_same_bits(g.mean().as_slice(), w.mean().as_slice(), "mean");
+                assert_same_bits(g.cov().as_slice(), w.cov().as_slice(), "cov");
+            }
+            let got = crate::score(&base.mixture, &batch, threads).unwrap();
+            assert_eq!(got.labels(), scores.labels(), "threads={threads}");
+            assert_same_bits(got.log_pdf(), scores.log_pdf(), "log pdf");
+            for i in 0..got.len() {
+                assert_same_bits(got.responsibilities(i), scores.responsibilities(i), "resp");
+            }
+        }
     }
 
     #[test]
@@ -1057,23 +1000,12 @@ mod tests {
                 for n in [k, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 17, 1567] {
                     let data: Vec<Vector> = (0..n).map(|_| gen.sample(rng)).collect();
                     for covariance in [CovarianceType::Full, CovarianceType::Diagonal] {
-                        for threads in [1usize, 2, 4] {
-                            // ϖ-convergence, then the iteration cap (tol = 0).
-                            for (tol, max_iters) in [(1e-4, 30), (0.0, 3)] {
-                                let cfg = EmConfig {
-                                    k,
-                                    max_iters,
-                                    tol,
-                                    covariance,
-                                    seed,
-                                    threads,
-                                    ..Default::default()
-                                };
-                                let what = format!(
-                                    "n={n} d={d} k={k} {covariance:?} threads={threads} tol={tol}"
-                                );
-                                assert_matches_reference(&data, &cfg, &what);
-                            }
+                        // ϖ-convergence, then the iteration cap (tol = 0).
+                        for (tol, max_iters) in [(1e-4, 30), (0.0, 3)] {
+                            let cfg =
+                                EmConfig { k, max_iters, tol, covariance, seed, ..Default::default() };
+                            let what = format!("n={n} d={d} k={k} {covariance:?} tol={tol}");
+                            assert_matches_reference(&data, &cfg, &what);
                         }
                     }
                 }
@@ -1086,10 +1018,8 @@ mod tests {
         // Identical points: every cluster but one starves on every M-step.
         let data = vec![Vector::from_slice(&[2.0, 2.0]); 300];
         for covariance in [CovarianceType::Full, CovarianceType::Diagonal] {
-            for threads in [1usize, 2] {
-                let cfg = EmConfig { k: 3, seed: 16, covariance, threads, ..Default::default() };
-                assert_matches_reference(&data, &cfg, &format!("{covariance:?} threads={threads}"));
-            }
+            let cfg = EmConfig { k: 3, seed: 16, covariance, ..Default::default() };
+            assert_matches_reference(&data, &cfg, &format!("{covariance:?}"));
         }
     }
 
@@ -1115,31 +1045,25 @@ mod tests {
             let batch = Batch::from_records(&data);
             let want = reference::estep(&mixture, &batch, 2, diagonal);
             assert_eq!(want.ll, f64::NEG_INFINITY, "the case must reach the uniform branch");
-            for workers in [1usize, 2] {
-                let mut estep = EStep::new(&data, 2, diagonal, workers);
-                assert_eq!(estep.score(&mixture), f64::NEG_INFINITY);
-                assert_eq!(estep.norms[3], f64::NEG_INFINITY);
-                let got = estep.accumulate();
-                for (j, acc) in got.chunks(got.len() / 2).enumerate() {
-                    if diagonal {
-                        let w = &want.diag[j];
-                        assert_same_bits(&acc[..1], &[w.n], "mass");
-                        assert_same_bits(&acc[1..1 + d], &w.sum, "sum");
-                        assert_same_bits(&acc[1 + d..], &w.sum_sq, "sum of squares");
-                    } else {
-                        let (g, w) = (SuffStats::from_flat(d, acc), &want.stats[j]);
-                        assert_same_bits(&[g.n()], &[w.n()], "mass");
-                        assert_same_bits(
-                            g.mean().unwrap().as_slice(),
-                            w.mean().unwrap().as_slice(),
-                            "mean",
-                        );
-                        assert_same_bits(
-                            g.cov().unwrap().as_slice(),
-                            w.cov().unwrap().as_slice(),
-                            "cov",
-                        );
-                    }
+            let mut estep = EStep::new(&data, 2, diagonal);
+            assert_eq!(estep.score(&mixture), f64::NEG_INFINITY);
+            assert_eq!(estep.norms[3], f64::NEG_INFINITY);
+            let got = estep.accumulate();
+            for (j, acc) in got.chunks(got.len() / 2).enumerate() {
+                if diagonal {
+                    let w = &want.diag[j];
+                    assert_same_bits(&acc[..1], &[w.n], "mass");
+                    assert_same_bits(&acc[1..1 + d], &w.sum, "sum");
+                    assert_same_bits(&acc[1 + d..], &w.sum_sq, "sum of squares");
+                } else {
+                    let (g, w) = (SuffStats::from_flat(d, acc), &want.stats[j]);
+                    assert_same_bits(&[g.n()], &[w.n()], "mass");
+                    assert_same_bits(
+                        g.mean().unwrap().as_slice(),
+                        w.mean().unwrap().as_slice(),
+                        "mean",
+                    );
+                    assert_same_bits(g.cov().unwrap().as_slice(), w.cov().unwrap().as_slice(), "cov");
                 }
             }
         }

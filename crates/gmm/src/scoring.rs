@@ -14,14 +14,12 @@
 //! operations in the same order as the scalar reference path
 //! ([`score_record`], built on [`Mixture::posteriors`] /
 //! [`Mixture::map_component`] / [`Mixture::log_pdf`]), and blocks are
-//! concatenated in record order, so the output is bit-identical to the
-//! per-record loop for *any* thread count — the same contract the
-//! data-parallel E-step honours.
+//! scored in record order on the calling thread, so the output is
+//! bit-identical to the per-record loop.
 
 use crate::batch::log_sum_exp_cols;
 use crate::{Batch, GmmError, Mixture, MixtureScratch, Result, BLOCK};
 use cludistream_linalg::Vector;
-use cludistream_par::{par_block_map, resolve_workers};
 
 /// Scoring output in structure-of-arrays layout: for record `i`,
 /// `labels()[i]` is the hard (maximum-posterior) component, `log_pdf()[i]`
@@ -77,9 +75,10 @@ impl Scores {
 }
 
 /// Scores one block of `count` row-major records, appending to the
-/// output columns. The per-record arithmetic mirrors the scalar
-/// posterior path exactly: the block's weighted log-density table, one
-/// log-sum-exp per column of it, one subtract-exp per responsibility.
+/// output columns, which [`score`] sizes for the whole batch up front.
+/// The per-record arithmetic mirrors the scalar posterior path exactly:
+/// the block's weighted log-density table, one log-sum-exp per column of
+/// it, one subtract-exp per responsibility.
 fn score_block(
     mixture: &Mixture,
     rows: &[f64],
@@ -122,12 +121,14 @@ fn score_block(
 /// `mixture`: hard label, posterior responsibilities and log density
 /// per record (see [`Scores`]).
 ///
-/// `threads` selects the worker count for block-level parallelism
-/// (`0` = all cores, `1` = inline); the result is bit-identical for
-/// every value because blocks are fixed [`BLOCK`]-sized row ranges
-/// concatenated in record order. Errors when the batch dimensionality
-/// disagrees with the mixture. An empty batch yields empty scores.
-pub fn score(mixture: &Mixture, batch: &Batch, threads: usize) -> Result<Scores> {
+/// The batch is scored on the calling thread, one [`BLOCK`]-sized row
+/// range after another, straight into the output columns. `_threads` is
+/// accepted and ignored — the result is the same for every value; it is
+/// kept only so that existing callers still build, and the follow-up to
+/// ROADMAP item 11 step 1 deletes it. Errors when the batch
+/// dimensionality disagrees with the mixture. An empty batch yields
+/// empty scores.
+pub fn score(mixture: &Mixture, batch: &Batch, _threads: usize) -> Result<Scores> {
     let k = mixture.k();
     if batch.is_empty() {
         return Ok(Scores { k, labels: Vec::new(), log_pdf: Vec::new(), responsibilities: Vec::new() });
@@ -136,37 +137,21 @@ pub fn score(mixture: &Mixture, batch: &Batch, threads: usize) -> Result<Scores>
         return Err(GmmError::DimensionMismatch { expected: mixture.dim(), got: batch.dim() });
     }
     let n = batch.len();
-    let blocks = n.div_ceil(BLOCK);
-    let workers = resolve_workers(threads);
-    let parts = par_block_map(
-        blocks,
-        workers,
-        MixtureScratch::default,
-        |scratch, block| {
-            let start = block * BLOCK;
-            let count = BLOCK.min(n - start);
-            let mut labels = Vec::with_capacity(count);
-            let mut log_pdf = Vec::with_capacity(count);
-            let mut responsibilities = Vec::with_capacity(count * k);
-            score_block(
-                mixture,
-                batch.rows(start, count),
-                count,
-                scratch,
-                &mut labels,
-                &mut log_pdf,
-                &mut responsibilities,
-            );
-            (labels, log_pdf, responsibilities)
-        },
-    );
     let mut labels = Vec::with_capacity(n);
     let mut log_pdf = Vec::with_capacity(n);
     let mut responsibilities = Vec::with_capacity(n * k);
-    for (l, p, r) in parts {
-        labels.extend_from_slice(&l);
-        log_pdf.extend_from_slice(&p);
-        responsibilities.extend_from_slice(&r);
+    let mut scratch = MixtureScratch::default();
+    for start in (0..n).step_by(BLOCK) {
+        let count = BLOCK.min(n - start);
+        score_block(
+            mixture,
+            batch.rows(start, count),
+            count,
+            &mut scratch,
+            &mut labels,
+            &mut log_pdf,
+            &mut responsibilities,
+        );
     }
     Ok(Scores { k, labels, log_pdf, responsibilities })
 }
@@ -240,19 +225,6 @@ mod tests {
         }
         assert_eq!(scores.log_pdf()[0], f64::NEG_INFINITY);
         assert_eq!(scores.responsibilities(0), [1.0 / 3.0; 3]);
-    }
-
-    #[test]
-    fn thread_count_never_changes_results() {
-        let m = dense_mixture(3);
-        let mut rng = StdRng::seed_from_u64(72);
-        let recs = random_records(&mut rng, 3 * BLOCK + 7, 3);
-        let batch = Batch::from_records(&recs);
-        let baseline = score(&m, &batch, 1).unwrap();
-        for threads in [2usize, 4, 8, 0] {
-            let got = score(&m, &batch, threads).unwrap();
-            assert_eq!(got, baseline, "threads={threads}");
-        }
     }
 
     #[test]

