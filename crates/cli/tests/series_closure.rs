@@ -34,7 +34,7 @@ use cludistream::{
 };
 use cludistream_cli::{run, Command, MetricsWorkload};
 use cludistream_gmm::{
-    fit_em_recorded, Batch, ChunkParams, CovarianceType, EmConfig, Gaussian, Mixture,
+    fit_em_recorded, Batch, ChunkParams, Columns, CovarianceType, EmConfig, Gaussian, Mixture,
 };
 use cludistream_linalg::Vector;
 use cludistream_obs::catalogue::{lookup, Counter, Gauge, Histogram, SpanName, CATALOGUE, HB_RTT_US};
@@ -497,7 +497,7 @@ fn em_cap_and_split(seen: &mut Seen) {
     let mut rng = StdRng::seed_from_u64(41);
     let data: Vec<Vector> = (0..200).map(|_| regime(0.0).sample(&mut rng)).collect();
     let capped = EmConfig { k: 2, max_iters: 1, tol: 0.0, seed: 1, ..EmConfig::default() };
-    fit_em_recorded(&data, &capped, &obs).expect("EM fit");
+    fit_em_recorded(&Columns::from_records(&data), &capped, &obs).expect("EM fit");
 
     let mut coordinator =
         Coordinator::new(CoordinatorConfig { max_groups: 1, ..CoordinatorConfig::default() })

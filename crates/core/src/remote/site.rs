@@ -2,7 +2,7 @@ use crate::config::Config;
 use crate::remote::event_table::EventTable;
 use crate::remote::model_list::{ModelId, ModelList};
 use cludistream_gmm::{
-    fit_em_recorded, fit_tolerance, free_parameters, j_fit, log_likelihood_std, Batch, GmmError,
+    fit_em_recorded, fit_tolerance, free_parameters, j_fit, log_likelihood_std, Columns, GmmError,
     Mixture, MixtureScratch,
 };
 use cludistream_linalg::Vector;
@@ -100,17 +100,23 @@ pub struct SiteStats {
 /// A CluDistream remote site: the test-and-cluster processor of paper
 /// Algorithm 1 with the multi-test extension of Sec. 5.1.2.
 ///
-/// Records are [`RemoteSite::push`]ed one at a time; every `M` records
-/// (Theorem 1's chunk size) the buffered chunk is tested against the
-/// current model, then against up to `c_max − 1` recent models from the
-/// model list, and clustered with EM only when every test fails. Messages
+/// Records are [`RemoteSite::push`]ed one at a time into one `M × d`
+/// chunk buffer; every `M` records (Theorem 1's chunk size) the buffered
+/// chunk is tested against the current model, then against up to
+/// `c_max − 1` recent models from the model list, and clustered with EM
+/// only when every test fails. Messages
 /// for the coordinator accumulate in an outbox drained with
 /// [`RemoteSite::drain_events`].
 #[derive(Debug)]
 pub struct RemoteSite {
     config: Config,
     chunk_size: usize,
-    buffer: Vec<Vector>,
+    /// The chunk being filled: Theorem 3's `M × d` buffer, allocated once
+    /// and reused from chunk to chunk. The chunk test and EM read it in
+    /// place.
+    buffer: Columns,
+    /// Records in `buffer` so far.
+    buffered: usize,
     models: ModelList,
     events: EventTable,
     current: Option<ModelId>,
@@ -155,9 +161,10 @@ impl RemoteSite {
             alpha: q.churn_alpha,
         });
         Ok(RemoteSite {
+            buffer: Columns::zeros(chunk_size, config.dim),
             config,
             chunk_size,
-            buffer: Vec::with_capacity(chunk_size),
+            buffered: 0,
             models: ModelList::new(),
             events: EventTable::new(),
             current: None,
@@ -216,12 +223,16 @@ impl RemoteSite {
         &mut self.models
     }
 
-    /// Records buffered toward the next chunk (snapshot support).
-    pub(crate) fn buffered_records(&self) -> &[Vector] {
-        &self.buffer
+    /// Records buffered toward the next chunk, in arrival order (snapshot
+    /// support).
+    pub(crate) fn buffered_records(
+        &self,
+    ) -> impl ExactSizeIterator<Item = impl Iterator<Item = f64> + '_> {
+        (0..self.buffered).map(|b| self.buffer.record(b))
     }
 
-    /// Installs restored state (snapshot support).
+    /// Installs restored state (snapshot support); `buffered` holds whole
+    /// records, fewer than a chunk's.
     pub(crate) fn install_snapshot(
         &mut self,
         models: ModelList,
@@ -229,14 +240,18 @@ impl RemoteSite {
         current: Option<ModelId>,
         chunk_index: u64,
         stats: SiteStats,
-        buffer: Vec<Vector>,
+        buffered: &[f64],
     ) {
         self.models = models;
         self.events = events;
         self.current = current;
         self.chunk_index = chunk_index;
         self.stats = stats;
-        self.buffer = buffer;
+        let records = buffered.chunks_exact(self.config.dim);
+        self.buffered = records.len();
+        for (b, x) in records.enumerate() {
+            self.buffer.set_record(b, x);
+        }
     }
 
     /// The current model's id, if a first chunk has been clustered.
@@ -249,20 +264,26 @@ impl RemoteSite {
         self.models.get(self.current?).map(|e| &e.mixture)
     }
 
-    /// Consumes one record. Returns `Ok(Some(outcome))` when the record
-    /// completed a chunk and the chunk was processed.
+    /// Consumes one record: copies it into its slot of the chunk buffer
+    /// and drops it. Returns `Ok(Some(outcome))` when the record completed
+    /// a chunk and the chunk was processed.
     pub fn push(&mut self, x: Vector) -> Result<Option<ChunkOutcome>, GmmError> {
         if x.dim() != self.config.dim {
             return Err(GmmError::DimensionMismatch { expected: self.config.dim, got: x.dim() });
         }
         self.stats.records += 1;
-        self.buffer.push(x);
-        if self.buffer.len() < self.chunk_size {
+        self.buffer.set_record(self.buffered, x.as_slice());
+        self.buffered += 1;
+        if self.buffered < self.chunk_size {
             return Ok(None);
         }
-        let chunk = std::mem::replace(&mut self.buffer, Vec::with_capacity(self.chunk_size));
-        let outcome = self.process_chunk(&chunk)?;
-        Ok(Some(outcome))
+        // The next chunk starts empty whatever this one's outcome; the
+        // buffer is lent out for the chunk's processing and kept.
+        self.buffered = 0;
+        let chunk = std::mem::take(&mut self.buffer);
+        let outcome = self.process_chunk(&chunk);
+        self.buffer = chunk;
+        outcome.map(Some)
     }
 
     /// Drains the coordinator-bound message queue.
@@ -373,7 +394,7 @@ impl RemoteSite {
     }
 
     /// Algorithm 1 for one full chunk.
-    fn process_chunk(&mut self, chunk: &[Vector]) -> Result<ChunkOutcome, GmmError> {
+    fn process_chunk(&mut self, chunk: &Columns) -> Result<ChunkOutcome, GmmError> {
         // Clone the (Arc-backed) handle so the span's Drop does not hold a
         // borrow of `self` across the mutable calls below.
         let obs = self.obs.clone();
@@ -405,9 +426,10 @@ impl RemoteSite {
         let (epsilon, delta) = (self.config.chunk.epsilon, self.config.chunk.delta);
         let current = self.models.get(current_id).expect("current model exists");
         let p_free = free_parameters(self.config.k, self.config.dim, self.config.covariance);
-        // Flattened once for every test this chunk goes through.
-        let batch = Batch::from_records(chunk);
-        let avg_n = current.mixture.avg_log_likelihood_batch(&batch, &mut self.scratch);
+        let avg_n = current
+            .mixture
+            .avg_log_likelihood_unless_below(chunk, &mut self.scratch, f64::NEG_INFINITY)
+            .expect("no average is below -inf");
         let j = j_fit(avg_n, current.avg_ll);
         let tol = fit_tolerance(epsilon, delta, current.ll_std, chunk.len(), p_free);
         self.stats.tests += 1;
@@ -447,7 +469,7 @@ impl RemoteSite {
             let entry_tol = fit_tolerance(epsilon, delta, entry.ll_std, chunk.len(), p_free);
             let floor = fail_low_floor(entry.avg_ll, entry_tol);
             let Some(avg) =
-                entry.mixture.avg_log_likelihood_unless_below(&batch, &mut self.scratch, floor)
+                entry.mixture.avg_log_likelihood_unless_below(chunk, &mut self.scratch, floor)
             else {
                 cut += 1;
                 continue;
@@ -509,7 +531,7 @@ impl RemoteSite {
     /// synopsis for the coordinator.
     fn cluster_chunk(
         &mut self,
-        chunk: &[Vector],
+        chunk: &Columns,
         this_chunk: u64,
         root: Option<(TraceId, SpanId)>,
     ) -> Result<ModelId, GmmError> {
@@ -552,9 +574,9 @@ impl RemoteSite {
         Ok(id)
     }
 
-    /// Memory footprint per Theorem 3: the record buffer
-    /// (`M · d` f64 values) plus `B · K(d² + d + 1)` model parameters plus
-    /// the event table.
+    /// Memory footprint per Theorem 3: the chunk buffer (`M · d` f64
+    /// values, the bytes it allocates) plus `B · K(d² + d + 1)` model
+    /// parameters plus the event table.
     pub fn memory_bytes(&self) -> usize {
         let buffer = 8 * self.chunk_size * self.config.dim;
         buffer + self.models.memory_bytes(self.config.covariance) + self.events.memory_bytes()

@@ -88,7 +88,7 @@ impl RemoteSite {
         let buffered = self.buffered_records();
         buf.put_u32_le(buffered.len() as u32);
         for x in buffered {
-            for &v in x.as_slice() {
+            for v in x {
                 buf.put_f64_le(v);
             }
         }
@@ -172,7 +172,10 @@ impl RemoteSite {
             _ => return Err(GmmError::Codec("bad open-event flag").into()),
         };
         let buffered = r.get_u32_le()? as usize;
-        let buffer = r.items(buffered, 8, |r| Ok(r.f64s(dim)?.collect()))?;
+        if buffered >= site.chunk_size() {
+            return Err(GmmError::Codec("buffered records fill a chunk").into());
+        }
+        let buffer: Vec<f64> = r.f64s(buffered * dim)?.collect();
 
         site.install_snapshot(
             ModelList::from_parts(entries, next_model_id),
@@ -180,7 +183,7 @@ impl RemoteSite {
             current,
             chunk_index,
             stats,
-            buffer,
+            &buffer,
         );
         Ok(site)
     }
@@ -193,6 +196,7 @@ mod tests {
     use cludistream_gmm::{ChunkParams, Gaussian, GmmError};
     use cludistream_linalg::Vector;
     use cludistream_rng::StdRng;
+    use cludistream_wire::ByteReader;
 
     fn config() -> Config {
         Config {
@@ -257,6 +261,37 @@ mod tests {
         assert_eq!(a, b, "divergent outcomes after restore");
         assert_eq!(original.stats(), restored.stats());
         assert_eq!(original.models().len(), restored.models().len());
+    }
+
+    /// A checkpoint taken mid-chunk, pinned byte for byte: how the site
+    /// holds its chunk buffer is not part of the format.
+    #[test]
+    fn a_mid_chunk_checkpoint_keeps_its_bytes() {
+        let site = busy_site();
+        assert_eq!(site.buffered_records().len(), site.chunk_size() / 2);
+        let pinned: &[u8] = include_bytes!("../../tests/fixtures/site_checkpoint.bin");
+        assert_eq!(site.snapshot().as_slice(), pinned);
+        let restored = RemoteSite::restore(config(), &mut ByteReader::new(pinned)).unwrap();
+        assert_eq!(restored.snapshot().as_slice(), pinned);
+    }
+
+    /// A checkpoint holds fewer records than a chunk: the site processes a
+    /// chunk the moment its last record arrives.
+    #[test]
+    fn a_checkpoint_buffering_a_whole_chunk_is_rejected() {
+        let fresh = RemoteSite::new(config()).unwrap().snapshot();
+        let (m, d) = (RemoteSite::new(config()).unwrap().chunk_size(), config().dim);
+        for (records, restores) in [(m - 1, true), (m, false), (m + 1, false)] {
+            let mut bytes = fresh.as_slice().to_vec();
+            let at = bytes.len() - 4;
+            bytes[at..].copy_from_slice(&(records as u32).to_le_bytes());
+            bytes.extend((0..records * d).flat_map(|v| (v as f64).to_le_bytes()));
+            let restored = RemoteSite::restore(config(), &mut ByteReader::new(&bytes));
+            assert_eq!(restored.is_ok(), restores, "{records} records");
+            if let Ok(site) = restored {
+                assert_eq!(site.snapshot().as_slice(), &bytes[..]);
+            }
+        }
     }
 
     #[test]

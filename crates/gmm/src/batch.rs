@@ -3,13 +3,13 @@
 //! EM scores every record against every component once per iteration. The
 //! per-record path ([`crate::Gaussian::log_pdf`]) chases `Vector` allocations
 //! scattered across the heap and builds a fresh terms buffer for every
-//! record; the kernels here instead flatten a chunk into one contiguous
-//! row-major buffer ([`Batch`]) and score [`BLOCK`]-sized row blocks at a
+//! record; the kernels here instead score [`BLOCK`]-sized blocks at a
 //! time against all components, reusing caller-owned scratch buffers
-//! ([`MixtureScratch`]) across blocks and iterations. The EM fit goes one
-//! step further: it transposes its chunk once, block by block, into
-//! [`Columns`], and k-means, the initial moments and both E-step passes
-//! all read those columns.
+//! ([`MixtureScratch`]) across blocks and iterations. A chunk is held as
+//! [`Columns`], block by block in the dimension-major layout the kernels
+//! score, so neither the chunk test nor any pass of the EM fit (k-means,
+//! the initial moments, both E-step passes) transposes a block; a
+//! row-major [`Batch`] is transposed one block at a time.
 //!
 //! # Bit-identity contract
 //!
@@ -62,8 +62,9 @@ pub const BLOCK: usize = 256;
 /// A contiguous, row-major (record-major) copy of a record slice: record
 /// `i` occupies `data[i*d .. (i+1)*d]`.
 ///
-/// Built once per chunk/fit and indexed by the batch kernels; the
-/// original `Vec<Vector>` stays the API currency everywhere else.
+/// What batched scoring and the `&[Vector]` entry points score; the
+/// kernels transpose it one block at a time. A chunk that stays is held
+/// as [`Columns`] instead.
 #[derive(Debug, Clone)]
 pub struct Batch {
     data: Vec<f64>,
@@ -111,46 +112,77 @@ impl Batch {
     }
 }
 
-/// A dimension-major copy of a record slice, [`BLOCK`] by block: block
-/// `k` holds records `k·BLOCK ..` (`count` of them, fewer in the last
-/// block) as `d` columns of `count` values, element `i` of the block's
-/// record `b` at `i*count + b` — the layout a transposed block has.
+/// A chunk of records in block-columnar layout: [`BLOCK`] by block,
+/// block `k` holds records `k·BLOCK ..` (`count` of them, fewer in the
+/// last block) as `d` columns of `count` values, element `i` of the
+/// block's record `b` at `i*count + b` — the layout a transposed block
+/// has, so the kernels score a block in place.
 ///
-/// The EM fit builds one per chunk and every pass of the fit reads it:
-/// k-means seeding and Lloyd, the initial moments, and both passes of the
-/// E-step, which thus transpose no block.
-#[derive(Debug)]
-pub(crate) struct Columns {
+/// Its length is fixed when it is made, so every block's width is known
+/// before its first record is written: a remote site keeps one
+/// `M`-record chunk and writes each record into its slot as it arrives
+/// ([`Columns::set_record`]), and the chunk test
+/// ([`Mixture::avg_log_likelihood_unless_below`]) and the EM fit
+/// ([`crate::fit_em_recorded`]) read it without a copy. Every pass of a
+/// fit reads it: k-means seeding and Lloyd, the initial moments, and
+/// both passes of the E-step.
+#[derive(Debug, Default)]
+pub struct Columns {
     data: Vec<f64>,
     n: usize,
     d: usize,
 }
 
 impl Columns {
-    /// Transposes `records`, which the caller has checked are non-empty
-    /// and of one dimension.
-    pub(crate) fn from_records(records: &[Vector]) -> Columns {
-        let (n, d) = (records.len(), records[0].dim());
-        let mut data = vec![0.0; n * d];
-        for (block, records) in data.chunks_mut(BLOCK * d.max(1)).zip(records.chunks(BLOCK)) {
-            let count = records.len();
-            for (b, x) in records.iter().enumerate() {
-                for (i, &v) in x.as_slice().iter().enumerate() {
-                    block[i * count + b] = v;
-                }
-            }
+    /// `n` records of dimension `d`, every value `0.0`: one allocation
+    /// of `8·n·d` bytes, never grown.
+    pub fn zeros(n: usize, d: usize) -> Columns {
+        Columns { data: vec![0.0; n * d], n, d }
+    }
+
+    /// Transposes `records` into a new chunk. Panics when records disagree
+    /// on dimensionality. An empty slice yields an empty chunk with
+    /// dimension 0.
+    pub fn from_records(records: &[Vector]) -> Columns {
+        let d = records.first().map_or(0, |r| r.dim());
+        let mut cols = Columns::zeros(records.len(), d);
+        for (b, x) in records.iter().enumerate() {
+            assert_eq!(x.dim(), d, "Columns::from_records: ragged record dimensions");
+            cols.set_record(b, x.as_slice());
         }
-        Columns { data, n, d }
+        cols
     }
 
     /// Number of records.
-    pub(crate) fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.n
     }
 
+    /// True when the chunk holds no records.
+    pub fn is_empty(&self) -> bool {
+        self.n == 0
+    }
+
     /// Record dimensionality.
-    pub(crate) fn dim(&self) -> usize {
+    pub fn dim(&self) -> usize {
         self.d
+    }
+
+    /// Every value, block after block.
+    pub(crate) fn values(&self) -> &[f64] {
+        &self.data
+    }
+
+    /// Overwrites record `b` with `x`. Panics when `b` is out of range or
+    /// `x` is not `d` long.
+    pub fn set_record(&mut self, b: usize, x: &[f64]) {
+        assert!(b < self.n && x.len() == self.d, "Columns::set_record: no slot for {b}");
+        let (start, at) = (b - b % BLOCK, b % BLOCK);
+        let count = BLOCK.min(self.n - start);
+        let block = &mut self.data[start * self.d..(start + count) * self.d];
+        for (i, &v) in x.iter().enumerate() {
+            block[i * count + at] = v;
+        }
     }
 
     /// Block `k`'s columns, `count × d` values.
@@ -165,7 +197,7 @@ impl Columns {
     }
 
     /// Record `b`, gathered from its block's columns.
-    pub(crate) fn record(&self, b: usize) -> impl Iterator<Item = f64> + '_ {
+    pub fn record(&self, b: usize) -> impl Iterator<Item = f64> + '_ {
         let block = self.block(b / BLOCK);
         let count = block.len() / self.d.max(1);
         (0..self.d).map(move |i| block[i * count + b % BLOCK])
@@ -216,23 +248,36 @@ impl DensityScratch {
 }
 
 /// Reusable workspace for the [`Mixture`] batch kernels: the `k × count`
-/// weighted log-density table, the column sums of its log-sum-exp, and
-/// the per-Gaussian [`DensityScratch`]. One per E-step or scoring call,
-/// reused across its blocks.
+/// weighted log-density table, the per-record workspace of its
+/// log-sum-exp, and the per-Gaussian [`DensityScratch`]. One per E-step
+/// or scoring call, reused across its blocks.
 #[derive(Debug, Default)]
 pub struct MixtureScratch {
     /// Component-major table: `weighted[j*count + b] = ln w_j + ln p(x_b|j)`.
     pub(crate) weighted: Vec<f64>,
-    /// [`log_sum_exp_cols`]' per-record sums; also the `k` terms of the
-    /// density ceiling.
-    pub(crate) sum: Vec<f64>,
+    /// [`log_sum_exp_cols`]' per-record workspace; its sums also hold the
+    /// `k` terms of the density ceiling.
+    pub(crate) sums: ColumnSums,
     /// The block's dimension-major copy and solve buffer, shared by all
     /// components' density evaluations.
     pub(crate) density: DensityScratch,
 }
 
+/// Per-record workspace of [`log_sum_exp_cols`]: the running sums, and
+/// the gate a sum must reach before it skips a tiny term. Grows to the
+/// widest table it has seen and is never shrunk, so a call allocates
+/// nothing once it has.
+#[derive(Debug, Default)]
+pub(crate) struct ColumnSums {
+    sum: Vec<f64>,
+    gate: Vec<f64>,
+}
+
+/// A term with `d = t − max < TINY` is *tiny*: `exp(d) < e⁻⁶⁴ < 2⁻⁹²`.
+const TINY: f64 = -64.0;
+
 /// [`log_sum_exp`] of every column of a component-major `k × count`
-/// table: `out[b] = ln Σ_j exp(table[j*count + b])`, with `sum` as the
+/// table: `out[b] = ln Σ_j exp(table[j*count + b])`, with `sums` as the
 /// per-record workspace.
 ///
 /// Each loop runs record-innermost over one table row, while each column
@@ -241,28 +286,68 @@ pub struct MixtureScratch {
 /// from `0.0` in component order, then `max + ln(sum)`, or `max` itself
 /// when it is not finite. So `out[b]` is bit-identical to `log_sum_exp`
 /// of column `b`. An empty `out` is a no-op.
-pub(crate) fn log_sum_exp_cols(table: &[f64], out: &mut [f64], sum: &mut Vec<f64>) {
+///
+/// The sum calls `exp` only where its result can reach the sum's bits.
+/// With `d = t − max`:
+/// - `d == 0` adds `1.0`, which is what `exp(±0)` returns;
+/// - a tiny term (`d < TINY`; a NaN `d` never is) is skipped when the
+///   running sum is already `≥ 1`, because adding anything below `2⁻⁵³`
+///   to a value `≥ 1` rounds back to that value;
+/// - a tiny term is also skipped when every term before the record's
+///   first maximum is tiny: what comes before that maximum then sums to
+///   less than `k·2⁻⁹² < 2⁻⁵³`, so adding the maximum's `1.0` gives
+///   exactly `1.0` whatever was skipped, and after it the sum is `≥ 1`.
+///
+/// The max pass finds where the second rule holds at no extra pass: it
+/// also keeps, per record, the largest term before the running maximum's
+/// first occurrence (a NaN there poisons it). Rounding is monotone, so
+/// that term is tiny exactly when every term before the first maximum is,
+/// and the record's gate is `0` then and `1` otherwise: a tiny term is
+/// skipped once the sum reaches the gate. A sum of `1.0` takes `ln 1 =
+/// +0` without calling `ln`. Every other term is computed as the scalar
+/// function does.
+pub(crate) fn log_sum_exp_cols(table: &[f64], out: &mut [f64], sums: &mut ColumnSums) {
     let count = out.len();
     if count == 0 {
         return;
     }
     debug_assert_eq!(table.len() % count, 0);
+    let ColumnSums { sum, gate } = sums;
+    // While the max pass runs, `sum` holds each record's running max that
+    // keeps a NaN, and `gate` that value as it stood before the running
+    // maximum's first occurrence.
     out.fill(f64::NEG_INFINITY);
+    sum.clear();
+    sum.resize(count, f64::NEG_INFINITY);
+    gate.clear();
+    gate.resize(count, f64::NEG_INFINITY);
     for row in table.chunks_exact(count) {
-        for (m, &t) in out.iter_mut().zip(row) {
+        let records = out.iter_mut().zip(sum.iter_mut()).zip(gate.iter_mut());
+        for (((m, run), before), &t) in records.zip(row) {
+            if t > *m {
+                *before = *run;
+            }
+            *run = if t.is_nan() || *run < t { t } else { *run };
             *m = f64::max(*m, t);
         }
     }
-    sum.clear();
-    sum.resize(count, 0.0);
+    for (g, &m) in gate.iter_mut().zip(out.iter()) {
+        *g = if *g - m < TINY { 0.0 } else { 1.0 };
+    }
+    sum.fill(0.0);
     for row in table.chunks_exact(count) {
-        for ((s, &t), &m) in sum.iter_mut().zip(row).zip(out.iter()) {
-            *s += (t - m).exp();
+        for (((s, &t), &m), &g) in sum.iter_mut().zip(row).zip(out.iter()).zip(gate.iter()) {
+            let d = t - m;
+            if d == 0.0 {
+                *s += 1.0;
+            } else if !(d < TINY && *s >= g) {
+                *s += d.exp();
+            }
         }
     }
     for (o, &s) in out.iter_mut().zip(sum.iter()) {
         if o.is_finite() {
-            *o += s.ln();
+            *o += if s == 1.0 { 0.0 } else { s.ln() };
         }
     }
 }
@@ -330,23 +415,41 @@ impl Mixture {
         let count = out.len();
         assert_eq!(rows.len(), count * self.dim(), "log_pdf_batch: rows/out length mismatch");
         self.weighted_log_density_block(rows, count, scratch);
-        log_sum_exp_cols(&scratch.weighted[..self.k() * count], out, &mut scratch.sum);
+        log_sum_exp_cols(&scratch.weighted[..self.k() * count], out, &mut scratch.sums);
     }
 
-    /// Average log likelihood (Definition 1) of a pre-flattened batch,
+    /// [`Self::log_pdf_batch`] of a block that is already dimension-major,
+    /// such as a block of [`Columns`]: the same two kernels without the
+    /// transpose.
+    pub(crate) fn log_pdf_cols(&self, cols: &[f64], out: &mut [f64], scratch: &mut MixtureScratch) {
+        let len = self.k() * out.len();
+        if scratch.weighted.len() < len {
+            scratch.weighted.resize(len, 0.0);
+        }
+        let solve = scratch.density.solve(cols.len());
+        self.weighted_log_density_cols(cols, &mut scratch.weighted[..len], solve);
+        log_sum_exp_cols(&scratch.weighted[..len], out, &mut scratch.sums);
+    }
+
+    /// Average log likelihood (Definition 1) of a row-major batch,
     /// evaluated [`BLOCK`] records at a time. Bit-identical to
     /// [`Mixture::avg_log_likelihood`] on the same records: the per-record
     /// log densities are bit-identical and the sum is accumulated in the
     /// same flat record order. Returns `-inf` on an empty batch.
     pub fn avg_log_likelihood_batch(&self, batch: &Batch, scratch: &mut MixtureScratch) -> f64 {
-        self.avg_log_likelihood_unless_below(batch, scratch, f64::NEG_INFINITY)
+        let block = |start, out: &mut [f64], scratch: &mut MixtureScratch| {
+            self.log_pdf_batch(batch.rows(start, out.len()), out, scratch)
+        };
+        self.avg_unless_below(batch.len(), scratch, f64::NEG_INFINITY, block)
             .expect("no average is below -inf")
     }
 
-    /// [`Self::avg_log_likelihood_batch`] for a caller that only needs the
-    /// average if it reaches `floor`: `Some(avg)`, bit-identical to the
-    /// full pass, or `None` once the average is provably below `floor` —
-    /// decided after a [`BLOCK`], without scoring the blocks left.
+    /// The Definition 1 average of `chunk` for a caller that only needs it
+    /// if it reaches `floor`: `Some(avg)`, bit-identical to
+    /// [`Self::avg_log_likelihood_batch`] on the same records, or `None`
+    /// once the average is provably below `floor` — decided after a
+    /// [`BLOCK`], without scoring the blocks left. A floor of `-inf` always
+    /// gets the average.
     ///
     /// The proof is the mixture's **density ceiling**. No record scores
     /// above `U = ln Σ_k w_k (2π)^{−d/2} |Σ_k|^{−1/2}` (every component at
@@ -365,37 +468,53 @@ impl Mixture {
     /// to the end and is the caller's to decide on the exact value.
     ///
     /// Every comparison with a `NaN` (sum, ceiling, floor) is false, so a
-    /// `NaN` never stops a pass, nor does a floor of `-inf`; a batch of one
-    /// block has no block left to skip; an empty batch is `Some(-inf)`. If
+    /// `NaN` never stops a pass, nor does a floor of `-inf`; a chunk of one
+    /// block has no block left to skip; an empty chunk is `Some(-inf)`. If
     /// a record *after* the stop is non-finite the full average is `NaN`
     /// or `-inf`, not a number at or above `floor` either.
     pub fn avg_log_likelihood_unless_below(
         &self,
-        batch: &Batch,
+        chunk: &Columns,
         scratch: &mut MixtureScratch,
         floor: f64,
     ) -> Option<f64> {
-        if batch.is_empty() {
+        let block = |start, out: &mut [f64], scratch: &mut MixtureScratch| {
+            self.log_pdf_cols(chunk.block(start / BLOCK), out, scratch)
+        };
+        self.avg_unless_below(chunk.len(), scratch, floor, block)
+    }
+
+    /// The block loop of both averages over `n` records: `block(start,
+    /// out, scratch)` writes `ln p(x_b)` of the `out.len()` records from
+    /// `start` on.
+    fn avg_unless_below(
+        &self,
+        n: usize,
+        scratch: &mut MixtureScratch,
+        floor: f64,
+        mut block: impl FnMut(usize, &mut [f64], &mut MixtureScratch),
+    ) -> Option<f64> {
+        if n == 0 {
             return Some(f64::NEG_INFINITY);
         }
-        let n = batch.len() as f64;
-        let ceiling = self.log_density_ceiling(&mut scratch.sum);
-        let slack_unit = 8.0 * f64::EPSILON * (n + self.k() as f64);
+        let len = n as f64;
+        let ceiling = self.log_density_ceiling(&mut scratch.sums.sum);
+        let slack_unit = 8.0 * f64::EPSILON * (len + self.k() as f64);
         let mut out = [0.0f64; BLOCK];
         let mut total = 0.0;
         let mut start = 0;
         loop {
-            let count = BLOCK.min(batch.len() - start);
-            self.log_pdf_batch(batch.rows(start, count), &mut out[..count], scratch);
+            let count = BLOCK.min(n - start);
+            block(start, &mut out[..count], scratch);
             for &v in &out[..count] {
                 total += v;
             }
             start += count;
-            if start == batch.len() {
-                return Some(total / n);
+            if start == n {
+                return Some(total / len);
             }
-            let bound = (total + (batch.len() - start) as f64 * ceiling) / n;
-            let slack = slack_unit * (1.0 + floor.abs() + ceiling.abs() + (total / n).abs());
+            let bound = (total + (n - start) as f64 * ceiling) / len;
+            let slack = slack_unit * (1.0 + floor.abs() + ceiling.abs() + (total / len).abs());
             if bound < floor - slack {
                 return None;
             }
@@ -469,6 +588,45 @@ mod tests {
     #[should_panic(expected = "ragged record dimensions")]
     fn ragged_records_rejected() {
         let _ = Batch::from_records(&[Vector::zeros(2), Vector::zeros(3)]);
+    }
+
+    #[test]
+    fn columns_hold_each_block_as_its_transpose() {
+        let mut rng = StdRng::seed_from_u64(40);
+        let recs = random_records(&mut rng, 2 * BLOCK + 17, 3);
+        let cols = Columns::from_records(&recs);
+        assert_eq!((cols.len(), cols.dim(), cols.is_empty()), (recs.len(), 3, false));
+        let batch = Batch::from_records(&recs);
+        let mut density = DensityScratch::default();
+        for (start, block) in cols.blocks() {
+            let count = BLOCK.min(recs.len() - start);
+            let (transposed, _) = density.transpose(batch.rows(start, count), count);
+            assert_eq!(block, transposed, "block at {start}");
+        }
+        // Written record by record into a chunk of zeros, as a site fills
+        // one, in any order: the same values, and each record reads back.
+        let mut filled = Columns::zeros(recs.len(), 3);
+        for b in (0..recs.len()).rev() {
+            filled.set_record(b, recs[b].as_slice());
+        }
+        assert_eq!(filled.values(), cols.values());
+        for (b, x) in recs.iter().enumerate() {
+            assert!(filled.record(b).eq(x.as_slice().iter().copied()), "record {b}");
+        }
+        let empty = Columns::from_records(&[]);
+        assert_eq!((empty.len(), empty.dim(), empty.is_empty()), (0, 0, true));
+    }
+
+    #[test]
+    #[should_panic(expected = "ragged record dimensions")]
+    fn ragged_records_rejected_by_columns() {
+        let _ = Columns::from_records(&[Vector::zeros(2), Vector::zeros(3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "no slot")]
+    fn a_record_past_the_end_has_no_slot() {
+        Columns::zeros(3, 2).set_record(3, &[1.0, 2.0]);
     }
 
     #[test]
@@ -578,50 +736,166 @@ mod tests {
         assert!(out.iter().any(|v| v.is_finite()));
     }
 
+    /// The column log-sum-exp as it stood before it skipped terms that
+    /// cannot reach the sum's bits, kept verbatim as the oracle of the
+    /// exactness tests.
+    fn log_sum_exp_cols_reference(table: &[f64], out: &mut [f64], sum: &mut Vec<f64>) {
+        let count = out.len();
+        if count == 0 {
+            return;
+        }
+        debug_assert_eq!(table.len() % count, 0);
+        out.fill(f64::NEG_INFINITY);
+        for row in table.chunks_exact(count) {
+            for (m, &t) in out.iter_mut().zip(row) {
+                *m = f64::max(*m, t);
+            }
+        }
+        sum.clear();
+        sum.resize(count, 0.0);
+        for row in table.chunks_exact(count) {
+            for ((s, &t), &m) in sum.iter_mut().zip(row).zip(out.iter()) {
+                *s += (t - m).exp();
+            }
+        }
+        for (o, &s) in out.iter_mut().zip(sum.iter()) {
+            if o.is_finite() {
+                *o += s.ln();
+            }
+        }
+    }
+
+    /// An offset `d = t − max` of a term below the maximum: tiny (down to
+    /// where `exp` underflows to 0 and past it), not tiny, one ulp either
+    /// side of [`TINY`] or on it, between −64 and −30, just below the
+    /// maximum, or `-inf`.
+    fn offset(rng: &mut StdRng) -> f64 {
+        match rng.gen_range(0..6usize) {
+            0 => TINY - rng.gen::<f64>() * 800.0,
+            1 => rng.gen::<f64>() * TINY,
+            2 => [TINY.next_down(), TINY, TINY.next_up()][rng.gen_range(0..3usize)],
+            3 => -30.0 - rng.gen::<f64>() * 34.0,
+            4 => -rng.gen::<f64>() * 1e-3,
+            _ => f64::NEG_INFINITY,
+        }
+    }
+
+    /// The offset whose `exp` is the largest value below 2⁻⁵³, the
+    /// midpoint between 1 and the next float up: `1 + exp(small)` rounds to
+    /// 1, but `1 + (exp(small) + exp(tiny))` rounds up. So a tiny term
+    /// between that term and the maximum reaches the sum's bits, and only
+    /// the rule "every term before the first maximum is tiny" may skip one
+    /// before the maximum.
+    fn just_below_half_ulp() -> f64 {
+        let half_ulp = f64::EPSILON / 2.0;
+        let mut small = half_ulp.ln();
+        while small.exp() >= half_ulp {
+            small = small.next_down();
+        }
+        small
+    }
+
+    /// One column of `k` terms of the given kind.
+    fn column(rng: &mut StdRng, k: usize, kind: usize) -> Vec<f64> {
+        // Half the columns have their maximum at 0, so `d` is exactly the
+        // offset drawn.
+        let max = if rng.gen_bool(0.5) { 0.0 } else { rng.gen::<f64>() * 60.0 - 50.0 };
+        let at = [0, k / 2, k - 1, rng.gen_range(0..k)][rng.gen_range(0..4usize)];
+        let mut col: Vec<f64> = (0..k).map(|_| max + offset(rng)).collect();
+        col[at] = max;
+        match kind {
+            // All -inf.
+            0 => col.fill(f64::NEG_INFINITY),
+            // A +inf among the others.
+            1 => col[rng.gen_range(0..k)] = f64::INFINITY,
+            // A NaN, before or after the maximum.
+            2 => {
+                let nan = rng.gen_range(0..k);
+                if nan != at {
+                    col[nan] = f64::NAN;
+                }
+            }
+            // The maximum tied, at two places or more.
+            3 => {
+                for t in col.iter_mut() {
+                    if rng.gen_bool(0.3) {
+                        *t = max;
+                    }
+                }
+            }
+            // The maximum last, a term that is not tiny before it, and
+            // tiny ones beside that; half the time that term is
+            // `just_below_half_ulp` and a tiny one follows it.
+            4 if k >= 3 => {
+                for t in col.iter_mut() {
+                    *t = max + TINY - 1.0 - rng.gen::<f64>() * 100.0;
+                }
+                if rng.gen_bool(0.5) {
+                    col[k - 3] = max + rng.gen::<f64>() * TINY;
+                    col[k - 1] = max;
+                } else {
+                    col[k - 3] = just_below_half_ulp();
+                    col[k - 2] = TINY.next_down();
+                    col[k - 1] = 0.0;
+                }
+            }
+            // Every term below the maximum tiny: the maximum first, in
+            // the middle or last.
+            5 => {
+                for t in col.iter_mut() {
+                    *t = max + TINY.next_down() - rng.gen::<f64>() * 100.0;
+                }
+                col[at] = max;
+            }
+            // 1 400 nats wide: some exp(t − max) underflow.
+            6 => col.iter_mut().for_each(|t| *t = rng.gen::<f64>() * -1400.0),
+            // Finite and at most 60 nats apart.
+            7 => col.iter_mut().for_each(|t| *t = rng.gen::<f64>() * 60.0 - 50.0),
+            // The offsets as drawn.
+            _ => {}
+        }
+        col
+    }
+
     #[test]
     fn log_sum_exp_cols_bit_identical_to_scalar() {
         use cludistream_rng::check;
+        // Not vacuous: the tiny term of kind 4 reaches the bits.
+        let (small, tiny) = (just_below_half_ulp(), TINY.next_down());
+        assert_ne!(
+            log_sum_exp(&[small, tiny, 0.0]).to_bits(),
+            log_sum_exp(&[small, 0.0]).to_bits(),
+            "the tiny term must reach the bits"
+        );
         check::cases("batch.log_sum_exp_cols_bit_identical", 8, |rng| {
-            let mut sum = Vec::new();
-            for k in [1usize, 2, 5, 12] {
+            let (mut sums, mut sum) = (ColumnSums::default(), Vec::new());
+            for k in [1usize, 2, 5, 8, 17, 64] {
                 for count in [1usize, 7, 255, 256] {
                     let mut table = vec![0.0; k * count];
                     for b in 0..count {
-                        let kind = rng.gen_range(0..6usize);
-                        let at = rng.gen_range(0..k);
-                        for j in 0..k {
-                            let finite = rng.gen::<f64>() * 60.0 - 50.0;
-                            table[j * count + b] = match kind {
-                                // All -inf.
-                                0 => f64::NEG_INFINITY,
-                                // A +inf among finite terms and -inf.
-                                1 if j == at => f64::INFINITY,
-                                1 if rng.gen_bool(0.3) => f64::NEG_INFINITY,
-                                // A NaN among finite terms.
-                                2 if j == at => f64::NAN,
-                                // -inf beside finite terms.
-                                3 if rng.gen_bool(0.5) => f64::NEG_INFINITY,
-                                // 1 400 nats wide: some exp(t − max) underflow.
-                                4 => rng.gen::<f64>() * -1400.0,
-                                _ => finite,
-                            };
+                        let kind = rng.gen_range(0..9usize);
+                        for (j, t) in column(rng, k, kind).into_iter().enumerate() {
+                            table[j * count + b] = t;
                         }
                     }
                     let mut out = vec![0.5; count];
-                    log_sum_exp_cols(&table, &mut out, &mut sum);
-                    for (b, got) in out.iter().enumerate() {
+                    log_sum_exp_cols(&table, &mut out, &mut sums);
+                    let mut want = vec![0.5; count];
+                    log_sum_exp_cols_reference(&table, &mut want, &mut sum);
+                    for (b, (got, want)) in out.iter().zip(&want).enumerate() {
                         let col: Vec<f64> = (0..k).map(|j| table[j * count + b]).collect();
-                        let want = log_sum_exp(&col);
                         assert_eq!(got.to_bits(), want.to_bits(), "k={k} count={count} {col:?}");
+                        let scalar = log_sum_exp(&col);
+                        assert_eq!(got.to_bits(), scalar.to_bits(), "k={k} count={count} {col:?}");
                     }
                 }
             }
         });
         // An empty block touches nothing.
-        let mut sum = vec![1.0, 2.0];
-        log_sum_exp_cols(&[], &mut [], &mut sum);
-        log_sum_exp_cols(&[3.0, 4.0], &mut [], &mut sum);
-        assert_eq!(sum, [1.0, 2.0]);
+        let mut sums = ColumnSums { sum: vec![1.0, 2.0], gate: Vec::new() };
+        log_sum_exp_cols(&[], &mut [], &mut sums);
+        log_sum_exp_cols(&[3.0, 4.0], &mut [], &mut sums);
+        assert_eq!(sums.sum, [1.0, 2.0]);
     }
 
     #[test]
@@ -662,16 +936,16 @@ mod tests {
     }
 
     /// A record slice as the kernel takes it, with its scalar average.
-    fn flattened(mix: &Mixture, recs: &[Vector]) -> (Batch, f64) {
-        (Batch::from_records(recs), scalar_average(mix, recs))
+    fn as_chunk(mix: &Mixture, recs: &[Vector]) -> (Columns, f64) {
+        (Columns::from_records(recs), scalar_average(mix, recs))
     }
 
     /// The contract of `avg_log_likelihood_unless_below` against `full`, the
-    /// scalar average of the batch's records. Returns whether the pass
+    /// scalar average of the chunk's records. Returns whether the pass
     /// stopped early.
-    fn assert_sound(mix: &Mixture, batch: &Batch, full: f64, floor: f64, what: &str) -> bool {
+    fn assert_sound(mix: &Mixture, chunk: &Columns, full: f64, floor: f64, what: &str) -> bool {
         let mut scratch = MixtureScratch::default();
-        match mix.avg_log_likelihood_unless_below(batch, &mut scratch, floor) {
+        match mix.avg_log_likelihood_unless_below(chunk, &mut scratch, floor) {
             Some(avg) => {
                 assert_eq!(avg.to_bits(), full.to_bits(), "{what} floor={floor}: {avg} vs {full}");
                 false
@@ -739,7 +1013,7 @@ mod tests {
                                     x
                                 })
                                 .collect();
-                            let (batch, full) = flattened(&mix, &recs);
+                            let (chunk, full) = as_chunk(&mix, &recs);
                             let in_dist = scalar_average(
                                 &mix,
                                 &(0..64).map(|_| mix.sample(rng)).collect::<Vec<_>>(),
@@ -757,7 +1031,7 @@ mod tests {
                                 f64::NAN,
                                 f64::INFINITY,
                             ] {
-                                let cut = assert_sound(&mix, &batch, full, floor, &what);
+                                let cut = assert_sound(&mix, &chunk, full, floor, &what);
                                 assert!(!cut || n > BLOCK, "{what}: one block, nothing to skip");
                                 stopped += cut as usize;
                             }
@@ -765,7 +1039,7 @@ mod tests {
                             // floor near the in-distribution average.
                             if n > BLOCK && matches!(SHIFTS.get(kind), Some(&s) if s >= 20.0) {
                                 assert!(
-                                    assert_sound(&mix, &batch, full, in_dist - 0.5, &what),
+                                    assert_sound(&mix, &chunk, full, in_dist - 0.5, &what),
                                     "{what}: {full} against {in_dist} not stopped"
                                 );
                             }
@@ -786,13 +1060,13 @@ mod tests {
         let mix = Mixture::single(g);
         let mut recs = vec![Vector::filled(3, 40.0); BLOCK];
         recs.extend(vec![mode; 2 * BLOCK + 5]);
-        let (batch, full) = flattened(&mix, &recs);
+        let (chunk, full) = as_chunk(&mix, &recs);
         // A hair under the truth: no proof, the full pass's bits.
         for floor in [full - 1e-9, full - 1e-12, full] {
-            assert!(!assert_sound(&mix, &batch, full, floor, "ceiling attained"));
+            assert!(!assert_sound(&mix, &chunk, full, floor, "ceiling attained"));
         }
         // Truly below: one block is proof enough.
-        assert!(assert_sound(&mix, &batch, full, full + 1e-6, "ceiling attained"));
+        assert!(assert_sound(&mix, &chunk, full, full + 1e-6, "ceiling attained"));
 
         // Several components, the rest of the chunk at the heaviest one's
         // mode: the ceiling is approached, never crossed.
@@ -808,9 +1082,9 @@ mod tests {
         let mode = mix.components()[0].mean().clone();
         let mut recs = vec![Vector::filled(3, 40.0); BLOCK];
         recs.extend(vec![mode; 2 * BLOCK + 5]);
-        let (batch, full) = flattened(&mix, &recs);
+        let (chunk, full) = as_chunk(&mix, &recs);
         for floor in [full - 1.0, full - 1e-12, full, full + 1e-12, full + 1.0] {
-            assert_sound(&mix, &batch, full, floor, "heaviest mode");
+            assert_sound(&mix, &chunk, full, floor, "heaviest mode");
         }
     }
 
@@ -828,9 +1102,9 @@ mod tests {
         let own: Vec<Vector> = (0..1567).map(|_| mix.sample(&mut rng)).collect();
         let (avg0, tol) = (scalar_average(&mix, &own), 0.1);
         let recs = vec![mix.components()[0].mean().clone(); 1567];
-        let batch = Batch::from_records(&recs);
+        let chunk = Columns::from_records(&recs);
         let avg = mix
-            .avg_log_likelihood_unless_below(&batch, &mut MixtureScratch::default(), avg0 - tol)
+            .avg_log_likelihood_unless_below(&chunk, &mut MixtureScratch::default(), avg0 - tol)
             .expect("an average above the floor is returned");
         assert_eq!(avg.to_bits(), scalar_average(&mix, &recs).to_bits());
         assert!(crate::j_fit(avg, avg0) > tol, "{avg} against {avg0}");
@@ -846,28 +1120,28 @@ mod tests {
         assert_eq!(mix.log_pdf(&nowhere), f64::NEG_INFINITY);
         for at in [0, BLOCK + 3, 3 * BLOCK - 1] {
             let kept = std::mem::replace(&mut recs[at], nowhere.clone());
-            let (batch, full) = flattened(&mix, &recs);
+            let (chunk, full) = as_chunk(&mix, &recs);
             assert_eq!(full, f64::NEG_INFINITY);
             for floor in [f64::NEG_INFINITY, -1e300, -5.0, f64::NAN] {
-                assert_sound(&mix, &batch, full, floor, &format!("-inf record at {at}"));
+                assert_sound(&mix, &chunk, full, floor, &format!("-inf record at {at}"));
             }
             recs[at] = kept;
         }
         // After a stop the record is never scored; the verdict still holds.
         let mut far = vec![Vector::filled(2, 60.0); BLOCK];
         far.extend(vec![nowhere; BLOCK]);
-        let (batch, full) = flattened(&mix, &far);
-        assert!(assert_sound(&mix, &batch, full, -5.0, "-inf after the stop"));
+        let (chunk, full) = as_chunk(&mix, &far);
+        assert!(assert_sound(&mix, &chunk, full, -5.0, "-inf after the stop"));
     }
 
     #[test]
-    fn unless_below_on_an_empty_batch_is_neg_inf_whatever_the_floor() {
+    fn unless_below_on_an_empty_chunk_is_neg_inf_whatever_the_floor() {
         let mix = Mixture::single(Gaussian::spherical(Vector::zeros(1), 1.0).unwrap());
-        let batch = Batch::from_records(&[]);
+        let chunk = Columns::from_records(&[]);
         let mut scratch = MixtureScratch::default();
         for floor in [f64::NEG_INFINITY, 0.0, f64::INFINITY, f64::NAN] {
             assert_eq!(
-                mix.avg_log_likelihood_unless_below(&batch, &mut scratch, floor),
+                mix.avg_log_likelihood_unless_below(&chunk, &mut scratch, floor),
                 Some(f64::NEG_INFINITY)
             );
         }

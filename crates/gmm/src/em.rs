@@ -92,59 +92,78 @@ pub struct EmFit {
 /// the M-step re-estimates `(w_j, μ_j, Σ_j)` from responsibility-weighted
 /// sufficient statistics. Iteration stops when the average log likelihood
 /// improves by less than `tol` or `max_iters` is reached.
+///
+/// The records are transposed once into [`Columns`], which the whole fit
+/// reads; [`fit_em_recorded`] fits a chunk already held that way.
 pub fn fit_em(data: &[Vector], config: &EmConfig) -> Result<EmFit> {
-    // Monomorphized against the no-op recorder: the telemetry calls in the
-    // loop compile away entirely (the `noop_alloc` contract test pins this
-    // down).
-    fit_em_recorded(data, config, &NopRecorder)
-}
-
-/// [`fit_em`] with telemetry: an `em.iters_per_fit` observation, the
-/// `em.estep_blocks` counter, `em.iter_capped` when the cap (not
-/// ϖ-convergence) stops the loop, and an [`Event::EmConverged`] journal
-/// event when convergence does.
-pub fn fit_em_recorded(
-    data: &[Vector],
-    config: &EmConfig,
-    recorder: &(impl Recorder + ?Sized),
-) -> Result<EmFit> {
-    if config.k == 0 {
-        return Err(GmmError::InvalidParameter { name: "k", constraint: "k >= 1" });
-    }
-    if config.tol < 0.0 || !config.tol.is_finite() {
-        return Err(GmmError::InvalidParameter { name: "tol", constraint: "tol >= 0" });
-    }
-    if data.len() < config.k {
-        return Err(GmmError::NotEnoughData { have: data.len(), need: config.k });
-    }
+    check_config(config, data.len())?;
     let d = data[0].dim();
     for x in data {
         if x.dim() != d {
             return Err(GmmError::DimensionMismatch { expected: d, got: x.dim() });
         }
         if !x.is_finite() {
-            return Err(GmmError::InvalidParameter {
-                name: "data",
-                constraint: "all records finite",
-            });
+            return Err(non_finite());
         }
     }
-    let k = config.k;
+    // Monomorphized against the no-op recorder: the telemetry calls in the
+    // loop compile away entirely (the `noop_alloc` contract test pins this
+    // down).
+    fit(&Columns::from_records(data), config, &NopRecorder)
+}
 
+/// [`fit_em`] of a chunk held as [`Columns`], read in place, with
+/// telemetry: an `em.iters_per_fit` observation, the `em.estep_blocks`
+/// counter, `em.iter_capped` when the cap (not ϖ-convergence) stops the
+/// loop, and an [`Event::EmConverged`] journal event when convergence
+/// does.
+pub fn fit_em_recorded(
+    chunk: &Columns,
+    config: &EmConfig,
+    recorder: &(impl Recorder + ?Sized),
+) -> Result<EmFit> {
+    check_config(config, chunk.len())?;
+    if !chunk.values().iter().all(|v| v.is_finite()) {
+        return Err(non_finite());
+    }
+    fit(chunk, config, recorder)
+}
+
+/// The checks both entries make before they look at a record.
+fn check_config(config: &EmConfig, n: usize) -> Result<()> {
+    if config.k == 0 {
+        return Err(GmmError::InvalidParameter { name: "k", constraint: "k >= 1" });
+    }
+    if config.tol < 0.0 || !config.tol.is_finite() {
+        return Err(GmmError::InvalidParameter { name: "tol", constraint: "tol >= 0" });
+    }
+    if n < config.k {
+        return Err(GmmError::NotEnoughData { have: n, need: config.k });
+    }
+    Ok(())
+}
+
+fn non_finite() -> GmmError {
+    GmmError::InvalidParameter { name: "data", constraint: "all records finite" }
+}
+
+/// The fit itself, on a validated chunk.
+fn fit(chunk: &Columns, config: &EmConfig, recorder: &(impl Recorder + ?Sized)) -> Result<EmFit> {
+    let (k, d) = (config.k, chunk.dim());
     let diagonal = config.covariance == CovarianceType::Diagonal;
-    let mut estep = EStep::new(data, k, diagonal);
+    let mut estep = EStep::new(chunk, k, diagonal);
     // Global per-dimension variance: the k-means fallback sphere and every
     // starvation rescue use it.
-    let avg_var = global_avg_var(&estep.cols, &mut estep.moments)?;
+    let avg_var = global_avg_var(chunk, &mut estep.moments)?;
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut mixture = initialize(&estep.cols, config, avg_var, &mut rng, &mut estep.moments)?;
+    let mut mixture = initialize(chunk, config, avg_var, &mut rng, &mut estep.moments)?;
 
-    let n = data.len() as f64;
+    let n = chunk.len() as f64;
     let mut prev_avg = f64::NEG_INFINITY;
     let mut log_likelihood = f64::NEG_INFINITY;
     let mut iterations = 0;
     let mut converged = false;
-    let blocks = data.len().div_ceil(BLOCK);
+    let blocks = chunk.len().div_ceil(BLOCK);
     let mut estep_blocks = 0u64;
 
     for iter in 0..config.max_iters {
@@ -179,14 +198,14 @@ pub fn fit_em_recorded(
             if mass < config.min_weight * n || mass <= 0.0 {
                 let worst = worst_record.get_or_insert_with(|| {
                     const RESCUE_SAMPLE: usize = 256;
-                    let stride = (data.len() / RESCUE_SAMPLE).max(1);
-                    data.iter()
+                    let stride = (chunk.len() / RESCUE_SAMPLE).max(1);
+                    (0..chunk.len())
                         .step_by(stride)
+                        .map(|b| chunk.record(b).collect::<Vector>())
                         .min_by(|a, b| {
                             mixture.log_pdf(a).partial_cmp(&mixture.log_pdf(b)).expect("NaN")
                         })
                         .expect("non-empty data")
-                        .clone()
                 });
                 // Jitter subsequent rescues so multiple starved components
                 // don't collapse onto the same point.
@@ -239,10 +258,9 @@ pub fn fit_em_recorded(
 /// record. Both passes run on the calling thread, block after block, and
 /// [`BLOCK`] is their unit of reduction: each block fills its own
 /// accumulator, folded into the total in block order.
-struct EStep {
-    /// Dimension-major copy of the chunk, which both passes, k-means and
-    /// the initial moments read.
-    cols: Columns,
+struct EStep<'a> {
+    /// The chunk, which both passes, k-means and the initial moments read.
+    cols: &'a Columns,
     k: usize,
     diagonal: bool,
     /// Block `b`'s `k × count` weighted log-density table, at
@@ -280,16 +298,16 @@ impl Moments {
     }
 }
 
-impl EStep {
-    fn new(data: &[Vector], k: usize, diagonal: bool) -> Self {
-        let d = data[0].dim();
+impl<'a> EStep<'a> {
+    fn new(cols: &'a Columns, k: usize, diagonal: bool) -> Self {
+        let d = cols.dim();
         let width = if diagonal { 1 + 2 * d } else { 1 + d + d * d };
         EStep {
-            cols: Columns::from_records(data),
+            cols,
             k,
             diagonal,
-            table: vec![0.0; k * data.len()],
-            norms: vec![0.0; data.len()],
+            table: vec![0.0; k * cols.len()],
+            norms: vec![0.0; cols.len()],
             stats: vec![0.0; k * width],
             partial: vec![0.0; k * width],
             scratch: MixtureScratch::default(),
@@ -348,7 +366,7 @@ fn score_block(
 ) -> f64 {
     let solve = scratch.density.solve(cols.len());
     mixture.weighted_log_density_cols(cols, table, solve);
-    log_sum_exp_cols(table, norms, &mut scratch.sum);
+    log_sum_exp_cols(table, norms, &mut scratch.sums);
     let mut ll = 0.0;
     for &norm in norms.iter() {
         ll += norm;
@@ -718,7 +736,7 @@ mod reference {
         }
         Ok(EmFit {
             avg_log_likelihood: log_likelihood / n,
-            ll_std: Some(log_likelihood_std(&mixture, data)),
+            ll_std: Some(log_likelihood_std(&mixture, &Columns::from_records(data))),
             mixture,
             log_likelihood,
             iterations,
@@ -870,7 +888,7 @@ mod tests {
         let plain = fit_em(&data, &cfg).unwrap();
         let registry = Arc::new(Registry::new());
         let obs = Obs::from_registry(registry.clone());
-        let recorded = fit_em_recorded(&data, &cfg, &obs).unwrap();
+        let recorded = fit_em_recorded(&Columns::from_records(&data), &cfg, &obs).unwrap();
         // Telemetry must not perturb the numerics.
         assert_eq!(plain.log_likelihood, recorded.log_likelihood);
         assert_eq!(plain.iterations, recorded.iterations);
@@ -918,7 +936,7 @@ mod tests {
         let cfg = EmConfig { k: 2, seed: 51, max_iters: 4, tol: 0.0, ..Default::default() };
         let registry = Arc::new(Registry::new());
         let obs = Obs::from_registry(registry.clone());
-        let fit = fit_em_recorded(&data, &cfg, &obs).unwrap();
+        let fit = fit_em_recorded(&Columns::from_records(&data), &cfg, &obs).unwrap();
         assert_eq!(fit.iterations, 4);
         assert_eq!(registry.counter_value("em.estep_blocks"), 12);
     }
@@ -1045,7 +1063,8 @@ mod tests {
             let batch = Batch::from_records(&data);
             let want = reference::estep(&mixture, &batch, 2, diagonal);
             assert_eq!(want.ll, f64::NEG_INFINITY, "the case must reach the uniform branch");
-            let mut estep = EStep::new(&data, 2, diagonal);
+            let cols = Columns::from_records(&data);
+            let mut estep = EStep::new(&cols, 2, diagonal);
             assert_eq!(estep.score(&mixture), f64::NEG_INFINITY);
             assert_eq!(estep.norms[3], f64::NEG_INFINITY);
             let got = estep.accumulate();

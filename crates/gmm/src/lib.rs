@@ -53,7 +53,7 @@ mod model_selection;
 mod scoring;
 mod suffstats;
 
-pub use batch::{Batch, DensityScratch, MixtureScratch, BLOCK};
+pub use batch::{Batch, Columns, DensityScratch, MixtureScratch, BLOCK};
 pub use chunk::{chunk_size, ChunkParams};
 pub use covariance::CovarianceType;
 pub use em::{fit_em, fit_em_recorded, EmConfig, EmFit};

@@ -1,5 +1,4 @@
-use crate::{Batch, CovarianceType, Mixture, MixtureScratch, BLOCK};
-use cludistream_linalg::Vector;
+use crate::{Columns, CovarianceType, Mixture, MixtureScratch, BLOCK};
 
 /// The test statistic of the test-and-cluster strategy (paper Eq. 4):
 /// `J_fit = |Avg_Pr_n − Avg_Pr_0|`. A chunk fits its model when
@@ -8,23 +7,17 @@ pub fn j_fit(avg_chunk: f64, avg_model: f64) -> f64 {
     (avg_chunk - avg_model).abs()
 }
 
-/// Standard deviation of the per-record log density `log p(x)` over `data`
-/// under `mixture` — the σ̂ that calibrates the fit test's tolerance.
-pub fn log_likelihood_std(mixture: &Mixture, data: &[Vector]) -> f64 {
+/// Standard deviation of the per-record log density `log p(x)` over
+/// `chunk` under `mixture` — the σ̂ that calibrates the fit test's
+/// tolerance.
+pub fn log_likelihood_std(mixture: &Mixture, chunk: &Columns) -> f64 {
     // Per-record log densities via the batch kernel (bit-identical to
     // `log_pdf` per record), then the same flat mean/variance passes.
-    let batch = Batch::from_records(data);
     let mut scratch = MixtureScratch::default();
-    let mut lls = vec![0.0f64; data.len()];
-    let mut start = 0;
-    while start < data.len() {
-        let count = BLOCK.min(data.len() - start);
-        mixture.log_pdf_batch(
-            batch.rows(start, count),
-            &mut lls[start..start + count],
-            &mut scratch,
-        );
-        start += count;
+    let mut lls = vec![0.0f64; chunk.len()];
+    for (start, cols) in chunk.blocks() {
+        let count = BLOCK.min(chunk.len() - start);
+        mixture.log_pdf_cols(cols, &mut lls[start..start + count], &mut scratch);
     }
     std_dev(&lls)
 }
@@ -132,6 +125,7 @@ pub fn fit_tolerance(
 mod tests {
     use super::*;
     use crate::Gaussian;
+    use cludistream_linalg::Vector;
 
     fn mix() -> Mixture {
         Mixture::new(
@@ -153,7 +147,8 @@ mod tests {
         let mean = lls.iter().sum::<f64>() / lls.len() as f64;
         let var =
             lls.iter().map(|l| (l - mean) * (l - mean)).sum::<f64>() / lls.len() as f64;
-        assert_eq!(log_likelihood_std(&m, &data).to_bits(), var.sqrt().to_bits());
+        let chunk = Columns::from_records(&data);
+        assert_eq!(log_likelihood_std(&m, &chunk).to_bits(), var.sqrt().to_bits());
     }
 
     #[test]
@@ -184,17 +179,18 @@ mod tests {
     #[test]
     fn ll_std_zero_for_constant_density() {
         let m = mix();
-        assert_eq!(log_likelihood_std(&m, &[]), 0.0);
-        assert_eq!(log_likelihood_std(&m, &[Vector::from_slice(&[0.0])]), 0.0);
+        assert_eq!(log_likelihood_std(&m, &Columns::from_records(&[])), 0.0);
+        let one = Columns::from_records(&[Vector::from_slice(&[0.0])]);
+        assert_eq!(log_likelihood_std(&m, &one), 0.0);
         let same = vec![Vector::from_slice(&[1.0]); 5];
-        assert!(log_likelihood_std(&m, &same) < 1e-12);
+        assert!(log_likelihood_std(&m, &Columns::from_records(&same)) < 1e-12);
     }
 
     #[test]
     fn ll_std_positive_for_spread_data() {
         let m = mix();
         let data: Vec<Vector> = (0..50).map(|i| Vector::from_slice(&[i as f64 * 0.2])).collect();
-        assert!(log_likelihood_std(&m, &data) > 0.1);
+        assert!(log_likelihood_std(&m, &Columns::from_records(&data)) > 0.1);
     }
 
     #[test]

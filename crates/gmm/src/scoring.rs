@@ -93,7 +93,7 @@ fn score_block(
     let table = &scratch.weighted[..k * count];
     let start = log_pdf.len();
     log_pdf.resize(start + count, 0.0);
-    log_sum_exp_cols(table, &mut log_pdf[start..], &mut scratch.sum);
+    log_sum_exp_cols(table, &mut log_pdf[start..], &mut scratch.sums);
     for (b, &norm) in log_pdf[start..].iter().enumerate() {
         let terms = table.iter().skip(b).step_by(count);
         // Last-maximum tie-breaking, exactly like Mixture::map_component's

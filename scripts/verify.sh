@@ -48,9 +48,11 @@ done 3< scripts/exact_counts.txt
 cargo test -q --offline --workspace
 # The gmm block kernels' loops vectorise only under optimisation, so their
 # bit-identity tests run once more in release, as do the coordinator's
-# simplex and its oracle.
+# simplex and its oracle, and the remote site's tests (its decisions
+# against the scalar reference, and its pinned checkpoint bytes).
 cargo test --release -q --offline -p cludistream-gmm
 cargo test --release -q --offline -p cludistream --lib coordinator::simplex
+cargo test --release -q --offline -p cludistream --lib remote
 cargo doc --no-deps -q --offline --workspace
 
 # Telemetry smoke test: the default `simulate` workload must produce an event
