@@ -1,4 +1,5 @@
 #![warn(missing_docs, unreachable_pub)]
+#![deny(unsafe_code)]
 
 //! Baseline algorithms the paper compares CluDistream against (Sec. 6).
 //!

@@ -13,7 +13,8 @@ use crate::workloads;
 use crate::Scale;
 use cludistream::coordinator::MergeRefiner;
 use cludistream::{horizon_mixture, Coordinator, CoordinatorConfig, Message, RemoteSite};
-use cludistream_gmm::{fit_em, CovarianceType, EmConfig};
+use cludistream_gmm::{fit_em_recorded, Columns, CovarianceType, EmConfig, MixtureScratch};
+use cludistream_obs::NopRecorder;
 
 /// Runs every ablation.
 pub(crate) fn run(scale: Scale) {
@@ -153,16 +154,19 @@ fn theorem4(scale: Scale) {
     let site = RemoteSite::new(config.clone()).expect("valid config");
     let m = site.chunk_size();
 
-    // Measure C and λ on a representative chunk.
+    // Measure C and λ on a representative chunk, with the calls a site
+    // makes on its chunk buffer.
     let mut stream = workloads::synthetic_boxed(4, 5, 0.0, 231);
-    let chunk = workloads::collect(&mut *stream, m);
+    let chunk = Columns::from_records(&workloads::collect(&mut *stream, m));
     let em_cfg = EmConfig { k: config.k, seed: 232, ..Default::default() };
-    let fit = fit_em(&chunk, &em_cfg).expect("EM fits");
+    let fit = fit_em_recorded(&chunk, &em_cfg, &NopRecorder).expect("EM fits");
     let c_cost = best_of(3, || {
-        let _ = fit_em(&chunk, &em_cfg);
+        let _ = fit_em_recorded(&chunk, &em_cfg, &NopRecorder);
     });
+    let mut scratch = MixtureScratch::default();
     let test_cost = best_of(3, || {
-        let _ = fit.mixture.avg_log_likelihood(&chunk);
+        let floor = f64::NEG_INFINITY;
+        let _ = fit.mixture.avg_log_likelihood_unless_below(&chunk, &mut scratch, floor);
     });
     let lambda = test_cost / c_cost.max(1e-12);
     println!(

@@ -1,4 +1,5 @@
 #![warn(missing_docs, unreachable_pub)]
+#![deny(unsafe_code)]
 
 //! # CluDistream — EM-based distributed data stream clustering
 //!

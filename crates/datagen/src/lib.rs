@@ -1,4 +1,5 @@
 #![warn(missing_docs, unreachable_pub)]
+#![deny(unsafe_code)]
 
 //! Synthetic workload generation for the CluDistream reproduction.
 //!

@@ -9,7 +9,8 @@
 //! [`Columns`], block by block in the dimension-major layout the kernels
 //! score, so neither the chunk test nor any pass of the EM fit (k-means,
 //! the initial moments, both E-step passes) transposes a block; a
-//! row-major [`Batch`] is transposed one block at a time.
+//! row-major [`Batch`] is transposed one block at a time. The chunk test
+//! and the fit run the column kernels at AVX2 width where the CPU has it.
 //!
 //! # Bit-identity contract
 //!
@@ -55,8 +56,8 @@ use cludistream_linalg::Vector;
 /// a tuning knob: per-block sufficient statistics are reduced in block
 /// order, so changing `BLOCK` changes the reduction tree (and thus
 /// low-order bits of fitted models). 256 rows keep the dimension-major
-/// solve buffer (`d × BLOCK` doubles) comfortably inside L1/L2 for the
-/// dimensions the paper's experiments use.
+/// solve buffer (`d × BLOCK` doubles) inside L1/L2 for the paper's
+/// dimensions, and fill whole 2- and 4-double vectors.
 pub const BLOCK: usize = 256;
 
 /// A contiguous, row-major (record-major) copy of a record slice: record
@@ -250,7 +251,7 @@ impl DensityScratch {
 /// Reusable workspace for the [`Mixture`] batch kernels: the `k × count`
 /// weighted log-density table, the per-record workspace of its
 /// log-sum-exp, and the per-Gaussian [`DensityScratch`]. One per E-step
-/// or scoring call, reused across its blocks.
+/// or scoring call, reused across its blocks by either compiled copy.
 #[derive(Debug, Default)]
 pub struct MixtureScratch {
     /// Component-major table: `weighted[j*count + b] = ln w_j + ln p(x_b|j)`.
@@ -273,8 +274,8 @@ pub(crate) struct ColumnSums {
     gate: Vec<f64>,
 }
 
-/// A term with `d = t − max < TINY` is *tiny*: `exp(d) < e⁻⁶⁴ < 2⁻⁹²`.
-const TINY: f64 = -64.0;
+/// A term with `d = t − max < TINY` is *tiny*: `exp(d) < e⁻³⁷·⁵ < 2⁻⁵⁴`.
+const TINY: f64 = -37.5;
 
 /// [`log_sum_exp`] of every column of a component-major `k × count`
 /// table: `out[b] = ln Σ_j exp(table[j*count + b])`, with `sums` as the
@@ -290,22 +291,20 @@ const TINY: f64 = -64.0;
 /// The sum calls `exp` only where its result can reach the sum's bits.
 /// With `d = t − max`:
 /// - `d == 0` adds `1.0`, which is what `exp(±0)` returns;
-/// - a tiny term (`d < TINY`; a NaN `d` never is) is skipped when the
-///   running sum is already `≥ 1`, because adding anything below `2⁻⁵³`
-///   to a value `≥ 1` rounds back to that value;
+/// - a tiny term (`d < TINY`; a NaN `d` never is) is skipped once the sum
+///   is `≥ 1`: adding anything below `2⁻⁵³` to it rounds back to it;
 /// - a tiny term is also skipped when every term before the record's
-///   first maximum is tiny: what comes before that maximum then sums to
-///   less than `k·2⁻⁹² < 2⁻⁵³`, so adding the maximum's `1.0` gives
+///   first maximum is below `TINY − ln(max(k − 1, 1))`: those `≤ k − 1`
+///   terms sum below `e^TINY < 2⁻⁵⁴`, so adding the maximum's `1.0` gives
 ///   exactly `1.0` whatever was skipped, and after it the sum is `≥ 1`.
 ///
-/// The max pass finds where the second rule holds at no extra pass: it
-/// also keeps, per record, the largest term before the running maximum's
-/// first occurrence (a NaN there poisons it). Rounding is monotone, so
-/// that term is tiny exactly when every term before the first maximum is,
-/// and the record's gate is `0` then and `1` otherwise: a tiny term is
-/// skipped once the sum reaches the gate. A sum of `1.0` takes `ln 1 =
-/// +0` without calling `ln`. Every other term is computed as the scalar
-/// function does.
+/// The max pass finds where the second rule holds at no extra pass: per
+/// record it also keeps the largest term before the running maximum's
+/// first occurrence (a NaN poisons it), below the cutoff exactly when all
+/// those terms are, as rounding is monotone. The gate is `0` then and `1`
+/// otherwise, and a tiny term is skipped once the sum reaches it. A sum of
+/// `1.0` takes `ln 1 = +0` without calling `ln`.
+#[inline(always)]
 pub(crate) fn log_sum_exp_cols(table: &[f64], out: &mut [f64], sums: &mut ColumnSums) {
     let count = out.len();
     if count == 0 {
@@ -331,8 +330,9 @@ pub(crate) fn log_sum_exp_cols(table: &[f64], out: &mut [f64], sums: &mut Column
             *m = f64::max(*m, t);
         }
     }
+    let cut = TINY - (((table.len() / count).max(2) - 1) as f64).ln();
     for (g, &m) in gate.iter_mut().zip(out.iter()) {
-        *g = if *g - m < TINY { 0.0 } else { 1.0 };
+        *g = if *g - m < cut { 0.0 } else { 1.0 };
     }
     sum.fill(0.0);
     for row in table.chunks_exact(count) {
@@ -383,6 +383,7 @@ impl Mixture {
     /// dense path's workspace — the EM score pass reads its blocks from
     /// the chunk's [`Columns`] and keeps every block's table for the
     /// accumulate pass.
+    #[inline(always)]
     pub(crate) fn weighted_log_density_cols(
         &self,
         cols: &[f64],
@@ -421,6 +422,7 @@ impl Mixture {
     /// [`Self::log_pdf_batch`] of a block that is already dimension-major,
     /// such as a block of [`Columns`]: the same two kernels without the
     /// transpose.
+    #[inline(always)]
     pub(crate) fn log_pdf_cols(&self, cols: &[f64], out: &mut [f64], scratch: &mut MixtureScratch) {
         let len = self.k() * out.len();
         if scratch.weighted.len() < len {
@@ -479,7 +481,7 @@ impl Mixture {
         floor: f64,
     ) -> Option<f64> {
         let block = |start, out: &mut [f64], scratch: &mut MixtureScratch| {
-            self.log_pdf_cols(chunk.block(start / BLOCK), out, scratch)
+            wide!(self.log_pdf_cols(chunk.block(start / BLOCK), out, scratch))
         };
         self.avg_unless_below(chunk.len(), scratch, floor, block)
     }
@@ -765,17 +767,26 @@ mod tests {
         }
     }
 
-    /// An offset `d = t − max` of a term below the maximum: tiny (down to
-    /// where `exp` underflows to 0 and past it), not tiny, one ulp either
-    /// side of [`TINY`] or on it, between −64 and −30, just below the
-    /// maximum, or `-inf`.
-    fn offset(rng: &mut StdRng) -> f64 {
-        match rng.gen_range(0..6usize) {
+    /// The gate's cutoff for a column of `k` terms, as the kernel computes
+    /// it: `TINY − ln(max(k − 1, 1))`.
+    fn gate_cut(k: usize) -> f64 {
+        TINY - ((k.max(2) - 1) as f64).ln()
+    }
+
+    /// An offset `d = t − max` of a term below the maximum of a column of
+    /// `k`: tiny (down to where `exp` underflows to 0 and past it), not
+    /// tiny, one ulp either side of [`TINY`] or of the gate's cutoff or on
+    /// it, between −64 and −34 (where `exp(d)` crosses 2⁻⁵³ at −36.7), just
+    /// below the maximum, or `-inf`.
+    fn offset(rng: &mut StdRng, k: usize) -> f64 {
+        let around = |c: f64| [c.next_down(), c, c.next_up()];
+        match rng.gen_range(0..7usize) {
             0 => TINY - rng.gen::<f64>() * 800.0,
             1 => rng.gen::<f64>() * TINY,
-            2 => [TINY.next_down(), TINY, TINY.next_up()][rng.gen_range(0..3usize)],
-            3 => -30.0 - rng.gen::<f64>() * 34.0,
-            4 => -rng.gen::<f64>() * 1e-3,
+            2 => around(TINY)[rng.gen_range(0..3usize)],
+            3 => around(gate_cut(k))[rng.gen_range(0..3usize)],
+            4 => -34.0 - rng.gen::<f64>() * 30.0,
+            5 => -rng.gen::<f64>() * 1e-3,
             _ => f64::NEG_INFINITY,
         }
     }
@@ -801,7 +812,7 @@ mod tests {
         // offset drawn.
         let max = if rng.gen_bool(0.5) { 0.0 } else { rng.gen::<f64>() * 60.0 - 50.0 };
         let at = [0, k / 2, k - 1, rng.gen_range(0..k)][rng.gen_range(0..4usize)];
-        let mut col: Vec<f64> = (0..k).map(|_| max + offset(rng)).collect();
+        let mut col: Vec<f64> = (0..k).map(|_| max + offset(rng, k)).collect();
         col[at] = max;
         match kind {
             // All -inf.
@@ -847,6 +858,13 @@ mod tests {
                 }
                 col[at] = max;
             }
+            // The maximum last, at 0, and every term before it just below
+            // TINY: k − 1 ≥ 3 of them sum past 2⁻⁵³ and move `1 + S` up an
+            // ulp, so only the gate's `ln(k − 1)` keeps them.
+            9 if k >= 4 => {
+                col.fill(TINY.next_down());
+                col[k - 1] = 0.0;
+            }
             // 1 400 nats wide: some exp(t − max) underflow.
             6 => col.iter_mut().for_each(|t| *t = rng.gen::<f64>() * -1400.0),
             // Finite and at most 60 nats apart.
@@ -860,20 +878,22 @@ mod tests {
     #[test]
     fn log_sum_exp_cols_bit_identical_to_scalar() {
         use cludistream_rng::check;
-        // Not vacuous: the tiny term of kind 4 reaches the bits.
+        // Not vacuous: the tiny term of kind 4 reaches the bits, and so do
+        // the three of kind 9.
         let (small, tiny) = (just_below_half_ulp(), TINY.next_down());
         assert_ne!(
             log_sum_exp(&[small, tiny, 0.0]).to_bits(),
             log_sum_exp(&[small, 0.0]).to_bits(),
             "the tiny term must reach the bits"
         );
+        assert_ne!(log_sum_exp(&[tiny, tiny, tiny, 0.0]), 0.0, "three tiny terms reach the bits");
         check::cases("batch.log_sum_exp_cols_bit_identical", 8, |rng| {
             let (mut sums, mut sum) = (ColumnSums::default(), Vec::new());
             for k in [1usize, 2, 5, 8, 17, 64] {
                 for count in [1usize, 7, 255, 256] {
                     let mut table = vec![0.0; k * count];
                     for b in 0..count {
-                        let kind = rng.gen_range(0..9usize);
+                        let kind = rng.gen_range(0..10usize);
                         for (j, t) in column(rng, k, kind).into_iter().enumerate() {
                             table[j * count + b] = t;
                         }

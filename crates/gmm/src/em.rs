@@ -319,34 +319,40 @@ impl<'a> EStep<'a> {
     /// the chunk's log likelihood, block log-likelihoods folded in block
     /// order.
     fn score(&mut self, mixture: &Mixture) -> f64 {
-        let blocks = self.table.chunks_mut(self.k * BLOCK).zip(self.norms.chunks_mut(BLOCK));
-        let mut ll = 0.0;
-        for (b, (table, norms)) in blocks.enumerate() {
-            let block = score_block(mixture, self.cols.block(b), table, norms, &mut self.scratch);
-            // Folded like the accumulate pass: block 0 as is, then the rest.
-            ll = if b == 0 { block } else { ll + block };
-        }
-        ll
+        wide!({
+            let blocks = self.table.chunks_mut(self.k * BLOCK).zip(self.norms.chunks_mut(BLOCK));
+            let mut ll = 0.0;
+            for (b, (table, norms)) in blocks.enumerate() {
+                let cols = self.cols.block(b);
+                let block = score_block(mixture, cols, table, norms, &mut self.scratch);
+                // Folded like the accumulate pass: block 0 as is, then the rest.
+                ll = if b == 0 { block } else { ll + block };
+            }
+            ll
+        })
     }
 
     /// Accumulate pass over what the last [`Self::score`] kept: every
     /// block's responsibility-weighted statistics, folded in block order.
     fn accumulate(&mut self) -> &[f64] {
-        let blocks = self.table.chunks(self.k * BLOCK).zip(self.norms.chunks(BLOCK));
-        for (b, (table, norms)) in blocks.enumerate() {
-            let cols = self.cols.block(b);
-            self.partial.fill(0.0);
-            accumulate_block(cols, table, norms, self.diagonal, &mut self.partial, &mut self.moments);
-            // Block 0 is copied rather than added to zeros, so the total is
-            // the left fold of the block accumulators, bit for bit.
-            if b == 0 {
-                self.stats.copy_from_slice(&self.partial);
-            } else {
-                for (s, a) in self.stats.iter_mut().zip(&self.partial) {
-                    *s += a;
+        wide!({
+            let blocks = self.table.chunks(self.k * BLOCK).zip(self.norms.chunks(BLOCK));
+            for (b, (table, norms)) in blocks.enumerate() {
+                let cols = self.cols.block(b);
+                self.partial.fill(0.0);
+                let (partial, moments) = (&mut self.partial, &mut self.moments);
+                accumulate_block(cols, table, norms, self.diagonal, partial, moments);
+                // Block 0 is copied rather than added to zeros, so the total
+                // is the left fold of the block accumulators, bit for bit.
+                if b == 0 {
+                    self.stats.copy_from_slice(&self.partial);
+                } else {
+                    for (s, a) in self.stats.iter_mut().zip(&self.partial) {
+                        *s += a;
+                    }
                 }
             }
-        }
+        });
         &self.stats
     }
 }
@@ -357,6 +363,7 @@ impl<'a> EStep<'a> {
 /// log_pdf`) and `norms` (`ln p(x_b)`: log-sum-exp over components in
 /// order), and returns the block's log likelihood, the normalizers summed
 /// in record order.
+#[inline(always)]
 fn score_block(
     mixture: &Mixture,
     cols: &[f64],
@@ -384,6 +391,7 @@ fn score_block(
 /// element still adds the records in order with the operands of
 /// `SuffStats::add`, so the result is the record-outer loop's, bit for
 /// bit.
+#[inline(always)]
 fn accumulate_block(
     cols: &[f64],
     table: &[f64],

@@ -109,6 +109,7 @@ impl Params {
     }
 
     /// [`Gaussian::log_pdf_cols`] of these parameters.
+    #[inline(always)]
     fn log_pdf_cols(&self, cols: &[f64], out: &mut [f64], solve: &mut [f64]) {
         let count = out.len();
         if count == 0 {
@@ -180,7 +181,7 @@ impl GaussianScratch {
     /// when that rebuild succeeded.
     pub fn log_pdf_cols(&self, cols: &[f64], out: &mut [f64], solve: &mut [f64]) {
         if self.built {
-            self.params.log_pdf_cols(cols, out, solve);
+            wide!(self.params.log_pdf_cols(cols, out, solve));
         }
     }
 
@@ -321,6 +322,7 @@ impl Gaussian {
     /// order: `Σ_i diff_i²·inv_i` (diagonal) or the forward solve of the
     /// centred record and `Σ_i y_i²` (dense), both summed from `0.0` in
     /// ascending `i`, then `log_norm − ½·acc`.
+    #[inline(always)]
     pub fn log_pdf_cols(&self, cols: &[f64], out: &mut [f64], solve: &mut [f64]) {
         self.params.log_pdf_cols(cols, out, solve);
     }

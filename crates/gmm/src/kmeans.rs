@@ -79,80 +79,84 @@ pub fn kmeans(data: &[Vector], config: &KMeansConfig) -> Result<KMeansFit> {
 /// `Iterator::min_by`'s first minimum, `sum += x` record after record,
 /// then `sum · (1/count)` — so the fit is bit-identical to it.
 pub(crate) fn kmeans_cols(cols: &Columns, config: &KMeansConfig) -> KMeansFit {
-    let (n, d, k) = (cols.len(), cols.dim(), config.k);
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut centroids = kmeans_plusplus_seeds(cols, k, &mut rng);
-    let mut assignments = vec![usize::MAX; n];
-    let mut nearest = vec![0; n];
-    let mut dist = vec![0.0; n];
-    let mut sums = vec![0.0; k * d];
-    let mut counts = vec![0usize; k];
-    let mut iterations = 0;
+    wide!({
+        let (n, d, k) = (cols.len(), cols.dim(), config.k);
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut centroids = kmeans_plusplus_seeds(cols, k, &mut rng);
+        let mut assignments = vec![usize::MAX; n];
+        let mut nearest = vec![0; n];
+        let mut dist = vec![0.0; n];
+        let mut sums = vec![0.0; k * d];
+        let mut counts = vec![0usize; k];
+        let mut iterations = 0;
 
-    for iter in 0..config.max_iters {
-        iterations = iter + 1;
-        // Assignment step.
-        for (start, block) in cols.blocks() {
-            let nearest = &mut nearest[start..BLOCK.min(n - start) + start];
-            let mut b = 0;
-            while b < nearest.len() {
-                b += match nearest.len() - b {
-                    8.. => assign::<8>(block, b, &centroids, k, nearest),
-                    _ => assign::<1>(block, b, &centroids, k, nearest),
-                };
-            }
-        }
-        if nearest == assignments {
-            break;
-        }
-        std::mem::swap(&mut assignments, &mut nearest);
-        // Update step.
-        sums.fill(0.0);
-        counts.fill(0);
-        for (start, block) in cols.blocks() {
-            let count = BLOCK.min(n - start);
-            for (b, &a) in assignments[start..start + count].iter().enumerate() {
-                counts[a] += 1;
-                let x = block.iter().skip(b).step_by(count);
-                for (sum, x) in sums[a * d..(a + 1) * d].iter_mut().zip(x) {
-                    *sum += x;
+        for iter in 0..config.max_iters {
+            iterations = iter + 1;
+            // Assignment step.
+            for (start, block) in cols.blocks() {
+                let nearest = &mut nearest[start..BLOCK.min(n - start) + start];
+                let mut b = 0;
+                while b < nearest.len() {
+                    b += match nearest.len() - b {
+                        8.. => assign::<8>(block, b, &centroids, k, nearest),
+                        _ => assign::<1>(block, b, &centroids, k, nearest),
+                    };
                 }
             }
-        }
-        for (c, &count) in counts.iter().enumerate() {
-            let centroid = c * d..(c + 1) * d;
-            if count > 0 {
-                let inv = 1.0 / count as f64;
-                for (m, &sum) in centroids[centroid.clone()].iter_mut().zip(&sums[centroid]) {
-                    *m = sum * inv;
-                }
-            } else {
-                // Empty cluster: reseed at the record farthest from its
-                // centroid (the last one, on a tie) to keep k clusters
-                // alive.
-                sq_dists_to_assigned(cols, &centroids, &assignments, &mut dist);
-                let mut far = 0;
-                for (b, &t) in dist.iter().enumerate() {
-                    if t >= dist[far] {
-                        far = b;
+            if nearest == assignments {
+                break;
+            }
+            std::mem::swap(&mut assignments, &mut nearest);
+            // Update step.
+            sums.fill(0.0);
+            counts.fill(0);
+            for (start, block) in cols.blocks() {
+                let count = BLOCK.min(n - start);
+                for (b, &a) in assignments[start..start + count].iter().enumerate() {
+                    counts[a] += 1;
+                    let x = block.iter().skip(b).step_by(count);
+                    for (sum, x) in sums[a * d..(a + 1) * d].iter_mut().zip(x) {
+                        *sum += x;
                     }
                 }
-                for (m, x) in centroids[centroid].iter_mut().zip(cols.record(far)) {
-                    *m = x;
+            }
+            for (c, &count) in counts.iter().enumerate() {
+                let centroid = c * d..(c + 1) * d;
+                if count > 0 {
+                    let inv = 1.0 / count as f64;
+                    for (m, &sum) in centroids[centroid.clone()].iter_mut().zip(&sums[centroid]) {
+                        *m = sum * inv;
+                    }
+                } else {
+                    // Empty cluster: reseed at the record farthest from its
+                    // centroid (the last one, on a tie) to keep k clusters
+                    // alive.
+                    sq_dists_to_assigned(cols, &centroids, &assignments, &mut dist);
+                    let mut far = 0;
+                    for (b, &t) in dist.iter().enumerate() {
+                        if t >= dist[far] {
+                            far = b;
+                        }
+                    }
+                    for (m, x) in centroids[centroid].iter_mut().zip(cols.record(far)) {
+                        *m = x;
+                    }
                 }
             }
         }
-    }
 
-    sq_dists_to_assigned(cols, &centroids, &assignments, &mut dist);
-    let inertia = dist.iter().sum();
-    let centroids = (0..k).map(|c| Vector::from_slice(&centroids[c * d..(c + 1) * d])).collect();
-    KMeansFit { centroids, assignments, inertia, iterations }
+        sq_dists_to_assigned(cols, &centroids, &assignments, &mut dist);
+        let inertia = dist.iter().sum();
+        let centroids =
+            (0..k).map(|c| Vector::from_slice(&centroids[c * d..(c + 1) * d])).collect();
+        KMeansFit { centroids, assignments, inertia, iterations }
+    })
 }
 
 /// k-means++ seeding: first centroid uniform, subsequent centroids sampled
 /// proportionally to squared distance from the nearest chosen centroid.
 /// Returns the `k` centroids flat, centroid after centroid.
+#[inline(always)]
 fn kmeans_plusplus_seeds<R: Rng + ?Sized>(
     cols: &Columns,
     k: usize,
@@ -196,6 +200,7 @@ fn kmeans_plusplus_seeds<R: Rng + ?Sized>(
 /// [`sq_dists`] sums). The `G` records' distances and running minima
 /// stay in registers, and the minimum is kept by a branch-free select: a
 /// distance replaces it only when strictly less. Returns `G`.
+#[inline(always)]
 fn assign<const G: usize>(
     block: &[f64],
     b: usize,
@@ -226,6 +231,7 @@ fn assign<const G: usize>(
 
 /// `out[b] = Σ_i (x_bi − m_i)²`, summed in ascending `i` from `-0.0`, as
 /// `Iterator::sum` starts (so an empty sum, at d = 0, is `-0.0` too).
+#[inline(always)]
 fn sq_dists(cols: &Columns, m: &[f64], out: &mut [f64]) {
     out.fill(-0.0);
     for (start, block) in cols.blocks() {
@@ -241,6 +247,7 @@ fn sq_dists(cols: &Columns, m: &[f64], out: &mut [f64]) {
 
 /// [`sq_dists`] of every record to its own centroid, `assignments[b]`
 /// of the flat `centroids`.
+#[inline(always)]
 fn sq_dists_to_assigned(cols: &Columns, centroids: &[f64], assignments: &[usize], out: &mut [f64]) {
     let d = cols.dim();
     out.fill(-0.0);

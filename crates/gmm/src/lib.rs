@@ -1,4 +1,5 @@
 #![warn(missing_docs, unreachable_pub)]
+#![deny(unsafe_code)]
 
 //! Gaussian mixture modelling substrate for the CluDistream reproduction.
 //!
@@ -38,6 +39,8 @@
 //! assert!(fit.avg_log_likelihood.is_finite());
 //! ```
 
+#[macro_use]
+mod wide;
 mod batch;
 pub mod chunk;
 pub mod codec;

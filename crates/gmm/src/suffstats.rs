@@ -172,6 +172,7 @@ const RUN: usize = 64;
 /// of weight `+0` adds `±0` to every element (`0·x` is `±0` for a finite
 /// `x`), which changes no element, since none is ever `-0`: each starts at
 /// `+0`, and a sum is `-0` only when both operands are.
+#[inline(always)]
 pub(crate) fn add_moments(
     acc: &mut [f64],
     cols: &[f64],
@@ -195,6 +196,7 @@ pub(crate) fn add_moments(
 
 /// [`add_moments`] of one run: `w` and the columns `x(i)` are `count`
 /// long, and `rows` has room for `1 + 2d` rows of [`RUN`].
+#[inline(always)]
 fn add_run<'a>(
     acc: &mut [f64],
     w: &'a [f64],

@@ -133,6 +133,7 @@ impl Cholesky {
     /// bit-identical to the scalar solve. This is the kernel behind the
     /// batched Gaussian density evaluation: one pass over `L` serves the
     /// whole block instead of one pass per record.
+    #[inline(always)]
     pub fn solve_lower_batch(&self, rhs: &mut [f64], count: usize) {
         let n = self.dim();
         assert_eq!(rhs.len(), n * count, "solve_lower_batch: buffer length mismatch");

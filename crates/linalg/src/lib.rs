@@ -1,4 +1,5 @@
 #![warn(missing_docs, unreachable_pub)]
+#![deny(unsafe_code)]
 
 //! Dense linear algebra substrate for the CluDistream reproduction.
 //!

@@ -1,4 +1,5 @@
 #![warn(missing_docs, unreachable_pub)]
+#![deny(unsafe_code)]
 
 //! # cludistream-obs — zero-dependency telemetry for the CluDistream stack
 //!

@@ -1,4 +1,5 @@
 #![warn(unreachable_pub)]
+#![deny(unsafe_code)]
 
 //! Deterministic pseudo-randomness for the CluDistream reproduction.
 //!

@@ -1,4 +1,5 @@
 #![warn(unreachable_pub)]
+#![deny(unsafe_code)]
 
 //! Little-endian byte buffers for the CluDistream wire formats.
 //!

@@ -4,6 +4,8 @@
 //! examples have a single import root. Library users should depend on the
 //! individual crates (`cludistream`, `cludistream-gmm`, ...) directly.
 
+#![deny(unsafe_code)]
+
 pub use cludistream;
 pub use cludistream_baselines as baselines;
 pub use cludistream_datagen as datagen;
