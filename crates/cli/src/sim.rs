@@ -156,10 +156,7 @@ impl PreparedRun {
             .with_streams(self.streams)
             .with_updates_per_site(self.updates);
         if reliable {
-            sim = sim.with_reliability(DeliveryConfig {
-                mode: DeliveryMode::Reliable,
-                ..Default::default()
-            });
+            sim = sim.with_reliability(DeliveryConfig { mode: DeliveryMode::Reliable });
         }
         if let Some(plan) = faults {
             sim = sim.with_transport(Box::new(SimnetTransport::new().with_faults(plan)));

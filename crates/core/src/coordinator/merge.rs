@@ -747,7 +747,7 @@ mod tests {
 
     /// The in-place candidate equals what the refiner did before it: a
     /// fresh `Gaussian::new(μ, L·Lᵀ)` (the test's [`unpack`]), its
-    /// `log_pdf_batch` over the row-major points and the loss fold, bit for
+    /// scalar `log_pdf` of each point and the loss fold, bit for
     /// bit, with `f64::MAX` wherever [`unpack`] gives `None`; and the
     /// Gaussian built for a returned point equals [`unpack`]'s. Over d 1–9
     /// (beyond the refine oracle's d ≤ 6), S ∈ {0, 1, 7, 32, 256} and the
@@ -756,7 +756,6 @@ mod tests {
     /// density paths must each be taken.
     #[test]
     fn in_place_candidate_is_bit_identical_to_a_built_gaussian() {
-        use cludistream_gmm::DensityScratch;
         use cludistream_rng::{check, Rng};
         use std::cell::Cell;
 
@@ -764,7 +763,6 @@ mod tests {
         let seen = Cell::new([0usize; 4]);
         check::cases("in_place_candidate_is_bit_identical_to_a_built_gaussian", 3, |rng| {
             let mut objective = Objective::default();
-            let mut density = DensityScratch::default();
             for d in 1..=9 {
                 let (diagonal, shift) = (rng.gen_bool(0.3), rng.gen_range(0.0..5.0));
                 let gi = oracle_component(rng, d, diagonal, 0.0);
@@ -780,8 +778,6 @@ mod tests {
                     let points: Vec<Vector> = (0..samples)
                         .map(|s| if s % 2 == 0 { &gi } else { &gj }.sample(&mut draw))
                         .collect();
-                    let rows: Vec<f64> = points.iter().flat_map(|x| x.iter().copied()).collect();
-                    let mut logp = vec![0.0; samples];
                     for _ in 0..12 {
                         let params = hostile_params(rng, d);
                         let mut counts = seen.get();
@@ -790,11 +786,10 @@ mod tests {
                             Some(g) => {
                                 counts[0] += usize::from(g.ridge() > 0.0);
                                 counts[if g.is_diagonal() { 2 } else { 3 }] += 1;
-                                g.log_pdf_batch(&rows, &mut logp, &mut density);
                                 let total: f64 = points
                                     .iter()
-                                    .zip(&logp)
-                                    .map(|(x, &logp)| {
+                                    .map(|x| {
+                                        let logp = g.log_pdf(x);
                                         let (pi, pj) = (gi.pdf(x), gj.pdf(x));
                                         let (mix, q) = (ri * pi + rj * pj, 0.5 * pi + 0.5 * pj);
                                         if q <= 0.0 {

@@ -97,20 +97,18 @@ pub enum DeliveryMode {
     Reliable,
 }
 
-/// Reliable-delivery tuning.
+/// How a run delivers its synopses. The reliable protocol's
+/// retransmission timeout is fixed: 50 ms at first, doubling on each
+/// retry up to 1 s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeliveryConfig {
     /// Delivery mode.
     pub mode: DeliveryMode,
-    /// Initial retransmission timeout, microseconds.
-    pub rto_us: u64,
-    /// Backoff cap, microseconds.
-    pub rto_cap_us: u64,
 }
 
 impl Default for DeliveryConfig {
     fn default() -> Self {
-        DeliveryConfig { mode: DeliveryMode::FireAndForget, rto_us: 50_000, rto_cap_us: 1_000_000 }
+        DeliveryConfig { mode: DeliveryMode::FireAndForget }
     }
 }
 
@@ -635,7 +633,6 @@ pub(crate) fn run_simnet(
     tree.validate(sites)?;
     let delivery = delivery.unwrap_or_else(|| DeliveryConfig {
         mode: if faults.is_some() { DeliveryMode::Reliable } else { DeliveryMode::FireAndForget },
-        ..Default::default()
     });
     // Durable checkpoints only matter when the plan can crash a site.
     let checkpointing = faults.as_ref().is_some_and(|p| !p.outages.is_empty());
@@ -926,10 +923,7 @@ mod tests {
                 .with_streams(vec![stable_stream(0.0, 1), stable_stream(50.0, 2)])
                 .with_updates_per_site(3 * chunk);
             if reliable {
-                b = b.with_reliability(DeliveryConfig {
-                    mode: DeliveryMode::Reliable,
-                    ..Default::default()
-                });
+                b = b.with_reliability(DeliveryConfig { mode: DeliveryMode::Reliable });
             }
             b.run().unwrap()
         };

@@ -14,7 +14,7 @@
 use crate::coordinator::Coordinator;
 use crate::driver::{DeliveryConfig, DeliveryMode};
 use crate::error::CludiError;
-use crate::protocol::{Frame, Message, ReliableInbox, ReliableSender};
+use crate::protocol::{Frame, Message, ReliableInbox, ReliableSender, RTO_CAP_US, RTO_US};
 use crate::serving::SnapshotHandle;
 use crate::windows::Window;
 use cludistream_gmm::CovarianceType;
@@ -35,9 +35,6 @@ pub(crate) struct UpChannel {
     cov: CovarianceType,
     /// Present in reliable mode.
     sender: Option<ReliableSender>,
-    /// Timeout tuning (simulated or real microseconds, depending on the
-    /// transport), kept to rebuild the sender from a checkpoint.
-    delivery: DeliveryConfig,
     /// Frames re-sent on timeout or resync so far.
     pub retransmitted_messages: u64,
     /// Bytes re-sent on timeout or resync so far.
@@ -51,8 +48,7 @@ impl UpChannel {
             index,
             obs,
             cov,
-            sender: reliable.then(|| ReliableSender::new(delivery.rto_us, delivery.rto_cap_us)),
-            delivery,
+            sender: reliable.then(|| ReliableSender::new(RTO_US, RTO_CAP_US)),
             retransmitted_messages: 0,
             retransmitted_bytes: 0,
         }
@@ -144,11 +140,7 @@ impl UpChannel {
     /// Rebuilds the sender from [`UpChannel::snapshot`]'s bytes.
     pub(crate) fn restore(&mut self, reader: &mut ByteReader<'_>) -> Result<(), CludiError> {
         if self.sender.is_some() {
-            self.sender = Some(ReliableSender::restore(
-                self.delivery.rto_us,
-                self.delivery.rto_cap_us,
-                reader,
-            )?);
+            self.sender = Some(ReliableSender::restore(RTO_US, RTO_CAP_US, reader)?);
         }
         Ok(())
     }

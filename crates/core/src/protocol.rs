@@ -302,6 +302,13 @@ fn read_trace_ctx(r: &mut ByteReader<'_>) -> Result<TraceCtx, Truncated> {
     Ok(TraceCtx { trace: TraceId(r.get_u64_le()?), span: SpanId(r.get_u64_le()?) })
 }
 
+/// Initial retransmission timeout of a run's [`ReliableSender`]s,
+/// microseconds.
+pub(crate) const RTO_US: u64 = 50_000;
+
+/// Cap of the exponential retransmission backoff, microseconds.
+pub(crate) const RTO_CAP_US: u64 = 1_000_000;
+
 /// The site half of the reliable-delivery protocol: assigns sequence
 /// numbers, keeps every unacknowledged synopsis queued, and retransmits
 /// the whole queue (go-back-N) with exponential backoff when the

@@ -358,7 +358,7 @@ pub fn run_aggregator(
             index,
             cov,
             obs,
-            DeliveryConfig { mode: DeliveryMode::Reliable, ..DeliveryConfig::default() },
+            DeliveryConfig { mode: DeliveryMode::Reliable },
         ),
         flush_interval: Duration::from_micros(run.flush_interval_us),
         last_flush: Instant::now(),

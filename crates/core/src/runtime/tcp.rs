@@ -588,7 +588,7 @@ pub fn run_site(addr: &str, run: SiteRun) -> Result<SiteReport, CludiError> {
     let SiteRun { site, window, config, stream, updates, socket, telemetry } = run;
     // The RTO pair is the simulator's: a socket re-sends only after a
     // reconnect, so only the mode is read here.
-    let delivery = DeliveryConfig { mode: DeliveryMode::Reliable, ..DeliveryConfig::default() };
+    let delivery = DeliveryConfig { mode: DeliveryMode::Reliable };
     let core = build_site_core(&config, window, site, delivery)?;
     let mut pump = SitePump { core, stream, remaining: updates, batch: config.batch };
     let (events_tx, events) = mpsc::channel();
@@ -1551,7 +1551,7 @@ mod tests {
         let site = thread::spawn(move || run_site(&addr, run));
 
         let (mut s, mut rx) = welcome_site0(&listener, false, 0);
-        let hold = Duration::from_micros(4 * DeliveryConfig::default().rto_us);
+        let hold = Duration::from_micros(4 * crate::protocol::RTO_US);
         let hold_until = Instant::now() + hold;
         s.set_read_timeout(Some(Duration::from_millis(10))).expect("read timeout");
         let mut held: Vec<Vec<u8>> = rx.pending.drain(..).collect();

@@ -141,7 +141,7 @@ fn tree_runs_under_reliable_delivery() {
         .with_updates_per_site(3 * chunk)
         .with_tree(TreeTopology::two_level(2))
         .with_transport(Box::new(SimnetTransport::new().with_faults(lossy)))
-        .with_reliability(DeliveryConfig { mode: DeliveryMode::Reliable, ..Default::default() })
+        .with_reliability(DeliveryConfig { mode: DeliveryMode::Reliable })
         .run()
         .unwrap();
     assert!(report.delivery.reliable);

@@ -16,9 +16,11 @@
 //!
 //! For every record the batched kernels perform the same floating-point
 //! operations in the same order as the scalar path, so
-//! [`crate::Gaussian::log_pdf_batch`] and [`Mixture::log_pdf_batch`] are
+//! [`crate::Gaussian::log_pdf_cols`] and [`Mixture::log_pdf_batch`] are
 //! bit-identical to per-record [`crate::Gaussian::log_pdf`] /
-//! [`Mixture::log_pdf`]. What the block structure changes is memory
+//! [`Mixture::log_pdf`]; the tests hold them to the crate's one scalar,
+//! record-major reference (`reference.rs`), written from the paper's
+//! formulas. What the block structure changes is memory
 //! layout and loop order, never the arithmetic: each block is transposed
 //! once into a dimension-major copy that all components score, and every
 //! loop over it — centring, the forward solve, the squared norm, and the
@@ -205,12 +207,12 @@ impl Columns {
     }
 }
 
-/// Reusable workspace for [`crate::Gaussian::log_pdf_batch`]: a block's
-/// dimension-major copy and the dense-covariance path's solve buffer.
-/// Default-constructed empty; grows to the largest block it has seen and
-/// is never shrunk.
+/// Reusable workspace of the [`Mixture`] batch kernels' density pass: a
+/// row-major block's dimension-major copy and the dense-covariance
+/// path's solve buffer. Default-constructed empty; grows to the largest
+/// block it has seen and is never shrunk.
 #[derive(Debug, Default)]
-pub struct DensityScratch {
+pub(crate) struct DensityScratch {
     cols: Vec<f64>,
     solve: Vec<f64>,
 }
@@ -250,7 +252,7 @@ impl DensityScratch {
 
 /// Reusable workspace for the [`Mixture`] batch kernels: the `k × count`
 /// weighted log-density table, the per-record workspace of its
-/// log-sum-exp, and the per-Gaussian [`DensityScratch`]. One per E-step
+/// log-sum-exp, and the per-Gaussian density workspace. One per E-step
 /// or scoring call, reused across its blocks by either compiled copy.
 #[derive(Debug, Default)]
 pub struct MixtureScratch {
@@ -537,7 +539,7 @@ impl Mixture {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Gaussian;
+    use crate::{reference, Gaussian};
     use cludistream_linalg::Matrix;
     use cludistream_rng::{Rng, StdRng};
 
@@ -631,23 +633,32 @@ mod tests {
         Columns::zeros(3, 2).set_record(3, &[1.0, 2.0]);
     }
 
+    /// `g.log_pdf_cols` of `recs` held as [`Columns`], block by block,
+    /// with `density`'s solve buffer as the dense path's workspace.
+    fn log_pdf_cols_of(g: &Gaussian, recs: &[Vector], density: &mut DensityScratch) -> Vec<f64> {
+        let cols = Columns::from_records(recs);
+        let mut out = vec![0.0; recs.len()];
+        for (start, block) in cols.blocks() {
+            let count = BLOCK.min(recs.len() - start);
+            g.log_pdf_cols(block, &mut out[start..start + count], density.solve(block.len()));
+        }
+        out
+    }
+
     #[test]
-    fn gaussian_batch_bit_identical_dense() {
+    fn gaussian_cols_bit_identical_dense() {
         let g = dense_gaussian(5);
         assert!(!g.is_diagonal());
         let mut rng = StdRng::seed_from_u64(41);
         let recs = random_records(&mut rng, 100, 5);
-        let batch = Batch::from_records(&recs);
-        let mut scratch = DensityScratch::default();
-        let mut out = vec![0.0; recs.len()];
-        g.log_pdf_batch(batch.rows(0, batch.len()), &mut out, &mut scratch);
+        let out = log_pdf_cols_of(&g, &recs, &mut DensityScratch::default());
         for (x, got) in recs.iter().zip(&out) {
             assert_eq!(got.to_bits(), g.log_pdf(x).to_bits());
         }
     }
 
     #[test]
-    fn gaussian_batch_bit_identical_diagonal() {
+    fn gaussian_cols_bit_identical_diagonal() {
         let g = Gaussian::diagonal(
             Vector::from_slice(&[0.5, -1.5, 2.0]),
             &[0.25, 4.0, 1.0],
@@ -656,27 +667,20 @@ mod tests {
         assert!(g.is_diagonal());
         let mut rng = StdRng::seed_from_u64(42);
         let recs = random_records(&mut rng, 64, 3);
-        let batch = Batch::from_records(&recs);
-        let mut scratch = DensityScratch::default();
-        let mut out = vec![0.0; recs.len()];
-        g.log_pdf_batch(batch.rows(0, batch.len()), &mut out, &mut scratch);
+        let out = log_pdf_cols_of(&g, &recs, &mut DensityScratch::default());
         for (x, got) in recs.iter().zip(&out) {
             assert_eq!(got.to_bits(), g.log_pdf(x).to_bits());
         }
     }
 
     #[test]
-    fn gaussian_batch_close_to_scalar_tolerance() {
-        // The satellite acceptance check phrased as a tolerance: even if
-        // the bit-identity contract were relaxed, agreement must hold to
-        // 1e-12.
+    fn gaussian_cols_close_to_scalar_tolerance() {
+        // The bit-identity contract phrased as a tolerance: even if it
+        // were relaxed, agreement must hold to 1e-12.
         let g = dense_gaussian(8);
         let mut rng = StdRng::seed_from_u64(43);
         let recs = random_records(&mut rng, 300, 8);
-        let batch = Batch::from_records(&recs);
-        let mut scratch = DensityScratch::default();
-        let mut out = vec![0.0; recs.len()];
-        g.log_pdf_batch(batch.rows(0, batch.len()), &mut out, &mut scratch);
+        let out = log_pdf_cols_of(&g, &recs, &mut DensityScratch::default());
         for (x, got) in recs.iter().zip(&out) {
             assert!((got - g.log_pdf(x)).abs() < 1e-12);
         }
@@ -718,17 +722,15 @@ mod tests {
         let mut scratch = MixtureScratch::default();
         let mut density = DensityScratch::default();
         let mut out = vec![0.0; recs.len()];
-        let mut each = vec![vec![0.0; recs.len()]; mix.k()];
         for start in (0..recs.len()).step_by(BLOCK) {
             let count = BLOCK.min(recs.len() - start);
             let rows = batch.rows(start, count);
             mix.log_pdf_batch(rows, &mut out[start..start + count], &mut scratch);
-            for (c, each) in mix.components().iter().zip(&mut each) {
-                c.log_pdf_batch(rows, &mut each[start..start + count], &mut density);
-            }
         }
+        let each: Vec<Vec<f64>> =
+            mix.components().iter().map(|c| log_pdf_cols_of(c, &recs, &mut density)).collect();
         for (i, x) in recs.iter().enumerate() {
-            assert_eq!(out[i].to_bits(), mix.log_pdf(x).to_bits(), "record {i}");
+            assert_eq!(out[i].to_bits(), reference::log_density(&mix, x).to_bits(), "record {i}");
             for (j, c) in mix.components().iter().enumerate() {
                 let want = c.log_pdf(x);
                 assert_eq!(each[j][i].to_bits(), want.to_bits(), "record {i} component {j}");
@@ -736,35 +738,6 @@ mod tests {
         }
         assert!(out.iter().any(|&v| v == f64::NEG_INFINITY));
         assert!(out.iter().any(|v| v.is_finite()));
-    }
-
-    /// The column log-sum-exp as it stood before it skipped terms that
-    /// cannot reach the sum's bits, kept verbatim as the oracle of the
-    /// exactness tests.
-    fn log_sum_exp_cols_reference(table: &[f64], out: &mut [f64], sum: &mut Vec<f64>) {
-        let count = out.len();
-        if count == 0 {
-            return;
-        }
-        debug_assert_eq!(table.len() % count, 0);
-        out.fill(f64::NEG_INFINITY);
-        for row in table.chunks_exact(count) {
-            for (m, &t) in out.iter_mut().zip(row) {
-                *m = f64::max(*m, t);
-            }
-        }
-        sum.clear();
-        sum.resize(count, 0.0);
-        for row in table.chunks_exact(count) {
-            for ((s, &t), &m) in sum.iter_mut().zip(row).zip(out.iter()) {
-                *s += (t - m).exp();
-            }
-        }
-        for (o, &s) in out.iter_mut().zip(sum.iter()) {
-            if o.is_finite() {
-                *o += s.ln();
-            }
-        }
     }
 
     /// The gate's cutoff for a column of `k` terms, as the kernel computes
@@ -888,7 +861,7 @@ mod tests {
         );
         assert_ne!(log_sum_exp(&[tiny, tiny, tiny, 0.0]), 0.0, "three tiny terms reach the bits");
         check::cases("batch.log_sum_exp_cols_bit_identical", 8, |rng| {
-            let (mut sums, mut sum) = (ColumnSums::default(), Vec::new());
+            let mut sums = ColumnSums::default();
             for k in [1usize, 2, 5, 8, 17, 64] {
                 for count in [1usize, 7, 255, 256] {
                     let mut table = vec![0.0; k * count];
@@ -900,11 +873,8 @@ mod tests {
                     }
                     let mut out = vec![0.5; count];
                     log_sum_exp_cols(&table, &mut out, &mut sums);
-                    let mut want = vec![0.5; count];
-                    log_sum_exp_cols_reference(&table, &mut want, &mut sum);
-                    for (b, (got, want)) in out.iter().zip(&want).enumerate() {
+                    for (b, got) in out.iter().enumerate() {
                         let col: Vec<f64> = (0..k).map(|j| table[j * count + b]).collect();
-                        assert_eq!(got.to_bits(), want.to_bits(), "k={k} count={count} {col:?}");
                         let scalar = log_sum_exp(&col);
                         assert_eq!(got.to_bits(), scalar.to_bits(), "k={k} count={count} {col:?}");
                     }
@@ -932,7 +902,8 @@ mod tests {
             let batch = Batch::from_records(&recs);
             let mut scratch = MixtureScratch::default();
             let got = mix.avg_log_likelihood_batch(&batch, &mut scratch);
-            assert_eq!(got.to_bits(), mix.avg_log_likelihood(&recs).to_bits(), "n={n}");
+            let want = reference::avg_log_likelihood(&mix, &recs);
+            assert_eq!(got.to_bits(), want.to_bits(), "n={n}");
         }
     }
 
@@ -944,24 +915,14 @@ mod tests {
         assert_eq!(mix.avg_log_likelihood_batch(&batch, &mut scratch), f64::NEG_INFINITY);
     }
 
-    /// Definition 1 one record at a time, summed in record order: the
-    /// reference the early-stopping pass is held to. (`avg_log_likelihood`
-    /// and `avg_log_likelihood_batch` both run the loop under test.)
-    fn scalar_average(mix: &Mixture, recs: &[Vector]) -> f64 {
-        let mut total = 0.0;
-        for x in recs {
-            total += mix.log_pdf(x);
-        }
-        total / recs.len() as f64
-    }
-
-    /// A record slice as the kernel takes it, with its scalar average.
+    /// A record slice as the kernel takes it, with its Definition 1
+    /// average from [`reference`].
     fn as_chunk(mix: &Mixture, recs: &[Vector]) -> (Columns, f64) {
-        (Columns::from_records(recs), scalar_average(mix, recs))
+        (Columns::from_records(recs), reference::avg_log_likelihood(mix, recs))
     }
 
     /// The contract of `avg_log_likelihood_unless_below` against `full`, the
-    /// scalar average of the chunk's records. Returns whether the pass
+    /// reference average of the chunk's records. Returns whether the pass
     /// stopped early.
     fn assert_sound(mix: &Mixture, chunk: &Columns, full: f64, floor: f64, what: &str) -> bool {
         let mut scratch = MixtureScratch::default();
@@ -1034,7 +995,7 @@ mod tests {
                                 })
                                 .collect();
                             let (chunk, full) = as_chunk(&mix, &recs);
-                            let in_dist = scalar_average(
+                            let in_dist = reference::avg_log_likelihood(
                                 &mix,
                                 &(0..64).map(|_| mix.sample(rng)).collect::<Vec<_>>(),
                             );
@@ -1120,13 +1081,13 @@ mod tests {
         .unwrap();
         let mut rng = StdRng::seed_from_u64(47);
         let own: Vec<Vector> = (0..1567).map(|_| mix.sample(&mut rng)).collect();
-        let (avg0, tol) = (scalar_average(&mix, &own), 0.1);
+        let (avg0, tol) = (reference::avg_log_likelihood(&mix, &own), 0.1);
         let recs = vec![mix.components()[0].mean().clone(); 1567];
         let chunk = Columns::from_records(&recs);
         let avg = mix
             .avg_log_likelihood_unless_below(&chunk, &mut MixtureScratch::default(), avg0 - tol)
             .expect("an average above the floor is returned");
-        assert_eq!(avg.to_bits(), scalar_average(&mix, &recs).to_bits());
+        assert_eq!(avg.to_bits(), reference::avg_log_likelihood(&mix, &recs).to_bits());
         assert!(crate::j_fit(avg, avg0) > tol, "{avg} against {avg0}");
     }
 
@@ -1171,14 +1132,12 @@ mod tests {
     fn scratch_reuse_across_different_sizes() {
         let g = dense_gaussian(4);
         let mut rng = StdRng::seed_from_u64(46);
-        let mut scratch = DensityScratch::default();
+        let mut density = DensityScratch::default();
         // Large block first, then small: the reused (larger) buffer must
         // not perturb the small block's results.
         for n in [100usize, 3, 50, 1] {
             let recs = random_records(&mut rng, n, 4);
-            let batch = Batch::from_records(&recs);
-            let mut out = vec![0.0; n];
-            g.log_pdf_batch(batch.rows(0, batch.len()), &mut out, &mut scratch);
+            let out = log_pdf_cols_of(&g, &recs, &mut density);
             for (x, got) in recs.iter().zip(&out) {
                 assert_eq!(got.to_bits(), g.log_pdf(x).to_bits());
             }

@@ -496,267 +496,10 @@ fn initialize<R: Rng + ?Sized>(
     Mixture::new(comps, weights)
 }
 
-/// The fused one-pass E-step the two-pass engine replaced, kept verbatim
-/// as the reference of the differential tests: every block is scored and
-/// accumulated in one go into per-component heap statistics, converged or
-/// not, and σ̂ is a separate re-scoring of the chunk.
-#[cfg(test)]
-mod reference {
-    use super::*;
-    use crate::kmeans::reference::kmeans;
-    use crate::{log_likelihood_std, log_sum_exp, Batch};
-
-    /// Global per-dimension variance of the chunk, floored at 1e-6.
-    fn global_avg_var(data: &[Vector]) -> Result<f64> {
-        let d = data[0].dim();
-        let mut global = SuffStats::new(d);
-        for x in data {
-            global.add(x, 1.0);
-        }
-        Ok((global.cov()?.trace() / d as f64).max(1e-6))
-    }
-
-    /// Produces the initial mixture for EM: k-means++ seeding followed by a
-    /// short Lloyd run, variances from the partition.
-    fn initialize<R: Rng + ?Sized>(
-        data: &[Vector],
-        config: &EmConfig,
-        avg_var: f64,
-        rng: &mut R,
-    ) -> Result<Mixture> {
-        let d = data[0].dim();
-        let km = kmeans(
-            data,
-            &KMeansConfig { k: config.k, max_iters: 10, seed: rng.gen() },
-        )?;
-        // Per-cluster covariance from the k-means partition; clusters too
-        // small for a stable estimate fall back to the global sphere.
-        let mut stats: Vec<SuffStats> = (0..config.k).map(|_| SuffStats::new(d)).collect();
-        for (&a, x) in km.assignments.iter().zip(data) {
-            stats[a].add(x, 1.0);
-        }
-        let mut comps = Vec::with_capacity(config.k);
-        let mut weights = Vec::with_capacity(config.k);
-        for (s, centroid) in stats.iter().zip(km.centroids) {
-            let count = s.n().max(1.0);
-            let g = if s.n() >= (d + 1) as f64 {
-                Gaussian::new(s.mean()?, s.cov()?)?
-            } else {
-                Gaussian::spherical(centroid, avg_var)?
-            };
-            comps.push(g);
-            weights.push(count);
-        }
-        Mixture::new(comps, weights)
-    }
-
-    #[derive(Debug, Clone)]
-    pub(crate) struct DiagStats {
-        pub n: f64,
-        pub sum: Vec<f64>,
-        pub sum_sq: Vec<f64>,
-    }
-
-    impl DiagStats {
-        fn new(d: usize) -> Self {
-            DiagStats { n: 0.0, sum: vec![0.0; d], sum_sq: vec![0.0; d] }
-        }
-
-        fn add_slice(&mut self, x: &[f64], w: f64) {
-            self.n += w;
-            for (i, (s, sq)) in self.sum.iter_mut().zip(self.sum_sq.iter_mut()).enumerate() {
-                let v = x[i];
-                *s += w * v;
-                *sq += w * v * v;
-            }
-        }
-
-        fn merge(&mut self, other: &DiagStats) {
-            self.n += other.n;
-            for (s, o) in self.sum.iter_mut().zip(&other.sum) {
-                *s += o;
-            }
-            for (s, o) in self.sum_sq.iter_mut().zip(&other.sum_sq) {
-                *s += o;
-            }
-        }
-
-        fn moments(&self) -> (Vector, Vec<f64>) {
-            let inv = 1.0 / self.n;
-            let mean: Vector = self.sum.iter().map(|s| s * inv).collect();
-            let vars: Vec<f64> = self
-                .sum_sq
-                .iter()
-                .zip(mean.iter())
-                .map(|(sq, m)| (sq * inv - m * m).max(0.0))
-                .collect();
-            (mean, vars)
-        }
-    }
-
-    /// One block's (after [`estep`], the whole chunk's) log likelihood
-    /// and statistics; exactly one of `stats`/`diag` is populated.
-    pub(crate) struct BlockStats {
-        pub ll: f64,
-        pub stats: Vec<SuffStats>,
-        pub diag: Vec<DiagStats>,
-    }
-
-    impl BlockStats {
-        fn new(d: usize, k: usize, diagonal: bool) -> Self {
-            if diagonal {
-                BlockStats { ll: 0.0, stats: Vec::new(), diag: (0..k).map(|_| DiagStats::new(d)).collect() }
-            } else {
-                BlockStats { ll: 0.0, stats: (0..k).map(|_| SuffStats::new(d)).collect(), diag: Vec::new() }
-            }
-        }
-
-        fn add(&mut self, j: usize, x: &[f64], w: f64) {
-            if self.diag.is_empty() {
-                self.stats[j].add_slice(x, w);
-            } else {
-                self.diag[j].add_slice(x, w);
-            }
-        }
-
-        fn merge(&mut self, other: &BlockStats) {
-            self.ll += other.ll;
-            for (a, b) in self.stats.iter_mut().zip(&other.stats) {
-                a.merge(b);
-            }
-            for (a, b) in self.diag.iter_mut().zip(&other.diag) {
-                a.merge(b);
-            }
-        }
-    }
-
-    fn score_block(
-        mixture: &Mixture,
-        batch: &Batch,
-        block: usize,
-        k: usize,
-        diagonal: bool,
-        scratch: &mut MixtureScratch,
-    ) -> BlockStats {
-        let d = batch.dim();
-        let start = block * BLOCK;
-        let count = BLOCK.min(batch.len() - start);
-        let rows = batch.rows(start, count);
-        mixture.weighted_log_density_block(rows, count, scratch);
-        let mut out = BlockStats::new(d, k, diagonal);
-        let mut terms = vec![0.0; k];
-        for b in 0..count {
-            for j in 0..k {
-                terms[j] = scratch.weighted[j * count + b];
-            }
-            let norm = log_sum_exp(&terms);
-            out.ll += norm;
-            let x = &rows[b * d..(b + 1) * d];
-            if norm.is_finite() {
-                for (j, &t) in terms.iter().enumerate() {
-                    let r = (t - norm).exp();
-                    if r > 0.0 {
-                        out.add(j, x, r);
-                    }
-                }
-            } else {
-                let r = 1.0 / k as f64;
-                for j in 0..k {
-                    out.add(j, x, r);
-                }
-            }
-        }
-        out
-    }
-
-    /// One fused E-step over the whole chunk, blocks reduced in order.
-    pub(crate) fn estep(mixture: &Mixture, batch: &Batch, k: usize, diagonal: bool) -> BlockStats {
-        let blocks = batch.len().div_ceil(BLOCK);
-        let mut scratch = MixtureScratch::default();
-        let mut results = (0..blocks).map(|b| score_block(mixture, batch, b, k, diagonal, &mut scratch));
-        let mut acc = results.next().expect("non-empty data yields at least one block");
-        for r in results {
-            acc.merge(&r);
-        }
-        acc
-    }
-
-    /// The fit loop as it stood around the fused E-step. Validation is
-    /// the caller's; `ll_std` is always the separate re-scoring.
-    pub(crate) fn fit(data: &[Vector], config: &EmConfig) -> Result<EmFit> {
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let global_avg_var = global_avg_var(data)?;
-        let mut mixture = initialize(data, config, global_avg_var, &mut rng)?;
-        let n = data.len() as f64;
-        let mut prev_avg = f64::NEG_INFINITY;
-        let mut log_likelihood = f64::NEG_INFINITY;
-        let mut iterations = 0;
-        let mut converged = false;
-        let batch = Batch::from_records(data);
-        let diagonal = config.covariance == CovarianceType::Diagonal;
-        for iter in 0..config.max_iters {
-            iterations = iter + 1;
-            let acc = estep(&mixture, &batch, config.k, diagonal);
-            log_likelihood = acc.ll;
-            let avg = acc.ll / n;
-            let delta_ll = (avg - prev_avg).abs();
-            if delta_ll < config.tol {
-                converged = true;
-                break;
-            }
-            prev_avg = avg;
-            let mut worst_record: Option<Vector> = None;
-            let mut comps = Vec::with_capacity(config.k);
-            let mut weights = Vec::with_capacity(config.k);
-            for j in 0..config.k {
-                let mass = if diagonal { acc.diag[j].n } else { acc.stats[j].n() };
-                if mass < config.min_weight * n || mass <= 0.0 {
-                    let worst = worst_record.get_or_insert_with(|| {
-                        const RESCUE_SAMPLE: usize = 256;
-                        let stride = (data.len() / RESCUE_SAMPLE).max(1);
-                        data.iter()
-                            .step_by(stride)
-                            .min_by(|a, b| {
-                                mixture.log_pdf(a).partial_cmp(&mixture.log_pdf(b)).expect("NaN")
-                            })
-                            .expect("non-empty data")
-                            .clone()
-                    });
-                    let mut seed = worst.clone();
-                    seed[0] += (comps.len() as f64) * 1e-3;
-                    comps.push(Gaussian::spherical(seed, global_avg_var)?);
-                    weights.push(1.0 / n);
-                    continue;
-                }
-                let g = if diagonal {
-                    let (mean, mut vars) = acc.diag[j].moments();
-                    for v in &mut vars {
-                        *v = v.max(1e-12);
-                    }
-                    Gaussian::diagonal(mean, &vars)?
-                } else {
-                    Gaussian::new(acc.stats[j].mean()?, acc.stats[j].cov()?)?
-                };
-                comps.push(g);
-                weights.push(mass / n);
-            }
-            mixture = Mixture::new(comps, weights)?;
-        }
-        Ok(EmFit {
-            avg_log_likelihood: log_likelihood / n,
-            ll_std: Some(log_likelihood_std(&mixture, &Columns::from_records(data))),
-            mixture,
-            log_likelihood,
-            iterations,
-            converged,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Batch;
+    use crate::{reference, Batch};
     use cludistream_rng::StdRng;
 
     /// Samples `n` points from a known 1-d two-component mixture.
@@ -969,9 +712,8 @@ mod tests {
         }
     }
 
-    /// `fit_em` against the fused reference, to the bit, in everything a
-    /// caller can read; `ll_std` against the separate re-scoring it
-    /// replaces (present exactly when the fit converged).
+    /// `fit_em` against [`reference::fit`], to the bit, in everything a
+    /// caller can read; σ̂ is present exactly when the fit converged.
     fn assert_matches_reference(data: &[Vector], config: &EmConfig, what: &str) {
         let want = reference::fit(data, config);
         let got = fit_em(data, config);
@@ -996,21 +738,22 @@ mod tests {
             assert_same_bits(g.mean().as_slice(), w.mean().as_slice(), &format!("{what}: mean"));
             assert_same_bits(g.cov().as_slice(), w.cov().as_slice(), &format!("{what}: cov"));
         }
-        match got.ll_std {
-            Some(std) => {
-                assert!(got.converged, "{what}: σ̂ without convergence");
-                assert_same_bits(&[std], &[want.ll_std.expect("reference σ̂")], &format!("{what}: σ̂"));
-            }
-            None => assert!(!got.converged, "{what}: converged without σ̂"),
-        }
+        assert_eq!(got.ll_std.is_some(), got.converged, "{what}: σ̂ exactly when converged");
+        assert_eq!(got.ll_std.is_some(), want.ll_std.is_some(), "{what}: σ̂");
+        assert_same_bits(
+            &[got.ll_std.unwrap_or(0.0)],
+            &[want.ll_std.unwrap_or(0.0)],
+            &format!("{what}: σ̂"),
+        );
     }
 
     #[test]
-    fn two_pass_fit_matches_the_fused_reference_bit_for_bit() {
+    fn fit_matches_the_reference_bit_for_bit() {
         use cludistream_rng::check;
         // d 1–9: the accumulate pass sums `1 + d + d²` (or `1 + 2d`)
         // elements eight, four, two and one at a time, and these widths
-        // leave every remainder.
+        // leave every remainder. The case name seeds the draws, so it
+        // keeps its old wording.
         check::cases("em.two_pass_matches_fused", 1, |rng| {
             for d in 1..=9 {
                 let k = 2 + (rng.gen::<u64>() % 3) as usize;
@@ -1040,7 +783,7 @@ mod tests {
     }
 
     #[test]
-    fn two_pass_fit_matches_the_fused_reference_through_the_starvation_rescue() {
+    fn fit_matches_the_reference_through_the_starvation_rescue() {
         // Identical points: every cluster but one starves on every M-step.
         let data = vec![Vector::from_slice(&[2.0, 2.0]); 300];
         for covariance in [CovarianceType::Full, CovarianceType::Diagonal] {
@@ -1050,10 +793,10 @@ mod tests {
     }
 
     #[test]
-    fn two_pass_estep_matches_the_fused_reference_on_degenerate_points() {
+    fn estep_matches_the_reference_on_degenerate_points() {
         // Two needle-thin components and, among ordinary records, points so
         // far out that every weighted log density is -inf: their normalizer
-        // is not finite and both E-steps must spread them uniformly.
+        // is not finite and the E-step must spread them uniformly.
         let d = 2;
         for diagonal in [false, true] {
             let mixture = Mixture::new(
@@ -1068,30 +811,16 @@ mod tests {
                 (0..BLOCK + 40).map(|i| Vector::filled(d, (i % 2) as f64 + i as f64 * 1e-9)).collect();
             data[3] = Vector::filled(d, 1e150);
             data[BLOCK + 7] = Vector::filled(d, -1e150);
-            let batch = Batch::from_records(&data);
-            let want = reference::estep(&mixture, &batch, 2, diagonal);
+            let want = reference::e_step(&mixture, &data, diagonal);
             assert_eq!(want.ll, f64::NEG_INFINITY, "the case must reach the uniform branch");
             let cols = Columns::from_records(&data);
             let mut estep = EStep::new(&cols, 2, diagonal);
             assert_eq!(estep.score(&mixture), f64::NEG_INFINITY);
             assert_eq!(estep.norms[3], f64::NEG_INFINITY);
+            assert_same_bits(&estep.norms, &want.norms, "norms");
             let got = estep.accumulate();
-            for (j, acc) in got.chunks(got.len() / 2).enumerate() {
-                if diagonal {
-                    let w = &want.diag[j];
-                    assert_same_bits(&acc[..1], &[w.n], "mass");
-                    assert_same_bits(&acc[1..1 + d], &w.sum, "sum");
-                    assert_same_bits(&acc[1 + d..], &w.sum_sq, "sum of squares");
-                } else {
-                    let (g, w) = (SuffStats::from_flat(d, acc), &want.stats[j]);
-                    assert_same_bits(&[g.n()], &[w.n()], "mass");
-                    assert_same_bits(
-                        g.mean().unwrap().as_slice(),
-                        w.mean().unwrap().as_slice(),
-                        "mean",
-                    );
-                    assert_same_bits(g.cov().unwrap().as_slice(), w.cov().unwrap().as_slice(), "cov");
-                }
+            for (j, (acc, want)) in got.chunks(got.len() / 2).zip(&want.moments).enumerate() {
+                assert_same_bits(acc, want, &format!("diagonal {diagonal}: component {j}"));
             }
         }
     }

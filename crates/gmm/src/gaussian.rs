@@ -1,4 +1,3 @@
-use crate::batch::DensityScratch;
 use crate::{GmmError, Result};
 use cludistream_linalg::{Cholesky, Matrix, Vector};
 use cludistream_rng::{standard_normal, Rng};
@@ -297,20 +296,6 @@ impl Gaussian {
     /// Density `p(x)` (prefer [`Self::log_pdf`] in accumulations).
     pub fn pdf(&self, x: &Vector) -> f64 {
         self.log_pdf(x).exp()
-    }
-
-    /// Batched [`Self::log_pdf`]: scores `out.len()` records stored
-    /// row-major in `rows` (`rows[b*d .. (b+1)*d]` is record `b`), writing
-    /// `out[b] = ln p(x_b)`.
-    ///
-    /// Bit-identical to calling `log_pdf` per record — both paths perform
-    /// the same floating-point operations in the same order. The records
-    /// are transposed into `scratch` and scored by the column kernel the
-    /// mixture kernels share.
-    pub fn log_pdf_batch(&self, rows: &[f64], out: &mut [f64], scratch: &mut DensityScratch) {
-        assert_eq!(rows.len(), out.len() * self.dim(), "log_pdf_batch: rows/out length mismatch");
-        let (cols, solve) = scratch.transpose(rows, out.len());
-        self.log_pdf_cols(cols, out, solve);
     }
 
     /// [`Self::log_pdf`] of a dimension-major block: `cols[i*count + b]`

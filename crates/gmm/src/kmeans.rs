@@ -262,127 +262,6 @@ fn sq_dists_to_assigned(cols: &Columns, centroids: &[f64], assignments: &[usize]
     }
 }
 
-/// The row-major k-means the column kernels replaced, kept verbatim as
-/// the oracle of the bit-identity sweep.
-#[cfg(test)]
-pub(crate) mod reference {
-    use super::{KMeansConfig, KMeansFit};
-    use crate::{GmmError, Result};
-    use cludistream_linalg::Vector;
-    use cludistream_rng::{Rng, StdRng};
-
-    /// k-means++ seeding: first centroid uniform, subsequent centroids sampled
-    /// proportionally to squared distance from the nearest chosen centroid.
-    fn kmeans_plusplus_seeds<R: Rng + ?Sized>(
-        data: &[Vector],
-        k: usize,
-        rng: &mut R,
-    ) -> Vec<Vector> {
-        assert!(!data.is_empty() && k >= 1, "kmeans++ needs data and k >= 1");
-        let mut centroids: Vec<Vector> = Vec::with_capacity(k);
-        centroids.push(data[rng.gen_range(0..data.len())].clone());
-        let mut dist_sq: Vec<f64> = data.iter().map(|x| x.dist_sq(&centroids[0])).collect();
-        while centroids.len() < k {
-            let total: f64 = dist_sq.iter().sum();
-            let next = if total <= 0.0 {
-                // All points coincide with existing centroids; pick uniformly.
-                data[rng.gen_range(0..data.len())].clone()
-            } else {
-                let mut target = rng.gen::<f64>() * total;
-                let mut chosen = data.len() - 1;
-                for (i, &d) in dist_sq.iter().enumerate() {
-                    target -= d;
-                    if target <= 0.0 {
-                        chosen = i;
-                        break;
-                    }
-                }
-                data[chosen].clone()
-            };
-            for (d, x) in dist_sq.iter_mut().zip(data) {
-                *d = d.min(x.dist_sq(&next));
-            }
-            centroids.push(next);
-        }
-        centroids
-    }
-
-    /// Lloyd's k-means with k-means++ seeding.
-    ///
-    /// Used to initialize EM (cluster means seed the Gaussians) and by the SEM
-    /// baseline's secondary compression phase. Errors when `data.len() < k`.
-    pub(crate) fn kmeans(data: &[Vector], config: &KMeansConfig) -> Result<KMeansFit> {
-        if config.k == 0 {
-            return Err(GmmError::InvalidParameter { name: "k", constraint: "k >= 1" });
-        }
-        if data.len() < config.k {
-            return Err(GmmError::NotEnoughData { have: data.len(), need: config.k });
-        }
-        let d = data[0].dim();
-        for x in data {
-            if x.dim() != d {
-                return Err(GmmError::DimensionMismatch { expected: d, got: x.dim() });
-            }
-        }
-
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut centroids = kmeans_plusplus_seeds(data, config.k, &mut rng);
-        let mut assignments = vec![usize::MAX; data.len()];
-        let mut iterations = 0;
-
-        for iter in 0..config.max_iters {
-            iterations = iter + 1;
-            // Assignment step.
-            let mut changed = false;
-            for (a, x) in assignments.iter_mut().zip(data) {
-                let nearest = centroids
-                    .iter()
-                    .enumerate()
-                    .map(|(c, m)| (c, x.dist_sq(m)))
-                    .min_by(|a, b| a.1.partial_cmp(&b.1).expect("NaN distance"))
-                    .map(|(c, _)| c)
-                    .expect("k >= 1");
-                if *a != nearest {
-                    *a = nearest;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-            // Update step.
-            let mut sums = vec![Vector::zeros(d); config.k];
-            let mut counts = vec![0usize; config.k];
-            for (&a, x) in assignments.iter().zip(data) {
-                sums[a] += x;
-                counts[a] += 1;
-            }
-            for (c, (sum, &count)) in sums.into_iter().zip(&counts).enumerate() {
-                if count > 0 {
-                    centroids[c] = sum.scaled(1.0 / count as f64);
-                } else {
-                    // Empty cluster: reseed at the point farthest from its
-                    // centroid to keep k clusters alive.
-                    let (far_idx, _) = data
-                        .iter()
-                        .enumerate()
-                        .map(|(i, x)| (i, x.dist_sq(&centroids[assignments[i]])))
-                        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("NaN distance"))
-                        .expect("non-empty data");
-                    centroids[c] = data[far_idx].clone();
-                }
-            }
-        }
-
-        let inertia = assignments
-            .iter()
-            .zip(data)
-            .map(|(&a, x)| x.dist_sq(&centroids[a]))
-            .sum();
-        Ok(KMeansFit { centroids, assignments, inertia, iterations })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,7 +355,7 @@ mod tests {
     }
 
     #[test]
-    fn column_kmeans_matches_the_row_major_reference_bit_for_bit() {
+    fn column_kmeans_matches_the_reference_bit_for_bit() {
         use cludistream_rng::check;
         check::cases("kmeans.columns_match_row_major", 6, |rng| {
             for d in 0..=6 {
@@ -508,7 +387,7 @@ mod tests {
                         .collect();
                     let data: Vec<Vector> = (0..n).map(|i| points[i % distinct].clone()).collect();
                     let config = KMeansConfig { k, max_iters, seed };
-                    let want = reference::kmeans(&data, &config).unwrap();
+                    let want = crate::reference::kmeans(&data, &config);
                     let got = kmeans(&data, &config).unwrap();
                     let what =
                         format!("d {d} k {k} n {n} scale {scale:e} kind {kind} iters {max_iters}");

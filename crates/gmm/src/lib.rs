@@ -53,10 +53,11 @@ mod likelihood;
 pub mod metrics;
 mod mixture;
 mod model_selection;
+mod reference;
 mod scoring;
 mod suffstats;
 
-pub use batch::{Batch, Columns, DensityScratch, MixtureScratch, BLOCK};
+pub use batch::{Batch, Columns, MixtureScratch, BLOCK};
 pub use chunk::{chunk_size, ChunkParams};
 pub use covariance::CovarianceType;
 pub use em::{fit_em, fit_em_recorded, EmConfig, EmFit};

@@ -143,12 +143,9 @@ mod tests {
         let m = mix();
         let data: Vec<Vector> =
             (0..300).map(|i| Vector::from_slice(&[(i % 23) as f64 * 0.3 - 2.0])).collect();
-        let lls: Vec<f64> = data.iter().map(|x| m.log_pdf(x)).collect();
-        let mean = lls.iter().sum::<f64>() / lls.len() as f64;
-        let var =
-            lls.iter().map(|l| (l - mean) * (l - mean)).sum::<f64>() / lls.len() as f64;
         let chunk = Columns::from_records(&data);
-        assert_eq!(log_likelihood_std(&m, &chunk).to_bits(), var.sqrt().to_bits());
+        let want = crate::reference::ll_std(&m, &data);
+        assert_eq!(log_likelihood_std(&m, &chunk).to_bits(), want.to_bits());
     }
 
     #[test]

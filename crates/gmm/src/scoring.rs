@@ -166,7 +166,7 @@ pub fn score_record(mixture: &Mixture, x: &Vector) -> (usize, f64, Vec<f64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Gaussian;
+    use crate::{reference, Gaussian};
     use cludistream_linalg::Matrix;
     use cludistream_rng::{Rng, StdRng};
 
@@ -216,8 +216,9 @@ mod tests {
         assert_eq!(scores.len(), recs.len());
         assert_eq!(scores.k(), 3);
         for (i, x) in recs.iter().enumerate() {
-            let (label, lp, resp) = score_record(&m, x);
+            let (label, _, resp) = score_record(&m, x);
             assert_eq!(scores.labels()[i] as usize, label, "record {i}");
+            let lp = reference::log_density(&m, x);
             assert_eq!(scores.log_pdf()[i].to_bits(), lp.to_bits(), "record {i}");
             for (a, b) in scores.responsibilities(i).iter().zip(&resp) {
                 assert_eq!(a.to_bits(), b.to_bits(), "record {i}");
@@ -263,6 +264,8 @@ mod tests {
         let scores = score(&m, &batch, 1).unwrap();
         let direct = m.avg_log_likelihood_batch(&batch, &mut MixtureScratch::default());
         assert_eq!(scores.avg_log_likelihood().to_bits(), direct.to_bits());
+        let want = reference::avg_log_likelihood(&m, &recs);
+        assert_eq!(scores.avg_log_likelihood().to_bits(), want.to_bits());
     }
 
     #[test]
