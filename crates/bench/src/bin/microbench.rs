@@ -24,7 +24,7 @@ use cludistream_bench::{timing::best_of, workloads};
 use cludistream_datagen::random_spd_matrix;
 use cludistream_gmm::{fit_em, kmeans, ChunkParams, EmConfig, KMeansConfig, Mixture};
 use cludistream_linalg::{Cholesky, Vector};
-use cludistream_obs::{json_f64, Obs, QualityConfig, Registry};
+use cludistream_obs::{json_f64, EwmaDetector, Obs, PageHinkley, Registry};
 use cludistream_rng::StdRng;
 use std::io::Write;
 use std::process::ExitCode;
@@ -197,15 +197,14 @@ fn bench_quality(sink: &mut Sink) {
     };
     let t = best_of(RUNS, || run_site(&base));
     sink.report("quality", "site_4chunks_off", "", t);
-    let on = Config { quality: Some(QualityConfig::default()), ..base.clone() };
+    let on = Config { quality: true, ..base.clone() };
     let t = best_of(RUNS, || run_site(&on));
     sink.report("quality", "site_4chunks_on", "", t);
 
     // Raw detector cost per sample, amortized over 1000 updates on a
     // stationary series (no alarms, so no reset in the loop).
-    let qc = QualityConfig::default();
     let t = best_of(RUNS, || {
-        let mut ph = qc.page_hinkley();
+        let mut ph = PageHinkley::default();
         for i in 0..1000u32 {
             let _ = ph.update(-2.0 - 0.001 * f64::from(i % 7));
         }
@@ -213,7 +212,7 @@ fn bench_quality(sink: &mut Sink) {
     });
     sink.report("quality", "page_hinkley_x1000", "", t);
     let t = best_of(RUNS, || {
-        let mut ewma = qc.ewma();
+        let mut ewma = EwmaDetector::default();
         for i in 0..1000u32 {
             let _ = ewma.update(-2.0 - 0.001 * f64::from(i % 7));
         }

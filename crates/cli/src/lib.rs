@@ -56,6 +56,7 @@ pub use data::DataOpts;
 pub use sim::MetricsWorkload;
 pub use socket::{AggregatorOpts, CoordinatorOpts, ServeOpts};
 
+use cludistream::{SHARD_EPSILON, SHARD_FLUSH_INTERVAL_US};
 use cludistream_datagen::csvio;
 use cludistream_gmm::{ChunkParams, CovarianceType};
 use data::{run_cluster, run_generate, run_score, run_stream};
@@ -630,8 +631,9 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             site: parse_int("--site", 0)?,
             child_base: parse_int("--child-base", 0)?,
             children: parse_int("--children", 2)?.max(1),
-            epsilon: parse_num("--epsilon", 0.0)?,
-            flush_ms: parse_int("--flush-ms", 50)?.max(1) as u64,
+            epsilon: parse_num("--epsilon", SHARD_EPSILON)?,
+            flush_ms: parse_int("--flush-ms", SHARD_FLUSH_INTERVAL_US as usize / 1_000)?.max(1)
+                as u64,
         })),
         "health" => Ok(Command::Health { connect: require_connect()? }),
         "status" => {

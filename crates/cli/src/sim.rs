@@ -1,8 +1,8 @@
 use crate::CliError;
 use cludistream::coordinator::MergeRefiner;
 use cludistream::{
-    Config, CoordinatorConfig, DeliveryConfig, DeliveryMode, DriverConfig, FaultPlan, LinkFaults,
-    NodeId, RecordStream, RemoteSite, SimnetTransport, Simulation, StarReport,
+    Config, CoordinatorConfig, DeliveryMode, DriverConfig, FaultPlan, LinkFaults, NodeId,
+    RecordStream, RemoteSite, SimnetTransport, Simulation, StarReport,
 };
 use cludistream_gmm::{ChunkParams, Gaussian, Mixture};
 use cludistream_linalg::Vector;
@@ -156,7 +156,7 @@ impl PreparedRun {
             .with_streams(self.streams)
             .with_updates_per_site(self.updates);
         if reliable {
-            sim = sim.with_reliability(DeliveryConfig { mode: DeliveryMode::Reliable });
+            sim = sim.with_reliability(DeliveryMode::Reliable);
         }
         if let Some(plan) = faults {
             sim = sim.with_transport(Box::new(SimnetTransport::new().with_faults(plan)));

@@ -6,8 +6,8 @@ use cludistream::runtime::{
     run_aggregator, run_site, serve, AggregatorRun, Control, CoordinatorRun, HealthAlert, SiteRun,
     SocketConfig,
 };
-use cludistream::{CoordinatorConfig, SnapshotHandle};
-use cludistream_obs::{catalogue, perfetto_json, AlertSet, FleetAggregator, Obs, QualityConfig};
+use cludistream::{CoordinatorConfig, SnapshotHandle, SHARD_MERGE_LOG_CAP};
+use cludistream_obs::{catalogue, perfetto_json, AlertSet, FleetAggregator, Obs};
 use cludistream_wire::framing::{write_frame, FrameReader};
 use cludistream_wire::ByteReader;
 use std::io::Write;
@@ -300,7 +300,7 @@ pub(crate) fn run_site_role(
     // happens inside `run_site`, exactly as the simulator's driver does it.
     let mut prepared = workload.prepare(site, obs)?;
     let chunk_size = prepared.chunk_size;
-    prepared.driver_config.site.quality = quality.then(QualityConfig::default);
+    prepared.driver_config.site.quality = quality;
     let stream = prepared
         .streams
         .pop()
@@ -357,12 +357,10 @@ pub(crate) fn run_aggregator_role(opts: AggregatorOpts, out: &mut impl Write) ->
     out.flush()?;
     opts.serve.publish_port(addr)?;
     let run = AggregatorRun::builder(opts.site as u32, opts.child_base as u32, opts.children)
-        // The shard runs the metrics-workload coordinator
-        // configuration with the bounded merge log: the fan-in
-        // boundary is where history is retained, so the cap is
-        // what keeps a deep tree's memory O(models) per node.
+        // The metrics-workload coordinator with the shard's merge-log
+        // cap, which keeps a deep tree's memory O(models) per node.
         .coordinator(CoordinatorConfig {
-            merge_log_cap: Some(64),
+            merge_log_cap: Some(SHARD_MERGE_LOG_CAP),
             ..metrics_coordinator_config()
         })
         .dim(1)

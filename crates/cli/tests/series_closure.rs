@@ -38,7 +38,7 @@ use cludistream_gmm::{
 };
 use cludistream_linalg::Vector;
 use cludistream_obs::catalogue::{lookup, Counter, Gauge, Histogram, SpanName, CATALOGUE, HB_RTT_US};
-use cludistream_obs::{AlertSet, FleetAggregator, Obs, QualityConfig, Registry, TelemetryDelta};
+use cludistream_obs::{AlertSet, FleetAggregator, Obs, Registry, TelemetryDelta};
 use cludistream_rng::StdRng;
 use cludistream_wire::framing::{write_frame, FrameReader};
 use cludistream_wire::ByteReader;
@@ -231,14 +231,13 @@ fn socket_round(seen: &mut Seen) {
         chunk: ChunkParams { epsilon: 0.03, delta: 0.01 },
         c_max: 8,
         seed: 7,
-        quality: Some(QualityConfig::default()),
-        event_retention_chunks: Some(1),
+        quality: true,
         ..Config::default()
     };
     let chunk = RemoteSite::new(config.clone()).expect("site config").chunk_size();
     // Thirty stable chunks, six new regimes, then the first regime again:
-    // both drift detectors alarm, the return is a multi-test hit after
-    // cut tests (two blocks a chunk), and retention compacts old spans.
+    // both drift detectors alarm, and the return is a multi-test hit after
+    // cut tests (two blocks a chunk).
     let centers: Vec<f64> =
         [0.0; 30].into_iter().chain((1..=6).map(|j| 40.0 * f64::from(j))).chain([0.0]).collect();
     let launch = |site: usize| {

@@ -54,6 +54,19 @@ pub(crate) fn summary_changed(old: &Mixture, new: &Mixture, epsilon: f64) -> boo
     false
 }
 
+/// Upload-on-change threshold every aggregator runs with (see
+/// [`AggregatorConfig::epsilon`]): `0.0` re-uploads on any change.
+pub const SHARD_EPSILON: f64 = 0.0;
+
+/// Microseconds between an aggregator going dirty and its upward flush,
+/// in the simulated tree and by default on a socket aggregator: one
+/// upload batches a whole fan-in's worth of child updates.
+pub const SHARD_FLUSH_INTERVAL_US: u64 = 50_000;
+
+/// `merge_log_cap` of an aggregator's local coordinator (the root keeps
+/// `None`): shards are where O(history) growth must stop.
+pub const SHARD_MERGE_LOG_CAP: usize = 64;
+
 /// Tuning knobs for one aggregator node.
 #[derive(Debug, Clone)]
 pub struct AggregatorConfig {
@@ -68,12 +81,12 @@ pub struct AggregatorConfig {
     pub children: usize,
     /// Upload-on-change threshold (see `summary_changed`): a flush is
     /// suppressed when no component moved and no weight changed by more
-    /// than this. `0.0` re-uploads on any change — the deterministic
-    /// default the topology-equivalence tests rely on.
+    /// than this. Defaults to [`SHARD_EPSILON`], the deterministic value
+    /// the topology-equivalence tests rely on.
     pub epsilon: f64,
     /// The local coordinator's knobs. `merge_log_cap` defaults to
-    /// `Some(64)` here (unlike the root coordinator's `None`): shards are
-    /// where O(history) growth must stop.
+    /// [`SHARD_MERGE_LOG_CAP`] here (unlike the root coordinator's
+    /// `None`).
     pub coordinator: CoordinatorConfig,
 }
 
@@ -83,9 +96,9 @@ impl Default for AggregatorConfig {
             index: 0,
             child_base: 0,
             children: 1,
-            epsilon: 0.0,
+            epsilon: SHARD_EPSILON,
             coordinator: CoordinatorConfig {
-                merge_log_cap: Some(64),
+                merge_log_cap: Some(SHARD_MERGE_LOG_CAP),
                 ..CoordinatorConfig::default()
             },
         }
@@ -122,10 +135,9 @@ impl AggregatorEngine {
                 constraint: "children >= 1",
             });
         }
-        let cov = config.coordinator.covariance;
         let mut coordinator = Coordinator::new(config.coordinator)?;
         coordinator.set_observer(obs.clone());
-        let mut engine = CoordinatorEngine::new(coordinator, config.children, cov, obs.clone());
+        let mut engine = CoordinatorEngine::new(coordinator, config.children, obs.clone());
         engine.site_base = config.child_base;
         Ok(AggregatorEngine {
             engine,

@@ -1,5 +1,4 @@
 use cludistream_gmm::{ChunkParams, CovarianceType, GmmError};
-use cludistream_obs::QualityConfig;
 
 /// Configuration of a CluDistream remote site (and, transitively, of the
 /// whole framework). Field defaults follow the paper's experimental
@@ -31,24 +30,15 @@ pub struct Config {
     /// model (its event-table spans remain but horizon queries skip it).
     /// `None` (default) reproduces the paper's unbounded behaviour.
     pub max_models: Option<usize>,
-    /// Bounded event-table retention, in chunks. When set, closed regime
-    /// spans that ended more than this many chunks before the newest
-    /// chunk are compacted out of the event table (and therefore out of
-    /// snapshots/checkpoints). Size it to at least the longest horizon
-    /// window queried and the go-back-N resync depth; spans inside the
-    /// retention — including any straddling the watermark — are kept
-    /// verbatim, so queries and crash resync over the retained range are
-    /// unchanged. `None` (default) reproduces the paper's unbounded
-    /// table.
-    pub event_retention_chunks: Option<u64>,
-    /// Opt-in model-quality plane (`None`, the default, disables it).
+    /// Opt-in model-quality plane (`false`, the default, disables it).
     /// When set, the site emits per-chunk quality gauges (held-out avg
     /// log likelihood, test statistic, weight entropy/extrema,
     /// re-cluster EWMA, synopsis bytes per record) and runs the
-    /// Page-Hinkley/EWMA drift detectors over the likelihood series.
+    /// Page-Hinkley/EWMA drift detectors over the likelihood series, at
+    /// the fixed tuning of `cludistream_obs::quality`.
     /// Quality emissions are counters/gauges only — never journal
     /// events — so enabling it cannot perturb golden journal fixtures.
-    pub quality: Option<QualityConfig>,
+    pub quality: bool,
 }
 
 impl Default for Config {
@@ -63,8 +53,7 @@ impl Default for Config {
             covariance: CovarianceType::Full,
             seed: 0,
             max_models: None,
-            event_retention_chunks: None,
-            quality: None,
+            quality: false,
         }
     }
 }
@@ -96,11 +85,6 @@ impl Config {
                 constraint: "at least 2 (current + one history slot) or None",
             });
         }
-        if let Some(quality) = &self.quality {
-            if let Err((name, constraint)) = quality.validate() {
-                return Err(GmmError::InvalidParameter { name, constraint });
-            }
-        }
         self.chunk.validate()
     }
 
@@ -119,7 +103,6 @@ impl Config {
             tol: self.em_tol,
             covariance: self.covariance,
             seed: self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(chunk_seed),
-            min_weight: 1e-6,
             ..Default::default()
         }
     }
@@ -171,20 +154,6 @@ mod tests {
         assert!(Config { max_models: None, ..Default::default() }.validate().is_ok());
         assert!(Config { max_models: Some(0), ..Default::default() }.validate().is_err());
         assert!(Config { max_models: Some(1), ..Default::default() }.validate().is_err());
-    }
-
-    #[test]
-    fn quality_validation() {
-        let good = Config { quality: Some(QualityConfig::default()), ..Default::default() };
-        assert!(good.validate().is_ok());
-        let bad = Config {
-            quality: Some(QualityConfig { ph_lambda: -1.0, ..QualityConfig::default() }),
-            ..Default::default()
-        };
-        assert!(matches!(
-            bad.validate(),
-            Err(GmmError::InvalidParameter { name: "quality.ph_lambda", .. })
-        ));
     }
 
     #[test]

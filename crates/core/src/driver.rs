@@ -32,7 +32,9 @@
 //! protocol overhead. The TCP transport ([`crate::runtime::TcpTransport`])
 //! is reliable-only.
 
-use crate::aggregator::{AggregatorConfig, AggregatorEngine};
+use crate::aggregator::{
+    AggregatorConfig, AggregatorEngine, SHARD_FLUSH_INTERVAL_US, SHARD_MERGE_LOG_CAP,
+};
 use crate::config::Config;
 use crate::coordinator::{Coordinator, CoordinatorConfig};
 use crate::engine::{CoordinatorEngine, SiteCore, UpChannel};
@@ -86,7 +88,9 @@ impl Default for DriverConfig {
     }
 }
 
-/// How synopses travel from sites to the coordinator.
+/// How synopses travel from sites to the coordinator. The reliable
+/// protocol's retransmission timeout is fixed: 50 ms at first, doubling
+/// on each retry up to 1 s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeliveryMode {
     /// Bare messages, no acknowledgements. Correct on a fault-free
@@ -95,21 +99,6 @@ pub enum DeliveryMode {
     /// Sequence numbers, cumulative ACKs and retransmission with
     /// exponential backoff (see [`crate::protocol::ReliableSender`]).
     Reliable,
-}
-
-/// How a run delivers its synopses. The reliable protocol's
-/// retransmission timeout is fixed: 50 ms at first, doubling on each
-/// retry up to 1 s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeliveryConfig {
-    /// Delivery mode.
-    pub mode: DeliveryMode,
-}
-
-impl Default for DeliveryConfig {
-    fn default() -> Self {
-        DeliveryConfig { mode: DeliveryMode::FireAndForget }
-    }
 }
 
 /// Byte-accurate accounting of what happened on the wire: every message
@@ -377,7 +366,6 @@ struct AggregatorNode {
     agg: AggregatorEngine,
     parent: NodeId,
     up: UpChannel,
-    flush_interval_us: u64,
     flush_armed: bool,
     retx_armed: bool,
 }
@@ -385,7 +373,7 @@ struct AggregatorNode {
 impl AggregatorNode {
     fn arm_flush(&mut self, ctx: &mut Context<'_, ByteBuf>) {
         if !self.flush_armed && self.agg.dirty() {
-            ctx.set_timer(self.flush_interval_us, TIMER_FLUSH);
+            ctx.set_timer(SHARD_FLUSH_INTERVAL_US, TIMER_FLUSH);
             self.flush_armed = true;
         }
     }
@@ -454,7 +442,7 @@ pub struct Simulation {
     window: WindowSpec,
     config: DriverConfig,
     transport: Option<Box<dyn Transport>>,
-    delivery: Option<DeliveryConfig>,
+    delivery: Option<DeliveryMode>,
     streams: Option<Vec<RecordStream>>,
     updates_per_site: u64,
     snapshots: Option<Arc<SnapshotHandle>>,
@@ -498,10 +486,10 @@ impl Simulation {
         self
     }
 
-    /// Overrides the delivery mode/tuning (default: the transport's
-    /// choice — simnet picks fire-and-forget unless faults are attached;
-    /// TCP is reliable-only).
-    pub fn with_reliability(mut self, delivery: DeliveryConfig) -> Simulation {
+    /// Overrides the delivery mode (default: the transport's choice —
+    /// simnet picks fire-and-forget unless faults are attached; TCP is
+    /// reliable-only).
+    pub fn with_reliability(mut self, delivery: DeliveryMode) -> Simulation {
         self.delivery = Some(delivery);
         self
     }
@@ -594,13 +582,13 @@ impl Simulation {
 
 /// Builds one [`SiteCore`] for site `i` of a recipe: window construction,
 /// per-site seed decorrelation, observer wiring, and the upward channel
-/// (reliable when `delivery.mode` says so). Shared by the simnet driver and
+/// (reliable when `delivery` says so). Shared by the simnet driver and
 /// the socket runtime so both transports stamp out *identical* site state.
 pub(crate) fn build_site_core(
     recipe_config: &DriverConfig,
     window: WindowSpec,
     i: usize,
-    delivery: DeliveryConfig,
+    delivery: DeliveryMode,
 ) -> Result<SiteCore, CludiError> {
     let mut site_config = recipe_config.site.clone();
     // De-correlate EM initialization across sites.
@@ -627,12 +615,13 @@ pub(crate) fn run_simnet(
 ) -> Result<StarReport, CludiError> {
     let RunRecipe { sites, window, config, delivery, streams, updates_per_site, snapshots, tree } =
         recipe;
-    // No tree is the tree with no levels; its flush tuning is never read.
-    let tree =
-        tree.unwrap_or(TreeTopology { levels: Vec::new(), epsilon: 0.0, flush_interval_us: 1 });
+    // No tree is the tree with no levels.
+    let tree = tree.unwrap_or(TreeTopology { levels: Vec::new() });
     tree.validate(sites)?;
-    let delivery = delivery.unwrap_or_else(|| DeliveryConfig {
-        mode: if faults.is_some() { DeliveryMode::Reliable } else { DeliveryMode::FireAndForget },
+    let delivery = delivery.unwrap_or(if faults.is_some() {
+        DeliveryMode::Reliable
+    } else {
+        DeliveryMode::FireAndForget
     });
     // Durable checkpoints only matter when the plan can crash a site.
     let checkpointing = faults.as_ref().is_some_and(|p| !p.outages.is_empty());
@@ -691,7 +680,7 @@ pub(crate) fn run_simnet(
         // Shards are where O(history) growth must stop: cap their merge
         // logs even when the root keeps unbounded lineage.
         let shard = CoordinatorConfig {
-            merge_log_cap: config.coordinator.merge_log_cap.or(Some(64)),
+            merge_log_cap: config.coordinator.merge_log_cap.or(Some(SHARD_MERGE_LOG_CAP)),
             ..config.coordinator.clone()
         };
         let agg = AggregatorEngine::new(
@@ -699,8 +688,8 @@ pub(crate) fn run_simnet(
                 index,
                 child_base,
                 children,
-                epsilon: tree.epsilon,
                 coordinator: shard,
+                ..AggregatorConfig::default()
             },
             config.obs.clone(),
         )?;
@@ -708,7 +697,6 @@ pub(crate) fn run_simnet(
             agg,
             parent: NodeId(parent[agg_ids.len() + sites]),
             up: UpChannel::new(index, config.site.covariance, config.obs.clone(), delivery),
-            flush_interval_us: tree.flush_interval_us,
             flush_armed: false,
             retx_armed: false,
         }));
@@ -717,8 +705,7 @@ pub(crate) fn run_simnet(
     let mut coordinator = Coordinator::new(config.coordinator.clone())?;
     coordinator.set_observer(config.obs.clone());
     // `feeding` is now the width of the level the root terminates.
-    let mut engine =
-        CoordinatorEngine::new(coordinator, feeding, config.site.covariance, config.obs.clone());
+    let mut engine = CoordinatorEngine::new(coordinator, feeding, config.obs.clone());
     engine.publish = snapshots;
     sim.add_node(Box::new(CoordinatorNode { engine }));
     sim.set_observer(config.obs.clone());
@@ -760,7 +747,7 @@ pub(crate) fn run_simnet(
     let engine = &mut coord.engine;
     let global = engine.coordinator.global_mixture().ok();
     let delivery_report = DeliveryReport {
-        reliable: delivery.mode == DeliveryMode::Reliable,
+        reliable: delivery == DeliveryMode::Reliable,
         sent_messages: comm.total_messages(),
         sent_bytes: comm.total_bytes(),
         delivered_messages: fault_stats.delivered_messages,
@@ -923,7 +910,7 @@ mod tests {
                 .with_streams(vec![stable_stream(0.0, 1), stable_stream(50.0, 2)])
                 .with_updates_per_site(3 * chunk);
             if reliable {
-                b = b.with_reliability(DeliveryConfig { mode: DeliveryMode::Reliable });
+                b = b.with_reliability(DeliveryMode::Reliable);
             }
             b.run().unwrap()
         };

@@ -12,7 +12,7 @@
 //! the socket-smoke CI step diffs the two transports against each other.
 
 use crate::coordinator::Coordinator;
-use crate::driver::{DeliveryConfig, DeliveryMode};
+use crate::driver::DeliveryMode;
 use crate::error::CludiError;
 use crate::protocol::{Frame, Message, ReliableInbox, ReliableSender, RTO_CAP_US, RTO_US};
 use crate::serving::SnapshotHandle;
@@ -42,8 +42,8 @@ pub(crate) struct UpChannel {
 }
 
 impl UpChannel {
-    pub(crate) fn new(index: u32, cov: CovarianceType, obs: Obs, delivery: DeliveryConfig) -> Self {
-        let reliable = delivery.mode == DeliveryMode::Reliable;
+    pub(crate) fn new(index: u32, cov: CovarianceType, obs: Obs, delivery: DeliveryMode) -> Self {
+        let reliable = delivery == DeliveryMode::Reliable;
         UpChannel {
             index,
             obs,
@@ -173,7 +173,7 @@ impl SiteCore {
         if is_synopsis {
             let obs = &self.up.obs;
             obs.event(&Event::SynopsisSent { site: self.up.index, bytes: bytes.len() as u64 });
-            if self.window.site().config().quality.is_some() {
+            if self.window.site().config().quality {
                 // Quality plane: communication cost amortized over the
                 // records consumed so far (gauge only — the journal
                 // event above is the golden-fixture surface).
@@ -212,7 +212,6 @@ impl SiteCore {
 pub(crate) struct CoordinatorEngine {
     pub coordinator: Coordinator,
     pub inboxes: Vec<ReliableInbox>,
-    pub cov: CovarianceType,
     pub obs: Obs,
     /// Node id coordinator-side spans are allocated from (= site count,
     /// matching the star hub's position after the sites).
@@ -235,16 +234,10 @@ pub(crate) struct CoordinatorEngine {
 }
 
 impl CoordinatorEngine {
-    pub(crate) fn new(
-        coordinator: Coordinator,
-        sites: usize,
-        cov: CovarianceType,
-        obs: Obs,
-    ) -> Self {
+    pub(crate) fn new(coordinator: Coordinator, sites: usize, obs: Obs) -> Self {
         CoordinatorEngine {
             coordinator,
             inboxes: vec![ReliableInbox::new(); sites],
-            cov,
             obs,
             trace_node: sites as u32,
             decode_errors: 0,
@@ -325,7 +318,9 @@ impl CoordinatorEngine {
                     self.apply_traced(&ready, rctx);
                 }
                 let ack = Frame::Ack { cumulative: self.inboxes[site].cumulative() };
-                let bytes = ack.encode(self.cov);
+                // An ACK carries no synopsis: its bytes are the same for
+                // every covariance type.
+                let bytes = ack.encode(CovarianceType::Full);
                 self.ack_messages += 1;
                 self.ack_bytes += bytes.len() as u64;
                 Some(bytes)
@@ -352,7 +347,7 @@ mod tests {
     #[test]
     fn synopsis_of_another_dimension_is_an_apply_error_and_still_acked() {
         let coordinator = Coordinator::new(CoordinatorConfig::default()).unwrap();
-        let mut engine = CoordinatorEngine::new(coordinator, 2, CovarianceType::Full, Obs::noop());
+        let mut engine = CoordinatorEngine::new(coordinator, 2, Obs::noop());
         let frame = |seq: u64, site: u32, mean: &[f64]| {
             let mixture = Mixture::uniform(vec![
                 Gaussian::spherical(Vector::from_slice(mean), 1.0).unwrap()

@@ -90,14 +90,15 @@ mod serving;
 mod transport;
 mod windows;
 
-pub use aggregator::{AggregatorConfig, AggregatorEngine};
+pub use aggregator::{
+    AggregatorConfig, AggregatorEngine, SHARD_EPSILON, SHARD_FLUSH_INTERVAL_US, SHARD_MERGE_LOG_CAP,
+};
 pub use change::{ChangeDetector, ChangeKind, ChangePoint};
 pub use cludistream_simnet::{FaultPlan, LinkFaults, NodeId};
 pub use config::Config;
 pub use coordinator::{Coordinator, CoordinatorConfig, MergeRecord};
 pub use driver::{
-    DeliveryConfig, DeliveryMode, DeliveryReport, DriverConfig, RecordStream, Simulation,
-    StarReport,
+    DeliveryMode, DeliveryReport, DriverConfig, RecordStream, Simulation, StarReport,
 };
 pub use error::CludiError;
 pub use protocol::{Frame, Message, ReliableInbox, ReliableSender};

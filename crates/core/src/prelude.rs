@@ -28,9 +28,7 @@
 
 pub use crate::config::Config;
 pub use crate::coordinator::{Coordinator, CoordinatorConfig};
-pub use crate::driver::{
-    DeliveryConfig, DeliveryMode, DriverConfig, RecordStream, Simulation, StarReport,
-};
+pub use crate::driver::{DeliveryMode, DriverConfig, RecordStream, Simulation, StarReport};
 pub use crate::error::CludiError;
 pub use crate::remote::RemoteSite;
 pub use crate::runtime::{
@@ -46,4 +44,4 @@ pub use cludistream_gmm::{
     score, score_record, Batch, CovarianceType, Gaussian, Mixture, Scores,
 };
 pub use cludistream_linalg::Vector;
-pub use cludistream_obs::{AlertKind, AlertRule, AlertSet, Obs, QualityConfig, Registry};
+pub use cludistream_obs::{AlertKind, AlertRule, AlertSet, Obs, Registry};

@@ -15,7 +15,8 @@ pub struct EventEntry {
 
 /// The event table recording the evolving behaviour of the stream: closed
 /// spans for past regimes plus one open span for the model currently in
-/// charge. Backs the horizon/evolving-analysis queries of Sec. 7.
+/// charge. Backs the horizon/evolving-analysis queries of Sec. 7. Like
+/// the paper's (Sec. 5.1), it keeps every span it ever closed.
 #[derive(Debug, Clone, Default)]
 pub struct EventTable {
     closed: Vec<EventEntry>,
@@ -72,18 +73,6 @@ impl EventTable {
     /// Rebuilds a table from snapshot parts.
     pub(crate) fn from_parts(closed: Vec<EventEntry>, open: Option<(u64, ModelId)>) -> Self {
         EventTable { closed, open }
-    }
-
-    /// Compacts history: drops closed spans that ended before
-    /// `watermark_chunk`, returning how many were dropped. Spans that
-    /// straddle the watermark and the open span are always retained, so
-    /// queries over `[watermark, now]` — and a go-back-N resync replaying
-    /// from the retained watermark — see the exact same rows as an
-    /// uncompacted table.
-    pub(crate) fn compact_before(&mut self, watermark_chunk: u64) -> usize {
-        let before = self.closed.len();
-        self.closed.retain(|e| e.end_chunk >= watermark_chunk);
-        before - self.closed.len()
     }
 
     /// Approximate memory footprint: 3 u64-sized fields per row.
@@ -165,24 +154,6 @@ mod tests {
         let total_m0: u64 =
             t.query(0, 9, 9).iter().filter(|(m, _)| *m == ModelId(0)).map(|(_, c)| c).sum();
         assert_eq!(total_m0, 6);
-    }
-
-    #[test]
-    fn compaction_drops_only_pre_watermark_spans() {
-        let mut t = EventTable::new();
-        t.switch_to(ModelId(0), 0); // 0..=4
-        t.switch_to(ModelId(1), 5); // 5..=9
-        t.switch_to(ModelId(2), 10); // open
-        // Watermark inside span 1: span 0 goes, span 1 straddles and stays.
-        assert_eq!(t.compact_before(7), 1);
-        assert_eq!(t.closed.len(), 1);
-        // Queries at or after the watermark are unchanged.
-        assert_eq!(t.query(7, 12, 12), vec![(ModelId(1), 3), (ModelId(2), 3)]);
-        // The open span never compacts.
-        assert_eq!(t.compact_before(u64::MAX), 1);
-        assert_eq!(t.open.map(|(_, m)| m), Some(ModelId(2)));
-        // Idempotent below the watermark.
-        assert_eq!(t.compact_before(0), 0);
     }
 
     #[test]

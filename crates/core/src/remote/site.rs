@@ -9,7 +9,7 @@ use cludistream_linalg::Vector;
 use cludistream_obs::catalogue::{self, SpanName};
 use cludistream_obs::{
     em_cost_us, Event, EwmaDetector, Obs, PageHinkley, Recorder, SpanId, SpanRecord, TraceCtx,
-    TraceId, Verdict,
+    TraceId, Verdict, CHURN_ALPHA,
 };
 
 /// What a remote site emits toward the coordinator. Stability costs
@@ -142,11 +142,9 @@ struct QualityState {
     ph: PageHinkley,
     ewma: EwmaDetector,
     /// EWMA of the re-cluster indicator (1 when a tested chunk fell
-    /// through every fit test to EM, 0 otherwise).
+    /// through every fit test to EM, 0 otherwise), smoothed by
+    /// [`CHURN_ALPHA`].
     recluster_ewma: f64,
-    /// Smoothing factor of `recluster_ewma` (`QualityConfig::
-    /// churn_alpha`).
-    alpha: f64,
 }
 
 impl RemoteSite {
@@ -154,11 +152,10 @@ impl RemoteSite {
     pub fn new(config: Config) -> Result<Self, GmmError> {
         config.validate()?;
         let chunk_size = config.chunk_size()?;
-        let quality = config.quality.map(|q| QualityState {
-            ph: q.page_hinkley(),
-            ewma: q.ewma(),
+        let quality = config.quality.then(|| QualityState {
+            ph: PageHinkley::default(),
+            ewma: EwmaDetector::default(),
             recluster_ewma: 0.0,
-            alpha: q.churn_alpha,
         });
         Ok(RemoteSite {
             buffer: Columns::zeros(chunk_size, config.dim),
@@ -379,7 +376,7 @@ impl RemoteSite {
             self.obs.counter(catalogue::QUALITY_EWMA_DRIFT, 1);
         }
         let indicator = if reclustered { 1.0 } else { 0.0 };
-        q.recluster_ewma += q.alpha * (indicator - q.recluster_ewma);
+        q.recluster_ewma += CHURN_ALPHA * (indicator - q.recluster_ewma);
         self.obs.gauge(catalogue::QUALITY_AVG_LL, avg_ll);
         self.obs.gauge(catalogue::QUALITY_TEST_STAT, j);
         self.obs.gauge(catalogue::QUALITY_PH_STAT, q.ph.stat());
@@ -402,15 +399,6 @@ impl RemoteSite {
         let this_chunk = self.chunk_index;
         self.chunk_index += 1;
         self.stats.chunks += 1;
-        // Bounded event-table retention: spans ending more than the
-        // configured number of chunks ago can no longer influence a
-        // resync or an in-horizon query, so they compact away.
-        if let Some(retention) = self.config.event_retention_chunks {
-            let dropped = self.events.compact_before(this_chunk.saturating_sub(retention)) as u64;
-            if dropped > 0 {
-                self.obs.counter(catalogue::SITE_EVENTS_COMPACTED, dropped);
-            }
-        }
         let m = chunk.len() as u64;
         self.obs.counter(catalogue::SITE_RECORDS, m);
         let root = self.trace_root(this_chunk);
@@ -646,11 +634,11 @@ mod tests {
     /// re-cluster EWMA rises off zero.
     #[test]
     fn quality_plane_emits_gauges_and_detects_drift() {
-        use cludistream_obs::{QualityConfig, Registry};
+        use cludistream_obs::Registry;
         use std::sync::Arc;
 
         let registry = Arc::new(Registry::new());
-        let config = Config { quality: Some(QualityConfig::default()), ..test_config() };
+        let config = Config { quality: true, ..test_config() };
         let mut site = RemoteSite::new(config).unwrap();
         site.set_observer(Obs::from_registry(Arc::clone(&registry)), 0);
         let (m, mut rng) = sampler(0.0, 5);

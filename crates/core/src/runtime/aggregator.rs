@@ -27,9 +27,11 @@ use std::net::TcpListener;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use crate::aggregator::{AggregatorConfig, AggregatorEngine};
+use crate::aggregator::{
+    AggregatorConfig, AggregatorEngine, SHARD_EPSILON, SHARD_FLUSH_INTERVAL_US, SHARD_MERGE_LOG_CAP,
+};
 use crate::coordinator::CoordinatorConfig;
-use crate::driver::{DeliveryConfig, DeliveryMode};
+use crate::driver::DeliveryMode;
 use crate::engine::UpChannel;
 use crate::error::CludiError;
 use crate::runtime::control::Control;
@@ -68,29 +70,31 @@ impl AggregatorRun {
             index,
             child_base,
             children,
-            epsilon: 0.0,
+            epsilon: SHARD_EPSILON,
             coordinator: CoordinatorConfig {
-                merge_log_cap: Some(64),
+                merge_log_cap: Some(SHARD_MERGE_LOG_CAP),
                 ..CoordinatorConfig::default()
             },
             dim: 1,
             obs: Obs::noop(),
             socket: SocketConfig::default(),
-            flush_interval_us: 50_000,
+            flush_interval_us: SHARD_FLUSH_INTERVAL_US,
             telemetry: false,
             fleet: None,
         })
     }
 }
 
-/// Builder for [`AggregatorRun`]. Defaults mirror the simnet tree
-/// runner: ε = 0 (forward on any change), 50 ms flush interval, shard
-/// `merge_log_cap = Some(64)`, default socket tuning. The upward channel
+/// Builder for [`AggregatorRun`]. Defaults are the simnet tree's shard
+/// defaults: [`SHARD_EPSILON`] (forward on any change),
+/// [`SHARD_FLUSH_INTERVAL_US`] and a shard coordinator capped at
+/// [`SHARD_MERGE_LOG_CAP`]; default socket tuning. The upward channel
 /// is always reliable: a reconnect needs sequence state to resync.
 pub struct AggregatorRunBuilder(AggregatorRun);
 
 impl AggregatorRunBuilder {
-    /// Sets the upload-on-change suppression threshold (default 0.0).
+    /// Sets the upload-on-change suppression threshold (default
+    /// [`SHARD_EPSILON`]).
     pub fn epsilon(mut self, epsilon: f64) -> Self {
         self.0.epsilon = epsilon;
         self
@@ -125,7 +129,7 @@ impl AggregatorRunBuilder {
     }
 
     /// Sets how long child traffic batches before one reduced update
-    /// goes upward, microseconds (default 50 ms).
+    /// goes upward, microseconds (default [`SHARD_FLUSH_INTERVAL_US`]).
     pub fn flush_interval_us(mut self, flush_interval_us: u64) -> Self {
         self.0.flush_interval_us = flush_interval_us;
         self
@@ -354,12 +358,7 @@ pub fn run_aggregator(
         agg,
         // The RTO pair is the simulator's: a socket re-sends only after a
         // reconnect, so only the mode is read here.
-        up: UpChannel::new(
-            index,
-            cov,
-            obs,
-            DeliveryConfig { mode: DeliveryMode::Reliable },
-        ),
+        up: UpChannel::new(index, cov, obs, DeliveryMode::Reliable),
         flush_interval: Duration::from_micros(run.flush_interval_us),
         last_flush: Instant::now(),
         deadline,

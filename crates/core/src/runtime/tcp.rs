@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 
 use crate::coordinator::{Coordinator, CoordinatorConfig};
 use crate::driver::{
-    build_site_core, DeliveryConfig, DeliveryMode, DeliveryReport, DriverConfig, RecordStream,
+    build_site_core, DeliveryMode, DeliveryReport, DriverConfig, RecordStream,
     StarReport,
 };
 use crate::engine::{CoordinatorEngine, SiteCore, UpChannel};
@@ -362,7 +362,7 @@ pub fn serve(listener: TcpListener, run: CoordinatorRun) -> Result<CoordReport, 
         run;
     let mut coord = Coordinator::new(coordinator)?;
     coord.set_observer(obs.clone());
-    let mut engine = CoordinatorEngine::new(coord, sites, cov, obs.clone());
+    let mut engine = CoordinatorEngine::new(coord, sites, obs.clone());
     engine.publish = snapshots;
     let mut root = Root { engine, alerts };
     let (events_tx, events) = mpsc::channel();
@@ -588,8 +588,7 @@ pub fn run_site(addr: &str, run: SiteRun) -> Result<SiteReport, CludiError> {
     let SiteRun { site, window, config, stream, updates, socket, telemetry } = run;
     // The RTO pair is the simulator's: a socket re-sends only after a
     // reconnect, so only the mode is read here.
-    let delivery = DeliveryConfig { mode: DeliveryMode::Reliable };
-    let core = build_site_core(&config, window, site, delivery)?;
+    let core = build_site_core(&config, window, site, DeliveryMode::Reliable)?;
     let mut pump = SitePump { core, stream, remaining: updates, batch: config.batch };
     let (events_tx, events) = mpsc::channel();
     let mut up = Uplink {
@@ -657,7 +656,7 @@ impl Transport for TcpTransport {
                  `cludistream aggregator` processes between the sites and the root instead",
             ));
         }
-        if recipe.delivery.is_some_and(|d| d.mode != DeliveryMode::Reliable) {
+        if recipe.delivery.is_some_and(|d| d != DeliveryMode::Reliable) {
             return Err(CludiError::Build(
                 "the TCP transport is reliable-only: a reconnect needs sequence state to resync",
             ));

@@ -38,7 +38,7 @@
 //! # Ok::<(), cludistream::CludiError>(())
 //! ```
 
-use crate::driver::{DeliveryConfig, DriverConfig, RecordStream, StarReport};
+use crate::driver::{DeliveryMode, DriverConfig, RecordStream, StarReport};
 use crate::error::CludiError;
 use crate::serving::SnapshotHandle;
 use crate::windows::WindowSpec;
@@ -53,41 +53,23 @@ use std::sync::Arc;
 ///
 /// Each aggregator pre-merges its children's synopses with the standard
 /// merge/split machinery and forwards **one** reduced summary upward per
-/// flush interval (suppressed entirely when the summary has not moved by
-/// more than `epsilon`). The root therefore sees O(aggregators) messages and
-/// keeps O(models) state instead of O(sites) × O(history).
+/// [`crate::SHARD_FLUSH_INTERVAL_US`] (suppressed entirely when the
+/// summary has not moved by more than [`crate::SHARD_EPSILON`]). The root
+/// therefore sees O(aggregators) messages and keeps O(models) state
+/// instead of O(sites) × O(history).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TreeTopology {
-    /// Aggregator counts per level, sites upward. Must be non-empty with
+    /// Aggregator counts per level, sites upward: `vec![n]` is a
+    /// two-level tree (n aggregators between the sites and the root),
+    /// `vec![lower, upper]` a three-level one. Must be non-empty with
     /// every level ≥ 1; levels need not shrink, but usually do.
     pub levels: Vec<usize>,
-    /// Upward-forwarding significance threshold: a freshly merged summary
-    /// within `epsilon` of the last one uploaded (per
-    /// [`crate::AggregatorConfig::epsilon`]) is suppressed.
-    /// `0.0` forwards every change.
-    pub epsilon: f64,
-    /// Microseconds between an aggregator going dirty and its upward
-    /// flush. Batches a whole fan-in's worth of child updates into one
-    /// upload; must be > 0.
-    pub flush_interval_us: u64,
 }
 
 impl TreeTopology {
-    /// A two-level tree: `aggregators` aggregators between the sites and
-    /// the root, default flush tuning.
-    pub fn two_level(aggregators: usize) -> TreeTopology {
-        TreeTopology { levels: vec![aggregators], epsilon: 0.0, flush_interval_us: 50_000 }
-    }
-
-    /// A three-level tree: `lower` leaf-facing aggregators feeding
-    /// `upper` mid-tier aggregators feeding the root.
-    pub fn three_level(lower: usize, upper: usize) -> TreeTopology {
-        TreeTopology { levels: vec![lower, upper], epsilon: 0.0, flush_interval_us: 50_000 }
-    }
-
     /// Checks the shape over `sites` sites: every aggregator must get at
     /// least one child, so a level can be neither empty nor wider than
-    /// what feeds it, and the flush delay must be positive.
+    /// what feeds it.
     pub(crate) fn validate(&self, sites: usize) -> Result<(), CludiError> {
         let mut feeding = sites;
         for &count in &self.levels {
@@ -105,12 +87,6 @@ impl TreeTopology {
             }
             feeding = count;
         }
-        if self.flush_interval_us == 0 {
-            return Err(CludiError::InvalidConfig {
-                name: "tree.flush_interval_us",
-                constraint: "flush interval > 0",
-            });
-        }
         Ok(())
     }
 }
@@ -124,10 +100,10 @@ pub struct RunRecipe {
     pub window: WindowSpec,
     /// Site/coordinator configuration, rates, and the observer.
     pub config: DriverConfig,
-    /// Delivery mode/tuning override; `None` lets the transport pick its
+    /// Delivery mode override; `None` lets the transport pick its
     /// default (simnet: fire-and-forget unless faults are attached; TCP:
     /// always reliable).
-    pub delivery: Option<DeliveryConfig>,
+    pub delivery: Option<DeliveryMode>,
     /// One record stream per site.
     pub streams: Vec<RecordStream>,
     /// Records each site consumes.

@@ -3,8 +3,8 @@
 //! how many messages and rows reach it.
 
 use cludistream::{
-    CoordinatorConfig, DeliveryConfig, DeliveryMode, DriverConfig, FaultPlan, NodeId, RecordStream,
-    Simulation, SimnetTransport, StarReport, TreeTopology,
+    CoordinatorConfig, DeliveryMode, DriverConfig, FaultPlan, NodeId, RecordStream, Simulation,
+    SimnetTransport, StarReport, TreeTopology,
 };
 use cludistream::runtime::TcpTransport;
 use cludistream::{CludiError, Config};
@@ -76,7 +76,7 @@ fn groups_of(report: &StarReport) -> Vec<(f64, f64)> {
 #[test]
 fn two_level_tree_matches_star() {
     let star = run_regions(None);
-    let tree = run_regions(Some(TreeTopology::two_level(2)));
+    let tree = run_regions(Some(TreeTopology { levels: vec![2] }));
 
     // Same global structure: group count and per-group weight mass. The
     // two regions are far apart, so both topologies must resolve exactly
@@ -113,7 +113,7 @@ fn two_level_tree_matches_star() {
 #[test]
 fn three_level_tree_matches_star() {
     let star = run_regions(None);
-    let tree = run_regions(Some(TreeTopology::three_level(4, 2)));
+    let tree = run_regions(Some(TreeTopology { levels: vec![4, 2] }));
     assert_eq!(tree.coordinator_groups, star.coordinator_groups);
     let sg = groups_of(&star);
     let tg = groups_of(&tree);
@@ -139,9 +139,9 @@ fn tree_runs_under_reliable_delivery() {
         .with_driver_config(cfg)
         .with_streams(region_streams())
         .with_updates_per_site(3 * chunk)
-        .with_tree(TreeTopology::two_level(2))
+        .with_tree(TreeTopology { levels: vec![2] })
         .with_transport(Box::new(SimnetTransport::new().with_faults(lossy)))
-        .with_reliability(DeliveryConfig { mode: DeliveryMode::Reliable })
+        .with_reliability(DeliveryMode::Reliable)
         .run()
         .unwrap();
     assert!(report.delivery.reliable);
@@ -165,33 +165,22 @@ fn builder_rejects_bad_trees() {
     };
     // Wider than the site tier below it.
     assert!(matches!(
-        make().with_tree(TreeTopology::two_level(3)).run(),
+        make().with_tree(TreeTopology { levels: vec![3] }).run(),
         Err(CludiError::InvalidConfig { name: "tree.levels", .. })
     ));
     // A widening level above a narrower one.
     assert!(matches!(
-        make().with_tree(TreeTopology::three_level(1, 2)).run(),
+        make().with_tree(TreeTopology { levels: vec![1, 2] }).run(),
         Err(CludiError::InvalidConfig { name: "tree.levels", .. })
     ));
     // Empty and zero-width levels.
     assert!(matches!(
-        make()
-            .with_tree(TreeTopology { levels: vec![], epsilon: 0.0, flush_interval_us: 1 })
-            .run(),
+        make().with_tree(TreeTopology { levels: vec![] }).run(),
         Err(CludiError::InvalidConfig { name: "tree.levels", .. })
     ));
     assert!(matches!(
-        make()
-            .with_tree(TreeTopology { levels: vec![0], epsilon: 0.0, flush_interval_us: 1 })
-            .run(),
+        make().with_tree(TreeTopology { levels: vec![0] }).run(),
         Err(CludiError::InvalidConfig { name: "tree.levels", .. })
-    ));
-    // Zero flush interval.
-    assert!(matches!(
-        make()
-            .with_tree(TreeTopology { flush_interval_us: 0, ..TreeTopology::two_level(1) })
-            .run(),
-        Err(CludiError::InvalidConfig { name: "tree.flush_interval_us", .. })
     ));
 }
 
@@ -201,26 +190,23 @@ fn tcp_transport_rejects_tree_recipes() {
         .with_driver_config(small_config())
         .with_streams(vec![stable_stream(0.0, 1)])
         .with_updates_per_site(10)
-        .with_tree(TreeTopology::two_level(1))
+        .with_tree(TreeTopology { levels: vec![1] })
         .with_transport(Box::new(TcpTransport::new()))
         .run()
         .unwrap_err();
     assert!(matches!(err, CludiError::Build(_)));
 }
 
-/// Satellite 3's compaction property: bounding the coordinator's merge
-/// log (`merge_log_cap`) and the sites' event tables
-/// (`event_retention_chunks`) must not change what a go-back-N crash
-/// resync reconstructs — resync replays *synopses* from the retained
-/// watermark, never the compacted history, so a capped run recovers the
-/// same global model as an uncapped one.
+/// The compaction property: bounding the coordinator's merge log
+/// (`merge_log_cap`) must not change what a go-back-N crash resync
+/// reconstructs — resync replays *synopses* from the retained watermark,
+/// never the compacted history, so a capped run recovers the same global
+/// model as an uncapped one.
 #[test]
 fn compacted_merge_log_survives_crash_resync() {
     let run = |cap: Option<usize>| {
         let mut cfg = small_config();
         cfg.coordinator = CoordinatorConfig { merge_log_cap: cap, ..cfg.coordinator };
-        // Retention well past the resync depth (one in-flight chunk).
-        cfg.site.event_retention_chunks = cap.map(|c| c as u64);
         let chunk = chunk_of(&cfg);
         let crash_at = 2 * MICROS_PER_SEC;
         Simulation::star(2)

@@ -10,6 +10,11 @@ use cludistream_linalg::Vector;
 use cludistream_obs::{catalogue, Event, NopRecorder, Recorder};
 use cludistream_rng::{Rng, StdRng};
 
+/// Floor on a component's total responsibility mass, as a fraction of
+/// |D|: the M-step re-seeds a component below it from the lowest-density
+/// record, so no component starves.
+pub(crate) const MIN_WEIGHT: f64 = 1e-6;
+
 /// Configuration of the classical EM algorithm (paper Sec. 3.2).
 #[derive(Debug, Clone)]
 pub struct EmConfig {
@@ -26,10 +31,6 @@ pub struct EmConfig {
     pub covariance: CovarianceType,
     /// RNG seed for the k-means++ initialization.
     pub seed: u64,
-    /// Floor on component responsibilities' total mass, as a fraction of
-    /// |D|; components falling below are re-seeded from the lowest-density
-    /// record to avoid starvation.
-    pub min_weight: f64,
     /// Accepted and ignored: the E-step runs on the calling thread, so
     /// the fitted model is the same for every value. Kept only so that
     /// existing callers still build; the follow-up to ROADMAP item 11
@@ -45,7 +46,6 @@ impl Default for EmConfig {
             tol: 1e-4,
             covariance: CovarianceType::Full,
             seed: 0,
-            min_weight: 1e-6,
             threads: 1,
         }
     }
@@ -195,7 +195,7 @@ fn fit(chunk: &Columns, config: &EmConfig, recorder: &(impl Recorder + ?Sized)) 
         let mut weights = Vec::with_capacity(k);
         for acc in stats.chunks(stats.len() / k) {
             let mass = acc[0];
-            if mass < config.min_weight * n || mass <= 0.0 {
+            if mass < MIN_WEIGHT * n || mass <= 0.0 {
                 let worst = worst_record.get_or_insert_with(|| {
                     const RESCUE_SAMPLE: usize = 256;
                     let stride = (chunk.len() / RESCUE_SAMPLE).max(1);

@@ -13,6 +13,7 @@
 
 #![cfg(test)]
 
+use crate::em::MIN_WEIGHT;
 use crate::{
     log_sum_exp, CovarianceType, EmConfig, EmFit, Gaussian, KMeansConfig, KMeansFit, Mixture,
     Result, SuffStats, BLOCK,
@@ -58,7 +59,7 @@ pub(crate) fn ll_std(mixture: &Mixture, data: &[Vector]) -> f64 {
 /// `[n | Σwx | Σwxxᵀ]` (scatter row-major), or `[n | Σwx | Σwx²]` when
 /// `diagonal`. Each element adds one product: `n += w`, `Σx_i += w·x_i`,
 /// `Σx_ix_j += (w·x_i)·x_j`, `Σx_i² += (w·x_i)·x_i`.
-fn add_moments(m: &mut [f64], x: &Vector, w: f64, diagonal: bool) {
+pub(crate) fn add_moments(m: &mut [f64], x: &Vector, w: f64, diagonal: bool) {
     let d = x.dim();
     m[0] += w;
     let (sum, second) = m[1..].split_at_mut(d);
@@ -135,7 +136,7 @@ pub(crate) fn e_step(mixture: &Mixture, data: &[Vector], diagonal: bool) -> ESte
 /// The M-step of Sec. 3.2: `w_j = n_j/|D|` and the ML (biased) mean and
 /// covariance of each component's moments, per-dimension variances
 /// floored at 1e-12 when diagonal. A component whose mass is below
-/// `min_weight·|D|` (or not positive) is re-seeded as a sphere of
+/// `MIN_WEIGHT·|D|` (or not positive) is re-seeded as a sphere of
 /// variance `avg_var` at the lowest-density record of a 256-record
 /// stride sample, its first coordinate moved by 1e-3 per component
 /// before it, with weight `1/|D|`.
@@ -151,7 +152,7 @@ fn m_step(
     let mut weights = Vec::with_capacity(moments.len());
     for m in moments {
         let mass = m[0];
-        if mass < config.min_weight * n || mass <= 0.0 {
+        if mass < MIN_WEIGHT * n || mass <= 0.0 {
             let stride = (data.len() / 256).max(1);
             let worst = data
                 .iter()

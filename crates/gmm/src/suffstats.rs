@@ -426,6 +426,7 @@ mod tests {
 
     #[test]
     fn column_moments_are_bit_identical_to_adding_record_after_record() {
+        use crate::reference;
         use cludistream_rng::{check, Rng};
         check::cases("suffstats.add_moments_bit_identity", 4, |rng| {
             let mut scratch = Vec::new();
@@ -447,34 +448,37 @@ mod tests {
                         })
                         .collect();
                     for diagonal in [false, true] {
-                        // A running sum, as a block's second call meets it.
-                        let mut want = SuffStats::new(d);
-                        want.add(&x(0), 0.5);
-                        let mut acc = vec![0.5];
-                        acc.extend(x(0).iter().map(|v| 0.5 * v));
-                        if diagonal {
-                            acc.extend(x(0).iter().map(|v| 0.5 * v * v));
-                        } else {
-                            acc.extend_from_slice(want.scatter.as_slice());
-                        }
-                        let mut diag = acc[1 + d..].to_vec();
-                        for (b, &w) in w.iter().enumerate() {
-                            if w > 0.0 {
-                                let x = x(b);
-                                want.add(&x, w);
-                                for (sq, &v) in diag.iter_mut().zip(x.iter()) {
-                                    *sq += w * v * v;
+                        // A running sum, as a block's second call meets it:
+                        // record 0 at weight 0.5, then every positively
+                        // weighted record in order. Diagonal moments have
+                        // no `SuffStats`, so the test reference adds them.
+                        let (mut acc, flat) = if diagonal {
+                            let mut want = vec![0.0; 1 + 2 * d];
+                            reference::add_moments(&mut want, &x(0), 0.5, true);
+                            let acc = want.clone();
+                            for (b, &w) in w.iter().enumerate() {
+                                if w > 0.0 {
+                                    reference::add_moments(&mut want, &x(b), w, true);
                                 }
                             }
-                        }
-                        add_moments(&mut acc, &cols, &w, diagonal, &mut scratch);
-                        let mut flat = vec![want.n];
-                        flat.extend_from_slice(want.sum.as_slice());
-                        if diagonal {
-                            flat.extend_from_slice(&diag);
+                            (acc, want)
                         } else {
+                            let mut want = SuffStats::new(d);
+                            want.add(&x(0), 0.5);
+                            let mut acc = vec![0.5];
+                            acc.extend(x(0).iter().map(|v| 0.5 * v));
+                            acc.extend_from_slice(want.scatter.as_slice());
+                            for (b, &w) in w.iter().enumerate() {
+                                if w > 0.0 {
+                                    want.add(&x(b), w);
+                                }
+                            }
+                            let mut flat = vec![want.n];
+                            flat.extend_from_slice(want.sum.as_slice());
                             flat.extend_from_slice(want.scatter.as_slice());
-                        }
+                            (acc, flat)
+                        };
+                        add_moments(&mut acc, &cols, &w, diagonal, &mut scratch);
                         for (e, (g, w)) in acc.iter().zip(&flat).enumerate() {
                             assert_eq!(
                                 g.to_bits(),

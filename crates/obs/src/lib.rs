@@ -91,7 +91,7 @@ pub use histogram::HistogramSnapshot;
 pub use journal::{json_escape, json_f64, DropReason, Event, Verdict};
 pub use perfetto::perfetto_json;
 pub use quality::{
-    AlertKind, AlertRule, AlertSet, AlertState, EwmaDetector, PageHinkley, QualityConfig,
+    AlertKind, AlertRule, AlertSet, AlertState, EwmaDetector, PageHinkley, CHURN_ALPHA,
 };
 pub use quantile::QuantileSketch;
 pub use recorder::{NopRecorder, Obs, Recorder, Span};

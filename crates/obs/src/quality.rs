@@ -21,79 +21,29 @@
 use crate::catalogue;
 use crate::Registry;
 
-/// Tuning for the per-site quality plane. Everything is opt-in: a site
-/// configured without a `QualityConfig` emits no quality series and
-/// pays nothing on the chunk path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QualityConfig {
-    /// Page-Hinkley slack `δ`: per-sample tolerance subtracted from the
-    /// deviation so noise around a stationary mean never accumulates.
-    pub ph_delta: f64,
-    /// Page-Hinkley alarm threshold `λ`: the cumulative downward
-    /// excursion (in log-likelihood nats) that signals drift.
-    pub ph_lambda: f64,
-    /// EWMA smoothing factor `λ ∈ (0, 1]`: weight of the newest sample
-    /// in the exponentially-weighted estimate.
-    pub ewma_lambda: f64,
-    /// EWMA control-limit width `L` in asymptotic standard deviations.
-    pub ewma_l: f64,
-    /// Samples the EWMA chart observes before it may alarm (the mean
-    /// and deviation estimates need a burn-in).
-    pub ewma_warmup: u64,
-    /// Smoothing factor for the re-cluster-rate EWMA gauge
-    /// (`quality.recluster_ewma`).
-    pub churn_alpha: f64,
-}
-
-impl Default for QualityConfig {
-    fn default() -> Self {
-        QualityConfig {
-            ph_delta: 0.05,
-            ph_lambda: 5.0,
-            ewma_lambda: 0.2,
-            // L=3 is the textbook chart width but its in-control run
-            // length (~500 samples) is too short for per-chunk series;
-            // L=4 pushes false alarms out by orders of magnitude while
-            // still flagging a multi-sigma drop within a few chunks.
-            ewma_l: 4.0,
-            ewma_warmup: 8,
-            churn_alpha: 0.2,
-        }
-    }
-}
-
-impl QualityConfig {
-    /// Checks every field, returning `(field name, constraint)` for the
-    /// first violation — the caller maps it onto its own error type.
-    pub fn validate(&self) -> Result<(), (&'static str, &'static str)> {
-        if !(self.ph_delta.is_finite() && self.ph_delta >= 0.0) {
-            return Err(("quality.ph_delta", "ph_delta finite and >= 0"));
-        }
-        if !(self.ph_lambda.is_finite() && self.ph_lambda > 0.0) {
-            return Err(("quality.ph_lambda", "ph_lambda finite and > 0"));
-        }
-        if !(self.ewma_lambda > 0.0 && self.ewma_lambda <= 1.0) {
-            return Err(("quality.ewma_lambda", "0 < ewma_lambda <= 1"));
-        }
-        if !(self.ewma_l.is_finite() && self.ewma_l > 0.0) {
-            return Err(("quality.ewma_l", "ewma_l finite and > 0"));
-        }
-        if !(self.churn_alpha > 0.0 && self.churn_alpha <= 1.0) {
-            return Err(("quality.churn_alpha", "0 < churn_alpha <= 1"));
-        }
-        Ok(())
-    }
-
-    /// A Page-Hinkley detector with this configuration's `δ`/`λ`.
-    pub fn page_hinkley(&self) -> PageHinkley {
-        PageHinkley::new(self.ph_delta, self.ph_lambda)
-    }
-
-    /// An EWMA change detector with this configuration's `λ`/`L`/warmup.
-    pub fn ewma(&self) -> EwmaDetector {
-        EwmaDetector::new(self.ewma_lambda, self.ewma_l, self.ewma_warmup)
-    }
-}
+/// Page-Hinkley slack `δ` of the deployed site detector: per-sample
+/// tolerance subtracted from the deviation so noise around a stationary
+/// mean never accumulates.
+const PH_DELTA: f64 = 0.05;
+/// Page-Hinkley alarm threshold `λ` of the deployed site detector: the
+/// cumulative downward excursion (in log-likelihood nats) that signals
+/// drift.
+const PH_LAMBDA: f64 = 5.0;
+/// EWMA smoothing factor `λ ∈ (0, 1]` of the deployed chart: weight of
+/// the newest sample in the exponentially-weighted estimate.
+const EWMA_LAMBDA: f64 = 0.2;
+/// EWMA control-limit width `L` in asymptotic standard deviations. L=3
+/// is the textbook chart width but its in-control run length (~500
+/// samples) is too short for per-chunk series; L=4 pushes false alarms
+/// out by orders of magnitude while still flagging a multi-sigma drop
+/// within a few chunks.
+const EWMA_L: f64 = 4.0;
+/// Samples the deployed EWMA chart observes before it may alarm (the
+/// mean and deviation estimates need a burn-in).
+const EWMA_WARMUP: u64 = 8;
+/// Smoothing factor of a site's re-cluster-rate EWMA gauge
+/// (`quality.recluster_ewma`).
+pub const CHURN_ALPHA: f64 = 0.2;
 
 /// Page-Hinkley test for a sustained *drop* in the stream mean.
 ///
@@ -154,6 +104,13 @@ impl PageHinkley {
         self.count = 0;
         self.cum = 0.0;
         self.peak = 0.0;
+    }
+}
+
+impl Default for PageHinkley {
+    /// The detector every quality-plane site runs.
+    fn default() -> Self {
+        PageHinkley::new(PH_DELTA, PH_LAMBDA)
     }
 }
 
@@ -230,6 +187,13 @@ impl EwmaDetector {
         self.count = 0;
         self.z = 0.0;
         self.score = 0.0;
+    }
+}
+
+impl Default for EwmaDetector {
+    /// The chart every quality-plane site runs.
+    fn default() -> Self {
+        EwmaDetector::new(EWMA_LAMBDA, EWMA_L, EWMA_WARMUP)
     }
 }
 
@@ -485,21 +449,6 @@ mod tests {
         assert!(states[1].firing && states[1].value == 9.0, "stale snapshot");
         assert!(states[3].firing && states[3].value == 2.0, "latched drift");
         assert!(states[4].firing && states[4].value == 50.0, "slow median");
-    }
-
-    #[test]
-    fn quality_config_validates_each_field() {
-        assert!(QualityConfig::default().validate().is_ok());
-        let bad = QualityConfig { ph_lambda: 0.0, ..QualityConfig::default() };
-        assert_eq!(bad.validate().unwrap_err().0, "quality.ph_lambda");
-        let bad = QualityConfig { ewma_lambda: 1.5, ..QualityConfig::default() };
-        assert_eq!(bad.validate().unwrap_err().0, "quality.ewma_lambda");
-        let bad = QualityConfig { churn_alpha: 0.0, ..QualityConfig::default() };
-        assert_eq!(bad.validate().unwrap_err().0, "quality.churn_alpha");
-        let bad = QualityConfig { ph_delta: f64::NAN, ..QualityConfig::default() };
-        assert_eq!(bad.validate().unwrap_err().0, "quality.ph_delta");
-        let bad = QualityConfig { ewma_l: -1.0, ..QualityConfig::default() };
-        assert_eq!(bad.validate().unwrap_err().0, "quality.ewma_l");
     }
 
     /// A rule names its series as a string, so a renamed or retyped series

@@ -9,7 +9,7 @@
 //! streams must never alarm and seeded mean-drop streams must always
 //! alarm shortly after the change point.
 
-use cludistream_obs::{EwmaDetector, PageHinkley, QualityConfig};
+use cludistream_obs::{EwmaDetector, PageHinkley};
 use cludistream_rng::{check, Normal, Rng, Sample};
 
 /// Brute-force Page-Hinkley: keeps the raw samples since the last reset
@@ -190,14 +190,13 @@ fn mean_drop_always_alarms_soon_after_the_change_point() {
     // Default tunings against an unmistakable drift: 150 stationary
     // samples, then the mean drops by 10σ. Both detectors must alarm
     // within 100 post-change samples and never before the change.
-    let config = QualityConfig::default();
     check::cases("quality_drift_detected", 64, |rng| {
         let mean = -2.0 + f64::sample(rng) * 4.0;
         let sd = 0.2;
         let before = Normal::new(mean, sd);
         let after = Normal::new(mean - 10.0 * sd, sd);
-        let mut ph = config.page_hinkley();
-        let mut ewma = config.ewma();
+        let mut ph = PageHinkley::default();
+        let mut ewma = EwmaDetector::default();
         for i in 0..150 {
             assert!(!ph.update(before.sample(rng)), "pre-change PH alarm at {i}");
         }

@@ -50,7 +50,7 @@ fn main() {
             },
             ..Default::default()
         })
-        .with_tree(TreeTopology::two_level(GATEWAYS))
+        .with_tree(TreeTopology { levels: vec![GATEWAYS] })
         .with_streams(streams)
         .with_updates_per_site(8_000)
         .run()

@@ -6,7 +6,10 @@
 # then a `total` row over the crates listed. A file that declares itself
 # test-only with an inner `#![cfg(test)]` counts nothing.
 # Last, the settable values: the CLI flags, summed over the subcommands of
-# `flag_table` in crates/cli/src/lib.rs.
+# `flag_table` in crates/cli/src/lib.rs; then the configuration fields, the
+# `pub` fields of every non-test `pub struct` whose name ends in `Config`,
+# plus `ChunkParams`, `MergeRefiner` and `TreeTopology`, over the crates
+# listed.
 # usage: scripts/loc.sh [crate ...]   (default: every crate)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -21,3 +24,12 @@ for c in "$@"; do
          END { printf "%-10s %6d %5d\n", c, n + f, p + q }' {} +
 done | awk '{ print; n += $2; p += $3 } END { printf "%-10s %6d %5d\n", "total", n, p }'
 printf 'cli flags %d\n' "$(awk '/^fn flag_table/, /^}/' crates/cli/src/lib.rs | grep -o '"--[a-z-]*"' | wc -l)"
+for c in "$@"; do
+    find "crates/$c/src" -name '*.rs' -exec awk \
+        'FNR == 1 { skip = inside = 0 }
+         /^#!?\[cfg\(test\)\]/ { skip = 1 } skip { next }
+         inside && /^[[:space:]]*}/ { inside = 0 }
+         inside && /^[[:space:]]*pub [a-z_][a-z0-9_]*:/ { n++ }
+         /^[[:space:]]*pub struct ([A-Za-z]*Config|ChunkParams|MergeRefiner|TreeTopology)[[:space:]]*\{/ { inside = 1 }
+         END { print n + 0 }' {} +
+done | awk '{ n += $1 } END { printf "config fields %d\n", n }'

@@ -63,7 +63,7 @@ fn simulate_publish_and_score_through_the_facade() {
     let report: StarReport = Simulation::star(2)
         .with_driver_config(DriverConfig { site: site_config(), obs, ..Default::default() })
         .with_window(WindowSpec::Landmark)
-        .with_reliability(DeliveryConfig { mode: DeliveryMode::Reliable })
+        .with_reliability(DeliveryMode::Reliable)
         .with_transport(Box::new(transport))
         .with_streams(vec![two_blob_stream(1), two_blob_stream(2)])
         .with_updates_per_site(2 * chunk)

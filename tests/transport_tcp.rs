@@ -12,8 +12,8 @@
 
 use cludistream_suite::cludistream::runtime::TcpTransport;
 use cludistream_suite::cludistream::{
-    Config, DeliveryConfig, DeliveryMode, DriverConfig, RecordStream, RemoteSite,
-    SimnetTransport, Simulation, StarReport, Transport,
+    Config, DeliveryMode, DriverConfig, RecordStream, RemoteSite, SimnetTransport, Simulation,
+    StarReport, Transport,
 };
 use cludistream_suite::gmm::{ChunkParams, Gaussian, Mixture};
 use cludistream_suite::linalg::Vector;
@@ -86,7 +86,7 @@ fn run_through(transport: Box<dyn Transport>, updates: u64) -> (StarReport, Stri
             obs: Obs::from_registry(Arc::clone(&registry)),
             ..Default::default()
         })
-        .with_reliability(DeliveryConfig { mode: DeliveryMode::Reliable })
+        .with_reliability(DeliveryMode::Reliable)
         .with_streams(streams)
         .with_updates_per_site(updates)
         .with_transport(transport)
@@ -165,7 +165,7 @@ fn tcp_transport_matches_simnet_decisions_and_bytes() {
 fn tcp_transport_rejects_fire_and_forget() {
     let err = Simulation::star(1)
         .with_driver_config(DriverConfig { site: site_config(), ..Default::default() })
-        .with_reliability(DeliveryConfig { mode: DeliveryMode::FireAndForget })
+        .with_reliability(DeliveryMode::FireAndForget)
         .with_streams(vec![regime_stream(0, 10)])
         .with_updates_per_site(10)
         .with_transport(Box::new(TcpTransport::new()))

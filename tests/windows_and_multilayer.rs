@@ -101,7 +101,7 @@ fn tree_network_matches_flat_star_quality() {
             .map(|slot| blob(if slot < 2 { 0.0 } else { 60.0 }, 2 * chunk_size(), 20 + slot))
             .collect()
     };
-    let tree = run_sites(streams(), Some(TreeTopology::two_level(2)));
+    let tree = run_sites(streams(), Some(TreeTopology { levels: vec![2] }));
     let flat = run_sites(streams(), None);
 
     let tree_model = tree.global.expect("tree root model");
@@ -131,8 +131,8 @@ fn multilayer_traffic_is_event_driven() {
             })
             .collect()
     };
-    let warm = run_sites(streams(0), Some(TreeTopology::two_level(1)));
-    let stable = run_sites(streams(4), Some(TreeTopology::two_level(1)));
+    let warm = run_sites(streams(0), Some(TreeTopology { levels: vec![1] }));
+    let stable = run_sites(streams(4), Some(TreeTopology { levels: vec![1] }));
     assert!(warm.bytes_at_root > 0);
     assert_eq!(stable.bytes_at_root, warm.bytes_at_root, "stable leaves must stay silent");
     assert_eq!(stable.comm.total_bytes(), warm.comm.total_bytes(), "at every layer");
