@@ -3,6 +3,12 @@ use cludistream_gmm::{fit_em, EmConfig, GmmError, Mixture};
 use cludistream_linalg::Vector;
 use cludistream_rng::StdRng;
 
+/// EM iterations per refit.
+const EM_ITERS: usize = 50;
+
+/// EM convergence tolerance.
+const EM_TOL: f64 = 1e-4;
+
 /// Configuration of the sampling-based EM baseline (paper Fig. 6).
 #[derive(Debug, Clone)]
 pub struct SamplingEmConfig {
@@ -12,10 +18,6 @@ pub struct SamplingEmConfig {
     pub sample_size: usize,
     /// Refit the model after this many new records.
     pub refit_interval: usize,
-    /// EM iterations per refit.
-    pub em_iters: usize,
-    /// EM convergence tolerance.
-    pub em_tol: f64,
     /// RNG seed.
     pub seed: u64,
 }
@@ -26,8 +28,6 @@ impl Default for SamplingEmConfig {
             k: 5,
             sample_size: 1000,
             refit_interval: 2000,
-            em_iters: 50,
-            em_tol: 1e-4,
             seed: 0,
         }
     }
@@ -109,8 +109,8 @@ impl SamplingEm {
             self.reservoir.items(),
             &EmConfig {
                 k: self.config.k,
-                max_iters: self.config.em_iters,
-                tol: self.config.em_tol,
+                max_iters: EM_ITERS,
+                tol: EM_TOL,
                 seed: self.config.seed.wrapping_add(self.refits),
                 ..Default::default()
             },

@@ -23,6 +23,25 @@ use cludistream_gmm::{
 };
 use cludistream_linalg::Vector;
 
+/// Primary compression: a record folds into its MAP component's discard
+/// set when its squared Mahalanobis distance is at most
+/// `COMPRESSION_RADIUS × d`.
+const COMPRESSION_RADIUS: f64 = 1.0;
+
+/// Secondary compression: sub-clusters found among the remaining records
+/// are compressed when their largest per-axis std is below this limit
+/// (relative to the global per-axis std).
+const SECONDARY_STD_LIMIT: f64 = 0.5;
+
+/// Sub-clusters sought by secondary compression per pass.
+const SECONDARY_SUBCLUSTERS: usize = 10;
+
+/// Extended-EM iterations per pass.
+const EM_ITERS: usize = 30;
+
+/// Extended-EM convergence tolerance on the average log likelihood.
+const EM_TOL: f64 = 1e-4;
+
 /// SEM tuning parameters.
 #[derive(Debug, Clone)]
 pub struct SemConfig {
@@ -30,36 +49,13 @@ pub struct SemConfig {
     pub k: usize,
     /// Records buffered before an extended-EM pass.
     pub buffer_size: usize,
-    /// Primary compression: a record folds into its MAP component's discard
-    /// set when its squared Mahalanobis distance is at most
-    /// `compression_radius × d`.
-    pub compression_radius: f64,
-    /// Secondary compression: sub-clusters found among the remaining
-    /// records are compressed when their largest per-axis std is below this
-    /// limit (relative to the global per-axis std).
-    pub secondary_std_limit: f64,
-    /// Sub-clusters sought by secondary compression per pass.
-    pub secondary_subclusters: usize,
-    /// Extended-EM iterations per pass.
-    pub em_iters: usize,
-    /// Extended-EM convergence tolerance on the average log likelihood.
-    pub em_tol: f64,
     /// RNG seed (initial EM and sub-clustering).
     pub seed: u64,
 }
 
 impl Default for SemConfig {
     fn default() -> Self {
-        SemConfig {
-            k: 5,
-            buffer_size: 1000,
-            compression_radius: 1.0,
-            secondary_std_limit: 0.5,
-            secondary_subclusters: 10,
-            em_iters: 30,
-            em_tol: 1e-4,
-            seed: 0,
-        }
+        SemConfig { k: 5, buffer_size: 1000, seed: 0 }
     }
 }
 
@@ -164,8 +160,8 @@ impl ScalableEm {
                     &self.retained,
                     &EmConfig {
                         k: self.config.k,
-                        max_iters: self.config.em_iters,
-                        tol: self.config.em_tol,
+                        max_iters: EM_ITERS,
+                        tol: EM_TOL,
                         seed: self.config.seed,
                         ..Default::default()
                     },
@@ -178,8 +174,6 @@ impl ScalableEm {
                     &self.retained,
                     self.discard.iter().chain(self.compressed.iter()),
                     current,
-                    self.config.em_iters,
-                    self.config.em_tol,
                 )?;
                 self.stats.em_iterations += iters as u64;
                 mixture
@@ -192,7 +186,7 @@ impl ScalableEm {
             // pass.
             self.discard = (0..mixture.k()).map(|_| SuffStats::new(d)).collect();
         }
-        let radius = self.config.compression_radius * d as f64;
+        let radius = COMPRESSION_RADIUS * d as f64;
         let mut kept = Vec::with_capacity(self.retained.len());
         for x in self.retained.drain(..) {
             let j = mixture.map_component(&x);
@@ -207,7 +201,7 @@ impl ScalableEm {
 
         // Secondary compression: sub-cluster the remainder and absorb tight
         // sub-clusters into CS.
-        if self.retained.len() > 2 * self.config.secondary_subclusters {
+        if self.retained.len() > 2 * SECONDARY_SUBCLUSTERS {
             let global_std = {
                 let mut s = SuffStats::new(d);
                 for x in &self.retained {
@@ -219,25 +213,25 @@ impl ScalableEm {
             let km = kmeans(
                 &self.retained,
                 &KMeansConfig {
-                    k: self.config.secondary_subclusters,
+                    k: SECONDARY_SUBCLUSTERS,
                     max_iters: 10,
                     seed: self.config.seed ^ self.stats.em_runs,
                 },
             )?;
             let mut sub: Vec<SuffStats> =
-                (0..self.config.secondary_subclusters).map(|_| SuffStats::new(d)).collect();
+                (0..SECONDARY_SUBCLUSTERS).map(|_| SuffStats::new(d)).collect();
             for (&a, x) in km.assignments.iter().zip(&self.retained) {
                 sub[a].add(x, 1.0);
             }
             let mut kept = Vec::new();
-            let mut absorbed = vec![false; self.config.secondary_subclusters];
+            let mut absorbed = vec![false; SECONDARY_SUBCLUSTERS];
             for (i, s) in sub.iter().enumerate() {
                 if s.n() < 2.0 {
                     continue;
                 }
                 let cov = s.cov()?;
                 let max_std = cov.diag().iter().map(|v| v.max(0.0).sqrt()).fold(0.0, f64::max);
-                if max_std <= self.config.secondary_std_limit * global_std {
+                if max_std <= SECONDARY_STD_LIMIT * global_std {
                     absorbed[i] = true;
                     self.stats.secondary_compressed += s.n() as u64;
                     self.compressed.push(s.clone());
@@ -264,8 +258,6 @@ fn extended_em<'a>(
     points: &[Vector],
     stats: impl Iterator<Item = &'a SuffStats> + Clone,
     initial: Mixture,
-    max_iters: usize,
-    tol: f64,
 ) -> Result<(Mixture, usize), GmmError> {
     let k = initial.k();
     let d = initial.dim();
@@ -273,7 +265,7 @@ fn extended_em<'a>(
     let mut prev_avg = f64::NEG_INFINITY;
     let mut iterations = 0;
 
-    for iter in 0..max_iters {
+    for iter in 0..EM_ITERS {
         iterations = iter + 1;
         let mut acc: Vec<SuffStats> = (0..k).map(|_| SuffStats::new(d)).collect();
         let mut total_ll = 0.0;
@@ -328,7 +320,7 @@ fn extended_em<'a>(
         }
 
         let avg = total_ll / total_mass;
-        if (avg - prev_avg).abs() <= tol {
+        if (avg - prev_avg).abs() <= EM_TOL {
             break;
         }
         prev_avg = avg;

@@ -80,16 +80,10 @@ const REGIONS: [f64; 4] = [0.0, 40.0, 80.0, 120.0];
 /// Records each synthetic site claims behind its synopsis.
 const RECORDS_PER_SITE: u64 = 100;
 
-fn root_config() -> CoordinatorConfig {
+/// The root's coordinator, and each shard's (whose merge log its engine
+/// caps at `SHARD_MERGE_LOG_CAP`): one group per region.
+fn coordinator_config() -> CoordinatorConfig {
     CoordinatorConfig { max_groups: REGIONS.len(), ..CoordinatorConfig::default() }
-}
-
-fn shard_config() -> CoordinatorConfig {
-    CoordinatorConfig {
-        max_groups: REGIONS.len(),
-        merge_log_cap: Some(64),
-        ..CoordinatorConfig::default()
-    }
 }
 
 /// One `NewModel` synopsis per site: a single spherical component near
@@ -169,7 +163,7 @@ struct RootSide {
 /// Applies `messages` to a fresh root coordinator, sampling the event
 /// table as it grows.
 fn drive_root(messages: &[Message], holdout: &[Vector]) -> RootSide {
-    let mut root = Coordinator::new(root_config()).expect("valid root config");
+    let mut root = Coordinator::new(coordinator_config()).expect("valid root config");
     let mut peak = root.event_table_entries();
     let start = Instant::now();
     for (i, m) in messages.iter().enumerate() {
@@ -214,8 +208,7 @@ fn run_tree(rounds: &[Vec<Message>], holdout: &[Vector]) -> RootSide {
                     index: a as u32,
                     child_base: range(a).start as u32,
                     children: range(a).len(),
-                    epsilon: 0.0,
-                    coordinator: shard_config(),
+                    coordinator: coordinator_config(),
                 },
                 Obs::noop(),
             )

@@ -56,7 +56,6 @@ pub use data::DataOpts;
 pub use sim::MetricsWorkload;
 pub use socket::{AggregatorOpts, CoordinatorOpts, ServeOpts};
 
-use cludistream::{SHARD_EPSILON, SHARD_FLUSH_INTERVAL_US};
 use cludistream_datagen::csvio;
 use cludistream_gmm::{ChunkParams, CovarianceType};
 use data::{run_cluster, run_generate, run_score, run_stream};
@@ -264,9 +263,9 @@ USAGE:
                        [--epsilon E] [--journal OUT.jsonl] [--trace]
                        [--quality]
   cludistream aggregator --connect HOST:PORT [--listen HOST:PORT] [--site I]
-                       [--child-base B] [--children N] [--epsilon E] [--flush-ms F]
-                       [--heartbeat-ms H] [--timeout-ms T] [--deadline-s D]
-                       [--port-file PATH] [--journal OUT.jsonl]
+                       [--child-base B] [--children N] [--heartbeat-ms H]
+                       [--timeout-ms T] [--deadline-s D] [--port-file PATH]
+                       [--journal OUT.jsonl]
   cludistream status   --connect HOST:PORT [--watch SECS]
   cludistream health   --connect HOST:PORT
   cludistream help
@@ -279,7 +278,6 @@ Defaults: k=5, epsilon=0.02, delta=0.01, c-max=4, seed=0, covariance=full,
                        timeout-ms=5000, deadline-s=0 (none), linger-ms=0,
           site: site=0, simulate workload defaults,
           aggregator: listen=127.0.0.1:0, site=0, child-base=0, children=2,
-                      epsilon=0 (forward every change), flush-ms=50,
                       heartbeat-ms=500, timeout-ms=5000, deadline-s=0 (none),
           status: watch=0 (scrape once).
 
@@ -296,9 +294,10 @@ the aggregator's `--connect` at the root coordinator (or another
 aggregator, for 3-level trees), started with `--sites` equal to the
 number of *direct* children it serves. Downward it is indistinguishable
 from a coordinator (rendezvous, heartbeats, eviction, go-back-N resync);
-upward it forwards one pre-merged reduced update per `--flush-ms`
-interval as site `--site I`, so the root's ingress and event table scale
-with the number of aggregators, not sites. `status --connect` works
+upward, as site `--site I`, it forwards one pre-merged reduced update
+whenever a mean or weight of its summary moved, at most one per 50 ms,
+so the root's ingress and event table scale with the number of
+aggregators, not sites. `status --connect` works
 against an aggregator's listener too and reports its subtree.
 
 Sites piggyback metric/span deltas on their heartbeats; the coordinator
@@ -394,9 +393,8 @@ fn flag_table(cmd: &str) -> Option<FlagTable> {
         ),
         "aggregator" => (
             &[
-                "--connect", "--listen", "--site", "--child-base", "--children", "--epsilon",
-                "--flush-ms", "--heartbeat-ms", "--timeout-ms", "--deadline-s", "--port-file",
-                "--journal",
+                "--connect", "--listen", "--site", "--child-base", "--children",
+                "--heartbeat-ms", "--timeout-ms", "--deadline-s", "--port-file", "--journal",
             ],
             &[],
             false,
@@ -495,9 +493,15 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     // The shared workload description. `site` has no `--sites`:
     // it runs one site of the star.
     let workload = |default_sites: usize| -> Result<MetricsWorkload, CliError> {
+        // A zero `--sites` reaches the run's own check; a zero `--chunks`
+        // would stream nothing, and nothing downstream checks it.
+        let chunks = parse_int("--chunks", 2)?;
+        if chunks == 0 {
+            return Err(CliError::Usage("--chunks expects an integer >= 1".into()));
+        }
         Ok(MetricsWorkload {
-            sites: parse_int("--sites", default_sites)?.max(1),
-            chunks: parse_int("--chunks", 2)?.max(1),
+            sites: parse_int("--sites", default_sites)?,
+            chunks,
             seed: parse_int("--seed", 7)? as u64,
             epsilon: parse_num("--epsilon", 0.15)?,
         })
@@ -507,8 +511,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let serve_opts = || -> Result<ServeOpts, CliError> {
         Ok(ServeOpts {
             listen: flag("--listen").unwrap_or("127.0.0.1:0").to_string(),
-            heartbeat_ms: parse_int("--heartbeat-ms", 500)?.max(1) as u64,
-            timeout_ms: parse_int("--timeout-ms", 5_000)?.max(1) as u64,
+            heartbeat_ms: parse_int("--heartbeat-ms", 500)? as u64,
+            timeout_ms: parse_int("--timeout-ms", 5_000)? as u64,
             deadline_s: parse_int("--deadline-s", 0)? as u64,
             port_file: owned("--port-file"),
             journal: owned("--journal"),
@@ -595,7 +599,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         }
         "coordinator" => Ok(Command::Coordinator(CoordinatorOpts {
             serve: serve_opts()?,
-            sites: parse_int("--sites", 2)?.max(1),
+            sites: parse_int("--sites", 2)?,
             trace_out: owned("--trace-out"),
             snapshot_out: owned("--snapshot-out"),
             alerts: has("--alerts"),
@@ -630,10 +634,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             connect: require_connect()?,
             site: parse_int("--site", 0)?,
             child_base: parse_int("--child-base", 0)?,
-            children: parse_int("--children", 2)?.max(1),
-            epsilon: parse_num("--epsilon", SHARD_EPSILON)?,
-            flush_ms: parse_int("--flush-ms", SHARD_FLUSH_INTERVAL_US as usize / 1_000)?.max(1)
-                as u64,
+            children: parse_int("--children", 2)?,
         })),
         "health" => Ok(Command::Health { connect: require_connect()? }),
         "status" => {
@@ -896,22 +897,16 @@ mod tests {
                 site: 0,
                 child_base: 0,
                 children: 2,
-                epsilon: 0.0,
-                flush_ms: 50,
             })
         );
         match parse_args(&args(
             "aggregator --connect h:1 --listen h:2 --site 8 --child-base 4 --children 4 \
-             --epsilon 0.05 --flush-ms 20 --port-file p.txt --journal j.jsonl",
+             --port-file p.txt --journal j.jsonl",
         ))
         .unwrap()
         {
-            Command::Aggregator(AggregatorOpts {
-                serve, site, child_base, children, epsilon, flush_ms, ..
-            }) => {
+            Command::Aggregator(AggregatorOpts { serve, site, child_base, children, .. }) => {
                 assert_eq!((site, child_base, children), (8, 4, 4));
-                assert_eq!(epsilon, 0.05);
-                assert_eq!(flush_ms, 20);
                 assert_eq!(serve.listen, "h:2");
                 assert_eq!(serve.port_file.as_deref(), Some("p.txt"));
                 assert_eq!(serve.journal.as_deref(), Some("j.jsonl"));
@@ -988,6 +983,55 @@ mod tests {
         assert!(usage_error("simulate --site 3").contains("\"--site\""));
         assert!(usage_error("cluster d.csv --bogus-flag 7").contains("\"--bogus-flag\""));
         assert!(usage_error("site --connect h:1 --sites 2").contains("\"--sites\""));
+        // The upload policy of an aggregator is fixed: no threshold, no cadence.
+        for flag in ["--epsilon", "--flush-ms"] {
+            let message = usage_error(&format!("aggregator --connect h:1 {flag} 1"));
+            assert!(message.contains(&format!("{flag:?}")), "{message}");
+        }
+    }
+
+    /// The error `line` runs into; the run must not succeed. Serving-role
+    /// lines carry `--deadline-s 1`, so a run that starts ends instead of
+    /// waiting for its peers.
+    fn run_error(line: &str) -> String {
+        let command = parse_args(&args(line)).unwrap_or_else(|e| panic!("{line:?}: {e}"));
+        match run(command, &mut Vec::new()) {
+            Err(e) => e.to_string(),
+            Ok(()) => panic!("{line:?} ran"),
+        }
+    }
+
+    #[test]
+    fn zero_sites_reach_the_runs_check() {
+        let message = run_error("simulate --sites 0");
+        assert!(message.contains("need at least one site"), "{message}");
+        let message = run_error("coordinator --sites 0 --deadline-s 1");
+        assert!(message.contains("invalid config sites"), "{message}");
+    }
+
+    #[test]
+    fn zero_chunks_is_a_usage_error() {
+        for line in ["simulate --chunks 0", "site --connect h:1 --chunks 0"] {
+            assert_eq!(usage_error(line), "--chunks expects an integer >= 1", "{line}");
+        }
+    }
+
+    #[test]
+    fn zero_heartbeat_reaches_the_socket_check() {
+        let message = run_error("coordinator --heartbeat-ms 0 --deadline-s 1");
+        assert!(message.contains("invalid config socket.heartbeat_us"), "{message}");
+    }
+
+    #[test]
+    fn zero_timeout_reaches_the_socket_check() {
+        let message = run_error("coordinator --timeout-ms 0 --deadline-s 1");
+        assert!(message.contains("invalid config socket.timeout_us"), "{message}");
+    }
+
+    #[test]
+    fn zero_children_reach_the_runs_check() {
+        let message = run_error("aggregator --connect 127.0.0.1:1 --children 0 --deadline-s 1");
+        assert!(message.contains("invalid config children"), "{message}");
     }
 
     #[test]

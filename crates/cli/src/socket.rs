@@ -6,7 +6,7 @@ use cludistream::runtime::{
     run_aggregator, run_site, serve, AggregatorRun, Control, CoordinatorRun, HealthAlert, SiteRun,
     SocketConfig,
 };
-use cludistream::{CoordinatorConfig, SnapshotHandle, SHARD_MERGE_LOG_CAP};
+use cludistream::{CoordinatorConfig, SnapshotHandle};
 use cludistream_obs::{catalogue, perfetto_json, AlertSet, FleetAggregator, Obs};
 use cludistream_wire::framing::{write_frame, FrameReader};
 use cludistream_wire::ByteReader;
@@ -73,12 +73,6 @@ pub struct AggregatorOpts {
     pub child_base: usize,
     /// Children that must rendezvous before the subtree starts.
     pub children: usize,
-    /// Suppression threshold: an upward flush is skipped while the
-    /// reduced summary moved less than this (0 = forward every
-    /// change). Distinct from the sites' chunk ε.
-    pub epsilon: f64,
-    /// Minimum milliseconds between upward flushes.
-    pub flush_ms: u64,
 }
 
 /// Connects to a coordinator (or aggregator), sends the one control frame
@@ -196,10 +190,6 @@ pub(crate) fn run_coordinator(opts: CoordinatorOpts, out: &mut impl Write) -> Re
     // `status` subcommand scrapes it mid-round over the same
     // listener.
     let fleet = Arc::new(FleetAggregator::new());
-    let (listener, addr) = opts.serve.bind("coordinator")?;
-    writeln!(out, "coordinator listening on {addr} for {} sites", opts.sites)?;
-    out.flush()?;
-    opts.serve.publish_port(addr)?;
     // A CLI coordinator always publishes read-side snapshots:
     // `score --connect` can pull the live model mid-round, and
     // the end-of-round checkpoint lands in `--snapshot-out`.
@@ -219,8 +209,13 @@ pub(crate) fn run_coordinator(opts: CoordinatorOpts, out: &mut impl Write) -> Re
     if opts.alerts {
         builder = builder.alerts(AlertSet::default_rules());
     }
+    // Built before binding: a run the builder rejects opens no listener.
     let run =
         builder.build().map_err(|e| CliError::Usage(format!("coordinator: {e}")))?;
+    let (listener, addr) = opts.serve.bind("coordinator")?;
+    writeln!(out, "coordinator listening on {addr} for {} sites", opts.sites)?;
+    out.flush()?;
+    opts.serve.publish_port(addr)?;
     let report =
         serve(listener, run).map_err(|e| CliError::Usage(format!("coordinator: {e}")))?;
     registry.flush_journal()?;
@@ -346,6 +341,17 @@ pub(crate) fn run_aggregator_role(opts: AggregatorOpts, out: &mut impl Write) ->
     // The subtree's own fleet registry: `status --opts.connect` against
     // this listener scrapes the opts.children this node serves.
     let fleet = Arc::new(FleetAggregator::new());
+    // Built before binding, as for the coordinator.
+    let run = AggregatorRun::builder(opts.site as u32, opts.child_base as u32, opts.children)
+        // The metrics-workload coordinator; the engine caps its merge log.
+        .coordinator(metrics_coordinator_config())
+        .dim(1)
+        .obs(obs)
+        .telemetry(true)
+        .fleet(Arc::clone(&fleet))
+        .socket(opts.serve.socket_config())
+        .build()
+        .map_err(|e| CliError::Usage(format!("aggregator: {e}")))?;
     let (listener, addr) = opts.serve.bind("aggregator")?;
     writeln!(
         out,
@@ -356,22 +362,6 @@ pub(crate) fn run_aggregator_role(opts: AggregatorOpts, out: &mut impl Write) ->
     )?;
     out.flush()?;
     opts.serve.publish_port(addr)?;
-    let run = AggregatorRun::builder(opts.site as u32, opts.child_base as u32, opts.children)
-        // The metrics-workload coordinator with the shard's merge-log
-        // cap, which keeps a deep tree's memory O(models) per node.
-        .coordinator(CoordinatorConfig {
-            merge_log_cap: Some(SHARD_MERGE_LOG_CAP),
-            ..metrics_coordinator_config()
-        })
-        .dim(1)
-        .epsilon(opts.epsilon)
-        .flush_interval_us(opts.flush_ms.saturating_mul(1_000))
-        .obs(obs)
-        .telemetry(true)
-        .fleet(Arc::clone(&fleet))
-        .socket(opts.serve.socket_config())
-        .build()
-        .map_err(|e| CliError::Usage(format!("aggregator: {e}")))?;
     let report = run_aggregator(&opts.connect, listener, run)
         .map_err(|e| CliError::Usage(format!("aggregator: {e}")))?;
     registry.flush_journal()?;

@@ -287,9 +287,11 @@ fn socket_round(seen: &mut Seen) {
     collect(seen, &scorer);
 }
 
-/// A root, one aggregator and two sites. The aggregator forwards its
-/// first summary; site 0's second regime waits until that flush went up,
-/// and the summary it moves (by less than ε = ∞) is suppressed.
+/// A root, one aggregator and three children: two sites and a raw child.
+/// Before the sites stream, the raw child uploads one synopsis, waits for
+/// the aggregator to forward it, and re-sends it under the next sequence
+/// number: the same-id replace leaves the summary's means and weights
+/// where they were, so that flush is suppressed.
 fn aggregator_round(seen: &mut Seen) {
     let root_listener = TcpListener::bind("127.0.0.1:0").expect("bind root");
     let root_addr = root_listener.local_addr().expect("root addr").to_string();
@@ -309,15 +311,13 @@ fn aggregator_round(seen: &mut Seen) {
     let agg = Arc::new(Registry::new());
     agg.enable_telemetry();
     let agg_fleet = Arc::new(FleetAggregator::new());
-    let run = AggregatorRun::builder(0, 0, 2)
+    let run = AggregatorRun::builder(0, 0, 3)
         .coordinator(CoordinatorConfig {
             max_groups: 2,
             merge_log_cap: Some(1),
             ..CoordinatorConfig::default()
         })
         .dim(1)
-        .epsilon(f64::MAX)
-        .flush_interval_us(1_000)
         .obs(Obs::from_registry(Arc::clone(&agg)))
         .telemetry(true)
         .fleet(Arc::clone(&agg_fleet))
@@ -334,17 +334,15 @@ fn aggregator_round(seen: &mut Seen) {
         ..Config::default()
     };
     let chunk = RemoteSite::new(config.clone()).expect("site config").chunk_size();
-    let first_flush = Arc::new(AtomicBool::new(false));
+    let released = Arc::new(AtomicBool::new(false));
     let sites: Vec<_> = (0..2usize)
         .map(|site| {
             let registry = Arc::new(Registry::new());
             let obs = Obs::from_registry(Arc::clone(&registry));
-            let gate = (site == 0).then(|| Arc::clone(&first_flush));
-            // One regime, then — for site 0 only after the first flush —
-            // the second; a step pulls one chunk, so the first synopsis
-            // leaves before the gate is reached.
-            let first = stream(vec![0.0], chunk, 21 + site as u64, None);
-            let second = stream(vec![40.0], chunk, 23 + site as u64, gate);
+            // Two regimes, the first held until the raw child is through;
+            // a step pulls one chunk.
+            let first = stream(vec![0.0], chunk, 21 + site as u64, Some(Arc::clone(&released)));
+            let second = stream(vec![40.0], chunk, 23 + site as u64, None);
             let run = SiteRun::builder(site, Box::new(first.chain(second)))
                 .config(DriverConfig {
                     site: config.clone(),
@@ -360,18 +358,42 @@ fn aggregator_round(seen: &mut Seen) {
             (registry, thread::spawn(move || run_site(&addr, run)))
         })
         .collect();
+
+    let mut child = Raw::connect(&agg_addr);
+    child.send(&Control::Hello {
+        version: PROTOCOL_VERSION,
+        site: 2,
+        dim: 1,
+        cov: CovarianceType::Full,
+        resume: false,
+    });
+    child.until(|c| matches!(c, Control::Start));
+    let synopsis = Message::NewModel {
+        site: 2,
+        model: ModelId(0),
+        count: 100,
+        avg_ll: -1.0,
+        mixture: regime(-40.0),
+    };
     let deadline = Instant::now() + Duration::from_secs(60);
-    while agg.counter_value("agg.flushes") == 0 {
-        assert!(Instant::now() < deadline, "the aggregator never flushed");
-        thread::sleep(Duration::from_millis(2));
+    for (seq, counter) in [(0, "agg.flushes"), (1, "agg.flushes_suppressed")] {
+        let frame = Frame::Data { seq, message: synopsis.clone(), ctx: None };
+        write_frame(&mut child.stream, frame.encode(CovarianceType::Full).as_slice())
+            .expect("write frame");
+        while agg.counter_value(counter) == 0 {
+            assert!(Instant::now() < deadline, "the aggregator never counted {counter}");
+            thread::sleep(Duration::from_millis(2));
+        }
     }
-    first_flush.store(true, Ordering::Release);
+    child.send(&Control::Done { site: 2 });
+    released.store(true, Ordering::Release);
     for (registry, handle) in sites {
         handle.join().expect("site thread").expect("site run");
         collect(seen, &registry);
     }
     aggregator.join().expect("aggregator thread").expect("aggregator run");
     root_server.join().expect("root thread").expect("root run");
+    drop(child);
     for registry in [&root, root_fleet.registry(), &agg, agg_fleet.registry()] {
         collect(seen, registry);
     }

@@ -35,9 +35,10 @@ use cludistream_wire::ByteBuf;
 /// (paper Sec. 7: an internal node "uploads the summary information to the
 /// parent if its locally-observed Gaussian mixture model changes"): a
 /// change in component count, any component mean drifting by more than
-/// `epsilon` (precision-weighted squared distance), or any weight moving by
-/// more than `epsilon`.
-pub(crate) fn summary_changed(old: &Mixture, new: &Mixture, epsilon: f64) -> bool {
+/// [`SHARD_EPSILON`] (`M_split`, a precision-weighted squared distance),
+/// or any weight moving by more than [`SHARD_EPSILON`]. Covariances are
+/// not compared: a summary whose covariances alone moved is not uploaded.
+pub(crate) fn summary_changed(old: &Mixture, new: &Mixture) -> bool {
     if old.k() != new.k() {
         return true;
     }
@@ -47,24 +48,27 @@ pub(crate) fn summary_changed(old: &Mixture, new: &Mixture, epsilon: f64) -> boo
         .zip(new.components())
         .zip(old.weights().iter().zip(new.weights()))
     {
-        if m_split(a, b) > epsilon || (wa - wb).abs() > epsilon {
+        if m_split(a, b) > SHARD_EPSILON || (wa - wb).abs() > SHARD_EPSILON {
             return true;
         }
     }
     false
 }
 
-/// Upload-on-change threshold every aggregator runs with (see
-/// [`AggregatorConfig::epsilon`]): `0.0` re-uploads on any change.
+/// Upload-on-change threshold every aggregator runs with, in the
+/// simulated tree and over sockets (see `summary_changed`): `0.0`
+/// re-uploads on any move of a mean or a weight, so the root never holds
+/// a summary older than one flush interval.
 pub const SHARD_EPSILON: f64 = 0.0;
 
 /// Microseconds between an aggregator going dirty and its upward flush,
-/// in the simulated tree and by default on a socket aggregator: one
-/// upload batches a whole fan-in's worth of child updates.
+/// in the simulated tree and over sockets: one upload batches a whole
+/// fan-in's worth of child updates.
 pub const SHARD_FLUSH_INTERVAL_US: u64 = 50_000;
 
-/// `merge_log_cap` of an aggregator's local coordinator (the root keeps
-/// `None`): shards are where O(history) growth must stop.
+/// `merge_log_cap` of an aggregator's local coordinator when its config
+/// leaves it `None` (the root keeps `None`): shards are where O(history)
+/// growth must stop.
 pub const SHARD_MERGE_LOG_CAP: usize = 64;
 
 /// Tuning knobs for one aggregator node.
@@ -79,14 +83,9 @@ pub struct AggregatorConfig {
     pub child_base: u32,
     /// Number of children (sites or lower-level aggregators) fanning in.
     pub children: usize,
-    /// Upload-on-change threshold (see `summary_changed`): a flush is
-    /// suppressed when no component moved and no weight changed by more
-    /// than this. Defaults to [`SHARD_EPSILON`], the deterministic value
-    /// the topology-equivalence tests rely on.
-    pub epsilon: f64,
-    /// The local coordinator's knobs. `merge_log_cap` defaults to
-    /// [`SHARD_MERGE_LOG_CAP`] here (unlike the root coordinator's
-    /// `None`).
+    /// The local coordinator's knobs. A `merge_log_cap` of `None` becomes
+    /// [`SHARD_MERGE_LOG_CAP`] here (the root coordinator keeps `None`);
+    /// an explicit `Some(n)` is kept.
     pub coordinator: CoordinatorConfig,
 }
 
@@ -96,11 +95,7 @@ impl Default for AggregatorConfig {
             index: 0,
             child_base: 0,
             children: 1,
-            epsilon: SHARD_EPSILON,
-            coordinator: CoordinatorConfig {
-                merge_log_cap: Some(SHARD_MERGE_LOG_CAP),
-                ..CoordinatorConfig::default()
-            },
+            coordinator: CoordinatorConfig::default(),
         }
     }
 }
@@ -111,7 +106,6 @@ impl Default for AggregatorConfig {
 pub struct AggregatorEngine {
     engine: CoordinatorEngine,
     index: u32,
-    epsilon: f64,
     /// The summary last forwarded upward (flush suppression state).
     last_upload: Option<Mixture>,
     /// `messages_applied` at the last flush attempt (dirty tracking).
@@ -135,14 +129,15 @@ impl AggregatorEngine {
                 constraint: "children >= 1",
             });
         }
-        let mut coordinator = Coordinator::new(config.coordinator)?;
+        let merge_log_cap = config.coordinator.merge_log_cap.or(Some(SHARD_MERGE_LOG_CAP));
+        let mut coordinator =
+            Coordinator::new(CoordinatorConfig { merge_log_cap, ..config.coordinator })?;
         coordinator.set_observer(obs.clone());
         let mut engine = CoordinatorEngine::new(coordinator, config.children, obs.clone());
         engine.site_base = config.child_base;
         Ok(AggregatorEngine {
             engine,
             index: config.index,
-            epsilon: config.epsilon,
             last_upload: None,
             applied_at_last_flush: 0,
             flushes: 0,
@@ -179,7 +174,7 @@ impl AggregatorEngine {
     /// mixture as a single `NewModel` under this aggregator's fixed
     /// `(index, ModelId(0))` identity, total child record mass as its
     /// count. Returns `None` while clean, before any child reported, or
-    /// when the summary has not changed by more than `epsilon` — the
+    /// when the summary has not changed by more than [`SHARD_EPSILON`] — the
     /// parent's idempotent same-id replace makes re-sending the whole
     /// summary safe and delete-free.
     pub fn flush(&mut self) -> Option<Message> {
@@ -191,7 +186,7 @@ impl AggregatorEngine {
         let unchanged = self
             .last_upload
             .as_ref()
-            .is_some_and(|old| !summary_changed(old, &summary, self.epsilon));
+            .is_some_and(|old| !summary_changed(old, &summary));
         if unchanged {
             self.flushes_suppressed += 1;
             self.obs.counter(catalogue::AGG_FLUSHES_SUPPRESSED, 1);
@@ -308,9 +303,28 @@ mod tests {
     #[test]
     fn summary_change_detector() {
         let a = mix(&[0.0]);
-        assert!(!summary_changed(&a, &a.clone(), 0.1));
-        assert!(summary_changed(&a, &mix(&[5.0]), 0.1), "moved mean");
-        assert!(summary_changed(&a, &mix(&[0.0, 9.0]), 0.1), "extra component");
+        assert!(!summary_changed(&a, &a.clone()));
+        assert!(summary_changed(&a, &mix(&[5.0])), "moved mean");
+        assert!(summary_changed(&a, &mix(&[0.0, 9.0])), "extra component");
+    }
+
+    #[test]
+    fn shard_caps_its_merge_log_by_default() {
+        // Far-apart single-component models past `max_groups`: every
+        // child after the eighth forces one merge.
+        let children = SHARD_MERGE_LOG_CAP + 16;
+        let config = AggregatorConfig {
+            children,
+            coordinator: CoordinatorConfig::default(),
+            ..Default::default()
+        };
+        let mut a = AggregatorEngine::new(config, Obs::noop()).unwrap();
+        for child in 0..children as u32 {
+            a.apply(&new_model(child, 0, &[f64::from(child) * 50.0], 100));
+        }
+        let coordinator = a.coordinator();
+        assert_eq!(coordinator.merge_log().len(), SHARD_MERGE_LOG_CAP);
+        assert!(coordinator.merges_compacted() > 0, "more merges than the cap happened");
     }
 
     #[test]

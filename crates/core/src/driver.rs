@@ -32,9 +32,7 @@
 //! protocol overhead. The TCP transport ([`crate::runtime::TcpTransport`])
 //! is reliable-only.
 
-use crate::aggregator::{
-    AggregatorConfig, AggregatorEngine, SHARD_FLUSH_INTERVAL_US, SHARD_MERGE_LOG_CAP,
-};
+use crate::aggregator::{AggregatorConfig, AggregatorEngine, SHARD_FLUSH_INTERVAL_US};
 use crate::config::Config;
 use crate::coordinator::{Coordinator, CoordinatorConfig};
 use crate::engine::{CoordinatorEngine, SiteCore, UpChannel};
@@ -557,15 +555,6 @@ impl Simulation {
         if config.batch == 0 {
             return Err(CludiError::InvalidConfig { name: "batch", constraint: "batch > 0" });
         }
-        if let Some(tree) = &tree {
-            if tree.levels.is_empty() {
-                return Err(CludiError::InvalidConfig {
-                    name: "tree.levels",
-                    constraint: "at least one aggregator level",
-                });
-            }
-            tree.validate(sites)?;
-        }
         let transport = transport.unwrap_or_else(|| Box::new(SimnetTransport::new()));
         transport.run(RunRecipe {
             sites,
@@ -605,8 +594,9 @@ pub(crate) fn build_site_core(
 
 /// Runs a recipe on the discrete-event simulator (the [`SimnetTransport`]
 /// implementation): sites feed level-0 aggregators, each level feeds the
-/// next, and the root coordinator terminates the top level. A star is the
-/// tree with no levels — every site reports straight to the root. Child
+/// next, and the root coordinator terminates the top level. A recipe
+/// without a tree is the star — every site reports straight to the root;
+/// a tree must have at least one level. Child
 /// ranges are split evenly and contiguously; within a level, aggregator
 /// `j` is site `j` to its parent.
 pub(crate) fn run_simnet(
@@ -615,9 +605,14 @@ pub(crate) fn run_simnet(
 ) -> Result<StarReport, CludiError> {
     let RunRecipe { sites, window, config, delivery, streams, updates_per_site, snapshots, tree } =
         recipe;
-    // No tree is the tree with no levels.
-    let tree = tree.unwrap_or(TreeTopology { levels: Vec::new() });
-    tree.validate(sites)?;
+    // No tree is the star: no aggregator levels.
+    let levels: &[usize] = match &tree {
+        Some(tree) => {
+            tree.validate(sites)?;
+            &tree.levels
+        }
+        None => &[],
+    };
     let delivery = delivery.unwrap_or(if faults.is_some() {
         DeliveryMode::Reliable
     } else {
@@ -629,14 +624,14 @@ pub(crate) fn run_simnet(
     // Node layout: sites first (ids 0..sites), then each aggregator level
     // in order, then the root last — matching `add_node`'s sequential ids.
     // Every node not claimed by an aggregator reports to the root.
-    let total_aggs: usize = tree.levels.iter().sum();
+    let total_aggs: usize = levels.iter().sum();
     let root_id = NodeId(sites + total_aggs);
     let mut parent = vec![root_id.0; sites + total_aggs + 1];
     // (level-local index, child_base, children) per aggregator, in id order.
     let mut agg_specs: Vec<(u32, u32, usize)> = Vec::with_capacity(total_aggs);
     let mut feeding = sites; // width of the level below
     let mut level_start = sites; // first node id of the current level
-    for &count in &tree.levels {
+    for &count in levels {
         for j in 0..count {
             // Even contiguous split of the `feeding` children below.
             let start = j * feeding / count;
@@ -677,20 +672,9 @@ pub(crate) fn run_simnet(
     }
     let mut agg_ids = Vec::with_capacity(total_aggs);
     for (index, child_base, children) in agg_specs {
-        // Shards are where O(history) growth must stop: cap their merge
-        // logs even when the root keeps unbounded lineage.
-        let shard = CoordinatorConfig {
-            merge_log_cap: config.coordinator.merge_log_cap.or(Some(SHARD_MERGE_LOG_CAP)),
-            ..config.coordinator.clone()
-        };
+        let coordinator = config.coordinator.clone();
         let agg = AggregatorEngine::new(
-            AggregatorConfig {
-                index,
-                child_base,
-                children,
-                coordinator: shard,
-                ..AggregatorConfig::default()
-            },
+            AggregatorConfig { index, child_base, children, coordinator },
             config.obs.clone(),
         )?;
         let id = sim.add_node(Box::new(AggregatorNode {

@@ -14,7 +14,7 @@
 use crate::coordinator::Coordinator;
 use crate::driver::DeliveryMode;
 use crate::error::CludiError;
-use crate::protocol::{Frame, Message, ReliableInbox, ReliableSender, RTO_CAP_US, RTO_US};
+use crate::protocol::{Frame, Message, ReliableInbox, ReliableSender};
 use crate::serving::SnapshotHandle;
 use crate::windows::Window;
 use cludistream_gmm::CovarianceType;
@@ -48,7 +48,7 @@ impl UpChannel {
             index,
             obs,
             cov,
-            sender: reliable.then(|| ReliableSender::new(RTO_US, RTO_CAP_US)),
+            sender: reliable.then(ReliableSender::new),
             retransmitted_messages: 0,
             retransmitted_bytes: 0,
         }
@@ -140,7 +140,7 @@ impl UpChannel {
     /// Rebuilds the sender from [`UpChannel::snapshot`]'s bytes.
     pub(crate) fn restore(&mut self, reader: &mut ByteReader<'_>) -> Result<(), CludiError> {
         if self.sender.is_some() {
-            self.sender = Some(ReliableSender::restore(RTO_US, RTO_CAP_US, reader)?);
+            self.sender = Some(ReliableSender::restore(reader)?);
         }
         Ok(())
     }

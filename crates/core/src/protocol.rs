@@ -320,30 +320,21 @@ pub(crate) const RTO_CAP_US: u64 = 1_000_000;
 /// checkpoint time. Re-sending already-acknowledged messages is harmless —
 /// the coordinator's [`ReliableInbox`] discards them as duplicates and
 /// re-acknowledges.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ReliableSender {
     next_seq: u64,
     unacked: VecDeque<(u64, Message, Option<TraceCtx>)>,
     retries: u32,
-    base_rto_us: u64,
-    max_rto_us: u64,
     retransmitted_messages: u64,
 }
 
 impl ReliableSender {
-    /// A sender with the given initial retransmission timeout and cap, in
-    /// microseconds of whichever clock arms the timer. Only the simulator
-    /// arms one: the socket runtime re-sends after a reconnect, never on a
-    /// timeout, and reads neither value.
-    pub fn new(base_rto_us: u64, max_rto_us: u64) -> ReliableSender {
-        ReliableSender {
-            next_seq: 0,
-            unacked: VecDeque::new(),
-            retries: 0,
-            base_rto_us: base_rto_us.max(1),
-            max_rto_us: max_rto_us.max(1),
-            retransmitted_messages: 0,
-        }
+    /// A sender whose retransmission timeout starts at `RTO_US` (50 ms)
+    /// and doubles up to `RTO_CAP_US` (1 s), in microseconds of whichever
+    /// clock arms the timer. Only the simulator arms one: the socket runtime
+    /// re-sends after a reconnect, never on a timeout.
+    pub fn new() -> ReliableSender {
+        ReliableSender::default()
     }
 
     /// Wraps `message` in the next sequenced frame and queues it until
@@ -381,11 +372,12 @@ impl ReliableSender {
         self.unacked.len()
     }
 
-    /// The delay before the next retransmission attempt: the base RTO
-    /// doubled per consecutive unacknowledged timeout, capped.
+    /// The delay before the next retransmission attempt: [`RTO_US`]
+    /// doubled per consecutive unacknowledged timeout, capped at
+    /// [`RTO_CAP_US`].
     pub(crate) fn next_timeout_us(&self) -> u64 {
         let shift = self.retries.min(32);
-        (((self.base_rto_us as u128) << shift).min(self.max_rto_us as u128) as u64).max(1)
+        ((RTO_US as u128) << shift).min(RTO_CAP_US as u128) as u64
     }
 
     /// Retransmits the whole unacknowledged queue (go-back-N) and bumps
@@ -433,12 +425,8 @@ impl ReliableSender {
 
     /// Restores a sender from [`ReliableSender::snapshot`] bytes, with
     /// fresh (reset) backoff state.
-    pub fn restore(
-        base_rto_us: u64,
-        max_rto_us: u64,
-        r: &mut ByteReader<'_>,
-    ) -> Result<ReliableSender, CludiError> {
-        let mut sender = ReliableSender::new(base_rto_us, max_rto_us);
+    pub fn restore(r: &mut ByteReader<'_>) -> Result<ReliableSender, CludiError> {
+        let mut sender = ReliableSender::new();
         sender
             .read_queue(r)
             .map_err(|e| e.named(CludiError::Decode("truncated sender checkpoint")))?;
@@ -803,29 +791,31 @@ mod tests {
 
     #[test]
     fn sender_retransmits_with_exponential_backoff() {
-        let mut sender = ReliableSender::new(1_000, 10_000);
+        let mut sender = ReliableSender::new();
         assert!(sender.on_timeout().is_empty(), "nothing pending, no retransmit");
         let f0 = sender.send(update(0));
         let f1 = sender.send(update(1));
         assert!(matches!(f0, Frame::Data { seq: 0, .. }));
         assert!(matches!(f1, Frame::Data { seq: 1, .. }));
         assert_eq!(sender.pending(), 2);
-        assert_eq!(sender.next_timeout_us(), 1_000);
+        assert_eq!(sender.next_timeout_us(), 50_000);
 
         // First timeout: both frames go back on the wire, backoff doubles.
         let retx = sender.on_timeout();
         assert_eq!(retx.len(), 2);
-        assert_eq!(sender.next_timeout_us(), 2_000);
+        assert_eq!(sender.next_timeout_us(), 100_000);
         sender.on_timeout();
         sender.on_timeout();
         sender.on_timeout();
-        assert_eq!(sender.next_timeout_us(), 10_000, "capped at max");
-        assert_eq!(sender.retransmitted_messages, 8);
+        assert_eq!(sender.next_timeout_us(), 800_000);
+        sender.on_timeout();
+        assert_eq!(sender.next_timeout_us(), 1_000_000, "capped on the fifth timeout");
+        assert_eq!(sender.retransmitted_messages, 10);
 
         // Progress resets the backoff; acked frames leave the queue.
         assert_eq!(sender.on_ack(1), 1);
         assert_eq!(sender.pending(), 1);
-        assert_eq!(sender.next_timeout_us(), 1_000);
+        assert_eq!(sender.next_timeout_us(), 50_000);
         // A stale ACK changes nothing.
         assert_eq!(sender.on_ack(1), 0);
         assert_eq!(sender.on_ack(2), 1);
@@ -835,7 +825,7 @@ mod tests {
     #[test]
     fn sender_snapshot_roundtrips_unacked_queue() {
         let cov = CovarianceType::Full;
-        let mut sender = ReliableSender::new(500, 8_000);
+        let mut sender = ReliableSender::new();
         sender.send(update(0));
         sender.send(update(1));
         sender.on_ack(1);
@@ -848,9 +838,9 @@ mod tests {
         });
         let mut buf = ByteBuf::new();
         sender.snapshot(cov, &mut buf);
-        let restored = ReliableSender::restore(500, 8_000, &mut buf.reader()).unwrap();
+        let restored = ReliableSender::restore(&mut buf.reader()).unwrap();
         assert_eq!(restored.pending(), 2);
-        assert_eq!(restored.next_timeout_us(), 500, "backoff is volatile");
+        assert_eq!(restored.next_timeout_us(), 50_000, "backoff is volatile");
         // The restored sender continues the sequence where it left off.
         let mut restored = restored;
         assert!(matches!(restored.send(update(9)), Frame::Data { seq: 3, .. }));
@@ -862,13 +852,13 @@ mod tests {
     #[test]
     fn sender_restore_rejects_truncation() {
         let cov = CovarianceType::Full;
-        let mut sender = ReliableSender::new(500, 8_000);
+        let mut sender = ReliableSender::new();
         sender.send(update(0));
         let mut buf = ByteBuf::new();
         sender.snapshot(cov, &mut buf);
         for cut in [0, 8, 17, buf.len() - 1] {
             assert!(
-                ReliableSender::restore(500, 8_000, &mut buf.slice(..cut).reader()).is_err(),
+                ReliableSender::restore(&mut buf.slice(..cut).reader()).is_err(),
                 "cut at {cut} must fail"
             );
         }
@@ -878,7 +868,7 @@ mod tests {
     fn lossy_duplicate_reordered_link_converges() {
         // Simulate a nasty link by hand: drop every third frame, deliver
         // the rest twice in reverse order, until the sender drains.
-        let mut sender = ReliableSender::new(1_000, 16_000);
+        let mut sender = ReliableSender::new();
         let mut inbox = ReliableInbox::new();
         let mut delivered = Vec::new();
         let mut wire: Vec<Frame> = (0..10).map(|i| sender.send(update(i))).collect();
@@ -941,7 +931,7 @@ mod tests {
     #[test]
     fn retransmits_and_snapshots_keep_the_originating_ctx() {
         let cov = CovarianceType::Full;
-        let mut sender = ReliableSender::new(1_000, 16_000);
+        let mut sender = ReliableSender::new();
         sender.send_traced(update(0), Some(ctx(1, 10)));
         sender.send(update(1)); // untraced in the same queue
         let retx = sender.on_timeout();
@@ -951,7 +941,7 @@ mod tests {
         // retransmits still land under the original span.
         let mut buf = ByteBuf::new();
         sender.snapshot(cov, &mut buf);
-        let mut restored = ReliableSender::restore(1_000, 16_000, &mut buf.reader()).unwrap();
+        let mut restored = ReliableSender::restore(&mut buf.reader()).unwrap();
         let retx = restored.on_timeout();
         assert!(matches!(retx[0], Frame::Data { seq: 0, ctx: Some(c), .. } if c == ctx(1, 10)));
         assert!(matches!(retx[1], Frame::Data { seq: 1, ctx: None, .. }));

@@ -27,9 +27,7 @@ use std::net::TcpListener;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use crate::aggregator::{
-    AggregatorConfig, AggregatorEngine, SHARD_EPSILON, SHARD_FLUSH_INTERVAL_US, SHARD_MERGE_LOG_CAP,
-};
+use crate::aggregator::{AggregatorConfig, AggregatorEngine, SHARD_FLUSH_INTERVAL_US};
 use crate::coordinator::CoordinatorConfig;
 use crate::driver::DeliveryMode;
 use crate::engine::UpChannel;
@@ -51,12 +49,10 @@ pub struct AggregatorRun {
     index: u32,
     child_base: u32,
     children: usize,
-    epsilon: f64,
     coordinator: CoordinatorConfig,
     dim: u32,
     obs: Obs,
     socket: SocketConfig,
-    flush_interval_us: u64,
     telemetry: bool,
     fleet: Option<Arc<FleetAggregator>>,
 }
@@ -70,36 +66,24 @@ impl AggregatorRun {
             index,
             child_base,
             children,
-            epsilon: SHARD_EPSILON,
-            coordinator: CoordinatorConfig {
-                merge_log_cap: Some(SHARD_MERGE_LOG_CAP),
-                ..CoordinatorConfig::default()
-            },
+            coordinator: CoordinatorConfig::default(),
             dim: 1,
             obs: Obs::noop(),
             socket: SocketConfig::default(),
-            flush_interval_us: SHARD_FLUSH_INTERVAL_US,
             telemetry: false,
             fleet: None,
         })
     }
 }
 
-/// Builder for [`AggregatorRun`]. Defaults are the simnet tree's shard
-/// defaults: [`SHARD_EPSILON`] (forward on any change),
-/// [`SHARD_FLUSH_INTERVAL_US`] and a shard coordinator capped at
-/// [`SHARD_MERGE_LOG_CAP`]; default socket tuning. The upward channel
-/// is always reliable: a reconnect needs sequence state to resync.
+/// Builder for [`AggregatorRun`]. The upload policy is the simulated
+/// tree's: forward on any change ([`crate::SHARD_EPSILON`]) at most once
+/// per [`SHARD_FLUSH_INTERVAL_US`], from a shard coordinator whose merge
+/// log [`AggregatorEngine::new`] caps; default socket tuning. The upward
+/// channel is always reliable: a reconnect needs sequence state to resync.
 pub struct AggregatorRunBuilder(AggregatorRun);
 
 impl AggregatorRunBuilder {
-    /// Sets the upload-on-change suppression threshold (default
-    /// [`SHARD_EPSILON`]).
-    pub fn epsilon(mut self, epsilon: f64) -> Self {
-        self.0.epsilon = epsilon;
-        self
-    }
-
     /// Sets the shard coordinator's knobs. Its covariance kind is also the
     /// one every child (and the parent) must agree on at the handshake.
     pub fn coordinator(mut self, coordinator: CoordinatorConfig) -> Self {
@@ -125,13 +109,6 @@ impl AggregatorRunBuilder {
     /// advertises to its children).
     pub fn socket(mut self, socket: SocketConfig) -> Self {
         self.0.socket = socket;
-        self
-    }
-
-    /// Sets how long child traffic batches before one reduced update
-    /// goes upward, microseconds (default [`SHARD_FLUSH_INTERVAL_US`]).
-    pub fn flush_interval_us(mut self, flush_interval_us: u64) -> Self {
-        self.0.flush_interval_us = flush_interval_us;
         self
     }
 
@@ -164,18 +141,6 @@ impl AggregatorRunBuilder {
         }
         if run.dim == 0 {
             return Err(CludiError::InvalidConfig { name: "dim", constraint: "dim >= 1" });
-        }
-        if run.flush_interval_us == 0 {
-            return Err(CludiError::InvalidConfig {
-                name: "flush_interval_us",
-                constraint: "flush_interval_us >= 1",
-            });
-        }
-        if !run.epsilon.is_finite() || run.epsilon < 0.0 {
-            return Err(CludiError::InvalidConfig {
-                name: "epsilon",
-                constraint: "finite and >= 0",
-            });
         }
         validate_socket(&run.socket)?;
         Ok(run)
@@ -242,6 +207,9 @@ impl Shard for AggregatorEngine {
     }
 }
 
+/// [`SHARD_FLUSH_INTERVAL_US`] as the relay's clock reads it.
+const FLUSH_INTERVAL: Duration = Duration::from_micros(SHARD_FLUSH_INTERVAL_US);
+
 /// An aggregator's work between events: serve the children, and forward
 /// one reduced update when the shard went dirty and the flush interval
 /// elapsed (or the children are all done). All of it is driven by events
@@ -250,7 +218,6 @@ struct Relay {
     down: Downlink,
     agg: AggregatorEngine,
     up: UpChannel,
-    flush_interval: Duration,
     last_flush: Instant,
     deadline: Option<Instant>,
 }
@@ -268,7 +235,7 @@ impl Work for Relay {
     /// run's deadline, and — while something is batching — the next flush.
     fn deadline(&self) -> Option<Instant> {
         let flush =
-            if self.agg.dirty() { self.last_flush.checked_add(self.flush_interval) } else { None };
+            if self.agg.dirty() { self.last_flush.checked_add(FLUSH_INTERVAL) } else { None };
         [self.down.next_eviction(), self.deadline, flush].into_iter().flatten().min()
     }
 
@@ -280,7 +247,7 @@ impl Work for Relay {
         // Every child done (or evicted): flush whatever is still batching
         // without waiting out the interval.
         let finished = self.down.machine.finished();
-        if self.agg.dirty() && (finished || self.last_flush.elapsed() >= self.flush_interval) {
+        if self.agg.dirty() && (finished || self.last_flush.elapsed() >= FLUSH_INTERVAL) {
             self.last_flush = Instant::now();
             if let Some(msg) = self.agg.flush() {
                 self.up.send(msg, send);
@@ -311,13 +278,7 @@ pub fn run_aggregator(
     let AggregatorRun { index, child_base, children, dim, obs, socket, .. } = run;
     let cov = run.coordinator.covariance;
     let agg = AggregatorEngine::new(
-        AggregatorConfig {
-            index,
-            child_base,
-            children,
-            epsilon: run.epsilon,
-            coordinator: run.coordinator,
-        },
+        AggregatorConfig { index, child_base, children, coordinator: run.coordinator },
         obs.clone(),
     )?;
     // One queue for the whole node: the parent's reader and the
@@ -356,10 +317,9 @@ pub fn run_aggregator(
     let mut relay = Relay {
         down,
         agg,
-        // The RTO pair is the simulator's: a socket re-sends only after a
+        // The RTO schedule is the simulator's: a socket re-sends only after a
         // reconnect, so only the mode is read here.
         up: UpChannel::new(index, cov, obs, DeliveryMode::Reliable),
-        flush_interval: Duration::from_micros(run.flush_interval_us),
         last_flush: Instant::now(),
         deadline,
     };
@@ -437,11 +397,6 @@ mod tests {
     fn builder_validation() {
         assert!(AggregatorRun::builder(0, 0, 0).build().is_err(), "zero children");
         assert!(AggregatorRun::builder(0, 0, 1).dim(0).build().is_err(), "zero dim");
-        assert!(
-            AggregatorRun::builder(0, 0, 1).flush_interval_us(0).build().is_err(),
-            "zero flush interval"
-        );
-        assert!(AggregatorRun::builder(0, 0, 1).epsilon(-1.0).build().is_err(), "negative ε");
         assert!(AggregatorRun::builder(2, 10, 5).build().is_ok());
     }
 
@@ -473,7 +428,6 @@ mod tests {
         let agg = thread::spawn(move || {
             let run = AggregatorRun::builder(0, 0, 2)
                 .dim(1)
-                .flush_interval_us(20_000)
                 .socket(loaded_host_socket())
                 .build()
                 .expect("aggregator run");

@@ -586,7 +586,7 @@ impl Work for SitePump {
 /// failure until the coordinator says `Stop`.
 pub fn run_site(addr: &str, run: SiteRun) -> Result<SiteReport, CludiError> {
     let SiteRun { site, window, config, stream, updates, socket, telemetry } = run;
-    // The RTO pair is the simulator's: a socket re-sends only after a
+    // The RTO schedule is the simulator's: a socket re-sends only after a
     // reconnect, so only the mode is read here.
     let core = build_site_core(&config, window, site, DeliveryMode::Reliable)?;
     let mut pump = SitePump { core, stream, remaining: updates, batch: config.batch };

@@ -67,10 +67,16 @@ pub struct TreeTopology {
 }
 
 impl TreeTopology {
-    /// Checks the shape over `sites` sites: every aggregator must get at
-    /// least one child, so a level can be neither empty nor wider than
-    /// what feeds it.
+    /// Checks the shape over `sites` sites: a tree has at least one level,
+    /// and every aggregator must get at least one child, so a level can be
+    /// neither empty nor wider than what feeds it.
     pub(crate) fn validate(&self, sites: usize) -> Result<(), CludiError> {
+        if self.levels.is_empty() {
+            return Err(CludiError::InvalidConfig {
+                name: "tree.levels",
+                constraint: "at least one aggregator level",
+            });
+        }
         let mut feeding = sites;
         for &count in &self.levels {
             if count == 0 {

@@ -140,7 +140,7 @@ fn decode_telemetry(b: &[u8]) -> bool {
 }
 
 fn decode_sender(b: &[u8]) -> bool {
-    ReliableSender::restore(1_000, 8_000, &mut ByteReader::new(b)).is_ok()
+    ReliableSender::restore(&mut ByteReader::new(b)).is_ok()
 }
 
 fn decode_landmark(b: &[u8]) -> bool {
@@ -268,7 +268,7 @@ fn cases() -> Vec<Case> {
         case("landmark checkpoint", landmark_site().snapshot(), decode_landmark),
         case("sliding checkpoint", sliding_site().snapshot(), decode_sliding),
     ];
-    let mut sender = ReliableSender::new(1_000, 8_000);
+    let mut sender = ReliableSender::new();
     sender.send(message);
     sender.send_traced(weight_update, Some(trace_ctx()));
     let mut queue = ByteBuf::new();

@@ -3,8 +3,8 @@
 //! how many messages and rows reach it.
 
 use cludistream::{
-    CoordinatorConfig, DeliveryMode, DriverConfig, FaultPlan, NodeId, RecordStream, Simulation,
-    SimnetTransport, StarReport, TreeTopology,
+    CoordinatorConfig, DeliveryMode, DriverConfig, FaultPlan, NodeId, RecordStream, RunRecipe,
+    Simulation, SimnetTransport, StarReport, Transport, TreeTopology, WindowSpec,
 };
 use cludistream::runtime::TcpTransport;
 use cludistream::{CludiError, Config};
@@ -180,6 +180,22 @@ fn builder_rejects_bad_trees() {
     ));
     assert!(matches!(
         make().with_tree(TreeTopology { levels: vec![0] }).run(),
+        Err(CludiError::InvalidConfig { name: "tree.levels", .. })
+    ));
+    // A recipe handed straight to the transport is checked the same way:
+    // an empty tree is not the star.
+    let recipe = RunRecipe {
+        sites: 2,
+        window: WindowSpec::Landmark,
+        config: small_config(),
+        delivery: None,
+        streams: vec![stable_stream(0.0, 1), stable_stream(0.0, 2)],
+        updates_per_site: 10,
+        snapshots: None,
+        tree: Some(TreeTopology { levels: vec![] }),
+    };
+    assert!(matches!(
+        Transport::run(Box::new(SimnetTransport::new()), recipe),
         Err(CludiError::InvalidConfig { name: "tree.levels", .. })
     ));
 }

@@ -2,6 +2,16 @@ use cludistream_gmm::{Gaussian, Mixture};
 use cludistream_linalg::{Matrix, Vector};
 use cludistream_rng::Rng;
 
+/// Component means are drawn uniformly from this interval per axis.
+const MEAN_RANGE: (f64, f64) = (-10.0, 10.0);
+
+/// Covariance eigenvalues are drawn uniformly from this interval.
+const VAR_RANGE: (f64, f64) = (0.2, 1.5);
+
+/// Component weights are drawn uniformly from `[1, WEIGHT_SKEW]` before
+/// normalization.
+const WEIGHT_SKEW: f64 = 3.0;
+
 /// Parameters for random mixture generation.
 #[derive(Debug, Clone)]
 pub struct MixtureGenConfig {
@@ -9,24 +19,11 @@ pub struct MixtureGenConfig {
     pub dim: usize,
     /// Number of components.
     pub k: usize,
-    /// Component means are drawn uniformly from this interval per axis.
-    pub mean_range: (f64, f64),
-    /// Covariance eigenvalues are drawn uniformly from this interval.
-    pub var_range: (f64, f64),
-    /// Component weights are drawn uniformly from [1, weight_skew] before
-    /// normalization (1.0 = near-uniform weights).
-    pub weight_skew: f64,
 }
 
 impl Default for MixtureGenConfig {
     fn default() -> Self {
-        MixtureGenConfig {
-            dim: 4,
-            k: 5,
-            mean_range: (-10.0, 10.0),
-            var_range: (0.2, 1.5),
-            weight_skew: 3.0,
-        }
+        MixtureGenConfig { dim: 4, k: 5 }
     }
 }
 
@@ -77,20 +74,23 @@ pub fn random_spd_matrix<R: Rng + ?Sized>(
     m
 }
 
-/// Draws a random Gaussian mixture according to `config`.
+/// Draws a random Gaussian mixture of `config.k` components in
+/// `config.dim` dimensions: means uniform in `MEAN_RANGE` per axis,
+/// covariance eigenvalues uniform in `VAR_RANGE`, weights uniform in
+/// `[1, WEIGHT_SKEW]` before normalization.
 pub fn random_mixture<R: Rng + ?Sized>(config: &MixtureGenConfig, rng: &mut R) -> Mixture {
     assert!(config.k > 0 && config.dim > 0, "random_mixture: k and dim must be positive");
     let comps: Vec<Gaussian> = (0..config.k)
         .map(|_| {
             let mean: Vector = (0..config.dim)
-                .map(|_| rng.gen_range(config.mean_range.0..=config.mean_range.1))
+                .map(|_| rng.gen_range(MEAN_RANGE.0..=MEAN_RANGE.1))
                 .collect();
-            let cov = random_spd_matrix(config.dim, config.var_range, rng);
+            let cov = random_spd_matrix(config.dim, VAR_RANGE, rng);
             Gaussian::new(mean, cov).expect("random SPD covariance is valid")
         })
         .collect();
     let weights: Vec<f64> =
-        (0..config.k).map(|_| rng.gen_range(1.0..=config.weight_skew.max(1.0))).collect();
+        (0..config.k).map(|_| rng.gen_range(1.0..=WEIGHT_SKEW)).collect();
     Mixture::new(comps, weights).expect("generated parameters are valid")
 }
 

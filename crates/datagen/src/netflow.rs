@@ -26,13 +26,15 @@ use crate::powerlaw::Zipf;
 use cludistream_linalg::Vector;
 use cludistream_rng::{standard_normal, Rng, StdRng};
 
+/// Number of distinct hosts in the simulated network.
+const HOSTS: usize = 1000;
+
+/// Number of application profiles active at a time.
+const PROFILES: usize = 5;
+
 /// Configuration of the net-flow generator.
 #[derive(Debug, Clone)]
 pub struct NetflowConfig {
-    /// Number of distinct hosts in the simulated network.
-    pub hosts: usize,
-    /// Number of application profiles active at a time.
-    pub profiles: usize,
     /// Probability of a regime change (profile set redraw) per block.
     pub p_new: f64,
     /// Records per block (regime-change opportunity granularity).
@@ -43,7 +45,7 @@ pub struct NetflowConfig {
 
 impl Default for NetflowConfig {
     fn default() -> Self {
-        NetflowConfig { hosts: 1000, profiles: 5, p_new: 0.05, block_len: 2000, seed: 0 }
+        NetflowConfig { p_new: 0.05, block_len: 2000, seed: 0 }
     }
 }
 
@@ -87,13 +89,11 @@ const SERVICE_PORTS: [f64; 6] = [80.0, 53.0, 25.0, 22.0, 443.0, 6881.0];
 impl NetflowGenerator {
     /// Creates the generator and draws the initial profile set.
     pub fn new(config: NetflowConfig) -> Self {
-        assert!(config.hosts >= 2, "need at least two hosts");
-        assert!(config.profiles >= 1, "need at least one profile");
         assert!((0.0..=1.0).contains(&config.p_new), "p_new must be a probability");
         assert!(config.block_len > 0, "block_len must be positive");
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let host_zipf = Zipf::new(config.hosts, 1.1);
-        let profiles = Self::draw_profiles(&config, &mut rng);
+        let host_zipf = Zipf::new(HOSTS, 1.1);
+        let profiles = Self::draw_profiles(&mut rng);
         NetflowGenerator { config, rng, host_zipf, profiles, emitted: 0, regime_id: 0 }
     }
 
@@ -102,8 +102,8 @@ impl NetflowGenerator {
         self.by_ref().take(n).collect()
     }
 
-    fn draw_profiles(config: &NetflowConfig, rng: &mut StdRng) -> Vec<Profile> {
-        (0..config.profiles)
+    fn draw_profiles(rng: &mut StdRng) -> Vec<Profile> {
+        (0..PROFILES)
             .map(|_| {
                 let port = SERVICE_PORTS[rng.gen_range(0..SERVICE_PORTS.len())];
                 Profile {
@@ -113,7 +113,7 @@ impl NetflowGenerator {
                     bytes_per_packet: rng.gen_range(60.0..1400.0),
                     bytes_noise: rng.gen_range(10.0..120.0),
                     weight: rng.gen_range(0.5..2.0),
-                    host_bias: rng.gen_range(0..config.hosts / 2),
+                    host_bias: rng.gen_range(0..HOSTS / 2),
                 }
             })
             .collect()
@@ -139,7 +139,7 @@ impl Iterator for NetflowGenerator {
         // Regime boundary.
         if self.emitted > 0 && self.emitted.is_multiple_of(self.config.block_len) {
             if self.rng.gen::<f64>() < self.config.p_new {
-                self.profiles = Self::draw_profiles(&self.config, &mut self.rng);
+                self.profiles = Self::draw_profiles(&mut self.rng);
                 self.regime_id += 1;
             } else {
                 // Slow drift: profile weights random-walk a little.
@@ -155,7 +155,7 @@ impl Iterator for NetflowGenerator {
 
         let src_host = self.host_zipf.sample(&mut self.rng) as f64;
         let dst_host =
-            ((self.host_zipf.sample(&mut self.rng) + p.host_bias - 1) % self.config.hosts + 1) as f64;
+            ((self.host_zipf.sample(&mut self.rng) + p.host_bias - 1) % HOSTS + 1) as f64;
         // Clients use ephemeral ports; service port gets small jitter.
         let src_port = self.rng.gen_range(32768.0..61000.0);
         let dst_port = p.dst_port + self.rng.gen_range(-2.0..=2.0);

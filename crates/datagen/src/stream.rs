@@ -20,8 +20,6 @@ pub struct EvolvingStreamConfig {
     pub regime_len: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Parameters of the random mixtures drawn at regime changes.
-    pub mixture: MixtureGenConfig,
 }
 
 impl Default for EvolvingStreamConfig {
@@ -32,7 +30,6 @@ impl Default for EvolvingStreamConfig {
             p_new: 0.1,
             regime_len: 2000,
             seed: 0,
-            mixture: MixtureGenConfig::default(),
         }
     }
 }
@@ -44,6 +41,8 @@ impl Default for EvolvingStreamConfig {
 #[derive(Debug)]
 pub struct EvolvingStream {
     config: EvolvingStreamConfig,
+    /// The shape of the mixtures drawn at regime changes.
+    mixture: MixtureGenConfig,
     rng: StdRng,
     current: Mixture,
     /// Records emitted so far.
@@ -56,15 +55,15 @@ pub struct EvolvingStream {
 
 impl EvolvingStream {
     /// Creates the stream, drawing the first regime's mixture immediately.
-    pub fn new(mut config: EvolvingStreamConfig) -> Self {
+    pub fn new(config: EvolvingStreamConfig) -> Self {
         assert!(config.regime_len > 0, "regime_len must be positive");
         assert!((0.0..=1.0).contains(&config.p_new), "p_new must be a probability");
-        config.mixture.dim = config.dim;
-        config.mixture.k = config.k;
+        let mixture = MixtureGenConfig { dim: config.dim, k: config.k };
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let current = random_mixture(&config.mixture, &mut rng);
+        let current = random_mixture(&mixture, &mut rng);
         EvolvingStream {
             config,
+            mixture,
             rng,
             current,
             emitted: 0,
@@ -98,7 +97,7 @@ impl Iterator for EvolvingStream {
         if self.emitted > 0 && self.emitted.is_multiple_of(self.config.regime_len) {
             let roll: f64 = self.rng.gen();
             if roll < self.config.p_new {
-                self.current = random_mixture(&self.config.mixture, &mut self.rng);
+                self.current = random_mixture(&self.mixture, &mut self.rng);
                 self.regime_id += 1;
                 self.history.push((self.emitted, self.regime_id));
             }

@@ -9,7 +9,8 @@
 # `flag_table` in crates/cli/src/lib.rs; then the configuration fields, the
 # `pub` fields of every non-test `pub struct` whose name ends in `Config`,
 # plus `ChunkParams`, `MergeRefiner` and `TreeTopology`, over the crates
-# listed.
+# listed; then the builder setters, every non-test `pub fn NAME(mut self`
+# over the crates listed.
 # usage: scripts/loc.sh [crate ...]   (default: every crate)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -33,3 +34,10 @@ for c in "$@"; do
          /^[[:space:]]*pub struct ([A-Za-z]*Config|ChunkParams|MergeRefiner|TreeTopology)[[:space:]]*\{/ { inside = 1 }
          END { print n + 0 }' {} +
 done | awk '{ n += $1 } END { printf "config fields %d\n", n }'
+for c in "$@"; do
+    find "crates/$c/src" -name '*.rs' -exec awk \
+        'FNR == 1 { skip = 0 }
+         /^#!?\[cfg\(test\)\]/ { skip = 1 } skip { next }
+         /^[[:space:]]*pub fn [a-z_][a-z0-9_]*\(mut self/ { n++ }
+         END { print n + 0 }' {} +
+done | awk '{ n += $1 } END { printf "builder setters %d\n", n }'
