@@ -5,9 +5,13 @@
 //!    the coordinator;
 //! 3. full vs diagonal covariances (time/quality/synopsis trade-off);
 //! 4. Theorem 4's average-cost model `(P_d + λ(1−P_d))·C` vs measurement.
+//!
+//! Claimed (`experiments --check ablation`): the multi-test strategy runs
+//! fewer EM clusterings with `c_max` 4 than with 1.
 
 use crate::figs::common::{cycling_stream, paper_config, quality, RollingWindow};
-use crate::table::{emit, Series};
+use crate::figs::{ys, Claim};
+use crate::table::{Series, Table};
 use crate::timing::{median_of, time_it};
 use crate::workloads;
 use crate::Scale;
@@ -16,19 +20,29 @@ use cludistream::{horizon_mixture, Coordinator, CoordinatorConfig, Message, Remo
 use cludistream_gmm::{fit_em_recorded, Columns, CovarianceType, EmConfig, MixtureScratch};
 use cludistream_obs::NopRecorder;
 
+const MULTITEST_OFF: &str = "multi-test off (c_max=1)";
+const MULTITEST_ON: &str = "multi-test on (c_max=4)";
+
+/// The claims of the ablations.
+pub(crate) const CLAIMS: &[Claim] = &[Claim {
+    name: "ablation_multitest: fewer EM clusterings with c_max 4 than with 1",
+    holds: |tables| {
+        let on = ys(tables, "ablation_multitest", MULTITEST_ON);
+        let off = ys(tables, "ablation_multitest", MULTITEST_OFF);
+        matches!((on.as_slice(), off.as_slice()), ([on], [off]) if on < off)
+    },
+}];
+
 /// Runs every ablation.
-pub(crate) fn run(scale: Scale) {
-    multitest(scale);
-    merge_refinement(scale);
-    covariance(scale);
-    theorem4(scale);
+pub(crate) fn run(scale: Scale) -> Vec<Table> {
+    vec![multitest(scale), merge_refinement(scale), covariance(scale), theorem4(scale)]
 }
 
 /// Ablation 1: multi-test on/off.
-fn multitest(scale: Scale) {
+fn multitest(scale: Scale) -> Table {
     let updates = scale.updates(30_000);
     let mut rows = Vec::new();
-    for (label, c_max) in [("multi-test off (c_max=1)", 1usize), ("multi-test on (c_max=4)", 4)] {
+    for (label, c_max) in [(MULTITEST_OFF, 1usize), (MULTITEST_ON, 4)] {
         let mut config = paper_config();
         config.c_max = c_max;
         config.seed = 201;
@@ -52,11 +66,11 @@ fn multitest(scale: Scale) {
         series.push(c_max as f64, s.clustered as f64);
         rows.push(series);
     }
-    emit("ablation_multitest", "Ablation: EM clusterings with/without multi-test", "c_max", &rows);
+    Table::new("ablation_multitest", "Ablation: EM clusterings with/without multi-test", "c_max", rows)
 }
 
 /// Ablation 2: merge refinement on/off at the coordinator.
-fn merge_refinement(scale: Scale) {
+fn merge_refinement(scale: Scale) -> Table {
     let updates_per_site = scale.updates(2);
     let mut rows = Vec::new();
     for (label, refine) in [("moment merge", false), ("simplex-refined merge", true)] {
@@ -102,11 +116,11 @@ fn merge_refinement(scale: Scale) {
         s.push(0.0, q);
         rows.push(s);
     }
-    emit("ablation_merge", "Ablation: coordinator quality by merge strategy", "-", &rows);
+    Table::new("ablation_merge", "Ablation: coordinator quality by merge strategy", "-", rows)
 }
 
 /// Ablation 3: full vs diagonal covariance.
-fn covariance(scale: Scale) {
+fn covariance(scale: Scale) -> Table {
     let updates = scale.updates(20_000);
     let mut rows = Vec::new();
     for (label, cov) in
@@ -137,19 +151,19 @@ fn covariance(scale: Scale) {
         s.push(2.0, site.memory_bytes() as f64);
         rows.push(s);
     }
-    emit(
+    Table::new(
         "ablation_covariance",
         "Ablation: full vs diagonal covariance (rows: quality, seconds, bytes)",
         "metric",
-        &rows,
-    );
+        rows,
+    )
 }
 
 /// Ablation 4: validate Theorem 4's cost model. Measures C (clustering a
 /// chunk) and λC (testing a chunk), then compares the predicted average
 /// cost `(P_d + λ(1−P_d))·C` against the measured per-chunk cost at
 /// several P_d values.
-fn theorem4(scale: Scale) {
+fn theorem4(scale: Scale) -> Table {
     let config = paper_config();
     let site = RemoteSite::new(config.clone()).expect("valid config");
     let m = site.chunk_size();
@@ -202,5 +216,5 @@ fn theorem4(scale: Scale) {
             secs / chunks
         );
     }
-    emit("ablation_theorem4", "Ablation: Theorem 4 cost model", "P_d", &[predicted, measured]);
+    Table::new("ablation_theorem4", "Ablation: Theorem 4 cost model", "P_d", vec![predicted, measured])
 }

@@ -3,7 +3,7 @@
 //! fitted densities (Fig. 4), including the 5% noise variant (Fig. 4(d)).
 
 use crate::figs::common::RollingWindow;
-use crate::table::{emit, Series};
+use crate::table::{Series, Table};
 use crate::Scale;
 use cludistream::{horizon_mixture, Config, RemoteSite};
 use cludistream_datagen::{EvolvingStream, EvolvingStreamConfig, Histogram, NoiseInjector};
@@ -37,19 +37,19 @@ fn histogram_series(name: &str, window: &[Vector]) -> Series {
 }
 
 /// Runs the Fig. 3 experiment: data histograms at three time points.
-pub(crate) fn run_fig3(_scale: Scale) {
+pub(crate) fn run_fig3(_scale: Scale) -> Vec<Table> {
     let mut stream = one_d_stream(31);
     let mut series = Vec::new();
     for t in 1..=3 {
         let window = stream.take_chunk(HORIZON);
         series.push(histogram_series(&format!("t{t} density"), &window));
     }
-    emit("fig3", "Fig 3: histograms of 1-d synthetic data (H=2k)", "x", &series);
+    vec![Table::new("fig3", "Fig 3: histograms of 1-d synthetic data (H=2k)", "x", series)]
 }
 
 /// Runs the Fig. 4 experiment: CluDistream fitted densities at the same
 /// time points, plus the 5% noise variant.
-pub(crate) fn run_fig4(_scale: Scale) {
+pub(crate) fn run_fig4(_scale: Scale) -> Vec<Table> {
     let config = Config {
         dim: 1,
         k: 3,
@@ -98,5 +98,5 @@ pub(crate) fn run_fig4(_scale: Scale) {
     let mut series = Vec::new();
     run(false, "clean", &mut series);
     run(true, "5% noise", &mut series);
-    emit("fig4", "Fig 4: CluDistream fitted densities (H=2k)", "x", &series);
+    vec![Table::new("fig4", "Fig 4: CluDistream fitted densities (H=2k)", "x", series)]
 }

@@ -9,7 +9,7 @@
 //!   updates, on (a) NFD-like and (b) synthetic streams.
 
 use crate::figs::common::{paper_config, paper_config_dim, quality, RollingWindow};
-use crate::table::{emit, Series};
+use crate::table::{Series, Table};
 use crate::workloads;
 use crate::Scale;
 use cludistream::{horizon_mixture, landmark_mixture, Coordinator, CoordinatorConfig, Message, RemoteSite};
@@ -21,7 +21,7 @@ use cludistream_rng::StdRng;
 const HORIZON: usize = 2000;
 
 /// Runs the Fig. 5 experiment: horizon quality over time.
-pub(crate) fn run_fig5(scale: Scale) {
+pub(crate) fn run_fig5(scale: Scale) -> Vec<Table> {
     let checkpoints = scale.updates(20);
     let config = paper_config();
     let mut site = RemoteSite::new(config.clone()).expect("valid config");
@@ -46,11 +46,16 @@ pub(crate) fn run_fig5(scale: Scale) {
         sem_series.push(t as f64, quality(sem.mixture(), &data));
     }
     summarize_gap("fig5", &clu, &sem_series);
-    emit("fig5", "Fig 5: horizon quality over time (synthetic)", "time point", &[clu, sem_series]);
+    vec![Table::new(
+        "fig5",
+        "Fig 5: horizon quality over time (synthetic)",
+        "time point",
+        vec![clu, sem_series],
+    )]
 }
 
 /// Runs the Fig. 6 experiment: landmark-window quality over time.
-pub(crate) fn run_fig6(scale: Scale) {
+pub(crate) fn run_fig6(scale: Scale) -> Vec<Table> {
     let checkpoints = scale.updates(20);
     let config = paper_config();
     let mut site = RemoteSite::new(config.clone()).expect("valid config");
@@ -86,29 +91,29 @@ pub(crate) fn run_fig6(scale: Scale) {
         samp.push(t as f64, quality(sampler.mixture(), &data));
     }
     summarize_gap("fig6", &clu, &sem_series);
-    emit(
+    vec![Table::new(
         "fig6",
         "Fig 6: landmark-window quality over time (synthetic)",
         "time point",
-        &[clu, sem_series, samp],
-    );
+        vec![clu, sem_series, samp],
+    )]
 }
 
 /// Runs the Fig. 7 experiment: coordinator quality vs centralized SEM.
-pub(crate) fn run_fig7(scale: Scale) {
+pub(crate) fn run_fig7(scale: Scale) -> Vec<Table> {
     // (a) NFD-like.
     let norm = workloads::nfd_like_normalizer(71);
     let nfd_streams: Vec<Box<dyn Iterator<Item = Vector> + Send>> =
         (0..20).map(|i| workloads::nfd_like_boxed(&norm, 0.05, 730 + i as u64)).collect();
     let series_a = coordinator_run(nfd_streams, workloads::NFD_DIM, scale.updates(8), 72);
-    emit("fig7a", "Fig 7(a): coordinator quality, NFD-like (r=20)", "time point", &series_a);
+    let a = Table::new("fig7a", "Fig 7(a): coordinator quality, NFD-like (r=20)", "time point", series_a);
 
     // (b) synthetic.
     let syn_streams: Vec<Box<dyn Iterator<Item = Vector> + Send>> =
         (0..20).map(|i| workloads::synthetic_boxed(4, 5, 0.1, 830 + i as u64)).collect();
     let series_b = coordinator_run(syn_streams, 4, scale.updates(8), 73);
     summarize_gap("fig7b", &series_b[0], &series_b[1]);
-    emit("fig7b", "Fig 7(b): coordinator quality, synthetic (r=20)", "time point", &series_b);
+    vec![a, Table::new("fig7b", "Fig 7(b): coordinator quality, synthetic (r=20)", "time point", series_b)]
 }
 
 /// Shared machinery for Fig. 7: r sites feed a coordinator; a centralized

@@ -3,7 +3,7 @@
 //! (Fig. 10).
 
 use crate::figs::common::{paper_config, paper_config_dim};
-use crate::table::{emit, Series};
+use crate::table::{Series, Table};
 use crate::timing::time_it;
 use crate::workloads;
 use crate::Scale;
@@ -36,7 +36,7 @@ fn sem_time(k: usize, records: Vec<Vector>) -> f64 {
 }
 
 /// Runs the Fig. 8 experiment: time vs number of updates.
-pub(crate) fn run_fig8(scale: Scale) {
+pub(crate) fn run_fig8(scale: Scale) -> Vec<Table> {
     let steps: Vec<usize> = (1..=5).map(|i| scale.updates(10_000) * i).collect();
 
     type Maker = Box<dyn Fn(usize) -> Vec<Vector>>;
@@ -62,6 +62,7 @@ pub(crate) fn run_fig8(scale: Scale) {
         ),
     ];
 
+    let mut tables = Vec::new();
     for (id, title, make, dim) in datasets {
         let config = paper_config_dim(dim);
         let mut clu = Series::new("CluDistream (s)");
@@ -79,8 +80,9 @@ pub(crate) fn run_fig8(scale: Scale) {
                 n / s.max(1e-9)
             );
         }
-        emit(id, title, "updates", &[clu, sem]);
+        tables.push(Table::new(id, title, "updates", vec![clu, sem]));
     }
+    tables
 }
 
 /// Runs the Fig. 9 experiment: time vs K and vs d.
@@ -90,7 +92,7 @@ pub(crate) fn run_fig8(scale: Scale) {
 /// can reuse), so every run performs the same *number* of EM clusterings
 /// and the measured scaling isolates the per-operation cost, as the
 /// paper's linear-scaling claim intends.
-pub(crate) fn run_fig9(scale: Scale) {
+pub(crate) fn run_fig9(scale: Scale) -> Vec<Table> {
     use crate::figs::common::separated_cycling_stream;
     let updates = scale.updates(30_000);
 
@@ -115,7 +117,7 @@ pub(crate) fn run_fig9(scale: Scale) {
         by_k.push(k as f64, secs);
         em_k.push(k as f64, site.stats().clustered as f64);
     }
-    emit("fig9a", "Fig 9(a): processing time vs cluster count K (d=4)", "K", &[by_k, em_k]);
+    let a = Table::new("fig9a", "Fig 9(a): processing time vs cluster count K (d=4)", "K", vec![by_k, em_k]);
 
     // (b) varying d, fixed K = 5. The chunk size M grows linearly with d
     // (Theorem 1), so fewer chunks fit in a fixed update budget; total time
@@ -142,11 +144,11 @@ pub(crate) fn run_fig9(scale: Scale) {
         by_d.push(d as f64, secs);
         em_d.push(d as f64, site.stats().clustered as f64);
     }
-    emit("fig9b", "Fig 9(b): processing time vs dimensionality d (K=5)", "d", &[by_d, em_d]);
+    vec![a, Table::new("fig9b", "Fig 9(b): processing time vs dimensionality d (K=5)", "d", vec![by_d, em_d])]
 }
 
 /// Runs the Fig. 10 experiment: memory usage.
-pub(crate) fn run_fig10(scale: Scale) {
+pub(crate) fn run_fig10(scale: Scale) -> Vec<Table> {
     // (a) memory vs updates on both workloads: checkpoints along one run.
     let checkpoints: Vec<usize> = (1..=5).map(|i| scale.updates(10_000) * i).collect();
     let mut series = Vec::new();
@@ -172,7 +174,7 @@ pub(crate) fn run_fig10(scale: Scale) {
         }
         series.push(s);
     }
-    emit("fig10a", "Fig 10(a): site memory vs updates", "updates", &series);
+    let a = Table::new("fig10a", "Fig 10(a): site memory vs updates", "updates", series);
 
     // (b) memory vs K for several d: run enough updates to learn a few
     // models, then account memory.
@@ -202,7 +204,7 @@ pub(crate) fn run_fig10(scale: Scale) {
         }
         series.push(s);
     }
-    emit("fig10b", "Fig 10(b): site memory vs K, for several d", "K", &series);
+    let b = Table::new("fig10b", "Fig 10(b): site memory vs K, for several d", "K", series);
 
     // The diagonal-covariance representation Theorem 3 mentions.
     let mut config = paper_config();
@@ -217,4 +219,5 @@ pub(crate) fn run_fig10(scale: Scale) {
          from d^2 to d per component)",
         site.memory_bytes()
     );
+    vec![a, b]
 }

@@ -1,8 +1,13 @@
 //! Figures 11-14: parameter sensitivity — ε (Fig. 11), δ (Fig. 12),
 //! c_max (Fig. 13), and P_d (Fig. 14).
+//!
+//! Claimed (`experiments --check fig13 fig14`), on the EM-clustering
+//! counts: every `c_max` ≥ 4 runs fewer than every `c_max` ≤ 3, and the
+//! count grows with P_d, up to one dip.
 
 use crate::figs::common::{cycling_stream, paper_config, quality, RollingWindow};
-use crate::table::{emit, Series};
+use crate::figs::{ys, Claim};
+use crate::table::{Series, Table};
 use crate::timing::time_it;
 use crate::workloads;
 use crate::Scale;
@@ -10,6 +15,28 @@ use cludistream::{horizon_mixture, RemoteSite};
 use cludistream_baselines::{ScalableEm, SemConfig};
 
 const HORIZON: usize = 2000;
+
+const EM_RUNS: &str = "EM clusterings";
+
+/// The claims of Fig. 13.
+pub(crate) const FIG13_CLAIMS: &[Claim] = &[Claim {
+    name: "fig13: every c_max >= 4 runs fewer EM clusterings than every c_max <= 3",
+    holds: |tables| {
+        let runs = ys(tables, "fig13", EM_RUNS);
+        let (low, high) = runs.split_at(runs.len().min(3));
+        let fewest_low = low.iter().copied().fold(f64::INFINITY, f64::min);
+        !high.is_empty() && high.iter().all(|&r| r < fewest_low)
+    },
+}];
+
+/// The claims of Fig. 14.
+pub(crate) const FIG14_CLAIMS: &[Claim] = &[Claim {
+    name: "fig14: EM clusterings grow with P_d, up to one dip",
+    holds: |tables| {
+        let runs = ys(tables, "fig14", EM_RUNS);
+        runs.len() > 1 && runs.windows(2).filter(|w| w[1] < w[0]).count() <= 1
+    },
+}];
 
 /// Feeds `updates` synthetic records to a site with the given config,
 /// returning `(wall seconds, mean horizon quality, SEM quality)`.
@@ -62,7 +89,7 @@ fn sensitivity_run(
 }
 
 /// Runs the Fig. 11 experiment: ε sensitivity.
-pub(crate) fn run_fig11(scale: Scale) {
+pub(crate) fn run_fig11(scale: Scale) -> Vec<Table> {
     let updates = scale.updates(30_000);
     let mut q_clu = Series::new("CluDistream quality");
     let mut q_sem = Series::new("SEM quality");
@@ -75,12 +102,14 @@ pub(crate) fn run_fig11(scale: Scale) {
         q_sem.push(eps, sem);
         time.push(eps, secs);
     }
-    emit("fig11a", "Fig 11(a): quality vs epsilon", "epsilon", &[q_clu, q_sem]);
-    emit("fig11b", "Fig 11(b): processing time vs epsilon", "epsilon", &[time]);
+    vec![
+        Table::new("fig11a", "Fig 11(a): quality vs epsilon", "epsilon", vec![q_clu, q_sem]),
+        Table::new("fig11b", "Fig 11(b): processing time vs epsilon", "epsilon", vec![time]),
+    ]
 }
 
 /// Runs the Fig. 12 experiment: δ sensitivity.
-pub(crate) fn run_fig12(scale: Scale) {
+pub(crate) fn run_fig12(scale: Scale) -> Vec<Table> {
     let updates = scale.updates(30_000);
     let mut q_clu = Series::new("CluDistream quality");
     let mut q_sem = Series::new("SEM quality");
@@ -93,16 +122,18 @@ pub(crate) fn run_fig12(scale: Scale) {
         q_sem.push(delta, sem);
         time.push(delta, secs);
     }
-    emit("fig12a", "Fig 12(a): quality vs delta", "delta", &[q_clu, q_sem]);
-    emit("fig12b", "Fig 12(b): processing time vs delta", "delta", &[time]);
+    vec![
+        Table::new("fig12a", "Fig 12(a): quality vs delta", "delta", vec![q_clu, q_sem]),
+        Table::new("fig12b", "Fig 12(b): processing time vs delta", "delta", vec![time]),
+    ]
 }
 
 /// Runs the Fig. 13 experiment: c_max sensitivity on an alternating
 /// (cycling-regime) stream where the multi-test strategy matters.
-pub(crate) fn run_fig13(scale: Scale) {
+pub(crate) fn run_fig13(scale: Scale) -> Vec<Table> {
     let updates = scale.updates(40_000);
     let mut time = Series::new("CluDistream time (s)");
-    let mut em_runs = Series::new("EM clusterings");
+    let mut em_runs = Series::new(EM_RUNS);
     for c_max in 1..=7usize {
         let mut config = paper_config();
         config.c_max = c_max;
@@ -122,19 +153,19 @@ pub(crate) fn run_fig13(scale: Scale) {
         time.push(c_max as f64, secs);
         em_runs.push(c_max as f64, site.stats().clustered as f64);
     }
-    emit(
+    vec![Table::new(
         "fig13",
         "Fig 13: processing time vs c_max (alternating regimes)",
         "c_max",
-        &[time, em_runs],
-    );
+        vec![time, em_runs],
+    )]
 }
 
 /// Runs the Fig. 14 experiment: time vs the new-distribution probability.
-pub(crate) fn run_fig14(scale: Scale) {
+pub(crate) fn run_fig14(scale: Scale) -> Vec<Table> {
     let updates = scale.updates(30_000);
     let mut time = Series::new("CluDistream time (s)");
-    let mut em_runs = Series::new("EM clusterings");
+    let mut em_runs = Series::new(EM_RUNS);
     for p_d in [0.1, 0.25, 0.5, 0.75, 1.0] {
         let config = paper_config();
         let mut site = RemoteSite::new(config).expect("valid config");
@@ -148,5 +179,5 @@ pub(crate) fn run_fig14(scale: Scale) {
         time.push(p_d, secs);
         em_runs.push(p_d, site.stats().clustered as f64);
     }
-    emit("fig14", "Fig 14: processing time vs P_d", "P_d", &[time, em_runs]);
+    vec![Table::new("fig14", "Fig 14: processing time vs P_d", "P_d", vec![time, em_runs])]
 }

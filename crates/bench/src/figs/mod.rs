@@ -10,6 +10,7 @@ mod fig05_07;
 mod fig08_10;
 mod fig11_14;
 
+use crate::table::{Series, Table};
 use crate::Scale;
 
 pub use common::RollingWindow;
@@ -20,9 +21,46 @@ pub const ALL: &[&str] = &[
     "fig12", "fig13", "fig14", "ablation",
 ];
 
-/// Runs one experiment by id. Returns false for unknown ids.
-pub fn run(id: &str, scale: Scale) -> bool {
+/// A structural claim of the paper's evaluation: a predicate over the
+/// tables of one experiment that needs no threshold. Claims read counts
+/// and log likelihoods, never seconds, so they hold on any host; each
+/// one is named after what it asserts, and `experiments --check` prints
+/// that name when it fails.
+pub struct Claim {
+    /// What the claim asserts.
+    pub name: &'static str,
+    /// Whether the tables bear it out; false when a table or series it
+    /// reads is missing.
+    pub holds: fn(&[Table]) -> bool,
+}
+
+/// The claims of experiment `id` (none for an unknown id).
+pub fn claims(id: &str) -> &'static [Claim] {
     match id {
+        "fig1" => fig01::CLAIMS,
+        "fig2" => fig02::CLAIMS,
+        "fig13" => fig11_14::FIG13_CLAIMS,
+        "fig14" => fig11_14::FIG14_CLAIMS,
+        "ablation" => ablation::CLAIMS,
+        _ => &[],
+    }
+}
+
+/// The series `name` of table `id` among `tables`.
+fn series<'a>(tables: &'a [Table], id: &str, name: &str) -> Option<&'a Series> {
+    tables.iter().find(|t| t.id == id)?.series(name)
+}
+
+/// The y values of the series `name` of table `id`, in x order; empty
+/// when it is missing.
+fn ys(tables: &[Table], id: &str, name: &str) -> Vec<f64> {
+    series(tables, id, name).map_or_else(Vec::new, |s| s.points.iter().map(|p| p.1).collect())
+}
+
+/// Runs one experiment by id and returns its tables, which the caller
+/// prints or emits. `None` for an unknown id.
+pub fn run(id: &str, scale: Scale) -> Option<Vec<Table>> {
+    Some(match id {
         "fig1" => fig01::run(scale),
         "fig2" => fig02::run(scale),
         "fig3" => fig03_04::run_fig3(scale),
@@ -38,7 +76,6 @@ pub fn run(id: &str, scale: Scale) -> bool {
         "fig13" => fig11_14::run_fig13(scale),
         "fig14" => fig11_14::run_fig14(scale),
         "ablation" => ablation::run(scale),
-        _ => return false,
-    }
-    true
+        _ => return None,
+    })
 }

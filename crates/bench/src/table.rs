@@ -30,6 +30,32 @@ impl Series {
     }
 }
 
+/// One table of a figure: the id its CSV is written under, its title,
+/// its x label and its series.
+#[derive(Debug, Clone)]
+pub struct Table {
+    /// File stem under `results/`, such as `fig2a`.
+    pub id: String,
+    /// Printed heading.
+    pub title: String,
+    /// Header of the x column.
+    pub x_label: String,
+    /// The plotted lines, sharing one x grid.
+    pub series: Vec<Series>,
+}
+
+impl Table {
+    /// A table of `series` under `id`.
+    pub fn new(id: &str, title: &str, x_label: &str, series: Vec<Series>) -> Self {
+        Table { id: id.into(), title: title.into(), x_label: x_label.into(), series }
+    }
+
+    /// The series whose name is `name`.
+    pub fn series(&self, name: &str) -> Option<&Series> {
+        self.series.iter().find(|s| s.name == name)
+    }
+}
+
 /// Renders aligned columns: the x column followed by one column per
 /// series, matching rows by x (series must share their x grid).
 pub fn render_table(title: &str, x_label: &str, series: &[Series]) -> String {
@@ -63,7 +89,8 @@ pub fn render_table(title: &str, x_label: &str, series: &[Series]) -> String {
 }
 
 /// Prints the table and writes `results/<id>.csv`.
-pub fn emit(id: &str, title: &str, x_label: &str, series: &[Series]) {
+pub fn emit(table: &Table) {
+    let Table { id, title, x_label, series } = table;
     println!("{}", render_table(title, x_label, series));
     let mut csv = String::new();
     let _ = write!(csv, "{x_label}");

@@ -55,6 +55,13 @@ cargo test --release -q --offline -p cludistream --lib coordinator::simplex
 cargo test --release -q --offline -p cludistream --lib remote
 cargo doc --no-deps -q --offline --workspace
 
+# Fidelity gate (ROADMAP item 1(a)): the structural claims of Figs 1(b),
+# 2, 13 and 14 and of the multi-test ablation, on counts and log
+# likelihoods only (never seconds), each a predicate over the figure's
+# series. Exits non-zero naming the failed claim; writes nothing under
+# results/ (~6 s).
+./target/release/experiments --check fig1 fig2 fig13 fig14 ablation > /dev/null
+
 # Telemetry smoke test: the default `simulate` workload must produce an event
 # journal byte-identical to the committed golden fixture (journal entries are
 # stamped with deterministic sim-time, never wall-clock).
