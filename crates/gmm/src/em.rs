@@ -9,6 +9,7 @@ use crate::{
 use cludistream_linalg::Vector;
 use cludistream_obs::{catalogue, Event, NopRecorder, Recorder};
 use cludistream_rng::{Rng, StdRng};
+use std::time::Instant;
 
 /// Floor on a component's total responsibility mass, as a fraction of
 /// |D|: the M-step re-seeds a component below it from the lowest-density
@@ -116,7 +117,10 @@ pub fn fit_em(data: &[Vector], config: &EmConfig) -> Result<EmFit> {
 /// telemetry: an `em.iters_per_fit` observation, the `em.estep_blocks`
 /// counter, `em.iter_capped` when the cap (not ϖ-convergence) stops the
 /// loop, and an [`Event::EmConverged`] journal event when convergence
-/// does.
+/// does. When `recorder.enabled()`, it also observes once per fit the
+/// nanoseconds of each part of the fit, summed over its iterations:
+/// `em.init_ns`, `em.score_ns`, `em.accumulate_ns` and `em.mstep_ns`.
+/// A disabled recorder reads no clock.
 pub fn fit_em_recorded(
     chunk: &Columns,
     config: &EmConfig,
@@ -151,12 +155,15 @@ fn non_finite() -> GmmError {
 fn fit(chunk: &Columns, config: &EmConfig, recorder: &(impl Recorder + ?Sized)) -> Result<EmFit> {
     let (k, d) = (config.k, chunk.dim());
     let diagonal = config.covariance == CovarianceType::Diagonal;
+    let mut clock = Clock::new(recorder.enabled());
     let mut estep = EStep::new(chunk, k, diagonal);
     // Global per-dimension variance: the k-means fallback sphere and every
     // starvation rescue use it.
     let avg_var = global_avg_var(chunk, &mut estep.moments)?;
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut mixture = initialize(chunk, config, avg_var, &mut rng, &mut estep.moments)?;
+    let init_ns = clock.lap();
+    let (mut score_ns, mut accumulate_ns, mut mstep_ns) = (0, 0, 0);
 
     let n = chunk.len() as f64;
     let mut prev_avg = f64::NEG_INFINITY;
@@ -169,6 +176,7 @@ fn fit(chunk: &Columns, config: &EmConfig, recorder: &(impl Recorder + ?Sized)) 
     for iter in 0..config.max_iters {
         iterations = iter + 1;
         log_likelihood = estep.score(&mixture);
+        score_ns += clock.lap();
         estep_blocks += blocks as u64;
         let avg = log_likelihood / n;
 
@@ -185,6 +193,7 @@ fn fit(chunk: &Columns, config: &EmConfig, recorder: &(impl Recorder + ?Sized)) 
 
         // Only now that its output will be read.
         let stats = estep.accumulate();
+        accumulate_ns += clock.lap();
 
         // M-step: rebuild the mixture from the statistics, rescuing starved
         // components. The re-seed target is the worst-explained record of a
@@ -233,8 +242,15 @@ fn fit(chunk: &Columns, config: &EmConfig, recorder: &(impl Recorder + ?Sized)) 
             weights.push(mass / n);
         }
         mixture = Mixture::new(comps, weights)?;
+        mstep_ns += clock.lap();
     }
 
+    if recorder.enabled() {
+        recorder.observe(catalogue::EM_INIT_NS, init_ns);
+        recorder.observe(catalogue::EM_SCORE_NS, score_ns);
+        recorder.observe(catalogue::EM_ACCUMULATE_NS, accumulate_ns);
+        recorder.observe(catalogue::EM_MSTEP_NS, mstep_ns);
+    }
     recorder.counter(catalogue::EM_ESTEP_BLOCKS, estep_blocks);
     if !converged {
         recorder.counter(catalogue::EM_ITER_CAPPED, 1);
@@ -251,6 +267,27 @@ fn fit(chunk: &Columns, config: &EmConfig, recorder: &(impl Recorder + ?Sized)) 
         iterations,
         converged,
     })
+}
+
+/// Laps of a fit's wall clock, read only when it is on.
+struct Clock(Option<Instant>);
+
+impl Clock {
+    /// A clock started now when `on`, or one that is never read.
+    fn new(on: bool) -> Self {
+        Clock(on.then(Instant::now))
+    }
+
+    /// Nanoseconds since the last lap (or the start), and a new lap
+    /// begins; 0 without reading the clock when it is off.
+    fn lap(&mut self) -> u64 {
+        let Some(mark) = self.0 else {
+            return 0;
+        };
+        let now = Instant::now();
+        self.0 = Some(now);
+        u64::try_from(now.duration_since(mark).as_nanos()).unwrap_or(u64::MAX)
+    }
 }
 
 /// The E-step in two passes, and everything they write — created once per
@@ -649,6 +686,11 @@ mod tests {
         assert_eq!(h.max, recorded.iterations as u64);
         // Convergence journaled exactly once.
         assert_eq!(registry.events_recorded(), u64::from(recorded.converged));
+        // Each part's time, observed once per fit.
+        for name in ["em.init_ns", "em.score_ns", "em.accumulate_ns", "em.mstep_ns"] {
+            let h = registry.histogram_snapshot(name).unwrap();
+            assert_eq!(h.count, 1, "{name}");
+        }
     }
 
     #[test]

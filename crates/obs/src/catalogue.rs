@@ -95,12 +95,20 @@ catalogue! {
         "Ping, ClockEcho, Telemetry or Done frames dropped for arriving on a connection other than the named site's live handshaken one.";
     COORD_TELEMETRY_DECODE_ERR: Counter("coord.telemetry_decode_err", "frames", "runtime")
         "Telemetry payloads from a child that failed to decode.";
+    EM_ACCUMULATE_NS: Histogram("em.accumulate_ns", "ns", "gmm")
+        "Time one EM fit spent in its accumulate passes (responsibilities and moment sums), summed over its iterations.";
     EM_ESTEP_BLOCKS: Counter("em.estep_blocks", "blocks", "gmm")
         "256-record blocks the E-steps scored, over every fit.";
+    EM_INIT_NS: Histogram("em.init_ns", "ns", "gmm")
+        "Time one EM fit spent before its first iteration: the chunk's variance, k-means++ and Lloyd, the initial mixture.";
     EM_ITER_CAPPED: Counter("em.iter_capped", "fits", "gmm")
         "EM fits that stopped at the iteration cap instead of converging.";
     EM_ITERS_PER_FIT: Histogram("em.iters_per_fit", "iterations", "gmm")
         "Iterations of each EM fit; its count is the number of fits, its sum every iteration run.";
+    EM_MSTEP_NS: Histogram("em.mstep_ns", "ns", "gmm")
+        "Time one EM fit spent re-estimating its mixture from the moment sums, rescues included, summed over its iterations.";
+    EM_SCORE_NS: Histogram("em.score_ns", "ns", "gmm")
+        "Time one EM fit spent in its score passes (weighted log densities and log-sum-exp), summed over its iterations.";
     HB_RTT_US: Histogram("hb.rtt_us", "us", "runtime")
         "Heartbeat round trip a node measured from its Ping to the parent's Pong.";
     NET_BYTES: Counter("net.bytes", "bytes", "transport")
