@@ -22,44 +22,13 @@
 //! swarm benchmark all drive the same state machine, so aggregation
 //! behaves identically under simulation and over real sockets.
 
-use crate::coordinator::{m_split, Coordinator, CoordinatorConfig};
+use crate::coordinator::{Coordinator, CoordinatorConfig};
 use crate::engine::CoordinatorEngine;
 use crate::error::CludiError;
 use crate::protocol::Message;
 use crate::remote::ModelId;
-use cludistream_gmm::Mixture;
 use cludistream_obs::{catalogue, Obs, Recorder};
 use cludistream_wire::ByteBuf;
-
-/// Decides whether an aggregator's summary changed enough to re-upload
-/// (paper Sec. 7: an internal node "uploads the summary information to the
-/// parent if its locally-observed Gaussian mixture model changes"): a
-/// change in component count, any component mean drifting by more than
-/// [`SHARD_EPSILON`] (`M_split`, a precision-weighted squared distance),
-/// or any weight moving by more than [`SHARD_EPSILON`]. Covariances are
-/// not compared: a summary whose covariances alone moved is not uploaded.
-pub(crate) fn summary_changed(old: &Mixture, new: &Mixture) -> bool {
-    if old.k() != new.k() {
-        return true;
-    }
-    for ((a, b), (wa, wb)) in old
-        .components()
-        .iter()
-        .zip(new.components())
-        .zip(old.weights().iter().zip(new.weights()))
-    {
-        if m_split(a, b) > SHARD_EPSILON || (wa - wb).abs() > SHARD_EPSILON {
-            return true;
-        }
-    }
-    false
-}
-
-/// Upload-on-change threshold every aggregator runs with, in the
-/// simulated tree and over sockets (see `summary_changed`): `0.0`
-/// re-uploads on any move of a mean or a weight, so the root never holds
-/// a summary older than one flush interval.
-pub const SHARD_EPSILON: f64 = 0.0;
 
 /// Microseconds between an aggregator going dirty and its upward flush,
 /// in the simulated tree and over sockets: one upload batches a whole
@@ -106,8 +75,9 @@ impl Default for AggregatorConfig {
 pub struct AggregatorEngine {
     engine: CoordinatorEngine,
     index: u32,
-    /// The summary last forwarded upward (flush suppression state).
-    last_upload: Option<Mixture>,
+    /// The encoding of the last update forwarded upward (flush
+    /// suppression state).
+    last_upload: Option<ByteBuf>,
     /// `messages_applied` at the last flush attempt (dirty tracking).
     applied_at_last_flush: u64,
     /// Reduced updates actually sent upward.
@@ -174,29 +144,20 @@ impl AggregatorEngine {
     /// mixture as a single `NewModel` under this aggregator's fixed
     /// `(index, ModelId(0))` identity, total child record mass as its
     /// count. Returns `None` while clean, before any child reported, or
-    /// when the summary has not changed by more than [`SHARD_EPSILON`] — the
-    /// parent's idempotent same-id replace makes re-sending the whole
-    /// summary safe and delete-free.
+    /// when the update's encoding is the last upload's byte for byte
+    /// (paper Sec. 7: an internal node uploads "if its locally-observed
+    /// Gaussian mixture model changes"). Any moved bit of a weight, mean
+    /// or covariance, or of the count, uploads, so the parent holds the
+    /// last summary this node computed. The parent's idempotent same-id
+    /// replace makes re-sending the whole summary safe and delete-free.
     pub fn flush(&mut self) -> Option<Message> {
         if !self.dirty() {
             return None;
         }
         self.applied_at_last_flush = self.engine.coordinator.messages_applied();
         let summary = self.engine.coordinator.global_mixture().ok()?;
-        let unchanged = self
-            .last_upload
-            .as_ref()
-            .is_some_and(|old| !summary_changed(old, &summary));
-        if unchanged {
-            self.flushes_suppressed += 1;
-            self.obs.counter(catalogue::AGG_FLUSHES_SUPPRESSED, 1);
-            return None;
-        }
         let count = (self.engine.coordinator.total_weight().round() as u64).max(1);
-        self.flushes += 1;
-        self.obs.counter(catalogue::AGG_FLUSHES, 1);
-        self.last_upload = Some(summary.clone());
-        Some(Message::NewModel {
+        let update = Message::NewModel {
             site: self.index,
             model: ModelId(0),
             count,
@@ -204,7 +165,17 @@ impl AggregatorEngine {
             // founding likelihood is a site-side concept.
             avg_ll: 0.0,
             mixture: summary,
-        })
+        };
+        let bytes = update.encode(self.engine.coordinator.covariance());
+        if self.last_upload.as_ref() == Some(&bytes) {
+            self.flushes_suppressed += 1;
+            self.obs.counter(catalogue::AGG_FLUSHES_SUPPRESSED, 1);
+            return None;
+        }
+        self.flushes += 1;
+        self.obs.counter(catalogue::AGG_FLUSHES, 1);
+        self.last_upload = Some(bytes);
+        Some(update)
     }
 
     /// Reduced updates sent upward so far.
@@ -269,7 +240,7 @@ impl AggregatorEngine {
 mod tests {
     use super::*;
     use crate::protocol::Frame;
-    use cludistream_gmm::{CovarianceType, Gaussian};
+    use cludistream_gmm::{CovarianceType, Gaussian, Mixture};
     use cludistream_linalg::Vector;
 
     fn mix(centers: &[f64]) -> Mixture {
@@ -301,11 +272,38 @@ mod tests {
     }
 
     #[test]
-    fn summary_change_detector() {
-        let a = mix(&[0.0]);
-        assert!(!summary_changed(&a, &a.clone()));
-        assert!(summary_changed(&a, &mix(&[5.0])), "moved mean");
-        assert!(summary_changed(&a, &mix(&[0.0, 9.0])), "extra component");
+    fn a_covariance_only_move_uploads() {
+        let mut a = agg(0, 0, 1);
+        a.apply(&new_model(0, 0, &[0.0], 100));
+        assert!(a.flush().is_some());
+        // The same `(site, model)`, mean and weight, variance 4 not 1.
+        let wider = Gaussian::spherical(Vector::from_slice(&[0.0, 0.0]), 4.0).unwrap();
+        a.apply(&Message::NewModel {
+            site: 0,
+            model: ModelId(0),
+            count: 100,
+            avg_ll: -1.0,
+            mixture: Mixture::single(wider),
+        });
+        let Some(Message::NewModel { mixture, .. }) = a.flush() else {
+            panic!("a moved covariance must upload");
+        };
+        assert_eq!(mixture.components()[0].cov()[(0, 0)], 4.0);
+    }
+
+    #[test]
+    fn a_weight_update_to_a_single_component_shard_uploads() {
+        // One model of one component: its weight in the summary stays 1,
+        // but the upload's count is the shard's record mass.
+        let mut a = agg(0, 0, 1);
+        a.apply(&new_model(0, 0, &[0.0], 100));
+        assert!(a.flush().is_some());
+        a.apply(&Message::WeightUpdate { site: 0, model: ModelId(0), count_delta: 50 });
+        let Some(Message::NewModel { count, .. }) = a.flush() else {
+            panic!("a new count must upload");
+        };
+        assert_eq!(count, 150);
+        assert_eq!(a.flushes_suppressed(), 0);
     }
 
     #[test]

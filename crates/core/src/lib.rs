@@ -91,7 +91,7 @@ mod transport;
 mod windows;
 
 pub use aggregator::{
-    AggregatorConfig, AggregatorEngine, SHARD_EPSILON, SHARD_FLUSH_INTERVAL_US, SHARD_MERGE_LOG_CAP,
+    AggregatorConfig, AggregatorEngine, SHARD_FLUSH_INTERVAL_US, SHARD_MERGE_LOG_CAP,
 };
 pub use change::{ChangeDetector, ChangeKind, ChangePoint};
 pub use cludistream_simnet::{FaultPlan, LinkFaults, NodeId};

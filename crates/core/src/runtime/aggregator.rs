@@ -77,7 +77,7 @@ impl AggregatorRun {
 }
 
 /// Builder for [`AggregatorRun`]. The upload policy is the simulated
-/// tree's: forward on any change ([`crate::SHARD_EPSILON`]) at most once
+/// tree's: forward on any change of the update's bytes at most once
 /// per [`SHARD_FLUSH_INTERVAL_US`], from a shard coordinator whose merge
 /// log [`AggregatorEngine::new`] caps; default socket tuning. The upward
 /// channel is always reliable: a reconnect needs sequence state to resync.

@@ -53,8 +53,8 @@ use std::sync::Arc;
 ///
 /// Each aggregator pre-merges its children's synopses with the standard
 /// merge/split machinery and forwards **one** reduced summary upward per
-/// [`crate::SHARD_FLUSH_INTERVAL_US`] (suppressed entirely when the
-/// summary has not moved by more than [`crate::SHARD_EPSILON`]). The root
+/// [`crate::SHARD_FLUSH_INTERVAL_US`] (suppressed entirely when its
+/// encoding is the last upload's, byte for byte). The root
 /// therefore sees O(aggregators) messages and keeps O(models) state
 /// instead of O(sites) × O(history).
 #[derive(Debug, Clone, PartialEq)]

@@ -64,7 +64,7 @@ catalogue! {
     AGG_FLUSHES: Counter("agg.flushes", "updates", "aggregator")
         "Reduced updates this aggregator sent to its parent.";
     AGG_FLUSHES_SUPPRESSED: Counter("agg.flushes_suppressed", "flushes", "aggregator")
-        "Flushes skipped because no mean or weight of the reduced summary moved.";
+        "Flushes skipped because the reduced update's encoding was the last upload's, byte for byte.";
     COORD_APPLY: SpanName("coord.apply", "span", "coordinator")
         "The coordinator applying one released message, child of the frame's wire span.";
     COORD_EVENT_TABLE_ENTRIES: Gauge("coord.event_table_entries", "rows", "coordinator")
