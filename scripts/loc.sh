@@ -10,7 +10,12 @@
 # `pub` fields of every non-test `pub struct` whose name ends in `Config`,
 # plus `ChunkParams`, `MergeRefiner` and `TreeTopology`, over the crates
 # listed; then the builder setters, every non-test `pub fn NAME(mut self`
-# over the crates listed.
+# over the crates listed. Last, `pub unused outside N`: of the named
+# non-test `pub fn`, `struct`, `enum`, `trait`, `type`, `const` and
+# `static` items of the crates listed, how many no `.rs` file outside
+# their own crate names as a word (the other crates, the root package's
+# `src/`, `tests/` and `examples/`, and `benchmark/src/`). A word match
+# undercounts: a name two crates share counts as used.
 # usage: scripts/loc.sh [crate ...]   (default: every crate)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -41,3 +46,16 @@ for c in "$@"; do
          /^[[:space:]]*pub fn [a-z_][a-z0-9_]*\(mut self/ { n++ }
          END { print n + 0 }' {} +
 done | awk '{ n += $1 } END { printf "builder setters %d\n", n }'
+tmp="$(mktemp -d "${TMPDIR:-/tmp}/loc_XXXXXX")"
+trap 'rm -rf "$tmp"' EXIT
+for c in "$@"; do
+    find "crates/$c/src" -name '*.rs' -exec awk \
+        'FNR == 1 { skip = 0 }
+         /^#!?\[cfg\(test\)\]/ { skip = 1 } skip { next }
+         match($0, /^[[:space:]]*pub (fn|struct|enum|trait|type|const|static)[[:space:]]+[A-Za-z_][A-Za-z0-9_]*/) {
+             n = split(substr($0, RSTART, RLENGTH), w, /[[:space:]]+/); print w[n]
+         }' {} + | sort -u > "$tmp/names"
+    find crates src tests examples benchmark/src -name '*.rs' -not -path "crates/$c/*" \
+        -exec grep -ohE '[A-Za-z_][A-Za-z0-9_]*' {} + | sort -u > "$tmp/words"
+    comm -23 "$tmp/names" "$tmp/words" | wc -l
+done | awk '{ n += $1 } END { printf "pub unused outside %d\n", n }'
