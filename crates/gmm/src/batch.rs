@@ -276,12 +276,29 @@ pub(crate) struct ColumnSums {
     gate: Vec<f64>,
 }
 
+impl ColumnSums {
+    /// Each record's sum `Σ_j exp(t_j − max)` from the last
+    /// [`log_sum_exp_cols`] call, the `s_b` of its doc.
+    pub(crate) fn sums(&self) -> &[f64] {
+        &self.sum
+    }
+}
+
 /// A term with `d = t − max < TINY` is *tiny*: `exp(d) < e⁻³⁷·⁵ < 2⁻⁵⁴`.
 const TINY: f64 = -37.5;
 
 /// [`log_sum_exp`] of every column of a component-major `k × count`
 /// table: `out[b] = ln Σ_j exp(table[j*count + b])`, with `sums` as the
-/// per-record workspace.
+/// per-record workspace. Afterwards `sums.sums()[b]` is the sum `s_b`
+/// that `ln` was taken of.
+///
+/// With `KEEP_TERMS` the sum pass also leaves in `table` the term it
+/// added for each entry, `e_jb`: `1.0` where `d == 0`, `exp(d)` where it
+/// called `exp`, and `0.0` where it skipped a tiny term. The EM E-step
+/// takes its responsibilities `e_jb / s_b` from them (Sec. 3.2's ratio
+/// `w_j p(x|j) / Σ_i w_i p(x|i)`), so it calls no `exp` of its own. Where
+/// `max` is not finite the entries are unspecified. Without it the table
+/// is only read, and the loop is the one the readers have always run.
 ///
 /// Each loop runs record-innermost over one table row, while each column
 /// sees the scalar function's operations in its order: the running
@@ -307,7 +324,11 @@ const TINY: f64 = -37.5;
 /// otherwise, and a tiny term is skipped once the sum reaches it. A sum of
 /// `1.0` takes `ln 1 = +0` without calling `ln`.
 #[inline(always)]
-pub(crate) fn log_sum_exp_cols(table: &[f64], out: &mut [f64], sums: &mut ColumnSums) {
+pub(crate) fn log_sum_exp_cols<const KEEP_TERMS: bool>(
+    table: &mut [f64],
+    out: &mut [f64],
+    sums: &mut ColumnSums,
+) {
     let count = out.len();
     if count == 0 {
         return;
@@ -337,13 +358,31 @@ pub(crate) fn log_sum_exp_cols(table: &[f64], out: &mut [f64], sums: &mut Column
         *g = if *g - m < cut { 0.0 } else { 1.0 };
     }
     sum.fill(0.0);
-    for row in table.chunks_exact(count) {
-        for (((s, &t), &m), &g) in sum.iter_mut().zip(row).zip(out.iter()).zip(gate.iter()) {
-            let d = t - m;
-            if d == 0.0 {
-                *s += 1.0;
-            } else if !(d < TINY && *s >= g) {
-                *s += d.exp();
+    if KEEP_TERMS {
+        for row in table.chunks_exact_mut(count) {
+            for (((s, t), &m), &g) in sum.iter_mut().zip(row).zip(out.iter()).zip(gate.iter()) {
+                let d = *t - m;
+                // `s + 0.0` is `s`: the sum's bits are the other arm's.
+                let e = if d == 0.0 {
+                    1.0
+                } else if !(d < TINY && *s >= g) {
+                    d.exp()
+                } else {
+                    0.0
+                };
+                *s += e;
+                *t = e;
+            }
+        }
+    } else {
+        for row in table.chunks_exact(count) {
+            for (((s, &t), &m), &g) in sum.iter_mut().zip(row).zip(out.iter()).zip(gate.iter()) {
+                let d = t - m;
+                if d == 0.0 {
+                    *s += 1.0;
+                } else if !(d < TINY && *s >= g) {
+                    *s += d.exp();
+                }
             }
         }
     }
@@ -418,7 +457,7 @@ impl Mixture {
         let count = out.len();
         assert_eq!(rows.len(), count * self.dim(), "log_pdf_batch: rows/out length mismatch");
         self.weighted_log_density_block(rows, count, scratch);
-        log_sum_exp_cols(&scratch.weighted[..self.k() * count], out, &mut scratch.sums);
+        log_sum_exp_cols::<false>(&mut scratch.weighted[..self.k() * count], out, &mut scratch.sums);
     }
 
     /// [`Self::log_pdf_batch`] of a block that is already dimension-major,
@@ -432,7 +471,7 @@ impl Mixture {
         }
         let solve = scratch.density.solve(cols.len());
         self.weighted_log_density_cols(cols, &mut scratch.weighted[..len], solve);
-        log_sum_exp_cols(&scratch.weighted[..len], out, &mut scratch.sums);
+        log_sum_exp_cols::<false>(&mut scratch.weighted[..len], out, &mut scratch.sums);
     }
 
     /// Average log likelihood (Definition 1) of a row-major batch,
@@ -872,19 +911,42 @@ mod tests {
                         }
                     }
                     let mut out = vec![0.5; count];
-                    log_sum_exp_cols(&table, &mut out, &mut sums);
-                    for (b, got) in out.iter().enumerate() {
+                    log_sum_exp_cols::<false>(&mut table.clone(), &mut out, &mut sums);
+                    // Keeping the terms moves no bit of the result.
+                    let mut terms = table.clone();
+                    let mut kept = vec![0.5; count];
+                    log_sum_exp_cols::<true>(&mut terms, &mut kept, &mut sums);
+                    for (b, (got, kept)) in out.iter().zip(&kept).enumerate() {
                         let col: Vec<f64> = (0..k).map(|j| table[j * count + b]).collect();
                         let scalar = log_sum_exp(&col);
                         assert_eq!(got.to_bits(), scalar.to_bits(), "k={k} count={count} {col:?}");
+                        assert_eq!(kept.to_bits(), scalar.to_bits(), "kept: k={k} {col:?}");
+                        let max = col.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                        if !max.is_finite() {
+                            continue;
+                        }
+                        // Each kept term is the one the sum added, and the
+                        // sum of them is the full scalar sum, to the bit.
+                        let mut sum = 0.0;
+                        let mut full = 0.0;
+                        for (j, &t) in col.iter().enumerate() {
+                            let (d, e) = (t - max, terms[j * count + b]);
+                            let want = if d == 0.0 { 1.0 } else { d.exp() };
+                            let skipped = e == 0.0 && d < TINY;
+                            assert!(e.to_bits() == want.to_bits() || skipped, "term {j}: {col:?}");
+                            sum += e;
+                            full += d.exp();
+                        }
+                        assert_eq!(sums.sums()[b].to_bits(), sum.to_bits(), "s: {col:?}");
+                        assert_eq!(sum.to_bits(), full.to_bits(), "s is the full sum: {col:?}");
                     }
                 }
             }
         });
         // An empty block touches nothing.
         let mut sums = ColumnSums { sum: vec![1.0, 2.0], gate: Vec::new() };
-        log_sum_exp_cols(&[], &mut [], &mut sums);
-        log_sum_exp_cols(&[3.0, 4.0], &mut [], &mut sums);
+        log_sum_exp_cols::<false>(&mut [], &mut [], &mut sums);
+        log_sum_exp_cols::<true>(&mut [3.0, 4.0], &mut [], &mut sums);
         assert_eq!(sums.sum, [1.0, 2.0]);
     }
 

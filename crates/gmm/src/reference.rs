@@ -10,6 +10,10 @@
 //! the order that contract fixes: components in order inside a record,
 //! records in order inside a [`BLOCK`], blocks in order across the chunk.
 //! The bit-identity tests compare against this module with `to_bits`.
+//! Where a kernel is held to a bound instead (the EM accumulate pass,
+//! whose log-sum-exp may drop a term too small to reach its sum),
+//! [`compensated_moments`] gives the moment sums Neumaier-compensated,
+//! with the magnitudes the bound is stated in.
 
 #![cfg(test)]
 
@@ -55,25 +59,114 @@ pub(crate) fn ll_std(mixture: &Mixture, data: &[Vector]) -> f64 {
     var.sqrt()
 }
 
-/// Adds record `x` with weight `w` to one component's moments, held flat:
-/// `[n | Σwx | Σwxxᵀ]` (scatter row-major), or `[n | Σwx | Σwx²]` when
-/// `diagonal`. Each element adds one product: `n += w`, `Σx_i += w·x_i`,
-/// `Σx_ix_j += (w·x_i)·x_j`, `Σx_i² += (w·x_i)·x_i`.
-pub(crate) fn add_moments(m: &mut [f64], x: &Vector, w: f64, diagonal: bool) {
-    let d = x.dim();
-    m[0] += w;
-    let (sum, second) = m[1..].split_at_mut(d);
-    for (i, &xi) in x.iter().enumerate() {
+/// What record `x` with weight `w` adds to one component's moments, held
+/// flat: `[n | Σwx | Σwxxᵀ]` (scatter row-major), or `[n | Σwx | Σwx²]`
+/// when `diagonal`. One product per element: `w`, `w·x_i`, `(w·x_i)·x_j`,
+/// `(w·x_i)·x_i`.
+fn products(x: &Vector, w: f64, diagonal: bool) -> Vec<f64> {
+    let mut p = vec![w];
+    p.extend(x.iter().map(|&xi| w * xi));
+    for &xi in x.iter() {
         let wx = w * xi;
-        sum[i] += wx;
         if diagonal {
-            second[i] += wx * xi;
+            p.push(wx * xi);
         } else {
-            for (s, &xj) in second[i * d..(i + 1) * d].iter_mut().zip(x.iter()) {
-                *s += wx * xj;
+            p.extend(x.iter().map(|&xj| wx * xj));
+        }
+    }
+    p
+}
+
+/// Adds record `x` with weight `w` to one component's flat moments: each
+/// element adds its one [`products`] entry.
+pub(crate) fn add_moments(m: &mut [f64], x: &Vector, w: f64, diagonal: bool) {
+    for (m, p) in m.iter_mut().zip(products(x, w, diagonal)) {
+        *m += p;
+    }
+}
+
+/// `Pr(j|x)` for every component (Sec. 3.2), the ratio `w_j p(x|j) /
+/// Σ_i w_i p(x|i)` of the weighted log densities `terms`: each term
+/// scaled by the largest, `e_j = exp(t_j − max)`, over their sum `s`,
+/// every term summed in component order. Uniform `1/k` when `ln p(x)` is
+/// not finite.
+fn responsibilities(terms: &[f64]) -> Vec<f64> {
+    let k = terms.len();
+    if !log_sum_exp(terms).is_finite() {
+        return vec![1.0 / k as f64; k];
+    }
+    let max = terms.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let e: Vec<f64> = terms.iter().map(|t| (t - max).exp()).collect();
+    let mut s = 0.0;
+    for &e in &e {
+        s += e;
+    }
+    e.iter().map(|e| e / s).collect()
+}
+
+/// Neumaier's compensated sum: the running sum and, apart, the rounding
+/// error of each addition, added back at the end. Within `2u·|Σx|` plus
+/// a term of order `n·u²·Σ|x|` of the exact sum (Higham, "Accuracy and
+/// Stability of Numerical Algorithms", §4.3).
+#[derive(Debug, Default, Clone, Copy)]
+struct Neumaier {
+    sum: f64,
+    compensation: f64,
+}
+
+impl Neumaier {
+    fn add(&mut self, x: f64) {
+        let t = self.sum + x;
+        self.compensation +=
+            if self.sum.abs() >= x.abs() { (self.sum - t) + x } else { (x - t) + self.sum };
+        self.sum = t;
+    }
+
+    fn total(self) -> f64 {
+        self.sum + self.compensation
+    }
+}
+
+/// One accumulate pass's moments, the reference for a bound: every
+/// component's flat moments over `data` under `mixture`'s
+/// [`responsibilities`], each element the Neumaier-compensated sum of its
+/// per-record [`products`] (records with a weight that is not positive
+/// add nothing), beside `magnitude`, the sum of those products' absolute
+/// values, and `unweighted`, the sum of the absolute values of the
+/// products with weight 1 over every record.
+#[derive(Debug)]
+pub(crate) struct CompensatedMoments {
+    pub(crate) sums: Vec<Vec<f64>>,
+    pub(crate) magnitude: Vec<Vec<f64>>,
+    pub(crate) unweighted: Vec<f64>,
+}
+
+/// [`CompensatedMoments`] of `data` under `mixture`.
+pub(crate) fn compensated_moments(
+    mixture: &Mixture,
+    data: &[Vector],
+    diagonal: bool,
+) -> CompensatedMoments {
+    let (k, width) = (mixture.k(), width(mixture.dim(), diagonal));
+    let mut sums = vec![vec![Neumaier::default(); width]; k];
+    let mut magnitude = vec![vec![0.0; width]; k];
+    let mut unweighted = vec![0.0; width];
+    for x in data {
+        for (u, p) in unweighted.iter_mut().zip(products(x, 1.0, diagonal)) {
+            *u += p.abs();
+        }
+        let r = responsibilities(&weighted_terms(mixture, x));
+        for ((sums, magnitude), r) in sums.iter_mut().zip(&mut magnitude).zip(r) {
+            if r > 0.0 {
+                for ((s, m), p) in sums.iter_mut().zip(magnitude.iter_mut()).zip(products(x, r, diagonal)) {
+                    s.add(p);
+                    *m += p.abs();
+                }
             }
         }
     }
+    let sums = sums.iter().map(|c| c.iter().map(|s| s.total()).collect()).collect();
+    CompensatedMoments { sums, magnitude, unweighted }
 }
 
 /// The length of one component's flat moments.
@@ -95,10 +188,9 @@ pub(crate) struct EStep {
 }
 
 /// The E-step of Sec. 3.2 over `data`: record by record, the
-/// responsibilities `Pr(j|x) = exp(t_j − ln p(x))` with `t_j = ln w_j +
-/// ln p(x|j)` (uniform `1/k` when `ln p(x)` is not finite), each added to
-/// its component's moments with that weight; a weight that is not
-/// positive adds nothing. Every [`BLOCK`] of records sums into its own
+/// [`responsibilities`] `Pr(j|x)` of `t_j = ln w_j + ln p(x|j)`, each
+/// added to its component's moments with that weight; a weight that is
+/// not positive adds nothing. Every [`BLOCK`] of records sums into its own
 /// log likelihood and moments, and the blocks are folded left in order.
 pub(crate) fn e_step(mixture: &Mixture, data: &[Vector], diagonal: bool) -> EStep {
     let (k, width) = (mixture.k(), width(mixture.dim(), diagonal));
@@ -112,8 +204,7 @@ pub(crate) fn e_step(mixture: &Mixture, data: &[Vector], diagonal: bool) -> ESte
             let norm = log_sum_exp(&terms);
             ll += norm;
             norms.push(norm);
-            for (m, t) in moments.iter_mut().zip(terms) {
-                let r = if norm.is_finite() { (t - norm).exp() } else { 1.0 / k as f64 };
+            for (m, r) in moments.iter_mut().zip(responsibilities(&terms)) {
                 if r > 0.0 {
                     add_moments(m, x, r, diagonal);
                 }

@@ -90,10 +90,11 @@ fn score_block(
 ) {
     let k = mixture.k();
     mixture.weighted_log_density_block(rows, count, scratch);
-    let table = &scratch.weighted[..k * count];
+    let table = &mut scratch.weighted[..k * count];
     let start = log_pdf.len();
     log_pdf.resize(start + count, 0.0);
-    log_sum_exp_cols(table, &mut log_pdf[start..], &mut scratch.sums);
+    log_sum_exp_cols::<false>(table, &mut log_pdf[start..], &mut scratch.sums);
+    let table = &*table;
     for (b, &norm) in log_pdf[start..].iter().enumerate() {
         let terms = table.iter().skip(b).step_by(count);
         // Last-maximum tie-breaking, exactly like Mixture::map_component's

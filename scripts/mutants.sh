@@ -31,13 +31,18 @@ mutant() { # name file sed-script
 g=crates/gmm/src
 # Column log-sum-exp (batch.rs).
 mutant lse-finite-guard-dropped $g/batch.rs 's/^        if o\.is_finite() {$/        if true {/'
-mutant lse-components-reversed $g/batch.rs \
-    '/sum\.fill(0\.0);/,/d\.exp()/ s/for row in table\.chunks_exact(count) {/for row in table.chunks_exact(count).rev() {/'
+mutant lse-components-reversed $g/batch.rs '/sum\.fill(0\.0);/,/^    for (o, &s)/ {
+    s/for row in table\.chunks_exact(count) {/for row in table.chunks_exact(count).rev() {/
+    s/for row in table\.chunks_exact_mut(count) {/for row in table.chunks_exact_mut(count).rev() {/
+}'
 mutant lse-gate-always-0 $g/batch.rs 's/\*g = if \*g - m < cut { 0\.0 } else { 1\.0 };/*g = 0.0;/'
 mutant lse-tiny-30 $g/batch.rs 's/^const TINY: f64 = -37\.5;/const TINY: f64 = -30.0;/'
 mutant lse-tiny-36 $g/batch.rs 's/^const TINY: f64 = -37\.5;/const TINY: f64 = -36.0;/'
 mutant lse-nan-is-tiny $g/batch.rs 's/} else if !(d < TINY && \*s >= g) {/} else if !(!(d >= TINY) \&\& *s >= g) {/'
 mutant lse-cut-without-ln $g/batch.rs 's/let cut = TINY - .*;/let cut = TINY;/'
+# The terms the log-sum-exp keeps for the E-step: one below 1e-9 (far
+# above the skipped ones' e^-37.5) left out of the table but not the sum.
+mutant lse-kept-small-term-zeroed $g/batch.rs 's/^                \*t = e;$/                *t = if e < 1e-9 { 0.0 } else { e };/'
 # k-means (kmeans.rs).
 mutant kmeans-argmin-le $g/kmeans.rs 's/u64::from(t < \*best)/u64::from(t <= *best)/'
 mutant kmeans-reseed-gt $g/kmeans.rs 's/if t >= dist\[far\] {/if t > dist[far] {/'
@@ -53,7 +58,16 @@ mutant em-one-running-accumulator $g/em.rs '/fn accumulate(&mut self)/,/^    }$/
     s/if b == 0 {$/if false {/
 }'
 mutant em-finite-guard-dropped $g/em.rs \
-    's/let r = if norm\.is_finite() { (t - norm)\.exp() } else { uniform };/let r = (t - norm).exp();/'
+    's/let r = if norm\.is_finite() { e \/ s } else { uniform };/let r = e \/ s;/'
+# The E-step's responsibilities e / s: the term without its sum, and a sum
+# without the last component's term.
+mutant em-weight-without-sum $g/em.rs \
+    's/let r = if norm\.is_finite() { e \/ s } else { uniform };/let r = if norm.is_finite() { e } else { uniform };/'
+mutant em-sum-missing-last-component $g/em.rs '/fn accumulate_block(/,/^}$/ {
+    s/for (((w, &e), &s), &norm) in weights\.iter_mut()\.zip(e)\.zip(sums)\.zip(norms) {/let last = \&terms[terms.len() - count..];\
+        for ((((w, \&e), \&s), \&norm), \&l) in weights.iter_mut().zip(e).zip(sums).zip(norms).zip(last) {/
+    s/let r = if norm\.is_finite() { e \/ s } else { uniform };/let r = if norm.is_finite() { e \/ (s - l) } else { uniform };/
+}'
 # Column densities (gaussian.rs).
 mutant scratch-density-portable $g/gaussian.rs \
     's/wide!(self\.params\.log_pdf_cols(cols, out, solve));/self.params.log_pdf_cols(cols, out, solve);/'
