@@ -66,7 +66,8 @@ fn multitest(scale: Scale) -> Table {
         series.push(c_max as f64, s.clustered as f64);
         rows.push(series);
     }
-    Table::new("ablation_multitest", "Ablation: EM clusterings with/without multi-test", "c_max", rows)
+    let title = "Ablation: EM clusterings with/without multi-test";
+    Table::new("ablation_multitest", title, "c_max", rows)
 }
 
 /// Ablation 2: merge refinement on/off at the coordinator.
@@ -216,5 +217,6 @@ fn theorem4(scale: Scale) -> Table {
             secs / chunks
         );
     }
-    Table::new("ablation_theorem4", "Ablation: Theorem 4 cost model", "P_d", vec![predicted, measured])
+    let title = "Ablation: Theorem 4 cost model";
+    Table::new("ablation_theorem4", title, "P_d", vec![predicted, measured])
 }

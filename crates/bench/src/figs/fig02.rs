@@ -13,7 +13,7 @@
 //! synopses and is above SEM.
 
 use crate::figs::common::paper_config_dim;
-use crate::figs::{series, Claim};
+use crate::figs::Claim;
 use crate::table::{Series, Table};
 use crate::workloads;
 use crate::Scale;
@@ -52,8 +52,9 @@ fn clu_b() -> Vec<String> {
     P_DS.iter().map(|p_d| format!("CluDistream P_d={p_d}")).collect()
 }
 
-/// Whether `of` each series in `clu` of table `id` is below `of` SEM's
-/// series; `of` reads a series and the table's last second.
+/// Whether, in table `id`, the value `of` gives each series named in
+/// `clu` is below the one it gives SEM's series; `of` reads a series and
+/// the table's last second.
 fn below_sem(
     tables: &[Table],
     id: &str,
@@ -64,10 +65,11 @@ fn below_sem(
         return false;
     };
     let end = table.series.iter().flat_map(|s| s.points.iter().map(|p| p.0)).fold(0.0, f64::max);
-    let Some(sem) = series(tables, id, SEM).and_then(|s| of(s, end)) else {
+    let value = |name: &str| table.series(name).and_then(|s| of(s, end));
+    let Some(sem) = value(SEM) else {
         return false;
     };
-    clu.iter().all(|name| series(tables, id, name).and_then(|s| of(s, end)).is_some_and(|v| v < sem))
+    clu.iter().all(|name| value(name).is_some_and(|v| v < sem))
 }
 
 /// A run's cumulative bytes at its end.
@@ -130,7 +132,8 @@ pub(crate) fn run(scale: Scale) -> Vec<Table> {
         (0..SITES).map(|i| workloads::nfd_like_boxed(&norm, 0.05, 100 + i as u64)).collect();
     let clu = cludistream_run(clu_streams, updates, workloads::NFD_DIM);
     let sem = periodic_run(sem_streams, updates);
-    let a = Table::new("fig2a", "Fig 2(a): cumulative communication, NFD-like", "seconds", vec![clu, sem]);
+    let title = "Fig 2(a): cumulative communication, NFD-like";
+    let a = Table::new("fig2a", title, "seconds", vec![clu, sem]);
 
     // (b) synthetic, sweeping P_d.
     let mut series: Vec<Series> = P_DS
@@ -155,5 +158,6 @@ pub(crate) fn run(scale: Scale) -> Vec<Table> {
          ({:.1}x saving)",
         sem_total / clu_total.max(1.0)
     );
-    vec![a, Table::new("fig2b", "Fig 2(b): cumulative communication, synthetic", "seconds", series)]
+    let title = "Fig 2(b): cumulative communication, synthetic";
+    vec![a, Table::new("fig2b", title, "seconds", series)]
 }

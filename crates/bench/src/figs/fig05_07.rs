@@ -106,14 +106,16 @@ pub(crate) fn run_fig7(scale: Scale) -> Vec<Table> {
     let nfd_streams: Vec<Box<dyn Iterator<Item = Vector> + Send>> =
         (0..20).map(|i| workloads::nfd_like_boxed(&norm, 0.05, 730 + i as u64)).collect();
     let series_a = coordinator_run(nfd_streams, workloads::NFD_DIM, scale.updates(8), 72);
-    let a = Table::new("fig7a", "Fig 7(a): coordinator quality, NFD-like (r=20)", "time point", series_a);
+    let title = "Fig 7(a): coordinator quality, NFD-like (r=20)";
+    let a = Table::new("fig7a", title, "time point", series_a);
 
     // (b) synthetic.
     let syn_streams: Vec<Box<dyn Iterator<Item = Vector> + Send>> =
         (0..20).map(|i| workloads::synthetic_boxed(4, 5, 0.1, 830 + i as u64)).collect();
     let series_b = coordinator_run(syn_streams, 4, scale.updates(8), 73);
     summarize_gap("fig7b", &series_b[0], &series_b[1]);
-    vec![a, Table::new("fig7b", "Fig 7(b): coordinator quality, synthetic (r=20)", "time point", series_b)]
+    let title = "Fig 7(b): coordinator quality, synthetic (r=20)";
+    vec![a, Table::new("fig7b", title, "time point", series_b)]
 }
 
 /// Shared machinery for Fig. 7: r sites feed a coordinator; a centralized

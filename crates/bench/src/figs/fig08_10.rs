@@ -117,7 +117,8 @@ pub(crate) fn run_fig9(scale: Scale) -> Vec<Table> {
         by_k.push(k as f64, secs);
         em_k.push(k as f64, site.stats().clustered as f64);
     }
-    let a = Table::new("fig9a", "Fig 9(a): processing time vs cluster count K (d=4)", "K", vec![by_k, em_k]);
+    let title = "Fig 9(a): processing time vs cluster count K (d=4)";
+    let a = Table::new("fig9a", title, "K", vec![by_k, em_k]);
 
     // (b) varying d, fixed K = 5. The chunk size M grows linearly with d
     // (Theorem 1), so fewer chunks fit in a fixed update budget; total time
@@ -144,7 +145,8 @@ pub(crate) fn run_fig9(scale: Scale) -> Vec<Table> {
         by_d.push(d as f64, secs);
         em_d.push(d as f64, site.stats().clustered as f64);
     }
-    vec![a, Table::new("fig9b", "Fig 9(b): processing time vs dimensionality d (K=5)", "d", vec![by_d, em_d])]
+    let title = "Fig 9(b): processing time vs dimensionality d (K=5)";
+    vec![a, Table::new("fig9b", title, "d", vec![by_d, em_d])]
 }
 
 /// Runs the Fig. 10 experiment: memory usage.

@@ -10,7 +10,7 @@ mod fig05_07;
 mod fig08_10;
 mod fig11_14;
 
-use crate::table::{Series, Table};
+use crate::table::Table;
 use crate::Scale;
 
 pub use common::RollingWindow;
@@ -46,15 +46,11 @@ pub fn claims(id: &str) -> &'static [Claim] {
     }
 }
 
-/// The series `name` of table `id` among `tables`.
-fn series<'a>(tables: &'a [Table], id: &str, name: &str) -> Option<&'a Series> {
-    tables.iter().find(|t| t.id == id)?.series(name)
-}
-
 /// The y values of the series `name` of table `id`, in x order; empty
 /// when it is missing.
 fn ys(tables: &[Table], id: &str, name: &str) -> Vec<f64> {
-    series(tables, id, name).map_or_else(Vec::new, |s| s.points.iter().map(|p| p.1).collect())
+    let series = tables.iter().find(|t| t.id == id).and_then(|t| t.series(name));
+    series.map_or_else(Vec::new, |s| s.points.iter().map(|p| p.1).collect())
 }
 
 /// Runs one experiment by id and returns its tables, which the caller

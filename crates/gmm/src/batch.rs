@@ -457,7 +457,8 @@ impl Mixture {
         let count = out.len();
         assert_eq!(rows.len(), count * self.dim(), "log_pdf_batch: rows/out length mismatch");
         self.weighted_log_density_block(rows, count, scratch);
-        log_sum_exp_cols::<false>(&mut scratch.weighted[..self.k() * count], out, &mut scratch.sums);
+        let table = &mut scratch.weighted[..self.k() * count];
+        log_sum_exp_cols::<false>(table, out, &mut scratch.sums);
     }
 
     /// [`Self::log_pdf_batch`] of a block that is already dimension-major,

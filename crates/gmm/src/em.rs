@@ -823,7 +823,8 @@ mod tests {
     fn assert_close(a: &[f64], b: &[f64], what: &str) {
         assert_eq!(a.len(), b.len(), "{what}: length");
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
-            let ok = x.to_bits() == y.to_bits() || (x - y).abs() <= FIT_TOLERANCE * y.abs().max(1.0);
+            let ok =
+                x.to_bits() == y.to_bits() || (x - y).abs() <= FIT_TOLERANCE * y.abs().max(1.0);
             assert!(ok, "{what}[{i}]: {x} vs {y}");
         }
     }
@@ -946,7 +947,10 @@ mod tests {
         let d = 3;
         for diagonal in [false, true] {
             let comps: Vec<Gaussian> = (0..4)
-                .map(|j| Gaussian::spherical(Vector::filled(d, j as f64 * 0.8), 1.0 + 0.3 * j as f64))
+                .map(|j| {
+                    let mean = Vector::filled(d, j as f64 * 0.8);
+                    Gaussian::spherical(mean, 1.0 + 0.3 * j as f64)
+                })
                 .collect::<Result<_>>()
                 .unwrap();
             let mixture = Mixture::new(comps, vec![0.1, 0.4, 0.3, 0.2]).unwrap();

@@ -158,7 +158,8 @@ pub(crate) fn compensated_moments(
         let r = responsibilities(&weighted_terms(mixture, x));
         for ((sums, magnitude), r) in sums.iter_mut().zip(&mut magnitude).zip(r) {
             if r > 0.0 {
-                for ((s, m), p) in sums.iter_mut().zip(magnitude.iter_mut()).zip(products(x, r, diagonal)) {
+                let products = products(x, r, diagonal);
+                for ((s, m), p) in sums.iter_mut().zip(magnitude.iter_mut()).zip(products) {
                     s.add(p);
                     *m += p.abs();
                 }
